@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -95,6 +96,49 @@ func TestUintRoundTripAllSizes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestUintByteLayout pins the byte image of every width 1..8 — the
+// fixed-width fast paths and, through the odd sizes 3/5/6/7, the generic
+// byte loop — against a shift-and-mask reference.
+func TestUintByteLayout(t *testing.T) {
+	const v uint64 = 0x0102030405060708
+	for _, m := range Machines() {
+		for size := 1; size <= 8; size++ {
+			want := make([]byte, size)
+			for i := range want {
+				b := byte(v >> (8 * i))
+				if m.Order == LittleEndian {
+					want[i] = b
+				} else {
+					want[size-1-i] = b
+				}
+			}
+			got := make([]byte, size)
+			m.PutUint(got, v, size)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: PutUint size %d = % x, want % x", m.Name, size, got, want)
+			}
+			mask := uint64(math.MaxUint64) >> (64 - 8*size)
+			if r := m.Uint(want, size); r != v&mask {
+				t.Errorf("%s: Uint size %d = %#x, want %#x", m.Name, size, r, v&mask)
+			}
+		}
+	}
+	for _, size := range []int{0, 9} {
+		assertPanics(t, "PutUint", func() { DEC5000.PutUint(make([]byte, 16), 1, size) })
+		assertPanics(t, "Uint", func() { SPARC20.Uint(make([]byte, 16), size) })
+	}
+}
+
+func assertPanics(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s with a bad size did not panic", name)
+		}
+	}()
+	f()
 }
 
 func TestIntSignExtension(t *testing.T) {

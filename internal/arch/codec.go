@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -13,7 +14,37 @@ import (
 
 // PutUint writes the low size bytes of v into b in the machine's byte
 // order. It panics if b is shorter than size or size is not in 1..8.
+// The widths C scalars actually have take one fixed-width store; the byte
+// loop covers the odd sizes.
 func (m *Machine) PutUint(b []byte, v uint64, size int) {
+	le := m.Order == LittleEndian
+	switch size {
+	case 1:
+		b[0] = byte(v)
+	case 2:
+		if le {
+			binary.LittleEndian.PutUint16(b, uint16(v))
+		} else {
+			binary.BigEndian.PutUint16(b, uint16(v))
+		}
+	case 4:
+		if le {
+			binary.LittleEndian.PutUint32(b, uint32(v))
+		} else {
+			binary.BigEndian.PutUint32(b, uint32(v))
+		}
+	case 8:
+		if le {
+			binary.LittleEndian.PutUint64(b, v)
+		} else {
+			binary.BigEndian.PutUint64(b, v)
+		}
+	default:
+		m.putUintBytes(b, v, size)
+	}
+}
+
+func (m *Machine) putUintBytes(b []byte, v uint64, size int) {
 	if size < 1 || size > 8 {
 		panic(fmt.Sprintf("arch: bad scalar size %d", size))
 	}
@@ -32,6 +63,30 @@ func (m *Machine) PutUint(b []byte, v uint64, size int) {
 // Uint reads size bytes from b in the machine's byte order and returns
 // them zero-extended to 64 bits.
 func (m *Machine) Uint(b []byte, size int) uint64 {
+	le := m.Order == LittleEndian
+	switch size {
+	case 1:
+		return uint64(b[0])
+	case 2:
+		if le {
+			return uint64(binary.LittleEndian.Uint16(b))
+		}
+		return uint64(binary.BigEndian.Uint16(b))
+	case 4:
+		if le {
+			return uint64(binary.LittleEndian.Uint32(b))
+		}
+		return uint64(binary.BigEndian.Uint32(b))
+	case 8:
+		if le {
+			return binary.LittleEndian.Uint64(b)
+		}
+		return binary.BigEndian.Uint64(b)
+	}
+	return m.uintBytes(b, size)
+}
+
+func (m *Machine) uintBytes(b []byte, size int) uint64 {
 	if size < 1 || size > 8 {
 		panic(fmt.Sprintf("arch: bad scalar size %d", size))
 	}

@@ -47,36 +47,6 @@ import (
 // nullSeg is the wire segment value encoding a null pointer.
 const nullSeg = 0xffffffff
 
-// wireSize returns the canonical (machine-independent) encoded width of a
-// non-pointer scalar kind.
-func wireSize(k arch.PrimKind) int {
-	switch k {
-	case arch.Char, arch.UChar:
-		return 1
-	case arch.Short, arch.UShort:
-		return 2
-	case arch.Int, arch.UInt, arch.Float:
-		return 4
-	case arch.Long, arch.ULong, arch.LongLong, arch.ULongLong, arch.Double:
-		return 8
-	}
-	panic(fmt.Sprintf("collect: no wire size for %s", k))
-}
-
-func putBE(b []byte, v uint64, n int) {
-	for i := 0; i < n; i++ {
-		b[n-1-i] = byte(v >> (8 * i))
-	}
-}
-
-func getBE(b []byte, n int) uint64 {
-	var v uint64
-	for i := 0; i < n; i++ {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
 // SaveStats decomposes the cost of a collection in the terms of the
 // paper's Section 4.2: Collect = MSRLT_search + Encode_and_Copy.
 type SaveStats struct {
@@ -233,9 +203,8 @@ func (s *Saver) saveBlock(b *msr.Block) error {
 	s.enc.PutUint32(uint32(ti))
 	s.enc.PutUint32(uint32(b.Count))
 	plan := s.ti.Plan(b.Type, s.mach)
-	es := b.Type.SizeOf(s.mach)
 	for elem := 0; elem < b.Count; elem++ {
-		if err := s.saveOps(plan.Ops, b.Addr+memory.Address(elem*es)); err != nil {
+		if err := s.saveOps(plan.Ops, b.Addr+memory.Address(elem*plan.ElemSize)); err != nil {
 			return fmt.Errorf("collect: block %s element %d: %w", b.ID, elem, err)
 		}
 	}
@@ -279,7 +248,7 @@ func (s *Saver) saveRun(op types.PlanOp, base memory.Address) error {
 	if s.Instrument {
 		start = time.Now()
 	}
-	n, err := encodeRun(s.enc, s.space, s.mach, op, base)
+	n, err := encodeRun(s.enc, s.space, op, base)
 	if err != nil {
 		return err
 	}
@@ -288,58 +257,4 @@ func (s *Saver) saveRun(op types.PlanOp, base memory.Address) error {
 		s.Stats.EncodeTime += time.Since(start)
 	}
 	return nil
-}
-
-// encodeRun is the run encoder shared by the monolithic Saver and the
-// sectioned encoders: it writes one plan op's worth of non-pointer
-// scalars in canonical big-endian wire form and returns the byte count.
-// It reads memory and the type plan only, so concurrent encoders may run
-// it against the same space as long as each has its own encoder.
-func encodeRun(enc *xdr.Encoder, space *memory.Space, m *arch.Machine, op types.PlanOp, base memory.Address) (int, error) {
-	size := m.SizeOf(op.Kind)
-	ws := wireSize(op.Kind)
-	// When the encoder streams to a sink, bound each reservation so one
-	// large run (a linpack matrix) still flushes out in chunk-sized
-	// pieces instead of a single unsplittable Grow.
-	seg := op.Count
-	if hint := enc.SegmentHint(); hint > 0 {
-		if max := hint / ws; max >= 1 && seg > max {
-			seg = max
-		}
-	}
-	if op.Stride == size {
-		// Contiguous run: one bounds check for the whole span.
-		src, err := space.Bytes(base+memory.Address(op.Off), size*op.Count)
-		if err != nil {
-			return 0, err
-		}
-		for done := 0; done < op.Count; done += seg {
-			n := op.Count - done
-			if n > seg {
-				n = seg
-			}
-			out := enc.Grow(ws * n)
-			for i := 0; i < n; i++ {
-				v := m.Prim(src[(done+i)*size:], op.Kind)
-				putBE(out[i*ws:], v, ws)
-			}
-		}
-	} else {
-		for done := 0; done < op.Count; done += seg {
-			n := op.Count - done
-			if n > seg {
-				n = seg
-			}
-			out := enc.Grow(ws * n)
-			for i := 0; i < n; i++ {
-				src, err := space.Bytes(base+memory.Address(op.Off+(done+i)*op.Stride), size)
-				if err != nil {
-					return 0, err
-				}
-				v := m.Prim(src, op.Kind)
-				putBE(out[i*ws:], v, ws)
-			}
-		}
-	}
-	return ws * op.Count, nil
 }

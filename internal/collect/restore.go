@@ -194,9 +194,8 @@ func (r *Restorer) restoreBlock(id msr.BlockID) error {
 // fillContents decodes a block's content through its restoring plan.
 func (r *Restorer) fillContents(b *msr.Block) error {
 	plan := r.ti.Plan(b.Type, r.mach)
-	es := b.Type.SizeOf(r.mach)
 	for elem := 0; elem < b.Count; elem++ {
-		if err := r.restoreOps(plan.Ops, b.Addr+memory.Address(elem*es)); err != nil {
+		if err := r.restoreOps(plan.Ops, b.Addr+memory.Address(elem*plan.ElemSize)); err != nil {
 			return fmt.Errorf("collect: restoring block %s element %d: %w", b.ID, elem, err)
 		}
 	}
@@ -209,12 +208,12 @@ func (r *Restorer) fillContents(b *msr.Block) error {
 // elements, so a forged count cannot force a huge allocation from a
 // small input.
 func (r *Restorer) allocHeapBlock(id msr.BlockID, ty *types.Type, count int) (*msr.Block, error) {
-	es := ty.SizeOf(r.mach)
+	plan := r.ti.Plan(ty, r.mach)
+	es := plan.ElemSize
 	if count <= 0 || es <= 0 {
 		return nil, fmt.Errorf("%w: heap block %s declares %d elements of %d bytes",
 			ErrCorruptStream, id, count, es)
 	}
-	plan := r.ti.Plan(ty, r.mach)
 	per := wireMinPerElem(plan.Ops)
 	if per < 1 {
 		per = 1
@@ -247,7 +246,7 @@ func wireMinPerElem(ops []types.PlanOp) int {
 		case op.Kind == arch.Ptr:
 			n += op.Count * 4
 		default:
-			n += op.Count * wireSize(op.Kind)
+			n += op.Count * types.WireSize(op.Kind)
 		}
 	}
 	return n
@@ -289,7 +288,7 @@ func (r *Restorer) restoreRun(op types.PlanOp, base memory.Address) error {
 	if r.Instrument {
 		start = time.Now()
 	}
-	n, err := decodeRun(r.dec, r.space, r.mach, op, base)
+	n, err := decodeRun(r.dec, r.space, op, base)
 	if err != nil {
 		return err
 	}
@@ -298,34 +297,4 @@ func (r *Restorer) restoreRun(op types.PlanOp, base memory.Address) error {
 		r.Stats.DecodeTime += time.Since(start)
 	}
 	return nil
-}
-
-// decodeRun is encodeRun's inverse, shared by the monolithic Restorer
-// and the sectioned restorers.
-func decodeRun(dec *xdr.Decoder, space *memory.Space, m *arch.Machine, op types.PlanOp, base memory.Address) (int, error) {
-	size := m.SizeOf(op.Kind)
-	ws := wireSize(op.Kind)
-	in, err := dec.Take(ws * op.Count)
-	if err != nil {
-		return 0, fmt.Errorf("%w: truncated scalar run", ErrCorruptStream)
-	}
-	if op.Stride == size {
-		dst, err := space.Bytes(base+memory.Address(op.Off), size*op.Count)
-		if err != nil {
-			return 0, err
-		}
-		for i := 0; i < op.Count; i++ {
-			v := getBE(in[i*ws:i*ws+ws], ws)
-			m.PutPrim(dst[i*size:], op.Kind, v)
-		}
-	} else {
-		for i := 0; i < op.Count; i++ {
-			dst, err := space.Bytes(base+memory.Address(op.Off+i*op.Stride), size)
-			if err != nil {
-				return 0, err
-			}
-			m.PutPrim(dst, op.Kind, getBE(in[i*ws:i*ws+ws], ws))
-		}
-	}
-	return ws * op.Count, nil
 }

@@ -45,7 +45,7 @@ const listExit = 38
 // stoppedAtMigration runs the program on m until the immediately pending
 // migration request is granted, returning the stopped process and its
 // directly collected state.
-func stoppedAtMigration(t *testing.T, e *Engine, m *arch.Machine) (*vm.Process, []byte) {
+func stoppedAtMigration(t testing.TB, e *Engine, m *arch.Machine) (*vm.Process, []byte) {
 	t.Helper()
 	p, err := e.NewProcess(m)
 	if err != nil {

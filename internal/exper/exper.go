@@ -8,6 +8,7 @@ package exper
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"time"
 
@@ -63,13 +64,35 @@ func stopAtMigration(e *core.Engine, m *arch.Machine) (*vm.Process, []byte, erro
 	return p, res.State, nil
 }
 
+// minTiming is how long a min-of-N measurement keeps sampling. Collecting
+// or restoring a small state takes tens of microseconds now that bulk
+// scalars move at memory speed — the size of one scheduler or allocator
+// blip — so a handful of samples no longer finds the floor; short calls
+// are sampled until they add up to this much.
+const minTiming = 5 * time.Millisecond
+
+// timeBest returns the minimum time of f over at least repeats calls and at
+// least minTiming of them, after an untimed warm-up call and a collection
+// cycle that keep Go allocator and GC transients out of the window.
+func timeBest(repeats int, f func()) time.Duration {
+	f()
+	runtime.GC()
+	best := time.Duration(math.MaxInt64)
+	begin := time.Now()
+	for i := 0; i < repeats || time.Since(begin) < minTiming; i++ {
+		start := time.Now()
+		f()
+		best = min(best, time.Since(start))
+	}
+	return best
+}
+
 // timeCollect measures data collection time (min of repeats) on a stopped
 // process.
 func timeCollect(p *vm.Process, repeats int) (time.Duration, int, error) {
 	var failure error
 	size := 0
-	runtime.GC() // keep collector pauses out of the min-of-N window
-	d := stats.Repeat(repeats, func() {
+	d := timeBest(repeats, func() {
 		st, err := p.Recapture()
 		if err != nil {
 			failure = err
@@ -83,13 +106,7 @@ func timeCollect(p *vm.Process, repeats int) (time.Duration, int, error) {
 // timeRestore measures data restoration time (min of repeats).
 func timeRestore(e *core.Engine, m *arch.Machine, state []byte, repeats int) (time.Duration, error) {
 	var failure error
-	// Untimed warmup, then a collection cycle, so Go allocator and GC
-	// transients stay out of the min-of-N window.
-	if _, err := vm.RestoreProcess(e.Prog, m, state); err != nil {
-		return 0, err
-	}
-	runtime.GC()
-	d := stats.Repeat(repeats, func() {
+	d := timeBest(repeats, func() {
 		if _, err := vm.RestoreProcess(e.Prog, m, state); err != nil {
 			failure = err
 		}

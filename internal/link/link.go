@@ -30,9 +30,13 @@ import (
 
 // Transport carries framed messages between two endpoints.
 type Transport interface {
-	// Send transmits one message.
+	// Send transmits one message. It does not retain payload: once Send
+	// returns the caller may reuse the slice.
 	Send(payload []byte) error
-	// Recv blocks for the next message.
+	// Recv blocks for the next message. The result is owned by the
+	// caller: an implementation returns memory it allocated for this one
+	// message and keeps no reference to, so callers may hold, slice or
+	// modify it without copying. Wrappers pass the slice through.
 	Recv() ([]byte, error)
 	// Close releases the endpoint; a blocked Recv on the peer fails.
 	Close() error
@@ -111,15 +115,16 @@ func (p *pipeEnd) Close() error {
 // frame layout: 4-byte big-endian length, 4-byte CRC-32 (IEEE) of the
 // payload, then the payload bytes.
 
-// WriteFrame writes one framed message to w.
+// WriteFrame writes one framed message to w. Header and payload go out
+// as one vectored write where w supports it (a TCP connection does), so a
+// frame costs one system call and the payload is never copied behind a
+// header.
 func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [8]byte
+	hdr := make([]byte, 8)
 	binary.BigEndian.PutUint32(hdr[0:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	bufs := net.Buffers{hdr, payload}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 

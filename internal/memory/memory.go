@@ -125,10 +125,15 @@ type segmentStore struct {
 	cap  int
 	org  Address // data[0] corresponds to this address
 	data []byte
+
+	// lo and hi bound every range slice has handed out. Backing bytes
+	// outside [lo, hi) have never been exposed, so they still hold the
+	// zeros they were allocated with and Zero need not clear them again.
+	lo, hi Address
 }
 
-// orgAlign rounds origins down to 1 MB so downward growth is amortized.
-const orgAlign = 1 << 20
+// growAlign is the granule the backing array grows by, in either direction.
+const growAlign = 1 << 16
 
 func (s *segmentStore) slice(addr Address, n int) ([]byte, error) {
 	if addr == 0 {
@@ -139,18 +144,13 @@ func (s *segmentStore) slice(addr Address, n int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %#x+%d in %s", ErrOutOfRange, uint64(addr), n, "segment")
 	}
 	if s.data == nil {
-		org := addr &^ (orgAlign - 1)
-		if org < s.base {
-			org = s.base
-		}
-		s.org = org
+		s.org = addr &^ (growAlign - 1) // segment bases are growAlign-aligned
 	}
 	if addr < s.org {
-		// Grow downward: re-base with 1 MB slack.
-		newOrg := addr &^ (orgAlign - 1)
-		if newOrg < s.base {
-			newOrg = s.base
-		}
+		// Grow downward: re-base to cover addr, at least doubling so a
+		// deepening stack stays amortized (a shallow one never pays for
+		// more than it touched).
+		newOrg := min(addr&^(growAlign-1), s.org-Address(min(len(s.data), int(s.org-s.base))))
 		shift := int(s.org - newOrg)
 		nd := make([]byte, shift+len(s.data))
 		copy(nd[shift:], s.data)
@@ -160,19 +160,20 @@ func (s *segmentStore) slice(addr Address, n int) ([]byte, error) {
 	rel := int(addr - s.org)
 	end := rel + n
 	if end > len(s.data) {
-		grown := len(s.data)
-		if grown == 0 {
-			grown = 1 << 16
-		}
-		for grown < end {
-			grown *= 2
-		}
-		if max := s.cap - int(s.org-s.base); grown > max {
-			grown = max
-		}
+		// At least double, so gradual growth stays amortized; but a range
+		// that needs more (the first large block of a restore) sizes the
+		// array once, to the page, instead of to the next power of two.
+		grown := max(2*len(s.data), (end+growAlign-1)&^(growAlign-1))
+		grown = min(grown, s.cap-int(s.org-s.base))
 		nd := make([]byte, grown)
 		copy(nd, s.data)
 		s.data = nd
+	}
+	if addr < s.lo {
+		s.lo = addr
+	}
+	if e := addr + Address(n); e > s.hi {
+		s.hi = e
 	}
 	return s.data[rel:end], nil
 }
@@ -181,9 +182,9 @@ func (s *segmentStore) slice(addr Address, n int) ([]byte, error) {
 func NewSpace(m *arch.Machine) *Space {
 	sp := &Space{
 		mach:     m,
-		global:   segmentStore{base: GlobalBase, cap: globalCap},
-		heap:     segmentStore{base: HeapBase, cap: heapCap},
-		stack:    segmentStore{base: StackBase - stackCap, cap: stackCap},
+		global:   segmentStore{base: GlobalBase, cap: globalCap, lo: ^Address(0)},
+		heap:     segmentStore{base: HeapBase, cap: heapCap, lo: ^Address(0)},
+		stack:    segmentStore{base: StackBase - stackCap, cap: stackCap, lo: ^Address(0)},
 		brk:      GlobalBase,
 		stackTop: StackBase,
 	}
@@ -273,14 +274,22 @@ func (s *Space) WriteBytes(addr Address, p []byte) error {
 	return nil
 }
 
-// Zero clears n bytes at addr.
+// Zero clears n bytes at addr. The part of the range no view has ever
+// covered is skipped: it is still zero from allocation (a fresh process
+// restoring a multi-megabyte block would otherwise clear it twice before
+// overwriting it).
 func (s *Space) Zero(addr Address, n int) error {
+	var lo, hi Address
+	if st := s.store(addr); st != nil {
+		lo, hi = st.lo, st.hi
+	}
 	b, err := s.mutable(addr, n)
 	if err != nil {
 		return err
 	}
-	for i := range b {
-		b[i] = 0
+	from, to := max(addr, lo), min(addr+Address(n), hi)
+	if from < to {
+		clear(b[from-addr : to-addr])
 	}
 	return nil
 }

@@ -400,3 +400,60 @@ func TestSegmentStoreRebasePreservesData(t *testing.T) {
 		t.Errorf("high bytes after rebase = %q, %v", got, err)
 	}
 }
+
+func TestSegmentGrowsToWhatIsNeeded(t *testing.T) {
+	// A fresh process restoring one 4.7 MB block must not materialize the
+	// next power of two (8 MB) and zero all of it.
+	s := NewSpace(arch.SPARC20)
+	const size = 768 * 768 * 8
+	if _, err := s.Malloc(size); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.heap.data); got < size || got > size+growAlign {
+		t.Errorf("backing array is %d bytes for a %d-byte block", got, size)
+	}
+	// Gradual growth still at least doubles.
+	before := len(s.heap.data)
+	if _, err := s.Malloc(64); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.heap.data); got != before && got < 2*before {
+		t.Errorf("backing array grew %d -> %d, want at least doubling", before, got)
+	}
+}
+
+func TestZeroSkipsOnlyNeverExposedBytes(t *testing.T) {
+	// Zero may skip bytes no view ever covered, and only those: a write
+	// through a Bytes view beyond the allocator's blocks — a stray store —
+	// must still be cleared when that range is later allocated.
+	s := NewSpace(arch.DEC5000)
+	a, _ := s.Malloc(64)
+	stray, err := s.Bytes(a+4096, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range stray {
+		stray[i] = 0xee
+	}
+	big, _ := s.Malloc(1 << 20) // covers the stray range and fresh bytes beyond it
+	mem, _ := s.Bytes(big, 1<<20)
+	for i, v := range mem {
+		if v != 0 {
+			t.Fatalf("byte %d of a fresh block reads %#x", i, v)
+		}
+	}
+	// The stack grows the other way: the hull's low edge moves.
+	f1, _ := s.PushFrame(256)
+	m1, _ := s.Bytes(f1, 256)
+	for i := range m1 {
+		m1[i] = 0xdd
+	}
+	s.PopFrame()
+	f2, _ := s.PushFrame(1 << 16)
+	m2, _ := s.Bytes(f2, 1<<16)
+	for i, v := range m2 {
+		if v != 0 {
+			t.Fatalf("byte %d of a fresh frame reads %#x", i, v)
+		}
+	}
+}

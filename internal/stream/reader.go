@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -96,7 +97,9 @@ func (r *Reader) reconnect(cause error) error {
 
 // Next returns the payload of the next in-order chunk, or io.EOF once the
 // stream completed and was verified. The returned slice is owned by the
-// caller.
+// caller: it is the verified payload inside the frame the transport
+// allocated for this one message (link.Transport's Recv contract), so no
+// later Next aliases it and the Reader keeps no reference to it.
 func (r *Reader) Next() ([]byte, error) {
 	if r.eof {
 		return nil, io.EOF
@@ -168,9 +171,7 @@ func (r *Reader) Next() ([]byte, error) {
 					}
 				}
 			}
-			out := make([]byte, len(m.payload))
-			copy(out, m.payload)
-			return out, nil
+			return m.payload, nil
 		case msgFin:
 			if m.seq != r.nextSeq {
 				// A FIN for chunks we have not seen: the sender's view is
@@ -201,17 +202,22 @@ func (r *Reader) Next() ([]byte, error) {
 }
 
 // ReadAll drains the stream into one buffer — the non-incremental
-// convenience used when restoration wants the whole snapshot.
+// convenience used when restoration wants the whole snapshot. The chunks
+// are held as they arrive and joined once at the exact size, so every
+// payload byte is copied once (and a single-chunk stream not at all).
 func (r *Reader) ReadAll() ([]byte, error) {
-	var out []byte
+	var chunks [][]byte
 	for {
 		p, err := r.Next()
 		if err == io.EOF {
-			return out, nil
+			if len(chunks) == 1 {
+				return chunks[0], nil
+			}
+			return bytes.Join(chunks, nil), nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, p...)
+		chunks = append(chunks, p)
 	}
 }

@@ -82,7 +82,7 @@ func NewSession(dial func() (link.Transport, error), id uint64, cfg Config) *Ses
 		abort:    make(chan struct{}),
 		finished: make(chan struct{}),
 	}
-	s.buf = make([]byte, 0, s.cfg.ChunkSize)
+	s.buf = chunkFrame(nil, s.cfg.ChunkSize)
 	go s.pump()
 	return s
 }
@@ -118,13 +118,10 @@ func (s *Session) Write(p []byte) (int, error) {
 	}
 	n := len(p)
 	for len(p) > 0 {
-		room := s.cfg.ChunkSize - len(s.buf)
-		if room > len(p) {
-			room = len(p)
-		}
+		room := min(dataHdr+s.cfg.ChunkSize-len(s.buf), len(p))
 		s.buf = append(s.buf, p[:room]...)
 		p = p[room:]
-		if len(s.buf) == s.cfg.ChunkSize {
+		if len(s.buf) == dataHdr+s.cfg.ChunkSize {
 			if err := s.cut(); err != nil {
 				return 0, err
 			}
@@ -134,12 +131,12 @@ func (s *Session) Write(p []byte) (int, error) {
 }
 
 func (s *Session) cut() error {
-	c := chunk{seq: s.seq, payload: s.buf}
+	c := chunk{seq: s.seq, frame: s.buf}
 	s.seq++
-	s.crc = crc32.Update(s.crc, crc32.IEEETable, c.payload)
-	s.bytes += int64(len(c.payload))
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, c.payload())
+	s.bytes += int64(len(c.payload()))
 	s.stats.Chunks++
-	s.buf = make([]byte, 0, s.cfg.ChunkSize)
+	s.buf = chunkFrame(nil, s.cfg.ChunkSize)
 	start := time.Now()
 	select {
 	case s.chunks <- c:
@@ -153,7 +150,7 @@ func (s *Session) cut() error {
 // Close flushes the tail, sends FIN, and waits for the receiver's DONE
 // (reconnecting as needed). It reports the first unrecoverable error.
 func (s *Session) Close() error {
-	if len(s.buf) > 0 && s.Err() == nil {
+	if len(s.buf) > dataHdr && s.Err() == nil {
 		s.cut()
 	}
 	close(s.chunks)
@@ -222,7 +219,7 @@ func (s *Session) pump() {
 	defer dropRecv()
 
 	sendData := func(c chunk) error {
-		return t.Send(marshalData(c, crc32.ChecksumIEEE(c.payload)))
+		return t.Send(c.seal())
 	}
 	// ackTo drops retained chunks below the watermark, observing each
 	// chunk's send->ack round trip. Rewinds and resumes drop through

@@ -45,8 +45,10 @@
 package stream
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"time"
 
 	"repro/internal/obs"
@@ -142,10 +144,42 @@ type retainedChunk struct {
 	sentAt time.Time
 }
 
-// chunk is one in-flight piece of the snapshot.
+// chunk is one in-flight piece of the snapshot. Its frame is the whole
+// DATA message: dataHdr bytes reserved for the header, then the payload
+// the producer appended in place — so sealing a chunk for the wire copies
+// nothing.
 type chunk struct {
-	seq     uint32
-	payload []byte
+	seq   uint32
+	frame []byte
+}
+
+// dataHdr is the encoded size of a DATA message up to its payload: magic,
+// type, seq, crc and the opaque length, four bytes each.
+const dataHdr = 20
+
+// chunkFrame returns an empty chunk frame — header room reserved, capacity
+// for chunkSize payload bytes and the opaque padding — reusing b's array
+// when it is large enough.
+func chunkFrame(b []byte, chunkSize int) []byte {
+	if cap(b) < dataHdr+chunkSize+3 {
+		b = make([]byte, dataHdr, dataHdr+chunkSize+3)
+	}
+	return b[:dataHdr]
+}
+
+func (c chunk) payload() []byte { return c.frame[dataHdr:] }
+
+// seal writes the DATA header in front of the payload, pads the opaque to
+// four bytes and returns the finished message. Sealing again (a Session
+// retransmitting) rewrites the same bytes.
+func (c chunk) seal() []byte {
+	p, be := c.payload(), binary.BigEndian
+	be.PutUint32(c.frame[0:], streamMagic)
+	be.PutUint32(c.frame[4:], msgData)
+	be.PutUint32(c.frame[8:], c.seq)
+	be.PutUint32(c.frame[12:], crc32.ChecksumIEEE(p))
+	be.PutUint32(c.frame[16:], uint32(len(p)))
+	return append(c.frame, 0, 0, 0)[:dataHdr+(len(p)+3)&^3]
 }
 
 // message is a decoded stream-layer control or data message.
@@ -171,16 +205,6 @@ func marshalSeq(typ, nextSeq uint32) []byte {
 	e.PutUint32(streamMagic)
 	e.PutUint32(typ)
 	e.PutUint32(nextSeq)
-	return e.Bytes()
-}
-
-func marshalData(c chunk, crc uint32) []byte {
-	e := xdr.NewEncoder(len(c.payload) + 20)
-	e.PutUint32(streamMagic)
-	e.PutUint32(msgData)
-	e.PutUint32(c.seq)
-	e.PutUint32(crc)
-	e.PutOpaque(c.payload)
 	return e.Bytes()
 }
 

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/link"
 	"repro/internal/obs"
+	"repro/internal/xdr"
 )
 
 // testPayload builds deterministic pseudo-random bytes.
@@ -395,5 +397,34 @@ func TestFlightRecorderAndAckRTT(t *testing.T) {
 	}
 	if after := obs.Default.Histogram("stream.ack.rtt").Count(); after <= before {
 		t.Errorf("ack RTT histogram did not grow (%d -> %d)", before, after)
+	}
+}
+
+// TestSealMatchesXDRDataMessage pins the in-place DATA framing to the wire
+// format the XDR encoder used to produce — header, opaque length and zero
+// padding — for every payload length modulo four, and checks that sealing
+// twice (a Session retransmit) is idempotent.
+func TestSealMatchesXDRDataMessage(t *testing.T) {
+	for n := 0; n <= 9; n++ {
+		payload := testPayload(n, int64(n))
+		want := xdr.NewEncoder(64)
+		want.PutUint32(streamMagic)
+		want.PutUint32(msgData)
+		want.PutUint32(7)
+		want.PutUint32(crc32.ChecksumIEEE(payload))
+		want.PutOpaque(payload)
+
+		// A recycled frame: stale bytes where the padding will go.
+		frame := append(chunkFrame(bytes.Repeat([]byte{0xEE}, dataHdr+16), 9), payload...)
+		c := chunk{seq: 7, frame: frame}
+		for pass := 0; pass < 2; pass++ {
+			if got := c.seal(); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("len %d pass %d: seal = % x, want % x", n, pass, got, want.Bytes())
+			}
+		}
+		m, err := parseMessage(c.seal())
+		if err != nil || m.seq != 7 || !bytes.Equal(m.payload, payload) {
+			t.Fatalf("len %d: parse = %+v, %v", n, m, err)
+		}
 	}
 }

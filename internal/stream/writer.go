@@ -60,19 +60,15 @@ type Writer struct {
 	stats WriterStats
 }
 
-// chunkBufs recycles chunk payload buffers across transfers. Only the
-// plain Writer may use it: a chunk's payload dies once marshalData copies
-// it into the frame, so txLoop can recycle right after Send. A Session
-// must NOT pool its payloads — it retains transmitted chunks until the
+// chunkBufs recycles chunk frames across transfers. Only the plain Writer
+// may use it: Transport.Send does not retain its argument, so a chunk's
+// frame is dead once Send returns and txLoop recycles it there. A Session
+// must NOT pool its frames — it retains transmitted chunks until the
 // receiver's acknowledgement watermark passes them, for rewind replay.
 var chunkBufs = sync.Pool{New: func() any { return []byte(nil) }}
 
-func getChunkBuf(capacity int) []byte {
-	b := chunkBufs.Get().([]byte)
-	if cap(b) < capacity {
-		b = make([]byte, 0, capacity)
-	}
-	return b[:0]
+func getChunkBuf(chunkSize int) []byte {
+	return chunkFrame(chunkBufs.Get().([]byte), chunkSize)
 }
 
 // NewWriter starts a streamed transfer over t. The receiving side must be
@@ -138,10 +134,8 @@ func (w *Writer) noteAcked(next uint32, all bool) {
 func (w *Writer) txLoop() {
 	for c := range w.sendq {
 		w.noteSent(c.seq)
-		err := w.t.Send(marshalData(c, crc32.ChecksumIEEE(c.payload)))
-		// marshalData copied the payload into the frame; the buffer is
-		// dead either way and goes back to the pool.
-		chunkBufs.Put(c.payload[:0])
+		err := w.t.Send(c.seal())
+		chunkBufs.Put(c.frame[:0])
 		if err != nil {
 			w.fail(fmt.Errorf("stream: chunk %d send: %w", c.seq, err))
 			// Keep draining so the producer never blocks on a dead queue.
@@ -204,13 +198,10 @@ func (w *Writer) Write(p []byte) (int, error) {
 	}
 	n := len(p)
 	for len(p) > 0 {
-		room := w.cfg.ChunkSize - len(w.buf)
-		if room > len(p) {
-			room = len(p)
-		}
+		room := min(dataHdr+w.cfg.ChunkSize-len(w.buf), len(p))
 		w.buf = append(w.buf, p[:room]...)
 		p = p[room:]
-		if len(w.buf) == w.cfg.ChunkSize {
+		if len(w.buf) == dataHdr+w.cfg.ChunkSize {
 			if err := w.cut(); err != nil {
 				return 0, err
 			}
@@ -221,10 +212,10 @@ func (w *Writer) Write(p []byte) (int, error) {
 
 // cut enqueues the buffered chunk for transmission.
 func (w *Writer) cut() error {
-	c := chunk{seq: w.seq, payload: w.buf}
+	c := chunk{seq: w.seq, frame: w.buf}
 	w.seq++
-	w.crc = crc32.Update(w.crc, crc32.IEEETable, c.payload)
-	w.bytes += int64(len(c.payload))
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, c.payload())
+	w.bytes += int64(len(c.payload()))
 	w.stats.Chunks++
 	w.buf = getChunkBuf(w.cfg.ChunkSize)
 	start := time.Now()
@@ -246,7 +237,7 @@ func (w *Writer) cut() error {
 // Close flushes the tail chunk, transmits FIN, and waits for the
 // receiver's DONE. It reports the first error of the whole transfer.
 func (w *Writer) Close() error {
-	if len(w.buf) > 0 && w.Err() == nil {
+	if len(w.buf) > dataHdr && w.Err() == nil {
 		w.cut() // on failure the error is reported below
 	}
 	close(w.sendq)

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -44,6 +45,78 @@ func TestWriterDoesNotRetainCallerBytes(t *testing.T) {
 	}
 	if !bytes.Equal(r.data, payload) {
 		t.Fatal("stream corrupted: Writer retained a caller slice past Write's return")
+	}
+}
+
+// TestReaderHandsOutUnsharedChunks is the reader-side twin: Next returns
+// the verified payload inside the frame the transport allocated for that
+// message, without copying it. The consumer scribbles over every chunk the
+// moment it has it; no later chunk may show the scribble (two results
+// never alias), no earlier chunk may change under a later Next, and the
+// stream must still verify at FIN — the running CRC was taken before the
+// chunk was handed out. Runs over the in-memory pipe and over real TCP
+// framing, the two Recv implementations.
+func TestReaderHandsOutUnsharedChunks(t *testing.T) {
+	cfg := Config{ChunkSize: 512, Window: 4, AckEvery: 2}
+	transports := map[string]func(t *testing.T) (link.Transport, link.Transport){
+		"pipe": func(*testing.T) (link.Transport, link.Transport) { return link.Pipe() },
+		"tcp": func(t *testing.T) (link.Transport, link.Transport) {
+			srv, cli, cleanup, err := link.LoopbackPair()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(cleanup)
+			return cli, srv
+		},
+	}
+	for name, pair := range transports {
+		t.Run(name, func(t *testing.T) {
+			a, b := pair(t)
+			defer a.Close()
+			defer b.Close()
+			payload := testPayload(10_000, 5)
+			werr := make(chan error, 1)
+			go func() {
+				w := NewWriter(a, cfg)
+				_, err := w.Write(payload)
+				if cerr := w.Close(); err == nil {
+					err = cerr
+				}
+				werr <- err
+			}()
+
+			r := NewReader(b, cfg)
+			var held [][]byte
+			off := 0
+			for {
+				p, err := r.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(p, payload[off:off+len(p)]) {
+					t.Fatalf("chunk at %d arrived altered: an earlier result aliases it", off)
+				}
+				off += len(p)
+				for i := range p {
+					p[i] = 0xDF
+				}
+				held = append(held, p)
+				for i, h := range held {
+					if bytes.Count(h, []byte{0xDF}) != len(h) {
+						t.Fatalf("chunk %d changed under a later Next", i)
+					}
+				}
+			}
+			if off != len(payload) {
+				t.Fatalf("got %d of %d bytes", off, len(payload))
+			}
+			if err := <-werr; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

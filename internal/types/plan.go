@@ -21,13 +21,81 @@ import (
 //     offset Off + i*Stride. PtrElem is the pointee type when Kind is Ptr.
 //   - repetition: Sub != nil. The sub-plan applied Count times, the i-th
 //     iteration based at Off + i*Stride.
+//
+// A scalar run is always packed: Stride == the machine size of Kind, so
+// the run covers one contiguous span of Count*Stride bytes. Conv is how
+// that span converts to and from the wire, decided here once per
+// (type, machine) instead of per element at save time.
 type PlanOp struct {
 	Off     int
 	Stride  int
 	Count   int
 	Kind    arch.PrimKind
+	Conv    Conv
 	PtrElem *Type
 	Sub     []PlanOp
+}
+
+// Conv is the conversion class of a non-pointer scalar run: what it takes
+// to turn the machine's bytes into the canonical big-endian wire form and
+// back. Only long and unsigned long change width between machines; every
+// other kind differs in byte order alone.
+type Conv uint8
+
+const (
+	// ConvNone marks pointer runs and repetitions (no bulk conversion).
+	ConvNone Conv = iota
+	// ConvCopy: the machine bytes already are the wire bytes — one-byte
+	// kinds anywhere, any same-width kind on a big-endian machine.
+	ConvCopy
+	// ConvSwap16, ConvSwap32, ConvSwap64: same width, little-endian machine.
+	ConvSwap16
+	ConvSwap32
+	ConvSwap64
+	// ConvLong32 and ConvULong32: a 4-byte long in either byte order
+	// against the 8-byte wire form; saving sign- or zero-extends,
+	// restoring keeps the low 32 bits.
+	ConvLong32
+	ConvULong32
+)
+
+// WireSize returns the canonical (machine-independent) encoded width of a
+// non-pointer scalar kind.
+func WireSize(k arch.PrimKind) int {
+	switch k {
+	case arch.Char, arch.UChar:
+		return 1
+	case arch.Short, arch.UShort:
+		return 2
+	case arch.Int, arch.UInt, arch.Float:
+		return 4
+	case arch.Long, arch.ULong, arch.LongLong, arch.ULongLong, arch.Double:
+		return 8
+	}
+	panic(fmt.Sprintf("types: no wire size for %s", k))
+}
+
+// convFor classifies a scalar run of kind k on machine m.
+func convFor(k arch.PrimKind, m *arch.Machine) Conv {
+	if k == arch.Ptr {
+		return ConvNone
+	}
+	size, ws := m.SizeOf(k), WireSize(k)
+	switch {
+	case size == 4 && ws == 8 && k == arch.Long:
+		return ConvLong32
+	case size == 4 && ws == 8 && k == arch.ULong:
+		return ConvULong32
+	case size != ws:
+		panic(fmt.Sprintf("types: no conversion for %d-byte %s on %s", size, k, m.Name))
+	case size == 1 || m.Order == arch.BigEndian:
+		return ConvCopy
+	case size == 2:
+		return ConvSwap16
+	case size == 4:
+		return ConvSwap32
+	}
+	return ConvSwap64
 }
 
 // Plan is the compiled save/restore program for one type on one machine.
@@ -35,6 +103,10 @@ type Plan struct {
 	Type *Type
 	Mach *arch.Machine
 	Ops  []PlanOp
+
+	// ElemSize is Type.SizeOf(Mach), carried here so per-block loops do
+	// not go back through the layout cache and its lock.
+	ElemSize int
 
 	// NumScalars is the total scalar count covered (machine-independent).
 	NumScalars int
@@ -78,6 +150,7 @@ func compilePlan(t *Type, m *arch.Machine) []PlanOp {
 			Stride:  m.SizeOf(k),
 			Count:   c,
 			Kind:    k,
+			Conv:    convFor(k, m),
 			PtrElem: e,
 		}}
 	}
@@ -137,6 +210,7 @@ func NewPlan(t *Type, m *arch.Machine) *Plan {
 		Type:       t,
 		Mach:       m,
 		Ops:        ops,
+		ElemSize:   t.SizeOf(m),
 		NumScalars: t.ScalarCount(),
 		HasPtr:     planHasPtr(ops),
 	}

@@ -123,6 +123,26 @@ func TestPlanShapeMachineIndependent(t *testing.T) {
 	}
 }
 
+// TestFixtureScalarRunsArePacked holds the layout fixtures to the packed-run
+// invariant on every machine (the workload programs are checked from the
+// external tests).
+func TestFixtureScalarRunsArePacked(t *testing.T) {
+	n := nodeType("node")
+	mixed := NewStruct("mixed")
+	mixed.DefineFields([]Field{
+		{"c", Char}, {"s", Short}, {"l", Long}, {"ul", ULong}, {"d", Double},
+		{"nodes", ArrayOf(n, 4)}, {"name", ArrayOf(Char, 13)}, {"next", PointerTo(mixed)},
+	})
+	fixtures := []*Type{Char, UChar, Short, UShort, Int, UInt, Long, ULong, Float, Double,
+		PrimType(arch.LongLong), PrimType(arch.ULongLong), n, mixed, ArrayOf(mixed, 100),
+		ArrayOf(PointerTo(Int), 3), ArrayOf(ArrayOf(Float, 8), 8), ArrayOf(ArrayOf(Double, 1000), 1000)}
+	for _, ty := range fixtures {
+		for _, m := range arch.Machines() {
+			CheckPackedRuns(t, ty, m)
+		}
+	}
+}
+
 func TestPlanRepetitionForLargeAggregates(t *testing.T) {
 	n := nodeType("node")
 	big := ArrayOf(n, 1000) // 2000 ops if expanded; must be a repetition

@@ -88,8 +88,11 @@ type layout struct {
 	offsets []int // field byte offsets for structs
 }
 
-// Interning state for structural types.
+// Interning state for structural types. Programs are compiled on
+// concurrent goroutines (parallel engines, a daemon registering programs
+// while it serves), so every interner goes through internMu.
 var (
+	internMu sync.Mutex
 	prims    [16]*Type
 	ptrCache = map[*Type]*Type{}
 	arrCache = map[arrKey]*Type{}
@@ -106,6 +109,8 @@ func newType() *Type {
 
 // Prim returns the canonical type for a primitive kind.
 func PrimType(k arch.PrimKind) *Type {
+	internMu.Lock()
+	defer internMu.Unlock()
 	if prims[k] == nil {
 		t := newType()
 		t.Kind = KPrim
@@ -132,6 +137,8 @@ var (
 
 // PointerTo returns the canonical pointer-to-elem type.
 func PointerTo(elem *Type) *Type {
+	internMu.Lock()
+	defer internMu.Unlock()
 	if t, ok := ptrCache[elem]; ok {
 		return t
 	}
@@ -145,6 +152,8 @@ func PointerTo(elem *Type) *Type {
 // ArrayOf returns the canonical n-element array of elem.
 func ArrayOf(elem *Type, n int) *Type {
 	k := arrKey{elem, n}
+	internMu.Lock()
+	defer internMu.Unlock()
 	if t, ok := arrCache[k]; ok {
 		return t
 	}

@@ -181,7 +181,7 @@ func (d *describer) ops(ops []types.PlanOp, depth int) error {
 				}
 			}
 		default:
-			ws := wireSizeOf(op.Kind)
+			ws := types.WireSize(op.Kind)
 			if _, err := d.dec.Take(ws * op.Count); err != nil {
 				return err
 			}
@@ -190,18 +190,4 @@ func (d *describer) ops(ops []types.PlanOp, depth int) error {
 		}
 	}
 	return nil
-}
-
-// wireSizeOf mirrors the collect package's canonical widths.
-func wireSizeOf(k arch.PrimKind) int {
-	switch k {
-	case arch.Char, arch.UChar:
-		return 1
-	case arch.Short, arch.UShort:
-		return 2
-	case arch.Int, arch.UInt, arch.Float:
-		return 4
-	default:
-		return 8
-	}
 }

@@ -14,7 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrShortBuffer is returned when a decode runs past the end of the stream.
@@ -52,10 +54,24 @@ func NewEncoder(capacity int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, capacity)}
 }
 
-// encPool recycles encoders (and, through them, their grown buffers)
-// across captures. Buffers reach steady-state capacity after the first
-// few uses, so the hot path stops allocating.
-var encPool = sync.Pool{New: func() any { return new(Encoder) }}
+// encPools recycles encoders (and, through them, their grown buffers)
+// across captures, one pool per power-of-two buffer size: class c holds
+// buffers of capacity in [2^c, 2^(c+1)). Buffers reach steady-state
+// capacity after the first few uses, so the hot path stops allocating.
+// Without the classes a capture that needs one multi-megabyte section
+// buffer and two tiny ones draws them in whatever order the pool hands
+// back, and re-makes (and re-zeroes) the large one whenever it drew a
+// small one.
+//
+// A sync.Pool is emptied by the garbage collector, and a migration makes
+// enough garbage that two collections often fall between two captures; so
+// each class also keeps one encoder in encKept, where the collector leaves
+// it. What stays resident is bounded by the largest capture the process
+// has made (one buffer per class, the classes doubling).
+var (
+	encPools [bits.UintSize]sync.Pool
+	encKept  [bits.UintSize]atomic.Pointer[Encoder]
+)
 
 // GetEncoder returns a pooled encoder whose buffer has at least the given
 // capacity. The encoder is reset and has no sink.
@@ -65,11 +81,15 @@ var encPool = sync.Pool{New: func() any { return new(Encoder) }}
 // encoder's internal buffer and dies at Release. A caller that needs the
 // encoded stream beyond Release must copy it first.
 func GetEncoder(capacity int) *Encoder {
-	e := encPool.Get().(*Encoder)
-	if cap(e.buf) < capacity {
-		e.buf = make([]byte, 0, capacity)
+	// The smallest class whose every buffer is large enough.
+	class := bits.Len(uint(max(capacity, 1) - 1))
+	if e := encKept[class].Swap(nil); e != nil {
+		return e
 	}
-	return e
+	if e, ok := encPools[class].Get().(*Encoder); ok {
+		return e
+	}
+	return &Encoder{buf: make([]byte, 0, 1<<class)}
 }
 
 // Release resets the encoder and returns it to the pool, retaining its
@@ -79,7 +99,12 @@ func (e *Encoder) Release() {
 	e.sink = nil
 	e.sinkThreshold = 0
 	e.Reset()
-	encPool.Put(e)
+	if c := cap(e.buf); c > 0 {
+		class := bits.Len(uint(c)) - 1
+		if !encKept[class].CompareAndSwap(nil, e) {
+			encPools[class].Put(e)
+		}
+	}
 }
 
 // SetSink attaches fn to receive completed prefixes of the encoded stream.
