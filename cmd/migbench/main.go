@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	migbench [-exp all|hetero|table1|fig2a|fig2b|complexity|overhead|ablations|chain|stream|section|obs|obs2|store|hotpath|live|chaos|fleet]
+//	migbench [-exp all|hetero|table1|fig2a|fig2b|complexity|overhead|ablations|chain|section|obs|obs2|store|hotpath|live|chaos|fleet]
 //	         [-quick] [-repeats N] [-json] [-trace-dir DIR] [-store-dir DIR]
 package main
 
@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	expName := flag.String("exp", "all", "experiment: all, hetero, table1, fig2a, fig2b, complexity, overhead, ablations, chain, stream, section, obs, obs2, store, hotpath, live, chaos, fleet")
+	expName := flag.String("exp", "all", "experiment: all, hetero, table1, fig2a, fig2b, complexity, overhead, ablations, chain, section, obs, obs2, store, hotpath, live, chaos, fleet")
 	quick := flag.Bool("quick", false, "reduced problem sizes")
 	repeats := flag.Int("repeats", 3, "min-of-N timing repetitions")
 	tsvDir := flag.String("tsv", "", "also write figure data as TSV files into this directory")
@@ -146,24 +146,6 @@ func main() {
 		exper.PrintAblation(os.Stdout,
 			"D2 analysis: stream composition under (header, offset) pointer encoding (bitonic)", rows)
 		writeJSON("ablations", rows)
-	}
-	if run("stream") {
-		rows, err := exper.PipelinedModel(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintPipelinedModel(os.Stdout, rows)
-		wrows, err := exper.PipelinedWire(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintPipelinedWire(os.Stdout, wrows)
-		writeJSON("stream", map[string]any{"model": rows, "wire": wrows})
-		for _, r := range wrows {
-			if !r.Identical || r.ExitCode != 0 {
-				failed = true
-			}
-		}
 	}
 	if run("overhead") {
 		rows, err := exper.PollPlacementOverhead(cfg)

@@ -21,20 +21,20 @@
 //
 // Each migration opens with a negotiated handshake (internal/session):
 // the client offers the protocol versions it speaks plus chunk/window
-// proposals for the pipelined path, and the daemon picks the highest
-// common version and the more conservative parameters. Nothing has to be
-// flag-matched across operators: a -no-stream (monolithic, v1) client, a
-// streaming (v2) client, and a sectioned (v3, the default) client can
-// migrate into the same daemon back to back or at the same time. -retry and -retry-timeout let the source wait for
+// proposals for the chunk stream, and the daemon picks the transfer shape
+// and the more conservative parameters. Nothing has to be flag-matched
+// across operators: a -no-stream (monolithic, v1) client and a sectioned
+// (v3, the default) client can migrate into the same daemon back to back
+// or at the same time. -retry and -retry-timeout let the source wait for
 // a daemon that has not started listening yet.
 //
-// With -live on both sides the session upgrades to the pre-copy (v4)
-// path: the source keeps executing while the heap ships, re-sending only
-// dirtied blocks in iterative delta rounds (-precopy-rounds,
-// -dirty-threshold tune the convergence cutoff), and pauses only for the
-// final delta — bounded downtime instead of a full stop-and-copy stall.
-// A -live client against a daemon without -live (or vice versa) falls
-// back to the ordinary negotiated transfer.
+// With -live on both sides the session upgrades to pre-copy (v4) rounds:
+// the source keeps executing while the heap ships, re-sending only
+// dirtied sections in iterative rounds (-precopy-rounds, -dirty-threshold
+// tune the convergence cutoff), and pauses only for the final one —
+// bounded downtime instead of a full stop-and-copy stall. A -live client
+// against a daemon without -live (or vice versa) falls back to the
+// ordinary negotiated transfer.
 package main
 
 import (
@@ -437,7 +437,9 @@ func serve(engines []namedEngine, m *arch.Machine, o options) {
 		fmt.Fprintln(os.Stderr, "migd:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("[migd %s] drained: %s\n", m.Name, d.Counters().Snapshot())
+	count := func(name string) int64 { return obs.Default.Counter("session." + name).Value() }
+	fmt.Printf("[migd %s] drained: accepted=%d restored=%d failed=%d bytes=%d\n",
+		m.Name, count("accepted"), count("restored"), count("failed"), count("bytes"))
 	if snap := obs.Default.Snapshot().String(); snap != "" {
 		fmt.Printf("[migd %s] metrics:\n%s", m.Name, snap)
 	}
@@ -487,17 +489,12 @@ func run(ne namedEngine, m *arch.Machine, o options) {
 		t = inj.Source(t)
 		fmt.Printf("[migd %s] CHAOS armed: %s\n", m.Name, *o.chaos)
 	}
-	var sres *session.Result
-	if o.live {
-		sres, err = session.InitiateLive(t, ne.engine, m, ne.name, p, o.sessionConfig())
-		if errors.Is(err, session.ErrSourceExited) {
-			// The program finished between delta rounds: nothing left to
-			// migrate. Not a failure — report it like a local completion.
-			fmt.Printf("[migd %s] process completed locally during pre-copy (no migration needed)\n", m.Name)
-			return
-		}
-	} else {
-		sres, err = session.Initiate(t, ne.engine, m, ne.name, p, o.sessionConfig())
+	sres, err := session.Initiate(t, ne.engine, m, ne.name, p, o.sessionConfig())
+	if errors.Is(err, session.ErrSourceExited) {
+		// The program finished between pre-copy rounds: nothing left to
+		// migrate. Not a failure — report it like a local completion.
+		fmt.Printf("[migd %s] process completed locally during pre-copy (no migration needed)\n", m.Name)
+		return
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "migd: migration failed:", err)
@@ -519,10 +516,7 @@ func run(ne namedEngine, m *arch.Machine, o options) {
 	}
 	prm := sres.Params
 	how := fmt.Sprintf("monolithic v%d", prm.Version)
-	switch prm.Version {
-	case core.VersionStream:
-		how = fmt.Sprintf("streamed v%d, chunk %d, window %d", prm.Version, prm.ChunkSize, prm.Window)
-	case core.VersionSectioned:
+	if prm.Version == core.VersionSectioned {
 		how = fmt.Sprintf("sectioned v%d, chunk %d, window %d, %d workers engaged",
 			prm.Version, prm.ChunkSize, prm.Window, p.SectionWorkersEngaged())
 	}

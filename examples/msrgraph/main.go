@@ -108,7 +108,7 @@ func main() {
 	}
 
 	// Complete the migration to the big-endian SPARC 20 and compare.
-	q, err := e.Restore(arch.SPARC20, e.Seal(res.State, p.Mach))
+	q, err := e.Restore(arch.SPARC20, e.Seal(res.State, p.Mach), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // connection, classifies every frame that crosses it against the session
 // and stream wire protocols, and kills a configured party — the source,
 // the destination, or the connection itself — at a precisely chosen
-// protocol boundary: "just before the 2nd DELTA manifest is sent", "just
+// protocol boundary: "just before the 2nd round's ANNOUNCE is sent", "just
 // after the RESTORED confirmation is received", and so on.
 //
 // The point of determinism is that a chaos cell is a *name*, not a dice
@@ -80,32 +80,31 @@ var Victims = []Victim{VictimSource, VictimDest, VictimLink}
 
 // Class names the protocol meaning of one frame. The classifier decodes
 // only the leading magic + type words, so it works below the session
-// layer without importing it; the phase prefix (handshake, transport,
-// warm, live, confirm) matches the obs layer's phase names.
+// layer without importing it. The strings are the vocabulary of migd's
+// -chaos flag and of every generated matrix cell's name; the round
+// exchange keeps the "live/" names it had before a warm transfer became
+// one round of it, so existing specs still name the same frames.
 type Class string
 
 const (
-	ClassOffer     Class = "handshake/offer"
-	ClassAccept    Class = "handshake/accept"
-	ClassReject    Class = "handshake/reject"
-	ClassRestored  Class = "confirm/restored"
-	ClassCommit    Class = "confirm/commit"
-	ClassManifest  Class = "warm/manifest"
-	ClassWant      Class = "warm/want"
-	ClassSections  Class = "warm/sections"
-	ClassDelta     Class = "live/delta"
-	ClassDeltaWant Class = "live/want"
-	ClassDeltaBody Class = "live/bodies"
-	ClassLiveAbort Class = "live/abort"
-	ClassData      Class = "transport/data" // stream DATA chunk or a v1 sealed envelope
-	ClassControl   Class = "transport/ctl"  // stream HELLO/RESUME/ACK/NACK/FIN/DONE
-	ClassUnknown   Class = "transport/raw"  // anything the classifier cannot name
+	ClassOffer    Class = "handshake/offer"
+	ClassAccept   Class = "handshake/accept"
+	ClassReject   Class = "handshake/reject"
+	ClassRestored Class = "confirm/restored"
+	ClassCommit   Class = "confirm/commit"
+	ClassAnnounce Class = "live/delta"     // ANNOUNCE: one round's section list
+	ClassWant     Class = "live/want"      // WANT
+	ClassBodies   Class = "live/bodies"    // BODIES
+	ClassAbort    Class = "live/abort"     // ABORT
+	ClassData     Class = "transport/data" // stream DATA chunk or a v1 sealed envelope
+	ClassControl  Class = "transport/ctl"  // stream ACK/FIN/DONE
+	ClassUnknown  Class = "transport/raw"  // anything the classifier cannot name
 )
 
-// Wire constants mirrored from the session and stream layers. They are
-// protocol constants — stable by the backward-compatibility contract
-// those packages document — repeated here so the harness sits strictly
-// below the layers it injects faults into.
+// Wire constants mirrored from the session and stream layers, repeated
+// here so the harness sits strictly below the layers it injects faults
+// into; internal/session's protocol-table test holds the mirror to the
+// original.
 const (
 	sessionMagic = 0x4d534553 // "MSES"
 	streamMagic  = 0x4d535452 // "MSTR"
@@ -113,18 +112,15 @@ const (
 )
 
 var sessionClasses = map[uint32]Class{
-	1:  ClassOffer,
-	2:  ClassAccept,
-	3:  ClassReject,
-	4:  ClassRestored,
-	5:  ClassManifest,
-	6:  ClassWant,
-	7:  ClassSections,
-	8:  ClassDelta,
-	9:  ClassDeltaWant,
-	10: ClassDeltaBody,
-	11: ClassLiveAbort,
-	12: ClassCommit,
+	1: ClassOffer,
+	2: ClassAccept,
+	3: ClassReject,
+	4: ClassRestored,
+	5: ClassAnnounce,
+	6: ClassWant,
+	7: ClassBodies,
+	8: ClassAbort,
+	9: ClassCommit,
 }
 
 // Classify names the protocol class of one raw frame.

@@ -30,17 +30,15 @@ func TestClassify(t *testing.T) {
 		{"accept", frame(sessionMagic, 2), ClassAccept},
 		{"reject", frame(sessionMagic, 3), ClassReject},
 		{"restored", frame(sessionMagic, 4), ClassRestored},
-		{"manifest", frame(sessionMagic, 5), ClassManifest},
+		{"announce", frame(sessionMagic, 5), ClassAnnounce},
 		{"want", frame(sessionMagic, 6), ClassWant},
-		{"sections", frame(sessionMagic, 7), ClassSections},
-		{"delta", frame(sessionMagic, 8), ClassDelta},
-		{"delta-want", frame(sessionMagic, 9), ClassDeltaWant},
-		{"delta-body", frame(sessionMagic, 10), ClassDeltaBody},
-		{"live-abort", frame(sessionMagic, 11), ClassLiveAbort},
-		{"commit", frame(sessionMagic, 12), ClassCommit},
+		{"bodies", frame(sessionMagic, 7), ClassBodies},
+		{"abort", frame(sessionMagic, 8), ClassAbort},
+		{"commit", frame(sessionMagic, 9), ClassCommit},
+		{"retired session type", frame(sessionMagic, 12), ClassUnknown},
 		{"future session type", frame(sessionMagic, 99), ClassUnknown},
 		{"stream data", frame(streamMagic, streamData), ClassData},
-		{"stream hello", frame(streamMagic, 1), ClassControl},
+		{"stream fin", frame(streamMagic, 6), ClassControl},
 		{"stream ack", frame(streamMagic, 4), ClassControl},
 		{"v1 envelope", []byte("MENVxxxxxxxxxxxx"), ClassData},
 		{"short", []byte{1, 2, 3}, ClassUnknown},
@@ -61,9 +59,9 @@ func TestParseSpec(t *testing.T) {
 		{"link@confirm/restored:1/after-recv",
 			Spec{VictimLink, Point{ClassRestored, 1, AfterRecv}}},
 		{"source@live/delta:2/before-send",
-			Spec{VictimSource, Point{ClassDelta, 2, BeforeSend}}},
-		{"dest@warm/manifest", // n and when defaulted
-			Spec{VictimDest, Point{ClassManifest, 1, AfterRecv}}},
+			Spec{VictimSource, Point{ClassAnnounce, 2, BeforeSend}}},
+		{"dest@live/bodies", // n and when defaulted
+			Spec{VictimDest, Point{ClassBodies, 1, AfterRecv}}},
 		{"dest@transport/data:7",
 			Spec{VictimDest, Point{ClassData, 7, AfterRecv}}},
 		{"source@confirm/commit/before-send",
@@ -133,7 +131,7 @@ func testScript() []struct {
 		{true, frame(streamMagic, streamData)}, // DATA 1
 		{true, frame(streamMagic, streamData)}, // DATA 2
 		{false, frame(sessionMagic, 4)},        // RESTORED
-		{true, frame(sessionMagic, 12)},        // COMMIT
+		{true, frame(sessionMagic, 9)},         // COMMIT
 	}
 }
 
@@ -152,7 +150,7 @@ func TestInjectorBeforeSend(t *testing.T) {
 	}
 	// Everything after the kill fails on both wrapped endpoints, and the
 	// underlying transports are closed so an unwrapped peer dies too.
-	if err := src.Send(frame(sessionMagic, 12)); !errors.Is(err, ErrInjected) {
+	if err := src.Send(frame(sessionMagic, 9)); !errors.Is(err, ErrInjected) {
 		t.Errorf("post-fault Send = %v, want ErrInjected", err)
 	}
 	if _, err := dst.Recv(); !errors.Is(err, ErrInjected) {

@@ -69,8 +69,8 @@ func (e *Engine) NewProcess(m *arch.Machine) (*vm.Process, error) {
 
 // Digest identifies the program for envelope verification and session
 // negotiation: the TI table digest combined with the shape of the function
-// and site tables. It is computed once per engine — envelope and stream
-// paths consult it on every header, so it must be cheap.
+// and site tables. It is computed once per engine — every envelope header
+// and session offer consults it, so it must be cheap.
 func (e *Engine) Digest() uint32 {
 	e.digestOnce.Do(func() {
 		h := crc32.NewIEEE()
@@ -117,14 +117,10 @@ func (e *Engine) Open(envelope []byte) (state []byte, srcName string, err error)
 	return state, h.srcName, nil
 }
 
-// Restore verifies an envelope and builds the resumed process on machine m.
-func (e *Engine) Restore(m *arch.Machine, envelope []byte) (*vm.Process, error) {
-	return e.RestoreObs(m, envelope, nil)
-}
-
-// RestoreObs is Restore with a parent span: the restore phases are
-// recorded as children of span (nil disables tracing).
-func (e *Engine) RestoreObs(m *arch.Machine, envelope []byte, span *obs.Span) (*vm.Process, error) {
+// Restore verifies an envelope and builds the resumed process on machine
+// m, recording the restore phases as children of span (nil disables
+// tracing).
+func (e *Engine) Restore(m *arch.Machine, envelope []byte, span *obs.Span) (*vm.Process, error) {
 	state, _, err := e.Open(envelope)
 	if err != nil {
 		return nil, err
@@ -145,7 +141,7 @@ func (e *Engine) RestoreFromFile(path string, m *arch.Machine) (*vm.Process, err
 	if err != nil {
 		return nil, err
 	}
-	return e.Restore(m, env)
+	return e.Restore(m, env, nil)
 }
 
 // Request is the migration request flag a scheduler raises and a process
@@ -199,14 +195,9 @@ func (e *Engine) Send(t link.Transport, src *arch.Machine, state []byte) (Timing
 }
 
 // ReceiveAndRestore blocks for an envelope on the transport and restores
-// it on machine m.
-func (e *Engine) ReceiveAndRestore(t link.Transport, m *arch.Machine) (*vm.Process, Timing, error) {
-	return e.ReceiveAndRestoreObs(t, m, nil)
-}
-
-// ReceiveAndRestoreObs is ReceiveAndRestore recording the receive and
-// restore phases as children of span (nil disables tracing).
-func (e *Engine) ReceiveAndRestoreObs(t link.Transport, m *arch.Machine, span *obs.Span) (*vm.Process, Timing, error) {
+// it on machine m, recording the receive and restore phases as children
+// of span (nil disables tracing).
+func (e *Engine) ReceiveAndRestore(t link.Transport, m *arch.Machine, span *obs.Span) (*vm.Process, Timing, error) {
 	rx := span.Child("transport")
 	rxStart := time.Now()
 	env, err := t.Recv()
@@ -217,7 +208,7 @@ func (e *Engine) ReceiveAndRestoreObs(t link.Transport, m *arch.Machine, span *o
 		return nil, Timing{}, err
 	}
 	start := time.Now()
-	p, err := e.RestoreObs(m, env, span)
+	p, err := e.Restore(m, env, span)
 	if err != nil {
 		return nil, Timing{}, err
 	}
@@ -274,7 +265,7 @@ func (e *Engine) RunWithMigration(src, dst *arch.Machine, configure func(*vm.Pro
 	}
 	recvc := make(chan recvResult, 1)
 	go func() {
-		q, rt, rerr := e.ReceiveAndRestore(b, dst)
+		q, rt, rerr := e.ReceiveAndRestore(b, dst, nil)
 		recvc <- recvResult{q, rt, rerr}
 	}()
 	tx, txErr := e.Send(a, p.Mach, res.State)

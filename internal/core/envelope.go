@@ -1,11 +1,11 @@
 package core
 
-// The envelope header shared by every transfer path. Both the monolithic
-// (version 1) and the streamed (version 2) envelopes open with the same
-// four fields — magic, version, source machine name, program digest — and
-// this file is the only place they are encoded or decoded; the paths differ
-// only in what follows the header (an up-front checksum and opaque payload
-// for v1, the raw chunked state for v2).
+// The envelope header shared by both envelopes. The monolithic (version 1)
+// and the sectioned (version 3) envelope open with the same four fields —
+// magic, version, source machine name, program digest — and this file is
+// the only place they are encoded or decoded; the two differ only in what
+// follows the header (an up-front checksum and opaque payload for v1, the
+// sectioned snapshot, cut into chunks by internal/stream, for v3).
 
 import (
 	"repro/internal/xdr"
@@ -16,29 +16,26 @@ const envMagic = 0x48504d31
 
 // Envelope versions. They double as the protocol versions negotiated by the
 // session layer (internal/session): a peer that can open version N
-// envelopes speaks protocol version N.
+// envelopes speaks protocol version N. Version 2 (a chunk stream of the
+// monolithic state) is retired; its number is not reused.
 const (
 	// VersionMono is the monolithic envelope: the whole captured state
 	// sealed into one frame behind an up-front payload checksum.
 	VersionMono uint32 = 1
-	// VersionStream is the streamed envelope: the header is followed by
-	// the raw state, cut into CRC-framed chunks by internal/stream, which
-	// enforces integrity per chunk and per stream.
-	VersionStream uint32 = 2
 	// VersionSectioned is the sectioned envelope: the header is followed
 	// by a sectioned (internal/snapshot) state — typed, independently
 	// CRC-framed sections whose heap components are collected in
-	// parallel — carried over the same chunk layer as VersionStream.
+	// parallel — cut into CRC-framed chunks by internal/stream, which
+	// enforces integrity per chunk and per stream.
 	VersionSectioned uint32 = 3
 	// VersionLive is the live pre-copy protocol: the process state crosses
-	// as a sequence of delta rounds (content-addressed section manifests
-	// plus only the bodies the receiver lacks) while the source keeps
-	// executing, and the final round assembles into a snapshot
-	// byte-identical to a VersionSectioned capture of the same paused
-	// state. Unlike the lower versions it is never offered in a version
-	// range: both sides negotiate versions 1..3 as usual and upgrade to 4
-	// only when each advertised the live capability bit, so every legacy
-	// handshake stays byte-identical.
+	// as a sequence of rounds (content-addressed section lists plus only
+	// the bodies the receiver lacks) while the source keeps executing, and
+	// the final round assembles into a snapshot byte-identical to a
+	// VersionSectioned capture of the same paused state. It is never
+	// offered in a version range: both sides negotiate the sectioned
+	// version and upgrade to 4 only when each advertised the live
+	// capability bit.
 	VersionLive uint32 = 4
 )
 

@@ -4,11 +4,9 @@ package core
 // sectioned snapshot (internal/snapshot) — execution state, heap
 // components, frames, and globals as typed, independently CRC-framed
 // sections — whose heap components were encoded concurrently by the
-// collection layer. On the wire it rides the same chunk layer as the
-// version-2 stream; the difference is the payload format and the parallel
-// collection behind it. The snapshot's per-section CRCs let the restorer
-// localize corruption to one section even when the transport (or a v1
-// in-memory envelope) has no framing of its own.
+// collection layer. On the wire it rides the internal/stream chunk layer.
+// The snapshot's per-section CRCs let the restorer localize corruption to
+// one section even when the transport has no framing of its own.
 
 import (
 	"fmt"
@@ -16,18 +14,11 @@ import (
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/link"
 	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/vm"
 	"repro/internal/xdr"
 )
-
-// putSectionedHeader encodes the sectioned envelope header — the shared
-// envelope header at VersionSectioned, followed directly by the snapshot.
-func (e *Engine) putSectionedHeader(enc *xdr.Encoder, src *arch.Machine) {
-	putHeader(enc, VersionSectioned, src.Name, e.Digest())
-}
 
 // OpenSectioned verifies a reassembled sectioned envelope and returns the
 // raw snapshot and the source machine name.
@@ -43,9 +34,9 @@ func (e *Engine) OpenSectioned(payload []byte) (state []byte, srcName string, er
 // SendSectioned captures the state of p (stopped at its migration point)
 // as a sectioned snapshot — heap components encoded on a pool of workers
 // (<= 0 selects GOMAXPROCS) — and transmits it through sw in chunkSize
-// pieces. Unlike SendStream, collection does not overlap transmission:
-// the sections are assembled in their deterministic order after the pool
-// joins, then flushed; v3's concurrency lives in the encode itself.
+// pieces. Collection does not overlap transmission: the sections are
+// assembled in their deterministic order after the pool joins, then
+// flushed; v3's concurrency lives in the encode itself.
 //
 // The path is zero-copy per section body: snapshot.Append hands each
 // body to the sink through the encoder's WriteRaw, so the bytes go from
@@ -58,7 +49,8 @@ func (e *Engine) SendSectioned(sw io.WriteCloser, src *arch.Machine, p *vm.Proce
 		_, err := sw.Write(b)
 		return err
 	})
-	e.putSectionedHeader(enc, src)
+	// The shared envelope header, followed directly by the snapshot.
+	putHeader(enc, VersionSectioned, src.Name, e.Digest())
 	if err := p.CaptureSectionsTo(enc, workers); err != nil {
 		sw.Close()
 		return Timing{}, fmt.Errorf("core: sectioned collection: %w", err)
@@ -73,23 +65,11 @@ func (e *Engine) SendSectioned(sw io.WriteCloser, src *arch.Machine, p *vm.Proce
 	return Timing{Tx: time.Since(start), Bytes: enc.Len()}, nil
 }
 
-// SendSectionedOver is the convenience path over a single established
-// transport: it wraps t in a plain stream.Writer and sends the snapshot.
-func (e *Engine) SendSectionedOver(t link.Transport, src *arch.Machine, p *vm.Process, cfg stream.Config, workers int) (Timing, error) {
-	w := stream.NewWriter(t, cfg)
-	return e.SendSectioned(w, src, p, chunkSizeOf(cfg), workers)
-}
-
 // ReceiveAndRestoreSectioned reassembles a sectioned envelope from r,
-// verifies it, and restores the process on machine m section by section.
-func (e *Engine) ReceiveAndRestoreSectioned(r *stream.Reader, m *arch.Machine) (*vm.Process, Timing, error) {
-	return e.ReceiveAndRestoreSectionedObs(r, m, nil)
-}
-
-// ReceiveAndRestoreSectionedObs is ReceiveAndRestoreSectioned recording
-// the reassembly and restore phases as children of span (nil disables
-// tracing).
-func (e *Engine) ReceiveAndRestoreSectionedObs(r *stream.Reader, m *arch.Machine, span *obs.Span) (*vm.Process, Timing, error) {
+// verifies it, and restores the process on machine m section by section,
+// recording the reassembly and restore phases as children of span (nil
+// disables tracing).
+func (e *Engine) ReceiveAndRestoreSectioned(r *stream.Reader, m *arch.Machine, span *obs.Span) (*vm.Process, Timing, error) {
 	rx := span.Child("transport")
 	rxStart := time.Now()
 	payload, err := r.ReadAll()

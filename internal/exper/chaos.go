@@ -82,7 +82,7 @@ type chaosExp struct {
 
 func chaosExps() []chaosExp {
 	return []chaosExp{
-		{name: "v1-mono", cfg: session.Config{MinVersion: core.VersionMono, MaxVersion: core.VersionMono}},
+		{name: "v1-mono", cfg: session.Config{MaxVersion: core.VersionMono}},
 		{name: "v3-sectioned", cfg: session.Config{ChunkSize: 1024, Window: 4}},
 		{name: "v4-live", live: true,
 			cfg: session.Config{ChunkSize: 4096, Window: 8, PrecopyRounds: 3, DirtyThreshold: 1, Live: true}},
@@ -146,11 +146,7 @@ func chaosMigrate(x chaosExp, e *core.Engine, p *vm.Process, inj *chaos.Injector
 		_, q, _, err := session.Respond(dstT, reg, arch.SPARC20, cfg)
 		c <- rr{q, err}
 	}()
-	if x.live {
-		_, initErr = session.InitiateLive(srcT, e, p.Mach, "prog", p, cfg)
-	} else {
-		_, initErr = session.Initiate(srcT, e, p.Mach, "prog", p, cfg)
-	}
+	_, initErr = session.Initiate(srcT, e, p.Mach, "prog", p, cfg)
 	if initErr != nil {
 		a.Close()
 		b.Close()

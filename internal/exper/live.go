@@ -157,8 +157,8 @@ func Live(cfg Config) ([]LiveRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		q, res, timing, err := session.TransferLive(e, "write-rate", p, arch.Ultra5,
-			session.Config{PrecopyRounds: 4, DirtyThreshold: 4})
+		q, res, timing, err := session.Transfer(e, "write-rate", p, arch.Ultra5,
+			session.Config{Live: true, PrecopyRounds: 4, DirtyThreshold: 4})
 		if err != nil {
 			return nil, err
 		}

@@ -156,7 +156,6 @@ func ObsTrace(cfg Config) (*ObsTraceResult, error) {
 	}()
 	start := time.Now()
 	res, err := session.Initiate(cli, e, p.Mach, "test_pointer", p, session.Config{
-		MinVersion: core.VersionSectioned, MaxVersion: core.VersionSectioned,
 		ChunkSize: 4096, Window: 4, Trace: iroot,
 	})
 	if err != nil {

@@ -114,7 +114,6 @@ func ObsStitched(cfg Config) (*ObsStitchedResult, error) {
 			recvc <- recvRes{q, rerr}
 		}()
 		last, err = session.Initiate(cli, e, p.Mach, "test_pointer", p, session.Config{
-			MinVersion: core.VersionSectioned, MaxVersion: core.VersionSectioned,
 			ChunkSize: 4096, Window: 4, Trace: iroot, Metrics: iniMetrics,
 		})
 		iroot.End()
@@ -235,10 +234,7 @@ func ObsTracingOverhead(cfg Config) ([]ObsTracingOverheadRow, error) {
 			bytes = res.Timing.Bytes
 		}
 	}
-	base := session.Config{
-		MinVersion: core.VersionSectioned, MaxVersion: core.VersionSectioned,
-		ChunkSize: 4096, Window: 4,
-	}
+	base := session.Config{ChunkSize: 4096, Window: 4}
 
 	runtime.GC()
 	off := stats.Repeat(cfg.repeats(), func() { migrate(base, session.Config{}) })

@@ -225,9 +225,9 @@ type SectionWireRow struct {
 }
 
 // SectionWire runs E9b: the same stopped test_pointer process (shared
-// child, cycle, pointer arrays) migrates at forced versions 1, 2, and 3
-// through the full session handshake, and every restored process must
-// re-collect to the identical v1 state and run to exit 0.
+// child, cycle, pointer arrays) migrates at versions 1 and 3 through the
+// full session handshake, and every restored process must re-collect to
+// the identical v1 state and run to exit 0.
 func SectionWire(cfg Config) ([]SectionWireRow, error) {
 	depth := 10
 	if cfg.Quick {
@@ -241,7 +241,7 @@ func SectionWire(cfg Config) ([]SectionWireRow, error) {
 	reg.Add("test_pointer", e)
 
 	var rows []SectionWireRow
-	for _, v := range []uint32{core.VersionMono, core.VersionStream, core.VersionSectioned} {
+	for _, v := range []uint32{core.VersionMono, core.VersionSectioned} {
 		p, direct, err := stopAtMigration(e, arch.Ultra5)
 		if err != nil {
 			return nil, err
@@ -261,7 +261,7 @@ func SectionWire(cfg Config) ([]SectionWireRow, error) {
 		}()
 		start := time.Now()
 		res, err := session.Initiate(cli, e, p.Mach, "test_pointer", p,
-			session.Config{MinVersion: v, MaxVersion: v, ChunkSize: 4096, Window: 4})
+			session.Config{MaxVersion: v, ChunkSize: 4096, Window: 4})
 		if err != nil {
 			cleanup()
 			return nil, fmt.Errorf("exper: v%d initiate: %w", v, err)
@@ -273,7 +273,7 @@ func SectionWire(cfg Config) ([]SectionWireRow, error) {
 			return nil, fmt.Errorf("exper: v%d respond: %w", v, recv.err)
 		}
 		if res.Params.Version != v {
-			return nil, fmt.Errorf("exper: negotiated v%d, forced v%d", res.Params.Version, v)
+			return nil, fmt.Errorf("exper: negotiated v%d, capped at v%d", res.Params.Version, v)
 		}
 		re, err := recv.q.Recapture()
 		if err != nil {
@@ -298,7 +298,7 @@ func SectionWire(cfg Config) ([]SectionWireRow, error) {
 // PrintSectionWire renders the E9b round-trip table.
 func PrintSectionWire(w io.Writer, rows []SectionWireRow) {
 	t := stats.Table{
-		Title:   "E9b (sectioned snapshots): test_pointer over loopback TCP at negotiated v1/v2/v3",
+		Title:   "E9b (sectioned snapshots): test_pointer over loopback TCP at negotiated v1/v3",
 		Headers: []string{"Version", "Bytes", "Wall", "State identical", "Exit"},
 	}
 	for _, r := range rows {

@@ -65,9 +65,8 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Registry is a named collection of counters and gauges — the successor of
-// the scattered stats.SessionCounters / per-process breakdowns, one place
-// the daemon, the bench harness, and the /metrics endpoint all read.
+// Registry is a named collection of counters and gauges — one place the
+// daemon, the bench harness, and the /metrics endpoint all read.
 // Handles are get-or-create and stable, so hot layers resolve a name once
 // and pay only the atomic op afterwards. Safe for concurrent use.
 type Registry struct {

@@ -219,7 +219,7 @@ func (c *Cluster) runLoop(h *Handle, node *Node, proc *vm.Process) {
 		// Remote invocation through the session layer: the destination
 		// process negotiates and waits for state while the source
 		// transmits it through the agreed path.
-		q, timing, err := session.Transfer(c.engine, "sched", proc, dest.Mach, session.Config{})
+		q, _, timing, err := session.Transfer(c.engine, "sched", proc, dest.Mach, session.Config{})
 		if err != nil {
 			node.adjust(-1)
 			h.finish(&Outcome{Node: node.Name, Err: err})

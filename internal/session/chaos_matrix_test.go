@@ -34,8 +34,7 @@ type chaosMode struct {
 func chaosModes() []chaosMode {
 	liveCfg := Config{ChunkSize: 4096, Window: 8, PrecopyRounds: 3, DirtyThreshold: 1}
 	return []chaosMode{
-		{name: "v1", cfg: Config{MinVersion: core.VersionMono, MaxVersion: core.VersionMono}},
-		{name: "v2", cfg: Config{MinVersion: core.VersionStream, MaxVersion: core.VersionStream, ChunkSize: 1024, Window: 4}},
+		{name: "v1", cfg: Config{MaxVersion: core.VersionMono}},
 		{name: "v3", cfg: Config{ChunkSize: 1024, Window: 4}},
 		{name: "v3-warm", warm: true, cfg: Config{ChunkSize: 1024, Window: 4}},
 		{name: "v4-live", live: true, cfg: liveCfg},
@@ -86,11 +85,7 @@ func runChaosMigration(t *testing.T, m chaosMode, e *core.Engine, p *vm.Process,
 		_, q, _, err := Respond(dstT, reg, arch.SPARC20, dstCfg)
 		c <- rr{q, err}
 	}()
-	if m.live {
-		_, initErr = InitiateLive(srcT, e, p.Mach, "prog", p, srcCfg)
-	} else {
-		_, initErr = Initiate(srcT, e, p.Mach, "prog", p, srcCfg)
-	}
+	_, initErr = Initiate(srcT, e, p.Mach, "prog", p, srcCfg)
 	if initErr != nil {
 		a.Close()
 		b.Close()
@@ -257,7 +252,7 @@ func TestChaosMatrix(t *testing.T) {
 }
 
 // TestChaosKillAtLiveAbort pins the regression where a fault at the
-// LIVE_ABORT boundary turned a completed source run into a failed
+// ABORT boundary turned a completed source run into a failed
 // rollback: when the source exits between pre-copy rounds, the finished
 // local run IS the surviving copy, and ErrSourceExited must win over any
 // wire error — including the abort notice itself never getting out.
@@ -272,9 +267,9 @@ func TestChaosKillAtLiveAbort(t *testing.T) {
 	}{
 		{"clean", chaos.Spec{}}, // record-only: abort crosses, responder stands down
 		{"before-send", chaos.Spec{Victim: chaos.VictimLink,
-			Point: chaos.Point{Class: chaos.ClassLiveAbort, N: 1, When: chaos.BeforeSend}}},
+			Point: chaos.Point{Class: chaos.ClassAbort, N: 1, When: chaos.BeforeSend}}},
 		{"after-recv", chaos.Spec{Victim: chaos.VictimDest,
-			Point: chaos.Point{Class: chaos.ClassLiveAbort, N: 1, When: chaos.AfterRecv}}},
+			Point: chaos.Point{Class: chaos.ClassAbort, N: 1, When: chaos.AfterRecv}}},
 	}
 	for _, c := range specs {
 		c := c
@@ -299,12 +294,12 @@ func TestChaosKillAtLiveAbort(t *testing.T) {
 				}
 				var sawAbort bool
 				for _, ev := range inj.Trace() {
-					if ev.Class == chaos.ClassLiveAbort {
+					if ev.Class == chaos.ClassAbort {
 						sawAbort = true
 					}
 				}
 				if !sawAbort {
-					t.Error("clean run delivered no LIVE_ABORT frame")
+					t.Error("clean run delivered no ABORT frame")
 				}
 			} else if ClassifyFailure(respErr) != FailTransport {
 				t.Errorf("responder failure classified %q, want %q (%v)",

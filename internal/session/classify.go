@@ -71,9 +71,7 @@ func ClassifyFailure(err error) FailureClass {
 		errors.Is(err, os.ErrDeadlineExceeded),
 		errors.Is(err, io.EOF),
 		errors.Is(err, io.ErrUnexpectedEOF),
-		errors.Is(err, chaos.ErrInjected),
-		errors.Is(err, stream.ErrInjected),
-		errors.Is(err, stream.ErrRetriesExhausted):
+		errors.Is(err, chaos.ErrInjected):
 		return FailTransport
 	}
 	return FailTransport

@@ -50,8 +50,6 @@ func TestClassifyFailure(t *testing.T) {
 		{fmt.Errorf("session: %w", io.EOF), FailTransport},
 		{fmt.Errorf("frame: %w", io.ErrUnexpectedEOF), FailTransport},
 		{fmt.Errorf("session: commit send: %w", chaos.ErrInjected), FailTransport},
-		{fmt.Errorf("stream: %w", stream.ErrInjected), FailTransport},
-		{fmt.Errorf("stream: %w", stream.ErrRetriesExhausted), FailTransport},
 	}
 	for _, c := range cases {
 		if got := ClassifyFailure(c.err); got != c.want {

@@ -2,6 +2,7 @@ package session
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/link"
 	"repro/internal/obs"
+	"repro/internal/stream"
 	"repro/internal/vm"
 )
 
@@ -26,8 +28,8 @@ type Result struct {
 	// Remote is the responder's exported span tree, shipped back on the
 	// RESTORED confirmation when both sides trace. It is also already
 	// grafted into Config.Trace (AttachRemote), so rendering the local
-	// tree shows the stitched whole; nil when the responder predates the
-	// extension or was not tracing.
+	// tree shows the stitched whole; nil when the responder was not
+	// tracing.
 	Remote *obs.SpanData
 	// Warm is the dedup outcome of a warm (store-assisted) transfer; nil
 	// when the migration ran a cold path.
@@ -38,36 +40,91 @@ type Result struct {
 }
 
 // Initiate negotiates a migration session for the stopped process p over t
-// and transmits its state through the agreed path, blocking until the
-// responder confirms restoration. program names the pre-distributed
-// program for the responder's registry lookup (the digest decides; the
-// name is diagnostics).
+// and transmits its state in the agreed shape, blocking until the responder
+// confirms restoration. program names the pre-distributed program for the
+// responder's registry lookup (the digest decides; the name is
+// diagnostics).
+//
+// When both sides set Config.Live and p is stopped in NoAutoCapture mode
+// (vm.Process.NoAutoCapture with a PollHook that fired), Initiate resumes
+// p between pre-copy rounds, so execution overlaps every transfer except
+// the final round; against a responder without Live the same call is a
+// stop-and-copy transfer from the current pause. If the source runs to
+// completion between rounds, ErrSourceExited is returned alongside a
+// Result carrying the rounds shipped so far.
+//
+// On any other error the migration did not happen: the source is still
+// paused at its poll point and must be rolled back (Rollback).
 func Initiate(t link.Transport, e *core.Engine, src *arch.Machine, program string, p *vm.Process, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	prm, tc, err := initiateHandshake(t, e, src, program, cfg)
 	if err != nil {
 		return nil, err
 	}
-	path, err := pathFor(prm)
-	if err != nil {
-		return nil, err
-	}
+	p.Obs = prm.Trace
 	txStart := time.Now()
-	timing, err := path.Send(t, e, src, p, prm)
+	tx := prm.Trace.Child("transport")
+	timing, err := send(t, e, src, p, prm, cfg)
+	tx.SetBytes(int64(timing.Bytes))
+	tx.End()
+	if errors.Is(err, ErrSourceExited) {
+		return &Result{Params: prm, Trace: tc, Live: prm.LiveResult}, err
+	}
 	if err != nil {
 		cfg.Recorder.Record("session.fail", "transfer: %v", err)
 		return nil, err
 	}
-	timing.Collect = p.CaptureStats().Elapsed
 	cfg.observePhase("collect", timing.Collect)
 	cfg.observePhase("transport", time.Since(txStart))
-	return awaitRestored(t, cfg, prm, timing, tc)
+	res, err := awaitRestored(t, cfg, prm, timing, tc)
+	if err == nil && prm.Live {
+		st := prm.LiveResult
+		st.Downtime = time.Since(st.paused)
+		cfg.metrics().Histogram("session.downtime").Observe(st.Downtime)
+		cfg.Recorder.Record("session.round", "downtime %v over %d rounds (%s); %d of %d bytes on wire",
+			st.Downtime, len(st.Rounds), st.StopReason, st.WireBytes, st.SnapshotBytes)
+	}
+	return res, err
+}
+
+// InitiateLive is Initiate with Config.Live set; the benchmark program
+// names it.
+func InitiateLive(t link.Transport, e *core.Engine, src *arch.Machine, program string, p *vm.Process, cfg Config) (*Result, error) {
+	cfg.Live = true
+	return Initiate(t, e, src, program, p, cfg)
+}
+
+// send transmits the state of p in the negotiated shape and returns the
+// collect and transmit timing.
+func send(t link.Transport, e *core.Engine, src *arch.Machine, p *vm.Process, prm Params, cfg Config) (core.Timing, error) {
+	var timing core.Timing
+	var err error
+	switch {
+	case prm.rounds():
+		return sendRounds(t, e, src, p, prm, cfg)
+	case prm.Version == core.VersionSectioned:
+		// Heap components are collected in parallel on GOMAXPROCS workers —
+		// a local choice, not a negotiated parameter: the snapshot bytes
+		// are identical for any count.
+		w := stream.NewWriter(t, stream.Config{ChunkSize: prm.ChunkSize, Window: prm.Window, Recorder: prm.Recorder})
+		timing, err = e.SendSectioned(w, src, p, prm.ChunkSize, 0)
+	case prm.Version == core.VersionMono:
+		// The paper's stop-and-copy transfer: collect everything, seal one
+		// envelope, one blocking send.
+		var state []byte
+		if state, err = p.Recapture(); err == nil {
+			timing, err = e.Send(t, src, state)
+		}
+	default:
+		err = fmt.Errorf("%w: no transfer shape for version %d", ErrProtocol, prm.Version)
+	}
+	timing.Collect = p.CaptureStats().Elapsed
+	return timing, err
 }
 
 // initiateHandshake mints the trace identity, sends the OFFER, and parses
-// the responder's answer into the Params both sides committed to. The
-// returned Params carry the local plumbing (trace, recorder, store,
-// warm/live results) the selected path needs.
+// the responder's answer into the Params both sides committed to, with
+// this side's local plumbing attached.
 func initiateHandshake(t link.Transport, e *core.Engine, src *arch.Machine, program string, cfg Config) (Params, obs.TraceContext, error) {
 	// The initiator mints the migration's trace identity and offers it to
 	// the responder, which adopts the trace ID and parents its own span
@@ -75,7 +132,7 @@ func initiateHandshake(t link.Transport, e *core.Engine, src *arch.Machine, prog
 	tc := obs.NewTraceContext()
 	cfg.Trace.SetTraceContext(tc)
 	o := offer{
-		minVer:  cfg.MinVersion,
+		minVer:  core.VersionMono,
 		maxVer:  cfg.MaxVersion,
 		digest:  e.Digest(),
 		program: program,
@@ -84,30 +141,20 @@ func initiateHandshake(t link.Transport, e *core.Engine, src *arch.Machine, prog
 		window:  uint32(cfg.Window),
 		traceID: tc.TraceID,
 		spanID:  tc.SpanID,
-	}
-	if cfg.Store != nil && cfg.MaxVersion >= core.VersionSectioned {
-		o.caps |= capWarm
-	}
-	if cfg.Live && cfg.MaxVersion >= core.VersionSectioned {
-		o.caps |= capLive
-	}
-	if !cfg.NoCommit {
-		o.caps |= capCommit
+		caps:    cfg.caps(),
 	}
 	cfg.Recorder.Record("session.offer", "program %q digest %08x trace %s", program, o.digest, tc)
 	hsStart := time.Now()
 	hs := cfg.Trace.Child("handshake")
+	defer hs.End()
 	if err := t.Send(marshalOffer(o)); err != nil {
-		hs.End()
 		return Params{}, tc, fmt.Errorf("session: offer send: %w", err)
 	}
 	raw, err := t.Recv()
 	if err != nil {
-		hs.End()
 		return Params{}, tc, fmt.Errorf("session: handshake read: %w", err)
 	}
 	m, err := parseMessage(raw)
-	hs.End()
 	cfg.observePhase("handshake", time.Since(hsStart))
 	if err != nil {
 		return Params{}, tc, err
@@ -120,79 +167,48 @@ func initiateHandshake(t link.Transport, e *core.Engine, src *arch.Machine, prog
 		return Params{}, tc, fmt.Errorf("%w: expected ACCEPT or REJECT, got message type %d", ErrProtocol, m.typ)
 	}
 	prm := m.params
-	prm.Trace = cfg.Trace
-	prm.Recorder = cfg.Recorder
-	// The responder echoes a capability only when we advertised it, but
-	// guard on our own posture anyway: warm needs our store and the
-	// sectioned version; live needs our opt-in and the upgraded version.
-	prm.Live = prm.Live && cfg.Live && prm.Version == core.VersionLive
-	if prm.Version == core.VersionLive && !prm.Live {
-		return Params{}, tc, fmt.Errorf("%w: responder selected version %d without the live capability",
-			ErrProtocol, prm.Version)
+	// The responder may only echo capabilities we advertised, in a
+	// combination negotiate produces, at a version we offered.
+	if prm.caps()&^o.caps != 0 || prm.Live != (prm.Version == core.VersionLive) ||
+		prm.Warm && prm.Version != core.VersionSectioned || !prm.Live && prm.Version > o.maxVer {
+		return Params{}, tc, fmt.Errorf("%w: responder accepted version %d (warm=%v live=%v), which the offer does not allow",
+			ErrProtocol, prm.Version, prm.Warm, prm.Live)
 	}
-	prm.Commit = prm.Commit && !cfg.NoCommit
-	prm.Warm = prm.Warm && !prm.Live && cfg.Store != nil && prm.Version == core.VersionSectioned
-	if prm.Warm {
-		prm.Store = cfg.Store
-		prm.Program = program
-		prm.WarmResult = new(WarmStats)
-	}
-	if prm.Live {
-		prm.Store = cfg.Store // may be nil: the store only helps, it is not required
-		prm.Program = program
-		prm.LiveResult = new(LiveStats)
-	}
+	prm.plumb(cfg, program)
 	cfg.Trace.SetAttr("version", strconv.Itoa(int(prm.Version)))
-	cfg.Recorder.Record("session.accept", "v%d chunk %d window %d warm=%v live=%v commit=%v",
-		prm.Version, prm.ChunkSize, prm.Window, prm.Warm, prm.Live, prm.Commit)
+	cfg.Recorder.Record("session.accept", "v%d chunk %d window %d warm=%v live=%v",
+		prm.Version, prm.ChunkSize, prm.Window, prm.Warm, prm.Live)
 	return prm, tc, nil
 }
 
 // awaitRestored blocks for the responder's RESTORED confirmation,
-// acknowledges it with COMMIT when the commit handshake was negotiated,
-// and assembles the migration's Result. Only after it returns may the
-// source process terminate: the destination provably holds a restored,
-// runnable process, and — under the commit handshake — holds it inactive
-// until our COMMIT was accepted by the transport. An error from any step,
+// acknowledges it with COMMIT, and assembles the migration's Result. Only
+// after it returns may the source process terminate: the destination
+// provably holds a restored, runnable process, and holds it inactive until
+// our COMMIT was accepted by the transport. An error from any step,
 // including the COMMIT send, means the migration did not happen: the
 // source remains paused at its poll point and must roll back (Rollback).
 func awaitRestored(t link.Transport, cfg Config, prm Params, timing core.Timing, tc obs.TraceContext) (*Result, error) {
 	confirmStart := time.Now()
 	confirm := cfg.Trace.Child("confirm")
-	raw, err := t.Recv()
-	if err != nil {
+	defer func() {
 		confirm.End()
 		cfg.observePhase("confirm", time.Since(confirmStart))
-		cfg.Recorder.Record("session.fail", "confirm read: %v", err)
-		return nil, fmt.Errorf("session: restoration confirm read: %w", err)
-	}
-	m, err := parseMessage(raw)
+	}()
+	m, _, err := recvMessage(t, msgRestored, "restoration confirm")
 	if err != nil {
-		confirm.End()
-		cfg.observePhase("confirm", time.Since(confirmStart))
+		cfg.Recorder.Record("session.fail", "confirm: %v", err)
 		return nil, err
 	}
-	if m.typ != msgRestored {
-		confirm.End()
-		cfg.observePhase("confirm", time.Since(confirmStart))
-		return nil, fmt.Errorf("%w: expected RESTORED, got message type %d", ErrProtocol, m.typ)
+	// The handoff pivot: a COMMIT the transport accepted will be delivered
+	// (frames are atomic under the fail-stop model), so a nil error here
+	// is the license to relinquish the source. A failed send means the
+	// responder will never activate — the source must roll back instead.
+	if err := t.Send(marshalCommit()); err != nil {
+		cfg.Recorder.Record("session.fail", "commit send: %v", err)
+		return nil, fmt.Errorf("session: commit send: %w", err)
 	}
-	if prm.Commit {
-		// The handoff pivot: a COMMIT the transport accepted will be
-		// delivered (frames are atomic under the fail-stop model), so a
-		// nil error here is the license to relinquish the source. A
-		// failed send means the responder will never activate — the
-		// source must roll back instead.
-		if err := t.Send(marshalCommit()); err != nil {
-			confirm.End()
-			cfg.observePhase("confirm", time.Since(confirmStart))
-			cfg.Recorder.Record("session.fail", "commit send: %v", err)
-			return nil, fmt.Errorf("session: commit send: %w", err)
-		}
-		cfg.Recorder.Record("session.commit", "handoff acknowledged; source relinquishes")
-	}
-	confirm.End()
-	cfg.observePhase("confirm", time.Since(confirmStart))
+	cfg.Recorder.Record("session.commit", "handoff acknowledged; source relinquishes")
 	res := &Result{Params: prm, Timing: timing, Trace: tc, Warm: prm.WarmResult, Live: prm.LiveResult}
 	if len(m.spans) > 0 {
 		// The responder shipped its exported span tree: graft it under our
@@ -211,7 +227,7 @@ func awaitRestored(t link.Transport, cfg Config, prm Params, timing core.Timing,
 }
 
 // Rollback resumes a source process after a failed migration attempt.
-// Initiate, InitiateLive, and Transfer guarantee that on error the source
+// Initiate and Transfer guarantee that on error the source
 // is still paused at its poll point with its state intact (byte-identical
 // to a capture taken before the attempt, for stop-and-copy paths);
 // Rollback is the other half of the recovery contract — the process
@@ -242,15 +258,19 @@ func Rollback(p *vm.Process, cfg Config) (*vm.Result, error) {
 
 // Transfer migrates the stopped process p from its machine to dst over an
 // in-memory pipe, running the full negotiated protocol end to end — the
-// single-call workflow used by the in-process scheduler. It returns the
-// restored process and the merged timing of all three phases.
+// single-call workflow used by the in-process scheduler and experiments.
+// It returns the restored process, the initiator's Result (which a failed
+// pre-copy attempt fills as far as it got), and the merged timing of all
+// three phases.
 //
 // On failure the source is rolled back before Transfer returns: the
 // paused process resumes execution (Rollback) to its next granted poll
 // stop or to completion, so an error never strands it paused forever.
 // Exactly one live copy exists either way — the restored destination on
-// success, the resumed source on failure.
-func Transfer(e *core.Engine, program string, p *vm.Process, dst *arch.Machine, cfg Config) (*vm.Process, core.Timing, error) {
+// success, the resumed source on failure. The exception is
+// ErrSourceExited, where the source already ran to completion locally:
+// that run is the surviving copy and there is nothing paused to resume.
+func Transfer(e *core.Engine, program string, p *vm.Process, dst *arch.Machine, cfg Config) (*vm.Process, *Result, core.Timing, error) {
 	a, b := link.Pipe()
 	defer a.Close()
 	defer b.Close()
@@ -264,6 +284,10 @@ func Transfer(e *core.Engine, program string, p *vm.Process, dst *arch.Machine, 
 	c := make(chan respondRes, 1)
 	go func() {
 		_, q, tim, err := Respond(b, reg, dst, cfg)
+		if err != nil {
+			// Fail the initiator's pending Recv so it joins.
+			b.Close()
+		}
 		c <- respondRes{q, tim, err}
 	}()
 	res, err := Initiate(a, e, p.Mach, program, p, cfg)
@@ -274,15 +298,15 @@ func Transfer(e *core.Engine, program string, p *vm.Process, dst *arch.Machine, 
 	}
 	rr := <-c
 	if err != nil {
-		// The migration did not happen; the source still owns the
-		// process. Resume it so the failure never strands it paused.
-		Rollback(p, cfg)
-		return nil, core.Timing{}, err
+		if !errors.Is(err, ErrSourceExited) {
+			Rollback(p, cfg)
+		}
+		return nil, res, core.Timing{}, err
 	}
 	if rr.err != nil {
-		return nil, core.Timing{}, rr.err
+		return nil, res, core.Timing{}, rr.err
 	}
 	timing := res.Timing
 	timing.Restore = rr.t.Restore
-	return rr.q, timing, nil
+	return rr.q, res, timing, nil
 }

@@ -17,7 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/link"
 	"repro/internal/obs"
-	"repro/internal/stats"
+	"repro/internal/stream"
 	"repro/internal/vm"
 )
 
@@ -76,7 +76,7 @@ type Info struct {
 	Params Params
 	// Trace is the distributed-trace identity the initiator offered (the
 	// responder adopts the trace ID and mints its own span ID under it);
-	// zero when the initiator was untraced.
+	// zero when the offer carried none.
 	Trace obs.TraceContext
 	// Warm is the dedup outcome of a warm (store-assisted) transfer; nil
 	// when the session ran a cold path.
@@ -96,8 +96,6 @@ func (i Info) How() string {
 		return fmt.Sprintf("warm v%d", i.Params.Version)
 	case i.Params.Version == core.VersionMono:
 		return "monolithic v1"
-	case i.Params.Version == core.VersionStream:
-		return "streamed v2"
 	case i.Params.Version == core.VersionSectioned:
 		return "sectioned v3"
 	}
@@ -105,30 +103,67 @@ func (i Info) How() string {
 }
 
 // Respond serves exactly one inbound migration session on t: it reads the
-// offer, negotiates against cfg and the registry, receives the state
-// through the selected path, restores the process on machine m, and
-// confirms with RESTORED. Under the commit handshake (negotiated by
-// default) it then holds the restored process until the initiator's
+// offer, negotiates against cfg and the registry, receives the state in
+// the agreed shape, restores the process on machine m, and confirms with
+// RESTORED. It then holds the restored process until the initiator's
 // COMMIT arrives, returning it — ready to activate — only once the source
 // has provably relinquished; a session that fails before that point
 // returns no process, and the initiator rolls its source back instead. A
 // negotiation failure is reported to the peer (REJECT) and returned.
 func Respond(t link.Transport, reg *Registry, m *arch.Machine, cfg Config) (Info, *vm.Process, core.Timing, error) {
+	prm, info, engine, err := respondHandshake(t, reg, cfg)
+	if err != nil {
+		return info, nil, core.Timing{}, err
+	}
+	p, timing, err := receive(t, engine, m, prm)
+	if err != nil {
+		cfg.Recorder.Record("session.fail", "receive/restore: %v", err)
+		return info, nil, core.Timing{}, err
+	}
+	cfg.observePhase("restore", timing.Restore)
+	cfg.Recorder.Record("session.restored", "%d bytes restored in %v", timing.Bytes, timing.Restore)
+	confirmStart := time.Now()
+	confirm := cfg.Trace.Child("confirm")
+	defer func() {
+		confirm.End()
+		cfg.observePhase("confirm", time.Since(confirmStart))
+	}()
+	// When the initiator traces, ship our exported span tree back on the
+	// confirmation so it can stitch the two into one. The export
+	// necessarily precedes the send, so the confirm span appears in-flight
+	// (near-zero duration) in the shipped tree.
+	var spans []byte
+	if info.Trace.Valid() && cfg.Trace != nil {
+		if b, jerr := json.Marshal(cfg.Trace.Export()); jerr == nil {
+			spans = b
+		}
+	}
+	if err := t.Send(marshalRestored(uint64(timing.Bytes), spans)); err != nil {
+		return info, nil, core.Timing{}, fmt.Errorf("session: restored send: %w", err)
+	}
+	// Hold the restored process inactive until the initiator commits the
+	// handoff. No COMMIT means the initiator never saw RESTORED (or could
+	// not answer): it is rolling the source back, so this copy must be
+	// discarded — activating both would double the process; activating
+	// neither would lose it.
+	if _, _, err := recvMessage(t, msgCommit, "commit"); err != nil {
+		cfg.Recorder.Record("session.discard", "no commit after RESTORED; discarding restored process: %v", err)
+		return info, nil, core.Timing{}, err
+	}
+	cfg.Recorder.Record("session.commit", "handoff committed; activating restored process")
+	return info, p, timing, nil
+}
+
+// respondHandshake reads the OFFER, resolves the program, negotiates, and
+// answers ACCEPT or REJECT. The returned Params carry this side's local
+// plumbing.
+func respondHandshake(t link.Transport, reg *Registry, cfg Config) (Params, Info, *core.Engine, error) {
 	hsStart := time.Now()
 	hs := cfg.Trace.Child("handshake")
-	raw, err := t.Recv()
+	defer hs.End()
+	msg, _, err := recvMessage(t, msgOffer, "handshake")
 	if err != nil {
-		hs.End()
-		return Info{}, nil, core.Timing{}, fmt.Errorf("session: handshake read: %w", err)
-	}
-	msg, err := parseMessage(raw)
-	if err != nil {
-		hs.End()
-		return Info{}, nil, core.Timing{}, err
-	}
-	if msg.typ != msgOffer {
-		hs.End()
-		return Info{}, nil, core.Timing{}, fmt.Errorf("%w: expected OFFER, got message type %d", ErrProtocol, msg.typ)
+		return Params{}, Info{}, nil, err
 	}
 	o := msg.offer
 	var tc obs.TraceContext
@@ -139,112 +174,47 @@ func Respond(t link.Transport, reg *Registry, m *arch.Machine, cfg Config) (Info
 		cfg.Trace.SetTraceContext(tc)
 		cfg.Trace.SetParentSpan(o.spanID)
 	}
+	info := Info{SrcMachine: o.machine, Trace: tc}
 	cfg.Recorder.Record("session.offer", "program %q digest %08x from %s trace %s", o.program, o.digest, o.machine, tc)
 	engine, name, ok := reg.Lookup(o.digest)
 	if !ok {
-		err := fmt.Errorf("%w: digest %08x (program %q) not pre-distributed here", ErrUnknownProgram, o.digest, o.program)
-		cfg.Recorder.Record("session.reject", "%v", err)
-		t.Send(marshalReject(err.Error()))
-		hs.End()
-		return Info{Trace: tc}, nil, core.Timing{}, err
+		err = fmt.Errorf("%w: digest %08x (program %q) not pre-distributed here", ErrUnknownProgram, o.digest, o.program)
 	}
-	prm, err := negotiate(o, cfg)
+	var prm Params
+	if err == nil {
+		prm, err = negotiate(o, cfg)
+	}
 	if err != nil {
 		cfg.Recorder.Record("session.reject", "%v", err)
-		t.Send(marshalReject(err.Error()))
-		hs.End()
-		return Info{Trace: tc}, nil, core.Timing{}, err
+		t.Send(marshalReason(msgReject, err.Error()))
+		return Params{}, info, nil, err
 	}
-	prm.Trace = cfg.Trace
-	prm.Recorder = cfg.Recorder
-	// Live transfer upgrades a sectioned agreement to version 4 when the
-	// initiator advertised capLive and this side opted in; the echoed
-	// ACCEPT capability (and version) commits to it. It subsumes warm —
-	// the delta rounds already resolve bodies against the local store.
-	prm.Live = o.caps&capLive != 0 && cfg.Live && prm.Version == core.VersionSectioned
-	if prm.Live {
-		prm.Version = core.VersionLive
-		prm.Store = cfg.Store // may be nil: the store only helps, it is not required
-		prm.Program = name
-		prm.LiveResult = new(LiveStats)
-	}
-	// The commit handshake runs whenever the initiator speaks it (and
-	// this side has not opted out); the echoed ACCEPT capability commits
-	// to it. A legacy initiator never sends COMMIT, so echoing only an
-	// advertised capability is what keeps this side from waiting forever.
-	prm.Commit = o.caps&capCommit != 0 && !cfg.NoCommit
-	// Warm transfer needs the sectioned version, the initiator's capWarm,
-	// and a store on this side; the echoed ACCEPT capability commits to it.
-	prm.Warm = !prm.Live && o.caps&capWarm != 0 && cfg.Store != nil && prm.Version == core.VersionSectioned
-	if prm.Warm {
-		prm.Store = cfg.Store
-		prm.Program = name
-		prm.WarmResult = new(WarmStats)
-	}
+	prm.plumb(cfg, name)
 	cfg.Trace.SetAttr("version", strconv.Itoa(int(prm.Version)))
 	cfg.Trace.SetAttr("program", name)
-	info := Info{Program: name, SrcMachine: o.machine, Params: prm, Trace: tc, Warm: prm.WarmResult, Live: prm.LiveResult}
-	cfg.Recorder.Record("session.accept", "program %q v%d chunk %d window %d warm=%v live=%v commit=%v",
-		name, prm.Version, prm.ChunkSize, prm.Window, prm.Warm, prm.Live, prm.Commit)
+	info.Program, info.Params, info.Warm, info.Live = name, prm, prm.WarmResult, prm.LiveResult
+	cfg.Recorder.Record("session.accept", "program %q v%d chunk %d window %d warm=%v live=%v",
+		name, prm.Version, prm.ChunkSize, prm.Window, prm.Warm, prm.Live)
 	err = t.Send(marshalAccept(prm))
-	hs.End()
 	cfg.observePhase("handshake", time.Since(hsStart))
 	if err != nil {
-		return info, nil, core.Timing{}, fmt.Errorf("session: accept send: %w", err)
+		return Params{}, info, nil, fmt.Errorf("session: accept send: %w", err)
 	}
-	path, err := pathFor(prm)
-	if err != nil {
-		return info, nil, core.Timing{}, err
+	return prm, info, engine, nil
+}
+
+// receive accepts the inbound state in the negotiated shape and restores
+// the process on machine m.
+func receive(t link.Transport, e *core.Engine, m *arch.Machine, prm Params) (*vm.Process, core.Timing, error) {
+	switch {
+	case prm.rounds():
+		return receiveRounds(t, e, m, prm)
+	case prm.Version == core.VersionSectioned:
+		r := stream.NewReader(t, stream.Config{ChunkSize: prm.ChunkSize, Window: prm.Window, Recorder: prm.Recorder})
+		return e.ReceiveAndRestoreSectioned(r, m, prm.Trace)
 	}
-	p, timing, err := path.Receive(t, engine, m, prm)
-	if err != nil {
-		cfg.Recorder.Record("session.fail", "receive/restore: %v", err)
-		return info, nil, core.Timing{}, err
-	}
-	cfg.observePhase("restore", timing.Restore)
-	cfg.Recorder.Record("session.restored", "%d bytes restored in %v", timing.Bytes, timing.Restore)
-	confirmStart := time.Now()
-	confirm := cfg.Trace.Child("confirm")
-	// When both sides trace, ship our exported span tree back on the
-	// confirmation so the initiator can stitch the two into one. The
-	// export necessarily precedes the send, so the confirm span appears
-	// in-flight (near-zero duration) in the shipped tree.
-	var spans []byte
-	if o.traceID != 0 && cfg.Trace != nil {
-		if b, jerr := json.Marshal(cfg.Trace.Export()); jerr == nil {
-			spans = b
-		}
-	}
-	err = t.Send(marshalRestored(uint64(timing.Bytes), spans))
-	if err != nil {
-		confirm.End()
-		cfg.observePhase("confirm", time.Since(confirmStart))
-		return info, nil, core.Timing{}, fmt.Errorf("session: restored send: %w", err)
-	}
-	if prm.Commit {
-		// Hold the restored process inactive until the initiator commits
-		// the handoff. No COMMIT means the initiator never saw RESTORED
-		// (or could not answer): it is rolling the source back, so this
-		// copy must be discarded — activating both would double the
-		// process; activating neither would lose it.
-		raw, rerr := t.Recv()
-		if rerr == nil {
-			var cm message
-			if cm, rerr = parseMessage(raw); rerr == nil && cm.typ != msgCommit {
-				rerr = fmt.Errorf("%w: expected COMMIT, got message type %d", ErrProtocol, cm.typ)
-			}
-		}
-		if rerr != nil {
-			confirm.End()
-			cfg.observePhase("confirm", time.Since(confirmStart))
-			cfg.Recorder.Record("session.discard", "no commit after RESTORED; discarding restored process: %v", rerr)
-			return info, nil, core.Timing{}, fmt.Errorf("session: commit read: %w", rerr)
-		}
-		cfg.Recorder.Record("session.commit", "handoff committed; activating restored process")
-	}
-	confirm.End()
-	cfg.observePhase("confirm", time.Since(confirmStart))
-	return info, p, timing, nil
+	// negotiate produces nothing else: the sealed envelope.
+	return e.ReceiveAndRestore(t, m, prm.Trace)
 }
 
 // Daemon is the persistent, concurrent migration daemon: an accept loop
@@ -310,7 +280,6 @@ type Daemon struct {
 	// other transport middleware) injects through. Called concurrently.
 	WrapTransport func(link.Transport) link.Transport
 
-	counters stats.SessionCounters
 	nextID   atomic.Uint64
 	closing  atomic.Bool
 	aborting atomic.Bool
@@ -320,9 +289,6 @@ type Daemon struct {
 	connMu sync.Mutex
 	conns  map[*link.Conn]struct{}
 }
-
-// Counters exposes the daemon's lifecycle counters.
-func (d *Daemon) Counters() *stats.SessionCounters { return &d.counters }
 
 // metrics resolves the registry the daemon publishes to.
 func (d *Daemon) metrics() *obs.Registry {
@@ -423,7 +389,6 @@ func (d *Daemon) Serve(l *link.Listener) error {
 			}
 			return err
 		}
-		d.counters.Accepted()
 		d.metrics().Counter("session.accepted").Inc()
 		sem <- struct{}{}
 		d.wg.Add(1)
@@ -474,7 +439,6 @@ func (d *Daemon) handle(conn *link.Conn) {
 	reg.Histogram("session.duration").Observe(elapsed)
 	if err != nil {
 		class := ClassifyFailure(err)
-		d.counters.Failed()
 		reg.Counter("session.failed").Inc()
 		reg.Counter("session.fail." + string(class)).Inc()
 		recorder.Record("session.classify", "%s: %v", class, err)
@@ -491,7 +455,6 @@ func (d *Daemon) handle(conn *link.Conn) {
 		}
 		return
 	}
-	d.counters.Restored(timing.Bytes)
 	reg.Counter("session.restored").Inc()
 	reg.Counter("session.bytes").Add(int64(timing.Bytes))
 	cfg.Trace.SetAttr("outcome", "restored")

@@ -1,62 +1,50 @@
 package session
 
 import (
-	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
-	"repro/internal/xdr"
+	"repro/internal/snapshot"
+	"repro/internal/store"
 )
 
-// legacyOffer marshals an OFFER in the pre-tracing wire layout — it ends
-// after window, with no trace-context pair — as an old initiator would
-// emit it.
-func legacyOffer(o offer) []byte {
-	e := xdr.NewEncoder(64 + len(o.program) + len(o.machine))
-	e.PutUint32(sessionMagic)
-	e.PutUint32(msgOffer)
-	e.PutUint32(o.minVer)
-	e.PutUint32(o.maxVer)
-	e.PutUint32(o.digest)
-	e.PutString(o.program)
-	e.PutString(o.machine)
-	e.PutUint32(o.chunk)
-	e.PutUint32(o.window)
-	return e.Bytes()
+// testManifest is a small, valid section list for codec seeds and tests.
+func testManifest() *store.Manifest {
+	return &store.Manifest{ProgramDigest: 0xdeadbeef, Machine: "sparc20", Seq: 1, Entries: []store.Entry{
+		{Kind: snapshot.KindExec, ID: 0, Length: 5, Hash: store.HashBytes([]byte("hello"))},
+		{Kind: snapshot.KindHeap, ID: 0, Length: 3, Hash: store.HashBytes([]byte("abc"))},
+	}}
 }
 
 // FuzzHandshake feeds arbitrary frames to the session-layer message
 // parser. A daemon reads these bytes straight off an accepted connection,
-// so parseMessage must reject anything malformed with an ErrProtocol-
-// classified error — never panic — and anything it accepts must survive a
-// re-marshal round trip.
+// so parseMessage must reject anything malformed with a classified error
+// — never panic — and anything it accepts must survive a re-marshal round
+// trip.
 func FuzzHandshake(f *testing.F) {
 	of := offer{
 		minVer: 1, maxVer: 3, digest: 0xdeadbeef,
 		program: "list", machine: "sparc20", chunk: 4096, window: 8,
+		traceID: 0x0123456789abcdef, spanID: 0xfedcba9876543210,
 	}
 	full := marshalOffer(of)
 	f.Add(full)
-	traced := of
-	traced.traceID, traced.spanID = 0x0123456789abcdef, 0xfedcba9876543210
-	f.Add(marshalOffer(traced))
-	f.Add(legacyOffer(of)) // pre-tracing layout: must still parse
-	warm := traced
-	warm.caps = capWarm
-	f.Add(marshalOffer(warm))
-	live := traced
-	live.caps = capLive
-	f.Add(marshalOffer(live))
-	both := traced
-	both.caps = capWarm | capLive
-	f.Add(marshalOffer(both))
-	f.Add(marshalAccept(Params{Version: 2, ChunkSize: 65536, Window: 16}))
+	for _, caps := range []uint32{capWarm, capLive, capWarm | capLive, 1 << 31} {
+		o := of
+		o.caps = caps
+		f.Add(marshalOffer(o))
+	}
+	untraced := of
+	untraced.traceID, untraced.spanID = 0, 0
+	f.Add(marshalOffer(untraced))
+	f.Add(marshalAccept(Params{Version: 1, ChunkSize: 65536, Window: 16}))
+	f.Add(marshalAccept(Params{Version: 3, ChunkSize: 65536, Window: 16}))
 	f.Add(marshalAccept(Params{Version: 3, ChunkSize: 65536, Window: 16, Warm: true}))
 	f.Add(marshalAccept(Params{Version: 4, ChunkSize: 65536, Window: 16, Live: true}))
-	f.Add(marshalAccept(Params{Version: 3, ChunkSize: 65536, Window: 16, Commit: true}))
-	committing := traced
-	committing.caps = capWarm | capLive | capCommit
-	f.Add(marshalOffer(committing))
+	f.Add(marshalReason(msgReject, "session: no common protocol version"))
+	f.Add(marshalRestored(1<<20, nil))
+	f.Add(marshalRestored(1<<20, []byte(`{"name":"session","dur_us":42}`)))
 	// COMMIT and its chaos-truncated variants: the harness kills at frame
 	// boundaries, but a buggy transport could still hand the parser a cut
 	// frame — it must classify, never crash.
@@ -64,16 +52,26 @@ func FuzzHandshake(f *testing.F) {
 	f.Add(commit)
 	f.Add(commit[:6])
 	f.Add(commit[:4])
-	// A DELTA frame: parseMessage only speaks handshake messages, so this
-	// must be rejected as a protocol violation, never crash the parser.
-	f.Add(marshalDelta(1, liveFinal, 12, nil))
-	f.Add(marshalReject("session: no common protocol version"))
-	f.Add(marshalRestored(1<<20, nil))
-	f.Add(marshalRestored(1<<20, []byte(`{"name":"session","dur_us":42}`)))
+	// The round exchange: a final and a pre-copy ANNOUNCE, WANT and BODIES
+	// full and empty, the stand-down notice, and a cut and a damaged
+	// ANNOUNCE.
+	announce := marshalAnnounce(2, announceFinal, 12, testManifest())
+	f.Add(announce)
+	f.Add(marshalAnnounce(0, 0, 0, testManifest()))
+	f.Add(announce[:len(announce)-7])
+	damaged := append([]byte(nil), announce...)
+	damaged[len(damaged)/2] ^= 0x40
+	f.Add(damaged)
+	f.Add(marshalWant([]uint32{0, 1}))
+	f.Add(marshalWant(nil))
+	f.Add(marshalBodies([]uint32{0, 1}, [][]byte{[]byte("hello"), []byte("abc")}))
+	f.Add(marshalBodies(nil, nil))
+	f.Add(marshalReason(msgAbort, "source ran to completion (exit 0)"))
 	f.Add(full[:6])           // truncated inside the type word
 	f.Add(full[:len(full)-3]) // truncated final field
-	f.Add([]byte{})           // empty frame
-	f.Add([]byte("MSES"))     // magic alone, big-endian text
+	f.Add(append(full, 0, 0, 0, 0))
+	f.Add([]byte{})       // empty frame
+	f.Add([]byte("MSES")) // magic alone, big-endian text
 	corrupt := append([]byte(nil), full...)
 	corrupt[4] ^= 0xa5 // message type corruption
 	f.Add(corrupt)
@@ -84,7 +82,7 @@ func FuzzHandshake(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := parseMessage(data)
 		if err != nil {
-			if !errors.Is(err, ErrProtocol) {
+			if !errors.Is(err, ErrProtocol) && !errors.Is(err, store.ErrBadManifest) {
 				t.Fatalf("unclassified parse error: %v", err)
 			}
 			return
@@ -97,10 +95,16 @@ func FuzzHandshake(f *testing.F) {
 			again = marshalOffer(m.offer)
 		case msgAccept:
 			again = marshalAccept(m.params)
-		case msgReject:
-			again = marshalReject(m.reason)
+		case msgReject, msgAbort:
+			again = marshalReason(m.typ, m.reason)
 		case msgRestored:
 			again = marshalRestored(m.bytes, m.spans)
+		case msgAnnounce:
+			again = marshalAnnounce(m.round, m.flags, int(m.dirty), m.manifest)
+		case msgWant:
+			again = marshalWant(m.indices)
+		case msgBodies:
+			again = marshalBodies(m.indices, m.bodies)
 		case msgCommit:
 			again = marshalCommit()
 		default:
@@ -110,16 +114,11 @@ func FuzzHandshake(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-marshal rejected: %v", err)
 		}
-		if m2.typ != m.typ || m2.offer != m.offer || m2.reason != m.reason || m2.bytes != m.bytes {
+		if len(m.spans) == 0 {
+			m.spans, m2.spans = nil, nil // empty decodes as empty, nil or not
+		}
+		if !reflect.DeepEqual(m2, m) {
 			t.Fatalf("re-marshal round trip differs: %+v vs %+v", m2, m)
-		}
-		if !bytes.Equal(m2.spans, m.spans) {
-			t.Fatalf("re-marshal spans differ: %q vs %q", m2.spans, m.spans)
-		}
-		if m2.params.Version != m.params.Version || m2.params.ChunkSize != m.params.ChunkSize ||
-			m2.params.Window != m.params.Window || m2.params.Warm != m.params.Warm ||
-			m2.params.Live != m.params.Live || m2.params.Commit != m.params.Commit {
-			t.Fatalf("re-marshal params differ: %+v vs %+v", m2.params, m.params)
 		}
 	})
 }

@@ -27,7 +27,7 @@ func newMutatingEngine(t *testing.T, rounds int) *core.Engine {
 }
 
 // stoppedLive runs the program on m to its first poll in NoAutoCapture
-// mode — paused but still resumable, the state InitiateLive requires.
+// mode — paused but still resumable, the state pre-copy rounds require.
 func stoppedLive(t *testing.T, e *core.Engine, m *arch.Machine) *vm.Process {
 	t.Helper()
 	p, err := e.NewProcess(m)
@@ -68,8 +68,8 @@ func TestTransferLiveMatrix(t *testing.T) {
 			p := stoppedLive(t, e, pr.src)
 			// DirtyThreshold 1 keeps the loop iterating until the dirty
 			// set stalls, so several delta rounds actually run.
-			q, res, timing, err := TransferLive(e, "shards", p, pr.dst,
-				Config{ChunkSize: 4096, Window: 8, PrecopyRounds: 3, DirtyThreshold: 1})
+			q, res, timing, err := Transfer(e, "shards", p, pr.dst,
+				Config{ChunkSize: 4096, Window: 8, Live: true, PrecopyRounds: 3, DirtyThreshold: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,8 +97,8 @@ func TestTransferLiveMatrix(t *testing.T) {
 			if st.TotalSent() >= total {
 				t.Errorf("sent %d of %d section instances; delta rounds reused nothing", st.TotalSent(), total)
 			}
-			if timing.Bytes == 0 || timing.Restore <= 0 {
-				t.Errorf("timing %+v, want bytes and restore recorded", timing)
+			if timing.Bytes == 0 || timing.Restore <= 0 || timing.Collect <= 0 {
+				t.Errorf("timing %+v, want bytes, collect and restore recorded", timing)
 			}
 			// The source is still paused at the final round's site; the
 			// restored process must re-collect byte-identically.
@@ -126,16 +126,16 @@ func TestTransferLiveMatrix(t *testing.T) {
 	}
 }
 
-// TestLiveFallbackToLegacyResponder pins the compatibility contract: an
-// InitiateLive against a responder that does not speak v4 degrades to the
-// ordinary negotiated stop-and-copy transfer with byte-identical wire
+// TestLiveFallbackToLegacyResponder pins the compatibility contract: a
+// live initiator against a responder that does not speak v4 degrades to
+// the ordinary negotiated stop-and-copy transfer with byte-identical wire
 // volume, and reports no live stats.
 func TestLiveFallbackToLegacyResponder(t *testing.T) {
 	e := newMutatingEngine(t, 8)
 
 	// Baseline: a pure-legacy sectioned transfer of the same paused state.
 	legacyP := stoppedLive(t, e, arch.DEC5000)
-	_, legacyTiming, err := Transfer(e, "shards", legacyP, arch.SPARC20,
+	_, _, legacyTiming, err := Transfer(e, "shards", legacyP, arch.SPARC20,
 		Config{ChunkSize: 4096, Window: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestLiveFallbackToLegacyResponder(t *testing.T) {
 		info, q, _, err := Respond(b, reg, arch.SPARC20, Config{ChunkSize: 4096, Window: 8})
 		c <- rr{info, q, err}
 	}()
-	res, err := InitiateLive(a, e, p.Mach, "shards", p, Config{ChunkSize: 4096, Window: 8})
+	res, err := Initiate(a, e, p.Mach, "shards", p, Config{ChunkSize: 4096, Window: 8, Live: true})
 	r := <-c
 	if err != nil || r.err != nil {
 		t.Fatalf("fallback transfer: initiate=%v respond=%v", err, r.err)
@@ -173,16 +173,20 @@ func TestLiveFallbackToLegacyResponder(t *testing.T) {
 	runRestored(t, r.q, 0)
 }
 
-// TestLiveDegenerateSingleRound checks the Path-interface form: a plain
-// Transfer with Live on both sides runs one final round — no overlap, but
-// the same wire protocol and a correct restore.
+// TestLiveDegenerateSingleRound checks a live session over a process that
+// was captured at its stop and cannot resume: Live on both sides runs one
+// final round — no overlap, but the same wire protocol and a correct
+// restore.
 func TestLiveDegenerateSingleRound(t *testing.T) {
 	e := newListEngine(t)
 	p := stoppedAt(t, e, arch.AMD64)
-	q, timing, err := Transfer(e, "list", p, arch.SPARCV9,
+	q, res, timing, err := Transfer(e, "list", p, arch.SPARCV9,
 		Config{ChunkSize: 4096, Window: 8, Live: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Live == nil || len(res.Live.Rounds) != 1 || !res.Live.Rounds[0].Final {
+		t.Errorf("live stats %+v, want exactly one final round", res.Live)
 	}
 	if timing.Bytes == 0 {
 		t.Error("no bytes recorded")
@@ -206,7 +210,7 @@ func TestLiveSourceExited(t *testing.T) {
 		_, _, _, err := Respond(b, reg, arch.SPARC20, Config{Live: true})
 		respErr <- err
 	}()
-	res, err := InitiateLive(a, e, p.Mach, "shards", p, Config{Live: true})
+	res, err := Initiate(a, e, p.Mach, "shards", p, Config{Live: true})
 	if !errors.Is(err, ErrSourceExited) {
 		t.Fatalf("initiate err = %v, want ErrSourceExited", err)
 	}
@@ -254,7 +258,7 @@ func TestLiveWarmCompose(t *testing.T) {
 			Config{Live: true, Store: dstStore, PrecopyRounds: 3, DirtyThreshold: 1})
 		c <- rr{info, q, err}
 	}()
-	res, err := InitiateLive(a, e, p.Mach, "shards", p,
+	res, err := Initiate(a, e, p.Mach, "shards", p,
 		Config{Live: true, PrecopyRounds: 3, DirtyThreshold: 1})
 	r := <-c
 	if err != nil || r.err != nil {

@@ -2,17 +2,17 @@ package session
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/minic"
 	"repro/internal/obs"
 )
 
-// Every early return in Initiate, InitiateLive, and awaitRestored must
+// Every early return in Initiate, its round driver, and awaitRestored must
 // leave the source paused and resumable — the first half of the
 // rollback-or-complete contract. These tests name each return path
 // explicitly (the chaos matrix sweeps the same ground exhaustively but
@@ -74,7 +74,7 @@ func TestRollbackFailureIsCounted(t *testing.T) {
 func TestInitiateErrorPathsLeaveSourceResumable(t *testing.T) {
 	coldCfg := Config{ChunkSize: 1024, Window: 4}
 	// DirtyThreshold beyond any dirty set: the live loop runs round 0,
-	// stops on "threshold", and the final round is DELTA #2 — a fixed
+	// stops on "threshold", and the final round is ANNOUNCE #2 — a fixed
 	// frame schedule the specs below can name.
 	liveCfg := Config{ChunkSize: 4096, Window: 8, PrecopyRounds: 3, DirtyThreshold: 1 << 30, Live: true}
 	cases := []struct {
@@ -94,9 +94,9 @@ func TestInitiateErrorPathsLeaveSourceResumable(t *testing.T) {
 		{"commit-send", false, coldCfg, chaos.Spec{Victim: chaos.VictimSource,
 			Point: chaos.Point{Class: chaos.ClassRestored, N: 1, When: chaos.AfterRecv}}},
 		{"live-round-send", true, liveCfg, chaos.Spec{Victim: chaos.VictimSource,
-			Point: chaos.Point{Class: chaos.ClassDelta, N: 1, When: chaos.BeforeSend}}},
+			Point: chaos.Point{Class: chaos.ClassAnnounce, N: 1, When: chaos.BeforeSend}}},
 		{"live-final-send", true, liveCfg, chaos.Spec{Victim: chaos.VictimSource,
-			Point: chaos.Point{Class: chaos.ClassDelta, N: 2, When: chaos.BeforeSend}}},
+			Point: chaos.Point{Class: chaos.ClassAnnounce, N: 2, When: chaos.BeforeSend}}},
 		{"live-confirm-read", true, liveCfg, chaos.Spec{Victim: chaos.VictimDest,
 			Point: chaos.Point{Class: chaos.ClassRestored, N: 1, When: chaos.BeforeSend}}},
 	}
@@ -152,16 +152,17 @@ func TestTransferRollsBackOnFailure(t *testing.T) {
 	p := stoppedAt(t, e, arch.DEC5000)
 	metrics := obs.NewRegistry()
 	flight := obs.NewFlightRecorder(64)
-	// An impossible version range forces a REJECT: the handshake fails
-	// before any state moves.
-	cfg := Config{MinVersion: core.VersionSectioned, MaxVersion: core.VersionMono,
-		Metrics: metrics, Recorder: flight}
-	q, _, err := Transfer(e, "list", p, arch.SPARC20, cfg)
-	if err == nil || q != nil {
-		t.Fatalf("Transfer = %v, %v; want a negotiation failure", q, err)
+	// The destination holds a different build of "list": the handshake
+	// matches the digest Transfer offers, the state that arrives names
+	// functions and sites that build does not have, and the restore fails.
+	other, err := core.NewEngine(`int main() { migrate_here(); return 7; }`, minic.PollPolicy{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, ErrRejected) {
-		t.Errorf("err = %v, want ErrRejected", err)
+	cfg := Config{Metrics: metrics, Recorder: flight}
+	q, _, _, err := Transfer(other, "list", p, arch.SPARC20, cfg)
+	if err == nil || q != nil {
+		t.Fatalf("Transfer = %v, %v; want a failed restore", q, err)
 	}
 	if n := metrics.Counter("session.rolledback").Value(); n != 1 {
 		t.Errorf("session.rolledback = %d, want 1 (source left paused forever?)", n)

@@ -1,0 +1,456 @@
+package session
+
+// The round exchange: how a process state crosses when the receiver may
+// already hold part of it.
+//
+// Each round is one ANNOUNCE/WANT/BODIES exchange. The ANNOUNCE lists every
+// section of the paused state as (kind, id, length, sha256); the responder
+// answers WANT with the indices whose bodies it cannot resolve from the
+// session's earlier rounds or from its checkpoint store; one BODIES frame
+// carries exactly those. The final round's list therefore assembles — from
+// resolved and freshly received bodies — into a v3 snapshot byte-identical
+// to a stop-and-copy sectioned capture of the same paused state, and
+// restoration is the ordinary sectioned restore.
+//
+// A warm migration is one final round whose sections come out of the
+// initiator's checkpoint store. A live migration is the same exchange
+// repeated while the source executes:
+//
+//	round 0     full image ships while the source executes to its next
+//	            poll point
+//	round 1..N  only the sections the dirty set touched re-encode; each
+//	            round ships while the source runs on
+//	final       the source stays paused; the last (small) delta is all
+//	            the downtime window has to move
+//
+// The loop converges (or is cut off) on the source: the next round is
+// final once the unshipped dirty set drops to Config.DirtyThreshold
+// blocks, Config.PrecopyRounds deltas have shipped, or the dirty set
+// stops shrinking (a write rate the link cannot outrun — more rounds
+// would burn bandwidth without buying downtime). In the worst case the
+// transfer degrades to a full copy plus one delta round, never worse.
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/arch"
+	"repro/internal/core"
+	"repro/internal/link"
+	"repro/internal/snapshot"
+	"repro/internal/store"
+	"repro/internal/vm"
+)
+
+// WarmStats is the dedup outcome of one warm transfer: how much of the
+// snapshot never crossed the wire because the destination's store already
+// held it.
+type WarmStats struct {
+	// ManifestHash is the content address of the checkpoint the transfer
+	// shipped; both stores hold it (and its chain position) afterwards.
+	ManifestHash store.Hash
+	// Sections is the snapshot's section count; SectionsSent of them had
+	// bodies the destination lacked and were transferred.
+	Sections     int
+	SectionsSent int
+	// SnapshotBytes is the full sectioned snapshot size a cold transfer
+	// would have carried; WireBytes is what the round actually put on the
+	// wire (the announce frame plus the bodies frame).
+	SnapshotBytes int
+	WireBytes     int
+}
+
+func (w WarmStats) String() string {
+	return fmt.Sprintf("checkpoint %s: sent %d of %d sections, %d of %d bytes on the wire",
+		w.ManifestHash.Short(), w.SectionsSent, w.Sections, w.WireBytes, w.SnapshotBytes)
+}
+
+// LiveRoundStats describes one round as seen by either side.
+type LiveRoundStats struct {
+	// Round numbers the rounds from 0 (the full image).
+	Round int
+	// DirtyBlocks is the dirty-set size the source observed entering the
+	// round (0 for round 0).
+	DirtyBlocks int
+	// Sections is the announced list's length; SectionsSent of them had
+	// bodies the responder could not resolve and crossed the wire.
+	Sections     int
+	SectionsSent int
+	// Bytes is the wire size of the round's announce and bodies frames.
+	Bytes int
+	// Final marks the round the source stayed paused for.
+	Final bool
+}
+
+// LiveStats is the outcome of one live transfer.
+type LiveStats struct {
+	// Rounds holds one entry per round, in order.
+	Rounds []LiveRoundStats
+	// SnapshotBytes is the assembled final snapshot's size — what a
+	// stop-and-copy transfer of the paused state would have carried;
+	// WireBytes is the cumulative wire size of every round.
+	SnapshotBytes int
+	WireBytes     int
+	// Downtime is the source-measured window from the final pause to the
+	// responder's RESTORED confirmation (zero on the responder side).
+	Downtime time.Duration
+	// StopReason records why the pre-copy loop ended: "threshold" (dirty
+	// set at or below the configured floor), "rounds" (round budget
+	// spent), or "stalled" (dirty set stopped shrinking); empty when no
+	// pre-copy round ran.
+	StopReason string
+
+	// paused is the instant of the source's final pause, from which the
+	// initiator measures Downtime.
+	paused time.Time
+}
+
+// TotalSent sums the sections that crossed the wire over all rounds.
+func (s *LiveStats) TotalSent() int {
+	n := 0
+	for _, r := range s.Rounds {
+		n += r.SectionsSent
+	}
+	return n
+}
+
+// record appends one completed round to the transfer's accounting and its
+// flight recording.
+func (s *LiveStats) record(prm Params, verb string, r LiveRoundStats) {
+	s.Rounds = append(s.Rounds, r)
+	s.WireBytes += r.Bytes
+	tag := ""
+	if r.Final {
+		tag = " (final)"
+	}
+	prm.Recorder.Record("session.round", "round %d%s: dirty %d blocks, %s %d of %d sections (%d bytes on wire)",
+		r.Round, tag, r.DirtyBlocks, verb, r.SectionsSent, r.Sections, r.Bytes)
+}
+
+// finish closes the accounting of a completed exchange: the snapshot size,
+// and — on a warm transfer — the one round restated as WarmStats.
+func (s *LiveStats) finish(prm Params, m *store.Manifest) {
+	s.SnapshotBytes = m.SnapshotBytes()
+	if prm.WarmResult != nil {
+		last := s.Rounds[len(s.Rounds)-1]
+		*prm.WarmResult = WarmStats{
+			ManifestHash:  m.Hash(),
+			Sections:      last.Sections,
+			SectionsSent:  last.SectionsSent,
+			SnapshotBytes: s.SnapshotBytes,
+			WireBytes:     s.WireBytes,
+		}
+	}
+}
+
+// stats resolves where an exchange accounts its rounds: the live result
+// when the session reports one, a scratch value otherwise.
+func (p Params) stats() *LiveStats {
+	if p.LiveResult != nil {
+		return p.LiveResult
+	}
+	return new(LiveStats)
+}
+
+// round is one paused state ready to be announced: its section list, a way
+// to fetch each body, and what producing it cost.
+type round struct {
+	manifest *store.Manifest
+	body     func(i uint32) ([]byte, error)
+	dirty    int
+	collect  time.Duration
+}
+
+// checkpointRound produces a round from the initiator's checkpoint store:
+// the paused state is captured, checkpointed under the program's ref
+// (dedup'd against the store's history), and its bodies are served back
+// out of the store.
+func checkpointRound(e *core.Engine, src *arch.Machine, p *vm.Process, prm Params) (*round, error) {
+	snap, err := p.CaptureSections(0)
+	if err != nil {
+		return nil, err
+	}
+	m, _, _, err := prm.Store.CheckpointRef(prm.Program, snap, e.Digest(), src.Name)
+	if err != nil {
+		return nil, err
+	}
+	return &round{
+		manifest: m,
+		body:     func(i uint32) ([]byte, error) { return prm.Store.GetBlob(m.Entries[i].Hash) },
+		collect:  p.CaptureStats().Elapsed,
+	}, nil
+}
+
+// captureRound produces a round from a live capture: the sections the
+// dirty set touched are re-encoded, the rest carried over, and the bodies
+// stay in memory.
+func captureRound(e *core.Engine, src *arch.Machine, lc *vm.LiveCapture) (*round, error) {
+	r, err := lc.Round()
+	if err != nil {
+		return nil, err
+	}
+	m := &store.Manifest{ProgramDigest: e.Digest(), Machine: src.Name, Seq: 1,
+		Entries: make([]store.Entry, len(r.Sections))}
+	for i, s := range r.Sections {
+		m.Entries[i] = store.Entry{Kind: s.Kind, ID: s.ID, Length: uint32(len(s.Body)), Hash: s.Hash}
+	}
+	return &round{
+		manifest: m,
+		body:     func(i uint32) ([]byte, error) { return r.Sections[i].Body, nil },
+		dirty:    r.DirtyBlocks,
+		collect:  r.Elapsed,
+	}, nil
+}
+
+// sendRound runs the source half of one ANNOUNCE/WANT/BODIES exchange and
+// appends the round's accounting to st. It touches only the round's
+// immutable sections, never the process, so it may run while the source
+// executes.
+func sendRound(t link.Transport, r *round, final bool, prm Params, st *LiveStats) error {
+	var flags uint32
+	if final {
+		flags |= announceFinal
+	}
+	announce := marshalAnnounce(uint32(len(st.Rounds)), flags, r.dirty, r.manifest)
+	if err := t.Send(announce); err != nil {
+		return fmt.Errorf("session: announce send: %w", err)
+	}
+	want, _, err := recvMessage(t, msgWant, "WANT")
+	if err != nil {
+		return err
+	}
+	bodies := make([][]byte, len(want.indices))
+	for k, idx := range want.indices {
+		if int(idx) >= len(r.manifest.Entries) {
+			return fmt.Errorf("%w: WANT index %d out of range", ErrProtocol, idx)
+		}
+		if bodies[k], err = r.body(idx); err != nil {
+			return err
+		}
+	}
+	frame := marshalBodies(want.indices, bodies)
+	if err := t.Send(frame); err != nil {
+		return fmt.Errorf("session: bodies send: %w", err)
+	}
+	st.record(prm, "sent", LiveRoundStats{
+		Round:        len(st.Rounds),
+		DirtyBlocks:  r.dirty,
+		Sections:     len(r.manifest.Entries),
+		SectionsSent: len(want.indices),
+		Bytes:        len(announce) + len(frame),
+		Final:        final,
+	})
+	return nil
+}
+
+// sendRounds is the source side of the round exchange. A warm transfer, a
+// live transfer of a process that cannot resume, and the tail of every
+// live transfer are the same thing: one final round from the paused state.
+// Only a live session over a resumable process (NoAutoCapture mode) first
+// runs pre-copy rounds, resuming the source while each one ships.
+//
+// When the source runs to completion between rounds there is nothing left
+// to migrate: the responder is told to stand down and ErrSourceExited is
+// returned.
+func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, p *vm.Process, prm Params, cfg Config) (core.Timing, error) {
+	st := prm.stats()
+	st.paused = time.Now()
+	var timing core.Timing
+	var lc *vm.LiveCapture
+	next := func() (*round, error) {
+		var r *round
+		var err error
+		if lc != nil {
+			r, err = captureRound(e, src, lc)
+		} else {
+			r, err = checkpointRound(e, src, p, prm)
+		}
+		if err == nil {
+			timing.Collect += r.collect
+		}
+		return r, err
+	}
+	if prm.Live {
+		lc = p.NewLiveCapture(0)
+		defer lc.Close()
+	}
+	shipped := func() {
+		if prm.Live {
+			cfg.metrics().Counter("session.precopy.rounds").Inc()
+			cfg.metrics().Counter("session.precopy.bytes").Add(int64(st.Rounds[len(st.Rounds)-1].Bytes))
+		}
+	}
+
+	r, err := next()
+	if err != nil {
+		return timing, err
+	}
+	txStart := time.Now()
+	prevDirty := int(^uint(0) >> 1)
+	for precopy := prm.Live && p.NoAutoCapture; precopy; {
+		// Ship the round while the source executes to its next poll.
+		sendErr := make(chan error, 1)
+		go func(r *round) { sendErr <- sendRound(t, r, false, prm, st) }(r)
+		res, runErr := p.ResumeRun()
+		serr := <-sendErr
+		if runErr != nil {
+			return timing, runErr
+		}
+		st.paused = time.Now()
+		if !res.Migrated {
+			// The finished local run IS the surviving copy, so
+			// ErrSourceExited wins no matter what the wire did meanwhile.
+			// Stand the responder down best-effort — a dead transport
+			// discards the partial restore on its own (the responder
+			// classifies it as a transport failure), and a failed abort
+			// send must not turn a completed execution into a rollback
+			// attempt on a process that has nothing left to resume.
+			cfg.Recorder.Record("session.round", "source exited (code %d) after %d rounds; aborting", res.ExitCode, len(st.Rounds))
+			if serr == nil {
+				serr = t.Send(marshalReason(msgAbort, fmt.Sprintf("source ran to completion (exit %d)", res.ExitCode)))
+			}
+			if serr != nil {
+				cfg.Recorder.Record("session.round", "responder not stood down cleanly: %v", serr)
+			}
+			return timing, ErrSourceExited
+		}
+		if serr != nil {
+			return timing, serr
+		}
+		shipped()
+		dirty := lc.DirtyBlocks()
+		switch {
+		case dirty <= cfg.DirtyThreshold:
+			st.StopReason = "threshold"
+		case lc.Rounds() > cfg.PrecopyRounds:
+			st.StopReason = "rounds"
+		case dirty >= prevDirty:
+			st.StopReason = "stalled"
+		}
+		prevDirty = dirty
+		precopy = st.StopReason == ""
+		if r, err = next(); err != nil {
+			return timing, err
+		}
+	}
+
+	// The final round: the source stays paused from here to RESTORED.
+	if err := sendRound(t, r, true, prm, st); err != nil {
+		return timing, err
+	}
+	shipped()
+	st.finish(prm, r.manifest)
+	timing.Tx, timing.Bytes = time.Since(txStart), st.WireBytes
+	return timing, nil
+}
+
+// receiveRounds is the responder side of the round exchange, for however
+// many rounds the initiator drives: resolve what each ANNOUNCE lists, ask
+// for the rest, verify what arrives, and on the final round assemble the
+// snapshot and restore it.
+func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, prm Params) (*vm.Process, core.Timing, error) {
+	st := prm.stats()
+	// Bodies received (or resolved) in earlier rounds serve later lists: a
+	// section whose hash the source re-announces unchanged never crosses
+	// the wire twice.
+	held := make(map[store.Hash][]byte)
+	for {
+		ann, n, err := recvMessage(t, msgAnnounce, "ANNOUNCE")
+		if err != nil {
+			return nil, core.Timing{}, err
+		}
+		m := ann.manifest
+		if m.ProgramDigest != e.Digest() {
+			return nil, core.Timing{}, fmt.Errorf("%w: announce has program digest %08x, registry matched %08x",
+				core.ErrProgramMismatch, m.ProgramDigest, e.Digest())
+		}
+		// Resolve every body we can locally — this session's earlier rounds
+		// first, then the checkpoint store, which re-verifies the content
+		// address on the way out. A blob the store cannot vouch for is
+		// simply asked for again.
+		var want []uint32
+		for i, en := range m.Entries {
+			if _, ok := held[en.Hash]; ok {
+				continue
+			}
+			if prm.Store != nil {
+				if body, err := prm.Store.GetBlob(en.Hash); err == nil {
+					held[en.Hash] = body
+					continue
+				}
+			}
+			want = append(want, uint32(i))
+		}
+		if err := t.Send(marshalWant(want)); err != nil {
+			return nil, core.Timing{}, fmt.Errorf("session: want send: %w", err)
+		}
+		got, bn, err := recvMessage(t, msgBodies, "BODIES")
+		if err != nil {
+			return nil, core.Timing{}, err
+		}
+		if len(got.indices) != len(want) {
+			return nil, core.Timing{}, fmt.Errorf("%w: BODIES carries %d sections, wanted %d", ErrProtocol, len(got.indices), len(want))
+		}
+		for k, idx := range got.indices {
+			if idx != want[k] {
+				return nil, core.Timing{}, fmt.Errorf("%w: BODIES section %d answers index %d, wanted %d", ErrProtocol, k, idx, want[k])
+			}
+			// The announce promised a body of this length and content
+			// address; verify before admitting it, so a damaged round
+			// surfaces here, not at restore.
+			body, en := got.bodies[k], m.Entries[idx]
+			if uint32(len(body)) != en.Length || store.HashBytes(body) != en.Hash {
+				return nil, core.Timing{}, fmt.Errorf("%w: section %d body does not match its announced length and hash",
+					store.ErrCorrupt, idx)
+			}
+			held[en.Hash] = body
+			if prm.Store != nil {
+				if _, _, err := prm.Store.PutBlob(body); err != nil {
+					return nil, core.Timing{}, err
+				}
+			}
+		}
+		final := ann.flags&announceFinal != 0
+		st.record(prm, "received", LiveRoundStats{
+			Round:        int(ann.round),
+			DirtyBlocks:  int(ann.dirty),
+			Sections:     len(m.Entries),
+			SectionsSent: len(want),
+			Bytes:        n + bn,
+			Final:        final,
+		})
+		if !final {
+			continue
+		}
+
+		secs := make([]snapshot.Section, len(m.Entries))
+		for i, en := range m.Entries {
+			secs[i] = snapshot.Section{Kind: en.Kind, ID: en.ID, Body: held[en.Hash]}
+		}
+		snap := snapshot.Encode(secs)
+		st.finish(prm, m)
+		// Blobs and the manifest are content and may enter the store at
+		// once; the program's ref names the checkpoint this node last
+		// restored, so it advances only after the restore succeeded. The
+		// sender's manifest is kept verbatim: both stores then name the
+		// same checkpoint hash.
+		var h store.Hash
+		if prm.Store != nil {
+			if h, err = prm.Store.PutManifest(m); err != nil {
+				return nil, core.Timing{}, err
+			}
+		}
+		restoreStart := time.Now()
+		p, err := vm.RestoreProcessObs(e.Prog, mach, snap, prm.Trace)
+		if err != nil {
+			return nil, core.Timing{}, err
+		}
+		restore := time.Since(restoreStart)
+		if prm.Store != nil {
+			if err := prm.Store.SetRef(prm.Program, h); err != nil {
+				return nil, core.Timing{}, err
+			}
+		}
+		return p, core.Timing{Restore: restore, Bytes: st.WireBytes}, nil
+	}
+}

@@ -1,0 +1,380 @@
+package session
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/chaos"
+	"repro/internal/core"
+	"repro/internal/link"
+	"repro/internal/obs"
+	"repro/internal/snapshot"
+	"repro/internal/store"
+	"repro/internal/vm"
+	"repro/internal/xdr"
+)
+
+// TestHostileCountsAllocateByFrameSize holds the three count-declaring
+// frames to the memory their own bytes justify: each declares 1<<20 items
+// it does not carry — the ANNOUNCE behind a valid checksum, so the count
+// reaches the section-list decoder — and decoding it must cost no more
+// than 64 KiB plus sixteen times the frame. (A live responder used to
+// size a 40-byte-per-entry slice from the declared count before reading
+// one entry: 41.9 MB for a 24-byte frame.)
+func TestHostileCountsAllocateByFrameSize(t *testing.T) {
+	const declared = 1 << 20
+	list := testManifest().Encode()
+	// The entry count is the word before the first 44-byte entry.
+	binary.BigEndian.PutUint32(list[len(list)-2*44-4:], declared)
+	announce := header(msgAnnounce, 64+len(list))
+	announce.PutUint32(0)
+	announce.PutUint32(announceFinal)
+	announce.PutUint32(0)
+	announce.PutOpaque(list)
+	announce.PutUint32(crc32.ChecksumIEEE(announce.Bytes()))
+	counted := func(typ uint32) []byte {
+		e := header(typ, 16)
+		e.PutUint32(declared)
+		e.PutUint32(0)
+		e.PutUint32(0)
+		return e.Bytes()
+	}
+	frames := map[string][]byte{
+		"ANNOUNCE": announce.Bytes(),
+		"WANT":     counted(msgWant),
+		"BODIES":   counted(msgBodies),
+	}
+	for name, frame := range frames {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := parseMessage(frame)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s declaring %d items in %d bytes was accepted", name, declared, len(frame))
+		}
+		if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+16*len(frame)); got > ceiling {
+			t.Errorf("%s: decoding a %d-byte frame allocated %d bytes, ceiling %d", name, len(frame), got, ceiling)
+		}
+	}
+}
+
+// TestFailedRestoreLeavesRefUnset scripts an initiator whose final round
+// is well-formed — every body matches its announced length and hash — but
+// whose exec section names a function the program does not have. The
+// bodies may enter the destination store (they are content); the program's
+// ref must not advance, because nothing was restored.
+func TestFailedRestoreLeavesRefUnset(t *testing.T) {
+	e := newListEngine(t)
+	p := stoppedAt(t, e, arch.DEC5000)
+	snap, err := p.CaptureSections(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := snapshot.NewReader(xdr.NewDecoder(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := rd.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := xdr.NewEncoder(32)
+	exec.PutUint32(1)
+	exec.PutString("no_such_function")
+	exec.PutUint32(0)
+	secs[0].Body = exec.Bytes()
+	m := &store.Manifest{ProgramDigest: e.Digest(), Machine: arch.DEC5000.Name, Seq: 1}
+	for _, s := range secs {
+		m.Entries = append(m.Entries, store.Entry{Kind: s.Kind, ID: s.ID, Length: uint32(len(s.Body)), Hash: store.HashBytes(s.Body)})
+	}
+
+	a, b := link.Pipe()
+	defer a.Close()
+	defer b.Close()
+	reg := NewRegistry()
+	reg.Add("list", e)
+	dstStore := openTestStore(t)
+	errc := make(chan error, 1)
+	go func() {
+		_, q, _, err := Respond(b, reg, arch.SPARC20, Config{Store: dstStore})
+		if q != nil {
+			err = errors.New("responder handed out a process")
+		}
+		errc <- err
+	}()
+	if err := a.Send(marshalOffer(offer{minVer: 1, maxVer: 3, digest: e.Digest(), program: "list", machine: "dec5000", caps: capWarm})); err != nil {
+		t.Fatal(err)
+	}
+	if acc, _, err := recvMessage(a, msgAccept, "ACCEPT"); err != nil || !acc.params.Warm {
+		t.Fatalf("handshake: %+v, %v; want a warm ACCEPT", acc.params, err)
+	}
+	if err := a.Send(marshalAnnounce(0, announceFinal, 0, m)); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := recvMessage(a, msgWant, "WANT")
+	if err != nil || len(want.indices) != len(secs) {
+		t.Fatalf("WANT = %v, %v; want all %d sections of an empty store", want.indices, err, len(secs))
+	}
+	bodies := make([][]byte, len(secs))
+	for i, s := range secs {
+		bodies[i] = s.Body
+	}
+	if err := a.Send(marshalBodies(want.indices, bodies)); err != nil {
+		t.Fatal(err)
+	}
+	rerr := <-errc
+	if class := ClassifyFailure(rerr); rerr == nil || class != FailMismatch && class != FailCorrupt {
+		t.Fatalf("responder err = %v (class %s), want a mismatch or corrupt failure", rerr, class)
+	}
+	if h, ok, err := dstStore.Ref("list"); ok || err != nil {
+		t.Errorf("destination ref = %s (ok=%v, err=%v) after a failed restore, want unset", h.Short(), ok, err)
+	}
+	if !dstStore.HasBlob(m.Entries[1].Hash) {
+		t.Error("verified bodies did not enter the store")
+	}
+}
+
+// recordRun migrates a fresh process — resumable or captured at its stop —
+// under cfg, with stores on both ends when asked, and a record-only
+// injector around the connection. It returns the frame trace split by
+// direction: within one direction frame order is deterministic; across
+// directions the chunk stream's acknowledgements race its data.
+func recordRun(t *testing.T, name string, cfg Config, stores, resumable bool) (fromSource, fromDest []chaos.Class) {
+	t.Helper()
+	m := chaosMode{name: name, live: resumable}
+	e := m.engine(t)
+	srcCfg, dstCfg := cfg, cfg
+	if stores {
+		srcCfg.Store, dstCfg.Store = openTestStore(t), openTestStore(t)
+	}
+	rec := chaos.NewRecordOnly()
+	initErr, q, respErr := runChaosMigration(t, m, e, m.fixture(t, e), rec, srcCfg, dstCfg)
+	if initErr != nil || respErr != nil || q == nil {
+		t.Fatalf("%s: clean run failed: init=%v resp=%v", name, initErr, respErr)
+	}
+	for _, ev := range rec.Trace() {
+		if ev.FromSource {
+			fromSource = append(fromSource, ev.Class)
+		} else {
+			fromDest = append(fromDest, ev.Class)
+		}
+	}
+	return fromSource, fromDest
+}
+
+func repeat(n int, classes ...chaos.Class) []chaos.Class {
+	var out []chaos.Class
+	for i := 0; i < n; i++ {
+		out = append(out, classes...)
+	}
+	return out
+}
+
+// TestProtocolTable states the protocol as a table: one clean run of each
+// configuration, recorded below the session layer, must produce exactly
+// the golden frame-class sequence in each direction.
+func TestProtocolTable(t *testing.T) {
+	const (
+		offer, accept    = chaos.ClassOffer, chaos.ClassAccept
+		restored, commit = chaos.ClassRestored, chaos.ClassCommit
+		data, ctl        = chaos.ClassData, chaos.ClassControl
+		announce         = chaos.ClassAnnounce
+		want, bodies     = chaos.ClassWant, chaos.ClassBodies
+	)
+	seq := slices.Concat[[]chaos.Class]
+	one := func(c ...chaos.Class) []chaos.Class { return c }
+	check := func(name string, gotSrc, gotDst, wantSrc, wantDst []chaos.Class) {
+		t.Helper()
+		if !slices.Equal(gotSrc, wantSrc) || !slices.Equal(gotDst, wantDst) {
+			t.Errorf("%s frames:\n  source %v\n  dest   %v\nwant:\n  source %v\n  dest   %v", name, gotSrc, gotDst, wantSrc, wantDst)
+		}
+	}
+	small := Config{ChunkSize: 512, Window: 4}
+
+	// mono: the sealed envelope is the one state-bearing frame.
+	src, dst := recordRun(t, "mono", Config{MaxVersion: core.VersionMono}, false, false)
+	check("mono", src, dst, one(offer, data, commit), one(accept, restored))
+
+	// cold: 2 + chunks + acks + FIN + DONE + 2. The stream layer
+	// acknowledges every 4th chunk.
+	src, dst = recordRun(t, "cold", small, false, false)
+	chunks := len(src) - 3
+	if chunks < 4 {
+		t.Fatalf("cold run carried %d chunks; state too small to exercise the stream", chunks)
+	}
+	check("cold", src, dst,
+		seq(one(offer), repeat(chunks, data), one(ctl, commit)),
+		seq(one(accept), repeat(chunks/4, ctl), one(ctl, restored)))
+
+	// The round exchange: 2 + 3·rounds + 2, whatever selected it.
+	rounds := func(n int) (fromSource, fromDest []chaos.Class) {
+		return seq(one(offer), repeat(n, announce, bodies), one(commit)),
+			seq(one(accept), repeat(n, want), one(restored))
+	}
+	oneSrc, oneDst := rounds(1)
+	warmSrc, warmDst := recordRun(t, "warm", small, true, false)
+	check("warm", warmSrc, warmDst, oneSrc, oneDst)
+	// A live session over a process that cannot resume is one round too:
+	// class for class the frames a warm transfer sent.
+	liveCfg := Config{Live: true, PrecopyRounds: 3, DirtyThreshold: 1}
+	src, dst = recordRun(t, "live, one round", liveCfg, false, false)
+	check("live, one round", src, dst, warmSrc, warmDst)
+	for _, c := range []struct {
+		name   string
+		stores bool
+	}{{"live", false}, {"live + warm", true}} {
+		src, dst = recordRun(t, c.name, liveCfg, c.stores, true)
+		n := len(dst) - 2
+		if n < 2 {
+			t.Fatalf("%s: %d rounds, want pre-copy rounds before the final one", c.name, n)
+		}
+		wantSrc, wantDst := rounds(n)
+		check(c.name, src, dst, wantSrc, wantDst)
+	}
+}
+
+// TestChaosClassTableMatchesMessages marshals one instance of every
+// session message type and holds internal/chaos's mirrored class table to
+// it, so the two cannot drift apart.
+func TestChaosClassTableMatchesMessages(t *testing.T) {
+	frames := []struct {
+		typ   uint32
+		frame []byte
+		class chaos.Class
+	}{
+		{msgOffer, marshalOffer(offer{program: "p", machine: "m"}), chaos.ClassOffer},
+		{msgAccept, marshalAccept(Params{Version: 3}), chaos.ClassAccept},
+		{msgReject, marshalReason(msgReject, "no"), chaos.ClassReject},
+		{msgRestored, marshalRestored(1, nil), chaos.ClassRestored},
+		{msgAnnounce, marshalAnnounce(0, announceFinal, 0, testManifest()), chaos.ClassAnnounce},
+		{msgWant, marshalWant([]uint32{0}), chaos.ClassWant},
+		{msgBodies, marshalBodies([]uint32{0}, [][]byte{[]byte("hello")}), chaos.ClassBodies},
+		{msgAbort, marshalReason(msgAbort, "exited"), chaos.ClassAbort},
+		{msgCommit, marshalCommit(), chaos.ClassCommit},
+	}
+	for i, f := range frames {
+		if f.typ != uint32(i+1) {
+			t.Fatalf("message type %d listed at position %d: the table must name every type once, in order", f.typ, i+1)
+		}
+		if m, err := parseMessage(f.frame); err != nil || m.typ != f.typ {
+			t.Errorf("type %d: marshalled instance parses as %d, %v", f.typ, m.typ, err)
+		}
+		if got := chaos.Classify(f.frame); got != f.class {
+			t.Errorf("type %d: chaos classifies it %q, want %q", f.typ, got, f.class)
+		}
+	}
+	next := header(uint32(len(frames)+1), 0).Bytes()
+	if _, err := parseMessage(next); !errors.Is(err, ErrProtocol) {
+		t.Errorf("message type %d parses (%v): a tenth type exists and this table does not list it", len(frames)+1, err)
+	}
+	if got := chaos.Classify(append(next, 0, 0, 0, 0)); got != chaos.ClassUnknown {
+		t.Errorf("chaos names message type %d %q, which the session layer does not speak", len(frames)+1, got)
+	}
+}
+
+// TestRoundFrameCorruptionSweep flips every byte of the ANNOUNCE and of
+// the BODIES frame in turn, on a warm transfer and on a one-round live
+// transfer of the small list workload. Section bodies are XDR and so
+// four-byte aligned: neither frame has a padding byte its decoder could
+// ignore, and every cell must fail the session — no process handed out,
+// the source's state untouched, the destination's ref not advanced. The
+// source is rolled back once at the end: it must still run to its correct
+// exit.
+func TestRoundFrameCorruptionSweep(t *testing.T) {
+	for _, col := range []struct {
+		name string
+		live bool
+	}{{"warm", false}, {"live", true}} {
+		t.Run(col.name, func(t *testing.T) {
+			t.Parallel()
+			e := newListEngine(t)
+			p := stoppedAt(t, e, arch.DEC5000)
+			direct, err := p.Recapture()
+			if err != nil {
+				t.Fatal(err)
+			}
+			srcCfg := Config{Live: col.live}
+			if !col.live {
+				srcCfg.Store = openTestStore(t)
+			}
+			dstDir := t.TempDir()
+			reg := NewRegistry()
+			reg.Add("list", e)
+			cells := 0
+			// Frame 1 is the OFFER, 2 the ANNOUNCE, 3 the BODIES.
+			for nth := 2; nth <= 3; nth++ {
+				for pos, size := -1, 1; pos < size; pos++ {
+					dstCfg := Config{Live: col.live}
+					if !col.live {
+						// A fresh destination store per cell: a failed cell may
+						// leave verified bodies behind, which would shrink the
+						// next cell's BODIES frame.
+						st, err := store.Open(filepath.Join(dstDir, fmt.Sprintf("%d-%d", nth, pos)), obs.NewRegistry())
+						if err != nil {
+							t.Fatal(err)
+						}
+						dstCfg.Store = st
+					}
+					a, b := link.Pipe()
+					type rr struct {
+						q   *vm.Process
+						err error
+					}
+					c := make(chan rr, 1)
+					go func() {
+						_, q, _, err := Respond(b, reg, arch.SPARC20, dstCfg)
+						b.Close()
+						c <- rr{q, err}
+					}()
+					sends, frameLen := 0, 0
+					flip := corruptingTransport{Transport: a, at: func(f []byte) int {
+						if sends++; sends != nth {
+							return -1
+						}
+						frameLen = len(f)
+						return pos
+					}}
+					_, initErr := Initiate(flip, e, p.Mach, "list", p, srcCfg)
+					a.Close()
+					r := <-c
+					if pos < 0 {
+						// The clean pass measures the frame and must succeed.
+						if initErr != nil || r.err != nil {
+							t.Fatalf("clean run: initiate=%v respond=%v", initErr, r.err)
+						}
+						size = frameLen
+						continue
+					}
+					cells++
+					cell := fmt.Sprintf("frame %d byte %d/%d", nth, pos, size)
+					if initErr == nil || r.err == nil || r.q != nil {
+						t.Fatalf("%s: corruption accepted: initiate=%v respond=%v process=%v", cell, initErr, r.err, r.q != nil)
+					}
+					if re, err := p.Recapture(); err != nil || !bytes.Equal(re, direct) {
+						t.Fatalf("%s: source state disturbed (err %v)", cell, err)
+					}
+					if dstCfg.Store != nil {
+						if _, ok, _ := dstCfg.Store.Ref("list"); ok {
+							t.Fatalf("%s: destination ref advanced by a failed session", cell)
+						}
+					}
+				}
+			}
+			if cells < 500 {
+				t.Errorf("only %d cells: the frames are too small to sweep", cells)
+			}
+			res, err := Rollback(p, Config{})
+			if err != nil || res.Migrated || res.ExitCode != listExit {
+				t.Errorf("source after the sweep: %+v, %v; want exit %d", res, err, listExit)
+			}
+		})
+	}
+}

@@ -7,74 +7,65 @@
 // pre-arranged peers whose operators configured both ends identically.
 // This layer replaces that arrangement with a negotiated handshake:
 //
-//  1. the initiator (the migrating process's node) sends an OFFER — magic,
-//     the envelope-version range it speaks, its program digest and name,
-//     its machine, and its streamed-path chunk/window proposals;
+//  1. the initiator (the migrating process's node) sends an OFFER — the
+//     envelope-version range it speaks, its program digest and name, its
+//     machine, its chunk/window proposals, its trace identity and its
+//     capability bits;
 //  2. the responder (the daemon) looks the digest up in its program
-//     registry, intersects the version ranges, takes the more conservative
-//     stream parameters, and replies ACCEPT (version, chunk, window) — or
-//     REJECT with a human-readable reason;
-//  3. the agreed version selects a Path — the monolithic sealed envelope
-//     (version 1), the pipelined chunk stream (version 2), or the
-//     sectioned snapshot with parallel heap collection (version 3) — and
-//     the state flows through it;
-//  4. the responder restores the process and confirms with RESTORED, at
-//     which point the source process may terminate (the paper's
-//     source-terminates-after-transmission rule, moved after restoration
-//     so a failed restore leaves the source alive);
-//  5. when both sides advertised capCommit, the initiator answers
-//     RESTORED with COMMIT and the responder activates the restored
-//     process only once the COMMIT arrives — the commit handshake that
-//     makes the handoff atomic under connection loss (see DESIGN.md §16:
-//     the source relinquishes only after a successful COMMIT send, the
-//     destination activates only after COMMIT delivery, so under
-//     fail-stop faults at frame boundaries exactly one copy survives).
+//     registry, picks the transfer shape, takes the more conservative
+//     stream parameters, and replies ACCEPT (version, chunk, window,
+//     capabilities) — or REJECT with a human-readable reason;
+//  3. the state flows in the agreed shape (below);
+//  4. the responder restores the process and confirms with RESTORED;
+//  5. the initiator answers COMMIT, and the responder activates the
+//     restored process only once the COMMIT arrives. The source
+//     relinquishes only after a successful COMMIT send, the destination
+//     activates only after COMMIT delivery, so under fail-stop faults at
+//     frame boundaries exactly one copy survives (DESIGN.md, "Transfer
+//     protocol").
 //
-// Chunk size and window are negotiated, not operator-matched: each side
-// proposes, both use the minimum. A v1-only initiator talks to a
-// v2-capable daemon without either side being configured for the other.
+// # Three wire shapes
+//
+// Between ACCEPT and RESTORED the state crosses in one of three shapes:
+//
+//   - the sealed envelope (version 1): one frame, the paper's
+//     stop-and-copy baseline, chosen when either side caps its version at
+//     core.VersionMono;
+//   - the sectioned chunk stream (version 3): a sectioned snapshot cut
+//     into CRC-framed chunks by internal/stream — the cold default;
+//   - the round exchange (version 3 with a store on both ends, or version
+//     4): per round one ANNOUNCE listing every section of the paused
+//     state by content hash, one WANT naming the sections the responder
+//     cannot resolve from earlier rounds or its checkpoint store, one
+//     BODIES carrying exactly those. A store on each end makes a single
+//     final round skip every body the destination already holds (a warm
+//     migration); the live capability makes the initiator run rounds
+//     while the source keeps executing and pause it only for the last.
 //
 // # Wire format
 //
 // Every message is one link.Transport frame, XDR-encoded, magic "MSES":
 //
 //	offer    = magic, OFFER, minVer u32, maxVer u32, digest u32,
-//	           program string, machine string, chunk u32, window u32
-//	           [, traceID u64, spanID u64 [, caps u32]]
-//	accept   = magic, ACCEPT, version u32, chunk u32, window u32
-//	           [, caps u32]
+//	           program string, machine string, chunk u32, window u32,
+//	           traceID u64, spanID u64, caps u32
+//	accept   = magic, ACCEPT, version u32, chunk u32, window u32, caps u32
 //	reject   = magic, REJECT, reason string
-//	restored = magic, RESTORED, bytes u64 [, spans opaque]
+//	restored = magic, RESTORED, bytes u64, spans opaque
+//	announce = magic, ANNOUNCE, round u32, flags u32, dirty u32,
+//	           manifest opaque, crc u32
+//	want     = magic, WANT, count u32, count × index u32
+//	bodies   = magic, BODIES, count u32, count × (index u32, body opaque)
+//	abort    = magic, ABORT, reason string
 //	commit   = magic, COMMIT
 //
-// The bracketed fields are extensions and are backward compatible in both
-// directions: an old initiator's offer simply ends after window (the
-// parser treats exact end-of-buffer as "no trace context"), and an old
-// responder never reads past window, so the trailing fields are ignored.
-// Likewise RESTORED may carry the responder's exported span tree (JSON,
-// XDR-opaque-framed) after the byte count; old initiators stop reading
-// after bytes. traceID zero means "untraced". caps is a capability bitmap
-// (capWarm advertises a checkpoint store, capLive the live pre-copy path,
-// capCommit the commit handshake); a zero capability set is not encoded
-// at all, so a peer without capabilities emits frames byte-identical to
-// the pre-extension protocol.
-//
-// Between ACCEPT and RESTORED the transport belongs to the selected Path:
-// one sealed envelope frame for version 1, the internal/stream protocol
-// for versions 2 and 3 (version 3 carries a sectioned snapshot as the
-// stream payload). When both sides advertised capWarm and version 3 was
-// agreed, the warm path runs instead (internal/session warm.go): the
-// initiator checkpoints into its store and sends the MANIFEST, the
-// responder replies WANT with the indices of section bodies its own store
-// lacks, and a single SECTIONS message carries only those bodies — an
-// unchanged process re-migrating transfers a manifest and nothing else.
-//
-// When both sides advertised capLive, a sectioned agreement upgrades to
-// version 4 and the live pre-copy path runs instead (live.go): the
-// initiator ships the full image while the process keeps executing, then
-// repeats DELTA/WANT/BODIES rounds carrying only the sections its dirty
-// set touched, and pauses the process only for the last small round —
-// bounding downtime by the final delta instead of the whole image.
+// caps is a capability bitmap (capWarm advertises a checkpoint store,
+// capLive the live pre-copy rounds). spans is the responder's exported
+// span tree as JSON, empty when the session is untraced. The announce's
+// manifest is a store.Manifest in its canonical encoding, and crc is the
+// CRC-32 of every frame byte before it: the section list is the one part
+// of a round no later check pins (bodies are held to the length and
+// SHA-256 the list declares), so a damaged list is refused outright.
 package session
 
 import (
@@ -85,59 +76,41 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/xdr"
 )
 
 // sessionMagic guards every session-layer message ("MSES").
 const sessionMagic = 0x4d534553
 
-// Message types.
+// Message types. internal/chaos mirrors this table to name frames.
 const (
 	msgOffer uint32 = iota + 1
 	msgAccept
 	msgReject
 	msgRestored
-	// Warm-migration messages (the HAVE/WANT exchange; only ever sent
-	// when both sides advertised capWarm during the handshake).
-	msgManifest
+	// The round exchange: one ANNOUNCE/WANT/BODIES triple per round.
+	msgAnnounce
 	msgWant
-	msgSections
-	// Live pre-copy messages (one DELTA/WANT/BODIES exchange per round;
-	// only ever sent when both sides advertised capLive and version 4 was
-	// agreed).
-	msgDelta
-	msgDeltaWant
-	msgDeltaBodies
-	msgLiveAbort
-	// msgCommit is the initiator's handoff acknowledgement (only ever
-	// sent when both sides advertised capCommit): the source has seen
-	// RESTORED and relinquishes the process; the destination activates.
+	msgBodies
+	// msgAbort is the initiator's stand-down notice between rounds.
+	msgAbort
+	// msgCommit is the initiator's handoff acknowledgement: the source has
+	// seen RESTORED and relinquishes the process; the destination
+	// activates.
 	msgCommit
 )
 
-// Capability bits, carried as an optional trailing u32 on OFFER and
-// ACCEPT. A zero capability set is not encoded at all, so a peer without
-// capabilities emits handshake frames byte-identical to the pre-extension
-// protocol, and legacy parsers — which ignore trailing bytes — never see
-// the field.
+// Capability bits, carried on OFFER and echoed on ACCEPT.
 const (
-	// capWarm: this side holds a checkpoint store and can run the warm
-	// path — manifest first, then only the section bodies the receiver's
-	// store lacks.
+	// capWarm: this side holds a checkpoint store. Both sides advertising
+	// it turns a sectioned transfer into one round of the round exchange,
+	// whose WANT names only the section bodies the responder's store
+	// lacks.
 	capWarm uint32 = 1 << 0
-	// capLive: this side can run the live pre-copy path (envelope version
-	// 4) — iterative delta rounds while the source executes, with a final
+	// capLive: this side can run pre-copy rounds (envelope version 4) —
+	// the round exchange repeated while the source executes, with a final
 	// paused round bounding downtime. Both sides advertising it upgrades a
 	// sectioned negotiation to core.VersionLive.
 	capLive uint32 = 1 << 1
-	// capCommit: this side speaks the commit handshake — after RESTORED
-	// the initiator answers COMMIT, and the responder activates the
-	// restored process only once the COMMIT arrives. Both sides
-	// advertising it closes the RESTORED-to-activation window in which a
-	// connection loss could leave the process both resumed at the source
-	// and activated at the destination. Advertised by default (it costs
-	// one trailing bit); Config.NoCommit suppresses it.
-	capCommit uint32 = 1 << 2
 )
 
 // Errors reported by the session layer.
@@ -155,21 +128,20 @@ var (
 	// responder's registry does not hold.
 	ErrUnknownProgram = errors.New("session: program not in registry")
 	// ErrLiveAborted is returned by the responder of a live session when
-	// the initiator abandoned the pre-copy loop (LIVE_ABORT); the wrapped
+	// the initiator abandoned the pre-copy loop (ABORT); the wrapped
 	// message carries the initiator's reason.
 	ErrLiveAborted = errors.New("session: live migration aborted by initiator")
-	// ErrSourceExited is returned by InitiateLive when the source process
-	// ran to completion between pre-copy rounds — there is nothing left to
+	// ErrSourceExited is returned by Initiate when the source process ran
+	// to completion between pre-copy rounds — there is nothing left to
 	// migrate, and the responder was told to stand down.
 	ErrSourceExited = errors.New("session: source process exited before final round")
 )
 
 // Config is one side's negotiation posture.
 type Config struct {
-	// MinVersion and MaxVersion bound the envelope versions this side
-	// speaks. Zero values default to
-	// [core.VersionMono, core.VersionSectioned] — every path.
-	MinVersion uint32
+	// MaxVersion caps the transfer shape this side offers or accepts:
+	// core.VersionMono pins the paper's monolithic envelope; zero selects
+	// core.VersionSectioned, which also admits the round exchange.
 	MaxVersion uint32
 	// ChunkSize and Window are this side's streamed-path proposals and
 	// caps, in the units of stream.Config; the negotiated values are the
@@ -187,21 +159,17 @@ type Config struct {
 	Metrics *obs.Registry
 	// Recorder, when set, receives structured flight-recorder events for
 	// the session (phase transitions, negotiation outcomes) and is
-	// propagated into the stream layer's robustness events. Nil disables.
+	// propagated into the stream layer's rejection events. Nil disables.
 	Recorder *obs.FlightRecorder
-	// Store, when set, is this side's content-addressed checkpoint store
-	// and enables warm migration: the handshake advertises capWarm, and
-	// when both sides hold a store and negotiate the sectioned version,
-	// the transfer sends a manifest plus only the section bodies the
-	// destination's store lacks. Nil keeps the handshake byte-identical
-	// to the pre-store protocol.
+	// Store, when set, is this side's content-addressed checkpoint store:
+	// the handshake advertises capWarm, and when both sides hold a store
+	// the transfer announces the snapshot's sections and sends only the
+	// bodies the destination's store lacks.
 	Store *store.Store
-	// Live enables the pre-copy path: the handshake advertises capLive,
-	// and when both sides do, a sectioned negotiation upgrades to
-	// core.VersionLive. The initiator then drives delta rounds with
-	// InitiateLive (a plain Initiate sends one final round — correct, but
-	// with no overlap). False keeps every handshake frame byte-identical
-	// to the pre-live protocol.
+	// Live advertises capLive: when both sides do, a sectioned negotiation
+	// upgrades to core.VersionLive, and an initiator whose process is
+	// resumable (vm.Process.NoAutoCapture) runs pre-copy rounds while it
+	// executes.
 	Live bool
 	// PrecopyRounds bounds the delta rounds between the initial full copy
 	// and the final paused round. Zero selects 3. Source-side policy
@@ -211,14 +179,6 @@ type Config struct {
 	// dirty set is at or below this many blocks, the next round is the
 	// final one. Zero selects 16 blocks. Source-side policy only.
 	DirtyThreshold int
-	// NoCommit suppresses the commit handshake (capCommit): RESTORED
-	// alone completes the session, as in the pre-commit protocol, and
-	// every handshake frame is byte-identical to the pre-commit wire
-	// format. For interop testing and as an escape hatch; the commit
-	// handshake is otherwise always advertised, because without it a
-	// connection lost between RESTORED and the source's reaction can
-	// leave the process running on both machines.
-	NoCommit bool
 }
 
 // metrics resolves the registry the phase histograms observe into.
@@ -236,9 +196,6 @@ func (c Config) observePhase(name string, elapsed time.Duration) {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MinVersion == 0 {
-		c.MinVersion = core.VersionMono
-	}
 	if c.MaxVersion == 0 {
 		c.MaxVersion = core.VersionSectioned
 	}
@@ -257,45 +214,82 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// caps is the capability set this posture advertises.
+func (c Config) caps() uint32 {
+	var caps uint32
+	if c.MaxVersion >= core.VersionSectioned {
+		if c.Store != nil {
+			caps |= capWarm
+		}
+		if c.Live {
+			caps |= capLive
+		}
+	}
+	return caps
+}
+
 // Params is the negotiated outcome both sides commit to before transfer.
 type Params struct {
-	// Version is the agreed envelope version (selects the Path).
+	// Version is the agreed envelope version.
 	Version uint32
 	// ChunkSize and Window shape the streamed path; both sides hold the
 	// same values, so no operator flag-matching is needed.
 	ChunkSize int
 	Window    int
-	// Trace is the session span the selected path hangs its phase spans
-	// off. Local plumbing only — it is never marshalled, and each side
-	// sets its own from Config.Trace after negotiation.
-	Trace *obs.Span
-	// Recorder is the flight recorder the selected path's stream layer
-	// reports robustness events to. Local plumbing like Trace.
-	Recorder *obs.FlightRecorder
-	// Warm selects the warm transfer path: both sides advertised capWarm
-	// and the negotiated version is sectioned. Crosses the wire as the
-	// ACCEPT capability bit; everything below is local plumbing.
+	// Warm: both sides hold a checkpoint store and the negotiated version
+	// is sectioned, so the state crosses as one round of the round
+	// exchange. Crosses the wire as the ACCEPT capability bit.
 	Warm bool
-	// Store is this side's checkpoint store (set only when Warm).
-	Store *store.Store
-	// Program names the checkpoint ref the warm path chains under.
-	Program string
-	// WarmResult, when non-nil, is filled by the warm path with the
-	// dedup outcome of the transfer.
-	WarmResult *WarmStats
-	// Live selects the pre-copy transfer path: both sides advertised
-	// capLive and the sectioned negotiation upgraded to core.VersionLive.
-	// Crosses the wire as the ACCEPT capability bit; everything below is
-	// local plumbing.
+	// Live: both sides advertised capLive and the sectioned negotiation
+	// upgraded to core.VersionLive. Crosses the wire as the ACCEPT
+	// capability bit.
 	Live bool
-	// LiveResult, when non-nil, is filled by the live path with the
-	// per-round outcome of the transfer.
+
+	// Everything below is local plumbing — never marshalled; each side
+	// sets its own after negotiation.
+
+	// Trace is the session span the transfer hangs its phase spans off.
+	Trace *obs.Span
+	// Recorder is the flight recorder the stream layer reports to.
+	Recorder *obs.FlightRecorder
+	// Store is this side's checkpoint store (nil when it has none, and on
+	// the shapes that do not consult one).
+	Store *store.Store
+	// Program names the checkpoint ref a round exchange chains under.
+	Program string
+	// WarmResult (set when Warm) and LiveResult (set when Live) are filled
+	// by the round exchange with the outcome of the transfer.
+	WarmResult *WarmStats
 	LiveResult *LiveStats
-	// Commit selects the commit handshake: both sides advertised
-	// capCommit, so the responder holds the restored process inactive
-	// until the initiator's COMMIT acknowledges the handoff. Crosses the
-	// wire as the ACCEPT capability bit.
-	Commit bool
+}
+
+// plumb attaches this side's local plumbing to a negotiated outcome.
+func (p *Params) plumb(cfg Config, program string) {
+	p.Trace, p.Recorder = cfg.Trace, cfg.Recorder
+	if p.rounds() {
+		p.Store, p.Program = cfg.Store, program
+	}
+	if p.Warm {
+		p.WarmResult = new(WarmStats)
+	}
+	if p.Live {
+		p.LiveResult = new(LiveStats)
+	}
+}
+
+// rounds reports whether the state crosses as a round exchange.
+func (p Params) rounds() bool { return p.Warm || p.Live }
+
+// caps is the capability set an ACCEPT echoes.
+func (p Params) caps() uint32 {
+	var caps uint32
+	if p.Warm {
+		caps |= capWarm
+	}
+	if p.Live {
+		caps |= capLive
+	}
+	return caps
 }
 
 // offer is the decoded OFFER message.
@@ -305,26 +299,24 @@ type offer struct {
 	program        string
 	machine        string
 	chunk, window  uint32
-	// traceID and spanID carry the initiator's distributed-trace identity
-	// (zero when the initiator does not trace or predates the extension).
+	// traceID and spanID carry the initiator's distributed-trace identity.
 	traceID, spanID uint64
-	// caps is the initiator's capability set (zero when absent from the
-	// wire — a legacy peer or one with nothing to advertise).
-	caps uint32
+	caps            uint32
 }
 
 // negotiate intersects an initiator's offer with the responder's posture:
-// the highest version both speak, the smaller chunk size, the smaller
-// window.
+// the sectioned shape when both reach it and the monolithic envelope
+// otherwise, upgraded by the capabilities both advertise; the smaller
+// chunk size, the smaller window.
 func negotiate(o offer, srv Config) (Params, error) {
 	srv = srv.withDefaults()
-	version := o.maxVer
-	if srv.MaxVersion < version {
-		version = srv.MaxVersion
+	version := core.VersionMono
+	if o.maxVer >= core.VersionSectioned && srv.MaxVersion >= core.VersionSectioned {
+		version = core.VersionSectioned
 	}
-	if version < o.minVer || version < srv.MinVersion {
-		return Params{}, fmt.Errorf("%w: initiator speaks %d..%d, responder %d..%d",
-			ErrNoVersion, o.minVer, o.maxVer, srv.MinVersion, srv.MaxVersion)
+	if version < o.minVer || version > o.maxVer {
+		return Params{}, fmt.Errorf("%w: initiator speaks %d..%d, responder up to %d",
+			ErrNoVersion, o.minVer, o.maxVer, srv.MaxVersion)
 	}
 	p := Params{Version: version, ChunkSize: srv.ChunkSize, Window: srv.Window}
 	if c := int(o.chunk); c > 0 && c < p.ChunkSize {
@@ -333,184 +325,15 @@ func negotiate(o offer, srv Config) (Params, error) {
 	if w := int(o.window); w > 0 && w < p.Window {
 		p.Window = w
 	}
+	if version == core.VersionSectioned {
+		// Live subsumes warm: its rounds already resolve bodies against
+		// the responder's store.
+		switch both := o.caps & srv.caps(); {
+		case both&capLive != 0:
+			p.Version, p.Live = core.VersionLive, true
+		case both&capWarm != 0:
+			p.Warm = true
+		}
+	}
 	return p, nil
-}
-
-// message is a decoded session-layer message.
-type message struct {
-	typ    uint32
-	offer  offer  // OFFER
-	params Params // ACCEPT
-	reason string // REJECT
-	bytes  uint64 // RESTORED
-	spans  []byte // RESTORED: optional JSON-encoded responder span tree
-}
-
-func marshalOffer(o offer) []byte {
-	e := xdr.NewEncoder(64 + len(o.program) + len(o.machine))
-	e.PutUint32(sessionMagic)
-	e.PutUint32(msgOffer)
-	e.PutUint32(o.minVer)
-	e.PutUint32(o.maxVer)
-	e.PutUint32(o.digest)
-	e.PutString(o.program)
-	e.PutString(o.machine)
-	e.PutUint32(o.chunk)
-	e.PutUint32(o.window)
-	e.PutUint64(o.traceID)
-	e.PutUint64(o.spanID)
-	if o.caps != 0 {
-		// Trailing and optional, like the trace pair: a capability-less
-		// offer stays byte-identical to the pre-store wire format.
-		e.PutUint32(o.caps)
-	}
-	return e.Bytes()
-}
-
-func marshalAccept(p Params) []byte {
-	e := xdr.NewEncoder(24)
-	e.PutUint32(sessionMagic)
-	e.PutUint32(msgAccept)
-	e.PutUint32(p.Version)
-	e.PutUint32(uint32(p.ChunkSize))
-	e.PutUint32(uint32(p.Window))
-	var caps uint32
-	if p.Warm {
-		caps |= capWarm
-	}
-	if p.Live {
-		caps |= capLive
-	}
-	if p.Commit {
-		caps |= capCommit
-	}
-	if caps != 0 {
-		// Trailing and optional: legacy initiators stop after window.
-		e.PutUint32(caps)
-	}
-	return e.Bytes()
-}
-
-func marshalCommit() []byte {
-	e := xdr.NewEncoder(8)
-	e.PutUint32(sessionMagic)
-	e.PutUint32(msgCommit)
-	return e.Bytes()
-}
-
-func marshalReject(reason string) []byte {
-	e := xdr.NewEncoder(12 + len(reason))
-	e.PutUint32(sessionMagic)
-	e.PutUint32(msgReject)
-	e.PutString(reason)
-	return e.Bytes()
-}
-
-func marshalRestored(bytes uint64, spans []byte) []byte {
-	e := xdr.NewEncoder(16 + len(spans))
-	e.PutUint32(sessionMagic)
-	e.PutUint32(msgRestored)
-	e.PutUint64(bytes)
-	if len(spans) > 0 {
-		// Trailing and optional: pre-extension parsers stop after bytes.
-		e.PutOpaque(spans)
-	}
-	return e.Bytes()
-}
-
-// parseMessage decodes one session-layer message.
-func parseMessage(raw []byte) (message, error) {
-	d := xdr.NewDecoder(raw)
-	magic, err := d.Uint32()
-	if err != nil || magic != sessionMagic {
-		return message{}, fmt.Errorf("%w: bad magic", ErrProtocol)
-	}
-	typ, err := d.Uint32()
-	if err != nil {
-		return message{}, fmt.Errorf("%w: missing type", ErrProtocol)
-	}
-	m := message{typ: typ}
-	switch typ {
-	case msgOffer:
-		err = parseOffer(d, &m.offer)
-	case msgAccept:
-		var ver, chunk, window uint32
-		if ver, err = d.Uint32(); err != nil {
-			break
-		}
-		if chunk, err = d.Uint32(); err != nil {
-			break
-		}
-		if window, err = d.Uint32(); err != nil {
-			break
-		}
-		m.params = Params{Version: ver, ChunkSize: int(chunk), Window: int(window)}
-		if d.Remaining() > 0 {
-			var caps uint32
-			if caps, err = d.Uint32(); err != nil {
-				break
-			}
-			m.params.Warm = caps&capWarm != 0
-			m.params.Live = caps&capLive != 0
-			m.params.Commit = caps&capCommit != 0
-		}
-	case msgReject:
-		m.reason, err = d.String()
-	case msgRestored:
-		if m.bytes, err = d.Uint64(); err != nil {
-			break
-		}
-		if d.Remaining() > 0 {
-			m.spans, err = d.Opaque()
-		}
-	case msgCommit:
-		// No payload: the frame itself is the acknowledgement.
-	default:
-		return message{}, fmt.Errorf("%w: unknown message type %d", ErrProtocol, typ)
-	}
-	if err != nil {
-		return message{}, fmt.Errorf("%w: truncated %d message", ErrProtocol, typ)
-	}
-	return m, nil
-}
-
-func parseOffer(d *xdr.Decoder, o *offer) error {
-	var err error
-	if o.minVer, err = d.Uint32(); err != nil {
-		return err
-	}
-	if o.maxVer, err = d.Uint32(); err != nil {
-		return err
-	}
-	if o.digest, err = d.Uint32(); err != nil {
-		return err
-	}
-	if o.program, err = d.String(); err != nil {
-		return err
-	}
-	if o.machine, err = d.String(); err != nil {
-		return err
-	}
-	if o.chunk, err = d.Uint32(); err != nil {
-		return err
-	}
-	if o.window, err = d.Uint32(); err != nil {
-		return err
-	}
-	if d.Remaining() == 0 {
-		// Legacy offer: ends after window, no trace context.
-		return nil
-	}
-	if o.traceID, err = d.Uint64(); err != nil {
-		return err
-	}
-	if o.spanID, err = d.Uint64(); err != nil {
-		return err
-	}
-	if d.Remaining() == 0 {
-		// Pre-capability offer: ends after the trace pair.
-		return nil
-	}
-	o.caps, err = d.Uint32()
-	return err
 }

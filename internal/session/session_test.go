@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/link"
 	"repro/internal/minic"
+	"repro/internal/obs"
 	"repro/internal/vm"
 )
 
@@ -74,6 +75,7 @@ func stoppedAt(t *testing.T, e *core.Engine, m *arch.Machine) *vm.Process {
 }
 
 func TestNegotiate(t *testing.T) {
+	st := openTestStore(t)
 	cases := []struct {
 		name    string
 		offer   offer
@@ -88,12 +90,6 @@ func TestNegotiate(t *testing.T) {
 			want:  Params{Version: core.VersionSectioned, ChunkSize: 256 << 10, Window: 16},
 		},
 		{
-			name:  "v2-capped initiator picks streamed",
-			offer: offer{minVer: 1, maxVer: 2, chunk: 1 << 20, window: 32},
-			srv:   Config{},
-			want:  Params{Version: core.VersionStream, ChunkSize: 256 << 10, Window: 16},
-		},
-		{
 			name:  "v1-only initiator",
 			offer: offer{minVer: 1, maxVer: 1, chunk: 4096, window: 4},
 			srv:   Config{},
@@ -101,26 +97,56 @@ func TestNegotiate(t *testing.T) {
 		},
 		{
 			name:  "v1-only responder",
-			offer: offer{minVer: 1, maxVer: 2, chunk: 4096, window: 4},
-			srv:   Config{MinVersion: core.VersionMono, MaxVersion: core.VersionMono},
+			offer: offer{minVer: 1, maxVer: 3, chunk: 4096, window: 4, caps: capWarm | capLive},
+			srv:   Config{MaxVersion: core.VersionMono, Store: st, Live: true},
 			want:  Params{Version: core.VersionMono, ChunkSize: 4096, Window: 4},
 		},
 		{
 			name:  "initiator proposal caps chunk and window",
-			offer: offer{minVer: 1, maxVer: 2, chunk: 8192, window: 2},
+			offer: offer{minVer: 1, maxVer: 3, chunk: 8192, window: 2},
 			srv:   Config{ChunkSize: 64 << 10, Window: 8},
-			want:  Params{Version: core.VersionStream, ChunkSize: 8192, Window: 2},
+			want:  Params{Version: core.VersionSectioned, ChunkSize: 8192, Window: 2},
 		},
 		{
 			name:  "responder cap wins when smaller",
-			offer: offer{minVer: 1, maxVer: 2, chunk: 1 << 20, window: 64},
+			offer: offer{minVer: 1, maxVer: 3, chunk: 1 << 20, window: 64},
 			srv:   Config{ChunkSize: 32 << 10, Window: 4},
-			want:  Params{Version: core.VersionStream, ChunkSize: 32 << 10, Window: 4},
+			want:  Params{Version: core.VersionSectioned, ChunkSize: 32 << 10, Window: 4},
+		},
+		{
+			name:  "a retired version in between falls to the envelope",
+			offer: offer{minVer: 1, maxVer: 2},
+			srv:   Config{},
+			want:  Params{Version: core.VersionMono, ChunkSize: 256 << 10, Window: 16},
+		},
+		{
+			name:  "stores on both ends select the warm round",
+			offer: offer{minVer: 1, maxVer: 3, caps: capWarm},
+			srv:   Config{Store: st},
+			want:  Params{Version: core.VersionSectioned, ChunkSize: 256 << 10, Window: 16, Warm: true},
+		},
+		{
+			name:  "a store on one end only stays cold",
+			offer: offer{minVer: 1, maxVer: 3},
+			srv:   Config{Store: st},
+			want:  Params{Version: core.VersionSectioned, ChunkSize: 256 << 10, Window: 16},
+		},
+		{
+			name:  "live on both ends upgrades to v4 and subsumes warm",
+			offer: offer{minVer: 1, maxVer: 3, caps: capWarm | capLive},
+			srv:   Config{Store: st, Live: true},
+			want:  Params{Version: core.VersionLive, ChunkSize: 256 << 10, Window: 16, Live: true},
 		},
 		{
 			name:    "future-only initiator has no common version",
 			offer:   offer{minVer: 4, maxVer: 6},
 			srv:     Config{},
+			wantErr: ErrNoVersion,
+		},
+		{
+			name:    "an initiator that refuses the envelope meets a v1-only responder",
+			offer:   offer{minVer: 3, maxVer: 3},
+			srv:     Config{MaxVersion: core.VersionMono},
 			wantErr: ErrNoVersion,
 		},
 	}
@@ -149,7 +175,7 @@ func runTransfer(t *testing.T, cfg Config) core.Timing {
 	t.Helper()
 	e := newListEngine(t)
 	p := stoppedAt(t, e, arch.DEC5000)
-	q, timing, err := Transfer(e, "list", p, arch.SPARC20, cfg)
+	q, _, timing, err := Transfer(e, "list", p, arch.SPARC20, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +220,7 @@ func TestInitiateReportsNegotiatedParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Params{Version: core.VersionSectioned, ChunkSize: 512, Window: 4, Commit: true}
+	want := Params{Version: core.VersionSectioned, ChunkSize: 512, Window: 4}
 	if res.Params != want {
 		t.Errorf("params = %+v, want %+v", res.Params, want)
 	}
@@ -231,20 +257,29 @@ func TestRespondRejectsUnknownDigest(t *testing.T) {
 
 func TestRespondRejectsNoCommonVersion(t *testing.T) {
 	e := newListEngine(t)
-	p := stoppedAt(t, e, arch.DEC5000)
 	a, b := link.Pipe()
 	defer a.Close()
 	defer b.Close()
 	reg := NewRegistry()
 	reg.Add("list", e)
-	go Respond(b, reg, arch.SPARC20, Config{})
+	errc := make(chan error, 1)
+	go func() {
+		_, _, _, rerr := Respond(b, reg, arch.SPARC20, Config{})
+		errc <- rerr
+	}()
 	// An initiator from the future: speaks only versions we do not.
-	_, err := Initiate(a, e, p.Mach, "list", p, Config{MinVersion: 4, MaxVersion: 6})
-	if !errors.Is(err, ErrRejected) {
-		t.Fatalf("err = %v, want ErrRejected", err)
+	if err := a.Send(marshalOffer(offer{minVer: 5, maxVer: 6, digest: e.Digest(), program: "list", machine: "dec5000"})); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "no common protocol version") {
-		t.Errorf("reason = %v", err)
+	m, _, err := recvMessage(a, msgReject, "REJECT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(m.reason, "no common protocol version") {
+		t.Errorf("reason = %q", m.reason)
+	}
+	if rerr := <-errc; !errors.Is(rerr, ErrNoVersion) || ClassifyFailure(rerr) != FailNegotiation {
+		t.Errorf("responder err = %v, want ErrNoVersion classified as negotiation", rerr)
 	}
 }
 
@@ -292,6 +327,7 @@ func TestDaemonConcurrentMixedVersions(t *testing.T) {
 	d := &Daemon{
 		Registry:      reg,
 		Mach:          arch.SPARC20,
+		Metrics:       obs.NewRegistry(),
 		MaxConcurrent: clients,
 		Timeout:       time.Minute,
 		OnRestored: func(info Info, p *vm.Process, _ core.Timing) {
@@ -360,11 +396,12 @@ func TestDaemonConcurrentMixedVersions(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatalf("serve after drain: %v", err)
 	}
-	s := d.Counters().Snapshot()
-	if s.Accepted != clients || s.Restored != clients || s.Failed != 0 {
-		t.Errorf("counters = %v", s)
+	count := func(name string) int64 { return d.Metrics.Counter("session." + name).Value() }
+	if count("accepted") != clients || count("restored") != clients || count("failed") != 0 {
+		t.Errorf("accepted %d, restored %d, failed %d; want %d, %d, 0",
+			count("accepted"), count("restored"), count("failed"), clients, clients)
 	}
-	if s.Bytes == 0 {
+	if count("bytes") == 0 {
 		t.Error("no payload bytes counted")
 	}
 }
@@ -381,6 +418,7 @@ func TestDaemonSurvivesCutHandshake(t *testing.T) {
 	d := &Daemon{
 		Registry:      reg,
 		Mach:          arch.SPARC20,
+		Metrics:       obs.NewRegistry(),
 		MaxConcurrent: 2,
 		Timeout:       30 * time.Second,
 		Logf: func(format string, args ...any) {
@@ -415,12 +453,11 @@ func TestDaemonSurvivesCutHandshake(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatalf("serve after drain: %v", err)
 	}
-	s := d.Counters().Snapshot()
-	if s.Failed < 1 {
-		t.Errorf("cut handshake not counted as failure: %v", s)
+	if n := d.Metrics.Counter("session.failed").Value(); n < 1 {
+		t.Errorf("cut handshake not counted as failure: session.failed = %d", n)
 	}
-	if s.Restored < 1 {
-		t.Errorf("daemon stopped restoring after cut handshake: %v", s)
+	if n := d.Metrics.Counter("session.restored").Value(); n < 1 {
+		t.Errorf("daemon stopped restoring after cut handshake: session.restored = %d", n)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -443,6 +480,7 @@ func TestDaemonSessionTimeout(t *testing.T) {
 	d := &Daemon{
 		Registry:      reg,
 		Mach:          arch.SPARC20,
+		Metrics:       obs.NewRegistry(),
 		MaxConcurrent: 1,
 		Timeout:       50 * time.Millisecond,
 	}
@@ -466,7 +504,7 @@ func TestDaemonSessionTimeout(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatal(err)
 	}
-	if s := d.Counters().Snapshot(); s.Failed < 1 {
-		t.Errorf("stalled session not counted as failure: %v", s)
+	if n := d.Metrics.Counter("session.failed").Value(); n < 1 {
+		t.Errorf("stalled session not counted as failure: session.failed = %d", n)
 	}
 }

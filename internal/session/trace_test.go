@@ -15,72 +15,6 @@ import (
 	"repro/internal/obs"
 )
 
-// stripTail rewrites the first transmitted frame to drop its last n bytes
-// — a byte-level simulation of a pre-tracing peer whose OFFER ends after
-// the window field.
-type stripTail struct {
-	link.Transport
-	n    int
-	once sync.Once
-}
-
-func (s *stripTail) Send(payload []byte) error {
-	var strip bool
-	s.once.Do(func() { strip = true })
-	if strip && len(payload) > s.n {
-		payload = payload[:len(payload)-s.n]
-	}
-	return s.Transport.Send(payload)
-}
-
-// TestLegacyOfferInterop runs a full migration whose OFFER is rewritten to
-// the pre-tracing wire layout. The responder must treat it as untraced —
-// negotiate normally, restore, and confirm without a span payload — so old
-// initiators keep working against new daemons.
-func TestLegacyOfferInterop(t *testing.T) {
-	e := newListEngine(t)
-	p := stoppedAt(t, e, arch.DEC5000)
-	a, b := link.Pipe()
-	defer a.Close()
-	defer b.Close()
-	reg := NewRegistry()
-	reg.Add("list", e)
-
-	type respondRes struct {
-		info Info
-		err  error
-	}
-	c := make(chan respondRes, 1)
-	respTracer := obs.NewTracer()
-	go func() {
-		info, q, _, err := Respond(b, reg, arch.SPARC20, Config{Trace: respTracer.Start("session")})
-		if err == nil {
-			q.MaxSteps = 1_000_000
-			if res, rerr := q.Run(); rerr != nil || res.ExitCode != listExit {
-				t.Errorf("restored run: res=%+v err=%v", res, rerr)
-			}
-		}
-		c <- respondRes{info, err}
-	}()
-
-	// The offer's trace pair is its trailing 16 bytes (two u64s). NoCommit
-	// keeps the caps word unencoded, as a pre-commit initiator would.
-	res, err := Initiate(&stripTail{Transport: a, n: 16}, e, p.Mach, "list", p, Config{NoCommit: true})
-	if err != nil {
-		t.Fatalf("initiate: %v", err)
-	}
-	rr := <-c
-	if rr.err != nil {
-		t.Fatalf("respond: %v", rr.err)
-	}
-	if rr.info.Trace.Valid() {
-		t.Errorf("responder adopted a trace context from a legacy offer: %+v", rr.info.Trace)
-	}
-	if res.Remote != nil {
-		t.Errorf("initiator received remote spans from an untraced session")
-	}
-}
-
 // TestStitchedTrace is the tentpole acceptance check: one v3 migration
 // over loopback TCP produces a single stitched trace — the destination's
 // restore and confirm spans appear under the initiator's trace ID in the

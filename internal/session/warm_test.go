@@ -1,7 +1,6 @@
 package session
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -12,7 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/vm"
-	"repro/internal/xdr"
 )
 
 func openTestStore(t *testing.T) *store.Store {
@@ -176,8 +174,8 @@ func TestWarmTransferColdThenWarm(t *testing.T) {
 }
 
 // TestWarmFallsBackToLegacyPeer pins the interop contract: a store-less
-// peer on either side demotes the session to the plain sectioned path,
-// with the same wire byte count a pure-legacy pairing produces.
+// peer on either side leaves the session on the cold chunk stream, with
+// the same wire byte count a store-less pairing produces.
 func TestWarmFallsBackToLegacyPeer(t *testing.T) {
 	e := newListEngine(t)
 	legacy := runTransfer(t, Config{})
@@ -208,100 +206,26 @@ func TestWarmFallsBackToLegacyPeer(t *testing.T) {
 	}
 }
 
-// TestHandshakeBytesWithoutStore pins the frame-level interop contract: a
-// build that has no store emits OFFER and ACCEPT frames byte-identical to
-// the pre-capability protocol, so legacy peers cannot tell the difference.
-func TestHandshakeBytesWithoutStore(t *testing.T) {
-	o := offer{
-		minVer: 1, maxVer: 3, digest: 0xcafe, program: "list",
-		machine: "dec5000", chunk: 4096, window: 8,
-		traceID: 0x1111, spanID: 0x2222,
-	}
-	pre := xdr.NewEncoder(64)
-	pre.PutUint32(sessionMagic)
-	pre.PutUint32(msgOffer)
-	pre.PutUint32(o.minVer)
-	pre.PutUint32(o.maxVer)
-	pre.PutUint32(o.digest)
-	pre.PutString(o.program)
-	pre.PutString(o.machine)
-	pre.PutUint32(o.chunk)
-	pre.PutUint32(o.window)
-	pre.PutUint64(o.traceID)
-	pre.PutUint64(o.spanID)
-	if !bytes.Equal(marshalOffer(o), pre.Bytes()) {
-		t.Error("capability-less OFFER is not byte-identical to the pre-store frame")
-	}
-
-	acc := xdr.NewEncoder(20)
-	acc.PutUint32(sessionMagic)
-	acc.PutUint32(msgAccept)
-	acc.PutUint32(3)
-	acc.PutUint32(4096)
-	acc.PutUint32(8)
-	if !bytes.Equal(marshalAccept(Params{Version: 3, ChunkSize: 4096, Window: 8}), acc.Bytes()) {
-		t.Error("cold ACCEPT is not byte-identical to the pre-store frame")
-	}
-
-	// And with a store, the only difference is the trailing capability.
-	warm := o
-	warm.caps = capWarm
-	got := marshalOffer(warm)
-	if len(got) != len(pre.Bytes())+4 || !bytes.Equal(got[:len(got)-4], pre.Bytes()) {
-		t.Error("capWarm OFFER is not the legacy frame plus one trailing word")
-	}
-	parsed, err := parseMessage(got)
-	if err != nil || parsed.offer.caps != capWarm {
-		t.Errorf("capWarm OFFER parse: caps %x err %v", parsed.offer.caps, err)
-	}
-
-	// Live rides the same trailing word: a live-capable offer is the
-	// legacy frame plus one capability field, and both bits coexist.
-	liveOffer := o
-	liveOffer.caps = capWarm | capLive
-	got = marshalOffer(liveOffer)
-	if len(got) != len(pre.Bytes())+4 || !bytes.Equal(got[:len(got)-4], pre.Bytes()) {
-		t.Error("capLive OFFER is not the legacy frame plus one trailing word")
-	}
-	parsed, err = parseMessage(got)
-	if err != nil || parsed.offer.caps != capWarm|capLive {
-		t.Errorf("capLive OFFER parse: caps %x err %v", parsed.offer.caps, err)
-	}
-
-	// A live ACCEPT is the legacy frame (with the upgraded version) plus
-	// the capability word; parsing recovers the Live flag.
-	liveAcc := marshalAccept(Params{Version: 4, ChunkSize: 4096, Window: 8, Live: true})
-	if len(liveAcc) != len(acc.Bytes())+4 {
-		t.Error("live ACCEPT is not the legacy frame plus one trailing word")
-	}
-	am, err := parseMessage(liveAcc)
-	if err != nil || !am.params.Live || am.params.Warm {
-		t.Errorf("live ACCEPT parse: params %+v err %v", am.params, err)
-	}
-}
-
-// corruptingTransport flips a body byte in every frame its predicate
-// selects, leaving other traffic untouched.
+// corruptingTransport flips one byte of every sent frame for which at
+// returns a position (negative: leave the frame alone); other traffic
+// passes untouched.
 type corruptingTransport struct {
 	link.Transport
-	match func([]byte) bool
+	at func(frame []byte) int
 }
 
 func (c corruptingTransport) Send(b []byte) error {
-	if c.match(b) {
-		evil := append([]byte(nil), b...)
-		// Flip inside the final section body: the last three bytes may be
-		// XDR padding, byte len-6 never is.
-		evil[len(evil)-6] ^= 0xff
-		return c.Transport.Send(evil)
+	if pos := c.at(b); pos >= 0 && pos < len(b) {
+		b = append([]byte(nil), b...)
+		b[pos] ^= 0x40
 	}
 	return c.Transport.Send(b)
 }
 
-// TestWarmRejectsCorruptSectionBody damages a SECTIONS frame in flight:
-// the responder must refuse the body (its hash no longer matches the
-// manifest entry) with an error classified as corrupt-stream, and its
-// store must not retain the damaged checkpoint's manifest.
+// TestWarmRejectsCorruptSectionBody damages a BODIES frame in flight: the
+// responder must refuse the body (its hash no longer matches the announced
+// entry) with an error classified as corrupt-stream, and its store must
+// not name the damaged checkpoint.
 func TestWarmRejectsCorruptSectionBody(t *testing.T) {
 	e := newListEngine(t)
 	p := stoppedAt(t, e, arch.DEC5000)
@@ -321,9 +245,13 @@ func TestWarmRejectsCorruptSectionBody(t *testing.T) {
 		}
 		c <- rr{err}
 	}()
-	mangled := corruptingTransport{Transport: a, match: func(f []byte) bool {
-		// A session frame's type word is bytes 4..8 (XDR big-endian).
-		return len(f) > 64 && f[7] == byte(msgSections)
+	mangled := corruptingTransport{Transport: a, at: func(f []byte) int {
+		// A session frame's type word is bytes 4..8 (XDR big-endian). Flip
+		// inside the final section body, six bytes from the end.
+		if len(f) > 64 && f[7] == byte(msgBodies) {
+			return len(f) - 6
+		}
+		return -1
 	}}
 	_, err := Initiate(mangled, e, p.Mach, "list", p, Config{Store: openTestStore(t)})
 	a.Close()

@@ -7,22 +7,15 @@ import "repro/internal/obs"
 // is flushed with a handful of atomic adds when it completes, so the
 // per-chunk cost of observability stays at one gauge store.
 var (
-	mTxChunks      = obs.Default.Counter("stream.tx.chunks")
-	mTxBytes       = obs.Default.Counter("stream.tx.bytes")
-	mTxRetransmits = obs.Default.Counter("stream.tx.retransmits")
-	mTxReconnects  = obs.Default.Counter("stream.tx.reconnects")
-	mRxChunks      = obs.Default.Counter("stream.rx.chunks")
-	mRxBytes       = obs.Default.Counter("stream.rx.bytes")
-	mRxAcks        = obs.Default.Counter("stream.rx.acks")
-	mRxNacks       = obs.Default.Counter("stream.rx.nacks")
-	mRxDuplicates  = obs.Default.Counter("stream.rx.duplicates")
-	mRxReconnects  = obs.Default.Counter("stream.rx.reconnects")
-	mWindow        = obs.Default.Gauge("stream.window.occupancy")
+	mTxChunks = obs.Default.Counter("stream.tx.chunks")
+	mTxBytes  = obs.Default.Counter("stream.tx.bytes")
+	mRxChunks = obs.Default.Counter("stream.rx.chunks")
+	mRxBytes  = obs.Default.Counter("stream.rx.bytes")
+	mRxAcks   = obs.Default.Counter("stream.rx.acks")
+	mWindow   = obs.Default.Gauge("stream.window.occupancy")
 	// mAckRTT observes the send→acknowledge round trip per chunk: the
-	// time from a chunk's (re)transmission to the acknowledgement
-	// watermark passing it. Retransmitted chunks restart their clock, so
-	// the histogram reflects the latency of the wire that actually
-	// delivered them.
+	// time from a chunk's transmission to the acknowledgement watermark
+	// passing it.
 	mAckRTT = obs.Default.Histogram("stream.ack.rtt")
 )
 
@@ -37,14 +30,4 @@ func (rs ReaderStats) flush() {
 	mRxChunks.Add(int64(rs.Chunks))
 	mRxBytes.Add(rs.Bytes)
 	mRxAcks.Add(int64(rs.Acks))
-	mRxNacks.Add(int64(rs.Nacks))
-	mRxDuplicates.Add(int64(rs.Duplicates))
-	mRxReconnects.Add(int64(rs.Reconnects))
-}
-
-// flush publishes one completed robust session to the registry.
-func (ss SessionStats) flush() {
-	ss.WriterStats.flush()
-	mTxRetransmits.Add(int64(ss.Retransmits))
-	mTxReconnects.Add(int64(ss.Reconnects))
 }

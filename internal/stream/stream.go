@@ -8,7 +8,7 @@
 // memory segments is still running, so collection time and wire time
 // overlap instead of adding.
 //
-// Three types cooperate:
+// Two types cooperate:
 //
 //   - Writer cuts the byte stream into chunks and transmits them from a
 //     background goroutine behind a bounded window (backpressure: when the
@@ -16,32 +16,26 @@
 //     migration is bounded by Window*ChunkSize rather than the snapshot
 //     size);
 //   - Reader reassembles, verifies per-chunk and whole-stream checksums,
-//     acknowledges progress, and feeds restoration incrementally via Next;
-//   - Session wraps Writer with robustness: per-chunk acknowledgement
-//     watermarks, retention of unacknowledged chunks, reconnection with
-//     exponential backoff after a mid-stream disconnect, and resume from
-//     the receiver's high-water mark rather than from byte zero.
+//     acknowledges progress, and feeds restoration incrementally via Next.
+//
+// The layer assumes a reliable, ordered transport and detects — never
+// repairs — damage: a corrupt or out-of-order chunk ends the transfer with
+// a typed error on the Reader, and the session above it rolls the source
+// back.
 //
 // # Wire protocol
 //
 // Every message is one link.Transport frame (which already carries its own
 // length + CRC framing). Messages are XDR-encoded:
 //
-//	hello  = magic, HELLO, sessionID u64         ; sender -> receiver on (re)connect
-//	resume = magic, RESUME, nextSeq u32          ; receiver's reply: first chunk it needs
-//	data   = magic, DATA, seq u32, crc u32, payload opaque
-//	ack    = magic, ACK, nextSeq u32             ; cumulative: all chunks < nextSeq held
-//	nack   = magic, NACK, nextSeq u32            ; corrupt chunk: rewind to nextSeq
-//	fin    = magic, FIN, chunks u32, bytes u64, crc u32  ; whole-stream CRC-32
-//	done   = magic, DONE, bytes u64              ; receiver verified the stream
+//	data = magic, DATA, seq u32, crc u32, payload opaque
+//	ack  = magic, ACK, nextSeq u32             ; cumulative: all chunks < nextSeq held
+//	fin  = magic, FIN, chunks u32, bytes u64, crc u32  ; whole-stream CRC-32
+//	done = magic, DONE, bytes u64              ; receiver verified the stream
 //
-// Sequence numbers start at zero and chunks are transmitted in order; the
-// receiver discards any chunk whose sequence number is not the one it
-// expects (duplicates arise naturally after a resume or a rewind). The
+// Sequence numbers start at zero and chunks are transmitted in order. The
 // per-chunk CRC is redundant over TCP framing but pays for itself on
-// transports without integrity (files) and lets the receiver convert a
-// corrupt-but-aligned frame (link.ErrChecksum) into a NACK re-request
-// instead of a failed migration.
+// transports without integrity (files, in-memory pipes).
 package stream
 
 import (
@@ -49,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/xdr"
@@ -58,15 +51,14 @@ import (
 // streamMagic guards every stream-layer message ("MSTR").
 const streamMagic = 0x4d535452
 
-// Message types.
+// Message types. The values are the wire encoding (internal/chaos mirrors
+// msgData); the gaps are type numbers this protocol no longer speaks and
+// must not reuse.
 const (
-	msgHello uint32 = iota + 1
-	msgResume
-	msgData
-	msgAck
-	msgNack
-	msgFin
-	msgDone
+	msgData uint32 = 3
+	msgAck  uint32 = 4
+	msgFin  uint32 = 6
+	msgDone uint32 = 7
 )
 
 // Errors reported by the stream layer.
@@ -74,12 +66,10 @@ var (
 	// ErrProtocol is returned when a peer sends a message that violates
 	// the stream protocol (bad magic, unexpected type, sequence gap).
 	ErrProtocol = errors.New("stream: protocol violation")
-	// ErrVerify is returned when the reassembled stream fails the
-	// whole-stream checksum or length check in FIN.
+	// ErrVerify is returned when a chunk fails its checksum, or the
+	// reassembled stream fails the whole-stream checksum or length check
+	// in FIN.
 	ErrVerify = errors.New("stream: stream verification failed")
-	// ErrRetriesExhausted is returned by a Session when reconnection
-	// attempts exceed Config.MaxRetries.
-	ErrRetriesExhausted = errors.New("stream: reconnect retries exhausted")
 )
 
 // Config tunes the streaming layer. The zero value selects the defaults.
@@ -94,17 +84,9 @@ type Config struct {
 	// chunks (default 4). The final FIN/DONE exchange always confirms
 	// the tail regardless.
 	AckEvery int
-	// MaxRetries bounds a Session's reconnection attempts after a
-	// transport failure (default 5; 0 uses the default, negative
-	// disables reconnection).
-	MaxRetries int
-	// RetryBase is the first reconnect backoff delay (default 20ms);
-	// subsequent attempts double it up to RetryMax (default 1s).
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// Recorder, when set, receives structured flight-recorder events for
-	// the robustness machinery (reconnects, rewinds, NACKs) so a failed
-	// migration can be reconstructed after the fact. Nil disables.
+	// Recorder, when set, receives a structured flight-recorder event for
+	// every chunk or stream the Reader rejects, so a failed migration can
+	// be reconstructed after the fact. Nil disables.
 	Recorder *obs.FlightRecorder
 }
 
@@ -124,24 +106,7 @@ func (c Config) withDefaults() Config {
 		// make progress.
 		c.AckEvery = c.Window
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 5
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 20 * time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = time.Second
-	}
 	return c
-}
-
-// retainedChunk is a transmitted-but-unacknowledged chunk held by a
-// Session, stamped with its most recent transmission time so the
-// acknowledgement watermark can observe the per-chunk round trip.
-type retainedChunk struct {
-	chunk
-	sentAt time.Time
 }
 
 // chunk is one in-flight piece of the snapshot. Its frame is the whole
@@ -170,8 +135,7 @@ func chunkFrame(b []byte, chunkSize int) []byte {
 func (c chunk) payload() []byte { return c.frame[dataHdr:] }
 
 // seal writes the DATA header in front of the payload, pads the opaque to
-// four bytes and returns the finished message. Sealing again (a Session
-// retransmitting) rewrites the same bytes.
+// four bytes and returns the finished message.
 func (c chunk) seal() []byte {
 	p, be := c.payload(), binary.BigEndian
 	be.PutUint32(c.frame[0:], streamMagic)
@@ -185,25 +149,16 @@ func (c chunk) seal() []byte {
 // message is a decoded stream-layer control or data message.
 type message struct {
 	typ     uint32
-	seq     uint32 // DATA seq; ACK/NACK/RESUME nextSeq; FIN chunk count
+	seq     uint32 // DATA seq; ACK nextSeq; FIN chunk count
 	crc     uint32 // DATA / FIN
 	bytes   uint64 // FIN / DONE
-	session uint64 // HELLO
 	payload []byte // DATA
 }
 
-func marshalHello(sessionID uint64) []byte {
-	e := xdr.NewEncoder(16)
-	e.PutUint32(streamMagic)
-	e.PutUint32(msgHello)
-	e.PutUint64(sessionID)
-	return e.Bytes()
-}
-
-func marshalSeq(typ, nextSeq uint32) []byte {
+func marshalAck(nextSeq uint32) []byte {
 	e := xdr.NewEncoder(12)
 	e.PutUint32(streamMagic)
-	e.PutUint32(typ)
+	e.PutUint32(msgAck)
 	e.PutUint32(nextSeq)
 	return e.Bytes()
 }
@@ -239,9 +194,7 @@ func parseMessage(raw []byte) (message, error) {
 	}
 	m := message{typ: typ}
 	switch typ {
-	case msgHello:
-		m.session, err = d.Uint64()
-	case msgResume, msgAck, msgNack:
+	case msgAck:
 		m.seq, err = d.Uint32()
 	case msgData:
 		if m.seq, err = d.Uint32(); err != nil {

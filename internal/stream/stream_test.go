@@ -2,10 +2,12 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -138,11 +140,51 @@ func TestReaderDeliversIncrementally(t *testing.T) {
 	}
 }
 
+// tamper is a test-local transport: it kills the connection once
+// failAfterSends Sends have succeeded (negative never does), and passes
+// every frame the peer delivers through onRecv, which may rewrite it or
+// turn it into an error.
+type tamper struct {
+	link.Transport
+	mu             sync.Mutex
+	failAfterSends int
+	recvs          int
+	onRecv         func(n int, frame []byte) ([]byte, error)
+}
+
+var errKilled = errors.New("test: transport killed")
+
+func (f *tamper) Send(p []byte) error {
+	f.mu.Lock()
+	dead := f.failAfterSends == 0
+	if f.failAfterSends > 0 {
+		f.failAfterSends--
+	}
+	f.mu.Unlock()
+	if dead {
+		f.Transport.Close()
+		return errKilled
+	}
+	return f.Transport.Send(p)
+}
+
+func (f *tamper) Recv() ([]byte, error) {
+	frame, err := f.Transport.Recv()
+	if err != nil || f.onRecv == nil {
+		return frame, err
+	}
+	f.mu.Lock()
+	f.recvs++
+	n := f.recvs
+	f.mu.Unlock()
+	return f.onRecv(n, frame)
+}
+
 func TestWriterFailsOnDeadTransportWithoutSession(t *testing.T) {
 	cfg := Config{ChunkSize: 256, Window: 2}
 	a, b := link.Pipe()
 	defer b.Close()
-	fa := NewFault(a).FailAfterSends(3)
+	fa := &tamper{Transport: a, failAfterSends: 3}
 	res := runReader(NewReader(b, cfg))
 	w := NewWriter(fa, cfg)
 	payload := testPayload(64*1024, 11)
@@ -152,17 +194,86 @@ func TestWriterFailsOnDeadTransportWithoutSession(t *testing.T) {
 		t.Error("transfer over a killed transport reported success")
 	}
 	if r := <-res; r.err == nil {
-		t.Error("reader reported success after sender death with no reaccept")
+		t.Error("reader reported success after sender death")
+	}
+}
+
+// TestReaderRejectsDamagedStream damages the 4th frame the receiver sees
+// in each way the layer must detect — a flipped payload byte under a
+// passing link checksum, a failing link checksum, a skipped chunk, a FIN
+// that disagrees with what arrived — and expects the typed error on the
+// Reader, a failed Writer, and no delivered stream.
+func TestReaderRejectsDamagedStream(t *testing.T) {
+	cases := []struct {
+		name   string
+		onRecv func(n int, frame []byte) ([]byte, error)
+		want   error
+	}{
+		{"payload byte flipped", func(n int, f []byte) ([]byte, error) {
+			if n == 4 {
+				f[dataHdr+10] ^= 0x40
+			}
+			return f, nil
+		}, ErrVerify},
+		{"link checksum", func(n int, f []byte) ([]byte, error) {
+			if n == 4 {
+				return nil, link.ErrChecksum
+			}
+			return f, nil
+		}, link.ErrChecksum},
+		{"chunk out of order", func(n int, f []byte) ([]byte, error) {
+			if n == 4 {
+				binary.BigEndian.PutUint32(f[8:], 7) // seq word
+			}
+			return f, nil
+		}, ErrProtocol},
+		{"fin disagrees", func(n int, f []byte) ([]byte, error) {
+			if binary.BigEndian.Uint32(f[4:]) == msgFin {
+				f[len(f)-1] ^= 1 // whole-stream crc
+			}
+			return f, nil
+		}, ErrVerify},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{ChunkSize: 1024, Window: 4, AckEvery: 2}
+			a, b := link.Pipe()
+			defer a.Close()
+			res := make(chan readResult, 1)
+			go func() {
+				r := NewReader(&tamper{Transport: b, failAfterSends: -1, onRecv: c.onRecv}, cfg)
+				data, err := r.ReadAll()
+				// A session closes the connection under a failed receive;
+				// that is what unblocks the sender.
+				b.Close()
+				res <- readResult{data, err, r.Stats()}
+			}()
+			w := NewWriter(a, cfg)
+			_, werr := w.Write(testPayload(20*1024, 5))
+			if cerr := w.Close(); werr == nil && cerr == nil {
+				t.Error("writer reported success for a stream the reader rejected")
+			}
+			r := <-res
+			if !errors.Is(r.err, c.want) {
+				t.Errorf("reader err = %v, want %v", r.err, c.want)
+			}
+			if r.data != nil {
+				t.Errorf("reader delivered %d bytes of a rejected stream", len(r.data))
+			}
+		})
 	}
 }
 
 func TestParseMessageRejectsGarbage(t *testing.T) {
+	ack := marshalAck(1)
+	unknown := marshalAck(0)
+	binary.BigEndian.PutUint32(unknown[4:], 5) // a retired type number
 	cases := [][]byte{
 		nil,
 		{1, 2, 3},
-		marshalSeq(99, 0),   // unknown type
-		marshalHello(1)[:6], // truncated
-		append([]byte{0, 0, 0, 0}, marshalHello(1)[4:]...), // bad magic
+		unknown,
+		ack[:10],                               // truncated
+		append([]byte{0, 0, 0, 0}, ack[4:]...), // bad magic
 	}
 	for i, raw := range cases {
 		if _, err := parseMessage(raw); !errors.Is(err, ErrProtocol) {
@@ -171,239 +282,63 @@ func TestParseMessageRejectsGarbage(t *testing.T) {
 	}
 }
 
-// pipeNet hands the sender fresh in-memory connections and delivers the
-// peer ends to the receiver — a reconnectable network made of link.Pipe.
-type pipeNet struct {
-	mu    sync.Mutex
-	conns chan link.Transport
-	dials int
-	// faults wraps the sender side of the i-th dial.
-	faults map[int]func(link.Transport) link.Transport
-	// dialErrs fails the i-th dial outright.
-	dialErrs map[int]error
-}
-
-func newPipeNet() *pipeNet {
-	return &pipeNet{conns: make(chan link.Transport, 4)}
-}
-
-func (n *pipeNet) dial() (link.Transport, error) {
-	n.mu.Lock()
-	i := n.dials
-	n.dials++
-	fault := n.faults[i]
-	derr := n.dialErrs[i]
-	n.mu.Unlock()
-	if derr != nil {
-		return nil, derr
-	}
-	a, b := link.Pipe()
-	var t link.Transport = a
-	if fault != nil {
-		t = fault(a)
-	}
-	n.conns <- b
-	return t, nil
-}
-
-func (n *pipeNet) accept() (link.Transport, error) {
-	return <-n.conns, nil
-}
-
-func sessionTransfer(t *testing.T, net *pipeNet, cfg Config, payload []byte, wrapReceiver func(link.Transport) link.Transport) (SessionStats, readResult) {
-	t.Helper()
-	// The session dials eagerly from its pump, which queues the peer end
-	// for the receiver's accept below.
-	s := NewSession(net.dial, 42, cfg)
-	first, err := net.accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrapReceiver != nil {
-		first = wrapReceiver(first)
-	}
-	r := NewReader(first, cfg)
-	r.SetReaccept(net.accept)
-	res := runReader(r)
-
-	if _, err := s.Write(payload); err != nil {
-		t.Fatalf("session write: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("session close: %v", err)
-	}
-	return s.Stats(), <-res
-}
-
-func TestSessionResumesAfterMidTransferDisconnect(t *testing.T) {
-	cfg := Config{ChunkSize: 1024, Window: 4, AckEvery: 2, RetryBase: 1e6 /* 1ms */}
-	net := newPipeNet()
-	// First connection dies after 7 successful sends (hello + 6 chunks):
-	// the transfer is killed at a chunk boundary mid-stream.
-	net.faults = map[int]func(link.Transport) link.Transport{
-		0: func(tr link.Transport) link.Transport { return NewFault(tr).FailAfterSends(7) },
-	}
-	payload := testPayload(40*1024, 21) // 40 chunks
-	// The session must dial first so pipeNet has a connection queued for
-	// the receiver; NewSession dials eagerly from its pump.
-	stats, r := sessionTransfer(t, net, cfg, payload, nil)
-	if r.err != nil {
-		t.Fatalf("read: %v", r.err)
-	}
-	if !bytes.Equal(r.data, payload) {
-		t.Fatal("stream after resume differs from original")
-	}
-	if stats.Reconnects < 1 {
-		t.Errorf("reconnects = %d, want >= 1", stats.Reconnects)
-	}
-	if r.stats.Reconnects < 1 {
-		t.Errorf("reader reconnects = %d, want >= 1", r.stats.Reconnects)
-	}
-	if stats.AckedSeq != 40 {
-		t.Errorf("final ack watermark = %d, want 40", stats.AckedSeq)
-	}
-}
-
-func TestSessionSurvivesRepeatedDisconnects(t *testing.T) {
-	cfg := Config{ChunkSize: 512, Window: 4, AckEvery: 2, RetryBase: 1e6}
-	net := newPipeNet()
-	net.faults = map[int]func(link.Transport) link.Transport{
-		0: func(tr link.Transport) link.Transport { return NewFault(tr).FailAfterSends(4) },
-		1: func(tr link.Transport) link.Transport { return NewFault(tr).FailAfterSends(9) },
-		2: func(tr link.Transport) link.Transport { return NewFault(tr).FailAfterRecvs(3) },
-	}
-	net.dialErrs = map[int]error{3: errors.New("destination briefly unreachable")}
-	payload := testPayload(30*1024, 5) // 60 chunks
-	stats, r := sessionTransfer(t, net, cfg, payload, nil)
-	if r.err != nil {
-		t.Fatalf("read: %v", r.err)
-	}
-	if !bytes.Equal(r.data, payload) {
-		t.Fatal("stream after repeated resumes differs from original")
-	}
-	if stats.Reconnects < 3 {
-		t.Errorf("reconnects = %d, want >= 3", stats.Reconnects)
-	}
-}
-
-func TestSessionRewindsOnCorruptChunk(t *testing.T) {
-	cfg := Config{ChunkSize: 1024, Window: 4, AckEvery: 2}
-	net := newPipeNet()
-	payload := testPayload(20*1024, 9)
-	// The receiver's 4th frame (hello is the sender's; receiver sees
-	// data frames from 1) arrives corrupt: link.ErrChecksum surfaces and
-	// must become a NACK re-request, not a failed migration.
-	stats, r := sessionTransfer(t, net, cfg, payload, func(tr link.Transport) link.Transport {
-		return NewFault(tr).CorruptRecv(4)
-	})
-	if r.err != nil {
-		t.Fatalf("read: %v", r.err)
-	}
-	if !bytes.Equal(r.data, payload) {
-		t.Fatal("stream after corruption rewind differs from original")
-	}
-	if r.stats.Nacks != 1 {
-		t.Errorf("reader nacks = %d, want 1", r.stats.Nacks)
-	}
-	if stats.Retransmits < 1 {
-		t.Errorf("retransmits = %d, want >= 1", stats.Retransmits)
-	}
-	if stats.Reconnects != 0 {
-		t.Errorf("reconnects = %d, corruption should rewind over the live connection", stats.Reconnects)
-	}
-}
-
-func TestSessionRetriesExhausted(t *testing.T) {
-	dialErr := errors.New("connection refused")
-	dial := func() (link.Transport, error) { return nil, dialErr }
-	s := NewSession(dial, 1, Config{MaxRetries: 2, RetryBase: 1e6, RetryMax: 2e6})
-	// The pump fails in the background; Write must unblock with the error
-	// rather than hanging on a window that will never drain.
-	payload := testPayload(1<<20, 13)
-	_, werr := s.Write(payload)
-	cerr := s.Close()
-	if werr == nil && cerr == nil {
-		t.Fatal("session succeeded with no reachable destination")
-	}
-	if !errors.Is(cerr, ErrRetriesExhausted) && !errors.Is(werr, ErrRetriesExhausted) {
-		t.Errorf("want ErrRetriesExhausted, got write=%v close=%v", werr, cerr)
-	}
-}
-
-func TestSessionTransportHandoff(t *testing.T) {
-	cfg := Config{ChunkSize: 4096, Window: 4}
-	net := newPipeNet()
-	payload := testPayload(16*1024, 17)
-
-	done := make(chan error, 1)
-	go func() {
-		tr, err := net.accept()
-		if err != nil {
-			done <- err
-			return
-		}
-		r := NewReader(tr, cfg)
-		r.SetReaccept(net.accept)
-		if _, err := r.ReadAll(); err != nil {
-			done <- err
-			return
-		}
-		// Application-level acknowledgement after the snapshot, as migd
-		// sends once restoration succeeds.
-		done <- tr.Send([]byte("restored"))
-	}()
-
-	s := NewSession(net.dial, 7, cfg)
-	if _, err := s.Write(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ack, err := s.Transport().Recv()
-	if err != nil || string(ack) != "restored" {
-		t.Fatalf("application ack after session: %q, %v", ack, err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFlightRecorderAndAckRTT verifies the observability hooks of the
-// robust path: a corruption rewind leaves structured events in the
-// session's flight recorder (both sides share one here), and completed
-// transfers feed the ack round-trip histogram.
+// TestFlightRecorderAndAckRTT verifies the observability hooks: a
+// rejected stream leaves a structured event naming the chunk in the
+// flight recorder, and completed transfers feed the ack round-trip
+// histogram.
 func TestFlightRecorderAndAckRTT(t *testing.T) {
 	before := obs.Default.Histogram("stream.ack.rtt").Count()
 	fr := obs.NewFlightRecorder(0)
 	cfg := Config{ChunkSize: 1024, Window: 4, AckEvery: 2, Recorder: fr}
-	net := newPipeNet()
 	payload := testPayload(20*1024, 21)
-	_, r := sessionTransfer(t, net, cfg, payload, func(tr link.Transport) link.Transport {
-		return NewFault(tr).CorruptRecv(4)
-	})
-	if r.err != nil {
-		t.Fatalf("read: %v", r.err)
+
+	a, b := link.Pipe()
+	res := runReader(NewReader(b, cfg))
+	w := NewWriter(a, cfg)
+	w.Write(payload)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	kinds := map[string]bool{}
-	for _, ev := range fr.Events() {
-		kinds[ev.Kind] = true
+	if r := <-res; r.err != nil || !bytes.Equal(r.data, payload) {
+		t.Fatalf("clean transfer: err %v, %d bytes", r.err, len(r.data))
 	}
-	if !kinds["stream.nack"] {
-		t.Errorf("recorder missing stream.nack event: %v", kinds)
-	}
-	if !kinds["stream.rewind"] {
-		t.Errorf("recorder missing stream.rewind event: %v", kinds)
+	a.Close()
+	b.Close()
+	if n := len(fr.Events()); n != 0 {
+		t.Errorf("clean transfer recorded %d events, want none", n)
 	}
 	if after := obs.Default.Histogram("stream.ack.rtt").Count(); after <= before {
 		t.Errorf("ack RTT histogram did not grow (%d -> %d)", before, after)
+	}
+
+	a, b = link.Pipe()
+	defer a.Close()
+	go func() {
+		w := NewWriter(a, cfg)
+		w.Write(payload)
+		w.Close()
+	}()
+	r := NewReader(&tamper{Transport: b, failAfterSends: -1, onRecv: func(n int, f []byte) ([]byte, error) {
+		if n == 4 {
+			return nil, link.ErrChecksum
+		}
+		return f, nil
+	}}, cfg)
+	_, err := r.ReadAll()
+	b.Close()
+	if !errors.Is(err, link.ErrChecksum) {
+		t.Fatalf("read err = %v, want the link checksum failure", err)
+	}
+	evs := fr.Events()
+	if len(evs) != 1 || evs[0].Kind != "stream.reject" || !strings.Contains(evs[0].Detail, "chunk 3") {
+		t.Errorf("recorder events = %+v, want one stream.reject naming chunk 3", evs)
 	}
 }
 
 // TestSealMatchesXDRDataMessage pins the in-place DATA framing to the wire
 // format the XDR encoder used to produce — header, opaque length and zero
 // padding — for every payload length modulo four, and checks that sealing
-// twice (a Session retransmit) is idempotent.
+// twice is idempotent.
 func TestSealMatchesXDRDataMessage(t *testing.T) {
 	for n := 0; n <= 9; n++ {
 		payload := testPayload(n, int64(n))

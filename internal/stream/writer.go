@@ -11,17 +11,8 @@ import (
 
 // WriterStats summarizes one streamed transfer from the sending side.
 type WriterStats struct {
-	// Chunks and Bytes count the logical stream (retransmissions under a
-	// Session are counted separately in SessionStats).
 	Chunks int
 	Bytes  int64
-	// StallTime is how long the producer was blocked on the transmit
-	// window — the part of collection that could NOT be overlapped.
-	StallTime time.Duration
-	// CloseWait is how long Close waited for the receiver's DONE after
-	// the last byte was produced — the transmission tail that did not
-	// overlap with collection.
-	CloseWait time.Duration
 }
 
 // Writer cuts a byte stream into chunks and transmits them from a
@@ -30,9 +21,8 @@ type WriterStats struct {
 // not safe for concurrent Write calls. Close flushes the tail chunk, sends
 // FIN, and blocks until the receiver confirms the whole stream.
 //
-// Writer assumes a reliable transport: a send failure or a receiver NACK
-// aborts the transfer. Session layers retransmission and reconnection on
-// top of the same protocol.
+// Writer assumes a reliable transport: a send or receive failure aborts
+// the transfer.
 type Writer struct {
 	cfg   Config
 	t     link.Transport
@@ -60,11 +50,9 @@ type Writer struct {
 	stats WriterStats
 }
 
-// chunkBufs recycles chunk frames across transfers. Only the plain Writer
-// may use it: Transport.Send does not retain its argument, so a chunk's
-// frame is dead once Send returns and txLoop recycles it there. A Session
-// must NOT pool its frames — it retains transmitted chunks until the
-// receiver's acknowledgement watermark passes them, for rewind replay.
+// chunkBufs recycles chunk frames across transfers: Transport.Send does
+// not retain its argument, so a chunk's frame is dead once Send returns
+// and txLoop recycles it there.
 var chunkBufs = sync.Pool{New: func() any { return []byte(nil) }}
 
 func getChunkBuf(chunkSize int) []byte {
@@ -150,9 +138,8 @@ func (w *Writer) txLoop() {
 	}
 }
 
-// recvLoop consumes receiver messages: acknowledgement watermarks (ignored
-// by the plain Writer beyond bookkeeping), NACKs (fatal without a
-// Session), and the final DONE.
+// recvLoop consumes receiver messages: acknowledgement watermarks and the
+// final DONE.
 func (w *Writer) recvLoop() {
 	defer close(w.done)
 	for {
@@ -168,12 +155,9 @@ func (w *Writer) recvLoop() {
 		}
 		switch m.typ {
 		case msgAck:
-			// Plain writers bound memory by the send queue alone; the
-			// watermark still times the chunks it passes.
+			// Memory is bounded by the send queue alone; the watermark
+			// only times the chunks it passes.
 			w.noteAcked(m.seq, false)
-		case msgNack:
-			w.fail(fmt.Errorf("stream: receiver rejected chunk %d and no session to rewind", m.seq))
-			return
 		case msgDone:
 			// The receiver only sends DONE after verifying the FIN
 			// totals, so its byte count is authoritative; re-checking
@@ -218,18 +202,11 @@ func (w *Writer) cut() error {
 	w.bytes += int64(len(c.payload()))
 	w.stats.Chunks++
 	w.buf = getChunkBuf(w.cfg.ChunkSize)
-	start := time.Now()
 	select {
 	case w.sendq <- c:
-	default:
-		// Window full: the wire is the bottleneck; account the stall.
-		select {
-		case w.sendq <- c:
-		case <-w.abort:
-			return w.Err()
-		}
+	case <-w.abort:
+		return w.Err()
 	}
-	w.stats.StallTime += time.Since(start)
 	mWindow.Set(int64(len(w.sendq)))
 	return w.Err()
 }
@@ -241,9 +218,7 @@ func (w *Writer) Close() error {
 		w.cut() // on failure the error is reported below
 	}
 	close(w.sendq)
-	start := time.Now()
 	<-w.done
-	w.stats.CloseWait = time.Since(start)
 	w.stats.Bytes = w.bytes
 	w.stats.flush()
 	return w.Err()
