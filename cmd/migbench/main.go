@@ -1,12 +1,15 @@
-// migbench regenerates every table and figure of the paper's evaluation
-// (Section 4) and prints them in the paper's format. The experiment index
-// is in DESIGN.md; EXPERIMENTS.md records the comparison against the
-// published numbers.
+// migbench regenerates the tables and figures of the paper's evaluation
+// (Section 4), plus the extensions whose verdict is a count, a byte total
+// or an identity, and prints them in the paper's format. It is a loop over
+// the registry in internal/exper: each entry runs, prints, and is judged
+// by its own gate. Wall-clock claims about a migration belong to the
+// benchmark (`go run -C bench repro/bench`), not here. The experiment
+// index is in DESIGN.md §4; EXPERIMENTS.md records the comparison against
+// the published numbers.
 //
-// Usage:
-//
-//	migbench [-exp all|hetero|table1|fig2a|fig2b|complexity|overhead|ablations|chain|section|obs|obs2|store|hotpath|live|chaos|fleet]
-//	         [-quick] [-repeats N] [-json] [-trace-dir DIR] [-store-dir DIR]
+// `migbench -h` lists the flags and every -exp value. Exit status: 0 when
+// every selected gate passes, 1 when one fails or an experiment errors,
+// 2 on a bad command line (including an unknown -exp name).
 package main
 
 import (
@@ -15,372 +18,93 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/exper"
 	"repro/internal/obs"
 )
 
 func main() {
-	expName := flag.String("exp", "all", "experiment: all, hetero, table1, fig2a, fig2b, complexity, overhead, ablations, chain, section, obs, obs2, store, hotpath, live, chaos, fleet")
+	expName := flag.String("exp", "all", "experiment: all, "+strings.Join(exper.Names(), ", "))
 	quick := flag.Bool("quick", false, "reduced problem sizes")
 	repeats := flag.Int("repeats", 3, "min-of-N timing repetitions")
 	tsvDir := flag.String("tsv", "", "also write figure data as TSV files into this directory")
 	jsonOut := flag.Bool("json", false, "also write each experiment's rows as BENCH_<exp>.json (obs report schema)")
 	traceDir := flag.String("trace-dir", "", "write each stitched trace as trace-<id>.json into this directory")
 	storeDir := flag.String("store-dir", "", "keep the E12 checkpoint stores under this directory (the CI fixture) instead of temp dirs")
+	flag.Usage = func() {
+		w := flag.CommandLine.Output()
+		fmt.Fprintln(w, "usage: migbench [flags]")
+		flag.PrintDefaults()
+		fmt.Fprintln(w, "experiments:")
+		for _, x := range exper.Experiments {
+			fmt.Fprintf(w, "  %-11s %s\n", x.Name, x.Title)
+		}
+	}
 	flag.Parse()
 
+	selected, err := exper.Select(*expName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "migbench:", err)
+		os.Exit(2)
+	}
 	cfg := exper.Config{Quick: *quick, Repeats: *repeats, StoreDir: *storeDir}
-	run := func(name string) bool { return *expName == "all" || *expName == name }
 	failed := false
-	// Every BENCH_*.json is an obs.Report: the experiment's rows, the
-	// process-wide metrics snapshot, and (when the experiment produced
-	// them) span trees — one schema for migbench and migd's /metrics.
-	writeReport := func(exp string, rows any, spans []*obs.SpanData) {
-		if !*jsonOut {
-			return
-		}
-		rep := obs.NewReport(exp, rows).WithMetrics(obs.Default).WithSpans(spans)
-		name := fmt.Sprintf("BENCH_%s.json", exp)
-		b, err := json.MarshalIndent(rep, "", "  ")
+	for _, x := range selected {
+		res, err := x.Run(cfg)
 		if err != nil {
-			fail(err)
+			fail(fmt.Errorf("%s: %w", x.Name, err))
 		}
-		if err := os.WriteFile(name, append(b, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n\n", name)
-	}
-	writeJSON := func(exp string, rows any) { writeReport(exp, rows, nil) }
-
-	if run("hetero") {
-		rows, err := exper.Heterogeneity(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintHeterogeneity(os.Stdout, rows)
-		writeJSON("hetero", rows)
-		for _, r := range rows {
-			if !r.OK {
-				failed = true
+		x.Print(os.Stdout, res)
+		// The writers key on what the experiment returned, not on which
+		// experiment it was: a sweep has figure data, a stitched trace
+		// has spans.
+		var spans []*obs.SpanData
+		switch r := res.(type) {
+		case *exper.ScalingResult:
+			if *tsvDir != "" {
+				writeTSV(*tsvDir, x.Name+".tsv", r)
+			}
+		case *exper.ObsStitchedResult:
+			spans = r.Trace
+			if *traceDir != "" {
+				name := filepath.Join(*traceDir, fmt.Sprintf("trace-%s.json", r.TraceID))
+				writeReport(name, x.Name, res, spans)
 			}
 		}
-	}
-	if run("table1") {
-		rows, err := exper.Table1(cfg)
-		if err != nil {
-			fail(err)
+		if *jsonOut {
+			writeReport(fmt.Sprintf("BENCH_%s.json", x.Name), x.Name, res, spans)
 		}
-		exper.PrintTable1(os.Stdout, rows)
-		writeJSON("table1", rows)
-	}
-	if run("fig2a") {
-		res, err := exper.Fig2aLinpack(cfg)
-		if err != nil {
-			fail(err)
-		}
-		writeTSV(*tsvDir, "fig2a.tsv", res)
-		writeJSON("fig2a", res)
-		exper.PrintScaling(os.Stdout,
-			"E3 (Figure 2a): linpack data collection and restoration vs data size, Ultra 5",
-			res)
-		cf := res.CollectSeries().LinearFit()
-		rf := res.RestoreSeries().LinearFit()
-		fmt.Printf("linear fits: collect %.3g s/byte (R^2 %.4f), restore %.3g s/byte (R^2 %.4f)\n",
-			cf.Slope, cf.R2, rf.Slope, rf.R2)
-		fmt.Printf("growth exponents: collect %.2f, restore %.2f (paper: linear, 1.0)\n\n",
-			res.CollectSeries().GrowthExponent(), res.RestoreSeries().GrowthExponent())
-	}
-	if run("fig2b") {
-		res, err := exper.Fig2bBitonic(cfg)
-		if err != nil {
-			fail(err)
-		}
-		writeTSV(*tsvDir, "fig2b.tsv", res)
-		writeJSON("fig2b", res)
-		exper.PrintScaling(os.Stdout,
-			"E4 (Figure 2b): bitonic data collection and restoration vs numbers sorted, Ultra 5",
-			res)
-		last := res.Points[len(res.Points)-1]
-		first := res.Points[0]
-		fmt.Printf("collect/restore ratio: %.2f at n=%d -> %.2f at n=%d (paper: collection pulls ahead as n grows)\n\n",
-			first.Collect.Seconds()/first.Restore.Seconds(), first.N,
-			last.Collect.Seconds()/last.Restore.Seconds(), last.N)
-	}
-	if run("complexity") {
-		rows, err := exper.Breakdown(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintBreakdown(os.Stdout, rows)
-		writeJSON("complexity", rows)
-	}
-	if run("chain") {
-		r, err := exper.Chain(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintChain(os.Stdout, r)
-		writeJSON("chain", r)
-		if !r.OK {
+		if err := x.Gate(res); err != nil {
+			fmt.Printf("FAIL: %s: %v\n\n", x.Name, err)
 			failed = true
 		}
 	}
-	if run("ablations") {
-		rows, err := exper.DedupAblation(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintAblation(os.Stdout,
-			"D1 ablation: depth-first visit marking (dedup) on a sharing-heavy DAG", rows)
-		rows, err = exper.MSRLTIndexAblation(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintAblation(os.Stdout,
-			"D3 ablation: MSRLT ordered-table search vs base-address hash index (bitonic)", rows)
-		rows, err = exper.PointerEncodingCost(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintAblation(os.Stdout,
-			"D2 analysis: stream composition under (header, offset) pointer encoding (bitonic)", rows)
-		writeJSON("ablations", rows)
-	}
-	if run("overhead") {
-		rows, err := exper.PollPlacementOverhead(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintOverhead(os.Stdout,
-			"E6a (Section 4.3): poll-point placement overhead (kernel called many times)", rows)
-		rows2, err := exper.AllocationOverhead(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintOverhead(os.Stdout,
-			"E6b (Section 4.3): memory allocation overhead (many small blocks vs pooled)", rows2)
-		writeJSON("overhead", map[string]any{"poll": rows, "alloc": rows2})
-	}
-	if run("section") {
-		rows, err := exper.SectionParallel(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintSectionParallel(os.Stdout, rows)
-		for _, r := range rows {
-			if !r.Identical {
-				failed = true
-			}
-		}
-		wrows, err := exper.SectionWire(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintSectionWire(os.Stdout, wrows)
-		writeJSON("section", map[string]any{"parallel": rows, "wire": wrows})
-		for _, r := range wrows {
-			if !r.Identical || r.ExitCode != 0 {
-				failed = true
-			}
-		}
-	}
-	if run("obs") {
-		rows, err := exper.ObsOverhead(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintObsOverhead(os.Stdout, rows)
-		tr, err := exper.ObsTrace(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintObsTrace(os.Stdout, tr)
-		spans := append(append([]*obs.SpanData{}, tr.Initiator...), tr.Responder...)
-		writeReport("obs", map[string]any{"overhead": rows, "trace": tr}, spans)
-		if tr.ExitCode != 0 {
-			failed = true
-		}
-	}
-	if run("obs2") {
-		st, err := exper.ObsStitched(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintObsStitched(os.Stdout, st)
-		orows, err := exper.ObsTracingOverhead(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintObsTracingOverhead(os.Stdout, orows)
-		writeReport("obs2", map[string]any{"stitched": st, "overhead": orows}, st.Trace)
-		writeTrace(*traceDir, st)
-		// The stitched trace is structural; the overhead budget is
-		// reported, not enforced (timing noise — see E10a).
-		if st.ExitCode != 0 || !st.Stitched {
-			failed = true
-		}
-	}
-
-	if run("store") {
-		drows, err := exper.StoreDedup(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintStoreDedup(os.Stdout, drows)
-		for _, r := range drows {
-			if r.ExitCode != 0 {
-				failed = true
-			}
-			// The acceptance criterion: at the 10%-per-round mutation rate
-			// (interval 1), content addressing must dedup incremental
-			// checkpoints by at least 2x.
-			if r.Interval == 1 && r.Ratio < 2 {
-				fmt.Printf("FAIL: interval-1 dedup ratio %.2fx, want >= 2x\n\n", r.Ratio)
-				failed = true
-			}
-		}
-		wrows, err := exper.StoreWire(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintStoreWire(os.Stdout, wrows)
-		var coldBytes, warmSame int
-		for _, r := range wrows {
-			if r.ExitCode != 0 {
-				failed = true
-			}
-			switch r.Mode {
-			case "cold v3":
-				coldBytes = r.WireBytes
-			case "warm, unchanged":
-				warmSame = r.WireBytes
-			}
-		}
-		// The warm-cache criterion: re-migrating an unchanged process must
-		// cost under 10% of the cold transfer.
-		if coldBytes == 0 || warmSame*10 >= coldBytes {
-			fmt.Printf("FAIL: unchanged warm transfer %d B vs cold %d B, want < 10%%\n\n", warmSame, coldBytes)
-			failed = true
-		}
-		writeJSON("store", map[string]any{"dedup": drows, "wire": wrows})
-	}
-
-	if run("hotpath") {
-		r, err := exper.Hotpath(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintHotpath(os.Stdout, r)
-		writeJSON("hotpath", r)
-		for _, row := range r.Rows {
-			if !row.Identical {
-				fmt.Printf("FAIL: %s did not restore to the identical state\n\n", row.Path)
-				failed = true
-			}
-		}
-		if !r.RestoreIdentical {
-			fmt.Println("FAIL: serial and parallel restores are not byte-identical")
-			fmt.Println()
-			failed = true
-		}
-		// The acceptance criterion: the hotpath round trip must carry at
-		// least 2x the seed path's throughput. A host with fewer cores
-		// than the pool cannot show the parallel gain in wall time, so
-		// the gate takes the better of the measured and the modeled
-		// ratio (the E9a scheduling model over the measured serial
-		// per-section times).
-		best := r.Speedup
-		if r.ModelSpeedup > best {
-			best = r.ModelSpeedup
-		}
-		if best < 2 {
-			fmt.Printf("FAIL: hotpath round-trip throughput %.2fx seed (measured %.2fx, modeled %.2fx), want >= 2x\n\n",
-				best, r.Speedup, r.ModelSpeedup)
-			failed = true
-		}
-	}
-
-	if run("live") {
-		rows, err := exper.Live(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintLive(os.Stdout, rows)
-		writeJSON("live", rows)
-		for _, r := range rows {
-			if r.ExitCode != 0 {
-				fmt.Printf("FAIL: live migration at write rate %.0f%% restored to exit %d, want 0\n\n",
-					r.WriteRate*100, r.ExitCode)
-				failed = true
-			}
-			// Downtime is a lower-is-better ratio: a 1-core host inflates
-			// the measured pause with scheduling noise the model excludes,
-			// so the gate takes the smaller of measured and modeled.
-			best := r.RatioMeasured
-			if r.RatioModeled < best {
-				best = r.RatioModeled
-			}
-			// The acceptance criterion: at low/moderate write rates the
-			// live pause is at most 25% of the stop-and-copy total. The
-			// floor is structural — the final round ships at least the
-			// write-rate share of the heap — so "moderate" means rates
-			// comfortably under the 25% target itself.
-			if r.WriteRate <= 0.15 && best > 0.25 {
-				fmt.Printf("FAIL: write rate %.0f%%: downtime ratio %.2f (measured %.2f, modeled %.2f), want <= 0.25\n\n",
-					r.WriteRate*100, best, r.RatioMeasured, r.RatioModeled)
-				failed = true
-			}
-			// Graceful degradation at every rate: the modeled pause never
-			// meaningfully exceeds stop-and-copy plus one delta round's
-			// framing overhead.
-			if float64(r.DowntimeModeled) > 1.1*float64(r.StopTotalModeled) {
-				fmt.Printf("FAIL: write rate %.0f%%: modeled downtime %v exceeds stop-and-copy total %v\n\n",
-					r.WriteRate*100, r.DowntimeModeled, r.StopTotalModeled)
-				failed = true
-			}
-		}
-	}
-
-	if run("chaos") {
-		rows, err := exper.Chaos(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintChaos(os.Stdout, rows)
-		writeJSON("chaos", rows)
-		for _, r := range rows {
-			if !r.OK {
-				fmt.Printf("FAIL: chaos %s: %d cells with zero survivors, %d with two — every fault must leave exactly one live copy\n\n",
-					r.Mode, r.ZeroSurvivors, r.TwoSurvivors)
-				failed = true
-			}
-		}
-	}
-
-	if run("fleet") {
-		r, err := exper.Fleet(cfg)
-		if err != nil {
-			fail(err)
-		}
-		exper.PrintFleet(os.Stdout, r)
-		writeJSON("fleet", r)
-		if !r.OK {
-			fmt.Printf("FAIL: fleet gates: counts=%v quantiles=%v drain=%v slo=%v journal=%v — the scraped roll-up must agree with ground truth\n\n",
-				r.CountsMatch, r.QuantilesMatch, r.DrainMatch, r.SLOMatch, r.JournalMatch)
-			failed = true
-		}
-	}
-
 	if failed {
 		os.Exit(1)
 	}
 }
 
-func writeTSV(dir, name string, res *exper.ScalingResult) {
-	if dir == "" {
-		return
+// writeReport saves rows as an obs.Report: the experiment's rows, the
+// process-wide metrics snapshot, and (when the experiment produced them)
+// span trees — one schema for BENCH_*.json, the trace-<id>.json artifact
+// CI uploads, and migd's /metrics.
+func writeReport(name, exp string, rows any, spans []*obs.SpanData) {
+	rep := obs.NewReport(exp, rows).WithMetrics(obs.Default).WithSpans(spans)
+	b, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		fail(err)
 	}
+	if err := os.MkdirAll(filepath.Dir(name), 0o755); err != nil {
+		fail(err)
+	}
+	if err := os.WriteFile(name, append(b, '\n'), 0o644); err != nil {
+		fail(err)
+	}
+	fmt.Printf("wrote %s\n\n", name)
+}
+
+func writeTSV(dir, name string, res *exper.ScalingResult) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fail(err)
 	}
@@ -393,28 +117,6 @@ func writeTSV(dir, name string, res *exper.ScalingResult) {
 		fail(err)
 	}
 	fmt.Printf("wrote %s\n\n", filepath.Join(dir, name))
-}
-
-// writeTrace saves the E11a stitched trace as trace-<id>.json — the
-// artifact CI uploads so a failed bench run keeps its cross-machine
-// trace.
-func writeTrace(dir string, st *exper.ObsStitchedResult) {
-	if dir == "" {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fail(err)
-	}
-	rep := obs.NewReport("obs2", st).WithSpans(st.Trace)
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fail(err)
-	}
-	name := filepath.Join(dir, fmt.Sprintf("trace-%s.json", st.TraceID))
-	if err := os.WriteFile(name, append(b, '\n'), 0o644); err != nil {
-		fail(err)
-	}
-	fmt.Printf("wrote %s\n\n", name)
 }
 
 func fail(err error) {

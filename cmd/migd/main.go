@@ -364,9 +364,6 @@ func serve(engines []namedEngine, m *arch.Machine, o options) {
 				fmt.Printf("[migd %s] session %d: live transfer: %d rounds, %d/%d sections shipped\n",
 					m.Name, info.ID, len(info.Live.Rounds), info.Live.TotalSent(), liveSections(info.Live))
 			}
-			if bd := p.SectionRestoreMetrics(); len(bd) > 0 {
-				fmt.Printf("[migd %s] session %d: sections restored:\n%s", m.Name, info.ID, bd)
-			}
 			p.Stdout = os.Stdout
 			p.MaxSteps = o.maxSteps
 			res, err := p.Run()
@@ -530,9 +527,6 @@ func run(ne namedEngine, m *arch.Machine, o options) {
 	}
 	fmt.Printf("[migd %s] migrated %d bytes (%s; collect %.4fs, tx %.4fs); terminating\n",
 		m.Name, sres.Timing.Bytes, how, sres.Timing.Collect.Seconds(), sres.Timing.Tx.Seconds())
-	if bd := p.SectionCaptureMetrics(); len(bd) > 0 {
-		fmt.Printf("[migd %s] sections collected:\n%s", m.Name, bd)
-	}
 }
 
 // liveSections totals the section instances across every live round — the

@@ -27,6 +27,36 @@ type AblationRow struct {
 	Elapsed time.Duration
 }
 
+// AblationReport carries all three ablation groups.
+type AblationReport struct {
+	D1 []AblationRow `json:"d1"`
+	D2 []AblationRow `json:"d2"`
+	D3 []AblationRow `json:"d3"`
+}
+
+// Ablations runs D1, D3 and D2 in the order they are printed.
+func Ablations(cfg Config) (*AblationReport, error) {
+	d1, err := DedupAblation(cfg)
+	if err != nil {
+		return nil, err
+	}
+	d3, err := MSRLTIndexAblation(cfg)
+	if err != nil {
+		return nil, err
+	}
+	d2, err := PointerEncodingCost(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &AblationReport{D1: d1, D2: d2, D3: d3}, nil
+}
+
+func printAblations(w io.Writer, r *AblationReport) {
+	PrintAblation(w, "D1 ablation: depth-first visit marking (dedup) on a sharing-heavy DAG", r.D1)
+	PrintAblation(w, "D3 ablation: MSRLT ordered-table search vs base-address hash index (bitonic)", r.D3)
+	PrintAblation(w, "D2 analysis: stream composition under (header, offset) pointer encoding (bitonic)", r.D2)
+}
+
 // DedupAblation (D1) compares collection with and without visit marking
 // on a sharing-heavy structure (a diamond DAG): marking keeps the stream
 // proportional to the number of blocks; without it, every path through

@@ -84,14 +84,19 @@ func Chain(cfg Config) (*ChainResult, error) {
 			return nil, fmt.Errorf("exper: recapture on %s: %w", m.Name, err)
 		}
 	}
-	q.MaxSteps = maxSteps
-	final, err := q.Run()
-	if err != nil {
+	if result.ExitCode, err = runOut(q); err != nil {
 		return nil, err
 	}
-	result.ExitCode = final.ExitCode
-	result.OK = final.ExitCode == 0
+	result.OK = result.ExitCode == 0
 	return result, nil
+}
+
+// gateChain is the E7 gate: the self-check passes after the last hop.
+func gateChain(r *ChainResult) error {
+	if !r.OK {
+		return fmt.Errorf("%s: self-check exit %d after %d hops, want 0", r.Program, r.ExitCode, len(r.Hops))
+	}
+	return nil
 }
 
 // PrintChain renders E7.

@@ -18,7 +18,7 @@ package exper
 // every row. A zero means a fault lost the process (the paper's data
 // collection left nothing restorable); a two means the commit handshake
 // failed to arbitrate (both sides kept a copy). Either is a protocol bug,
-// and migbench exits nonzero.
+// and the gate (gateChaos) fails.
 
 import (
 	"errors"
@@ -128,31 +128,13 @@ func (x chaosExp) chaosFixture(e *core.Engine) (*vm.Process, error) {
 }
 
 // chaosMigrate drives one migration of p over a pipe with both transport
-// ends wrapped by inj, returning both sides' outcomes. On initiator
-// failure the raw pipe is closed so the responder always joins.
-func chaosMigrate(x chaosExp, e *core.Engine, p *vm.Process, inj *chaos.Injector, cfg session.Config) (initErr error, q *vm.Process, respErr error) {
+// ends wrapped by inj, returning both sides' outcomes.
+func chaosMigrate(e *core.Engine, p *vm.Process, inj *chaos.Injector, cfg session.Config) (initErr error, q *vm.Process, respErr error) {
 	a, b := link.Pipe()
 	defer a.Close()
 	defer b.Close()
-	srcT, dstT := inj.Source(a), inj.Dest(b)
-	reg := session.NewRegistry()
-	reg.Add("prog", e)
-	type rr struct {
-		q   *vm.Process
-		err error
-	}
-	c := make(chan rr, 1)
-	go func() {
-		_, q, _, err := session.Respond(dstT, reg, arch.SPARC20, cfg)
-		c <- rr{q, err}
-	}()
-	_, initErr = session.Initiate(srcT, e, p.Mach, "prog", p, cfg)
-	if initErr != nil {
-		a.Close()
-		b.Close()
-	}
-	r := <-c
-	return initErr, r.q, r.err
+	_, q, initErr, respErr = migrate(inj.Source(a), inj.Dest(b), e, "prog", p, arch.SPARC20, cfg, cfg)
+	return initErr, q, respErr
 }
 
 // chaosVerify runs a surviving copy to completion; exit 0 proves the
@@ -195,7 +177,7 @@ func Chaos(cfg Config) ([]ChaosRow, error) {
 			return nil, err
 		}
 		rec := chaos.NewRecordOnly()
-		initErr, q, respErr := chaosMigrate(x, e, p, rec, scfg)
+		initErr, q, respErr := chaosMigrate(e, p, rec, scfg)
 		if initErr != nil || respErr != nil || q == nil {
 			return nil, fmt.Errorf("exper: clean %s run failed: init=%v resp=%v", x.name, initErr, respErr)
 		}
@@ -215,7 +197,7 @@ func Chaos(cfg Config) ([]ChaosRow, error) {
 				return nil, err
 			}
 			inj := chaos.New(cell)
-			initErr, q, respErr := chaosMigrate(x, e, p, inj, scfg)
+			initErr, q, respErr := chaosMigrate(e, p, inj, scfg)
 			destAlive := respErr == nil && q != nil
 			if initErr != nil && !errors.Is(initErr, session.ErrSourceExited) {
 				switch session.ClassifyFailure(initErr) {
@@ -266,6 +248,19 @@ func Chaos(cfg Config) ([]ChaosRow, error) {
 		out = append(out, row)
 	}
 	return out, nil
+}
+
+// gateChaos is the E15 gate: no sampled cell lost the process or kept two
+// copies of it.
+func gateChaos(rows []ChaosRow) error {
+	var errs []error
+	for _, r := range rows {
+		if !r.OK {
+			errs = append(errs, fmt.Errorf("%s: %d cells with zero survivors, %d with two — every fault must leave exactly one live copy",
+				r.Mode, r.ZeroSurvivors, r.TwoSurvivors))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // PrintChaos renders the E15 survivor and fail-class accounting.

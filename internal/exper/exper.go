@@ -1,11 +1,15 @@
-// Package exper implements the paper's evaluation: one function per table
-// or figure of Section 4, shared by the migbench command and the
-// bench_test harness. The experiment index lives in DESIGN.md; measured
-// results and their comparison against the paper are recorded in
-// EXPERIMENTS.md.
+// Package exper implements the paper's evaluation and the extensions whose
+// verdict is a count, a byte total or an identity: one function per table
+// or figure of Section 4, each registered in Experiments with the gate that
+// judges it (registry.go). cmd/migbench loops over that registry; the root
+// bench_test harness calls a few entries directly. Wall-clock claims about
+// a migration are not made here — `go run -C bench repro/bench` is the one
+// timing instrument. The experiment index lives in DESIGN.md §4; results
+// and their comparison against the paper are recorded in EXPERIMENTS.md.
 package exper
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -16,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/link"
 	"repro/internal/minic"
+	"repro/internal/session"
 	"repro/internal/stats"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -62,6 +67,41 @@ func stopAtMigration(e *core.Engine, m *arch.Machine) (*vm.Process, []byte, erro
 		return nil, nil, fmt.Errorf("exper: program completed without migrating")
 	}
 	return p, res.State, nil
+}
+
+// migrate runs one full session between two connected transports: Respond
+// on dst in a goroutine, Initiate on src, join both. A failure on either
+// side closes both ends so the other always returns. The two errors come
+// back apart because E15 classifies the initiator's on its own.
+func migrate(src, dst link.Transport, e *core.Engine, name string, p *vm.Process, dstMach *arch.Machine,
+	srcCfg, dstCfg session.Config) (res *session.Result, q *vm.Process, initErr, respErr error) {
+	reg := session.NewRegistry()
+	reg.Add(name, e)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, q, _, respErr = session.Respond(dst, reg, dstMach, dstCfg)
+		if respErr != nil {
+			dst.Close()
+		}
+	}()
+	res, initErr = session.Initiate(src, e, p.Mach, name, p, srcCfg)
+	if initErr != nil {
+		src.Close()
+		dst.Close()
+	}
+	<-done
+	return res, q, initErr, respErr
+}
+
+// runOut drives a restored process to completion.
+func runOut(q *vm.Process) (int, error) {
+	q.MaxSteps = maxSteps
+	res, err := q.Run()
+	if err != nil {
+		return 0, err
+	}
+	return res.ExitCode, nil
 }
 
 // minTiming is how long a min-of-N measurement keeps sampling. Collecting
@@ -165,6 +205,18 @@ func Heterogeneity(cfg Config) ([]HeteroRow, error) {
 		})
 	}
 	return rows, nil
+}
+
+// gateHeterogeneity is the E1 gate: every program migrated and passed its
+// own self-check on the destination.
+func gateHeterogeneity(rows []HeteroRow) error {
+	var errs []error
+	for _, r := range rows {
+		if !r.OK {
+			errs = append(errs, fmt.Errorf("%s: self-check exit %d after migration, want 0", r.Program, r.ExitCode))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // PrintHeterogeneity renders E1 like the paper's Section 4.1 narrative.
@@ -362,6 +414,28 @@ func PrintScaling(w io.Writer, title string, r *ScalingResult) {
 		t.AddRow(p.N, p.Bytes, p.Blocks, p.Collect, p.Restore, p.SearchSteps)
 	}
 	fmt.Fprintln(w, t.String())
+}
+
+// printFig2a renders E3: the sweep, then the linear fits the paper's
+// "scales linearly with data size" claim is read from.
+func printFig2a(w io.Writer, r *ScalingResult) {
+	PrintScaling(w, "E3 (Figure 2a): linpack data collection and restoration vs data size, Ultra 5", r)
+	cf := r.CollectSeries().LinearFit()
+	rf := r.RestoreSeries().LinearFit()
+	fmt.Fprintf(w, "linear fits: collect %.3g s/byte (R^2 %.4f), restore %.3g s/byte (R^2 %.4f)\n",
+		cf.Slope, cf.R2, rf.Slope, rf.R2)
+	fmt.Fprintf(w, "growth exponents: collect %.2f, restore %.2f (paper: linear, 1.0)\n\n",
+		r.CollectSeries().GrowthExponent(), r.RestoreSeries().GrowthExponent())
+}
+
+// printFig2b renders E4: the sweep, then the collect/restore ratio at
+// both ends of it.
+func printFig2b(w io.Writer, r *ScalingResult) {
+	PrintScaling(w, "E4 (Figure 2b): bitonic data collection and restoration vs numbers sorted, Ultra 5", r)
+	first, last := r.Points[0], r.Points[len(r.Points)-1]
+	fmt.Fprintf(w, "collect/restore ratio: %.2f at n=%d -> %.2f at n=%d (paper: collection pulls ahead as n grows)\n\n",
+		first.Collect.Seconds()/first.Restore.Seconds(), first.N,
+		last.Collect.Seconds()/last.Restore.Seconds(), last.N)
 }
 
 // CollectSeries returns (bytes, collect-seconds) observations.
@@ -625,6 +699,30 @@ func AllocationOverhead(cfg Config) ([]OverheadRow, error) {
 		})
 	}
 	return rows, nil
+}
+
+// OverheadReport is E6: both Section 4.3 observations.
+type OverheadReport struct {
+	Poll  []OverheadRow `json:"poll"`
+	Alloc []OverheadRow `json:"alloc"`
+}
+
+// Overhead runs E6a and E6b.
+func Overhead(cfg Config) (*OverheadReport, error) {
+	poll, err := PollPlacementOverhead(cfg)
+	if err != nil {
+		return nil, err
+	}
+	alloc, err := AllocationOverhead(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &OverheadReport{Poll: poll, Alloc: alloc}, nil
+}
+
+func printOverheadReport(w io.Writer, r *OverheadReport) {
+	PrintOverhead(w, "E6a (Section 4.3): poll-point placement overhead (kernel called many times)", r.Poll)
+	PrintOverhead(w, "E6b (Section 4.3): memory allocation overhead (many small blocks vs pooled)", r.Alloc)
 }
 
 // PrintOverhead renders an E6 group.

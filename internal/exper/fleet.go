@@ -25,8 +25,7 @@ package exper
 //   - journal: every daemon journals to one shared sink; the structured
 //     record counts must match the driven totals.
 //
-// Acceptance gate: every Match column true; migbench exits nonzero
-// otherwise.
+// Acceptance gate (gateFleet): every Match column true.
 
 import (
 	"context"
@@ -394,6 +393,16 @@ func (j *lockedJournal) count() (restored, failed int) {
 	s := j.buf.String()
 	return strings.Count(s, `"msg":"session.restored"`),
 		strings.Count(s, `"msg":"session.failed"`)
+}
+
+// gateFleet is the E16 gate: the scraped roll-up agrees with ground truth
+// on every telemetry property.
+func gateFleet(r *FleetResult) error {
+	if !r.OK {
+		return fmt.Errorf("counts=%v quantiles=%v drain=%v slo=%v journal=%v — the scraped roll-up must agree with ground truth",
+			r.CountsMatch, r.QuantilesMatch, r.DrainMatch, r.SLOMatch, r.JournalMatch)
+	}
+	return nil
 }
 
 // PrintFleet renders the E16 aggregation-fidelity table and gate

@@ -1,20 +1,19 @@
 package exper
 
-// E10 — observability: the cost and the content of the obs layer.
+// E11a — distributed tracing: the stitched cross-machine trace.
 //
-//   - E10a measures the sectioned capture path (the E9a workload) with
-//     tracing disabled (a nil span, the default everywhere) and enabled,
-//     bounding what an uninstrumented migration pays for the hooks;
-//   - E10b migrates the shared/cyclic test_pointer workload over real
-//     loopback TCP at v3 with per-session tracing on both ends and
-//     reports the initiator's and responder's phase-span trees — the
-//     same trees migd -trace logs and the same SpanData JSON the shared
-//     report schema carries.
+// test_pointer migrates over real loopback TCP at v3 several times with
+// per-session trace contexts and private metrics registries on both ends.
+// The report is (i) the single stitched trace — the destination's
+// restore/confirm spans grafted under the initiator's trace ID — and
+// (ii) p50/p90/p99 per migration phase from the session.phase.* latency
+// histograms. The gate is structural: one root, the remote subtree under
+// it, and the restored process exiting 0. What tracing costs (the retired
+// E10a/E11b) is the benchmark's obs.program_trace_overhead_pct.
 
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"time"
 
@@ -25,106 +24,52 @@ import (
 	"repro/internal/obs"
 	"repro/internal/session"
 	"repro/internal/stats"
-	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
-// ObsOverheadRow is one workload's traced-vs-untraced capture comparison.
-type ObsOverheadRow struct {
-	Workload string
-	Bytes    int
-	// Off is the min-of-N sectioned capture wall time with tracing
-	// disabled (nil span); On is the same capture under a live tracer.
-	Off         time.Duration
-	On          time.Duration
-	OverheadPct float64
+// PhaseQuantileRow is one side's latency distribution for one migration
+// phase, read from its session.phase.* histogram after the E11a runs.
+type PhaseQuantileRow struct {
+	Side  string        `json:"side"` // "initiator" or "responder"
+	Phase string        `json:"phase"`
+	Count int64         `json:"count"`
+	P50   time.Duration `json:"p50_ns"`
+	P90   time.Duration `json:"p90_ns"`
+	P99   time.Duration `json:"p99_ns"`
 }
 
-// ObsOverhead runs E10a: time CaptureSections(1) on the E9a sharded-lists
-// workload with p.Obs nil, then with a live span, and report the delta.
-// The disabled case is the bar: tracing off must cost only nil-checks.
-func ObsOverhead(cfg Config) ([]ObsOverheadRow, error) {
-	nnodes := 4000
-	if cfg.Quick {
-		nnodes = 600
-	}
-	e, err := core.NewEngine(workload.ShardedListsSource(8, nnodes), minic.PollPolicy{})
-	if err != nil {
-		return nil, err
-	}
-	p, _, err := stopAtMigration(e, arch.Ultra5)
-	if err != nil {
-		return nil, err
-	}
+// ObsStitchedResult is the E11a outcome: the wire result of the last
+// migration, the stitched trace, and the per-phase quantiles across all
+// migrations.
+type ObsStitchedResult struct {
+	Version    uint32 `json:"version"`
+	Bytes      int    `json:"bytes"`
+	ExitCode   int    `json:"exit_code"`
+	Migrations int    `json:"migrations"`
+	// TraceID is the last migration's trace ID; Stitched reports whether
+	// the responder's spans arrived and grafted under the initiator root
+	// with that ID.
+	TraceID  string             `json:"trace_id"`
+	Stitched bool               `json:"stitched"`
+	Phases   []PhaseQuantileRow `json:"phases"`
+	// Trace is the stitched tree in the shared obs JSON form: ONE root
+	// (the initiator's session span) whose children include the remote
+	// subtree.
+	Trace []*obs.SpanData `json:"trace"`
 
-	var snap []byte
-	var failure error
-	capture := func() {
-		s, err := p.CaptureSections(1)
-		if err != nil {
-			failure = err
-			return
-		}
-		snap = s
-	}
-	runtime.GC()
-	p.Obs = nil
-	off := stats.Repeat(cfg.repeats(), capture)
-	if failure != nil {
-		return nil, failure
-	}
-	runtime.GC()
-	tr := obs.NewTracer()
-	on := stats.Repeat(cfg.repeats(), func() {
-		root := tr.Start("capture")
-		p.Obs = root
-		capture()
-		root.End()
-	})
-	p.Obs = nil
-	if failure != nil {
-		return nil, failure
-	}
-	return []ObsOverheadRow{{
-		Workload:    fmt.Sprintf("sharded lists 8x%d", nnodes),
-		Bytes:       len(snap),
-		Off:         off,
-		On:          on,
-		OverheadPct: (on.Seconds() - off.Seconds()) / off.Seconds() * 100,
-	}}, nil
+	tree string
 }
 
-// PrintObsOverhead renders the E10a comparison.
-func PrintObsOverhead(w io.Writer, rows []ObsOverheadRow) {
-	t := stats.Table{
-		Title:   "E10a (observability): sectioned capture with tracing off (nil span) vs on, Ultra 5",
-		Headers: []string{"Workload", "Bytes", "Trace off", "Trace on", "Overhead"},
-	}
-	for _, r := range rows {
-		t.AddRow(r.Workload, r.Bytes, r.Off, r.On, fmt.Sprintf("%+.1f%%", r.OverheadPct))
-	}
-	fmt.Fprintln(w, t.String())
+// obsPhases lists each side's phases in execution order.
+var obsPhases = map[string][]string{
+	"initiator": {"handshake", "collect", "transport", "confirm"},
+	"responder": {"handshake", "restore", "confirm"},
 }
 
-// ObsTraceResult is the traced v3 migration of E10b: the wire outcome
-// plus both ends' exported span trees.
-type ObsTraceResult struct {
-	Version  uint32        `json:"version"`
-	Bytes    int           `json:"bytes"`
-	Wall     time.Duration `json:"wall_ns"`
-	ExitCode int           `json:"exit_code"`
-	// Initiator and Responder are the per-session phase-span trees in
-	// the shared obs JSON form (handshake, collect, transport, restore,
-	// confirm, with per-section children).
-	Initiator []*obs.SpanData `json:"initiator"`
-	Responder []*obs.SpanData `json:"responder"`
-
-	initTree, respTree string
-}
-
-// ObsTrace runs E10b: one v3 migration of test_pointer over loopback TCP
-// with Config.Trace set on both sides.
-func ObsTrace(cfg Config) (*ObsTraceResult, error) {
+// ObsStitched runs E11a: repeats() traced v3 migrations of test_pointer
+// over loopback TCP, each on a fresh connection, with both sides feeding
+// private metrics registries.
+func ObsStitched(cfg Config) (*ObsStitchedResult, error) {
 	depth := 8
 	if cfg.Quick {
 		depth = 5
@@ -133,66 +78,83 @@ func ObsTrace(cfg Config) (*ObsTraceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := session.NewRegistry()
-	reg.Add("test_pointer", e)
-	p, _, err := stopAtMigration(e, arch.Ultra5)
-	if err != nil {
-		return nil, err
-	}
-	srv, cli, cleanup, err := link.LoopbackPair()
-	if err != nil {
-		return nil, err
-	}
-	itr, rtr := obs.NewTracer(), obs.NewTracer()
-	iroot, rroot := itr.Start("session"), rtr.Start("session")
-	type recvRes struct {
-		q   *vm.Process
-		err error
-	}
-	recvc := make(chan recvRes, 1)
-	go func() {
-		_, q, _, rerr := session.Respond(srv, reg, arch.Ultra5, session.Config{Trace: rroot})
-		recvc <- recvRes{q, rerr}
-	}()
-	start := time.Now()
-	res, err := session.Initiate(cli, e, p.Mach, "test_pointer", p, session.Config{
-		ChunkSize: 4096, Window: 4, Trace: iroot,
-	})
-	if err != nil {
+	iniMetrics, respMetrics := obs.NewRegistry(), obs.NewRegistry()
+
+	res := &ObsStitchedResult{Migrations: cfg.repeats()}
+	var itr *obs.Tracer
+	var last *session.Result
+	for i := 0; i < res.Migrations; i++ {
+		p, _, err := stopAtMigration(e, arch.Ultra5)
+		if err != nil {
+			return nil, err
+		}
+		srv, cli, cleanup, err := link.LoopbackPair()
+		if err != nil {
+			return nil, err
+		}
+		itr = obs.NewTracer()
+		iroot := itr.Start("session")
+		sres, q, err, rerr := migrate(cli, srv, e, "test_pointer", p, arch.Ultra5,
+			session.Config{ChunkSize: 4096, Window: 4, Trace: iroot, Metrics: iniMetrics},
+			session.Config{Trace: obs.NewTracer().Start("session"), Metrics: respMetrics})
+		iroot.End()
 		cleanup()
-		return nil, fmt.Errorf("exper: traced initiate: %w", err)
+		last = sres
+		if err != nil {
+			return nil, fmt.Errorf("exper: stitched initiate: %w", err)
+		}
+		if rerr != nil {
+			return nil, fmt.Errorf("exper: stitched respond: %w", rerr)
+		}
+		// Only the last restored process is run to completion; earlier
+		// iterations exist to populate the histograms.
+		if i == res.Migrations-1 {
+			if res.ExitCode, err = runOut(q); err != nil {
+				return nil, err
+			}
+		}
 	}
-	recv := <-recvc
-	wall := time.Since(start)
-	cleanup()
-	if recv.err != nil {
-		return nil, fmt.Errorf("exper: traced respond: %w", recv.err)
+
+	res.Version = last.Params.Version
+	res.Bytes = last.Timing.Bytes
+	res.TraceID = obs.IDString(last.Trace.TraceID)
+	res.Trace = itr.Export()
+	res.tree = itr.Tree()
+	// Stitched means: one root, carrying the session's trace ID, with the
+	// destination's restore and confirm spans in a remote subtree.
+	if len(res.Trace) == 1 && res.Trace[0].TraceID == res.TraceID {
+		for _, c := range res.Trace[0].Children {
+			if c.Remote && c.Find("restore") != nil && c.Find("confirm") != nil {
+				res.Stitched = true
+			}
+		}
 	}
-	iroot.End()
-	rroot.End()
-	recv.q.MaxSteps = maxSteps
-	run, err := recv.q.Run()
-	if err != nil {
-		return nil, err
+	for side, reg := range map[string]*obs.Registry{"initiator": iniMetrics, "responder": respMetrics} {
+		for _, phase := range obsPhases[side] {
+			h := reg.Histogram("session.phase." + phase)
+			res.Phases = append(res.Phases, PhaseQuantileRow{
+				Side: side, Phase: phase, Count: h.Count(),
+				P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99),
+			})
+		}
 	}
-	return &ObsTraceResult{
-		Version:   res.Params.Version,
-		Bytes:     res.Timing.Bytes,
-		Wall:      wall,
-		ExitCode:  run.ExitCode,
-		Initiator: itr.Export(),
-		Responder: rtr.Export(),
-		initTree:  itr.Tree(),
-		respTree:  rtr.Tree(),
-	}, nil
+	return res, nil
 }
 
-// PrintObsTrace renders the E10b phase trees.
-func PrintObsTrace(w io.Writer, r *ObsTraceResult) {
-	fmt.Fprintf(w, "E10b (observability): traced v%d migration over loopback TCP, %d bytes in %v, exit %d\n",
-		r.Version, r.Bytes, r.Wall.Round(time.Microsecond), r.ExitCode)
-	fmt.Fprintf(w, "initiator:\n%s", indentTree(r.initTree))
-	fmt.Fprintf(w, "responder:\n%s\n", indentTree(r.respTree))
+// PrintObsStitched renders the E11a stitched trace and phase quantiles.
+func PrintObsStitched(w io.Writer, r *ObsStitchedResult) {
+	fmt.Fprintf(w, "E11a (tracing): %d traced v%d migrations over loopback TCP, %d bytes each, exit %d\n",
+		r.Migrations, r.Version, r.Bytes, r.ExitCode)
+	fmt.Fprintf(w, "stitched trace %s (remote subtree grafted: %v):\n%s",
+		r.TraceID, r.Stitched, indentTree(r.tree))
+	t := stats.Table{
+		Title:   "per-phase latency quantiles (session.phase.* histograms, bucket upper bounds)",
+		Headers: []string{"Side", "Phase", "Count", "p50", "p90", "p99"},
+	}
+	for _, row := range r.Phases {
+		t.AddRow(row.Side, row.Phase, row.Count, row.P50, row.P90, row.P99)
+	}
+	fmt.Fprintln(w, t.String())
 }
 
 // indentTree shifts a rendered span tree under its heading.
@@ -204,4 +166,13 @@ func indentTree(tree string) string {
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// gateObsStitched is the E11a gate: the trace stitched and the restored
+// process ran to exit 0.
+func gateObsStitched(r *ObsStitchedResult) error {
+	if !r.Stitched || r.ExitCode != 0 {
+		return fmt.Errorf("stitched=%v exit=%d, want one stitched trace and exit 0", r.Stitched, r.ExitCode)
+	}
+	return nil
 }

@@ -14,6 +14,7 @@ package exper
 //     ships only the manifest, a one-shard mutation ships one component.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -216,43 +217,14 @@ func storeTransfer(e *core.Engine, p *vm.Process, srcCfg, dstCfg session.Config)
 	a, b := link.Pipe()
 	defer a.Close()
 	defer b.Close()
-	reg := session.NewRegistry()
-	reg.Add("shards", e)
-	type rr struct {
-		q   *vm.Process
-		err error
-	}
-	c := make(chan rr, 1)
-	go func() {
-		_, q, _, err := session.Respond(b, reg, arch.Ultra5, dstCfg)
-		if err != nil {
-			b.Close()
-		}
-		c <- rr{q, err}
-	}()
-	res, err := session.Initiate(a, e, p.Mach, "shards", p, srcCfg)
-	if err != nil {
-		a.Close()
-		b.Close()
-	}
-	r := <-c
+	res, q, err, rerr := migrate(a, b, e, "shards", p, arch.Ultra5, srcCfg, dstCfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("exper: initiate: %w", err)
 	}
-	if r.err != nil {
-		return nil, nil, fmt.Errorf("exper: respond: %w", r.err)
+	if rerr != nil {
+		return nil, nil, fmt.Errorf("exper: respond: %w", rerr)
 	}
-	return res, r.q, nil
-}
-
-// runOut drives a restored process to completion.
-func runOut(q *vm.Process) (int, error) {
-	q.MaxSteps = maxSteps
-	res, err := q.Run()
-	if err != nil {
-		return 0, err
-	}
-	return res.ExitCode, nil
+	return res, q, nil
 }
 
 // StoreWire runs E12b: the same stopped process migrates cold (plain v3),
@@ -393,4 +365,60 @@ func PrintStoreWire(w io.Writer, rows []StoreWireRow) {
 			fmt.Sprintf("%.1f%%", r.PctOfCold), r.ExitCode)
 	}
 	fmt.Fprintln(w, t.String())
+}
+
+// StoreReport is E12: both views of the checkpoint store.
+type StoreReport struct {
+	Dedup []DedupRow     `json:"dedup"`
+	Wire  []StoreWireRow `json:"wire"`
+}
+
+// Store runs E12a and E12b.
+func Store(cfg Config) (*StoreReport, error) {
+	dedup, err := StoreDedup(cfg)
+	if err != nil {
+		return nil, err
+	}
+	wire, err := StoreWire(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &StoreReport{Dedup: dedup, Wire: wire}, nil
+}
+
+func printStore(w io.Writer, r *StoreReport) {
+	PrintStoreDedup(w, r.Dedup)
+	PrintStoreWire(w, r.Wire)
+}
+
+// gateStore is the E12 gate, all byte counts: every run exits 0; at the
+// 10%-per-round mutation rate (interval 1) content addressing dedups
+// incremental checkpoints by at least 2x; and re-migrating an unchanged
+// process warm costs under 10% of the cold transfer's wire bytes.
+func gateStore(r *StoreReport) error {
+	var errs []error
+	for _, d := range r.Dedup {
+		if d.ExitCode != 0 {
+			errs = append(errs, fmt.Errorf("interval %d: workload exit %d, want 0", d.Interval, d.ExitCode))
+		}
+		if d.Interval == 1 && d.Ratio < 2 {
+			errs = append(errs, fmt.Errorf("interval-1 dedup ratio %.2fx, want >= 2x", d.Ratio))
+		}
+	}
+	var coldBytes, warmSame int
+	for _, w := range r.Wire {
+		if w.ExitCode != 0 {
+			errs = append(errs, fmt.Errorf("%s: restored process exit %d, want 0", w.Mode, w.ExitCode))
+		}
+		switch w.Mode {
+		case "cold v3":
+			coldBytes = w.WireBytes
+		case "warm, unchanged":
+			warmSame = w.WireBytes
+		}
+	}
+	if coldBytes == 0 || warmSame*10 >= coldBytes {
+		errs = append(errs, fmt.Errorf("unchanged warm transfer %d B vs cold %d B, want < 10%%", warmSame, coldBytes))
+	}
+	return errors.Join(errs...)
 }

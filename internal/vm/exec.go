@@ -49,7 +49,7 @@ func (p *Process) execStmt(f *Frame, s minic.Stmt) (ctrl, error) {
 			if _, ok := err.(*migrateSignal); ok {
 				// Migration unwound through this call statement: the frame
 				// stays stopped at it, and curSite stays set so a later
-				// recapture (Recapture/CaptureTo) can record the site.
+				// recapture (Recapture/CaptureSections) can record the site.
 				return ctrlMigrate, nil
 			}
 		}

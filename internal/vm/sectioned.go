@@ -23,7 +23,6 @@ import (
 	"repro/internal/memory"
 	"repro/internal/minic"
 	"repro/internal/snapshot"
-	"repro/internal/stats"
 	"repro/internal/xdr"
 )
 
@@ -61,14 +60,6 @@ func (p *Process) restoreWorkerCount() int {
 	}
 	return w
 }
-
-// SectionCaptureMetrics returns the per-section cost profile of the last
-// sectioned capture (empty if the last capture was monolithic).
-func (p *Process) SectionCaptureMetrics() stats.SectionBreakdown { return p.sectionCapture }
-
-// SectionRestoreMetrics returns the per-section cost profile of the
-// restore that initialized this process (empty for a monolithic restore).
-func (p *Process) SectionRestoreMetrics() stats.SectionBreakdown { return p.sectionRestore }
 
 // SectionWorkersEngaged reports how many pool workers encoded at least
 // one section during the last sectioned capture.
@@ -146,15 +137,8 @@ func (p *Process) captureSectionsTo(enc *xdr.Encoder, innermost *minic.Site, wor
 	nframes := len(p.frames)
 	total := 1 + len(st.Heap) + nframes + 1
 	snapshot.PutPrologue(enc, total)
-	breakdown := make(stats.SectionBreakdown, 0, total)
 	appendSec := func(s snapshot.Section, elapsed time.Duration) {
 		snapshot.Append(enc, s)
-		breakdown = append(breakdown, stats.SectionMetric{
-			Kind:    s.Kind.String(),
-			ID:      s.ID,
-			Bytes:   len(s.Body),
-			Elapsed: elapsed,
-		})
 		// Section encoding already ran (possibly on pool workers); record
 		// each as a child with its measured duration rather than wall time.
 		c := span.Child("section")
@@ -185,7 +169,6 @@ func (p *Process) captureSectionsTo(enc *xdr.Encoder, innermost *minic.Site, wor
 		Bytes:   enc.Len(),
 		Elapsed: time.Since(start),
 	}
-	p.sectionCapture = breakdown
 	p.sectionWorkers = st.Workers
 	span.SetBytes(int64(enc.Len()))
 	flushCapture(enc, p.captureStats.Elapsed)
@@ -240,9 +223,6 @@ func (p *Process) restoreSectioned(state []byte, restoreStart time.Time) error {
 	nframes := len(sites)
 
 	total := collect.RestoreStats{}
-	breakdown := stats.SectionBreakdown{
-		{Kind: sec.Kind.String(), ID: sec.ID, Bytes: len(sec.Body)},
-	}
 
 	heapDone := false
 	nextHeap := uint32(0)
@@ -274,12 +254,6 @@ func (p *Process) restoreSectioned(state []byte, restoreStart time.Time) error {
 		for i := range heapBodies {
 			total.Add(hr.PerSection[i])
 			secElapsed := hr.Prepare[i] + hr.Elapsed[i]
-			breakdown = append(breakdown, stats.SectionMetric{
-				Kind:    snapshot.KindHeap.String(),
-				ID:      uint32(i),
-				Bytes:   len(heapBodies[i]),
-				Elapsed: secElapsed,
-			})
 			c := span.Child("section")
 			c.SetSection(snapshot.KindHeap.String(), uint32(i))
 			c.SetBytes(int64(len(heapBodies[i])))
@@ -351,12 +325,6 @@ func (p *Process) restoreSectioned(state []byte, restoreStart time.Time) error {
 		}
 		total.Add(rs)
 		secElapsed := time.Since(secStart)
-		breakdown = append(breakdown, stats.SectionMetric{
-			Kind:    sec.Kind.String(),
-			ID:      sec.ID,
-			Bytes:   len(sec.Body),
-			Elapsed: secElapsed,
-		})
 		c := span.Child("section")
 		c.SetSection(sec.Kind.String(), sec.ID)
 		c.SetBytes(int64(len(sec.Body)))
@@ -379,7 +347,6 @@ func (p *Process) restoreSectioned(state []byte, restoreStart time.Time) error {
 	p.resumeSites = sites
 	p.restoreStats = total
 	p.restoreElapsed = time.Since(restoreStart)
-	p.sectionRestore = breakdown
 	span.SetBytes(int64(len(state)))
 	flushRestore(dec.Calls(), len(state), p.restoreElapsed)
 	return nil

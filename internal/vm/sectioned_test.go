@@ -8,6 +8,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/collect"
 	"repro/internal/minic"
+	"repro/internal/obs"
 	"repro/internal/snapshot"
 	"repro/internal/workload"
 	"repro/internal/xdr"
@@ -41,6 +42,27 @@ func stopSectioned(t *testing.T, src string) (*Process, *minic.Program, []byte, 
 	return p, prog, res.State, want
 }
 
+// countSections walks a v3 snapshot and returns its section count and how
+// many of those are heap components.
+func countSections(t *testing.T, snap []byte) (total, heap int) {
+	t.Helper()
+	rd, err := snapshot.NewReader(xdr.NewDecoder(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rd.Remaining() > 0 {
+		sec, err := rd.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total++
+		if sec.Kind == snapshot.KindHeap {
+			heap++
+		}
+	}
+	return total, heap
+}
+
 func TestSectionedSerialParallelIdentical(t *testing.T) {
 	p, _, _, _ := stopSectioned(t, workload.ShardedListsSource(6, 40))
 	serial, err := p.CaptureSections(1)
@@ -54,13 +76,7 @@ func TestSectionedSerialParallelIdentical(t *testing.T) {
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("serial (%d B) and parallel (%d B) snapshots differ", len(serial), len(parallel))
 	}
-	comps := 0
-	for _, s := range p.SectionCaptureMetrics() {
-		if s.Kind == "heap" {
-			comps++
-		}
-	}
-	if comps != 6 {
+	if _, comps := countSections(t, parallel); comps != 6 {
 		t.Errorf("heap components = %d, want 6 (one per sharded list)", comps)
 	}
 }
@@ -95,16 +111,11 @@ func TestSectionedPartitionMergesSharedHeap(t *testing.T) {
 		}
 	`
 	p, _, _, _ := stopSectioned(t, src)
-	if _, err := p.CaptureSections(1); err != nil {
+	snap, err := p.CaptureSections(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	comps := 0
-	for _, s := range p.SectionCaptureMetrics() {
-		if s.Kind == "heap" {
-			comps++
-		}
-	}
-	if comps != 1 {
+	if _, comps := countSections(t, snap); comps != 1 {
 		t.Errorf("heap components = %d, want 1 (lists share their tail)", comps)
 	}
 }
@@ -115,11 +126,15 @@ func TestSectionedRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sections, _ := countSections(t, v3)
 	for _, dst := range []*arch.Machine{arch.Ultra5, arch.I386, arch.AMD64} {
-		q, err := RestoreProcess(prog, dst, v3)
+		tr := obs.NewTracer()
+		root := tr.Start("restore-test")
+		q, err := RestoreProcessObs(prog, dst, v3, root)
 		if err != nil {
 			t.Fatalf("restore on %s: %v", dst.Name, err)
 		}
+		root.End()
 		re, err := q.Recapture()
 		if err != nil {
 			t.Fatal(err)
@@ -127,8 +142,10 @@ func TestSectionedRestoreRoundTrip(t *testing.T) {
 		if !bytes.Equal(re, v1) {
 			t.Errorf("%s: recaptured v1 state differs from the source's direct capture", dst.Name)
 		}
-		if len(q.SectionRestoreMetrics()) == 0 {
-			t.Errorf("%s: no per-section restore metrics recorded", dst.Name)
+		// Every section but exec (decoded before the loop) is recorded as
+		// a child of the restore span.
+		if got := len(tr.Export()[0].Children[0].Children); got != sections-1 {
+			t.Errorf("%s: restore span has %d section children, want %d", dst.Name, got, sections-1)
 		}
 		q.Stdout = &bytes.Buffer{}
 		q.MaxSteps = 50_000_000

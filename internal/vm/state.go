@@ -66,19 +66,6 @@ func (p *Process) Recapture() ([]byte, error) {
 	return p.captureState(site)
 }
 
-// CaptureTo re-collects the full process state at the stopped migration
-// point, writing into enc instead of a fresh buffer. When enc has a flush
-// sink attached (xdr.Encoder.SetSink), completed prefixes of the stream are
-// handed to the sink as collection proceeds, overlapping the depth-first
-// MSR traversal with transmission. The caller owns the final FlushSink.
-func (p *Process) CaptureTo(enc *xdr.Encoder) error {
-	site, err := p.stoppedSite()
-	if err != nil {
-		return err
-	}
-	return p.captureStateTo(enc, site)
-}
-
 // captureSites resolves the site every active frame is stopped at:
 // innermost is the poll-point that triggered this migration; each outer
 // frame is at the call statement through which control entered the next
@@ -123,15 +110,6 @@ func (p *Process) stoppedSite() (*minic.Site, error) {
 // innermost is the poll site that triggered the migration.
 func (p *Process) captureState(innermost *minic.Site) ([]byte, error) {
 	enc := xdr.NewEncoder(1 << 12)
-	if err := p.captureStateTo(enc, innermost); err != nil {
-		return nil, err
-	}
-	return enc.Bytes(), nil
-}
-
-// captureStateTo encodes the full process state at a migration point into
-// the supplied encoder.
-func (p *Process) captureStateTo(enc *xdr.Encoder, innermost *minic.Site) error {
 	p.lastSite = innermost
 	captureStart := time.Now()
 	span := p.Obs.Child("collect")
@@ -139,7 +117,7 @@ func (p *Process) captureStateTo(enc *xdr.Encoder, innermost *minic.Site) error 
 	defer span.End()
 	sites, err := p.captureSites(innermost)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	enc.PutUint32(execMagic)
 	enc.PutUint32(uint32(len(p.frames)))
@@ -156,14 +134,14 @@ func (p *Process) captureStateTo(enc *xdr.Encoder, innermost *minic.Site) error 
 		f := p.frames[i]
 		for _, v := range sites[i].Live {
 			if err := saver.SaveVariable(p.VarAddr(f, v)); err != nil {
-				return fmt.Errorf("vm: collecting %s in %s: %w", v.Name, f.Fn.Name, err)
+				return nil, fmt.Errorf("vm: collecting %s in %s: %w", v.Name, f.Fn.Name, err)
 			}
 		}
 	}
 	// Globals last.
 	for _, g := range p.Prog.Globals {
 		if err := saver.SaveVariable(p.globalAddrs[g.Index]); err != nil {
-			return fmt.Errorf("vm: collecting global %s: %w", g.Name, err)
+			return nil, fmt.Errorf("vm: collecting global %s: %w", g.Name, err)
 		}
 	}
 	saver.Finish()
@@ -173,14 +151,12 @@ func (p *Process) captureStateTo(enc *xdr.Encoder, innermost *minic.Site) error 
 		Bytes:   enc.Len(),
 		Elapsed: time.Since(captureStart),
 	}
-	// A monolithic capture supersedes any earlier sectioned one; clear the
-	// per-section profile so SectionCaptureMetrics honours its "empty if
-	// the last capture was monolithic" contract.
-	p.sectionCapture = nil
+	// A monolithic capture supersedes any earlier sectioned one, so no
+	// pool worker was engaged by the last capture.
 	p.sectionWorkers = 0
 	span.SetBytes(int64(enc.Len()))
 	flushCapture(enc, p.captureStats.Elapsed)
-	return nil
+	return enc.Bytes(), nil
 }
 
 // RestoreProcess builds a process on machine m from a captured state and

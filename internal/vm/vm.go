@@ -27,7 +27,6 @@ import (
 	"repro/internal/minic"
 	"repro/internal/msr"
 	"repro/internal/obs"
-	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -154,10 +153,9 @@ type Process struct {
 	restoreStats   collect.RestoreStats
 	restoreElapsed time.Duration
 
-	// Per-section cost profiles of the last sectioned (v3) capture and
-	// restore, empty when the monolithic format was used.
-	sectionCapture stats.SectionBreakdown
-	sectionRestore stats.SectionBreakdown
+	// Pool widths engaged by the last sectioned (v3) capture and by the
+	// restore that built this process, zero when the monolithic format
+	// was used.
 	sectionWorkers int
 	restoreWorkers int
 
