@@ -146,12 +146,9 @@ func main() {
 	live := fs.Bool("live", false, "offer the live pre-copy (v4) path: overlap execution with the transfer, pausing only for the final delta round (falls back when the peer lacks -live)")
 	precopyRounds := fs.Int("precopy-rounds", 0, "live: delta rounds before the forced final pause (0 = default)")
 	dirtyThreshold := fs.Int("dirty-threshold", 0, "live: pause for the final round once this few blocks are dirty (0 = default)")
-	restoreWorkers := fs.Int("restore-workers", 0,
-		"cap the parallel heap-section restore pool (0 = GOMAXPROCS; the restored image is identical at any setting)")
 	chaosSpec := fs.String("chaos", "",
 		"dev: inject a deterministic fault, \"victim@class:n/when\" (e.g. link@confirm/restored:1/after-recv) — kills that party at that protocol boundary to rehearse rollback-or-complete recovery")
 	fs.Parse(os.Args[2:])
-	vm.SetMaxRestoreWorkers(*restoreWorkers)
 
 	m := lookupMachine(*machineName)
 	engines := loadEngines(programs, mode)
@@ -207,7 +204,7 @@ func usage() {
              [-max-concurrent N] [-session-timeout D] [-chunk N -window N]
              [-pprof HOST:PORT] [-trace] [-trace-dir DIR] [-store DIR]
              [-journal-dir DIR] [-node-id ID] [-slo-session D] [-slo-downtime D]
-             [-restore-workers N] [-live] [-chaos SPEC]
+             [-live] [-chaos SPEC]
   migd run   -addr HOST:PORT -machine NAME -program FILE -after-polls N
              [-no-stream] [-chunk N -window N] [-retry N -retry-timeout D]
              [-store DIR] [-live [-precopy-rounds N] [-dirty-threshold N]]
@@ -514,8 +511,7 @@ func run(ne namedEngine, m *arch.Machine, o options) {
 	prm := sres.Params
 	how := fmt.Sprintf("monolithic v%d", prm.Version)
 	if prm.Version == core.VersionSectioned {
-		how = fmt.Sprintf("sectioned v%d, chunk %d, window %d, %d workers engaged",
-			prm.Version, prm.ChunkSize, prm.Window, p.SectionWorkersEngaged())
+		how = fmt.Sprintf("sectioned v%d, chunk %d, window %d", prm.Version, prm.ChunkSize, prm.Window)
 	}
 	if sres.Warm != nil {
 		how = fmt.Sprintf("warm v%d, %s", prm.Version, sres.Warm)

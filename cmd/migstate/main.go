@@ -51,10 +51,7 @@ func main() {
 	describe := flag.String("describe", "", "describe the checkpoint chain at REF|HASH")
 	restore := flag.String("restore", "", "restore the checkpoint at REF|HASH")
 	run := flag.Bool("run", false, "with -restore: run the restored process to completion and propagate its exit code")
-	restoreWorkers := flag.Int("restore-workers", 0,
-		"cap the parallel heap-section restore pool (0 = GOMAXPROCS; the restored image is identical at any setting)")
 	flag.Parse()
-	vm.SetMaxRestoreWorkers(*restoreWorkers)
 
 	switch {
 	case *storeDir == "":
@@ -190,7 +187,7 @@ func cmdCheckpoint(st *store.Store, program, ref, machine string, afterPolls int
 		fail(fmt.Errorf("program completed (exit %d) before its %d-th poll point — nothing to checkpoint",
 			res.ExitCode, afterPolls))
 	}
-	m, h, cst, err := engine.CheckpointProcess(st, p, mach, ref, 0)
+	m, h, cst, err := engine.CheckpointProcess(st, p, mach, ref)
 	if err != nil {
 		fail(err)
 	}

@@ -76,7 +76,7 @@ func main() {
 			log.Fatal("job finished before its checkpoints were done")
 		}
 		iterations += polls
-		m, h, cst, err := engine.CheckpointProcess(st, p, p.Mach, "job", 0)
+		m, h, cst, err := engine.CheckpointProcess(st, p, p.Mach, "job")
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -14,8 +14,8 @@ package collect
 //     and none of its members' address ranges intersect the dirty set;
 //   - a clean section's cached body from the previous round is reused
 //     byte-for-byte, skipping the encoder entirely;
-//   - everything else is re-encoded on the same bounded worker pool as a
-//     full sectioned capture.
+//   - everything else is re-encoded by the same loop as a full sectioned
+//     capture (EncodeSections, which this file only filters).
 //
 // Reuse is sound because a section body is a pure function of its
 // members' shapes, their memory bytes, and the resolution of the pointer
@@ -33,10 +33,10 @@ package collect
 // disappear around them.
 
 import (
-	"time"
+	"bytes"
 
+	"repro/internal/arch"
 	"repro/internal/memory"
-	"repro/internal/msr"
 	"repro/internal/types"
 )
 
@@ -71,65 +71,18 @@ func NewDeltaTracker() *DeltaTracker {
 	return &DeltaTracker{prev: make(map[deltaKey]*cachedSection)}
 }
 
-// DeltaSection is one section of a delta round. Body is owned by the
-// tracker and stays valid across subsequent rounds (the pre-copy sender
-// may still be shipping it while the next round encodes), but must not
-// be mutated.
-type DeltaSection struct {
-	Body []byte
-	// Reused reports the body was carried over from the previous round
-	// without re-encoding.
-	Reused  bool
-	Elapsed time.Duration
-}
-
-// DeltaState is one delta round's sections in the partition's
-// deterministic order, mirroring SectionedState. Unlike SectionedState
-// it has no Release: every body is tracker-owned.
-type DeltaState struct {
-	Heap    []DeltaSection
-	Frames  []DeltaSection
-	Globals DeltaSection
-	// Stats aggregates the encoded (non-reused) sections only.
-	Stats   SaveStats
-	Workers int
-	// Encoded and Reused count the sections that were re-encoded and
-	// carried over, respectively.
-	Encoded int
-	Reused  int
-}
-
-// EncodeDelta runs the encode phase of one pre-copy round: sections the
-// dirty set cannot have touched are reused from the tracker, the rest
-// are encoded on the worker pool. dirty answers "was this range written
-// since the last round"; a nil dirty treats everything as dirty. The
-// returned bodies are byte-identical to a full EncodeSections of the
-// same partition.
-func EncodeDelta(space *memory.Space, table *msr.Table, ti *types.TI, pt *Partition, roots Roots, dt *DeltaTracker, dirty DirtyFunc, workers int) (*DeltaState, error) {
-	jobs := partitionJobs(pt, roots)
-	mach := space.Machine()
-
-	keys := make([]deltaKey, len(jobs))
-	sigs := make([]uint64, len(jobs))
-	skip := make([]bool, len(jobs))
-	out := &DeltaState{}
-
-	h := len(pt.Components)
-	f := len(pt.Frames)
-	for idx, job := range jobs {
-		switch {
-		case idx < h:
-			keys[idx] = deltaKey{class: 0, id: job.blocks[0].ID.Major}
-		case idx < h+f:
-			keys[idx] = deltaKey{class: 1, id: uint32(idx-h) + 1}
-		default:
-			keys[idx] = deltaKey{class: 2}
-		}
+// mark computes every job's membership signature and sets reuse on the
+// jobs whose cached body from the previous round is still exact: same
+// signature, no member range dirty. A nil dirty treats everything as
+// dirty, so the first round re-encodes every section.
+func (dt *DeltaTracker) mark(jobs []sectionJob, ti *types.TI, mach *arch.Machine, dirty DirtyFunc) {
+	for idx := range jobs {
+		job := &jobs[idx]
 		sig := fnvInit()
 		for _, addr := range job.live {
 			sig = fnvMix(sig, uint64(addr))
 		}
-		clean := true
+		clean := dirty != nil
 		for _, b := range job.blocks {
 			tIdx, ok := ti.Index(b.Type)
 			if !ok {
@@ -138,54 +91,34 @@ func EncodeDelta(space *memory.Space, table *msr.Table, ti *types.TI, pt *Partit
 			sig = fnvMix(sig, uint64(b.ID.Seg))
 			sig = fnvMix(sig, uint64(b.ID.Major)<<32|uint64(b.ID.Minor))
 			sig = fnvMix(sig, uint64(tIdx)<<32|uint64(uint32(b.Count)))
-			if clean && dirty != nil && dirty(b.Addr, b.Count*b.Type.SizeOf(mach)) {
+			if clean && dirty(b.Addr, b.Count*b.Type.SizeOf(mach)) {
 				clean = false
 			}
 		}
-		sigs[idx] = sig
-		if prev, ok := dt.prev[keys[idx]]; ok && clean && dirty != nil && prev.sig == sig {
-			skip[idx] = true
-		}
+		job.sig = sig
+		prev, ok := dt.prev[job.key]
+		job.reuse = ok && clean && prev.sig == sig
 	}
+}
 
-	results, encs, agg, engaged, err := encodeJobs(space, table, ti, jobs, skip, workers)
-	if err != nil {
-		return nil, err
-	}
-
-	// Fold the round into the tracker: reused sections keep their cached
-	// bodies, fresh ones are cloned out of the pooled encoders so the
-	// cache owns every byte it hands back.
+// fold takes one round into the tracker: reused sections keep their
+// cached bodies, fresh ones are cloned out of the pooled encoders so the
+// cache owns every byte it hands back. The bodies stay valid across
+// subsequent rounds (the pre-copy sender may still be shipping one while
+// the next round encodes) but must not be mutated.
+func (dt *DeltaTracker) fold(jobs []sectionJob, secs []EncodedSection) {
 	next := make(map[deltaKey]*cachedSection, len(jobs))
-	sections := make([]DeltaSection, len(jobs))
-	for idx := range jobs {
-		var cs *cachedSection
-		if skip[idx] {
-			cs = dt.prev[keys[idx]]
-			sections[idx] = DeltaSection{Body: cs.body, Reused: true}
-			out.Reused++
+	for idx, job := range jobs {
+		cs := dt.prev[job.key]
+		if job.reuse {
+			secs[idx] = EncodedSection{Body: cs.body, Reused: true}
 		} else {
-			body := make([]byte, len(results[idx].Body))
-			copy(body, results[idx].Body)
-			cs = &cachedSection{sig: sigs[idx], body: body}
-			sections[idx] = DeltaSection{Body: body, Elapsed: results[idx].Elapsed}
-			out.Encoded++
+			cs = &cachedSection{sig: job.sig, body: bytes.Clone(secs[idx].Body)}
+			secs[idx].Body = cs.body
 		}
-		next[keys[idx]] = cs
+		next[job.key] = cs
 	}
 	dt.prev = next
-	for _, e := range encs {
-		if e != nil {
-			e.Release()
-		}
-	}
-
-	out.Heap = sections[:h]
-	out.Frames = sections[h : h+f]
-	out.Globals = sections[h+f]
-	out.Stats = agg
-	out.Workers = engaged
-	return out, nil
 }
 
 // fnv-1a over 8-byte words, hand-rolled to keep the per-round signature

@@ -62,11 +62,12 @@ type Restorer struct {
 	// the directory of the section that owns each block.
 	flat bool
 
-	// msrStats receives the MSRLT resolve counters. It defaults to the
-	// table's own Stats; a parallel section restorer points it at a
-	// worker-private set (folded into the table after the join) so
-	// concurrent restorers never race on the shared counters.
-	msrStats *msr.Stats
+	// given is the number of stream bytes the decoder held when the
+	// Restorer was created, and claimed the minimum encoding of every heap
+	// block allocated so far: allocHeapBlock holds the one against the
+	// other, so what a stream makes the restorer allocate is bounded by
+	// the stream's own length.
+	given, claimed int64
 
 	// Instrument enables the fine-grained timing split in Stats.
 	Instrument bool
@@ -83,7 +84,7 @@ func NewRestorer(space *memory.Space, table *msr.Table, ti *types.TI, dec *xdr.D
 		mach:     space.Machine(),
 		dec:      dec,
 		restored: make(map[msr.BlockID]bool),
-		msrStats: &table.Stats,
+		given:    int64(dec.Remaining()),
 	}
 }
 
@@ -137,7 +138,7 @@ func (r *Restorer) restorePointerValue() (memory.Address, error) {
 			return 0, err
 		}
 	}
-	addr, err := msr.AddrOfStats(r.table, r.mach, ref, r.msrStats)
+	addr, err := msr.AddrOf(r.table, r.mach, ref)
 	if err != nil {
 		// Every target must have been registered by now — by an earlier
 		// record in the monolithic stream, or by the owning section of a
@@ -205,8 +206,10 @@ func (r *Restorer) fillContents(b *msr.Block) error {
 // allocHeapBlock allocates and registers one heap block arriving in a
 // stream. Before trusting the declared element count it checks the
 // stream actually holds at least the minimum encoding of that many
-// elements, so a forged count cannot force a huge allocation from a
-// small input.
+// elements — and of every block allocated before it: a section directory
+// is decoded in full before any content is consumed, and a v1 record is
+// checked before its enclosing records have been, so the bytes remaining
+// alone would let every one of n declarations claim the same remainder.
 func (r *Restorer) allocHeapBlock(id msr.BlockID, ty *types.Type, count int) (*msr.Block, error) {
 	plan := r.ti.Plan(ty, r.mach)
 	es := plan.ElemSize
@@ -218,9 +221,11 @@ func (r *Restorer) allocHeapBlock(id msr.BlockID, ty *types.Type, count int) (*m
 	if per < 1 {
 		per = 1
 	}
-	if int64(count)*int64(per) > int64(r.dec.Remaining()) {
-		return nil, fmt.Errorf("%w: heap block %s declares %d elements but only %d bytes remain",
-			ErrCorruptStream, id, count, r.dec.Remaining())
+	need := int64(count) * int64(per)
+	r.claimed += need
+	if need > int64(r.dec.Remaining()) || r.claimed > r.given {
+		return nil, fmt.Errorf("%w: heap block %s declares %d elements; %d bytes remain and earlier blocks claim %d of the stream's %d",
+			ErrCorruptStream, id, count, r.dec.Remaining(), r.claimed-need, r.given)
 	}
 	addr, err := r.space.Malloc(count * es)
 	if err != nil {

@@ -1,27 +1,26 @@
 package collect
 
-// Sectioned collection: the two-phase pipeline behind the sectioned
-// snapshot format (internal/snapshot, envelope version 3).
+// Sectioned collection: the pipeline behind the sectioned snapshot format
+// (internal/snapshot, envelope version 3). EncodeSections is the one
+// producer; cold, warm and live captures all go through it.
 //
-// Phase 1 (BuildPartition) walks the MSR graph reachable from the live
-// set — the same depth-first traversal and visited-set discipline as the
-// monolithic Saver — but instead of encoding as it goes, it partitions
-// the visited blocks into section owners: each stack block belongs to
-// its frame's section, each global block to the globals section, and the
-// heap blocks are grouped into the connected components of the heap
-// subgraph (union-find over heap-to-heap pointer edges). A block shared
-// by two traversal paths is assigned to exactly one owner here, so
-// aliasing and cycles restore exactly as in the monolithic stream.
+// It first walks the MSR graph reachable from the live set — the same
+// depth-first traversal and visited-set discipline as the monolithic
+// Saver — but instead of encoding as it goes, it partitions the visited
+// blocks into section owners: each stack block belongs to its frame's
+// section, each global block to the globals section, and the heap blocks
+// are grouped into the connected components of the heap subgraph
+// (union-find over heap-to-heap pointer edges). A block shared by two
+// traversal paths is assigned to exactly one owner here, so aliasing and
+// cycles restore exactly as in the monolithic stream.
 //
-// Phase 2 (EncodeSections) encodes the section bodies. Heap components
-// are independent by construction — no pointer crosses between two
-// components, and the MSRLT is read-only during a collection — so the
-// bodies are encoded concurrently on a bounded worker pool, each worker
-// carrying its own encoder and its own MSRLT counter set (folded back
-// into the table after the join). Section bodies are flat: a pointer
-// scalar encodes only its (header, ordinal) reference, never an inline
-// block record, because every block's record lives in the directory of
-// the section that owns it.
+// It then encodes the section bodies, one after the other in the
+// partition's order (heap components by first visit, frames, globals), on
+// the calling goroutine; given a DeltaTracker it skips the sections the
+// dirty set cannot have touched and hands back their cached bodies.
+// Section bodies are flat: a pointer scalar encodes only its (header,
+// ordinal) reference, never an inline block record, because every block's
+// record lives in the directory of the section that owns it.
 //
 // # Section body format
 //
@@ -33,16 +32,14 @@ package collect
 //	                pointer scalars as flat refs
 //
 // Restoration order (enforced by the vm layer): the execution state
-// rebuilds the frames; heap sections allocate their blocks from the
-// directory before any content is decoded; frame and globals sections
+// rebuilds the frames; each heap section allocates its blocks from the
+// directory before its contents are decoded; frame and globals sections
 // then fill variable contents. Because heap components are closed under
 // heap pointers, every reference a section decodes resolves against
 // blocks already registered by that order.
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/arch"
@@ -64,22 +61,20 @@ type Roots struct {
 	Globals []memory.Address
 }
 
-// Partition is the section assignment of every reachable block.
-type Partition struct {
-	// Components are the connected components of the heap subgraph,
+// partition is the section assignment of every reachable block.
+type partition struct {
+	// components are the connected components of the heap subgraph,
 	// numbered and ordered by first visit; members are in first-visit
 	// order too, so the encoding is deterministic.
-	Components [][]*msr.Block
-	// Frames[i] are the stack blocks of frame i (depth i+1) reached by
+	components [][]*msr.Block
+	// frames[i] are the stack blocks of frame i (depth i+1) reached by
 	// the traversal, in first-visit order.
-	Frames [][]*msr.Block
-	// Globals are the reachable global blocks in first-visit order.
-	Globals []*msr.Block
-	// Blocks is the total number of visited blocks.
-	Blocks int
+	frames [][]*msr.Block
+	// globals are the reachable global blocks in first-visit order.
+	globals []*msr.Block
 }
 
-// partitioner carries the DFS + union-find state of phase 1.
+// partitioner carries the DFS + union-find state of the partition walk.
 type partitioner struct {
 	space *memory.Space
 	table *msr.Table
@@ -96,10 +91,10 @@ type partitioner struct {
 	globals []*msr.Block
 }
 
-// BuildPartition runs the partition phase: one serial depth-first walk
-// from the live set, reusing the monolithic traversal order so the set
-// of transferred blocks is identical to the v1 stream's.
-func BuildPartition(space *memory.Space, table *msr.Table, ti *types.TI, roots Roots) (*Partition, error) {
+// buildPartition runs the partition walk: one depth-first traversal from
+// the live set, reusing the monolithic traversal order so the set of
+// transferred blocks is identical to the v1 stream's.
+func buildPartition(space *memory.Space, table *msr.Table, ti *types.TI, roots Roots) (*partition, error) {
 	w := &partitioner{
 		space:   space,
 		table:   table,
@@ -232,7 +227,7 @@ func (w *partitioner) union(a, b int) {
 
 // finish groups the heap blocks into their components, both numbered and
 // ordered by first visit.
-func (w *partitioner) finish() *Partition {
+func (w *partitioner) finish() *partition {
 	compOf := make(map[int]int)
 	var comps [][]*msr.Block
 	for i, b := range w.heapBlocks {
@@ -245,55 +240,49 @@ func (w *partitioner) finish() *Partition {
 		}
 		comps[c] = append(comps[c], b)
 	}
-	total := len(w.heapBlocks) + len(w.globals)
-	for _, f := range w.frames {
-		total += len(f)
-	}
-	return &Partition{
-		Components: comps,
-		Frames:     w.frames,
-		Globals:    w.globals,
-		Blocks:     total,
-	}
+	return &partition{components: comps, frames: w.frames, globals: w.globals}
 }
 
-// EncodedSection is one encoded section body with its encode wall time.
+// EncodedSection is one section body of a capture.
 type EncodedSection struct {
-	Body    []byte
+	Body []byte
+	// Reused reports the body was carried over from the tracker's previous
+	// round without re-encoding; Elapsed is then zero.
+	Reused  bool
 	Elapsed time.Duration
 }
 
-// SectionedState holds every encoded section body of one capture, in the
-// partition's deterministic order, plus the aggregated collection
-// statistics.
+// SectionedState holds every section body of one capture, in the
+// partition's deterministic order, plus the collection statistics.
 type SectionedState struct {
 	// Heap[i] is component i's body; Frames[i] is frame depth i+1's.
 	Heap    []EncodedSection
 	Frames  []EncodedSection
 	Globals EncodedSection
-	// Stats aggregates the per-worker SaveStats. Searches and
-	// SearchSteps are left zero: the workers' MSRLT counters are folded
-	// into the table, and the caller derives the capture-wide deltas
-	// from it exactly as Saver.Finish does.
+	// Stats covers the sections that were encoded (not the reused ones).
+	// Searches and SearchSteps are left zero: the caller derives the
+	// capture-wide deltas from the table exactly as Saver.Finish does.
 	Stats SaveStats
-	// Workers is the number of pool workers that encoded at least one
-	// section (1 for a serial encode).
-	Workers int
+	// Calls is the number of XDR encode operations behind those sections.
+	Calls int
+	// Partition is the wall time of the partition walk.
+	Partition time.Duration
 
 	// encs holds the pooled per-section encoders whose buffers back the
-	// Body slices above; Release returns them.
+	// Body slices of a capture made without a tracker; Release returns
+	// them.
 	encs []*xdr.Encoder
 }
 
 // Release returns the pooled per-section encoders to the buffer pool.
-// Every Body slice in the state aliases one of those buffers, so the
-// caller must be done with the bodies — typically after splicing them
-// into the top-level snapshot stream. Safe to call more than once.
+// After a capture without a tracker every Body slice aliases one of those
+// buffers, so the caller must be done with the bodies — typically after
+// splicing them into the top-level snapshot stream. After a capture with
+// a tracker the bodies are tracker-owned and Release has nothing to
+// return. Safe to call more than once.
 func (st *SectionedState) Release() {
 	for _, e := range st.encs {
-		if e != nil {
-			e.Release()
-		}
+		e.Release()
 	}
 	st.encs = nil
 	st.Heap, st.Frames, st.Globals = nil, nil, EncodedSection{}
@@ -304,155 +293,78 @@ type sectionJob struct {
 	blocks   []*msr.Block
 	live     []memory.Address
 	withLive bool
+
+	// key names the section across the rounds of a DeltaTracker; sig and
+	// reuse are set by DeltaTracker.mark.
+	key   deltaKey
+	sig   uint64
+	reuse bool
 }
 
-// EncodeSections runs the encode phase over a partition: every heap
-// component, frame, and the globals become one body each, encoded on a
-// bounded worker pool. workers <= 0 selects GOMAXPROCS; 1 encodes
-// serially on the calling goroutine. The bodies are identical regardless
-// of worker count.
-func EncodeSections(space *memory.Space, table *msr.Table, ti *types.TI, pt *Partition, roots Roots, workers int) (*SectionedState, error) {
-	jobs := partitionJobs(pt, roots)
-	results, encs, agg, engaged, err := encodeJobs(space, table, ti, jobs, nil, workers)
+// jobs lays a partition out as the encode job list, in the deterministic
+// section order: heap components, frames, globals.
+func (pt *partition) jobs(roots Roots) []sectionJob {
+	jobs := make([]sectionJob, 0, len(pt.components)+len(pt.frames)+1)
+	for _, comp := range pt.components {
+		jobs = append(jobs, sectionJob{blocks: comp, key: deltaKey{class: 0, id: comp[0].ID.Major}})
+	}
+	for i, blocks := range pt.frames {
+		jobs = append(jobs, sectionJob{blocks: blocks, live: roots.FrameLive[i], withLive: true,
+			key: deltaKey{class: 1, id: uint32(i) + 1}})
+	}
+	return append(jobs, sectionJob{blocks: pt.globals, live: roots.Globals, withLive: true, key: deltaKey{class: 2}})
+}
+
+// EncodeSections captures the state reachable from roots as section
+// bodies: every heap component, frame, and the globals become one body
+// each. With a nil tracker every section is encoded and its body aliases
+// a pooled encoder until Release. With a tracker (one pre-copy round)
+// the sections dirty cannot have touched since the tracker's previous
+// round are reused from it and the rest are encoded and handed to it, so
+// every body is tracker-owned; dirty answers "was this range written
+// since the last round", and a nil dirty treats everything as dirty. The
+// bodies are the same bytes either way.
+func EncodeSections(space *memory.Space, table *msr.Table, ti *types.TI, roots Roots, dt *DeltaTracker, dirty DirtyFunc) (*SectionedState, error) {
+	start := time.Now()
+	pt, err := buildPartition(space, table, ti, roots)
 	if err != nil {
 		return nil, err
 	}
-
-	h := len(pt.Components)
-	f := len(pt.Frames)
-	out := &SectionedState{
-		Heap:    results[:h],
-		Frames:  results[h : h+f],
-		Globals: results[h+f],
-		Stats:   agg,
-		Workers: engaged,
-		encs:    encs,
-	}
-	return out, nil
-}
-
-// partitionJobs lays a partition out as the encode job list, in the
-// deterministic section order: heap components, frames, globals.
-func partitionJobs(pt *Partition, roots Roots) []sectionJob {
-	jobs := make([]sectionJob, 0, len(pt.Components)+len(pt.Frames)+1)
-	for _, comp := range pt.Components {
-		jobs = append(jobs, sectionJob{blocks: comp})
-	}
-	for i, blocks := range pt.Frames {
-		jobs = append(jobs, sectionJob{blocks: blocks, live: roots.FrameLive[i], withLive: true})
-	}
-	jobs = append(jobs, sectionJob{blocks: pt.Globals, live: roots.Globals, withLive: true})
-	return jobs
-}
-
-// encodeJobs runs the bounded worker pool over the job list. A true
-// entry in skip (which may be nil) leaves that job's result and encoder
-// zero — the delta capture uses this to re-encode only the sections the
-// dirty set touched. On error every acquired encoder is released.
-func encodeJobs(space *memory.Space, table *msr.Table, ti *types.TI, jobs []sectionJob, skip []bool, workers int) ([]EncodedSection, []*xdr.Encoder, SaveStats, int, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	results := make([]EncodedSection, len(jobs))
-	encs := make([]*xdr.Encoder, len(jobs))
+	st := &SectionedState{Partition: time.Since(start)}
+	jobs := pt.jobs(roots)
 	mach := space.Machine()
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		engaged  int
-		agg      SaveStats
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
+	if dt != nil {
+		dt.mark(jobs, ti, mach, dirty)
 	}
 
-	// Static round-robin sharding: worker w owns jobs w, w+W, w+2W, ...
-	// Deterministic engagement (every worker with a nonempty shard encodes)
-	// and no queue contention; the components of one workload are close in
-	// size, so the balance loss against work-stealing is small.
-	run := func(worker int) {
-		local := msr.Stats{}
-		save := SaveStats{}
-		did := 0
-		for idx := worker; idx < len(jobs); idx += workers {
-			if failed() || (skip != nil && skip[idx]) {
-				continue
-			}
-			did++
-			job := jobs[idx]
-			start := time.Now()
-			// Pooled encoder: the body aliases its buffer until the
-			// caller's SectionedState.Release.
-			enc := xdr.GetEncoder(sectionSizeHint(job.blocks, mach))
-			encs[idx] = enc
-			se := &sectionEncoder{
-				space:    space,
-				table:    table,
-				ti:       ti,
-				mach:     mach,
-				enc:      enc,
-				msrStats: &local,
-				stats:    &save,
-			}
-			if err := se.encodeBody(job.blocks, job.live, job.withLive); err != nil {
-				fail(err)
-				continue
-			}
-			results[idx] = EncodedSection{Body: enc.Bytes(), Elapsed: time.Since(start)}
+	secs := make([]EncodedSection, len(jobs))
+	st.encs = make([]*xdr.Encoder, 0, len(jobs))
+	se := &sectionEncoder{space: space, table: table, ti: ti, mach: mach}
+	for idx, job := range jobs {
+		if job.reuse {
+			continue
 		}
-		mu.Lock()
-		// The MSRLT index is read-only during collection; the counters
-		// are the only mutable table state, merged here post-hoc.
-		table.Stats.Add(local)
-		if did > 0 {
-			engaged++
+		secStart := time.Now()
+		se.enc = xdr.GetEncoder(sectionSizeHint(job.blocks, mach))
+		st.encs = append(st.encs, se.enc)
+		if err := se.encodeBody(job.blocks, job.live, job.withLive); err != nil {
+			st.Release()
+			return nil, err
 		}
-		agg.Blocks += save.Blocks
-		agg.Pointers += save.Pointers
-		agg.NullPointers += save.NullPointers
-		agg.DataBytes += save.DataBytes
-		mu.Unlock()
+		st.Calls += se.enc.Calls()
+		secs[idx] = EncodedSection{Body: se.enc.Bytes(), Elapsed: time.Since(secStart)}
+	}
+	if dt != nil {
+		// The tracker takes its own copy of every fresh body, so the
+		// encoders go back at once.
+		dt.fold(jobs, secs)
+		st.Release()
 	}
 
-	if workers == 1 {
-		run(0)
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				run(w)
-			}(i)
-		}
-		wg.Wait()
-	}
-	if firstErr != nil {
-		for _, e := range encs {
-			if e != nil {
-				e.Release()
-			}
-		}
-		return nil, nil, SaveStats{}, 0, firstErr
-	}
-	return results, encs, agg, engaged, nil
+	h, f := len(pt.components), len(pt.frames)
+	st.Heap, st.Frames, st.Globals = secs[:h], secs[h:h+f], secs[h+f]
+	st.Stats = se.stats
+	return st, nil
 }
 
 // sectionSizeHint estimates a body's encoded size from the machine-side
@@ -465,16 +377,16 @@ func sectionSizeHint(blocks []*msr.Block, m *arch.Machine) int {
 	return est
 }
 
-// sectionEncoder encodes one section body (flat references, no inline
-// records). One per job; never shared across goroutines.
+// sectionEncoder encodes section bodies (flat references, no inline
+// records) into enc, which EncodeSections swaps per section; stats runs
+// across all of them.
 type sectionEncoder struct {
-	space    *memory.Space
-	table    *msr.Table
-	ti       *types.TI
-	mach     *arch.Machine
-	enc      *xdr.Encoder
-	msrStats *msr.Stats
-	stats    *SaveStats
+	space *memory.Space
+	table *msr.Table
+	ti    *types.TI
+	mach  *arch.Machine
+	enc   *xdr.Encoder
+	stats SaveStats
 }
 
 func (e *sectionEncoder) encodeBody(blocks []*msr.Block, live []memory.Address, withLive bool) error {
@@ -547,7 +459,7 @@ func (e *sectionEncoder) putRef(p memory.Address) error {
 		e.enc.PutUint32(nullSeg)
 		return nil
 	}
-	ref, err := msr.ResolveStats(e.table, e.mach, p, e.msrStats)
+	ref, err := msr.Resolve(e.table, e.mach, p)
 	if err != nil {
 		return fmt.Errorf("collect: unresolvable pointer %#x: %w", uint64(p), err)
 	}
@@ -555,35 +467,21 @@ func (e *sectionEncoder) putRef(p memory.Address) error {
 	return nil
 }
 
-// PreparedHeapSection is a heap-component section after its serial
-// phase: the directory has been decoded and every block allocated and
-// registered in the MSRLT, in stream order. Fill decodes the contents —
-// independently of every other prepared section, because heap components
-// are closed under heap pointers.
-type PreparedHeapSection struct {
-	blocks   []*msr.Block
-	contents []byte
-	// Stats carries the allocation-phase counters (Allocated, UpdateTime).
-	Stats RestoreStats
-}
-
-// PrepareHeapSection runs the serial phase of one heap-component restore:
-// the directory is decoded and every block allocated and registered, but
-// no content is filled. Allocation and registration mutate the space and
-// the MSRLT, so Prepare calls must not run concurrently — the vm layer
-// prepares every heap section in snapshot order (keeping the heap layout
-// deterministic), then fills them on a worker pool.
-func PrepareHeapSection(space *memory.Space, table *msr.Table, ti *types.TI, body []byte, instrument bool) (*PreparedHeapSection, error) {
+// RestoreHeapSection rebuilds one heap-component section: every block in
+// the directory is allocated and registered, in stream order, before any
+// content is decoded, then the contents are filled with flat reference
+// translation.
+func RestoreHeapSection(space *memory.Space, table *msr.Table, ti *types.TI, body []byte, instrument bool) (RestoreStats, error) {
 	r := NewRestorer(space, table, ti, xdr.NewDecoder(body))
 	r.flat = true
 	r.Instrument = instrument
 
 	n, err := r.dec.Uint32()
 	if err != nil {
-		return nil, fmt.Errorf("%w: truncated heap section directory", ErrCorruptStream)
+		return r.Stats, fmt.Errorf("%w: truncated heap section directory", ErrCorruptStream)
 	}
 	if int64(n)*16 > int64(r.dec.Remaining()) {
-		return nil, fmt.Errorf("%w: heap directory declares %d entries, %d bytes remain",
+		return r.Stats, fmt.Errorf("%w: heap directory declares %d entries, %d bytes remain",
 			ErrCorruptStream, n, r.dec.Remaining())
 	}
 	var start time.Time
@@ -594,222 +492,26 @@ func PrepareHeapSection(space *memory.Space, table *msr.Table, ti *types.TI, bod
 	for i := uint32(0); i < n; i++ {
 		major, minor, ty, count, err := r.directoryEntry()
 		if err != nil {
-			return nil, err
+			return r.Stats, err
 		}
 		if minor != 0 {
-			return nil, fmt.Errorf("%w: heap block with nonzero minor %d", ErrCorruptStream, minor)
+			return r.Stats, fmt.Errorf("%w: heap block with nonzero minor %d", ErrCorruptStream, minor)
 		}
 		id := msr.BlockID{Seg: memory.Heap, Major: major}
 		if _, exists := r.table.ByID(id); exists {
-			return nil, fmt.Errorf("%w: duplicate heap block %s", ErrCorruptStream, id)
+			return r.Stats, fmt.Errorf("%w: duplicate heap block %s", ErrCorruptStream, id)
 		}
 		b, err := r.allocHeapBlock(id, ty, count)
 		if err != nil {
-			return nil, err
+			return r.Stats, err
 		}
 		blocks = append(blocks, b)
 	}
 	if instrument {
 		r.Stats.UpdateTime += time.Since(start)
 	}
-	return &PreparedHeapSection{blocks: blocks, contents: body[r.dec.Offset():], Stats: r.Stats}, nil
-}
-
-// Extent returns the lowest address and one-past-the-highest address of
-// the section's allocated blocks (both zero for an empty section), so the
-// caller can pre-materialize the backing storage before concurrent fills.
-func (ps *PreparedHeapSection) Extent(m *arch.Machine) (lo, hi memory.Address) {
-	for _, b := range ps.blocks {
-		end := b.Addr + memory.Address(b.Count*b.Type.SizeOf(m))
-		if lo == 0 || b.Addr < lo {
-			lo = b.Addr
-		}
-		if end > hi {
-			hi = end
-		}
-	}
-	return lo, hi
-}
-
-// Fill runs the parallel-safe phase of one heap-component restore: the
-// contents are decoded into the already-allocated blocks with flat
-// reference translation. msrStats receives the MSRLT resolve counters
-// (pass a worker-private set under concurrency; the table's block index
-// must be read-only, i.e. every section must be Prepared first, and the
-// space's backing storage pre-materialized over the sections' extents).
-func (ps *PreparedHeapSection) Fill(space *memory.Space, table *msr.Table, ti *types.TI, instrument bool, msrStats *msr.Stats) (RestoreStats, error) {
-	r := NewRestorer(space, table, ti, xdr.NewDecoder(ps.contents))
-	r.flat = true
-	r.Instrument = instrument
-	if msrStats != nil {
-		r.msrStats = msrStats
-	}
-	for _, b := range ps.blocks {
-		r.Stats.Blocks++
-		if err := r.fillContents(b); err != nil {
-			return r.Stats, err
-		}
-	}
-	if r.dec.Remaining() != 0 {
-		return r.Stats, fmt.Errorf("%w: %d trailing bytes in heap section", ErrCorruptStream, r.dec.Remaining())
-	}
-	return r.Stats, nil
-}
-
-// RestoreHeapSection rebuilds one heap-component section: every block in
-// the directory is allocated and registered before any content is
-// decoded, then the contents are filled with flat reference translation.
-func RestoreHeapSection(space *memory.Space, table *msr.Table, ti *types.TI, body []byte, instrument bool) (RestoreStats, error) {
-	ps, err := PrepareHeapSection(space, table, ti, body, instrument)
-	if err != nil {
-		return RestoreStats{}, err
-	}
-	stats, err := ps.Fill(space, table, ti, instrument, nil)
-	stats.Add(ps.Stats)
-	return stats, err
-}
-
-// HeapRestore is the outcome of RestoreHeapSections: per-section restore
-// statistics and fill wall times in section order, and the worker count.
-type HeapRestore struct {
-	// PerSection[i] aggregates section i's allocation and fill counters.
-	PerSection []RestoreStats
-	// Prepare[i] is section i's serial allocation-phase wall time.
-	Prepare []time.Duration
-	// Elapsed[i] is section i's fill wall time as measured on its worker
-	// (the per-component latency the restore speedup comes from).
-	Elapsed []time.Duration
-	// Workers is the number of pool workers that filled at least one
-	// section (1 for a serial restore).
-	Workers int
-}
-
-// RestoreHeapSections restores every heap-component section of one
-// snapshot: the directories are decoded and their blocks allocated
-// serially in section order — the heap layout is identical to a fully
-// serial restore — then the independent component contents are filled on
-// a bounded worker pool, mirroring EncodeSections on the capture side.
-// workers <= 0 selects GOMAXPROCS; 1 fills serially on the calling
-// goroutine. The restored memory image is identical for every worker
-// count.
-func RestoreHeapSections(space *memory.Space, table *msr.Table, ti *types.TI, bodies [][]byte, instrument bool, workers int) (*HeapRestore, error) {
-	out := &HeapRestore{
-		PerSection: make([]RestoreStats, len(bodies)),
-		Prepare:    make([]time.Duration, len(bodies)),
-		Elapsed:    make([]time.Duration, len(bodies)),
-		Workers:    1,
-	}
-	if len(bodies) == 0 {
-		return out, nil
-	}
-
-	// Serial phase: allocate and register every section's blocks in
-	// snapshot order (Malloc and Register mutate shared state).
-	prepared := make([]*PreparedHeapSection, len(bodies))
-	mach := space.Machine()
-	var lo, hi memory.Address
-	for i, body := range bodies {
-		prepStart := time.Now()
-		ps, err := PrepareHeapSection(space, table, ti, body, instrument)
-		if err != nil {
-			return nil, fmt.Errorf("heap section %d: %w", i, err)
-		}
-		out.Prepare[i] = time.Since(prepStart)
-		prepared[i] = ps
-		out.PerSection[i] = ps.Stats
-		slo, shi := ps.Extent(mach)
-		if lo == 0 || (slo != 0 && slo < lo) {
-			lo = slo
-		}
-		if shi > hi {
-			hi = shi
-		}
-	}
-
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(bodies) {
-		workers = len(bodies)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Pre-materialize the heap backing storage over the full extent: a
-	// segment store grows (and may re-base) its backing array on first
-	// touch, which must not happen under concurrent fills.
-	if workers > 1 && hi > lo {
-		if err := space.Materialize(lo, int(hi-lo)); err != nil {
-			return nil, err
-		}
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		engaged  int
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-
-	// Static round-robin sharding, exactly as EncodeSections: worker w
-	// owns sections w, w+W, w+2W, ... Each worker translates references
-	// through its own MSRLT counter set, folded into the table after the
-	// join.
-	run := func(worker int) {
-		local := msr.Stats{}
-		did := 0
-		for idx := worker; idx < len(prepared); idx += workers {
-			if failed() {
-				continue
-			}
-			did++
-			start := time.Now()
-			st, err := prepared[idx].Fill(space, table, ti, instrument, &local)
-			if err != nil {
-				fail(fmt.Errorf("heap section %d: %w", idx, err))
-				continue
-			}
-			out.Elapsed[idx] = time.Since(start)
-			out.PerSection[idx].Add(st)
-		}
-		mu.Lock()
-		table.Stats.Add(local)
-		if did > 0 {
-			engaged++
-		}
-		mu.Unlock()
-	}
-
-	if workers == 1 {
-		run(0)
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				run(w)
-			}(i)
-		}
-		wg.Wait()
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	out.Workers = engaged
-	return out, nil
+	err = r.fillBlocks(blocks)
+	return r.Stats, err
 }
 
 // RestoreVarSection rebuilds one frame or globals section: the live
@@ -866,16 +568,23 @@ func RestoreVarSection(space *memory.Space, table *msr.Table, ti *types.TI, body
 		}
 		blocks = append(blocks, b)
 	}
+	err = r.fillBlocks(blocks)
+	return r.Stats, err
+}
+
+// fillBlocks decodes the contents of a section's directory blocks, in
+// order, and requires them to end where the body does.
+func (r *Restorer) fillBlocks(blocks []*msr.Block) error {
 	for _, b := range blocks {
 		r.Stats.Blocks++
 		if err := r.fillContents(b); err != nil {
-			return r.Stats, err
+			return err
 		}
 	}
 	if r.dec.Remaining() != 0 {
-		return r.Stats, fmt.Errorf("%w: %d trailing bytes in section", ErrCorruptStream, r.dec.Remaining())
+		return fmt.Errorf("%w: %d trailing bytes in section", ErrCorruptStream, r.dec.Remaining())
 	}
-	return r.Stats, nil
+	return nil
 }
 
 // directoryEntry decodes one section-directory record (one take for the

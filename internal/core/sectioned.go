@@ -32,17 +32,15 @@ func (e *Engine) OpenSectioned(payload []byte) (state []byte, srcName string, er
 }
 
 // SendSectioned captures the state of p (stopped at its migration point)
-// as a sectioned snapshot — heap components encoded on a pool of workers
-// (<= 0 selects GOMAXPROCS) — and transmits it through sw in chunkSize
-// pieces. Collection does not overlap transmission: the sections are
-// assembled in their deterministic order after the pool joins, then
-// flushed; v3's concurrency lives in the encode itself.
+// as a sectioned snapshot and transmits it through sw in chunkSize
+// pieces. Collection does not overlap transmission: every section is
+// encoded before the first is flushed.
 //
 // The path is zero-copy per section body: snapshot.Append hands each
 // body to the sink through the encoder's WriteRaw, so the bytes go from
-// the pool worker's (pooled, reused) encode buffer straight into sw's
-// chunk buffers without staging through an intermediate envelope buffer.
-func (e *Engine) SendSectioned(sw io.WriteCloser, src *arch.Machine, p *vm.Process, chunkSize, workers int) (Timing, error) {
+// the section's (pooled, reused) encode buffer straight into sw's chunk
+// buffers without staging through an intermediate envelope buffer.
+func (e *Engine) SendSectioned(sw io.WriteCloser, src *arch.Machine, p *vm.Process, chunkSize int) (Timing, error) {
 	start := time.Now()
 	enc := xdr.NewEncoder(chunkSize + 1024)
 	enc.SetSink(chunkSize, func(b []byte) error {
@@ -51,7 +49,7 @@ func (e *Engine) SendSectioned(sw io.WriteCloser, src *arch.Machine, p *vm.Proce
 	})
 	// The shared envelope header, followed directly by the snapshot.
 	putHeader(enc, VersionSectioned, src.Name, e.Digest())
-	if err := p.CaptureSectionsTo(enc, workers); err != nil {
+	if err := p.CaptureSectionsTo(enc); err != nil {
 		sw.Close()
 		return Timing{}, fmt.Errorf("core: sectioned collection: %w", err)
 	}

@@ -80,7 +80,7 @@ func sendSectionedOverPipe(t *testing.T, e *Engine, p *vm.Process, dst *arch.Mac
 		recvc <- recvRes{q, tim, rerr}
 	}()
 	w := stream.NewWriter(a, cfg)
-	tx, err := e.SendSectioned(w, p.Mach, p, cfg.ChunkSize, 0)
+	tx, err := e.SendSectioned(w, p.Mach, p, cfg.ChunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestOpenSectionedRejects(t *testing.T) {
 	}
 	p, _ := stoppedAtMigration(t, e, arch.DEC5000)
 	var envelope bytes.Buffer
-	if _, err := e.SendSectioned(nopCloser{&envelope}, p.Mach, p, 1024, 0); err != nil {
+	if _, err := e.SendSectioned(nopCloser{&envelope}, p.Mach, p, 1024); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := e.OpenSectioned(envelope.Bytes()); err != nil {

@@ -14,8 +14,8 @@ import (
 // the ref's current head. Only section bodies the store does not already
 // hold are written — the periodic-checkpoint call a long-running session
 // makes between migrations.
-func (e *Engine) CheckpointProcess(st *store.Store, p *vm.Process, src *arch.Machine, ref string, workers int) (*store.Manifest, store.Hash, store.CheckpointStats, error) {
-	snap, err := p.CaptureSections(workers)
+func (e *Engine) CheckpointProcess(st *store.Store, p *vm.Process, src *arch.Machine, ref string) (*store.Manifest, store.Hash, store.CheckpointStats, error) {
+	snap, err := p.CaptureSections(0)
 	if err != nil {
 		return nil, store.Hash{}, store.CheckpointStats{}, err
 	}

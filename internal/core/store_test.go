@@ -36,7 +36,7 @@ func TestCheckpointRestoreFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, h, cst, err := e.CheckpointProcess(st, p, arch.DEC5000, "countdown", 0)
+	m, h, cst, err := e.CheckpointProcess(st, p, arch.DEC5000, "countdown")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCheckpointRestoreFromStore(t *testing.T) {
 	}
 
 	// The unchanged process checkpoints again: every body dedups.
-	_, h2, cst2, err := e.CheckpointProcess(st, p, arch.DEC5000, "countdown", 0)
+	_, h2, cst2, err := e.CheckpointProcess(st, p, arch.DEC5000, "countdown")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func StoreDedup(cfg Config) ([]DedupRow, error) {
 			polls++
 			if polls%interval == 0 {
 				start := time.Now()
-				_, _, cst, err := e.CheckpointProcess(st, p, arch.Ultra5, "shards", 0)
+				_, _, cst, err := e.CheckpointProcess(st, p, arch.Ultra5, "shards")
 				if err != nil {
 					return nil, err
 				}

@@ -236,21 +236,6 @@ func (s *Space) Bytes(addr Address, n int) ([]byte, error) {
 	return st.slice(addr, n)
 }
 
-// Materialize grows the backing storage so the whole range [addr, addr+n)
-// is resident, without reading or writing it. A segment store grows — and
-// may re-base — its backing array the first time a range is touched, which
-// is not safe under concurrent access; a caller that is about to hand
-// disjoint sub-ranges of a segment to concurrent workers (the parallel
-// sectioned restore) materializes the full extent first, after which
-// slice() is a pure index computation over a stable array.
-func (s *Space) Materialize(addr Address, n int) error {
-	if n <= 0 {
-		return nil
-	}
-	_, err := s.Bytes(addr, n)
-	return err
-}
-
 // ReadBytes copies n bytes at addr into a fresh slice.
 func (s *Space) ReadBytes(addr Address, n int) ([]byte, error) {
 	b, err := s.Bytes(addr, n)

@@ -115,16 +115,6 @@ type Stats struct {
 	BaseHits int64
 }
 
-// Add folds another counter set into s (used to merge the per-worker
-// counters of a parallel collection back into the table's totals).
-func (s *Stats) Add(o Stats) {
-	s.Registrations += o.Registrations
-	s.Searches += o.Searches
-	s.SearchSteps += o.SearchSteps
-	s.IDResolves += o.IDResolves
-	s.BaseHits += o.BaseHits
-}
-
 // Table is the MSRLT. Blocks are kept per segment in address order for
 // O(log n) containment search, plus an ID index for the restoration path.
 type Table struct {
@@ -237,23 +227,14 @@ func (t *Table) Unregister(addr memory.Address) error {
 // within it. This is the MSRLT search of the collection path; its cost is
 // counted in Stats.
 func (t *Table) Lookup(addr memory.Address, elemSize func(*types.Type) int) (*Block, int, error) {
-	return t.LookupStats(addr, elemSize, &t.Stats)
-}
-
-// LookupStats is Lookup with the activity counters recorded into st
-// instead of the table's own Stats. The table's block index is read-only
-// during a collection, so concurrent section encoders may call
-// LookupStats simultaneously as long as each passes its own Stats; the
-// caller folds them back with Stats.Add after the workers join.
-func (t *Table) LookupStats(addr memory.Address, elemSize func(*types.Type) int, st *Stats) (*Block, int, error) {
 	seg, ok := memory.SegmentOf(addr)
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %#x", ErrNotFound, uint64(addr))
 	}
-	st.Searches++
+	t.Stats.Searches++
 	if t.UseBaseIndex {
 		if b, ok := t.baseIdx[addr]; ok {
-			st.BaseHits++
+			t.Stats.BaseHits++
 			return b, 0, nil
 		}
 	}
@@ -261,7 +242,7 @@ func (t *Table) LookupStats(addr memory.Address, elemSize func(*types.Type) int,
 	// Binary search for the last block with base <= addr, counting steps.
 	lo, hi := 0, len(s)
 	for lo < hi {
-		st.SearchSteps++
+		t.Stats.SearchSteps++
 		mid := (lo + hi) / 2
 		if s[mid].Addr <= addr {
 			lo = mid + 1
@@ -284,13 +265,7 @@ func (t *Table) LookupStats(addr memory.Address, elemSize func(*types.Type) int,
 // the restoration-direction lookup; the paper observes it takes constant
 // time per block, so restoration's MSRLT cost is O(n) overall.
 func (t *Table) ByID(id BlockID) (*Block, bool) {
-	return t.ByIDStats(id, &t.Stats)
-}
-
-// ByIDStats is ByID with the resolve counter recorded into st; see
-// LookupStats for the concurrency discipline.
-func (t *Table) ByIDStats(id BlockID, st *Stats) (*Block, bool) {
-	st.IDResolves++
+	t.Stats.IDResolves++
 	b, ok := t.byID[id]
 	return b, ok
 }

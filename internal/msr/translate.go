@@ -38,17 +38,10 @@ func (r Ref) String() string {
 // machine-independent (header, offset) form using the MSRLT. The machine is
 // needed to interpret element sizes. A zero address resolves to NullRef.
 func Resolve(t *Table, m *arch.Machine, addr memory.Address) (Ref, error) {
-	return ResolveStats(t, m, addr, &t.Stats)
-}
-
-// ResolveStats is Resolve with the MSRLT counters recorded into st, so
-// concurrent section encoders can translate pointers without racing on
-// the table's Stats (see Table.LookupStats).
-func ResolveStats(t *Table, m *arch.Machine, addr memory.Address, st *Stats) (Ref, error) {
 	if addr == 0 {
 		return NullRef, nil
 	}
-	b, off, err := t.LookupStats(addr, func(ty *types.Type) int { return ty.SizeOf(m) }, st)
+	b, off, err := t.Lookup(addr, func(ty *types.Type) int { return ty.SizeOf(m) })
 	if err != nil {
 		return Ref{}, err
 	}
@@ -72,18 +65,10 @@ func ResolveStats(t *Table, m *arch.Machine, addr memory.Address, st *Stats) (Re
 // AddrOf translates a machine-independent reference back to a
 // machine-specific address, the restoration direction.
 func AddrOf(t *Table, m *arch.Machine, r Ref) (memory.Address, error) {
-	return AddrOfStats(t, m, r, &t.Stats)
-}
-
-// AddrOfStats is AddrOf with the resolve counter recorded into st, so
-// concurrent section restorers can translate references without racing on
-// the table's Stats — the restoration-direction twin of ResolveStats (the
-// block index is read-only once every section's blocks are registered).
-func AddrOfStats(t *Table, m *arch.Machine, r Ref, st *Stats) (memory.Address, error) {
 	if r.IsNull() {
 		return 0, nil
 	}
-	b, ok := t.ByIDStats(r.ID, st)
+	b, ok := t.ByID(r.ID)
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownID, r.ID)
 	}

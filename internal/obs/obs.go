@@ -209,7 +209,7 @@ func (s *Span) Remote() []*SpanData {
 }
 
 // SetDuration overrides the span's measured duration — used when a phase
-// was timed externally (a pre-measured section encode from a worker pool).
+// was timed externally (a section encode measured before its span existed).
 func (s *Span) SetDuration(d time.Duration) {
 	if s == nil {
 		return

@@ -176,7 +176,7 @@ func runChaosCell(t *testing.T, m chaosMode, e *core.Engine, cell chaos.Spec) {
 			// The live source advanced between rounds, so there is no
 			// pre-attempt image to compare against; it must still be
 			// capturable where it paused.
-			if _, err := p.CaptureSections(1); err != nil {
+			if _, err := p.CaptureSections(0); err != nil {
 				t.Fatalf("capture after failed live attempt: %v", err)
 			}
 			p.PollHook = nil // let the rollback run to completion

@@ -107,7 +107,7 @@ func send(t link.Transport, e *core.Engine, src *arch.Machine, p *vm.Process, pr
 		// a local choice, not a negotiated parameter: the snapshot bytes
 		// are identical for any count.
 		w := stream.NewWriter(t, stream.Config{ChunkSize: prm.ChunkSize, Window: prm.Window, Recorder: prm.Recorder})
-		timing, err = e.SendSectioned(w, src, p, prm.ChunkSize, 0)
+		timing, err = e.SendSectioned(w, src, p, prm.ChunkSize)
 	case prm.Version == core.VersionMono:
 		// The paper's stop-and-copy transfer: collect everything, seal one
 		// envelope, one blocking send.

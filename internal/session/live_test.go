@@ -102,11 +102,11 @@ func TestTransferLiveMatrix(t *testing.T) {
 			}
 			// The source is still paused at the final round's site; the
 			// restored process must re-collect byte-identically.
-			direct, err := p.CaptureSections(1)
+			direct, err := p.CaptureSections(0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			re, err := q.CaptureSections(1)
+			re, err := q.CaptureSections(0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,7 +231,7 @@ func TestLiveWarmCompose(t *testing.T) {
 
 	// Seed the destination store with a checkpoint of the first pause.
 	seed := stoppedLive(t, e, arch.DEC5000)
-	snap, err := seed.CaptureSections(1)
+	snap, err := seed.CaptureSections(0)
 	if err != nil {
 		t.Fatal(err)
 	}

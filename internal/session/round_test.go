@@ -74,7 +74,7 @@ func TestHostileCountsAllocateByFrameSize(t *testing.T) {
 func TestFailedRestoreLeavesRefUnset(t *testing.T) {
 	e := newListEngine(t)
 	p := stoppedAt(t, e, arch.DEC5000)
-	snap, err := p.CaptureSections(1)
+	snap, err := p.CaptureSections(0)
 	if err != nil {
 		t.Fatal(err)
 	}

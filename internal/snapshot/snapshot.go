@@ -20,8 +20,7 @@
 // crc is the IEEE CRC-32 of the unpadded body. Sections appear in
 // deterministic order — exec, heap components (by component number),
 // frames (innermost first), globals — so two captures of the same
-// stopped process are byte-identical regardless of how many workers
-// encoded them.
+// stopped process are byte-identical.
 //
 // This package is pure framing: it knows nothing about what the bodies
 // contain (internal/collect encodes and decodes those).
@@ -107,8 +106,8 @@ func PutPrologue(enc *xdr.Encoder, sections int) {
 // Append frames one section onto enc: header, CRC, padded body. The
 // header is written as one slab, and the body goes through WriteRaw — so
 // when enc streams to a chunk sink (core.SendSectioned), a section body
-// built by a pool worker flows from its encode buffer straight into the
-// stream chunks, never staging through enc's own buffer.
+// flows from the encode buffer it was built in straight into the stream
+// chunks, never staging through enc's own buffer.
 func Append(enc *xdr.Encoder, s Section) {
 	enc.Put4Uint32(uint32(s.Kind), s.ID, uint32(len(s.Body)), crc32.ChecksumIEEE(s.Body))
 	enc.WriteRaw(s.Body)

@@ -128,44 +128,25 @@ func benchSectionedSnapshot(b *testing.B) (*minic.Program, []byte) {
 	if err != nil || !res.Migrated {
 		b.Fatal("setup failed to reach migration point")
 	}
-	snap, err := p.CaptureSections(1)
+	snap, err := p.CaptureSections(0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return prog, snap
 }
 
-// benchRestore restores the snapshot with the given heap-fill pool width.
-// It backs both restore benchmarks so the serial and parallel rows differ
-// only in RestoreWorkers; CI's bench smoke runs them (with ReportAllocs)
-// to keep the parallel fill path honest about per-restore allocations —
-// the pool must add workers, not garbage.
-func benchRestore(b *testing.B, workers int) {
+// BenchmarkSerialRestore measures the sectioned restore.
+func BenchmarkSerialRestore(b *testing.B) {
 	prog, snap := benchSectionedSnapshot(b)
 	b.SetBytes(int64(len(snap)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q, err := NewProcess(prog, arch.Ultra5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		q.RestoreWorkers = workers
-		if err := q.RestoreInto(snap); err != nil {
+		if _, err := RestoreProcess(prog, arch.Ultra5, snap); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkSerialRestore measures the sectioned restore with the heap
-// fills fully serial (the pre-pool behavior).
-func BenchmarkSerialRestore(b *testing.B) { benchRestore(b, 1) }
-
-// BenchmarkParallelRestore measures the same restore with a 4-wide heap
-// fill pool. On a multi-core host the heap portion shrinks toward the
-// makespan of its components; the restored image is identical either way
-// (TestParallelRestoreMatrix pins that).
-func BenchmarkParallelRestore(b *testing.B) { benchRestore(b, 4) }
 
 // BenchmarkResumeFastForward measures how quickly a restored process
 // reaches its migration point through deep nesting.

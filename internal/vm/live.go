@@ -8,7 +8,8 @@ package vm
 //
 //	round 0   full sectioned capture, process resumes while it ships
 //	round k   delta capture — only the sections the dirty set touched
-//	          re-encode (collect.EncodeDelta); the process resumes
+//	          re-encode (collect.EncodeSections with this capture's
+//	          tracker); the process resumes
 //	final     process stays stopped; the last delta is the only state
 //	          the downtime window has to move
 //
@@ -28,7 +29,6 @@ import (
 	"repro/internal/collect"
 	"repro/internal/memory"
 	"repro/internal/snapshot"
-	"repro/internal/xdr"
 )
 
 // LiveSection is one section of a pre-copy round: its snapshot framing
@@ -69,20 +69,19 @@ type LiveRound struct {
 // is bound to one stopped-and-resumable process (NoAutoCapture mode);
 // Close turns the write barrier back off.
 type LiveCapture struct {
-	p       *Process
-	dt      *collect.DeltaTracker
-	since   uint64 // dirty watermark: writes at or after this generation are unshipped
-	workers int
-	rounds  int
+	p      *Process
+	dt     *collect.DeltaTracker
+	since  uint64 // dirty watermark: writes at or after this generation are unshipped
+	rounds int
 }
 
 // NewLiveCapture prepares a process for pre-copy rounds: the write
 // barrier turns on (round 0 ships everything, so earlier writes need no
-// tracking) and the delta cache starts empty. workers bounds the
-// section-encoding pool exactly as in CaptureSections.
-func (p *Process) NewLiveCapture(workers int) *LiveCapture {
+// tracking) and the delta cache starts empty. The parameter is inert, as
+// CaptureSections' is, and stays for the same reason.
+func (p *Process) NewLiveCapture(_ int) *LiveCapture {
 	p.Space.StartDirtyTracking()
-	return &LiveCapture{p: p, dt: collect.NewDeltaTracker(), workers: workers}
+	return &LiveCapture{p: p, dt: collect.NewDeltaTracker()}
 }
 
 // Close ends the pre-copy sequence, turning the write barrier off. The
@@ -115,80 +114,40 @@ func (lc *LiveCapture) DirtyBlocks() int {
 func (lc *LiveCapture) Round() (*LiveRound, error) {
 	p := lc.p
 	start := time.Now()
-	site, err := p.stoppedSite()
-	if err != nil {
-		return nil, err
-	}
-	sites, err := p.captureSites(site)
-	if err != nil {
-		return nil, err
-	}
-	roots := p.liveRoots(sites)
-
-	dirtyBlocks := 0
+	round := &LiveRound{}
 	var dirty collect.DirtyFunc
 	if lc.since > 0 {
-		dirtyBlocks = p.Space.DirtySince(lc.since)
+		round.DirtyBlocks = p.Space.DirtySince(lc.since)
 		since := lc.since
 		dirty = func(addr memory.Address, n int) bool {
 			return p.Space.RangeDirtySince(addr, n, since)
 		}
 	}
-	mDirtyBlocks.Set(int64(dirtyBlocks))
+	mDirtyBlocks.Set(int64(round.DirtyBlocks))
 
-	span := p.Obs.Child("collect")
-	span.SetAttr("format", "delta")
-	defer span.End()
-
-	pt, err := collect.BuildPartition(p.Space, p.Table, p.TI, roots)
+	// Every body is owned by the tracker, so there is nothing to release.
+	secs, _, err := p.captureSectionList(lc.dt, dirty)
 	if err != nil {
 		return nil, err
 	}
-	st, err := collect.EncodeDelta(p.Space, p.Table, p.TI, pt, roots, lc.dt, dirty, lc.workers)
-	if err != nil {
-		return nil, err
-	}
-
-	// The exec section is tiny and site-dependent; encode it fresh every
-	// round.
-	execEnc := xdr.NewEncoder(64)
-	execEnc.PutUint32(uint32(len(p.frames)))
-	for i, f := range p.frames {
-		execEnc.PutString(f.Fn.Name)
-		execEnc.PutUint32(uint32(sites[i].ID))
-	}
-	execBody := execEnc.Bytes()
-
-	nframes := len(p.frames)
-	round := &LiveRound{
-		Sections:    make([]LiveSection, 0, 1+len(st.Heap)+nframes+1),
-		DirtyBlocks: dirtyBlocks,
-		Encoded:     st.Encoded + 1, // + exec
-		Reused:      st.Reused,
-	}
-	add := func(kind snapshot.Kind, id uint32, body []byte, reused bool) {
-		round.Sections = append(round.Sections, LiveSection{
-			Kind: kind, ID: id, Hash: sha256.Sum256(body), Body: body, Reused: reused,
-		})
-		round.Bytes += len(body)
-		if !reused {
-			round.FreshBytes += len(body)
+	round.Sections = make([]LiveSection, len(secs))
+	for i, s := range secs {
+		round.Sections[i] = LiveSection{
+			Kind: s.Kind, ID: s.ID, Hash: sha256.Sum256(s.Body), Body: s.Body, Reused: s.Reused,
+		}
+		round.Bytes += len(s.Body)
+		if s.Reused {
+			round.Reused++
+		} else {
+			round.Encoded++
+			round.FreshBytes += len(s.Body)
 		}
 	}
-	add(snapshot.KindExec, 0, execBody, false)
-	for i, h := range st.Heap {
-		add(snapshot.KindHeap, uint32(i), h.Body, h.Reused)
-	}
-	for i := nframes - 1; i >= 0; i-- {
-		add(snapshot.KindFrame, uint32(i+1), st.Frames[i].Body, st.Frames[i].Reused)
-	}
-	add(snapshot.KindGlobals, 0, st.Globals.Body, st.Globals.Reused)
 
 	// Move the watermark: writes from here on belong to the next round.
 	lc.since = p.Space.AdvanceGeneration()
 	lc.rounds++
 	round.Elapsed = time.Since(start)
-	span.SetBytes(int64(round.FreshBytes))
 	return round, nil
 }
 

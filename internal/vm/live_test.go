@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/minic"
+	"repro/internal/snapshot"
 	"repro/internal/workload"
+	"repro/internal/xdr"
 )
 
 // newMutatingProcess compiles the mutating-shards workload and stops the
@@ -41,7 +43,7 @@ func newMutatingProcess(t *testing.T, m *arch.Machine, rounds int) (*Process, *m
 // most sections were carried over from the cache.
 func TestLiveRoundsByteIdenticalToStopAndCopy(t *testing.T) {
 	p, prog := newMutatingProcess(t, arch.Ultra5, 6)
-	lc := p.NewLiveCapture(1)
+	lc := p.NewLiveCapture(0)
 	defer lc.Close()
 
 	totalReused := 0
@@ -51,7 +53,7 @@ func TestLiveRoundsByteIdenticalToStopAndCopy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		direct, err := p.CaptureSections(1)
+		direct, err := p.CaptureSections(0)
 		if err != nil {
 			t.Fatalf("round %d direct capture: %v", round, err)
 		}
@@ -108,7 +110,7 @@ func TestLiveRoundsByteIdenticalToStopAndCopy(t *testing.T) {
 // reuses the other three heap components.
 func TestLiveRoundReuseTracksDirtySet(t *testing.T) {
 	p, _ := newMutatingProcess(t, arch.Ultra5, 6)
-	lc := p.NewLiveCapture(1)
+	lc := p.NewLiveCapture(0)
 	defer lc.Close()
 
 	if _, err := lc.Round(); err != nil {
@@ -135,6 +137,58 @@ func TestLiveRoundReuseTracksDirtySet(t *testing.T) {
 		if r.FreshBytes >= r.Bytes {
 			t.Fatalf("round %d fresh bytes %d not below total %d", round, r.FreshBytes, r.Bytes)
 		}
+	}
+}
+
+// TestLiveRoundReportsAsCapture holds a pre-copy round to the capture
+// instruments a cold capture reports to, counting what the round encoded
+// and not what it reused: vm.captures, xdr.encode.* and CaptureStats.
+func TestLiveRoundReportsAsCapture(t *testing.T) {
+	p, _ := newMutatingProcess(t, arch.Ultra5, 6)
+	lc := p.NewLiveCapture(0)
+	defer lc.Close()
+	if _, err := lc.Round(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := p.ResumeRun(); err != nil || !res.Migrated {
+		t.Fatalf("resume: res=%+v err=%v", res, err)
+	}
+
+	captures, encoded := mCaptures.Value(), mEncodeBytes.Value()
+	r, err := lc.Round()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Reused == 0 || r.DirtyBlocks == 0 {
+		t.Fatalf("round reused %d sections over %d dirty blocks; want a delta round", r.Reused, r.DirtyBlocks)
+	}
+	if got := mCaptures.Value() - captures; got != 1 {
+		t.Errorf("vm.captures rose by %d over one round, want 1", got)
+	}
+	if got := mEncodeBytes.Value() - encoded; got < int64(r.FreshBytes) {
+		t.Errorf("xdr.encode.bytes rose by %d, want at least the round's %d fresh bytes", got, r.FreshBytes)
+	}
+	// The blocks of the re-encoded sections, from their directories: the
+	// first word of a heap body, the word behind the live references (16
+	// bytes each, never null) of a frame or globals body.
+	var blocks int64
+	for _, s := range r.Sections {
+		if s.Reused || s.Kind == snapshot.KindExec {
+			continue
+		}
+		dec := xdr.NewDecoder(s.Body)
+		if s.Kind != snapshot.KindHeap {
+			live, _ := dec.Uint32()
+			dec.FixedOpaque(16 * int(live))
+		}
+		n, err := dec.Uint32()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks += int64(n)
+	}
+	if got := p.CaptureStats().Save.Blocks; got != blocks {
+		t.Errorf("CaptureStats().Save.Blocks = %d, want the %d blocks of the re-encoded sections", got, blocks)
 	}
 }
 

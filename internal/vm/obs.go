@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/xdr"
 )
 
 // Pre-resolved handles into the default registry. The XDR encoder and
@@ -24,24 +23,19 @@ var (
 	mRestoreLat     = obs.Default.Histogram("vm.restore.latency")
 	mSectionEncode  = obs.Default.Histogram("vm.section.encode")
 	mSectionRestore = obs.Default.Histogram("vm.section.restore")
-	// Parallel-restore instrumentation: the pool width the last sectioned
-	// restore engaged, and the fill latency of each heap component as
-	// measured on its worker.
-	mRestorePar     = obs.Default.Gauge("vm.restore.parallelism")
-	mRestoreCompLat = obs.Default.Histogram("vm.restore.component.latency")
 	// Live pre-copy instrumentation: the dirty-set size each delta round
 	// observed when it started.
 	mDirtyBlocks = obs.Default.Gauge("vm.dirty.blocks")
 )
 
-// flushCapture publishes one completed capture's encoder counters. The
-// calls figure is the top-level snapshot encoder's: section bodies built
-// by pool workers on private encoders appear as the single PutFixedOpaque
-// that splices each into the stream.
-func flushCapture(enc *xdr.Encoder, elapsed time.Duration) {
+// flushCapture publishes one completed capture's encoder counters: the
+// stream encoder's for a monolithic capture, the sum over the section
+// encoders' for a sectioned one (framing the bodies into a snapshot is
+// not counted).
+func flushCapture(calls, bytes int, elapsed time.Duration) {
 	mCaptures.Inc()
-	mEncodeCalls.Add(int64(enc.Calls()))
-	mEncodeBytes.Add(int64(enc.Len()))
+	mEncodeCalls.Add(int64(calls))
+	mEncodeBytes.Add(int64(bytes))
 	mCaptureLat.Observe(elapsed)
 }
 

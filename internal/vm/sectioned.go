@@ -2,21 +2,18 @@ package vm
 
 // Sectioned (v3) state transfer. The capture partitions the reachable MSR
 // graph into independently-framed sections (internal/snapshot) and encodes
-// the heap components concurrently (internal/collect's EncodeSections);
-// the restore walks the sections in order, rebuilding the MSRLT
+// them one after the other (internal/collect's EncodeSections); the
+// restore walks the sections in order, rebuilding the MSRLT
 // section-by-section with a per-section CRC check.
 //
-// Section order is deterministic so a serial and a parallel capture of the
-// same stopped process produce byte-identical snapshots:
+// Section order is deterministic, so two captures of the same stopped
+// process produce byte-identical snapshots:
 //
 //	exec #0, heap #0..H-1 (component number), frame #depth
 //	(innermost first), globals #0
 
 import (
 	"fmt"
-	"runtime"
-	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/collect"
@@ -26,57 +23,14 @@ import (
 	"repro/internal/xdr"
 )
 
-// maxRestoreWorkers is the process-wide cap on the parallel-restore pool,
-// applied when a Process leaves RestoreWorkers at its zero default. Zero
-// means uncapped (GOMAXPROCS). Operators set it with the -restore-workers
-// flag on migd and migstate.
-var maxRestoreWorkers atomic.Int32
-
-// SetMaxRestoreWorkers caps the heap-section restore pool for every
-// Process that does not set RestoreWorkers explicitly. n <= 0 removes the
-// cap. The cap never raises the pool above GOMAXPROCS.
-func SetMaxRestoreWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	maxRestoreWorkers.Store(int32(n))
-}
-
-// MaxRestoreWorkers returns the current process-wide restore pool cap
-// (0 = uncapped).
-func MaxRestoreWorkers() int { return int(maxRestoreWorkers.Load()) }
-
-// restoreWorkerCount resolves the pool width for one sectioned restore.
-func (p *Process) restoreWorkerCount() int {
-	switch {
-	case p.RestoreWorkers > 0:
-		return p.RestoreWorkers
-	case p.RestoreWorkers < 0:
-		return runtime.GOMAXPROCS(0)
-	}
-	w := runtime.GOMAXPROCS(0)
-	if cap := MaxRestoreWorkers(); cap > 0 && w > cap {
-		w = cap
-	}
-	return w
-}
-
-// SectionWorkersEngaged reports how many pool workers encoded at least
-// one section during the last sectioned capture.
-func (p *Process) SectionWorkersEngaged() int { return p.sectionWorkers }
-
-// RestoreWorkersEngaged reports how many pool workers filled at least one
-// heap section during the sectioned restore that initialized this process
-// (0 for a monolithic restore or a snapshot without heap sections).
-func (p *Process) RestoreWorkersEngaged() int { return p.restoreWorkers }
-
 // CaptureSections re-collects the full process state at the stopped
-// migration point in the sectioned (v3) snapshot format. workers bounds
-// the heap-component encoding pool: 1 is fully serial, <= 0 selects
-// GOMAXPROCS. The snapshot bytes are identical for every worker count.
-func (p *Process) CaptureSections(workers int) ([]byte, error) {
+// migration point in the sectioned (v3) snapshot format. The parameter is
+// inert — it was the width of the encoding pool, which is gone — and stays
+// only because bench/program.go, which no ordinary change may edit, passes
+// one.
+func (p *Process) CaptureSections(_ int) ([]byte, error) {
 	enc := xdr.NewEncoder(1 << 12)
-	if err := p.CaptureSectionsTo(enc, workers); err != nil {
+	if err := p.CaptureSectionsTo(enc); err != nil {
 		return nil, err
 	}
 	return enc.Bytes(), nil
@@ -84,81 +38,99 @@ func (p *Process) CaptureSections(workers int) ([]byte, error) {
 
 // CaptureSectionsTo is CaptureSections writing into the supplied encoder
 // (which may have a flush sink attached for streamed transmission).
-func (p *Process) CaptureSectionsTo(enc *xdr.Encoder, workers int) error {
-	site, err := p.stoppedSite()
+func (p *Process) CaptureSectionsTo(enc *xdr.Encoder) error {
+	secs, release, err := p.captureSectionList(nil, nil)
 	if err != nil {
 		return err
 	}
-	return p.captureSectionsTo(enc, site, workers)
+	// Once every body has been spliced into the output stream the pooled
+	// section encoders go back.
+	defer release()
+	snapshot.PutPrologue(enc, len(secs))
+	for _, s := range secs {
+		snapshot.Append(enc, s.Section)
+	}
+	return nil
 }
 
-func (p *Process) captureSectionsTo(enc *xdr.Encoder, innermost *minic.Site, workers int) error {
-	p.lastSite = innermost
+// capturedSection is one section of a sectioned capture: its snapshot
+// framing identity and body, and whether the body was carried over from
+// the delta tracker's previous round instead of being encoded.
+type capturedSection struct {
+	snapshot.Section
+	Reused bool
+}
+
+// captureSectionList is the one sectioned producer, behind cold, warm and
+// live captures alike: it collects the state at the site the process is
+// stopped at and returns every section in the deterministic snapshot
+// order — exec, heap components by number, frames innermost first,
+// globals. With a tracker (a live round) the sections dirty cannot have
+// touched are reused from it and every body is tracker-owned; without
+// one the bodies alias pooled encoders until release is called. The
+// capture is recorded here, once, counting the sections that were
+// encoded (not the reused ones): CaptureStats, a "collect" span with
+// partition, encode and per-section children, the vm.section.encode
+// histogram and the capture counters.
+func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty collect.DirtyFunc) (secs []capturedSection, release func(), err error) {
 	start := time.Now()
-	span := p.Obs.Child("collect")
-	span.SetAttr("format", "sectioned")
-	defer span.End()
+	innermost, err := p.stoppedSite()
+	if err != nil {
+		return nil, nil, err
+	}
 	sites, err := p.captureSites(innermost)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	roots := p.liveRoots(sites)
+	span := p.Obs.Child("collect")
+	if dt != nil {
+		span.SetAttr("format", "delta")
+	} else {
+		span.SetAttr("format", "sectioned")
+	}
+	defer span.End()
 
 	baseSearches := p.Table.Stats.Searches
 	baseSteps := p.Table.Stats.SearchSteps
-
-	partSpan := span.Child("partition")
-	pt, err := collect.BuildPartition(p.Space, p.Table, p.TI, roots)
-	partSpan.End()
+	roots := p.liveRoots(sites)
+	encStart := time.Now()
+	st, err := collect.EncodeSections(p.Space, p.Table, p.TI, roots, dt, dirty)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	encSpan := span.Child("encode")
-	st, err := collect.EncodeSections(p.Space, p.Table, p.TI, pt, roots, workers)
-	encSpan.End()
-	if err != nil {
-		return err
-	}
-	encSpan.SetAttr("workers", strconv.Itoa(st.Workers))
+	span.Child("partition").SetDuration(st.Partition)
+	span.Child("encode").SetDuration(time.Since(encStart) - st.Partition)
 
-	// The execution-state section: frame count, then per frame the
-	// function name and stopped site (the v1 exec header minus its magic;
-	// the snapshot prologue carries the format magic).
 	execStart := time.Now()
 	execEnc := xdr.NewEncoder(64)
-	execEnc.PutUint32(uint32(len(p.frames)))
-	for i, f := range p.frames {
-		execEnc.PutString(f.Fn.Name)
-		execEnc.PutUint32(uint32(sites[i].ID))
-	}
-	execBody := execEnc.Bytes()
+	p.putExecState(execEnc, sites)
 	execElapsed := time.Since(execStart)
 
 	nframes := len(p.frames)
-	total := 1 + len(st.Heap) + nframes + 1
-	snapshot.PutPrologue(enc, total)
-	appendSec := func(s snapshot.Section, elapsed time.Duration) {
-		snapshot.Append(enc, s)
-		// Section encoding already ran (possibly on pool workers); record
-		// each as a child with its measured duration rather than wall time.
+	secs = make([]capturedSection, 0, 1+len(st.Heap)+nframes+1)
+	calls, fresh := st.Calls+execEnc.Calls(), 0
+	add := func(kind snapshot.Kind, id uint32, body []byte, elapsed time.Duration, reused bool) {
+		secs = append(secs, capturedSection{snapshot.Section{Kind: kind, ID: id, Body: body}, reused})
+		if reused {
+			return
+		}
+		fresh += len(body)
+		// The encoding already ran; record each section as a child with
+		// its measured duration rather than wall time.
 		c := span.Child("section")
-		c.SetSection(s.Kind.String(), s.ID)
-		c.SetBytes(int64(len(s.Body)))
+		c.SetSection(kind.String(), id)
+		c.SetBytes(int64(len(body)))
 		c.SetDuration(elapsed)
 		mSectionEncode.Observe(elapsed)
 	}
-	appendSec(snapshot.Section{Kind: snapshot.KindExec, Body: execBody}, execElapsed)
+	add(snapshot.KindExec, 0, execEnc.Bytes(), execElapsed, false)
 	for i, h := range st.Heap {
-		appendSec(snapshot.Section{Kind: snapshot.KindHeap, ID: uint32(i), Body: h.Body}, h.Elapsed)
+		add(snapshot.KindHeap, uint32(i), h.Body, h.Elapsed, h.Reused)
 	}
 	for i := nframes - 1; i >= 0; i-- {
-		appendSec(snapshot.Section{Kind: snapshot.KindFrame, ID: uint32(i + 1), Body: st.Frames[i].Body},
-			st.Frames[i].Elapsed)
+		add(snapshot.KindFrame, uint32(i+1), st.Frames[i].Body, st.Frames[i].Elapsed, st.Frames[i].Reused)
 	}
-	appendSec(snapshot.Section{Kind: snapshot.KindGlobals, Body: st.Globals.Body}, st.Globals.Elapsed)
-	// Every body has been spliced into the output stream; hand the pooled
-	// section encoders back (st.Stats and st.Workers survive the release).
-	st.Release()
+	add(snapshot.KindGlobals, 0, st.Globals.Body, st.Globals.Elapsed, st.Globals.Reused)
 
 	save := st.Stats
 	save.Searches = p.Table.Stats.Searches - baseSearches
@@ -166,13 +138,12 @@ func (p *Process) captureSectionsTo(enc *xdr.Encoder, innermost *minic.Site, wor
 	p.captureStats = StateStats{
 		Frames:  nframes,
 		Save:    save,
-		Bytes:   enc.Len(),
+		Bytes:   fresh,
 		Elapsed: time.Since(start),
 	}
-	p.sectionWorkers = st.Workers
-	span.SetBytes(int64(enc.Len()))
-	flushCapture(enc, p.captureStats.Elapsed)
-	return nil
+	span.SetBytes(int64(fresh))
+	flushCapture(calls, fresh, p.captureStats.Elapsed)
+	return secs, st.Release, nil
 }
 
 // liveRoots builds the collection roots — the live-variable addresses of
@@ -216,9 +187,13 @@ func (p *Process) restoreSectioned(state []byte, restoreStart time.Time) error {
 	if sec.Kind != snapshot.KindExec || sec.ID != 0 {
 		return fmt.Errorf("%w: snapshot does not start with the exec section", collect.ErrCorruptStream)
 	}
-	sites, err := p.restoreExecBody(sec.Body)
+	execDec := xdr.NewDecoder(sec.Body)
+	sites, err := p.restoreExecState(execDec)
 	if err != nil {
 		return err
+	}
+	if execDec.Remaining() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes in exec section", collect.ErrCorruptStream, execDec.Remaining())
 	}
 	nframes := len(sites)
 
@@ -228,41 +203,6 @@ func (p *Process) restoreSectioned(state []byte, restoreStart time.Time) error {
 	nextHeap := uint32(0)
 	framesSeen := make([]bool, nframes)
 	globalsSeen := false
-
-	// Heap-component sections are contiguous and independent, so they are
-	// batched as they stream in and restored together when the first
-	// variable section arrives: block allocation stays serial in section
-	// order (the heap layout is identical to a fully serial restore), then
-	// the component contents fill on a bounded worker pool — the restore
-	// twin of the capture side's EncodeSections.
-	var heapBodies [][]byte
-	restoreHeapBatch := func() error {
-		if heapDone {
-			return nil
-		}
-		heapDone = true
-		if len(heapBodies) == 0 {
-			return nil
-		}
-		hr, err := collect.RestoreHeapSections(p.Space, p.Table, p.TI, heapBodies,
-			p.Instrument, p.restoreWorkerCount())
-		if err != nil {
-			return fmt.Errorf("vm: restoring heap sections: %w", err)
-		}
-		mRestorePar.Set(int64(hr.Workers))
-		p.restoreWorkers = hr.Workers
-		for i := range heapBodies {
-			total.Add(hr.PerSection[i])
-			secElapsed := hr.Prepare[i] + hr.Elapsed[i]
-			c := span.Child("section")
-			c.SetSection(snapshot.KindHeap.String(), uint32(i))
-			c.SetBytes(int64(len(heapBodies[i])))
-			c.SetDuration(secElapsed)
-			mSectionRestore.Observe(secElapsed)
-			mRestoreCompLat.Observe(hr.Elapsed[i])
-		}
-		return nil
-	}
 
 	for rd.Remaining() > 0 {
 		sec, err := rd.Next()
@@ -283,12 +223,9 @@ func (p *Process) restoreSectioned(state []byte, restoreStart time.Time) error {
 					collect.ErrCorruptStream, sec.ID, nextHeap)
 			}
 			nextHeap++
-			heapBodies = append(heapBodies, sec.Body)
-			continue
+			rs, err = collect.RestoreHeapSection(p.Space, p.Table, p.TI, sec.Body, p.Instrument)
 		case snapshot.KindFrame:
-			if err := restoreHeapBatch(); err != nil {
-				return err
-			}
+			heapDone = true
 			d := int(sec.ID)
 			if d < 1 || d > nframes {
 				return fmt.Errorf("%w: frame section %d outside the %d restored frames",
@@ -306,9 +243,7 @@ func (p *Process) restoreSectioned(state []byte, restoreStart time.Time) error {
 			rs, err = collect.RestoreVarSection(p.Space, p.Table, p.TI, sec.Body,
 				live, memory.Stack, uint32(d), p.Instrument)
 		case snapshot.KindGlobals:
-			if err := restoreHeapBatch(); err != nil {
-				return err
-			}
+			heapDone = true
 			if globalsSeen {
 				return fmt.Errorf("%w: duplicate globals section", collect.ErrCorruptStream)
 			}
@@ -350,44 +285,4 @@ func (p *Process) restoreSectioned(state []byte, restoreStart time.Time) error {
 	span.SetBytes(int64(len(state)))
 	flushRestore(dec.Calls(), len(state), p.restoreElapsed)
 	return nil
-}
-
-// restoreExecBody decodes the execution-state section and rebuilds the
-// frame chain, returning the per-frame stopped sites.
-func (p *Process) restoreExecBody(body []byte) ([]*minic.Site, error) {
-	dec := xdr.NewDecoder(body)
-	nframes, err := dec.Uint32()
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated exec section", collect.ErrCorruptStream)
-	}
-	if nframes == 0 || nframes > 1<<16 {
-		return nil, fmt.Errorf("%w: implausible frame count %d", collect.ErrCorruptStream, nframes)
-	}
-	sites := make([]*minic.Site, nframes)
-	for i := 0; i < int(nframes); i++ {
-		name, err := dec.String()
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated exec section", collect.ErrCorruptStream)
-		}
-		siteID, err := dec.Uint32()
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated exec section", collect.ErrCorruptStream)
-		}
-		fn := p.Prog.Func(name)
-		if fn == nil {
-			return nil, fmt.Errorf("%w: state references unknown function %s", collect.ErrMismatch, name)
-		}
-		site := fn.SiteByID(int(siteID))
-		if site == nil {
-			return nil, fmt.Errorf("%w: function %s has no migration site %d", collect.ErrMismatch, name, siteID)
-		}
-		sites[i] = site
-		if _, err := p.pushFrame(fn); err != nil {
-			return nil, err
-		}
-	}
-	if dec.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in exec section", collect.ErrCorruptStream, dec.Remaining())
-	}
-	return sites, nil
 }

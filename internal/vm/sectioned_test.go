@@ -63,20 +63,20 @@ func countSections(t *testing.T, snap []byte) (total, heap int) {
 	return total, heap
 }
 
-func TestSectionedSerialParallelIdentical(t *testing.T) {
+func TestSectionedCaptureDeterministic(t *testing.T) {
 	p, _, _, _ := stopSectioned(t, workload.ShardedListsSource(6, 40))
-	serial, err := p.CaptureSections(1)
+	first, err := p.CaptureSections(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := p.CaptureSections(4)
+	second, err := p.CaptureSections(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("serial (%d B) and parallel (%d B) snapshots differ", len(serial), len(parallel))
+	if !bytes.Equal(first, second) {
+		t.Fatalf("two captures of one stopped process (%d B, %d B) differ", len(first), len(second))
 	}
-	if _, comps := countSections(t, parallel); comps != 6 {
+	if _, comps := countSections(t, second); comps != 6 {
 		t.Errorf("heap components = %d, want 6 (one per sharded list)", comps)
 	}
 }
@@ -111,7 +111,7 @@ func TestSectionedPartitionMergesSharedHeap(t *testing.T) {
 		}
 	`
 	p, _, _, _ := stopSectioned(t, src)
-	snap, err := p.CaptureSections(1)
+	snap, err := p.CaptureSections(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSectionedPartitionMergesSharedHeap(t *testing.T) {
 
 func TestSectionedRestoreRoundTrip(t *testing.T) {
 	p, prog, v1, want := stopSectioned(t, workload.ShardedListsSource(4, 30))
-	v3, err := p.CaptureSections(2)
+	v3, err := p.CaptureSections(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +160,8 @@ func TestSectionedRestoreRoundTrip(t *testing.T) {
 }
 
 func TestSectionedRejectsCorruption(t *testing.T) {
-	p, prog, _, _ := stopSectioned(t, workload.ShardedListsSource(3, 20))
-	v3, err := p.CaptureSections(1)
+	p, prog, v1, _ := stopSectioned(t, workload.ShardedListsSource(3, 20))
+	v3, err := p.CaptureSections(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +204,28 @@ func TestSectionedRejectsCorruption(t *testing.T) {
 			t.Errorf("err = %v, want ErrCorruptStream", err)
 		}
 	})
+	// The v1 stream's execution state goes through the same decoder as the
+	// exec section, so its failures carry the same types.
+	t.Run("truncated v1 exec header", func(t *testing.T) {
+		if _, err := RestoreProcess(prog, arch.I386, v1[:10]); !errors.Is(err, collect.ErrCorruptStream) {
+			t.Errorf("err = %v, want ErrCorruptStream", err)
+		}
+	})
+	t.Run("v1 unknown function", func(t *testing.T) {
+		enc := xdr.NewEncoder(64)
+		enc.PutUint32(execMagic)
+		enc.PutUint32(1)
+		enc.PutString("no_such_function")
+		enc.PutUint32(0)
+		if _, err := RestoreProcess(prog, arch.I386, enc.Bytes()); !errors.Is(err, collect.ErrMismatch) {
+			t.Errorf("err = %v, want ErrMismatch", err)
+		}
+	})
 }
 
 func TestSectionedRejectsWrongProgram(t *testing.T) {
 	p, _, _, _ := stopSectioned(t, workload.ShardedListsSource(3, 20))
-	v3, err := p.CaptureSections(1)
+	v3, err := p.CaptureSections(0)
 	if err != nil {
 		t.Fatal(err)
 	}

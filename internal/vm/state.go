@@ -37,7 +37,10 @@ const execMagic = 0x45584543 // "EXEC"
 type StateStats struct {
 	Frames int
 	Save   collect.SaveStats
-	Bytes  int
+	// Bytes is the size of what the capture encoded: the whole stream of a
+	// monolithic capture, the section bodies of a sectioned one (a live
+	// round's reused bodies not counted).
+	Bytes int
 	// Elapsed is the wall time of the whole capture (the paper's
 	// "Collect" column), measured unconditionally.
 	Elapsed time.Duration
@@ -120,11 +123,7 @@ func (p *Process) captureState(innermost *minic.Site) ([]byte, error) {
 		return nil, err
 	}
 	enc.PutUint32(execMagic)
-	enc.PutUint32(uint32(len(p.frames)))
-	for i, f := range p.frames {
-		enc.PutString(f.Fn.Name)
-		enc.PutUint32(uint32(sites[i].ID))
-	}
+	p.putExecState(enc, sites)
 
 	saver := collect.NewSaver(p.Space, p.Table, p.TI, enc)
 	saver.Instrument = p.Instrument
@@ -151,11 +150,8 @@ func (p *Process) captureState(innermost *minic.Site) ([]byte, error) {
 		Bytes:   enc.Len(),
 		Elapsed: time.Since(captureStart),
 	}
-	// A monolithic capture supersedes any earlier sectioned one, so no
-	// pool worker was engaged by the last capture.
-	p.sectionWorkers = 0
 	span.SetBytes(int64(enc.Len()))
-	flushCapture(enc, p.captureStats.Elapsed)
+	flushCapture(enc.Calls(), enc.Len(), p.captureStats.Elapsed)
 	return enc.Bytes(), nil
 }
 
@@ -209,41 +205,14 @@ func (p *Process) restoreState(state []byte) error {
 	span := p.Obs.Child("restore")
 	span.SetAttr("format", "mono")
 	defer span.End()
-	nframes, err := dec.Uint32()
+	sites, err := p.restoreExecState(dec)
 	if err != nil {
 		return err
-	}
-	if nframes == 0 || nframes > 1<<16 {
-		return fmt.Errorf("vm: implausible frame count %d", nframes)
-	}
-
-	sites := make([]*minic.Site, nframes)
-	for i := 0; i < int(nframes); i++ {
-		name, err := dec.String()
-		if err != nil {
-			return err
-		}
-		siteID, err := dec.Uint32()
-		if err != nil {
-			return err
-		}
-		fn := p.Prog.Func(name)
-		if fn == nil {
-			return fmt.Errorf("vm: state references unknown function %s", name)
-		}
-		site := fn.SiteByID(int(siteID))
-		if site == nil {
-			return fmt.Errorf("vm: function %s has no migration site %d", name, siteID)
-		}
-		sites[i] = site
-		if _, err := p.pushFrame(fn); err != nil {
-			return err
-		}
 	}
 
 	restorer := collect.NewRestorer(p.Space, p.Table, p.TI, dec)
 	restorer.Instrument = p.Instrument
-	for i := int(nframes) - 1; i >= 0; i-- {
+	for i := len(sites) - 1; i >= 0; i-- {
 		f := p.frames[i]
 		for _, v := range sites[i].Live {
 			if err := restorer.RestoreVariable(p.VarAddr(f, v)); err != nil {
@@ -265,6 +234,54 @@ func (p *Process) restoreState(state []byte) error {
 	span.SetBytes(int64(len(state)))
 	flushRestore(dec.Calls(), len(state), p.restoreElapsed)
 	return nil
+}
+
+// putExecState encodes the execution state — frame count, then per frame
+// the function name and the site it is stopped at. The v1 stream carries
+// it behind execMagic, the sectioned snapshot as the body of its exec
+// section.
+func (p *Process) putExecState(enc *xdr.Encoder, sites []*minic.Site) {
+	enc.PutUint32(uint32(len(p.frames)))
+	for i, f := range p.frames {
+		enc.PutString(f.Fn.Name)
+		enc.PutUint32(uint32(sites[i].ID))
+	}
+}
+
+// restoreExecState decodes what putExecState wrote and rebuilds the frame
+// chain, returning the per-frame stopped sites.
+func (p *Process) restoreExecState(dec *xdr.Decoder) ([]*minic.Site, error) {
+	nframes, err := dec.Uint32()
+	if err != nil {
+		return nil, fmt.Errorf("%w: truncated execution state", collect.ErrCorruptStream)
+	}
+	if nframes == 0 || nframes > 1<<16 {
+		return nil, fmt.Errorf("%w: implausible frame count %d", collect.ErrCorruptStream, nframes)
+	}
+	sites := make([]*minic.Site, nframes)
+	for i := range sites {
+		name, err := dec.String()
+		if err != nil {
+			return nil, fmt.Errorf("%w: truncated execution state", collect.ErrCorruptStream)
+		}
+		siteID, err := dec.Uint32()
+		if err != nil {
+			return nil, fmt.Errorf("%w: truncated execution state", collect.ErrCorruptStream)
+		}
+		fn := p.Prog.Func(name)
+		if fn == nil {
+			return nil, fmt.Errorf("%w: state references unknown function %s", collect.ErrMismatch, name)
+		}
+		site := fn.SiteByID(int(siteID))
+		if site == nil {
+			return nil, fmt.Errorf("%w: function %s has no migration site %d", collect.ErrMismatch, name, siteID)
+		}
+		sites[i] = site
+		if _, err := p.pushFrame(fn); err != nil {
+			return nil, err
+		}
+	}
+	return sites, nil
 }
 
 // SnapshotAddressOf resolves a named variable in the current innermost

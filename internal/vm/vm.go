@@ -131,11 +131,9 @@ type Process struct {
 	// Instrument enables fine-grained timing in capture/restore stats.
 	Instrument bool
 
-	// RestoreWorkers bounds the worker pool that fills heap-component
-	// sections during a sectioned (v3) restore: 1 is fully serial,
-	// 0 (the default) selects GOMAXPROCS capped by SetMaxRestoreWorkers,
-	// and a negative value also selects GOMAXPROCS but ignores the cap.
-	// The restored memory image is identical for every worker count.
+	// RestoreWorkers is inert: nothing reads it. It was the width of the
+	// heap-section restore pool, which is gone, and stays only because
+	// bench/program.go, which no ordinary change may edit, assigns it.
 	RestoreWorkers int
 
 	// Obs, when set, receives one child span per capture/restore phase
@@ -152,12 +150,6 @@ type Process struct {
 	captureStats   StateStats
 	restoreStats   collect.RestoreStats
 	restoreElapsed time.Duration
-
-	// Pool widths engaged by the last sectioned (v3) capture and by the
-	// restore that built this process, zero when the monolithic format
-	// was used.
-	sectionWorkers int
-	restoreWorkers int
 
 	globalAddrs []memory.Address
 	frames      []*Frame

@@ -319,7 +319,7 @@ func (e *Encoder) PutFixedOpaque(p []byte) {
 
 // WriteRaw appends fixed-length opaque data like PutFixedOpaque, but when
 // a sink is attached the caller's bytes are handed to the sink directly —
-// the zero-copy framing path: a section body built by a pool worker
+// the zero-copy framing path: a section body built in its own encoder
 // reaches the chunk writer without an intermediate copy into this
 // encoder's buffer. The encoded stream is byte-identical either way.
 //
