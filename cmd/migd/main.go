@@ -19,22 +19,25 @@
 //
 //	migd run -addr 127.0.0.1:7464 -machine dec5000 -program prog.mc -after-polls 3
 //
-// Each migration opens with a negotiated handshake (internal/session):
-// the client offers the protocol versions it speaks plus chunk/window
-// proposals for the chunk stream, and the daemon picks the transfer shape
-// and the more conservative parameters. Nothing has to be flag-matched
-// across operators: a -no-stream (monolithic, v1) client and a sectioned
-// (v3, the default) client can migrate into the same daemon back to back
-// or at the same time. -retry and -retry-timeout let the source wait for
-// a daemon that has not started listening yet.
+// Each migration opens with a handshake (internal/session) that carries
+// identity and capabilities: the client offers its program digest and
+// whether it holds a checkpoint store (-store) and runs live rounds
+// (-live), and the daemon answers with the capabilities both ends hold,
+// which select the transfer shape — cold (a sectioned chunk stream, the
+// default), warm or live. Nothing has to be flag-matched across operators:
+// cold, warm and live clients can migrate into the same daemon back to
+// back or at the same time. -chunk is how the source cuts a cold stream;
+// the daemon takes any. -retry and -retry-timeout let the source wait for
+// a daemon that has not started listening yet; -session-timeout bounds
+// either side's wait on a peer that stops answering.
 //
-// With -live on both sides the session upgrades to pre-copy (v4) rounds:
-// the source keeps executing while the heap ships, re-sending only
-// dirtied sections in iterative rounds (-precopy-rounds, -dirty-threshold
-// tune the convergence cutoff), and pauses only for the final one —
-// bounded downtime instead of a full stop-and-copy stall. A -live client
-// against a daemon without -live (or vice versa) falls back to the
-// ordinary negotiated transfer.
+// With -live on both sides the state crosses as pre-copy rounds: the
+// source keeps executing while the heap ships, re-sending only dirtied
+// sections in iterative rounds (-precopy-rounds, -dirty-threshold tune
+// the convergence cutoff), and pauses only for the final one — bounded
+// downtime instead of a full stop-and-copy stall. A -live client against
+// a daemon without -live (or vice versa) falls back to the ordinary
+// transfer.
 package main
 
 import (
@@ -68,9 +71,7 @@ type options struct {
 	addr           string
 	maxSteps       int64
 	afterPolls     int
-	noStream       bool
 	chunkSize      int
-	window         int
 	retries        int
 	retryTimeout   time.Duration
 	maxConcurrent  int
@@ -128,13 +129,11 @@ func main() {
 	fs.Var(&programs, "program", "pre-distributed MigC source file (repeatable in serve mode)")
 	afterPolls := fs.Int("after-polls", 1, "run: migrate at the N-th poll-point")
 	maxSteps := fs.Int64("max-steps", 4_000_000_000, "statement budget")
-	noStream := fs.Bool("no-stream", false, "run: offer only the monolithic (v1) transfer instead of negotiating up to the sectioned (v3) path")
-	chunkSize := fs.Int("chunk", 256<<10, "pipelined path: chunk-size proposal in bytes (negotiated to the smaller of both sides')")
-	window := fs.Int("window", 16, "pipelined path: transmit-window proposal in chunks (negotiated likewise)")
+	chunkSize := fs.Int("chunk", 256<<10, "run: chunk size in bytes the source cuts a cold transfer's stream into")
 	retries := fs.Int("retry", 0, "run: extra dial attempts while the destination is not listening yet")
 	retryTimeout := fs.Duration("retry-timeout", 30*time.Second, "run: give up redialing after this long")
 	maxConcurrent := fs.Int("max-concurrent", 4, "serve: migrations handled simultaneously")
-	sessionTimeout := fs.Duration("session-timeout", 2*time.Minute, "serve: per-session wall-time bound, handshake through restoration (0 disables)")
+	sessionTimeout := fs.Duration("session-timeout", 2*time.Minute, "per-session wall-time bound, handshake through restoration and commit (0 disables)")
 	pprofAddr := fs.String("pprof", "", "serve: HTTP address for net/http/pprof and the /metrics JSON endpoint (empty disables)")
 	trace := fs.Bool("trace", false, "serve: log a per-session phase-span tree after each session")
 	traceDir := fs.String("trace-dir", "", "serve: dump a flight-<traceID>.json recording into this directory when a session fails (empty disables)")
@@ -143,7 +142,7 @@ func main() {
 	sloSession := fs.Duration("slo-session", 0, "serve: per-session wall-time SLO target; sessions over it burn slo.session.burn (0 disables)")
 	sloDowntime := fs.Duration("slo-downtime", 0, "serve: live-migration downtime SLO target; pauses over it burn slo.downtime.burn (0 disables)")
 	storeDir := fs.String("store", "", "checkpoint store directory enabling warm (dedup'd) transfers with store-equipped peers (empty disables)")
-	live := fs.Bool("live", false, "offer the live pre-copy (v4) path: overlap execution with the transfer, pausing only for the final delta round (falls back when the peer lacks -live)")
+	live := fs.Bool("live", false, "offer the live pre-copy path: overlap execution with the transfer, pausing only for the final delta round (falls back when the peer lacks -live)")
 	precopyRounds := fs.Int("precopy-rounds", 0, "live: delta rounds before the forced final pause (0 = default)")
 	dirtyThreshold := fs.Int("dirty-threshold", 0, "live: pause for the final round once this few blocks are dirty (0 = default)")
 	chaosSpec := fs.String("chaos", "",
@@ -157,9 +156,7 @@ func main() {
 		addr:           *addr,
 		maxSteps:       *maxSteps,
 		afterPolls:     *afterPolls,
-		noStream:       *noStream,
 		chunkSize:      *chunkSize,
-		window:         *window,
 		retries:        *retries,
 		retryTimeout:   *retryTimeout,
 		maxConcurrent:  *maxConcurrent,
@@ -201,12 +198,12 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   migd serve -addr HOST:PORT -machine NAME -program FILE [-program FILE ...]
-             [-max-concurrent N] [-session-timeout D] [-chunk N -window N]
+             [-max-concurrent N] [-session-timeout D]
              [-pprof HOST:PORT] [-trace] [-trace-dir DIR] [-store DIR]
              [-journal-dir DIR] [-node-id ID] [-slo-session D] [-slo-downtime D]
              [-live] [-chaos SPEC]
   migd run   -addr HOST:PORT -machine NAME -program FILE -after-polls N
-             [-no-stream] [-chunk N -window N] [-retry N -retry-timeout D]
+             [-chunk N] [-retry N -retry-timeout D] [-session-timeout D]
              [-store DIR] [-live [-precopy-rounds N] [-dirty-threshold N]]
              [-chaos SPEC]`)
 	os.Exit(2)
@@ -251,22 +248,18 @@ func loadEngines(paths programList, mode string) []namedEngine {
 	return engines
 }
 
-// sessionConfig builds this side's negotiation posture from the flags.
+// sessionConfig builds this side's posture from the flags.
 func (o options) sessionConfig() session.Config {
-	cfg := session.Config{
-		ChunkSize: o.chunkSize, Window: o.window, Store: o.store,
+	return session.Config{
+		ChunkSize: o.chunkSize, Store: o.store,
 		Live: o.live, PrecopyRounds: o.precopyRounds, DirtyThreshold: o.dirtyThreshold,
 	}
-	if o.noStream {
-		cfg.MaxVersion = core.VersionMono
-	}
-	return cfg
 }
 
 // dialRetry dials the daemon, retrying with backoff while the destination
 // is not listening yet (connection refused is expected when the daemon is
 // started a moment later).
-func dialRetry(addr string, retries int, timeout time.Duration) (link.Transport, error) {
+func dialRetry(addr string, retries int, timeout time.Duration) (*link.Conn, error) {
 	deadline := time.Now().Add(timeout)
 	backoff := 200 * time.Millisecond
 	for attempt := 0; ; attempt++ {
@@ -470,12 +463,19 @@ func run(ne namedEngine, m *arch.Machine, o options) {
 		os.Exit(res.ExitCode)
 	}
 
-	t, err := dialRetry(o.addr, o.retries, o.retryTimeout)
+	conn, err := dialRetry(o.addr, o.retries, o.retryTimeout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "migd:", err)
 		os.Exit(1)
 	}
-	defer t.Close()
+	defer conn.Close()
+	// The same bound the daemon puts on its side: a peer that accepts and
+	// then stops answering fails the session, and the failure path below
+	// rolls the paused source back instead of stranding it.
+	if o.sessionTimeout > 0 {
+		conn.SetDeadline(time.Now().Add(o.sessionTimeout))
+	}
+	var t link.Transport = conn
 	chaosRec := obs.NewFlightRecorder(0)
 	if o.chaos != nil {
 		inj := chaos.New(*o.chaos)
@@ -508,17 +508,13 @@ func run(ne namedEngine, m *arch.Machine, o options) {
 			m.Name, rres.ExitCode)
 		os.Exit(rres.ExitCode)
 	}
-	prm := sres.Params
-	how := fmt.Sprintf("monolithic v%d", prm.Version)
-	if prm.Version == core.VersionSectioned {
-		how = fmt.Sprintf("sectioned v%d, chunk %d, window %d", prm.Version, prm.ChunkSize, prm.Window)
-	}
+	how := sres.Params.How()
 	if sres.Warm != nil {
-		how = fmt.Sprintf("warm v%d, %s", prm.Version, sres.Warm)
+		how = fmt.Sprintf("%s, %s", how, sres.Warm)
 	}
 	if sres.Live != nil {
-		how = fmt.Sprintf("live v%d, %d rounds, %d/%d sections shipped, downtime %.4fs (%s)",
-			prm.Version, len(sres.Live.Rounds), sres.Live.TotalSent(), liveSections(sres.Live),
+		how = fmt.Sprintf("%s, %d rounds, %d/%d sections shipped, downtime %.4fs (%s)",
+			how, len(sres.Live.Rounds), sres.Live.TotalSent(), liveSections(sres.Live),
 			sres.Live.Downtime.Seconds(), sres.Live.StopReason)
 	}
 	fmt.Printf("[migd %s] migrated %d bytes (%s; collect %.4fs, tx %.4fs); terminating\n",

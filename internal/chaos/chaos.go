@@ -96,8 +96,8 @@ const (
 	ClassWant     Class = "live/want"      // WANT
 	ClassBodies   Class = "live/bodies"    // BODIES
 	ClassAbort    Class = "live/abort"     // ABORT
-	ClassData     Class = "transport/data" // stream DATA chunk or a v1 sealed envelope
-	ClassControl  Class = "transport/ctl"  // stream ACK/FIN/DONE
+	ClassData     Class = "transport/data" // stream DATA chunk
+	ClassControl  Class = "transport/ctl"  // stream FIN/DONE
 	ClassUnknown  Class = "transport/raw"  // anything the classifier cannot name
 )
 
@@ -108,7 +108,6 @@ const (
 const (
 	sessionMagic = 0x4d534553 // "MSES"
 	streamMagic  = 0x4d535452 // "MSTR"
-	streamData   = 3          // stream msgData
 )
 
 var sessionClasses = map[uint32]Class{
@@ -123,28 +122,28 @@ var sessionClasses = map[uint32]Class{
 	9: ClassCommit,
 }
 
+var streamClasses = map[uint32]Class{
+	3: ClassData,    // DATA
+	6: ClassControl, // FIN
+	7: ClassControl, // DONE
+}
+
 // Classify names the protocol class of one raw frame.
 func Classify(payload []byte) Class {
 	if len(payload) < 8 {
 		return ClassUnknown
 	}
-	magic := binary.BigEndian.Uint32(payload)
-	typ := binary.BigEndian.Uint32(payload[4:])
-	switch magic {
+	var classes map[uint32]Class
+	switch binary.BigEndian.Uint32(payload) {
 	case sessionMagic:
-		if c, ok := sessionClasses[typ]; ok {
-			return c
-		}
-		return ClassUnknown
+		classes = sessionClasses
 	case streamMagic:
-		if typ == streamData {
-			return ClassData
-		}
-		return ClassControl
+		classes = streamClasses
 	}
-	// The v1 monolithic path sends the sealed envelope as one opaque
-	// frame with its own (non-session) magic.
-	return ClassData
+	if c, ok := classes[binary.BigEndian.Uint32(payload[4:])]; ok {
+		return c
+	}
+	return ClassUnknown
 }
 
 // When fixes which side of a frame boundary the kill lands on.

@@ -37,10 +37,11 @@ func TestClassify(t *testing.T) {
 		{"commit", frame(sessionMagic, 9), ClassCommit},
 		{"retired session type", frame(sessionMagic, 12), ClassUnknown},
 		{"future session type", frame(sessionMagic, 99), ClassUnknown},
-		{"stream data", frame(streamMagic, streamData), ClassData},
+		{"stream data", frame(streamMagic, 3), ClassData},
 		{"stream fin", frame(streamMagic, 6), ClassControl},
-		{"stream ack", frame(streamMagic, 4), ClassControl},
-		{"v1 envelope", []byte("MENVxxxxxxxxxxxx"), ClassData},
+		{"stream done", frame(streamMagic, 7), ClassControl},
+		{"stream ack, retired", frame(streamMagic, 4), ClassUnknown},
+		{"neither magic", []byte("HPM1xxxxxxxxxxxx"), ClassUnknown},
 		{"short", []byte{1, 2, 3}, ClassUnknown},
 		{"empty", nil, ClassUnknown},
 	}
@@ -126,12 +127,12 @@ func testScript() []struct {
 		fromSource bool
 		payload    []byte
 	}{
-		{true, frame(sessionMagic, 1)},         // OFFER
-		{false, frame(sessionMagic, 2)},        // ACCEPT
-		{true, frame(streamMagic, streamData)}, // DATA 1
-		{true, frame(streamMagic, streamData)}, // DATA 2
-		{false, frame(sessionMagic, 4)},        // RESTORED
-		{true, frame(sessionMagic, 9)},         // COMMIT
+		{true, frame(sessionMagic, 1)},  // OFFER
+		{false, frame(sessionMagic, 2)}, // ACCEPT
+		{true, frame(streamMagic, 3)},   // DATA 1
+		{true, frame(streamMagic, 3)},   // DATA 2
+		{false, frame(sessionMagic, 4)}, // RESTORED
+		{true, frame(sessionMagic, 9)},  // COMMIT
 	}
 }
 

@@ -29,27 +29,14 @@ func encodeRun(enc *xdr.Encoder, space *memory.Space, op types.PlanOp, base memo
 	if err != nil {
 		return 0, err
 	}
-	// When the encoder streams to a sink, bound each reservation so one
-	// large run (a linpack matrix) still flushes out in chunk-sized
-	// pieces instead of a single unsplittable Grow.
-	seg := op.Count
-	if hint := enc.SegmentHint(); hint > 0 {
-		if max := hint / ws; max >= 1 && seg > max {
-			seg = max
-		}
+	out := enc.Grow(ws * op.Count)
+	switch op.Conv {
+	case types.ConvLong32, types.ConvULong32:
+		widen32(out, src, space.Machine().Order == arch.LittleEndian, op.Conv == types.ConvLong32)
+	default:
+		reorder(out, src, op.Conv)
 	}
-	le := space.Machine().Order == arch.LittleEndian
-	for done := 0; done < op.Count; done += seg {
-		n := min(seg, op.Count-done)
-		out, in := enc.Grow(ws*n), src[done*size:(done+n)*size]
-		switch op.Conv {
-		case types.ConvLong32, types.ConvULong32:
-			widen32(out, in, le, op.Conv == types.ConvLong32)
-		default:
-			reorder(out, in, op.Conv)
-		}
-	}
-	return ws * op.Count, nil
+	return len(out), nil
 }
 
 // decodeRun is encodeRun's inverse, shared by the monolithic Restorer

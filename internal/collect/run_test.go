@@ -70,25 +70,17 @@ func runSpace(t testing.TB, m *arch.Machine, image []byte) (*memory.Space, memor
 	return sp, addr
 }
 
-// kernelEncode runs encodeRun over image; hint > 0 attaches a sink with
-// that threshold, so the run is split the way a streamed capture splits it.
-func kernelEncode(t testing.TB, m *arch.Machine, k arch.PrimKind, image []byte, hint int) []byte {
+// kernelEncode runs encodeRun over image.
+func kernelEncode(t testing.TB, m *arch.Machine, k arch.PrimKind, image []byte) []byte {
 	t.Helper()
 	sp, addr := runSpace(t, m, image)
 	enc := xdr.NewEncoder(64)
-	var streamed []byte
-	if hint > 0 {
-		enc.SetSink(hint, func(b []byte) error { streamed = append(streamed, b...); return nil })
-	}
 	count := len(image) / m.SizeOf(k)
 	n, err := encodeRun(enc, sp, runOp(k, m, count), addr)
 	if err != nil {
 		t.Fatalf("encodeRun: %v", err)
 	}
-	if err := enc.FlushSink(); err != nil {
-		t.Fatal(err)
-	}
-	out := append(streamed, enc.Bytes()...)
+	out := enc.Bytes()
 	if n != len(out) || n != count*types.WireSize(k) {
 		t.Fatalf("encodeRun reported %d bytes, wrote %d, want %d", n, len(out), count*types.WireSize(k))
 	}
@@ -143,11 +135,9 @@ func TestRunKernelsMatchOracle(t *testing.T) {
 			for _, count := range []int{0, 1, 2, 3, 7, 1025} {
 				src := image(m, k, count)
 				want := oracleEncode(m, k, src)
-				for _, hint := range []int{0, 8, 24, 4096} {
-					if got := kernelEncode(t, m, k, src, hint); !bytes.Equal(got, want) {
-						t.Fatalf("%s %s x%d hint %d: encode differs from oracle\n got % x\nwant % x",
-							m.Name, k, count, hint, head(got), head(want))
-					}
+				if got := kernelEncode(t, m, k, src); !bytes.Equal(got, want) {
+					t.Fatalf("%s %s x%d: encode differs from oracle\n got % x\nwant % x",
+						m.Name, k, count, head(got), head(want))
 				}
 				// Same machine: the round trip is the identity.
 				if got := kernelDecode(t, m, k, want); !bytes.Equal(got, src) {
@@ -179,7 +169,7 @@ func TestRunKernelsLongWidths(t *testing.T) {
 	move := func(src, dst *arch.Machine, k arch.PrimKind, v uint64) uint64 {
 		b := make([]byte, src.SizeOf(k))
 		src.PutPrim(b, k, v)
-		return dst.Prim(kernelDecode(t, dst, k, kernelEncode(t, src, k, b, 0)), k)
+		return dst.Prim(kernelDecode(t, dst, k, kernelEncode(t, src, k, b)), k)
 	}
 	minus1 := uint64(math.MaxUint64)
 	for _, c := range []struct {
@@ -212,19 +202,19 @@ func TestDecodeRunTruncated(t *testing.T) {
 }
 
 // FuzzRunCodec checks the kernels against the oracle on arbitrary memory
-// images: any kind, any machine, any segment hint.
+// images: any kind, any machine.
 func FuzzRunCodec(f *testing.F) {
-	f.Add(uint8(arch.Long), uint8(0), []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0x80}, uint16(0))
-	f.Add(uint8(arch.Double), uint8(4), bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 9), uint16(16))
-	f.Add(uint8(arch.UShort), uint8(1), []byte{0x80, 0}, uint16(3))
-	f.Fuzz(func(t *testing.T, kind, mi uint8, data []byte, hint uint16) {
+	f.Add(uint8(arch.Long), uint8(0), []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0x80})
+	f.Add(uint8(arch.Double), uint8(4), bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 9))
+	f.Add(uint8(arch.UShort), uint8(1), []byte{0x80, 0})
+	f.Fuzz(func(t *testing.T, kind, mi uint8, data []byte) {
 		k := scalarKinds[int(kind)%len(scalarKinds)]
 		ms := arch.Machines()
 		m := ms[int(mi)%len(ms)]
 		src := data[:len(data)/m.SizeOf(k)*m.SizeOf(k)]
 		want := oracleEncode(m, k, src)
-		if got := kernelEncode(t, m, k, src, int(hint)); !bytes.Equal(got, want) {
-			t.Fatalf("%s %s hint %d: encode differs from oracle", m.Name, k, hint)
+		if got := kernelEncode(t, m, k, src); !bytes.Equal(got, want) {
+			t.Fatalf("%s %s: encode differs from oracle", m.Name, k)
 		}
 		d := ms[(int(mi)+int(kind))%len(ms)]
 		if got, ref := kernelDecode(t, d, k, want), oracleDecode(d, k, want); !bytes.Equal(got, ref) {

@@ -39,7 +39,7 @@ func BenchmarkReceiveSectioned(b *testing.B) {
 	}
 	p, _ := stoppedAtMigration(b, e, arch.DEC5000)
 	var envelope bytes.Buffer
-	if _, err := e.SendSectioned(nopCloser{&envelope}, arch.DEC5000, p, 256<<10); err != nil {
+	if _, err := e.SendSectioned(nopCloser{&envelope}, arch.DEC5000, p); err != nil {
 		b.Fatal(err)
 	}
 	srv, cli, cleanup, err := link.LoopbackPair()

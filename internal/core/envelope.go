@@ -14,29 +14,20 @@ import (
 // envMagic guards every migration envelope ("HPM1").
 const envMagic = 0x48504d31
 
-// Envelope versions. They double as the protocol versions negotiated by the
-// session layer (internal/session): a peer that can open version N
-// envelopes speaks protocol version N. Version 2 (a chunk stream of the
-// monolithic state) is retired; its number is not reused.
+// Envelope versions: codec tags in the envelope header, not negotiated
+// values — which codec a transfer uses follows from its shape. Version 2
+// (a chunk stream of the monolithic state) and version 4 (the live
+// rounds' former protocol number; they carry no envelope) are retired;
+// the numbers are not reused.
 const (
 	// VersionMono is the monolithic envelope: the whole captured state
 	// sealed into one frame behind an up-front payload checksum.
 	VersionMono uint32 = 1
 	// VersionSectioned is the sectioned envelope: the header is followed
 	// by a sectioned (internal/snapshot) state — typed, independently
-	// CRC-framed sections whose heap components are collected in
-	// parallel — cut into CRC-framed chunks by internal/stream, which
-	// enforces integrity per chunk and per stream.
+	// CRC-framed sections — cut into CRC-framed chunks by
+	// internal/stream, which enforces integrity per chunk and per stream.
 	VersionSectioned uint32 = 3
-	// VersionLive is the live pre-copy protocol: the process state crosses
-	// as a sequence of rounds (content-addressed section lists plus only
-	// the bodies the receiver lacks) while the source keeps executing, and
-	// the final round assembles into a snapshot byte-identical to a
-	// VersionSectioned capture of the same paused state. It is never
-	// offered in a version range: both sides negotiate the sectioned
-	// version and upgrade to 4 only when each advertised the live
-	// capability bit.
-	VersionLive uint32 = 4
 )
 
 // envHeader is a decoded envelope header.

@@ -3,8 +3,7 @@ package core
 // Sectioned migration (envelope version 3): the captured state is a
 // sectioned snapshot (internal/snapshot) — execution state, heap
 // components, frames, and globals as typed, independently CRC-framed
-// sections — whose heap components were encoded concurrently by the
-// collection layer. On the wire it rides the internal/stream chunk layer.
+// sections. On the wire it rides the internal/stream chunk layer.
 // The snapshot's per-section CRCs let the restorer localize corruption to
 // one section even when the transport has no framing of its own.
 
@@ -32,35 +31,30 @@ func (e *Engine) OpenSectioned(payload []byte) (state []byte, srcName string, er
 }
 
 // SendSectioned captures the state of p (stopped at its migration point)
-// as a sectioned snapshot and transmits it through sw in chunkSize
-// pieces. Collection does not overlap transmission: every section is
-// encoded before the first is flushed.
-//
-// The path is zero-copy per section body: snapshot.Append hands each
-// body to the sink through the encoder's WriteRaw, so the bytes go from
-// the section's (pooled, reused) encode buffer straight into sw's chunk
-// buffers without staging through an intermediate envelope buffer.
-func (e *Engine) SendSectioned(sw io.WriteCloser, src *arch.Machine, p *vm.Process, chunkSize int) (Timing, error) {
+// as a sectioned snapshot and writes it — the envelope header, then the
+// framed sections — straight into sw, closing it. Collection does not
+// overlap transmission: every section is encoded before the first is
+// written. A section body is copied once, from the pooled encoder it was
+// built in into sw (a stream.Writer cuts its chunks however the writes
+// arrive).
+func (e *Engine) SendSectioned(sw io.WriteCloser, src *arch.Machine, p *vm.Process) (Timing, error) {
 	start := time.Now()
-	enc := xdr.NewEncoder(chunkSize + 1024)
-	enc.SetSink(chunkSize, func(b []byte) error {
-		_, err := sw.Write(b)
-		return err
-	})
-	// The shared envelope header, followed directly by the snapshot.
-	putHeader(enc, VersionSectioned, src.Name, e.Digest())
-	if err := p.CaptureSectionsTo(enc); err != nil {
-		sw.Close()
-		return Timing{}, fmt.Errorf("core: sectioned collection: %w", err)
+	hdr := xdr.NewEncoder(32)
+	putHeader(hdr, VersionSectioned, src.Name, e.Digest())
+	n, err := sw.Write(hdr.Bytes())
+	if err == nil {
+		var m int
+		m, err = p.CaptureSectionsTo(sw)
+		n += m
 	}
-	if err := enc.FlushSink(); err != nil {
+	if err != nil {
 		sw.Close()
 		return Timing{}, fmt.Errorf("core: sectioned transfer: %w", err)
 	}
 	if err := sw.Close(); err != nil {
 		return Timing{}, fmt.Errorf("core: sectioned transfer: %w", err)
 	}
-	return Timing{Tx: time.Since(start), Bytes: enc.Len()}, nil
+	return Timing{Tx: time.Since(start), Bytes: n}, nil
 }
 
 // ReceiveAndRestoreSectioned reassembles a sectioned envelope from r,

@@ -10,6 +10,7 @@ import (
 	"repro/internal/minic"
 	"repro/internal/stream"
 	"repro/internal/vm"
+	"repro/internal/xdr"
 )
 
 // listSrc builds a 60-node heap list and only then reaches its single
@@ -80,7 +81,7 @@ func sendSectionedOverPipe(t *testing.T, e *Engine, p *vm.Process, dst *arch.Mac
 		recvc <- recvRes{q, tim, rerr}
 	}()
 	w := stream.NewWriter(a, cfg)
-	tx, err := e.SendSectioned(w, p.Mach, p, cfg.ChunkSize)
+	tx, err := e.SendSectioned(w, p.Mach, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestStreamedMigrationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, direct := stoppedAtMigration(t, e, arch.DEC5000)
-	q, tx, rx, ws := sendSectionedOverPipe(t, e, p, arch.SPARC20, stream.Config{ChunkSize: 256, Window: 4})
+	q, tx, rx, ws := sendSectionedOverPipe(t, e, p, arch.SPARC20, stream.Config{ChunkSize: 256})
 	if tx.Bytes <= len(direct) {
 		t.Errorf("streamed %d bytes, direct state alone is %d", tx.Bytes, len(direct))
 	}
@@ -179,7 +180,7 @@ func TestStreamedMigrationFromNestedCall(t *testing.T) {
 	}
 	direct := res.State
 
-	q, _, _, _ := sendSectionedOverPipe(t, e, p, arch.SPARC20, stream.Config{ChunkSize: 256, Window: 4})
+	q, _, _, _ := sendSectionedOverPipe(t, e, p, arch.SPARC20, stream.Config{ChunkSize: 256})
 	re, err := q.Recapture()
 	if err != nil {
 		t.Fatal(err)
@@ -194,6 +195,53 @@ func TestStreamedMigrationFromNestedCall(t *testing.T) {
 	}
 	if fin.ExitCode != 40 {
 		t.Errorf("exit = %d, want 40", fin.ExitCode)
+	}
+}
+
+// TestSendSectionedIsHeaderPlusSnapshot pins what a cold transfer puts on
+// the wire: the envelope header followed by exactly the snapshot
+// CaptureSections returns, counted in Timing.Bytes — written to a plain
+// buffer, and as the reassembled DATA payloads of a chunk stream at any
+// chunk size (how the sender cuts its stream changes no byte of it).
+func TestSendSectionedIsHeaderPlusSnapshot(t *testing.T) {
+	for _, src := range []string{listSrc, nestedSrc} {
+		e, err := NewEngine(src, minic.PollPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := stoppedAtMigration(t, e, arch.DEC5000)
+		snap, err := p.CaptureSections(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr := xdr.NewEncoder(32)
+		putHeader(hdr, VersionSectioned, p.Mach.Name, e.Digest())
+		want := append(hdr.Bytes(), snap...)
+
+		var envelope bytes.Buffer
+		tx, err := e.SendSectioned(nopCloser{&envelope}, p.Mach, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(envelope.Bytes(), want) || tx.Bytes != len(want) {
+			t.Errorf("wrote %d bytes (Timing.Bytes %d), want the %d of header + snapshot", envelope.Len(), tx.Bytes, len(want))
+		}
+		for _, chunk := range []int{512, 4096, 0} {
+			a, b := link.Pipe()
+			got := make(chan []byte, 1)
+			go func() {
+				payload, _ := stream.NewReader(b, stream.Config{}).ReadAll()
+				got <- payload
+			}()
+			if _, err := e.SendSectioned(stream.NewWriter(a, stream.Config{ChunkSize: chunk}), p.Mach, p); err != nil {
+				t.Fatalf("chunk size %d: %v", chunk, err)
+			}
+			if payload := <-got; !bytes.Equal(payload, want) {
+				t.Errorf("chunk size %d: the stream carried %d bytes that are not header + snapshot (%d)", chunk, len(payload), len(want))
+			}
+			a.Close()
+			b.Close()
+		}
 	}
 }
 
@@ -218,7 +266,7 @@ func TestOpenSectionedRejects(t *testing.T) {
 	}
 	p, _ := stoppedAtMigration(t, e, arch.DEC5000)
 	var envelope bytes.Buffer
-	if _, err := e.SendSectioned(nopCloser{&envelope}, p.Mach, p, 1024); err != nil {
+	if _, err := e.SendSectioned(nopCloser{&envelope}, p.Mach, p); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := e.OpenSectioned(envelope.Bytes()); err != nil {

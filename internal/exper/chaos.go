@@ -82,10 +82,9 @@ type chaosExp struct {
 
 func chaosExps() []chaosExp {
 	return []chaosExp{
-		{name: "v1-mono", cfg: session.Config{MaxVersion: core.VersionMono}},
-		{name: "v3-sectioned", cfg: session.Config{ChunkSize: 1024, Window: 4}},
-		{name: "v4-live", live: true,
-			cfg: session.Config{ChunkSize: 4096, Window: 8, PrecopyRounds: 3, DirtyThreshold: 1, Live: true}},
+		{name: "cold", cfg: session.Config{ChunkSize: 1024}},
+		{name: "live", live: true,
+			cfg: session.Config{PrecopyRounds: 3, DirtyThreshold: 1, Live: true}},
 	}
 }
 

@@ -214,7 +214,7 @@ func TestObsStitched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.ExitCode != 0 || r.Version != 3 || !r.Stitched {
+	if r.ExitCode != 0 || r.How != "cold" || !r.Stitched {
 		t.Fatalf("result = %+v", r)
 	}
 	// Every phase histogram saw every migration.

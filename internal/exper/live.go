@@ -3,12 +3,12 @@ package exper
 // E14 — live pre-copy migration: what crosses the wire, and how much of it
 // while the process is stopped, across write rates.
 //
-// The stop-and-copy paths ship the whole snapshot as downtime. The v4 live
+// The stop-and-copy paths ship the whole snapshot as downtime. The live
 // path overlaps all but the final delta round with execution, so the bytes
 // it ships while paused are bounded by what the workload re-dirties
 // between polls — the write rate. E14 sweeps that knob: 16 heap lists, k
 // of them mutated per poll round (k/16 of the heap dirty per round), k in
-// {1, 2, 8, 16}, each run through the real v4 protocol over a pipe.
+// {1, 2, 8, 16}, each run through the real live rounds over a pipe.
 //
 // Every column is deterministic — snapshot bytes, rounds, stop reason,
 // final-round bytes, cumulative wire bytes, exit code — and so is the

@@ -42,7 +42,7 @@ type PhaseQuantileRow struct {
 // migration, the stitched trace, and the per-phase quantiles across all
 // migrations.
 type ObsStitchedResult struct {
-	Version    uint32 `json:"version"`
+	How        string `json:"how"`
 	Bytes      int    `json:"bytes"`
 	ExitCode   int    `json:"exit_code"`
 	Migrations int    `json:"migrations"`
@@ -66,7 +66,7 @@ var obsPhases = map[string][]string{
 	"responder": {"handshake", "restore", "confirm"},
 }
 
-// ObsStitched runs E11a: repeats() traced v3 migrations of test_pointer
+// ObsStitched runs E11a: repeats() traced cold migrations of test_pointer
 // over loopback TCP, each on a fresh connection, with both sides feeding
 // private metrics registries.
 func ObsStitched(cfg Config) (*ObsStitchedResult, error) {
@@ -95,7 +95,7 @@ func ObsStitched(cfg Config) (*ObsStitchedResult, error) {
 		itr = obs.NewTracer()
 		iroot := itr.Start("session")
 		sres, q, err, rerr := migrate(cli, srv, e, "test_pointer", p, arch.Ultra5,
-			session.Config{ChunkSize: 4096, Window: 4, Trace: iroot, Metrics: iniMetrics},
+			session.Config{ChunkSize: 4096, Trace: iroot, Metrics: iniMetrics},
 			session.Config{Trace: obs.NewTracer().Start("session"), Metrics: respMetrics})
 		iroot.End()
 		cleanup()
@@ -115,7 +115,7 @@ func ObsStitched(cfg Config) (*ObsStitchedResult, error) {
 		}
 	}
 
-	res.Version = last.Params.Version
+	res.How = last.Params.How()
 	res.Bytes = last.Timing.Bytes
 	res.TraceID = obs.IDString(last.Trace.TraceID)
 	res.Trace = itr.Export()
@@ -143,8 +143,8 @@ func ObsStitched(cfg Config) (*ObsStitchedResult, error) {
 
 // PrintObsStitched renders the E11a stitched trace and phase quantiles.
 func PrintObsStitched(w io.Writer, r *ObsStitchedResult) {
-	fmt.Fprintf(w, "E11a (tracing): %d traced v%d migrations over loopback TCP, %d bytes each, exit %d\n",
-		r.Migrations, r.Version, r.Bytes, r.ExitCode)
+	fmt.Fprintf(w, "E11a (tracing): %d traced %s migrations over loopback TCP, %d bytes each, exit %d\n",
+		r.Migrations, r.How, r.Bytes, r.ExitCode)
 	fmt.Fprintf(w, "stitched trace %s (remote subtree grafted: %v):\n%s",
 		r.TraceID, r.Stitched, indentTree(r.tree))
 	t := stats.Table{

@@ -188,7 +188,7 @@ func TestJournalWritesJSONLAndStderrSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Logger().Info("session.restored", "session", 1, "how", "warm v3", "bytes", 4096)
+	j.Logger().Info("session.restored", "session", 1, "how", "warm", "bytes", 4096)
 	j.Logger().Error("session.failed", "session", 2, "fail_class", "transport")
 	if err := j.Close(); err != nil {
 		t.Fatal(err)

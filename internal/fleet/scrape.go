@@ -42,9 +42,9 @@ type Sample struct {
 	Err     error
 }
 
-// Scraper polls every target's /metrics (JSON report, any schema
-// ParseReport accepts) and /readyz, keeping the previous round per
-// target so two consecutive scrapes yield windowed rates. Safe for
+// Scraper polls every target's /metrics (the JSON report ParseReport
+// reads) and /readyz, keeping the previous round per target so two
+// consecutive scrapes yield windowed rates. Safe for
 // concurrent use; the fetches within one round run concurrently.
 type Scraper struct {
 	Targets []Target

@@ -11,14 +11,8 @@ import (
 
 // ReportSchema names the JSON schema version shared by every obs export:
 // migbench's BENCH_*.json files and migd's /metrics endpoint both emit a
-// Report with this marker, so downstream tooling reads one format. v2
-// added the optional node identity header; everything else is unchanged.
+// Report with this marker, so downstream tooling reads one format.
 const ReportSchema = "repro-obs/2"
-
-// ReportSchemaV1 is the previous schema marker. The v1→v2 change was
-// purely additive (v1 reports simply carry no node header), so v2
-// readers — ParseReport, the fleet scraper — accept both.
-const ReportSchemaV1 = "repro-obs/1"
 
 // NodeInfo identifies the node that emitted a Report — the header block
 // the fleet scraper keys its aggregation on. ID is stable for the
@@ -199,21 +193,19 @@ func NewReport(experiment string, rows any) *Report {
 	return &Report{Schema: ReportSchema, Experiment: experiment, Rows: rows}
 }
 
-// ParseReport decodes a JSON Report, accepting the current schema and
-// every earlier one. It is the read side of the export contract: the
-// fleet scraper and report tooling go through here so a mixed-version
-// fleet (v1 nodes without the node header next to v2 nodes) aggregates
-// cleanly, while a genuinely foreign document fails loudly.
+// ParseReport decodes a JSON Report of the current schema. It is the read
+// side of the export contract: the fleet scraper and report tooling go
+// through here, and a document with any other marker fails loudly (nothing
+// in this repository writes one, and no peer exists outside it).
 func ParseReport(b []byte) (*Report, error) {
 	var r Report
 	if err := json.Unmarshal(b, &r); err != nil {
 		return nil, fmt.Errorf("obs: parse report: %w", err)
 	}
-	switch r.Schema {
-	case ReportSchema, ReportSchemaV1:
-		return &r, nil
+	if r.Schema != ReportSchema {
+		return nil, fmt.Errorf("obs: unknown report schema %q", r.Schema)
 	}
-	return nil, fmt.Errorf("obs: unknown report schema %q", r.Schema)
+	return &r, nil
 }
 
 // WithMetrics attaches a registry snapshot and returns the report.

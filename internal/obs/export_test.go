@@ -2,54 +2,25 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestParseReportV1Compat reads a recorded repro-obs/1 snapshot — the
-// format every pre-fleet consumer archived — and checks the v2 reader
-// accepts it unchanged: metrics intact, node header absent, and its
-// histograms still answer quantile queries (what the scraper does with
-// a v1 node in a mixed fleet).
-func TestParseReportV1Compat(t *testing.T) {
-	raw, err := os.ReadFile("testdata/metrics_v1.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ParseReport(raw)
-	if err != nil {
-		t.Fatalf("v1 report rejected: %v", err)
-	}
-	if rep.Schema != ReportSchemaV1 {
-		t.Fatalf("schema = %q, want %q", rep.Schema, ReportSchemaV1)
-	}
-	if rep.Node != nil {
-		t.Errorf("v1 report grew a node header: %+v", rep.Node)
-	}
-	if rep.Metrics == nil || rep.Metrics.Counters["session.restored"] != 11 {
-		t.Fatalf("metrics not preserved: %+v", rep.Metrics)
-	}
-	h := rep.Metrics.Histograms["session.phase.restore"]
-	if h.Count != 11 || h.Quantile(0.5) != 4096*time.Microsecond {
-		t.Errorf("histogram p50 = %v (count %d), want 4.096ms (11)", h.Quantile(0.5), h.Count)
-	}
-	// The recorded summary quantiles must agree with what the v2 code
-	// re-derives from the buckets — the layout did not move.
-	if got := h.Quantile(0.99).Microseconds(); got != h.P99US {
-		t.Errorf("re-derived p99 %dus != recorded %dus", got, h.P99US)
-	}
-}
-
 // TestParseReportUnknownSchema pins the failure mode for foreign
 // documents: parse errors, not silent misreads.
 func TestParseReportUnknownSchema(t *testing.T) {
-	if _, err := ParseReport([]byte(`{"schema":"repro-obs/99"}`)); err == nil {
-		t.Fatal("unknown schema accepted")
+	// The schema before this one (nothing writes it any more) and one
+	// that does not exist yet.
+	for _, version := range []int{1, 99} {
+		doc := fmt.Sprintf(`{"schema":"repro-obs/%d"}`, version)
+		if _, err := ParseReport([]byte(doc)); err == nil {
+			t.Fatalf("%s accepted", doc)
+		}
 	}
 	if _, err := ParseReport([]byte(`not json`)); err == nil {
 		t.Fatal("malformed document accepted")

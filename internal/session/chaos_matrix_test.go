@@ -31,12 +31,16 @@ type chaosMode struct {
 	cfg  Config
 }
 
+// chaosModes lists the four configurations: cold, warm, live, and live
+// into a store. The names are the matrix's cell IDs
+// (TestChaosMatrix/<mode>/<cell>) and stay what they were when a shape was
+// negotiated as a version: v3 is the sectioned chunk stream, v4 the live
+// rounds.
 func chaosModes() []chaosMode {
-	liveCfg := Config{ChunkSize: 4096, Window: 8, PrecopyRounds: 3, DirtyThreshold: 1}
+	liveCfg := Config{ChunkSize: 4096, PrecopyRounds: 3, DirtyThreshold: 1}
 	return []chaosMode{
-		{name: "v1", cfg: Config{MaxVersion: core.VersionMono}},
-		{name: "v3", cfg: Config{ChunkSize: 1024, Window: 4}},
-		{name: "v3-warm", warm: true, cfg: Config{ChunkSize: 1024, Window: 4}},
+		{name: "v3", cfg: Config{ChunkSize: 1024}},
+		{name: "v3-warm", warm: true, cfg: Config{ChunkSize: 1024}},
 		{name: "v4-live", live: true, cfg: liveCfg},
 		{name: "v4-live-warm", live: true, warm: true, cfg: liveCfg},
 	}
@@ -259,7 +263,7 @@ func TestChaosMatrix(t *testing.T) {
 func TestChaosKillAtLiveAbort(t *testing.T) {
 	// One mutation round and an unreachable convergence threshold: the
 	// workload runs to completion while round 0 is still being shipped.
-	cfg := Config{ChunkSize: 4096, Window: 8, PrecopyRounds: 8, DirtyThreshold: 0, Live: true}
+	cfg := Config{ChunkSize: 4096, PrecopyRounds: 8, DirtyThreshold: 0, Live: true}
 	m := chaosMode{name: "abort", live: true, cfg: cfg}
 	specs := []struct {
 		name string
@@ -325,7 +329,7 @@ func TestChaosKillBetweenRestoredAndCommit(t *testing.T) {
 	inj := chaos.New(chaos.Spec{Victim: chaos.VictimSource,
 		Point: chaos.Point{Class: chaos.ClassRestored, N: 1, When: chaos.AfterRecv}})
 	inj.Recorder = flight
-	m := chaosMode{name: "v3", cfg: Config{ChunkSize: 1024, Window: 4}}
+	m := chaosMode{name: "v3", cfg: Config{ChunkSize: 1024}}
 	initErr, q, respErr := runChaosMigration(t, m, e, p, inj, m.cfg, m.cfg)
 	if initErr == nil || !errors.Is(initErr, chaos.ErrInjected) {
 		t.Fatalf("initiator err = %v, want the injected commit-send failure", initErr)

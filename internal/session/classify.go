@@ -63,7 +63,6 @@ func ClassifyFailure(err error) FailureClass {
 		errors.Is(err, core.ErrVersionMismatch):
 		return FailMismatch
 	case errors.Is(err, ErrRejected),
-		errors.Is(err, ErrNoVersion),
 		errors.Is(err, ErrUnknownProgram):
 		return FailNegotiation
 	case errors.Is(err, link.ErrClosed),

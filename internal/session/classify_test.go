@@ -36,7 +36,6 @@ func TestClassifyFailure(t *testing.T) {
 		{core.ErrProgramMismatch, FailMismatch},
 		{core.ErrVersionMismatch, FailMismatch},
 		{fmt.Errorf("session: %w", ErrRejected), FailNegotiation},
-		{ErrNoVersion, FailNegotiation},
 		{ErrUnknownProgram, FailNegotiation},
 		{errors.New("connection reset by peer"), FailTransport},
 		{fmt.Errorf("read tcp: %w", errors.New("i/o timeout")), FailTransport},
@@ -78,8 +77,7 @@ func TestDaemonAbortClassifiesInFlightAsTransport(t *testing.T) {
 	defer conn.Close()
 	// A well-formed handshake, then silence: the worker accepts and
 	// blocks reading state frames — a genuinely in-flight session.
-	o := offer{minVer: 1, maxVer: 3, digest: e.Digest(), program: "list",
-		machine: arch.DEC5000.Name, chunk: 4096, window: 8}
+	o := offer{digest: e.Digest(), program: "list", machine: arch.DEC5000.Name}
 	if err := conn.Send(marshalOffer(o)); err != nil {
 		t.Fatal(err)
 	}

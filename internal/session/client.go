@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/arch"
@@ -61,30 +60,32 @@ func Initiate(t link.Transport, e *core.Engine, src *arch.Machine, program strin
 	if err != nil {
 		return nil, err
 	}
-	p.Obs = prm.Trace
+	p.Obs = cfg.Trace
+	res := &Result{Params: prm, Trace: tc}
 	txStart := time.Now()
-	tx := prm.Trace.Child("transport")
-	timing, err := send(t, e, src, p, prm, cfg)
-	tx.SetBytes(int64(timing.Bytes))
+	tx := cfg.Trace.Child("transport")
+	err = send(t, e, src, program, p, cfg, res)
+	tx.SetBytes(int64(res.Timing.Bytes))
 	tx.End()
 	if errors.Is(err, ErrSourceExited) {
-		return &Result{Params: prm, Trace: tc, Live: prm.LiveResult}, err
+		return res, err
 	}
 	if err != nil {
 		cfg.Recorder.Record("session.fail", "transfer: %v", err)
 		return nil, err
 	}
-	cfg.observePhase("collect", timing.Collect)
+	cfg.observePhase("collect", res.Timing.Collect)
 	cfg.observePhase("transport", time.Since(txStart))
-	res, err := awaitRestored(t, cfg, prm, timing, tc)
-	if err == nil && prm.Live {
-		st := prm.LiveResult
+	if err := awaitRestored(t, cfg, res); err != nil {
+		return nil, err
+	}
+	if st := res.Live; st != nil {
 		st.Downtime = time.Since(st.paused)
 		cfg.metrics().Histogram("session.downtime").Observe(st.Downtime)
 		cfg.Recorder.Record("session.round", "downtime %v over %d rounds (%s); %d of %d bytes on wire",
 			st.Downtime, len(st.Rounds), st.StopReason, st.WireBytes, st.SnapshotBytes)
 	}
-	return res, err
+	return res, nil
 }
 
 // InitiateLive is Initiate with Config.Live set; the benchmark program
@@ -94,37 +95,24 @@ func InitiateLive(t link.Transport, e *core.Engine, src *arch.Machine, program s
 	return Initiate(t, e, src, program, p, cfg)
 }
 
-// send transmits the state of p in the negotiated shape and returns the
-// collect and transmit timing.
-func send(t link.Transport, e *core.Engine, src *arch.Machine, p *vm.Process, prm Params, cfg Config) (core.Timing, error) {
-	var timing core.Timing
-	var err error
-	switch {
-	case prm.rounds():
-		return sendRounds(t, e, src, p, prm, cfg)
-	case prm.Version == core.VersionSectioned:
-		// Heap components are collected in parallel on GOMAXPROCS workers —
-		// a local choice, not a negotiated parameter: the snapshot bytes
-		// are identical for any count.
-		w := stream.NewWriter(t, stream.Config{ChunkSize: prm.ChunkSize, Window: prm.Window, Recorder: prm.Recorder})
-		timing, err = e.SendSectioned(w, src, p, prm.ChunkSize)
-	case prm.Version == core.VersionMono:
-		// The paper's stop-and-copy transfer: collect everything, seal one
-		// envelope, one blocking send.
-		var state []byte
-		if state, err = p.Recapture(); err == nil {
-			timing, err = e.Send(t, src, state)
-		}
-	default:
-		err = fmt.Errorf("%w: no transfer shape for version %d", ErrProtocol, prm.Version)
+// send transmits the state of p in the shape res.Params selects and fills
+// in res.Timing (collect and transmit) and, on a round exchange, the
+// shape's accounting.
+func send(t link.Transport, e *core.Engine, src *arch.Machine, program string, p *vm.Process, cfg Config, res *Result) error {
+	if res.Params.rounds() {
+		return sendRounds(t, e, src, program, p, cfg, res)
 	}
-	timing.Collect = p.CaptureStats().Elapsed
-	return timing, err
+	// How the stream is cut is this side's own business: the chunk size
+	// changes no byte of the snapshot and the receiver takes any.
+	w := stream.NewWriter(t, stream.Config{ChunkSize: cfg.ChunkSize, Recorder: cfg.Recorder})
+	var err error
+	res.Timing, err = e.SendSectioned(w, src, p)
+	res.Timing.Collect = p.CaptureStats().Elapsed
+	return err
 }
 
 // initiateHandshake mints the trace identity, sends the OFFER, and parses
-// the responder's answer into the Params both sides committed to, with
-// this side's local plumbing attached.
+// the responder's answer into the Params both sides committed to.
 func initiateHandshake(t link.Transport, e *core.Engine, src *arch.Machine, program string, cfg Config) (Params, obs.TraceContext, error) {
 	// The initiator mints the migration's trace identity and offers it to
 	// the responder, which adopts the trace ID and parents its own span
@@ -132,13 +120,9 @@ func initiateHandshake(t link.Transport, e *core.Engine, src *arch.Machine, prog
 	tc := obs.NewTraceContext()
 	cfg.Trace.SetTraceContext(tc)
 	o := offer{
-		minVer:  core.VersionMono,
-		maxVer:  cfg.MaxVersion,
 		digest:  e.Digest(),
 		program: program,
 		machine: src.Name,
-		chunk:   uint32(cfg.ChunkSize),
-		window:  uint32(cfg.Window),
 		traceID: tc.TraceID,
 		spanID:  tc.SpanID,
 		caps:    cfg.caps(),
@@ -168,27 +152,25 @@ func initiateHandshake(t link.Transport, e *core.Engine, src *arch.Machine, prog
 	}
 	prm := m.params
 	// The responder may only echo capabilities we advertised, in a
-	// combination negotiate produces, at a version we offered.
-	if prm.caps()&^o.caps != 0 || prm.Live != (prm.Version == core.VersionLive) ||
-		prm.Warm && prm.Version != core.VersionSectioned || !prm.Live && prm.Version > o.maxVer {
-		return Params{}, tc, fmt.Errorf("%w: responder accepted version %d (warm=%v live=%v), which the offer does not allow",
-			ErrProtocol, prm.Version, prm.Warm, prm.Live)
+	// combination negotiate produces.
+	if prm.caps()&^o.caps != 0 || prm.Warm && prm.Live {
+		return Params{}, tc, fmt.Errorf("%w: responder accepted warm=%v live=%v, which the offer does not allow",
+			ErrProtocol, prm.Warm, prm.Live)
 	}
-	prm.plumb(cfg, program)
-	cfg.Trace.SetAttr("version", strconv.Itoa(int(prm.Version)))
-	cfg.Recorder.Record("session.accept", "v%d chunk %d window %d warm=%v live=%v",
-		prm.Version, prm.ChunkSize, prm.Window, prm.Warm, prm.Live)
+	cfg.Trace.SetAttr("how", prm.How())
+	cfg.Recorder.Record("session.accept", "%s", prm.How())
 	return prm, tc, nil
 }
 
 // awaitRestored blocks for the responder's RESTORED confirmation,
-// acknowledges it with COMMIT, and assembles the migration's Result. Only
-// after it returns may the source process terminate: the destination
+// acknowledges it with COMMIT, and completes the migration's Result with
+// the responder's span tree. Only after it returns may the source process
+// terminate: the destination
 // provably holds a restored, runnable process, and holds it inactive until
 // our COMMIT was accepted by the transport. An error from any step,
 // including the COMMIT send, means the migration did not happen: the
 // source remains paused at its poll point and must roll back (Rollback).
-func awaitRestored(t link.Transport, cfg Config, prm Params, timing core.Timing, tc obs.TraceContext) (*Result, error) {
+func awaitRestored(t link.Transport, cfg Config, res *Result) error {
 	confirmStart := time.Now()
 	confirm := cfg.Trace.Child("confirm")
 	defer func() {
@@ -198,7 +180,7 @@ func awaitRestored(t link.Transport, cfg Config, prm Params, timing core.Timing,
 	m, _, err := recvMessage(t, msgRestored, "restoration confirm")
 	if err != nil {
 		cfg.Recorder.Record("session.fail", "confirm: %v", err)
-		return nil, err
+		return err
 	}
 	// The handoff pivot: a COMMIT the transport accepted will be delivered
 	// (frames are atomic under the fail-stop model), so a nil error here
@@ -206,10 +188,9 @@ func awaitRestored(t link.Transport, cfg Config, prm Params, timing core.Timing,
 	// responder will never activate — the source must roll back instead.
 	if err := t.Send(marshalCommit()); err != nil {
 		cfg.Recorder.Record("session.fail", "commit send: %v", err)
-		return nil, fmt.Errorf("session: commit send: %w", err)
+		return fmt.Errorf("session: commit send: %w", err)
 	}
 	cfg.Recorder.Record("session.commit", "handoff acknowledged; source relinquishes")
-	res := &Result{Params: prm, Timing: timing, Trace: tc, Warm: prm.WarmResult, Live: prm.LiveResult}
 	if len(m.spans) > 0 {
 		// The responder shipped its exported span tree: graft it under our
 		// session span so one render shows the whole migration.
@@ -223,7 +204,7 @@ func awaitRestored(t link.Transport, cfg Config, prm Params, timing core.Timing,
 		}
 	}
 	cfg.Recorder.Record("session.restored", "%d bytes confirmed", m.bytes)
-	return res, nil
+	return nil
 }
 
 // Rollback resumes a source process after a failed migration attempt.

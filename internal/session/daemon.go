@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -86,21 +85,8 @@ type Info struct {
 	Live *LiveStats
 }
 
-// How names the transfer shape the session negotiated — the short form
-// journals and fleet roll-ups report.
-func (i Info) How() string {
-	switch {
-	case i.Live != nil:
-		return fmt.Sprintf("live v%d", i.Params.Version)
-	case i.Warm != nil:
-		return fmt.Sprintf("warm v%d", i.Params.Version)
-	case i.Params.Version == core.VersionMono:
-		return "monolithic v1"
-	case i.Params.Version == core.VersionSectioned:
-		return "sectioned v3"
-	}
-	return fmt.Sprintf("v%d", i.Params.Version)
-}
+// How names the transfer shape the session negotiated: cold, warm or live.
+func (i Info) How() string { return i.Params.How() }
 
 // Respond serves exactly one inbound migration session on t: it reads the
 // offer, negotiates against cfg and the registry, receives the state in
@@ -109,13 +95,14 @@ func (i Info) How() string {
 // COMMIT arrives, returning it — ready to activate — only once the source
 // has provably relinquished; a session that fails before that point
 // returns no process, and the initiator rolls its source back instead. A
-// negotiation failure is reported to the peer (REJECT) and returned.
+// program digest the registry does not hold is reported to the peer
+// (REJECT) and returned.
 func Respond(t link.Transport, reg *Registry, m *arch.Machine, cfg Config) (Info, *vm.Process, core.Timing, error) {
-	prm, info, engine, err := respondHandshake(t, reg, cfg)
+	info, engine, err := respondHandshake(t, reg, cfg)
 	if err != nil {
 		return info, nil, core.Timing{}, err
 	}
-	p, timing, err := receive(t, engine, m, prm)
+	p, timing, err := receive(t, engine, m, cfg, &info)
 	if err != nil {
 		cfg.Recorder.Record("session.fail", "receive/restore: %v", err)
 		return info, nil, core.Timing{}, err
@@ -154,16 +141,16 @@ func Respond(t link.Transport, reg *Registry, m *arch.Machine, cfg Config) (Info
 	return info, p, timing, nil
 }
 
-// respondHandshake reads the OFFER, resolves the program, negotiates, and
-// answers ACCEPT or REJECT. The returned Params carry this side's local
-// plumbing.
-func respondHandshake(t link.Transport, reg *Registry, cfg Config) (Params, Info, *core.Engine, error) {
+// respondHandshake reads the OFFER, resolves the program, intersects the
+// capabilities, and answers ACCEPT — or REJECT, for a digest the registry
+// does not hold.
+func respondHandshake(t link.Transport, reg *Registry, cfg Config) (Info, *core.Engine, error) {
 	hsStart := time.Now()
 	hs := cfg.Trace.Child("handshake")
 	defer hs.End()
 	msg, _, err := recvMessage(t, msgOffer, "handshake")
 	if err != nil {
-		return Params{}, Info{}, nil, err
+		return Info{}, nil, err
 	}
 	o := msg.offer
 	var tc obs.TraceContext
@@ -179,42 +166,31 @@ func respondHandshake(t link.Transport, reg *Registry, cfg Config) (Params, Info
 	engine, name, ok := reg.Lookup(o.digest)
 	if !ok {
 		err = fmt.Errorf("%w: digest %08x (program %q) not pre-distributed here", ErrUnknownProgram, o.digest, o.program)
-	}
-	var prm Params
-	if err == nil {
-		prm, err = negotiate(o, cfg)
-	}
-	if err != nil {
 		cfg.Recorder.Record("session.reject", "%v", err)
 		t.Send(marshalReason(msgReject, err.Error()))
-		return Params{}, info, nil, err
+		return info, nil, err
 	}
-	prm.plumb(cfg, name)
-	cfg.Trace.SetAttr("version", strconv.Itoa(int(prm.Version)))
+	info.Program, info.Params = name, negotiate(o, cfg)
+	cfg.Trace.SetAttr("how", info.How())
 	cfg.Trace.SetAttr("program", name)
-	info.Program, info.Params, info.Warm, info.Live = name, prm, prm.WarmResult, prm.LiveResult
-	cfg.Recorder.Record("session.accept", "program %q v%d chunk %d window %d warm=%v live=%v",
-		name, prm.Version, prm.ChunkSize, prm.Window, prm.Warm, prm.Live)
-	err = t.Send(marshalAccept(prm))
+	cfg.Recorder.Record("session.accept", "program %q %s", name, info.How())
+	err = t.Send(marshalAccept(info.Params))
 	cfg.observePhase("handshake", time.Since(hsStart))
 	if err != nil {
-		return Params{}, info, nil, fmt.Errorf("session: accept send: %w", err)
+		return info, nil, fmt.Errorf("session: accept send: %w", err)
 	}
-	return prm, info, engine, nil
+	return info, engine, nil
 }
 
-// receive accepts the inbound state in the negotiated shape and restores
-// the process on machine m.
-func receive(t link.Transport, e *core.Engine, m *arch.Machine, prm Params) (*vm.Process, core.Timing, error) {
-	switch {
-	case prm.rounds():
-		return receiveRounds(t, e, m, prm)
-	case prm.Version == core.VersionSectioned:
-		r := stream.NewReader(t, stream.Config{ChunkSize: prm.ChunkSize, Window: prm.Window, Recorder: prm.Recorder})
-		return e.ReceiveAndRestoreSectioned(r, m, prm.Trace)
+// receive accepts the inbound state in the shape info.Params selects and
+// restores the process on machine m, filling in the shape's accounting on
+// a round exchange.
+func receive(t link.Transport, e *core.Engine, m *arch.Machine, cfg Config, info *Info) (*vm.Process, core.Timing, error) {
+	if info.Params.rounds() {
+		return receiveRounds(t, e, m, cfg, info)
 	}
-	// negotiate produces nothing else: the sealed envelope.
-	return e.ReceiveAndRestore(t, m, prm.Trace)
+	r := stream.NewReader(t, stream.Config{Recorder: cfg.Recorder})
+	return e.ReceiveAndRestoreSectioned(r, m, cfg.Trace)
 }
 
 // Daemon is the persistent, concurrent migration daemon: an accept loop
@@ -226,8 +202,8 @@ type Daemon struct {
 	Registry *Registry
 	// Mach is the machine restored processes run on.
 	Mach *arch.Machine
-	// Config is the daemon's negotiation posture (version range and
-	// stream-parameter caps).
+	// Config is the daemon's posture: the capabilities it advertises
+	// (a checkpoint store, live rounds).
 	Config Config
 	// MaxConcurrent bounds the worker pool; excess accepted connections
 	// wait for a free worker. Zero or negative selects 4.
@@ -250,7 +226,7 @@ type Daemon struct {
 	Metrics *obs.Registry
 	// Journal, when set, receives one structured record per completed
 	// session — msg "session.restored" or "session.failed" with session
-	// ID, program, peer, negotiated version/shape, trace ID, byte and
+	// ID, program, peer, negotiated shape, trace ID, byte and
 	// duration attributes, and (on failure) the fail class and the flight
 	// dump path. When set it replaces the ad-hoc per-session Logf
 	// lifecycle lines; Logf keeps the free-form diagnostics (traces,
@@ -460,9 +436,8 @@ func (d *Daemon) handle(conn *link.Conn) {
 	cfg.Trace.SetAttr("outcome", "restored")
 	cfg.Trace.End()
 	if d.Journal == nil {
-		d.logf("session %d: restored %q from %s (v%d, chunk %d, window %d): %d bytes in %.4fs",
-			id, info.Program, info.SrcMachine, info.Params.Version, info.Params.ChunkSize,
-			info.Params.Window, timing.Bytes, elapsed.Seconds())
+		d.logf("session %d: restored %q from %s (%s): %d bytes in %.4fs",
+			id, info.Program, info.SrcMachine, info.How(), timing.Bytes, elapsed.Seconds())
 	}
 	d.logTrace(id, tr)
 	d.journalSession(info, elapsed, timing, "", "", nil)
@@ -485,7 +460,6 @@ func (d *Daemon) journalSession(info Info, elapsed time.Duration, timing core.Ti
 		slog.Uint64("session", info.ID),
 		slog.String("program", info.Program),
 		slog.String("peer", info.SrcMachine),
-		slog.Int("version", int(info.Params.Version)),
 		slog.String("how", info.How()),
 		slog.Int64("bytes", int64(timing.Bytes)),
 		slog.Int64("elapsed_us", elapsed.Microseconds()),

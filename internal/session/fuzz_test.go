@@ -24,8 +24,7 @@ func testManifest() *store.Manifest {
 // trip.
 func FuzzHandshake(f *testing.F) {
 	of := offer{
-		minVer: 1, maxVer: 3, digest: 0xdeadbeef,
-		program: "list", machine: "sparc20", chunk: 4096, window: 8,
+		digest: 0xdeadbeef, program: "list", machine: "sparc20",
 		traceID: 0x0123456789abcdef, spanID: 0xfedcba9876543210,
 	}
 	full := marshalOffer(of)
@@ -38,11 +37,11 @@ func FuzzHandshake(f *testing.F) {
 	untraced := of
 	untraced.traceID, untraced.spanID = 0, 0
 	f.Add(marshalOffer(untraced))
-	f.Add(marshalAccept(Params{Version: 1, ChunkSize: 65536, Window: 16}))
-	f.Add(marshalAccept(Params{Version: 3, ChunkSize: 65536, Window: 16}))
-	f.Add(marshalAccept(Params{Version: 3, ChunkSize: 65536, Window: 16, Warm: true}))
-	f.Add(marshalAccept(Params{Version: 4, ChunkSize: 65536, Window: 16, Live: true}))
-	f.Add(marshalReason(msgReject, "session: no common protocol version"))
+	f.Add(marshalAccept(Params{}))
+	f.Add(marshalAccept(Params{Warm: true}))
+	f.Add(marshalAccept(Params{Live: true}))
+	f.Add(marshalAccept(Params{Warm: true, Live: true}))
+	f.Add(marshalReason(msgReject, "session: program not in registry"))
 	f.Add(marshalRestored(1<<20, nil))
 	f.Add(marshalRestored(1<<20, []byte(`{"name":"session","dur_us":42}`)))
 	// COMMIT and its chaos-truncated variants: the harness kills at frame
@@ -76,7 +75,7 @@ func FuzzHandshake(f *testing.F) {
 	corrupt[4] ^= 0xa5 // message type corruption
 	f.Add(corrupt)
 	huge := append([]byte(nil), full...)
-	huge[20] = 0xff // absurd program-string length
+	huge[12] = 0xff // absurd program-string length
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -99,7 +99,7 @@ func TestJournalRecordsAndFlightCrossReference(t *testing.T) {
 	if restored == nil || failed == nil {
 		t.Fatalf("journal missing records:\n%s", jbuf.String())
 	}
-	if restored["how"] != "sectioned v3" || restored["program"] != "list" {
+	if _, versioned := restored["version"]; restored["how"] != "cold" || versioned || restored["program"] != "list" {
 		t.Errorf("restored record = %v", restored)
 	}
 	if restored["bytes"].(float64) <= 0 || restored["elapsed_us"].(float64) <= 0 {

@@ -69,12 +69,12 @@ func TestTransferLiveMatrix(t *testing.T) {
 			// DirtyThreshold 1 keeps the loop iterating until the dirty
 			// set stalls, so several delta rounds actually run.
 			q, res, timing, err := Transfer(e, "shards", p, pr.dst,
-				Config{ChunkSize: 4096, Window: 8, Live: true, PrecopyRounds: 3, DirtyThreshold: 1})
+				Config{ChunkSize: 4096, Live: true, PrecopyRounds: 3, DirtyThreshold: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Params.Version != core.VersionLive || !res.Params.Live {
-				t.Fatalf("negotiated v%d live=%v, want v%d live", res.Params.Version, res.Params.Live, core.VersionLive)
+			if res.Params != (Params{Live: true}) {
+				t.Fatalf("negotiated %+v, want live", res.Params)
 			}
 			st := res.Live
 			if st == nil || len(st.Rounds) < 2 {
@@ -136,7 +136,7 @@ func TestLiveFallbackToLegacyResponder(t *testing.T) {
 	// Baseline: a pure-legacy sectioned transfer of the same paused state.
 	legacyP := stoppedLive(t, e, arch.DEC5000)
 	_, _, legacyTiming, err := Transfer(e, "shards", legacyP, arch.SPARC20,
-		Config{ChunkSize: 4096, Window: 8})
+		Config{ChunkSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,16 +155,16 @@ func TestLiveFallbackToLegacyResponder(t *testing.T) {
 	c := make(chan rr, 1)
 	go func() {
 		// Responder without Live: negotiates plain sectioned.
-		info, q, _, err := Respond(b, reg, arch.SPARC20, Config{ChunkSize: 4096, Window: 8})
+		info, q, _, err := Respond(b, reg, arch.SPARC20, Config{ChunkSize: 4096})
 		c <- rr{info, q, err}
 	}()
-	res, err := Initiate(a, e, p.Mach, "shards", p, Config{ChunkSize: 4096, Window: 8, Live: true})
+	res, err := Initiate(a, e, p.Mach, "shards", p, Config{ChunkSize: 4096, Live: true})
 	r := <-c
 	if err != nil || r.err != nil {
 		t.Fatalf("fallback transfer: initiate=%v respond=%v", err, r.err)
 	}
-	if res.Params.Version != core.VersionSectioned || res.Params.Live || res.Live != nil {
-		t.Fatalf("fallback negotiated %+v, want plain sectioned", res.Params)
+	if res.Params != (Params{}) || res.Live != nil {
+		t.Fatalf("fallback negotiated %+v, want the cold shape", res.Params)
 	}
 	if res.Timing.Bytes != legacyTiming.Bytes {
 		t.Errorf("fallback wired %d bytes, pure-legacy wired %d — must be identical",
@@ -181,7 +181,7 @@ func TestLiveDegenerateSingleRound(t *testing.T) {
 	e := newListEngine(t)
 	p := stoppedAt(t, e, arch.AMD64)
 	q, res, timing, err := Transfer(e, "list", p, arch.SPARCV9,
-		Config{ChunkSize: 4096, Window: 8, Live: true})
+		Config{ChunkSize: 4096, Live: true})
 	if err != nil {
 		t.Fatal(err)
 	}

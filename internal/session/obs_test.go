@@ -59,11 +59,7 @@ func TestDaemonMetricsAndTraceConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cfg := Config{ChunkSize: 512, Window: 4}
-			if i%2 == 0 {
-				cfg.MaxVersion = core.VersionMono
-			}
-			if _, err := migrateTo(t, addr, e, cfg); err != nil {
+			if _, err := migrateTo(t, addr, e, Config{ChunkSize: 512}); err != nil {
 				t.Errorf("client %d: %v", i, err)
 			}
 		}(i)

@@ -72,11 +72,11 @@ func TestRollbackFailureIsCounted(t *testing.T) {
 // return: kill the session at that exact path, then prove the source is
 // byte-identical (stop-and-copy) and resumes to the correct exit.
 func TestInitiateErrorPathsLeaveSourceResumable(t *testing.T) {
-	coldCfg := Config{ChunkSize: 1024, Window: 4}
+	coldCfg := Config{ChunkSize: 1024}
 	// DirtyThreshold beyond any dirty set: the live loop runs round 0,
 	// stops on "threshold", and the final round is ANNOUNCE #2 — a fixed
 	// frame schedule the specs below can name.
-	liveCfg := Config{ChunkSize: 4096, Window: 8, PrecopyRounds: 3, DirtyThreshold: 1 << 30, Live: true}
+	liveCfg := Config{ChunkSize: 4096, PrecopyRounds: 3, DirtyThreshold: 1 << 30, Live: true}
 	cases := []struct {
 		name string
 		live bool

@@ -37,6 +37,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/link"
+	"repro/internal/obs"
 	"repro/internal/snapshot"
 	"repro/internal/store"
 	"repro/internal/vm"
@@ -116,40 +117,33 @@ func (s *LiveStats) TotalSent() int {
 
 // record appends one completed round to the transfer's accounting and its
 // flight recording.
-func (s *LiveStats) record(prm Params, verb string, r LiveRoundStats) {
+func (s *LiveStats) record(rec *obs.FlightRecorder, verb string, r LiveRoundStats) {
 	s.Rounds = append(s.Rounds, r)
 	s.WireBytes += r.Bytes
 	tag := ""
 	if r.Final {
 		tag = " (final)"
 	}
-	prm.Recorder.Record("session.round", "round %d%s: dirty %d blocks, %s %d of %d sections (%d bytes on wire)",
+	rec.Record("session.round", "round %d%s: dirty %d blocks, %s %d of %d sections (%d bytes on wire)",
 		r.Round, tag, r.DirtyBlocks, verb, r.SectionsSent, r.Sections, r.Bytes)
 }
 
-// finish closes the accounting of a completed exchange: the snapshot size,
-// and — on a warm transfer — the one round restated as WarmStats.
-func (s *LiveStats) finish(prm Params, m *store.Manifest) {
+// finish closes the accounting of a completed exchange with the snapshot
+// size and, for a warm transfer, restates its one round as WarmStats (nil
+// otherwise).
+func (s *LiveStats) finish(m *store.Manifest, warm bool) *WarmStats {
 	s.SnapshotBytes = m.SnapshotBytes()
-	if prm.WarmResult != nil {
-		last := s.Rounds[len(s.Rounds)-1]
-		*prm.WarmResult = WarmStats{
-			ManifestHash:  m.Hash(),
-			Sections:      last.Sections,
-			SectionsSent:  last.SectionsSent,
-			SnapshotBytes: s.SnapshotBytes,
-			WireBytes:     s.WireBytes,
-		}
+	if !warm {
+		return nil
 	}
-}
-
-// stats resolves where an exchange accounts its rounds: the live result
-// when the session reports one, a scratch value otherwise.
-func (p Params) stats() *LiveStats {
-	if p.LiveResult != nil {
-		return p.LiveResult
+	last := s.Rounds[len(s.Rounds)-1]
+	return &WarmStats{
+		ManifestHash:  m.Hash(),
+		Sections:      last.Sections,
+		SectionsSent:  last.SectionsSent,
+		SnapshotBytes: s.SnapshotBytes,
+		WireBytes:     s.WireBytes,
 	}
-	return new(LiveStats)
 }
 
 // round is one paused state ready to be announced: its section list, a way
@@ -165,18 +159,18 @@ type round struct {
 // the paused state is captured, checkpointed under the program's ref
 // (dedup'd against the store's history), and its bodies are served back
 // out of the store.
-func checkpointRound(e *core.Engine, src *arch.Machine, p *vm.Process, prm Params) (*round, error) {
+func checkpointRound(e *core.Engine, src *arch.Machine, p *vm.Process, st *store.Store, program string) (*round, error) {
 	snap, err := p.CaptureSections(0)
 	if err != nil {
 		return nil, err
 	}
-	m, _, _, err := prm.Store.CheckpointRef(prm.Program, snap, e.Digest(), src.Name)
+	m, _, _, err := st.CheckpointRef(program, snap, e.Digest(), src.Name)
 	if err != nil {
 		return nil, err
 	}
 	return &round{
 		manifest: m,
-		body:     func(i uint32) ([]byte, error) { return prm.Store.GetBlob(m.Entries[i].Hash) },
+		body:     func(i uint32) ([]byte, error) { return st.GetBlob(m.Entries[i].Hash) },
 		collect:  p.CaptureStats().Elapsed,
 	}, nil
 }
@@ -206,7 +200,7 @@ func captureRound(e *core.Engine, src *arch.Machine, lc *vm.LiveCapture) (*round
 // appends the round's accounting to st. It touches only the round's
 // immutable sections, never the process, so it may run while the source
 // executes.
-func sendRound(t link.Transport, r *round, final bool, prm Params, st *LiveStats) error {
+func sendRound(t link.Transport, r *round, final bool, rec *obs.FlightRecorder, st *LiveStats) error {
 	var flags uint32
 	if final {
 		flags |= announceFinal
@@ -232,7 +226,7 @@ func sendRound(t link.Transport, r *round, final bool, prm Params, st *LiveStats
 	if err := t.Send(frame); err != nil {
 		return fmt.Errorf("session: bodies send: %w", err)
 	}
-	st.record(prm, "sent", LiveRoundStats{
+	st.record(rec, "sent", LiveRoundStats{
 		Round:        len(st.Rounds),
 		DirtyBlocks:  r.dirty,
 		Sections:     len(r.manifest.Entries),
@@ -252,10 +246,16 @@ func sendRound(t link.Transport, r *round, final bool, prm Params, st *LiveStats
 // When the source runs to completion between rounds there is nothing left
 // to migrate: the responder is told to stand down and ErrSourceExited is
 // returned.
-func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, p *vm.Process, prm Params, cfg Config) (core.Timing, error) {
-	st := prm.stats()
-	st.paused = time.Now()
-	var timing core.Timing
+//
+// The accounting lands in res as it accrues: Timing, the per-round
+// LiveStats of a live transfer (filled as far as it got when the transfer
+// fails) and the WarmStats of a warm one.
+func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program string, p *vm.Process, cfg Config, res *Result) error {
+	prm, timing := res.Params, &res.Timing
+	st := &LiveStats{paused: time.Now()}
+	if prm.Live {
+		res.Live = st
+	}
 	var lc *vm.LiveCapture
 	next := func() (*round, error) {
 		var r *round
@@ -263,7 +263,7 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, p *vm.Proce
 		if lc != nil {
 			r, err = captureRound(e, src, lc)
 		} else {
-			r, err = checkpointRound(e, src, p, prm)
+			r, err = checkpointRound(e, src, p, cfg.Store, program)
 		}
 		if err == nil {
 			timing.Collect += r.collect
@@ -283,21 +283,21 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, p *vm.Proce
 
 	r, err := next()
 	if err != nil {
-		return timing, err
+		return err
 	}
 	txStart := time.Now()
 	prevDirty := int(^uint(0) >> 1)
 	for precopy := prm.Live && p.NoAutoCapture; precopy; {
 		// Ship the round while the source executes to its next poll.
 		sendErr := make(chan error, 1)
-		go func(r *round) { sendErr <- sendRound(t, r, false, prm, st) }(r)
-		res, runErr := p.ResumeRun()
+		go func(r *round) { sendErr <- sendRound(t, r, false, cfg.Recorder, st) }(r)
+		run, runErr := p.ResumeRun()
 		serr := <-sendErr
 		if runErr != nil {
-			return timing, runErr
+			return runErr
 		}
 		st.paused = time.Now()
-		if !res.Migrated {
+		if !run.Migrated {
 			// The finished local run IS the surviving copy, so
 			// ErrSourceExited wins no matter what the wire did meanwhile.
 			// Stand the responder down best-effort — a dead transport
@@ -305,17 +305,17 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, p *vm.Proce
 			// classifies it as a transport failure), and a failed abort
 			// send must not turn a completed execution into a rollback
 			// attempt on a process that has nothing left to resume.
-			cfg.Recorder.Record("session.round", "source exited (code %d) after %d rounds; aborting", res.ExitCode, len(st.Rounds))
+			cfg.Recorder.Record("session.round", "source exited (code %d) after %d rounds; aborting", run.ExitCode, len(st.Rounds))
 			if serr == nil {
-				serr = t.Send(marshalReason(msgAbort, fmt.Sprintf("source ran to completion (exit %d)", res.ExitCode)))
+				serr = t.Send(marshalReason(msgAbort, fmt.Sprintf("source ran to completion (exit %d)", run.ExitCode)))
 			}
 			if serr != nil {
 				cfg.Recorder.Record("session.round", "responder not stood down cleanly: %v", serr)
 			}
-			return timing, ErrSourceExited
+			return ErrSourceExited
 		}
 		if serr != nil {
-			return timing, serr
+			return serr
 		}
 		shipped()
 		dirty := lc.DirtyBlocks()
@@ -330,26 +330,30 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, p *vm.Proce
 		prevDirty = dirty
 		precopy = st.StopReason == ""
 		if r, err = next(); err != nil {
-			return timing, err
+			return err
 		}
 	}
 
 	// The final round: the source stays paused from here to RESTORED.
-	if err := sendRound(t, r, true, prm, st); err != nil {
-		return timing, err
+	if err := sendRound(t, r, true, cfg.Recorder, st); err != nil {
+		return err
 	}
 	shipped()
-	st.finish(prm, r.manifest)
+	res.Warm = st.finish(r.manifest, prm.Warm)
 	timing.Tx, timing.Bytes = time.Since(txStart), st.WireBytes
-	return timing, nil
+	return nil
 }
 
 // receiveRounds is the responder side of the round exchange, for however
 // many rounds the initiator drives: resolve what each ANNOUNCE lists, ask
 // for the rest, verify what arrives, and on the final round assemble the
-// snapshot and restore it.
-func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, prm Params) (*vm.Process, core.Timing, error) {
-	st := prm.stats()
+// snapshot and restore it. The accounting lands in info as it accrues, as
+// sendRounds' does in its Result.
+func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, cfg Config, info *Info) (*vm.Process, core.Timing, error) {
+	prm, st := info.Params, new(LiveStats)
+	if prm.Live {
+		info.Live = st
+	}
 	// Bodies received (or resolved) in earlier rounds serve later lists: a
 	// section whose hash the source re-announces unchanged never crosses
 	// the wire twice.
@@ -373,8 +377,8 @@ func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, prm Par
 			if _, ok := held[en.Hash]; ok {
 				continue
 			}
-			if prm.Store != nil {
-				if body, err := prm.Store.GetBlob(en.Hash); err == nil {
+			if cfg.Store != nil {
+				if body, err := cfg.Store.GetBlob(en.Hash); err == nil {
 					held[en.Hash] = body
 					continue
 				}
@@ -404,14 +408,14 @@ func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, prm Par
 					store.ErrCorrupt, idx)
 			}
 			held[en.Hash] = body
-			if prm.Store != nil {
-				if _, _, err := prm.Store.PutBlob(body); err != nil {
+			if cfg.Store != nil {
+				if _, _, err := cfg.Store.PutBlob(body); err != nil {
 					return nil, core.Timing{}, err
 				}
 			}
 		}
 		final := ann.flags&announceFinal != 0
-		st.record(prm, "received", LiveRoundStats{
+		st.record(cfg.Recorder, "received", LiveRoundStats{
 			Round:        int(ann.round),
 			DirtyBlocks:  int(ann.dirty),
 			Sections:     len(m.Entries),
@@ -428,26 +432,26 @@ func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, prm Par
 			secs[i] = snapshot.Section{Kind: en.Kind, ID: en.ID, Body: held[en.Hash]}
 		}
 		snap := snapshot.Encode(secs)
-		st.finish(prm, m)
+		info.Warm = st.finish(m, prm.Warm)
 		// Blobs and the manifest are content and may enter the store at
 		// once; the program's ref names the checkpoint this node last
 		// restored, so it advances only after the restore succeeded. The
 		// sender's manifest is kept verbatim: both stores then name the
 		// same checkpoint hash.
 		var h store.Hash
-		if prm.Store != nil {
-			if h, err = prm.Store.PutManifest(m); err != nil {
+		if cfg.Store != nil {
+			if h, err = cfg.Store.PutManifest(m); err != nil {
 				return nil, core.Timing{}, err
 			}
 		}
 		restoreStart := time.Now()
-		p, err := vm.RestoreProcessObs(e.Prog, mach, snap, prm.Trace)
+		p, err := vm.RestoreProcessObs(e.Prog, mach, snap, cfg.Trace)
 		if err != nil {
 			return nil, core.Timing{}, err
 		}
 		restore := time.Since(restoreStart)
-		if prm.Store != nil {
-			if err := prm.Store.SetRef(prm.Program, h); err != nil {
+		if cfg.Store != nil {
+			if err := cfg.Store.SetRef(info.Program, h); err != nil {
 				return nil, core.Timing{}, err
 			}
 		}

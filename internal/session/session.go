@@ -5,17 +5,17 @@
 //
 // The paper's protocol assumes one migration at a time between two
 // pre-arranged peers whose operators configured both ends identically.
-// This layer replaces that arrangement with a negotiated handshake:
+// This layer replaces that arrangement with a handshake that carries
+// identity and capabilities, and nothing else:
 //
-//  1. the initiator (the migrating process's node) sends an OFFER — the
-//     envelope-version range it speaks, its program digest and name, its
-//     machine, its chunk/window proposals, its trace identity and its
+//  1. the initiator (the migrating process's node) sends an OFFER — its
+//     program digest and name, its machine, its trace identity and its
 //     capability bits;
 //  2. the responder (the daemon) looks the digest up in its program
-//     registry, picks the transfer shape, takes the more conservative
-//     stream parameters, and replies ACCEPT (version, chunk, window,
-//     capabilities) — or REJECT with a human-readable reason;
-//  3. the state flows in the agreed shape (below);
+//     registry and replies ACCEPT with the capabilities both sides hold —
+//     or REJECT, with a human-readable reason, for a digest it does not
+//     know;
+//  3. the state flows in the shape the capabilities select (below);
 //  4. the responder restores the process and confirms with RESTORED;
 //  5. the initiator answers COMMIT, and the responder activates the
 //     restored process only once the COMMIT arrives. The source
@@ -24,21 +24,20 @@
 //     frame boundaries exactly one copy survives (DESIGN.md, "Transfer
 //     protocol").
 //
-// # Three wire shapes
+// # Two wire shapes
 //
-// Between ACCEPT and RESTORED the state crosses in one of three shapes:
+// Between ACCEPT and RESTORED the state crosses in one of two shapes,
+// selected by the two capability bits and by nothing else:
 //
-//   - the sealed envelope (version 1): one frame, the paper's
-//     stop-and-copy baseline, chosen when either side caps its version at
-//     core.VersionMono;
-//   - the sectioned chunk stream (version 3): a sectioned snapshot cut
-//     into CRC-framed chunks by internal/stream — the cold default;
-//   - the round exchange (version 3 with a store on both ends, or version
-//     4): per round one ANNOUNCE listing every section of the paused
-//     state by content hash, one WANT naming the sections the responder
-//     cannot resolve from earlier rounds or its checkpoint store, one
-//     BODIES carrying exactly those. A store on each end makes a single
-//     final round skip every body the destination already holds (a warm
+//   - the sectioned chunk stream (cold: neither capability on both ends):
+//     a sectioned snapshot cut into CRC-framed chunks by internal/stream,
+//     DATA … DATA, FIN from the initiator, one DONE back;
+//   - the round exchange (a store on both ends, or live on both ends):
+//     per round one ANNOUNCE listing every section of the paused state by
+//     content hash, one WANT naming the sections the responder cannot
+//     resolve from earlier rounds or its checkpoint store, one BODIES
+//     carrying exactly those. A store on each end makes a single final
+//     round skip every body the destination already holds (a warm
 //     migration); the live capability makes the initiator run rounds
 //     while the source keeps executing and pause it only for the last.
 //
@@ -46,10 +45,9 @@
 //
 // Every message is one link.Transport frame, XDR-encoded, magic "MSES":
 //
-//	offer    = magic, OFFER, minVer u32, maxVer u32, digest u32,
-//	           program string, machine string, chunk u32, window u32,
+//	offer    = magic, OFFER, digest u32, program string, machine string,
 //	           traceID u64, spanID u64, caps u32
-//	accept   = magic, ACCEPT, version u32, chunk u32, window u32, caps u32
+//	accept   = magic, ACCEPT, caps u32
 //	reject   = magic, REJECT, reason string
 //	restored = magic, RESTORED, bytes u64, spans opaque
 //	announce = magic, ANNOUNCE, round u32, flags u32, dirty u32,
@@ -70,10 +68,8 @@ package session
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -102,14 +98,12 @@ const (
 // Capability bits, carried on OFFER and echoed on ACCEPT.
 const (
 	// capWarm: this side holds a checkpoint store. Both sides advertising
-	// it turns a sectioned transfer into one round of the round exchange,
-	// whose WANT names only the section bodies the responder's store
-	// lacks.
+	// it turns the transfer into one round of the round exchange, whose
+	// WANT names only the section bodies the responder's store lacks.
 	capWarm uint32 = 1 << 0
-	// capLive: this side can run pre-copy rounds (envelope version 4) —
-	// the round exchange repeated while the source executes, with a final
-	// paused round bounding downtime. Both sides advertising it upgrades a
-	// sectioned negotiation to core.VersionLive.
+	// capLive: this side can run pre-copy rounds — the round exchange
+	// repeated while the source executes, with a final paused round
+	// bounding downtime.
 	capLive uint32 = 1 << 1
 )
 
@@ -121,9 +115,6 @@ var (
 	// ErrProtocol is returned when a peer sends a message that violates
 	// the session protocol.
 	ErrProtocol = errors.New("session: protocol violation")
-	// ErrNoVersion is the negotiation failure: the peers' version ranges
-	// do not intersect.
-	ErrNoVersion = errors.New("session: no common protocol version")
 	// ErrUnknownProgram is the negotiation failure for a digest the
 	// responder's registry does not hold.
 	ErrUnknownProgram = errors.New("session: program not in registry")
@@ -137,17 +128,14 @@ var (
 	ErrSourceExited = errors.New("session: source process exited before final round")
 )
 
-// Config is one side's negotiation posture.
+// Config is one side's posture: the capabilities it advertises and its
+// local policy.
 type Config struct {
-	// MaxVersion caps the transfer shape this side offers or accepts:
-	// core.VersionMono pins the paper's monolithic envelope; zero selects
-	// core.VersionSectioned, which also admits the round exchange.
-	MaxVersion uint32
-	// ChunkSize and Window are this side's streamed-path proposals and
-	// caps, in the units of stream.Config; the negotiated values are the
-	// minimum of both sides'. Zero selects the stream-layer defaults.
+	// ChunkSize is how this side, as an initiator, cuts the chunk stream
+	// of a cold transfer, in the unit of stream.Config; zero selects the
+	// stream-layer default. It never crosses the wire and a responder
+	// ignores it: a Reader takes chunks of any size.
 	ChunkSize int
-	Window    int
 	// Trace, when set, receives one child span per session phase
 	// (handshake, collect, transport, restore, confirm). The span tree is
 	// local, but its trace identity (trace ID + span ID) crosses the wire
@@ -166,10 +154,9 @@ type Config struct {
 	// the transfer announces the snapshot's sections and sends only the
 	// bodies the destination's store lacks.
 	Store *store.Store
-	// Live advertises capLive: when both sides do, a sectioned negotiation
-	// upgrades to core.VersionLive, and an initiator whose process is
-	// resumable (vm.Process.NoAutoCapture) runs pre-copy rounds while it
-	// executes.
+	// Live advertises capLive: when both sides do, the state crosses as
+	// live rounds, and an initiator whose process is resumable
+	// (vm.Process.NoAutoCapture) runs pre-copy rounds while it executes.
 	Live bool
 	// PrecopyRounds bounds the delta rounds between the initial full copy
 	// and the final paused round. Zero selects 3. Source-side policy
@@ -196,15 +183,6 @@ func (c Config) observePhase(name string, elapsed time.Duration) {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxVersion == 0 {
-		c.MaxVersion = core.VersionSectioned
-	}
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = 256 << 10
-	}
-	if c.Window <= 0 {
-		c.Window = 16
-	}
 	if c.PrecopyRounds <= 0 {
 		c.PrecopyRounds = 3
 	}
@@ -216,65 +194,24 @@ func (c Config) withDefaults() Config {
 
 // caps is the capability set this posture advertises.
 func (c Config) caps() uint32 {
-	var caps uint32
-	if c.MaxVersion >= core.VersionSectioned {
-		if c.Store != nil {
-			caps |= capWarm
-		}
-		if c.Live {
-			caps |= capLive
-		}
-	}
-	return caps
+	return Params{Warm: c.Store != nil, Live: c.Live}.caps()
 }
 
-// Params is the negotiated outcome both sides commit to before transfer.
+// Params is the negotiated outcome both sides commit to before transfer:
+// exactly what the ACCEPT carried, the capabilities both ends hold. At
+// most one is set; neither is a cold transfer.
 type Params struct {
-	// Version is the agreed envelope version.
-	Version uint32
-	// ChunkSize and Window shape the streamed path; both sides hold the
-	// same values, so no operator flag-matching is needed.
-	ChunkSize int
-	Window    int
-	// Warm: both sides hold a checkpoint store and the negotiated version
-	// is sectioned, so the state crosses as one round of the round
-	// exchange. Crosses the wire as the ACCEPT capability bit.
+	// Warm: both sides hold a checkpoint store, so the state crosses as
+	// one round of the round exchange.
 	Warm bool
-	// Live: both sides advertised capLive and the sectioned negotiation
-	// upgraded to core.VersionLive. Crosses the wire as the ACCEPT
-	// capability bit.
+	// Live: both sides advertised capLive, so the state crosses as live
+	// rounds.
 	Live bool
-
-	// Everything below is local plumbing — never marshalled; each side
-	// sets its own after negotiation.
-
-	// Trace is the session span the transfer hangs its phase spans off.
-	Trace *obs.Span
-	// Recorder is the flight recorder the stream layer reports to.
-	Recorder *obs.FlightRecorder
-	// Store is this side's checkpoint store (nil when it has none, and on
-	// the shapes that do not consult one).
-	Store *store.Store
-	// Program names the checkpoint ref a round exchange chains under.
-	Program string
-	// WarmResult (set when Warm) and LiveResult (set when Live) are filled
-	// by the round exchange with the outcome of the transfer.
-	WarmResult *WarmStats
-	LiveResult *LiveStats
 }
 
-// plumb attaches this side's local plumbing to a negotiated outcome.
-func (p *Params) plumb(cfg Config, program string) {
-	p.Trace, p.Recorder = cfg.Trace, cfg.Recorder
-	if p.rounds() {
-		p.Store, p.Program = cfg.Store, program
-	}
-	if p.Warm {
-		p.WarmResult = new(WarmStats)
-	}
-	if p.Live {
-		p.LiveResult = new(LiveStats)
-	}
+// paramsOf decodes the capability set an ACCEPT echoed.
+func paramsOf(caps uint32) Params {
+	return Params{Warm: caps&capWarm != 0, Live: caps&capLive != 0}
 }
 
 // rounds reports whether the state crosses as a round exchange.
@@ -292,48 +229,37 @@ func (p Params) caps() uint32 {
 	return caps
 }
 
+// How names the transfer shape — the short form journals, fleet roll-ups
+// and migd's summary line report.
+func (p Params) How() string {
+	switch {
+	case p.Live:
+		return "live"
+	case p.Warm:
+		return "warm"
+	}
+	return "cold"
+}
+
 // offer is the decoded OFFER message.
 type offer struct {
-	minVer, maxVer uint32
-	digest         uint32
-	program        string
-	machine        string
-	chunk, window  uint32
+	digest  uint32
+	program string
+	machine string
 	// traceID and spanID carry the initiator's distributed-trace identity.
 	traceID, spanID uint64
 	caps            uint32
 }
 
-// negotiate intersects an initiator's offer with the responder's posture:
-// the sectioned shape when both reach it and the monolithic envelope
-// otherwise, upgraded by the capabilities both advertise; the smaller
-// chunk size, the smaller window.
-func negotiate(o offer, srv Config) (Params, error) {
-	srv = srv.withDefaults()
-	version := core.VersionMono
-	if o.maxVer >= core.VersionSectioned && srv.MaxVersion >= core.VersionSectioned {
-		version = core.VersionSectioned
+// negotiate intersects the capabilities an initiator offered with the
+// responder's own. Live subsumes warm: its rounds already resolve bodies
+// against the responder's store.
+func negotiate(o offer, srv Config) Params {
+	switch both := o.caps & srv.caps(); {
+	case both&capLive != 0:
+		return Params{Live: true}
+	case both&capWarm != 0:
+		return Params{Warm: true}
 	}
-	if version < o.minVer || version > o.maxVer {
-		return Params{}, fmt.Errorf("%w: initiator speaks %d..%d, responder up to %d",
-			ErrNoVersion, o.minVer, o.maxVer, srv.MaxVersion)
-	}
-	p := Params{Version: version, ChunkSize: srv.ChunkSize, Window: srv.Window}
-	if c := int(o.chunk); c > 0 && c < p.ChunkSize {
-		p.ChunkSize = c
-	}
-	if w := int(o.window); w > 0 && w < p.Window {
-		p.Window = w
-	}
-	if version == core.VersionSectioned {
-		// Live subsumes warm: its rounds already resolve bodies against
-		// the responder's store.
-		switch both := o.caps & srv.caps(); {
-		case both&capLive != 0:
-			p.Version, p.Live = core.VersionLive, true
-		case both&capWarm != 0:
-			p.Warm = true
-		}
-	}
-	return p, nil
+	return Params{}
 }

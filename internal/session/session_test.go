@@ -74,96 +74,61 @@ func stoppedAt(t *testing.T, e *core.Engine, m *arch.Machine) *vm.Process {
 	return p
 }
 
+// TestNegotiate is the capability table: what an initiator offers against
+// what a responder holds. The shape is the intersection, live subsuming
+// warm, and nothing else enters into it.
 func TestNegotiate(t *testing.T) {
 	st := openTestStore(t)
 	cases := []struct {
-		name    string
-		offer   offer
-		srv     Config
-		want    Params
-		wantErr error
+		name  string
+		offer uint32
+		srv   Config
+		want  Params
 	}{
-		{
-			name:  "both full range picks sectioned",
-			offer: offer{minVer: 1, maxVer: 3, chunk: 1 << 20, window: 32},
-			srv:   Config{},
-			want:  Params{Version: core.VersionSectioned, ChunkSize: 256 << 10, Window: 16},
-		},
-		{
-			name:  "v1-only initiator",
-			offer: offer{minVer: 1, maxVer: 1, chunk: 4096, window: 4},
-			srv:   Config{},
-			want:  Params{Version: core.VersionMono, ChunkSize: 4096, Window: 4},
-		},
-		{
-			name:  "v1-only responder",
-			offer: offer{minVer: 1, maxVer: 3, chunk: 4096, window: 4, caps: capWarm | capLive},
-			srv:   Config{MaxVersion: core.VersionMono, Store: st, Live: true},
-			want:  Params{Version: core.VersionMono, ChunkSize: 4096, Window: 4},
-		},
-		{
-			name:  "initiator proposal caps chunk and window",
-			offer: offer{minVer: 1, maxVer: 3, chunk: 8192, window: 2},
-			srv:   Config{ChunkSize: 64 << 10, Window: 8},
-			want:  Params{Version: core.VersionSectioned, ChunkSize: 8192, Window: 2},
-		},
-		{
-			name:  "responder cap wins when smaller",
-			offer: offer{minVer: 1, maxVer: 3, chunk: 1 << 20, window: 64},
-			srv:   Config{ChunkSize: 32 << 10, Window: 4},
-			want:  Params{Version: core.VersionSectioned, ChunkSize: 32 << 10, Window: 4},
-		},
-		{
-			name:  "a retired version in between falls to the envelope",
-			offer: offer{minVer: 1, maxVer: 2},
-			srv:   Config{},
-			want:  Params{Version: core.VersionMono, ChunkSize: 256 << 10, Window: 16},
-		},
-		{
-			name:  "stores on both ends select the warm round",
-			offer: offer{minVer: 1, maxVer: 3, caps: capWarm},
-			srv:   Config{Store: st},
-			want:  Params{Version: core.VersionSectioned, ChunkSize: 256 << 10, Window: 16, Warm: true},
-		},
-		{
-			name:  "a store on one end only stays cold",
-			offer: offer{minVer: 1, maxVer: 3},
-			srv:   Config{Store: st},
-			want:  Params{Version: core.VersionSectioned, ChunkSize: 256 << 10, Window: 16},
-		},
-		{
-			name:  "live on both ends upgrades to v4 and subsumes warm",
-			offer: offer{minVer: 1, maxVer: 3, caps: capWarm | capLive},
-			srv:   Config{Store: st, Live: true},
-			want:  Params{Version: core.VersionLive, ChunkSize: 256 << 10, Window: 16, Live: true},
-		},
-		{
-			name:    "future-only initiator has no common version",
-			offer:   offer{minVer: 4, maxVer: 6},
-			srv:     Config{},
-			wantErr: ErrNoVersion,
-		},
-		{
-			name:    "an initiator that refuses the envelope meets a v1-only responder",
-			offer:   offer{minVer: 3, maxVer: 3},
-			srv:     Config{MaxVersion: core.VersionMono},
-			wantErr: ErrNoVersion,
-		},
+		{"neither end holds a capability", 0, Config{}, Params{}},
+		{"a store on one end only stays cold", 0, Config{Store: st}, Params{}},
+		{"an initiator's store alone stays cold", capWarm, Config{}, Params{}},
+		{"stores on both ends select the warm round", capWarm, Config{Store: st}, Params{Warm: true}},
+		{"live on the initiator only stays cold", capLive, Config{}, Params{}},
+		{"live on the responder only stays cold", 0, Config{Live: true}, Params{}},
+		{"live on both ends selects live rounds", capLive, Config{Live: true}, Params{Live: true}},
+		{"live on both ends subsumes warm", capWarm | capLive, Config{Store: st, Live: true}, Params{Live: true}},
+		{"live offered to a store-only responder falls to warm", capWarm | capLive, Config{Store: st}, Params{Warm: true}},
+		{"a store offered to a live-only responder stays cold", capWarm, Config{Live: true}, Params{}},
+		{"a store and live on opposite ends stay cold", capLive, Config{Store: st}, Params{}},
+		{"a bit this side does not know is not echoed", 1<<31 | capWarm, Config{Store: st, Live: true}, Params{Warm: true}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got, err := negotiate(c.offer, c.srv)
-			if c.wantErr != nil {
-				if !errors.Is(err, c.wantErr) {
-					t.Fatalf("err = %v, want %v", err, c.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != c.want {
+			if got := negotiate(offer{caps: c.offer}, c.srv); got != c.want {
 				t.Errorf("params = %+v, want %+v", got, c.want)
+			}
+		})
+	}
+
+	// The initiator's side of the table: an ACCEPT may echo only what the
+	// OFFER advertised, one shape at a time.
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		accept Params
+	}{
+		{"responder echoes a bit that was not offered", Config{Store: st}, Params{Live: true}},
+		{"responder echoes both shapes at once", Config{Store: st, Live: true}, Params{Warm: true, Live: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := newListEngine(t)
+			p := stoppedAt(t, e, arch.DEC5000)
+			a, b := link.Pipe()
+			defer a.Close()
+			defer b.Close()
+			go func() {
+				if _, _, err := recvMessage(b, msgOffer, "OFFER"); err == nil {
+					b.Send(marshalAccept(c.accept))
+				}
+			}()
+			if _, err := Initiate(a, e, p.Mach, "list", p, c.cfg); !errors.Is(err, ErrProtocol) {
+				t.Errorf("initiator err = %v, want ErrProtocol", err)
 			}
 		})
 	}
@@ -197,11 +162,7 @@ func runTransfer(t *testing.T, cfg Config) core.Timing {
 }
 
 func TestTransferStreamedDefault(t *testing.T) {
-	runTransfer(t, Config{ChunkSize: 256, Window: 4})
-}
-
-func TestTransferMonolithic(t *testing.T) {
-	runTransfer(t, Config{MaxVersion: core.VersionMono})
+	runTransfer(t, Config{ChunkSize: 256})
 }
 
 func TestInitiateReportsNegotiatedParams(t *testing.T) {
@@ -212,17 +173,17 @@ func TestInitiateReportsNegotiatedParams(t *testing.T) {
 	defer b.Close()
 	reg := NewRegistry()
 	reg.Add("list", e)
+	dstStore := openTestStore(t)
 	go func() {
-		// Daemon side caps the chunk size below the initiator's proposal.
-		Respond(b, reg, arch.SPARC20, Config{ChunkSize: 512, Window: 8})
+		// The daemon holds a store but does not run live rounds.
+		Respond(b, reg, arch.SPARC20, Config{Store: dstStore})
 	}()
-	res, err := Initiate(a, e, p.Mach, "list", p, Config{ChunkSize: 4096, Window: 4})
+	res, err := Initiate(a, e, p.Mach, "list", p, Config{Store: openTestStore(t), Live: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Params{Version: core.VersionSectioned, ChunkSize: 512, Window: 4}
-	if res.Params != want {
-		t.Errorf("params = %+v, want %+v", res.Params, want)
+	if want := (Params{Warm: true}); res.Params != want || res.Params.How() != "warm" {
+		t.Errorf("params = %+v (%s), want %+v", res.Params, res.Params.How(), want)
 	}
 }
 
@@ -255,34 +216,6 @@ func TestRespondRejectsUnknownDigest(t *testing.T) {
 	}
 }
 
-func TestRespondRejectsNoCommonVersion(t *testing.T) {
-	e := newListEngine(t)
-	a, b := link.Pipe()
-	defer a.Close()
-	defer b.Close()
-	reg := NewRegistry()
-	reg.Add("list", e)
-	errc := make(chan error, 1)
-	go func() {
-		_, _, _, rerr := Respond(b, reg, arch.SPARC20, Config{})
-		errc <- rerr
-	}()
-	// An initiator from the future: speaks only versions we do not.
-	if err := a.Send(marshalOffer(offer{minVer: 5, maxVer: 6, digest: e.Digest(), program: "list", machine: "dec5000"})); err != nil {
-		t.Fatal(err)
-	}
-	m, _, err := recvMessage(a, msgReject, "REJECT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(m.reason, "no common protocol version") {
-		t.Errorf("reason = %q", m.reason)
-	}
-	if rerr := <-errc; !errors.Is(rerr, ErrNoVersion) || ClassifyFailure(rerr) != FailNegotiation {
-		t.Errorf("responder err = %v, want ErrNoVersion classified as negotiation", rerr)
-	}
-}
-
 // daemonFixture starts a Daemon on a loopback listener and returns it with
 // its address and a channel that yields Serve's return value.
 func daemonFixture(t *testing.T, d *Daemon) (addr string, served chan error) {
@@ -308,12 +241,13 @@ func migrateTo(t *testing.T, addr string, e *core.Engine, cfg Config) (*Result, 
 	return Initiate(conn, e, p.Mach, "list", p, cfg)
 }
 
-func TestDaemonConcurrentMixedVersions(t *testing.T) {
-	// The acceptance scenario: one persistent daemon completes at least 4
-	// concurrent migrations from a mix of v1-only and full-range (v3)
-	// clients, with no operator-matched stream flags anywhere. OnRestored holds the first
-	// 4 sessions at a barrier, so the test deadlocks (and times out)
-	// unless 4 workers are truly in flight at once.
+func TestDaemonConcurrentMixedShapes(t *testing.T) {
+	// The acceptance scenario: one persistent daemon — a store, live
+	// rounds — completes at least 4 concurrent migrations from a mix of
+	// cold, warm and live clients, with nothing matched between operators.
+	// OnRestored holds the first 4 sessions at a barrier, so the test
+	// deadlocks (and times out) unless 4 workers are truly in flight at
+	// once.
 	const clients = 6
 	const barrier = 4
 	e := newListEngine(t)
@@ -327,6 +261,7 @@ func TestDaemonConcurrentMixedVersions(t *testing.T) {
 	d := &Daemon{
 		Registry:      reg,
 		Mach:          arch.SPARC20,
+		Config:        Config{Store: openTestStore(t), Live: true},
 		Metrics:       obs.NewRegistry(),
 		MaxConcurrent: clients,
 		Timeout:       time.Minute,
@@ -355,36 +290,34 @@ func TestDaemonConcurrentMixedVersions(t *testing.T) {
 	addr, served := daemonFixture(t, d)
 
 	var wg sync.WaitGroup
-	versions := make(chan uint32, clients)
+	shapes := make(chan string, clients)
 	for i := 0; i < clients; i++ {
+		cfg := Config{ChunkSize: 512}
+		switch i % 3 {
+		case 1:
+			cfg.Store = openTestStore(t) // a warm client
+		case 2:
+			cfg.Live = true // a live client
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cfg := Config{ChunkSize: 512, Window: 4}
-			if i%2 == 0 {
-				cfg.MaxVersion = core.VersionMono // a v1-only client
-			}
 			res, err := migrateTo(t, addr, e, cfg)
 			if err != nil {
 				t.Errorf("client %d: %v", i, err)
 				return
 			}
-			versions <- res.Params.Version
+			shapes <- res.Params.How()
 		}(i)
 	}
 	wg.Wait()
-	close(versions)
-	monos, sectioned := 0, 0
-	for v := range versions {
-		switch v {
-		case core.VersionMono:
-			monos++
-		case core.VersionSectioned:
-			sectioned++
-		}
+	close(shapes)
+	got := map[string]int{}
+	for how := range shapes {
+		got[how]++
 	}
-	if monos != clients/2 || sectioned != clients/2 {
-		t.Errorf("negotiated versions: %d mono, %d sectioned; want %d each", monos, sectioned, clients/2)
+	if got["cold"] != clients/3 || got["warm"] != clients/3 || got["live"] != clients/3 {
+		t.Errorf("negotiated shapes %v; want %d each of cold, warm and live", got, clients/3)
 	}
 	for i := 0; i < clients; i++ {
 		if code := <-exits; code != listExit {

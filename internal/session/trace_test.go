@@ -47,8 +47,8 @@ func TestStitchedTrace(t *testing.T) {
 	if rerr := <-done; rerr != nil {
 		t.Fatalf("respond: %v", rerr)
 	}
-	if res.Params.Version != core.VersionSectioned {
-		t.Fatalf("negotiated v%d, want v3", res.Params.Version)
+	if res.Params != (Params{}) {
+		t.Fatalf("negotiated %+v, want the cold shape", res.Params)
 	}
 	if !res.Trace.Valid() {
 		t.Fatal("result carries no trace context")

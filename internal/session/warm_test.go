@@ -194,8 +194,8 @@ func TestWarmFallsBackToLegacyPeer(t *testing.T) {
 			if res.Warm != nil || info.Warm != nil {
 				t.Error("mixed pairing reported warm stats")
 			}
-			if res.Params.Version != core.VersionSectioned {
-				t.Errorf("negotiated v%d, want sectioned", res.Params.Version)
+			if res.Params != (Params{}) {
+				t.Errorf("negotiated %+v, want the cold shape", res.Params)
 			}
 			if res.Timing.Bytes != legacy.Bytes {
 				t.Errorf("fallback transfer wired %d bytes, pure-legacy wired %d — must be identical",

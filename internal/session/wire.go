@@ -41,14 +41,10 @@ func header(typ uint32, capacity int) *xdr.Encoder {
 }
 
 func marshalOffer(o offer) []byte {
-	e := header(msgOffer, 56+len(o.program)+len(o.machine))
-	e.PutUint32(o.minVer)
-	e.PutUint32(o.maxVer)
+	e := header(msgOffer, 40+len(o.program)+len(o.machine))
 	e.PutUint32(o.digest)
 	e.PutString(o.program)
 	e.PutString(o.machine)
-	e.PutUint32(o.chunk)
-	e.PutUint32(o.window)
 	e.PutUint64(o.traceID)
 	e.PutUint64(o.spanID)
 	e.PutUint32(o.caps)
@@ -56,10 +52,7 @@ func marshalOffer(o offer) []byte {
 }
 
 func marshalAccept(p Params) []byte {
-	e := header(msgAccept, 16)
-	e.PutUint32(p.Version)
-	e.PutUint32(uint32(p.ChunkSize))
-	e.PutUint32(uint32(p.Window))
+	e := header(msgAccept, 4)
 	e.PutUint32(p.caps())
 	return e.Bytes()
 }
@@ -139,12 +132,9 @@ func parseMessage(raw []byte) (message, error) {
 	case msgOffer:
 		err = parseOffer(d, &m.offer)
 	case msgAccept:
-		var ver, chunk, window, caps uint32
-		if ver, chunk, window, caps, err = d.Uint32x4(); err != nil {
-			break
-		}
-		m.params = Params{Version: ver, ChunkSize: int(chunk), Window: int(window),
-			Warm: caps&capWarm != 0, Live: caps&capLive != 0}
+		var caps uint32
+		caps, err = d.Uint32()
+		m.params = paramsOf(caps)
 	case msgReject, msgAbort:
 		m.reason, err = d.String()
 	case msgRestored:
@@ -194,19 +184,13 @@ func parseMessage(raw []byte) (message, error) {
 
 func parseOffer(d *xdr.Decoder, o *offer) error {
 	var err error
-	if o.minVer, o.maxVer, o.digest, err = d.Uint32x3(); err != nil {
+	if o.digest, err = d.Uint32(); err != nil {
 		return err
 	}
 	if o.program, err = d.String(); err != nil {
 		return err
 	}
 	if o.machine, err = d.String(); err != nil {
-		return err
-	}
-	if o.chunk, err = d.Uint32(); err != nil {
-		return err
-	}
-	if o.window, err = d.Uint32(); err != nil {
 		return err
 	}
 	if o.traceID, err = d.Uint64(); err != nil {

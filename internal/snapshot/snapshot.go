@@ -27,9 +27,12 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 
 	"repro/internal/xdr"
 )
@@ -98,34 +101,46 @@ var (
 // 2^16 frames (the vm's own frame bound) + heap components, with room.
 const maxSections = 1 << 20
 
-// PutPrologue writes the snapshot magic and section count.
-func PutPrologue(enc *xdr.Encoder, sections int) {
-	enc.Put2Uint32(Magic, uint32(sections))
+// Write frames a whole snapshot onto w — the prologue, then per section
+// the 16-byte header, the body slice itself and its padding to four
+// bytes — and returns the bytes written. It is the one framing routine:
+// a body goes from the buffer it was encoded in straight to w, never
+// staged through a buffer of this package's.
+func Write(w io.Writer, sections []Section) (int, error) {
+	var hdr [16]byte
+	var pad [3]byte
+	be := binary.BigEndian
+	be.PutUint32(hdr[0:], Magic)
+	be.PutUint32(hdr[4:], uint32(len(sections)))
+	n, err := w.Write(hdr[:8])
+	if err != nil {
+		return n, err
+	}
+	for _, s := range sections {
+		be.PutUint32(hdr[0:], uint32(s.Kind))
+		be.PutUint32(hdr[4:], s.ID)
+		be.PutUint32(hdr[8:], uint32(len(s.Body)))
+		be.PutUint32(hdr[12:], crc32.ChecksumIEEE(s.Body))
+		for _, p := range [...][]byte{hdr[:], s.Body, pad[:-len(s.Body)&3]} {
+			m, err := w.Write(p)
+			n += m
+			if err != nil {
+				return n, err
+			}
+		}
+	}
+	return n, nil
 }
 
-// Append frames one section onto enc: header, CRC, padded body. The
-// header is written as one slab, and the body goes through WriteRaw — so
-// when enc streams to a chunk sink (core.SendSectioned), a section body
-// flows from the encode buffer it was built in straight into the stream
-// chunks, never staging through enc's own buffer.
-func Append(enc *xdr.Encoder, s Section) {
-	enc.Put4Uint32(uint32(s.Kind), s.ID, uint32(len(s.Body)), crc32.ChecksumIEEE(s.Body))
-	enc.WriteRaw(s.Body)
-}
-
-// Encode frames a whole snapshot into a fresh buffer (prologue plus
-// every section in the given order).
+// Encode frames a whole snapshot into a fresh buffer of exactly its size.
 func Encode(sections []Section) []byte {
 	size := 8
 	for _, s := range sections {
-		size += 16 + len(s.Body) + 3
+		size += 16 + (len(s.Body)+3)&^3
 	}
-	enc := xdr.NewEncoder(size)
-	PutPrologue(enc, len(sections))
-	for _, s := range sections {
-		Append(enc, s)
-	}
-	return enc.Bytes()
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	Write(buf, sections) // a bytes.Buffer does not fail
+	return buf.Bytes()
 }
 
 // Reader decodes a sectioned snapshot from dec, verifying each section's

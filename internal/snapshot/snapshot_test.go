@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -45,6 +46,62 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// sliceWriter keeps what it is handed — the bytes, and the slices
+// themselves — and fails once failAt bytes have been accepted (negative
+// never fails).
+type sliceWriter struct {
+	bytes.Buffer
+	writes [][]byte
+	n      int
+	failAt int
+}
+
+var errWriter = errors.New("test: writer failed")
+
+func (w *sliceWriter) Write(p []byte) (int, error) {
+	if w.failAt >= 0 && w.n+len(p) > w.failAt {
+		return 0, errWriter
+	}
+	w.writes = append(w.writes, p)
+	w.n += len(p)
+	return w.Buffer.Write(p)
+}
+
+// TestWriteHandsBodiesThrough pins the framing routine: what it writes is
+// what Encode returns, the count is the bytes written, each body reaches
+// the writer as the caller's own slice (no staging copy), and a writer's
+// error stops the framing with the count so far.
+func TestWriteHandsBodiesThrough(t *testing.T) {
+	in := sample()
+	w := &sliceWriter{failAt: -1}
+	n, err := Write(w, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := Encode(in); n != len(want) || !bytes.Equal(w.Bytes(), want) {
+		t.Errorf("Write produced %d bytes that differ from Encode's %d", n, len(want))
+	}
+	for _, s := range in {
+		if len(s.Body) == 0 {
+			continue
+		}
+		through := false
+		for _, p := range w.writes {
+			through = through || len(p) == len(s.Body) && &p[0] == &s.Body[0]
+		}
+		if !through {
+			t.Errorf("%s section %d: body was copied before it reached the writer", s.Kind, s.ID)
+		}
+	}
+	for failAt := 0; failAt < n; failAt += 7 {
+		w := &sliceWriter{failAt: failAt}
+		m, err := Write(w, in)
+		if !errors.Is(err, errWriter) || m != w.n {
+			t.Errorf("writer failing at %d: Write = %d, %v; want %d and the writer's error", failAt, m, err, w.n)
+		}
+	}
+}
+
 func TestBadPrologue(t *testing.T) {
 	cases := []struct {
 		name string
@@ -54,12 +111,12 @@ func TestBadPrologue(t *testing.T) {
 		{"bad magic", Encode(sample())[1:]},
 		{"zero count", func() []byte {
 			enc := xdr.NewEncoder(8)
-			PutPrologue(enc, 0)
+			enc.Put2Uint32(Magic, 0)
 			return enc.Bytes()
 		}()},
 		{"implausible count", func() []byte {
 			enc := xdr.NewEncoder(8)
-			PutPrologue(enc, maxSections+1)
+			enc.Put2Uint32(Magic, maxSections+1)
 			return enc.Bytes()
 		}()},
 	}
@@ -116,7 +173,7 @@ func TestUnknownKind(t *testing.T) {
 
 func TestLengthPastEnd(t *testing.T) {
 	enc := xdr.NewEncoder(64)
-	PutPrologue(enc, 1)
+	enc.Put2Uint32(Magic, 1)
 	enc.PutUint32(uint32(KindHeap))
 	enc.PutUint32(0)
 	enc.PutUint32(1 << 30) // declared length far past the buffer

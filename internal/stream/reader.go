@@ -13,17 +13,15 @@ import (
 type ReaderStats struct {
 	Chunks int
 	Bytes  int64
-	// Acks counts acknowledgement watermarks sent back to the sender.
-	Acks int
 }
 
 // Reader reassembles a chunked snapshot stream: it verifies each chunk's
-// CRC and sequence number, acknowledges progress every Config.AckEvery
-// chunks, and on FIN verifies the whole-stream checksum before confirming
-// with DONE. Chunks are delivered strictly in order through Next, so
-// restoration can consume the stream incrementally while later chunks are
-// still in flight. Any transport failure, damaged chunk or sequence gap
-// ends the transfer with an error.
+// CRC and sequence number, and on FIN verifies the whole-stream checksum
+// before confirming with DONE — the one message it ever sends. Chunks are
+// delivered strictly in order through Next, so restoration can consume the
+// stream incrementally while later chunks are still in flight. Any
+// transport failure, damaged chunk or sequence gap ends the transfer with
+// an error.
 type Reader struct {
 	cfg Config
 	t   link.Transport
@@ -38,7 +36,7 @@ type Reader struct {
 
 // NewReader starts receiving a streamed transfer from t.
 func NewReader(t link.Transport, cfg Config) *Reader {
-	return &Reader{cfg: cfg.withDefaults(), t: t}
+	return &Reader{cfg: cfg, t: t}
 }
 
 // Stats returns the transfer statistics so far.
@@ -80,12 +78,6 @@ func (r *Reader) Next() ([]byte, error) {
 		r.bytes += int64(len(m.payload))
 		r.stats.Chunks++
 		r.stats.Bytes = r.bytes
-		if int(r.nextSeq)%r.cfg.AckEvery == 0 {
-			r.stats.Acks++
-			if err := r.t.Send(marshalAck(r.nextSeq)); err != nil {
-				return nil, r.reject(fmt.Errorf("stream: ack send: %w", err))
-			}
-		}
 		return m.payload, nil
 	case msgFin:
 		if m.seq != r.nextSeq || m.bytes != uint64(r.bytes) || m.crc != r.crc {

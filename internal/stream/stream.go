@@ -1,27 +1,26 @@
-// Package stream is the pipelined snapshot streaming layer of the
-// migration stack. It slots between the MSRM encoding layer
-// (internal/collect, driven through internal/vm and internal/core) and the
-// transport layer (internal/link): instead of materializing the whole
-// machine-independent snapshot and pushing it through one blocking
-// Transport.Send, the snapshot is cut into CRC-framed, sequence-numbered
-// chunks that a background goroutine transmits while collection of later
-// memory segments is still running, so collection time and wire time
-// overlap instead of adding.
+// Package stream is the chunk-stream layer of the migration stack. It
+// slots between the state framing (internal/snapshot, driven through
+// internal/vm and internal/core) and the transport layer (internal/link):
+// instead of materializing the whole machine-independent snapshot and
+// pushing it through one blocking Transport.Send, the snapshot is cut into
+// CRC-framed, sequence-numbered chunks that a background goroutine
+// transmits while the producer keeps writing.
 //
 // Two types cooperate:
 //
 //   - Writer cuts the byte stream into chunks and transmits them from a
-//     background goroutine behind a bounded window (backpressure: when the
-//     wire lags by Window chunks, the producer blocks, so memory per
-//     migration is bounded by Window*ChunkSize rather than the snapshot
-//     size);
+//     background goroutine behind a bounded queue (backpressure: when the
+//     wire lags, the producer blocks, so sender memory is bounded by the
+//     queue rather than the snapshot size);
 //   - Reader reassembles, verifies per-chunk and whole-stream checksums,
-//     acknowledges progress, and feeds restoration incrementally via Next.
+//     and feeds restoration incrementally via Next.
 //
-// The layer assumes a reliable, ordered transport and detects — never
-// repairs — damage: a corrupt or out-of-order chunk ends the transfer with
-// a typed error on the Reader, and the session above it rolls the source
-// back.
+// The stream is one-directional: nothing flows back while it is in flight,
+// and the receiver sends exactly one message, the DONE that answers FIN.
+// Ordering, flow control and acknowledgement are the transport's business.
+// The layer detects — never repairs — damage: a corrupt or out-of-order
+// chunk ends the transfer with a typed error on the Reader, and the
+// session above it rolls the source back.
 //
 // # Wire protocol
 //
@@ -29,7 +28,6 @@
 // length + CRC framing). Messages are XDR-encoded:
 //
 //	data = magic, DATA, seq u32, crc u32, payload opaque
-//	ack  = magic, ACK, nextSeq u32             ; cumulative: all chunks < nextSeq held
 //	fin  = magic, FIN, chunks u32, bytes u64, crc u32  ; whole-stream CRC-32
 //	done = magic, DONE, bytes u64              ; receiver verified the stream
 //
@@ -52,11 +50,10 @@ import (
 const streamMagic = 0x4d535452
 
 // Message types. The values are the wire encoding (internal/chaos mirrors
-// msgData); the gaps are type numbers this protocol no longer speaks and
-// must not reuse.
+// msgData); the gaps (1, 2, 4 and 5) are type numbers this protocol no
+// longer speaks and must not reuse.
 const (
 	msgData uint32 = 3
-	msgAck  uint32 = 4
 	msgFin  uint32 = 6
 	msgDone uint32 = 7
 )
@@ -74,16 +71,10 @@ var (
 
 // Config tunes the streaming layer. The zero value selects the defaults.
 type Config struct {
-	// ChunkSize is the chunk payload size in bytes (default 256 KiB).
+	// ChunkSize is the chunk payload size in bytes (default 256 KiB). It
+	// is how the Writer cuts its stream; a Reader takes chunks of any
+	// size.
 	ChunkSize int
-	// Window is the maximum number of transmitted-but-unacknowledged
-	// chunks held by the sender; the producer blocks beyond it
-	// (default 16). Sender memory is bounded by Window*ChunkSize.
-	Window int
-	// AckEvery makes the receiver acknowledge after every N in-order
-	// chunks (default 4). The final FIN/DONE exchange always confirms
-	// the tail regardless.
-	AckEvery int
 	// Recorder, when set, receives a structured flight-recorder event for
 	// every chunk or stream the Reader rejects, so a failed migration can
 	// be reconstructed after the fact. Nil disables.
@@ -93,18 +84,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.ChunkSize <= 0 {
 		c.ChunkSize = 256 << 10
-	}
-	if c.Window <= 0 {
-		c.Window = 16
-	}
-	if c.AckEvery <= 0 {
-		c.AckEvery = 4
-	}
-	if c.AckEvery > c.Window {
-		// The sender stalls at Window unacknowledged chunks; if the
-		// receiver acknowledged less often than that, neither side could
-		// make progress.
-		c.AckEvery = c.Window
 	}
 	return c
 }
@@ -149,18 +128,10 @@ func (c chunk) seal() []byte {
 // message is a decoded stream-layer control or data message.
 type message struct {
 	typ     uint32
-	seq     uint32 // DATA seq; ACK nextSeq; FIN chunk count
+	seq     uint32 // DATA seq; FIN chunk count
 	crc     uint32 // DATA / FIN
 	bytes   uint64 // FIN / DONE
 	payload []byte // DATA
-}
-
-func marshalAck(nextSeq uint32) []byte {
-	e := xdr.NewEncoder(12)
-	e.PutUint32(streamMagic)
-	e.PutUint32(msgAck)
-	e.PutUint32(nextSeq)
-	return e.Bytes()
 }
 
 func marshalFin(chunks uint32, bytes uint64, crc uint32) []byte {
@@ -194,8 +165,6 @@ func parseMessage(raw []byte) (message, error) {
 	}
 	m := message{typ: typ}
 	switch typ {
-	case msgAck:
-		m.seq, err = d.Uint32()
 	case msgData:
 		if m.seq, err = d.Uint32(); err != nil {
 			break

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
-	"time"
 
 	"repro/internal/link"
 )
@@ -15,11 +14,16 @@ type WriterStats struct {
 	Bytes  int64
 }
 
+// sendQueue is how many cut chunks may wait for the transmit goroutine
+// before the producer blocks: sender memory is bounded by
+// sendQueue*ChunkSize, whatever the snapshot size.
+const sendQueue = 16
+
 // Writer cuts a byte stream into chunks and transmits them from a
-// background goroutine, so the producer (the MSRM collector) runs
-// concurrently with transmission. Writer implements io.WriteCloser; it is
-// not safe for concurrent Write calls. Close flushes the tail chunk, sends
-// FIN, and blocks until the receiver confirms the whole stream.
+// background goroutine, so the producer runs concurrently with
+// transmission. Writer implements io.WriteCloser; it is not safe for
+// concurrent Write calls. Close flushes the tail chunk, sends FIN, and
+// blocks until the receiver confirms the whole stream.
 //
 // Writer assumes a reliable transport: a send or receive failure aborts
 // the transfer.
@@ -32,20 +36,11 @@ type Writer struct {
 	bytes int64
 
 	sendq chan chunk
-	// abort is closed by the background goroutines on failure so a
-	// blocked producer unblocks promptly.
-	abort     chan struct{}
-	done      chan struct{} // closed when DONE (or an error) arrives
-	abortOnce sync.Once
+	// sent is closed by txLoop once it has drained sendq.
+	sent chan struct{}
 
 	mu  sync.Mutex
 	err error
-
-	// inflight maps a transmitted chunk's sequence number to its send
-	// time; the ack watermark in recvLoop drains it into the ack-RTT
-	// histogram. Guarded by rttMu (txLoop and recvLoop race on it).
-	rttMu    sync.Mutex
-	inflight map[uint32]time.Time
 
 	stats WriterStats
 }
@@ -64,16 +59,13 @@ func getChunkBuf(chunkSize int) []byte {
 func NewWriter(t link.Transport, cfg Config) *Writer {
 	cfg = cfg.withDefaults()
 	w := &Writer{
-		cfg:      cfg,
-		t:        t,
-		buf:      getChunkBuf(cfg.ChunkSize),
-		sendq:    make(chan chunk, cfg.Window),
-		abort:    make(chan struct{}),
-		done:     make(chan struct{}),
-		inflight: make(map[uint32]time.Time),
+		cfg:   cfg,
+		t:     t,
+		buf:   getChunkBuf(cfg.ChunkSize),
+		sendq: make(chan chunk, sendQueue),
+		sent:  make(chan struct{}),
 	}
 	go w.txLoop()
-	go w.recvLoop()
 	return w
 }
 
@@ -83,7 +75,6 @@ func (w *Writer) fail(err error) {
 		w.err = err
 	}
 	w.mu.Unlock()
-	w.abortOnce.Do(func() { close(w.abort) })
 }
 
 // Err returns the first transfer error, if any.
@@ -96,86 +87,26 @@ func (w *Writer) Err() error {
 // Stats returns the transfer statistics; call after Close.
 func (w *Writer) Stats() WriterStats { return w.stats }
 
-// noteSent stamps a chunk's transmission time for RTT accounting.
-func (w *Writer) noteSent(seq uint32) {
-	w.rttMu.Lock()
-	w.inflight[seq] = time.Now()
-	w.rttMu.Unlock()
-}
-
-// noteAcked observes the round trip of every in-flight chunk below the
-// cumulative acknowledgement watermark (next), or of all of them when the
-// receiver confirmed the whole stream (all true).
-func (w *Writer) noteAcked(next uint32, all bool) {
-	now := time.Now()
-	w.rttMu.Lock()
-	for seq, at := range w.inflight {
-		if all || seq < next {
-			mAckRTT.Observe(now.Sub(at))
-			delete(w.inflight, seq)
-		}
-	}
-	w.rttMu.Unlock()
-}
-
-// txLoop drains the chunk queue onto the transport and finishes with FIN.
+// txLoop drains the chunk queue onto the transport. After a failed send
+// it keeps draining — so the producer never blocks on a dead queue — but
+// transmits nothing more: the receiver must not see a stream with a hole.
 func (w *Writer) txLoop() {
+	defer close(w.sent)
 	for c := range w.sendq {
-		w.noteSent(c.seq)
-		err := w.t.Send(c.seal())
+		if w.Err() == nil {
+			if err := w.t.Send(c.seal()); err != nil {
+				w.fail(fmt.Errorf("stream: chunk %d send: %w", c.seq, err))
+			}
+		}
 		chunkBufs.Put(c.frame[:0])
-		if err != nil {
-			w.fail(fmt.Errorf("stream: chunk %d send: %w", c.seq, err))
-			// Keep draining so the producer never blocks on a dead queue.
-			continue
-		}
-	}
-	if w.Err() != nil {
-		return
-	}
-	if err := w.t.Send(marshalFin(w.seq, uint64(w.bytes), w.crc)); err != nil {
-		w.fail(fmt.Errorf("stream: fin send: %w", err))
-	}
-}
-
-// recvLoop consumes receiver messages: acknowledgement watermarks and the
-// final DONE.
-func (w *Writer) recvLoop() {
-	defer close(w.done)
-	for {
-		raw, err := w.t.Recv()
-		if err != nil {
-			w.fail(fmt.Errorf("stream: recv: %w", err))
-			return
-		}
-		m, err := parseMessage(raw)
-		if err != nil {
-			w.fail(err)
-			return
-		}
-		switch m.typ {
-		case msgAck:
-			// Memory is bounded by the send queue alone; the watermark
-			// only times the chunks it passes.
-			w.noteAcked(m.seq, false)
-		case msgDone:
-			// The receiver only sends DONE after verifying the FIN
-			// totals, so its byte count is authoritative; re-checking
-			// against w.bytes here would race with the producer.
-			w.noteAcked(0, true)
-			return
-		default:
-			w.fail(fmt.Errorf("%w: unexpected %d message from receiver", ErrProtocol, m.typ))
-			return
-		}
 	}
 }
 
 // Write implements io.Writer: it buffers p, cutting and enqueueing
-// full chunks. It blocks when the transmit window is full. Write copies p
+// full chunks. It blocks when the transmit queue is full. Write copies p
 // into the chunk buffer before returning — it never retains p — so
-// callers (the XDR encoder's flush sink, whose buffers return to a pool)
-// may reuse p immediately.
+// callers (the section framing, whose bodies alias pooled encoders) may
+// reuse p immediately.
 func (w *Writer) Write(p []byte) (int, error) {
 	if err := w.Err(); err != nil {
 		return 0, err
@@ -202,24 +133,44 @@ func (w *Writer) cut() error {
 	w.bytes += int64(len(c.payload()))
 	w.stats.Chunks++
 	w.buf = getChunkBuf(w.cfg.ChunkSize)
-	select {
-	case w.sendq <- c:
-	case <-w.abort:
-		return w.Err()
-	}
-	mWindow.Set(int64(len(w.sendq)))
+	w.sendq <- c
 	return w.Err()
 }
 
-// Close flushes the tail chunk, transmits FIN, and waits for the
-// receiver's DONE. It reports the first error of the whole transfer.
+// Close flushes the tail chunk, waits for the transmit goroutine, sends
+// FIN, and waits for the receiver's DONE — the one message that ever
+// flows back, read only once FIN went out. It reports the first error of
+// the whole transfer.
 func (w *Writer) Close() error {
 	if len(w.buf) > dataHdr && w.Err() == nil {
 		w.cut() // on failure the error is reported below
 	}
 	close(w.sendq)
-	<-w.done
+	<-w.sent
+	if w.Err() == nil {
+		w.fail(w.finish())
+	}
 	w.stats.Bytes = w.bytes
 	w.stats.flush()
 	return w.Err()
+}
+
+// finish runs the FIN/DONE exchange that closes a fully transmitted
+// stream. The receiver sends DONE only after verifying the FIN totals.
+func (w *Writer) finish() error {
+	if err := w.t.Send(marshalFin(w.seq, uint64(w.bytes), w.crc)); err != nil {
+		return fmt.Errorf("stream: fin send: %w", err)
+	}
+	raw, err := w.t.Recv()
+	if err != nil {
+		return fmt.Errorf("stream: recv: %w", err)
+	}
+	m, err := parseMessage(raw)
+	if err != nil {
+		return err
+	}
+	if m.typ != msgDone {
+		return fmt.Errorf("%w: unexpected %d message from receiver", ErrProtocol, m.typ)
+	}
+	return nil
 }

@@ -12,12 +12,12 @@ import (
 
 // TestWriterDoesNotRetainCallerBytes pins the Write ownership contract the
 // pooled-encoder capture path depends on: Write copies p into the chunk
-// buffer before returning, so a caller — the XDR encoder's flush sink
-// handing out aliases of its internal buffer — may overwrite p the moment
-// Write returns. The caller scribbles over every slice immediately after
+// buffer before returning, so a caller — the section framing handing out
+// bodies that alias pooled encoders — may overwrite p the moment Write
+// returns. The caller scribbles over every slice immediately after
 // writing it; the reassembled stream must still be the original bytes.
 func TestWriterDoesNotRetainCallerBytes(t *testing.T) {
-	cfg := Config{ChunkSize: 512, Window: 4, AckEvery: 2}
+	cfg := Config{ChunkSize: 512}
 	a, b := link.Pipe()
 	defer a.Close()
 	defer b.Close()
@@ -25,7 +25,7 @@ func TestWriterDoesNotRetainCallerBytes(t *testing.T) {
 	w := NewWriter(a, cfg)
 
 	payload := testPayload(40_000, 11)
-	scratch := make([]byte, 700) // reused for every Write, like a sink slice
+	scratch := make([]byte, 700) // reused for every Write, like a pooled body
 	for off := 0; off < len(payload); {
 		m := copy(scratch, payload[off:])
 		if _, err := w.Write(scratch[:m]); err != nil {
@@ -57,7 +57,7 @@ func TestWriterDoesNotRetainCallerBytes(t *testing.T) {
 // chunk was handed out. Runs over the in-memory pipe and over real TCP
 // framing, the two Recv implementations.
 func TestReaderHandsOutUnsharedChunks(t *testing.T) {
-	cfg := Config{ChunkSize: 512, Window: 4, AckEvery: 2}
+	cfg := Config{ChunkSize: 512}
 	transports := map[string]func(t *testing.T) (link.Transport, link.Transport){
 		"pipe": func(*testing.T) (link.Transport, link.Transport) { return link.Pipe() },
 		"tcp": func(t *testing.T) (link.Transport, link.Transport) {
@@ -127,7 +127,7 @@ func TestReaderHandsOutUnsharedChunks(t *testing.T) {
 // package under -race, which additionally catches any unsynchronized
 // reuse of a pooled buffer.
 func TestWriterChunkPoolConcurrentTransfers(t *testing.T) {
-	cfg := Config{ChunkSize: 256, Window: 4, AckEvery: 2}
+	cfg := Config{ChunkSize: 256}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {

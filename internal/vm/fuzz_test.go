@@ -97,7 +97,7 @@ func hostileDirectory(t testing.TB, prog *minic.Program, v3 []byte, size int) []
 	for i := 0; i < n; i++ {
 		body.Put4Uint32(uint32(1000+i), 0, intType, uint32(count))
 	}
-	body.WriteRaw(make([]byte, 4*count))
+	body.PutFixedOpaque(make([]byte, 4*count))
 	out := []snapshot.Section{secs[0], {Kind: snapshot.KindHeap, Body: body.Bytes()}}
 	for _, s := range secs[1:] {
 		if s.Kind != snapshot.KindHeap {
@@ -135,7 +135,7 @@ func hostileRecordChain(t testing.TB, prog *minic.Program, v1 []byte, size int) 
 		t.Fatal("no heap reference in the v1 seed")
 	}
 	out := xdr.NewEncoder(size)
-	out.WriteRaw(v1[:at])
+	out.PutFixedOpaque(v1[:at])
 	for i := 0; out.Len()+24 <= size; i++ {
 		out.Put2Uint32(ptr, uint32((size-out.Len()-8)/4))
 		out.Put4Uint32(uint32(memory.Heap), uint32(1000+i), 0, 0)

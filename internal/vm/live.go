@@ -1,6 +1,6 @@
 package vm
 
-// Live pre-copy capture (the source side of envelope version 4).
+// Live pre-copy capture (the source side of the live round exchange).
 //
 // A stop-and-copy migration pays the whole capture+wire+restore time as
 // downtime. The pre-copy loop instead captures the process repeatedly
@@ -126,17 +126,17 @@ func (lc *LiveCapture) Round() (*LiveRound, error) {
 	mDirtyBlocks.Set(int64(round.DirtyBlocks))
 
 	// Every body is owned by the tracker, so there is nothing to release.
-	secs, _, err := p.captureSectionList(lc.dt, dirty)
+	secs, reused, _, err := p.captureSectionList(lc.dt, dirty)
 	if err != nil {
 		return nil, err
 	}
 	round.Sections = make([]LiveSection, len(secs))
 	for i, s := range secs {
 		round.Sections[i] = LiveSection{
-			Kind: s.Kind, ID: s.ID, Hash: sha256.Sum256(s.Body), Body: s.Body, Reused: s.Reused,
+			Kind: s.Kind, ID: s.ID, Hash: sha256.Sum256(s.Body), Body: s.Body, Reused: reused[i],
 		}
 		round.Bytes += len(s.Body)
-		if s.Reused {
+		if reused[i] {
 			round.Reused++
 		} else {
 			round.Encoded++

@@ -14,6 +14,7 @@ package vm
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/collect"
@@ -29,36 +30,25 @@ import (
 // only because bench/program.go, which no ordinary change may edit, passes
 // one.
 func (p *Process) CaptureSections(_ int) ([]byte, error) {
-	enc := xdr.NewEncoder(1 << 12)
-	if err := p.CaptureSectionsTo(enc); err != nil {
+	secs, _, release, err := p.captureSectionList(nil, nil)
+	if err != nil {
 		return nil, err
 	}
-	return enc.Bytes(), nil
-}
-
-// CaptureSectionsTo is CaptureSections writing into the supplied encoder
-// (which may have a flush sink attached for streamed transmission).
-func (p *Process) CaptureSectionsTo(enc *xdr.Encoder) error {
-	secs, release, err := p.captureSectionList(nil, nil)
-	if err != nil {
-		return err
-	}
-	// Once every body has been spliced into the output stream the pooled
-	// section encoders go back.
 	defer release()
-	snapshot.PutPrologue(enc, len(secs))
-	for _, s := range secs {
-		snapshot.Append(enc, s.Section)
-	}
-	return nil
+	return snapshot.Encode(secs), nil
 }
 
-// capturedSection is one section of a sectioned capture: its snapshot
-// framing identity and body, and whether the body was carried over from
-// the delta tracker's previous round instead of being encoded.
-type capturedSection struct {
-	snapshot.Section
-	Reused bool
+// CaptureSectionsTo is CaptureSections framing the snapshot straight onto
+// w (the chunk stream of a cold transfer): each section body goes from the
+// pooled encoder it was built in to w, and the encoders go back once the
+// last has been written. It returns the bytes written.
+func (p *Process) CaptureSectionsTo(w io.Writer) (int, error) {
+	secs, _, release, err := p.captureSectionList(nil, nil)
+	if err != nil {
+		return 0, err
+	}
+	defer release()
+	return snapshot.Write(w, secs)
 }
 
 // captureSectionList is the one sectioned producer, behind cold, warm and
@@ -66,21 +56,22 @@ type capturedSection struct {
 // stopped at and returns every section in the deterministic snapshot
 // order — exec, heap components by number, frames innermost first,
 // globals. With a tracker (a live round) the sections dirty cannot have
-// touched are reused from it and every body is tracker-owned; without
-// one the bodies alias pooled encoders until release is called. The
+// touched are reused from it — reused marks them — and every body is
+// tracker-owned; without one the bodies alias pooled encoders until
+// release is called. The
 // capture is recorded here, once, counting the sections that were
 // encoded (not the reused ones): CaptureStats, a "collect" span with
 // partition, encode and per-section children, the vm.section.encode
 // histogram and the capture counters.
-func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty collect.DirtyFunc) (secs []capturedSection, release func(), err error) {
+func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty collect.DirtyFunc) (secs []snapshot.Section, reused []bool, release func(), err error) {
 	start := time.Now()
 	innermost, err := p.stoppedSite()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	sites, err := p.captureSites(innermost)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	span := p.Obs.Child("collect")
 	if dt != nil {
@@ -96,7 +87,7 @@ func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty collect.Dir
 	encStart := time.Now()
 	st, err := collect.EncodeSections(p.Space, p.Table, p.TI, roots, dt, dirty)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	span.Child("partition").SetDuration(st.Partition)
 	span.Child("encode").SetDuration(time.Since(encStart) - st.Partition)
@@ -107,11 +98,13 @@ func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty collect.Dir
 	execElapsed := time.Since(execStart)
 
 	nframes := len(p.frames)
-	secs = make([]capturedSection, 0, 1+len(st.Heap)+nframes+1)
+	secs = make([]snapshot.Section, 0, 1+len(st.Heap)+nframes+1)
+	reused = make([]bool, 0, cap(secs))
 	calls, fresh := st.Calls+execEnc.Calls(), 0
-	add := func(kind snapshot.Kind, id uint32, body []byte, elapsed time.Duration, reused bool) {
-		secs = append(secs, capturedSection{snapshot.Section{Kind: kind, ID: id, Body: body}, reused})
-		if reused {
+	add := func(kind snapshot.Kind, id uint32, body []byte, elapsed time.Duration, carried bool) {
+		secs = append(secs, snapshot.Section{Kind: kind, ID: id, Body: body})
+		reused = append(reused, carried)
+		if carried {
 			return
 		}
 		fresh += len(body)
@@ -143,7 +136,7 @@ func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty collect.Dir
 	}
 	span.SetBytes(int64(fresh))
 	flushCapture(calls, fresh, p.captureStats.Elapsed)
-	return secs, st.Release, nil
+	return secs, reused, st.Release, nil
 }
 
 // liveRoots builds the collection roots — the live-variable addresses of

@@ -2,50 +2,6 @@ package xdr
 
 import "testing"
 
-func BenchmarkPutFloat64s(b *testing.B) {
-	vals := make([]float64, 1024)
-	for i := range vals {
-		vals[i] = float64(i) * 0.5
-	}
-	e := NewEncoder(8 * len(vals))
-	b.SetBytes(int64(8 * len(vals)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Reset()
-		e.PutFloat64s(vals)
-	}
-}
-
-func BenchmarkPutFloat64Loop(b *testing.B) {
-	vals := make([]float64, 1024)
-	for i := range vals {
-		vals[i] = float64(i) * 0.5
-	}
-	e := NewEncoder(8 * len(vals))
-	b.SetBytes(int64(8 * len(vals)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Reset()
-		for _, v := range vals {
-			e.PutFloat64(v)
-		}
-	}
-}
-
-func BenchmarkDecodeFloat64s(b *testing.B) {
-	vals := make([]float64, 1024)
-	e := NewEncoder(8 * len(vals))
-	e.PutFloat64s(vals)
-	b.SetBytes(int64(e.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := NewDecoder(e.Bytes())
-		if _, err := d.Float64s(len(vals)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPooledEncoderSteadyState is the allocation guard on the
 // pooled capture path: a full get/encode/release cycle shaped like one
 // section encode (directory entries as Put4Uint32 slabs plus an opaque
@@ -62,7 +18,7 @@ func BenchmarkPooledEncoderSteadyState(b *testing.B) {
 		for j := 0; j < 64; j++ {
 			e.Put4Uint32(uint32(j), 1, 2, 3)
 		}
-		e.WriteRaw(body)
+		e.PutFixedOpaque(body)
 		if e.Len() == 0 {
 			b.Fatal("empty stream")
 		}

@@ -7,15 +7,11 @@ import (
 )
 
 // TestPooledEncoderReuse pins the pool contract: a released encoder comes
-// back reset (empty stream, no sink, zero counters) and retains its grown
-// buffer capacity, so steady-state captures stop allocating.
+// back reset (empty stream, zero counters) and retains its grown buffer
+// capacity, so steady-state captures stop allocating.
 func TestPooledEncoderReuse(t *testing.T) {
 	e := GetEncoder(64)
-	e.SetSink(8, func([]byte) error { return errors.New("sink dies") })
 	e.PutFixedOpaque(make([]byte, 4096))
-	if e.SinkErr() == nil {
-		t.Fatal("sink error not recorded")
-	}
 	grown := cap(e.buf)
 	e.Release()
 
@@ -25,12 +21,6 @@ func TestPooledEncoderReuse(t *testing.T) {
 	f := GetEncoder(64)
 	if f.Len() != 0 || f.Calls() != 0 {
 		t.Fatalf("pooled encoder not reset: len=%d calls=%d", f.Len(), f.Calls())
-	}
-	if f.SinkErr() != nil {
-		t.Fatal("pooled encoder retains sink error")
-	}
-	if f.sink != nil || f.sinkThreshold != 0 {
-		t.Fatal("pooled encoder retains sink")
 	}
 	if f == e && cap(f.buf) != grown {
 		t.Fatalf("released encoder lost its buffer: cap=%d want %d", cap(f.buf), grown)
@@ -45,8 +35,8 @@ func TestPooledEncoderReuse(t *testing.T) {
 }
 
 // TestBatchedPutsMatchScalarPuts requires the slab writers (Put2Uint32,
-// Put4Uint32, PutUint32s) to produce byte-identical streams to the
-// equivalent sequence of PutUint32 calls — batching is a pure call-count
+// Put4Uint32) to produce byte-identical streams to the equivalent
+// sequence of PutUint32 calls — batching is a pure call-count
 // optimization, never a format change.
 func TestBatchedPutsMatchScalarPuts(t *testing.T) {
 	vals := []uint32{0, 1, 0xdeadbeef, 0x7fffffff, 0x80000000, 42, 7, 0xffffffff}
@@ -76,49 +66,6 @@ func TestBatchedPutsMatchScalarPuts(t *testing.T) {
 	}
 	if e4.Calls() != len(vals)/4 {
 		t.Errorf("Put4Uint32 made %d grow calls, want %d", e4.Calls(), len(vals)/4)
-	}
-
-	var es Encoder
-	es.PutUint32s(vals)
-	if !bytes.Equal(es.Bytes(), want.Bytes()) {
-		t.Error("PutUint32s stream differs from PutUint32 stream")
-	}
-	if es.Calls() != 1 {
-		t.Errorf("PutUint32s without a sink made %d grow calls, want 1", es.Calls())
-	}
-}
-
-// TestPutUint32sSegmentsUnderSink checks that a sink-attached PutUint32s
-// streams in threshold-sized segments and still yields the identical
-// encoded bytes.
-func TestPutUint32sSegmentsUnderSink(t *testing.T) {
-	vals := make([]uint32, 100)
-	for i := range vals {
-		vals[i] = uint32(i * 2654435761)
-	}
-	var want Encoder
-	want.PutUint32s(vals)
-
-	var got bytes.Buffer
-	var flushes int
-	var e Encoder
-	e.SetSink(64, func(p []byte) error {
-		flushes++
-		got.Write(p)
-		return nil
-	})
-	e.PutUint32s(vals)
-	if err := e.FlushSink(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Error("sink-segmented PutUint32s differs from buffered encoding")
-	}
-	if flushes < 2 {
-		t.Errorf("400 bytes over a 64-byte threshold flushed %d times, want several", flushes)
-	}
-	if e.Len() != 4*len(vals) {
-		t.Errorf("Len = %d, want %d", e.Len(), 4*len(vals))
 	}
 }
 
@@ -151,96 +98,5 @@ func TestUint32x3x4RoundTrip(t *testing.T) {
 	}
 	if _, _, _, _, err := short.Uint32x4(); !errors.Is(err, ErrShortBuffer) {
 		t.Errorf("Uint32x4 on 10 bytes: %v, want ErrShortBuffer", err)
-	}
-}
-
-// TestWriteRawMatchesPutFixedOpaque requires the zero-copy raw path to be
-// byte-identical to PutFixedOpaque for every padding residue, with and
-// without a sink.
-func TestWriteRawMatchesPutFixedOpaque(t *testing.T) {
-	for n := 0; n <= 9; n++ {
-		p := make([]byte, n)
-		for i := range p {
-			p[i] = byte(0xA0 + i)
-		}
-		var want Encoder
-		want.PutUint32(7)
-		want.PutFixedOpaque(p)
-		want.PutUint32(9)
-
-		// Buffered path.
-		var e Encoder
-		e.PutUint32(7)
-		e.WriteRaw(p)
-		e.PutUint32(9)
-		if !bytes.Equal(e.Bytes(), want.Bytes()) {
-			t.Errorf("n=%d: buffered WriteRaw differs from PutFixedOpaque", n)
-		}
-
-		// Sink path, with a threshold small enough to segment the body.
-		var got bytes.Buffer
-		var s Encoder
-		s.SetSink(4, func(b []byte) error {
-			got.Write(b)
-			return nil
-		})
-		s.PutUint32(7)
-		s.WriteRaw(p)
-		s.PutUint32(9)
-		if err := s.FlushSink(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("n=%d: sink WriteRaw differs from PutFixedOpaque", n)
-		}
-		if s.Len() != want.Len() {
-			t.Errorf("n=%d: sink WriteRaw Len = %d, want %d", n, s.Len(), want.Len())
-		}
-	}
-}
-
-// TestWriteRawSinkDoesNotRetain pins the ownership contract of the
-// zero-copy path: the sink sees the caller's bytes during the call, and
-// the caller is free to reuse the slice the moment WriteRaw returns —
-// anything the sink kept must have been copied by the sink itself.
-func TestWriteRawSinkDoesNotRetain(t *testing.T) {
-	var copied bytes.Buffer
-	var e Encoder
-	e.SetSink(8, func(p []byte) error {
-		copied.Write(p) // a correct sink copies before returning
-		return nil
-	})
-	p := bytes.Repeat([]byte{0x55}, 32)
-	e.WriteRaw(p)
-	for i := range p {
-		p[i] = 0xEE // caller reuses its buffer immediately
-	}
-	if err := e.FlushSink(); err != nil {
-		t.Fatal(err)
-	}
-	if want := bytes.Repeat([]byte{0x55}, 32); !bytes.Equal(copied.Bytes(), want) {
-		t.Fatal("sink-side copy was corrupted by caller reuse: the sink must have been handed a live alias after the call returned")
-	}
-}
-
-// TestWriteRawAfterSinkError checks a dead sink stays dead: WriteRaw keeps
-// accounting (Len) but drops the bytes instead of growing the buffer.
-func TestWriteRawAfterSinkError(t *testing.T) {
-	boom := errors.New("boom")
-	calls := 0
-	var e Encoder
-	e.SetSink(4, func(p []byte) error {
-		calls++
-		return boom
-	})
-	e.WriteRaw(bytes.Repeat([]byte{1}, 16))
-	if calls != 1 {
-		t.Errorf("sink called %d times after its first error, want 1", calls)
-	}
-	if !errors.Is(e.FlushSink(), boom) {
-		t.Errorf("FlushSink = %v, want the sink error", e.FlushSink())
-	}
-	if e.Len() != 16 {
-		t.Errorf("Len = %d after dead-sink WriteRaw, want 16", e.Len())
 	}
 }

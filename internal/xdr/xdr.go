@@ -28,20 +28,8 @@ var ErrLength = errors.New("xdr: invalid length")
 
 // Encoder appends XDR-encoded values to an internal buffer.
 // The zero value is ready to use.
-//
-// An encoder can optionally stream: SetSink attaches a function that
-// receives completed prefixes of the stream whenever the buffer passes a
-// threshold, so a producer (the MSRM collector) overlaps encoding with
-// transmission instead of materializing the whole stream first.
 type Encoder struct {
 	buf []byte
-
-	// sink, when non-nil, receives completed prefixes of the stream.
-	sink          func([]byte) error
-	sinkThreshold int
-	sinkErr       error
-	// flushed counts bytes already handed to the sink.
-	flushed int
 	// calls counts Put/Grow operations, the encoder's observability
 	// counter. A plain int incremented on the grow path: the owner of the
 	// encoder flushes it to a metrics registry in bulk, so the hot path
@@ -74,12 +62,12 @@ var (
 )
 
 // GetEncoder returns a pooled encoder whose buffer has at least the given
-// capacity. The encoder is reset and has no sink.
+// capacity. The encoder is reset.
 //
 // Ownership contract: every slice obtained from a pooled encoder —
-// Bytes(), Grow() reservations, and slices handed to a sink — aliases the
-// encoder's internal buffer and dies at Release. A caller that needs the
-// encoded stream beyond Release must copy it first.
+// Bytes() and Grow() reservations — aliases the encoder's internal buffer
+// and dies at Release. A caller that needs the encoded stream beyond
+// Release must copy it first.
 func GetEncoder(capacity int) *Encoder {
 	// The smallest class whose every buffer is large enough.
 	class := bits.Len(uint(max(capacity, 1) - 1))
@@ -96,8 +84,6 @@ func GetEncoder(capacity int) *Encoder {
 // buffer capacity for the next GetEncoder. The caller must not touch the
 // encoder, or any slice it handed out, after Release.
 func (e *Encoder) Release() {
-	e.sink = nil
-	e.sinkThreshold = 0
 	e.Reset()
 	if c := cap(e.buf); c > 0 {
 		class := bits.Len(uint(c)) - 1
@@ -107,60 +93,16 @@ func (e *Encoder) Release() {
 	}
 }
 
-// SetSink attaches fn to receive completed prefixes of the encoded stream.
-// Whenever a Put begins with at least threshold buffered bytes, the buffer
-// is passed to fn and reset; the slice is only valid for the duration of
-// the call. Call FlushSink after the last Put to deliver the tail. Once fn
-// returns an error the sink is abandoned: further completed prefixes are
-// discarded (keeping memory bounded) and the error is reported by
-// FlushSink and SinkErr.
-func (e *Encoder) SetSink(threshold int, fn func([]byte) error) {
-	if threshold <= 0 {
-		threshold = 32 * 1024
-	}
-	e.sink = fn
-	e.sinkThreshold = threshold
-}
-
-// SinkErr returns the first error returned by the sink, if any.
-func (e *Encoder) SinkErr() error { return e.sinkErr }
-
-// FlushSink delivers any buffered tail to the sink and returns the first
-// sink error. It is a no-op on an encoder without a sink.
-func (e *Encoder) FlushSink() error {
-	if e.sink != nil && len(e.buf) > 0 {
-		e.emit()
-	}
-	return e.sinkErr
-}
-
-// emit hands the current buffer to the sink and resets it. Bytes handed
-// over after a sink error are dropped so a dead sink does not grow the
-// buffer without bound.
-func (e *Encoder) emit() {
-	if e.sinkErr == nil {
-		if err := e.sink(e.buf); err != nil {
-			e.sinkErr = err
-		}
-	}
-	e.flushed += len(e.buf)
-	e.buf = e.buf[:0]
-}
-
-// Bytes returns the encoded stream not yet handed to a sink. The slice
-// aliases the encoder's internal buffer and is valid until the next Put
-// call. For an encoder without a sink this is the whole stream.
+// Bytes returns the encoded stream. The slice aliases the encoder's
+// internal buffer and is valid until the next Put call.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the total number of encoded bytes, including any already
-// delivered to a sink.
-func (e *Encoder) Len() int { return e.flushed + len(e.buf) }
+// Len returns the number of encoded bytes.
+func (e *Encoder) Len() int { return len(e.buf) }
 
-// Reset discards the encoded stream, retaining the buffer and sink.
+// Reset discards the encoded stream, retaining the buffer.
 func (e *Encoder) Reset() {
 	e.buf = e.buf[:0]
-	e.flushed = 0
-	e.sinkErr = nil
 	e.calls = 0
 }
 
@@ -170,12 +112,6 @@ func (e *Encoder) Calls() int { return e.calls }
 
 func (e *Encoder) grow(n int) []byte {
 	e.calls++
-	// All bytes currently buffered were filled by completed Put/Grow calls
-	// (a Grow caller fills its slice before the next encoder call), so the
-	// prefix is complete and may be streamed out before appending.
-	if e.sink != nil && len(e.buf) >= e.sinkThreshold {
-		e.emit()
-	}
 	l := len(e.buf)
 	if l+n <= cap(e.buf) {
 		e.buf = e.buf[:l+n]
@@ -238,29 +174,6 @@ func (e *Encoder) Put4Uint32(a, b, c, d uint32) {
 	s[15] = byte(d)
 }
 
-// PutUint32s encodes a slice of 32-bit unsigned integers without a length
-// prefix (an XDR fixed-length array), in sink-threshold segments like
-// PutFloat64s so large arrays still stream incrementally.
-func (e *Encoder) PutUint32s(vs []uint32) {
-	for len(vs) > 0 {
-		seg := len(vs)
-		if e.sink != nil {
-			if max := e.sinkThreshold / 4; max >= 1 && seg > max {
-				seg = max
-			}
-		}
-		b := e.grow(4 * seg)
-		for i, v := range vs[:seg] {
-			off := 4 * i
-			b[off+0] = byte(v >> 24)
-			b[off+1] = byte(v >> 16)
-			b[off+2] = byte(v >> 8)
-			b[off+3] = byte(v)
-		}
-		vs = vs[seg:]
-	}
-}
-
 // PutUint64 encodes a 64-bit unsigned integer (XDR unsigned hyper).
 func (e *Encoder) PutUint64(v uint64) {
 	b := e.grow(8)
@@ -294,71 +207,10 @@ func (e *Encoder) PutFloat64(v float64) { e.PutUint64(math.Float64bits(v)) }
 
 // PutFixedOpaque encodes fixed-length opaque data: the bytes followed by
 // zero padding to a four-byte boundary. The decoder must know the length.
-// With a sink attached the block is appended in threshold-sized segments,
-// so even one block much larger than the chunk size streams out
-// incrementally; the encoded bytes are identical either way.
 func (e *Encoder) PutFixedOpaque(p []byte) {
-	total := (len(p) + 3) &^ 3
-	off := 0
-	for off < total {
-		seg := total - off
-		if e.sink != nil && e.sinkThreshold >= 4 && seg > e.sinkThreshold {
-			seg = e.sinkThreshold &^ 3
-		}
-		b := e.grow(seg)
-		var m int
-		if off < len(p) {
-			m = copy(b, p[off:])
-		}
-		for i := m; i < seg; i++ {
-			b[i] = 0
-		}
-		off += seg
-	}
-}
-
-// WriteRaw appends fixed-length opaque data like PutFixedOpaque, but when
-// a sink is attached the caller's bytes are handed to the sink directly —
-// the zero-copy framing path: a section body built in its own encoder
-// reaches the chunk writer without an intermediate copy into this
-// encoder's buffer. The encoded stream is byte-identical either way.
-//
-// Ownership: the sink receives p (in threshold-sized segments) under the
-// standard sink contract — valid only for the duration of the call, never
-// retained. Without a sink the bytes are copied, so the caller keeps
-// ownership of p in every case.
-func (e *Encoder) WriteRaw(p []byte) {
-	if e.sink == nil {
-		e.PutFixedOpaque(p)
-		return
-	}
-	// Flush the buffered prefix first so the raw bytes splice into the
-	// stream in order.
-	if len(e.buf) > 0 {
-		e.emit()
-	}
-	th := e.sinkThreshold
-	if th < 4 {
-		th = 32 * 1024
-	}
-	for off := 0; off < len(p); off += th {
-		end := off + th
-		if end > len(p) {
-			end = len(p)
-		}
-		e.calls++
-		if e.sinkErr == nil {
-			if err := e.sink(p[off:end]); err != nil {
-				e.sinkErr = err
-			}
-		}
-		e.flushed += end - off
-	}
-	if pad := (4 - len(p)&3) & 3; pad > 0 {
-		b := e.grow(pad)
-		for i := range b {
-			b[i] = 0
-		}
+	b := e.grow((len(p) + 3) &^ 3)
+	for i := copy(b, p); i < len(b); i++ {
+		b[i] = 0
 	}
 }
 
@@ -380,51 +232,10 @@ func (e *Encoder) PutString(s string) {
 	}
 }
 
-// PutFloat64s encodes a slice of doubles without a length prefix
-// (an XDR fixed-length array). This is the hot path when collecting
-// large numeric blocks such as the linpack matrices. With a sink attached
-// the array is appended in threshold-sized segments so it streams out
-// incrementally; the encoded bytes are identical either way.
-func (e *Encoder) PutFloat64s(vs []float64) {
-	for len(vs) > 0 {
-		seg := len(vs)
-		if e.sink != nil {
-			if max := e.sinkThreshold / 8; max >= 1 && seg > max {
-				seg = max
-			}
-		}
-		b := e.grow(8 * seg)
-		for i, v := range vs[:seg] {
-			bits := math.Float64bits(v)
-			off := 8 * i
-			b[off+0] = byte(bits >> 56)
-			b[off+1] = byte(bits >> 48)
-			b[off+2] = byte(bits >> 40)
-			b[off+3] = byte(bits >> 32)
-			b[off+4] = byte(bits >> 24)
-			b[off+5] = byte(bits >> 16)
-			b[off+6] = byte(bits >> 8)
-			b[off+7] = byte(bits)
-		}
-		vs = vs[seg:]
-	}
-}
-
 // Grow exposes raw append space of exactly n bytes for callers that encode
 // runs of scalars directly (the type-specific saving functions). The
 // caller must fill all n bytes and keep the stream four-byte aligned.
 func (e *Encoder) Grow(n int) []byte { return e.grow(n) }
-
-// SegmentHint returns the sink flush threshold when a sink is attached, or
-// 0 without one. Callers reserving large runs through Grow should bound
-// each reservation by this value so the stream keeps flushing; a single
-// oversized reservation cannot be delivered until it is completely filled.
-func (e *Encoder) SegmentHint() int {
-	if e.sink == nil {
-		return 0
-	}
-	return e.sinkThreshold
-}
 
 // Decoder reads XDR-encoded values from a byte slice.
 type Decoder struct {
@@ -572,23 +383,6 @@ func (d *Decoder) Opaque() ([]byte, error) {
 func (d *Decoder) String() (string, error) {
 	b, err := d.Opaque()
 	return string(b), err
-}
-
-// Float64s decodes n doubles encoded as a fixed-length array.
-func (d *Decoder) Float64s(n int) ([]float64, error) {
-	b, err := d.take(8 * n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range out {
-		off := 8 * i
-		bits := uint64(b[off+0])<<56 | uint64(b[off+1])<<48 | uint64(b[off+2])<<40 |
-			uint64(b[off+3])<<32 | uint64(b[off+4])<<24 | uint64(b[off+5])<<16 |
-			uint64(b[off+6])<<8 | uint64(b[off+7])
-		out[i] = math.Float64frombits(bits)
-	}
-	return out, nil
 }
 
 // Take exposes n raw stream bytes for callers that decode runs of scalars

@@ -2,7 +2,6 @@ package xdr
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -141,33 +140,6 @@ func TestBoolStrict(t *testing.T) {
 	}
 }
 
-func TestFloat64sBatch(t *testing.T) {
-	vals := []float64{0, 1, -1, math.Pi, math.Inf(1), math.SmallestNonzeroFloat64}
-	var e Encoder
-	e.PutFloat64s(vals)
-	if e.Len() != 8*len(vals) {
-		t.Fatalf("batch length = %d", e.Len())
-	}
-	// The batch encoding must be identical to element-wise encoding.
-	var ref Encoder
-	for _, v := range vals {
-		ref.PutFloat64(v)
-	}
-	if !bytes.Equal(e.Bytes(), ref.Bytes()) {
-		t.Error("batch encoding differs from element-wise encoding")
-	}
-	d := NewDecoder(e.Bytes())
-	got, err := d.Float64s(len(vals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vals {
-		if got[i] != vals[i] {
-			t.Errorf("element %d: %g != %g", i, got[i], vals[i])
-		}
-	}
-}
-
 func TestEncoderReset(t *testing.T) {
 	var e Encoder
 	e.PutUint32(1)
@@ -251,104 +223,5 @@ func TestQuickAlignmentInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestEncoderSinkStreamsPrefixes(t *testing.T) {
-	var streamed []byte
-	var calls int
-	e := NewEncoder(0)
-	e.SetSink(64, func(p []byte) error {
-		calls++
-		streamed = append(streamed, p...)
-		return nil
-	})
-	want := NewEncoder(0)
-	for i := 0; i < 100; i++ {
-		e.PutUint32(uint32(i))
-		e.PutString("chunked")
-		want.PutUint32(uint32(i))
-		want.PutString("chunked")
-	}
-	if err := e.FlushSink(); err != nil {
-		t.Fatal(err)
-	}
-	if calls < 2 {
-		t.Errorf("sink called %d times, expected several flushes", calls)
-	}
-	if e.Len() != want.Len() {
-		t.Errorf("Len = %d, want %d", e.Len(), want.Len())
-	}
-	if !bytes.Equal(streamed, want.Bytes()) {
-		t.Error("streamed bytes differ from monolithic encoding")
-	}
-	if len(e.Bytes()) != 0 {
-		t.Errorf("%d bytes left buffered after FlushSink", len(e.Bytes()))
-	}
-}
-
-func TestEncoderSinkErrorBoundsBuffer(t *testing.T) {
-	sinkErr := errors.New("wire died")
-	e := NewEncoder(0)
-	e.SetSink(32, func(p []byte) error { return sinkErr })
-	for i := 0; i < 10000; i++ {
-		e.PutUint64(uint64(i))
-	}
-	if err := e.FlushSink(); err != sinkErr {
-		t.Errorf("FlushSink = %v, want sink error", err)
-	}
-	if e.SinkErr() != sinkErr {
-		t.Errorf("SinkErr = %v", e.SinkErr())
-	}
-	// After the sink fails, completed prefixes are dropped, not retained.
-	if len(e.Bytes()) > 1024 {
-		t.Errorf("buffer grew to %d bytes after sink error", len(e.Bytes()))
-	}
-	if e.Len() != 10000*8 {
-		t.Errorf("Len = %d, want %d", e.Len(), 10000*8)
-	}
-}
-
-func TestEncoderSinkSegmentsLargeBlocks(t *testing.T) {
-	// One block much larger than the threshold must still stream out in
-	// roughly threshold-sized pieces, byte-identical to the monolithic
-	// encoding — the linpack-matrix case of pipelined collection.
-	doubles := make([]float64, 4096) // 32 KiB
-	for i := range doubles {
-		doubles[i] = float64(i) * 1.5
-	}
-	opaque := make([]byte, 30000+3) // forces padding on the final segment
-	for i := range opaque {
-		opaque[i] = byte(i)
-	}
-
-	var streamed []byte
-	var calls, maxFlush int
-	e := NewEncoder(0)
-	e.SetSink(1024, func(p []byte) error {
-		calls++
-		if len(p) > maxFlush {
-			maxFlush = len(p)
-		}
-		streamed = append(streamed, p...)
-		return nil
-	})
-	e.PutFloat64s(doubles)
-	e.PutOpaque(opaque)
-	if err := e.FlushSink(); err != nil {
-		t.Fatal(err)
-	}
-
-	want := NewEncoder(0)
-	want.PutFloat64s(doubles)
-	want.PutOpaque(opaque)
-	if !bytes.Equal(streamed, want.Bytes()) {
-		t.Fatal("segmented streaming differs from monolithic encoding")
-	}
-	if calls < 20 {
-		t.Errorf("sink called %d times; large blocks not segmented", calls)
-	}
-	if maxFlush > 2*1024+8 {
-		t.Errorf("largest flush was %d bytes for a 1024-byte threshold", maxFlush)
 	}
 }

@@ -7,10 +7,15 @@ package repro
 // go binary is on PATH (e.g. a stripped test container).
 
 import (
+	"bytes"
+	"errors"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/link"
 )
 
 func goTool(t *testing.T) string {
@@ -81,5 +86,54 @@ func TestSmokeCheckpoint(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("checkpoint output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestSmokeMigdRunDeadline migrates into a listener that accepts the
+// connection and never answers. The paused source must not be stranded:
+// -session-timeout bounds the client's connection as it does the daemon's,
+// and on expiry the failure path rolls the source back, completes the
+// program locally and exits with its code (testdata/series.mc: 23).
+func TestSmokeMigdRunDeadline(t *testing.T) {
+	gobin := goTool(t)
+	migd := filepath.Join(t.TempDir(), "migd")
+	if out, err := exec.Command(gobin, "build", "-o", migd, "./cmd/migd").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/migd: %v\n%s", err, out)
+	}
+	l, err := link.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		if conn, err := l.Accept(); err == nil {
+			defer conn.Close()
+			conn.Recv() // the OFFER
+			conn.Recv() // nothing more comes; returns when the client hangs up
+		}
+	}()
+
+	cmd := exec.Command(migd, "run", "-addr", l.Addr().String(), "-machine", "dec5000",
+		"-program", "testdata/series.mc", "-after-polls", "100", "-session-timeout", "500ms")
+	var out bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 23 {
+			t.Errorf("migd run: %v, want exit code 23\n%s", err, out.String())
+		}
+	case <-time.After(30 * time.Second):
+		cmd.Process.Kill()
+		<-done
+		t.Fatalf("migd run still waiting on a silent daemon after 30s\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "rolled back: process completed locally with exit code 23") {
+		t.Errorf("output lacks the rolled-back line:\n%s", out.String())
 	}
 }
