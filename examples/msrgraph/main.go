@@ -82,7 +82,7 @@ func main() {
 		log.Fatal("program finished before the snapshot point")
 	}
 
-	g, err := msr.BuildGraph(p.Space, p.Table, e.Prog.TI)
+	g, err := msr.BuildGraph(p.Space, p.Table)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g2, err := msr.BuildGraph(q.Space, q.Table, e.Prog.TI)
+	g2, err := msr.BuildGraph(q.Space, q.Table)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -97,7 +97,7 @@ type Saver struct {
 	// (default 64 when NoDedup is set).
 	DedupDepthLimit int
 
-	depth int
+	depth int // blocks being saved along the current chain, held to maxDepth
 
 	Stats SaveStats
 
@@ -120,9 +120,6 @@ func NewSaver(space *memory.Space, table *msr.Table, ti *types.TI, enc *xdr.Enco
 	}
 }
 
-// Encoder returns the output buffer the Saver writes to.
-func (s *Saver) Encoder() *xdr.Encoder { return s.enc }
-
 // SaveVariable collects the memory block containing the variable at addr.
 // This is the routine the inserted migration macros call for each live
 // variable (the paper's Save_variable(&x)); pointer-typed variables are
@@ -132,15 +129,7 @@ func (s *Saver) SaveVariable(addr memory.Address) error {
 	if addr == 0 {
 		return fmt.Errorf("collect: SaveVariable of null address")
 	}
-	return s.savePointerValue(addr)
-}
-
-// SavePointer collects the pointer value p (the paper's Save_pointer(p)):
-// it encodes the machine-independent form of p and, if the referenced block
-// has not been visited, performs the depth-first collection of the
-// connected component reachable from it.
-func (s *Saver) SavePointer(p memory.Address) error {
-	return s.savePointerValue(p)
+	return s.SavePointer(addr)
 }
 
 // Finish finalizes the collection, folding the MSRLT counters into Stats.
@@ -149,9 +138,11 @@ func (s *Saver) Finish() {
 	s.Stats.SearchSteps = s.table.Stats.SearchSteps - s.baseSearchSteps
 }
 
-// savePointerValue encodes one pointer value and recurses into the target
-// block when it is first reached.
-func (s *Saver) savePointerValue(p memory.Address) error {
+// SavePointer collects the pointer value p (the paper's Save_pointer(p)):
+// it encodes the machine-independent form of p and, if the referenced block
+// has not been visited, performs the depth-first collection of the
+// connected component reachable from it.
+func (s *Saver) SavePointer(p memory.Address) error {
 	s.Stats.Pointers++
 	if p == 0 {
 		s.Stats.NullPointers++
@@ -170,26 +161,25 @@ func (s *Saver) savePointerValue(p memory.Address) error {
 		return fmt.Errorf("collect: unresolvable pointer %#x: %w", uint64(p), err)
 	}
 	s.enc.Put4Uint32(uint32(ref.ID.Seg), ref.ID.Major, ref.ID.Minor, uint32(ref.Ordinal))
+	limit := maxDepth
 	if s.NoDedup {
-		limit := s.DedupDepthLimit
-		if limit <= 0 {
+		if limit = s.DedupDepthLimit; limit <= 0 {
 			limit = 64
 		}
-		if s.depth >= limit {
-			return fmt.Errorf("collect: traversal depth %d exceeded without visit marking (cycle or deep sharing)", limit)
-		}
-		s.depth++
-		b, _ := s.table.ByID(ref.ID)
-		err := s.saveBlock(b)
-		s.depth--
-		return err
-	}
-	if s.visited[ref.ID] {
+	} else if s.visited[ref.ID] {
 		return nil
+	} else {
+		s.visited[ref.ID] = true
 	}
-	s.visited[ref.ID] = true
+	// The traversal recurses once per block along a pointer chain.
+	if s.depth >= limit {
+		return fmt.Errorf("%w (limit %d)", ErrTooDeep, limit)
+	}
+	s.depth++
 	b, _ := s.table.ByID(ref.ID)
-	return s.saveBlock(b)
+	err = s.saveBlock(b)
+	s.depth--
+	return err
 }
 
 // saveBlock emits the record of one memory block: its type, element count,
@@ -202,53 +192,39 @@ func (s *Saver) saveBlock(b *msr.Block) error {
 	s.Stats.Blocks++
 	s.enc.PutUint32(uint32(ti))
 	s.enc.PutUint32(uint32(b.Count))
-	plan := s.ti.Plan(b.Type, s.mach)
+	plan := b.Plan(s.mach)
 	for elem := 0; elem < b.Count; elem++ {
-		if err := s.saveOps(plan.Ops, b.Addr+memory.Address(elem*plan.ElemSize)); err != nil {
+		if err := types.EachRun(plan.Ops, b.Addr+memory.Address(elem*plan.ElemSize), s.saveRun); err != nil {
+			if s.depth > errContextDepth {
+				return err
+			}
 			return fmt.Errorf("collect: block %s element %d: %w", b.ID, elem, err)
 		}
 	}
 	return nil
 }
 
-// saveOps executes plan operations at the given base address.
-func (s *Saver) saveOps(ops []types.PlanOp, base memory.Address) error {
-	for _, op := range ops {
-		switch {
-		case op.Sub != nil:
-			for i := 0; i < op.Count; i++ {
-				if err := s.saveOps(op.Sub, base+memory.Address(op.Off+i*op.Stride)); err != nil {
-					return err
-				}
+// saveRun saves one run of a plan: pointer scalars continue the traversal,
+// a run of homogeneous non-pointer scalars is converted from the machine
+// representation to the canonical wire representation as one span.
+func (s *Saver) saveRun(op *types.PlanOp, base memory.Address) error {
+	if op.Kind == arch.Ptr {
+		for i := 0; i < op.Count; i++ {
+			val, err := s.space.LoadPtr(base + memory.Address(op.Off+i*op.Stride))
+			if err == nil {
+				err = s.SavePointer(val)
 			}
-		case op.Kind == arch.Ptr:
-			for i := 0; i < op.Count; i++ {
-				addr := base + memory.Address(op.Off+i*op.Stride)
-				val, err := s.space.LoadPtr(addr)
-				if err != nil {
-					return err
-				}
-				if err := s.savePointerValue(val); err != nil {
-					return err
-				}
-			}
-		default:
-			if err := s.saveRun(op, base); err != nil {
+			if err != nil {
 				return err
 			}
 		}
+		return nil
 	}
-	return nil
-}
-
-// saveRun encodes a run of homogeneous non-pointer scalars, converting each
-// from the machine representation to the canonical wire representation.
-func (s *Saver) saveRun(op types.PlanOp, base memory.Address) error {
 	var start time.Time
 	if s.Instrument {
 		start = time.Now()
 	}
-	n, err := encodeRun(s.enc, s.space, op, base)
+	n, err := encodeRun(s.enc, s.space, *op, base)
 	if err != nil {
 		return err
 	}

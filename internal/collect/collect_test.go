@@ -642,11 +642,11 @@ func TestRandomGraphRoundTrip(t *testing.T) {
 
 		// Compare the reachable subgraphs canonically. Restored tables
 		// contain only reachable blocks, so restrict the source graph.
-		gs, err := msr.BuildGraph(src.space, src.table, ti)
+		gs, err := msr.BuildGraph(src.space, src.table)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gd, err := msr.BuildGraph(dst.space, dst.table, ti)
+		gd, err := msr.BuildGraph(dst.space, dst.table)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -721,9 +721,6 @@ func TestEncoderAccessorAndRepetitionPlans(t *testing.T) {
 
 	enc := xdr.NewEncoder(1 << 12)
 	s := NewSaver(src.space, src.table, src.ti, enc)
-	if s.Encoder() != enc {
-		t.Error("Encoder accessor")
-	}
 	if err := s.SaveVariable(sroot.Addr); err != nil {
 		t.Fatal(err)
 	}

@@ -78,12 +78,13 @@ func NewDeltaTracker() *DeltaTracker {
 func (dt *DeltaTracker) mark(jobs []sectionJob, ti *types.TI, mach *arch.Machine, dirty DirtyFunc) {
 	for idx := range jobs {
 		job := &jobs[idx]
-		sig := fnvInit()
+		sig := uint64(fnvOffset)
 		for _, addr := range job.live {
 			sig = fnvMix(sig, uint64(addr))
 		}
 		clean := dirty != nil
-		for _, b := range job.blocks {
+		for _, mb := range job.blocks {
+			b := mb.b
 			tIdx, ok := ti.Index(b.Type)
 			if !ok {
 				clean = false // encodeBody will report the real error
@@ -91,7 +92,7 @@ func (dt *DeltaTracker) mark(jobs []sectionJob, ti *types.TI, mach *arch.Machine
 			sig = fnvMix(sig, uint64(b.ID.Seg))
 			sig = fnvMix(sig, uint64(b.ID.Major)<<32|uint64(b.ID.Minor))
 			sig = fnvMix(sig, uint64(tIdx)<<32|uint64(uint32(b.Count)))
-			if clean && dirty(b.Addr, b.Count*b.Type.SizeOf(mach)) {
+			if clean && dirty(b.Addr, b.Count*b.Plan(mach).ElemSize) {
 				clean = false
 			}
 		}
@@ -127,8 +128,6 @@ const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 )
-
-func fnvInit() uint64 { return fnvOffset }
 
 func fnvMix(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {

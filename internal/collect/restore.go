@@ -69,6 +69,8 @@ type Restorer struct {
 	// the stream's own length.
 	given, claimed int64
 
+	depth int // nesting of the v1 records being restored, held to maxDepth
+
 	// Instrument enables the fine-grained timing split in Stats.
 	Instrument bool
 	Stats      RestoreStats
@@ -93,7 +95,7 @@ func NewRestorer(space *memory.Space, table *msr.Table, ti *types.TI, dec *xdr.D
 // reference resolves to the same block the destination laid the variable
 // out in — a cheap consistency check between the two processes.
 func (r *Restorer) RestoreVariable(addr memory.Address) error {
-	got, err := r.restorePointerValue()
+	got, err := r.RestorePointer()
 	if err != nil {
 		return err
 	}
@@ -109,10 +111,6 @@ func (r *Restorer) RestoreVariable(addr memory.Address) error {
 // graph if this is its first occurrence, and returns the machine-specific
 // address the pointer takes on the destination.
 func (r *Restorer) RestorePointer() (memory.Address, error) {
-	return r.restorePointerValue()
-}
-
-func (r *Restorer) restorePointerValue() (memory.Address, error) {
 	r.Stats.Pointers++
 	seg, err := r.dec.Uint32()
 	if err != nil {
@@ -178,8 +176,8 @@ func (r *Restorer) restoreBlock(id msr.BlockID) error {
 				ErrMismatch, id, ty, count, b.Type, b.Count)
 		}
 	case id.Seg == memory.Heap:
-		b, err = r.allocHeapBlock(id, ty, int(count))
-		if err != nil {
+		b = &msr.Block{ID: id, Type: ty, Count: int(count)}
+		if err := r.allocHeapBlock(b); err != nil {
 			return err
 		}
 	default:
@@ -189,14 +187,25 @@ func (r *Restorer) restoreBlock(id msr.BlockID) error {
 		r.Stats.UpdateTime += time.Since(start)
 	}
 	r.Stats.Blocks++
-	return r.fillContents(b)
+	// A v1 record nests inside the record that first points at its block,
+	// and this decoder recurses as the stream nests.
+	if r.depth >= maxDepth {
+		return fmt.Errorf("%w: %w (limit %d)", ErrCorruptStream, ErrTooDeep, maxDepth)
+	}
+	r.depth++
+	err = r.fillContents(b)
+	r.depth--
+	return err
 }
 
 // fillContents decodes a block's content through its restoring plan.
 func (r *Restorer) fillContents(b *msr.Block) error {
-	plan := r.ti.Plan(b.Type, r.mach)
+	plan := b.Plan(r.mach)
 	for elem := 0; elem < b.Count; elem++ {
-		if err := r.restoreOps(plan.Ops, b.Addr+memory.Address(elem*plan.ElemSize)); err != nil {
+		if err := types.EachRun(plan.Ops, b.Addr+memory.Address(elem*plan.ElemSize), r.restoreRun); err != nil {
+			if r.depth > errContextDepth {
+				return err
+			}
 			return fmt.Errorf("collect: restoring block %s element %d: %w", b.ID, elem, err)
 		}
 	}
@@ -204,96 +213,59 @@ func (r *Restorer) fillContents(b *msr.Block) error {
 }
 
 // allocHeapBlock allocates and registers one heap block arriving in a
-// stream. Before trusting the declared element count it checks the
+// stream; b carries its identification and shape and receives its address.
+// Before trusting the declared element count it checks the
 // stream actually holds at least the minimum encoding of that many
 // elements — and of every block allocated before it: a section directory
 // is decoded in full before any content is consumed, and a v1 record is
 // checked before its enclosing records have been, so the bytes remaining
 // alone would let every one of n declarations claim the same remainder.
-func (r *Restorer) allocHeapBlock(id msr.BlockID, ty *types.Type, count int) (*msr.Block, error) {
-	plan := r.ti.Plan(ty, r.mach)
+func (r *Restorer) allocHeapBlock(b *msr.Block) error {
+	plan := b.Plan(r.mach)
 	es := plan.ElemSize
-	if count <= 0 || es <= 0 {
-		return nil, fmt.Errorf("%w: heap block %s declares %d elements of %d bytes",
-			ErrCorruptStream, id, count, es)
+	if b.Count <= 0 || es <= 0 {
+		return fmt.Errorf("%w: heap block %s declares %d elements of %d bytes",
+			ErrCorruptStream, b.ID, b.Count, es)
 	}
-	per := wireMinPerElem(plan.Ops)
-	if per < 1 {
-		per = 1
-	}
-	need := int64(count) * int64(per)
+	need := int64(b.Count) * int64(max(plan.WireMin, 1))
 	r.claimed += need
 	if need > int64(r.dec.Remaining()) || r.claimed > r.given {
-		return nil, fmt.Errorf("%w: heap block %s declares %d elements; %d bytes remain and earlier blocks claim %d of the stream's %d",
-			ErrCorruptStream, id, count, r.dec.Remaining(), r.claimed-need, r.given)
+		return fmt.Errorf("%w: heap block %s declares %d elements; %d bytes remain and earlier blocks claim %d of the stream's %d",
+			ErrCorruptStream, b.ID, b.Count, r.dec.Remaining(), r.claimed-need, r.given)
 	}
-	addr, err := r.space.Malloc(count * es)
-	if err != nil {
-		return nil, err
+	var err error
+	if b.Addr, err = r.space.Malloc(b.Count * es); err != nil {
+		return err
 	}
-	b := &msr.Block{ID: id, Addr: addr, Type: ty, Count: count}
 	if err := r.table.Register(b); err != nil {
-		return nil, err
+		return err
 	}
-	r.table.RestoreFloor(id)
+	r.table.RestoreFloor(b.ID)
 	r.Stats.Allocated++
-	return b, nil
-}
-
-// wireMinPerElem returns the minimum wire bytes one element of a plan can
-// occupy (pointers count their 4-byte null form).
-func wireMinPerElem(ops []types.PlanOp) int {
-	n := 0
-	for _, op := range ops {
-		switch {
-		case op.Sub != nil:
-			n += op.Count * wireMinPerElem(op.Sub)
-		case op.Kind == arch.Ptr:
-			n += op.Count * 4
-		default:
-			n += op.Count * types.WireSize(op.Kind)
-		}
-	}
-	return n
-}
-
-// restoreOps mirrors Saver.saveOps.
-func (r *Restorer) restoreOps(ops []types.PlanOp, base memory.Address) error {
-	for _, op := range ops {
-		switch {
-		case op.Sub != nil:
-			for i := 0; i < op.Count; i++ {
-				if err := r.restoreOps(op.Sub, base+memory.Address(op.Off+i*op.Stride)); err != nil {
-					return err
-				}
-			}
-		case op.Kind == arch.Ptr:
-			for i := 0; i < op.Count; i++ {
-				val, err := r.restorePointerValue()
-				if err != nil {
-					return err
-				}
-				if err := r.space.StorePtr(base+memory.Address(op.Off+i*op.Stride), val); err != nil {
-					return err
-				}
-			}
-		default:
-			if err := r.restoreRun(op, base); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 
-// restoreRun mirrors Saver.saveRun: canonical wire scalars are converted to
-// the destination machine representation and copied into place.
-func (r *Restorer) restoreRun(op types.PlanOp, base memory.Address) error {
+// restoreRun mirrors Saver.saveRun: pointer scalars are translated (and, in
+// a v1 stream, followed), canonical wire scalars are converted to the
+// destination machine representation and copied into place.
+func (r *Restorer) restoreRun(op *types.PlanOp, base memory.Address) error {
+	if op.Kind == arch.Ptr {
+		for i := 0; i < op.Count; i++ {
+			val, err := r.RestorePointer()
+			if err == nil {
+				err = r.space.StorePtr(base+memory.Address(op.Off+i*op.Stride), val)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	var start time.Time
 	if r.Instrument {
 		start = time.Now()
 	}
-	n, err := decodeRun(r.dec, r.space, op, base)
+	n, err := decodeRun(r.dec, r.space, *op, base)
 	if err != nil {
 		return err
 	}

@@ -5,18 +5,21 @@ package collect
 // producer; cold, warm and live captures all go through it.
 //
 // It first walks the MSR graph reachable from the live set — the same
-// depth-first traversal and visited-set discipline as the monolithic
-// Saver — but instead of encoding as it goes, it partitions the visited
-// blocks into section owners: each stack block belongs to its frame's
-// section, each global block to the globals section, and the heap blocks
-// are grouped into the connected components of the heap subgraph
+// depth-first order and visited-set discipline as the monolithic Saver,
+// on an explicit stack — but instead of encoding as it goes, it partitions
+// the visited blocks into section owners: each stack block belongs to its
+// frame's section, each global block to the globals section, and the heap
+// blocks are grouped into the connected components of the heap subgraph
 // (union-find over heap-to-heap pointer edges). A block shared by two
 // traversal paths is assigned to exactly one owner here, so aliasing and
-// cycles restore exactly as in the monolithic stream.
+// cycles restore exactly as in the monolithic stream. Following a pointer
+// means resolving it, so the walk records every pointer scalar's resolved
+// form as it goes: each pointer costs one MSRLT search per capture.
 //
 // It then encodes the section bodies, one after the other in the
 // partition's order (heap components by first visit, frames, globals), on
-// the calling goroutine; given a DeltaTracker it skips the sections the
+// the calling goroutine, writing the recorded references where the
+// pointers stand; given a DeltaTracker it skips the sections the
 // dirty set cannot have touched and hands back their cached bodies.
 // Section bodies are flat: a pointer scalar encodes only its (header,
 // ordinal) reference, never an inline block record, because every block's
@@ -40,6 +43,7 @@ package collect
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/arch"
@@ -61,150 +65,220 @@ type Roots struct {
 	Globals []memory.Address
 }
 
+// member is one block of a section, with the place in partition.refs where
+// its recorded pointer references start.
+type member struct {
+	b    *msr.Block
+	refs int
+}
+
 // partition is the section assignment of every reachable block.
 type partition struct {
 	// components are the connected components of the heap subgraph,
 	// numbered and ordered by first visit; members are in first-visit
 	// order too, so the encoding is deterministic.
-	components [][]*msr.Block
+	components [][]member
 	// frames[i] are the stack blocks of frame i (depth i+1) reached by
 	// the traversal, in first-visit order.
-	frames [][]*msr.Block
+	frames [][]member
 	// globals are the reachable global blocks in first-visit order.
-	globals []*msr.Block
+	globals []member
+
+	// refs holds the pointer scalars of every visited block in resolved
+	// form — the words that go on the wire: nullSeg, or segment, major,
+	// minor, ordinal — block by block, in plan order. The walk has to
+	// resolve each pointer to follow it; the encoder writes what the walk
+	// found instead of loading and searching again (the process is stopped
+	// between the two). It holds no Go pointer, so the GC never scans it.
+	refs []uint32
+	// frameLive[i] and globalLive are the live variables' references in
+	// the same form, four words each.
+	frameLive  [][]uint32
+	globalLive []uint32
+}
+
+// edge is a pointer the walk still has to follow.
+type edge struct {
+	to   *msr.Block
+	pos  int32 // to's position in the table
+	from int32 // index in partitioner.heap of the block holding the pointer, -1 outside the heap
 }
 
 // partitioner carries the DFS + union-find state of the partition walk.
 type partitioner struct {
 	space *memory.Space
 	table *msr.Table
-	ti    *types.TI
 	mach  *arch.Machine
+	pt    partition
 
-	visited map[msr.BlockID]bool
-
-	heapIdx    map[msr.BlockID]int
-	heapBlocks []*msr.Block
-	parent     []int
-
-	frames  [][]*msr.Block
-	globals []*msr.Block
+	// slot is the visit state of every block by table position (the
+	// process is stopped, so positions hold for the whole walk): 0 not
+	// visited, -1 visited outside the heap, else 1 + its index in heap.
+	slot []int32
+	// heap lists the visited heap blocks in first-visit order; parent is
+	// the union-find forest over them.
+	heap   []member
+	parent []int32
+	// pending is the explicit stack: targets not yet visited when their
+	// pointer was scanned, the next to follow last.
+	pending []edge
+	from    int32    // index in heap of the block being scanned, -1 outside the heap
+	live    []uint32 // backing of pt.frameLive and pt.globalLive
 }
 
 // buildPartition runs the partition walk: one depth-first traversal from
 // the live set, reusing the monolithic traversal order so the set of
-// transferred blocks is identical to the v1 stream's.
-func buildPartition(space *memory.Space, table *msr.Table, ti *types.TI, roots Roots) (*partition, error) {
-	w := &partitioner{
-		space:   space,
-		table:   table,
-		ti:      ti,
-		mach:    space.Machine(),
-		visited: make(map[msr.BlockID]bool),
-		heapIdx: make(map[msr.BlockID]int),
-		frames:  make([][]*msr.Block, len(roots.FrameLive)),
+// transferred blocks is identical to the v1 stream's. The stack is
+// explicit — a million-node list is ordinary state, and a recursion as deep
+// would exhaust the goroutine stack and take the whole process down.
+func buildPartition(space *memory.Space, table *msr.Table, roots Roots) (*partition, error) {
+	nroots := len(roots.Globals)
+	for _, live := range roots.FrameLive {
+		nroots += len(live)
 	}
+	w := &partitioner{
+		space: space,
+		table: table,
+		mach:  space.Machine(),
+		slot:  make([]int32, table.Len()),
+		live:  make([]uint32, 0, 4*nroots),
+	}
+	w.pt.frames = make([][]member, len(roots.FrameLive))
+	w.pt.frameLive = make([][]uint32, len(roots.FrameLive))
 	// Innermost frame first, then globals — the v1 order.
 	for i := len(roots.FrameLive) - 1; i >= 0; i-- {
+		start := len(w.live)
 		for _, addr := range roots.FrameLive[i] {
 			if addr == 0 {
 				return nil, fmt.Errorf("collect: null live-variable address in frame %d", i+1)
 			}
-			if _, err := w.visitAddr(addr); err != nil {
+			if err := w.root(addr); err != nil {
 				return nil, err
 			}
 		}
+		w.pt.frameLive[i] = w.live[start:]
 	}
+	start := len(w.live)
 	for _, addr := range roots.Globals {
 		if addr == 0 {
 			return nil, fmt.Errorf("collect: null global address")
 		}
-		if _, err := w.visitAddr(addr); err != nil {
+		if err := w.root(addr); err != nil {
 			return nil, err
 		}
 	}
-	return w.finish(), nil
+	w.pt.globalLive = w.live[start:]
+	w.finish()
+	return &w.pt, nil
 }
 
-// visitAddr resolves the block containing addr and visits it.
-func (w *partitioner) visitAddr(addr memory.Address) (*msr.Block, error) {
-	b, _, err := w.table.Lookup(addr, func(ty *types.Type) int { return ty.SizeOf(w.mach) })
-	if err != nil {
-		return nil, fmt.Errorf("collect: unresolvable pointer %#x: %w", uint64(addr), err)
-	}
-	if err := w.visitBlock(b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// visitBlock assigns a first-seen block to its section owner and scans
-// its pointer scalars, recursing depth-first.
-func (w *partitioner) visitBlock(b *msr.Block) error {
-	if w.visited[b.ID] {
-		return nil
-	}
-	w.visited[b.ID] = true
-	switch b.ID.Seg {
-	case memory.Heap:
-		w.heapIdx[b.ID] = len(w.heapBlocks)
-		w.heapBlocks = append(w.heapBlocks, b)
-		w.parent = append(w.parent, len(w.parent))
-	case memory.Stack:
-		fi := int(b.ID.Major) - 1
-		if fi < 0 || fi >= len(w.frames) {
-			return fmt.Errorf("collect: stack block %s outside the active frame range", b.ID)
+// resolve is the one MSRLT search a pointer value costs: it appends the
+// value's wire form to into and returns the block it points into with the
+// block's table position.
+func (w *partitioner) resolve(into []uint32, addr memory.Address) ([]uint32, *msr.Block, int, error) {
+	b, pos, off, err := w.table.Lookup(w.mach, addr)
+	if err == nil {
+		var ord int
+		if ord, err = b.OrdinalAt(w.mach, off); err == nil {
+			return append(into, uint32(b.ID.Seg), b.ID.Major, b.ID.Minor, uint32(ord)), b, pos, nil
 		}
-		w.frames[fi] = append(w.frames[fi], b)
-	case memory.Global:
-		w.globals = append(w.globals, b)
-	default:
-		return fmt.Errorf("collect: block %s in unexpected segment", b.ID)
 	}
-	plan := w.ti.Plan(b.Type, w.mach)
-	for elem := 0; elem < b.Count; elem++ {
-		if err := w.scanOps(b, plan.Ops, b.Addr+memory.Address(elem*plan.ElemSize)); err != nil {
-			return err
+	return into, nil, 0, fmt.Errorf("collect: unresolvable pointer %#x: %w", uint64(addr), err)
+}
+
+// root records one live variable's reference and visits everything
+// reachable from its block that no earlier root reached.
+func (w *partitioner) root(addr memory.Address) error {
+	live, b, pos, err := w.resolve(w.live, addr)
+	if err != nil {
+		return err
+	}
+	w.live = live
+	w.pending = append(w.pending, edge{to: b, pos: int32(pos), from: -1})
+	for len(w.pending) > 0 {
+		e := w.pending[len(w.pending)-1]
+		w.pending = w.pending[:len(w.pending)-1]
+		if w.slot[e.pos] == 0 {
+			if err := w.visit(e.to, e.pos); err != nil {
+				return err
+			}
+		}
+		if to := w.slot[e.pos]; e.from >= 0 && to > 0 {
+			w.union(e.from, to-1)
 		}
 	}
 	return nil
 }
 
-// scanOps walks the pointer scalars of one element, visiting targets and
-// recording heap-to-heap edges in the union-find.
-func (w *partitioner) scanOps(from *msr.Block, ops []types.PlanOp, base memory.Address) error {
-	for _, op := range ops {
-		switch {
-		case op.Sub != nil:
-			for i := 0; i < op.Count; i++ {
-				if err := w.scanOps(from, op.Sub, base+memory.Address(op.Off+i*op.Stride)); err != nil {
-					return err
-				}
-			}
-		case op.Kind == arch.Ptr:
-			for i := 0; i < op.Count; i++ {
-				val, err := w.space.LoadPtr(base + memory.Address(op.Off+i*op.Stride))
-				if err != nil {
-					return err
-				}
-				if val == 0 {
-					continue
-				}
-				tb, err := w.visitAddr(val)
-				if err != nil {
-					return err
-				}
-				if from.ID.Seg == memory.Heap && tb.ID.Seg == memory.Heap {
-					w.union(w.heapIdx[from.ID], w.heapIdx[tb.ID])
-				}
-			}
+// visit assigns a first-seen block to its section owner and scans its
+// pointer scalars, in plan order: each is resolved and recorded, and each
+// target not yet visited is left on the stack so that the first is
+// followed — to the end of everything only it reaches — before the second,
+// which is the recursive traversal's first-visit order.
+func (w *partitioner) visit(b *msr.Block, pos int32) error {
+	mb := member{b: b, refs: len(w.pt.refs)}
+	w.from, w.slot[pos] = -1, -1
+	switch b.ID.Seg {
+	case memory.Heap:
+		w.from = int32(len(w.heap))
+		w.slot[pos] = w.from + 1
+		w.heap = append(w.heap, mb)
+		w.parent = append(w.parent, w.from)
+	case memory.Stack:
+		fi := int(b.ID.Major) - 1
+		if fi < 0 || fi >= len(w.pt.frames) {
+			return fmt.Errorf("collect: stack block %s outside the active frame range", b.ID)
+		}
+		w.pt.frames[fi] = append(w.pt.frames[fi], mb)
+	case memory.Global: // Register admits no fourth segment
+		w.pt.globals = append(w.pt.globals, mb)
+	}
+	plan := b.Plan(w.mach)
+	if !plan.HasPtr {
+		return nil
+	}
+	first := len(w.pending)
+	for elem := 0; elem < b.Count; elem++ {
+		if err := types.EachRun(plan.Ops, b.Addr+memory.Address(elem*plan.ElemSize), w.scanRun); err != nil {
+			return fmt.Errorf("collect: block %s element %d: %w", b.ID, elem, err)
+		}
+	}
+	slices.Reverse(w.pending[first:])
+	return nil
+}
+
+// scanRun resolves and records the pointer scalars of one run of the block
+// being scanned, unioning heap-to-heap edges.
+func (w *partitioner) scanRun(op *types.PlanOp, base memory.Address) error {
+	if op.Kind != arch.Ptr {
+		return nil
+	}
+	for i := 0; i < op.Count; i++ {
+		val, err := w.space.LoadPtr(base + memory.Address(op.Off+i*op.Stride))
+		if err != nil {
+			return err
+		}
+		if val == 0 {
+			w.pt.refs = append(w.pt.refs, nullSeg)
+			continue
+		}
+		refs, tb, pos, err := w.resolve(w.pt.refs, val)
+		if err != nil {
+			return err
+		}
+		w.pt.refs = refs
+		switch to := w.slot[pos]; {
+		case to == 0:
+			w.pending = append(w.pending, edge{to: tb, pos: int32(pos), from: w.from})
+		case to > 0 && w.from >= 0:
+			w.union(w.from, to-1)
 		}
 	}
 	return nil
 }
 
 // find with path halving.
-func (w *partitioner) find(i int) int {
+func (w *partitioner) find(i int32) int32 {
 	for w.parent[i] != i {
 		w.parent[i] = w.parent[w.parent[i]]
 		i = w.parent[i]
@@ -212,35 +286,39 @@ func (w *partitioner) find(i int) int {
 	return i
 }
 
-func (w *partitioner) union(a, b int) {
-	ra, rb := w.find(a), w.find(b)
-	if ra != rb {
-		// Attach the later-visited root under the earlier one so the
-		// component keeps its first-visit identity.
-		if ra < rb {
-			w.parent[rb] = ra
-		} else {
-			w.parent[ra] = rb
-		}
+func (w *partitioner) union(a, b int32) {
+	// Attach the later-visited root under the earlier one, so a
+	// component's root is its first-visited member.
+	if ra, rb := w.find(a), w.find(b); ra < rb {
+		w.parent[rb] = ra
+	} else {
+		w.parent[ra] = rb
 	}
 }
 
 // finish groups the heap blocks into their components, both numbered and
-// ordered by first visit.
-func (w *partitioner) finish() *partition {
-	compOf := make(map[int]int)
-	var comps [][]*msr.Block
-	for i, b := range w.heapBlocks {
-		root := w.find(i)
-		c, ok := compOf[root]
-		if !ok {
-			c = len(comps)
-			compOf[root] = c
-			comps = append(comps, nil)
+// ordered by first visit: a block that is its own root opens the next
+// component, and every other block's root came before it.
+func (w *partitioner) finish() {
+	comp := make([]int32, len(w.heap))
+	var sizes []int
+	for i := range w.heap {
+		if root := w.find(int32(i)); root == int32(i) {
+			comp[i] = int32(len(sizes))
+			sizes = append(sizes, 0)
+		} else {
+			comp[i] = comp[root]
 		}
-		comps[c] = append(comps[c], b)
+		sizes[comp[i]]++
 	}
-	return &partition{components: comps, frames: w.frames, globals: w.globals}
+	all := make([]member, len(w.heap))
+	w.pt.components = make([][]member, len(sizes))
+	for c, n := range sizes {
+		w.pt.components[c], all = all[:0:n], all[n:]
+	}
+	for i, mb := range w.heap {
+		w.pt.components[comp[i]] = append(w.pt.components[comp[i]], mb)
+	}
 }
 
 // EncodedSection is one section body of a capture.
@@ -290,8 +368,9 @@ func (st *SectionedState) Release() {
 
 // sectionJob is one body to encode.
 type sectionJob struct {
-	blocks   []*msr.Block
+	blocks   []member
 	live     []memory.Address
+	liveRefs []uint32 // live's recorded references
 	withLive bool
 
 	// key names the section across the rounds of a DeltaTracker; sig and
@@ -306,13 +385,14 @@ type sectionJob struct {
 func (pt *partition) jobs(roots Roots) []sectionJob {
 	jobs := make([]sectionJob, 0, len(pt.components)+len(pt.frames)+1)
 	for _, comp := range pt.components {
-		jobs = append(jobs, sectionJob{blocks: comp, key: deltaKey{class: 0, id: comp[0].ID.Major}})
+		jobs = append(jobs, sectionJob{blocks: comp, key: deltaKey{class: 0, id: comp[0].b.ID.Major}})
 	}
 	for i, blocks := range pt.frames {
-		jobs = append(jobs, sectionJob{blocks: blocks, live: roots.FrameLive[i], withLive: true,
-			key: deltaKey{class: 1, id: uint32(i) + 1}})
+		jobs = append(jobs, sectionJob{blocks: blocks, live: roots.FrameLive[i], liveRefs: pt.frameLive[i],
+			withLive: true, key: deltaKey{class: 1, id: uint32(i) + 1}})
 	}
-	return append(jobs, sectionJob{blocks: pt.globals, live: roots.Globals, withLive: true, key: deltaKey{class: 2}})
+	return append(jobs, sectionJob{blocks: pt.globals, live: roots.Globals, liveRefs: pt.globalLive,
+		withLive: true, key: deltaKey{class: 2}})
 }
 
 // EncodeSections captures the state reachable from roots as section
@@ -326,7 +406,7 @@ func (pt *partition) jobs(roots Roots) []sectionJob {
 // bodies are the same bytes either way.
 func EncodeSections(space *memory.Space, table *msr.Table, ti *types.TI, roots Roots, dt *DeltaTracker, dirty DirtyFunc) (*SectionedState, error) {
 	start := time.Now()
-	pt, err := buildPartition(space, table, ti, roots)
+	pt, err := buildPartition(space, table, roots)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +419,7 @@ func EncodeSections(space *memory.Space, table *msr.Table, ti *types.TI, roots R
 
 	secs := make([]EncodedSection, len(jobs))
 	st.encs = make([]*xdr.Encoder, 0, len(jobs))
-	se := &sectionEncoder{space: space, table: table, ti: ti, mach: mach}
+	se := &sectionEncoder{space: space, ti: ti, mach: mach, pt: pt}
 	for idx, job := range jobs {
 		if job.reuse {
 			continue
@@ -347,7 +427,7 @@ func EncodeSections(space *memory.Space, table *msr.Table, ti *types.TI, roots R
 		secStart := time.Now()
 		se.enc = xdr.GetEncoder(sectionSizeHint(job.blocks, mach))
 		st.encs = append(st.encs, se.enc)
-		if err := se.encodeBody(job.blocks, job.live, job.withLive); err != nil {
+		if err := se.encodeBody(job); err != nil {
 			st.Release()
 			return nil, err
 		}
@@ -369,10 +449,10 @@ func EncodeSections(space *memory.Space, table *msr.Table, ti *types.TI, roots R
 
 // sectionSizeHint estimates a body's encoded size from the machine-side
 // block sizes, so encoders rarely reallocate.
-func sectionSizeHint(blocks []*msr.Block, m *arch.Machine) int {
+func sectionSizeHint(blocks []member, m *arch.Machine) int {
 	est := 64 + 24*len(blocks)
-	for _, b := range blocks {
-		est += b.Count * b.Type.SizeOf(m)
+	for _, mb := range blocks {
+		est += mb.b.Count * mb.b.Plan(m).ElemSize
 	}
 	return est
 }
@@ -382,38 +462,36 @@ func sectionSizeHint(blocks []*msr.Block, m *arch.Machine) int {
 // across all of them.
 type sectionEncoder struct {
 	space *memory.Space
-	table *msr.Table
 	ti    *types.TI
 	mach  *arch.Machine
+	pt    *partition
 	enc   *xdr.Encoder
+	refs  []uint32 // the recorded references still to be written
 	stats SaveStats
 }
 
-func (e *sectionEncoder) encodeBody(blocks []*msr.Block, live []memory.Address, withLive bool) error {
-	if withLive {
-		e.enc.PutUint32(uint32(len(live)))
-		for _, addr := range live {
-			if addr == 0 {
-				return fmt.Errorf("collect: null live-variable address")
-			}
-			if err := e.putRef(addr); err != nil {
-				return err
-			}
+func (e *sectionEncoder) encodeBody(job sectionJob) error {
+	if job.withLive {
+		e.enc.PutUint32(uint32(len(job.live)))
+		e.refs = job.liveRefs
+		for range job.live {
+			e.putRef()
 		}
 	}
-	e.enc.PutUint32(uint32(len(blocks)))
-	for _, b := range blocks {
-		ti, ok := e.ti.Index(b.Type)
+	e.enc.PutUint32(uint32(len(job.blocks)))
+	for _, mb := range job.blocks {
+		ti, ok := e.ti.Index(mb.b.Type)
 		if !ok {
-			return fmt.Errorf("collect: block %s has type %s not in TI table", b.ID, b.Type)
+			return fmt.Errorf("collect: block %s has type %s not in TI table", mb.b.ID, mb.b.Type)
 		}
-		e.enc.Put4Uint32(b.ID.Major, b.ID.Minor, uint32(ti), uint32(b.Count))
+		e.enc.Put4Uint32(mb.b.ID.Major, mb.b.ID.Minor, uint32(ti), uint32(mb.b.Count))
 	}
-	for _, b := range blocks {
+	for _, mb := range job.blocks {
 		e.stats.Blocks++
-		plan := e.ti.Plan(b.Type, e.mach)
+		b, plan := mb.b, mb.b.Plan(e.mach)
+		e.refs = e.pt.refs[mb.refs:]
 		for elem := 0; elem < b.Count; elem++ {
-			if err := e.encodeOps(plan.Ops, b.Addr+memory.Address(elem*plan.ElemSize)); err != nil {
+			if err := types.EachRun(plan.Ops, b.Addr+memory.Address(elem*plan.ElemSize), e.encodeRun); err != nil {
 				return fmt.Errorf("collect: block %s element %d: %w", b.ID, elem, err)
 			}
 		}
@@ -421,50 +499,29 @@ func (e *sectionEncoder) encodeBody(blocks []*msr.Block, live []memory.Address, 
 	return nil
 }
 
-func (e *sectionEncoder) encodeOps(ops []types.PlanOp, base memory.Address) error {
-	for _, op := range ops {
-		switch {
-		case op.Sub != nil:
-			for i := 0; i < op.Count; i++ {
-				if err := e.encodeOps(op.Sub, base+memory.Address(op.Off+i*op.Stride)); err != nil {
-					return err
-				}
-			}
-		case op.Kind == arch.Ptr:
-			for i := 0; i < op.Count; i++ {
-				val, err := e.space.LoadPtr(base + memory.Address(op.Off+i*op.Stride))
-				if err != nil {
-					return err
-				}
-				if err := e.putRef(val); err != nil {
-					return err
-				}
-			}
-		default:
-			n, err := encodeRun(e.enc, e.space, op, base)
-			if err != nil {
-				return err
-			}
-			e.stats.DataBytes += int64(n)
+func (e *sectionEncoder) encodeRun(op *types.PlanOp, base memory.Address) error {
+	if op.Kind == arch.Ptr {
+		for i := 0; i < op.Count; i++ {
+			e.putRef()
 		}
-	}
-	return nil
-}
-
-// putRef encodes one flat pointer reference.
-func (e *sectionEncoder) putRef(p memory.Address) error {
-	e.stats.Pointers++
-	if p == 0 {
-		e.stats.NullPointers++
-		e.enc.PutUint32(nullSeg)
 		return nil
 	}
-	ref, err := msr.Resolve(e.table, e.mach, p)
-	if err != nil {
-		return fmt.Errorf("collect: unresolvable pointer %#x: %w", uint64(p), err)
+	n, err := encodeRun(e.enc, e.space, *op, base)
+	e.stats.DataBytes += int64(n)
+	return err
+}
+
+// putRef encodes the next recorded pointer reference, flat.
+func (e *sectionEncoder) putRef() {
+	e.stats.Pointers++
+	if e.refs[0] == nullSeg {
+		e.stats.NullPointers++
+		e.enc.PutUint32(nullSeg)
+		e.refs = e.refs[1:]
+		return
 	}
-	e.enc.Put4Uint32(uint32(ref.ID.Seg), ref.ID.Major, ref.ID.Minor, uint32(ref.Ordinal))
-	return nil
+	e.enc.Put4Uint32(e.refs[0], e.refs[1], e.refs[2], e.refs[3])
+	e.refs = e.refs[4:]
 }
 
 // RestoreHeapSection rebuilds one heap-component section: every block in
@@ -488,8 +545,14 @@ func RestoreHeapSection(space *memory.Space, table *msr.Table, ti *types.TI, bod
 	if instrument {
 		start = time.Now()
 	}
-	blocks := make([]*msr.Block, 0, n)
-	for i := uint32(0); i < n; i++ {
+	// The directory is known to fit the bytes present, so its size can be
+	// announced: the blocks come from one slab and the table's and the
+	// allocator's indexes grow once, not once per block.
+	slab := make([]msr.Block, n)
+	blocks := make([]*msr.Block, n)
+	table.Reserve(memory.Heap, int(n))
+	space.ReserveMallocs(int(n))
+	for i := range slab {
 		major, minor, ty, count, err := r.directoryEntry()
 		if err != nil {
 			return r.Stats, err
@@ -497,15 +560,15 @@ func RestoreHeapSection(space *memory.Space, table *msr.Table, ti *types.TI, bod
 		if minor != 0 {
 			return r.Stats, fmt.Errorf("%w: heap block with nonzero minor %d", ErrCorruptStream, minor)
 		}
-		id := msr.BlockID{Seg: memory.Heap, Major: major}
-		if _, exists := r.table.ByID(id); exists {
-			return r.Stats, fmt.Errorf("%w: duplicate heap block %s", ErrCorruptStream, id)
+		b := &slab[i]
+		*b = msr.Block{ID: msr.BlockID{Seg: memory.Heap, Major: major}, Type: ty, Count: count}
+		if _, exists := table.ByID(b.ID); exists {
+			return r.Stats, fmt.Errorf("%w: duplicate heap block %s", ErrCorruptStream, b.ID)
 		}
-		b, err := r.allocHeapBlock(id, ty, count)
-		if err != nil {
+		if err := r.allocHeapBlock(b); err != nil {
 			return r.Stats, err
 		}
-		blocks = append(blocks, b)
+		blocks[i] = b
 	}
 	if instrument {
 		r.Stats.UpdateTime += time.Since(start)

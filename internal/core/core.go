@@ -200,7 +200,7 @@ func (e *Engine) Send(t link.Transport, src *arch.Machine, state []byte) (Timing
 func (e *Engine) ReceiveAndRestore(t link.Transport, m *arch.Machine, span *obs.Span) (*vm.Process, Timing, error) {
 	rx := span.Child("transport")
 	rxStart := time.Now()
-	env, err := t.Recv()
+	env, err := obs.PhaseOf("transport", t.Recv)
 	mRxLat.Observe(time.Since(rxStart))
 	rx.SetBytes(int64(len(env)))
 	rx.End()

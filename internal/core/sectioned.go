@@ -64,7 +64,7 @@ func (e *Engine) SendSectioned(sw io.WriteCloser, src *arch.Machine, p *vm.Proce
 func (e *Engine) ReceiveAndRestoreSectioned(r *stream.Reader, m *arch.Machine, span *obs.Span) (*vm.Process, Timing, error) {
 	rx := span.Child("transport")
 	rxStart := time.Now()
-	payload, err := r.ReadAll()
+	payload, err := obs.PhaseOf("transport", r.ReadAll)
 	mRxLat.Observe(time.Since(rxStart))
 	rx.SetBytes(int64(len(payload)))
 	rx.End()

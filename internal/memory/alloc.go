@@ -19,36 +19,50 @@ type allocator struct {
 
 	// free list ordered by address, for first-fit search and coalescing.
 	freeList []span
-	// allocated maps block base address to its span.
-	allocated map[Address]span
+	// allocated maps a block's base address to its requested size; the
+	// span it occupies follows from that (grossSize), so the index a
+	// restore grows by one entry per block holds one word per block.
+	allocated map[Address]int
 
 	live      int
 	bytesLive int
 }
 
-// span is a contiguous address range [addr, addr+size).
+// span is a contiguous free address range [addr, addr+size).
 type span struct {
 	addr Address
-	size int // gross size including alignment rounding
-	req  int // requested (usable) size
+	size int
 }
 
 const allocAlign = 16
+
+// grossSize is what a request of size bytes takes from the heap: at least
+// one byte, rounded up to the alignment.
+func grossSize(size int) int { return (max(size, 1) + allocAlign - 1) &^ (allocAlign - 1) }
 
 func (a *allocator) init(base Address, capacity int) {
 	a.base = base
 	a.cap = capacity
 	a.freeList = []span{{addr: base, size: capacity}}
-	a.allocated = make(map[Address]span)
+	a.allocated = make(map[Address]int)
+}
+
+// reserve makes room for n more allocations in the block index. The index
+// is rebuilt only when that at least doubles it, so many small reserves
+// cost no more than the map's own growth would.
+func (a *allocator) reserve(n int) {
+	if n > len(a.allocated) {
+		grown := make(map[Address]int, len(a.allocated)+n)
+		for addr, size := range a.allocated {
+			grown[addr] = size
+		}
+		a.allocated = grown
+	}
 }
 
 // allocate finds the first free span large enough for size bytes.
 func (a *allocator) allocate(size int) (Address, error) {
-	gross := size
-	if gross == 0 {
-		gross = 1
-	}
-	gross = (gross + allocAlign - 1) &^ (allocAlign - 1)
+	gross := grossSize(size)
 	for i, f := range a.freeList {
 		if f.size < gross {
 			continue
@@ -59,7 +73,7 @@ func (a *allocator) allocate(size int) (Address, error) {
 		} else {
 			a.freeList[i] = span{addr: f.addr + Address(gross), size: f.size - gross}
 		}
-		a.allocated[addr] = span{addr: addr, size: gross, req: size}
+		a.allocated[addr] = size
 		a.live++
 		a.bytesLive += size
 		return addr, nil
@@ -69,13 +83,14 @@ func (a *allocator) allocate(size int) (Address, error) {
 
 // free returns a block to the free list, coalescing adjacent spans.
 func (a *allocator) free(addr Address) error {
-	s, ok := a.allocated[addr]
+	size, ok := a.allocated[addr]
 	if !ok {
 		return fmt.Errorf("%w: %#x", ErrBadFree, uint64(addr))
 	}
 	delete(a.allocated, addr)
 	a.live--
-	a.bytesLive -= s.req
+	a.bytesLive -= size
+	s := span{addr: addr, size: grossSize(size)}
 
 	// Insert in address order.
 	i := sort.Search(len(a.freeList), func(i int) bool {
@@ -83,7 +98,7 @@ func (a *allocator) free(addr Address) error {
 	})
 	a.freeList = append(a.freeList, span{})
 	copy(a.freeList[i+1:], a.freeList[i:])
-	a.freeList[i] = span{addr: s.addr, size: s.size}
+	a.freeList[i] = s
 
 	// Coalesce with successor, then predecessor.
 	if i+1 < len(a.freeList) && a.freeList[i].addr+Address(a.freeList[i].size) == a.freeList[i+1].addr {
@@ -99,11 +114,11 @@ func (a *allocator) free(addr Address) error {
 
 // sizeOf returns the requested size of the allocated block at addr.
 func (a *allocator) sizeOf(addr Address) (int, error) {
-	s, ok := a.allocated[addr]
+	size, ok := a.allocated[addr]
 	if !ok {
 		return 0, fmt.Errorf("%w: %#x", ErrBadFree, uint64(addr))
 	}
-	return s.req, nil
+	return size, nil
 }
 
 // checkInvariants verifies the free list is sorted, non-overlapping, and
@@ -119,9 +134,9 @@ func (a *allocator) checkInvariants() error {
 			return fmt.Errorf("free list not coalesced at %d", i)
 		}
 	}
-	for addr, s := range a.allocated {
+	for addr, size := range a.allocated {
 		for _, f := range a.freeList {
-			if addr < f.addr+Address(f.size) && f.addr < addr+Address(s.size) {
+			if addr < f.addr+Address(f.size) && f.addr < addr+Address(grossSize(size)) {
 				return fmt.Errorf("allocated block %#x overlaps free span %#x", uint64(addr), uint64(f.addr))
 			}
 		}

@@ -390,6 +390,11 @@ func (s *Space) Malloc(size int) (Address, error) {
 	return addr, nil
 }
 
+// ReserveMallocs announces n coming Malloc calls — a restore knows a
+// section's block count before it allocates the first — so the allocator's
+// block index grows once instead of block by block.
+func (s *Space) ReserveMallocs(n int) { s.alloc.reserve(n) }
+
 // Free releases a heap block previously returned by Malloc.
 func (s *Space) Free(addr Address) error {
 	if err := s.alloc.free(addr); err != nil {

@@ -36,10 +36,9 @@ func benchLookup(b *testing.B, n int, useIndex bool, interior bool) {
 	if interior {
 		off = 8
 	}
-	esz := func(ty *types.Type) int { return ty.SizeOf(m) }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tbl.Lookup(addrs[i%n]+off, esz); err != nil {
+		if _, _, _, err := tbl.Lookup(m, addrs[i%n]+off); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -43,7 +43,7 @@ type Space interface {
 // BuildGraph scans every registered block for pointer scalars and resolves
 // them into edges. Dangling pointers (values that resolve to no block) are
 // reported as errors: the MSR model requires every edge to land in V.
-func BuildGraph(sp Space, t *Table, ti *types.TI) (*Graph, error) {
+func BuildGraph(sp Space, t *Table) (*Graph, error) {
 	m := sp.Machine()
 	g := &Graph{index: make(map[BlockID]int)}
 	for _, b := range t.Blocks() {
@@ -51,78 +51,45 @@ func BuildGraph(sp Space, t *Table, ti *types.TI) (*Graph, error) {
 		g.Vertices = append(g.Vertices, b)
 	}
 	for _, b := range t.Blocks() {
-		plan := ti.Plan(b.Type, m)
+		plan := b.Plan(m)
 		if !plan.HasPtr {
 			continue
 		}
-		es := b.Type.SizeOf(m)
+		// ord runs over the block's scalars as the plan yields them.
+		ord := 0
+		scan := func(op *types.PlanOp, base memory.Address) error {
+			if op.Kind != arch.Ptr {
+				ord += op.Count
+				return nil
+			}
+			for i := 0; i < op.Count; i, ord = i+1, ord+1 {
+				raw, err := sp.Bytes(base+memory.Address(op.Off+i*op.Stride), m.PtrSize())
+				if err != nil {
+					return err
+				}
+				val := memory.Address(m.Uint(raw, m.PtrSize()))
+				if val == 0 {
+					continue
+				}
+				ref, err := Resolve(t, m, val)
+				if err != nil {
+					return fmt.Errorf("msr: dangling pointer %#x in %s scalar %d: %w",
+						uint64(val), b.ID, ord, err)
+				}
+				g.Edges = append(g.Edges, Edge{
+					From: b.ID, FromOrdinal: ord,
+					To: ref.ID, ToOrdinal: ref.Ordinal,
+				})
+			}
+			return nil
+		}
 		for elem := 0; elem < b.Count; elem++ {
-			base := b.Addr + memory.Address(elem*es)
-			if err := scanOps(sp, t, m, plan.Ops, base, b, elem*b.Type.ScalarCount(), g); err != nil {
+			if err := types.EachRun(plan.Ops, b.Addr+memory.Address(elem*plan.ElemSize), scan); err != nil {
 				return nil, err
 			}
 		}
 	}
 	return g, nil
-}
-
-// scanOps walks plan operations at the given base address, appending an
-// edge for every non-null pointer scalar. ordBase tracks the ordinal of the
-// first scalar covered by ops within the block.
-func scanOps(sp Space, t *Table, m *arch.Machine, ops []types.PlanOp, base memory.Address, b *Block, ordBase int, g *Graph) error {
-	ord := ordBase
-	for _, op := range ops {
-		if op.Sub != nil {
-			per := countScalars(op.Sub)
-			for i := 0; i < op.Count; i++ {
-				if err := scanOps(sp, t, m, op.Sub, base+memory.Address(op.Off+i*op.Stride), b, ord, g); err != nil {
-					return err
-				}
-				ord += per
-			}
-			continue
-		}
-		if op.Kind != arch.Ptr {
-			ord += op.Count
-			continue
-		}
-		for i := 0; i < op.Count; i++ {
-			addr := base + memory.Address(op.Off+i*op.Stride)
-			raw, err := sp.Bytes(addr, m.PtrSize())
-			if err != nil {
-				return err
-			}
-			val := memory.Address(m.Uint(raw, m.PtrSize()))
-			if val == 0 {
-				ord++
-				continue
-			}
-			ref, err := Resolve(t, m, val)
-			if err != nil {
-				return fmt.Errorf("msr: dangling pointer %#x in %s scalar %d: %w",
-					uint64(val), b.ID, ord, err)
-			}
-			g.Edges = append(g.Edges, Edge{
-				From: b.ID, FromOrdinal: ord,
-				To: ref.ID, ToOrdinal: ref.Ordinal,
-			})
-			ord++
-		}
-	}
-	return nil
-}
-
-// countScalars totals the scalar coverage of a plan fragment.
-func countScalars(ops []types.PlanOp) int {
-	n := 0
-	for _, op := range ops {
-		if op.Sub != nil {
-			n += op.Count * countScalars(op.Sub)
-		} else {
-			n += op.Count
-		}
-	}
-	return n
 }
 
 // Vertex returns the block with the given ID, or nil.

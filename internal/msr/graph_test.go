@@ -12,12 +12,9 @@ import (
 // buildExample reconstructs (a simplified form of) the paper's Figure 1
 // snapshot on machine m: two global node pointers, a local array of node
 // pointers, and heap nodes linked into a chain.
-func buildExample(t *testing.T, m *arch.Machine) (*memory.Space, *Table, *types.TI, *types.Type) {
+func buildExample(t *testing.T, m *arch.Machine) (*memory.Space, *Table, *types.Type) {
 	t.Helper()
 	n := nodeType("fig1node")
-	ti := types.NewTI()
-	ti.Add(types.PointerTo(n))
-	ti.Add(types.ArrayOf(types.PointerTo(n), 10))
 
 	sp := memory.NewSpace(m)
 	tbl := NewTable()
@@ -58,12 +55,12 @@ func buildExample(t *testing.T, m *arch.Machine) (*memory.Space, *Table, *types.
 	for i := 1; i < 4; i++ {
 		sp.StorePtr(nodes[i].Addr+linkOff, nodes[i-1].Addr)
 	}
-	return sp, tbl, ti, n
+	return sp, tbl, n
 }
 
 func TestBuildGraphExample(t *testing.T) {
-	sp, tbl, ti, _ := buildExample(t, arch.DEC5000)
-	g, err := BuildGraph(sp, tbl, ti)
+	sp, tbl, _ := buildExample(t, arch.DEC5000)
+	g, err := BuildGraph(sp, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +90,13 @@ func TestGraphCanonicalMachineIndependent(t *testing.T) {
 	// a big-endian 64-bit machine must canonicalize identically — this is
 	// the property that makes graph comparison a valid post-migration
 	// correctness check.
-	sp1, tbl1, ti1, _ := buildExample(t, arch.DEC5000)
-	g1, err := BuildGraph(sp1, tbl1, ti1)
+	sp1, tbl1, _ := buildExample(t, arch.DEC5000)
+	g1, err := BuildGraph(sp1, tbl1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp2, tbl2, ti2, _ := buildExample(t, arch.SPARCV9)
-	g2, err := BuildGraph(sp2, tbl2, ti2)
+	sp2, tbl2, _ := buildExample(t, arch.SPARCV9)
+	g2, err := BuildGraph(sp2, tbl2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,16 +110,14 @@ func TestGraphDanglingPointerDetected(t *testing.T) {
 	m := arch.Ultra5
 	sp := memory.NewSpace(m)
 	tbl := NewTable()
-	ti := types.NewTI()
 	pt := types.PointerTo(types.Int)
-	ti.Add(pt)
 	a, _ := sp.GlobalAlloc(m.PtrSize(), m.PtrSize())
 	b := &Block{ID: globalID(0), Addr: a, Type: pt, Count: 1, Name: "p"}
 	tbl.Register(b)
 	// Store a pointer to unregistered memory.
 	other, _ := sp.Malloc(8)
 	sp.StorePtr(a, other)
-	if _, err := BuildGraph(sp, tbl, ti); err == nil {
+	if _, err := BuildGraph(sp, tbl); err == nil {
 		t.Error("dangling pointer not detected")
 	}
 }
@@ -131,10 +126,7 @@ func TestGraphInteriorPointerOrdinal(t *testing.T) {
 	m := arch.Ultra5
 	sp := memory.NewSpace(m)
 	tbl := NewTable()
-	ti := types.NewTI()
 	pt := types.PointerTo(types.Double)
-	ti.Add(pt)
-	ti.Add(types.Double)
 
 	arr, _ := sp.Malloc(10 * 8)
 	ab := &Block{ID: tbl.NextHeapID(), Addr: arr, Type: types.Double, Count: 10}
@@ -144,7 +136,7 @@ func TestGraphInteriorPointerOrdinal(t *testing.T) {
 	tbl.Register(pb)
 	sp.StorePtr(p, arr+7*8) // &arr[7]
 
-	g, err := BuildGraph(sp, tbl, ti)
+	g, err := BuildGraph(sp, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +147,8 @@ func TestGraphInteriorPointerOrdinal(t *testing.T) {
 }
 
 func TestGraphStats(t *testing.T) {
-	sp, tbl, ti, n := buildExample(t, arch.DEC5000)
-	g, err := BuildGraph(sp, tbl, ti)
+	sp, tbl, n := buildExample(t, arch.DEC5000)
+	g, err := BuildGraph(sp, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +166,8 @@ func TestGraphStats(t *testing.T) {
 }
 
 func TestGraphDot(t *testing.T) {
-	sp, tbl, ti, _ := buildExample(t, arch.DEC5000)
-	g, _ := BuildGraph(sp, tbl, ti)
+	sp, tbl, _ := buildExample(t, arch.DEC5000)
+	g, _ := BuildGraph(sp, tbl)
 	dot := g.Dot()
 	if !strings.Contains(dot, "digraph msr") || !strings.Contains(dot, "parray") {
 		t.Errorf("dot output missing content:\n%s", dot)
@@ -186,13 +178,11 @@ func TestComponentsDisconnected(t *testing.T) {
 	m := arch.Ultra5
 	sp := memory.NewSpace(m)
 	tbl := NewTable()
-	ti := types.NewTI()
-	ti.Add(types.Int)
 	a1, _ := sp.GlobalAlloc(4, 4)
 	a2, _ := sp.GlobalAlloc(4, 4)
 	tbl.Register(&Block{ID: globalID(0), Addr: a1, Type: types.Int, Count: 1, Name: "a"})
 	tbl.Register(&Block{ID: globalID(1), Addr: a2, Type: types.Int, Count: 1, Name: "b"})
-	g, err := BuildGraph(sp, tbl, ti)
+	g, err := BuildGraph(sp, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,9 @@ package msr
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
+	"repro/internal/arch"
 	"repro/internal/memory"
 	"repro/internal/types"
 )
@@ -80,6 +81,8 @@ type Block struct {
 	// Name is the source-level variable name, for diagnostics and the
 	// example traces; empty for heap blocks.
 	Name string
+
+	plan *types.Plan // Type's plan on the machine last asked about; see Plan
 }
 
 // Size returns the block's byte size on machine described by the space it
@@ -88,6 +91,18 @@ func (b *Block) Size(elemSize int) int { return b.Count * elemSize }
 
 // ScalarCount returns the number of scalar elements in the block.
 func (b *Block) ScalarCount() int { return b.Count * b.Type.ScalarCount() }
+
+// Plan returns the compiled plan of the block's type on machine m — its
+// element size, scalar count, geometry and save/restore program. The block
+// keeps the pointer (one table serves one machine), so the per-block and
+// per-pointer loops of a capture or a restore reach it without a lock or a
+// map.
+func (b *Block) Plan(m *arch.Machine) *types.Plan {
+	if b.plan == nil || b.plan.Mach != m {
+		b.plan = b.Type.Plan(m)
+	}
+	return b.plan
+}
 
 // Errors reported by the table.
 var (
@@ -101,15 +116,11 @@ var (
 // collection) and update work (data restoration) quantifies the complexity
 // decomposition of the paper's Section 4.2.
 type Stats struct {
-	// Registrations counts blocks added over the table's lifetime.
-	Registrations int64
 	// Searches counts address->block lookups.
 	Searches int64
 	// SearchSteps counts binary-search probe steps across all lookups;
 	// SearchSteps/Searches ≈ log2(n).
 	SearchSteps int64
-	// IDResolves counts id->block lookups (the restoration direction).
-	IDResolves int64
 	// BaseHits counts lookups served by the base-address hash index
 	// when it is enabled (see Table.UseBaseIndex).
 	BaseHits int64
@@ -119,7 +130,10 @@ type Stats struct {
 // O(log n) containment search, plus an ID index for the restoration path.
 type Table struct {
 	segs [memory.NumSegments][]*Block // sorted by Addr
-	byID map[BlockID]*Block
+	// bases[seg][i] == segs[seg][i].Addr: the search bisects this
+	// contiguous array and dereferences one block, the hit.
+	bases [memory.NumSegments][]memory.Address
+	byID  map[uint64]*Block // keyed by idKey
 
 	// UseBaseIndex enables a hash index over block base addresses,
 	// consulted before the binary search. Most pointers in real
@@ -130,7 +144,10 @@ type Table struct {
 	// ordered table whose O(n log n) collection term Figure 2(b)
 	// exhibits, and this switch quantifies the modern alternative.
 	UseBaseIndex bool
-	baseIdx      map[memory.Address]*Block
+	// baseIdx maps a base address to the block's place in its segment.
+	// Nothing pays for it until a lookup runs with UseBaseIndex set: it
+	// is built then, and dropped again when the table changes.
+	baseIdx map[memory.Address]int
 
 	heapSeq uint32 // next heap Major
 
@@ -139,10 +156,16 @@ type Table struct {
 
 // NewTable returns an empty MSRLT.
 func NewTable() *Table {
-	return &Table{
-		byID:    make(map[BlockID]*Block),
-		baseIdx: make(map[memory.Address]*Block),
-	}
+	return &Table{byID: make(map[uint64]*Block)}
+}
+
+// idKey packs an identification into the one word the ID index is keyed
+// by, so neither a registration nor the per-pointer ByID of a restore
+// hashes a twelve-byte struct. An identification that does not fit — a
+// segment that is none, a minor past 30 bits — names no block.
+func idKey(id BlockID) (uint64, bool) {
+	return uint64(id.Seg)<<62 | uint64(id.Major)<<30 | uint64(id.Minor),
+		id.Seg < memory.NumSegments && id.Minor < 1<<30
 }
 
 // Len returns the number of registered blocks.
@@ -153,9 +176,6 @@ func (t *Table) Len() int {
 	}
 	return n
 }
-
-// LenSegment returns the number of registered blocks in one segment.
-func (t *Table) LenSegment(seg memory.Segment) int { return len(t.segs[seg]) }
 
 // NextHeapID returns a fresh heap block identification. The sequence is
 // monotonic over the life of the process; RestoreFloor advances it past
@@ -174,33 +194,59 @@ func (t *Table) RestoreFloor(id BlockID) {
 	}
 }
 
+// Reserve makes room for n more registrations in seg. A restore knows a
+// section's block count before it allocates the first block; announcing it
+// lets the ordered table and the ID index grow once instead of block by
+// block. Either is regrown only to at least twice its size, so a snapshot
+// of many small sections does not copy them once per section.
+func (t *Table) Reserve(seg memory.Segment, n int) {
+	if n > len(t.byID) {
+		grown := make(map[uint64]*Block, len(t.byID)+n)
+		for k, b := range t.byID {
+			grown[k] = b
+		}
+		t.byID = grown
+	}
+	if s := t.bases[seg]; cap(s)-len(s) < n {
+		// At least double: slices.Grow's own steps, a quarter at a time,
+		// would copy the table for every other section of a snapshot.
+		n = max(n, 2*cap(s)-len(s))
+		t.bases[seg] = slices.Grow(s, n)
+		t.segs[seg] = slices.Grow(t.segs[seg], n)
+	}
+}
+
 // Register adds a block to the table. The block must not overlap any
 // registered block and its ID must be fresh.
 func (t *Table) Register(b *Block) error {
 	if b.Addr == 0 {
 		return fmt.Errorf("msr: register of null address")
 	}
-	if _, ok := t.byID[b.ID]; ok {
+	key, ok := idKey(b.ID)
+	if !ok {
+		return fmt.Errorf("msr: block identification %s out of range", b.ID)
+	}
+	if _, ok := t.byID[key]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicate, b.ID)
 	}
 	seg, ok := memory.SegmentOf(b.Addr)
 	if !ok || seg != b.ID.Seg {
 		return fmt.Errorf("msr: block %s address %#x not in its segment", b.ID, uint64(b.Addr))
 	}
-	s := t.segs[seg]
-	i := sort.Search(len(s), func(i int) bool { return s[i].Addr > b.Addr })
+	bases := t.bases[seg]
+	i := len(bases) // a fresh heap hands out rising addresses: most registrations append
+	if i > 0 && bases[i-1] >= b.Addr {
+		i, _ = slices.BinarySearch(bases, b.Addr+1)
+	}
 	// Overlap checks against neighbours are performed by the caller via
 	// sizes; the table itself only requires unique base addresses.
-	if i > 0 && s[i-1].Addr == b.Addr {
+	if i > 0 && bases[i-1] == b.Addr {
 		return fmt.Errorf("%w: address %#x", ErrDuplicate, uint64(b.Addr))
 	}
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = b
-	t.segs[seg] = s
-	t.byID[b.ID] = b
-	t.baseIdx[b.Addr] = b
-	t.Stats.Registrations++
+	t.bases[seg] = slices.Insert(bases, i, b.Addr)
+	t.segs[seg] = slices.Insert(t.segs[seg], i, b)
+	t.byID[key] = b
+	t.baseIdx = nil
 	return nil
 }
 
@@ -211,62 +257,79 @@ func (t *Table) Unregister(addr memory.Address) error {
 	if !ok {
 		return fmt.Errorf("%w: %#x", ErrNotFound, uint64(addr))
 	}
-	s := t.segs[seg]
-	i := sort.Search(len(s), func(i int) bool { return s[i].Addr >= addr })
-	if i == len(s) || s[i].Addr != addr {
+	i, found := slices.BinarySearch(t.bases[seg], addr)
+	if !found {
 		return fmt.Errorf("%w: %#x", ErrNotFound, uint64(addr))
 	}
-	delete(t.byID, s[i].ID)
-	delete(t.baseIdx, addr)
-	t.segs[seg] = append(s[:i], s[i+1:]...)
+	key, _ := idKey(t.segs[seg][i].ID)
+	delete(t.byID, key)
+	t.bases[seg] = slices.Delete(t.bases[seg], i, i+1)
+	t.segs[seg] = slices.Delete(t.segs[seg], i, i+1) // clears the vacated tail slot
+	t.baseIdx = nil
 	return nil
 }
 
-// Lookup finds the block containing addr, given the element size function
-// for the current machine. It returns the block and the byte offset of addr
-// within it. This is the MSRLT search of the collection path; its cost is
-// counted in Stats.
-func (t *Table) Lookup(addr memory.Address, elemSize func(*types.Type) int) (*Block, int, error) {
+// Lookup finds the block containing addr on machine m. It returns the
+// block, its position in Blocks() order — the dense index a traversal keys
+// its per-block state by — and the byte offset of addr within it. This is
+// the MSRLT search of the collection path, and the table's only address
+// search; its cost is counted in Stats.
+func (t *Table) Lookup(m *arch.Machine, addr memory.Address) (b *Block, pos, off int, err error) {
 	seg, ok := memory.SegmentOf(addr)
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: %#x", ErrNotFound, uint64(addr))
+		return nil, 0, 0, fmt.Errorf("%w: %#x", ErrNotFound, uint64(addr))
 	}
 	t.Stats.Searches++
+	for _, s := range t.segs[:seg] {
+		pos += len(s)
+	}
 	if t.UseBaseIndex {
-		if b, ok := t.baseIdx[addr]; ok {
+		if t.baseIdx == nil {
+			t.baseIdx = make(map[memory.Address]int, t.Len())
+			for _, bases := range t.bases {
+				for i, a := range bases {
+					t.baseIdx[a] = i
+				}
+			}
+		}
+		if i, ok := t.baseIdx[addr]; ok {
 			t.Stats.BaseHits++
-			return b, 0, nil
+			return t.segs[seg][i], pos + i, 0, nil
 		}
 	}
-	s := t.segs[seg]
 	// Binary search for the last block with base <= addr, counting steps.
-	lo, hi := 0, len(s)
+	bases := t.bases[seg]
+	lo, hi, steps := 0, len(bases), 0
 	for lo < hi {
-		t.Stats.SearchSteps++
+		steps++
 		mid := (lo + hi) / 2
-		if s[mid].Addr <= addr {
+		if bases[mid] <= addr {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
+	t.Stats.SearchSteps += int64(steps)
 	if lo == 0 {
-		return nil, 0, fmt.Errorf("%w: %#x", ErrNotFound, uint64(addr))
+		return nil, 0, 0, fmt.Errorf("%w: %#x", ErrNotFound, uint64(addr))
 	}
-	b := s[lo-1]
-	off := int(addr - b.Addr)
-	if off > b.Size(elemSize(b.Type)) { // == size allowed: one past the end
-		return nil, 0, fmt.Errorf("%w: %#x past block %s", ErrNotFound, uint64(addr), b.ID)
+	b = t.segs[seg][lo-1]
+	off = int(addr - b.Addr)
+	if off > b.Count*b.Plan(m).ElemSize { // == size allowed: one past the end
+		return nil, 0, 0, fmt.Errorf("%w: %#x past block %s", ErrNotFound, uint64(addr), b.ID)
 	}
-	return b, off, nil
+	return b, pos + lo - 1, off, nil
 }
 
 // ByID resolves a machine-independent identification to its block. This is
 // the restoration-direction lookup; the paper observes it takes constant
 // time per block, so restoration's MSRLT cost is O(n) overall.
 func (t *Table) ByID(id BlockID) (*Block, bool) {
-	t.Stats.IDResolves++
-	b, ok := t.byID[id]
+	key, ok := idKey(id)
+	if !ok {
+		return nil, false
+	}
+	b, ok := t.byID[key]
 	return b, ok
 }
 
@@ -276,14 +339,6 @@ func (t *Table) Blocks() []*Block {
 	for _, s := range t.segs {
 		out = append(out, s...)
 	}
-	return out
-}
-
-// SegmentBlocks returns the registered blocks of one segment in address
-// order.
-func (t *Table) SegmentBlocks(seg memory.Segment) []*Block {
-	out := make([]*Block, len(t.segs[seg]))
-	copy(out, t.segs[seg])
 	return out
 }
 

@@ -2,6 +2,7 @@ package msr
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/arch"
@@ -40,22 +41,22 @@ func TestRegisterLookup(t *testing.T) {
 	if err := tbl.Register(b); err != nil {
 		t.Fatal(err)
 	}
-	esz := func(ty *types.Type) int { return ty.SizeOf(arch.Ultra5) }
+	m := arch.Ultra5
 
-	got, off, err := tbl.Lookup(addr+8, esz)
-	if err != nil || got != b || off != 8 {
-		t.Errorf("Lookup = %v, %d, %v", got, off, err)
+	got, pos, off, err := tbl.Lookup(m, addr+8)
+	if err != nil || got != b || pos != 0 || off != 8 {
+		t.Errorf("Lookup = %v, %d, %d, %v", got, pos, off, err)
 	}
 	// One past the end is legal.
-	if _, off, err := tbl.Lookup(addr+40, esz); err != nil || off != 40 {
+	if _, _, off, err := tbl.Lookup(m, addr+40); err != nil || off != 40 {
 		t.Errorf("one-past-end lookup: off=%d err=%v", off, err)
 	}
 	// Beyond that is not.
-	if _, _, err := tbl.Lookup(addr+41, esz); !errors.Is(err, ErrNotFound) {
+	if _, _, _, err := tbl.Lookup(m, addr+41); !errors.Is(err, ErrNotFound) {
 		t.Errorf("lookup past block: %v", err)
 	}
 	// Before the block is not found either.
-	if _, _, err := tbl.Lookup(addr-1, esz); !errors.Is(err, ErrNotFound) {
+	if _, _, _, err := tbl.Lookup(m, addr-1); !errors.Is(err, ErrNotFound) {
 		t.Errorf("lookup before block: %v", err)
 	}
 }
@@ -109,7 +110,6 @@ func TestUnregister(t *testing.T) {
 func TestLookupManyBlocks(t *testing.T) {
 	sp := memory.NewSpace(arch.SPARC20)
 	tbl := NewTable()
-	esz := func(ty *types.Type) int { return ty.SizeOf(arch.SPARC20) }
 	var blocks []*Block
 	for i := 0; i < 100; i++ {
 		a, _ := sp.Malloc(24)
@@ -120,7 +120,7 @@ func TestLookupManyBlocks(t *testing.T) {
 		blocks = append(blocks, b)
 	}
 	for _, b := range blocks {
-		got, off, err := tbl.Lookup(b.Addr+16, esz)
+		got, _, off, err := tbl.Lookup(arch.SPARC20, b.Addr+16)
 		if err != nil || got != b || off != 16 {
 			t.Fatalf("lookup of %s failed: %v %d %v", b.ID, got, off, err)
 		}
@@ -262,12 +262,129 @@ func TestStatsReset(t *testing.T) {
 	sp := memory.NewSpace(arch.Ultra5)
 	a, _ := sp.Malloc(8)
 	tbl.Register(&Block{ID: tbl.NextHeapID(), Addr: a, Type: types.Double, Count: 1})
-	tbl.Lookup(a, func(ty *types.Type) int { return 8 })
-	if tbl.Stats.Searches == 0 || tbl.Stats.Registrations == 0 {
+	tbl.Lookup(arch.Ultra5, a)
+	if tbl.Stats.Searches == 0 {
 		t.Error("stats not counted")
 	}
 	tbl.ResetStats()
 	if tbl.Stats.Searches != 0 {
 		t.Error("stats not reset")
+	}
+}
+
+// checkTable holds every index of the table to the set of blocks that
+// should be registered: address order, the one search routine (with
+// whatever base index the table currently has), and the ID index.
+func checkTable(t *testing.T, tbl *Table, m *arch.Machine, live map[memory.Address]*Block) {
+	t.Helper()
+	blocks := tbl.Blocks()
+	if len(blocks) != len(live) || tbl.Len() != len(live) {
+		t.Fatalf("table holds %d blocks (Len %d), want %d", len(blocks), tbl.Len(), len(live))
+	}
+	for pos, b := range blocks {
+		if live[b.Addr] != b {
+			t.Fatalf("position %d holds %s at %#x, which is not registered", pos, b.ID, uint64(b.Addr))
+		}
+		if pos > 0 && blocks[pos-1].ID.Seg == b.ID.Seg && blocks[pos-1].Addr >= b.Addr {
+			t.Fatalf("position %d out of address order", pos)
+		}
+		for _, off := range []int{0, 8, 24} { // base, interior, one past the end
+			got, gotPos, gotOff, err := tbl.Lookup(m, b.Addr+memory.Address(off))
+			if err != nil || got != b || gotPos != pos || gotOff != off {
+				t.Fatalf("Lookup(%s+%d) = %v at %d +%d, %v; want position %d", b.ID, off, got, gotPos, gotOff, err, pos)
+			}
+		}
+		if got, ok := tbl.ByID(b.ID); !ok || got != b {
+			t.Fatalf("ByID(%s) = %v, %v", b.ID, got, ok)
+		}
+	}
+}
+
+func TestTableIndexesStayConsistent(t *testing.T) {
+	m := arch.SPARC20
+	sp := memory.NewSpace(m)
+	tbl := NewTable()
+	var addrs []memory.Address
+	for i := 0; i < 300; i++ {
+		a, err := sp.Malloc(24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, a)
+	}
+	rng := rand.New(rand.NewSource(7))
+	rng.Shuffle(len(addrs), func(i, j int) { addrs[i], addrs[j] = addrs[j], addrs[i] })
+
+	live := map[memory.Address]*Block{}
+	var gone []BlockID
+	step := func(n int) {
+		for i := 0; i < n; i++ {
+			a := addrs[rng.Intn(len(addrs))]
+			if b, ok := live[a]; ok {
+				if err := tbl.Unregister(a); err != nil {
+					t.Fatal(err)
+				}
+				delete(live, a)
+				gone = append(gone, b.ID)
+				continue
+			}
+			b := &Block{ID: tbl.NextHeapID(), Addr: a, Type: types.Double, Count: 3}
+			if err := tbl.Register(b); err != nil {
+				t.Fatal(err)
+			}
+			live[a] = b
+		}
+		checkTable(t, tbl, m, live)
+	}
+	// The base index is built by the first lookup that wants it: switch it
+	// on before, between and after registrations, and off again.
+	step(200)
+	tbl.UseBaseIndex = true
+	step(200)
+	if tbl.Stats.BaseHits == 0 {
+		t.Error("no lookup was served by the base index")
+	}
+	step(1) // one change right after the index was built
+	tbl.UseBaseIndex = false
+	step(200)
+	tbl.UseBaseIndex = true
+	step(50)
+	for _, id := range gone {
+		if b, ok := tbl.ByID(id); ok && live[b.Addr] != b {
+			t.Fatalf("ByID(%s) still resolves after Unregister", id)
+		}
+	}
+	for seg := range tbl.segs {
+		if s := tbl.segs[seg]; len(s) < cap(s) && s[:len(s)+1][len(s)] != nil {
+			t.Error("Unregister left a stale block in the vacated tail slot")
+		}
+		if len(tbl.bases[seg]) != len(tbl.segs[seg]) {
+			t.Errorf("segment %d: %d bases for %d blocks", seg, len(tbl.bases[seg]), len(tbl.segs[seg]))
+		}
+	}
+}
+
+func TestIdentificationOutOfRange(t *testing.T) {
+	sp := memory.NewSpace(arch.Ultra5)
+	tbl := NewTable()
+	a, _ := sp.Malloc(8)
+	wide := BlockID{Seg: memory.Heap, Major: 1, Minor: 1 << 30}
+	if err := tbl.Register(&Block{ID: wide, Addr: a, Type: types.Double, Count: 1}); err == nil {
+		t.Error("an identification whose minor does not fit the index was registered")
+	}
+	if tbl.Len() != 0 {
+		t.Error("the refused block is in the table")
+	}
+	// It must not alias heap:1, whose packed key its bits would spell.
+	if err := tbl.Register(&Block{ID: BlockID{Seg: memory.Heap, Major: 1}, Addr: a, Type: types.Double, Count: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []BlockID{wide, {Seg: memory.Heap, Major: 2, Minor: 1 << 30}, {Seg: memory.NumSegments, Major: 2}} {
+		if _, ok := tbl.ByID(id); ok {
+			t.Errorf("ByID(%v) found a block", id)
+		}
+		if _, err := AddrOf(tbl, arch.Ultra5, Ref{ID: id}); id.Seg < memory.NumSegments && !errors.Is(err, ErrUnknownID) {
+			t.Errorf("AddrOf(%v): %v, want unknown", id, err)
+		}
 	}
 }

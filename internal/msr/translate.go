@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/memory"
-	"repro/internal/types"
 )
 
 // This file implements the two directions of pointer translation between
@@ -41,29 +40,40 @@ func Resolve(t *Table, m *arch.Machine, addr memory.Address) (Ref, error) {
 	if addr == 0 {
 		return NullRef, nil
 	}
-	b, off, err := t.Lookup(addr, func(ty *types.Type) int { return ty.SizeOf(m) })
+	b, _, off, err := t.Lookup(m, addr)
 	if err != nil {
 		return Ref{}, err
 	}
-	es := b.Type.SizeOf(m)
+	ord, err := b.OrdinalAt(m, off)
+	if err != nil {
+		return Ref{}, err
+	}
+	return Ref{ID: b.ID, Ordinal: ord}, nil
+}
+
+// OrdinalAt is the second half of a resolve: the ordinal, among the
+// block's scalars on machine m, of the one at byte offset off, which Lookup
+// returned. off may equal the block's size (one past the end).
+func (b *Block) OrdinalAt(m *arch.Machine, off int) (int, error) {
+	plan := b.Plan(m)
+	es := plan.ElemSize
 	if es == 0 {
-		return Ref{}, fmt.Errorf("msr: block %s has zero-size element type %s", b.ID, b.Type)
+		return 0, fmt.Errorf("msr: block %s has zero-size element type %s", b.ID, b.Type)
 	}
 	if off == b.Count*es {
-		// One past the end of the block.
-		return Ref{ID: b.ID, Ordinal: b.ScalarCount()}, nil
+		return b.Count * plan.NumScalars, nil
 	}
-	elem := off / es
-	within, ok := b.Type.OffsetToOrdinal(m, off%es)
+	within, ok := plan.OffsetToOrdinal(off % es)
 	if !ok {
-		return Ref{}, fmt.Errorf("msr: address %#x falls in padding of block %s (%s)",
-			uint64(addr), b.ID, b.Type)
+		return 0, fmt.Errorf("msr: address %#x falls in padding of block %s (%s)",
+			uint64(b.Addr)+uint64(off), b.ID, b.Type)
 	}
-	return Ref{ID: b.ID, Ordinal: elem*b.Type.ScalarCount() + within}, nil
+	return off/es*plan.NumScalars + within, nil
 }
 
 // AddrOf translates a machine-independent reference back to a
-// machine-specific address, the restoration direction.
+// machine-specific address, the restoration direction. The ordinal may
+// equal the block's scalar count (one past the end).
 func AddrOf(t *Table, m *arch.Machine, r Ref) (memory.Address, error) {
 	if r.IsNull() {
 		return 0, nil
@@ -72,21 +82,14 @@ func AddrOf(t *Table, m *arch.Machine, r Ref) (memory.Address, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownID, r.ID)
 	}
-	return BlockAddr(b, m, r.Ordinal)
-}
-
-// BlockAddr computes the address of the ordinal-th scalar of block b on
-// machine m. ordinal may equal the block's scalar count (one past the end).
-func BlockAddr(b *Block, m *arch.Machine, ordinal int) (memory.Address, error) {
-	total := b.ScalarCount()
-	if ordinal < 0 || ordinal > total {
-		return 0, fmt.Errorf("%w: %d of %d in %s", ErrBadOrdinal, ordinal, total, b.ID)
+	plan := b.Plan(m)
+	per := plan.NumScalars
+	if r.Ordinal < 0 || r.Ordinal > b.Count*per {
+		return 0, fmt.Errorf("%w: %d of %d in %s", ErrBadOrdinal, r.Ordinal, b.Count*per, b.ID)
 	}
-	es := b.Type.SizeOf(m)
-	if ordinal == total {
-		return b.Addr + memory.Address(b.Count*es), nil
+	if r.Ordinal == b.Count*per {
+		return b.Addr + memory.Address(b.Count*plan.ElemSize), nil
 	}
-	per := b.Type.ScalarCount()
-	elem, within := ordinal/per, ordinal%per
-	return b.Addr + memory.Address(elem*es+b.Type.OrdinalToOffset(m, within)), nil
+	elem, within := r.Ordinal/per, r.Ordinal%per
+	return b.Addr + memory.Address(elem*plan.ElemSize+plan.OrdinalToOffset(within)), nil
 }

@@ -67,13 +67,26 @@ type Outcome struct {
 }
 
 // Handle tracks one process managed by the scheduler.
+//
+// A process's logical time is its poll count: the paper's scheduler sends a
+// request that the process honours at its next poll-point, so "when" a
+// request takes effect is a poll, not a wall-clock instant. The handle
+// counts polls over every node the process runs on; MigrateAt files a
+// request for a given poll, and Cluster.HoldAt parks a new process at a
+// given poll until Release — between them a test (or a planner) decides
+// what the process will do at poll k without racing its execution.
 type Handle struct {
 	ID int
 
 	mu         sync.Mutex
-	dest       string // pending migration destination ("" = none)
+	dest       string         // pending migration destination ("" = none)
+	polls      int            // polls taken so far
+	at         map[int]string // destinations filed for polls to come
 	node       *Node
 	migrations []MigrationRecord
+
+	holdAt        int // the poll the process parks at (0 = none)
+	held, release chan struct{}
 
 	done chan *Outcome
 	once sync.Once
@@ -85,6 +98,46 @@ func (h *Handle) Migrate(dest string) {
 	h.mu.Lock()
 	h.dest = dest
 	h.mu.Unlock()
+}
+
+// MigrateAt asks the scheduler to move the process to the named node at
+// its poll-th poll-point (the first is 1). Filed for a poll the process has
+// already passed, the request is never served; filed while the process is
+// held at that very poll, it is served on Release.
+func (h *Handle) MigrateAt(poll int, dest string) {
+	h.mu.Lock()
+	if h.at == nil {
+		h.at = map[int]string{}
+	}
+	h.at[poll] = dest
+	h.mu.Unlock()
+}
+
+// AwaitHold blocks until the process is parked at its Cluster.HoldAt poll.
+func (h *Handle) AwaitHold() { <-h.held }
+
+// Release lets a held process go on: it serves whatever request is pending
+// for the poll it was parked at. Call it once, after AwaitHold.
+func (h *Handle) Release() { close(h.release) }
+
+// poll is the process's poll hook: it advances logical time, parks if this
+// is the hold poll, and reports whether a migration is to be served now.
+func (h *Handle) poll() bool {
+	h.mu.Lock()
+	h.polls++
+	hold := h.polls == h.holdAt
+	h.mu.Unlock()
+	if hold {
+		close(h.held)
+		<-h.release
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if dest, ok := h.at[h.polls]; ok {
+		h.dest = dest
+		delete(h.at, h.polls)
+	}
+	return h.dest != ""
 }
 
 // pendingDest consumes the pending destination, if any.
@@ -130,6 +183,10 @@ type Cluster struct {
 	// Configure is applied to every process the cluster creates or
 	// restores (step limits, stdout, instrumentation).
 	Configure func(*vm.Process)
+
+	// HoldAt, when positive, parks every process spawned from now on at
+	// its HoldAt-th poll until Handle.Release.
+	HoldAt int
 }
 
 // NewCluster builds a cluster running the given engine.
@@ -176,7 +233,8 @@ func (c *Cluster) Spawn(nodeName string) (*Handle, error) {
 	}
 	c.mu.Lock()
 	c.nextID++
-	h := &Handle{ID: c.nextID, node: node, done: make(chan *Outcome, 1)}
+	h := &Handle{ID: c.nextID, node: node, done: make(chan *Outcome, 1),
+		holdAt: c.HoldAt, held: make(chan struct{}), release: make(chan struct{})}
 	c.mu.Unlock()
 	node.adjust(1)
 	go c.runLoop(h, node, proc)
@@ -187,10 +245,7 @@ func (c *Cluster) Spawn(nodeName string) (*Handle, error) {
 // requests as they are granted at poll-points.
 func (c *Cluster) runLoop(h *Handle, node *Node, proc *vm.Process) {
 	for {
-		proc.PollHook = func(*vm.Process, *minic.Site) bool {
-			_, pending := peekDest(h)
-			return pending
-		}
+		proc.PollHook = func(*vm.Process, *minic.Site) bool { return h.poll() }
 		res, err := proc.Run()
 		if err != nil {
 			node.adjust(-1)

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -10,7 +9,10 @@ import (
 	"repro/internal/vm"
 )
 
-// slowLoop runs long enough that the scheduler can interject migrations.
+// slowLoop polls at the head of each of its 2000 iterations. The tests
+// never race it: a process that is to be migrated is spawned held at its
+// first poll (Cluster.HoldAt), given its requests by poll number, and only
+// then released.
 const slowLoop = `
 	int main() {
 		int i, s;
@@ -34,6 +36,19 @@ func testCluster(t *testing.T, src string) *Cluster {
 	c.AddNode("sparc", arch.SPARC20)
 	c.AddNode("ultra", arch.Ultra5)
 	return c
+}
+
+// spawnHeld spawns a process on node and returns once it is parked at its
+// first poll: it has run nothing the scheduler could have missed.
+func spawnHeld(t *testing.T, c *Cluster, node string) *Handle {
+	t.Helper()
+	c.HoldAt = 1
+	h, err := c.Spawn(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.AwaitHold()
+	return h
 }
 
 func TestSpawnAndComplete(t *testing.T) {
@@ -63,11 +78,9 @@ func TestSpawnUnknownNode(t *testing.T) {
 
 func TestScheduledMigration(t *testing.T) {
 	c := testCluster(t, slowLoop)
-	h, err := c.Spawn("dec")
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := spawnHeld(t, c, "dec")
 	h.Migrate("sparc")
+	h.Release()
 	o := h.Wait()
 	if o.Err != nil {
 		t.Fatal(o.Err)
@@ -84,44 +97,48 @@ func TestScheduledMigration(t *testing.T) {
 }
 
 func TestMigrationChainAcrossThreeNodes(t *testing.T) {
-	// Use a handle-driven chain: dec -> sparc -> ultra. The second
-	// request is raised once the first completes.
+	// A chain by logical time: dec -> sparc at poll 1, sparc -> ultra at
+	// poll 40, both filed before the process runs.
 	c := testCluster(t, slowLoop)
-	h, err := c.Spawn("dec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Migrate("sparc")
-	// Wait until the first migration is recorded, then request another.
-	deadline := time.Now().Add(5 * time.Second)
-	for h.Where() != "sparc" {
-		if time.Now().After(deadline) {
-			t.Fatal("first migration never happened")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	h.Migrate("ultra")
+	h := spawnHeld(t, c, "dec")
+	h.MigrateAt(1, "sparc")
+	h.MigrateAt(40, "ultra")
+	h.Release()
 	o := h.Wait()
 	if o.Err != nil {
 		t.Fatal(o.Err)
 	}
-	// The program may have finished on sparc if it completed before the
-	// second request was served; accept either but require the first hop.
-	if len(o.Migrations) < 1 {
-		t.Fatalf("migrations = %+v", o.Migrations)
+	if len(o.Migrations) != 2 || o.Node != "ultra" {
+		t.Fatalf("finished on %s after %+v, want dec -> sparc -> ultra", o.Node, o.Migrations)
 	}
 	if o.Migrations[0].From != "dec" || o.Migrations[0].To != "sparc" {
 		t.Errorf("first hop = %+v", o.Migrations[0])
 	}
-	if len(o.Migrations) == 2 && o.Node != "ultra" {
-		t.Errorf("two hops but finished on %s", o.Node)
+	if o.Migrations[1].From != "sparc" || o.Migrations[1].To != "ultra" {
+		t.Errorf("second hop = %+v", o.Migrations[1])
+	}
+}
+
+func TestMigrateAtPassedPollIsNeverServed(t *testing.T) {
+	c := testCluster(t, slowLoop)
+	c.HoldAt = 5
+	h, err := c.Spawn("dec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.AwaitHold()
+	h.MigrateAt(3, "sparc") // poll 3 is behind the process
+	h.Release()
+	if o := h.Wait(); o.Err != nil || o.Node != "dec" || len(o.Migrations) != 0 {
+		t.Errorf("outcome = %+v, want an unmigrated run on dec", o)
 	}
 }
 
 func TestMigrationToUnknownNodeFails(t *testing.T) {
 	c := testCluster(t, slowLoop)
-	h, _ := c.Spawn("dec")
+	h := spawnHeld(t, c, "dec")
 	h.Migrate("atlantis")
+	h.Release()
 	o := h.Wait()
 	if o.Err == nil {
 		t.Error("migration to unknown node did not error")
@@ -142,11 +159,15 @@ func TestResultCorrectAcrossMigration(t *testing.T) {
 	}
 
 	c := testCluster(t, slowLoop)
-	h, _ := c.Spawn("dec")
-	h.Migrate("ultra")
+	h := spawnHeld(t, c, "dec")
+	h.MigrateAt(1000, "ultra") // mid-run: half the loop on each machine
+	h.Release()
 	o := h.Wait()
 	if o.Err != nil {
 		t.Fatal(o.Err)
+	}
+	if len(o.Migrations) != 1 || o.Node != "ultra" {
+		t.Fatalf("finished on %s after %+v, want one hop to ultra", o.Node, o.Migrations)
 	}
 	if o.ExitCode != ref.ExitCode {
 		t.Errorf("migrated exit = %d, reference = %d", o.ExitCode, ref.ExitCode)
@@ -157,11 +178,7 @@ func TestLeastLoadedAndRebalance(t *testing.T) {
 	c := testCluster(t, slowLoop)
 	var handles []*Handle
 	for i := 0; i < 6; i++ {
-		h, err := c.Spawn("dec")
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles = append(handles, h)
+		handles = append(handles, spawnHeld(t, c, "dec"))
 	}
 	if c.Node("dec").Active() != 6 {
 		t.Fatalf("dec load = %d", c.Node("dec").Active())
@@ -175,10 +192,18 @@ func TestLeastLoadedAndRebalance(t *testing.T) {
 		t.Errorf("rebalance moved %d processes, want 4", len(moved))
 	}
 	for _, h := range handles {
+		h.Release()
+	}
+	finishedOn := map[string]int{}
+	for _, h := range handles {
 		o := h.Wait()
 		if o.Err != nil {
 			t.Fatal(o.Err)
 		}
+		finishedOn[o.Node]++
+	}
+	if finishedOn["dec"] != 2 || finishedOn["sparc"] != 2 || finishedOn["ultra"] != 2 {
+		t.Errorf("processes finished on %v, want two per node", finishedOn)
 	}
 	// After everything finishes, all loads return to zero.
 	for _, n := range c.Nodes() {
@@ -193,17 +218,20 @@ func TestManyConcurrentProcesses(t *testing.T) {
 	var handles []*Handle
 	targets := []string{"sparc", "ultra", "dec"}
 	for i := 0; i < 12; i++ {
-		h, err := c.Spawn(c.Nodes()[i%3])
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Migrate(targets[i%3])
+		h := spawnHeld(t, c, c.Nodes()[i%3])
+		h.MigrateAt(1+100*i, targets[i%3])
 		handles = append(handles, h)
 	}
 	for _, h := range handles {
+		h.Release()
+	}
+	for i, h := range handles {
 		o := h.Wait()
 		if o.Err != nil {
 			t.Fatal(o.Err)
+		}
+		if len(o.Migrations) != 1 || o.Node != targets[i%3] {
+			t.Errorf("process %d finished on %s after %+v, want one hop to %s", i, o.Node, o.Migrations, targets[i%3])
 		}
 	}
 }

@@ -223,7 +223,7 @@ func sendRound(t link.Transport, r *round, final bool, rec *obs.FlightRecorder, 
 		}
 	}
 	frame := marshalBodies(want.indices, bodies)
-	if err := t.Send(frame); err != nil {
+	if err := obs.Phase("transport", func() error { return t.Send(frame) }); err != nil {
 		return fmt.Errorf("session: bodies send: %w", err)
 	}
 	st.record(rec, "sent", LiveRoundStats{

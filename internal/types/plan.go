@@ -112,6 +112,71 @@ type Plan struct {
 	NumScalars int
 	// HasPtr records whether any operation is a pointer run.
 	HasPtr bool
+	// WireMin is the fewest wire bytes one element can encode to (a
+	// pointer counts its 4-byte null form): what a restore holds a declared
+	// element count against before it allocates.
+	WireMin int
+
+	// ordAt[off] is the ordinal of the scalar covering byte off of one
+	// element (-1 in padding) and offAt[k] the byte offset of scalar k:
+	// the geometry pointer translation asks for once per pointer. Both are
+	// nil for an element past flatGeometry, where the type graph answers.
+	ordAt, offAt []int32
+}
+
+// flatGeometry bounds the element size, in bytes, up to which a plan
+// carries its geometry as tables; double a[768][768] as one element would
+// otherwise materialise 590k entries nothing is likely to ask about.
+const flatGeometry = 4096
+
+// OffsetToOrdinal is Type.OffsetToOrdinal on the plan's machine, answered
+// from the plan's own tables without the type graph's recursion and lock.
+func (p *Plan) OffsetToOrdinal(off int) (int, bool) {
+	switch {
+	case off == p.ElemSize:
+		return p.NumScalars, true
+	case off < 0 || off > p.ElemSize:
+		return 0, false
+	case p.ordAt == nil:
+		return p.Type.OffsetToOrdinal(p.Mach, off)
+	}
+	ord := p.ordAt[off]
+	return max(int(ord), 0), ord >= 0
+}
+
+// OrdinalToOffset is Type.OrdinalToOffset on the plan's machine; like it,
+// it panics on an ordinal outside [0, NumScalars].
+func (p *Plan) OrdinalToOffset(ordinal int) int {
+	switch {
+	case ordinal == p.NumScalars:
+		return p.ElemSize
+	case p.offAt == nil || ordinal < 0 || ordinal > p.NumScalars:
+		return p.Type.OrdinalToOffset(p.Mach, ordinal)
+	}
+	return int(p.offAt[ordinal])
+}
+
+// EachRun calls f for every scalar run of ops in plan order — the order the
+// scalars take on the wire — with the base address the run's Off counts
+// from. Repetitions are unrolled, so f sees runs only (Sub == nil). It is
+// the one interpreter of a plan's structure: saving, restoring, scanning for
+// pointers and laying out geometry differ only in what they do with a run.
+func EachRun[A ~int | ~uint64](ops []PlanOp, base A, f func(op *PlanOp, base A) error) error {
+	for i := range ops {
+		op := &ops[i]
+		if op.Sub == nil {
+			if err := f(op, base); err != nil {
+				return err
+			}
+			continue
+		}
+		for j := 0; j < op.Count; j++ {
+			if err := EachRun(op.Sub, base+A(op.Off+j*op.Stride), f); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // expandLimit bounds plan expansion for arrays of aggregates: beyond this
@@ -202,11 +267,11 @@ func planHasPtr(ops []PlanOp) bool {
 	return false
 }
 
-// NewPlan compiles the saving/restoring plan for t on machine m.
-// Plans are usually obtained through a TI table, which caches them.
+// NewPlan compiles the saving/restoring plan for t on machine m. Plans
+// are usually obtained through Type.Plan, which caches them.
 func NewPlan(t *Type, m *arch.Machine) *Plan {
 	ops := compilePlan(t, m)
-	return &Plan{
+	p := &Plan{
 		Type:       t,
 		Mach:       m,
 		Ops:        ops,
@@ -214,4 +279,62 @@ func NewPlan(t *Type, m *arch.Machine) *Plan {
 		NumScalars: t.ScalarCount(),
 		HasPtr:     planHasPtr(ops),
 	}
+	EachRun(ops, 0, func(op *PlanOp, _ int) error {
+		if op.Kind == arch.Ptr {
+			p.WireMin += 4 * op.Count
+		} else {
+			p.WireMin += WireSize(op.Kind) * op.Count
+		}
+		return nil
+	})
+	if p.ElemSize <= flatGeometry {
+		p.ordAt = make([]int32, p.ElemSize)
+		for i := range p.ordAt {
+			p.ordAt[i] = -1
+		}
+		p.offAt = make([]int32, p.NumScalars)
+		next := int32(0)
+		EachRun(ops, 0, func(op *PlanOp, base int) error {
+			for i := 0; i < op.Count; i, next = i+1, next+1 {
+				off := base + op.Off + i*op.Stride
+				p.offAt[next] = int32(off)
+				for j := off; j < off+op.Stride; j++ {
+					p.ordAt[j] = next
+				}
+			}
+			return nil
+		})
+	}
+	return p
+}
+
+// Plan returns the compiled saving/restoring plan for t on machine m,
+// compiling it on first use — the paper's "memory block saving and
+// restoring function" generation step. A plan depends on nothing but the
+// type and the machine, so it is cached on the type; a cached plan is
+// reached with one atomic load and no lock, which is what lets the
+// collector ask once per memory block.
+func (t *Type) Plan(m *arch.Machine) *Plan {
+	if ps := t.plans.Load(); ps != nil {
+		for _, p := range *ps {
+			if p.Mach == m {
+				return p
+			}
+		}
+	}
+	p := NewPlan(t, m) // takes lazyMu itself, so compiled before it is held
+	lazyMu.Lock()
+	defer lazyMu.Unlock()
+	var have []*Plan
+	if ps := t.plans.Load(); ps != nil {
+		have = *ps
+		for _, q := range have {
+			if q.Mach == m {
+				return q // another goroutine published first
+			}
+		}
+	}
+	grown := append(have[:len(have):len(have)], p)
+	t.plans.Store(&grown)
+	return p
 }

@@ -260,18 +260,19 @@ func TestTIDigestAgreesAcrossIdenticalPrograms(t *testing.T) {
 	}
 }
 
-func TestTIPlanCaching(t *testing.T) {
-	ti := NewTI()
+func TestPlanCaching(t *testing.T) {
 	n := nodeType("node")
-	ti.Add(n)
-	p1 := ti.Plan(n, arch.Ultra5)
-	p2 := ti.Plan(n, arch.Ultra5)
+	p1 := n.Plan(arch.Ultra5)
+	p2 := n.Plan(arch.Ultra5)
 	if p1 != p2 {
 		t.Error("plans not cached")
 	}
-	p3 := ti.Plan(n, arch.DEC5000)
-	if p3 == p1 {
+	p3 := n.Plan(arch.DEC5000)
+	if p3 == p1 || p3.Mach != arch.DEC5000 {
 		t.Error("plans must be per machine")
+	}
+	if n.Plan(arch.Ultra5) != p1 {
+		t.Error("a second machine's plan displaced the first")
 	}
 }
 

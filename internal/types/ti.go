@@ -3,8 +3,11 @@ package types
 import (
 	"fmt"
 	"hash/crc32"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/arch"
 )
@@ -12,8 +15,8 @@ import (
 // TI is the Type Information table of the paper: the registry of every type
 // a process's memory blocks can have, linked into the process when the
 // executable is generated. It assigns each type a stable small index — the
-// wire representation of a type — and caches the compiled saving/restoring
-// plans per machine.
+// wire representation of a type. (The compiled saving/restoring plans hang
+// off the types themselves: Type.Plan.)
 //
 // Because the migratable program is pre-distributed and compiled on every
 // potential destination machine, both ends of a migration construct the TI
@@ -21,47 +24,56 @@ import (
 // lets the migration protocol verify that agreement before trusting the
 // stream.
 type TI struct {
-	mu    sync.Mutex
-	types []*Type
-	index map[*Type]int
-	plans map[planKey]*Plan
+	mu sync.Mutex             // serialises Add
+	v  atomic.Pointer[tiView] // what readers see: replaced by Add, never modified
 }
 
-type planKey struct {
-	t *Type
-	m *arch.Machine
+// tiView is one immutable state of the table. The collector asks for a
+// type's index or an index's type once per memory block, on every capture
+// and restore, so reads take no lock: they load the current view.
+type tiView struct {
+	types []*Type
+	index map[*Type]int
 }
 
 // NewTI returns an empty TI table.
 func NewTI() *TI {
-	return &TI{
-		index: make(map[*Type]int),
-		plans: make(map[planKey]*Plan),
-	}
+	ti := &TI{}
+	ti.v.Store(&tiView{index: map[*Type]int{}})
+	return ti
 }
 
 // Add registers t (and, transitively, every type reachable from it) and
 // returns its index. Adding an already-registered type is a no-op returning
 // the existing index.
 func (ti *TI) Add(t *Type) int {
-	ti.mu.Lock()
-	defer ti.mu.Unlock()
-	return ti.add(t)
-}
-
-func (ti *TI) add(t *Type) int {
-	if i, ok := ti.index[t]; ok {
+	if i, ok := ti.Index(t); ok {
 		return i
 	}
-	i := len(ti.types)
-	ti.types = append(ti.types, t)
-	ti.index[t] = i
+	ti.mu.Lock()
+	defer ti.mu.Unlock()
+	old := ti.v.Load()
+	// Appending past old.types' length leaves every index an earlier view
+	// can reach untouched; the map is cloned.
+	next := &tiView{types: old.types, index: maps.Clone(old.index)}
+	i := next.add(t)
+	ti.v.Store(next)
+	return i
+}
+
+func (v *tiView) add(t *Type) int {
+	if i, ok := v.index[t]; ok {
+		return i
+	}
+	i := len(v.types)
+	v.types = append(v.types, t)
+	v.index[t] = i
 	switch t.Kind {
 	case KPointer, KArray:
-		ti.add(t.Elem)
+		v.add(t.Elem)
 	case KStruct:
 		for _, f := range t.Fields {
-			ti.add(f.Type)
+			v.add(f.Type)
 		}
 	}
 	return i
@@ -70,9 +82,7 @@ func (ti *TI) add(t *Type) int {
 // Index returns the index of a registered type. The second result is false
 // if the type was never added.
 func (ti *TI) Index(t *Type) (int, bool) {
-	ti.mu.Lock()
-	defer ti.mu.Unlock()
-	i, ok := ti.index[t]
+	i, ok := ti.v.Load().index[t]
 	return i, ok
 }
 
@@ -89,67 +99,35 @@ func (ti *TI) MustIndex(t *Type) int {
 
 // At returns the type with the given index.
 func (ti *TI) At(i int) (*Type, error) {
-	ti.mu.Lock()
-	defer ti.mu.Unlock()
-	if i < 0 || i >= len(ti.types) {
-		return nil, fmt.Errorf("types: TI index %d out of range (table has %d)", i, len(ti.types))
+	ts := ti.v.Load().types
+	if i < 0 || i >= len(ts) {
+		return nil, fmt.Errorf("types: TI index %d out of range (table has %d)", i, len(ts))
 	}
-	return ti.types[i], nil
+	return ts[i], nil
 }
 
 // Len returns the number of registered types.
-func (ti *TI) Len() int {
-	ti.mu.Lock()
-	defer ti.mu.Unlock()
-	return len(ti.types)
-}
-
-// Plan returns the compiled saving/restoring plan for t on machine m,
-// compiling and caching it on first use. This is the paper's "memory block
-// saving and restoring function" generation step.
-func (ti *TI) Plan(t *Type, m *arch.Machine) *Plan {
-	ti.mu.Lock()
-	defer ti.mu.Unlock()
-	k := planKey{t, m}
-	if p, ok := ti.plans[k]; ok {
-		return p
-	}
-	p := NewPlan(t, m)
-	ti.plans[k] = p
-	return p
-}
+func (ti *TI) Len() int { return len(ti.v.Load().types) }
 
 // Digest returns a checksum over the definitions of all registered types,
 // in registration order. Two processes built from the same program produce
 // the same digest; the migration protocol refuses streams whose digest
 // differs.
 func (ti *TI) Digest() uint32 {
-	ti.mu.Lock()
-	defer ti.mu.Unlock()
 	h := crc32.NewIEEE()
-	for i, t := range ti.types {
+	for i, t := range ti.v.Load().types {
 		fmt.Fprintf(h, "%d:%s\n", i, t.Definition())
 	}
 	return h.Sum32()
 }
 
 // Types returns the registered types in index order.
-func (ti *TI) Types() []*Type {
-	ti.mu.Lock()
-	defer ti.mu.Unlock()
-	out := make([]*Type, len(ti.types))
-	copy(out, ti.types)
-	return out
-}
+func (ti *TI) Types() []*Type { return slices.Clone(ti.v.Load().types) }
 
 // Summary returns a human-readable dump of the table, used by the
 // pre-compiler's -dump-ti flag.
 func (ti *TI) Summary(m *arch.Machine) string {
-	ti.mu.Lock()
-	ts := make([]*Type, len(ti.types))
-	copy(ts, ti.types)
-	ti.mu.Unlock()
-
+	ts := ti.v.Load().types
 	var b strings.Builder
 	fmt.Fprintf(&b, "TI table: %d types (digest %08x) on %s\n", len(ts), ti.Digest(), m.Name)
 	for i, t := range ts {

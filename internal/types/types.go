@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/arch"
 )
@@ -79,6 +80,10 @@ type Type struct {
 	scalarCount int
 
 	layouts map[*arch.Machine]layout
+
+	// plans are the compiled plans of this type, one per machine asked
+	// about; the slice is replaced under lazyMu, never modified (Type.Plan).
+	plans atomic.Pointer[[]*Plan]
 }
 
 // layout caches the machine-dependent geometry of a type.

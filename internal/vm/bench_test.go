@@ -110,39 +110,42 @@ func BenchmarkMallocPath(b *testing.B) {
 	}
 }
 
-// benchSectionedSnapshot runs a sharded-lists workload to its migration
-// point and returns a sectioned (v3) snapshot of it.
-func benchSectionedSnapshot(b *testing.B) (*minic.Program, []byte) {
+// benchSectionedSnapshot runs a sharded-lists workload (8 lists of 400
+// nodes) to its migration point and returns the stopped process and a
+// sectioned (v3) snapshot of it.
+func benchSectionedSnapshot(b *testing.B) (*Process, []byte) {
 	b.Helper()
-	prog, err := minic.Compile(workload.ShardedListsSource(8, 400), minic.PollPolicy{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := NewProcess(prog, arch.Ultra5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p.MaxSteps = 50_000_000
-	p.PollHook = func(*Process, *minic.Site) bool { return true }
-	res, err := p.Run()
-	if err != nil || !res.Migrated {
-		b.Fatal("setup failed to reach migration point")
-	}
+	p := stopPaused(b, workload.ShardedListsSource(8, 400), arch.Ultra5)
 	snap, err := p.CaptureSections(0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return prog, snap
+	return p, snap
 }
 
-// BenchmarkSerialRestore measures the sectioned restore.
+// BenchmarkSerialRestore measures the sectioned restore. CI holds its
+// allocs/op: a restore allocates per section, not per block.
 func BenchmarkSerialRestore(b *testing.B) {
-	prog, snap := benchSectionedSnapshot(b)
+	p, snap := benchSectionedSnapshot(b)
 	b.SetBytes(int64(len(snap)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RestoreProcess(prog, arch.Ultra5, snap); err != nil {
+		if _, err := RestoreProcess(p.Prog, arch.Ultra5, snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSectionedCapture measures the sectioned capture of the same
+// stopped process, under the same allocation guard.
+func BenchmarkSectionedCapture(b *testing.B) {
+	p, snap := benchSectionedSnapshot(b)
+	b.SetBytes(int64(len(snap)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.CaptureSections(0); err != nil {
 			b.Fatal(err)
 		}
 	}

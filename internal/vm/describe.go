@@ -156,7 +156,7 @@ func (d *describer) block(depth int) error {
 	fmt.Fprintf(d.b, "block: %s x%d (%d scalars)\n", ty, count, int(count)*ty.ScalarCount())
 	// The wire layout is machine-independent; walk the plan of any
 	// machine (offsets are irrelevant, only kinds and counts matter).
-	plan := d.prog.TI.Plan(ty, arch.Ultra5)
+	plan := ty.Plan(arch.Ultra5)
 	for i := 0; i < int(count); i++ {
 		if err := d.ops(plan.Ops, depth+1); err != nil {
 			return err

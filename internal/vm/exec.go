@@ -8,6 +8,7 @@ import (
 	"repro/internal/memory"
 	"repro/internal/minic"
 	"repro/internal/msr"
+	"repro/internal/obs"
 	"repro/internal/types"
 )
 
@@ -178,7 +179,7 @@ func (p *Process) execStmt(f *Frame, s minic.Stmt) (ctrl, error) {
 			if p.trace != nil {
 				p.tracef("migrating at site %d", st.Site.ID)
 			}
-			state, err := p.captureState(st.Site)
+			state, err := obs.PhaseOf("collect", func() ([]byte, error) { return p.captureState(st.Site) })
 			if err != nil {
 				return ctrlNext, fmt.Errorf("vm: migration capture failed: %w", err)
 			}

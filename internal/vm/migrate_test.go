@@ -434,7 +434,7 @@ func TestMigrateGraphEquivalence(t *testing.T) {
 	if err != nil || !res.Migrated {
 		t.Fatalf("migration failed: %v", err)
 	}
-	srcGraph, err := msr.BuildGraph(p.Space, p.Table, prog.TI)
+	srcGraph, err := msr.BuildGraph(p.Space, p.Table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestMigrateGraphEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dstGraph, err := msr.BuildGraph(q.Space, q.Table, prog.TI)
+	dstGraph, err := msr.BuildGraph(q.Space, q.Table)
 	if err != nil {
 		t.Fatal(err)
 	}

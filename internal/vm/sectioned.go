@@ -20,6 +20,7 @@ import (
 	"repro/internal/collect"
 	"repro/internal/memory"
 	"repro/internal/minic"
+	"repro/internal/obs"
 	"repro/internal/snapshot"
 	"repro/internal/xdr"
 )
@@ -48,7 +49,7 @@ func (p *Process) CaptureSectionsTo(w io.Writer) (int, error) {
 		return 0, err
 	}
 	defer release()
-	return snapshot.Write(w, secs)
+	return obs.PhaseOf("transport", func() (int, error) { return snapshot.Write(w, secs) })
 }
 
 // captureSectionList is the one sectioned producer, behind cold, warm and
@@ -85,7 +86,9 @@ func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty collect.Dir
 	baseSteps := p.Table.Stats.SearchSteps
 	roots := p.liveRoots(sites)
 	encStart := time.Now()
-	st, err := collect.EncodeSections(p.Space, p.Table, p.TI, roots, dt, dirty)
+	st, err := obs.PhaseOf("collect", func() (*collect.SectionedState, error) {
+		return collect.EncodeSections(p.Space, p.Table, p.TI, roots, dt, dirty)
+	})
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -66,7 +66,7 @@ func (p *Process) Recapture() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.captureState(site)
+	return obs.PhaseOf("collect", func() ([]byte, error) { return p.captureState(site) })
 }
 
 // captureSites resolves the site every active frame is stopped at:
@@ -170,7 +170,7 @@ func RestoreProcessObs(prog *minic.Program, m *arch.Machine, state []byte, span 
 		return nil, err
 	}
 	p.Obs = span
-	if err := p.restoreState(state); err != nil {
+	if err := obs.Phase("restore", func() error { return p.restoreState(state) }); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -184,7 +184,7 @@ func (p *Process) RestoreInto(state []byte) error {
 	if len(p.frames) != 0 {
 		return errors.New("vm: RestoreInto on a process that already has frames")
 	}
-	return p.restoreState(state)
+	return obs.Phase("restore", func() error { return p.restoreState(state) })
 }
 
 func (p *Process) restoreState(state []byte) error {

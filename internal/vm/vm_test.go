@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/memory"
 	"repro/internal/minic"
 )
 
@@ -378,8 +379,14 @@ func TestStackDiscipline(t *testing.T) {
 	if p.Space.FrameDepth() != 1 {
 		t.Errorf("frame depth after run = %d", p.Space.FrameDepth())
 	}
-	if got := p.Table.LenSegment(2); got != len(prog.Func("main").Locals) {
-		t.Logf("stack blocks remaining = %d", got)
+	stack := 0
+	for _, b := range p.Table.Blocks() {
+		if b.ID.Seg == memory.Stack {
+			stack++
+		}
+	}
+	if stack != len(prog.Func("main").Locals) {
+		t.Errorf("stack blocks remaining = %d, want main's %d", stack, len(prog.Func("main").Locals))
 	}
 }
 
