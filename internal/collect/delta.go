@@ -1,6 +1,7 @@
 package collect
 
-// Delta capture for live pre-copy migration (envelope version 4).
+// Delta capture for live pre-copy migration (the live rounds of the round
+// exchange; they carry no envelope).
 //
 // A pre-copy round re-partitions the live set from scratch — allocation
 // and pointer mutation can merge, split, create, or drop heap components

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/obs"
+	"repro/internal/snapshot"
 	"repro/internal/stream"
 	"repro/internal/vm"
 	"repro/internal/xdr"
@@ -31,22 +32,15 @@ func (e *Engine) OpenSectioned(payload []byte) (state []byte, srcName string, er
 }
 
 // SendSectioned captures the state of p (stopped at its migration point)
-// as a sectioned snapshot and writes it — the envelope header, then the
-// framed sections — straight into sw, closing it. Collection does not
-// overlap transmission: every section is encoded before the first is
-// written. A section body is copied once, from the pooled encoder it was
-// built in into sw (a stream.Writer cuts its chunks however the writes
-// arrive).
+// as a section list and writes it — the envelope header, then the framed
+// sections — straight into sw, closing it. Collection does not overlap
+// transmission: every section is encoded before the first is written. A
+// section body is copied once, from the pooled encoder it was built in
+// into sw (a stream.Writer cuts its chunks however the writes arrive), and
+// the encoders go back once the last has been written.
 func (e *Engine) SendSectioned(sw io.WriteCloser, src *arch.Machine, p *vm.Process) (Timing, error) {
 	start := time.Now()
-	hdr := xdr.NewEncoder(32)
-	putHeader(hdr, VersionSectioned, src.Name, e.Digest())
-	n, err := sw.Write(hdr.Bytes())
-	if err == nil {
-		var m int
-		m, err = p.CaptureSectionsTo(sw)
-		n += m
-	}
+	n, err := e.writeSectioned(sw, src, p)
 	if err != nil {
 		sw.Close()
 		return Timing{}, fmt.Errorf("core: sectioned transfer: %w", err)
@@ -55,6 +49,40 @@ func (e *Engine) SendSectioned(sw io.WriteCloser, src *arch.Machine, p *vm.Proce
 		return Timing{}, fmt.Errorf("core: sectioned transfer: %w", err)
 	}
 	return Timing{Tx: time.Since(start), Bytes: n}, nil
+}
+
+// writeSectioned is SendSectioned's body: capture, write, and hand the
+// encoders back on every path. It returns the bytes written.
+func (e *Engine) writeSectioned(w io.Writer, src *arch.Machine, p *vm.Process) (int, error) {
+	secs, release, err := p.Sections()
+	if err != nil {
+		return 0, err
+	}
+	defer release()
+	hdr := xdr.NewEncoder(32)
+	putHeader(hdr, VersionSectioned, src.Name, e.Digest())
+	n, err := w.Write(hdr.Bytes())
+	if err != nil {
+		return n, err
+	}
+	m, err := obs.PhaseOf("transport", func() (int, error) { return snapshot.Write(w, secs) })
+	return n + m, err
+}
+
+// RestoreSections builds a process on machine m from a section list whose
+// bodies the caller has verified (a round exchange's, a checkpoint
+// store's), recording the restore as a child of span (nil disables
+// tracing).
+func (e *Engine) RestoreSections(m *arch.Machine, secs []snapshot.Section, span *obs.Span) (*vm.Process, error) {
+	p, err := vm.NewProcess(e.Prog, m)
+	if err != nil {
+		return nil, err
+	}
+	p.Obs = span
+	if err := p.RestoreSections(secs); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // ReceiveAndRestoreSectioned reassembles a sectioned envelope from r,

@@ -129,7 +129,7 @@ func TestStreamedMigrationRoundTrip(t *testing.T) {
 }
 
 // nestedSrc migrates from inside a called function's loop. SendSectioned
-// re-collects the stopped process (CaptureSectionsTo), which must see the
+// re-collects the stopped process (Process.Sections), which must see the
 // outer frame's call site even though the migration has already unwound
 // the interpreter. Sum of 3i for i in [0,40) is 2340; 2340 % 100 = 40.
 const nestedSrc = `

@@ -9,41 +9,38 @@ import (
 	"repro/internal/vm"
 )
 
-// CheckpointProcess captures a sectioned snapshot of the stopped process p
-// and records it in the checkpoint store under the named ref, chaining from
+// CheckpointProcess captures the section list of the stopped process p and
+// records it in the checkpoint store under the named ref, chaining from
 // the ref's current head. Only section bodies the store does not already
 // hold are written — the periodic-checkpoint call a long-running session
 // makes between migrations.
 func (e *Engine) CheckpointProcess(st *store.Store, p *vm.Process, src *arch.Machine, ref string) (*store.Manifest, store.Hash, store.CheckpointStats, error) {
-	snap, err := p.CaptureSections(0)
+	secs, release, err := p.Sections()
 	if err != nil {
 		return nil, store.Hash{}, store.CheckpointStats{}, err
 	}
-	return st.CheckpointRef(ref, snap, e.Digest(), src.Name)
+	defer release()
+	return st.CheckpointSections(ref, secs, e.Digest(), src.Name)
 }
 
-// RestoreFromStore materializes the checkpoint named by h — any manifest in
-// a chain, not just a head — and restores it as a runnable process on
-// machine m. The manifest's program digest must match this engine
-// (ErrProgramMismatch otherwise); every body is re-verified against its
-// content address on the way out of the store.
+// RestoreFromStore restores the checkpoint named by h — any manifest in a
+// chain, not just a head — as a runnable process on machine m. The
+// manifest's program digest must match this engine (ErrProgramMismatch
+// otherwise); every body is re-verified against its content address on the
+// way out of the store.
 func (e *Engine) RestoreFromStore(st *store.Store, h store.Hash, m *arch.Machine) (*vm.Process, Timing, error) {
-	m2, err := st.GetManifest(h)
+	man, secs, err := st.Sections(h)
 	if err != nil {
 		return nil, Timing{}, err
 	}
-	if m2.ProgramDigest != e.Digest() {
+	if man.ProgramDigest != e.Digest() {
 		return nil, Timing{}, fmt.Errorf("%w: checkpoint %s has program digest %08x, engine is %08x",
-			ErrProgramMismatch, h.Short(), m2.ProgramDigest, e.Digest())
-	}
-	snap, err := st.Materialize(h)
-	if err != nil {
-		return nil, Timing{}, err
+			ErrProgramMismatch, h.Short(), man.ProgramDigest, e.Digest())
 	}
 	start := time.Now()
-	p, err := vm.RestoreProcess(e.Prog, m, snap)
+	p, err := e.RestoreSections(m, secs, nil)
 	if err != nil {
 		return nil, Timing{}, err
 	}
-	return p, Timing{Restore: time.Since(start), Bytes: len(snap)}, nil
+	return p, Timing{Restore: time.Since(start), Bytes: man.SnapshotBytes()}, nil
 }

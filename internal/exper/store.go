@@ -167,11 +167,11 @@ func StoreDedup(cfg Config) ([]DedupRow, error) {
 		}
 		row.SweptBlobs = gc.SweptBlobs
 		row.SweptBytes = gc.SweptBytes
-		// The retained head must still materialize after the sweep.
+		// The retained head must still hold every body after the sweep.
 		if h, ok, err := st.Ref("shards"); err != nil || !ok {
 			return nil, fmt.Errorf("exper: store ref after gc: ok=%v err=%v", ok, err)
-		} else if _, err := st.Materialize(h); err != nil {
-			return nil, fmt.Errorf("exper: materialize after gc: %w", err)
+		} else if _, _, err := st.Sections(h); err != nil {
+			return nil, fmt.Errorf("exper: sections after gc: %w", err)
 		}
 		rows = append(rows, row)
 	}
@@ -263,10 +263,6 @@ func StoreWire(cfg Config) ([]StoreWireRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap, err := p.CaptureSections(0)
-	if err != nil {
-		return nil, err
-	}
 
 	var rows []StoreWireRow
 	add := func(mode string, res *session.Result, q *vm.Process, coldBytes int) error {
@@ -274,7 +270,7 @@ func StoreWire(cfg Config) ([]StoreWireRow, error) {
 		if err != nil {
 			return err
 		}
-		row := StoreWireRow{Mode: mode, SnapshotBytes: len(snap), WireBytes: res.Timing.Bytes, ExitCode: exit}
+		row := StoreWireRow{Mode: mode, WireBytes: res.Timing.Bytes, ExitCode: exit}
 		if res.Warm != nil {
 			row.Sections = res.Warm.Sections
 			row.SectionsSent = res.Warm.SectionsSent
@@ -307,6 +303,8 @@ func StoreWire(cfg Config) ([]StoreWireRow, error) {
 	if err := add("warm, empty dst store", res, q, cold); err != nil {
 		return nil, err
 	}
+	// The cold row moved the same paused state; its snapshot is this one's.
+	rows[0].SnapshotBytes = res.Warm.SnapshotBytes
 
 	// Unchanged process re-migrates: only the manifest crosses.
 	res, q, err = storeTransfer(e, p, session.Config{Store: srcStore}, session.Config{Store: dstStore})
@@ -335,10 +333,6 @@ func StoreWire(cfg Config) ([]StoreWireRow, error) {
 	}
 	if !mres.Migrated {
 		return nil, fmt.Errorf("exper: workload completed before its next migration point")
-	}
-	snap, err = p.CaptureSections(0)
-	if err != nil {
-		return nil, err
 	}
 	res, q, err = storeTransfer(e, p, session.Config{Store: srcStore}, session.Config{Store: dstStore})
 	if err != nil {

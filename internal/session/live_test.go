@@ -28,7 +28,7 @@ func newMutatingEngine(t *testing.T, rounds int) *core.Engine {
 
 // stoppedLive runs the program on m to its first poll in NoAutoCapture
 // mode — paused but still resumable, the state pre-copy rounds require.
-func stoppedLive(t *testing.T, e *core.Engine, m *arch.Machine) *vm.Process {
+func stoppedLive(t testing.TB, e *core.Engine, m *arch.Machine) *vm.Process {
 	t.Helper()
 	p, err := e.NewProcess(m)
 	if err != nil {

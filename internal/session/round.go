@@ -6,15 +6,16 @@ package session
 // Each round is one ANNOUNCE/WANT/BODIES exchange. The ANNOUNCE lists every
 // section of the paused state as (kind, id, length, sha256); the responder
 // answers WANT with the indices whose bodies it cannot resolve from the
-// session's earlier rounds or from its checkpoint store; one BODIES frame
-// carries exactly those. The final round's list therefore assembles — from
-// resolved and freshly received bodies — into a v3 snapshot byte-identical
-// to a stop-and-copy sectioned capture of the same paused state, and
-// restoration is the ordinary sectioned restore.
+// session's previous round or from its checkpoint store; one BODIES frame
+// carries exactly those. The final round's list — resolved and freshly
+// received bodies — is therefore the section list of a stop-and-copy
+// capture of the same paused state, and it goes to the ordinary sectioned
+// restore as it is: a round is its sections on both sides, and no framed
+// snapshot exists anywhere on this path.
 //
-// A warm migration is one final round whose sections come out of the
-// initiator's checkpoint store. A live migration is the same exchange
-// repeated while the source executes:
+// A warm migration is one final round whose sections are a fresh capture,
+// checkpointed in the initiator's store on the way. A live migration is
+// the same exchange repeated while the source executes:
 //
 //	round 0     full image ships while the source executes to its next
 //	            poll point
@@ -146,54 +147,13 @@ func (s *LiveStats) finish(m *store.Manifest, warm bool) *WarmStats {
 	}
 }
 
-// round is one paused state ready to be announced: its section list, a way
-// to fetch each body, and what producing it cost.
+// round is one paused state ready to be announced: its sections, the
+// manifest that lists them by content hash, and what producing it cost.
 type round struct {
 	manifest *store.Manifest
-	body     func(i uint32) ([]byte, error)
+	secs     []snapshot.Section
 	dirty    int
 	collect  time.Duration
-}
-
-// checkpointRound produces a round from the initiator's checkpoint store:
-// the paused state is captured, checkpointed under the program's ref
-// (dedup'd against the store's history), and its bodies are served back
-// out of the store.
-func checkpointRound(e *core.Engine, src *arch.Machine, p *vm.Process, st *store.Store, program string) (*round, error) {
-	snap, err := p.CaptureSections(0)
-	if err != nil {
-		return nil, err
-	}
-	m, _, _, err := st.CheckpointRef(program, snap, e.Digest(), src.Name)
-	if err != nil {
-		return nil, err
-	}
-	return &round{
-		manifest: m,
-		body:     func(i uint32) ([]byte, error) { return st.GetBlob(m.Entries[i].Hash) },
-		collect:  p.CaptureStats().Elapsed,
-	}, nil
-}
-
-// captureRound produces a round from a live capture: the sections the
-// dirty set touched are re-encoded, the rest carried over, and the bodies
-// stay in memory.
-func captureRound(e *core.Engine, src *arch.Machine, lc *vm.LiveCapture) (*round, error) {
-	r, err := lc.Round()
-	if err != nil {
-		return nil, err
-	}
-	m := &store.Manifest{ProgramDigest: e.Digest(), Machine: src.Name, Seq: 1,
-		Entries: make([]store.Entry, len(r.Sections))}
-	for i, s := range r.Sections {
-		m.Entries[i] = store.Entry{Kind: s.Kind, ID: s.ID, Length: uint32(len(s.Body)), Hash: s.Hash}
-	}
-	return &round{
-		manifest: m,
-		body:     func(i uint32) ([]byte, error) { return r.Sections[i].Body, nil },
-		dirty:    r.DirtyBlocks,
-		collect:  r.Elapsed,
-	}, nil
 }
 
 // sendRound runs the source half of one ANNOUNCE/WANT/BODIES exchange and
@@ -213,14 +173,19 @@ func sendRound(t link.Transport, r *round, final bool, rec *obs.FlightRecorder, 
 	if err != nil {
 		return err
 	}
+	// A responder lists what it lacks in list order, so anything but
+	// strictly increasing indices inside the list is refused before a body
+	// is gathered: a WANT that repeats itself would size the BODIES frame by
+	// its own length, not by the state's.
+	if len(want.indices) > len(r.secs) {
+		return fmt.Errorf("%w: WANT names %d of %d sections", ErrProtocol, len(want.indices), len(r.secs))
+	}
 	bodies := make([][]byte, len(want.indices))
 	for k, idx := range want.indices {
-		if int(idx) >= len(r.manifest.Entries) {
-			return fmt.Errorf("%w: WANT index %d out of range", ErrProtocol, idx)
+		if int(idx) >= len(r.secs) || (k > 0 && idx <= want.indices[k-1]) {
+			return fmt.Errorf("%w: WANT index %d out of range or out of order", ErrProtocol, idx)
 		}
-		if bodies[k], err = r.body(idx); err != nil {
-			return err
-		}
+		bodies[k] = r.secs[idx].Body
 	}
 	frame := marshalBodies(want.indices, bodies)
 	if err := obs.Phase("transport", func() error { return t.Send(frame) }); err != nil {
@@ -256,23 +221,40 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 	if prm.Live {
 		res.Live = st
 	}
+	// Where a round's list comes from is all that tells the shapes apart:
+	// the live capture's round, or a fresh capture that is also
+	// checkpointed under the program's ref (dedup'd against the store's
+	// history). The fresh capture's bodies alias pooled encoders, which go
+	// back once the final round has shipped or the transfer has failed.
 	var lc *vm.LiveCapture
-	next := func() (*round, error) {
-		var r *round
-		var err error
-		if lc != nil {
-			r, err = captureRound(e, src, lc)
-		} else {
-			r, err = checkpointRound(e, src, p, cfg.Store, program)
-		}
-		if err == nil {
-			timing.Collect += r.collect
-		}
-		return r, err
-	}
 	if prm.Live {
 		lc = p.NewLiveCapture(0)
 		defer lc.Close()
+	}
+	release := func() {}
+	defer func() { release() }()
+	next := func() (*round, error) {
+		r := &round{}
+		if lc != nil {
+			lr, err := lc.Round()
+			if err != nil {
+				return nil, err
+			}
+			r.secs, r.dirty, r.collect = lr.Sections, lr.DirtyBlocks, lr.Elapsed
+			r.manifest = &store.Manifest{ProgramDigest: e.Digest(), Machine: src.Name, Seq: 1, Entries: store.Entries(r.secs)}
+		} else {
+			secs, rel, err := p.Sections()
+			if err != nil {
+				return nil, err
+			}
+			release = rel
+			r.secs, r.collect = secs, p.CaptureStats().Elapsed
+			if r.manifest, _, _, err = cfg.Store.CheckpointSections(program, secs, e.Digest(), src.Name); err != nil {
+				return nil, err
+			}
+		}
+		timing.Collect += r.collect
+		return r, nil
 	}
 	shipped := func() {
 		if prm.Live {
@@ -346,18 +328,20 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 
 // receiveRounds is the responder side of the round exchange, for however
 // many rounds the initiator drives: resolve what each ANNOUNCE lists, ask
-// for the rest, verify what arrives, and on the final round assemble the
-// snapshot and restore it. The accounting lands in info as it accrues, as
+// for the rest, verify what arrives, and on the final round restore the
+// list. The accounting lands in info as it accrues, as
 // sendRounds' does in its Result.
 func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, cfg Config, info *Info) (*vm.Process, core.Timing, error) {
 	prm, st := info.Params, new(LiveStats)
 	if prm.Live {
 		info.Live = st
 	}
-	// Bodies received (or resolved) in earlier rounds serve later lists: a
-	// section whose hash the source re-announces unchanged never crosses
-	// the wire twice.
-	held := make(map[store.Hash][]byte)
+	// The previous round's bodies, by content hash, serve this round's list:
+	// a section whose hash the source re-announces unchanged never crosses
+	// the wire twice, and one it no longer announces goes with the list —
+	// the responder holds one state's worth of bodies however many rounds
+	// the initiator chooses to run.
+	var held map[store.Hash][]byte
 	for {
 		ann, n, err := recvMessage(t, msgAnnounce, "ANNOUNCE")
 		if err != nil {
@@ -368,22 +352,23 @@ func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, cfg Con
 			return nil, core.Timing{}, fmt.Errorf("%w: announce has program digest %08x, registry matched %08x",
 				core.ErrProgramMismatch, m.ProgramDigest, e.Digest())
 		}
-		// Resolve every body we can locally — this session's earlier rounds
-		// first, then the checkpoint store, which re-verifies the content
-		// address on the way out. A blob the store cannot vouch for is
-		// simply asked for again.
+		// Resolve every body we can locally — the previous round first, then
+		// the checkpoint store, which re-verifies the content address on the
+		// way out. A blob the store cannot vouch for is simply asked for
+		// again.
+		secs := make([]snapshot.Section, len(m.Entries))
 		var want []uint32
 		for i, en := range m.Entries {
-			if _, ok := held[en.Hash]; ok {
-				continue
-			}
-			if cfg.Store != nil {
-				if body, err := cfg.Store.GetBlob(en.Hash); err == nil {
-					held[en.Hash] = body
-					continue
+			body, ok := held[en.Hash]
+			if !ok && cfg.Store != nil {
+				if blob, err := cfg.Store.GetBlob(en.Hash); err == nil {
+					body, ok = blob, true
 				}
 			}
-			want = append(want, uint32(i))
+			if !ok {
+				want = append(want, uint32(i))
+			}
+			secs[i] = snapshot.Section{Kind: en.Kind, ID: en.ID, Body: body}
 		}
 		if err := t.Send(marshalWant(want)); err != nil {
 			return nil, core.Timing{}, fmt.Errorf("session: want send: %w", err)
@@ -407,7 +392,7 @@ func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, cfg Con
 				return nil, core.Timing{}, fmt.Errorf("%w: section %d body does not match its announced length and hash",
 					store.ErrCorrupt, idx)
 			}
-			held[en.Hash] = body
+			secs[idx].Body = body
 			if cfg.Store != nil {
 				if _, _, err := cfg.Store.PutBlob(body); err != nil {
 					return nil, core.Timing{}, err
@@ -424,14 +409,13 @@ func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, cfg Con
 			Final:        final,
 		})
 		if !final {
+			held = make(map[store.Hash][]byte, len(secs))
+			for i, en := range m.Entries {
+				held[en.Hash] = secs[i].Body
+			}
 			continue
 		}
 
-		secs := make([]snapshot.Section, len(m.Entries))
-		for i, en := range m.Entries {
-			secs[i] = snapshot.Section{Kind: en.Kind, ID: en.ID, Body: held[en.Hash]}
-		}
-		snap := snapshot.Encode(secs)
 		info.Warm = st.finish(m, prm.Warm)
 		// Blobs and the manifest are content and may enter the store at
 		// once; the program's ref names the checkpoint this node last
@@ -445,7 +429,7 @@ func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, cfg Con
 			}
 		}
 		restoreStart := time.Now()
-		p, err := vm.RestoreProcessObs(e.Prog, mach, snap, cfg.Trace)
+		p, err := e.RestoreSections(mach, secs, cfg.Trace)
 		if err != nil {
 			return nil, core.Timing{}, err
 		}

@@ -65,6 +65,135 @@ func TestHostileCountsAllocateByFrameSize(t *testing.T) {
 	}
 }
 
+// TestHostileWantIsRefusedBeforeBodies scripts a responder that answers a
+// warm ANNOUNCE with a WANT no honest responder sends — it lists what it
+// lacks in list order, once each. marshalBodies sizes its frame by the sum
+// of the bodies named, so a 1 KB WANT repeating one index used to make the
+// source build a frame hundreds of times its state. Each is refused with
+// ErrProtocol before any body is gathered, nothing follows the ANNOUNCE on
+// the wire, and the source stays paused and resumable: Rollback runs it on
+// to its next poll.
+func TestHostileWantIsRefusedBeforeBodies(t *testing.T) {
+	e := newMutatingEngine(t, 8)
+	p := stoppedLive(t, e, arch.DEC5000)
+	cfg := Config{Store: openTestStore(t)}
+	for _, tc := range []struct {
+		name string
+		want func(sections uint32) []uint32
+	}{
+		{"duplicate", func(uint32) []uint32 { return []uint32{0, 0} }},
+		{"descending", func(uint32) []uint32 { return []uint32{1, 0} }},
+		{"out of range", func(n uint32) []uint32 { return []uint32{0, n} }},
+		{"one index 250 times", func(uint32) []uint32 { return make([]uint32, 250) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := link.Pipe()
+			defer b.Close()
+			errc := make(chan error, 1)
+			go func() {
+				_, err := Initiate(a, e, arch.DEC5000, "shards", p, cfg)
+				a.Close()
+				errc <- err
+			}()
+			if _, _, err := recvMessage(b, msgOffer, "OFFER"); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Send(marshalAccept(Params{Warm: true})); err != nil {
+				t.Fatal(err)
+			}
+			ann, _, err := recvMessage(b, msgAnnounce, "ANNOUNCE")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Send(marshalWant(tc.want(uint32(len(ann.manifest.Entries))))); err != nil {
+				t.Fatal(err)
+			}
+			if raw, err := b.Recv(); err == nil {
+				t.Errorf("the initiator answered the WANT with a %d-byte frame", len(raw))
+				b.Close()
+			}
+			if err := <-errc; !errors.Is(err, ErrProtocol) {
+				t.Errorf("Initiate = %v, want ErrProtocol", err)
+			}
+			if res, err := Rollback(p, cfg); err != nil || !res.Migrated {
+				t.Fatalf("rollback after a refused WANT: %+v, %v; want the source at its next poll", res, err)
+			}
+		})
+	}
+}
+
+// TestResponderHoldsOneRoundOfBodies scripts a live initiator whose every
+// round replaces the same 1 MB section. How many rounds run is the
+// initiator's policy and never crosses the wire, so what the responder
+// keeps must not grow with it: a later round can only reuse what it
+// re-announces, and a body the latest ANNOUNCE no longer lists goes. After
+// ten such rounds the responder holds one state's worth of bodies, not ten.
+func TestResponderHoldsOneRoundOfBodies(t *testing.T) {
+	const bodySize, rounds = 1 << 20, 10
+	e := newListEngine(t)
+	reg := NewRegistry()
+	reg.Add("list", e)
+	a, b := link.Pipe()
+	defer a.Close()
+	defer b.Close()
+	errc := make(chan error, 1)
+	go func() {
+		_, _, _, err := Respond(b, reg, arch.SPARC20, Config{Live: true})
+		errc <- err
+	}()
+	if err := a.Send(marshalOffer(offer{digest: e.Digest(), program: "list", machine: "dec5000", caps: capLive})); err != nil {
+		t.Fatal(err)
+	}
+	if acc, _, err := recvMessage(a, msgAccept, "ACCEPT"); err != nil || !acc.params.Live {
+		t.Fatalf("handshake: %+v, %v; want a live ACCEPT", acc.params, err)
+	}
+	// announce lists a small section that never changes and round k's
+	// version of the big one, and returns the WANT that answers it.
+	announce := func(k int) (big []byte, want message) {
+		big = bytes.Repeat([]byte{byte(k + 1)}, bodySize)
+		secs := []snapshot.Section{{Kind: snapshot.KindExec, Body: []byte("same every round")}, {Kind: snapshot.KindHeap, Body: big}}
+		m := &store.Manifest{ProgramDigest: e.Digest(), Machine: "dec5000", Seq: 1, Entries: store.Entries(secs)}
+		if err := a.Send(marshalAnnounce(uint32(k), 0, 0, m)); err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := recvMessage(a, msgWant, "WANT")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return big, want
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for k := 0; k < rounds; k++ {
+		big, want := announce(k)
+		if wantBig := []uint32{1}; k > 0 && !slices.Equal(want.indices, wantBig) {
+			t.Fatalf("round %d WANT = %v, want %v: the unchanged section is held, the replaced one is not", k, want.indices, wantBig)
+		}
+		bodies := [][]byte{[]byte("same every round"), big}
+		if err := a.Send(marshalBodies(want.indices, bodies[2-len(want.indices):])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The WANT of one more round means the responder is done with the tenth
+	// and parked on the next BODIES; everything it still references is what
+	// it holds.
+	announce(rounds)
+	if held := int64(heap()) - int64(before); held > 4*bodySize {
+		t.Errorf("after %d rounds replacing one %d-byte section the responder holds %d bytes, want about one state's worth", rounds, bodySize, held)
+	}
+	if err := a.Send(marshalReason(msgAbort, "test over")); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; !errors.Is(err, ErrLiveAborted) {
+		t.Errorf("responder = %v, want ErrLiveAborted", err)
+	}
+}
+
 // TestFailedRestoreLeavesRefUnset scripts an initiator whose final round
 // is well-formed — every body matches its announced length and hash — but
 // whose exec section names a function the program does not have. The
@@ -73,15 +202,7 @@ func TestHostileCountsAllocateByFrameSize(t *testing.T) {
 func TestFailedRestoreLeavesRefUnset(t *testing.T) {
 	e := newListEngine(t)
 	p := stoppedAt(t, e, arch.DEC5000)
-	snap, err := p.CaptureSections(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, err := snapshot.NewReader(xdr.NewDecoder(snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	secs, err := rd.ReadAll()
+	secs, _, err := p.Sections() // never released: the test keeps the bodies
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +211,7 @@ func TestFailedRestoreLeavesRefUnset(t *testing.T) {
 	exec.PutString("no_such_function")
 	exec.PutUint32(0)
 	secs[0].Body = exec.Bytes()
-	m := &store.Manifest{ProgramDigest: e.Digest(), Machine: arch.DEC5000.Name, Seq: 1}
-	for _, s := range secs {
-		m.Entries = append(m.Entries, store.Entry{Kind: s.Kind, ID: s.ID, Length: uint32(len(s.Body)), Hash: store.HashBytes(s.Body)})
-	}
+	m := &store.Manifest{ProgramDigest: e.Digest(), Machine: arch.DEC5000.Name, Seq: 1, Entries: store.Entries(secs)}
 
 	a, b := link.Pipe()
 	defer a.Close()

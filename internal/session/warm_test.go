@@ -13,7 +13,7 @@ import (
 	"repro/internal/vm"
 )
 
-func openTestStore(t *testing.T) *store.Store {
+func openTestStore(t testing.TB) *store.Store {
 	t.Helper()
 	s, err := store.Open(t.TempDir(), obs.NewRegistry())
 	if err != nil {
@@ -25,7 +25,7 @@ func openTestStore(t *testing.T) *store.Store {
 // transferWith runs the full protocol over a pipe with distinct initiator
 // and responder configs — the store fields make the two sides genuinely
 // asymmetric, which Transfer's shared-config convenience cannot express.
-func transferWith(t *testing.T, e *core.Engine, program string, p *vm.Process, dst *arch.Machine, srcCfg, dstCfg Config) (*Result, Info, *vm.Process) {
+func transferWith(t testing.TB, e *core.Engine, program string, p *vm.Process, dst *arch.Machine, srcCfg, dstCfg Config) (*Result, Info, *vm.Process) {
 	t.Helper()
 	a, b := link.Pipe()
 	defer a.Close()

@@ -38,80 +38,61 @@ func (c CheckpointStats) String() string {
 		c.Sections, c.NewBlobs, c.DupBlobs, c.WrittenBytes, c.SnapshotBytes, c.DedupRatio())
 }
 
-// Checkpoint records a sectioned (v3) snapshot: every section body is
-// stored under its content address (bodies already present are not
-// rewritten), and a manifest chaining to parent is stored and returned
-// with its address. A zero parent starts a new chain; a non-zero parent
-// must name a manifest the store holds.
-func (s *Store) Checkpoint(snap []byte, programDigest uint32, machine string, parent Hash) (*Manifest, Hash, CheckpointStats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.checkpointLocked(snap, programDigest, machine, parent)
+// Entries builds a manifest's entry list from a section list, hashing each
+// body once. It is the one place a sending side computes a body's content
+// address: a checkpoint and a live round's announce both list their
+// sections through it.
+func Entries(secs []snapshot.Section) []Entry {
+	entries := make([]Entry, len(secs))
+	for i, sec := range secs {
+		entries[i] = Entry{Kind: sec.Kind, ID: sec.ID, Length: uint32(len(sec.Body)), Hash: HashBytes(sec.Body)}
+	}
+	return entries
 }
 
-// CheckpointRef is Checkpoint chaining from — and then advancing — the
-// named ref, all under one lock: the periodic "checkpoint this session
-// again" call. A ref that does not exist yet starts a new chain.
-func (s *Store) CheckpointRef(ref string, snap []byte, programDigest uint32, machine string) (*Manifest, Hash, CheckpointStats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	parent, _, err := s.Ref(ref)
-	if err != nil {
-		return nil, Hash{}, CheckpointStats{}, err
-	}
-	m, h, st, err := s.checkpointLocked(snap, programDigest, machine, parent)
-	if err != nil {
-		return nil, Hash{}, CheckpointStats{}, err
-	}
-	if err := s.setRefLocked(ref, h); err != nil {
-		return nil, Hash{}, CheckpointStats{}, err
-	}
-	return m, h, st, nil
-}
-
-func (s *Store) checkpointLocked(snap []byte, programDigest uint32, machine string, parent Hash) (*Manifest, Hash, CheckpointStats, error) {
+// CheckpointSections records a section list as the next checkpoint of the
+// named ref — the periodic "checkpoint this session again" call: every
+// body is stored under its content address (bodies already present are not
+// rewritten), a manifest chaining from the ref's head (a ref that does not
+// exist yet starts a new chain) is stored and returned with its address,
+// and the ref advances to it, all under one lock. The bodies are only
+// read; a caller whose list aliases pooled encoders may release them on
+// return.
+func (s *Store) CheckpointSections(ref string, secs []snapshot.Section, programDigest uint32, machine string) (*Manifest, Hash, CheckpointStats, error) {
 	start := time.Now()
-	m := &Manifest{ProgramDigest: programDigest, Machine: machine, Seq: 1, Parent: parent}
-	if !parent.IsZero() {
-		pm, err := s.GetManifest(parent)
+	m := &Manifest{ProgramDigest: programDigest, Machine: machine, Seq: 1, Entries: Entries(secs)}
+	st := CheckpointStats{Sections: len(secs), SnapshotBytes: int64(m.SnapshotBytes())}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var err error
+	if m.Parent, _, err = s.Ref(ref); err != nil {
+		return nil, Hash{}, CheckpointStats{}, err
+	}
+	if !m.Parent.IsZero() {
+		pm, err := s.GetManifest(m.Parent)
 		if err != nil {
 			return nil, Hash{}, CheckpointStats{}, fmt.Errorf("store: checkpoint parent: %w", err)
 		}
 		m.Seq = pm.Seq + 1
 	}
-
-	dec := xdr.NewDecoder(snap)
-	rd, err := snapshot.NewReader(dec)
-	if err != nil {
-		return nil, Hash{}, CheckpointStats{}, fmt.Errorf("store: checkpoint: %w", err)
-	}
-	st := CheckpointStats{SnapshotBytes: int64(len(snap))}
-	m.Entries = make([]Entry, 0, rd.Remaining())
-	for rd.Remaining() > 0 {
-		sec, err := rd.Next()
-		if err != nil {
-			return nil, Hash{}, CheckpointStats{}, fmt.Errorf("store: checkpoint: %w", err)
-		}
-		h, fresh, err := s.putBlobLocked(sec.Body)
+	for i, e := range m.Entries {
+		fresh, err := s.putBlobLocked(e.Hash, secs[i].Body)
 		if err != nil {
 			return nil, Hash{}, CheckpointStats{}, err
 		}
 		if fresh {
 			st.NewBlobs++
-			st.WrittenBytes += int64(len(sec.Body))
+			st.WrittenBytes += int64(e.Length)
 		} else {
 			st.DupBlobs++
-			st.DedupedBytes += int64(len(sec.Body))
+			st.DedupedBytes += int64(e.Length)
 		}
-		m.Entries = append(m.Entries, Entry{Kind: sec.Kind, ID: sec.ID, Length: uint32(len(sec.Body)), Hash: h})
 	}
-	if dec.Remaining() != 0 {
-		return nil, Hash{}, CheckpointStats{}, fmt.Errorf("%w: %d trailing bytes after snapshot sections", ErrCorrupt, dec.Remaining())
-	}
-	st.Sections = len(m.Entries)
-
 	h, err := s.putManifestLocked(m)
 	if err != nil {
+		return nil, Hash{}, CheckpointStats{}, err
+	}
+	if err := s.setRefLocked(ref, h); err != nil {
 		return nil, Hash{}, CheckpointStats{}, err
 	}
 	st.Elapsed = time.Since(start)
@@ -120,32 +101,59 @@ func (s *Store) checkpointLocked(snap []byte, programDigest uint32, machine stri
 	return m, h, st, nil
 }
 
-// Materialize reconstructs the exact v3 snapshot a manifest describes:
-// every body is fetched by content address (re-verified on read) and
-// framed back into the sectioned format in manifest order. The output is
-// byte-identical to the snapshot that was checkpointed.
-func (s *Store) Materialize(h Hash) ([]byte, error) {
+// CheckpointRef is CheckpointSections of a framed v3 snapshot, taken apart
+// first (every section's CRC verified, nothing trailing the last). It
+// stays because bench/program.go names it.
+func (s *Store) CheckpointRef(ref string, snap []byte, programDigest uint32, machine string) (*Manifest, Hash, CheckpointStats, error) {
+	dec := xdr.NewDecoder(snap)
+	rd, err := snapshot.NewReader(dec)
+	if err != nil {
+		return nil, Hash{}, CheckpointStats{}, fmt.Errorf("store: checkpoint: %w", err)
+	}
+	secs, err := rd.ReadAll()
+	if err != nil {
+		return nil, Hash{}, CheckpointStats{}, fmt.Errorf("store: checkpoint: %w", err)
+	}
+	if dec.Remaining() != 0 {
+		return nil, Hash{}, CheckpointStats{}, fmt.Errorf("%w: %d trailing bytes after snapshot sections", ErrCorrupt, dec.Remaining())
+	}
+	return s.CheckpointSections(ref, secs, programDigest, machine)
+}
+
+// Sections is CheckpointSections' inverse: the manifest stored under h and
+// the section list it describes, every body fetched by content address
+// (re-verified on read) and held to its entry's length, in manifest order.
+func (s *Store) Sections(h Hash) (*Manifest, []snapshot.Section, error) {
 	start := time.Now()
 	m, err := s.GetManifest(h)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	secs := make([]snapshot.Section, 0, len(m.Entries))
 	for i, e := range m.Entries {
 		body, err := s.GetBlob(e.Hash)
 		if err != nil {
-			return nil, fmt.Errorf("store: materialize %s entry %d (%s %d): %w",
+			return nil, nil, fmt.Errorf("store: materialize %s entry %d (%s %d): %w",
 				h.Short(), i, e.Kind, e.ID, err)
 		}
 		if uint32(len(body)) != e.Length {
-			return nil, fmt.Errorf("%w: manifest %s entry %d declares %d bytes, blob holds %d",
+			return nil, nil, fmt.Errorf("%w: manifest %s entry %d declares %d bytes, blob holds %d",
 				ErrCorrupt, h.Short(), i, e.Length, len(body))
 		}
 		secs = append(secs, snapshot.Section{Kind: e.Kind, ID: e.ID, Body: body})
 	}
-	out := snapshot.Encode(secs)
 	s.metrics.Histogram("store.materialize.latency").Observe(time.Since(start))
-	return out, nil
+	return m, secs, nil
+}
+
+// Materialize is Sections framed back into the exact v3 snapshot that was
+// checkpointed, byte for byte. It stays because bench/program.go names it.
+func (s *Store) Materialize(h Hash) ([]byte, error) {
+	_, secs, err := s.Sections(h)
+	if err != nil {
+		return nil, err
+	}
+	return snapshot.Encode(secs), nil
 }
 
 // Missing reports which entries of m the store lacks bodies for — the

@@ -45,7 +45,7 @@ func TestGetBlobTampered(t *testing.T) {
 
 func TestMaterializeCorruptBlob(t *testing.T) {
 	s := openTest(t)
-	m, h, _, err := s.Checkpoint(testSnapshot([]byte("heap-body")), 1, "m", Hash{})
+	m, h, _, err := s.CheckpointRef("job", testSnapshot([]byte("heap-body")), 1, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestMaterializeCorruptBlob(t *testing.T) {
 
 func TestMaterializeMissingBlob(t *testing.T) {
 	s := openTest(t)
-	m, h, _, err := s.Checkpoint(testSnapshot([]byte("heap-body")), 1, "m", Hash{})
+	m, h, _, err := s.CheckpointRef("job", testSnapshot([]byte("heap-body")), 1, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestMaterializeMissingBlob(t *testing.T) {
 
 func TestGetManifestTampered(t *testing.T) {
 	s := openTest(t)
-	_, h, _, err := s.Checkpoint(testSnapshot([]byte("x")), 1, "m", Hash{})
+	_, h, _, err := s.CheckpointRef("job", testSnapshot([]byte("x")), 1, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,10 @@ func TestDanglingParent(t *testing.T) {
 		t.Fatalf("Chain over dangling parent: %v, want ErrNotFound", err)
 	}
 	// Chaining a new checkpoint onto a missing parent is refused too.
-	if _, _, _, err := s.Checkpoint(testSnapshot([]byte("gen-2")), 1, "m", h1); !errors.Is(err, ErrNotFound) {
+	if err := s.SetRef("job", h1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := s.CheckpointRef("job", testSnapshot([]byte("gen-2")), 1, "m"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Checkpoint onto missing parent: %v, want ErrNotFound", err)
 	}
 }
@@ -127,8 +130,15 @@ func TestCheckpointRejectsCorruptSnapshot(t *testing.T) {
 		"bad magic":   func(b []byte) []byte { c := append([]byte(nil), b...); c[0] ^= 0xff; return c },
 		"flipped crc": func(b []byte) []byte { c := append([]byte(nil), b...); c[len(c)-1] ^= 0x01; return c },
 	} {
-		if _, _, _, err := s.Checkpoint(mangle(snap), 1, "m", Hash{}); err == nil {
+		if _, _, _, err := s.CheckpointRef("job", mangle(snap), 1, "m"); err == nil {
 			t.Errorf("%s snapshot checkpointed without error", name)
+		}
+		// A refused snapshot leaves nothing behind: no blob, no ref.
+		if blobs, _, _ := s.Usage(); blobs != 0 {
+			t.Errorf("%s snapshot left %d blobs in the store", name, blobs)
+		}
+		if _, ok, _ := s.Ref("job"); ok {
+			t.Errorf("%s snapshot advanced the ref", name)
 		}
 	}
 }

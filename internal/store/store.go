@@ -134,28 +134,30 @@ func writeAtomic(path string, content []byte) error {
 // rewritten — that is the dedup this store exists for — and is counted in
 // store.blob.dedup / store.bytes.deduped.
 func (s *Store) PutBlob(body []byte) (Hash, bool, error) {
+	h := HashBytes(body)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.putBlobLocked(body)
+	fresh, err := s.putBlobLocked(h, body)
+	return h, fresh, err
 }
 
-func (s *Store) putBlobLocked(body []byte) (Hash, bool, error) {
-	h := HashBytes(body)
+// putBlobLocked stores body under h, which the caller computed from it.
+func (s *Store) putBlobLocked(h Hash, body []byte) (bool, error) {
 	path := s.blobPath(h)
 	if _, err := os.Stat(path); err == nil {
 		s.metrics.Counter("store.blob.dedup").Inc()
 		s.metrics.Counter("store.bytes.deduped").Add(int64(len(body)))
-		return h, false, nil
+		return false, nil
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return Hash{}, false, fmt.Errorf("store: put blob: %w", err)
+		return false, fmt.Errorf("store: put blob: %w", err)
 	}
 	if err := writeAtomic(path, body); err != nil {
-		return Hash{}, false, fmt.Errorf("store: put blob: %w", err)
+		return false, fmt.Errorf("store: put blob: %w", err)
 	}
 	s.metrics.Counter("store.blob.put").Inc()
 	s.metrics.Counter("store.bytes.written").Add(int64(len(body)))
-	return h, true, nil
+	return true, nil
 }
 
 // HasBlob reports whether the store holds a body under h.

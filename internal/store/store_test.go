@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 
@@ -10,9 +11,9 @@ import (
 	"repro/internal/snapshot"
 )
 
-// testSnapshot builds a plausible sectioned snapshot: exec, the given
-// heap component bodies, one frame, and globals.
-func testSnapshot(heaps ...[]byte) []byte {
+// testSections builds a plausible section list: exec, the given heap
+// component bodies, one frame, and globals.
+func testSections(heaps ...[]byte) []snapshot.Section {
 	secs := []snapshot.Section{{Kind: snapshot.KindExec, Body: []byte("exec-body")}}
 	for i, h := range heaps {
 		secs = append(secs, snapshot.Section{Kind: snapshot.KindHeap, ID: uint32(i), Body: h})
@@ -20,8 +21,11 @@ func testSnapshot(heaps ...[]byte) []byte {
 	secs = append(secs,
 		snapshot.Section{Kind: snapshot.KindFrame, ID: 1, Body: []byte("frame-1-body")},
 		snapshot.Section{Kind: snapshot.KindGlobals, Body: []byte("globals-body")})
-	return snapshot.Encode(secs)
+	return secs
 }
+
+// testSnapshot is testSections framed.
+func testSnapshot(heaps ...[]byte) []byte { return snapshot.Encode(testSections(heaps...)) }
 
 func openTest(t *testing.T) *Store {
 	t.Helper()
@@ -89,7 +93,7 @@ func TestManifestEncodeDecode(t *testing.T) {
 func TestCheckpointMaterialize(t *testing.T) {
 	s := openTest(t)
 	snap := testSnapshot([]byte("heap-zero"), []byte("heap-one"))
-	m, h, st, err := s.Checkpoint(snap, 0x1234, "ultra5", Hash{})
+	m, h, st, err := s.CheckpointRef("job", snap, 0x1234, "ultra5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +114,10 @@ func TestCheckpointMaterialize(t *testing.T) {
 		t.Fatal("materialized snapshot not byte-identical")
 	}
 
-	// Second checkpoint: one heap component mutated, everything else
-	// dedups against the first.
+	// Second checkpoint, chaining from the ref's head: one heap component
+	// mutated, everything else dedups against the first.
 	snap2 := testSnapshot([]byte("heap-zero"), []byte("heap-one-CHANGED"))
-	m2, h2, st2, err := s.Checkpoint(snap2, 0x1234, "ultra5", h)
+	m2, h2, st2, err := s.CheckpointRef("job", snap2, 0x1234, "ultra5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +174,7 @@ func TestCheckpointRefAndResolve(t *testing.T) {
 func TestMissing(t *testing.T) {
 	s := openTest(t)
 	snap := testSnapshot([]byte("h0"), []byte("h1"))
-	m, _, _, err := s.Checkpoint(snap, 1, "m", Hash{})
+	m, _, _, err := s.CheckpointRef("job", snap, 1, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +197,13 @@ func TestGCRetention(t *testing.T) {
 		}
 		heads = append(heads, h)
 	}
-	// An orphan checkpoint anchored to no ref is always swept.
-	_, orphan, _, err := s.Checkpoint(testSnapshot([]byte("orphan")), 1, "m", Hash{})
+	// An orphan checkpoint anchored to no ref (its ref deleted) is always
+	// swept.
+	_, orphan, _, err := s.CheckpointRef("gone", testSnapshot([]byte("orphan")), 1, "m")
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(s.refPath("gone")); err != nil {
 		t.Fatal(err)
 	}
 

@@ -17,13 +17,12 @@ package vm
 // layer's write barrier on, carries the collect.DeltaTracker from round
 // to round, and advances the dirty watermark after every capture. Each
 // round yields the full section list in the deterministic v3 order —
-// clean sections carry their cached bodies — plus a content hash per
-// section, so the transport can ship only bodies the destination lacks
-// and the destination can assemble a byte-identical v3 snapshot from
-// the final round's manifest.
+// clean sections carry their cached bodies. Content hashes are not this
+// package's business: the transport hashes the list when it builds the
+// round's manifest (store.Entries), ships only the bodies the destination
+// lacks, and the destination restores the final round's list.
 
 import (
-	"crypto/sha256"
 	"time"
 
 	"repro/internal/collect"
@@ -31,38 +30,23 @@ import (
 	"repro/internal/snapshot"
 )
 
-// LiveSection is one section of a pre-copy round: its snapshot framing
-// identity, the SHA-256 of its body, and the body itself. Bodies are
-// owned by the capture's delta tracker and stay valid across rounds
-// (the sender may still be shipping a round while the next one is
-// captured), but must not be mutated.
-type LiveSection struct {
-	Kind snapshot.Kind
-	ID   uint32
-	Hash [sha256.Size]byte
-	Body []byte
-	// Reused reports the body was carried over from the previous round
-	// without re-encoding (its hash was shipped before).
-	Reused bool
-}
-
 // LiveRound is one delta capture of the pre-copy loop.
 type LiveRound struct {
 	// Sections lists every section of the process state in the
 	// deterministic v3 snapshot order: exec, heap components, frames
-	// innermost-first, globals.
-	Sections []LiveSection
+	// innermost-first, globals. Bodies are owned by the capture's delta
+	// tracker and stay valid across rounds (the sender may still be
+	// shipping a round while the next one is captured), but must not be
+	// mutated.
+	Sections []snapshot.Section
+	// Reused marks, index for index, the sections whose bodies were
+	// carried over from the previous round without re-encoding.
+	Reused []bool
 	// DirtyBlocks is the size of the dirty set this round observed —
 	// the blocks written since the previous round's capture (0 for
 	// round 0, where everything is new).
 	DirtyBlocks int
-	// Encoded and Reused count re-encoded and carried-over sections.
-	Encoded, Reused int
-	// Bytes is the total body size of the round; FreshBytes counts only
-	// the re-encoded bodies (the upper bound on what must cross the
-	// wire).
-	Bytes, FreshBytes int
-	Elapsed           time.Duration
+	Elapsed     time.Duration
 }
 
 // LiveCapture drives the delta captures of one pre-copy migration. It
@@ -130,19 +114,7 @@ func (lc *LiveCapture) Round() (*LiveRound, error) {
 	if err != nil {
 		return nil, err
 	}
-	round.Sections = make([]LiveSection, len(secs))
-	for i, s := range secs {
-		round.Sections[i] = LiveSection{
-			Kind: s.Kind, ID: s.ID, Hash: sha256.Sum256(s.Body), Body: s.Body, Reused: reused[i],
-		}
-		round.Bytes += len(s.Body)
-		if reused[i] {
-			round.Reused++
-		} else {
-			round.Encoded++
-			round.FreshBytes += len(s.Body)
-		}
-	}
+	round.Sections, round.Reused = secs, reused
 
 	// Move the watermark: writes from here on belong to the next round.
 	lc.since = p.Space.AdvanceGeneration()
@@ -151,15 +123,6 @@ func (lc *LiveCapture) Round() (*LiveRound, error) {
 	return round, nil
 }
 
-// Snapshot assembles a round's sections into a complete v3 snapshot,
-// byte-identical to CaptureSections of the same stopped state. The
-// destination side of a live migration performs the equivalent assembly
-// from its received bodies; this form serves the source-side fallback
-// and tests.
-func (r *LiveRound) Snapshot() []byte {
-	secs := make([]snapshot.Section, len(r.Sections))
-	for i, s := range r.Sections {
-		secs[i] = snapshot.Section{Kind: s.Kind, ID: s.ID, Body: s.Body}
-	}
-	return snapshot.Encode(secs)
-}
+// Snapshot frames a round's sections into a complete v3 snapshot,
+// byte-identical to CaptureSections of the same stopped state.
+func (r *LiveRound) Snapshot() []byte { return snapshot.Encode(r.Sections) }

@@ -36,6 +36,21 @@ func newMutatingProcess(t *testing.T, m *arch.Machine, rounds int) (*Process, *m
 	return p, prog
 }
 
+// roundTotals derives a round's totals from its two slices: how many
+// sections were carried over, the bytes of all bodies and of the re-encoded
+// ones (the upper bound on what must cross the wire).
+func roundTotals(r *LiveRound) (reused, bytes, fresh int) {
+	for i, s := range r.Sections {
+		bytes += len(s.Body)
+		if r.Reused[i] {
+			reused++
+		} else {
+			fresh += len(s.Body)
+		}
+	}
+	return reused, bytes, fresh
+}
+
 // TestLiveRoundsByteIdenticalToStopAndCopy drives the pre-copy capture
 // across every poll of a mutating workload and checks the core delta
 // invariant: each round's assembled snapshot is byte-identical to a full
@@ -60,15 +75,16 @@ func TestLiveRoundsByteIdenticalToStopAndCopy(t *testing.T) {
 		if !bytes.Equal(r.Snapshot(), direct) {
 			t.Fatalf("round %d: assembled snapshot differs from stop-and-copy capture", round)
 		}
+		reused, _, _ := roundTotals(r)
 		if round == 0 {
-			if r.Reused != 0 || r.DirtyBlocks != 0 {
-				t.Fatalf("round 0 reused %d sections, dirty %d; want 0/0", r.Reused, r.DirtyBlocks)
+			if reused != 0 || r.DirtyBlocks != 0 {
+				t.Fatalf("round 0 reused %d sections, dirty %d; want 0/0", reused, r.DirtyBlocks)
 			}
 		} else {
 			if r.DirtyBlocks == 0 {
 				t.Fatalf("round %d observed an empty dirty set despite mutations", round)
 			}
-			totalReused += r.Reused
+			totalReused += reused
 		}
 		if round == 3 {
 			mid = r.Snapshot()
@@ -126,16 +142,16 @@ func TestLiveRoundReuseTracksDirtySet(t *testing.T) {
 		}
 		// 4 heap components; exactly one list was mutated between polls.
 		reusedHeap := 0
-		for _, s := range r.Sections {
-			if s.Kind.String() == "heap" && s.Reused {
+		for i, s := range r.Sections {
+			if s.Kind == snapshot.KindHeap && r.Reused[i] {
 				reusedHeap++
 			}
 		}
 		if reusedHeap != 3 {
 			t.Fatalf("round %d reused %d heap components, want 3", round, reusedHeap)
 		}
-		if r.FreshBytes >= r.Bytes {
-			t.Fatalf("round %d fresh bytes %d not below total %d", round, r.FreshBytes, r.Bytes)
+		if _, bytes, fresh := roundTotals(r); fresh >= bytes {
+			t.Fatalf("round %d fresh bytes %d not below total %d", round, fresh, bytes)
 		}
 	}
 }
@@ -159,21 +175,22 @@ func TestLiveRoundReportsAsCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Reused == 0 || r.DirtyBlocks == 0 {
-		t.Fatalf("round reused %d sections over %d dirty blocks; want a delta round", r.Reused, r.DirtyBlocks)
+	reused, _, fresh := roundTotals(r)
+	if reused == 0 || r.DirtyBlocks == 0 {
+		t.Fatalf("round reused %d sections over %d dirty blocks; want a delta round", reused, r.DirtyBlocks)
 	}
 	if got := mCaptures.Value() - captures; got != 1 {
 		t.Errorf("vm.captures rose by %d over one round, want 1", got)
 	}
-	if got := mEncodeBytes.Value() - encoded; got < int64(r.FreshBytes) {
-		t.Errorf("xdr.encode.bytes rose by %d, want at least the round's %d fresh bytes", got, r.FreshBytes)
+	if got := mEncodeBytes.Value() - encoded; got < int64(fresh) {
+		t.Errorf("xdr.encode.bytes rose by %d, want at least the round's %d fresh bytes", got, fresh)
 	}
 	// The blocks of the re-encoded sections, from their directories: the
 	// first word of a heap body, the word behind the live references (16
 	// bytes each, never null) of a frame or globals body.
 	var blocks int64
-	for _, s := range r.Sections {
-		if s.Reused || s.Kind == snapshot.KindExec {
+	for i, s := range r.Sections {
+		if r.Reused[i] || s.Kind == snapshot.KindExec {
 			continue
 		}
 		dec := xdr.NewDecoder(s.Body)

@@ -13,8 +13,8 @@ package vm
 //	(innermost first), globals #0
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/collect"
@@ -25,31 +25,26 @@ import (
 	"repro/internal/xdr"
 )
 
-// CaptureSections re-collects the full process state at the stopped
-// migration point in the sectioned (v3) snapshot format. The parameter is
-// inert — it was the width of the encoding pool, which is gone — and stays
-// only because bench/program.go, which no ordinary change may edit, passes
-// one.
+// Sections is the exported face of the one sectioned producer: the state
+// of the stopped process as a section list in snapshot order. The bodies
+// alias pooled encoders until release is called; whoever frames, stores or
+// ships them calls it once it is done with them.
+func (p *Process) Sections() (secs []snapshot.Section, release func(), err error) {
+	secs, _, release, err = p.captureSectionList(nil, nil)
+	return secs, release, err
+}
+
+// CaptureSections is Sections framed into a sectioned (v3) snapshot. The
+// parameter is inert — it was the width of the encoding pool, which is
+// gone — and stays only because bench/program.go, which no ordinary change
+// may edit, passes one.
 func (p *Process) CaptureSections(_ int) ([]byte, error) {
-	secs, _, release, err := p.captureSectionList(nil, nil)
+	secs, release, err := p.Sections()
 	if err != nil {
 		return nil, err
 	}
 	defer release()
 	return snapshot.Encode(secs), nil
-}
-
-// CaptureSectionsTo is CaptureSections framing the snapshot straight onto
-// w (the chunk stream of a cold transfer): each section body goes from the
-// pooled encoder it was built in to w, and the encoders go back once the
-// last has been written. It returns the bytes written.
-func (p *Process) CaptureSectionsTo(w io.Writer) (int, error) {
-	secs, _, release, err := p.captureSectionList(nil, nil)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	return obs.PhaseOf("transport", func() (int, error) { return snapshot.Write(w, secs) })
 }
 
 // captureSectionList is the one sectioned producer, behind cold, warm and
@@ -161,29 +156,54 @@ func (p *Process) liveRoots(sites []*minic.Site) collect.Roots {
 	return roots
 }
 
-// restoreSectioned rebuilds the process from a sectioned (v3) snapshot.
-// The section order is enforced — exec first, every heap component before
-// any variable contents, each frame exactly once, globals exactly once —
-// which guarantees every flat reference a section decodes resolves
-// against blocks already registered.
+// restoreSectioned rebuilds the process from a framed sectioned (v3)
+// snapshot: snapshot.Reader takes it apart — verifying every section's CRC
+// and that nothing trails the last — in front of restoreSections.
 func (p *Process) restoreSectioned(state []byte, restoreStart time.Time) error {
 	span := p.Obs.Child("restore")
-	span.SetAttr("format", "sectioned")
 	defer span.End()
 	dec := xdr.NewDecoder(state)
 	rd, err := snapshot.NewReader(dec)
 	if err != nil {
 		return fmt.Errorf("vm: invalid sectioned snapshot: %w (%w)", collect.ErrCorruptStream, err)
 	}
-
-	sec, err := rd.Next()
+	secs, err := rd.ReadAll()
 	if err != nil {
-		return fmt.Errorf("vm: reading exec section: %w (%w)", collect.ErrCorruptStream, err)
+		return fmt.Errorf("vm: reading snapshot section: %w (%w)", collect.ErrCorruptStream, err)
 	}
-	if sec.Kind != snapshot.KindExec || sec.ID != 0 {
+	if dec.Remaining() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after snapshot sections",
+			collect.ErrCorruptStream, dec.Remaining())
+	}
+	return p.restoreSections(span, secs, dec.Calls(), restoreStart)
+}
+
+// RestoreSections restores a section list into a freshly created process
+// (one that has not started running) — the section-valued form of
+// RestoreInto, for a caller that holds verified bodies (a round exchange's,
+// a checkpoint store's) and has no reason to frame them first.
+func (p *Process) RestoreSections(secs []snapshot.Section) error {
+	if len(p.frames) != 0 {
+		return errors.New("vm: RestoreSections on a process that already has frames")
+	}
+	span := p.Obs.Child("restore")
+	defer span.End()
+	return obs.Phase("restore", func() error { return p.restoreSections(span, secs, 0, time.Now()) })
+}
+
+// restoreSections is the one sectioned restore loop. The section order is
+// enforced — exec first, every heap component before any variable
+// contents, each frame exactly once, globals exactly once — which
+// guarantees every flat reference a section decodes resolves against
+// blocks already registered. span is the caller's restore span — a framed
+// snapshot's covers its verification too — and framing the decode calls
+// its reader spent, for the restore's accounting.
+func (p *Process) restoreSections(span *obs.Span, secs []snapshot.Section, framing int, restoreStart time.Time) error {
+	span.SetAttr("format", "sectioned")
+	if len(secs) == 0 || secs[0].Kind != snapshot.KindExec || secs[0].ID != 0 {
 		return fmt.Errorf("%w: snapshot does not start with the exec section", collect.ErrCorruptStream)
 	}
-	execDec := xdr.NewDecoder(sec.Body)
+	execDec := xdr.NewDecoder(secs[0].Body)
 	sites, err := p.restoreExecState(execDec)
 	if err != nil {
 		return err
@@ -194,17 +214,14 @@ func (p *Process) restoreSectioned(state []byte, restoreStart time.Time) error {
 	nframes := len(sites)
 
 	total := collect.RestoreStats{}
+	size := 8 + 16 + (len(secs[0].Body)+3)&^3 // what the list frames to
 
 	heapDone := false
 	nextHeap := uint32(0)
 	framesSeen := make([]bool, nframes)
 	globalsSeen := false
 
-	for rd.Remaining() > 0 {
-		sec, err := rd.Next()
-		if err != nil {
-			return fmt.Errorf("vm: reading snapshot section: %w (%w)", collect.ErrCorruptStream, err)
-		}
+	for _, sec := range secs[1:] {
 		secStart := time.Now()
 		var rs collect.RestoreStats
 		switch sec.Kind {
@@ -250,11 +267,14 @@ func (p *Process) restoreSectioned(state []byte, restoreStart time.Time) error {
 			}
 			rs, err = collect.RestoreVarSection(p.Space, p.Table, p.TI, sec.Body,
 				live, memory.Global, 0, p.Instrument)
+		default:
+			return fmt.Errorf("%w: unknown section kind %d", collect.ErrCorruptStream, uint32(sec.Kind))
 		}
 		if err != nil {
 			return fmt.Errorf("vm: restoring %s section %d: %w", sec.Kind, sec.ID, err)
 		}
 		total.Add(rs)
+		size += 16 + (len(sec.Body)+3)&^3
 		secElapsed := time.Since(secStart)
 		c := span.Child("section")
 		c.SetSection(sec.Kind.String(), sec.ID)
@@ -270,15 +290,11 @@ func (p *Process) restoreSectioned(state []byte, restoreStart time.Time) error {
 	if !globalsSeen {
 		return fmt.Errorf("%w: snapshot is missing the globals section", collect.ErrCorruptStream)
 	}
-	if dec.Remaining() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after snapshot sections",
-			collect.ErrCorruptStream, dec.Remaining())
-	}
 
 	p.resumeSites = sites
 	p.restoreStats = total
 	p.restoreElapsed = time.Since(restoreStart)
-	span.SetBytes(int64(len(state)))
-	flushRestore(dec.Calls(), len(state), p.restoreElapsed)
+	span.SetBytes(int64(size))
+	flushRestore(framing, size, p.restoreElapsed)
 	return nil
 }

@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -188,20 +189,66 @@ func TestSectionedRejectsCorruption(t *testing.T) {
 			t.Fatal("bad-magic snapshot restored without error")
 		}
 	})
-	t.Run("missing globals", func(t *testing.T) {
-		// Drop the final (globals) section but keep the framing valid:
-		// reparse and re-encode all sections except the last.
-		rd, err := snapshot.NewReader(xdr.NewDecoder(v3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		secs, err := rd.ReadAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		short := snapshot.Encode(secs[:len(secs)-1])
-		if _, err := RestoreProcess(prog, arch.I386, short); !errors.Is(err, collect.ErrCorruptStream) {
+	// The ordering and completeness checks, driven with section lists (what
+	// a round exchange or a checkpoint store hands RestoreSections) and, for
+	// one of them, with the same list framed (what a cold stream hands
+	// RestoreProcess): exec #0 first and once, heap components in number
+	// order before any variable section, each frame of the restored chain
+	// exactly once, globals exactly once.
+	secs, release, err := p.Sections()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	exec, heap, frame, globals := secs[0], secs[1:4], secs[4], secs[5]
+	if exec.Kind != snapshot.KindExec || heap[2].Kind != snapshot.KindHeap || frame.Kind != snapshot.KindFrame || globals.Kind != snapshot.KindGlobals || len(secs) != 6 {
+		t.Fatalf("fixture is not exec, 3 heap components, 1 frame, globals: %d sections", len(secs))
+	}
+	withID := func(s snapshot.Section, id uint32) snapshot.Section { s.ID = id; return s }
+	list := func(s ...snapshot.Section) []snapshot.Section { return s }
+	for _, tc := range []struct {
+		name, want string
+		secs       []snapshot.Section
+	}{
+		{"empty list", "does not start with the exec section", nil},
+		{"no exec first", "does not start with the exec section", secs[1:]},
+		{"exec with non-zero ID", "does not start with the exec section", append(list(withID(exec, 1)), secs[1:]...)},
+		{"second exec", "duplicate exec section", append(list(exec, exec), secs[1:]...)},
+		{"heap after a frame", "after variable sections", list(exec, heap[0], heap[1], frame, heap[2], globals)},
+		{"heap IDs out of order", "heap sections out of order", list(exec, heap[0], heap[2], heap[1], frame, globals)},
+		{"frame ID 0", "outside the 1 restored frames", list(exec, heap[0], heap[1], heap[2], withID(frame, 0), globals)},
+		{"frame ID beyond the depth", "outside the 1 restored frames", list(exec, heap[0], heap[1], heap[2], withID(frame, 2), globals)},
+		{"duplicate frame", "duplicate frame section 1", list(exec, heap[0], heap[1], heap[2], frame, frame, globals)},
+		{"missing frame", "missing frame section 1", list(exec, heap[0], heap[1], heap[2], globals)},
+		{"duplicate globals", "duplicate globals section", list(exec, heap[0], heap[1], heap[2], frame, globals, globals)},
+		{"missing globals", "missing the globals section", secs[:5]},
+		{"unknown kind", "unknown section kind 9", append(secs[:5:5], snapshot.Section{Kind: 9}, globals)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, err := NewProcess(prog, arch.I386)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = q.RestoreSections(tc.secs)
+			if !errors.Is(err, collect.ErrCorruptStream) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want ErrCorruptStream (%s)", err, tc.want)
+			}
+		})
+	}
+	t.Run("missing globals, framed", func(t *testing.T) {
+		if _, err := RestoreProcess(prog, arch.I386, snapshot.Encode(secs[:5])); !errors.Is(err, collect.ErrCorruptStream) {
 			t.Errorf("err = %v, want ErrCorruptStream", err)
+		}
+	})
+	t.Run("trailing bytes, framed", func(t *testing.T) {
+		_, err := RestoreProcess(prog, arch.I386, append(append([]byte(nil), v3...), 0, 0, 0, 0))
+		if !errors.Is(err, collect.ErrCorruptStream) || !strings.Contains(err.Error(), "trailing bytes") {
+			t.Errorf("err = %v, want ErrCorruptStream (trailing bytes)", err)
+		}
+	})
+	t.Run("sections into a process that has frames", func(t *testing.T) {
+		if err := p.RestoreSections(secs); err == nil {
+			t.Error("RestoreSections into a started process succeeded")
 		}
 	})
 	// The v1 stream's execution state goes through the same decoder as the
