@@ -94,9 +94,8 @@ func BenchmarkTable1BitonicRestore(b *testing.B) {
 // real loopback TCP connection, complementing the calibrated 100 Mb/s
 // model used for the paper's column.
 func BenchmarkTable1Tx(b *testing.B) {
-	e, p, state := prepare(b, workload.LinpackSource(1000, false))
-	env := e.Seal(state, p.Mach)
-	b.SetBytes(int64(len(env)))
+	_, _, state := prepare(b, workload.LinpackSource(1000, false))
+	b.SetBytes(int64(len(state)))
 
 	srv, cli, cleanup, err := loopbackPair()
 	if err != nil {
@@ -115,7 +114,7 @@ func BenchmarkTable1Tx(b *testing.B) {
 	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cli.Send(env); err != nil {
+		if err := cli.Send(state); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,15 +263,13 @@ func BenchmarkOverheadAllocations(b *testing.B) {
 // ---------------------------------------------------------------------
 
 func BenchmarkHeterogeneousMigration(b *testing.B) {
-	e, err := core.NewEngine(workload.TestPointerSource(8), minic.PollPolicy{})
+	prog, err := Compile(workload.TestPointerSource(8), PollExplicitOnly)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := e.RunWithMigration(arch.DEC5000, arch.SPARC20, func(p *vm.Process) {
-			p.MaxSteps = 4_000_000_000
-		})
+		res, err := prog.Migrate(DEC5000, SPARC20, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

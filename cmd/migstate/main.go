@@ -1,24 +1,23 @@
-// migstate inspects and manages saved migration state. In its original
-// mode it reads a state file (as written by core.Engine.SaveToFile or
-// cmd/migrun's file transport), verifies the envelope, reports its
-// provenance, and renders the execution and memory state. With -store it
-// operates on a content-addressed checkpoint store (internal/store):
-// checkpointing a fresh run into it, listing and describing checkpoint
-// chains, and restoring any manifest back into a runnable process.
+// migstate manages saved migration state in a content-addressed
+// checkpoint store (internal/store) — the paper's shared-file-system
+// transfer mode, as a directory two nodes can both reach: it checkpoints a
+// fresh run into the store, lists and describes checkpoint chains at the
+// manifest level (which sections, how large, under which hash, present or
+// not), and restores any manifest back into a runnable process on any
+// machine.
 //
 // Usage:
 //
-//	migstate -program prog.mc state.file
 //	migstate -program prog.mc -store DIR -checkpoint [-after-polls N] [-ref NAME] [-machine NAME]
 //	migstate -store DIR -list
 //	migstate -store DIR -describe REF|HASH
 //	migstate -program prog.mc -store DIR -restore REF|HASH [-machine NAME] [-run]
 //
 // Exit codes are typed so scripts and CI can tell failure classes apart:
-// 0 success, 1 operational error, 2 usage, 3 corrupt state (checksum, CRC,
-// or content-hash mismatch), 4 mismatch (state belongs to a different
-// program build or protocol version). With -run the restored program's own
-// exit code is propagated instead.
+// 0 success, 1 operational error, 2 usage, 3 corrupt state (CRC or
+// content-hash mismatch), 4 mismatch (state belongs to a different
+// program build). With -run the restored program's own exit code is
+// propagated instead.
 package main
 
 import (
@@ -32,7 +31,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/collect"
 	"repro/internal/core"
-	"repro/internal/link"
 	"repro/internal/minic"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
@@ -42,7 +40,7 @@ import (
 
 func main() {
 	program := flag.String("program", "", "pre-distributed MigC source the state belongs to")
-	storeDir := flag.String("store", "", "checkpoint store directory (enables -checkpoint/-list/-describe/-restore)")
+	storeDir := flag.String("store", "", "checkpoint store directory")
 	checkpoint := flag.Bool("checkpoint", false, "run the program and checkpoint it into -store")
 	afterPolls := flag.Int("after-polls", 1, "with -checkpoint: stop at the N-th poll point")
 	refName := flag.String("ref", "", "with -checkpoint: chain name (default: program file base name)")
@@ -55,10 +53,7 @@ func main() {
 
 	switch {
 	case *storeDir == "":
-		if *program == "" || flag.NArg() != 1 {
-			usage()
-		}
-		inspect(*program, flag.Arg(0))
+		usage()
 	case *list:
 		cmdList(openStore(*storeDir))
 	case *describe != "":
@@ -83,33 +78,11 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: migstate -program prog.mc state.file
-       migstate -program prog.mc -store DIR -checkpoint [-after-polls N] [-ref NAME] [-machine NAME]
+	fmt.Fprintln(os.Stderr, `usage: migstate -program prog.mc -store DIR -checkpoint [-after-polls N] [-ref NAME] [-machine NAME]
        migstate -store DIR -list
        migstate -store DIR -describe REF|HASH
        migstate -program prog.mc -store DIR -restore REF|HASH [-machine NAME] [-run]`)
 	os.Exit(2)
-}
-
-// inspect is the original mode: verify a state file's envelope and render
-// the machine-independent stream.
-func inspect(program, stateFile string) {
-	engine := compile(program)
-	env, err := link.RecvFile(stateFile)
-	if err != nil {
-		fail(err)
-	}
-	state, srcName, err := engine.Open(env)
-	if err != nil {
-		fail(fmt.Errorf("envelope: %w", err))
-	}
-	fmt.Printf("envelope: %d bytes, captured on %s, checksum OK, program digest OK\n",
-		len(env), srcName)
-	out, err := vm.DescribeState(engine.Prog, state)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Print(out)
 }
 
 func cmdList(st *store.Store) {
@@ -258,19 +231,16 @@ func lookupMachine(name string) *arch.Machine {
 }
 
 // fail reports err with its failure class and exits with the class's
-// typed code: 3 for corrupt state, 4 for program/version mismatch, 1
-// otherwise.
+// typed code: 3 for corrupt state, 4 for a program mismatch, 1 otherwise.
 func fail(err error) {
 	switch {
-	case errors.Is(err, collect.ErrCorruptStream), errors.Is(err, core.ErrChecksum),
-		errors.Is(err, core.ErrBadEnvelope), errors.Is(err, store.ErrCorrupt),
+	case errors.Is(err, collect.ErrCorruptStream), errors.Is(err, store.ErrCorrupt),
 		errors.Is(err, store.ErrBadManifest), errors.Is(err, snapshot.ErrChecksum),
 		errors.Is(err, snapshot.ErrBadSnapshot), errors.Is(err, snapshot.ErrBadSection),
 		errors.Is(err, snapshot.ErrTruncated):
 		fmt.Fprintln(os.Stderr, "migstate: corrupt-stream:", err)
 		os.Exit(3)
-	case errors.Is(err, collect.ErrMismatch), errors.Is(err, core.ErrProgramMismatch),
-		errors.Is(err, core.ErrVersionMismatch):
+	case errors.Is(err, collect.ErrMismatch), errors.Is(err, core.ErrProgramMismatch):
 		fmt.Fprintln(os.Stderr, "migstate: program-mismatch:", err)
 		os.Exit(4)
 	}

@@ -108,7 +108,7 @@ func main() {
 	}
 
 	// Complete the migration to the big-endian SPARC 20 and compare.
-	q, err := e.Restore(arch.SPARC20, e.Seal(res.State, p.Mach), nil)
+	q, err := vm.RestoreProcess(e.Prog, arch.SPARC20, res.State)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func BenchmarkReceiveSectioned(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		state, _, err := e.OpenSectioned(payload)
+		state, err := e.OpenSectioned(payload)
 		if err != nil {
 			b.Fatal(err)
 		}

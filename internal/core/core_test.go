@@ -1,15 +1,10 @@
 package core
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/arch"
 	"repro/internal/minic"
-	"repro/internal/vm"
 )
 
 const countdownSrc = `
@@ -26,52 +21,6 @@ const countdownSrc = `
 func TestEngineCompileError(t *testing.T) {
 	if _, err := NewEngine(`int main() { return x; }`, minic.DefaultPolicy); err == nil {
 		t.Error("compile error not reported")
-	}
-}
-
-func TestSealOpenRoundTrip(t *testing.T) {
-	e, err := NewEngine(countdownSrc, minic.DefaultPolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state := []byte("not really a state, just payload bytes")
-	env := e.Seal(state, arch.DEC5000)
-	got, src, err := e.Open(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, state) || src != "dec5000" {
-		t.Errorf("open = %q from %q", got, src)
-	}
-}
-
-func TestOpenRejectsCorruption(t *testing.T) {
-	e, _ := NewEngine(countdownSrc, minic.DefaultPolicy)
-	env := e.Seal([]byte("payload-bytes-here"), arch.DEC5000)
-
-	// Flip a payload byte: checksum must catch it.
-	bad := append([]byte{}, env...)
-	bad[len(bad)-3] ^= 1
-	if _, _, err := e.Open(bad); err != ErrChecksum {
-		t.Errorf("corrupted payload: %v", err)
-	}
-
-	// Wrong magic.
-	bad2 := append([]byte{}, env...)
-	bad2[0] = 0
-	if _, _, err := e.Open(bad2); err != ErrBadEnvelope {
-		t.Errorf("bad magic: %v", err)
-	}
-
-	// Different program.
-	other, _ := NewEngine(`int main() { int i; for (i=0;i<2;i++){} return 1; }`, minic.DefaultPolicy)
-	if _, _, err := other.Open(env); err != ErrProgramMismatch {
-		t.Errorf("foreign program: %v", err)
-	}
-
-	// Truncated.
-	if _, _, err := e.Open(env[:5]); err != ErrBadEnvelope {
-		t.Errorf("truncated: %v", err)
 	}
 }
 
@@ -93,140 +42,10 @@ func TestRequestFlag(t *testing.T) {
 	}
 }
 
-func TestRunWithMigrationHomogeneous(t *testing.T) {
-	e, err := NewEngine(countdownSrc, minic.DefaultPolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.RunWithMigration(arch.Ultra5, arch.Ultra5, func(p *vm.Process) {
-		p.MaxSteps = 1_000_000
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Migrated {
-		t.Fatal("no migration")
-	}
-	if res.ExitCode != (49*50/2)%97 {
-		t.Errorf("exit = %d", res.ExitCode)
-	}
-	if res.Timing.Bytes == 0 {
-		t.Error("no bytes recorded")
-	}
-	if res.Timing.Total() <= 0 {
-		t.Error("no time recorded")
-	}
-}
-
-func TestRunWithMigrationHeterogeneous(t *testing.T) {
-	src := `
-		struct node { float data; struct node *link; };
-		struct node *head;
-		int main() {
-			int i, sum;
-			struct node *c;
-			head = 0;
-			for (i = 1; i <= 20; i++) {
-				c = (struct node *) malloc(sizeof(struct node));
-				c->data = i;
-				c->link = head;
-				head = c;
-			}
-			sum = 0;
-			c = head;
-			while (c) {
-				sum += (int)c->data;
-				c = c->link;
-			}
-			return sum % 128; /* 210 % 128 = 82 */
-		}
-	`
-	e, err := NewEngine(src, minic.DefaultPolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// DEC 5000 (little-endian) to SPARC 20 (big-endian): the truly
-	// heterogeneous pair of the paper.
-	res, err := e.RunWithMigration(arch.DEC5000, arch.SPARC20, func(p *vm.Process) {
-		p.MaxSteps = 1_000_000
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Migrated || res.ExitCode != 82 {
-		t.Errorf("res = %+v", res)
-	}
-	if res.Process.Mach != arch.SPARC20 {
-		t.Error("final process not on destination machine")
-	}
-}
-
-func TestRunWithMigrationNoPolls(t *testing.T) {
-	e, err := NewEngine(`int main() { return 9; }`, minic.DefaultPolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.RunWithMigration(arch.DEC5000, arch.SPARC20, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Migrated {
-		t.Error("program without polls migrated")
-	}
-	if res.ExitCode != 9 {
-		t.Errorf("exit = %d", res.ExitCode)
-	}
-}
-
 func TestTimingString(t *testing.T) {
 	s := Timing{Bytes: 42}.String()
 	if !strings.Contains(s, "42 bytes") {
 		t.Errorf("timing string = %q", s)
-	}
-}
-
-func TestFileBasedMigration(t *testing.T) {
-	// The paper's shared-file-system transfer mode: the source writes
-	// the sealed state to a file, the destination picks it up.
-	e, err := NewEngine(countdownSrc, minic.DefaultPolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := e.NewProcess(arch.DEC5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.MaxSteps = 1_000_000
-	var req Request
-	req.Raise()
-	p.PollHook = req.Hook()
-	res, err := p.Run()
-	if err != nil || !res.Migrated {
-		t.Fatalf("setup: %v %v", res, err)
-	}
-
-	path := filepath.Join(t.TempDir(), "proc.state")
-	if err := e.SaveToFile(path, res.State, p.Mach); err != nil {
-		t.Fatal(err)
-	}
-	q, err := e.RestoreFromFile(path, arch.SPARC20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.MaxSteps = 1_000_000
-	res2, err := q.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.ExitCode != (49*50/2)%97 {
-		t.Errorf("exit = %d", res2.ExitCode)
-	}
-	// A corrupted file must be rejected.
-	raw, _ := os.ReadFile(path)
-	raw[len(raw)-2] ^= 0xff
-	os.WriteFile(path, raw, 0o644)
-	if _, err := e.RestoreFromFile(path, arch.SPARC20); err == nil {
-		t.Error("corrupted state file accepted")
 	}
 }
 

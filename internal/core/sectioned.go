@@ -21,14 +21,13 @@ import (
 )
 
 // OpenSectioned verifies a reassembled sectioned envelope and returns the
-// raw snapshot and the source machine name.
-func (e *Engine) OpenSectioned(payload []byte) (state []byte, srcName string, err error) {
+// raw snapshot behind its header.
+func (e *Engine) OpenSectioned(payload []byte) ([]byte, error) {
 	dec := xdr.NewDecoder(payload)
-	h, err := e.openHeader(dec, VersionSectioned)
-	if err != nil {
-		return nil, "", err
+	if err := e.openHeader(dec); err != nil {
+		return nil, err
 	}
-	return payload[dec.Offset():], h.srcName, nil
+	return payload[dec.Offset():], nil
 }
 
 // SendSectioned captures the state of p (stopped at its migration point)
@@ -60,7 +59,7 @@ func (e *Engine) writeSectioned(w io.Writer, src *arch.Machine, p *vm.Process) (
 	}
 	defer release()
 	hdr := xdr.NewEncoder(32)
-	putHeader(hdr, VersionSectioned, src.Name, e.Digest())
+	putHeader(hdr, src.Name, e.Digest())
 	n, err := w.Write(hdr.Bytes())
 	if err != nil {
 		return n, err
@@ -99,7 +98,7 @@ func (e *Engine) ReceiveAndRestoreSectioned(r *stream.Reader, m *arch.Machine, s
 	if err != nil {
 		return nil, Timing{}, err
 	}
-	state, _, err := e.OpenSectioned(payload)
+	state, err := e.OpenSectioned(payload)
 	if err != nil {
 		return nil, Timing{}, err
 	}

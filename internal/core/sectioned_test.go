@@ -215,7 +215,7 @@ func TestSendSectionedIsHeaderPlusSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		hdr := xdr.NewEncoder(32)
-		putHeader(hdr, VersionSectioned, p.Mach.Name, e.Digest())
+		putHeader(hdr, p.Mach.Name, e.Digest())
 		want := append(hdr.Bytes(), snap...)
 
 		var envelope bytes.Buffer
@@ -250,12 +250,18 @@ func TestOpenSectionedRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A monolithic (version 1) envelope must not pass as sectioned.
-	v1 := e.Seal([]byte("state-bytes"), arch.DEC5000)
-	if _, _, err := e.OpenSectioned(v1); !errors.Is(err, ErrVersionMismatch) {
+	// A header carrying a retired version number (1, the monolithic
+	// envelope) must not pass, whatever follows it.
+	v1 := xdr.NewEncoder(32)
+	v1.PutUint32(envMagic)
+	v1.PutUint32(1)
+	v1.PutString(arch.DEC5000.Name)
+	v1.PutUint32(e.Digest())
+	v1.PutOpaque([]byte("state-bytes"))
+	if _, err := e.OpenSectioned(v1.Bytes()); !errors.Is(err, ErrVersionMismatch) {
 		t.Errorf("v1 envelope: %v", err)
 	}
-	if _, _, err := e.OpenSectioned([]byte{1, 2, 3}); !errors.Is(err, ErrBadEnvelope) {
+	if _, err := e.OpenSectioned([]byte{1, 2, 3}); !errors.Is(err, ErrBadEnvelope) {
 		t.Errorf("garbage: %v", err)
 	}
 	// A sectioned envelope from a different program must be rejected on
@@ -269,10 +275,23 @@ func TestOpenSectionedRejects(t *testing.T) {
 	if _, err := e.SendSectioned(nopCloser{&envelope}, p.Mach, p); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.OpenSectioned(envelope.Bytes()); err != nil {
+	if _, err := e.OpenSectioned(envelope.Bytes()); err != nil {
 		t.Errorf("own envelope: %v", err)
 	}
-	if _, _, err := other.OpenSectioned(envelope.Bytes()); !errors.Is(err, ErrProgramMismatch) {
+	// A wrong magic, and a header cut short at any byte, are malformed.
+	bad := append([]byte{}, envelope.Bytes()...)
+	bad[0] = 0
+	if _, err := e.OpenSectioned(bad); !errors.Is(err, ErrBadEnvelope) {
+		t.Errorf("bad magic: %v", err)
+	}
+	hdr := xdr.NewEncoder(32)
+	putHeader(hdr, p.Mach.Name, e.Digest())
+	for cut := 0; cut < len(hdr.Bytes()); cut++ {
+		if _, err := e.OpenSectioned(envelope.Bytes()[:cut]); !errors.Is(err, ErrBadEnvelope) {
+			t.Errorf("header cut at %d: %v", cut, err)
+		}
+	}
+	if _, err := other.OpenSectioned(envelope.Bytes()); !errors.Is(err, ErrProgramMismatch) {
 		t.Errorf("foreign program sectioned envelope: %v", err)
 	}
 }

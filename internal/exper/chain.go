@@ -46,24 +46,12 @@ func Chain(cfg Config) (*ChainResult, error) {
 	// the process state each time: run to the poll, hop through every
 	// machine, then resume on the last.
 	machines := arch.Machines()
-	p, err := e.NewProcess(machines[0])
+	_, state, err := stopAtMigration(e, machines[0])
 	if err != nil {
 		return nil, err
-	}
-	p.MaxSteps = maxSteps
-	var req core.Request
-	req.Raise()
-	p.PollHook = req.Hook()
-	res, err := p.Run()
-	if err != nil {
-		return nil, err
-	}
-	if !res.Migrated {
-		return nil, fmt.Errorf("exper: chain program did not reach its migration point")
 	}
 
 	result := &ChainResult{Program: fmt.Sprintf("test_pointer depth %d", treeDepth)}
-	state := res.State
 	cur := machines[0]
 	var q *vm.Process
 	for _, m := range machines[1:] {

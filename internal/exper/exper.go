@@ -189,9 +189,15 @@ func Heterogeneity(cfg Config) ([]HeteroRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pr.name, err)
 		}
-		res, err := e.RunWithMigration(arch.DEC5000, arch.SPARC20, func(p *vm.Process) {
-			p.MaxSteps = maxSteps
-		})
+		_, state, err := stopAtMigration(e, arch.DEC5000)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", pr.name, err)
+		}
+		q, err := vm.RestoreProcess(e.Prog, arch.SPARC20, state)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", pr.name, err)
+		}
+		code, err := runOut(q)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pr.name, err)
 		}
@@ -199,9 +205,9 @@ func Heterogeneity(cfg Config) ([]HeteroRow, error) {
 			Program:    pr.name,
 			Src:        arch.DEC5000.Name,
 			Dst:        arch.SPARC20.Name,
-			StateBytes: res.Timing.Bytes,
-			ExitCode:   res.ExitCode,
-			OK:         res.Migrated && res.ExitCode == 0,
+			StateBytes: len(state),
+			ExitCode:   code,
+			OK:         code == 0,
 		})
 	}
 	return rows, nil

@@ -2,14 +2,17 @@
 // stack: the basic communication utilities that carry migration information
 // from the source machine to the destination machine.
 //
-// Three transports are provided:
+// Two transports are provided:
 //
 //   - Pipe: an in-memory connected pair, for tests and single-process
 //     experiments;
 //   - TCP: real sockets with length-and-checksum framing, used by the
-//     node daemon (the paper sent state over TCP between workstations);
-//   - file transfer via SendFile/RecvFile, the paper's shared-file-system
-//     alternative.
+//     node daemon (the paper sent state over TCP between workstations).
+//
+// The paper's other transfer mode, a shared file system, is not a
+// transport here: it is a checkpoint store directory (internal/store) two
+// nodes can both reach, written by migstate -checkpoint and read by
+// migstate -restore.
 //
 // In addition, Model describes a calibrated network link (bandwidth +
 // latency). The paper's Table 1 transmission column is dominated by wire
@@ -24,7 +27,6 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
-	"os"
 	"time"
 )
 
@@ -216,30 +218,6 @@ func (l *Listener) Accept() (*Conn, error) {
 
 // Close stops accepting; a blocked Accept returns an error.
 func (l *Listener) Close() error { return l.l.Close() }
-
-// SendFile writes one framed message to a file, the shared-file-system
-// transfer mode.
-func SendFile(path string, payload []byte) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteFrame(f, payload); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// RecvFile reads one framed message from a file.
-func RecvFile(path string) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadFrame(f)
-}
 
 // LoopbackPair builds a connected TCP transport pair over the loopback
 // interface, for benchmarks and tests that want real sockets.

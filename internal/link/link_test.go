@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"net"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -181,21 +179,6 @@ func TestTCPTransport(t *testing.T) {
 	}
 }
 
-func TestFileTransfer(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "migration.state")
-	payload := bytes.Repeat([]byte("block"), 1000)
-	if err := SendFile(path, payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := RecvFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Error("file payload mismatch")
-	}
-}
-
 func TestModelTxTime(t *testing.T) {
 	// 8 MB over 100 Mb/s at 80% efficiency: 8e6*8/80e6 = 0.8 s + latency.
 	d := Ethernet100.TxTime(8 << 20)
@@ -264,50 +247,6 @@ func TestLoopbackPair(t *testing.T) {
 	}
 	if got := <-done; string(got) != "over loopback" {
 		t.Errorf("got %q", got)
-	}
-}
-
-func TestSendFileErrors(t *testing.T) {
-	if err := SendFile("/nonexistent-dir/x/y", []byte("p")); err == nil {
-		t.Error("SendFile into missing directory succeeded")
-	}
-	if _, err := RecvFile("/nonexistent-dir/x/y"); err == nil {
-		t.Error("RecvFile of missing file succeeded")
-	}
-}
-
-func TestRecvFileShortFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "short.state")
-	if err := SendFile(path, bytes.Repeat([]byte("x"), 500)); err != nil {
-		t.Fatal(err)
-	}
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, full[:len(full)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RecvFile(path); err == nil {
-		t.Error("RecvFile of a half-written file succeeded")
-	}
-}
-
-func TestRecvFileChecksumMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "corrupt.state")
-	if err := SendFile(path, bytes.Repeat([]byte("y"), 300)); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[20] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RecvFile(path); !errors.Is(err, ErrChecksum) {
-		t.Errorf("corrupted file: got %v, want ErrChecksum", err)
 	}
 }
 

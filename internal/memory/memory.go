@@ -329,9 +329,6 @@ func (s *Space) GlobalAlloc(size, align int) (Address, error) {
 	return addr, nil
 }
 
-// GlobalUsed returns the number of bytes allocated in the global segment.
-func (s *Space) GlobalUsed() int { return int(s.brk - GlobalBase) }
-
 // PushFrame reserves a stack frame of the given size (growing the stack
 // downward, maintaining 16-byte frame alignment) and returns its base
 // address — the lowest address of the frame.

@@ -146,8 +146,8 @@ func (d *SpanData) FindSpanID(id string) *SpanData {
 	return nil
 }
 
-// Tree renders the exported subtree in the same human-readable layout as
-// Span.Tree — how a stitched trace prints.
+// Tree renders the exported subtree as a human-readable indented tree —
+// how a stitched trace prints, and what Span.Tree renders its export with.
 func (d *SpanData) Tree() string {
 	if d == nil {
 		return ""

@@ -318,66 +318,18 @@ func (t *Tracer) Roots() []*Span {
 // Tree renders every root span as a human-readable indented tree, the
 // rendering migd prints per session.
 func (t *Tracer) Tree() string {
-	if t == nil {
-		return ""
-	}
 	var b strings.Builder
-	for _, r := range t.Roots() {
-		writeTree(&b, r, 0)
+	for _, d := range t.Export() {
+		writeDataTree(&b, d, 0)
 	}
 	return b.String()
 }
 
 // Tree renders the span and its descendants as an indented tree.
-func (s *Span) Tree() string {
-	if s == nil {
-		return ""
-	}
-	var b strings.Builder
-	writeTree(&b, s, 0)
-	return b.String()
-}
+func (s *Span) Tree() string { return s.Export().Tree() }
 
-func writeTree(b *strings.Builder, s *Span, depth int) {
-	s.mu.Lock()
-	name, kind, id, bytes := s.name, s.kind, s.id, s.bytes
-	dur := s.dur
-	if !s.ended {
-		dur = time.Since(s.start)
-	}
-	attrs := append([]Attr(nil), s.attrs...)
-	children := append([]*Span(nil), s.children...)
-	tc := s.tc
-	remote := append([]*SpanData(nil), s.remote...)
-	s.mu.Unlock()
-
-	b.WriteString(strings.Repeat("  ", depth))
-	if kind != "" {
-		fmt.Fprintf(b, "%-10s %s #%d", name, kind, id)
-	} else {
-		fmt.Fprintf(b, "%-10s", name)
-	}
-	fmt.Fprintf(b, "  %10.4fms", float64(dur.Microseconds())/1000)
-	if bytes > 0 {
-		fmt.Fprintf(b, "  %10d B", bytes)
-	}
-	if tc.Valid() {
-		fmt.Fprintf(b, "  trace=%s", IDString(tc.TraceID))
-	}
-	for _, a := range attrs {
-		fmt.Fprintf(b, "  %s=%s", a.Key, a.Value)
-	}
-	b.WriteByte('\n')
-	for _, c := range children {
-		writeTree(b, c, depth+1)
-	}
-	for _, d := range remote {
-		writeDataTree(b, d, depth+1)
-	}
-}
-
-// writeDataTree renders an exported (possibly remote) span subtree in the
-// same layout as writeTree.
+// writeDataTree renders an exported (possibly remote) span subtree: the
+// one tree layout, which live spans reach through Export.
 func writeDataTree(b *strings.Builder, d *SpanData, depth int) {
 	b.WriteString(strings.Repeat("  ", depth))
 	if d.Kind != "" {
@@ -388,6 +340,9 @@ func writeDataTree(b *strings.Builder, d *SpanData, depth int) {
 	fmt.Fprintf(b, "  %10.4fms", float64(d.DurUS)/1000)
 	if d.Bytes > 0 {
 		fmt.Fprintf(b, "  %10d B", d.Bytes)
+	}
+	if d.TraceID != "" {
+		fmt.Fprintf(b, "  trace=%s", d.TraceID)
 	}
 	if d.Remote {
 		b.WriteString("  (remote)")

@@ -111,20 +111,3 @@ func (cm *CostModel) Advise(h *Handle, remaining time.Duration, stateBytes int) 
 	}
 	return best
 }
-
-// AutoBalance advises every handle and issues the migrations predicted to
-// pay off, returning the decisions taken.
-func (cm *CostModel) AutoBalance(handles []*Handle, remaining time.Duration, stateBytes int) []Decision {
-	var taken []Decision
-	for _, h := range handles {
-		if _, pending := peekDest(h); pending {
-			continue
-		}
-		d := cm.Advise(h, remaining, stateBytes)
-		if d.Migrate {
-			h.Migrate(d.Target)
-			taken = append(taken, d)
-		}
-	}
-	return taken
-}

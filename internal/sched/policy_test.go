@@ -87,27 +87,6 @@ func TestAdviseAccountsForLoad(t *testing.T) {
 	}
 }
 
-func TestAutoBalanceMovesWork(t *testing.T) {
-	c, cm := policyCluster(t)
-	var handles []*Handle
-	for i := 0; i < 4; i++ {
-		h, err := c.Spawn("slow")
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles = append(handles, h)
-	}
-	taken := cm.AutoBalance(handles, time.Hour, 1<<16)
-	if len(taken) == 0 {
-		t.Error("no migrations advised off the overloaded slow node")
-	}
-	for _, h := range handles {
-		if o := h.Wait(); o.Err != nil {
-			t.Fatal(o.Err)
-		}
-	}
-}
-
 func TestAdviseEmptyCluster(t *testing.T) {
 	e, _ := core.NewEngine(slowLoop, minic.DefaultPolicy)
 	c := NewCluster(e)

@@ -16,10 +16,8 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -55,7 +53,6 @@ func (n *Node) adjust(d int) {
 type MigrationRecord struct {
 	From, To string
 	Timing   core.Timing
-	At       time.Time
 }
 
 // Outcome is the final result of a process's lifetime in the cluster.
@@ -76,8 +73,6 @@ type Outcome struct {
 // given poll until Release — between them a test (or a planner) decides
 // what the process will do at poll k without racing its execution.
 type Handle struct {
-	ID int
-
 	mu         sync.Mutex
 	dest       string         // pending migration destination ("" = none)
 	polls      int            // polls taken so far
@@ -175,10 +170,9 @@ func (h *Handle) finish(o *Outcome) {
 type Cluster struct {
 	engine *core.Engine
 
-	mu     sync.Mutex
-	nodes  map[string]*Node
-	order  []string
-	nextID int
+	mu    sync.Mutex
+	nodes map[string]*Node
+	order []string
 
 	// Configure is applied to every process the cluster creates or
 	// restores (step limits, stdout, instrumentation).
@@ -231,11 +225,8 @@ func (c *Cluster) Spawn(nodeName string) (*Handle, error) {
 	if c.Configure != nil {
 		c.Configure(proc)
 	}
-	c.mu.Lock()
-	c.nextID++
-	h := &Handle{ID: c.nextID, node: node, done: make(chan *Outcome, 1),
+	h := &Handle{node: node, done: make(chan *Outcome, 1),
 		holdAt: c.HoldAt, held: make(chan struct{}), release: make(chan struct{})}
-	c.mu.Unlock()
 	node.adjust(1)
 	go c.runLoop(h, node, proc)
 	return h, nil
@@ -281,14 +272,8 @@ func (c *Cluster) runLoop(h *Handle, node *Node, proc *vm.Process) {
 			return
 		}
 
-		rec := MigrationRecord{
-			From:   node.Name,
-			To:     dest.Name,
-			At:     time.Now(),
-			Timing: timing,
-		}
 		h.mu.Lock()
-		h.migrations = append(h.migrations, rec)
+		h.migrations = append(h.migrations, MigrationRecord{From: node.Name, To: dest.Name, Timing: timing})
 		h.node = dest
 		h.mu.Unlock()
 
@@ -304,33 +289,11 @@ func (c *Cluster) runLoop(h *Handle, node *Node, proc *vm.Process) {
 	}
 }
 
-// peekDest reports whether a migration request is pending without
-// consuming it.
-func peekDest(h *Handle) (string, bool) {
+// pending reports whether a migration request is waiting to be served.
+func (h *Handle) pending() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.dest, h.dest != ""
-}
-
-// ErrNoNodes is returned by policies when the cluster is empty.
-var ErrNoNodes = errors.New("sched: cluster has no nodes")
-
-// LeastLoaded returns the node with the fewest active processes,
-// breaking ties by registration order.
-func (c *Cluster) LeastLoaded() (*Node, error) {
-	c.mu.Lock()
-	names := append([]string{}, c.order...)
-	c.mu.Unlock()
-	if len(names) == 0 {
-		return nil, ErrNoNodes
-	}
-	best := c.Node(names[0])
-	for _, n := range names[1:] {
-		if cand := c.Node(n); cand.Active() < best.Active() {
-			best = cand
-		}
-	}
-	return best, nil
+	return h.dest != ""
 }
 
 // Rebalance plans migrations from the most to the least loaded node until
@@ -347,7 +310,7 @@ func (c *Cluster) Rebalance(handles []*Handle) []*Handle {
 	}
 	onNode := map[string][]*Handle{}
 	for _, h := range handles {
-		if _, pending := peekDest(h); !pending {
+		if !h.pending() {
 			where := h.Where()
 			onNode[where] = append(onNode[where], h)
 		}

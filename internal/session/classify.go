@@ -47,7 +47,6 @@ const (
 func ClassifyFailure(err error) FailureClass {
 	switch {
 	case errors.Is(err, collect.ErrCorruptStream),
-		errors.Is(err, core.ErrChecksum),
 		errors.Is(err, core.ErrBadEnvelope),
 		errors.Is(err, stream.ErrVerify),
 		errors.Is(err, snapshot.ErrBadSnapshot),

@@ -25,7 +25,6 @@ func TestClassifyFailure(t *testing.T) {
 		want FailureClass
 	}{
 		{fmt.Errorf("vm: restoring heap section 2: %w", collect.ErrCorruptStream), FailCorrupt},
-		{fmt.Errorf("core: %w", core.ErrChecksum), FailCorrupt},
 		{core.ErrBadEnvelope, FailCorrupt},
 		{fmt.Errorf("stream: %w", stream.ErrVerify), FailCorrupt},
 		{fmt.Errorf("vm: %w", snapshot.ErrChecksum), FailCorrupt},

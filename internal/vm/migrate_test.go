@@ -3,7 +3,6 @@ package vm
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -786,60 +785,6 @@ func TestMigratePingPongStability(t *testing.T) {
 		if s != stable[0] {
 			t.Errorf("state size drifts across hops: %v", stable)
 		}
-	}
-}
-
-func TestDescribeState(t *testing.T) {
-	src := `
-		struct node { float data; struct node *link; };
-		struct node *head;
-		struct node *first;
-		int main() {
-			int i;
-			struct node *c;
-			head = 0;
-			for (i = 0; i < 3; i++) {
-				c = (struct node *) malloc(sizeof(struct node));
-				c->data = i;
-				c->link = head;
-				head = c;
-				if (i == 0) first = c;
-			}
-			return 0;
-		}
-	`
-	prog := compileLoops(t, src)
-	p, _ := NewProcess(prog, arch.DEC5000)
-	p.MaxSteps = 100000
-	polls := 0
-	p.PollHook = func(_ *Process, _ *minic.Site) bool { polls++; return polls == 3 }
-	res, err := p.Run()
-	if err != nil || !res.Migrated {
-		t.Fatalf("setup: %v", err)
-	}
-	out, err := DescribeState(prog, res.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"1 active frame", "stopped at poll-point", "live variables",
-		"struct node x1", "already transferred", "null",
-		"[global] struct node* head",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("describe output missing %q:\n%s", want, out)
-		}
-	}
-	// The walker must consume the stream exactly.
-	if strings.Contains(out, "WARNING") {
-		t.Errorf("trailing bytes reported:\n%s", out)
-	}
-	// Corrupt stream is rejected, not misparsed.
-	if _, err := DescribeState(prog, res.State[:len(res.State)-3]); err == nil {
-		t.Error("truncated stream described without error")
-	}
-	if _, err := DescribeState(prog, []byte{1, 2, 3, 4}); err == nil {
-		t.Error("garbage described without error")
 	}
 }
 

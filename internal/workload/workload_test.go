@@ -6,6 +6,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/minic"
+	"repro/internal/session"
 	"repro/internal/vm"
 )
 
@@ -35,18 +36,40 @@ func runPlain(t *testing.T, e *core.Engine, m *arch.Machine) int {
 	return res.ExitCode
 }
 
-func runMigrated(t *testing.T, e *core.Engine, src, dst *arch.Machine) int {
+// migrate runs the program on src to its first poll, moves it to dst over
+// the session protocol, and runs it out there.
+func migrate(t *testing.T, e *core.Engine, src, dst *arch.Machine) (*vm.Process, int) {
 	t.Helper()
-	res, err := e.RunWithMigration(src, dst, func(p *vm.Process) {
-		p.MaxSteps = 200_000_000
-	})
+	p, err := e.NewProcess(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.MaxSteps = 200_000_000
+	var req core.Request
+	req.Raise()
+	p.PollHook = req.Hook()
+	res, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Migrated {
 		t.Fatal("workload did not migrate")
 	}
-	return res.ExitCode
+	q, _, _, err := session.Transfer(e, "workload", p, dst, session.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.MaxSteps = 200_000_000
+	if res, err = q.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return q, res.ExitCode
+}
+
+func runMigrated(t *testing.T, e *core.Engine, src, dst *arch.Machine) int {
+	t.Helper()
+	_, code := migrate(t, e, src, dst)
+	return code
 }
 
 func TestTestPointerPlain(t *testing.T) {
@@ -123,17 +146,12 @@ func TestBitonicMigrated(t *testing.T) {
 func TestBitonicTreeShapeSurvives(t *testing.T) {
 	// The tree block count on the destination must equal the node count.
 	e := engine(t, BitonicSource(300, 3))
-	res, err := e.RunWithMigration(arch.DEC5000, arch.SPARCV9, func(p *vm.Process) {
-		p.MaxSteps = 200_000_000
-	})
-	if err != nil {
-		t.Fatal(err)
+	q, code := migrate(t, e, arch.DEC5000, arch.SPARCV9)
+	if code != 0 {
+		t.Fatalf("exit = %d", code)
 	}
-	if !res.Migrated || res.ExitCode != 0 {
-		t.Fatalf("res = %+v", res)
-	}
-	if res.Process.Space.HeapLive() != 300 {
-		t.Errorf("heap blocks on destination = %d, want 300", res.Process.Space.HeapLive())
+	if q.Space.HeapLive() != 300 {
+		t.Errorf("heap blocks on destination = %d, want 300", q.Space.HeapLive())
 	}
 }
 

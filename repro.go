@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/minic"
 	"repro/internal/sched"
+	"repro/internal/session"
 	"repro/internal/vm"
 )
 
@@ -90,7 +91,7 @@ func Compile(source string, policy PollPolicy) (*Program, error) {
 }
 
 // Engine exposes the underlying migration engine for advanced use
-// (envelopes, transports).
+// (sessions, checkpoint stores).
 func (p *Program) Engine() *core.Engine { return p.engine }
 
 // Process is a running (or restorable) instance of a program on one
@@ -159,22 +160,39 @@ func (p *Program) Run(m *Machine, opts *Options) (*Result, error) {
 	return &Result{ExitCode: res.ExitCode, Process: proc}, nil
 }
 
-// Migrate runs the program on src, migrates it to dst at the first
-// poll-point, and completes it there. The result records the collect,
-// transfer, and restore times.
+// Migrate runs the program on src to its first poll-point, moves it to
+// dst over the session protocol (handshake, chunk stream, RESTORED/COMMIT
+// across an in-memory pipe), and completes it there. The result records the
+// collect, transfer, and restore times. A program that reaches no
+// poll-point completes on src with Migrated false. A failed transfer
+// returns the error after the session layer has rolled the source back: it
+// ran on locally, so no paused copy is left behind.
 func (p *Program) Migrate(src, dst *Machine, opts *Options) (*Result, error) {
-	res, err := p.engine.RunWithMigration(src, dst, func(proc *vm.Process) {
-		opts.apply(proc)
-	})
+	proc, err := p.engine.NewProcess(src)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		ExitCode: res.ExitCode,
-		Migrated: res.Migrated,
-		Timing:   res.Timing,
-		Process:  res.Process,
-	}, nil
+	opts.apply(proc)
+	var req core.Request
+	req.Raise()
+	proc.PollHook = req.Hook()
+	proc.NoAutoCapture = true // the session captures; the v1 stream is not wanted
+	res, err := proc.Run()
+	if err != nil {
+		return nil, err
+	}
+	if !res.Migrated {
+		return &Result{ExitCode: res.ExitCode, Process: proc}, nil
+	}
+	q, _, timing, err := session.Transfer(p.engine, "migrate", proc, dst, session.Config{})
+	if err != nil {
+		return nil, err
+	}
+	opts.apply(q)
+	if res, err = q.Run(); err != nil {
+		return nil, err
+	}
+	return &Result{ExitCode: res.ExitCode, Migrated: true, Timing: timing, Process: q}, nil
 }
 
 // Timing re-exports the migration time decomposition.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 const helloSrc = `
@@ -65,6 +67,129 @@ func TestMigrateFacade(t *testing.T) {
 	}
 	if res.Process.Mach != SPARC20 {
 		t.Error("final process on wrong machine")
+	}
+}
+
+// TestMigrateHomogeneous migrates between two machines of one kind: the
+// result carries the exit code, a byte count and a non-zero time.
+func TestMigrateHomogeneous(t *testing.T) {
+	prog, err := Compile(`
+		int main() {
+			int i, s;
+			s = 0;
+			for (i = 0; i < 50; i++) {
+				s += i;
+			}
+			return s % 97;
+		}`, PollAtLoops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prog.Migrate(Ultra5, Ultra5, &Options{MaxSteps: 1_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Migrated {
+		t.Fatal("no migration")
+	}
+	if res.ExitCode != (49*50/2)%97 {
+		t.Errorf("exit = %d", res.ExitCode)
+	}
+	if res.Timing.Bytes == 0 {
+		t.Error("no bytes recorded")
+	}
+	if res.Timing.Total() <= 0 {
+		t.Error("no time recorded")
+	}
+}
+
+// TestMigrateHeterogeneous moves a float list across the paper's truly
+// heterogeneous pair, DEC 5000 (little-endian) to SPARC 20 (big-endian).
+func TestMigrateHeterogeneous(t *testing.T) {
+	prog, err := Compile(`
+		struct node { float data; struct node *link; };
+		struct node *head;
+		int main() {
+			int i, sum;
+			struct node *c;
+			head = 0;
+			for (i = 1; i <= 20; i++) {
+				c = (struct node *) malloc(sizeof(struct node));
+				c->data = i;
+				c->link = head;
+				head = c;
+			}
+			sum = 0;
+			c = head;
+			while (c) {
+				sum += (int)c->data;
+				c = c->link;
+			}
+			return sum % 128; /* 210 % 128 = 82 */
+		}`, PollAtLoops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prog.Migrate(DEC5000, SPARC20, &Options{MaxSteps: 1_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Migrated || res.ExitCode != 82 {
+		t.Errorf("res = %+v", res)
+	}
+	if res.Process.Mach != SPARC20 {
+		t.Error("final process not on destination machine")
+	}
+}
+
+// TestMigrateNoPolls: a program that reaches no poll-point neither
+// migrates nor errors.
+func TestMigrateNoPolls(t *testing.T) {
+	prog, err := Compile(`int main() { return 9; }`, PollAtLoops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prog.Migrate(DEC5000, SPARC20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Migrated {
+		t.Error("program without polls migrated")
+	}
+	if res.ExitCode != 9 || res.Process.Mach != DEC5000 {
+		t.Errorf("exit = %d on %s", res.ExitCode, res.Process.Mach.Name)
+	}
+}
+
+// TestMigrateFailedTransferRollsBack stops a program holding a dangling
+// pointer: the handshake succeeds, collection refuses the state, and
+// Migrate returns that error — after the session layer rolled the source
+// back, so it ran on locally to its end instead of staying paused.
+func TestMigrateFailedTransferRollsBack(t *testing.T) {
+	prog, err := Compile(`
+		int *p;
+		int main() {
+			p = (int *) malloc(sizeof(int));
+			free(p);
+			migrate_here();
+			printf("ran on\n");
+			return 9;
+		}`, PollExplicitOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rolledBack := obs.Default.Counter("session.rolledback")
+	before := rolledBack.Value()
+	var out bytes.Buffer
+	res, err := prog.Migrate(DEC5000, SPARC20, &Options{Stdout: &out})
+	if err == nil || res != nil || !strings.Contains(err.Error(), "unresolvable pointer") {
+		t.Fatalf("Migrate = %+v, %v; want the collection error", res, err)
+	}
+	if n := rolledBack.Value() - before; n != 1 {
+		t.Errorf("session.rolledback grew by %d, want 1 (source left paused?)", n)
+	}
+	if out.String() != "ran on\n" {
+		t.Errorf("source output after rollback = %q, want it to have run on", out.String())
 	}
 }
 

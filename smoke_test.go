@@ -65,7 +65,7 @@ func TestSmokeQuickstart(t *testing.T) {
 	out := runExample(t, "./examples/quickstart")
 	for _, want := range []string{
 		"sum of squares = 333833500",
-		"migrated 160 bytes of state",
+		"migrated 244 bytes of state",
 		"exit code 0 on sparc20",
 	} {
 		if !strings.Contains(out, want) {
