@@ -57,6 +57,7 @@ type deltaKey struct {
 type cachedSection struct {
 	sig  uint64
 	body []byte // tracker-owned; never aliases a pooled encoder
+	pos  int    // its index in that round's bodies
 }
 
 // DeltaTracker carries the per-section cache from round to round. One
@@ -104,20 +105,22 @@ func (dt *DeltaTracker) mark(jobs []sectionJob, ti *types.TI, mach *arch.Machine
 }
 
 // fold takes one round into the tracker: reused sections keep their
-// cached bodies, fresh ones are cloned out of the pooled encoders so the
-// cache owns every byte it hands back. The bodies stay valid across
-// subsequent rounds (the pre-copy sender may still be shipping one while
-// the next round encodes) but must not be mutated.
+// cached bodies and say where in the previous round they stood, fresh ones
+// are cloned out of the pooled encoders so the cache owns every byte it
+// hands back. The bodies stay valid across subsequent rounds (the pre-copy
+// sender may still be shipping one while the next round encodes) but must
+// not be mutated.
 func (dt *DeltaTracker) fold(jobs []sectionJob, secs []EncodedSection) {
 	next := make(map[deltaKey]*cachedSection, len(jobs))
 	for idx, job := range jobs {
 		cs := dt.prev[job.key]
 		if job.reuse {
-			secs[idx] = EncodedSection{Body: cs.body, Reused: true}
+			secs[idx] = EncodedSection{Body: cs.body, From: cs.pos}
 		} else {
 			cs = &cachedSection{sig: job.sig, body: bytes.Clone(secs[idx].Body)}
 			secs[idx].Body = cs.body
 		}
+		cs.pos = idx
 		next[job.key] = cs
 	}
 	dt.prev = next

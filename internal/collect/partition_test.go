@@ -328,17 +328,18 @@ func TestPartitionMatchesRecursiveWalk(t *testing.T) {
 		if got, w := p.table.Stats.Searches-searches, st.Stats.Pointers-st.Stats.NullPointers; got != w {
 			t.Errorf("trial %d: capture made %d MSRLT searches, wrote %d non-null references", trial, got, w)
 		}
-		for c, sec := range st.Heap {
+		for c, sec := range st.Bodies[:st.Heap] {
 			if !bytes.Equal(sec.Body, o.body(t, want[c], nil, false)) {
 				t.Fatalf("trial %d: heap section %d differs from the re-resolving encoder", trial, c)
 			}
 		}
-		for i, sec := range st.Frames {
+		for i := range o.frames { // innermost first
+			sec := st.Bodies[st.Heap+len(o.frames)-1-i]
 			if !bytes.Equal(sec.Body, o.body(t, o.frames[i], roots.FrameLive[i], true)) {
 				t.Fatalf("trial %d: frame section %d differs from the re-resolving encoder", trial, i+1)
 			}
 		}
-		if !bytes.Equal(st.Globals.Body, o.body(t, o.globals, roots.Globals, true)) {
+		if !bytes.Equal(st.Bodies[len(st.Bodies)-1].Body, o.body(t, o.globals, roots.Globals, true)) {
 			t.Fatalf("trial %d: globals section differs from the re-resolving encoder", trial)
 		}
 		st.Release()

@@ -29,6 +29,10 @@ type RestoreStats struct {
 	Pointers int64
 	// DataBytes is the number of content bytes decoded.
 	DataBytes int64
+	// Refilled and Dropped count the heap components a restore applied
+	// round by round refilled in place and dropped as later rounds changed
+	// them.
+	Refilled, Dropped int64
 }
 
 // Add folds another restoration's counters into s (used to aggregate the
@@ -40,6 +44,8 @@ func (s *RestoreStats) Add(o RestoreStats) {
 	s.Allocated += o.Allocated
 	s.Pointers += o.Pointers
 	s.DataBytes += o.DataBytes
+	s.Refilled += o.Refilled
+	s.Dropped += o.Dropped
 }
 
 // Restorer rebuilds memory blocks in a destination process from a
@@ -61,6 +67,10 @@ type Restorer struct {
 	// record. Sectioned snapshots use this mode — the records live in
 	// the directory of the section that owns each block.
 	flat bool
+	// early marks a heap section restored before the frames exist (a live
+	// round applied on arrival): a reference into the stack is left null
+	// and deferred set, so the section is filled again once they do.
+	early, deferred bool
 
 	// given is the number of stream bytes the decoder held when the
 	// Restorer was created, and claimed the minimum encoding of every heap
@@ -136,6 +146,10 @@ func (r *Restorer) RestorePointer() (memory.Address, error) {
 			return 0, err
 		}
 	}
+	if r.early && ref.ID.Seg == memory.Stack {
+		r.deferred = true
+		return 0, nil
+	}
 	addr, err := msr.AddrOf(r.table, r.mach, ref)
 	if err != nil {
 		// Every target must have been registered by now — by an earlier
@@ -180,6 +194,9 @@ func (r *Restorer) restoreBlock(id msr.BlockID) error {
 		if err := r.allocHeapBlock(b); err != nil {
 			return err
 		}
+		if err := r.table.Register(b); err != nil {
+			return err
+		}
 	default:
 		return fmt.Errorf("%w: stream references unknown %s block %s", ErrMismatch, id.Seg, id)
 	}
@@ -212,8 +229,9 @@ func (r *Restorer) fillContents(b *msr.Block) error {
 	return nil
 }
 
-// allocHeapBlock allocates and registers one heap block arriving in a
-// stream; b carries its identification and shape and receives its address.
+// allocHeapBlock allocates one heap block arriving in a stream, for the
+// caller to register; b carries its identification and shape and receives
+// its address.
 // Before trusting the declared element count it checks the
 // stream actually holds at least the minimum encoding of that many
 // elements — and of every block allocated before it: a section directory
@@ -235,9 +253,6 @@ func (r *Restorer) allocHeapBlock(b *msr.Block) error {
 	}
 	var err error
 	if b.Addr, err = r.space.Malloc(b.Count * es); err != nil {
-		return err
-	}
-	if err := r.table.Register(b); err != nil {
 		return err
 	}
 	r.table.RestoreFloor(b.ID)

@@ -16,11 +16,12 @@ package collect
 // means resolving it, so the walk records every pointer scalar's resolved
 // form as it goes: each pointer costs one MSRLT search per capture.
 //
-// It then encodes the section bodies, one after the other in the
-// partition's order (heap components by first visit, frames, globals), on
-// the calling goroutine, writing the recorded references where the
-// pointers stand; given a DeltaTracker it skips the sections the
-// dirty set cannot have touched and hands back their cached bodies.
+// It then encodes the section bodies, one after the other in snapshot
+// order (heap components by first visit, frames innermost first, globals),
+// on the calling goroutine, writing the recorded references where the
+// pointers stand; given a DeltaTracker it skips the sections the dirty set
+// cannot have touched and hands back their cached bodies, saying where in
+// the previous round each came from.
 // Section bodies are flat: a pointer scalar encodes only its (header,
 // ordinal) reference, never an inline block record, because every block's
 // record lives in the directory of the section that owns it.
@@ -34,12 +35,14 @@ package collect
 //	contents      = per directory entry, in order: scalars in plan order,
 //	                pointer scalars as flat refs
 //
-// Restoration order (enforced by the vm layer): the execution state
-// rebuilds the frames; each heap section allocates its blocks from the
-// directory before its contents are decoded; frame and globals sections
-// then fill variable contents. Because heap components are closed under
-// heap pointers, every reference a section decodes resolves against
-// blocks already registered by that order.
+// Restoration order (enforced by the vm layer): each heap section
+// allocates its blocks from the directory before its contents are
+// decoded; the execution state rebuilds the frames; frame and globals
+// sections then fill variable contents. Because heap components are closed
+// under heap pointers, every reference a section decodes resolves against
+// blocks already registered by that order — except a heap block's pointer
+// into a frame, when the heap section was applied before the frames
+// existed: it is filled once more after them.
 
 import (
 	"fmt"
@@ -324,19 +327,21 @@ func (w *partitioner) finish() {
 // EncodedSection is one section body of a capture.
 type EncodedSection struct {
 	Body []byte
-	// Reused reports the body was carried over from the tracker's previous
-	// round without re-encoding; Elapsed is then zero.
-	Reused  bool
+	// From is the index in the tracker's previous round of the body this
+	// one was carried over from without re-encoding (Elapsed is then zero),
+	// or -1 when this capture encoded it.
+	From    int
 	Elapsed time.Duration
 }
 
 // SectionedState holds every section body of one capture, in the
 // partition's deterministic order, plus the collection statistics.
 type SectionedState struct {
-	// Heap[i] is component i's body; Frames[i] is frame depth i+1's.
-	Heap    []EncodedSection
-	Frames  []EncodedSection
-	Globals EncodedSection
+	// Bodies lists the sections in snapshot order after the exec section
+	// the caller puts first: the Heap components by number, the frames
+	// innermost first, the globals.
+	Bodies []EncodedSection
+	Heap   int
 	// Stats covers the sections that were encoded (not the reused ones).
 	// Searches and SearchSteps are left zero: the caller derives the
 	// capture-wide deltas from the table exactly as Saver.Finish does.
@@ -362,8 +367,7 @@ func (st *SectionedState) Release() {
 	for _, e := range st.encs {
 		e.Release()
 	}
-	st.encs = nil
-	st.Heap, st.Frames, st.Globals = nil, nil, EncodedSection{}
+	st.encs, st.Bodies = nil, nil
 }
 
 // sectionJob is one body to encode.
@@ -380,15 +384,15 @@ type sectionJob struct {
 	reuse bool
 }
 
-// jobs lays a partition out as the encode job list, in the deterministic
-// section order: heap components, frames, globals.
+// jobs lays a partition out as the encode job list, in snapshot order:
+// heap components, frames innermost first, globals.
 func (pt *partition) jobs(roots Roots) []sectionJob {
 	jobs := make([]sectionJob, 0, len(pt.components)+len(pt.frames)+1)
 	for _, comp := range pt.components {
 		jobs = append(jobs, sectionJob{blocks: comp, key: deltaKey{class: 0, id: comp[0].b.ID.Major}})
 	}
-	for i, blocks := range pt.frames {
-		jobs = append(jobs, sectionJob{blocks: blocks, live: roots.FrameLive[i], liveRefs: pt.frameLive[i],
+	for i := len(pt.frames) - 1; i >= 0; i-- {
+		jobs = append(jobs, sectionJob{blocks: pt.frames[i], live: roots.FrameLive[i], liveRefs: pt.frameLive[i],
 			withLive: true, key: deltaKey{class: 1, id: uint32(i) + 1}})
 	}
 	return append(jobs, sectionJob{blocks: pt.globals, live: roots.Globals, liveRefs: pt.globalLive,
@@ -432,7 +436,7 @@ func EncodeSections(space *memory.Space, table *msr.Table, ti *types.TI, roots R
 			return nil, err
 		}
 		st.Calls += se.enc.Calls()
-		secs[idx] = EncodedSection{Body: se.enc.Bytes(), Elapsed: time.Since(secStart)}
+		secs[idx] = EncodedSection{Body: se.enc.Bytes(), From: -1, Elapsed: time.Since(secStart)}
 	}
 	if dt != nil {
 		// The tracker takes its own copy of every fresh body, so the
@@ -440,10 +444,7 @@ func EncodeSections(space *memory.Space, table *msr.Table, ti *types.TI, roots R
 		dt.fold(jobs, secs)
 		st.Release()
 	}
-
-	h, f := len(pt.components), len(pt.frames)
-	st.Heap, st.Frames, st.Globals = secs[:h], secs[h:h+f], secs[h+f]
-	st.Stats = se.stats
+	st.Bodies, st.Heap, st.Stats = secs, len(pt.components), se.stats
 	return st, nil
 }
 
@@ -524,57 +525,86 @@ func (e *sectionEncoder) putRef() {
 	e.refs = e.refs[4:]
 }
 
-// RestoreHeapSection rebuilds one heap-component section: every block in
-// the directory is allocated and registered, in stream order, before any
-// content is decoded, then the contents are filled with flat reference
-// translation.
-func RestoreHeapSection(space *memory.Space, table *msr.Table, ti *types.TI, body []byte, instrument bool) (RestoreStats, error) {
+// HeapDirectory returns the directory of a heap section body: the bytes
+// that name its blocks, their types and their counts. Two bodies with equal
+// directories restore into the same blocks. It is nil for a body too short
+// for the directory it declares.
+func HeapDirectory(body []byte) []byte {
+	n, err := xdr.NewDecoder(body).Uint32()
+	if end := 4 + 16*int64(n); err == nil && end <= int64(len(body)) {
+		return body[:end]
+	}
+	return nil
+}
+
+// RestoreHeapSection rebuilds one heap-component section and returns its
+// blocks in directory order. Given the blocks of an earlier section with
+// the same directory (a live restore refilling a component in place), it
+// decodes the contents into them. Otherwise every block in the directory is
+// allocated, and the directory registered in one merge, before any content
+// is decoded. Contents are filled with flat reference translation. early
+// marks a restore that runs before the frames exist: a pointer into the
+// stack is left null, and deferred reports that the section must be filled
+// again once the frames do.
+func RestoreHeapSection(space *memory.Space, table *msr.Table, ti *types.TI, body []byte, blocks []*msr.Block, instrument, early bool) (_ []*msr.Block, deferred bool, _ RestoreStats, err error) {
 	r := NewRestorer(space, table, ti, xdr.NewDecoder(body))
-	r.flat = true
+	r.flat, r.early = true, early
 	r.Instrument = instrument
 
 	n, err := r.dec.Uint32()
 	if err != nil {
-		return r.Stats, fmt.Errorf("%w: truncated heap section directory", ErrCorruptStream)
+		return nil, false, r.Stats, fmt.Errorf("%w: truncated heap section directory", ErrCorruptStream)
 	}
 	if int64(n)*16 > int64(r.dec.Remaining()) {
-		return r.Stats, fmt.Errorf("%w: heap directory declares %d entries, %d bytes remain",
+		return nil, false, r.Stats, fmt.Errorf("%w: heap directory declares %d entries, %d bytes remain",
 			ErrCorruptStream, n, r.dec.Remaining())
 	}
+	if blocks != nil {
+		// The caller matched this directory byte for byte with the one the
+		// blocks were restored from.
+		r.dec.FixedOpaque(16 * int(n))
+	} else if blocks, err = r.allocDirectory(int(n)); err != nil {
+		return nil, false, r.Stats, err
+	}
+	err = r.fillBlocks(blocks)
+	return blocks, r.deferred, r.Stats, err
+}
+
+// allocDirectory allocates the n blocks of a heap section directory and
+// registers them. The directory is known to fit the bytes present, so its
+// size can be announced: the blocks come from one slab and the table's and
+// the allocator's indexes grow once, not once per block.
+func (r *Restorer) allocDirectory(n int) ([]*msr.Block, error) {
 	var start time.Time
-	if instrument {
+	if r.Instrument {
 		start = time.Now()
 	}
-	// The directory is known to fit the bytes present, so its size can be
-	// announced: the blocks come from one slab and the table's and the
-	// allocator's indexes grow once, not once per block.
 	slab := make([]msr.Block, n)
 	blocks := make([]*msr.Block, n)
-	table.Reserve(memory.Heap, int(n))
-	space.ReserveMallocs(int(n))
+	r.table.Reserve(memory.Heap, n)
+	r.space.ReserveMallocs(n)
 	for i := range slab {
 		major, minor, ty, count, err := r.directoryEntry()
 		if err != nil {
-			return r.Stats, err
+			return nil, err
 		}
 		if minor != 0 {
-			return r.Stats, fmt.Errorf("%w: heap block with nonzero minor %d", ErrCorruptStream, minor)
+			return nil, fmt.Errorf("%w: heap block with nonzero minor %d", ErrCorruptStream, minor)
 		}
 		b := &slab[i]
 		*b = msr.Block{ID: msr.BlockID{Seg: memory.Heap, Major: major}, Type: ty, Count: count}
-		if _, exists := table.ByID(b.ID); exists {
-			return r.Stats, fmt.Errorf("%w: duplicate heap block %s", ErrCorruptStream, b.ID)
-		}
 		if err := r.allocHeapBlock(b); err != nil {
-			return r.Stats, err
+			return nil, err
 		}
 		blocks[i] = b
 	}
-	if instrument {
+	if err := r.table.Insert(blocks); err != nil {
+		return nil, fmt.Errorf("%w: heap directory: %v", ErrCorruptStream, err)
+	}
+	if r.Instrument {
 		r.Stats.UpdateTime += time.Since(start)
 	}
-	err = r.fillBlocks(blocks)
-	return r.Stats, err
+	return blocks, nil
 }
 
 // RestoreVarSection rebuilds one frame or globals section: the live

@@ -68,22 +68,6 @@ func (e *Engine) writeSectioned(w io.Writer, src *arch.Machine, p *vm.Process) (
 	return n + m, err
 }
 
-// RestoreSections builds a process on machine m from a section list whose
-// bodies the caller has verified (a round exchange's, a checkpoint
-// store's), recording the restore as a child of span (nil disables
-// tracing).
-func (e *Engine) RestoreSections(m *arch.Machine, secs []snapshot.Section, span *obs.Span) (*vm.Process, error) {
-	p, err := vm.NewProcess(e.Prog, m)
-	if err != nil {
-		return nil, err
-	}
-	p.Obs = span
-	if err := p.RestoreSections(secs); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // ReceiveAndRestoreSectioned reassembles a sectioned envelope from r,
 // verifies it, and restores the process on machine m section by section,
 // recording the reassembly and restore phases as children of span (nil

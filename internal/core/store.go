@@ -38,7 +38,10 @@ func (e *Engine) RestoreFromStore(st *store.Store, h store.Hash, m *arch.Machine
 			ErrProgramMismatch, h.Short(), man.ProgramDigest, e.Digest())
 	}
 	start := time.Now()
-	p, err := e.RestoreSections(m, secs, nil)
+	p, err := e.NewProcess(m)
+	if err == nil {
+		err = p.RestoreSections(secs)
+	}
 	if err != nil {
 		return nil, Timing{}, err
 	}

@@ -158,8 +158,11 @@ func TestSectionValuedEntryPointsMatchFramedOnes(t *testing.T) {
 				t.Errorf("Materialize / Encode(store.Sections) differ from the checkpointed list (err %v)", err)
 			}
 
-			q, err := e.RestoreSections(arch.SPARC20, secs, nil)
+			q, err := e.NewProcess(arch.SPARC20)
 			if err != nil {
+				t.Fatal(err)
+			}
+			if err := q.RestoreSections(secs); err != nil {
 				t.Fatal(err)
 			}
 			q2, err := e.NewProcess(arch.SPARC20)

@@ -18,6 +18,7 @@
 package msr
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -218,7 +219,59 @@ func (t *Table) Reserve(seg memory.Segment, n int) {
 
 // Register adds a block to the table. The block must not overlap any
 // registered block and its ID must be fresh.
-func (t *Table) Register(b *Block) error {
+func (t *Table) Register(b *Block) error { return t.Insert([]*Block{b}) }
+
+// Insert registers a batch of blocks of one segment — a restored heap
+// section's directory — in one merge pass over the segment, never one
+// shifting insert per block. Each block's ID and base address must be
+// fresh; overlap checks against neighbours are the caller's, by sizes.
+// On error nothing was registered.
+func (t *Table) Insert(blocks []*Block) error {
+	if len(blocks) == 0 {
+		return nil
+	}
+	byAddr, seg := blocks, blocks[0].ID.Seg
+	if !slices.IsSortedFunc(byAddr, cmpAddr) {
+		byAddr = slices.Clone(blocks)
+		slices.SortFunc(byAddr, cmpAddr)
+	}
+	bases := t.bases[seg]
+	for i, b := range byAddr {
+		if err := t.fresh(b, seg, i > 0 && byAddr[i-1].Addr == b.Addr); err != nil {
+			for _, d := range byAddr[:i] {
+				key, _ := idKey(d.ID)
+				delete(t.byID, key)
+			}
+			return err
+		}
+		key, _ := idKey(b.ID)
+		t.byID[key] = b
+	}
+	// Merge from the back: the registered blocks above the j-th new one move
+	// up past the j+1 still to place, each in one copy. A fresh heap hands
+	// out rising addresses, so most batches append and move nothing.
+	n, m := len(bases), len(byAddr)
+	t.bases[seg], t.segs[seg] = slices.Grow(bases, m)[:n+m], slices.Grow(t.segs[seg], m)[:n+m]
+	nb, ns := t.bases[seg], t.segs[seg]
+	for i, j := n, m-1; j >= 0; j-- {
+		lo, addr := i, byAddr[j].Addr
+		if i > 0 && nb[i-1] > addr {
+			lo, _ = slices.BinarySearch(nb[:i], addr)
+			copy(nb[lo+j+1:], nb[lo:i])
+			copy(ns[lo+j+1:], ns[lo:i])
+		}
+		nb[lo+j], ns[lo+j], i = addr, byAddr[j], lo
+	}
+	t.baseIdx = nil
+	return nil
+}
+
+func cmpAddr(a, b *Block) int { return cmp.Compare(a.Addr, b.Addr) }
+
+// fresh checks that b may be registered in seg: a non-null base address in
+// that segment that no block holds (dup reports one in b's own batch), and
+// an identification in range that no block holds.
+func (t *Table) fresh(b *Block, seg memory.Segment, dup bool) error {
 	if b.Addr == 0 {
 		return fmt.Errorf("msr: register of null address")
 	}
@@ -229,25 +282,44 @@ func (t *Table) Register(b *Block) error {
 	if _, ok := t.byID[key]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicate, b.ID)
 	}
-	seg, ok := memory.SegmentOf(b.Addr)
-	if !ok || seg != b.ID.Seg {
+	if s, ok := memory.SegmentOf(b.Addr); !ok || s != b.ID.Seg || s != seg {
 		return fmt.Errorf("msr: block %s address %#x not in its segment", b.ID, uint64(b.Addr))
 	}
 	bases := t.bases[seg]
-	i := len(bases) // a fresh heap hands out rising addresses: most registrations append
-	if i > 0 && bases[i-1] >= b.Addr {
-		i, _ = slices.BinarySearch(bases, b.Addr+1)
+	if !dup && len(bases) > 0 && b.Addr <= bases[len(bases)-1] {
+		_, dup = slices.BinarySearch(bases, b.Addr)
 	}
-	// Overlap checks against neighbours are performed by the caller via
-	// sizes; the table itself only requires unique base addresses.
-	if i > 0 && bases[i-1] == b.Addr {
+	if dup {
 		return fmt.Errorf("%w: address %#x", ErrDuplicate, uint64(b.Addr))
 	}
-	t.bases[seg] = slices.Insert(bases, i, b.Addr)
-	t.segs[seg] = slices.Insert(t.segs[seg], i, b)
-	t.byID[key] = b
-	t.baseIdx = nil
 	return nil
+}
+
+// Remove unregisters a batch of registered blocks of one segment — a heap
+// component a live restore drops — in one pass over the segment from the
+// first of them.
+func (t *Table) Remove(blocks []*Block) {
+	if len(blocks) == 0 {
+		return
+	}
+	byAddr, seg := slices.Clone(blocks), blocks[0].ID.Seg
+	slices.SortFunc(byAddr, cmpAddr)
+	bases, segs := t.bases[seg], t.segs[seg]
+	k, _ := slices.BinarySearch(bases, byAddr[0].Addr)
+	j := 0
+	for i := k; i < len(segs); i++ {
+		if j < len(byAddr) && segs[i] == byAddr[j] {
+			key, _ := idKey(segs[i].ID)
+			delete(t.byID, key)
+			j++
+			continue
+		}
+		bases[k], segs[k] = bases[i], segs[i]
+		k++
+	}
+	clear(segs[k:]) // the vacated tail holds no block for the GC
+	t.bases[seg], t.segs[seg] = bases[:k], segs[:k]
+	t.baseIdx = nil
 }
 
 // Unregister removes the block with the given base address (used when a

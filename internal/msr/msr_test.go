@@ -388,3 +388,74 @@ func TestIdentificationOutOfRange(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertRemoveBatch drives the batch registration a heap section
+// restore makes: blocks of one segment arrive in any address order, some
+// between blocks already registered, and land in one merge; a dropped
+// component leaves in one pass. The table must read as if every block had
+// been registered and unregistered one at a time, and a batch holding one
+// bad block registers none of them.
+func TestInsertRemoveBatch(t *testing.T) {
+	sp := memory.NewSpace(arch.SPARC20)
+	tbl := NewTable()
+	var all []*Block
+	for i := 0; i < 40; i++ {
+		a, err := sp.Malloc(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, &Block{ID: BlockID{Seg: memory.Heap, Major: uint32(i)}, Addr: a, Type: types.Double, Count: 2})
+	}
+	rng := rand.New(rand.NewSource(1))
+	var first, second []*Block
+	for _, b := range all {
+		if rng.Intn(2) == 0 {
+			first = append(first, b)
+		} else {
+			second = append(second, b)
+		}
+	}
+	rng.Shuffle(len(second), func(i, j int) { second[i], second[j] = second[j], second[i] })
+	for _, batch := range [][]*Block{first, second} {
+		if err := tbl.Insert(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(want []*Block) {
+		t.Helper()
+		got := tbl.Blocks()
+		if len(got) != len(want) {
+			t.Fatalf("table holds %d blocks, want %d", len(got), len(want))
+		}
+		for i, b := range want {
+			if got[i] != b {
+				t.Fatalf("block %d in address order is %s, want %s", i, got[i].ID, b.ID)
+			}
+			if hit, pos, off, err := tbl.Lookup(arch.SPARC20, b.Addr+8); hit != b || pos != i || off != 8 || err != nil {
+				t.Fatalf("Lookup inside %s = %v, %d, %d, %v", b.ID, hit, pos, off, err)
+			}
+			if byID, ok := tbl.ByID(b.ID); !ok || byID != b {
+				t.Fatalf("ByID(%s) = %v, %v", b.ID, byID, ok)
+			}
+		}
+	}
+	check(all)
+
+	dup := &Block{ID: BlockID{Seg: memory.Heap, Major: 7}, Addr: all[39].Addr + 4096, Type: types.Double, Count: 1}
+	fresh := &Block{ID: BlockID{Seg: memory.Heap, Major: 99}, Addr: all[39].Addr + 8192, Type: types.Double, Count: 1}
+	if err := tbl.Insert([]*Block{fresh, dup}); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("batch repeating an identification: %v, want ErrDuplicate", err)
+	}
+	if _, ok := tbl.ByID(fresh.ID); ok {
+		t.Fatal("a refused batch left a block registered")
+	}
+	check(all)
+
+	tbl.Remove(second)
+	for _, b := range second {
+		if _, ok := tbl.ByID(b.ID); ok {
+			t.Fatalf("removed block %s still resolves", b.ID)
+		}
+	}
+	check(first)
+}

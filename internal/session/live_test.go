@@ -274,3 +274,132 @@ func TestLiveWarmCompose(t *testing.T) {
 	}
 	runRestored(t, r.q, 0)
 }
+
+// shapesSrc changes the shape of its heap components between polls: it
+// splices one list onto another (merge), cuts one in two (split), frees one
+// (drop) and allocates a new one (appear), while a write-rate list whose
+// blocks stay the same sees a shrinking write set, which keeps the
+// pre-copy loop going round by round. A node fills a dirty-tracking block
+// of its own, so the write set shrinks block by block.
+const shapesSrc = `
+struct node { int v; int pad[64]; struct node *next; };
+struct node *heads[6];
+struct node *w;
+
+int main() {
+	int r, i, k, s;
+	struct node *c, *n;
+	for (k = 0; k < 4; k++) {
+		for (i = 0; i < 8; i++) {
+			c = (struct node *) malloc(sizeof(struct node));
+			c->v = k * 100 + i;
+			c->next = heads[k];
+			heads[k] = c;
+		}
+	}
+	for (i = 0; i < 120; i++) {
+		c = (struct node *) malloc(sizeof(struct node));
+		c->v = i;
+		c->next = w;
+		w = c;
+	}
+	for (r = 0; r < 10; r++) {
+		c = w;
+		for (i = 0; i < 100 - 20 * r; i++) {
+			c->v = c->v + 1;
+			c = c->next;
+		}
+		if (r == 1) {
+			c = heads[0];
+			while (c->next != 0) c = c->next;
+			c->next = heads[1];
+			heads[1] = 0;
+		}
+		if (r == 2) {
+			c = heads[0];
+			for (i = 0; i < 3; i++) c = c->next;
+			heads[4] = c->next;
+			c->next = 0;
+		}
+		if (r == 3) {
+			c = heads[2];
+			while (c != 0) { n = c->next; free(c); c = n; }
+			heads[2] = 0;
+		}
+		if (r == 4) {
+			for (i = 0; i < 6; i++) {
+				c = (struct node *) malloc(sizeof(struct node));
+				c->v = 500 + i;
+				c->next = heads[5];
+				heads[5] = c;
+			}
+		}
+		migrate_here();
+	}
+	s = 0;
+	for (k = 0; k < 6; k++) {
+		c = heads[k];
+		while (c != 0) { s = s + c->v; c = c->next; }
+	}
+	c = w;
+	while (c != 0) { s = s + c->v; c = c->next; }
+	return s & 255;
+}
+`
+
+// TestLiveComponentsChangeShape migrates a process whose heap components
+// merge, split, disappear and appear between pre-copy rounds, live from a
+// little-endian to a big-endian machine. The destination applies each
+// round on arrival: the list whose directory holds is refilled in place,
+// the others are dropped and restored anew. The restored process must
+// re-collect like the paused source and exit like it, and hold no stale
+// block: its heap and table are exactly those of a process restored from
+// the final list in one call (which the recapture alone cannot see, as an
+// unreachable leftover is never collected).
+func TestLiveComponentsChangeShape(t *testing.T) {
+	e, err := core.NewEngine(shapesSrc, minic.PollPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := stoppedLive(t, e, arch.DEC5000)
+	q, res, _, err := Transfer(e, "shapes", p, arch.SPARC20,
+		Config{Live: true, PrecopyRounds: 8, DirtyThreshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Live.Rounds); n < 6 {
+		t.Fatalf("%d rounds (%s); want one per shape change and the final one", n, res.Live.StopReason)
+	}
+	want, err := p.Recapture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := q.Recapture(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("restored state differs from the paused source's (err %v)", err)
+	}
+	snap, err := p.CaptureSections(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneCall, err := vm.RestoreProcess(e.Prog, arch.SPARC20, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := q.Space.HeapLive(), oneCall.Space.HeapLive(); got != want {
+		t.Errorf("restored heap holds %d blocks, a restore of the final list %d", got, want)
+	}
+	if got, want := q.Table.Len(), oneCall.Table.Len(); got != want {
+		t.Errorf("restored table holds %d blocks, a restore of the final list %d", got, want)
+	}
+	st := q.RestoreStatsOf()
+	t.Logf("%d rounds (%s): %d components refilled in place, %d dropped", len(res.Live.Rounds), res.Live.StopReason, st.Refilled, st.Dropped)
+	if st.Refilled == 0 || st.Dropped == 0 {
+		t.Errorf("%d components refilled in place and %d dropped; want both branches taken", st.Refilled, st.Dropped)
+	}
+	p.PollHook = nil // the source runs on to its exit
+	src, err := p.ResumeRun()
+	if err != nil || src.Migrated {
+		t.Fatalf("source: %+v, %v", src, err)
+	}
+	runRestored(t, q, src.ExitCode)
+}

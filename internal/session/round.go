@@ -6,23 +6,25 @@ package session
 // Each round is one ANNOUNCE/WANT/BODIES exchange. The ANNOUNCE lists every
 // section of the paused state as (kind, id, length, sha256); the responder
 // answers WANT with the indices whose bodies it cannot resolve from the
-// session's previous round or from its checkpoint store; one BODIES frame
-// carries exactly those. The final round's list — resolved and freshly
-// received bodies — is therefore the section list of a stop-and-copy
-// capture of the same paused state, and it goes to the ordinary sectioned
-// restore as it is: a round is its sections on both sides, and no framed
-// snapshot exists anywhere on this path.
+// process shell it restores into or from its checkpoint store; one BODIES
+// frame carries exactly those. A round is its sections on both sides, and
+// no framed snapshot exists anywhere on this path: the responder applies
+// every round's list into one vm.Restore as it arrives — heap components at
+// once, reconciled with the previous round's — and only the final round
+// rebuilds the frames and fills the variables, so the restore left inside
+// the downtime window is the final round's own sections.
 //
 // A warm migration is one final round whose sections are a fresh capture,
 // checkpointed in the initiator's store on the way. A live migration is
 // the same exchange repeated while the source executes:
 //
 //	round 0     full image ships while the source executes to its next
-//	            poll point
-//	round 1..N  only the sections the dirty set touched re-encode; each
-//	            round ships while the source runs on
+//	            poll point, and is applied on arrival
+//	round 1..N  only the sections the dirty set touched re-encode, and
+//	            only those are hashed; each round ships, and is applied,
+//	            while the source runs on
 //	final       the source stays paused; the last (small) delta is all
-//	            the downtime window has to move
+//	            the downtime window has to move and to restore
 //
 // The loop converges (or is cut off) on the source: the next round is
 // final once the unshipped dirty set drops to Config.DirtyThreshold
@@ -233,6 +235,10 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 	}
 	release := func() {}
 	defer func() { release() }()
+	// A live round lists a carried-over body under the hash the previous
+	// round's manifest gave it, so a paused source hashes only what it
+	// re-encoded.
+	var prev []store.Entry
 	next := func() (*round, error) {
 		r := &round{}
 		if lc != nil {
@@ -241,7 +247,8 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 				return nil, err
 			}
 			r.secs, r.dirty, r.collect = lr.Sections, lr.DirtyBlocks, lr.Elapsed
-			r.manifest = &store.Manifest{ProgramDigest: e.Digest(), Machine: src.Name, Seq: 1, Entries: store.Entries(r.secs)}
+			prev = store.EntriesFrom(r.secs, prev, lr.From)
+			r.manifest = &store.Manifest{ProgramDigest: e.Digest(), Machine: src.Name, Seq: 1, Entries: prev}
 		} else {
 			secs, rel, err := p.Sections()
 			if err != nil {
@@ -328,20 +335,26 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 
 // receiveRounds is the responder side of the round exchange, for however
 // many rounds the initiator drives: resolve what each ANNOUNCE lists, ask
-// for the rest, verify what arrives, and on the final round restore the
-// list. The accounting lands in info as it accrues, as
-// sendRounds' does in its Result.
+// for the rest, verify what arrives, and apply the round into one process
+// shell at once; on the final round finish the restore. The accounting
+// lands in info as it accrues, as sendRounds' does in its Result.
 func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, cfg Config, info *Info) (*vm.Process, core.Timing, error) {
 	prm, st := info.Params, new(LiveStats)
 	if prm.Live {
 		info.Live = st
 	}
-	// The previous round's bodies, by content hash, serve this round's list:
-	// a section whose hash the source re-announces unchanged never crosses
-	// the wire twice, and one it no longer announces goes with the list —
-	// the responder holds one state's worth of bodies however many rounds
-	// the initiator chooses to run.
-	var held map[store.Hash][]byte
+	// The shell exists before round 0 and every round lands in it as it
+	// arrives, so the final round restores only what it carries. A body the
+	// shell holds under the hash the source re-announces never crosses the
+	// wire twice, and whatever the latest ANNOUNCE no longer lists leaves it:
+	// the shell holds one state's worth however many rounds the initiator
+	// chooses to run.
+	p, err := e.NewProcess(mach)
+	if err != nil {
+		return nil, core.Timing{}, err
+	}
+	p.Obs = cfg.Trace
+	shell := p.NewRestore()
 	for {
 		ann, n, err := recvMessage(t, msgAnnounce, "ANNOUNCE")
 		if err != nil {
@@ -352,23 +365,23 @@ func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, cfg Con
 			return nil, core.Timing{}, fmt.Errorf("%w: announce has program digest %08x, registry matched %08x",
 				core.ErrProgramMismatch, m.ProgramDigest, e.Digest())
 		}
-		// Resolve every body we can locally — the previous round first, then
-		// the checkpoint store, which re-verifies the content address on the
-		// way out. A blob the store cannot vouch for is simply asked for
-		// again.
-		secs := make([]snapshot.Section, len(m.Entries))
+		// Resolve every body we can locally — the shell first, then the
+		// checkpoint store, which re-verifies the content address on the way
+		// out. A blob the store cannot vouch for is simply asked for again.
+		secs, sums := make([]snapshot.Section, len(m.Entries)), make([]vm.Sum, len(m.Entries))
 		var want []uint32
 		for i, en := range m.Entries {
-			body, ok := held[en.Hash]
-			if !ok && cfg.Store != nil {
+			secs[i], sums[i] = snapshot.Section{Kind: en.Kind, ID: en.ID}, en.Hash
+			if shell.Holds(en.Kind, en.Hash) {
+				continue
+			}
+			if cfg.Store != nil {
 				if blob, err := cfg.Store.GetBlob(en.Hash); err == nil {
-					body, ok = blob, true
+					secs[i].Body = blob
+					continue
 				}
 			}
-			if !ok {
-				want = append(want, uint32(i))
-			}
-			secs[i] = snapshot.Section{Kind: en.Kind, ID: en.ID, Body: body}
+			want = append(want, uint32(i))
 		}
 		if err := t.Send(marshalWant(want)); err != nil {
 			return nil, core.Timing{}, fmt.Errorf("session: want send: %w", err)
@@ -394,7 +407,7 @@ func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, cfg Con
 			}
 			secs[idx].Body = body
 			if cfg.Store != nil {
-				if _, _, err := cfg.Store.PutBlob(body); err != nil {
+				if _, err := cfg.Store.PutVerified(en.Hash, body); err != nil {
 					return nil, core.Timing{}, err
 				}
 			}
@@ -408,11 +421,10 @@ func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, cfg Con
 			Bytes:        n + bn,
 			Final:        final,
 		})
+		if err := shell.Apply(secs, sums); err != nil {
+			return nil, core.Timing{}, err
+		}
 		if !final {
-			held = make(map[store.Hash][]byte, len(secs))
-			for i, en := range m.Entries {
-				held[en.Hash] = secs[i].Body
-			}
 			continue
 		}
 
@@ -420,25 +432,22 @@ func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, cfg Con
 		// Blobs and the manifest are content and may enter the store at
 		// once; the program's ref names the checkpoint this node last
 		// restored, so it advances only after the restore succeeded. The
-		// sender's manifest is kept verbatim: both stores then name the
-		// same checkpoint hash.
+		// sender's manifest is kept verbatim: both stores then name the same
+		// checkpoint hash.
 		var h store.Hash
 		if cfg.Store != nil {
 			if h, err = cfg.Store.PutManifest(m); err != nil {
 				return nil, core.Timing{}, err
 			}
 		}
-		restoreStart := time.Now()
-		p, err := e.RestoreSections(mach, secs, cfg.Trace)
-		if err != nil {
+		if err := shell.Finish(); err != nil {
 			return nil, core.Timing{}, err
 		}
-		restore := time.Since(restoreStart)
 		if cfg.Store != nil {
 			if err := cfg.Store.SetRef(info.Program, h); err != nil {
 				return nil, core.Timing{}, err
 			}
 		}
-		return p, core.Timing{Restore: restore, Bytes: st.WireBytes}, nil
+		return p, core.Timing{Restore: p.RestoreElapsed(), Bytes: st.WireBytes}, nil
 	}
 }

@@ -13,7 +13,9 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/link"
+	"repro/internal/minic"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
 	"repro/internal/store"
@@ -122,76 +124,182 @@ func TestHostileWantIsRefusedBeforeBodies(t *testing.T) {
 	}
 }
 
-// TestResponderHoldsOneRoundOfBodies scripts a live initiator whose every
-// round replaces the same 1 MB section. How many rounds run is the
-// initiator's policy and never crosses the wire, so what the responder
-// keeps must not grow with it: a later round can only reuse what it
-// re-announces, and a body the latest ANNOUNCE no longer lists goes. After
-// ten such rounds the responder holds one state's worth of bodies, not ten.
-func TestResponderHoldsOneRoundOfBodies(t *testing.T) {
-	const bodySize, rounds = 1 << 20, 10
-	e := newListEngine(t)
+// churnSrc replaces its one list at every poll: the old nodes are freed
+// and as many new ones allocated, so each round's heap component has block
+// identities no earlier round had.
+const churnSrc = `
+struct node { double pay[8]; struct node *next; };
+struct node *head;
+
+int main() {
+	int r, i;
+	struct node *c, *n;
+	for (r = 0; r < 40; r++) {
+		c = head;
+		while (c) { n = c->next; free(c); c = n; }
+		head = 0;
+		for (i = 0; i < 200; i++) {
+			c = (struct node *) malloc(sizeof(struct node));
+			c->pay[0] = r + i;
+			c->next = head;
+			head = c;
+		}
+		migrate_here();
+	}
+	return r;
+}
+`
+
+// scriptedLive opens a live session against a responder restoring on
+// SPARC20 under cfg, as the initiator of program "churn", and returns the
+// initiator's end with the channel the responder's outcome arrives on.
+func scriptedLive(t *testing.T, e *core.Engine, cfg Config) (link.Transport, chan respondResult) {
+	t.Helper()
 	reg := NewRegistry()
-	reg.Add("list", e)
+	reg.Add("churn", e)
 	a, b := link.Pipe()
-	defer a.Close()
-	defer b.Close()
-	errc := make(chan error, 1)
+	t.Cleanup(func() { a.Close(); b.Close() })
+	out := make(chan respondResult, 1)
 	go func() {
-		_, _, _, err := Respond(b, reg, arch.SPARC20, Config{Live: true})
-		errc <- err
+		_, q, _, err := Respond(b, reg, arch.SPARC20, cfg)
+		b.Close()
+		out <- respondResult{q, err}
 	}()
-	if err := a.Send(marshalOffer(offer{digest: e.Digest(), program: "list", machine: "dec5000", caps: capLive})); err != nil {
+	if err := a.Send(marshalOffer(offer{digest: e.Digest(), program: "churn", machine: "dec5000", caps: capLive})); err != nil {
 		t.Fatal(err)
 	}
 	if acc, _, err := recvMessage(a, msgAccept, "ACCEPT"); err != nil || !acc.params.Live {
 		t.Fatalf("handshake: %+v, %v; want a live ACCEPT", acc.params, err)
 	}
-	// announce lists a small section that never changes and round k's
-	// version of the big one, and returns the WANT that answers it.
-	announce := func(k int) (big []byte, want message) {
-		big = bytes.Repeat([]byte{byte(k + 1)}, bodySize)
-		secs := []snapshot.Section{{Kind: snapshot.KindExec, Body: []byte("same every round")}, {Kind: snapshot.KindHeap, Body: big}}
-		m := &store.Manifest{ProgramDigest: e.Digest(), Machine: "dec5000", Seq: 1, Entries: store.Entries(secs)}
-		if err := a.Send(marshalAnnounce(uint32(k), 0, 0, m)); err != nil {
+	return a, out
+}
+
+type respondResult struct {
+	q   *vm.Process
+	err error
+}
+
+// sendScriptedRound announces secs as round k and ships the bodies the
+// responder asks for, returning the indices it asked for.
+func sendScriptedRound(t *testing.T, a link.Transport, e *core.Engine, k int, final bool, secs []snapshot.Section) []uint32 {
+	t.Helper()
+	var flags uint32
+	if final {
+		flags = announceFinal
+	}
+	m := &store.Manifest{ProgramDigest: e.Digest(), Machine: "dec5000", Seq: 1, Entries: store.Entries(secs)}
+	if err := a.Send(marshalAnnounce(uint32(k), flags, 0, m)); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := recvMessage(a, msgWant, "WANT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := make([][]byte, len(want.indices))
+	for i, idx := range want.indices {
+		bodies[i] = secs[idx].Body
+	}
+	if err := a.Send(marshalBodies(want.indices, bodies)); err != nil {
+		t.Fatal(err)
+	}
+	return want.indices
+}
+
+// TestResponderHoldsOneRoundOfBodies scripts a live initiator whose every
+// round replaces the program's one heap component with a new one. How many
+// rounds run is the initiator's policy and never crosses the wire, so what
+// the responder keeps must not grow with it: each round is applied into
+// the shell on arrival, and a component the latest ANNOUNCE no longer
+// lists leaves the shell. After ten such rounds and the final one the
+// restored process holds one component's blocks, not eleven — exactly what
+// a restore of the final list in one call holds. A round that is not final
+// but whose body, though it matches its hash, does not decode fails the
+// session at once: a classified failure, no process, no ref advanced.
+func TestResponderHoldsOneRoundOfBodies(t *testing.T) {
+	const rounds = 10
+	e, err := core.NewEngine(churnSrc, minic.PollPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("ten rounds", func(t *testing.T) {
+		p := stoppedLive(t, e, arch.DEC5000)
+		a, out := scriptedLive(t, e, Config{Live: true})
+		var secs []snapshot.Section
+		for k := 0; k <= rounds; k++ {
+			var release func()
+			if secs, release, err = p.Sections(); err != nil {
+				t.Fatal(err)
+			}
+			want := sendScriptedRound(t, a, e, k, k == rounds, secs)
+			// The exec section is the same poll every round: held. The heap
+			// component is new every round: asked for.
+			if k > 0 && (slices.Contains(want, 0) || !slices.Contains(want, 1)) {
+				t.Fatalf("round %d WANT = %v: the unchanged exec section is held, the replaced component is not", k, want)
+			}
+			if k == rounds {
+				secs = slices.Clone(secs)
+				for i := range secs {
+					secs[i].Body = bytes.Clone(secs[i].Body)
+				}
+			}
+			release()
+			if k < rounds {
+				if res, err := p.ResumeRun(); err != nil || !res.Migrated {
+					t.Fatalf("resume after round %d: %+v, %v", k, res, err)
+				}
+			}
+		}
+		if _, _, err := recvMessage(a, msgRestored, "RESTORED"); err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := recvMessage(a, msgWant, "WANT")
+		if err := a.Send(marshalCommit()); err != nil {
+			t.Fatal(err)
+		}
+		r := <-out
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		oneCall, err := e.NewProcess(arch.SPARC20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return big, want
-	}
-	heap := func() uint64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := heap()
-	for k := 0; k < rounds; k++ {
-		big, want := announce(k)
-		if wantBig := []uint32{1}; k > 0 && !slices.Equal(want.indices, wantBig) {
-			t.Fatalf("round %d WANT = %v, want %v: the unchanged section is held, the replaced one is not", k, want.indices, wantBig)
-		}
-		bodies := [][]byte{[]byte("same every round"), big}
-		if err := a.Send(marshalBodies(want.indices, bodies[2-len(want.indices):])); err != nil {
+		if err := oneCall.RestoreSections(secs); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// The WANT of one more round means the responder is done with the tenth
-	// and parked on the next BODIES; everything it still references is what
-	// it holds.
-	announce(rounds)
-	if held := int64(heap()) - int64(before); held > 4*bodySize {
-		t.Errorf("after %d rounds replacing one %d-byte section the responder holds %d bytes, want about one state's worth", rounds, bodySize, held)
-	}
-	if err := a.Send(marshalReason(msgAbort, "test over")); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errc; !errors.Is(err, ErrLiveAborted) {
-		t.Errorf("responder = %v, want ErrLiveAborted", err)
-	}
+		if got, want := r.q.Space.HeapLive(), oneCall.Space.HeapLive(); got != want || got != 200 {
+			t.Errorf("after %d rounds each replacing the component the shell holds %d heap blocks, a restore of the final list %d; want 200", rounds, got, want)
+		}
+		if got, want := r.q.Table.Len(), oneCall.Table.Len(); got != want {
+			t.Errorf("restored table holds %d blocks, a restore of the final list %d", got, want)
+		}
+		if got := r.q.RestoreStatsOf().Dropped; got != rounds {
+			t.Errorf("%d components dropped over %d replacing rounds", got, rounds)
+		}
+		runRestored(t, r.q, 40)
+	})
+	t.Run("undecodable body in a pre-copy round", func(t *testing.T) {
+		p := stoppedLive(t, e, arch.DEC5000)
+		secs, release, err := p.Sections()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		secs = slices.Clone(secs)
+		secs[1].Body = secs[1].Body[:len(secs[1].Body)-8] // the hash is computed over what is sent
+		dstStore := openTestStore(t)
+		a, out := scriptedLive(t, e, Config{Live: true, Store: dstStore})
+		sendScriptedRound(t, a, e, 0, false, secs)
+		r := <-out
+		if class := ClassifyFailure(r.err); r.err == nil || class != FailCorrupt && class != FailMismatch {
+			t.Fatalf("responder err = %v (class %s), want a corrupt or mismatch failure", r.err, class)
+		}
+		if r.q != nil {
+			t.Error("responder handed out a process")
+		}
+		if h, ok, err := dstStore.Ref("churn"); ok || err != nil {
+			t.Errorf("destination ref = %s (ok=%v, err=%v) after a failed round, want unset", h.Short(), ok, err)
+		}
+	})
 }
 
 // TestFailedRestoreLeavesRefUnset scripts an initiator whose final round

@@ -39,13 +39,24 @@ func (c CheckpointStats) String() string {
 }
 
 // Entries builds a manifest's entry list from a section list, hashing each
-// body once. It is the one place a sending side computes a body's content
-// address: a checkpoint and a live round's announce both list their
-// sections through it.
-func Entries(secs []snapshot.Section) []Entry {
+// body once. With EntriesFrom it is the one place a sending side computes
+// a body's content address: a checkpoint and a round's announce both list
+// their sections through it.
+func Entries(secs []snapshot.Section) []Entry { return EntriesFrom(secs, nil, nil) }
+
+// EntriesFrom is Entries for a list that carries bodies over from an
+// earlier one, prev: from[i] >= 0 names the entry of prev whose body
+// section i repeats byte for byte, and its hash is copied rather than
+// computed again. A nil from hashes every body.
+func EntriesFrom(secs []snapshot.Section, prev []Entry, from []int) []Entry {
 	entries := make([]Entry, len(secs))
 	for i, sec := range secs {
-		entries[i] = Entry{Kind: sec.Kind, ID: sec.ID, Length: uint32(len(sec.Body)), Hash: HashBytes(sec.Body)}
+		entries[i] = Entry{Kind: sec.Kind, ID: sec.ID, Length: uint32(len(sec.Body))}
+		if from != nil && from[i] >= 0 {
+			entries[i].Hash = prev[from[i]].Hash
+		} else {
+			entries[i].Hash = HashBytes(sec.Body)
+		}
 	}
 	return entries
 }

@@ -135,10 +135,17 @@ func writeAtomic(path string, content []byte) error {
 // store.blob.dedup / store.bytes.deduped.
 func (s *Store) PutBlob(body []byte) (Hash, bool, error) {
 	h := HashBytes(body)
+	fresh, err := s.PutVerified(h, body)
+	return h, fresh, err
+}
+
+// PutVerified is PutBlob for a body the caller has already held to its
+// content address h — a received section checked against the hash its
+// announce declared — so it is not hashed a second time.
+func (s *Store) PutVerified(h Hash, body []byte) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fresh, err := s.putBlobLocked(h, body)
-	return h, fresh, err
+	return s.putBlobLocked(h, body)
 }
 
 // putBlobLocked stores body under h, which the caller computed from it.

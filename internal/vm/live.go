@@ -17,10 +17,14 @@ package vm
 // layer's write barrier on, carries the collect.DeltaTracker from round
 // to round, and advances the dirty watermark after every capture. Each
 // round yields the full section list in the deterministic v3 order —
-// clean sections carry their cached bodies. Content hashes are not this
-// package's business: the transport hashes the list when it builds the
-// round's manifest (store.Entries), ships only the bodies the destination
-// lacks, and the destination restores the final round's list.
+// clean sections carry their cached bodies, and say which section of the
+// previous round they were. Content hashes are not this package's
+// business: the transport names the list by them when it builds the
+// round's manifest, hashing only the re-encoded bodies and copying the
+// previous round's entry for the rest (store.EntriesFrom), and ships only
+// the bodies the destination lacks. The destination applies every round
+// into one process shell as it arrives (Restore) and rebuilds the frames
+// from the final one.
 
 import (
 	"time"
@@ -39,9 +43,10 @@ type LiveRound struct {
 	// shipping a round while the next one is captured), but must not be
 	// mutated.
 	Sections []snapshot.Section
-	// Reused marks, index for index, the sections whose bodies were
-	// carried over from the previous round without re-encoding.
-	Reused []bool
+	// From[i] is the index in the previous round's Sections of the section
+	// whose body section i carries over without re-encoding, or -1 when
+	// this round encoded it.
+	From []int
 	// DirtyBlocks is the size of the dirty set this round observed —
 	// the blocks written since the previous round's capture (0 for
 	// round 0, where everything is new).
@@ -110,11 +115,11 @@ func (lc *LiveCapture) Round() (*LiveRound, error) {
 	mDirtyBlocks.Set(int64(round.DirtyBlocks))
 
 	// Every body is owned by the tracker, so there is nothing to release.
-	secs, reused, _, err := p.captureSectionList(lc.dt, dirty)
+	secs, from, _, err := p.captureSectionList(lc.dt, dirty)
 	if err != nil {
 		return nil, err
 	}
-	round.Sections, round.Reused = secs, reused
+	round.Sections, round.From = secs, from
 
 	// Move the watermark: writes from here on belong to the next round.
 	lc.since = p.Space.AdvanceGeneration()

@@ -42,7 +42,7 @@ func newMutatingProcess(t *testing.T, m *arch.Machine, rounds int) (*Process, *m
 func roundTotals(r *LiveRound) (reused, bytes, fresh int) {
 	for i, s := range r.Sections {
 		bytes += len(s.Body)
-		if r.Reused[i] {
+		if r.From[i] >= 0 {
 			reused++
 		} else {
 			fresh += len(s.Body)
@@ -63,11 +63,23 @@ func TestLiveRoundsByteIdenticalToStopAndCopy(t *testing.T) {
 
 	totalReused := 0
 	var mid []byte
+	var prev *LiveRound
 	for round := 0; ; round++ {
 		r, err := lc.Round()
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+		// A carried-over body is the body of the previous round's section
+		// From names, so its content address can be copied from there.
+		for i, f := range r.From {
+			if f < 0 {
+				continue
+			}
+			if p := prev.Sections[f]; p.Kind != r.Sections[i].Kind || !bytes.Equal(p.Body, r.Sections[i].Body) {
+				t.Fatalf("round %d: section %d claims to carry over section %d of the previous round, which differs", round, i, f)
+			}
+		}
+		prev = r
 		direct, err := p.CaptureSections(0)
 		if err != nil {
 			t.Fatalf("round %d direct capture: %v", round, err)
@@ -143,7 +155,7 @@ func TestLiveRoundReuseTracksDirtySet(t *testing.T) {
 		// 4 heap components; exactly one list was mutated between polls.
 		reusedHeap := 0
 		for i, s := range r.Sections {
-			if s.Kind == snapshot.KindHeap && r.Reused[i] {
+			if s.Kind == snapshot.KindHeap && r.From[i] >= 0 {
 				reusedHeap++
 			}
 		}
@@ -190,7 +202,7 @@ func TestLiveRoundReportsAsCapture(t *testing.T) {
 	// bytes each, never null) of a frame or globals body.
 	var blocks int64
 	for i, s := range r.Sections {
-		if r.Reused[i] || s.Kind == snapshot.KindExec {
+		if r.From[i] >= 0 || s.Kind == snapshot.KindExec {
 			continue
 		}
 		dec := xdr.NewDecoder(s.Body)

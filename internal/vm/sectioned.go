@@ -15,11 +15,13 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/collect"
 	"repro/internal/memory"
 	"repro/internal/minic"
+	"repro/internal/msr"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
 	"repro/internal/xdr"
@@ -52,14 +54,15 @@ func (p *Process) CaptureSections(_ int) ([]byte, error) {
 // stopped at and returns every section in the deterministic snapshot
 // order — exec, heap components by number, frames innermost first,
 // globals. With a tracker (a live round) the sections dirty cannot have
-// touched are reused from it — reused marks them — and every body is
-// tracker-owned; without one the bodies alias pooled encoders until
-// release is called. The
-// capture is recorded here, once, counting the sections that were
-// encoded (not the reused ones): CaptureStats, a "collect" span with
-// partition, encode and per-section children, the vm.section.encode
-// histogram and the capture counters.
-func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty collect.DirtyFunc) (secs []snapshot.Section, reused []bool, release func(), err error) {
+// touched are reused from it — from[i] is the index in the previous
+// round's list of the section whose body section i carries over, -1 for a
+// body encoded now — and every body is tracker-owned; without one the
+// bodies alias pooled encoders until release is called. The capture is
+// recorded here, once, counting the sections that were encoded (not the
+// reused ones): CaptureStats, a "collect" span with partition, encode and
+// per-section children, the vm.section.encode histogram and the capture
+// counters.
+func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty collect.DirtyFunc) (secs []snapshot.Section, from []int, release func(), err error) {
 	start := time.Now()
 	innermost, err := p.stoppedSite()
 	if err != nil {
@@ -96,13 +99,13 @@ func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty collect.Dir
 	execElapsed := time.Since(execStart)
 
 	nframes := len(p.frames)
-	secs = make([]snapshot.Section, 0, 1+len(st.Heap)+nframes+1)
-	reused = make([]bool, 0, cap(secs))
+	secs = make([]snapshot.Section, 0, 1+len(st.Bodies))
+	from = make([]int, 0, cap(secs))
 	calls, fresh := st.Calls+execEnc.Calls(), 0
-	add := func(kind snapshot.Kind, id uint32, body []byte, elapsed time.Duration, carried bool) {
+	add := func(kind snapshot.Kind, id uint32, body []byte, elapsed time.Duration, carried int) {
 		secs = append(secs, snapshot.Section{Kind: kind, ID: id, Body: body})
-		reused = append(reused, carried)
-		if carried {
+		from = append(from, carried)
+		if carried >= 0 {
 			return
 		}
 		fresh += len(body)
@@ -114,14 +117,20 @@ func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty collect.Dir
 		c.SetDuration(elapsed)
 		mSectionEncode.Observe(elapsed)
 	}
-	add(snapshot.KindExec, 0, execEnc.Bytes(), execElapsed, false)
-	for i, h := range st.Heap {
-		add(snapshot.KindHeap, uint32(i), h.Body, h.Elapsed, h.Reused)
+	add(snapshot.KindExec, 0, execEnc.Bytes(), execElapsed, -1)
+	for i, b := range st.Bodies {
+		kind, id := snapshot.KindHeap, uint32(i)
+		switch {
+		case i == len(st.Bodies)-1:
+			kind, id = snapshot.KindGlobals, 0
+		case i >= st.Heap:
+			kind, id = snapshot.KindFrame, uint32(nframes-(i-st.Heap))
+		}
+		if b.From >= 0 {
+			b.From++ // the previous round's list opened with its exec section too
+		}
+		add(kind, id, b.Body, b.Elapsed, b.From)
 	}
-	for i := nframes - 1; i >= 0; i-- {
-		add(snapshot.KindFrame, uint32(i+1), st.Frames[i].Body, st.Frames[i].Elapsed, st.Frames[i].Reused)
-	}
-	add(snapshot.KindGlobals, 0, st.Globals.Body, st.Globals.Elapsed, st.Globals.Reused)
 
 	save := st.Stats
 	save.Searches = p.Table.Stats.Searches - baseSearches
@@ -134,7 +143,7 @@ func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty collect.Dir
 	}
 	span.SetBytes(int64(fresh))
 	flushCapture(calls, fresh, p.captureStats.Elapsed)
-	return secs, reused, st.Release, nil
+	return secs, from, st.Release, nil
 }
 
 // liveRoots builds the collection roots — the live-variable addresses of
@@ -158,10 +167,10 @@ func (p *Process) liveRoots(sites []*minic.Site) collect.Roots {
 
 // restoreSectioned rebuilds the process from a framed sectioned (v3)
 // snapshot: snapshot.Reader takes it apart — verifying every section's CRC
-// and that nothing trails the last — in front of restoreSections.
+// and that nothing trails the last — in front of the one restore loop.
 func (p *Process) restoreSectioned(state []byte, restoreStart time.Time) error {
-	span := p.Obs.Child("restore")
-	defer span.End()
+	r := p.NewRestore()
+	defer r.span.End()
 	dec := xdr.NewDecoder(state)
 	rd, err := snapshot.NewReader(dec)
 	if err != nil {
@@ -175,126 +184,310 @@ func (p *Process) restoreSectioned(state []byte, restoreStart time.Time) error {
 		return fmt.Errorf("%w: %d trailing bytes after snapshot sections",
 			collect.ErrCorruptStream, dec.Remaining())
 	}
-	return p.restoreSections(span, secs, dec.Calls(), restoreStart)
+	r.framing, r.elapsed = dec.Calls(), time.Since(restoreStart)
+	return r.once(secs)
 }
 
 // RestoreSections restores a section list into a freshly created process
 // (one that has not started running) — the section-valued form of
-// RestoreInto, for a caller that holds verified bodies (a round exchange's,
-// a checkpoint store's) and has no reason to frame them first.
+// RestoreInto, for a caller that holds verified bodies (a checkpoint
+// store's) and has no reason to frame them first.
 func (p *Process) RestoreSections(secs []snapshot.Section) error {
 	if len(p.frames) != 0 {
 		return errors.New("vm: RestoreSections on a process that already has frames")
 	}
-	span := p.Obs.Child("restore")
-	defer span.End()
-	return obs.Phase("restore", func() error { return p.restoreSections(span, secs, 0, time.Now()) })
+	return p.NewRestore().once(secs)
 }
 
-// restoreSections is the one sectioned restore loop. The section order is
-// enforced — exec first, every heap component before any variable
-// contents, each frame exactly once, globals exactly once — which
-// guarantees every flat reference a section decodes resolves against
-// blocks already registered. span is the caller's restore span — a framed
-// snapshot's covers its verification too — and framing the decode calls
-// its reader spent, for the restore's accounting.
-func (p *Process) restoreSections(span *obs.Span, secs []snapshot.Section, framing int, restoreStart time.Time) error {
+// Sum is the content address a round exchange names a section body by.
+// The restore compares sums; it never computes one.
+type Sum = [32]byte
+
+// Restore is the one sectioned restore loop as a value: a process shell
+// that section lists are applied into as they arrive. A cold, warm or
+// checkpoint restore applies its one list and finishes; a live exchange
+// applies every round's list into the same shell and finishes after the
+// final one, so the final round restores only what it carries.
+//
+// Apply places the heap components at once, reconciled with the shell's:
+// a component the list names under a sum the shell holds stays as it is,
+// one whose directory (block IDs, types, counts) a new body repeats is
+// refilled in place, and every other is dropped — its blocks freed and
+// unregistered — before the new bodies allocate theirs, so the shell never
+// holds more heap than the latest list. The exec, frame and globals
+// sections are checked and held; Finish rebuilds the frames from the
+// latest exec section and fills the variables. A failed step leaves a
+// shell to be discarded.
+type Restore struct {
+	p     *Process
+	span  *obs.Span
+	heap  []*held            // the latest list's heap components, in list order
+	bySum map[Sum]*held      // every section of the latest list, by sum
+	vars  []snapshot.Section // its exec, frame and globals sections
+	fns   []*minic.FuncSymbol
+	sites []*minic.Site // its exec section, decoded
+
+	stats   collect.RestoreStats
+	size    int // what the applied sections frame to
+	framing int // decode calls a framed snapshot's reader spent
+	elapsed time.Duration
+}
+
+// held is a section of the shell: a heap component applied into it, or an
+// exec, frame or globals section held for Finish.
+type held struct {
+	kind   snapshot.Kind
+	dir    []byte       // a component's directory, in its body
+	blocks []*msr.Block // a component's blocks, in directory order
+	// body is a variable section's, and a component's while its pointers
+	// into frames wait for Finish to fill them.
+	body []byte
+}
+
+// NewRestore starts a restore into p, which must be freshly created (it
+// has not started running), recorded as a "restore" child of its span.
+func (p *Process) NewRestore() *Restore {
+	span := p.Obs.Child("restore")
 	span.SetAttr("format", "sectioned")
+	return &Restore{p: p, span: span, size: 8}
+}
+
+// Holds reports whether the shell holds the body a list names under sum
+// as a section of kind, so that a round need not fetch it again.
+func (r *Restore) Holds(kind snapshot.Kind, sum Sum) bool {
+	h := r.bySum[sum]
+	return h != nil && h.kind == kind
+}
+
+// Apply takes one section list into the shell. sums, when set, are the
+// content addresses the list names its sections by, and a section with a
+// nil Body is one the shell Holds. The list must be in snapshot order:
+// exec first and once, heap components in number order before any
+// variable section, each frame of the exec section's chain exactly once,
+// globals exactly once.
+func (r *Restore) Apply(secs []snapshot.Section, sums []Sum) error {
+	return r.timed(func() error { return r.apply(secs, sums) })
+}
+
+// Finish rebuilds the frames of the latest list, fills the pointers into
+// them its heap sections left null, and restores the frame and globals
+// sections; the process is then ready to resume. It runs once.
+func (r *Restore) Finish() error {
+	if err := r.timed(r.finish); err != nil {
+		return err
+	}
+	p := r.p
+	p.resumeSites, p.restoreStats, p.restoreElapsed = r.sites, r.stats, r.elapsed
+	r.span.SetBytes(int64(r.size))
+	r.span.SetDuration(r.elapsed)
+	flushRestore(r.framing, r.size, r.elapsed)
+	return nil
+}
+
+// once applies a restore's only list and finishes.
+func (r *Restore) once(secs []snapshot.Section) error {
+	if err := r.Apply(secs, nil); err != nil {
+		return err
+	}
+	return r.Finish()
+}
+
+// timed runs one step under the restore phase label and adds its wall time
+// to the restore's; a failed step ends the span.
+func (r *Restore) timed(step func() error) error {
+	start := time.Now()
+	err := obs.Phase("restore", step)
+	r.elapsed += time.Since(start)
+	if err != nil {
+		r.span.End()
+	}
+	return err
+}
+
+func (r *Restore) apply(secs []snapshot.Section, sums []Sum) error {
 	if len(secs) == 0 || secs[0].Kind != snapshot.KindExec || secs[0].ID != 0 {
 		return fmt.Errorf("%w: snapshot does not start with the exec section", collect.ErrCorruptStream)
 	}
-	execDec := xdr.NewDecoder(secs[0].Body)
-	sites, err := p.restoreExecState(execDec)
+	list := make([]*held, len(secs))
+	for i, sec := range secs {
+		if sec.Body != nil || sums == nil {
+			list[i] = &held{kind: sec.Kind, body: sec.Body}
+		} else if list[i] = r.bySum[sums[i]]; !r.Holds(sec.Kind, sums[i]) {
+			return fmt.Errorf("%w: %s section %d has no body", collect.ErrCorruptStream, sec.Kind, sec.ID)
+		}
+	}
+	dec := xdr.NewDecoder(list[0].body)
+	fns, sites, err := r.p.decodeExecState(dec)
 	if err != nil {
 		return err
 	}
-	if execDec.Remaining() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes in exec section", collect.ErrCorruptStream, execDec.Remaining())
+	if dec.Remaining() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes in exec section", collect.ErrCorruptStream, dec.Remaining())
 	}
-	nframes := len(sites)
-
-	total := collect.RestoreStats{}
-	size := 8 + 16 + (len(secs[0].Body)+3)&^3 // what the list frames to
-
-	heapDone := false
-	nextHeap := uint32(0)
-	framesSeen := make([]bool, nframes)
-	globalsSeen := false
-
-	for _, sec := range secs[1:] {
-		secStart := time.Now()
-		var rs collect.RestoreStats
+	vars := []snapshot.Section{{Kind: snapshot.KindExec, Body: list[0].body}}
+	framesSeen, globalsSeen := make([]bool, len(sites)), false
+	var heap []int
+	for i, sec := range secs[1:] {
 		switch sec.Kind {
 		case snapshot.KindExec:
 			return fmt.Errorf("%w: duplicate exec section", collect.ErrCorruptStream)
 		case snapshot.KindHeap:
-			if heapDone {
+			if len(vars) > 1 {
 				return fmt.Errorf("%w: heap section %d after variable sections", collect.ErrCorruptStream, sec.ID)
 			}
-			if sec.ID != nextHeap {
+			if sec.ID != uint32(len(heap)) {
 				return fmt.Errorf("%w: heap sections out of order (got %d, want %d)",
-					collect.ErrCorruptStream, sec.ID, nextHeap)
+					collect.ErrCorruptStream, sec.ID, len(heap))
 			}
-			nextHeap++
-			rs, err = collect.RestoreHeapSection(p.Space, p.Table, p.TI, sec.Body, p.Instrument)
+			heap = append(heap, i+1)
+			continue
 		case snapshot.KindFrame:
-			heapDone = true
-			d := int(sec.ID)
-			if d < 1 || d > nframes {
+			if d := int(sec.ID); d < 1 || d > len(sites) {
 				return fmt.Errorf("%w: frame section %d outside the %d restored frames",
-					collect.ErrCorruptStream, d, nframes)
-			}
-			if framesSeen[d-1] {
+					collect.ErrCorruptStream, d, len(sites))
+			} else if framesSeen[d-1] {
 				return fmt.Errorf("%w: duplicate frame section %d", collect.ErrCorruptStream, d)
 			}
-			framesSeen[d-1] = true
-			f := p.frames[d-1]
-			live := make([]memory.Address, len(sites[d-1].Live))
-			for j, v := range sites[d-1].Live {
-				live[j] = p.VarAddr(f, v)
-			}
-			rs, err = collect.RestoreVarSection(p.Space, p.Table, p.TI, sec.Body,
-				live, memory.Stack, uint32(d), p.Instrument)
+			framesSeen[sec.ID-1] = true
 		case snapshot.KindGlobals:
-			heapDone = true
 			if globalsSeen {
 				return fmt.Errorf("%w: duplicate globals section", collect.ErrCorruptStream)
 			}
 			globalsSeen = true
-			live := make([]memory.Address, 0, len(p.Prog.Globals))
-			for _, g := range p.Prog.Globals {
-				live = append(live, p.globalAddrs[g.Index])
-			}
-			rs, err = collect.RestoreVarSection(p.Space, p.Table, p.TI, sec.Body,
-				live, memory.Global, 0, p.Instrument)
 		default:
 			return fmt.Errorf("%w: unknown section kind %d", collect.ErrCorruptStream, uint32(sec.Kind))
 		}
-		if err != nil {
-			return fmt.Errorf("vm: restoring %s section %d: %w", sec.Kind, sec.ID, err)
-		}
-		total.Add(rs)
-		size += 16 + (len(sec.Body)+3)&^3
-		secElapsed := time.Since(secStart)
-		c := span.Child("section")
-		c.SetSection(sec.Kind.String(), sec.ID)
-		c.SetBytes(int64(len(sec.Body)))
-		c.SetDuration(secElapsed)
-		mSectionRestore.Observe(secElapsed)
+		vars = append(vars, snapshot.Section{Kind: sec.Kind, ID: sec.ID, Body: list[i+1].body})
 	}
-	for d := 1; d <= nframes; d++ {
-		if !framesSeen[d-1] {
-			return fmt.Errorf("%w: snapshot is missing frame section %d", collect.ErrCorruptStream, d)
-		}
+	if d := slices.Index(framesSeen, false); d >= 0 {
+		return fmt.Errorf("%w: snapshot is missing frame section %d", collect.ErrCorruptStream, d+1)
 	}
 	if !globalsSeen {
 		return fmt.Errorf("%w: snapshot is missing the globals section", collect.ErrCorruptStream)
 	}
+	if err := r.reconcile(secs, list, heap); err != nil {
+		return err
+	}
+	r.vars, r.fns, r.sites, r.bySum = vars, fns, sites, nil
+	if sums != nil {
+		r.bySum = make(map[Sum]*held, len(list))
+		for i, h := range list {
+			r.bySum[sums[i]] = h
+		}
+	}
+	return nil
+}
 
-	p.resumeSites = sites
-	p.restoreStats = total
-	p.restoreElapsed = time.Since(restoreStart)
-	span.SetBytes(int64(size))
-	flushRestore(framing, size, p.restoreElapsed)
+// reconcile brings the shell's heap to the list's, whose heap sections
+// stand at the indices heap names. What the list no longer names as it was
+// is stale; a new body that repeats a stale component's directory takes
+// its blocks over, and every other stale component is dropped before the
+// new bodies allocate theirs.
+func (r *Restore) reconcile(secs []snapshot.Section, list []*held, heap []int) error {
+	kept := make(map[*held]bool, len(heap))
+	for _, i := range heap {
+		if c := list[i]; c.blocks != nil { // the shell's, named by its sum
+			if kept[c] {
+				return fmt.Errorf("%w: heap section %d repeats another", collect.ErrCorruptStream, secs[i].ID)
+			}
+			kept[c] = true
+		}
+	}
+	stale := make(map[string]*held)
+	for _, c := range r.heap {
+		if !kept[c] {
+			stale[string(c.dir)] = c
+		}
+	}
+	for _, i := range heap {
+		if c := stale[string(collect.HeapDirectory(secs[i].Body))]; c != nil && list[i].blocks == nil {
+			delete(stale, string(c.dir))
+			list[i] = c
+			r.stats.Refilled++
+		}
+	}
+	var gone []*msr.Block
+	for _, c := range r.heap {
+		if !kept[c] && stale[string(c.dir)] == c {
+			gone = append(gone, c.blocks...)
+			r.stats.Dropped++
+		}
+	}
+	r.p.Table.Remove(gone)
+	for _, b := range gone {
+		if err := r.p.Space.Free(b.Addr); err != nil {
+			return err
+		}
+	}
+	r.heap = r.heap[:0]
+	for _, i := range heap {
+		if c := list[i]; c.blocks == nil || secs[i].Body != nil {
+			if err := r.applyHeap(c, secs[i], true); err != nil {
+				return err
+			}
+		}
+		r.heap = append(r.heap, list[i])
+	}
+	return nil
+}
+
+// applyHeap restores one heap section into c, into the blocks c already
+// has when it has them; early says the frames do not exist yet.
+func (r *Restore) applyHeap(c *held, sec snapshot.Section, early bool) error {
+	start, p := time.Now(), r.p
+	blocks, deferred, rs, err := collect.RestoreHeapSection(p.Space, p.Table, p.TI, sec.Body, c.blocks, p.Instrument, early)
+	if err != nil {
+		return fmt.Errorf("vm: restoring %s section %d: %w", sec.Kind, sec.ID, err)
+	}
+	c.dir, c.blocks, c.body = collect.HeapDirectory(sec.Body), blocks, nil
+	if deferred {
+		c.body = sec.Body
+	}
+	r.booked(sec, rs, start)
+	return nil
+}
+
+// booked accounts for one applied section: its statistics, what it frames
+// to, and a child of the restore span.
+func (r *Restore) booked(sec snapshot.Section, rs collect.RestoreStats, start time.Time) {
+	r.stats.Add(rs)
+	r.size += 16 + (len(sec.Body)+3)&^3
+	elapsed := time.Since(start)
+	c := r.span.Child("section")
+	c.SetSection(sec.Kind.String(), sec.ID)
+	c.SetBytes(int64(len(sec.Body)))
+	c.SetDuration(elapsed)
+	mSectionRestore.Observe(elapsed)
+}
+
+func (r *Restore) finish() error {
+	p := r.p
+	if r.sites == nil {
+		return fmt.Errorf("%w: no section list was applied", collect.ErrCorruptStream)
+	}
+	if err := p.pushFrames(r.fns); err != nil {
+		return err
+	}
+	r.size += 16 + (len(r.vars[0].Body)+3)&^3
+	for k, c := range r.heap {
+		if c.body != nil {
+			if err := r.applyHeap(c, snapshot.Section{Kind: snapshot.KindHeap, ID: uint32(k), Body: c.body}, false); err != nil {
+				return err
+			}
+		}
+	}
+	roots := p.liveRoots(r.sites)
+	for _, sec := range r.vars[1:] {
+		start := time.Now()
+		seg, major, live := memory.Global, uint32(0), roots.Globals
+		if sec.Kind == snapshot.KindFrame {
+			seg, major, live = memory.Stack, sec.ID, roots.FrameLive[sec.ID-1]
+		}
+		rs, err := collect.RestoreVarSection(p.Space, p.Table, p.TI, sec.Body, live, seg, major, p.Instrument)
+		if err != nil {
+			return fmt.Errorf("vm: restoring %s section %d: %w", sec.Kind, sec.ID, err)
+		}
+		r.booked(sec, rs, start)
+	}
 	return nil
 }

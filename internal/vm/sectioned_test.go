@@ -2,7 +2,9 @@ package vm
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -289,5 +291,96 @@ func TestSectionedRejectsWrongProgram(t *testing.T) {
 	}
 	if _, err := RestoreProcess(other, arch.I386, v3); !errors.Is(err, collect.ErrMismatch) {
 		t.Errorf("err = %v, want ErrMismatch", err)
+	}
+}
+
+// cellSrc keeps a heap cell that points into main's frame.
+const cellSrc = `
+struct cell { int *p; int n; };
+int main() {
+	int x, r;
+	struct cell *c;
+	x = 1;
+	c = (struct cell *) malloc(sizeof(struct cell));
+	c->p = &x;
+	c->n = 0;
+	for (r = 0; r < 5; r++) {
+		*c->p = *c->p * 3 + r;
+		c->n = c->n + 1;
+		migrate_here();
+	}
+	return (x + c->n) & 255;
+}`
+
+// TestHeapPointerIntoFrameWaitsForFrames restores a heap component that
+// points into a frame. A restore applies heap sections before the frames
+// exist — a live one round by round, as they arrive — so the pointer
+// cannot resolve then; it is left null and the section filled again once
+// Finish has rebuilt the frames. Applied round by round into one shell,
+// each round naming what the shell already holds by sum only, and in one
+// call, the restored process re-collects like the source and runs to the
+// same exit.
+func TestHeapPointerIntoFrameWaitsForFrames(t *testing.T) {
+	p := stopPaused(t, cellSrc, arch.DEC5000)
+	q, err := NewProcess(p.Prog, arch.SPARC20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shell := q.NewRestore()
+	lc := p.NewLiveCapture(0)
+	for round := 0; round < 3; round++ {
+		if round > 0 {
+			if res, err := p.ResumeRun(); err != nil || !res.Migrated {
+				t.Fatalf("resume: %+v, %v", res, err)
+			}
+		}
+		lr, err := lc.Round()
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs, sums, held := slices.Clone(lr.Sections), make([]Sum, len(lr.Sections)), 0
+		for i, s := range secs {
+			if sums[i] = sha256.Sum256(s.Body); shell.Holds(s.Kind, sums[i]) {
+				secs[i].Body, held = nil, held+1
+			}
+		}
+		if round > 0 && held == 0 {
+			t.Errorf("round %d: the shell holds none of the sections", round)
+		}
+		if err := shell.Apply(secs, sums); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	lc.Close()
+	if err := shell.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := p.CaptureSections(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneCall, err := RestoreProcess(p.Prog, arch.SPARC20, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.Recapture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*Process{"round by round": q, "one call": oneCall} {
+		if got, err := r.Recapture(); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: recapture differs from the source's (err %v)", name, err)
+		}
+	}
+	p.PollHook = nil // the source runs on to its exit
+	res, err := p.ResumeRun()
+	if err != nil || res.Migrated {
+		t.Fatalf("source: %+v, %v", res, err)
+	}
+	for name, r := range map[string]*Process{"round by round": q, "one call": oneCall} {
+		r.MaxSteps = 1_000_000
+		if got, err := r.Run(); err != nil || got.Migrated || got.ExitCode != res.ExitCode {
+			t.Errorf("%s: restored run %+v, %v; the source exits %d", name, got, err, res.ExitCode)
+		}
 	}
 }

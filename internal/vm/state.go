@@ -205,8 +205,11 @@ func (p *Process) restoreState(state []byte) error {
 	span := p.Obs.Child("restore")
 	span.SetAttr("format", "mono")
 	defer span.End()
-	sites, err := p.restoreExecState(dec)
+	fns, sites, err := p.decodeExecState(dec)
 	if err != nil {
+		return err
+	}
+	if err := p.pushFrames(fns); err != nil {
 		return err
 	}
 
@@ -248,40 +251,45 @@ func (p *Process) putExecState(enc *xdr.Encoder, sites []*minic.Site) {
 	}
 }
 
-// restoreExecState decodes what putExecState wrote and rebuilds the frame
-// chain, returning the per-frame stopped sites.
-func (p *Process) restoreExecState(dec *xdr.Decoder) ([]*minic.Site, error) {
+// decodeExecState decodes what putExecState wrote: the function of every
+// frame, outermost first, and the site each is stopped at.
+func (p *Process) decodeExecState(dec *xdr.Decoder) ([]*minic.FuncSymbol, []*minic.Site, error) {
 	nframes, err := dec.Uint32()
 	if err != nil {
-		return nil, fmt.Errorf("%w: truncated execution state", collect.ErrCorruptStream)
+		return nil, nil, fmt.Errorf("%w: truncated execution state", collect.ErrCorruptStream)
 	}
-	if nframes == 0 || nframes > 1<<16 {
-		return nil, fmt.Errorf("%w: implausible frame count %d", collect.ErrCorruptStream, nframes)
+	if nframes == 0 || nframes > 1<<16 || int64(nframes)*8 > int64(dec.Remaining()) {
+		return nil, nil, fmt.Errorf("%w: implausible frame count %d", collect.ErrCorruptStream, nframes)
 	}
-	sites := make([]*minic.Site, nframes)
+	fns, sites := make([]*minic.FuncSymbol, nframes), make([]*minic.Site, nframes)
 	for i := range sites {
 		name, err := dec.String()
 		if err != nil {
-			return nil, fmt.Errorf("%w: truncated execution state", collect.ErrCorruptStream)
+			return nil, nil, fmt.Errorf("%w: truncated execution state", collect.ErrCorruptStream)
 		}
 		siteID, err := dec.Uint32()
 		if err != nil {
-			return nil, fmt.Errorf("%w: truncated execution state", collect.ErrCorruptStream)
+			return nil, nil, fmt.Errorf("%w: truncated execution state", collect.ErrCorruptStream)
 		}
-		fn := p.Prog.Func(name)
-		if fn == nil {
-			return nil, fmt.Errorf("%w: state references unknown function %s", collect.ErrMismatch, name)
+		fns[i] = p.Prog.Func(name)
+		if fns[i] == nil {
+			return nil, nil, fmt.Errorf("%w: state references unknown function %s", collect.ErrMismatch, name)
 		}
-		site := fn.SiteByID(int(siteID))
-		if site == nil {
-			return nil, fmt.Errorf("%w: function %s has no migration site %d", collect.ErrMismatch, name, siteID)
-		}
-		sites[i] = site
-		if _, err := p.pushFrame(fn); err != nil {
-			return nil, err
+		if sites[i] = fns[i].SiteByID(int(siteID)); sites[i] == nil {
+			return nil, nil, fmt.Errorf("%w: function %s has no migration site %d", collect.ErrMismatch, name, siteID)
 		}
 	}
-	return sites, nil
+	return fns, sites, nil
+}
+
+// pushFrames rebuilds the frame chain decodeExecState described.
+func (p *Process) pushFrames(fns []*minic.FuncSymbol) error {
+	for _, fn := range fns {
+		if _, err := p.pushFrame(fn); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SnapshotAddressOf resolves a named variable in the current innermost
