@@ -72,11 +72,11 @@ type Restorer struct {
 	// and deferred set, so the section is filled again once they do.
 	early, deferred bool
 
-	// given is the number of stream bytes the decoder held when the
-	// Restorer was created, and claimed the minimum encoding of every heap
-	// block allocated so far: allocHeapBlock holds the one against the
-	// other, so what a stream makes the restorer allocate is bounded by
-	// the stream's own length.
+	// given is the number of stream bytes left when the Restorer was
+	// created, and claimed the minimum encoding of every heap block
+	// allocated so far: allocHeapBlock holds the one against the other, and
+	// a section's claims against the bytes that arrived, so what a stream
+	// makes the restorer allocate is bounded by the bytes it delivered.
 	given, claimed int64
 
 	depth int // nesting of the v1 records being restored, held to maxDepth
@@ -233,11 +233,14 @@ func (r *Restorer) fillContents(b *msr.Block) error {
 // caller to register; b carries its identification and shape and receives
 // its address.
 // Before trusting the declared element count it checks the
-// stream actually holds at least the minimum encoding of that many
+// stream holds at least the minimum encoding of that many
 // elements — and of every block allocated before it: a section directory
 // is decoded in full before any content is consumed, and a v1 record is
 // checked before its enclosing records have been, so the bytes remaining
 // alone would let every one of n declarations claim the same remainder.
+// A section's contents all lie ahead of its directory, so there the bytes
+// every claim so far needs must also have arrived: a declared length
+// never becomes an allocation before the bytes that justify it.
 func (r *Restorer) allocHeapBlock(b *msr.Block) error {
 	plan := b.Plan(r.mach)
 	es := plan.ElemSize
@@ -247,7 +250,11 @@ func (r *Restorer) allocHeapBlock(b *msr.Block) error {
 	}
 	need := int64(b.Count) * int64(max(plan.WireMin, 1))
 	r.claimed += need
-	if need > int64(r.dec.Remaining()) || r.claimed > r.given {
+	ahead := need
+	if r.flat {
+		ahead = r.claimed
+	}
+	if r.claimed > r.given || r.dec.Ensure(int(ahead)) != nil {
 		return fmt.Errorf("%w: heap block %s declares %d elements; %d bytes remain and earlier blocks claim %d of the stream's %d",
 			ErrCorruptStream, b.ID, b.Count, r.dec.Remaining(), r.claimed-need, r.given)
 	}

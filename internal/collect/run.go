@@ -40,22 +40,27 @@ func encodeRun(enc *xdr.Encoder, space *memory.Space, op types.PlanOp, base memo
 }
 
 // decodeRun is encodeRun's inverse, shared by the monolithic Restorer
-// and the sectioned restorers.
+// and the sectioned restorers. A run whose wire form spans pieces of a fed
+// decoder is converted piece by piece, straight out of each.
 func decodeRun(dec *xdr.Decoder, space *memory.Space, op types.PlanOp, base memory.Address) (int, error) {
 	size, ws := op.Stride, types.WireSize(op.Kind)
-	in, err := dec.Take(ws * op.Count)
-	if err != nil {
-		return 0, fmt.Errorf("%w: truncated scalar run", ErrCorruptStream)
-	}
 	dst, err := space.Bytes(base+memory.Address(op.Off), size*op.Count)
 	if err != nil {
 		return 0, err
 	}
-	switch op.Conv {
-	case types.ConvLong32, types.ConvULong32:
-		narrow32(dst, in, space.Machine().Order == arch.LittleEndian)
-	default:
-		reorder(dst, in, op.Conv)
+	for left := ws * op.Count; left > 0; {
+		in, err := dec.TakeRun(left, ws)
+		if err != nil {
+			return 0, fmt.Errorf("%w: truncated scalar run", ErrCorruptStream)
+		}
+		n := len(in) / ws * size
+		switch op.Conv {
+		case types.ConvLong32, types.ConvULong32:
+			narrow32(dst[:n], in, space.Machine().Order == arch.LittleEndian)
+		default:
+			reorder(dst[:n], in, op.Conv)
+		}
+		dst, left = dst[n:], left-len(in)
 	}
 	return ws * op.Count, nil
 }

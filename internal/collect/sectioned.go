@@ -537,37 +537,47 @@ func HeapDirectory(body []byte) []byte {
 	return nil
 }
 
-// RestoreHeapSection rebuilds one heap-component section and returns its
-// blocks in directory order. Given the blocks of an earlier section with
-// the same directory (a live restore refilling a component in place), it
-// decodes the contents into them. Otherwise every block in the directory is
-// allocated, and the directory registered in one merge, before any content
-// is decoded. Contents are filled with flat reference translation. early
-// marks a restore that runs before the frames exist: a pointer into the
-// stack is left null, and deferred reports that the section must be filled
-// again once the frames do.
-func RestoreHeapSection(space *memory.Space, table *msr.Table, ti *types.TI, body []byte, blocks []*msr.Block, instrument, early bool) (_ []*msr.Block, deferred bool, _ RestoreStats, err error) {
-	r := NewRestorer(space, table, ti, xdr.NewDecoder(body))
+// RestoreHeapSection rebuilds one heap-component section, read from dec,
+// and returns its blocks in directory order. Given the blocks of an earlier
+// section with the same directory (a live restore refilling a component in
+// place), it decodes the contents into them. Otherwise every block in the
+// directory is allocated, and the directory registered in one merge,
+// before any content is decoded. Contents are filled with flat reference
+// translation. early marks a restore that runs before the frames exist: a
+// pointer into the stack is left null, and deferred reports that the
+// section must be filled again once the frames do.
+func RestoreHeapSection(space *memory.Space, table *msr.Table, ti *types.TI, dec *xdr.Decoder, blocks []*msr.Block, instrument, early bool) (_ []*msr.Block, deferred bool, _ RestoreStats, err error) {
+	r := NewRestorer(space, table, ti, dec)
 	r.flat, r.early = true, early
 	r.Instrument = instrument
 
-	n, err := r.dec.Uint32()
+	n, err := r.directorySize()
 	if err != nil {
-		return nil, false, r.Stats, fmt.Errorf("%w: truncated heap section directory", ErrCorruptStream)
-	}
-	if int64(n)*16 > int64(r.dec.Remaining()) {
-		return nil, false, r.Stats, fmt.Errorf("%w: heap directory declares %d entries, %d bytes remain",
-			ErrCorruptStream, n, r.dec.Remaining())
+		return nil, false, r.Stats, err
 	}
 	if blocks != nil {
 		// The caller matched this directory byte for byte with the one the
 		// blocks were restored from.
-		r.dec.FixedOpaque(16 * int(n))
-	} else if blocks, err = r.allocDirectory(int(n)); err != nil {
+		r.dec.FixedOpaque(16 * n)
+	} else if blocks, err = r.allocDirectory(n); err != nil {
 		return nil, false, r.Stats, err
 	}
 	err = r.fillBlocks(blocks)
 	return blocks, r.deferred, r.Stats, err
+}
+
+// directorySize decodes a section directory's entry count, which the bytes
+// that arrived must hold the entries of before anything is sized by it.
+func (r *Restorer) directorySize() (int, error) {
+	n, err := r.dec.Uint32()
+	if err != nil {
+		return 0, fmt.Errorf("%w: truncated section directory", ErrCorruptStream)
+	}
+	if r.dec.Ensure(16*int(n)) != nil {
+		return 0, fmt.Errorf("%w: directory declares %d entries, %d bytes remain",
+			ErrCorruptStream, n, r.dec.Remaining())
+	}
+	return int(n), nil
 }
 
 // allocDirectory allocates the n blocks of a heap section directory and
@@ -607,14 +617,14 @@ func (r *Restorer) allocDirectory(n int) ([]*msr.Block, error) {
 	return blocks, nil
 }
 
-// RestoreVarSection rebuilds one frame or globals section: the live
-// references are verified against the destination's own layout (the
+// RestoreVarSection rebuilds one frame or globals section, read from dec:
+// the live references are verified against the destination's own layout (the
 // RestoreVariable cross-check of the paper), the directory is matched
 // against the already-registered variable blocks, and the contents are
 // filled. seg and major bound the identifications a directory entry may
 // carry (Stack + frame depth, or Global + 0).
-func RestoreVarSection(space *memory.Space, table *msr.Table, ti *types.TI, body []byte, live []memory.Address, seg memory.Segment, major uint32, instrument bool) (RestoreStats, error) {
-	r := NewRestorer(space, table, ti, xdr.NewDecoder(body))
+func RestoreVarSection(space *memory.Space, table *msr.Table, ti *types.TI, dec *xdr.Decoder, live []memory.Address, seg memory.Segment, major uint32, instrument bool) (RestoreStats, error) {
+	r := NewRestorer(space, table, ti, dec)
 	r.flat = true
 	r.Instrument = instrument
 
@@ -632,16 +642,12 @@ func RestoreVarSection(space *memory.Space, table *msr.Table, ti *types.TI, body
 		}
 	}
 
-	nb, err := r.dec.Uint32()
+	nb, err := r.directorySize()
 	if err != nil {
-		return r.Stats, fmt.Errorf("%w: truncated section directory", ErrCorruptStream)
-	}
-	if int64(nb)*16 > int64(r.dec.Remaining()) {
-		return r.Stats, fmt.Errorf("%w: directory declares %d entries, %d bytes remain",
-			ErrCorruptStream, nb, r.dec.Remaining())
+		return r.Stats, err
 	}
 	blocks := make([]*msr.Block, 0, nb)
-	for i := uint32(0); i < nb; i++ {
+	for range nb {
 		maj, minor, ty, count, err := r.directoryEntry()
 		if err != nil {
 			return r.Stats, err

@@ -12,8 +12,9 @@
 //     machine-independent sections — onto a chunk stream behind the
 //     envelope header (SendSectioned), or into a checkpoint store
 //     (CheckpointProcess) — and the destination restores them
-//     (ReceiveAndRestoreSectioned, RestoreFromStore; a round exchange
-//     applies its rounds into a vm.Restore as they arrive);
+//     (ReceiveAndRestoreSectioned, which decodes each section out of the
+//     chunks as they arrive; RestoreFromStore; a round exchange applies
+//     its rounds into a vm.Restore as they arrive);
 //  4. the source process terminates, the destination process resumes from
 //     the migration point.
 //

@@ -3,9 +3,11 @@ package core
 // Sectioned migration (envelope version 3): the captured state is a
 // sectioned snapshot (internal/snapshot) — execution state, heap
 // components, frames, and globals as typed, independently CRC-framed
-// sections. On the wire it rides the internal/stream chunk layer.
-// The snapshot's per-section CRCs let the restorer localize corruption to
-// one section even when the transport has no framing of its own.
+// sections. On the wire it rides the internal/stream chunk layer, and the
+// destination restores it out of the chunks as they arrive. The snapshot's
+// per-section CRCs are the content check end to end: they localize
+// corruption to one section even when the transport has no framing of its
+// own.
 
 import (
 	"fmt"
@@ -19,16 +21,6 @@ import (
 	"repro/internal/vm"
 	"repro/internal/xdr"
 )
-
-// OpenSectioned verifies a reassembled sectioned envelope and returns the
-// raw snapshot behind its header.
-func (e *Engine) OpenSectioned(payload []byte) ([]byte, error) {
-	dec := xdr.NewDecoder(payload)
-	if err := e.openHeader(dec); err != nil {
-		return nil, err
-	}
-	return payload[dec.Offset():], nil
-}
 
 // SendSectioned captures the state of p (stopped at its migration point)
 // as a section list and writes it — the envelope header, then the framed
@@ -68,30 +60,53 @@ func (e *Engine) writeSectioned(w io.Writer, src *arch.Machine, p *vm.Process) (
 	return n + m, err
 }
 
-// ReceiveAndRestoreSectioned reassembles a sectioned envelope from r,
-// verifies it, and restores the process on machine m section by section,
-// recording the reassembly and restore phases as children of span (nil
-// disables tracing).
+// ReceiveAndRestoreSectioned restores the process the cold stream r
+// carries on machine m, consuming the stream as it arrives: the envelope
+// header is checked, and every section is decoded straight out of the
+// chunk payloads into a vm.Restore — exec first, which pushes the frames,
+// then the heap components, frames and globals, each into place — with its
+// CRC compared at its last byte. No chunk is joined or parsed twice; after
+// the last one only the globals and the FIN remain. The phases are
+// children of span (nil disables tracing): "transport" is the time spent
+// waiting for chunks, "restore" the sum of the apply steps, and
+// Timing.Restore the latter. A failure returns no process.
 func (e *Engine) ReceiveAndRestoreSectioned(r *stream.Reader, m *arch.Machine, span *obs.Span) (*vm.Process, Timing, error) {
-	rx := span.Child("transport")
-	rxStart := time.Now()
-	payload, err := obs.PhaseOf("transport", r.ReadAll)
-	mRxLat.Observe(time.Since(rxStart))
-	rx.SetBytes(int64(len(payload)))
-	rx.End()
+	p, err := e.NewProcess(m)
 	if err != nil {
 		return nil, Timing{}, err
 	}
-	state, err := e.OpenSectioned(payload)
+	p.Obs = span
+	// Every body lands in the process's own memory, so once the restore
+	// returns no chunk frame is referenced and the next stream reuses them.
+	defer r.Recycle()
+	rx, shell := span.Child("transport"), p.NewRestore()
+	var waited time.Duration
+	var broken error // the stream's own failure, which outranks what a decoder made of it
+	in := xdr.NewFeedDecoder(-1, func() ([]byte, error) {
+		start := time.Now()
+		b, err := obs.PhaseOf("transport", r.Next)
+		d := time.Since(start)
+		waited += d
+		shell.Idle(d)
+		if err != nil && err != io.EOF {
+			broken = err
+		}
+		return b, err
+	})
+	if err = e.openHeader(in); err == nil {
+		if err = shell.Read(in); err == nil {
+			err = shell.Finish()
+		}
+	}
+	mRxLat.Observe(waited)
+	rx.SetBytes(int64(in.Offset()))
+	rx.SetDuration(waited)
+	if broken != nil {
+		err = broken
+	}
 	if err != nil {
 		return nil, Timing{}, err
 	}
-	start := time.Now()
-	p, err := vm.RestoreProcessObs(e.Prog, m, state, span)
-	if err != nil {
-		return nil, Timing{}, err
-	}
-	restore := time.Since(start)
-	mRestoreLat.Observe(restore)
-	return p, Timing{Restore: restore, Bytes: len(payload)}, nil
+	mRestoreLat.Observe(p.RestoreElapsed())
+	return p, Timing{Restore: p.RestoreElapsed(), Bytes: in.Offset()}, nil
 }

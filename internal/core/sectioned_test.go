@@ -3,11 +3,17 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
+	"repro/internal/collect"
 	"repro/internal/link"
 	"repro/internal/minic"
+	"repro/internal/snapshot"
 	"repro/internal/stream"
 	"repro/internal/vm"
 	"repro/internal/xdr"
@@ -245,10 +251,37 @@ func TestSendSectionedIsHeaderPlusSnapshot(t *testing.T) {
 	}
 }
 
-func TestOpenSectionedRejects(t *testing.T) {
+// receiveEnvelope streams payload through a chunk stream over an in-memory
+// pipe, cut at chunk bytes, into ReceiveAndRestoreSectioned.
+func receiveEnvelope(e *Engine, payload []byte, chunk int) (*vm.Process, error) {
+	a, b := link.Pipe()
+	defer a.Close()
+	defer b.Close()
+	go func() {
+		w := stream.NewWriter(a, stream.Config{ChunkSize: chunk})
+		w.Write(payload)
+		w.Close()
+	}()
+	q, _, err := e.ReceiveAndRestoreSectioned(stream.NewReader(b, stream.Config{}), arch.SPARC20, nil)
+	return q, err
+}
+
+// TestReceiveRejectsBadEnvelope holds the streamed receiver to the
+// envelope header: a retired version, garbage, a wrong magic, a header cut
+// short at any byte and another program's digest are refused before any
+// section is restored, and no process is returned.
+func TestReceiveRejectsBadEnvelope(t *testing.T) {
 	e, err := NewEngine(countdownSrc, minic.DefaultPolicy)
 	if err != nil {
 		t.Fatal(err)
+	}
+	p, _ := stoppedAtMigration(t, e, arch.DEC5000)
+	var envelope bytes.Buffer
+	if _, err := e.SendSectioned(nopCloser{&envelope}, p.Mach, p); err != nil {
+		t.Fatal(err)
+	}
+	if q, err := receiveEnvelope(e, envelope.Bytes(), 16); err != nil || q == nil {
+		t.Fatalf("own envelope cut into 16-byte chunks: %v", err)
 	}
 	// A header carrying a retired version number (1, the monolithic
 	// envelope) must not pass, whatever follows it.
@@ -258,40 +291,140 @@ func TestOpenSectionedRejects(t *testing.T) {
 	v1.PutString(arch.DEC5000.Name)
 	v1.PutUint32(e.Digest())
 	v1.PutOpaque([]byte("state-bytes"))
-	if _, err := e.OpenSectioned(v1.Bytes()); !errors.Is(err, ErrVersionMismatch) {
-		t.Errorf("v1 envelope: %v", err)
-	}
-	if _, err := e.OpenSectioned([]byte{1, 2, 3}); !errors.Is(err, ErrBadEnvelope) {
-		t.Errorf("garbage: %v", err)
-	}
-	// A sectioned envelope from a different program must be rejected on
-	// its header digest, before any section is decoded.
+	bad := append([]byte{}, envelope.Bytes()...)
+	bad[0] = 0
 	other, err := NewEngine(`int main() { int i; for (i=0;i<3;i++){} return 2; }`, minic.DefaultPolicy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := stoppedAtMigration(t, e, arch.DEC5000)
-	var envelope bytes.Buffer
-	if _, err := e.SendSectioned(nopCloser{&envelope}, p.Mach, p); err != nil {
-		t.Fatal(err)
+	type reject struct {
+		name    string
+		e       *Engine
+		payload []byte
+		want    error
 	}
-	if _, err := e.OpenSectioned(envelope.Bytes()); err != nil {
-		t.Errorf("own envelope: %v", err)
-	}
-	// A wrong magic, and a header cut short at any byte, are malformed.
-	bad := append([]byte{}, envelope.Bytes()...)
-	bad[0] = 0
-	if _, err := e.OpenSectioned(bad); !errors.Is(err, ErrBadEnvelope) {
-		t.Errorf("bad magic: %v", err)
+	cases := []reject{
+		{"v1 envelope", e, v1.Bytes(), ErrVersionMismatch},
+		{"garbage", e, []byte{1, 2, 3}, ErrBadEnvelope},
+		{"bad magic", e, bad, ErrBadEnvelope},
+		{"foreign program", other, envelope.Bytes(), ErrProgramMismatch},
 	}
 	hdr := xdr.NewEncoder(32)
 	putHeader(hdr, p.Mach.Name, e.Digest())
 	for cut := 0; cut < len(hdr.Bytes()); cut++ {
-		if _, err := e.OpenSectioned(envelope.Bytes()[:cut]); !errors.Is(err, ErrBadEnvelope) {
-			t.Errorf("header cut at %d: %v", cut, err)
+		cases = append(cases, reject{fmt.Sprintf("header cut at %d", cut), e, envelope.Bytes()[:cut], ErrBadEnvelope})
+	}
+	for _, c := range cases {
+		if q, err := receiveEnvelope(c.e, c.payload, 8); !errors.Is(err, c.want) || q != nil {
+			t.Errorf("%s: process %v, err %v; want %v and no process", c.name, q != nil, err, c.want)
 		}
 	}
-	if _, err := other.OpenSectioned(envelope.Bytes()); !errors.Is(err, ErrProgramMismatch) {
-		t.Errorf("foreign program sectioned envelope: %v", err)
+}
+
+// TestStreamedRestoreBoundsHostileLengths scripts a sender whose stream is
+// well-formed up to a length the bytes never back: a valid envelope
+// header, the real exec section, then a heap section header declaring
+// 64 MiB whose directory claims all of it for one block — followed by the
+// FIN, or by a stall — or a frame section whose declared length runs past
+// everything sent before the FIN. The destination must turn no declared
+// length into an allocation: it refuses with collect.ErrCorruptStream (a
+// stalled one with the transport's error once the sender gives up),
+// returns no process, and allocates no more than 64 KiB plus sixteen times
+// the bytes it received beyond what the process shell itself takes — its
+// globals and its pushed frames, measured on a stream that ends right
+// after the exec section.
+func TestStreamedRestoreBoundsHostileLengths(t *testing.T) {
+	e, err := NewEngine(listSrc, minic.PollPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := stoppedAtMigration(t, e, arch.DEC5000)
+	secs, release, err := p.Sections()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if len(secs) != 4 || secs[1].Kind != snapshot.KindHeap || secs[2].Kind != snapshot.KindFrame {
+		t.Fatalf("fixture is not exec, one heap component, one frame, globals: %d sections", len(secs))
+	}
+	// Each stream opens with the envelope header, the prologue and the
+	// real exec section.
+	section := func(enc *xdr.Encoder, kind snapshot.Kind, id, length, crc uint32, body []byte) {
+		enc.Put4Uint32(uint32(kind), id, length, crc)
+		enc.PutFixedOpaque(body)
+	}
+	opening := func() *xdr.Encoder {
+		enc := xdr.NewEncoder(1024)
+		putHeader(enc, p.Mach.Name, e.Digest())
+		enc.PutUint32(snapshot.Magic)
+		enc.PutUint32(uint32(len(secs)))
+		section(enc, snapshot.KindExec, 0, uint32(len(secs[0].Body)), crc32.ChecksumIEEE(secs[0].Body), secs[0].Body)
+		return enc
+	}
+	// A struct node encodes in at least 8 bytes (a float and a null
+	// reference): (64 MiB - 20) / 8 of them claim the whole declared body.
+	const declared = 64 << 20
+	real := xdr.NewDecoder(secs[1].Body)
+	real.Uint32()
+	major, _, ty, _, _ := real.Uint32x4()
+	claim := xdr.NewEncoder(64)
+	claim.PutUint32(1)
+	claim.Put4Uint32(major, 0, ty, (declared-20)/8)
+	claim.PutFixedOpaque(make([]byte, 44))
+	heap := opening()
+	section(heap, snapshot.KindHeap, 0, declared, 0, claim.Bytes())
+	past := opening()
+	section(past, snapshot.KindHeap, 0, uint32(len(secs[1].Body)), crc32.ChecksumIEEE(secs[1].Body), secs[1].Body)
+	frame := secs[2].Body
+	section(past, snapshot.KindFrame, 1, uint32(len(frame))+1<<20, 0, frame[:len(frame)/2&^3])
+
+	var shell uint64
+	for i, c := range []struct {
+		name    string
+		payload []byte
+		stall   bool
+	}{
+		{"exec section, then FIN", opening().Bytes(), false},
+		{"heap directory claims 64 MiB, then FIN", heap.Bytes(), false},
+		{"heap directory claims 64 MiB, then a stall", heap.Bytes(), true},
+		{"frame section runs past the FIN", past.Bytes(), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a, b := link.Pipe()
+			received := &link.Measured{T: b}
+			// Small chunks: a stalled sender has shipped all but the tail.
+			w := stream.NewWriter(a, stream.Config{ChunkSize: 64})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			type rr struct {
+				q   *vm.Process
+				err error
+			}
+			done := make(chan rr, 1)
+			go func() {
+				q, _, err := e.ReceiveAndRestoreSectioned(stream.NewReader(received, stream.Config{}), arch.SPARC20, nil)
+				b.Close()
+				done <- rr{q, err}
+			}()
+			if _, err := w.Write(c.payload); err != nil {
+				t.Fatal(err)
+			}
+			if c.stall {
+				time.Sleep(50 * time.Millisecond)
+				b.Close()
+			}
+			w.Close()
+			r := <-done
+			runtime.ReadMemStats(&after)
+			if r.q != nil || r.err == nil || !c.stall && !errors.Is(r.err, collect.ErrCorruptStream) {
+				t.Errorf("process %v, err %v; want no process and ErrCorruptStream", r.q != nil, r.err)
+			}
+			got, ceiling := after.TotalAlloc-before.TotalAlloc, shell+uint64(64<<10+16*received.BytesReceived)
+			if i == 0 {
+				shell = got
+			} else if got > ceiling {
+				t.Errorf("receiving %d bytes allocated %d, ceiling %d", received.BytesReceived, got, ceiling)
+			}
+		})
 	}
 }

@@ -27,7 +27,10 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Transport carries framed messages between two endpoints.
@@ -38,7 +41,8 @@ type Transport interface {
 	// Recv blocks for the next message. The result is owned by the
 	// caller: an implementation returns memory it allocated for this one
 	// message and keeps no reference to, so callers may hold, slice or
-	// modify it without copying. Wrappers pass the slice through.
+	// modify it without copying, and once done hand it back (Recycle).
+	// Wrappers pass the slice through.
 	Recv() ([]byte, error)
 	// Close releases the endpoint; a blocked Recv on the peer fails.
 	Close() error
@@ -49,9 +53,9 @@ var ErrClosed = errors.New("link: transport closed")
 
 // ErrChecksum is returned by ReadFrame when a frame's payload does not
 // match its CRC. The frame was fully consumed, so the byte stream remains
-// aligned on the next frame boundary; higher layers (internal/stream) use
-// this to distinguish recoverable payload corruption — the chunk can be
-// re-requested — from framing errors that desynchronize the connection.
+// aligned on the next frame boundary. This CRC is the one hop-by-hop check
+// a transfer's bytes get; content is checked end to end above it (the
+// snapshot's section CRCs, the round exchange's body hashes).
 var ErrChecksum = errors.New("link: frame checksum mismatch")
 
 // maxFrame bounds a frame to guard against corrupt length prefixes.
@@ -125,6 +129,7 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	hdr := make([]byte, 8)
 	binary.BigEndian.PutUint32(hdr[0:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	obs.CRC32Bytes.Add(int64(len(payload)))
 	bufs := net.Buffers{hdr, payload}
 	_, err := bufs.WriteTo(w)
 	return err
@@ -141,14 +146,40 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("link: frame length %d exceeds limit", n)
 	}
 	sum := binary.BigEndian.Uint32(hdr[4:])
-	payload := make([]byte, n)
+	var payload []byte
+	if n >= minRecycled {
+		if b, ok := frames.Get().(*[]byte); ok && cap(*b) >= int(n) {
+			payload = (*b)[:n]
+		}
+	}
+	if payload == nil {
+		payload = make([]byte, n)
+	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}
+	obs.CRC32Bytes.Add(int64(n))
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, ErrChecksum
 	}
 	return payload, nil
+}
+
+// minRecycled is the smallest frame worth recycling: a chunk of a state
+// transfer, not a control message.
+const minRecycled = 32 << 10
+
+// frames holds recycled frames for ReadFrame to fill again; it needs no
+// zeroing, since a frame is returned only once every byte has been read in.
+var frames sync.Pool
+
+// Recycle hands back a frame a Recv returned, for a later ReadFrame to
+// reuse, sparing it the allocation, the zeroing and the first-touch faults
+// of fresh memory. The caller must hold no slice of it any longer.
+func Recycle(frame []byte) {
+	if cap(frame) >= minRecycled {
+		frames.Put(&frame)
+	}
 }
 
 // Conn wraps a net.Conn (or any ReadWriteCloser) as a Transport.

@@ -77,6 +77,31 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecycledFramesAreRefilled hands a chunk-sized frame back and reads
+// more frames: a recycled frame is filled again whole, never showing what
+// it held, and one too small for the next frame is not used for it.
+func TestRecycledFramesAreRefilled(t *testing.T) {
+	var buf bytes.Buffer
+	big, small := bytes.Repeat([]byte{1}, 40<<10), bytes.Repeat([]byte{2}, 36<<10)
+	for _, p := range [][]byte{big, small, big} {
+		if err := WriteFrame(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := ReadFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Recycle(first)
+	for _, want := range [][]byte{small, big} {
+		got, err := ReadFrame(&buf)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("frame after recycling: %d bytes, err %v; want %d bytes of %d", len(got), err, len(want), want[0])
+		}
+		Recycle(got)
+	}
+}
+
 func TestFrameChecksumDetectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	WriteFrame(&buf, []byte("important state"))

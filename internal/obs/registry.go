@@ -216,3 +216,9 @@ func (m MetricsSnapshot) String() string {
 	}
 	return b.String()
 }
+
+// CRC32Bytes counts the bytes the program hands to CRC-32 to check their
+// integrity — link's frame checks and snapshot's section checks, on both
+// sides of a transfer — so that the CRC passes a payload byte costs can be
+// read off one counter.
+var CRC32Bytes = Default.Counter("integrity.crc32_bytes")

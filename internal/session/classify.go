@@ -24,7 +24,8 @@ type FailureClass string
 const (
 	// FailCorrupt: the transferred state itself is damaged — truncated
 	// records, CRC mismatches, invalid references (collect.ErrCorruptStream,
-	// the envelope/stream checksums, the v3 section framing errors).
+	// the envelope, the chunk stream's framing and totals, the v3 section
+	// framing errors).
 	FailCorrupt FailureClass = "corrupt-stream"
 	// FailMismatch: a well-formed state that belongs to a different
 	// program build or plan (collect.ErrMismatch, digest mismatches).
@@ -49,6 +50,7 @@ func ClassifyFailure(err error) FailureClass {
 	case errors.Is(err, collect.ErrCorruptStream),
 		errors.Is(err, core.ErrBadEnvelope),
 		errors.Is(err, stream.ErrVerify),
+		errors.Is(err, stream.ErrProtocol),
 		errors.Is(err, snapshot.ErrBadSnapshot),
 		errors.Is(err, snapshot.ErrBadSection),
 		errors.Is(err, snapshot.ErrTruncated),

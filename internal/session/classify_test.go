@@ -27,6 +27,7 @@ func TestClassifyFailure(t *testing.T) {
 		{fmt.Errorf("vm: restoring heap section 2: %w", collect.ErrCorruptStream), FailCorrupt},
 		{core.ErrBadEnvelope, FailCorrupt},
 		{fmt.Errorf("stream: %w", stream.ErrVerify), FailCorrupt},
+		{fmt.Errorf("stream: at chunk 3: %w", stream.ErrProtocol), FailCorrupt},
 		{fmt.Errorf("vm: %w", snapshot.ErrChecksum), FailCorrupt},
 		{snapshot.ErrTruncated, FailCorrupt},
 		{snapshot.ErrBadSection, FailCorrupt},

@@ -30,8 +30,9 @@
 // selected by the two capability bits and by nothing else:
 //
 //   - the sectioned chunk stream (cold: neither capability on both ends):
-//     a sectioned snapshot cut into CRC-framed chunks by internal/stream,
-//     DATA … DATA, FIN from the initiator, one DONE back;
+//     a sectioned snapshot cut into chunks by internal/stream, DATA …
+//     DATA, FIN from the initiator, one DONE back; the responder restores
+//     out of each chunk as it arrives;
 //   - the round exchange (a store on both ends, or live on both ends):
 //     per round one ANNOUNCE listing every section of the paused state by
 //     content hash, one WANT naming the sections the responder cannot

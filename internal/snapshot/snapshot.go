@@ -34,6 +34,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"repro/internal/obs"
 	"repro/internal/xdr"
 )
 
@@ -121,6 +122,7 @@ func Write(w io.Writer, sections []Section) (int, error) {
 		be.PutUint32(hdr[4:], s.ID)
 		be.PutUint32(hdr[8:], uint32(len(s.Body)))
 		be.PutUint32(hdr[12:], crc32.ChecksumIEEE(s.Body))
+		obs.CRC32Bytes.Add(int64(len(s.Body)))
 		for _, p := range [...][]byte{hdr[:], s.Body, pad[:-len(s.Body)&3]} {
 			m, err := w.Write(p)
 			n += m
@@ -143,11 +145,21 @@ func Encode(sections []Section) []byte {
 	return buf.Bytes()
 }
 
-// Reader decodes a sectioned snapshot from dec, verifying each section's
-// CRC as it is read.
+// Reader decodes a sectioned snapshot from dec section by section. dec
+// may hold the whole snapshot or receive it as it arrives
+// (xdr.NewFeedDecoder): either way a section's CRC is computed over its
+// body's bytes once, as they pass.
 type Reader struct {
 	dec       *xdr.Decoder
 	remaining int
+	open      opened
+}
+
+// opened is the section Open handed out, until Close.
+type opened struct {
+	sec      Section
+	sum, crc uint32
+	body     *xdr.Decoder
 }
 
 // NewReader reads and validates the snapshot prologue.
@@ -169,44 +181,69 @@ func NewReader(dec *xdr.Decoder) (*Reader, error) {
 // Remaining reports how many sections have not been read yet.
 func (r *Reader) Remaining() int { return r.remaining }
 
-// Next reads, verifies, and returns the next section. The returned body
-// aliases the underlying buffer.
+// Next reads, verifies, and returns the next section. Over a decoder that
+// holds the whole snapshot the returned body aliases its buffer.
 func (r *Reader) Next() (Section, error) {
+	sec, body, err := r.Open()
+	if err != nil {
+		return Section{}, err
+	}
+	if sec.Body, err = body.Take(body.Remaining()); err != nil {
+		return Section{}, fmt.Errorf("%w: %s section %d body", ErrTruncated, sec.Kind, sec.ID)
+	}
+	return sec, r.Close()
+}
+
+// Open reads the next section's header and returns the section, its Body
+// unset, with a decoder over the body. The body is taken from the
+// snapshot's decoder only as that decoder is read, piece by piece and
+// never copied whole, and each piece enters the section's CRC as it
+// passes; Close, once the body has been read to its end, compares it.
+func (r *Reader) Open() (Section, *xdr.Decoder, error) {
 	if r.remaining == 0 {
-		return Section{}, fmt.Errorf("%w: no sections remain", ErrBadSnapshot)
+		return Section{}, nil, fmt.Errorf("%w: no sections remain", ErrBadSnapshot)
 	}
-	kind, err := r.dec.Uint32()
-	if err != nil {
-		return Section{}, fmt.Errorf("%w: missing header", ErrTruncated)
+	var hdr [4]uint32
+	for i := range hdr {
+		v, err := r.dec.Uint32()
+		if err != nil {
+			return Section{}, nil, fmt.Errorf("%w: missing header", ErrTruncated)
+		}
+		if hdr[i] = v; i == 0 && (v == 0 || v > kindMax) {
+			return Section{}, nil, fmt.Errorf("%w: unknown kind %d", ErrBadSection, v)
+		}
 	}
-	if kind == 0 || kind > kindMax {
-		return Section{}, fmt.Errorf("%w: unknown kind %d", ErrBadSection, kind)
+	o, left := &r.open, int(hdr[2])
+	*o = opened{sec: Section{Kind: Kind(hdr[0]), ID: hdr[1]}, sum: hdr[3]}
+	if left > r.dec.Remaining() {
+		return Section{}, nil, fmt.Errorf("%w: %s section %d declares %d bytes, %d remain",
+			ErrTruncated, o.sec.Kind, o.sec.ID, left, r.dec.Remaining())
 	}
-	id, err := r.dec.Uint32()
-	if err != nil {
-		return Section{}, fmt.Errorf("%w: missing header", ErrTruncated)
+	o.body = xdr.NewFeedDecoder(left, func() ([]byte, error) {
+		p, err := r.dec.TakeRun(left, 1)
+		left -= len(p)
+		o.crc = crc32.Update(o.crc, crc32.IEEETable, p)
+		return p, err
+	})
+	return o.sec, o.body, nil
+}
+
+// Close ends the section Open returned: its body must have been read to
+// the end and match the header's CRC. The padding after it is skipped.
+func (r *Reader) Close() error {
+	o := &r.open
+	if n := o.body.Remaining(); n != 0 {
+		return fmt.Errorf("%w: %d bytes of %s section %d unread", ErrTruncated, n, o.sec.Kind, o.sec.ID)
 	}
-	length, err := r.dec.Uint32()
-	if err != nil {
-		return Section{}, fmt.Errorf("%w: missing header", ErrTruncated)
+	obs.CRC32Bytes.Add(int64(o.body.Offset()))
+	if o.crc != o.sum {
+		return fmt.Errorf("%w: %s section %d", ErrChecksum, o.sec.Kind, o.sec.ID)
 	}
-	sum, err := r.dec.Uint32()
-	if err != nil {
-		return Section{}, fmt.Errorf("%w: missing header", ErrTruncated)
-	}
-	if int64(length) > int64(r.dec.Remaining()) {
-		return Section{}, fmt.Errorf("%w: %s section %d declares %d bytes, %d remain",
-			ErrTruncated, Kind(kind), id, length, r.dec.Remaining())
-	}
-	body, err := r.dec.FixedOpaque(int(length))
-	if err != nil {
-		return Section{}, fmt.Errorf("%w: %s section %d body", ErrTruncated, Kind(kind), id)
-	}
-	if crc32.ChecksumIEEE(body) != sum {
-		return Section{}, fmt.Errorf("%w: %s section %d", ErrChecksum, Kind(kind), id)
+	if _, err := r.dec.Take(-o.body.Offset() & 3); err != nil {
+		return fmt.Errorf("%w: %s section %d padding", ErrTruncated, o.sec.Kind, o.sec.ID)
 	}
 	r.remaining--
-	return Section{Kind: Kind(kind), ID: id, Body: body}, nil
+	return nil
 }
 
 // ReadAll decodes every remaining section.

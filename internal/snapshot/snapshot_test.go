@@ -3,6 +3,8 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/xdr"
@@ -198,5 +200,55 @@ func TestNextPastCount(t *testing.T) {
 	}
 	if _, err := rd.Next(); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("Next past count: err = %v, want ErrBadSnapshot", err)
+	}
+}
+
+// TestOpenReadsBodiesAsTheyArrive reads a snapshot that arrives in pieces
+// of every size from 1 byte up through Open and Close: each body comes
+// out of its section decoder equal to the one encoded, the CRC is checked
+// over the bytes as they passed, and a byte flipped in any body is caught
+// at that section's Close, naming it.
+func TestOpenReadsBodiesAsTheyArrive(t *testing.T) {
+	in := sample()
+	wire := Encode(in)
+	feed := func(p []byte, size int) func() ([]byte, error) {
+		return func() ([]byte, error) {
+			if len(p) == 0 {
+				return nil, io.EOF
+			}
+			n := min(size, len(p))
+			piece := p[:n:n]
+			p = p[n:]
+			return piece, nil
+		}
+	}
+	for size := 1; size <= len(wire); size++ {
+		rd, err := NewReader(xdr.NewFeedDecoder(-1, feed(wire, size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range in {
+			sec, body, err := rd.Open()
+			if err != nil || sec.Kind != want.Kind || sec.ID != want.ID {
+				t.Fatalf("pieces of %d, section %d: header %v %d, %v", size, i, sec.Kind, sec.ID, err)
+			}
+			got, err := body.Take(body.Remaining())
+			if err != nil || !bytes.Equal(got, want.Body) {
+				t.Fatalf("pieces of %d, section %d: body %q, %v; want %q", size, i, got, err, want.Body)
+			}
+			if err := rd.Close(); err != nil {
+				t.Fatalf("pieces of %d, section %d: %v", size, i, err)
+			}
+		}
+	}
+	bad := append([]byte(nil), wire...)
+	bad[len(bad)-5] ^= 0x40 // inside the globals body
+	rd, err := NewReader(xdr.NewFeedDecoder(-1, feed(bad, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := rd.ReadAll()
+	if !errors.Is(err, ErrChecksum) || !strings.Contains(err.Error(), "globals section 0") || out != nil {
+		t.Errorf("a flipped globals byte: %v, want ErrChecksum naming the globals section", err)
 	}
 }

@@ -3,7 +3,6 @@ package stream
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"repro/internal/link"
@@ -15,21 +14,21 @@ type ReaderStats struct {
 	Bytes  int64
 }
 
-// Reader reassembles a chunked snapshot stream: it verifies each chunk's
-// CRC and sequence number, and on FIN verifies the whole-stream checksum
-// before confirming with DONE — the one message it ever sends. Chunks are
-// delivered strictly in order through Next, so restoration can consume the
-// stream incrementally while later chunks are still in flight. Any
-// transport failure, damaged chunk or sequence gap ends the transfer with
-// an error.
+// Reader receives a chunked snapshot stream: it checks each chunk's
+// framing and sequence number, and on FIN the chunk and byte totals, before
+// confirming with DONE — the one message it ever sends. Chunks are
+// delivered strictly in order through Next, so restoration consumes the
+// stream while later chunks are still in flight. Any transport failure,
+// malformed chunk or sequence gap ends the transfer with an error naming
+// the chunk.
 type Reader struct {
 	cfg Config
 	t   link.Transport
 
 	nextSeq uint32
-	crc     uint32
 	bytes   int64
 	eof     bool
+	frames  [][]byte // the DATA frames Next handed out, for Recycle
 
 	stats ReaderStats
 }
@@ -42,24 +41,25 @@ func NewReader(t link.Transport, cfg Config) *Reader {
 // Stats returns the transfer statistics so far.
 func (r *Reader) Stats() ReaderStats { return r.stats }
 
-// reject records why the stream was refused and returns the error.
+// reject records why the stream was refused and returns the error, naming
+// the chunk it was refused at.
 func (r *Reader) reject(err error) error {
 	r.cfg.Recorder.Record("stream.reject", "at chunk %d: %v", r.nextSeq, err)
-	return err
+	return fmt.Errorf("stream: at chunk %d: %w", r.nextSeq, err)
 }
 
 // Next returns the payload of the next in-order chunk, or io.EOF once the
-// stream completed and was verified. The returned slice is owned by the
-// caller: it is the verified payload inside the frame the transport
-// allocated for this one message (link.Transport's Recv contract), so no
-// later Next aliases it and the Reader keeps no reference to it.
+// stream completed and its FIN totals held. The returned slice is owned by
+// the caller: it is the payload inside the frame the transport allocated
+// for this one message (link.Transport's Recv contract), so no later Next
+// aliases it, and it stays valid until Recycle.
 func (r *Reader) Next() ([]byte, error) {
 	if r.eof {
 		return nil, io.EOF
 	}
 	raw, err := r.t.Recv()
 	if err != nil {
-		return nil, r.reject(fmt.Errorf("stream: recv: %w", err))
+		return nil, r.reject(fmt.Errorf("recv: %w", err))
 	}
 	m, err := parseMessage(raw)
 	if err != nil {
@@ -68,24 +68,21 @@ func (r *Reader) Next() ([]byte, error) {
 	switch m.typ {
 	case msgData:
 		if m.seq != r.nextSeq {
-			return nil, r.reject(fmt.Errorf("%w: chunk %d arrived, receiver needs %d", ErrProtocol, m.seq, r.nextSeq))
-		}
-		if crc32.ChecksumIEEE(m.payload) != m.crc {
-			return nil, r.reject(fmt.Errorf("%w: chunk %d payload crc mismatch", ErrVerify, m.seq))
+			return nil, r.reject(fmt.Errorf("%w: chunk %d arrived", ErrProtocol, m.seq))
 		}
 		r.nextSeq++
-		r.crc = crc32.Update(r.crc, crc32.IEEETable, m.payload)
+		r.frames = append(r.frames, raw)
 		r.bytes += int64(len(m.payload))
 		r.stats.Chunks++
 		r.stats.Bytes = r.bytes
 		return m.payload, nil
 	case msgFin:
-		if m.seq != r.nextSeq || m.bytes != uint64(r.bytes) || m.crc != r.crc {
-			return nil, r.reject(fmt.Errorf("%w: got %d chunks, %d bytes, crc %08x; sender declared %d chunks, %d bytes, crc %08x",
-				ErrVerify, r.nextSeq, r.bytes, r.crc, m.seq, m.bytes, m.crc))
+		if m.seq != r.nextSeq || m.bytes != uint64(r.bytes) {
+			return nil, r.reject(fmt.Errorf("%w: FIN declares %d chunks, %d bytes; %d bytes arrived",
+				ErrVerify, m.seq, m.bytes, r.bytes))
 		}
 		if err := r.t.Send(marshalDone(uint64(r.bytes))); err != nil {
-			return nil, r.reject(fmt.Errorf("stream: done send: %w", err))
+			return nil, r.reject(fmt.Errorf("done send: %w", err))
 		}
 		r.eof = true
 		r.stats.flush()
@@ -95,10 +92,21 @@ func (r *Reader) Next() ([]byte, error) {
 	}
 }
 
-// ReadAll drains the stream into one buffer — the non-incremental
-// convenience used when restoration wants the whole snapshot. The chunks
-// are held as they arrive and joined once at the exact size, so every
-// payload byte is copied once (and a single-chunk stream not at all).
+// Recycle hands the frames of every payload Next returned back to the
+// transport layer (link.Recycle), for the next stream to be received into.
+// The caller must hold no slice of any payload any longer.
+func (r *Reader) Recycle() {
+	for _, f := range r.frames {
+		link.Recycle(f)
+	}
+	r.frames = nil
+}
+
+// ReadAll drains the stream into one buffer. No restore calls it — the
+// cold destination decodes the chunks Next hands out as they arrive — but
+// a caller that wants the whole payload at once (a throughput probe) may.
+// The chunks are held as they arrive and joined once at the exact size, so
+// every payload byte is copied once (and a single-chunk stream not at all).
 func (r *Reader) ReadAll() ([]byte, error) {
 	var chunks [][]byte
 	for {

@@ -3,8 +3,8 @@
 // internal/vm and internal/core) and the transport layer (internal/link):
 // instead of materializing the whole machine-independent snapshot and
 // pushing it through one blocking Transport.Send, the snapshot is cut into
-// CRC-framed, sequence-numbered chunks that a background goroutine
-// transmits while the producer keeps writing.
+// sequence-numbered chunks that a background goroutine transmits while the
+// producer keeps writing.
 //
 // Two types cooperate:
 //
@@ -12,35 +12,36 @@
 //     background goroutine behind a bounded queue (backpressure: when the
 //     wire lags, the producer blocks, so sender memory is bounded by the
 //     queue rather than the snapshot size);
-//   - Reader reassembles, verifies per-chunk and whole-stream checksums,
-//     and feeds restoration incrementally via Next.
+//   - Reader checks each chunk's sequence number and the FIN totals, and
+//     hands the payloads out in order through Next, so the restore decodes
+//     them as they arrive.
 //
 // The stream is one-directional: nothing flows back while it is in flight,
 // and the receiver sends exactly one message, the DONE that answers FIN.
 // Ordering, flow control and acknowledgement are the transport's business.
-// The layer detects — never repairs — damage: a corrupt or out-of-order
-// chunk ends the transfer with a typed error on the Reader, and the
+// The layer detects — never repairs — damage to its own framing: a
+// malformed or out-of-order chunk, or a FIN that disagrees with what
+// arrived, ends the transfer with a typed error naming the chunk, and the
 // session above it rolls the source back.
 //
 // # Wire protocol
 //
-// Every message is one link.Transport frame (which already carries its own
-// length + CRC framing). Messages are XDR-encoded:
+// Every message is one link.Transport frame. Messages are XDR-encoded:
 //
-//	data = magic, DATA, seq u32, crc u32, payload opaque
-//	fin  = magic, FIN, chunks u32, bytes u64, crc u32  ; whole-stream CRC-32
+//	data = magic, DATA, seq u32, payload opaque
+//	fin  = magic, FIN, chunks u32, bytes u64
 //	done = magic, DONE, bytes u64              ; receiver verified the stream
 //
 // Sequence numbers start at zero and chunks are transmitted in order. The
-// per-chunk CRC is redundant over TCP framing but pays for itself on
-// transports without integrity (files, in-memory pipes).
+// stream carries no checksum of its own: the content is covered end to end
+// by the snapshot's per-section CRC, and each hop by the transport's frame
+// CRC (link's TCP framing), so one check per purpose covers every byte.
 package stream
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/obs"
 	"repro/internal/xdr"
@@ -63,9 +64,8 @@ var (
 	// ErrProtocol is returned when a peer sends a message that violates
 	// the stream protocol (bad magic, unexpected type, sequence gap).
 	ErrProtocol = errors.New("stream: protocol violation")
-	// ErrVerify is returned when a chunk fails its checksum, or the
-	// reassembled stream fails the whole-stream checksum or length check
-	// in FIN.
+	// ErrVerify is returned when what arrived disagrees with the chunk and
+	// byte totals the sender declared in FIN.
 	ErrVerify = errors.New("stream: stream verification failed")
 )
 
@@ -98,8 +98,8 @@ type chunk struct {
 }
 
 // dataHdr is the encoded size of a DATA message up to its payload: magic,
-// type, seq, crc and the opaque length, four bytes each.
-const dataHdr = 20
+// type, seq and the opaque length, four bytes each.
+const dataHdr = 16
 
 // chunkFrame returns an empty chunk frame — header room reserved, capacity
 // for chunkSize payload bytes and the opaque padding — reusing b's array
@@ -120,8 +120,7 @@ func (c chunk) seal() []byte {
 	be.PutUint32(c.frame[0:], streamMagic)
 	be.PutUint32(c.frame[4:], msgData)
 	be.PutUint32(c.frame[8:], c.seq)
-	be.PutUint32(c.frame[12:], crc32.ChecksumIEEE(p))
-	be.PutUint32(c.frame[16:], uint32(len(p)))
+	be.PutUint32(c.frame[12:], uint32(len(p)))
 	return append(c.frame, 0, 0, 0)[:dataHdr+(len(p)+3)&^3]
 }
 
@@ -129,18 +128,16 @@ func (c chunk) seal() []byte {
 type message struct {
 	typ     uint32
 	seq     uint32 // DATA seq; FIN chunk count
-	crc     uint32 // DATA / FIN
 	bytes   uint64 // FIN / DONE
 	payload []byte // DATA
 }
 
-func marshalFin(chunks uint32, bytes uint64, crc uint32) []byte {
-	e := xdr.NewEncoder(24)
+func marshalFin(chunks uint32, bytes uint64) []byte {
+	e := xdr.NewEncoder(20)
 	e.PutUint32(streamMagic)
 	e.PutUint32(msgFin)
 	e.PutUint32(chunks)
 	e.PutUint64(bytes)
-	e.PutUint32(crc)
 	return e.Bytes()
 }
 
@@ -152,7 +149,8 @@ func marshalDone(bytes uint64) []byte {
 	return e.Bytes()
 }
 
-// parseMessage decodes one stream-layer message.
+// parseMessage decodes one stream-layer message, which must fill its frame
+// exactly.
 func parseMessage(raw []byte) (message, error) {
 	d := xdr.NewDecoder(raw)
 	magic, err := d.Uint32()
@@ -166,28 +164,20 @@ func parseMessage(raw []byte) (message, error) {
 	m := message{typ: typ}
 	switch typ {
 	case msgData:
-		if m.seq, err = d.Uint32(); err != nil {
-			break
+		if m.seq, err = d.Uint32(); err == nil {
+			m.payload, err = d.Opaque()
 		}
-		if m.crc, err = d.Uint32(); err != nil {
-			break
-		}
-		m.payload, err = d.Opaque()
 	case msgFin:
-		if m.seq, err = d.Uint32(); err != nil {
-			break
+		if m.seq, err = d.Uint32(); err == nil {
+			m.bytes, err = d.Uint64()
 		}
-		if m.bytes, err = d.Uint64(); err != nil {
-			break
-		}
-		m.crc, err = d.Uint32()
 	case msgDone:
 		m.bytes, err = d.Uint64()
 	default:
 		return message{}, fmt.Errorf("%w: unknown message type %d", ErrProtocol, typ)
 	}
-	if err != nil {
-		return message{}, fmt.Errorf("%w: truncated %d message", ErrProtocol, typ)
+	if err != nil || d.Remaining() != 0 {
+		return message{}, fmt.Errorf("%w: %d message does not fill its %d-byte frame", ErrProtocol, typ, len(raw))
 	}
 	return m, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"math/rand"
 	"strings"
@@ -227,22 +226,24 @@ func TestWriterFailsOnDeadTransportWithoutSession(t *testing.T) {
 }
 
 // TestReaderRejectsDamagedStream damages the 4th frame the receiver sees
-// in each way the layer must detect — a flipped payload byte under a
-// passing link checksum, a failing link checksum, a skipped chunk, a FIN
-// that disagrees with what arrived — and expects the typed error on the
-// Reader, a failed Writer, and no delivered stream.
+// in each way the layer must detect — a failing link checksum, a skipped
+// chunk, a payload length that no longer fits its frame, a FIN that
+// disagrees with what arrived — and expects the typed error on the Reader,
+// naming the chunk, a failed Writer, and no delivered stream. (A flipped
+// payload byte is not the stream's to catch: DATA carries no checksum, and
+// the snapshot's section CRC above it covers the content end to end.)
 func TestReaderRejectsDamagedStream(t *testing.T) {
 	cases := []struct {
 		name   string
 		onRecv func(n int, frame []byte) ([]byte, error)
 		want   error
 	}{
-		{"payload byte flipped", func(n int, f []byte) ([]byte, error) {
+		{"payload length flipped", func(n int, f []byte) ([]byte, error) {
 			if n == 4 {
-				f[dataHdr+10] ^= 0x40
+				f[14] ^= 0x01 // the opaque length's third byte: 1024 -> 1280
 			}
 			return f, nil
-		}, ErrVerify},
+		}, ErrProtocol},
 		{"link checksum", func(n int, f []byte) ([]byte, error) {
 			if n == 4 {
 				return nil, link.ErrChecksum
@@ -257,7 +258,7 @@ func TestReaderRejectsDamagedStream(t *testing.T) {
 		}, ErrProtocol},
 		{"fin disagrees", func(n int, f []byte) ([]byte, error) {
 			if binary.BigEndian.Uint32(f[4:]) == msgFin {
-				f[len(f)-1] ^= 1 // whole-stream crc
+				f[len(f)-1] ^= 1 // the declared byte count
 			}
 			return f, nil
 		}, ErrVerify},
@@ -282,8 +283,8 @@ func TestReaderRejectsDamagedStream(t *testing.T) {
 				t.Error("writer reported success for a stream the reader rejected")
 			}
 			r := <-res
-			if !errors.Is(r.err, c.want) {
-				t.Errorf("reader err = %v, want %v", r.err, c.want)
+			if !errors.Is(r.err, c.want) || !strings.Contains(r.err.Error(), "at chunk ") {
+				t.Errorf("reader err = %v, want %v naming the chunk", r.err, c.want)
 			}
 			if r.data != nil {
 				t.Errorf("reader delivered %d bytes of a rejected stream", len(r.data))
@@ -324,7 +325,7 @@ func TestChaosMirrorsTheThreeMessages(t *testing.T) {
 		class chaos.Class
 	}{
 		{data, msgData, chaos.ClassData},
-		{marshalFin(1, 4, 0), msgFin, chaos.ClassControl},
+		{marshalFin(1, 4), msgFin, chaos.ClassControl},
 		{marshalDone(4), msgDone, chaos.ClassControl},
 	} {
 		if m, err := parseMessage(c.frame); err != nil || m.typ != c.typ {
@@ -404,7 +405,6 @@ func TestSealMatchesXDRDataMessage(t *testing.T) {
 		want.PutUint32(streamMagic)
 		want.PutUint32(msgData)
 		want.PutUint32(7)
-		want.PutUint32(crc32.ChecksumIEEE(payload))
 		want.PutOpaque(payload)
 
 		// A recycled frame: stale bytes where the padding will go.

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"hash/crc32"
 	"sync"
 
 	"repro/internal/link"
@@ -32,7 +31,6 @@ type Writer struct {
 	t     link.Transport
 	buf   []byte
 	seq   uint32
-	crc   uint32
 	bytes int64
 
 	sendq chan chunk
@@ -129,7 +127,6 @@ func (w *Writer) Write(p []byte) (int, error) {
 func (w *Writer) cut() error {
 	c := chunk{seq: w.seq, frame: w.buf}
 	w.seq++
-	w.crc = crc32.Update(w.crc, crc32.IEEETable, c.payload())
 	w.bytes += int64(len(c.payload()))
 	w.stats.Chunks++
 	w.buf = getChunkBuf(w.cfg.ChunkSize)
@@ -158,7 +155,7 @@ func (w *Writer) Close() error {
 // finish runs the FIN/DONE exchange that closes a fully transmitted
 // stream. The receiver sends DONE only after verifying the FIN totals.
 func (w *Writer) finish() error {
-	if err := w.t.Send(marshalFin(w.seq, uint64(w.bytes), w.crc)); err != nil {
+	if err := w.t.Send(marshalFin(w.seq, uint64(w.bytes))); err != nil {
 		return fmt.Errorf("stream: fin send: %w", err)
 	}
 	raw, err := w.t.Recv()

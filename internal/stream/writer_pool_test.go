@@ -49,12 +49,11 @@ func TestWriterDoesNotRetainCallerBytes(t *testing.T) {
 }
 
 // TestReaderHandsOutUnsharedChunks is the reader-side twin: Next returns
-// the verified payload inside the frame the transport allocated for that
-// message, without copying it. The consumer scribbles over every chunk the
-// moment it has it; no later chunk may show the scribble (two results
-// never alias), no earlier chunk may change under a later Next, and the
-// stream must still verify at FIN — the running CRC was taken before the
-// chunk was handed out. Runs over the in-memory pipe and over real TCP
+// the payload inside the frame the transport allocated for that message,
+// without copying it. The consumer scribbles over every chunk the moment
+// it has it; no later chunk may show the scribble (two results never
+// alias), no earlier chunk may change under a later Next, and the stream
+// must still close at FIN. Runs over the in-memory pipe and over real TCP
 // framing, the two Recv implementations.
 func TestReaderHandsOutUnsharedChunks(t *testing.T) {
 	cfg := Config{ChunkSize: 512}

@@ -166,26 +166,13 @@ func (p *Process) liveRoots(sites []*minic.Site) collect.Roots {
 }
 
 // restoreSectioned rebuilds the process from a framed sectioned (v3)
-// snapshot: snapshot.Reader takes it apart — verifying every section's CRC
-// and that nothing trails the last — in front of the one restore loop.
-func (p *Process) restoreSectioned(state []byte, restoreStart time.Time) error {
+// snapshot, section by section through the one restore loop.
+func (p *Process) restoreSectioned(state []byte) error {
 	r := p.NewRestore()
-	defer r.span.End()
-	dec := xdr.NewDecoder(state)
-	rd, err := snapshot.NewReader(dec)
-	if err != nil {
-		return fmt.Errorf("vm: invalid sectioned snapshot: %w (%w)", collect.ErrCorruptStream, err)
+	if err := r.Read(xdr.NewDecoder(state)); err != nil {
+		return err
 	}
-	secs, err := rd.ReadAll()
-	if err != nil {
-		return fmt.Errorf("vm: reading snapshot section: %w (%w)", collect.ErrCorruptStream, err)
-	}
-	if dec.Remaining() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after snapshot sections",
-			collect.ErrCorruptStream, dec.Remaining())
-	}
-	r.framing, r.elapsed = dec.Calls(), time.Since(restoreStart)
-	return r.once(secs)
+	return r.Finish()
 }
 
 // RestoreSections restores a section list into a freshly created process
@@ -196,7 +183,13 @@ func (p *Process) RestoreSections(secs []snapshot.Section) error {
 	if len(p.frames) != 0 {
 		return errors.New("vm: RestoreSections on a process that already has frames")
 	}
-	return p.NewRestore().once(secs)
+	r := p.NewRestore()
+	for _, sec := range secs {
+		if err := r.section(sec.Kind, sec.ID, xdr.NewDecoder(sec.Body)); err != nil {
+			return err
+		}
+	}
+	return r.Finish()
 }
 
 // Sum is the content address a round exchange names a section body by.
@@ -204,10 +197,14 @@ func (p *Process) RestoreSections(secs []snapshot.Section) error {
 type Sum = [32]byte
 
 // Restore is the one sectioned restore loop as a value: a process shell
-// that section lists are applied into as they arrive. A cold, warm or
-// checkpoint restore applies its one list and finishes; a live exchange
-// applies every round's list into the same shell and finishes after the
-// final one, so the final round restores only what it carries.
+// that sections are applied into as they arrive, in snapshot order, which
+// every restore checks section by section. A cold or checkpoint
+// restore has exactly one list: Read (or RestoreSections) applies each of
+// its sections on arrival — the exec section pushes the frames at once, so
+// heap, frame and globals sections land in place as they come — and Finish
+// has nothing left to do. A round exchange applies every round's list into
+// the same shell with Apply and finishes after the final one, so the final
+// round restores only what it carries.
 //
 // Apply places the heap components at once, reconciled with the shell's:
 // a component the list names under a sum the shell holds stays as it is,
@@ -221,16 +218,17 @@ type Sum = [32]byte
 type Restore struct {
 	p     *Process
 	span  *obs.Span
+	order order              // the order of the list being applied
 	heap  []*held            // the latest list's heap components, in list order
 	bySum map[Sum]*held      // every section of the latest list, by sum
 	vars  []snapshot.Section // its exec, frame and globals sections
-	fns   []*minic.FuncSymbol
-	sites []*minic.Site // its exec section, decoded
+	sites []*minic.Site      // the exec section placed, decoded
+	roots collect.Roots      // the frames' live variables, once pushed
 
-	stats   collect.RestoreStats
-	size    int // what the applied sections frame to
-	framing int // decode calls a framed snapshot's reader spent
-	elapsed time.Duration
+	stats         collect.RestoreStats
+	size          int // what the applied sections frame to
+	framing       int // decode calls a framed snapshot's reader spent
+	elapsed, idle time.Duration
 }
 
 // held is a section of the shell: a heap component applied into it, or an
@@ -242,6 +240,69 @@ type held struct {
 	// body is a variable section's, and a component's while its pointers
 	// into frames wait for Finish to fill them.
 	body []byte
+}
+
+// order is the snapshot order as a state machine that every restore runs
+// section by section: exec #0 first and once, heap components in number
+// order before any variable section, each frame of the exec section's
+// chain exactly once, globals exactly once.
+type order struct {
+	frames        []bool // which frames arrived; nil before the exec section
+	heap          uint32 // heap sections admitted
+	vars, globals bool
+}
+
+func (o *order) admit(kind snapshot.Kind, id uint32) error {
+	if o.frames == nil {
+		if kind != snapshot.KindExec || id != 0 {
+			return fmt.Errorf("%w: snapshot does not start with the exec section", collect.ErrCorruptStream)
+		}
+		o.frames = []bool{}
+		return nil
+	}
+	switch kind {
+	case snapshot.KindExec:
+		return fmt.Errorf("%w: duplicate exec section", collect.ErrCorruptStream)
+	case snapshot.KindHeap:
+		if o.vars {
+			return fmt.Errorf("%w: heap section %d after variable sections", collect.ErrCorruptStream, id)
+		}
+		if id != o.heap {
+			return fmt.Errorf("%w: heap sections out of order (got %d, want %d)", collect.ErrCorruptStream, id, o.heap)
+		}
+		o.heap++
+		return nil
+	case snapshot.KindFrame:
+		if id < 1 || int(id) > len(o.frames) {
+			return fmt.Errorf("%w: frame section %d outside the %d restored frames", collect.ErrCorruptStream, id, len(o.frames))
+		} else if o.frames[id-1] {
+			return fmt.Errorf("%w: duplicate frame section %d", collect.ErrCorruptStream, id)
+		}
+		o.frames[id-1] = true
+	case snapshot.KindGlobals:
+		if o.globals {
+			return fmt.Errorf("%w: duplicate globals section", collect.ErrCorruptStream)
+		}
+		o.globals = true
+	default:
+		return fmt.Errorf("%w: unknown section kind %d", collect.ErrCorruptStream, uint32(kind))
+	}
+	o.vars = true
+	return nil
+}
+
+// complete reports what a list that ends here lacks.
+func (o *order) complete() error {
+	if o.frames == nil {
+		return fmt.Errorf("%w: snapshot does not start with the exec section", collect.ErrCorruptStream)
+	}
+	if d := slices.Index(o.frames, false); d >= 0 {
+		return fmt.Errorf("%w: snapshot is missing frame section %d", collect.ErrCorruptStream, d+1)
+	}
+	if !o.globals {
+		return fmt.Errorf("%w: snapshot is missing the globals section", collect.ErrCorruptStream)
+	}
+	return nil
 }
 
 // NewRestore starts a restore into p, which must be freshly created (it
@@ -259,19 +320,102 @@ func (r *Restore) Holds(kind snapshot.Kind, sum Sum) bool {
 	return h != nil && h.kind == kind
 }
 
+// Idle books d, spent inside a step waiting for a section's bytes to
+// arrive, to the transfer rather than to the restore.
+func (r *Restore) Idle(d time.Duration) { r.idle += d }
+
+// Read applies a framed sectioned snapshot, a restore's only list, section
+// by section as dec decodes it — dec may still be receiving it
+// (xdr.NewFeedDecoder). Each body is decoded straight out of dec into
+// place and its CRC compared at its last byte. The snapshot must end dec.
+func (r *Restore) Read(dec *xdr.Decoder) error {
+	rd, err := snapshot.NewReader(dec)
+	if err != nil {
+		return fmt.Errorf("vm: invalid sectioned snapshot: %w (%w)", collect.ErrCorruptStream, err)
+	}
+	for rd.Remaining() > 0 {
+		sec, body, err := rd.Open()
+		if err == nil {
+			if err = r.section(sec.Kind, sec.ID, body); err != nil {
+				return err
+			}
+			err = rd.Close()
+		}
+		if err != nil {
+			return fmt.Errorf("vm: reading snapshot section: %w (%w)", collect.ErrCorruptStream, err)
+		}
+	}
+	r.framing = dec.Calls()
+	switch err := dec.Ensure(1); {
+	case err == nil:
+		return fmt.Errorf("%w: trailing bytes after snapshot sections", collect.ErrCorruptStream)
+	case !errors.Is(err, xdr.ErrShortBuffer):
+		return err
+	}
+	return nil
+}
+
+// section admits one section of a restore's only list and places it.
+func (r *Restore) section(kind snapshot.Kind, id uint32, dec *xdr.Decoder) error {
+	if err := r.order.admit(kind, id); err != nil {
+		return err
+	}
+	return r.timed(func() error { return r.place(kind, id, dec) })
+}
+
+// place restores one admitted section, its body read from dec, once the
+// frames exist: the exec section pushes them, and every other section is
+// restored into place.
+func (r *Restore) place(kind snapshot.Kind, id uint32, dec *xdr.Decoder) error {
+	start, idle, p := time.Now(), r.idle, r.p
+	var rs collect.RestoreStats
+	var err error
+	switch kind {
+	case snapshot.KindExec:
+		var fns []*minic.FuncSymbol
+		if fns, r.sites, err = r.exec(dec); err == nil {
+			r.size += 16 + (dec.Offset()+3)&^3
+			if err = p.pushFrames(fns); err == nil {
+				r.roots = p.liveRoots(r.sites)
+			}
+			return err
+		}
+	case snapshot.KindHeap:
+		_, _, rs, err = collect.RestoreHeapSection(p.Space, p.Table, p.TI, dec, nil, p.Instrument, false)
+	case snapshot.KindFrame:
+		rs, err = collect.RestoreVarSection(p.Space, p.Table, p.TI, dec, r.roots.FrameLive[id-1], memory.Stack, id, p.Instrument)
+	default:
+		rs, err = collect.RestoreVarSection(p.Space, p.Table, p.TI, dec, r.roots.Globals, memory.Global, 0, p.Instrument)
+	}
+	if err != nil {
+		return fmt.Errorf("vm: restoring %s section %d: %w", kind, id, err)
+	}
+	r.booked(kind, id, dec.Offset(), rs, time.Since(start)-(r.idle-idle))
+	return nil
+}
+
+// exec decodes an exec section, whose frame chain sizes the frames the
+// order admits.
+func (r *Restore) exec(dec *xdr.Decoder) ([]*minic.FuncSymbol, []*minic.Site, error) {
+	fns, sites, err := r.p.decodeExecState(dec)
+	if err == nil && dec.Remaining() != 0 {
+		err = fmt.Errorf("%w: %d trailing bytes in exec section", collect.ErrCorruptStream, dec.Remaining())
+	}
+	r.order.frames = make([]bool, len(sites))
+	return fns, sites, err
+}
+
 // Apply takes one section list into the shell. sums, when set, are the
 // content addresses the list names its sections by, and a section with a
-// nil Body is one the shell Holds. The list must be in snapshot order:
-// exec first and once, heap components in number order before any
-// variable section, each frame of the exec section's chain exactly once,
-// globals exactly once.
+// nil Body is one the shell Holds.
 func (r *Restore) Apply(secs []snapshot.Section, sums []Sum) error {
 	return r.timed(func() error { return r.apply(secs, sums) })
 }
 
-// Finish rebuilds the frames of the latest list, fills the pointers into
+// Finish completes the restore; the process is then ready to resume. After
+// Apply it rebuilds the frames of the latest list, fills the pointers into
 // them its heap sections left null, and restores the frame and globals
-// sections; the process is then ready to resume. It runs once.
+// sections. It runs once.
 func (r *Restore) Finish() error {
 	if err := r.timed(r.finish); err != nil {
 		return err
@@ -284,20 +428,12 @@ func (r *Restore) Finish() error {
 	return nil
 }
 
-// once applies a restore's only list and finishes.
-func (r *Restore) once(secs []snapshot.Section) error {
-	if err := r.Apply(secs, nil); err != nil {
-		return err
-	}
-	return r.Finish()
-}
-
-// timed runs one step under the restore phase label and adds its wall time
-// to the restore's; a failed step ends the span.
+// timed runs one step under the restore phase label and adds its wall time,
+// less what it spent Idle, to the restore's; a failed step ends the span.
 func (r *Restore) timed(step func() error) error {
-	start := time.Now()
+	start, idle := time.Now(), r.idle
 	err := obs.Phase("restore", step)
-	r.elapsed += time.Since(start)
+	r.elapsed += time.Since(start) - (r.idle - idle)
 	if err != nil {
 		r.span.End()
 	}
@@ -305,70 +441,37 @@ func (r *Restore) timed(step func() error) error {
 }
 
 func (r *Restore) apply(secs []snapshot.Section, sums []Sum) error {
-	if len(secs) == 0 || secs[0].Kind != snapshot.KindExec || secs[0].ID != 0 {
-		return fmt.Errorf("%w: snapshot does not start with the exec section", collect.ErrCorruptStream)
-	}
+	r.order = order{}
 	list := make([]*held, len(secs))
+	var vars []snapshot.Section
+	var heap []int
 	for i, sec := range secs {
+		if err := r.order.admit(sec.Kind, sec.ID); err != nil {
+			return err
+		}
 		if sec.Body != nil || sums == nil {
 			list[i] = &held{kind: sec.Kind, body: sec.Body}
 		} else if list[i] = r.bySum[sums[i]]; !r.Holds(sec.Kind, sums[i]) {
 			return fmt.Errorf("%w: %s section %d has no body", collect.ErrCorruptStream, sec.Kind, sec.ID)
 		}
-	}
-	dec := xdr.NewDecoder(list[0].body)
-	fns, sites, err := r.p.decodeExecState(dec)
-	if err != nil {
-		return err
-	}
-	if dec.Remaining() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes in exec section", collect.ErrCorruptStream, dec.Remaining())
-	}
-	vars := []snapshot.Section{{Kind: snapshot.KindExec, Body: list[0].body}}
-	framesSeen, globalsSeen := make([]bool, len(sites)), false
-	var heap []int
-	for i, sec := range secs[1:] {
 		switch sec.Kind {
 		case snapshot.KindExec:
-			return fmt.Errorf("%w: duplicate exec section", collect.ErrCorruptStream)
+			if _, _, err := r.exec(xdr.NewDecoder(list[i].body)); err != nil {
+				return err
+			}
 		case snapshot.KindHeap:
-			if len(vars) > 1 {
-				return fmt.Errorf("%w: heap section %d after variable sections", collect.ErrCorruptStream, sec.ID)
-			}
-			if sec.ID != uint32(len(heap)) {
-				return fmt.Errorf("%w: heap sections out of order (got %d, want %d)",
-					collect.ErrCorruptStream, sec.ID, len(heap))
-			}
-			heap = append(heap, i+1)
+			heap = append(heap, i)
 			continue
-		case snapshot.KindFrame:
-			if d := int(sec.ID); d < 1 || d > len(sites) {
-				return fmt.Errorf("%w: frame section %d outside the %d restored frames",
-					collect.ErrCorruptStream, d, len(sites))
-			} else if framesSeen[d-1] {
-				return fmt.Errorf("%w: duplicate frame section %d", collect.ErrCorruptStream, d)
-			}
-			framesSeen[sec.ID-1] = true
-		case snapshot.KindGlobals:
-			if globalsSeen {
-				return fmt.Errorf("%w: duplicate globals section", collect.ErrCorruptStream)
-			}
-			globalsSeen = true
-		default:
-			return fmt.Errorf("%w: unknown section kind %d", collect.ErrCorruptStream, uint32(sec.Kind))
 		}
-		vars = append(vars, snapshot.Section{Kind: sec.Kind, ID: sec.ID, Body: list[i+1].body})
+		vars = append(vars, snapshot.Section{Kind: sec.Kind, ID: sec.ID, Body: list[i].body})
 	}
-	if d := slices.Index(framesSeen, false); d >= 0 {
-		return fmt.Errorf("%w: snapshot is missing frame section %d", collect.ErrCorruptStream, d+1)
-	}
-	if !globalsSeen {
-		return fmt.Errorf("%w: snapshot is missing the globals section", collect.ErrCorruptStream)
+	if err := r.order.complete(); err != nil {
+		return err
 	}
 	if err := r.reconcile(secs, list, heap); err != nil {
 		return err
 	}
-	r.vars, r.fns, r.sites, r.bySum = vars, fns, sites, nil
+	r.vars, r.bySum = vars, nil
 	if sums != nil {
 		r.bySum = make(map[Sum]*held, len(list))
 		for i, h := range list {
@@ -435,7 +538,7 @@ func (r *Restore) reconcile(secs []snapshot.Section, list []*held, heap []int) e
 // has when it has them; early says the frames do not exist yet.
 func (r *Restore) applyHeap(c *held, sec snapshot.Section, early bool) error {
 	start, p := time.Now(), r.p
-	blocks, deferred, rs, err := collect.RestoreHeapSection(p.Space, p.Table, p.TI, sec.Body, c.blocks, p.Instrument, early)
+	blocks, deferred, rs, err := collect.RestoreHeapSection(p.Space, p.Table, p.TI, xdr.NewDecoder(sec.Body), c.blocks, p.Instrument, early)
 	if err != nil {
 		return fmt.Errorf("vm: restoring %s section %d: %w", sec.Kind, sec.ID, err)
 	}
@@ -443,32 +546,32 @@ func (r *Restore) applyHeap(c *held, sec snapshot.Section, early bool) error {
 	if deferred {
 		c.body = sec.Body
 	}
-	r.booked(sec, rs, start)
+	r.booked(sec.Kind, sec.ID, len(sec.Body), rs, time.Since(start))
 	return nil
 }
 
-// booked accounts for one applied section: its statistics, what it frames
-// to, and a child of the restore span.
-func (r *Restore) booked(sec snapshot.Section, rs collect.RestoreStats, start time.Time) {
+// booked accounts for one applied section of n body bytes: its
+// statistics, what it frames to, and a child of the restore span.
+func (r *Restore) booked(kind snapshot.Kind, id uint32, n int, rs collect.RestoreStats, elapsed time.Duration) {
 	r.stats.Add(rs)
-	r.size += 16 + (len(sec.Body)+3)&^3
-	elapsed := time.Since(start)
+	r.size += 16 + (n+3)&^3
 	c := r.span.Child("section")
-	c.SetSection(sec.Kind.String(), sec.ID)
-	c.SetBytes(int64(len(sec.Body)))
+	c.SetSection(kind.String(), id)
+	c.SetBytes(int64(n))
 	c.SetDuration(elapsed)
 	mSectionRestore.Observe(elapsed)
 }
 
+// finish completes a restore: a one-list restore placed everything on
+// arrival; after Apply the latest list's frames, deferred pointers and
+// variables are still to place.
 func (r *Restore) finish() error {
-	p := r.p
-	if r.sites == nil {
-		return fmt.Errorf("%w: no section list was applied", collect.ErrCorruptStream)
-	}
-	if err := p.pushFrames(r.fns); err != nil {
+	if err := r.order.complete(); err != nil || r.vars == nil {
 		return err
 	}
-	r.size += 16 + (len(r.vars[0].Body)+3)&^3
+	if err := r.place(snapshot.KindExec, 0, xdr.NewDecoder(r.vars[0].Body)); err != nil {
+		return err
+	}
 	for k, c := range r.heap {
 		if c.body != nil {
 			if err := r.applyHeap(c, snapshot.Section{Kind: snapshot.KindHeap, ID: uint32(k), Body: c.body}, false); err != nil {
@@ -476,18 +579,10 @@ func (r *Restore) finish() error {
 			}
 		}
 	}
-	roots := p.liveRoots(r.sites)
 	for _, sec := range r.vars[1:] {
-		start := time.Now()
-		seg, major, live := memory.Global, uint32(0), roots.Globals
-		if sec.Kind == snapshot.KindFrame {
-			seg, major, live = memory.Stack, sec.ID, roots.FrameLive[sec.ID-1]
+		if err := r.place(sec.Kind, sec.ID, xdr.NewDecoder(sec.Body)); err != nil {
+			return err
 		}
-		rs, err := collect.RestoreVarSection(p.Space, p.Table, p.TI, sec.Body, live, seg, major, p.Instrument)
-		if err != nil {
-			return fmt.Errorf("vm: restoring %s section %d: %w", sec.Kind, sec.ID, err)
-		}
-		r.booked(sec, rs, start)
 	}
 	return nil
 }

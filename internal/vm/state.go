@@ -197,7 +197,7 @@ func (p *Process) restoreState(state []byte) error {
 	if magic == snapshot.Magic {
 		// A sectioned (v3) snapshot; both formats restore through this
 		// entry point, distinguished by their leading magic.
-		return p.restoreSectioned(state, restoreStart)
+		return p.restoreSectioned(state)
 	}
 	if magic != execMagic {
 		return fmt.Errorf("vm: bad execution state header")

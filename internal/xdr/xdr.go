@@ -13,6 +13,7 @@ package xdr
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 	"sync"
@@ -237,37 +238,135 @@ func (e *Encoder) PutString(s string) {
 // caller must fill all n bytes and keep the stream four-byte aligned.
 func (e *Encoder) Grow(n int) []byte { return e.grow(n) }
 
-// Decoder reads XDR-encoded values from a byte slice.
+// Decoder reads XDR-encoded values from a byte slice, or from a stream
+// whose bytes arrive in pieces (NewFeedDecoder).
 type Decoder struct {
-	buf []byte
+	buf []byte // the piece at hand
 	off int
 	// calls counts decode operations (take calls); like Encoder.calls it
 	// is a plain int the owner flushes to a registry in bulk.
 	calls int
+
+	// A fed decoder pulls its next pieces from feed and holds the ones
+	// pulled ahead of buf, uncopied, in ahead (held bytes); rest is what
+	// the feed has still to hand out, done what was consumed before buf.
+	feed       func() ([]byte, error)
+	ahead      [][]byte
+	held, rest int
+	done       int
 }
 
 // NewDecoder returns a decoder reading from p. The decoder does not copy p.
 func NewDecoder(p []byte) *Decoder { return &Decoder{buf: p} }
 
-// Offset returns the number of bytes consumed so far.
-func (d *Decoder) Offset() int { return d.off }
+// NewFeedDecoder returns a decoder over an n-byte stream that arrives in
+// pieces, each the next call of feed, which never hands out more than the
+// stream has left. A value is decoded where its piece lies; only one that
+// straddles two pieces is copied. A negative n is a stream of unknown
+// length, which ends where feed returns io.EOF. Any other feed error is
+// returned as it is by the take that needed the piece.
+func NewFeedDecoder(n int, feed func() ([]byte, error)) *Decoder {
+	if n < 0 {
+		n = math.MaxInt >> 1
+	}
+	return &Decoder{feed: feed, rest: n}
+}
 
-// Remaining returns the number of unread bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
+// Offset returns the number of bytes consumed so far.
+func (d *Decoder) Offset() int { return d.done + d.off }
+
+// Remaining returns the number of unread bytes, arrived or not.
+func (d *Decoder) Remaining() int { return len(d.buf) - d.off + d.held + d.rest }
 
 // Calls returns the number of decode operations performed so far — the
 // call counter the obs layer aggregates.
 func (d *Decoder) Calls() int { return d.calls }
 
+// Ensure makes the next n bytes of the stream present — pulling pieces
+// from the feed and holding them until they are — so that a caller can
+// bound what it allocates by bytes that arrived rather than by a length
+// the stream declares. It fails at once when fewer than n remain.
+func (d *Decoder) Ensure(n int) error {
+	if n > d.Remaining() {
+		return ErrShortBuffer
+	}
+	for len(d.buf)-d.off+d.held < n {
+		p, err := d.feed()
+		if err == io.EOF {
+			return ErrShortBuffer
+		} else if err != nil {
+			return err
+		}
+		if len(p) > 0 {
+			d.ahead, d.held, d.rest = append(d.ahead, p), d.held+len(p), d.rest-len(p)
+		}
+	}
+	return nil
+}
+
+// fill makes the piece at hand non-empty, moving past spent ones.
+func (d *Decoder) fill() error {
+	if err := d.Ensure(1); err != nil {
+		return err
+	}
+	for d.off == len(d.buf) {
+		d.done, d.buf, d.off = d.done+len(d.buf), d.ahead[0], 0
+		d.ahead[0], d.ahead, d.held = nil, d.ahead[1:], d.held-len(d.buf)
+	}
+	return nil
+}
+
 // take consumes n bytes from the stream.
 func (d *Decoder) take(n int) ([]byte, error) {
 	d.calls++
-	if n < 0 || d.off+n > len(d.buf) {
+	if n >= 0 && d.off+n <= len(d.buf) {
+		b := d.buf[d.off : d.off+n]
+		d.off += n
+		return b, nil
+	}
+	return d.span(n)
+}
+
+// span takes n bytes that run past the piece at hand: from the next piece
+// when they start there, else copied together from the pieces they cross.
+func (d *Decoder) span(n int) ([]byte, error) {
+	if n < 0 {
 		return nil, ErrShortBuffer
 	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b, nil
+	if err := d.Ensure(n); err != nil {
+		return nil, err
+	}
+	if d.off == len(d.buf) {
+		d.fill()
+		if n <= len(d.buf) {
+			d.off = n
+			return d.buf[:n], nil
+		}
+	}
+	out := make([]byte, 0, n)
+	for len(out) < n {
+		d.fill()
+		k := min(n-len(out), len(d.buf)-d.off)
+		out = append(out, d.buf[d.off:d.off+k]...)
+		d.off += k
+	}
+	return out, nil
+}
+
+// TakeRun takes the next part of an n-byte run of unit-byte scalars: as
+// many whole scalars as the piece at hand holds (one, copied, when it
+// straddles two pieces), so that a run spanning pieces is decoded part by
+// part in place. A decoder over one buffer takes the whole run at once.
+func (d *Decoder) TakeRun(n, unit int) ([]byte, error) {
+	if d.off == len(d.buf) && n > 0 {
+		if err := d.fill(); err != nil {
+			return nil, err
+		}
+	}
+	if k := min(n, len(d.buf)-d.off); k >= unit {
+		return d.take(k - k%unit)
+	}
+	return d.take(min(n, unit))
 }
 
 // Uint32 decodes a 32-bit unsigned integer.
