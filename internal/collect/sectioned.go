@@ -19,9 +19,11 @@ package collect
 // It then encodes the section bodies, one after the other in snapshot
 // order (heap components by first visit, frames innermost first, globals),
 // on the calling goroutine, writing the recorded references where the
-// pointers stand; given a DeltaTracker it skips the sections the dirty set
-// cannot have touched and hands back their cached bodies, saying where in
-// the previous round each came from.
+// pointers stand. Given a DeltaTracker (delta.go) it keeps the previous
+// round's partition instead of walking when the dirty set shows the walk
+// would find the same one, skips the sections the dirty set cannot have
+// touched and hands back their cached bodies, saying where in the previous
+// round each came from.
 // Section bodies are flat: a pointer scalar encodes only its (header,
 // ordinal) reference, never an inline block record, because every block's
 // record lives in the directory of the section that owns it.
@@ -45,8 +47,10 @@ package collect
 // existed: it is filled once more after them.
 
 import (
+	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/arch"
@@ -69,10 +73,11 @@ type Roots struct {
 }
 
 // member is one block of a section, with the place in partition.refs where
-// its recorded pointer references start.
+// its recorded pointer references start and its position in the table.
 type member struct {
 	b    *msr.Block
-	refs int
+	refs int32
+	pos  int32
 }
 
 // partition is the section assignment of every reachable block.
@@ -178,11 +183,11 @@ func buildPartition(space *memory.Space, table *msr.Table, roots Roots) (*partit
 // resolve is the one MSRLT search a pointer value costs: it appends the
 // value's wire form to into and returns the block it points into with the
 // block's table position.
-func (w *partitioner) resolve(into []uint32, addr memory.Address) ([]uint32, *msr.Block, int, error) {
-	b, pos, off, err := w.table.Lookup(w.mach, addr)
+func resolve(table *msr.Table, m *arch.Machine, into []uint32, addr memory.Address) ([]uint32, *msr.Block, int, error) {
+	b, pos, off, err := table.Lookup(m, addr)
 	if err == nil {
 		var ord int
-		if ord, err = b.OrdinalAt(w.mach, off); err == nil {
+		if ord, err = b.OrdinalAt(m, off); err == nil {
 			return append(into, uint32(b.ID.Seg), b.ID.Major, b.ID.Minor, uint32(ord)), b, pos, nil
 		}
 	}
@@ -192,7 +197,7 @@ func (w *partitioner) resolve(into []uint32, addr memory.Address) ([]uint32, *ms
 // root records one live variable's reference and visits everything
 // reachable from its block that no earlier root reached.
 func (w *partitioner) root(addr memory.Address) error {
-	live, b, pos, err := w.resolve(w.live, addr)
+	live, b, pos, err := resolve(w.table, w.mach, w.live, addr)
 	if err != nil {
 		return err
 	}
@@ -219,7 +224,7 @@ func (w *partitioner) root(addr memory.Address) error {
 // followed — to the end of everything only it reaches — before the second,
 // which is the recursive traversal's first-visit order.
 func (w *partitioner) visit(b *msr.Block, pos int32) error {
-	mb := member{b: b, refs: len(w.pt.refs)}
+	mb := member{b: b, refs: int32(len(w.pt.refs)), pos: pos}
 	w.from, w.slot[pos] = -1, -1
 	switch b.ID.Seg {
 	case memory.Heap:
@@ -265,7 +270,7 @@ func (w *partitioner) scanRun(op *types.PlanOp, base memory.Address) error {
 			w.pt.refs = append(w.pt.refs, nullSeg)
 			continue
 		}
-		refs, tb, pos, err := w.resolve(w.pt.refs, val)
+		refs, tb, pos, err := resolve(w.table, w.mach, w.pt.refs, val)
 		if err != nil {
 			return err
 		}
@@ -324,6 +329,154 @@ func (w *partitioner) finish() {
 	}
 }
 
+// site is a block of a partition as a dirty range finds it: its extent and
+// the job that owns it.
+type site struct {
+	member
+	end memory.Address
+	job int32
+}
+
+// sitesOf lists the blocks of a partition's jobs in address order, which is
+// table order, so the walk's positions sort them without a sort.
+func sitesOf(jobs []sectionJob, m *arch.Machine, nblocks int) []site {
+	at := make([]site, nblocks) // by table position; unreached positions stay empty
+	for j, job := range jobs {
+		for _, mb := range job.blocks {
+			at[mb.pos] = site{member: mb, end: mb.b.Addr + memory.Address(mb.b.Count*mb.b.Plan(m).ElemSize), job: int32(j)}
+		}
+	}
+	sites := at[:0]
+	for _, s := range at {
+		if s.b != nil {
+			sites = append(sites, s)
+		}
+	}
+	return sites
+}
+
+// overlapped calls f, in address order, for every site a dirty range
+// overlaps, with the ranges that overlap it. Both lists are in address order
+// and disjoint, so one pass with a search across each gap does it.
+func overlapped(sites []site, dirty []memory.DirtyRange, f func(*site, []memory.DirtyRange) error) error {
+	for i, k := 0, 0; i < len(dirty) && k < len(sites); {
+		lo, rest := dirty[i].Lo, sites[k:]
+		if k += sort.Search(len(rest), func(n int) bool { return rest[n].end > lo }); k == len(sites) {
+			break
+		}
+		s := &sites[k]
+		if s.b.Addr >= dirty[i].Hi {
+			i++ // the range falls between blocks
+			continue
+		}
+		j := i + 1
+		for j < len(dirty) && dirty[j].Lo < s.end {
+			j++
+		}
+		if err := f(s, dirty[i:j]); err != nil {
+			return err
+		}
+		i, k = j-1, k+1 // the last of them may run on into the next block
+	}
+	return nil
+}
+
+// refScan walks partition members' pointer scalars, in plan order, along
+// the references the walk recorded for them: one word for a null, four for
+// any other.
+type refScan struct {
+	pt    *partition
+	m     *arch.Machine
+	refs  []uint32                                    // the member's references still to visit
+	visit func(at memory.Address, rec []uint32) error // nil when only the span is wanted
+	run   func(*types.PlanOp, memory.Address) error   // scanRun, bound once
+}
+
+func (pt *partition) refScan(m *arch.Machine, visit func(memory.Address, []uint32) error) *refScan {
+	s := &refScan{pt: pt, m: m, visit: visit}
+	s.run = s.scanRun
+	return s
+}
+
+// member visits one member's pointer scalars and returns the references
+// recorded for them.
+func (s *refScan) member(mb member) ([]uint32, error) {
+	all, plan := s.pt.refs[mb.refs:], mb.b.Plan(s.m)
+	s.refs = all
+	for elem := 0; elem < mb.b.Count && plan.HasPtr; elem++ {
+		if err := types.EachRun(plan.Ops, mb.b.Addr+memory.Address(elem*plan.ElemSize), s.run); err != nil {
+			return nil, err
+		}
+	}
+	return all[:len(all)-len(s.refs)], nil
+}
+
+func (s *refScan) scanRun(op *types.PlanOp, base memory.Address) error {
+	for i := 0; i < op.Count && op.Kind == arch.Ptr; i++ {
+		n := 4
+		if s.refs[0] == nullSeg {
+			n = 1
+		}
+		rec := s.refs[:n]
+		s.refs = s.refs[n:]
+		if s.visit != nil {
+			if err := s.visit(base+memory.Address(op.Off+i*op.Stride), rec); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// errMoved reports a pointer that no longer resolves to the reference a
+// kept partition recorded for it.
+var errMoved = errors.New("collect: a recorded reference moved")
+
+// recheck holds a kept partition to the memory it was walked over: every
+// pointer scalar a dirty range overlaps must still resolve to the reference
+// the walk recorded for it.
+type recheck struct {
+	space *memory.Space
+	table *msr.Table
+	dirty []memory.DirtyRange // the ranges that overlap the block being checked
+	got   []uint32            // one re-resolved reference
+	scan  *refScan
+}
+
+func newRecheck(space *memory.Space, table *msr.Table, pt *partition) *recheck {
+	c := &recheck{space: space, table: table}
+	c.scan = pt.refScan(space.Machine(), c.pointer)
+	return c
+}
+
+// block rechecks one site against the ranges that overlap it.
+func (c *recheck) block(s *site, dirty []memory.DirtyRange) error {
+	c.dirty = dirty
+	_, err := c.scan.member(s.member)
+	return err
+}
+
+func (c *recheck) pointer(at memory.Address, rec []uint32) error {
+	end := at + memory.Address(c.scan.m.PtrSize())
+	if d := sort.Search(len(c.dirty), func(d int) bool { return c.dirty[d].Hi > at }); d == len(c.dirty) || c.dirty[d].Lo >= end {
+		return nil // this pointer was not written
+	}
+	val, err := c.space.LoadPtr(at)
+	if err != nil {
+		return err
+	}
+	c.got = append(c.got[:0], nullSeg)
+	if val != 0 {
+		if c.got, _, _, err = resolve(c.table, c.scan.m, c.got[:0], val); err != nil {
+			return err
+		}
+	}
+	if !slices.Equal(c.got, rec) {
+		return errMoved
+	}
+	return nil
+}
+
 // EncodedSection is one section body of a capture.
 type EncodedSection struct {
 	Body []byte
@@ -348,8 +501,10 @@ type SectionedState struct {
 	Stats SaveStats
 	// Calls is the number of XDR encode operations behind those sections.
 	Calls int
-	// Partition is the wall time of the partition walk.
+	// Partition is the wall time of the partition walk, or, when Reused,
+	// of the check that kept the tracker's previous partition instead.
 	Partition time.Duration
+	Reused    bool
 
 	// encs holds the pooled per-section encoders whose buffers back the
 	// Body slices of a capture made without a tracker; Release returns
@@ -377,11 +532,12 @@ type sectionJob struct {
 	liveRefs []uint32 // live's recorded references
 	withLive bool
 
-	// key names the section across the rounds of a DeltaTracker; sig and
-	// reuse are set by DeltaTracker.mark.
+	// key names the section across the rounds of a DeltaTracker. reuse
+	// marks a section whose body is that of the previous round's job from,
+	// unchanged (set by DeltaTracker.plan).
 	key   deltaKey
-	sig   uint64
 	reuse bool
+	from  int
 }
 
 // jobs lays a partition out as the encode job list, in snapshot order:
@@ -402,24 +558,27 @@ func (pt *partition) jobs(roots Roots) []sectionJob {
 // EncodeSections captures the state reachable from roots as section
 // bodies: every heap component, frame, and the globals become one body
 // each. With a nil tracker every section is encoded and its body aliases
-// a pooled encoder until Release. With a tracker (one pre-copy round)
-// the sections dirty cannot have touched since the tracker's previous
-// round are reused from it and the rest are encoded and handed to it, so
-// every body is tracker-owned; dirty answers "was this range written
-// since the last round", and a nil dirty treats everything as dirty. The
-// bodies are the same bytes either way.
-func EncodeSections(space *memory.Space, table *msr.Table, ti *types.TI, roots Roots, dt *DeltaTracker, dirty DirtyFunc) (*SectionedState, error) {
+// a pooled encoder until Release. With a tracker (one pre-copy round) the
+// tracker's previous partition is kept when the reuse rule holds, the
+// sections dirty cannot have touched since its previous round are reused
+// from it, and the rest are encoded and handed to it, so every body is
+// tracker-owned; dirty lists the ranges written since that round, in
+// address order (memory.Space.DirtyRangesSince). The bodies are the same
+// bytes either way.
+func EncodeSections(space *memory.Space, table *msr.Table, ti *types.TI, roots Roots, dt *DeltaTracker, dirty []memory.DirtyRange) (*SectionedState, error) {
 	start := time.Now()
-	pt, err := buildPartition(space, table, roots)
+	var round *deltaRound
+	var err error
+	if dt == nil {
+		round, err = walk(space, table, roots)
+	} else {
+		round, err = dt.plan(space, table, roots, dirty)
+	}
 	if err != nil {
 		return nil, err
 	}
-	st := &SectionedState{Partition: time.Since(start)}
-	jobs := pt.jobs(roots)
-	mach := space.Machine()
-	if dt != nil {
-		dt.mark(jobs, ti, mach, dirty)
-	}
+	st := &SectionedState{Partition: time.Since(start), Reused: round.reused}
+	pt, jobs, mach := round.pt, round.jobs, space.Machine()
 
 	secs := make([]EncodedSection, len(jobs))
 	st.encs = make([]*xdr.Encoder, 0, len(jobs))
@@ -429,8 +588,12 @@ func EncodeSections(space *memory.Space, table *msr.Table, ti *types.TI, roots R
 			continue
 		}
 		secStart := time.Now()
-		se.enc = xdr.GetEncoder(sectionSizeHint(job.blocks, mach))
-		st.encs = append(st.encs, se.enc)
+		if dt == nil {
+			se.enc = xdr.GetEncoder(sectionSizeHint(job.blocks, mach))
+			st.encs = append(st.encs, se.enc)
+		} else {
+			se.enc = xdr.NewEncoder(sectionSizeHint(job.blocks, mach)) // its buffer becomes the tracker's
+		}
 		if err := se.encodeBody(job); err != nil {
 			st.Release()
 			return nil, err
@@ -439,10 +602,7 @@ func EncodeSections(space *memory.Space, table *msr.Table, ti *types.TI, roots R
 		secs[idx] = EncodedSection{Body: se.enc.Bytes(), From: -1, Elapsed: time.Since(secStart)}
 	}
 	if dt != nil {
-		// The tracker takes its own copy of every fresh body, so the
-		// encoders go back at once.
-		dt.fold(jobs, secs)
-		st.Release()
+		dt.fold(round, secs)
 	}
 	st.Bodies, st.Heap, st.Stats = secs, len(pt.components), se.stats
 	return st, nil

@@ -43,6 +43,16 @@ func TestMSRLTIndexAblation(t *testing.T) {
 	if hash.Value*10 > search.Value {
 		t.Errorf("hash residual steps %.0f vs search %.0f", hash.Value, search.Value)
 	}
+	// The counts are one capture's, however many the timing repeats.
+	again, err := MSRLTIndexAblation(quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rows {
+		if rows[i].Value != again[i].Value || rows[i].Detail != again[i].Detail {
+			t.Errorf("row %d: %v (%s), then %v (%s)", i, rows[i].Value, rows[i].Detail, again[i].Value, again[i].Detail)
+		}
+	}
 }
 
 func TestPointerEncodingCost(t *testing.T) {

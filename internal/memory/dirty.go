@@ -16,6 +16,11 @@
 // BenchmarkObs* zero-cost guards.
 package memory
 
+import (
+	"cmp"
+	"slices"
+)
+
 const (
 	// DirtyBlockShift sets the tracking granularity: writes are recorded
 	// per 1<<DirtyBlockShift-byte block.
@@ -32,11 +37,11 @@ const (
 // union within a generation; a write in a newer generation resets the
 // range — every write of one generation is observed (and shipped) before
 // the generation advances, so the superseded range is already dead.
-// Consequence: RangeDirtySince is byte-precise only for watermarks
+// Consequence: DirtyRangesSince is byte-precise only for watermarks
 // following the capture-then-advance discipline the pre-copy driver uses
 // (query a generation fully, then AdvanceGeneration); a watermark more
-// than one capture old still reports the block dirty, just with the
-// newest write's sub-range.
+// than one capture old still lists the block, just with the newest
+// write's sub-range.
 type dirtyEntry struct {
 	gen    uint64
 	lo, hi uint32 // written byte range within the block, hi exclusive
@@ -49,6 +54,10 @@ type dirtyTracker struct {
 	on     bool
 	gen    uint64
 	blocks map[Address]dirtyEntry // keyed by block index (addr >> DirtyBlockShift)
+	// touched lists the blocks first stamped in the current generation, so
+	// "dirty since the current generation" costs what was dirtied, not a
+	// scan of every block ever written.
+	touched []Address
 }
 
 // mark stamps every block overlapping [addr, addr+n) with the current
@@ -75,6 +84,8 @@ func (d *dirtyTracker) mark(addr Address, n int) {
 			if e.hi > hi {
 				hi = e.hi
 			}
+		} else {
+			d.touched = append(d.touched, b)
 		}
 		d.blocks[b] = dirtyEntry{gen: d.gen, lo: lo, hi: hi}
 	}
@@ -88,13 +99,14 @@ func (s *Space) StartDirtyTracking() {
 	s.dirty.on = true
 	s.dirty.gen = 1
 	s.dirty.blocks = make(map[Address]dirtyEntry, 1024)
+	s.dirty.touched = s.dirty.touched[:0]
 }
 
 // StopDirtyTracking turns the write barrier off and releases the dirty
 // set.
 func (s *Space) StopDirtyTracking() {
 	s.dirty.on = false
-	s.dirty.blocks = nil
+	s.dirty.blocks, s.dirty.touched = nil, nil
 }
 
 // DirtyTracking reports whether the write barrier is on.
@@ -110,6 +122,7 @@ func (s *Space) Generation() uint64 { return s.dirty.gen }
 // round's watermark cleanly separates them from what was already shipped.
 func (s *Space) AdvanceGeneration() uint64 {
 	s.dirty.gen++
+	s.dirty.touched = s.dirty.touched[:0]
 	return s.dirty.gen
 }
 
@@ -117,6 +130,9 @@ func (s *Space) AdvanceGeneration() uint64 {
 // gen or later. With gen just above the previous round's watermark this
 // is the size of the dirty set the next round must re-ship.
 func (s *Space) DirtySince(gen uint64) int {
+	if gen == s.dirty.gen {
+		return len(s.dirty.touched)
+	}
 	n := 0
 	for _, e := range s.dirty.blocks {
 		if e.gen >= gen {
@@ -126,35 +142,35 @@ func (s *Space) DirtySince(gen uint64) int {
 	return n
 }
 
-// RangeDirtySince reports whether any byte of [addr, addr+n) was written
-// at generation gen or later. Boundary blocks compare the query range
-// against the bytes actually written, so an object is not reported dirty
-// just because a neighbor sharing its edge block was. The delta capture
-// uses this to decide whether a section's backing memory changed since
-// it was last encoded.
-func (s *Space) RangeDirtySince(addr Address, n int, gen uint64) bool {
-	if n <= 0 || len(s.dirty.blocks) == 0 {
-		return false
+// DirtyRange is the byte range [Lo, Hi) written within one tracked block.
+type DirtyRange struct{ Lo, Hi Address }
+
+// DirtyRangesSince lists, in address order, the written range of every
+// block whose most recent write is at generation gen or later: one range
+// per block DirtySince counts. For the current generation — the pre-copy
+// driver's watermark — it costs what was dirtied, not what was ever
+// written.
+func (s *Space) DirtyRangesSince(gen uint64) []DirtyRange {
+	d := &s.dirty
+	var out []DirtyRange
+	add := func(b Address, e dirtyEntry) {
+		base := b << DirtyBlockShift
+		out = append(out, DirtyRange{Lo: base + Address(e.lo), Hi: base + Address(e.hi)})
 	}
-	first := addr >> DirtyBlockShift
-	last := (addr + Address(n) - 1) >> DirtyBlockShift
-	for b := first; b <= last; b++ {
-		e, ok := s.dirty.blocks[b]
-		if !ok || e.gen < gen {
-			continue
+	if gen == d.gen {
+		out = make([]DirtyRange, 0, len(d.touched))
+		for _, b := range d.touched {
+			add(b, d.blocks[b])
 		}
-		qlo, qhi := uint32(0), uint32(DirtyBlockSize)
-		if b == first {
-			qlo = uint32(addr & (DirtyBlockSize - 1))
-		}
-		if b == last {
-			qhi = uint32((addr+Address(n)-1)&(DirtyBlockSize-1)) + 1
-		}
-		if e.lo < qhi && qlo < e.hi {
-			return true
+	} else {
+		for b, e := range d.blocks {
+			if e.gen >= gen {
+				add(b, e)
+			}
 		}
 	}
-	return false
+	slices.SortFunc(out, func(a, b DirtyRange) int { return cmp.Compare(a.Lo, b.Lo) })
+	return out
 }
 
 // mutable resolves a writable view of n bytes at addr. This is the single

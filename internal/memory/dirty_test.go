@@ -2,10 +2,22 @@ package memory
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
 )
+
+// dirtyOverlaps reports whether a range written at generation gen or later
+// overlaps [addr, addr+n).
+func dirtyOverlaps(s *Space, addr Address, n int, gen uint64) bool {
+	for _, r := range s.DirtyRangesSince(gen) {
+		if r.Lo < addr+Address(n) && addr < r.Hi {
+			return true
+		}
+	}
+	return false
+}
 
 func TestDirtyTrackingGenerations(t *testing.T) {
 	s := NewSpace(arch.Ultra5)
@@ -29,10 +41,10 @@ func TestDirtyTrackingGenerations(t *testing.T) {
 	if n := s.DirtySince(1); n != 1 {
 		t.Fatalf("DirtySince(1) = %d after one store, want 1", n)
 	}
-	if !s.RangeDirtySince(a, 4, 1) {
+	if !dirtyOverlaps(s, a, 4, 1) {
 		t.Fatal("stored range not dirty")
 	}
-	if s.RangeDirtySince(a+DirtyBlockSize, DirtyBlockSize, 1) {
+	if dirtyOverlaps(s, a+DirtyBlockSize, DirtyBlockSize, 1) {
 		t.Fatal("untouched block reported dirty")
 	}
 
@@ -40,7 +52,7 @@ func TestDirtyTrackingGenerations(t *testing.T) {
 	if err := s.WriteBytes(a+Address(DirtyBlockSize-2), make([]byte, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if !s.RangeDirtySince(a+DirtyBlockSize, 1, 1) {
+	if !dirtyOverlaps(s, a+DirtyBlockSize, 1, 1) {
 		t.Fatal("second block of spanning write not dirty")
 	}
 
@@ -79,21 +91,21 @@ func TestDirtyTrackingObservesAllocationZeroing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.RangeDirtySince(a, 64, 1) {
+	if !dirtyOverlaps(s, a, 64, 1) {
 		t.Fatal("malloc'd range not dirty")
 	}
 	g, err := s.GlobalAlloc(32, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.RangeDirtySince(g, 32, 1) {
+	if !dirtyOverlaps(s, g, 32, 1) {
 		t.Fatal("global allocation not dirty")
 	}
 	f, err := s.PushFrame(48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.RangeDirtySince(f, 48, 1) {
+	if !dirtyOverlaps(s, f, 48, 1) {
 		t.Fatal("pushed frame not dirty")
 	}
 	if err := s.PopFrame(); err != nil {
@@ -247,5 +259,46 @@ func BenchmarkWriteBarrierOn(b *testing.B) {
 		if err := s.WriteBytes(a+Address(i&31)*64, p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDirtyRangesSince: one range per block written since the watermark,
+// in address order, carrying the bytes written; the current generation's
+// list, kept as the barrier stamps, agrees with the scan an older watermark
+// takes.
+func TestDirtyRangesSince(t *testing.T) {
+	s := NewSpace(arch.Ultra5)
+	m, err := s.Malloc(9 * DirtyBlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := (m + DirtyBlockSize - 1) &^ (DirtyBlockSize - 1) // block-aligned
+	s.StartDirtyTracking()
+	for _, w := range []struct {
+		at Address
+		n  int
+	}{{5*DirtyBlockSize + 8, 4}, {DirtyBlockSize - 2, 4}, {5*DirtyBlockSize + 40, 4}} {
+		if err := s.WriteBytes(a+w.at, make([]byte, w.n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []DirtyRange{
+		{a + DirtyBlockSize - 2, a + DirtyBlockSize},
+		{a + DirtyBlockSize, a + DirtyBlockSize + 2},
+		{a + 5*DirtyBlockSize + 8, a + 5*DirtyBlockSize + 44}, // two writes, one range
+	}
+	if got := s.DirtyRangesSince(s.Generation()); !slices.Equal(got, want) {
+		t.Fatalf("ranges %x, want %x", got, want)
+	}
+	g := s.AdvanceGeneration()
+	if err := s.StorePrim(a+7*DirtyBlockSize, arch.Int, 1); err != nil {
+		t.Fatal(err)
+	}
+	later := DirtyRange{a + 7*DirtyBlockSize, a + 7*DirtyBlockSize + 4}
+	if got := s.DirtyRangesSince(g); !slices.Equal(got, []DirtyRange{later}) || s.DirtySince(g) != 1 {
+		t.Fatalf("ranges since the watermark %x (%d blocks), want %x", got, s.DirtySince(g), later)
+	}
+	if got := s.DirtyRangesSince(1); !slices.Equal(got, append(want, later)) || s.DirtySince(1) != 4 {
+		t.Fatalf("ranges since generation 1 %x (%d blocks), want %x", got, s.DirtySince(1), append(want, later))
 	}
 }

@@ -151,9 +151,16 @@ type Table struct {
 	baseIdx map[memory.Address]int
 
 	heapSeq uint32 // next heap Major
+	// version counts the changes to the block set (Insert, Remove,
+	// Unregister): equal versions mean the same blocks at the same places.
+	version uint64
 
 	Stats Stats
 }
+
+// Version returns the table's change counter. A capture that kept what it
+// derived from the block set may reuse it while the version holds.
+func (t *Table) Version() uint64 { return t.version }
 
 // NewTable returns an empty MSRLT.
 func NewTable() *Table {
@@ -263,6 +270,7 @@ func (t *Table) Insert(blocks []*Block) error {
 		nb[lo+j], ns[lo+j], i = addr, byAddr[j], lo
 	}
 	t.baseIdx = nil
+	t.version++
 	return nil
 }
 
@@ -320,6 +328,7 @@ func (t *Table) Remove(blocks []*Block) {
 	clear(segs[k:]) // the vacated tail holds no block for the GC
 	t.bases[seg], t.segs[seg] = bases[:k], segs[:k]
 	t.baseIdx = nil
+	t.version++
 }
 
 // Unregister removes the block with the given base address (used when a
@@ -338,6 +347,7 @@ func (t *Table) Unregister(addr memory.Address) error {
 	t.bases[seg] = slices.Delete(t.bases[seg], i, i+1)
 	t.segs[seg] = slices.Delete(t.segs[seg], i, i+1) // clears the vacated tail slot
 	t.baseIdx = nil
+	t.version++
 	return nil
 }
 

@@ -15,8 +15,16 @@ package vm
 //
 // A LiveCapture owns the per-process machinery: it turns the memory
 // layer's write barrier on, carries the collect.DeltaTracker from round
-// to round, and advances the dirty watermark after every capture. Each
-// round yields the full section list in the deterministic v3 order —
+// to round, and advances the dirty watermark after every capture. A round
+// reads the dirty set once, as the ranges written since the watermark
+// (memory.Space.DirtyRangesSince): their count is the round's DirtyBlocks,
+// and the tracker maps them to the blocks and sections they overlap. When
+// no block was registered or unregistered, the live set is the same and
+// every overwritten pointer still resolves as before, the tracker keeps
+// the previous round's partition instead of walking every reachable block
+// again, so a round after the first costs what the program dirtied
+// (collect/delta.go states the rule). Each round yields the full section
+// list in the deterministic v3 order —
 // clean sections carry their cached bodies, and say which section of the
 // previous round they were. Content hashes are not this package's
 // business: the transport names the list by them when it builds the
@@ -104,13 +112,10 @@ func (lc *LiveCapture) Round() (*LiveRound, error) {
 	p := lc.p
 	start := time.Now()
 	round := &LiveRound{}
-	var dirty collect.DirtyFunc
+	var dirty []memory.DirtyRange
 	if lc.since > 0 {
-		round.DirtyBlocks = p.Space.DirtySince(lc.since)
-		since := lc.since
-		dirty = func(addr memory.Address, n int) bool {
-			return p.Space.RangeDirtySince(addr, n, since)
-		}
+		dirty = p.Space.DirtyRangesSince(lc.since)
+		round.DirtyBlocks = len(dirty)
 	}
 	mDirtyBlocks.Set(int64(round.DirtyBlocks))
 

@@ -2,10 +2,12 @@ package vm
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/minic"
+	"repro/internal/obs"
 	"repro/internal/snapshot"
 	"repro/internal/workload"
 	"repro/internal/xdr"
@@ -254,4 +256,182 @@ func TestResumeRunWithoutCapture(t *testing.T) {
 	if err != nil || res.ExitCode != 0 {
 		t.Fatalf("baseline run: exit=%d err=%v", res.ExitCode, err)
 	}
+}
+
+// reuseSource is the program of TestLiveReuseRule: two four-node lists, a
+// pool of eight blocks, and a loop whose body, the case's, polls once per
+// iteration (or at one of two sites). c is live at every poll and null at
+// each; u is dead at every poll.
+const reuseSource = `
+struct node {
+	double pay[4];
+	struct node *next;
+	struct node *alt;
+};
+
+struct node *heads[2];
+struct node *tail0;
+struct node *pool[8];
+double total;
+
+int bump(int v) {
+	int w;
+	w = v + 1;
+	return w;
+}
+
+int main() {
+	int i, k, r, t;
+	struct node *c, *u;
+	for (k = 0; k < 2; k++) {
+		heads[k] = 0;
+		for (i = 0; i < 4; i++) {
+			c = (struct node *) malloc(sizeof(struct node));
+			c->pay[0] = k * 10.0 + i;
+			c->next = heads[k];
+			c->alt = 0;
+			heads[k] = c;
+			if (k == 0) {
+				if (i == 0) tail0 = c;
+			}
+		}
+	}
+	for (i = 0; i < 8; i++) pool[i] = (struct node *) malloc(sizeof(struct node));
+	t = 0;
+	c = 0;
+	for (r = 0; r < 5; r++) {
+%s
+	}
+	if (c) total = total + 1.0;
+	return 0;
+}
+`
+
+// TestLiveReuseRule drives each case's program through every poll with a
+// live capture, and requires each round to be byte-identical to a
+// stop-and-copy capture of the same paused state and to have taken the
+// case's path: the previous round's partition kept, or walked again.
+func TestLiveReuseRule(t *testing.T) {
+	cases := []struct {
+		name, body string
+		path       string // every round after the first
+	}{
+		{"payload writes", `
+		heads[0]->pay[1] = heads[0]->pay[1] + 1.0;
+		total = total + heads[1]->pay[0];
+		migrate_here();`, "reused"},
+		{"live cursor back where it began", `
+		c = heads[0];
+		while (c) {
+			c->pay[2] = c->pay[2] + 0.5;
+			c = c->next;
+		}
+		migrate_here();`, "reused"},
+		{"pointers overwritten with their own values", `
+		heads[0]->next = heads[0]->next;
+		heads[1] = heads[1];
+		migrate_here();`, "reused"},
+		{"pointer write in an unreachable block", `
+		u = heads[r % 2];
+		total = total + u->pay[0];
+		migrate_here();`, "reused"},
+		{"pointer retargeted inside one component", `
+		u = heads[0];
+		if (r % 2) u->alt = u->next; else u->alt = u->next->next;
+		migrate_here();`, "walked"},
+		{"components merge and split", `
+		if (r % 2) tail0->next = heads[1]; else tail0->next = 0;
+		migrate_here();`, "walked"},
+		{"malloc between polls", `
+		u = (struct node *) malloc(sizeof(struct node));
+		migrate_here();`, "walked"},
+		{"free between polls", `
+		free(pool[r]);
+		pool[r] = 0;
+		migrate_here();`, "walked"},
+		{"call and return between polls", `
+		t = bump(t);
+		migrate_here();`, "walked"},
+		{"poll at a different site", `
+		if (r % 2) {
+			t = r;
+			migrate_here();
+			total = total + t;
+		} else {
+			migrate_here();
+		}`, "walked"},
+	}
+	for _, m := range []*arch.Machine{arch.DEC5000, arch.SPARC20} {
+		for _, tc := range cases {
+			t.Run(m.Name+"/"+tc.name, func(t *testing.T) {
+				prog, err := minic.Compile(fmt.Sprintf(reuseSource, tc.body), minic.PollPolicy{})
+				if err != nil {
+					t.Fatalf("compile: %v", err)
+				}
+				p, err := NewProcess(prog, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.NoAutoCapture = true
+				p.PollHook = func(*Process, *minic.Site) bool { return true }
+				if res, err := p.Run(); err != nil || !res.Migrated {
+					t.Fatalf("run to the first poll: %+v %v", res, err)
+				}
+				lc := p.NewLiveCapture(0)
+				defer lc.Close()
+				rounds := 0
+				for ; ; rounds++ {
+					r, path := tracedRound(t, p, lc)
+					want := "walked"
+					if rounds > 0 {
+						want = tc.path
+					}
+					if path != want {
+						t.Errorf("round %d: partition %s, want %s", rounds, path, want)
+					}
+					direct, err := p.CaptureSections(0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(r.Snapshot(), direct) {
+						t.Fatalf("round %d differs from a stop-and-copy capture", rounds)
+					}
+					res, err := p.ResumeRun()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !res.Migrated {
+						if res.ExitCode != 0 {
+							t.Fatalf("exit %d", res.ExitCode)
+						}
+						break
+					}
+				}
+				if rounds < 3 {
+					t.Fatalf("%d rounds, want at least 3", rounds)
+				}
+			})
+		}
+	}
+}
+
+// tracedRound captures one round and reads the path its partition took off
+// the collect span.
+func tracedRound(t *testing.T, p *Process, lc *LiveCapture) (*LiveRound, string) {
+	t.Helper()
+	tr := obs.NewTracer()
+	p.Obs = tr.Start("round")
+	r, err := lc.Round()
+	p.Obs.End()
+	p.Obs = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range tr.Export()[0].Children[0].Children {
+		if c.Name == "partition" {
+			return r, c.Attrs["partition"]
+		}
+	}
+	t.Fatal("no partition span")
+	return nil, ""
 }

@@ -53,16 +53,17 @@ func (p *Process) CaptureSections(_ int) ([]byte, error) {
 // live captures alike: it collects the state at the site the process is
 // stopped at and returns every section in the deterministic snapshot
 // order — exec, heap components by number, frames innermost first,
-// globals. With a tracker (a live round) the sections dirty cannot have
-// touched are reused from it — from[i] is the index in the previous
-// round's list of the section whose body section i carries over, -1 for a
-// body encoded now — and every body is tracker-owned; without one the
-// bodies alias pooled encoders until release is called. The capture is
-// recorded here, once, counting the sections that were encoded (not the
-// reused ones): CaptureStats, a "collect" span with partition, encode and
-// per-section children, the vm.section.encode histogram and the capture
-// counters.
-func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty collect.DirtyFunc) (secs []snapshot.Section, from []int, release func(), err error) {
+// globals. With a tracker (a live round) and the ranges written since its
+// previous round, the sections those ranges cannot have touched are reused
+// from it — from[i] is the index in the previous round's list of the
+// section whose body section i carries over, -1 for a body encoded now —
+// and every body is tracker-owned; without one the bodies alias pooled
+// encoders until release is called. The capture is recorded here, once,
+// counting the sections that were encoded (not the reused ones):
+// CaptureStats, a "collect" span with partition (partition=reused|walked),
+// encode and per-section children, the vm.section.encode histogram and
+// the capture counters.
+func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty []memory.DirtyRange) (secs []snapshot.Section, from []int, release func(), err error) {
 	start := time.Now()
 	innermost, err := p.stoppedSite()
 	if err != nil {
@@ -90,7 +91,13 @@ func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty collect.Dir
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	span.Child("partition").SetDuration(st.Partition)
+	part := span.Child("partition")
+	if st.Reused {
+		part.SetAttr("partition", "reused")
+	} else {
+		part.SetAttr("partition", "walked")
+	}
+	part.SetDuration(st.Partition)
 	span.Child("encode").SetDuration(time.Since(encStart) - st.Partition)
 
 	execStart := time.Now()
