@@ -97,7 +97,7 @@ const (
 	ClassBodies   Class = "live/bodies"    // BODIES
 	ClassAbort    Class = "live/abort"     // ABORT
 	ClassData     Class = "transport/data" // stream DATA chunk
-	ClassControl  Class = "transport/ctl"  // stream FIN/DONE
+	ClassControl  Class = "transport/ctl"  // stream FIN
 	ClassUnknown  Class = "transport/raw"  // anything the classifier cannot name
 )
 
@@ -125,7 +125,6 @@ var sessionClasses = map[uint32]Class{
 var streamClasses = map[uint32]Class{
 	3: ClassData,    // DATA
 	6: ClassControl, // FIN
-	7: ClassControl, // DONE
 }
 
 // Classify names the protocol class of one raw frame.

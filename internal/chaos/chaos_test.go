@@ -39,7 +39,7 @@ func TestClassify(t *testing.T) {
 		{"future session type", frame(sessionMagic, 99), ClassUnknown},
 		{"stream data", frame(streamMagic, 3), ClassData},
 		{"stream fin", frame(streamMagic, 6), ClassControl},
-		{"stream done", frame(streamMagic, 7), ClassControl},
+		{"retired stream done", frame(streamMagic, 7), ClassUnknown},
 		{"stream ack, retired", frame(streamMagic, 4), ClassUnknown},
 		{"neither magic", []byte("HPM1xxxxxxxxxxxx"), ClassUnknown},
 		{"short", []byte{1, 2, 3}, ClassUnknown},

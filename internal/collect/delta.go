@@ -1,7 +1,7 @@
 package collect
 
 // Delta capture for live pre-copy migration (the live rounds of the round
-// exchange; they carry no envelope).
+// exchange).
 //
 // A pre-copy round after the first costs what the program dirtied, not what
 // it holds: it keeps the previous round's partition when the partition

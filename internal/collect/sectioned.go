@@ -1,7 +1,7 @@
 package collect
 
 // Sectioned collection: the pipeline behind the sectioned snapshot format
-// (internal/snapshot, envelope version 3). EncodeSections is the one
+// (internal/snapshot). EncodeSections is the one
 // producer; cold, warm and live captures all go through it.
 //
 // It first walks the MSR graph reachable from the live set — the same

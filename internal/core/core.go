@@ -9,12 +9,10 @@
 //  2. a scheduler raises a migration Request, which the running process
 //     notices at its next poll-point;
 //  3. the process collects its execution and memory state into
-//     machine-independent sections — onto a chunk stream behind the
-//     envelope header (SendSectioned), or into a checkpoint store
-//     (CheckpointProcess) — and the destination restores them
-//     (ReceiveAndRestoreSectioned, which decodes each section out of the
-//     chunks as they arrive; RestoreFromStore; a round exchange applies
-//     its rounds into a vm.Restore as they arrive);
+//     machine-independent sections, which a migration session carries to
+//     the destination and restores there as they arrive
+//     (internal/session), or which a checkpoint store keeps
+//     (CheckpointProcess, RestoreFromStore);
 //  4. the source process terminates, the destination process resumes from
 //     the migration point.
 //
@@ -36,12 +34,9 @@ import (
 	"repro/internal/vm"
 )
 
-// Errors returned by envelope handling.
-var (
-	ErrBadEnvelope     = errors.New("core: malformed migration envelope")
-	ErrVersionMismatch = errors.New("core: migration protocol version mismatch")
-	ErrProgramMismatch = errors.New("core: envelope was produced by a different program")
-)
+// ErrProgramMismatch reports state that belongs to a different program
+// build than the engine it was handed to.
+var ErrProgramMismatch = errors.New("core: state was produced by a different program")
 
 // Engine is a migratable program: the compiled form shared by every node
 // participating in migrations (the paper pre-distributes and compiles the
@@ -68,10 +63,10 @@ func (e *Engine) NewProcess(m *arch.Machine) (*vm.Process, error) {
 	return vm.NewProcess(e.Prog, m)
 }
 
-// Digest identifies the program for envelope verification and session
-// negotiation: the TI table digest combined with the shape of the function
-// and site tables. It is computed once per engine — every envelope header
-// and session offer consults it, so it must be cheap.
+// Digest identifies the program to a session's registry lookup and to a
+// checkpoint's manifest: the TI table digest combined with the shape of the
+// function and site tables. It is computed once per engine — every session
+// offer and every round's manifest consults it, so it must be cheap.
 func (e *Engine) Digest() uint32 {
 	e.digestOnce.Do(func() {
 		h := crc32.NewIEEE()
@@ -112,7 +107,8 @@ type Timing struct {
 	Collect time.Duration
 	Tx      time.Duration
 	Restore time.Duration
-	// Bytes is the envelope size on the wire.
+	// Bytes is the state's size on the wire: the snapshot a cold stream
+	// carries, or the frames of a round exchange.
 	Bytes int
 }
 

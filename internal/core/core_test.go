@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/minic"
+	"repro/internal/vm"
 )
 
 const countdownSrc = `
@@ -17,6 +19,80 @@ const countdownSrc = `
 		return s % 97;
 	}
 `
+
+// listSrc builds a 60-node heap list and only then reaches its single
+// migration point.
+const listSrc = `
+	struct node { float data; struct node *link; };
+	struct node *head;
+	int main() {
+		int i, sum;
+		struct node *c;
+		head = 0;
+		for (i = 1; i <= 60; i++) {
+			c = (struct node *) malloc(sizeof(struct node));
+			c->data = i;
+			c->link = head;
+			head = c;
+		}
+		migrate_here();
+		sum = 0;
+		c = head;
+		while (c) {
+			sum += (int)c->data;
+			c = c->link;
+		}
+		return sum % 128;
+	}
+`
+
+// nestedSrc migrates from inside a called function's loop, so the state
+// holds two frames.
+const nestedSrc = `
+	struct node { int val; struct node *next; };
+	int sum_list(struct node *h) {
+		int s;
+		s = 0;
+		while (h) {
+			s = s + h->val;
+			h = h->next;
+			migrate_here();
+		}
+		return s;
+	}
+	int main() {
+		struct node *head, *n;
+		int i, total;
+		head = 0;
+		for (i = 0; i < 40; i++) {
+			n = (struct node *) malloc(sizeof(struct node));
+			n->val = i * 3;
+			n->next = head;
+			head = n;
+		}
+		total = sum_list(head);
+		return total % 100;
+	}
+`
+
+// stoppedAtMigration runs the program on m until the immediately pending
+// migration request is granted and returns the stopped process.
+func stoppedAtMigration(t testing.TB, e *Engine, m *arch.Machine) *vm.Process {
+	t.Helper()
+	p, err := e.NewProcess(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.MaxSteps = 1_000_000
+	var req Request
+	req.Raise()
+	p.PollHook = req.Hook()
+	res, err := p.Run()
+	if err != nil || !res.Migrated {
+		t.Fatalf("setup: migrated=%v err=%v", res != nil && res.Migrated, err)
+	}
+	return p
+}
 
 func TestEngineCompileError(t *testing.T) {
 	if _, err := NewEngine(`int main() { return x; }`, minic.DefaultPolicy); err == nil {

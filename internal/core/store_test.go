@@ -22,18 +22,7 @@ func TestCheckpointRestoreFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := e.NewProcess(arch.DEC5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.MaxSteps = 1_000_000
-	var req Request
-	req.Raise()
-	p.PollHook = req.Hook()
-	res, err := p.Run()
-	if err != nil || !res.Migrated {
-		t.Fatalf("setup: %v %v", res, err)
-	}
+	p := stoppedAtMigration(t, e, arch.DEC5000)
 
 	st, err := store.Open(t.TempDir(), obs.NewRegistry())
 	if err != nil {
@@ -112,7 +101,7 @@ func TestSectionValuedEntryPointsMatchFramedOnes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, _ := stoppedAtMigration(t, e, arch.DEC5000)
+			p := stoppedAtMigration(t, e, arch.DEC5000)
 			secs, release, err := p.Sections()
 			if err != nil {
 				t.Fatal(err)

@@ -211,8 +211,8 @@ func runChaosCell(t *testing.T, m chaosMode, e *core.Engine, cell chaos.Spec) {
 // configuration, a clean recorded migration enumerates every frame
 // boundary it crosses; each boundary × {before-send, after-recv} ×
 // {source, dest, link} becomes a cell asserting exactly one surviving
-// copy. -short runs a seed-reproducible sample of each configuration's
-// cells instead of all of them.
+// copy. Every cell runs, -short or not: the whole matrix takes about a
+// second, ten under -race.
 func TestChaosMatrix(t *testing.T) {
 	for _, m := range chaosModes() {
 		m := m
@@ -239,9 +239,6 @@ func TestChaosMatrix(t *testing.T) {
 			cells := chaos.Cells(points, chaos.Victims)
 			if len(cells) == 0 {
 				t.Fatal("empty matrix: no injection points derived from the clean trace")
-			}
-			if testing.Short() {
-				cells = chaos.Sample(cells, 1, 18)
 			}
 			t.Logf("%s: %d frames -> %d boundaries -> %d cells", m.name, len(trace), len(points), len(cells))
 			for _, cell := range cells {

@@ -24,8 +24,8 @@ type FailureClass string
 const (
 	// FailCorrupt: the transferred state itself is damaged — truncated
 	// records, CRC mismatches, invalid references (collect.ErrCorruptStream,
-	// the envelope, the chunk stream's framing and totals, the v3 section
-	// framing errors).
+	// the chunk stream's framing and totals, the section framing errors,
+	// a round's damaged list or body).
 	FailCorrupt FailureClass = "corrupt-stream"
 	// FailMismatch: a well-formed state that belongs to a different
 	// program build or plan (collect.ErrMismatch, digest mismatches).
@@ -43,12 +43,11 @@ const (
 )
 
 // ClassifyFailure maps a session error to its FailureClass by walking the
-// wrapped-error chain for the typed sentinels the collect and core layers
-// attach at each decode failure.
+// wrapped-error chain for the typed sentinels the layers below attach at
+// each decode failure.
 func ClassifyFailure(err error) FailureClass {
 	switch {
 	case errors.Is(err, collect.ErrCorruptStream),
-		errors.Is(err, core.ErrBadEnvelope),
 		errors.Is(err, stream.ErrVerify),
 		errors.Is(err, stream.ErrProtocol),
 		errors.Is(err, snapshot.ErrBadSnapshot),
@@ -60,8 +59,7 @@ func ClassifyFailure(err error) FailureClass {
 		errors.Is(err, store.ErrNotFound):
 		return FailCorrupt
 	case errors.Is(err, collect.ErrMismatch),
-		errors.Is(err, core.ErrProgramMismatch),
-		errors.Is(err, core.ErrVersionMismatch):
+		errors.Is(err, core.ErrProgramMismatch):
 		return FailMismatch
 	case errors.Is(err, ErrRejected),
 		errors.Is(err, ErrUnknownProgram):

@@ -25,7 +25,6 @@ func TestClassifyFailure(t *testing.T) {
 		want FailureClass
 	}{
 		{fmt.Errorf("vm: restoring heap section 2: %w", collect.ErrCorruptStream), FailCorrupt},
-		{core.ErrBadEnvelope, FailCorrupt},
 		{fmt.Errorf("stream: %w", stream.ErrVerify), FailCorrupt},
 		{fmt.Errorf("stream: at chunk 3: %w", stream.ErrProtocol), FailCorrupt},
 		{fmt.Errorf("vm: %w", snapshot.ErrChecksum), FailCorrupt},
@@ -34,7 +33,6 @@ func TestClassifyFailure(t *testing.T) {
 		{fmt.Errorf("prologue: %w", snapshot.ErrBadSnapshot), FailCorrupt},
 		{fmt.Errorf("vm: frame count: %w", collect.ErrMismatch), FailMismatch},
 		{core.ErrProgramMismatch, FailMismatch},
-		{core.ErrVersionMismatch, FailMismatch},
 		{fmt.Errorf("session: %w", ErrRejected), FailNegotiation},
 		{ErrUnknownProgram, FailNegotiation},
 		{errors.New("connection reset by peer"), FailTransport},

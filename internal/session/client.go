@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/link"
 	"repro/internal/obs"
+	"repro/internal/snapshot"
 	"repro/internal/stream"
 	"repro/internal/vm"
 )
@@ -98,17 +99,33 @@ func InitiateLive(t link.Transport, e *core.Engine, src *arch.Machine, program s
 // send transmits the state of p in the shape res.Params selects and fills
 // in res.Timing (collect and transmit) and, on a round exchange, the
 // shape's accounting.
+//
+// A cold transfer is the section list of p written straight into a chunk
+// stream and closed with FIN. Every section is encoded before the first
+// is written; a body is copied once, from the pooled encoder it was built
+// in into a chunk, and the encoders go back once the last is written.
 func send(t link.Transport, e *core.Engine, src *arch.Machine, program string, p *vm.Process, cfg Config, res *Result) error {
 	if res.Params.rounds() {
 		return sendRounds(t, e, src, program, p, cfg, res)
 	}
+	secs, release, err := p.Sections()
+	if err != nil {
+		return err
+	}
+	defer release()
+	start := time.Now()
 	// How the stream is cut is this side's own business: the chunk size
 	// changes no byte of the snapshot and the receiver takes any.
 	w := stream.NewWriter(t, stream.Config{ChunkSize: cfg.ChunkSize, Recorder: cfg.Recorder})
-	var err error
-	res.Timing, err = e.SendSectioned(w, src, p)
-	res.Timing.Collect = p.CaptureStats().Elapsed
-	return err
+	n, err := obs.PhaseOf("transport", func() (int, error) { return snapshot.Write(w, secs) })
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	res.Timing = core.Timing{Collect: p.CaptureStats().Elapsed, Tx: time.Since(start), Bytes: n}
+	if err != nil {
+		return fmt.Errorf("session: cold transfer: %w", err)
+	}
+	return nil
 }
 
 // initiateHandshake mints the trace identity, sends the OFFER, and parses

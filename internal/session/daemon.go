@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/vm"
+	"repro/internal/xdr"
 )
 
 // Registry holds the pre-distributed programs a daemon serves, keyed by
@@ -189,8 +191,53 @@ func receive(t link.Transport, e *core.Engine, m *arch.Machine, cfg Config, info
 	if info.Params.rounds() {
 		return receiveRounds(t, e, m, cfg, info)
 	}
-	r := stream.NewReader(t, stream.Config{Recorder: cfg.Recorder})
-	return e.ReceiveAndRestoreSectioned(r, m, cfg.Trace)
+	return receiveCold(stream.NewReader(t, stream.Config{Recorder: cfg.Recorder}), e, m, cfg.Trace)
+}
+
+// receiveCold restores the process a cold stream carries on machine m,
+// consuming the stream as it arrives: every section is decoded straight
+// out of the chunk payloads into a vm.Restore — exec first, which pushes
+// the frames, then the heap components, frames and globals, each into
+// place — with its CRC compared at its last byte. No chunk is joined or
+// parsed twice; after the last one only the globals and the FIN remain.
+// The phases are children of span (nil disables tracing): "transport" is
+// the time spent waiting for chunks, "restore" the sum of the apply steps,
+// and Timing.Restore the latter. A failure returns no process.
+func receiveCold(r *stream.Reader, e *core.Engine, m *arch.Machine, span *obs.Span) (*vm.Process, core.Timing, error) {
+	p, err := e.NewProcess(m)
+	if err != nil {
+		return nil, core.Timing{}, err
+	}
+	p.Obs = span
+	// Every body lands in the process's own memory, so once the restore
+	// returns no chunk frame is referenced and the next stream reuses them.
+	defer r.Recycle()
+	rx, shell := span.Child("transport"), p.NewRestore()
+	var waited time.Duration
+	var broken error // the stream's own failure, which outranks what a decoder made of it
+	in := xdr.NewFeedDecoder(-1, func() ([]byte, error) {
+		start := time.Now()
+		b, err := obs.PhaseOf("transport", r.Next)
+		d := time.Since(start)
+		waited += d
+		shell.Idle(d)
+		if err != nil && err != io.EOF {
+			broken = err
+		}
+		return b, err
+	})
+	if err = shell.Read(in); err == nil {
+		err = shell.Finish()
+	}
+	rx.SetBytes(int64(in.Offset()))
+	rx.SetDuration(waited)
+	if broken != nil {
+		err = broken
+	}
+	if err != nil {
+		return nil, core.Timing{}, err
+	}
+	return p, core.Timing{Restore: p.RestoreElapsed(), Bytes: in.Offset()}, nil
 }
 
 // Daemon is the persistent, concurrent migration daemon: an accept loop

@@ -423,8 +423,8 @@ func TestProtocolTable(t *testing.T) {
 	}
 	small := Config{ChunkSize: 512}
 
-	// cold: 2 + chunks + FIN + DONE + 2. The stream is one-directional:
-	// between ACCEPT and DONE the responder sends nothing.
+	// cold: 2 + chunks + FIN + 2. The stream is one-directional: between
+	// ACCEPT and RESTORED the responder sends nothing.
 	src, dst := recordRun(t, "cold", small, false, false)
 	chunks := len(src) - 3
 	if chunks < 4 {
@@ -432,7 +432,7 @@ func TestProtocolTable(t *testing.T) {
 	}
 	check("cold", src, dst,
 		seq(one(offer), repeat(chunks, data), one(ctl, commit)),
-		one(accept, ctl, restored))
+		one(accept, restored))
 
 	// The round exchange: 2 + 3·rounds + 2, whatever selected it.
 	rounds := func(n int) (fromSource, fromDest []chaos.Class) {

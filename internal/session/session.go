@@ -1,7 +1,9 @@
 // Package session is the migration-session layer of the stack: it sits
-// between the migration engine (internal/core) and the transport
-// (internal/link) and owns everything two peers must agree on before a
-// process state crosses the wire.
+// between the compiled program (internal/core) and the transport
+// (internal/link), owns everything two peers must agree on before a
+// process state crosses the wire, and drives every transfer shape itself —
+// sections flow from vm.Process.Sections on the source into one vm.Restore
+// on the destination.
 //
 // The paper's protocol assumes one migration at a time between two
 // pre-arranged peers whose operators configured both ends identically.
@@ -31,8 +33,11 @@
 //
 //   - the sectioned chunk stream (cold: neither capability on both ends):
 //     a sectioned snapshot cut into chunks by internal/stream, DATA …
-//     DATA, FIN from the initiator, one DONE back; the responder restores
-//     out of each chunk as it arrives;
+//     DATA, FIN from the initiator and nothing back; the responder
+//     restores out of each chunk as it arrives, and its RESTORED is its
+//     one answer. The stream has no header of its own: the OFFER's digest,
+//     matched against the registry, fixes the program, the capability bits
+//     the shape and the OFFER the source machine before the first DATA;
 //   - the round exchange (a store on both ends, or live on both ends):
 //     per round one ANNOUNCE listing every section of the paused state by
 //     content hash, one WANT naming the sections the responder cannot

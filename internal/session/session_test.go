@@ -57,7 +57,7 @@ func newListEngine(t *testing.T) *core.Engine {
 
 // stoppedAt runs the program on m until its migration point and returns
 // the stopped process.
-func stoppedAt(t *testing.T, e *core.Engine, m *arch.Machine) *vm.Process {
+func stoppedAt(t testing.TB, e *core.Engine, m *arch.Machine) *vm.Process {
 	t.Helper()
 	p, err := e.NewProcess(m)
 	if err != nil {

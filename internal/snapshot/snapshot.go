@@ -1,7 +1,8 @@
-// Package snapshot defines the sectioned snapshot format (envelope
-// version 3): the captured process state is not one opaque MSRM byte
-// stream but a sequence of typed, independently framed sections, each
-// carrying its own length and CRC.
+// Package snapshot defines the sectioned snapshot format: the captured
+// process state is not one opaque MSRM byte stream but a sequence of
+// typed, independently framed sections, each carrying its own length and
+// CRC. A cold migration's chunk stream carries exactly one snapshot, with
+// nothing in front of it: its magic is the stream's first word.
 //
 // The section kinds mirror the MSR graph partition of the paper's
 // Section 3: the execution state (the chain of active invocations and

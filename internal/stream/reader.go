@@ -8,19 +8,13 @@ import (
 	"repro/internal/link"
 )
 
-// ReaderStats summarizes one streamed transfer from the receiving side.
-type ReaderStats struct {
-	Chunks int
-	Bytes  int64
-}
-
 // Reader receives a chunked snapshot stream: it checks each chunk's
-// framing and sequence number, and on FIN the chunk and byte totals, before
-// confirming with DONE — the one message it ever sends. Chunks are
-// delivered strictly in order through Next, so restoration consumes the
-// stream while later chunks are still in flight. Any transport failure,
-// malformed chunk or sequence gap ends the transfer with an error naming
-// the chunk.
+// framing and sequence number, and on FIN the chunk and byte totals. It
+// sends nothing. Chunks are delivered strictly in order through Next, so
+// restoration consumes the stream while later chunks are still in flight.
+// Any transport failure, malformed chunk, sequence gap or FIN that
+// disagrees with what arrived ends the transfer with an error naming the
+// chunk.
 type Reader struct {
 	cfg Config
 	t   link.Transport
@@ -29,17 +23,12 @@ type Reader struct {
 	bytes   int64
 	eof     bool
 	frames  [][]byte // the DATA frames Next handed out, for Recycle
-
-	stats ReaderStats
 }
 
 // NewReader starts receiving a streamed transfer from t.
 func NewReader(t link.Transport, cfg Config) *Reader {
 	return &Reader{cfg: cfg, t: t}
 }
-
-// Stats returns the transfer statistics so far.
-func (r *Reader) Stats() ReaderStats { return r.stats }
 
 // reject records why the stream was refused and returns the error, naming
 // the chunk it was refused at.
@@ -73,19 +62,13 @@ func (r *Reader) Next() ([]byte, error) {
 		r.nextSeq++
 		r.frames = append(r.frames, raw)
 		r.bytes += int64(len(m.payload))
-		r.stats.Chunks++
-		r.stats.Bytes = r.bytes
 		return m.payload, nil
 	case msgFin:
 		if m.seq != r.nextSeq || m.bytes != uint64(r.bytes) {
 			return nil, r.reject(fmt.Errorf("%w: FIN declares %d chunks, %d bytes; %d bytes arrived",
 				ErrVerify, m.seq, m.bytes, r.bytes))
 		}
-		if err := r.t.Send(marshalDone(uint64(r.bytes))); err != nil {
-			return nil, r.reject(fmt.Errorf("done send: %w", err))
-		}
 		r.eof = true
-		r.stats.flush()
 		return nil, io.EOF
 	default:
 		return nil, r.reject(fmt.Errorf("%w: unexpected %d message from sender", ErrProtocol, m.typ))

@@ -1,10 +1,10 @@
 // Package stream is the chunk-stream layer of the migration stack. It
-// slots between the state framing (internal/snapshot, driven through
-// internal/vm and internal/core) and the transport layer (internal/link):
-// instead of materializing the whole machine-independent snapshot and
-// pushing it through one blocking Transport.Send, the snapshot is cut into
-// sequence-numbered chunks that a background goroutine transmits while the
-// producer keeps writing.
+// slots between the state framing (internal/snapshot, written and read by
+// internal/session's cold transfer) and the transport layer
+// (internal/link): instead of materializing the whole machine-independent
+// snapshot and pushing it through one blocking Transport.Send, the
+// snapshot is cut into sequence-numbered chunks that a background
+// goroutine transmits while the producer keeps writing.
 //
 // Two types cooperate:
 //
@@ -16,13 +16,13 @@
 //     hands the payloads out in order through Next, so the restore decodes
 //     them as they arrive.
 //
-// The stream is one-directional: nothing flows back while it is in flight,
-// and the receiver sends exactly one message, the DONE that answers FIN.
+// The stream is strictly one-directional: the receiver sends nothing at
+// all. Whether it accepted the stream is the session's to say (RESTORED).
 // Ordering, flow control and acknowledgement are the transport's business.
 // The layer detects — never repairs — damage to its own framing: a
 // malformed or out-of-order chunk, or a FIN that disagrees with what
-// arrived, ends the transfer with a typed error naming the chunk, and the
-// session above it rolls the source back.
+// arrived, ends the transfer with a typed error naming the chunk; the
+// session above closes the connection, and the source rolls back.
 //
 // # Wire protocol
 //
@@ -30,7 +30,6 @@
 //
 //	data = magic, DATA, seq u32, payload opaque
 //	fin  = magic, FIN, chunks u32, bytes u64
-//	done = magic, DONE, bytes u64              ; receiver verified the stream
 //
 // Sequence numbers start at zero and chunks are transmitted in order. The
 // stream carries no checksum of its own: the content is covered end to end
@@ -51,12 +50,11 @@ import (
 const streamMagic = 0x4d535452
 
 // Message types. The values are the wire encoding (internal/chaos mirrors
-// msgData); the gaps (1, 2, 4 and 5) are type numbers this protocol no
+// them); the gaps (1, 2, 4, 5 and 7) are type numbers this protocol no
 // longer speaks and must not reuse.
 const (
 	msgData uint32 = 3
 	msgFin  uint32 = 6
-	msgDone uint32 = 7
 )
 
 // Errors reported by the stream layer.
@@ -128,7 +126,7 @@ func (c chunk) seal() []byte {
 type message struct {
 	typ     uint32
 	seq     uint32 // DATA seq; FIN chunk count
-	bytes   uint64 // FIN / DONE
+	bytes   uint64 // FIN
 	payload []byte // DATA
 }
 
@@ -137,14 +135,6 @@ func marshalFin(chunks uint32, bytes uint64) []byte {
 	e.PutUint32(streamMagic)
 	e.PutUint32(msgFin)
 	e.PutUint32(chunks)
-	e.PutUint64(bytes)
-	return e.Bytes()
-}
-
-func marshalDone(bytes uint64) []byte {
-	e := xdr.NewEncoder(16)
-	e.PutUint32(streamMagic)
-	e.PutUint32(msgDone)
 	e.PutUint64(bytes)
 	return e.Bytes()
 }
@@ -171,8 +161,6 @@ func parseMessage(raw []byte) (message, error) {
 		if m.seq, err = d.Uint32(); err == nil {
 			m.bytes, err = d.Uint64()
 		}
-	case msgDone:
-		m.bytes, err = d.Uint64()
 	default:
 		return message{}, fmt.Errorf("%w: unknown message type %d", ErrProtocol, typ)
 	}

@@ -25,19 +25,30 @@ func testPayload(n int, seed int64) []byte {
 	return p
 }
 
-// runReader drains a Reader in a goroutine, returning a channel with the
-// reassembled stream.
+// runReader drains a Reader chunk by chunk in a goroutine, returning a
+// channel with the reassembled stream and the number of chunks it came in.
 type readResult struct {
-	data  []byte
-	err   error
-	stats ReaderStats
+	data   []byte
+	err    error
+	chunks int
 }
 
 func runReader(r *Reader) <-chan readResult {
 	out := make(chan readResult, 1)
 	go func() {
-		data, err := r.ReadAll()
-		out <- readResult{data, err, r.Stats()}
+		var res readResult
+		for {
+			p, err := r.Next()
+			if err != nil {
+				if err != io.EOF {
+					res.data, res.err = nil, err
+				}
+				out <- res
+				return
+			}
+			res.data = append(res.data, p...)
+			res.chunks++
+		}
 	}()
 	return out
 }
@@ -71,10 +82,8 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		if !bytes.Equal(r.data, payload) {
 			t.Fatalf("n=%d: reassembled stream differs (%d vs %d bytes)", n, len(r.data), len(payload))
 		}
-		ws := w.Stats()
-		wantChunks := (n + cfg.ChunkSize - 1) / cfg.ChunkSize
-		if ws.Chunks != wantChunks || r.stats.Chunks != wantChunks {
-			t.Errorf("n=%d: chunks sent=%d recv=%d, want %d", n, ws.Chunks, r.stats.Chunks, wantChunks)
+		if wantChunks := (n + cfg.ChunkSize - 1) / cfg.ChunkSize; r.chunks != wantChunks {
+			t.Errorf("n=%d: %d chunks arrived, want %d", n, r.chunks, wantChunks)
 		}
 		a.Close()
 		b.Close()
@@ -188,10 +197,8 @@ func (f *tamper) Recv() ([]byte, error) {
 // TestWriterFailsOnDeadTransportWithoutSession kills the sender's
 // transport after three frames, with no session above to close anything.
 // Dead outright, or half dead — sends fail while the read side stays open
-// and silent, so nothing will ever arrive to unblock a read: either way
-// Close must return the send error, and promptly (it used to wait forever
-// on the half-dead one, parked in a read for a DONE that a stream without
-// FIN never earns).
+// and silent: either way Close must return the send error, and promptly.
+// A Writer reads nothing, so a silent read side cannot hold it.
 func TestWriterFailsOnDeadTransportWithoutSession(t *testing.T) {
 	for _, halfDead := range []bool{false, true} {
 		cfg := Config{ChunkSize: 256}
@@ -229,9 +236,12 @@ func TestWriterFailsOnDeadTransportWithoutSession(t *testing.T) {
 // in each way the layer must detect — a failing link checksum, a skipped
 // chunk, a payload length that no longer fits its frame, a FIN that
 // disagrees with what arrived — and expects the typed error on the Reader,
-// naming the chunk, a failed Writer, and no delivered stream. (A flipped
-// payload byte is not the stream's to catch: DATA carries no checksum, and
-// the snapshot's section CRC above it covers the content end to end.)
+// naming the chunk, and no delivered stream. The verdict is the Reader's
+// alone: the stream is one-directional, so the Writer hears nothing back,
+// and telling the sender is the session's RESTORED (or its absence). (A
+// flipped payload byte is not the stream's to catch: DATA carries no
+// checksum, and the snapshot's section CRC above it covers the content end
+// to end.)
 func TestReaderRejectsDamagedStream(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -270,18 +280,15 @@ func TestReaderRejectsDamagedStream(t *testing.T) {
 			defer a.Close()
 			res := make(chan readResult, 1)
 			go func() {
-				r := NewReader(&tamper{Transport: b, failAfterSends: -1, onRecv: c.onRecv}, cfg)
-				data, err := r.ReadAll()
+				data, err := NewReader(&tamper{Transport: b, failAfterSends: -1, onRecv: c.onRecv}, cfg).ReadAll()
 				// A session closes the connection under a failed receive;
 				// that is what unblocks the sender.
 				b.Close()
-				res <- readResult{data, err, r.Stats()}
+				res <- readResult{data: data, err: err}
 			}()
 			w := NewWriter(a, cfg)
-			_, werr := w.Write(testPayload(20*1024, 5))
-			if cerr := w.Close(); werr == nil && cerr == nil {
-				t.Error("writer reported success for a stream the reader rejected")
-			}
+			w.Write(testPayload(20*1024, 5))
+			w.Close()
 			r := <-res
 			if !errors.Is(r.err, c.want) || !strings.Contains(r.err.Error(), "at chunk ") {
 				t.Errorf("reader err = %v, want %v naming the chunk", r.err, c.want)
@@ -294,16 +301,17 @@ func TestReaderRejectsDamagedStream(t *testing.T) {
 }
 
 func TestParseMessageRejectsGarbage(t *testing.T) {
-	done := marshalDone(1)
+	fin := marshalFin(1, 1)
 	cases := [][]byte{
 		nil,
 		{1, 2, 3},
-		done[:10],                               // truncated
-		append([]byte{0, 0, 0, 0}, done[4:]...), // bad magic
+		fin[:10],                               // truncated
+		append([]byte{0, 0, 0, 0}, fin[4:]...), // bad magic
 	}
-	// The retired type numbers, the acknowledgement's (4) among them.
-	for _, typ := range []uint32{1, 2, 4, 5, 8} {
-		unknown := marshalDone(0)
+	// The retired type numbers, the acknowledgement's (4) and the
+	// receiver's confirmation (7) among them.
+	for _, typ := range []uint32{1, 2, 4, 5, 7, 8} {
+		unknown := marshalFin(0, 0)
 		binary.BigEndian.PutUint32(unknown[4:], typ)
 		cases = append(cases, unknown)
 	}
@@ -314,10 +322,10 @@ func TestParseMessageRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestChaosMirrorsTheThreeMessages holds internal/chaos's mirrored stream
-// table to the messages this package marshals: DATA is data, FIN and DONE
-// are control, and a type number the parser refuses has no class.
-func TestChaosMirrorsTheThreeMessages(t *testing.T) {
+// TestChaosMirrorsTheTwoMessages holds internal/chaos's mirrored stream
+// table to the messages this package marshals: DATA is data, FIN is
+// control, and a type number the parser refuses has no class.
+func TestChaosMirrorsTheTwoMessages(t *testing.T) {
 	data := chunk{frame: append(chunkFrame(nil, 4), 1, 2, 3, 4)}.seal()
 	for _, c := range []struct {
 		frame []byte
@@ -326,7 +334,6 @@ func TestChaosMirrorsTheThreeMessages(t *testing.T) {
 	}{
 		{data, msgData, chaos.ClassData},
 		{marshalFin(1, 4), msgFin, chaos.ClassControl},
-		{marshalDone(4), msgDone, chaos.ClassControl},
 	} {
 		if m, err := parseMessage(c.frame); err != nil || m.typ != c.typ {
 			t.Errorf("type %d: marshalled instance parses as %d, %v", c.typ, m.typ, err)
@@ -335,8 +342,8 @@ func TestChaosMirrorsTheThreeMessages(t *testing.T) {
 			t.Errorf("type %d: chaos classifies it %q, want %q", c.typ, got, c.class)
 		}
 	}
-	for _, typ := range []uint32{0, 1, 2, 4, 5, 8} {
-		f := marshalDone(0)
+	for _, typ := range []uint32{0, 1, 2, 4, 5, 7, 8} {
+		f := marshalFin(0, 0)
 		binary.BigEndian.PutUint32(f[4:], typ)
 		if _, err := parseMessage(f); err == nil || chaos.Classify(f) != chaos.ClassUnknown {
 			t.Errorf("type %d: parses (%v) or has chaos class %q; the stream layer does not speak it", typ, err, chaos.Classify(f))

@@ -7,12 +7,6 @@ import (
 	"repro/internal/link"
 )
 
-// WriterStats summarizes one streamed transfer from the sending side.
-type WriterStats struct {
-	Chunks int
-	Bytes  int64
-}
-
 // sendQueue is how many cut chunks may wait for the transmit goroutine
 // before the producer blocks: sender memory is bounded by
 // sendQueue*ChunkSize, whatever the snapshot size.
@@ -21,11 +15,10 @@ const sendQueue = 16
 // Writer cuts a byte stream into chunks and transmits them from a
 // background goroutine, so the producer runs concurrently with
 // transmission. Writer implements io.WriteCloser; it is not safe for
-// concurrent Write calls. Close flushes the tail chunk, sends FIN, and
-// blocks until the receiver confirms the whole stream.
+// concurrent Write calls. Close flushes the tail chunk and sends FIN; it
+// reads nothing.
 //
-// Writer assumes a reliable transport: a send or receive failure aborts
-// the transfer.
+// Writer assumes a reliable transport: a send failure aborts the transfer.
 type Writer struct {
 	cfg   Config
 	t     link.Transport
@@ -39,8 +32,6 @@ type Writer struct {
 
 	mu  sync.Mutex
 	err error
-
-	stats WriterStats
 }
 
 // chunkBufs recycles chunk frames across transfers: Transport.Send does
@@ -81,9 +72,6 @@ func (w *Writer) Err() error {
 	defer w.mu.Unlock()
 	return w.err
 }
-
-// Stats returns the transfer statistics; call after Close.
-func (w *Writer) Stats() WriterStats { return w.stats }
 
 // txLoop drains the chunk queue onto the transport. After a failed send
 // it keeps draining — so the producer never blocks on a dead queue — but
@@ -128,16 +116,14 @@ func (w *Writer) cut() error {
 	c := chunk{seq: w.seq, frame: w.buf}
 	w.seq++
 	w.bytes += int64(len(c.payload()))
-	w.stats.Chunks++
 	w.buf = getChunkBuf(w.cfg.ChunkSize)
 	w.sendq <- c
 	return w.Err()
 }
 
-// Close flushes the tail chunk, waits for the transmit goroutine, sends
-// FIN, and waits for the receiver's DONE — the one message that ever
-// flows back, read only once FIN went out. It reports the first error of
-// the whole transfer.
+// Close flushes the tail chunk, waits for the transmit goroutine and, if
+// every chunk went out, sends FIN. It reports the first error of the whole
+// transfer.
 func (w *Writer) Close() error {
 	if len(w.buf) > dataHdr && w.Err() == nil {
 		w.cut() // on failure the error is reported below
@@ -145,29 +131,10 @@ func (w *Writer) Close() error {
 	close(w.sendq)
 	<-w.sent
 	if w.Err() == nil {
-		w.fail(w.finish())
+		if err := w.t.Send(marshalFin(w.seq, uint64(w.bytes))); err != nil {
+			w.fail(fmt.Errorf("stream: fin send: %w", err))
+		}
 	}
-	w.stats.Bytes = w.bytes
-	w.stats.flush()
+	mTxChunks.Add(int64(w.seq))
 	return w.Err()
-}
-
-// finish runs the FIN/DONE exchange that closes a fully transmitted
-// stream. The receiver sends DONE only after verifying the FIN totals.
-func (w *Writer) finish() error {
-	if err := w.t.Send(marshalFin(w.seq, uint64(w.bytes))); err != nil {
-		return fmt.Errorf("stream: fin send: %w", err)
-	}
-	raw, err := w.t.Recv()
-	if err != nil {
-		return fmt.Errorf("stream: recv: %w", err)
-	}
-	m, err := parseMessage(raw)
-	if err != nil {
-		return err
-	}
-	if m.typ != msgDone {
-		return fmt.Errorf("%w: unexpected %d message from receiver", ErrProtocol, m.typ)
-	}
-	return nil
 }

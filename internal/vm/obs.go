@@ -1,8 +1,6 @@
 package vm
 
 import (
-	"time"
-
 	"repro/internal/obs"
 )
 
@@ -16,11 +14,8 @@ var (
 	mEncodeCalls = obs.Default.Counter("xdr.encode.calls")
 	mEncodeBytes = obs.Default.Counter("xdr.encode.bytes")
 	mDecodeCalls = obs.Default.Counter("xdr.decode.calls")
-	mDecodeBytes = obs.Default.Counter("xdr.decode.bytes")
-	// Whole-operation and per-section latency distributions, the VM's
-	// contribution to the phase histograms the obs report quantiles.
-	mCaptureLat     = obs.Default.Histogram("vm.capture.latency")
-	mRestoreLat     = obs.Default.Histogram("vm.restore.latency")
+	// Per-section latency distributions, the VM's contribution to the
+	// phase histograms the obs report quantiles.
 	mSectionEncode  = obs.Default.Histogram("vm.section.encode")
 	mSectionRestore = obs.Default.Histogram("vm.section.restore")
 	// Live pre-copy instrumentation: the dirty-set size each delta round
@@ -32,17 +27,14 @@ var (
 // stream encoder's for a monolithic capture, the sum over the section
 // encoders' for a sectioned one (framing the bodies into a snapshot is
 // not counted).
-func flushCapture(calls, bytes int, elapsed time.Duration) {
+func flushCapture(calls, bytes int) {
 	mCaptures.Inc()
 	mEncodeCalls.Add(int64(calls))
 	mEncodeBytes.Add(int64(bytes))
-	mCaptureLat.Observe(elapsed)
 }
 
 // flushRestore publishes one completed restore's decoder counters.
-func flushRestore(calls, bytes int, elapsed time.Duration) {
+func flushRestore(calls int) {
 	mRestores.Inc()
 	mDecodeCalls.Add(int64(calls))
-	mDecodeBytes.Add(int64(bytes))
-	mRestoreLat.Observe(elapsed)
 }

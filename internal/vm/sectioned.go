@@ -149,7 +149,7 @@ func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty []memory.Di
 		Elapsed: time.Since(start),
 	}
 	span.SetBytes(int64(fresh))
-	flushCapture(calls, fresh, p.captureStats.Elapsed)
+	flushCapture(calls, fresh)
 	return secs, from, st.Release, nil
 }
 
@@ -431,7 +431,7 @@ func (r *Restore) Finish() error {
 	p.resumeSites, p.restoreStats, p.restoreElapsed = r.sites, r.stats, r.elapsed
 	r.span.SetBytes(int64(r.size))
 	r.span.SetDuration(r.elapsed)
-	flushRestore(r.framing, r.size, r.elapsed)
+	flushRestore(r.framing)
 	return nil
 }
 

@@ -133,8 +133,12 @@ func TestSectionedRestoreRoundTrip(t *testing.T) {
 	for _, dst := range []*arch.Machine{arch.Ultra5, arch.I386, arch.AMD64} {
 		tr := obs.NewTracer()
 		root := tr.Start("restore-test")
-		q, err := RestoreProcessObs(prog, dst, v3, root)
+		q, err := NewProcess(prog, dst)
 		if err != nil {
+			t.Fatal(err)
+		}
+		q.Obs = root
+		if err := q.RestoreInto(v3); err != nil {
 			t.Fatalf("restore on %s: %v", dst.Name, err)
 		}
 		root.End()

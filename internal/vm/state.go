@@ -151,7 +151,7 @@ func (p *Process) captureState(innermost *minic.Site) ([]byte, error) {
 		Elapsed: time.Since(captureStart),
 	}
 	span.SetBytes(int64(enc.Len()))
-	flushCapture(enc.Calls(), enc.Len(), p.captureStats.Elapsed)
+	flushCapture(enc.Calls(), enc.Len())
 	return enc.Bytes(), nil
 }
 
@@ -159,18 +159,11 @@ func (p *Process) captureState(innermost *minic.Site) ([]byte, error) {
 // prepares it to resume. Run() continues execution from the migration
 // point.
 func RestoreProcess(prog *minic.Program, m *arch.Machine, state []byte) (*Process, error) {
-	return RestoreProcessObs(prog, m, state, nil)
-}
-
-// RestoreProcessObs is RestoreProcess with a parent span: the restore
-// phases are recorded as children of span (a nil span disables tracing).
-func RestoreProcessObs(prog *minic.Program, m *arch.Machine, state []byte, span *obs.Span) (*Process, error) {
 	p, err := NewProcess(prog, m)
 	if err != nil {
 		return nil, err
 	}
-	p.Obs = span
-	if err := obs.Phase("restore", func() error { return p.restoreState(state) }); err != nil {
+	if err := p.RestoreInto(state); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -179,7 +172,7 @@ func RestoreProcessObs(prog *minic.Program, m *arch.Machine, state []byte, span 
 // RestoreInto restores a captured state into a freshly created process
 // (one that has not started running). RestoreProcess is the common path;
 // RestoreInto exists so callers can configure the process — for example
-// enable instrumentation — before the restore runs.
+// set its span (Obs) or enable instrumentation — before the restore runs.
 func (p *Process) RestoreInto(state []byte) error {
 	if len(p.frames) != 0 {
 		return errors.New("vm: RestoreInto on a process that already has frames")
@@ -235,7 +228,7 @@ func (p *Process) restoreState(state []byte) error {
 	p.restoreStats = restorer.Stats
 	p.restoreElapsed = time.Since(restoreStart)
 	span.SetBytes(int64(len(state)))
-	flushRestore(dec.Calls(), len(state), p.restoreElapsed)
+	flushRestore(dec.Calls())
 	return nil
 }
 
