@@ -92,9 +92,9 @@ const (
 	ClassReject   Class = "handshake/reject"
 	ClassRestored Class = "confirm/restored"
 	ClassCommit   Class = "confirm/commit"
-	ClassAnnounce Class = "live/delta"     // ANNOUNCE: one round's section list
-	ClassWant     Class = "live/want"      // WANT
-	ClassBodies   Class = "live/bodies"    // BODIES
+	ClassAnnounce Class = "live/delta"     // ANNOUNCE: one round's section list, by hash or by position
+	ClassWant     Class = "live/want"      // WANT: only with a store on both ends
+	ClassBodies   Class = "live/bodies"    // BODIES: asked for, or pushed after a position list
 	ClassAbort    Class = "live/abort"     // ABORT
 	ClassData     Class = "transport/data" // stream DATA chunk
 	ClassControl  Class = "transport/ctl"  // stream FIN

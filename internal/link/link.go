@@ -66,9 +66,9 @@ const maxFrame = 1 << 30
 func Pipe() (Transport, Transport) {
 	ab := make(chan []byte, 16)
 	ba := make(chan []byte, 16)
-	done := make(chan struct{})
-	a := &pipeEnd{send: ab, recv: ba, done: done}
-	b := &pipeEnd{send: ba, recv: ab, done: done}
+	done, once := make(chan struct{}), new(sync.Once)
+	a := &pipeEnd{send: ab, recv: ba, done: done, once: once}
+	b := &pipeEnd{send: ba, recv: ab, done: done, once: once}
 	return a, b
 }
 
@@ -76,6 +76,9 @@ type pipeEnd struct {
 	send chan []byte
 	recv chan []byte
 	done chan struct{}
+	// once guards closing done, which both ends share: either end may close
+	// the pipe, from any goroutine, any number of times.
+	once *sync.Once
 }
 
 func (p *pipeEnd) Send(payload []byte) error {
@@ -110,11 +113,7 @@ func (p *pipeEnd) Recv() ([]byte, error) {
 }
 
 func (p *pipeEnd) Close() error {
-	select {
-	case <-p.done:
-	default:
-		close(p.done)
-	}
+	p.once.Do(func() { close(p.done) })
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 )
@@ -55,6 +56,36 @@ func TestPipeClose(t *testing.T) {
 	}
 	if err := b.Send([]byte("x")); err != ErrClosed {
 		t.Errorf("send after close: %v", err)
+	}
+}
+
+// TestPipeConcurrentClose closes both ends of a pipe at once, as
+// session.Transfer's failure path does from its two goroutines: the shared
+// close must happen exactly once, never panic, and leave both ends closed.
+func TestPipeConcurrentClose(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		a, b := Pipe()
+		var ready, wg sync.WaitGroup
+		start := make(chan struct{})
+		for _, end := range []Transport{a, b, a, b} {
+			ready.Add(1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ready.Done()
+				<-start
+				end.Close()
+			}()
+		}
+		ready.Wait()
+		close(start)
+		wg.Wait()
+		if err := a.Send(nil); err != ErrClosed {
+			t.Fatalf("iteration %d: send after both closed: %v", i, err)
+		}
+		if _, err := b.Recv(); err != ErrClosed {
+			t.Fatalf("iteration %d: recv after both closed: %v", i, err)
+		}
 	}
 }
 

@@ -222,3 +222,9 @@ func (m MetricsSnapshot) String() string {
 // sides of a transfer — so that the CRC passes a payload byte costs can be
 // read off one counter.
 var CRC32Bytes = Default.Counter("integrity.crc32_bytes")
+
+// SHA256Bytes counts the bytes the program hands to SHA-256: the checkpoint
+// store's content addresses (store.HashBytes), computed when a body or a
+// manifest is named, checked or read back. Beside CRC32Bytes it tells what a
+// transfer pays for naming its bodies by content.
+var SHA256Bytes = Default.Counter("integrity.sha256_bytes")

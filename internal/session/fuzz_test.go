@@ -2,6 +2,7 @@ package session
 
 import (
 	"errors"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -15,6 +16,15 @@ func testManifest() *store.Manifest {
 		{Kind: snapshot.KindExec, ID: 0, Length: 5, Hash: store.HashBytes([]byte("hello"))},
 		{Kind: snapshot.KindHeap, ID: 0, Length: 3, Hash: store.HashBytes([]byte("abc"))},
 	}}
+}
+
+// testPushed is the same list pushed by position: the exec body carried
+// over from the previous round's first section, the heap body re-encoded.
+func testPushed() []entry {
+	return []entry{
+		{kind: snapshot.KindExec, id: 0, length: 5, from: 0, crc: crc32.ChecksumIEEE([]byte("hello"))},
+		{kind: snapshot.KindHeap, id: 0, length: 3, from: -1, crc: crc32.ChecksumIEEE([]byte("abc"))},
+	}
 }
 
 // FuzzHandshake feeds arbitrary frames to the session-layer message
@@ -51,16 +61,21 @@ func FuzzHandshake(f *testing.F) {
 	f.Add(commit)
 	f.Add(commit[:6])
 	f.Add(commit[:4])
-	// The round exchange: a final and a pre-copy ANNOUNCE, WANT and BODIES
-	// full and empty, the stand-down notice, and a cut and a damaged
-	// ANNOUNCE.
-	announce := marshalAnnounce(2, announceFinal, 12, testManifest())
-	f.Add(announce)
-	f.Add(marshalAnnounce(0, 0, 0, testManifest()))
-	f.Add(announce[:len(announce)-7])
-	damaged := append([]byte(nil), announce...)
-	damaged[len(damaged)/2] ^= 0x40
-	f.Add(damaged)
+	// The round exchange: a final and a pre-copy ANNOUNCE by manifest and
+	// pushed by position, WANT and BODIES full and empty, the stand-down
+	// notice, and a cut and a damaged ANNOUNCE of each layout.
+	for _, announce := range [][]byte{
+		marshalAnnounce(2, announceFinal, 12, testManifest(), nil),
+		marshalAnnounce(2, announceFinal, 12, nil, testPushed()),
+	} {
+		f.Add(announce)
+		f.Add(announce[:len(announce)-7])
+		damaged := append([]byte(nil), announce...)
+		damaged[len(damaged)/2] ^= 0x40
+		f.Add(damaged)
+	}
+	f.Add(marshalAnnounce(0, 0, 0, testManifest(), nil))
+	f.Add(marshalAnnounce(0, 0, 0, nil, testPushed()[1:]))
 	f.Add(marshalWant([]uint32{0, 1}))
 	f.Add(marshalWant(nil))
 	f.Add(marshalBodies([]uint32{0, 1}, [][]byte{[]byte("hello"), []byte("abc")}))
@@ -99,7 +114,7 @@ func FuzzHandshake(f *testing.F) {
 		case msgRestored:
 			again = marshalRestored(m.bytes, m.spans)
 		case msgAnnounce:
-			again = marshalAnnounce(m.round, m.flags, int(m.dirty), m.manifest)
+			again = marshalAnnounce(m.round, m.flags, int(m.dirty), m.manifest, m.pushed)
 		case msgWant:
 			again = marshalWant(m.indices)
 		case msgBodies:

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 
 	"repro/internal/link"
+	"repro/internal/snapshot"
 	"repro/internal/store"
 	"repro/internal/xdr"
 )
@@ -13,6 +14,21 @@ import (
 // announceFinal flags an ANNOUNCE as the final round: the source is paused
 // for good, and the responder restores once the round completes.
 const announceFinal uint32 = 1 << 0
+
+// announcePush flags an ANNOUNCE whose list names its bodies by position,
+// for a responder without a store: the bodies its entries do not carry
+// over follow in BODIES unasked.
+const announcePush uint32 = 1 << 1
+
+// entry is one section of a pushed list: its header fields, the index in
+// the previous round's list of the section whose body it carries over (-1:
+// the body follows in this round's BODIES), and the body's CRC-32.
+type entry struct {
+	kind       snapshot.Kind
+	id, length uint32
+	from       int32
+	crc        uint32
+}
 
 // message is a decoded session-layer message.
 type message struct {
@@ -23,10 +39,12 @@ type message struct {
 	bytes  uint64 // RESTORED
 	spans  []byte // RESTORED: JSON-encoded responder span tree, or empty
 
-	// ANNOUNCE: the round number, announceFinal, the dirty-set size the
-	// source observed entering the round, and the section list.
+	// ANNOUNCE: the round number, its flags, the dirty-set size the source
+	// observed entering the round, and the section list — a manifest naming
+	// every body by content hash, or under announcePush the pushed entries.
 	round, flags, dirty uint32
 	manifest            *store.Manifest
+	pushed              []entry
 	// WANT and BODIES: manifest indices; BODIES pairs each with its body,
 	// which aliases the received frame.
 	indices []uint32
@@ -74,15 +92,22 @@ func marshalRestored(bytes uint64, spans []byte) []byte {
 
 func marshalCommit() []byte { return header(msgCommit, 0).Bytes() }
 
-// marshalAnnounce frames one round's section list and closes the frame
-// with the CRC-32 of everything before it.
-func marshalAnnounce(round, flags uint32, dirty int, m *store.Manifest) []byte {
-	raw := m.Encode()
-	e := header(msgAnnounce, 24+len(raw))
-	e.PutUint32(round)
-	e.PutUint32(flags)
-	e.PutUint32(uint32(dirty))
-	e.PutOpaque(raw)
+// marshalAnnounce frames one round's section list — the manifest m, or
+// when m is nil the pushed entries — and closes the frame with the CRC-32
+// of everything before it.
+func marshalAnnounce(round, flags uint32, dirty int, m *store.Manifest, pushed []entry) []byte {
+	e := header(msgAnnounce, 24+20*len(pushed))
+	if m != nil {
+		e.Put2Uint32(round, flags)
+		e.PutUint32(uint32(dirty))
+		e.PutOpaque(m.Encode())
+	} else {
+		e.Put4Uint32(round, flags|announcePush, uint32(dirty), uint32(len(pushed)))
+		for _, en := range pushed {
+			e.Put4Uint32(uint32(en.kind), en.id, en.length, uint32(en.from))
+			e.PutUint32(en.crc)
+		}
+	}
 	e.PutUint32(crc32.ChecksumIEEE(e.Bytes()))
 	return e.Bytes()
 }
@@ -205,8 +230,9 @@ func parseOffer(d *xdr.Decoder, o *offer) error {
 
 // parseAnnounce decodes the body of an ANNOUNCE: it is the one place an
 // announced section list is decoded. The frame's closing CRC is checked
-// first, so a list damaged anywhere is refused before store.DecodeManifest
-// (which bounds the entry count by the bytes present) looks at it.
+// first, so a list damaged anywhere is refused before its entries are
+// read, and a pushed list must fill the frame exactly, as
+// store.DecodeManifest bounds a manifest's entry count by the bytes present.
 func parseAnnounce(d *xdr.Decoder, raw []byte, m message) (message, error) {
 	body := len(raw) - 4
 	if body < 8 || crc32.ChecksumIEEE(raw[:body]) != binary.BigEndian.Uint32(raw[body:]) {
@@ -215,6 +241,19 @@ func parseAnnounce(d *xdr.Decoder, raw []byte, m message) (message, error) {
 	var err error
 	if m.round, m.flags, m.dirty, err = d.Uint32x3(); err != nil {
 		return message{}, fmt.Errorf("%w: truncated ANNOUNCE", ErrProtocol)
+	}
+	if m.flags&announcePush != 0 {
+		count, err := d.Uint32()
+		if err != nil || int64(count)*20 != int64(d.Remaining()-4) {
+			return message{}, fmt.Errorf("%w: pushed ANNOUNCE does not hold the entries it declares", ErrProtocol)
+		}
+		m.pushed = make([]entry, count)
+		for i := range m.pushed {
+			kind, id, length, from, _ := d.Uint32x4()
+			crc, _ := d.Uint32()
+			m.pushed[i] = entry{snapshot.Kind(kind), id, length, int32(from), crc}
+		}
+		return m, nil
 	}
 	list, err := d.Opaque()
 	if err != nil || d.Remaining() != 4 {
