@@ -135,11 +135,19 @@ func Write(w io.Writer, sections []Section) (int, error) {
 	return n, nil
 }
 
+// PrologueSize is the framed size of a snapshot's prologue, as Write
+// produces it.
+const PrologueSize = 8
+
+// SectionSize is the framed size of a section whose body is bodyLen bytes
+// long: its header, then the body padded to four bytes.
+func SectionSize(bodyLen int) int { return 16 + (bodyLen+3)&^3 }
+
 // Encode frames a whole snapshot into a fresh buffer of exactly its size.
 func Encode(sections []Section) []byte {
-	size := 8
+	size := PrologueSize
 	for _, s := range sections {
-		size += 16 + (len(s.Body)+3)&^3
+		size += SectionSize(len(s.Body))
 	}
 	buf := bytes.NewBuffer(make([]byte, 0, size))
 	Write(buf, sections) // a bytes.Buffer does not fail
@@ -170,11 +178,8 @@ func NewReader(dec *xdr.Decoder) (*Reader, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
 	count, err := dec.Uint32()
-	if err != nil {
-		return nil, fmt.Errorf("%w: missing section count", ErrBadSnapshot)
-	}
-	if count == 0 || count > maxSections {
-		return nil, fmt.Errorf("%w: implausible section count %d", ErrBadSnapshot, count)
+	if err != nil || count == 0 || count > maxSections {
+		return nil, fmt.Errorf("%w: missing or implausible section count %d", ErrBadSnapshot, count)
 	}
 	return &Reader{dec: dec, remaining: int(count)}, nil
 }
