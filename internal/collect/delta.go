@@ -101,7 +101,7 @@ func (dt *DeltaTracker) plan(space *memory.Space, table *msr.Table, roots Roots,
 	if last != nil && last.version == table.Version() && roots.equal(last.roots) {
 		r := *last
 		r.jobs, r.bodies, r.reused = slices.Clone(last.jobs), nil, true
-		if stale, err := r.stale(dirty, newRecheck(space, table, last.pt).block); err == nil {
+		if stale, err := r.stale(dirty, newRecheck(space, last.pt).block); err == nil {
 			for i := range r.jobs {
 				r.jobs[i].reuse, r.jobs[i].from = !stale[i], i
 			}

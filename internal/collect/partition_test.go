@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -437,5 +438,51 @@ func TestV1DepthBound(t *testing.T) {
 	err = restore(deeper)
 	if !errors.Is(err, ErrTooDeep) || !errors.Is(err, ErrCorruptStream) {
 		t.Errorf("restoring a chain one record too deep: %v", err)
+	}
+}
+
+// TestHeapSectionRepeatedMajor: a heap major that a second section's
+// directory repeats — hashed or held in the dense slice, below or past the
+// density bound — fails that section with ErrCorruptStream, naming the
+// table's ErrDuplicate, and the first section's blocks stay registered.
+func TestHeapSectionRepeatedMajor(t *testing.T) {
+	ti := types.NewTI()
+	tIdx := uint32(ti.Add(types.Int))
+	section := func(majors ...uint32) []byte {
+		enc := xdr.NewEncoder(64)
+		enc.PutUint32(uint32(len(majors)))
+		for _, major := range majors {
+			enc.Put4Uint32(major, 0, tIdx, 1)
+		}
+		for range majors {
+			enc.PutUint32(42)
+		}
+		return enc.Bytes()
+	}
+	for _, tc := range []struct {
+		name          string
+		first, second []uint32
+	}{
+		{"dense", []uint32{0, 1, 2}, []uint32{3, 1}},
+		{"sparse", []uint32{0, 1 << 31, 1<<32 - 1}, []uint32{5, 1<<32 - 1}},
+		{"hashed, then within the bound", []uint32{100}, []uint32{0, 1, 2, 3, 100}},
+	} {
+		p := newProc(arch.SPARC20, ti)
+		first, _, _, err := RestoreHeapSection(p.space, p.table, ti, xdr.NewDecoder(section(tc.first...)), nil, false, false)
+		if err != nil {
+			t.Fatalf("%s: first section: %v", tc.name, err)
+		}
+		_, _, _, err = RestoreHeapSection(p.space, p.table, ti, xdr.NewDecoder(section(tc.second...)), nil, false, false)
+		if !errors.Is(err, ErrCorruptStream) || !strings.Contains(fmt.Sprint(err), msr.ErrDuplicate.Error()) {
+			t.Errorf("%s: second section repeating a major: %v, want ErrCorruptStream naming the duplicate", tc.name, err)
+		}
+		if p.table.Len() != len(tc.first) {
+			t.Errorf("%s: %d blocks registered after the refused section, want the first section's %d", tc.name, p.table.Len(), len(tc.first))
+		}
+		for _, b := range first {
+			if got, ok := p.table.ByID(b.ID); !ok || got != b {
+				t.Errorf("%s: ByID(%s) = %v, %v after the refused section", tc.name, b.ID, got, ok)
+			}
+		}
 	}
 }

@@ -14,7 +14,8 @@ package collect
 // traversal paths is assigned to exactly one owner here, so aliasing and
 // cycles restore exactly as in the monolithic stream. Following a pointer
 // means resolving it, so the walk records every pointer scalar's resolved
-// form as it goes: each pointer costs one MSRLT search per capture.
+// form as it goes: each pointer costs one MSRLT search per capture, through
+// the capture's page index (msr.PageIndex), not the paper's bisection.
 //
 // It then encodes the section bodies, one after the other in snapshot
 // order (heap components by first visit, frames innermost first, globals),
@@ -103,6 +104,9 @@ type partition struct {
 	// the same form, four words each.
 	frameLive  [][]uint32
 	globalLive []uint32
+	// pages resolved every reference above; it stays valid while the
+	// table's Version is the one the walk ran at.
+	pages *msr.PageIndex
 }
 
 // edge is a pointer the walk still has to follow.
@@ -115,7 +119,6 @@ type edge struct {
 // partitioner carries the DFS + union-find state of the partition walk.
 type partitioner struct {
 	space *memory.Space
-	table *msr.Table
 	mach  *arch.Machine
 	pt    partition
 
@@ -144,13 +147,19 @@ func buildPartition(space *memory.Space, table *msr.Table, roots Roots) (*partit
 	for _, live := range roots.FrameLive {
 		nroots += len(live)
 	}
+	// Sized from the table, so no slice regrows block by block: the heap
+	// blocks are at most all of them, and a four-word reference and a null
+	// per block hold a list's or a binary tree's pointers.
+	n := table.Len()
 	w := &partitioner{
-		space: space,
-		table: table,
-		mach:  space.Machine(),
-		slot:  make([]int32, table.Len()),
-		live:  make([]uint32, 0, 4*nroots),
+		space:  space,
+		mach:   space.Machine(),
+		slot:   make([]int32, n),
+		heap:   make([]member, 0, n),
+		parent: make([]int32, 0, n),
+		live:   make([]uint32, 0, 4*nroots),
 	}
+	w.pt.refs, w.pt.pages = make([]uint32, 0, 5*n), table.Pages()
 	w.pt.frames = make([][]member, len(roots.FrameLive))
 	w.pt.frameLive = make([][]uint32, len(roots.FrameLive))
 	// Innermost frame first, then globals — the v1 order.
@@ -183,8 +192,8 @@ func buildPartition(space *memory.Space, table *msr.Table, roots Roots) (*partit
 // resolve is the one MSRLT search a pointer value costs: it appends the
 // value's wire form to into and returns the block it points into with the
 // block's table position.
-func resolve(table *msr.Table, m *arch.Machine, into []uint32, addr memory.Address) ([]uint32, *msr.Block, int, error) {
-	b, pos, off, err := table.Lookup(m, addr)
+func resolve(pages *msr.PageIndex, m *arch.Machine, into []uint32, addr memory.Address) ([]uint32, *msr.Block, int, error) {
+	b, pos, off, err := pages.Lookup(m, addr)
 	if err == nil {
 		var ord int
 		if ord, err = b.OrdinalAt(m, off); err == nil {
@@ -197,7 +206,7 @@ func resolve(table *msr.Table, m *arch.Machine, into []uint32, addr memory.Addre
 // root records one live variable's reference and visits everything
 // reachable from its block that no earlier root reached.
 func (w *partitioner) root(addr memory.Address) error {
-	live, b, pos, err := resolve(w.table, w.mach, w.live, addr)
+	live, b, pos, err := resolve(w.pt.pages, w.mach, w.live, addr)
 	if err != nil {
 		return err
 	}
@@ -270,7 +279,7 @@ func (w *partitioner) scanRun(op *types.PlanOp, base memory.Address) error {
 			w.pt.refs = append(w.pt.refs, nullSeg)
 			continue
 		}
-		refs, tb, pos, err := resolve(w.table, w.mach, w.pt.refs, val)
+		refs, tb, pos, err := resolve(w.pt.pages, w.mach, w.pt.refs, val)
 		if err != nil {
 			return err
 		}
@@ -434,17 +443,17 @@ var errMoved = errors.New("collect: a recorded reference moved")
 
 // recheck holds a kept partition to the memory it was walked over: every
 // pointer scalar a dirty range overlaps must still resolve to the reference
-// the walk recorded for it.
+// the walk recorded for it. It resolves through the partition's page index,
+// which the unchanged table Version the reuse rule requires keeps valid.
 type recheck struct {
 	space *memory.Space
-	table *msr.Table
 	dirty []memory.DirtyRange // the ranges that overlap the block being checked
 	got   []uint32            // one re-resolved reference
 	scan  *refScan
 }
 
-func newRecheck(space *memory.Space, table *msr.Table, pt *partition) *recheck {
-	c := &recheck{space: space, table: table}
+func newRecheck(space *memory.Space, pt *partition) *recheck {
+	c := &recheck{space: space}
 	c.scan = pt.refScan(space.Machine(), c.pointer)
 	return c
 }
@@ -467,7 +476,7 @@ func (c *recheck) pointer(at memory.Address, rec []uint32) error {
 	}
 	c.got = append(c.got[:0], nullSeg)
 	if val != 0 {
-		if c.got, _, _, err = resolve(c.table, c.scan.m, c.got[:0], val); err != nil {
+		if c.got, _, _, err = resolve(c.scan.pt.pages, c.scan.m, c.got[:0], val); err != nil {
 			return err
 		}
 	}

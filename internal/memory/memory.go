@@ -408,7 +408,7 @@ func (s *Space) HeapBlockSize(addr Address) (int, error) {
 }
 
 // HeapLive returns the number of live heap blocks.
-func (s *Space) HeapLive() int { return s.alloc.live }
+func (s *Space) HeapLive() int { return s.alloc.allocated.n }
 
 // HeapBytesLive returns the number of bytes in live heap blocks.
 func (s *Space) HeapBytesLive() int { return s.alloc.bytesLive }

@@ -100,57 +100,6 @@ func (g *Graph) Vertex(id BlockID) *Block {
 	return nil
 }
 
-// OutEdges returns the edges leaving the given block, ordered by source
-// ordinal.
-func (g *Graph) OutEdges(id BlockID) []Edge {
-	var out []Edge
-	for _, e := range g.Edges {
-		if e.From == id {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FromOrdinal < out[j].FromOrdinal })
-	return out
-}
-
-// Components returns the weakly connected components of the graph as sets
-// of block IDs, each sorted, with components ordered by their smallest ID.
-func (g *Graph) Components() [][]BlockID {
-	parent := make([]int, len(g.Vertices))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for _, e := range g.Edges {
-		union(g.index[e.From], g.index[e.To])
-	}
-	groups := map[int][]BlockID{}
-	for i, v := range g.Vertices {
-		r := find(i)
-		groups[r] = append(groups[r], v.ID)
-	}
-	var comps [][]BlockID
-	for _, ids := range groups {
-		sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-		comps = append(comps, ids)
-	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0].Less(comps[j][0]) })
-	return comps
-}
-
 // Reachable returns the set of blocks reachable from the given roots by
 // following edges, including the roots themselves.
 func (g *Graph) Reachable(roots []BlockID) map[BlockID]bool {

@@ -59,17 +59,6 @@ func (id BlockID) String() string {
 	return fmt.Sprintf("%s:%d.%d", id.Seg, id.Major, id.Minor)
 }
 
-// Less orders IDs lexicographically; used for deterministic iteration.
-func (id BlockID) Less(o BlockID) bool {
-	if id.Seg != o.Seg {
-		return id.Seg < o.Seg
-	}
-	if id.Major != o.Major {
-		return id.Major < o.Major
-	}
-	return id.Minor < o.Minor
-}
-
 // Block is one vertex of the MSR graph: a contiguous memory block with a
 // type. Count is the number of elements of Type the block holds; it is 1
 // for variables and may be larger for heap blocks allocated as arrays
@@ -134,7 +123,11 @@ type Table struct {
 	// bases[seg][i] == segs[seg][i].Addr: the search bisects this
 	// contiguous array and dereferences one block, the hit.
 	bases [memory.NumSegments][]memory.Address
-	byID  map[uint64]*Block // keyed by idKey
+	// The ID index: heap[major] holds the heap block of that major when
+	// the major was dense as it was registered (see index), byID every
+	// other identification, keyed by idKey.
+	heap []*Block
+	byID map[uint64]*Block
 
 	// UseBaseIndex enables a hash index over block base addresses,
 	// consulted before the binary search. Most pointers in real
@@ -204,17 +197,10 @@ func (t *Table) RestoreFloor(id BlockID) {
 
 // Reserve makes room for n more registrations in seg. A restore knows a
 // section's block count before it allocates the first block; announcing it
-// lets the ordered table and the ID index grow once instead of block by
-// block. Either is regrown only to at least twice its size, so a snapshot
-// of many small sections does not copy them once per section.
+// lets the ordered table grow once instead of block by block. It is
+// regrown only to at least twice its size, so a snapshot of many small
+// sections does not copy it once per section.
 func (t *Table) Reserve(seg memory.Segment, n int) {
-	if n > len(t.byID) {
-		grown := make(map[uint64]*Block, len(t.byID)+n)
-		for k, b := range t.byID {
-			grown[k] = b
-		}
-		t.byID = grown
-	}
 	if s := t.bases[seg]; cap(s)-len(s) < n {
 		// At least double: slices.Grow's own steps, a quarter at a time,
 		// would copy the table for every other section of a snapshot.
@@ -242,17 +228,16 @@ func (t *Table) Insert(blocks []*Block) error {
 		byAddr = slices.Clone(blocks)
 		slices.SortFunc(byAddr, cmpAddr)
 	}
-	bases := t.bases[seg]
+	bases, dense, nheap := t.bases[seg], 2*(len(t.segs[memory.Heap])+len(blocks))+64, len(t.heap)
 	for i, b := range byAddr {
 		if err := t.fresh(b, seg, i > 0 && byAddr[i-1].Addr == b.Addr); err != nil {
 			for _, d := range byAddr[:i] {
-				key, _ := idKey(d.ID)
-				delete(t.byID, key)
+				t.unindex(d)
 			}
+			t.heap = t.heap[:nheap] // unindex left nothing past it
 			return err
 		}
-		key, _ := idKey(b.ID)
-		t.byID[key] = b
+		t.index(b, dense)
 	}
 	// Merge from the back: the registered blocks above the j-th new one move
 	// up past the j+1 still to place, each in one copy. A fresh heap hands
@@ -276,6 +261,34 @@ func (t *Table) Insert(blocks []*Block) error {
 
 func cmpAddr(a, b *Block) int { return cmp.Compare(a.Addr, b.Addr) }
 
+// index files a registered block under its identification. A heap block
+// whose major is below dense — a constant factor of the heap blocks
+// registered, plus a small constant — goes into the slice indexed by
+// major, so neither a registration nor a restore's per-pointer ByID hashes
+// it; any other identification, a hostile stream's sparse majors too,
+// goes into the map, so the slice stays within that bound of the table.
+func (t *Table) index(b *Block, dense int) {
+	if id := b.ID; id.Seg == memory.Heap && id.Minor == 0 && uint(id.Major) < uint(dense) {
+		if n := int(id.Major) + 1; n > len(t.heap) {
+			t.heap = append(t.heap, make([]*Block, n-len(t.heap))...)
+		}
+		t.heap[id.Major] = b
+		return
+	}
+	key, _ := idKey(b.ID)
+	t.byID[key] = b
+}
+
+// unindex removes a registered block from the ID index.
+func (t *Table) unindex(b *Block) {
+	if id := b.ID; id.Seg == memory.Heap && id.Minor == 0 && uint(id.Major) < uint(len(t.heap)) && t.heap[id.Major] == b {
+		t.heap[id.Major] = nil
+		return
+	}
+	key, _ := idKey(b.ID)
+	delete(t.byID, key)
+}
+
 // fresh checks that b may be registered in seg: a non-null base address in
 // that segment that no block holds (dup reports one in b's own batch), and
 // an identification in range that no block holds.
@@ -283,11 +296,10 @@ func (t *Table) fresh(b *Block, seg memory.Segment, dup bool) error {
 	if b.Addr == 0 {
 		return fmt.Errorf("msr: register of null address")
 	}
-	key, ok := idKey(b.ID)
-	if !ok {
+	if _, ok := idKey(b.ID); !ok {
 		return fmt.Errorf("msr: block identification %s out of range", b.ID)
 	}
-	if _, ok := t.byID[key]; ok {
+	if _, ok := t.ByID(b.ID); ok {
 		return fmt.Errorf("%w: %s", ErrDuplicate, b.ID)
 	}
 	if s, ok := memory.SegmentOf(b.Addr); !ok || s != b.ID.Seg || s != seg {
@@ -317,8 +329,7 @@ func (t *Table) Remove(blocks []*Block) {
 	j := 0
 	for i := k; i < len(segs); i++ {
 		if j < len(byAddr) && segs[i] == byAddr[j] {
-			key, _ := idKey(segs[i].ID)
-			delete(t.byID, key)
+			t.unindex(segs[i])
 			j++
 			continue
 		}
@@ -342,8 +353,7 @@ func (t *Table) Unregister(addr memory.Address) error {
 	if !found {
 		return fmt.Errorf("%w: %#x", ErrNotFound, uint64(addr))
 	}
-	key, _ := idKey(t.segs[seg][i].ID)
-	delete(t.byID, key)
+	t.unindex(t.segs[seg][i])
 	t.bases[seg] = slices.Delete(t.bases[seg], i, i+1)
 	t.segs[seg] = slices.Delete(t.segs[seg], i, i+1) // clears the vacated tail slot
 	t.baseIdx = nil
@@ -380,33 +390,47 @@ func (t *Table) Lookup(m *arch.Machine, addr memory.Address) (b *Block, pos, off
 		}
 	}
 	// Binary search for the last block with base <= addr, counting steps.
-	bases := t.bases[seg]
-	lo, hi, steps := 0, len(bases), 0
-	for lo < hi {
-		steps++
-		mid := (lo + hi) / 2
-		if bases[mid] <= addr {
+	n, steps := bisect(t.bases[seg], 0, len(t.bases[seg]), addr)
+	t.Stats.SearchSteps += int64(steps)
+	return t.hit(m, seg, n, pos, addr)
+}
+
+// bisect returns the number of bases at or below addr, given that it lies
+// in [lo, hi], and the probe steps it took to find it.
+func bisect(bases []memory.Address, lo, hi int, addr memory.Address) (n, steps int) {
+	for ; lo < hi; steps++ {
+		if mid := int(uint(lo+hi) >> 1); bases[mid] <= addr {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	t.Stats.SearchSteps += int64(steps)
-	if lo == 0 {
+	return lo, steps
+}
+
+// hit ends a search of seg for addr: n is the number of the segment's
+// blocks based at or below addr, pos the table position of its first.
+func (t *Table) hit(m *arch.Machine, seg memory.Segment, n, pos int, addr memory.Address) (*Block, int, int, error) {
+	if n == 0 {
 		return nil, 0, 0, fmt.Errorf("%w: %#x", ErrNotFound, uint64(addr))
 	}
-	b = t.segs[seg][lo-1]
-	off = int(addr - b.Addr)
+	b := t.segs[seg][n-1]
+	off := int(addr - b.Addr)
 	if off > b.Count*b.Plan(m).ElemSize { // == size allowed: one past the end
 		return nil, 0, 0, fmt.Errorf("%w: %#x past block %s", ErrNotFound, uint64(addr), b.ID)
 	}
-	return b, pos + lo - 1, off, nil
+	return b, pos + n - 1, off, nil
 }
 
 // ByID resolves a machine-independent identification to its block. This is
 // the restoration-direction lookup; the paper observes it takes constant
 // time per block, so restoration's MSRLT cost is O(n) overall.
 func (t *Table) ByID(id BlockID) (*Block, bool) {
+	if id.Seg == memory.Heap && id.Minor == 0 && uint(id.Major) < uint(len(t.heap)) {
+		if b := t.heap[id.Major]; b != nil {
+			return b, true
+		}
+	}
 	key, ok := idKey(id)
 	if !ok {
 		return nil, false

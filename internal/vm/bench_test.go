@@ -192,3 +192,47 @@ func BenchmarkResumeFastForward(b *testing.B) {
 		}
 	}
 }
+
+// benchBitonic16k runs the cold_pointer workload (bitonic 16384, a tree of
+// 16 384 heap nodes) to its migration point on a DEC5000 and returns the
+// stopped process and a sectioned snapshot of it.
+func benchBitonic16k(b *testing.B) (*Process, []byte) {
+	b.Helper()
+	p := stopPaused(b, workload.BitonicSource(16384, 1), arch.DEC5000)
+	snap, err := p.CaptureSections(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p, snap
+}
+
+// BenchmarkCaptureBitonic16k measures the sectioned capture of the tree:
+// one address resolution per pointer, the per-object cost of collection.
+// CI holds its allocs/op, so a per-block allocation fails the build.
+func BenchmarkCaptureBitonic16k(b *testing.B) {
+	p, snap := benchBitonic16k(b)
+	b.SetBytes(int64(len(snap)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.CaptureSections(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRestoreBitonic16k measures the restore of that snapshot on a
+// SPARC20: one allocation and one registration per block and one
+// identification lookup per pointer, the per-object cost of restoration.
+// CI holds its allocs/op too.
+func BenchmarkRestoreBitonic16k(b *testing.B) {
+	p, snap := benchBitonic16k(b)
+	b.SetBytes(int64(len(snap)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RestoreProcess(p.Prog, arch.SPARC20, snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

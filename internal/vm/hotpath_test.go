@@ -106,10 +106,11 @@ func TestDeepListSectioned(t *testing.T) {
 
 // TestSearchCounts pins counts, not clocks. A sectioned capture searches
 // the MSRLT once per root and per non-null pointer scalar — the encoder
-// writes what the walk resolved — and the bisection stays the paper's:
-// ⌈log₂ n⌉-shaped, and on the v1 baseline exactly the counts read from the
-// tree before the hot path was rebuilt (the benchmark's four programs at
-// test size, and the claimed workload at full size).
+// writes what the walk resolved — through the capture's page index, which
+// runs no bisection. The bisection stays the paper's on the v1 baseline:
+// ⌈log₂ n⌉-shaped, and exactly the counts read from the tree before the hot
+// path was rebuilt (the benchmark's four programs at test size, and the
+// claimed workload at full size).
 func TestSearchCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
@@ -145,9 +146,9 @@ func TestSearchCounts(t *testing.T) {
 		if want := v3.Pointers - v3.NullPointers; v3.Searches != want {
 			t.Errorf("%s: sectioned capture made %d searches for %d roots and non-null pointers", tc.name, v3.Searches, want)
 		}
-		if v3.Searches != v1.Searches || v3.SearchSteps != v1.SearchSteps {
-			t.Errorf("%s: sectioned capture %d searches / %d steps, v1 %d / %d: the same pointers, the same table",
-				tc.name, v3.Searches, v3.SearchSteps, v1.Searches, v1.SearchSteps)
+		if v3.Searches != v1.Searches || v3.SearchSteps != 0 {
+			t.Errorf("%s: sectioned capture %d searches / %d steps, v1 %d searches: the same pointers, resolved through the page index with no bisection",
+				tc.name, v3.Searches, v3.SearchSteps, v1.Searches)
 		}
 		if most := int64(bits.Len(uint(p.Table.Len()))); v3.SearchSteps > v3.Searches*most {
 			t.Errorf("%s: %d steps over %d searches of %d blocks: more than ⌈log₂ n⌉ = %d each",

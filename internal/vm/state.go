@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/collect"
-	"repro/internal/memory"
 	"repro/internal/minic"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
@@ -283,19 +282,4 @@ func (p *Process) pushFrames(fns []*minic.FuncSymbol) error {
 		}
 	}
 	return nil
-}
-
-// SnapshotAddressOf resolves a named variable in the current innermost
-// frame or globals, for tests and tools inspecting process memory.
-func (p *Process) SnapshotAddressOf(name string) (memory.Address, bool) {
-	if len(p.frames) > 0 {
-		f := p.frames[len(p.frames)-1]
-		for _, v := range f.Fn.Locals {
-			if v.Name == name {
-				return p.VarAddr(f, v), true
-			}
-		}
-	}
-	addr, _, ok := p.GlobalByName(name)
-	return addr, ok
 }

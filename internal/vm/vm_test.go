@@ -623,3 +623,18 @@ func TestExecutionTrace(t *testing.T) {
 		t.Errorf("migration event missing from trace:\n%s", t2.String())
 	}
 }
+
+// SnapshotAddressOf resolves a named variable in the current innermost
+// frame or globals, for the tests that inspect process memory.
+func (p *Process) SnapshotAddressOf(name string) (memory.Address, bool) {
+	if len(p.frames) > 0 {
+		f := p.frames[len(p.frames)-1]
+		for _, v := range f.Fn.Locals {
+			if v.Name == name {
+				return p.VarAddr(f, v), true
+			}
+		}
+	}
+	addr, _, ok := p.GlobalByName(name)
+	return addr, ok
+}
