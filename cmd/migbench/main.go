@@ -1,6 +1,5 @@
 // migbench regenerates the tables and figures of the paper's evaluation
-// (Section 4), plus the extensions whose verdict is a count, a byte total
-// or an identity, and prints them in the paper's format. It is a loop over
+// (Section 4) and prints them in the paper's format. It is a loop over
 // the registry in internal/exper: each entry runs, prints, and is judged
 // by its own gate. Wall-clock claims about a migration belong to the
 // benchmark (`go run -C bench repro/bench`), not here. The experiment
@@ -30,8 +29,6 @@ func main() {
 	repeats := flag.Int("repeats", 3, "min-of-N timing repetitions")
 	tsvDir := flag.String("tsv", "", "also write figure data as TSV files into this directory")
 	jsonOut := flag.Bool("json", false, "also write each experiment's rows as BENCH_<exp>.json (obs report schema)")
-	traceDir := flag.String("trace-dir", "", "write each stitched trace as trace-<id>.json into this directory")
-	storeDir := flag.String("store-dir", "", "keep the E12 checkpoint stores under this directory (the CI fixture) instead of temp dirs")
 	flag.Usage = func() {
 		w := flag.CommandLine.Output()
 		fmt.Fprintln(w, "usage: migbench [flags]")
@@ -48,7 +45,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "migbench:", err)
 		os.Exit(2)
 	}
-	cfg := exper.Config{Quick: *quick, Repeats: *repeats, StoreDir: *storeDir}
+	cfg := exper.Config{Quick: *quick, Repeats: *repeats}
 	failed := false
 	for _, x := range selected {
 		res, err := x.Run(cfg)
@@ -56,24 +53,13 @@ func main() {
 			fail(fmt.Errorf("%s: %w", x.Name, err))
 		}
 		x.Print(os.Stdout, res)
-		// The writers key on what the experiment returned, not on which
-		// experiment it was: a sweep has figure data, a stitched trace
-		// has spans.
-		var spans []*obs.SpanData
-		switch r := res.(type) {
-		case *exper.ScalingResult:
-			if *tsvDir != "" {
-				writeTSV(*tsvDir, x.Name+".tsv", r)
-			}
-		case *exper.ObsStitchedResult:
-			spans = r.Trace
-			if *traceDir != "" {
-				name := filepath.Join(*traceDir, fmt.Sprintf("trace-%s.json", r.TraceID))
-				writeReport(name, x.Name, res, spans)
-			}
+		// The TSV writer keys on what the experiment returned, not on
+		// which experiment it was: a sweep has figure data.
+		if r, ok := res.(*exper.ScalingResult); ok && *tsvDir != "" {
+			writeTSV(*tsvDir, x.Name+".tsv", r)
 		}
 		if *jsonOut {
-			writeReport(fmt.Sprintf("BENCH_%s.json", x.Name), x.Name, res, spans)
+			writeReport(fmt.Sprintf("BENCH_%s.json", x.Name), x.Name, res)
 		}
 		if err := x.Gate(res); err != nil {
 			fmt.Printf("FAIL: %s: %v\n\n", x.Name, err)
@@ -85,17 +71,13 @@ func main() {
 	}
 }
 
-// writeReport saves rows as an obs.Report: the experiment's rows, the
-// process-wide metrics snapshot, and (when the experiment produced them)
-// span trees — one schema for BENCH_*.json, the trace-<id>.json artifact
-// CI uploads, and migd's /metrics.
-func writeReport(name, exp string, rows any, spans []*obs.SpanData) {
-	rep := obs.NewReport(exp, rows).WithMetrics(obs.Default).WithSpans(spans)
+// writeReport saves rows as an obs.Report: the experiment's rows and the
+// process-wide metrics snapshot — one schema for BENCH_*.json and migd's
+// /metrics.
+func writeReport(name, exp string, rows any) {
+	rep := obs.NewReport(exp, rows).WithMetrics(obs.Default)
 	b, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fail(err)
-	}
-	if err := os.MkdirAll(filepath.Dir(name), 0o755); err != nil {
 		fail(err)
 	}
 	if err := os.WriteFile(name, append(b, '\n'), 0o644); err != nil {

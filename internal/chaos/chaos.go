@@ -11,8 +11,7 @@
 // between the same two frames every run, so the recovery guarantee the
 // session layer makes (rollback-or-complete, never a lost or doubled
 // process) can be enforced by an exhaustively generated matrix instead of
-// a hand-picked sample. Randomness enters only through Sample, which
-// draws a bounded, seed-reproducible subset of cells for smoke runs.
+// a hand-picked sample. Nothing in the harness is random.
 //
 // # Fault model
 //
@@ -44,7 +43,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -438,23 +436,4 @@ func Cells(points []Point, victims []Victim) []Spec {
 		}
 	}
 	return cells
-}
-
-// Sample draws a deterministic, seed-reproducible subset of n cells —
-// the bounded matrix the CI smoke step and quick experiment runs use.
-// n >= len(cells) returns every cell in order.
-func Sample(cells []Spec, seed int64, n int) []Spec {
-	if n >= len(cells) {
-		out := make([]Spec, len(cells))
-		copy(out, cells)
-		return out
-	}
-	rng := rand.New(rand.NewSource(seed))
-	idx := rng.Perm(len(cells))[:n]
-	sort.Ints(idx)
-	out := make([]Spec, 0, n)
-	for _, i := range idx {
-		out = append(out, cells[i])
-	}
-	return out
 }

@@ -270,7 +270,7 @@ func TestPoints(t *testing.T) {
 	}
 }
 
-func TestCellsAndSample(t *testing.T) {
+func TestCells(t *testing.T) {
 	pts := []Point{
 		{ClassOffer, 1, BeforeSend},
 		{ClassAccept, 1, AfterRecv},
@@ -278,26 +278,5 @@ func TestCellsAndSample(t *testing.T) {
 	cells := Cells(pts, Victims)
 	if len(cells) != len(pts)*len(Victims) {
 		t.Fatalf("got %d cells, want %d", len(cells), len(pts)*len(Victims))
-	}
-	big := Cells(Points(func() []Event {
-		var tr []Event
-		for i := 1; i <= 20; i++ {
-			tr = append(tr, Event{Class: ClassData, N: i})
-		}
-		return tr
-	}(), 0), Victims)
-	s1 := Sample(big, 42, 10)
-	s2 := Sample(big, 42, 10)
-	if !reflect.DeepEqual(s1, s2) {
-		t.Error("Sample is not reproducible for a fixed seed")
-	}
-	if len(s1) != 10 {
-		t.Errorf("Sample size = %d, want 10", len(s1))
-	}
-	if s3 := Sample(big, 7, 10); reflect.DeepEqual(s1, s3) {
-		t.Error("different seeds drew identical samples (possible but wildly unlikely)")
-	}
-	if all := Sample(big, 1, len(big)+5); !reflect.DeepEqual(all, big) {
-		t.Error("oversized Sample should return every cell in order")
 	}
 }

@@ -1,7 +1,7 @@
-// Package exper implements the paper's evaluation and the extensions whose
-// verdict is a count, a byte total or an identity: one function per table
-// or figure of Section 4, each registered in Experiments with the gate that
-// judges it (registry.go). cmd/migbench loops over that registry; the root
+// Package exper implements the paper's evaluation: one function per table
+// or figure of Section 4, plus the all-platform chain and the design
+// ablations, each registered in Experiments with the gate that judges it
+// (registry.go). cmd/migbench loops over that registry; the root
 // bench_test harness calls a few entries directly. Wall-clock claims about
 // a migration are not made here — `go run -C bench repro/bench` is the one
 // timing instrument. The experiment index lives in DESIGN.md §4; results
@@ -20,7 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/link"
 	"repro/internal/minic"
-	"repro/internal/session"
 	"repro/internal/stats"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -33,10 +32,6 @@ type Config struct {
 	Quick bool
 	// Repeats is the min-of-N timing repetition count (default 3).
 	Repeats int
-	// StoreDir, when non-empty, roots the E12 checkpoint stores there
-	// (one subdirectory per interval) instead of a temp directory — the
-	// fixture CI uploads. The directory is created if absent.
-	StoreDir string
 }
 
 func (c Config) repeats() int {
@@ -67,31 +62,6 @@ func stopAtMigration(e *core.Engine, m *arch.Machine) (*vm.Process, []byte, erro
 		return nil, nil, fmt.Errorf("exper: program completed without migrating")
 	}
 	return p, res.State, nil
-}
-
-// migrate runs one full session between two connected transports: Respond
-// on dst in a goroutine, Initiate on src, join both. A failure on either
-// side closes both ends so the other always returns. The two errors come
-// back apart because E15 classifies the initiator's on its own.
-func migrate(src, dst link.Transport, e *core.Engine, name string, p *vm.Process, dstMach *arch.Machine,
-	srcCfg, dstCfg session.Config) (res *session.Result, q *vm.Process, initErr, respErr error) {
-	reg := session.NewRegistry()
-	reg.Add(name, e)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, q, _, respErr = session.Respond(dst, reg, dstMach, dstCfg)
-		if respErr != nil {
-			dst.Close()
-		}
-	}()
-	res, initErr = session.Initiate(src, e, p.Mach, name, p, srcCfg)
-	if initErr != nil {
-		src.Close()
-		dst.Close()
-	}
-	<-done
-	return res, q, initErr, respErr
 }
 
 // runOut drives a restored process to completion.

@@ -204,34 +204,6 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-func TestObsStitched(t *testing.T) {
-	r, err := ObsStitched(Config{Quick: true, Repeats: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ExitCode != 0 || r.How != "cold" || !r.Stitched {
-		t.Fatalf("result = %+v", r)
-	}
-	// Every phase histogram saw every migration.
-	if len(r.Phases) != 7 {
-		t.Fatalf("phase rows = %d, want 7", len(r.Phases))
-	}
-	for _, row := range r.Phases {
-		if row.Count != int64(r.Migrations) {
-			t.Errorf("%s/%s count = %d, want %d", row.Side, row.Phase, row.Count, r.Migrations)
-		}
-		if row.P50 <= 0 || row.P90 < row.P50 || row.P99 < row.P90 {
-			t.Errorf("%s/%s quantiles not monotone: %+v", row.Side, row.Phase, row)
-		}
-	}
-	var buf bytes.Buffer
-	PrintObsStitched(&buf, r)
-	out := buf.String()
-	if !strings.Contains(out, "(remote)") || !strings.Contains(out, r.TraceID) {
-		t.Errorf("render missing stitched trace:\n%s", out)
-	}
-}
-
 func TestGrowthExponentSanity(t *testing.T) {
 	// Guard against a broken exponent helper silently passing the
 	// linearity test.

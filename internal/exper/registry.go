@@ -59,16 +59,6 @@ var Experiments = []Experiment{
 		Ablations, printAblations, nil),
 	define("overhead", "E6 (Section 4.3): poll-point placement and allocation overhead",
 		Overhead, printOverheadReport, nil),
-	define("obs", "E11a: one stitched cross-machine trace and per-phase latency quantiles",
-		ObsStitched, PrintObsStitched, gateObsStitched),
-	define("store", "E12: checkpoint-store dedup ratio and cold vs warm bytes on the wire",
-		Store, printStore, gateStore),
-	define("live", "E14: live pre-copy, bytes shipped while paused across write rates",
-		Live, PrintLive, gateLive),
-	define("chaos", "E15: survivor accounting under a sampled fault matrix",
-		Chaos, PrintChaos, gateChaos),
-	define("fleet", "E16: three-daemon telemetry roll-up against ground truth",
-		Fleet, PrintFleet, gateFleet),
 }
 
 // Names lists the registered experiment names in run order.

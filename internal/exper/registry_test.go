@@ -97,9 +97,9 @@ func TestSelect(t *testing.T) {
 	if err != nil || len(all) != len(Experiments) {
 		t.Fatalf("Select(all) = %d experiments, %v", len(all), err)
 	}
-	one, err := Select("live")
-	if err != nil || len(one) != 1 || one[0].Name != "live" {
-		t.Fatalf("Select(live) = %v, %v", one, err)
+	one, err := Select("chain")
+	if err != nil || len(one) != 1 || one[0].Name != "chain" {
+		t.Fatalf("Select(chain) = %v, %v", one, err)
 	}
 	got, err := Select("hotpat")
 	if err == nil {

@@ -10,11 +10,18 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/arch"
+	"repro/internal/core"
+	"repro/internal/link"
+	"repro/internal/minic"
 	"repro/internal/obs"
+	"repro/internal/session"
 	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 func TestNodeIdentityAndRefresh(t *testing.T) {
@@ -252,4 +259,132 @@ func TestSLOTracker(t *testing.T) {
 	}
 	var nilT *Tracker
 	nilT.ObserveSession(time.Second)
+}
+
+// TestDaemonAccountingExact wires a real session daemon the way migd
+// does — an unmeetable session SLO on its end-of-session hook, a journal,
+// and a node whose readiness is the daemon's drain state — drives N good
+// migrations and one offer of a program it does not hold, all at once,
+// and reads every count back exactly: from the registry, from the
+// journal, and through a scrape of the node's /metrics.
+func TestDaemonAccountingExact(t *testing.T) {
+	const good = 5
+	e, err := core.NewEngine(workload.ShardedListsSource(2, 12), minic.PollPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stranger, err := core.NewEngine(`int main() { migrate_here(); return 5; }`, minic.PollPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	metrics := obs.NewRegistry()
+	var sink bytes.Buffer
+	journal, err := NewJournal(&sink, "", obs.NodeInfo{ID: "acct"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slo := &Tracker{SLO: SLO{Session: time.Nanosecond}, Metrics: metrics}
+	// One send per session, after its counters and journal record.
+	ended := make(chan struct{}, good+1)
+	reg := session.NewRegistry()
+	reg.Add("prog", e)
+	d := &session.Daemon{
+		Registry: reg, Mach: arch.SPARC20, Metrics: metrics, MaxConcurrent: 4,
+		Journal: journal.Logger(),
+		OnSessionEnd: func(_ session.Info, elapsed time.Duration, _ error) {
+			slo.ObserveSession(elapsed)
+			ended <- struct{}{}
+		},
+	}
+	l, err := link.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- d.Serve(l) }()
+	defer d.Shutdown()
+	node := NewNode("sparc20", "", metrics)
+	node.Ready = func() bool { return !d.Draining() }
+	srv := httptest.NewServer(node.Mux())
+	defer srv.Close()
+
+	var wg sync.WaitGroup
+	offer := func(e *core.Engine, wantOK bool) {
+		defer wg.Done()
+		p, err := e.NewProcess(arch.DEC5000)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var req core.Request
+		req.Raise()
+		p.PollHook = req.Hook()
+		if res, err := p.Run(); err != nil || !res.Migrated {
+			t.Errorf("run to the migration point: %+v %v", res, err)
+			return
+		}
+		conn, err := link.Dial(l.Addr().String())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		if _, err := session.Initiate(conn, e, p.Mach, "prog", p, session.Config{}); (err == nil) != wantOK {
+			t.Errorf("migration err = %v, want success %v", err, wantOK)
+		}
+	}
+	for range good {
+		wg.Add(1)
+		go offer(e, true)
+	}
+	wg.Add(1)
+	go offer(stranger, false)
+	wg.Wait()
+	for range good + 1 {
+		select {
+		case <-ended:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the daemon did not finish every session")
+		}
+	}
+
+	want := map[string]int64{
+		"session.accepted":         good + 1,
+		"session.restored":         good,
+		"session.failed":           1,
+		"session.fail.negotiation": 1,
+		"slo.session.total":        good + 1,
+		"slo.session.burn":         good + 1,
+	}
+	counters := metrics.Snapshot().Counters
+	for name, n := range want {
+		if counters[name] != n {
+			t.Errorf("%s = %d, want %d", name, counters[name], n)
+		}
+	}
+	restored := strings.Count(sink.String(), `"msg":"session.restored"`)
+	failed := strings.Count(sink.String(), `"msg":"session.failed"`)
+	if restored != good || failed != 1 {
+		t.Errorf("journal holds %d session.restored and %d session.failed records, want %d and 1", restored, failed, good)
+	}
+
+	// The scraped roll-up reads the same totals, and a drained node stays
+	// in it, not ready, with its counts intact.
+	sc := &Scraper{Targets: []Target{NormalizeTarget(srv.URL)}}
+	sc.Scrape(context.Background())
+	r := sc.Rollup()
+	if r.Ready != 1 || r.Accepted != good+1 || r.Restored != good || r.Failed != 1 ||
+		r.FailClasses["negotiation"] != 1 || r.SLOSessionBurn != good+1 || r.Session.Count != good+1 {
+		t.Errorf("roll-up = %+v, want %d accepted, %d restored, 1 negotiation failure, %d burned and observed",
+			r, good+1, good, good+1)
+	}
+	d.Shutdown()
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	sc.Scrape(context.Background())
+	if r2 := sc.Rollup(); r2.Nodes != 1 || r2.Ready != 0 || r2.Accepted != r.Accepted {
+		t.Errorf("after drain: %d nodes, %d ready, %d accepted; want 1, 0, %d", r2.Nodes, r2.Ready, r2.Accepted, r.Accepted)
+	}
 }

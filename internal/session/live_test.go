@@ -126,6 +126,49 @@ func TestTransferLiveMatrix(t *testing.T) {
 	}
 }
 
+// TestLiveWriteRateBytes bounds what live pre-copy ships across write
+// rates: 16 heap lists, k of them rewritten between polls. At every rate
+// the restored process finishes with every mutation intact, and the wire
+// carries at most one snapshot per round plus 1% of framing. While the
+// writer dirties at most 2 of 16 lists per poll, the final round — the
+// bytes shipped with the source paused — is at most a quarter of the
+// snapshot; a steady writer re-dirties its share between polls, so that
+// share is the floor.
+func TestLiveWriteRateBytes(t *testing.T) {
+	for _, k := range []int{1, 2, 8, 16} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			t.Parallel()
+			e, err := core.NewEngine(workload.WriteRateSource(16, 200, k, 10), minic.PollPolicy{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := stoppedLive(t, e, arch.Ultra5)
+			q, res, _, err := Transfer(e, "write-rate", p, arch.Ultra5,
+				Config{Live: true, PrecopyRounds: 4, DirtyThreshold: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Live
+			rounds, final := len(st.Rounds), st.Rounds[len(st.Rounds)-1].Bytes
+			if k <= 2 && 4*final > st.SnapshotBytes {
+				t.Errorf("final round %d B of a %d B snapshot, want <= 25%%", final, st.SnapshotBytes)
+			}
+			if 100*st.WireBytes > 101*rounds*st.SnapshotBytes {
+				t.Errorf("%d wire bytes over %d rounds of a %d B snapshot, want <= 1.01x one snapshot per round",
+					st.WireBytes, rounds, st.SnapshotBytes)
+			}
+			q.MaxSteps = 50_000_000
+			r, err := q.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Migrated || r.ExitCode != 0 {
+				t.Errorf("restored run = %+v, want exit 0 (every mutation intact)", r)
+			}
+		})
+	}
+}
+
 // TestLiveFallbackToLegacyResponder pins the compatibility contract: a
 // live initiator against a responder that does not speak v4 degrades to
 // the ordinary negotiated stop-and-copy transfer with byte-identical wire

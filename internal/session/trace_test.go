@@ -96,7 +96,8 @@ func TestStitchedTrace(t *testing.T) {
 }
 
 // TestPhaseHistograms verifies both sides feed the per-phase latency
-// histograms of their configured registries.
+// histograms of their configured registries, one observation per phase
+// per migration.
 func TestPhaseHistograms(t *testing.T) {
 	e := newListEngine(t)
 	reg := NewRegistry()
@@ -113,13 +114,13 @@ func TestPhaseHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, phase := range []string{"handshake", "collect", "transport", "confirm"} {
-		if n := cliMetrics.Histogram("session.phase." + phase).Count(); n == 0 {
-			t.Errorf("initiator phase %q unobserved", phase)
+		if n := cliMetrics.Histogram("session.phase." + phase).Count(); n != 1 {
+			t.Errorf("initiator phase %q observed %d times, want 1", phase, n)
 		}
 	}
 	for _, phase := range []string{"handshake", "restore", "confirm"} {
-		if n := srvMetrics.Histogram("session.phase." + phase).Count(); n == 0 {
-			t.Errorf("responder phase %q unobserved", phase)
+		if n := srvMetrics.Histogram("session.phase." + phase).Count(); n != 1 {
+			t.Errorf("responder phase %q observed %d times, want 1", phase, n)
 		}
 	}
 }

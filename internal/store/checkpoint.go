@@ -15,9 +15,9 @@ type CheckpointStats struct {
 	Sections int
 	NewBlobs int
 	DupBlobs int
-	// SnapshotBytes is the full v3 snapshot size; WrittenBytes is what
-	// actually reached the disk (new bodies only), DedupedBytes the body
-	// bytes dedup avoided rewriting.
+	// SnapshotBytes is the full sectioned snapshot size; WrittenBytes is
+	// what actually reached the disk (new bodies only), DedupedBytes the
+	// body bytes dedup avoided rewriting.
 	SnapshotBytes int64
 	WrittenBytes  int64
 	DedupedBytes  int64
@@ -112,9 +112,9 @@ func (s *Store) CheckpointSections(ref string, secs []snapshot.Section, programD
 	return m, h, st, nil
 }
 
-// CheckpointRef is CheckpointSections of a framed v3 snapshot, taken apart
-// first (every section's CRC verified, nothing trailing the last). It
-// stays because bench/program.go names it.
+// CheckpointRef is CheckpointSections of a framed sectioned snapshot,
+// taken apart first (every section's CRC verified, nothing trailing the
+// last). It stays because bench/program.go names it.
 func (s *Store) CheckpointRef(ref string, snap []byte, programDigest uint32, machine string) (*Manifest, Hash, CheckpointStats, error) {
 	dec := xdr.NewDecoder(snap)
 	rd, err := snapshot.NewReader(dec)
@@ -157,8 +157,9 @@ func (s *Store) Sections(h Hash) (*Manifest, []snapshot.Section, error) {
 	return m, secs, nil
 }
 
-// Materialize is Sections framed back into the exact v3 snapshot that was
-// checkpointed, byte for byte. It stays because bench/program.go names it.
+// Materialize is Sections framed back into the exact sectioned snapshot
+// that was checkpointed, byte for byte. It stays because bench/program.go
+// names it.
 func (s *Store) Materialize(h Hash) ([]byte, error) {
 	_, secs, err := s.Sections(h)
 	if err != nil {

@@ -1,11 +1,11 @@
 // Package store is the content-addressed checkpoint repository: section
-// bodies of sectioned (v3) snapshots are stored once under their SHA-256,
+// bodies of sectioned snapshots are stored once under their SHA-256,
 // and a checkpoint is a small manifest — program digest, one (kind, id,
 // length, hash) entry per section, and the hash of the parent manifest —
 // chaining into a point-in-time history of a running process.
 //
 // The design follows the content-naming idea of Process Migration over
-// CCNx (PAPERS.md): the v3 sectioned format already gives every heap
+// CCNx (PAPERS.md): the sectioned format already gives every heap
 // component, frame, and globals block a stable identity and CRC, which
 // makes the section body the natural unit of content addressing. A fleet
 // checkpointing millions of near-identical sessions persists each distinct
@@ -112,7 +112,7 @@ type Entry struct {
 // Manifest is one checkpoint: the identity of the program and machine the
 // snapshot was captured from, the chain position, and one entry per
 // section in the snapshot's deterministic order. Materializing the entries
-// in order reproduces the original v3 snapshot byte for byte.
+// in order reproduces the original sectioned snapshot byte for byte.
 type Manifest struct {
 	// ProgramDigest identifies the program build (core.Engine.Digest) the
 	// snapshot belongs to; a restore verifies it before rebuilding.
@@ -128,7 +128,7 @@ type Manifest struct {
 	Entries []Entry
 }
 
-// SnapshotBytes computes the size of the v3 snapshot the manifest
+// SnapshotBytes computes the size of the sectioned snapshot the manifest
 // describes (prologue plus each section's header, CRC, and padded body).
 func (m *Manifest) SnapshotBytes() int {
 	n := snapshot.PrologueSize

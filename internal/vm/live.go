@@ -24,7 +24,7 @@ package vm
 // the previous round's partition instead of walking every reachable block
 // again, so a round after the first costs what the program dirtied
 // (collect/delta.go states the rule). Each round yields the full section
-// list in the deterministic v3 order —
+// list in the deterministic sectioned order —
 // clean sections carry their cached bodies, and say which section of the
 // previous round they were. Content hashes are not this package's
 // business: the transport names the list by them when it builds the
@@ -45,8 +45,8 @@ import (
 // LiveRound is one delta capture of the pre-copy loop.
 type LiveRound struct {
 	// Sections lists every section of the process state in the
-	// deterministic v3 snapshot order: exec, heap components, frames
-	// innermost-first, globals. Bodies are owned by the capture's delta
+	// deterministic sectioned snapshot order: exec, heap components,
+	// frames innermost-first, globals. Bodies are owned by the capture's delta
 	// tracker and stay valid across rounds (the sender may still be
 	// shipping a round while the next one is captured), but must not be
 	// mutated.
@@ -133,6 +133,6 @@ func (lc *LiveCapture) Round() (*LiveRound, error) {
 	return round, nil
 }
 
-// Snapshot frames a round's sections into a complete v3 snapshot,
+// Snapshot frames a round's sections into a complete sectioned snapshot,
 // byte-identical to CaptureSections of the same stopped state.
 func (r *LiveRound) Snapshot() []byte { return snapshot.Encode(r.Sections) }

@@ -1,6 +1,6 @@
 package vm
 
-// Sectioned (v3) state transfer. The capture partitions the reachable MSR
+// Sectioned state transfer. The capture partitions the reachable MSR
 // graph into independently-framed sections (internal/snapshot) and encodes
 // them one after the other (internal/collect's EncodeSections); the
 // restore walks the sections in order, rebuilding the MSRLT
@@ -36,7 +36,7 @@ func (p *Process) Sections() (secs []snapshot.Section, release func(), err error
 	return secs, release, err
 }
 
-// CaptureSections is Sections framed into a sectioned (v3) snapshot. The
+// CaptureSections is Sections framed into a sectioned snapshot. The
 // parameter is inert — it was the width of the encoding pool, which is
 // gone — and stays only because bench/program.go, which no ordinary change
 // may edit, passes one.
@@ -172,7 +172,7 @@ func (p *Process) liveRoots(sites []*minic.Site) collect.Roots {
 	return roots
 }
 
-// restoreSectioned rebuilds the process from a framed sectioned (v3)
+// restoreSectioned rebuilds the process from a framed sectioned
 // snapshot, section by section through the one restore loop.
 func (p *Process) restoreSectioned(state []byte) error {
 	r := p.NewRestore()

@@ -187,7 +187,7 @@ func (p *Process) restoreState(state []byte) error {
 		return fmt.Errorf("vm: bad execution state header")
 	}
 	if magic == snapshot.Magic {
-		// A sectioned (v3) snapshot; both formats restore through this
+		// A sectioned snapshot; both formats restore through this
 		// entry point, distinguished by their leading magic.
 		return p.restoreSectioned(state)
 	}

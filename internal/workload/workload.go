@@ -591,14 +591,15 @@ int main() {
 `, nlists, nnodes, nlists, nlists, nnodes, nlists, nlists)
 }
 
-// MutatingShardsSource builds the E12 checkpoint workload: nlists
-// independent lists of nnodes nodes (16 doubles each), then rounds
-// mutation rounds. Round r adds 1.0 to every payload double of list
-// r % nlists and reaches a migration point — so between two consecutive
-// polls exactly one heap component changes, and a checkpoint taken every
-// K-th poll sees roughly K of nlists components dirty. The final checksum
-// verifies every mutation survived every checkpoint/restore:
-// sum == checksum + rounds * 16 * nnodes.
+// MutatingShardsSource builds the warm-migration workload — `bench`'s
+// warm_mutated and the live and chaos tests of internal/session and
+// internal/vm: nlists independent lists of nnodes nodes (16 doubles
+// each), then rounds mutation rounds. Round r adds 1.0 to every payload
+// double of list r % nlists and reaches a migration point — so between
+// two consecutive polls exactly one heap component changes, and a
+// checkpoint taken every K-th poll sees roughly K of nlists components
+// dirty. The final checksum verifies every mutation survived every
+// checkpoint/restore: sum == checksum + rounds * 16 * nnodes.
 func MutatingShardsSource(nlists, nnodes, rounds int) string {
 	return fmt.Sprintf(`
 /* mutating_shards: %d lists x %d nodes; %d rounds of mutate-one-list + poll. */
@@ -661,15 +662,15 @@ int main() {
 `, nlists, nnodes, rounds, nlists, nlists, nnodes, nlists, rounds, nlists, nlists, rounds, nnodes)
 }
 
-// WriteRateSource builds the E14 live-migration workload: nlists
-// independent lists of nnodes nodes (16 doubles each), then rounds
-// mutation rounds with a tunable write rate — round r adds 1.0 to every
-// payload double of k of the nlists lists (lists (r*k+m) % nlists for
-// m in 0..k-1) before reaching a migration point. Between two
-// consecutive polls a k/nlists fraction of the heap is dirty, which is
-// exactly the knob the pre-copy convergence sweep turns. The final
-// checksum verifies every mutation survived every migration:
-// sum == checksum + rounds * k * 16 * nnodes.
+// WriteRateSource builds the live-migration workload — `bench`'s
+// live_writer and session.TestLiveWriteRateBytes: nlists independent
+// lists of nnodes nodes (16 doubles each), then rounds mutation rounds
+// with a tunable write rate — round r adds 1.0 to every payload double of
+// k of the nlists lists (lists (r*k+m) % nlists for m in 0..k-1) before
+// reaching a migration point. Between two consecutive polls a k/nlists
+// fraction of the heap is dirty, which is exactly the knob the pre-copy
+// convergence sweep turns. The final checksum verifies every mutation
+// survived every migration: sum == checksum + rounds * k * 16 * nnodes.
 func WriteRateSource(nlists, nnodes, k, rounds int) string {
 	return fmt.Sprintf(`
 /* write_rate: %d lists x %d nodes; %d rounds mutating %d lists each + poll. */
