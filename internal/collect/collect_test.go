@@ -650,7 +650,7 @@ func TestRandomGraphRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reach := gs.Reachable([]msr.BlockID{sroot.ID})
+		reach := reachable(gs, sroot.ID)
 		// Drop unreachable source vertices for comparison.
 		var filtered msr.Graph
 		for _, v := range gs.Vertices {
@@ -756,4 +756,21 @@ func TestEncoderAccessorAndRepetitionPlans(t *testing.T) {
 	if math.Float64frombits(got) != 6.25 {
 		t.Errorf("shared double = %g", math.Float64frombits(got))
 	}
+}
+
+// reachable is the set of blocks of g its edges reach from root, root
+// included.
+func reachable(g *msr.Graph, root msr.BlockID) map[msr.BlockID]bool {
+	seen := map[msr.BlockID]bool{root: true}
+	for stack := []msr.BlockID{root}; len(stack) > 0; {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range g.Edges {
+			if e.From == id && !seen[e.To] {
+				seen[e.To] = true
+				stack = append(stack, e.To)
+			}
+		}
+	}
+	return seen
 }

@@ -11,16 +11,17 @@ import (
 
 // CheckpointProcess captures the section list of the stopped process p and
 // records it in the checkpoint store under the named ref, chaining from
-// the ref's current head. Only section bodies the store does not already
-// hold are written — the periodic-checkpoint call a long-running session
-// makes between migrations.
+// the ref's current head — the periodic-checkpoint call a long-running
+// session makes between migrations. The list is the next round of the
+// capture p keeps between checkpoints (vm.Process.Checkpoint), so only
+// what was written since the previous checkpoint is re-encoded and
+// hashed, and only bodies the store does not already hold are written.
 func (e *Engine) CheckpointProcess(st *store.Store, p *vm.Process, src *arch.Machine, ref string) (*store.Manifest, store.Hash, store.CheckpointStats, error) {
-	secs, release, err := p.Sections()
+	r, err := p.Checkpoint(store.Key)
 	if err != nil {
 		return nil, store.Hash{}, store.CheckpointStats{}, err
 	}
-	defer release()
-	return st.CheckpointSections(ref, secs, e.Digest(), src.Name)
+	return st.CheckpointSections(ref, r.Sections, r.Sums, e.Digest(), src.Name)
 }
 
 // RestoreFromStore restores the checkpoint named by h — any manifest in a

@@ -127,7 +127,7 @@ func TestSectionValuedEntryPointsMatchFramedOnes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, h, st, err := bySections.CheckpointSections("ref", secs, e.Digest(), p.Mach.Name)
+			_, h, st, err := bySections.CheckpointSections("ref", secs, nil, e.Digest(), p.Mach.Name)
 			if err != nil {
 				t.Fatal(err)
 			}

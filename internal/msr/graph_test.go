@@ -256,3 +256,39 @@ func (g *Graph) Components() [][]BlockID {
 	sort.Slice(comps, func(i, j int) bool { return comps[i][0].Less(comps[j][0]) })
 	return comps
 }
+
+// Vertex returns the block with the given ID, or nil.
+func (g *Graph) Vertex(id BlockID) *Block {
+	if i, ok := g.index[id]; ok {
+		return g.Vertices[i]
+	}
+	return nil
+}
+
+// Reachable returns the set of blocks reachable from the given roots by
+// following edges, including the roots themselves.
+func (g *Graph) Reachable(roots []BlockID) map[BlockID]bool {
+	adj := map[BlockID][]BlockID{}
+	for _, e := range g.Edges {
+		adj[e.From] = append(adj[e.From], e.To)
+	}
+	seen := map[BlockID]bool{}
+	var stack []BlockID
+	for _, r := range roots {
+		if g.Vertex(r) != nil && !seen[r] {
+			seen[r] = true
+			stack = append(stack, r)
+		}
+	}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, to := range adj[id] {
+			if !seen[to] {
+				seen[to] = true
+				stack = append(stack, to)
+			}
+		}
+	}
+	return seen
+}

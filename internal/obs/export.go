@@ -177,14 +177,13 @@ func Stitch(roots []*SpanData, remote *SpanData) bool {
 }
 
 // Report is the one obs schema every machine-readable export flows
-// through: experiment rows (BENCH_*.json), span trees (per-phase traces),
-// and a metrics snapshot, each optional.
+// through: experiment rows (BENCH_*.json) and a metrics snapshot, each
+// optional.
 type Report struct {
 	Schema     string           `json:"schema"`
 	Node       *NodeInfo        `json:"node,omitempty"`
 	Experiment string           `json:"experiment,omitempty"`
 	Rows       any              `json:"rows,omitempty"`
-	Spans      []*SpanData      `json:"spans,omitempty"`
 	Metrics    *MetricsSnapshot `json:"metrics,omitempty"`
 }
 
@@ -212,12 +211,6 @@ func ParseReport(b []byte) (*Report, error) {
 func (r *Report) WithMetrics(reg *Registry) *Report {
 	snap := reg.Snapshot()
 	r.Metrics = &snap
-	return r
-}
-
-// WithSpans attaches exported span trees and returns the report.
-func (r *Report) WithSpans(spans []*SpanData) *Report {
-	r.Spans = spans
 	return r
 }
 

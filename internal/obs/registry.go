@@ -181,8 +181,7 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 }
 
 // MetricsSnapshot is the JSON form of a registry: flat name→value maps
-// per metric kind. It is one half of the shared obs schema (Report
-// carries it next to the span trees).
+// per metric kind, as the shared obs schema (Report) carries it.
 type MetricsSnapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`

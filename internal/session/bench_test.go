@@ -78,11 +78,13 @@ func BenchmarkReceiveSectioned(b *testing.B) {
 // transfers, a checkpoint store on each end — with both ends in this
 // process over link.Pipe. alloc/snapshot is the bytes both ends allocate
 // per byte of snapshot, i.e. how many times the state is copied on its
-// way: the capture's encoders (pooled), the BODIES frame and the pipe's
-// copy of it for the one list that crosses, the store's reads of the lists
-// that do not, and the restored process's memory. Framing a snapshot only
-// for the next package to parse it would show here as whole extra copies
-// (8.4 before sections became the interface); CI holds it under 6.5.
+// way: the re-encoded body of the one list the source's kept capture
+// rewrote, the BODIES frame and the pipe's copy of it for that list, the
+// store's reads of the lists that do not cross, and the restored
+// process's memory. A fresh capture of the whole state per transfer would
+// show here (4.9 before the capture was kept), and framing a snapshot only
+// for the next package to parse it as whole extra copies (8.4 before
+// sections became the interface); CI holds it under 5.0.
 func BenchmarkWarmTransfer(b *testing.B) {
 	e, err := core.NewEngine(workload.MutatingShardsSource(16, 750, 1<<30), minic.PollPolicy{})
 	if err != nil {

@@ -28,9 +28,12 @@ package session
 // fills the variables, so the restore left inside the downtime window is
 // the final round's own sections.
 //
-// A warm migration is one final round whose sections are a fresh capture,
-// checkpointed in the initiator's store on the way. A live migration is
-// the same exchange repeated while the source executes:
+// A warm migration is one final round whose sections are the next
+// checkpoint of the capture the source process keeps between checkpoints
+// (vm.Process.Checkpoint), stored in the initiator's store on the way: it
+// re-encodes and re-hashes only what was written since the previous one.
+// A live migration is the same exchange repeated while the source
+// executes, from a capture of its own:
 //
 //	round 0     full image ships while the source executes to its next
 //	            poll point, and is applied on arrival
@@ -281,50 +284,48 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 	if prm.Live {
 		res.Live = st
 	}
-	// Where a round's list comes from is all that tells the shapes apart:
-	// the live capture's round, or a fresh capture that is also
-	// checkpointed under the program's ref (dedup'd against the store's
-	// history); and how it names its bodies: by content hash when the
-	// responder holds a store, else by position. The fresh capture's bodies alias
-	// pooled encoders, which go back once the final round has shipped or
-	// the transfer has failed.
+	// Every round's list is a round of a delta capture: the live session's
+	// own, or the one the process keeps between checkpoints, whose round is
+	// also checkpointed under the program's ref (dedup'd against the
+	// store's history). What tells the shapes apart is how a list names its
+	// bodies: by content hash when the responder holds a store, else by
+	// position. Either way a carried-over body takes the hash or the CRC
+	// the previous list gave it, so a paused source hashes or checksums
+	// only what it re-encoded.
 	var lc *vm.LiveCapture
 	if prm.Live {
 		lc = p.NewLiveCapture(0)
 		defer lc.Close()
+		if prm.Warm {
+			lc.KeyBy(store.Key)
+		}
 	}
-	release := func() {}
-	defer func() { release() }()
-	// A live round lists a carried-over body under the hash or the CRC the
-	// previous round's list gave it, so a paused source hashes or
-	// checksums only what it re-encoded.
-	var prev []store.Entry
 	var prevPushed []entry
 	next := func() (*round, error) {
-		r := &round{}
+		var lr *vm.LiveRound
+		var err error
 		if lc != nil {
-			lr, err := lc.Round()
-			if err != nil {
-				return nil, err
-			}
-			r.secs, r.dirty, r.collect = lr.Sections, lr.DirtyBlocks, lr.Elapsed
-			if !prm.Warm {
-				r.pushed = push(r.secs, prevPushed, lr.From)
-				prevPushed = r.pushed
-			} else {
-				prev = store.EntriesFrom(r.secs, prev, lr.From)
-				r.manifest = &store.Manifest{ProgramDigest: e.Digest(), Machine: src.Name, Seq: 1, Entries: prev}
-			}
+			lr, err = lc.Round()
 		} else {
-			secs, rel, err := p.Sections()
-			if err != nil {
+			lr, err = p.Checkpoint(store.Key)
+		}
+		if err != nil {
+			return nil, err
+		}
+		r := &round{secs: lr.Sections, collect: lr.Elapsed}
+		switch {
+		case !prm.Warm:
+			r.pushed = push(r.secs, prevPushed, lr.From)
+			prevPushed = r.pushed
+		case lc == nil:
+			if r.manifest, _, _, err = cfg.Store.CheckpointSections(program, r.secs, lr.Sums, e.Digest(), src.Name); err != nil {
 				return nil, err
 			}
-			release = rel
-			r.secs, r.collect = secs, p.CaptureStats().Elapsed
-			if r.manifest, _, _, err = cfg.Store.CheckpointSections(program, secs, e.Digest(), src.Name); err != nil {
-				return nil, err
-			}
+		default:
+			r.manifest = &store.Manifest{ProgramDigest: e.Digest(), Machine: src.Name, Seq: 1, Entries: store.Entries(r.secs, lr.Sums)}
+		}
+		if lc != nil {
+			r.dirty = lr.DirtyBlocks
 		}
 		timing.Collect += r.collect
 		return r, nil
@@ -492,7 +493,7 @@ func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, cfg Con
 					return nil, core.Timing{}, fmt.Errorf("%w: section %d body does not match its announced length and hash",
 						store.ErrCorrupt, idx)
 				}
-				if _, err := cfg.Store.PutVerified(en.Hash, body); err != nil {
+				if err := cfg.Store.Overwrite(en.Hash, body); err != nil {
 					return nil, core.Timing{}, err
 				}
 			}

@@ -199,7 +199,7 @@ func sendScriptedRound(t *testing.T, a link.Transport, e *core.Engine, k int, fi
 	var list []entry
 	send := make([]uint32, len(secs))
 	if byHash {
-		m = &store.Manifest{ProgramDigest: e.Digest(), Machine: "dec5000", Seq: 1, Entries: store.Entries(secs)}
+		m = &store.Manifest{ProgramDigest: e.Digest(), Machine: "dec5000", Seq: 1, Entries: store.Entries(secs, nil)}
 	} else {
 		list = make([]entry, len(secs))
 		for i, sec := range secs {
@@ -340,7 +340,7 @@ func TestFailedRestoreLeavesRefUnset(t *testing.T) {
 	exec.PutString("no_such_function")
 	exec.PutUint32(0)
 	secs[0].Body = exec.Bytes()
-	m := &store.Manifest{ProgramDigest: e.Digest(), Machine: arch.DEC5000.Name, Seq: 1, Entries: store.Entries(secs)}
+	m := &store.Manifest{ProgramDigest: e.Digest(), Machine: arch.DEC5000.Name, Seq: 1, Entries: store.Entries(secs, nil)}
 
 	a, b := link.Pipe()
 	defer a.Close()

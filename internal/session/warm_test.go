@@ -1,7 +1,10 @@
 package session
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/arch"
@@ -269,5 +272,83 @@ func TestWarmRejectsCorruptSectionBody(t *testing.T) {
 	// The destination store must not have adopted the damaged checkpoint.
 	if _, ok, _ := dstStore.Ref("list"); ok {
 		t.Error("destination ref advanced past a corrupt transfer")
+	}
+}
+
+// sameState requires the restored process q to re-collect to the state
+// of the paused source p.
+func sameState(t *testing.T, p, q *vm.Process) {
+	t.Helper()
+	want, err := p.Recapture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := q.Recapture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("restored state differs from the source (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestWarmReshipsTamperedDestinationBlobOnce rots one blob of the
+// destination's store in place, keeping its size. The next warm transfer
+// of the same state finds it failing verification and asks for it again;
+// the responder must replace the bad file with the verified body, so the
+// transfer after that resolves it locally and ships nothing.
+func TestWarmReshipsTamperedDestinationBlobOnce(t *testing.T) {
+	e := newMutatingEngine(t, 1<<30)
+	p := stoppedLive(t, e, arch.DEC5000)
+	srcCfg, dstCfg := Config{Store: openTestStore(t)}, Config{Store: openTestStore(t)}
+	res, _, q := transferWith(t, e, "shards", p, arch.SPARC20, srcCfg, dstCfg)
+	sameState(t, p, q)
+	m, err := dstCfg.Store.GetManifest(res.Warm.ManifestHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hx := m.Entries[1].Hash.String()
+	path := filepath.Join(dstCfg.Store.Dir(), "blobs", hx[:2], hx[2:])
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[len(blob)/2] ^= 0x40
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for i, want := range []int{1, 0} {
+		res, _, q := transferWith(t, e, "shards", p, arch.SPARC20, srcCfg, dstCfg)
+		if res.Warm.SectionsSent != want {
+			t.Errorf("transfer %d after the tamper sent %d of %d sections, want %d", i+1, res.Warm.SectionsSent, res.Warm.Sections, want)
+		}
+		sameState(t, p, q)
+	}
+	if _, _, err := dstCfg.Store.Sections(res.Warm.ManifestHash); err != nil {
+		t.Errorf("the re-shipped blob still fails: %v", err)
+	}
+}
+
+// TestWarmLiveWarmOnOneSource migrates one source warm, then live with
+// stores on both ends, then warm again, advancing it between transfers.
+// The live session restarts the write barrier the warm checkpoints keep,
+// so the last warm transfer must start its checkpoints over from a full
+// capture; every restored process must hold the source's state.
+func TestWarmLiveWarmOnOneSource(t *testing.T) {
+	e := newMutatingEngine(t, 1<<30)
+	p := stoppedLive(t, e, arch.DEC5000)
+	warmCfg, dstCfg := Config{Store: openTestStore(t)}, Config{Store: openTestStore(t), Live: true}
+	liveCfg := warmCfg
+	liveCfg.Live = true
+	for i, cfg := range []Config{warmCfg, warmCfg, liveCfg, warmCfg, warmCfg} {
+		res, _, q := transferWith(t, e, "shards", p, arch.SPARC20, cfg, dstCfg)
+		if (res.Live != nil) != cfg.Live {
+			t.Fatalf("transfer %d: live stats %v, want live %v", i, res.Live != nil, cfg.Live)
+		}
+		sameState(t, p, q)
+		if run, err := p.ResumeRun(); err != nil || !run.Migrated {
+			t.Fatalf("advance after transfer %d: %+v, %v", i, run, err)
+		}
 	}
 }

@@ -38,22 +38,17 @@ func (c CheckpointStats) String() string {
 		c.Sections, c.NewBlobs, c.DupBlobs, c.WrittenBytes, c.SnapshotBytes, c.DedupRatio())
 }
 
-// Entries builds a manifest's entry list from a section list, hashing each
-// body once. With EntriesFrom it is the one place a sending side computes
-// a body's content address: a checkpoint and a round's announce both list
-// their sections through it.
-func Entries(secs []snapshot.Section) []Entry { return EntriesFrom(secs, nil, nil) }
-
-// EntriesFrom is Entries for a list that carries bodies over from an
-// earlier one, prev: from[i] >= 0 names the entry of prev whose body
-// section i repeats byte for byte, and its hash is copied rather than
-// computed again. A nil from hashes every body.
-func EntriesFrom(secs []snapshot.Section, prev []Entry, from []int) []Entry {
+// Entries lists secs as a manifest's entries. sums, when set, holds each
+// body's content address already — a keyed capture's (vm.LiveRound.Sums),
+// which hashed only the bodies it re-encoded; a nil sums hashes every
+// body once. It is the one place a sending side names its sections: a
+// checkpoint and a round's announce both list them through it.
+func Entries(secs []snapshot.Section, sums [][HashSize]byte) []Entry {
 	entries := make([]Entry, len(secs))
 	for i, sec := range secs {
 		entries[i] = Entry{Kind: sec.Kind, ID: sec.ID, Length: uint32(len(sec.Body))}
-		if from != nil && from[i] >= 0 {
-			entries[i].Hash = prev[from[i]].Hash
+		if sums != nil {
+			entries[i].Hash = sums[i]
 		} else {
 			entries[i].Hash = HashBytes(sec.Body)
 		}
@@ -61,17 +56,16 @@ func EntriesFrom(secs []snapshot.Section, prev []Entry, from []int) []Entry {
 	return entries
 }
 
-// CheckpointSections records a section list as the next checkpoint of the
-// named ref — the periodic "checkpoint this session again" call: every
-// body is stored under its content address (bodies already present are not
-// rewritten), a manifest chaining from the ref's head (a ref that does not
-// exist yet starts a new chain) is stored and returned with its address,
-// and the ref advances to it, all under one lock. The bodies are only
-// read; a caller whose list aliases pooled encoders may release them on
-// return.
-func (s *Store) CheckpointSections(ref string, secs []snapshot.Section, programDigest uint32, machine string) (*Manifest, Hash, CheckpointStats, error) {
+// CheckpointSections records a section list, listed as Entries(secs,
+// sums) lists it, as the next checkpoint of the named ref — the periodic
+// "checkpoint this session again" call: every body is stored under its
+// content address (bodies already present are not rewritten), a manifest
+// chaining from the ref's head (a ref that does not exist yet starts a
+// new chain) is stored and returned with its address, and the ref
+// advances to it, all under one lock. The bodies are only read.
+func (s *Store) CheckpointSections(ref string, secs []snapshot.Section, sums [][HashSize]byte, programDigest uint32, machine string) (*Manifest, Hash, CheckpointStats, error) {
 	start := time.Now()
-	m := &Manifest{ProgramDigest: programDigest, Machine: machine, Seq: 1, Entries: Entries(secs)}
+	m := &Manifest{ProgramDigest: programDigest, Machine: machine, Seq: 1, Entries: Entries(secs, sums)}
 	st := CheckpointStats{Sections: len(secs), SnapshotBytes: int64(m.SnapshotBytes())}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -87,7 +81,7 @@ func (s *Store) CheckpointSections(ref string, secs []snapshot.Section, programD
 		m.Seq = pm.Seq + 1
 	}
 	for i, e := range m.Entries {
-		fresh, err := s.putBlobLocked(e.Hash, secs[i].Body)
+		fresh, err := s.putBlobLocked(e.Hash, secs[i].Body, false)
 		if err != nil {
 			return nil, Hash{}, CheckpointStats{}, err
 		}
@@ -128,7 +122,7 @@ func (s *Store) CheckpointRef(ref string, snap []byte, programDigest uint32, mac
 	if dec.Remaining() != 0 {
 		return nil, Hash{}, CheckpointStats{}, fmt.Errorf("%w: %d trailing bytes after snapshot sections", ErrCorrupt, dec.Remaining())
 	}
-	return s.CheckpointSections(ref, secs, programDigest, machine)
+	return s.CheckpointSections(ref, secs, nil, programDigest, machine)
 }
 
 // Sections is CheckpointSections' inverse: the manifest stored under h and

@@ -6,6 +6,7 @@ package store
 // silently wrong data or a panic.
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"testing"
@@ -40,6 +41,48 @@ func TestGetBlobTampered(t *testing.T) {
 	}
 	if _, err := s.GetBlob(h); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("GetBlob of tampered blob: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestPutVerifiedRepairsCorruptBlob is the repair half of a rotten blob:
+// the verified body arriving again must replace the bad file, so the next
+// GetBlob serves it. A truncated or torn blob differs from the body in
+// size, which PutVerified sees without reading the file; a tampered blob
+// of the right size is what Overwrite, the responder's write for a body
+// its store failed to serve, replaces.
+func TestPutVerifiedRepairsCorruptBlob(t *testing.T) {
+	s := openTest(t)
+	body := []byte("a body long enough to truncate meaningfully")
+	h, _, err := s.PutBlob(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.blobPath(h), body[:len(body)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.GetBlob(h); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("GetBlob of truncated blob: %v, want ErrCorrupt", err)
+	}
+	if fresh, err := s.PutVerified(h, body); err != nil || !fresh {
+		t.Fatalf("PutVerified over a truncated blob: fresh=%v err=%v, want a rewrite", fresh, err)
+	}
+	if got, err := s.GetBlob(h); err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("GetBlob after the repair: %q, %v", got, err)
+	}
+	if fresh, err := s.PutVerified(h, body); err != nil || fresh {
+		t.Errorf("PutVerified over an intact blob: fresh=%v err=%v, want a dedup", fresh, err)
+	}
+
+	evil := append([]byte(nil), body...)
+	evil[0] ^= 0xff
+	if err := os.WriteFile(s.blobPath(h), evil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Overwrite(h, body); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.GetBlob(h); err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("GetBlob after Overwrite of a tampered blob: %q, %v", got, err)
 	}
 }
 

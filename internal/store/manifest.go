@@ -70,6 +70,10 @@ func HashBytes(b []byte) Hash {
 	return sha256.Sum256(b)
 }
 
+// Key is HashBytes as the key function a capture names its bodies by
+// (vm.LiveCapture.KeyBy, vm.Process.Checkpoint).
+func Key(b []byte) [HashSize]byte { return HashBytes(b) }
+
 // IsZero reports whether h is the null address.
 func (h Hash) IsZero() bool { return h == Hash{} }
 

@@ -145,13 +145,27 @@ func (s *Store) PutBlob(body []byte) (Hash, bool, error) {
 func (s *Store) PutVerified(h Hash, body []byte) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.putBlobLocked(h, body)
+	return s.putBlobLocked(h, body, false)
 }
 
-// putBlobLocked stores body under h, which the caller computed from it.
-func (s *Store) putBlobLocked(h Hash, body []byte) (bool, error) {
+// Overwrite is PutVerified without the dedup: body is written whatever
+// stands under h. A responder stores every body it asked for this way: it
+// asked because its store could not serve the body, absent or failing
+// verification, so a file under h is one GetBlob refused.
+func (s *Store) Overwrite(h Hash, body []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, err := s.putBlobLocked(h, body, true)
+	return err
+}
+
+// putBlobLocked stores body under h, which the caller computed from it. A
+// file already there counts as the body unless force is set or its size
+// differs from the body's: a truncated or torn blob is replaced, not
+// deduplicated against.
+func (s *Store) putBlobLocked(h Hash, body []byte, force bool) (bool, error) {
 	path := s.blobPath(h)
-	if _, err := os.Stat(path); err == nil {
+	if fi, err := os.Stat(path); err == nil && !force && fi.Size() == int64(len(body)) {
 		s.metrics.Counter("store.blob.dedup").Inc()
 		s.metrics.Counter("store.bytes.deduped").Add(int64(len(body)))
 		return false, nil

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/arch"
@@ -234,5 +235,33 @@ func BenchmarkRestoreBitonic16k(b *testing.B) {
 		if _, err := RestoreProcess(p.Prog, arch.SPARC20, snap); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMutationRound measures one mutation round of bench's
+// warm_mutated program (16 lists of 750 nodes, one list rewritten per
+// poll), resumed from one poll to the next, with the write barrier off and
+// on. A process keeps the barrier on from its first store checkpoint
+// (Process.Checkpoint), so barrier=on, with a checkpoint before each round
+// outside the timer, is what a warm source pays to run between
+// checkpoints.
+func BenchmarkMutationRound(b *testing.B) {
+	for _, on := range []bool{false, true} {
+		b.Run(fmt.Sprintf("barrier=%v", on), func(b *testing.B) {
+			p := stopPaused(b, workload.MutatingShardsSource(16, 750, 1<<30), arch.DEC5000)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if on {
+					b.StopTimer()
+					if _, err := p.Checkpoint(func([]byte) Sum { return Sum{} }); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if res, err := p.ResumeRun(); err != nil || !res.Migrated {
+					b.Fatalf("mutation round: %+v, %v", res, err)
+				}
+			}
+		})
 	}
 }

@@ -172,16 +172,6 @@ func (p *Process) liveRoots(sites []*minic.Site) collect.Roots {
 	return roots
 }
 
-// restoreSectioned rebuilds the process from a framed sectioned
-// snapshot, section by section through the one restore loop.
-func (p *Process) restoreSectioned(state []byte) error {
-	r := p.NewRestore()
-	if err := r.Read(xdr.NewDecoder(state)); err != nil {
-		return err
-	}
-	return r.Finish()
-}
-
 // RestoreSections restores a section list into a freshly created process
 // (one that has not started running) — the section-valued form of
 // RestoreInto, for a caller that holds verified bodies (a checkpoint
@@ -314,7 +304,12 @@ func (o *order) complete() error {
 
 // NewRestore starts a restore into p, which must be freshly created (it
 // has not started running), recorded as a "restore" child of its span.
+// Every restore that can reach a process holding a checkpoint capture
+// starts here (RestoreInto and RestoreSections refuse one with frames, and
+// only a stopped process with frames is checkpointed), so it discards the
+// capture.
 func (p *Process) NewRestore() *Restore {
+	p.discardCheckpoint()
 	span := p.Obs.Child("restore")
 	span.SetAttr("format", "sectioned")
 	return &Restore{p: p, span: span, size: 8}

@@ -188,8 +188,13 @@ func (p *Process) restoreState(state []byte) error {
 	}
 	if magic == snapshot.Magic {
 		// A sectioned snapshot; both formats restore through this
-		// entry point, distinguished by their leading magic.
-		return p.restoreSectioned(state)
+		// entry point, distinguished by their leading magic. It goes
+		// section by section through the one restore loop.
+		r := p.NewRestore()
+		if err := r.Read(xdr.NewDecoder(state)); err != nil {
+			return err
+		}
+		return r.Finish()
 	}
 	if magic != execMagic {
 		return fmt.Errorf("vm: bad execution state header")

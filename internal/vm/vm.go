@@ -147,6 +147,10 @@ type Process struct {
 
 	Stats Stats
 
+	// kept is the checkpoint capture every Checkpoint draws from; nil
+	// before the first and after a discard.
+	kept *LiveCapture
+
 	captureStats   StateStats
 	restoreStats   collect.RestoreStats
 	restoreElapsed time.Duration
