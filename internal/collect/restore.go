@@ -164,11 +164,8 @@ func (r *Restorer) RestorePointer() (memory.Address, error) {
 // then fills its contents through the type-specific restoring plan.
 func (r *Restorer) restoreBlock(id msr.BlockID) error {
 	tIdx, err := r.dec.Uint32()
-	if err != nil {
-		return fmt.Errorf("%w: truncated record for block %s", ErrCorruptStream, id)
-	}
-	count, err := r.dec.Uint32()
-	if err != nil {
+	count, err2 := r.dec.Uint32()
+	if err != nil || err2 != nil {
 		return fmt.Errorf("%w: truncated record for block %s", ErrCorruptStream, id)
 	}
 	ty, err := r.ti.At(int(tIdx))
@@ -262,7 +259,6 @@ func (r *Restorer) allocHeapBlock(b *msr.Block) error {
 	if b.Addr, err = r.space.Malloc(b.Count * es); err != nil {
 		return err
 	}
-	r.table.RestoreFloor(b.ID)
 	r.Stats.Allocated++
 	return nil
 }

@@ -17,6 +17,7 @@ package memory
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 )
@@ -399,6 +400,17 @@ func (s *Space) Free(addr Address) error {
 	}
 	s.Stats.Frees++
 	return nil
+}
+
+// CopyHeap makes the heap segment and allocator of s a copy of src's:
+// every block src holds is then allocated in s at the same address, with
+// the same contents. The global and stack segments of s are untouched.
+// Only the bytes src ever exposed are copied; the rest are zero either way.
+func (s *Space) CopyHeap(src *Space) {
+	s.heap, s.alloc = src.heap, src.alloc
+	s.heap.data = slices.Clone(src.heap.data[:src.heap.hi-src.heap.org])
+	s.alloc.freeList = slices.Clone(src.alloc.freeList)
+	s.alloc.allocated.slots = slices.Clone(src.alloc.allocated.slots)
 }
 
 // HeapBlockSize returns the usable size of the allocated heap block at

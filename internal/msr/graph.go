@@ -29,8 +29,6 @@ type Edge struct {
 type Graph struct {
 	Vertices []*Block
 	Edges    []Edge
-
-	index map[BlockID]int
 }
 
 // Space is the subset of the memory space the graph builder needs.
@@ -45,12 +43,8 @@ type Space interface {
 // reported as errors: the MSR model requires every edge to land in V.
 func BuildGraph(sp Space, t *Table) (*Graph, error) {
 	m := sp.Machine()
-	g := &Graph{index: make(map[BlockID]int)}
-	for _, b := range t.Blocks() {
-		g.index[b.ID] = len(g.Vertices)
-		g.Vertices = append(g.Vertices, b)
-	}
-	for _, b := range t.Blocks() {
+	g := &Graph{Vertices: t.Blocks()}
+	for _, b := range g.Vertices {
 		plan := b.Plan(m)
 		if !plan.HasPtr {
 			continue

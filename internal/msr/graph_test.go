@@ -240,8 +240,9 @@ func (g *Graph) Components() [][]BlockID {
 			parent[ra] = rb
 		}
 	}
+	index := g.index()
 	for _, e := range g.Edges {
-		union(g.index[e.From], g.index[e.To])
+		union(index[e.From], index[e.To])
 	}
 	groups := map[int][]BlockID{}
 	for i, v := range g.Vertices {
@@ -257,9 +258,18 @@ func (g *Graph) Components() [][]BlockID {
 	return comps
 }
 
+// index maps every vertex's ID to its place in Vertices.
+func (g *Graph) index() map[BlockID]int {
+	index := make(map[BlockID]int, len(g.Vertices))
+	for i, v := range g.Vertices {
+		index[v.ID] = i
+	}
+	return index
+}
+
 // Vertex returns the block with the given ID, or nil.
 func (g *Graph) Vertex(id BlockID) *Block {
-	if i, ok := g.index[id]; ok {
+	if i, ok := g.index()[id]; ok {
 		return g.Vertices[i]
 	}
 	return nil

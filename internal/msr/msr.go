@@ -179,8 +179,10 @@ func (t *Table) Len() int {
 }
 
 // NextHeapID returns a fresh heap block identification. The sequence is
-// monotonic over the life of the process; RestoreFloor advances it past
-// identifications received in a migration stream.
+// monotonic over the life of the process; registering a heap block
+// advances it past the block's identification (RestoreFloor), so one
+// received in a migration stream or shared with another table is never
+// handed out again.
 func (t *Table) NextHeapID() BlockID {
 	id := BlockID{Seg: memory.Heap, Major: t.heapSeq}
 	t.heapSeq++
@@ -238,6 +240,7 @@ func (t *Table) Insert(blocks []*Block) error {
 			return err
 		}
 		t.index(b, dense)
+		t.RestoreFloor(b.ID)
 	}
 	// Merge from the back: the registered blocks above the j-th new one move
 	// up past the j+1 still to place, each in one copy. A fresh heap hands

@@ -76,15 +76,20 @@ func BenchmarkReceiveSectioned(b *testing.B) {
 // BenchmarkWarmTransfer measures one warm migration of the benchmark's
 // warm_mutated program — 16 lists of 750 nodes, one rewritten between
 // transfers, a checkpoint store on each end — with both ends in this
-// process over link.Pipe. alloc/snapshot is the bytes both ends allocate
-// per byte of snapshot, i.e. how many times the state is copied on its
-// way: the re-encoded body of the one list the source's kept capture
-// rewrote, the BODIES frame and the pipe's copy of it for that list, the
-// store's reads of the lists that do not cross, and the restored
-// process's memory. A fresh capture of the whole state per transfer would
-// show here (4.9 before the capture was kept), and framing a snapshot only
-// for the next package to parse it as whole extra copies (8.4 before
-// sections became the interface); CI holds it under 5.0.
+// process over link.Pipe, every transfer through one responder registry,
+// as a daemon serves one session after another: the steady state, in
+// which the responder restores into the fork of its last restore. The time
+// includes taking the next fork, which the responder does after COMMIT.
+// alloc/snapshot is the bytes both ends allocate per byte of snapshot,
+// i.e. how many times the state is copied on its way: the re-encoded body
+// of the one list the source's kept capture rewrote, the BODIES frame and
+// the pipe's copy of it for that list, and the fork's copy of the
+// restored heap, about 1.8 in all. A fresh capture of the whole state per
+// transfer would show here (4.9 before the capture was kept), a store read
+// and a fresh restore of every list as about 2.7 more (4.5 before the
+// responder kept its shell), and framing a snapshot only for the next
+// package to parse it as whole extra copies (8.4 before sections became
+// the interface); CI holds it under 2.0.
 func BenchmarkWarmTransfer(b *testing.B) {
 	e, err := core.NewEngine(workload.MutatingShardsSource(16, 750, 1<<30), minic.PollPolicy{})
 	if err != nil {
@@ -93,8 +98,11 @@ func BenchmarkWarmTransfer(b *testing.B) {
 	p := stoppedLive(b, e, arch.DEC5000)
 	p.MaxSteps = 0
 	srcCfg, dstCfg := Config{Store: openTestStore(b)}, Config{Store: openTestStore(b)}
-	// The priming transfer fills the destination store.
-	res, _, _ := transferWith(b, e, "shards", p, arch.SPARC20, srcCfg, dstCfg)
+	reg := NewRegistry()
+	reg.Add("shards", e)
+	// The priming transfer fills the destination store and leaves the
+	// registry its kept shell.
+	res, _, _ := transferThrough(b, reg, e, "shards", p, arch.SPARC20, srcCfg, dstCfg)
 	snapBytes := res.Warm.SnapshotBytes
 
 	b.SetBytes(int64(snapBytes))
@@ -109,7 +117,7 @@ func BenchmarkWarmTransfer(b *testing.B) {
 		}
 		runtime.ReadMemStats(&before)
 		b.StartTimer()
-		res, _, _ = transferWith(b, e, "shards", p, arch.SPARC20, srcCfg, dstCfg)
+		res, _, _ = transferThrough(b, reg, e, "shards", p, arch.SPARC20, srcCfg, dstCfg)
 		b.StopTimer()
 		runtime.ReadMemStats(&after)
 		allocated += after.TotalAlloc - before.TotalAlloc

@@ -188,12 +188,7 @@ func initiateHandshake(t link.Transport, e *core.Engine, src *arch.Machine, prog
 // including the COMMIT send, means the migration did not happen: the
 // source remains paused at its poll point and must roll back (Rollback).
 func awaitRestored(t link.Transport, cfg Config, res *Result) error {
-	confirmStart := time.Now()
-	confirm := cfg.Trace.Child("confirm")
-	defer func() {
-		confirm.End()
-		cfg.observePhase("confirm", time.Since(confirmStart))
-	}()
+	defer cfg.phase("confirm")()
 	m, _, err := recvMessage(t, msgRestored, "restoration confirm")
 	if err != nil {
 		cfg.Recorder.Record("session.fail", "confirm: %v", err)

@@ -25,7 +25,9 @@ import (
 // Registry holds the pre-distributed programs a daemon serves, keyed by
 // program digest — the paper's "transformed source compiled on every
 // potential destination machine", generalized to many programs behind one
-// daemon. Safe for concurrent use.
+// daemon. Beside each program it keeps the fork of the program's last
+// committed warm restore (swap), so the next warm session of it restores
+// only what changed. Safe for concurrent use.
 type Registry struct {
 	mu       sync.RWMutex
 	byDigest map[uint32]registered
@@ -34,6 +36,7 @@ type Registry struct {
 type registered struct {
 	engine *core.Engine
 	name   string
+	kept   *vm.Process // see swap
 }
 
 // NewRegistry returns an empty registry.
@@ -42,7 +45,7 @@ func NewRegistry() *Registry {
 }
 
 // Add registers an engine under a diagnostic name. A later Add with the
-// same program digest replaces the earlier entry.
+// same program digest replaces the earlier entry, and drops its kept fork.
 func (r *Registry) Add(name string, e *core.Engine) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -57,11 +60,29 @@ func (r *Registry) Lookup(digest uint32) (*core.Engine, string, bool) {
 	return reg.engine, reg.name, ok
 }
 
-// Len reports the number of registered programs.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.byDigest)
+// swap puts p in the place of the fork kept for e's program — the Fork of
+// its last committed warm restore, which its next warm session restores
+// into — unless Add replaced e meanwhile, and returns the one it held.
+func (r *Registry) swap(e *core.Engine, p *vm.Process) (kept *vm.Process) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if reg := r.byDigest[e.Digest()]; reg.engine == e {
+		kept, reg.kept = reg.kept, p
+		r.byDigest[e.Digest()] = reg
+	}
+	return kept
+}
+
+// shell is the process a session of e's program restores into on m: for a
+// warm session the kept fork, taken so that a concurrent session finds
+// none, when there is one for m; else a new process.
+func (r *Registry) shell(e *core.Engine, m *arch.Machine, warm bool) (*vm.Process, error) {
+	if warm {
+		if p := r.swap(e, nil); p != nil && p.Mach == m {
+			return p, nil
+		}
+	}
+	return e.NewProcess(m)
 }
 
 // Info identifies one inbound session in diagnostics and callbacks.
@@ -98,25 +119,21 @@ func (i Info) How() string { return i.Params.How() }
 // has provably relinquished; a session that fails before that point
 // returns no process, and the initiator rolls its source back instead. A
 // program digest the registry does not hold is reported to the peer
-// (REJECT) and returned.
+// (REJECT) and returned. A committed warm session leaves reg a fork of
+// what it restored, which the program's next warm session restores into.
 func Respond(t link.Transport, reg *Registry, m *arch.Machine, cfg Config) (Info, *vm.Process, core.Timing, error) {
 	info, engine, err := respondHandshake(t, reg, cfg)
 	if err != nil {
 		return info, nil, core.Timing{}, err
 	}
-	p, timing, err := receive(t, engine, m, cfg, &info)
+	shell, timing, err := receive(t, reg, engine, m, cfg, &info)
 	if err != nil {
 		cfg.Recorder.Record("session.fail", "receive/restore: %v", err)
 		return info, nil, core.Timing{}, err
 	}
 	cfg.observePhase("restore", timing.Restore)
 	cfg.Recorder.Record("session.restored", "%d bytes restored in %v", timing.Bytes, timing.Restore)
-	confirmStart := time.Now()
-	confirm := cfg.Trace.Child("confirm")
-	defer func() {
-		confirm.End()
-		cfg.observePhase("confirm", time.Since(confirmStart))
-	}()
+	defer cfg.phase("confirm")()
 	// When the initiator traces, ship our exported span tree back on the
 	// confirmation so it can stitch the two into one. The export
 	// necessarily precedes the send, so the confirm span appears in-flight
@@ -140,7 +157,15 @@ func Respond(t link.Transport, reg *Registry, m *arch.Machine, cfg Config) (Info
 		return info, nil, core.Timing{}, err
 	}
 	cfg.Recorder.Record("session.commit", "handoff committed; activating restored process")
-	return info, p, timing, nil
+	// The next warm session of the program restores into a fork of this
+	// shell, taken here, before the process is handed over and runs. One
+	// that cannot be taken leaves that session to restore from its store.
+	if info.Params.Warm {
+		if fork, err := shell.Fork(); err == nil {
+			reg.swap(engine, fork)
+		}
+	}
+	return info, shell.Process(), timing, nil
 }
 
 // respondHandshake reads the OFFER, resolves the program, intersects the
@@ -187,9 +212,9 @@ func respondHandshake(t link.Transport, reg *Registry, cfg Config) (Info, *core.
 // receive accepts the inbound state in the shape info.Params selects and
 // restores the process on machine m, filling in the shape's accounting on
 // a round exchange.
-func receive(t link.Transport, e *core.Engine, m *arch.Machine, cfg Config, info *Info) (*vm.Process, core.Timing, error) {
+func receive(t link.Transport, reg *Registry, e *core.Engine, m *arch.Machine, cfg Config, info *Info) (*vm.Restore, core.Timing, error) {
 	if info.Params.rounds() {
-		return receiveRounds(t, e, m, cfg, info)
+		return receiveRounds(t, reg, e, m, cfg, info)
 	}
 	return receiveCold(stream.NewReader(t, stream.Config{Recorder: cfg.Recorder}), e, m, cfg.Trace)
 }
@@ -203,7 +228,7 @@ func receive(t link.Transport, e *core.Engine, m *arch.Machine, cfg Config, info
 // The phases are children of span (nil disables tracing): "transport" is
 // the time spent waiting for chunks, "restore" the sum of the apply steps,
 // and Timing.Restore the latter. A failure returns no process.
-func receiveCold(r *stream.Reader, e *core.Engine, m *arch.Machine, span *obs.Span) (*vm.Process, core.Timing, error) {
+func receiveCold(r *stream.Reader, e *core.Engine, m *arch.Machine, span *obs.Span) (*vm.Restore, core.Timing, error) {
 	p, err := e.NewProcess(m)
 	if err != nil {
 		return nil, core.Timing{}, err
@@ -237,7 +262,7 @@ func receiveCold(r *stream.Reader, e *core.Engine, m *arch.Machine, span *obs.Sp
 	if err != nil {
 		return nil, core.Timing{}, err
 	}
-	return p, core.Timing{Restore: p.RestoreElapsed(), Bytes: in.Offset()}, nil
+	return shell, core.Timing{Restore: p.RestoreElapsed(), Bytes: in.Offset()}, nil
 }
 
 // Daemon is the persistent, concurrent migration daemon: an accept loop
@@ -313,13 +338,9 @@ type Daemon struct {
 	conns  map[*link.Conn]struct{}
 }
 
-// metrics resolves the registry the daemon publishes to.
-func (d *Daemon) metrics() *obs.Registry {
-	if d.Metrics != nil {
-		return d.Metrics
-	}
-	return obs.Default
-}
+// metrics resolves the registry the daemon publishes to, as a session's
+// Config does.
+func (d *Daemon) metrics() *obs.Registry { return Config{Metrics: d.Metrics}.metrics() }
 
 func (d *Daemon) logf(format string, args ...any) {
 	if d.Logf != nil {

@@ -139,8 +139,9 @@ func (s *LiveStats) TotalSent() int {
 }
 
 // record appends one completed round to the transfer's accounting and its
-// flight recording.
-func (s *LiveStats) record(rec *obs.FlightRecorder, verb string, r LiveRoundStats) {
+// flight recording: both sides describe a round by the same six figures.
+func (s *LiveStats) record(rec *obs.FlightRecorder, verb string, round, dirty, sections, sent, bytes int, final bool) {
+	r := LiveRoundStats{Round: round, DirtyBlocks: dirty, Sections: sections, SectionsSent: sent, Bytes: bytes, Final: final}
 	s.Rounds = append(s.Rounds, r)
 	s.WireBytes += r.Bytes
 	tag := ""
@@ -254,14 +255,7 @@ func sendRound(t link.Transport, r *round, final bool, rec *obs.FlightRecorder, 
 	if err := obs.Phase("transport", func() error { return t.Send(frame) }); err != nil {
 		return fmt.Errorf("session: bodies send: %w", err)
 	}
-	st.record(rec, "sent", LiveRoundStats{
-		Round:        len(st.Rounds),
-		DirtyBlocks:  r.dirty,
-		Sections:     len(r.secs),
-		SectionsSent: len(send),
-		Bytes:        len(announce) + len(frame),
-		Final:        final,
-	})
+	st.record(rec, "sent", len(st.Rounds), r.dirty, len(r.secs), len(send), len(announce)+len(frame), final)
 	return nil
 }
 
@@ -406,7 +400,7 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 // and apply the round into one process shell at once; on the final round
 // finish the restore. The accounting lands in info as it accrues, as
 // sendRounds' does in its Result.
-func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, cfg Config, info *Info) (*vm.Process, core.Timing, error) {
+func receiveRounds(t link.Transport, reg *Registry, e *core.Engine, mach *arch.Machine, cfg Config, info *Info) (*vm.Restore, core.Timing, error) {
 	prm, st := info.Params, new(LiveStats)
 	if prm.Live {
 		info.Live = st
@@ -416,8 +410,10 @@ func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, cfg Con
 	// shell holds under the key the source re-announces never crosses the
 	// wire twice, and whatever the latest ANNOUNCE no longer lists leaves it:
 	// the shell holds one state's worth however many rounds the initiator
-	// chooses to run.
-	p, err := e.NewProcess(mach)
+	// chooses to run. A session naming bodies by content starts from the
+	// fork of the program's last warm restore when the registry keeps one,
+	// so its first round too restores only what changed since.
+	p, err := reg.shell(e, mach, prm.Warm)
 	if err != nil {
 		return nil, core.Timing{}, err
 	}
@@ -451,10 +447,13 @@ func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, cfg Con
 			// Resolve every body we can locally — the shell first, then the
 			// checkpoint store, which re-verifies the content address on the
 			// way out. A blob the store cannot vouch for is asked for again.
+			// The shell resolves only what the store also holds at its
+			// announced length, so the manifest and ref this round writes
+			// name no missing blob.
 			secs, sums = make([]snapshot.Section, len(m.Entries)), make([]vm.Sum, len(m.Entries))
 			for i, en := range m.Entries {
 				secs[i], sums[i] = snapshot.Section{Kind: en.Kind, ID: en.ID}, en.Hash
-				if shell.Holds(en.Kind, en.Hash) {
+				if shell.Holds(en.Kind, en.Hash) && cfg.Store.HoldsBlob(en.Hash, int64(en.Length)) {
 					continue
 				}
 				if blob, err := cfg.Store.GetBlob(en.Hash); err == nil {
@@ -500,14 +499,7 @@ func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, cfg Con
 			secs[idx].Body = body
 		}
 		final := ann.flags&announceFinal != 0
-		st.record(cfg.Recorder, "received", LiveRoundStats{
-			Round:        int(ann.round),
-			DirtyBlocks:  int(ann.dirty),
-			Sections:     len(secs),
-			SectionsSent: len(want),
-			Bytes:        n + bn,
-			Final:        final,
-		})
+		st.record(cfg.Recorder, "received", int(ann.round), int(ann.dirty), len(secs), len(want), n+bn, final)
 		if err := shell.Apply(secs, sums); err != nil {
 			return nil, core.Timing{}, err
 		}
@@ -536,7 +528,7 @@ func receiveRounds(t link.Transport, e *core.Engine, mach *arch.Machine, cfg Con
 				return nil, core.Timing{}, err
 			}
 		}
-		return p, core.Timing{Restore: p.RestoreElapsed(), Bytes: st.WireBytes}, nil
+		return shell, core.Timing{Restore: p.RestoreElapsed(), Bytes: st.WireBytes}, nil
 	}
 }
 

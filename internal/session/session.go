@@ -42,7 +42,8 @@
 //     per round one ANNOUNCE listing every section of the paused state and
 //     one BODIES. When the responder holds a store the list names each body
 //     by content hash and a WANT between the two names the sections the
-//     responder cannot resolve from earlier rounds or its checkpoint store,
+//     responder cannot resolve from earlier rounds (or, into a daemon's
+//     registry, the program's last warm restore) or its checkpoint store,
 //     so a single final round skips every body the destination already
 //     holds (a warm migration, which needs a store on both ends). Without,
 //     the list names each body by position — the section of the previous
@@ -199,6 +200,16 @@ func (c Config) metrics() *obs.Registry {
 // latency histogram ("session.phase." + name).
 func (c Config) observePhase(name string, elapsed time.Duration) {
 	c.metrics().Histogram("session.phase." + name).Observe(elapsed)
+}
+
+// phase opens the session phase name as a child span; the func it returns
+// ends the span and observes the phase.
+func (c Config) phase(name string) func() {
+	start, span := time.Now(), c.Trace.Child(name)
+	return func() {
+		span.End()
+		c.observePhase(name, time.Since(start))
+	}
 }
 
 func (c Config) withDefaults() Config {

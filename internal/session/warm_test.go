@@ -28,13 +28,21 @@ func openTestStore(t testing.TB) *store.Store {
 // transferWith runs the full protocol over a pipe with distinct initiator
 // and responder configs — the store fields make the two sides genuinely
 // asymmetric, which Transfer's shared-config convenience cannot express.
+// The responder's registry is a new one, which holds no kept shell.
 func transferWith(t testing.TB, e *core.Engine, program string, p *vm.Process, dst *arch.Machine, srcCfg, dstCfg Config) (*Result, Info, *vm.Process) {
+	t.Helper()
+	reg := NewRegistry()
+	reg.Add(program, e)
+	return transferThrough(t, reg, e, program, p, dst, srcCfg, dstCfg)
+}
+
+// transferThrough is transferWith through the responder registry reg, as
+// a daemon serves one session after another.
+func transferThrough(t testing.TB, reg *Registry, e *core.Engine, program string, p *vm.Process, dst *arch.Machine, srcCfg, dstCfg Config) (*Result, Info, *vm.Process) {
 	t.Helper()
 	a, b := link.Pipe()
 	defer a.Close()
 	defer b.Close()
-	reg := NewRegistry()
-	reg.Add(program, e)
 	type rr struct {
 		info Info
 		q    *vm.Process

@@ -164,12 +164,12 @@ func (s *Store) Overwrite(h Hash, body []byte) error {
 // differs from the body's: a truncated or torn blob is replaced, not
 // deduplicated against.
 func (s *Store) putBlobLocked(h Hash, body []byte, force bool) (bool, error) {
-	path := s.blobPath(h)
-	if fi, err := os.Stat(path); err == nil && !force && fi.Size() == int64(len(body)) {
+	if !force && s.HoldsBlob(h, int64(len(body))) {
 		s.metrics.Counter("store.blob.dedup").Inc()
 		s.metrics.Counter("store.bytes.deduped").Add(int64(len(body)))
 		return false, nil
 	}
+	path := s.blobPath(h)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return false, fmt.Errorf("store: put blob: %w", err)
 	}
@@ -185,6 +185,13 @@ func (s *Store) putBlobLocked(h Hash, body []byte, force bool) (bool, error) {
 func (s *Store) HasBlob(h Hash) bool {
 	_, err := os.Stat(s.blobPath(h))
 	return err == nil
+}
+
+// HoldsBlob reports whether the store holds a file of n bytes under h: a
+// stat, not a read, so the body is verified only when it is served.
+func (s *Store) HoldsBlob(h Hash, n int64) bool {
+	fi, err := os.Stat(s.blobPath(h))
+	return err == nil && fi.Size() == n
 }
 
 // GetBlob reads the body stored under h, verifying the content hash: a

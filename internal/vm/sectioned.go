@@ -175,16 +175,15 @@ func (p *Process) liveRoots(sites []*minic.Site) collect.Roots {
 // RestoreSections restores a section list into a freshly created process
 // (one that has not started running) — the section-valued form of
 // RestoreInto, for a caller that holds verified bodies (a checkpoint
-// store's) and has no reason to frame them first.
+// store's) and has no reason to frame them first. The list is applied as a
+// round exchange's one and final list is.
 func (p *Process) RestoreSections(secs []snapshot.Section) error {
 	if len(p.frames) != 0 {
 		return errors.New("vm: RestoreSections on a process that already has frames")
 	}
 	r := p.NewRestore()
-	for _, sec := range secs {
-		if err := r.section(sec.Kind, sec.ID, xdr.NewDecoder(sec.Body)); err != nil {
-			return err
-		}
+	if err := r.Apply(secs, nil); err != nil {
+		return err
 	}
 	return r.Finish()
 }
@@ -195,13 +194,13 @@ type Sum = [32]byte
 
 // Restore is the one sectioned restore loop as a value: a process shell
 // that sections are applied into as they arrive, in snapshot order, which
-// every restore checks section by section. A cold or checkpoint
-// restore has exactly one list: Read (or RestoreSections) applies each of
-// its sections on arrival — the exec section pushes the frames at once, so
-// heap, frame and globals sections land in place as they come — and Finish
-// has nothing left to do. A round exchange applies every round's list into
-// the same shell with Apply and finishes after the final one, so the final
-// round restores only what it carries.
+// every restore checks section by section. A cold restore has exactly one
+// list: Read applies each of its sections on arrival — the exec section
+// pushes the frames at once, so heap, frame and globals sections land in
+// place as they come — and Finish has nothing left to do. A round exchange
+// applies every round's list into the same shell with Apply and finishes
+// after the final one, so the final round restores only what it carries; a
+// checkpoint restore is one such list (RestoreSections).
 //
 // Apply places the heap components at once, reconciled with the shell's:
 // a component the list names under a sum the shell holds stays as it is,
@@ -211,7 +210,8 @@ type Sum = [32]byte
 // holds more heap than the latest list. The exec, frame and globals
 // sections are checked and held; Finish rebuilds the frames from the
 // latest exec section and fills the variables. A failed step leaves a
-// shell to be discarded.
+// shell to be discarded; a finished one may be forked (Fork), so that the
+// next restore of the program starts from what this one holds.
 type Restore struct {
 	p     *Process
 	span  *obs.Span
@@ -237,6 +237,7 @@ type held struct {
 	// body is a variable section's, and a component's while its pointers
 	// into frames wait for Finish to fill them.
 	body []byte
+	sum  Sum // what the latest list named it by
 }
 
 // order is the snapshot order as a state machine that every restore runs
@@ -303,16 +304,46 @@ func (o *order) complete() error {
 }
 
 // NewRestore starts a restore into p, which must be freshly created (it
-// has not started running), recorded as a "restore" child of its span.
-// Every restore that can reach a process holding a checkpoint capture
-// starts here (RestoreInto and RestoreSections refuse one with frames, and
-// only a stopped process with frames is checkpointed), so it discards the
+// has not started running) or a Fork, recorded as a "restore" child of its
+// span. A Fork's restore starts from what the fork holds. Every restore
+// that can reach a process holding a checkpoint capture starts here
+// (RestoreInto and RestoreSections refuse one with frames, and only a
+// stopped process with frames is checkpointed), so it discards the
 // capture.
 func (p *Process) NewRestore() *Restore {
 	p.discardCheckpoint()
 	span := p.Obs.Child("restore")
 	span.SetAttr("format", "sectioned")
-	return &Restore{p: p, span: span, size: 8}
+	r := &Restore{p: p, span: span, size: 8, heap: p.forked.heap, bySum: p.forked.bySum}
+	p.forked = Restore{}
+	return r
+}
+
+// Process is the process the restore is into.
+func (r *Restore) Process() *Process { return r.p }
+
+// Fork hands what a finished restore holds over to a fresh process of the
+// same program and machine, for the next list to be applied into
+// (NewRestore takes it over), and is the restore's last use: a copy of the
+// heap, every component's blocks registered in it at the addresses they
+// hold here — the two tables share them, as a registered block never
+// changes — and the sections under the sums the latest list named them by,
+// less the components Finish filled pointers into frames of (the fork has
+// no frames). Nothing of this restore's session carries over: no span,
+// statistics or elapsed time.
+func (r *Restore) Fork() (*Process, error) {
+	q, err := NewProcess(r.p.Prog, r.p.Mach)
+	if err != nil {
+		return nil, err
+	}
+	q.Space.CopyHeap(r.p.Space)
+	for _, c := range r.heap {
+		if err := q.Table.Insert(c.blocks); err != nil {
+			return nil, err
+		}
+	}
+	q.forked = Restore{heap: r.heap, bySum: r.bySum}
+	return q, nil
 }
 
 // Holds reports whether the shell holds the body a list names under sum
@@ -338,7 +369,10 @@ func (r *Restore) Read(dec *xdr.Decoder) error {
 	for rd.Remaining() > 0 {
 		sec, body, err := rd.Open()
 		if err == nil {
-			if err = r.section(sec.Kind, sec.ID, body); err != nil {
+			if err = r.order.admit(sec.Kind, sec.ID); err == nil {
+				err = r.timed(func() error { return r.place(sec.Kind, sec.ID, body) })
+			}
+			if err != nil {
 				return err
 			}
 			err = rd.Close()
@@ -355,14 +389,6 @@ func (r *Restore) Read(dec *xdr.Decoder) error {
 		return err
 	}
 	return nil
-}
-
-// section admits one section of a restore's only list and places it.
-func (r *Restore) section(kind snapshot.Kind, id uint32, dec *xdr.Decoder) error {
-	if err := r.order.admit(kind, id); err != nil {
-		return err
-	}
-	return r.timed(func() error { return r.place(kind, id, dec) })
 }
 
 // place restores one admitted section, its body read from dec, once the
@@ -477,7 +503,7 @@ func (r *Restore) apply(secs []snapshot.Section, sums []Sum) error {
 	if sums != nil {
 		r.bySum = make(map[Sum]*held, len(list))
 		for i, h := range list {
-			r.bySum[sums[i]] = h
+			r.bySum[sums[i]], h.sum = h, sums[i]
 		}
 	}
 	return nil
@@ -544,7 +570,8 @@ func (r *Restore) applyHeap(c *held, sec snapshot.Section, early bool) error {
 	if err != nil {
 		return fmt.Errorf("vm: restoring %s section %d: %w", sec.Kind, sec.ID, err)
 	}
-	c.dir, c.blocks, c.body = collect.HeapDirectory(sec.Body), blocks, nil
+	// The directory is copied out, so a shell keeps no frame alive.
+	c.dir, c.blocks, c.body = slices.Clone(collect.HeapDirectory(sec.Body)), blocks, nil
 	if deferred {
 		c.body = sec.Body
 	}
@@ -576,6 +603,7 @@ func (r *Restore) finish() error {
 	}
 	for k, c := range r.heap {
 		if c.body != nil {
+			delete(r.bySum, c.sum) // a Fork has no frames to fill it against
 			if err := r.applyHeap(c, snapshot.Section{Kind: snapshot.KindHeap, ID: uint32(k), Body: c.body}, false); err != nil {
 				return err
 			}

@@ -261,11 +261,8 @@ func (p *Process) decodeExecState(dec *xdr.Decoder) ([]*minic.FuncSymbol, []*min
 	fns, sites := make([]*minic.FuncSymbol, nframes), make([]*minic.Site, nframes)
 	for i := range sites {
 		name, err := dec.String()
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: truncated execution state", collect.ErrCorruptStream)
-		}
-		siteID, err := dec.Uint32()
-		if err != nil {
+		siteID, err2 := dec.Uint32()
+		if err != nil || err2 != nil {
 			return nil, nil, fmt.Errorf("%w: truncated execution state", collect.ErrCorruptStream)
 		}
 		fns[i] = p.Prog.Func(name)

@@ -150,6 +150,9 @@ type Process struct {
 	// kept is the checkpoint capture every Checkpoint draws from; nil
 	// before the first and after a discard.
 	kept *LiveCapture
+	// forked is what Restore.Fork left in this process for its first
+	// NewRestore to start from; the zero value holds nothing.
+	forked Restore
 
 	captureStats   StateStats
 	restoreStats   collect.RestoreStats
