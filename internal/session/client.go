@@ -11,6 +11,7 @@ import (
 	"repro/internal/link"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
+	"repro/internal/store"
 	"repro/internal/stream"
 	"repro/internal/vm"
 )
@@ -37,6 +38,10 @@ type Result struct {
 	// Live is the per-round outcome of a live (pre-copy) transfer; nil
 	// when the migration ran a stop-and-copy path.
 	Live *LiveStats
+
+	// stored is a warm transfer's checkpoint, whose writes to the
+	// initiator's store run beside the exchange (store.BeginCheckpoint).
+	stored *store.Pending
 }
 
 // Initiate negotiates a migration session for the stopped process p over t
@@ -63,6 +68,10 @@ func Initiate(t link.Transport, e *core.Engine, src *arch.Machine, program strin
 	}
 	p.Obs = cfg.Trace
 	res := &Result{Params: prm, Trace: tc}
+	// No checkpoint write outlives the call, whatever its outcome. A
+	// failed one is reported by awaitRestored, or loses to the error that
+	// ended the transfer before it.
+	defer func() { _ = res.stored.Wait() }()
 	txStart := time.Now()
 	tx := cfg.Trace.Child("transport")
 	err = send(t, e, src, program, p, cfg, res)
@@ -189,8 +198,11 @@ func initiateHandshake(t link.Transport, e *core.Engine, src *arch.Machine, prog
 // source remains paused at its poll point and must roll back (Rollback).
 func awaitRestored(t link.Transport, cfg Config, res *Result) error {
 	defer cfg.phase("confirm")()
+	// A warm source's checkpoint must be in its store before the source
+	// may relinquish: a failed write sends no COMMIT, so the responder
+	// discards its copy and the source rolls back.
 	m, _, err := recvMessage(t, msgRestored, "restoration confirm")
-	if err != nil {
+	if err = errors.Join(err, res.stored.Wait()); err != nil {
 		cfg.Recorder.Record("session.fail", "confirm: %v", err)
 		return err
 	}
@@ -267,7 +279,8 @@ func Transfer(e *core.Engine, program string, p *vm.Process, dst *arch.Machine, 
 	a, b := link.Pipe()
 	defer a.Close()
 	defer b.Close()
-	reg := NewRegistry()
+	// The registry dies with the call, so its session keeps no fork.
+	reg := &Registry{byDigest: map[uint32]registered{}}
 	reg.Add(program, e)
 	type respondRes struct {
 		q   *vm.Process

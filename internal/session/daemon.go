@@ -31,6 +31,10 @@ import (
 type Registry struct {
 	mu       sync.RWMutex
 	byDigest map[uint32]registered
+	// keep is false for a registry that dies with the session it serves
+	// (Transfer's), which no later session restores out of: it keeps no
+	// fork.
+	keep bool
 }
 
 type registered struct {
@@ -41,7 +45,7 @@ type registered struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byDigest: map[uint32]registered{}}
+	return &Registry{byDigest: map[uint32]registered{}, keep: true}
 }
 
 // Add registers an engine under a diagnostic name. A later Add with the
@@ -160,9 +164,10 @@ func Respond(t link.Transport, reg *Registry, m *arch.Machine, cfg Config) (Info
 	// The next warm session of the program restores into a fork of this
 	// shell, taken here, before the process is handed over and runs. One
 	// that cannot be taken leaves that session to restore from its store.
-	if info.Params.Warm {
+	if info.Params.Warm && reg.keep {
 		if fork, err := shell.Fork(); err == nil {
 			reg.swap(engine, fork)
+			cfg.Recorder.Record("session.keep", "kept a fork of the restored shell for the next warm session")
 		}
 	}
 	return info, shell.Process(), timing, nil

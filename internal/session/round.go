@@ -30,8 +30,10 @@ package session
 //
 // A warm migration is one final round whose sections are the next
 // checkpoint of the capture the source process keeps between checkpoints
-// (vm.Process.Checkpoint), stored in the initiator's store on the way: it
-// re-encodes and re-hashes only what was written since the previous one.
+// (vm.Process.Checkpoint): it re-encodes and re-hashes only what was
+// written since the previous one. The initiator's store writes it while
+// the round is exchanged, and the initiator joins those writes before it
+// commits (store.BeginCheckpoint).
 // A live migration is the same exchange repeated while the source
 // executes, from a capture of its own:
 //
@@ -52,6 +54,7 @@ package session
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"time"
@@ -281,11 +284,11 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 	// Every round's list is a round of a delta capture: the live session's
 	// own, or the one the process keeps between checkpoints, whose round is
 	// also checkpointed under the program's ref (dedup'd against the
-	// store's history). What tells the shapes apart is how a list names its
-	// bodies: by content hash when the responder holds a store, else by
-	// position. Either way a carried-over body takes the hash or the CRC
-	// the previous list gave it, so a paused source hashes or checksums
-	// only what it re-encoded.
+	// store's history) while it is exchanged. What tells the shapes apart
+	// is how a list names its bodies: by content hash when the responder
+	// holds a store, else by position. Either way a carried-over body takes
+	// the hash or the CRC the previous list gave it, so a paused source
+	// hashes or checksums only what it re-encoded.
 	var lc *vm.LiveCapture
 	if prm.Live {
 		lc = p.NewLiveCapture(0)
@@ -312,7 +315,7 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 			r.pushed = push(r.secs, prevPushed, lr.From)
 			prevPushed = r.pushed
 		case lc == nil:
-			if r.manifest, _, _, err = cfg.Store.CheckpointSections(program, r.secs, lr.Sums, e.Digest(), src.Name); err != nil {
+			if r.manifest, res.stored, err = cfg.Store.BeginCheckpoint(program, r.secs, lr.Sums, e.Digest(), src.Name); err != nil {
 				return nil, err
 			}
 		default:
@@ -435,6 +438,7 @@ func receiveRounds(t link.Transport, reg *Registry, e *core.Engine, mach *arch.M
 		var secs []snapshot.Section
 		var sums []vm.Sum
 		var want []uint32
+		var wanted []store.Hash
 		if !prm.Warm {
 			if secs, sums, want, err = positions(ann.pushed, prev, held, len(st.Rounds)); err != nil {
 				return nil, core.Timing{}, err
@@ -492,15 +496,16 @@ func receiveRounds(t link.Transport, reg *Registry, e *core.Engine, mach *arch.M
 					return nil, core.Timing{}, fmt.Errorf("%w: section %d body does not match its announced length and hash",
 						store.ErrCorrupt, idx)
 				}
-				if err := cfg.Store.Overwrite(en.Hash, body); err != nil {
-					return nil, core.Timing{}, err
-				}
+				wanted = append(wanted, en.Hash)
 			}
 			secs[idx].Body = body
 		}
 		final := ann.flags&announceFinal != 0
 		st.record(cfg.Recorder, "received", int(ann.round), int(ann.dirty), len(secs), len(want), n+bn, final)
-		if err := shell.Apply(secs, sums); err != nil {
+		// The verified bodies enter the store while the round is applied,
+		// and are in it before anything names them.
+		stored := cfg.Store.BeginOverwrite(wanted, got.bodies)
+		if err := errors.Join(shell.Apply(secs, sums), stored.Wait()); err != nil {
 			return nil, core.Timing{}, err
 		}
 		prev, held = ann.pushed, sums
@@ -509,22 +514,13 @@ func receiveRounds(t link.Transport, reg *Registry, e *core.Engine, mach *arch.M
 		}
 
 		info.Warm = st.finish(m, ann.pushed, prm.Warm && !prm.Live)
-		// Blobs and the manifest are content and may enter the store at
-		// once; the program's ref names the checkpoint this node last
-		// restored, so it advances only after the restore succeeded. The
-		// sender's manifest is kept verbatim: both stores then name the same
-		// checkpoint hash.
-		var h store.Hash
-		if prm.Warm {
-			if h, err = cfg.Store.PutManifest(m); err != nil {
-				return nil, core.Timing{}, err
-			}
-		}
 		if err := shell.Finish(); err != nil {
 			return nil, core.Timing{}, err
 		}
+		// The program's ref names the checkpoint this node last restored,
+		// so it advances only after the restore succeeded.
 		if prm.Warm {
-			if err := cfg.Store.SetRef(info.Program, h); err != nil {
+			if err := cfg.Store.Adopt(info.Program, m); err != nil {
 				return nil, core.Timing{}, err
 			}
 		}

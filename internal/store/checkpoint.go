@@ -65,25 +65,70 @@ func Entries(secs []snapshot.Section, sums [][HashSize]byte) []Entry {
 // advances to it, all under one lock. The bodies are only read.
 func (s *Store) CheckpointSections(ref string, secs []snapshot.Section, sums [][HashSize]byte, programDigest uint32, machine string) (*Manifest, Hash, CheckpointStats, error) {
 	start := time.Now()
-	m := &Manifest{ProgramDigest: programDigest, Machine: machine, Seq: 1, Entries: Entries(secs, sums)}
-	st := CheckpointStats{Sections: len(secs), SnapshotBytes: int64(m.SnapshotBytes())}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	m, err := s.nameCheckpointLocked(ref, secs, sums, programDigest, machine)
+	if err != nil {
+		return nil, Hash{}, CheckpointStats{}, err
+	}
+	h, st, err := s.writeCheckpointLocked(ref, m, secs, start)
+	if err != nil {
+		return nil, Hash{}, CheckpointStats{}, err
+	}
+	return m, h, st, nil
+}
+
+// BeginCheckpoint is CheckpointSections returning as soon as the manifest
+// is named — its parent and seq read from the ref under the store lock —
+// so that its caller can announce it while the bodies, the manifest and
+// the ref are written, in that order, beside it. The lock is held from the
+// naming until the ref lands or a write fails, so a sweep never collects
+// the bodies of the checkpoint in flight, a second checkpoint of the ref
+// chains onto this one, and no ref names a missing blob. Pending.Wait
+// joins the writes; until it returns the bodies must stay as they are,
+// and any other mutation of the store waits. A failed write leaves the
+// ref where it was.
+func (s *Store) BeginCheckpoint(ref string, secs []snapshot.Section, sums [][HashSize]byte, programDigest uint32, machine string) (*Manifest, *Pending, error) {
+	start := time.Now()
+	s.mu.Lock()
+	m, err := s.nameCheckpointLocked(ref, secs, sums, programDigest, machine)
+	if err != nil {
+		s.mu.Unlock()
+		return nil, nil, err
+	}
+	return m, background(func() error {
+		defer s.mu.Unlock()
+		_, _, err := s.writeCheckpointLocked(ref, m, secs, start)
+		return err
+	}), nil
+}
+
+// nameCheckpointLocked lists secs as the manifest of the ref's next
+// checkpoint: one past the ref's head, which becomes its parent.
+func (s *Store) nameCheckpointLocked(ref string, secs []snapshot.Section, sums [][HashSize]byte, programDigest uint32, machine string) (*Manifest, error) {
+	m := &Manifest{ProgramDigest: programDigest, Machine: machine, Seq: 1, Entries: Entries(secs, sums)}
 	var err error
 	if m.Parent, _, err = s.Ref(ref); err != nil {
-		return nil, Hash{}, CheckpointStats{}, err
+		return nil, err
 	}
 	if !m.Parent.IsZero() {
 		pm, err := s.GetManifest(m.Parent)
 		if err != nil {
-			return nil, Hash{}, CheckpointStats{}, fmt.Errorf("store: checkpoint parent: %w", err)
+			return nil, fmt.Errorf("store: checkpoint parent: %w", err)
 		}
 		m.Seq = pm.Seq + 1
 	}
+	return m, nil
+}
+
+// writeCheckpointLocked stores the bodies of secs, then their manifest m,
+// then points ref at it, and accounts the checkpoint begun at start.
+func (s *Store) writeCheckpointLocked(ref string, m *Manifest, secs []snapshot.Section, start time.Time) (Hash, CheckpointStats, error) {
+	st := CheckpointStats{Sections: len(secs), SnapshotBytes: int64(m.SnapshotBytes())}
 	for i, e := range m.Entries {
 		fresh, err := s.putBlobLocked(e.Hash, secs[i].Body, false)
 		if err != nil {
-			return nil, Hash{}, CheckpointStats{}, err
+			return Hash{}, CheckpointStats{}, err
 		}
 		if fresh {
 			st.NewBlobs++
@@ -95,15 +140,44 @@ func (s *Store) CheckpointSections(ref string, secs []snapshot.Section, sums [][
 	}
 	h, err := s.putManifestLocked(m)
 	if err != nil {
-		return nil, Hash{}, CheckpointStats{}, err
+		return Hash{}, CheckpointStats{}, err
 	}
 	if err := s.setRefLocked(ref, h); err != nil {
-		return nil, Hash{}, CheckpointStats{}, err
+		return Hash{}, CheckpointStats{}, err
 	}
 	st.Elapsed = time.Since(start)
 	s.metrics.Counter("store.checkpoints").Inc()
 	s.metrics.Histogram("store.checkpoint.latency").Observe(st.Elapsed)
-	return m, h, st, nil
+	return h, st, nil
+}
+
+// Pending is a batch of store writes running beside its caller: a
+// checkpoint whose manifest is already named (BeginCheckpoint), or the
+// bodies a responder asked for (BeginOverwrite).
+type Pending struct {
+	done chan struct{}
+	err  error
+}
+
+// background runs write on a goroutine of its own; Wait joins it.
+func background(write func() error) *Pending {
+	p := &Pending{done: make(chan struct{})}
+	go func() {
+		defer close(p.done)
+		p.err = write()
+	}()
+	return p
+}
+
+// Wait blocks until every write of p has landed or one has failed, and
+// returns the failure. It may be called more than once; a nil Pending has
+// nothing in flight.
+func (p *Pending) Wait() error {
+	if p == nil {
+		return nil
+	}
+	<-p.done
+	return p.err
 }
 
 // CheckpointRef is CheckpointSections of a framed sectioned snapshot,

@@ -23,9 +23,11 @@ type Store struct {
 	metrics *obs.Registry
 
 	// mu serializes mutations against each other and — critically —
-	// against GC: a checkpoint in flight holds the lock from its first
-	// blob write through the ref update, so the sweep can never collect
+	// against GC: a checkpoint in flight holds the lock from reading its
+	// parent through the ref update, so the sweep can never collect
 	// bodies of a checkpoint that has not yet anchored itself to a ref.
+	// Under BeginCheckpoint that span ends on the goroutine doing the
+	// writes, which unlocks what the caller locked.
 	mu sync.Mutex
 }
 
@@ -149,14 +151,34 @@ func (s *Store) PutVerified(h Hash, body []byte) (bool, error) {
 }
 
 // Overwrite is PutVerified without the dedup: body is written whatever
-// stands under h. A responder stores every body it asked for this way: it
-// asked because its store could not serve the body, absent or failing
-// verification, so a file under h is one GetBlob refused.
+// stands under h. A responder stores every body it asked for this way, in
+// one batch (BeginOverwrite): it asked because its store could not serve
+// the body, absent or failing verification, so a file under h is one
+// GetBlob refused.
 func (s *Store) Overwrite(h Hash, body []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, err := s.putBlobLocked(h, body, true)
-	return err
+	return s.BeginOverwrite([]Hash{h}, [][]byte{body}).Wait()
+}
+
+// BeginOverwrite is Overwrite of each body under the address at the same
+// index of hs, run beside the caller: a responder writes the bodies it
+// asked for while it applies them, and Pending.Wait joins the writes,
+// which stop at the first failure. The bodies must stay as they are until
+// then. An empty batch starts nothing and returns a nil Pending, touching
+// no store, so a nil s may be given one.
+func (s *Store) BeginOverwrite(hs []Hash, bodies [][]byte) *Pending {
+	if len(hs) == 0 {
+		return nil
+	}
+	return background(func() error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for i, h := range hs {
+			if _, err := s.putBlobLocked(h, bodies[i], true); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // putBlobLocked stores body under h, which the caller computed from it. A
@@ -208,13 +230,6 @@ func (s *Store) GetBlob(h Hash) ([]byte, error) {
 		return nil, fmt.Errorf("%w: blob %s content hashes to %s", ErrCorrupt, h.Short(), HashBytes(body).Short())
 	}
 	return body, nil
-}
-
-// PutManifest stores a manifest under its content address.
-func (s *Store) PutManifest(m *Manifest) (Hash, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.putManifestLocked(m)
 }
 
 func (s *Store) putManifestLocked(m *Manifest) (Hash, error) {
@@ -271,6 +286,20 @@ func (s *Store) Manifests() ([]Hash, error) {
 		out = append(out, h)
 	}
 	return out, nil
+}
+
+// Adopt stores m, a checkpoint another store named, and points the named
+// chain at it, under one lock — a responder's last step of a warm
+// restore, once the bodies m lists are stored. m is kept verbatim, so
+// both stores name the checkpoint by the same hash.
+func (s *Store) Adopt(ref string, m *Manifest) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h, err := s.putManifestLocked(m)
+	if err != nil {
+		return err
+	}
+	return s.setRefLocked(ref, h)
 }
 
 // SetRef points the named checkpoint chain at manifest h.

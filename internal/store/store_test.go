@@ -2,9 +2,12 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 
 	"repro/internal/obs"
@@ -326,5 +329,158 @@ func TestStoreMetrics(t *testing.T) {
 	}
 	if reg.Histogram("store.checkpoint.latency").Count() != 2 {
 		t.Error("checkpoint latency not observed")
+	}
+}
+
+// TestConcurrentCheckpointsChainLinearly checkpoints one ref from several
+// goroutines at once, half with BeginCheckpoint and half with
+// CheckpointSections: the lock a checkpoint holds from reading its parent
+// until its ref lands makes them one chain, each parent the previous one,
+// seq strictly increasing, and none lost.
+func TestConcurrentCheckpointsChainLinearly(t *testing.T) {
+	s := openTest(t)
+	const n = 8
+	var wg sync.WaitGroup
+	hashes := make([]Hash, n)
+	errc := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			secs := testSections([]byte(fmt.Sprintf("gen-%d", i)), []byte("shared"))
+			var err error
+			if i%2 == 0 {
+				var m *Manifest
+				var p *Pending
+				if m, p, err = s.BeginCheckpoint("job", secs, nil, 1, "m"); err == nil {
+					err, hashes[i] = p.Wait(), m.Hash()
+				}
+			} else {
+				_, hashes[i], _, err = s.CheckpointSections("job", secs, nil, 1, "m")
+			}
+			if err != nil {
+				errc <- fmt.Errorf("checkpoint %d: %w", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	head, _, err := s.Ref("job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := s.Chain(head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chain) != n {
+		t.Fatalf("the ref's chain holds %d checkpoints, want all %d", len(chain), n)
+	}
+	inChain := map[Hash]bool{}
+	for i, m := range chain {
+		inChain[m.Hash()] = true
+		if m.Seq != uint64(n-i) {
+			t.Errorf("chain position %d has seq %d, want %d", i, m.Seq, n-i)
+		}
+	}
+	for i, h := range hashes {
+		if !inChain[h] {
+			t.Errorf("checkpoint %d (%s) is not on the ref's chain", i, h.Short())
+		}
+	}
+}
+
+// TestGCWaitsForBeginCheckpoint sweeps again and again while a checkpoint
+// begun with BeginCheckpoint is still writing its bodies: every sweep waits
+// for its ref to land, so none collects a body of the checkpoint in
+// flight, and the head it leaves always materializes.
+func TestGCWaitsForBeginCheckpoint(t *testing.T) {
+	s := openTest(t)
+	for r := 0; r < 4; r++ {
+		heaps := make([][]byte, 32)
+		for i := range heaps {
+			heaps[i] = []byte(fmt.Sprintf("gen-%d-heap-%d", r, i))
+		}
+		m, p, err := s.BeginCheckpoint("job", testSections(heaps...), nil, 1, "m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop, swept := make(chan struct{}), make(chan error, 1)
+		go func() {
+			for {
+				if _, err := s.GC(GCPolicy{KeepPerRef: 1}); err != nil {
+					swept <- err
+					return
+				}
+				select {
+				case <-stop:
+					swept <- nil
+					return
+				default:
+				}
+			}
+		}()
+		err = p.Wait()
+		close(stop)
+		if serr := <-swept; err != nil || serr != nil {
+			t.Fatalf("round %d: checkpoint %v, sweep %v", r, err, serr)
+		}
+		head, _, err := s.Ref("job")
+		if err != nil || head != m.Hash() {
+			t.Fatalf("round %d: head %s (err %v), want %s", r, head.Short(), err, m.Hash().Short())
+		}
+		if _, err := s.Materialize(head); err != nil {
+			t.Fatalf("round %d: head does not materialize after sweeps during its writes: %v", r, err)
+		}
+	}
+}
+
+// TestBeginCheckpointFailures: a checkpoint that cannot be named (its
+// parent is gone) returns the error at once, and one whose body write
+// fails returns it from Wait with the ref where it was; either way the
+// store lock is released, so the next checkpoint goes through.
+func TestBeginCheckpointFailures(t *testing.T) {
+	s := openTest(t)
+	_, h1, _, err := s.CheckpointRef("job", testSnapshot([]byte("gen-0")), 1, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetRef("dangling", Hash{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.BeginCheckpoint("dangling", testSections([]byte("x")), nil, 1, "m"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("BeginCheckpoint onto a missing parent: %v, want ErrNotFound", err)
+	}
+
+	secs := testSections([]byte("gen-1"))
+	shard := filepath.Dir(s.blobPath(HashBytes(secs[1].Body)))
+	if err := os.WriteFile(shard, nil, 0o644); err != nil { // no blob of gen-0 is in it
+		t.Fatal(err)
+	}
+	_, p, err := s.BeginCheckpoint("job", secs, nil, 1, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Wait(); !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("Wait over a blocked shard: %v, want ENOTDIR", err)
+	}
+	if head, _, err := s.Ref("job"); err != nil || head != h1 {
+		t.Errorf("ref after a failed write: %s (err %v), want %s", head.Short(), err, h1.Short())
+	}
+	if err := os.Remove(shard); err != nil {
+		t.Fatal(err)
+	}
+	m, p, err := s.BeginCheckpoint("job", secs, nil, 1, "m")
+	if err == nil {
+		err = p.Wait()
+	}
+	if err != nil {
+		t.Fatalf("checkpoint after the failure: %v", err)
+	}
+	if m.Parent != h1 {
+		t.Errorf("checkpoint after the failure chains onto %s, want %s", m.Parent.Short(), h1.Short())
 	}
 }
