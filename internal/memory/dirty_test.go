@@ -1,7 +1,9 @@
 package memory
 
 import (
+	"cmp"
 	"errors"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -301,4 +303,202 @@ func TestDirtyRangesSince(t *testing.T) {
 	if got := s.DirtyRangesSince(1); !slices.Equal(got, append(want, later)) || s.DirtySince(1) != 4 {
 		t.Fatalf("ranges since generation 1 %x (%d blocks), want %x", got, s.DirtySince(1), append(want, later))
 	}
+}
+
+// BenchmarkWriteBarrierOnSpread measures WriteBytes with tracking on over
+// a 4 MB heap, every store landing in another of its first 16 383 blocks, and a
+// new generation every 16 384 stores: the wide working set of a live
+// source between pre-copy rounds, which BenchmarkWriteBarrierOn's 32 blocks
+// never reach.
+func BenchmarkWriteBarrierOnSpread(b *testing.B) {
+	const size = 4 << 20
+	s := NewSpace(arch.Ultra5)
+	a, err := s.Malloc(size)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.StartDirtyTracking()
+	if err := s.Zero(a, size); err != nil {
+		b.Fatal(err)
+	}
+	const blocks = size / DirtyBlockSize
+	p := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%blocks == 0 {
+			s.AdvanceGeneration()
+		}
+		blk := Address(i*7919) % (blocks - 1) // 7919 is prime: every block in turn
+		if err := s.WriteBytes(a+blk*DirtyBlockSize+96, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// dirtyModel is the reference the dirty log is held to: one map entry per
+// block ever written while tracking was on, stamped and range-unioned as
+// the log's documentation says.
+type dirtyModel struct {
+	on     bool
+	gen    uint64
+	blocks map[Address]dirtyModelEntry
+}
+
+type dirtyModelEntry struct {
+	gen    uint64
+	lo, hi Address
+}
+
+func (m *dirtyModel) start() {
+	*m = dirtyModel{on: true, gen: 1, blocks: map[Address]dirtyModelEntry{}}
+}
+
+func (m *dirtyModel) write(addr Address, n int) {
+	if !m.on || n <= 0 {
+		return
+	}
+	end := addr + Address(n)
+	for b := addr >> DirtyBlockShift; b<<DirtyBlockShift < end; b++ {
+		base := b << DirtyBlockShift
+		lo, hi := max(addr, base)-base, min(end, base+DirtyBlockSize)-base
+		if e, ok := m.blocks[b]; ok && e.gen == m.gen {
+			lo, hi = min(lo, e.lo), max(hi, e.hi)
+		}
+		m.blocks[b] = dirtyModelEntry{m.gen, lo, hi}
+	}
+}
+
+func (m *dirtyModel) rangesSince(gen uint64) []DirtyRange {
+	var out []DirtyRange
+	for b, e := range m.blocks {
+		if e.gen >= gen {
+			out = append(out, DirtyRange{b<<DirtyBlockShift + e.lo, b<<DirtyBlockShift + e.hi})
+		}
+	}
+	slices.SortFunc(out, func(a, b DirtyRange) int { return cmp.Compare(a.Lo, b.Lo) })
+	return out
+}
+
+// checkDirtyLog holds DirtySince and DirtyRangesSince to the model at the
+// watermarks a pre-copy driver and an older checkpoint would ask with.
+func checkDirtyLog(t testing.TB, s *Space, m *dirtyModel) {
+	t.Helper()
+	if s.DirtyTracking() != m.on || m.on && s.Generation() != m.gen {
+		t.Fatalf("tracking %v at generation %d, model %v at %d", s.DirtyTracking(), s.Generation(), m.on, m.gen)
+	}
+	for _, g := range []uint64{0, 1, m.gen / 2, m.gen - 1, m.gen, m.gen + 1} {
+		want := m.rangesSince(g)
+		got := s.DirtyRangesSince(g)
+		if len(got) != len(want) || len(want) > 0 && !slices.Equal(got, want) {
+			t.Fatalf("generation %d of %d: ranges\n%x\nwant\n%x", g, m.gen, got, want)
+		}
+		if n := s.DirtySince(g); n != len(want) {
+			t.Fatalf("generation %d of %d: DirtySince %d, want %d", g, m.gen, n, len(want))
+		}
+	}
+}
+
+// runDirtyLog drives a space and the model through the operations ops
+// encodes, four bytes each, and checks them against each other after
+// every generation, every Stop/Start, every fork and at the end. Writes
+// land in all three segments at offsets of up to 1.4 MB from the segment's
+// first address, the stack's counted downward from its top, so the logs
+// grow in both directions and re-base; lengths of up to 766 bytes straddle
+// block boundaries and span up to four blocks. A fork moves on to a fresh
+// space holding a CopyHeap of the heap, as a kept restore shell is forked,
+// and stores its last byte: the copy is backed only to there, seldom the
+// end of a block.
+func runDirtyLog(t testing.TB, ops []byte) {
+	s := NewSpace(arch.Ultra5)
+	var m dirtyModel
+	s.StartDirtyTracking()
+	m.start()
+	for ; len(ops) >= 4; ops = ops[4:] {
+		op, off, n := ops[0], Address(ops[1])<<8|Address(ops[2]), 1+3*int(ops[3])
+		switch op % 8 {
+		case 7:
+			fork := NewSpace(arch.Ultra5)
+			fork.CopyHeap(s)
+			s = fork
+			s.StartDirtyTracking()
+			m.start()
+			if last := s.heap.hi - 1; s.heap.hi > s.heap.org {
+				if err := s.WriteBytes(last, []byte{1}); err != nil {
+					t.Fatal(err)
+				}
+				m.write(last, 1)
+			}
+			checkDirtyLog(t, s, &m)
+		case 5:
+			if s.AdvanceGeneration(); m.on {
+				m.gen++
+			}
+			checkDirtyLog(t, s, &m)
+		case 6:
+			if m.on {
+				s.StopDirtyTracking()
+				m = dirtyModel{}
+			} else {
+				s.StartDirtyTracking()
+				m.start()
+			}
+			checkDirtyLog(t, s, &m)
+		default:
+			off *= 7
+			if op&0x80 != 0 {
+				off *= 3 // far: up to 1.4 MB, past several growth steps
+			}
+			var addr Address
+			switch op / 8 % 3 {
+			case 0:
+				addr = GlobalBase + off
+			case 1:
+				addr = HeapBase + off
+			default:
+				addr = StackBase - off - Address(n)
+			}
+			var err error
+			if op&0x40 != 0 {
+				err = s.Zero(addr, n)
+			} else {
+				err = s.WriteBytes(addr, make([]byte, n))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.write(addr, n)
+		}
+	}
+	checkDirtyLog(t, s, &m)
+}
+
+// TestDirtyLogMatchesModel holds the dirty log to the map-based model on
+// seeded operation sequences.
+func TestDirtyLogMatchesModel(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]byte, 4*400)
+		rng.Read(ops)
+		for i := 0; i < len(ops); i += 4 {
+			if rng.Intn(3) > 0 { // mostly writes near the segment edges
+				ops[i+1] = 0
+			}
+		}
+		runDirtyLog(t, ops)
+	}
+}
+
+// FuzzDirtyLog holds the dirty log to the map-based model on any operation
+// sequence.
+func FuzzDirtyLog(f *testing.F) {
+	f.Add([]byte{8, 0, 250, 5, 5, 0, 0, 0, 16, 0, 1, 255, 6, 0, 0, 0, 6, 0, 0, 0, 0x90, 3, 0, 9})
+	f.Add([]byte{0, 0, 37, 200, 0x48, 1, 2, 3, 5, 0, 0, 0, 0x88, 255, 255, 255, 5, 0, 0, 0, 16, 9, 9, 9})
+	f.Add([]byte{8, 0, 37, 200, 7, 0, 0, 0, 8, 0, 1, 9, 5, 0, 0, 0, 7, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 4*512 {
+			ops = ops[:4*512]
+		}
+		runDirtyLog(t, ops)
+	})
 }

@@ -162,10 +162,14 @@ func Respond(t link.Transport, reg *Registry, m *arch.Machine, cfg Config) (Info
 	}
 	cfg.Recorder.Record("session.commit", "handoff committed; activating restored process")
 	// The next warm session of the program restores into a fork of this
-	// shell, taken here, before the process is handed over and runs. One
-	// that cannot be taken leaves that session to restore from its store.
+	// shell, taken here, before the process is handed over and runs, and
+	// timed as a "fork" child of the confirm span. One that cannot be
+	// taken leaves that session to restore from its store.
 	if info.Params.Warm && reg.keep {
-		if fork, err := shell.Fork(); err == nil {
+		span := cfg.Trace.Find("confirm").Child("fork")
+		fork, err := shell.Fork()
+		span.End()
+		if err == nil {
 			reg.swap(engine, fork)
 			cfg.Recorder.Record("session.keep", "kept a fork of the restored shell for the next warm session")
 		}

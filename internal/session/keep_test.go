@@ -95,6 +95,37 @@ func TestWarmResponderKeepsShell(t *testing.T) {
 	}
 }
 
+// TestWarmForkSpan: the fork a warm responder keeps is timed as a "fork"
+// child of its confirm span, so the responder's tree accounts for it. A
+// warm Transfer, whose registry keeps no fork, traces none.
+func TestWarmForkSpan(t *testing.T) {
+	e := newMutatingEngine(t, 1<<30)
+	p := stoppedLive(t, e, arch.DEC5000)
+	reg := NewRegistry()
+	reg.Add("shards", e)
+	dst := tracedDst(openTestStore(t))
+	transferThrough(t, reg, e, "shards", p, arch.SPARC20, Config{Store: openTestStore(t)}, dst)
+	var fork *obs.Span
+	for _, c := range dst.Trace.Find("confirm").Children() {
+		if c.Name() == "fork" {
+			fork = c
+		}
+	}
+	if fork == nil || fork.Elapsed() <= 0 {
+		t.Fatalf("no timed fork span under the responder's confirm span:\n%s", dst.Trace.Tree())
+	}
+	if !keptFork(reg, e) {
+		t.Error("the traced session kept no fork")
+	}
+	cfg := Config{Store: openTestStore(t), Trace: obs.NewTracer().Start("session")}
+	if _, _, _, err := Transfer(e, "shards", p, arch.SPARC20, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Trace.Find("confirm") == nil || cfg.Trace.Find("fork") != nil {
+		t.Errorf("a warm Transfer's trace should hold a confirm span and no fork span:\n%s", cfg.Trace.Tree())
+	}
+}
+
 // cutTransport fails every send of a BODIES frame, closing the transport
 // under it, as a link cut mid-round does.
 type cutTransport struct{ link.Transport }

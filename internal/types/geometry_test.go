@@ -2,6 +2,9 @@ package types
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -137,4 +140,63 @@ func FuzzPlanGeometry(f *testing.F) {
 			checkGeometry(t, ArrayOf(ty, 2), m)
 		}
 	})
+}
+
+// geometryAnswers is everything a type's geometry answers on one machine,
+// in an order a goroutine can compare as a whole.
+func geometryAnswers(ty *Type, m *arch.Machine) []int {
+	p := ty.Plan(m)
+	out := []int{ty.SizeOf(m), ty.AlignOf(m), ty.ScalarCount(), p.ElemSize, p.NumScalars, p.WireMin, len(p.Ops)}
+	if s := ty.Elem; ty.Kind == KArray && s.Kind == KStruct {
+		for i := range s.Fields {
+			out = append(out, s.OffsetOf(m, i))
+		}
+	}
+	return out
+}
+
+// TestGeometryConcurrentReads queries fresh struct and array types from
+// eight goroutines at once, on two machines whose layouts differ, while
+// their geometry, scalar counts and plans are first computed and
+// published. Every answer must equal the one a serial twin of the same
+// shape gives, and every goroutine must be handed the one cached plan.
+// Run under -race.
+func TestGeometryConcurrentReads(t *testing.T) {
+	machines := []*arch.Machine{arch.I386, arch.AMD64}
+	rng := rand.New(rand.NewSource(1))
+	tag := 0
+	for round := 0; round < 40; round++ {
+		data := make([]byte, 24)
+		rng.Read(data)
+		twin, _ := shapeFromBytes(data, 0, &tag)
+		shape, _ := shapeFromBytes(data, 0, &tag)
+		serial, fresh := ArrayOf(twin, 3), ArrayOf(shape, 3)
+		var want [][]int
+		for _, m := range machines {
+			want = append(want, geometryAnswers(serial, m))
+		}
+		plans := make([][]*Plan, 8)
+		var wg sync.WaitGroup
+		for g := range plans {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range machines {
+					i = (i + g) % len(machines) // half start on each machine
+					if got := geometryAnswers(fresh, machines[i]); !slices.Equal(got, want[i]) {
+						t.Errorf("round %d, %s on %s: %v, serially %v", round, fresh.Definition(), machines[i].Name, got, want[i])
+					}
+					plans[g] = append(plans[g], fresh.Plan(machines[i]))
+				}
+			}()
+		}
+		wg.Wait()
+		for g := range plans {
+			for _, p := range plans[g] {
+				if p != fresh.Plan(p.Mach) {
+					t.Fatalf("round %d: goroutine %d was handed a plan on %s that is not the cached one", round, g, p.Mach.Name)
+				}
+			}
+		}
+	}
 }

@@ -105,7 +105,7 @@ type Plan struct {
 	Ops  []PlanOp
 
 	// ElemSize is Type.SizeOf(Mach), carried here so per-block loops do
-	// not go back through the layout cache and its lock.
+	// not go back through the layout cache.
 	ElemSize int
 
 	// NumScalars is the total scalar count covered (machine-independent).
@@ -322,19 +322,15 @@ func (t *Type) Plan(m *arch.Machine) *Plan {
 			}
 		}
 	}
-	p := NewPlan(t, m) // takes lazyMu itself, so compiled before it is held
+	p := NewPlan(t, m) // may take lazyMu itself, so compiled before it is held
 	lazyMu.Lock()
 	defer lazyMu.Unlock()
-	var have []*Plan
 	if ps := t.plans.Load(); ps != nil {
-		have = *ps
-		for _, q := range have {
+		for _, q := range *ps {
 			if q.Mach == m {
 				return q // another goroutine published first
 			}
 		}
 	}
-	grown := append(have[:len(have):len(have)], p)
-	t.plans.Store(&grown)
-	return p
+	return *publish(&t.plans, p)
 }

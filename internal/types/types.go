@@ -76,18 +76,21 @@ type Type struct {
 	Params []*Type
 
 	// scalarCount caches the flattened scalar element count (-1 until
-	// computed). It is machine-independent.
-	scalarCount int
+	// computed). It is machine-independent. counting marks it in progress,
+	// under lazyMu only.
+	scalarCount atomic.Int64
+	counting    bool
 
-	layouts map[*arch.Machine]layout
-
-	// plans are the compiled plans of this type, one per machine asked
-	// about; the slice is replaced under lazyMu, never modified (Type.Plan).
-	plans atomic.Pointer[[]*Plan]
+	// layouts and plans are this type's geometry and compiled plans, one
+	// per machine asked about. Each slice is replaced under lazyMu, never
+	// modified, so a read is one atomic load and no lock.
+	layouts atomic.Pointer[[]layout]
+	plans   atomic.Pointer[[]*Plan]
 }
 
-// layout caches the machine-dependent geometry of a type.
+// layout is the machine-dependent geometry of a type on mach.
 type layout struct {
+	mach    *arch.Machine
 	size    int
 	align   int
 	offsets []int // field byte offsets for structs
@@ -109,7 +112,9 @@ type arrKey struct {
 }
 
 func newType() *Type {
-	return &Type{scalarCount: -1, layouts: map[*arch.Machine]layout{}}
+	t := &Type{}
+	t.scalarCount.Store(-1)
+	return t
 }
 
 // Prim returns the canonical type for a primitive kind.
@@ -298,23 +303,41 @@ func (t *Type) FieldIndex(name string) int {
 	return -1
 }
 
-// lazyMu guards the per-Type lazy caches (scalarCount, layouts). Types
-// are interned and shared by every process compiled from a program, and
-// processes may run on concurrent goroutines (sched clusters, streamed
-// migrations), so the memoization must be synchronized. The lock is held
-// across the whole recursive computation so the in-progress recursion
-// marker is never observable from another goroutine.
+// lazyMu serializes the computation of the per-Type lazy caches
+// (scalarCount, layouts, plans). Types are interned and shared by every
+// process compiled from a program, and processes may run on concurrent
+// goroutines (sched clusters, streamed migrations), so the memoization
+// must be synchronized. A computed value is published once, whole, with
+// an atomic store, so reading it takes no lock; the lock is held across
+// the whole recursive computation, so the in-progress recursion marker
+// is never observable from another goroutine.
 var lazyMu sync.Mutex
 
-// layoutFor computes (and caches) the machine-dependent geometry.
-func (t *Type) layoutFor(m *arch.Machine) layout {
+// cachedLayout returns t's published geometry on m, or nil.
+func (t *Type) cachedLayout(m *arch.Machine) *layout {
+	if ls := t.layouts.Load(); ls != nil {
+		for i := range *ls {
+			if (*ls)[i].mach == m {
+				return &(*ls)[i]
+			}
+		}
+	}
+	return nil
+}
+
+// layoutFor returns the machine-dependent geometry, computing it first if
+// no goroutine has.
+func (t *Type) layoutFor(m *arch.Machine) *layout {
+	if l := t.cachedLayout(m); l != nil {
+		return l
+	}
 	lazyMu.Lock()
 	defer lazyMu.Unlock()
 	return t.layoutLocked(m)
 }
 
-func (t *Type) layoutLocked(m *arch.Machine) layout {
-	if l, ok := t.layouts[m]; ok {
+func (t *Type) layoutLocked(m *arch.Machine) *layout {
+	if l := t.cachedLayout(m); l != nil {
 		return l
 	}
 	var l layout
@@ -350,8 +373,21 @@ func (t *Type) layoutLocked(m *arch.Machine) layout {
 	case KFunc:
 		l = layout{size: 0, align: 1}
 	}
-	t.layouts[m] = l
-	return l
+	l.mach = m
+	return publish(&t.layouts, l)
+}
+
+// publish appends v to the copy-on-write list behind list; the caller
+// holds lazyMu. A reader keeps the list it loaded, unchanged, and a later
+// load sees v. It returns v's place in the new list.
+func publish[T any](list *atomic.Pointer[[]T], v T) *T {
+	var have []T
+	if ls := list.Load(); ls != nil {
+		have = *ls
+	}
+	grown := append(have[:len(have):len(have)], v)
+	list.Store(&grown)
+	return &grown[len(have)]
 }
 
 // SizeOf returns the storage size of the type on machine m.
@@ -373,19 +409,31 @@ func (t *Type) OffsetOf(m *arch.Machine, i int) int {
 // It is machine-independent, making it the unit of the paper's
 // machine-independent pointer offsets.
 func (t *Type) ScalarCount() int {
+	if n := t.scalarCount.Load(); n >= 0 {
+		return int(n)
+	}
+	return t.countScalars()
+}
+
+// countScalars is ScalarCount's slow path, apart so that the fast one
+// inlines.
+func (t *Type) countScalars() int {
 	lazyMu.Lock()
 	defer lazyMu.Unlock()
 	return t.scalarCountLocked()
 }
 
 func (t *Type) scalarCountLocked() int {
-	if t.scalarCount >= 0 {
-		return t.scalarCount
+	if n := t.scalarCount.Load(); n >= 0 {
+		return int(n)
 	}
 	// Guard against recursion on (illegal) directly self-containing
-	// structs: mark as in-progress with 0; the checker rejects such
-	// types before layout anyway.
-	t.scalarCount = 0
+	// structs: one in progress counts 0; the checker rejects such types
+	// before layout anyway.
+	if t.counting {
+		return 0
+	}
+	t.counting = true
 	n := 0
 	switch t.Kind {
 	case KPrim:
@@ -403,7 +451,8 @@ func (t *Type) scalarCountLocked() int {
 			n += f.Type.scalarCountLocked()
 		}
 	}
-	t.scalarCount = n
+	t.counting = false
+	t.scalarCount.Store(int64(n))
 	return n
 }
 
