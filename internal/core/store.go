@@ -13,11 +13,12 @@ import (
 // records it in the checkpoint store under the named ref, chaining from
 // the ref's current head — the periodic-checkpoint call a long-running
 // session makes between migrations. The list is the next round of the
-// capture p keeps between checkpoints (vm.Process.Checkpoint), so only
-// what was written since the previous checkpoint is re-encoded and
-// hashed, and only bodies the store does not already hold are written.
+// capture p keeps (vm.Process.Round), so only what was written since its
+// previous round is re-encoded and hashed (every carried body is hashed
+// too when that round was unkeyed), and only bodies the store does not
+// already hold are written.
 func (e *Engine) CheckpointProcess(st *store.Store, p *vm.Process, src *arch.Machine, ref string) (*store.Manifest, store.Hash, store.CheckpointStats, error) {
-	r, err := p.Checkpoint(store.Key)
+	r, err := p.Round(store.Key)
 	if err != nil {
 		return nil, store.Hash{}, store.CheckpointStats{}, err
 	}

@@ -67,19 +67,3 @@ func BenchmarkObsHistogramObserve(b *testing.B) {
 		h.Observe(time.Duration(i) * time.Microsecond)
 	}
 }
-
-// BenchmarkObsHistogramMerge measures the fleet-aggregation hot path:
-// folding one populated histogram into another is a fixed walk of the
-// bucket array with atomic adds — zero allocations, same contract as
-// Observe (TestHistogramMergeZeroAlloc is the hard guard).
-func BenchmarkObsHistogramMerge(b *testing.B) {
-	src := NewRegistry().Histogram("src")
-	for i := 0; i < 1000; i++ {
-		src.Observe(time.Duration(i) * time.Microsecond)
-	}
-	dst := NewRegistry().Histogram("dst")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		dst.Merge(src)
-	}
-}

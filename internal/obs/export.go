@@ -130,22 +130,6 @@ func (d *SpanData) Find(name string) *SpanData {
 	return nil
 }
 
-// FindSpanID returns the first node whose SpanID matches, or nil.
-func (d *SpanData) FindSpanID(id string) *SpanData {
-	if d == nil || id == "" {
-		return nil
-	}
-	if d.SpanID == id {
-		return d
-	}
-	for _, c := range d.Children {
-		if hit := c.FindSpanID(id); hit != nil {
-			return hit
-		}
-	}
-	return nil
-}
-
 // Tree renders the exported subtree as a human-readable indented tree —
 // how a stitched trace prints, and what Span.Tree renders its export with.
 func (d *SpanData) Tree() string {
@@ -155,25 +139,6 @@ func (d *SpanData) Tree() string {
 	var b strings.Builder
 	writeDataTree(&b, d, 0)
 	return b.String()
-}
-
-// Stitch grafts a remote subtree into the exported trees by parent span
-// ID: the node whose SpanID equals remote.ParentSpanID gains remote as a
-// child (marked Remote). It returns false — and leaves the trees alone —
-// when no node matches, so report builders can fall back to side-by-side
-// rendering for unstitchable traces.
-func Stitch(roots []*SpanData, remote *SpanData) bool {
-	if remote == nil || remote.ParentSpanID == "" {
-		return false
-	}
-	for _, r := range roots {
-		if hit := r.FindSpanID(remote.ParentSpanID); hit != nil {
-			remote.Remote = true
-			hit.Children = append(hit.Children, remote)
-			return true
-		}
-	}
-	return false
 }
 
 // Report is the one obs schema every machine-readable export flows
@@ -214,23 +179,18 @@ func (r *Report) WithMetrics(reg *Registry) *Report {
 	return r
 }
 
-// MetricsHandler serves reg at every request — the daemon's /metrics
+// NodeMetricsHandler serves reg at every request — the daemon's /metrics
 // endpoint. A nil registry serves Default. Two representations are
 // offered: the obs JSON Report (the default, Content-Type
 // application/json) and the Prometheus text exposition, selected by
 // ?format=prometheus or an Accept header asking for text/plain or
 // OpenMetrics. An unknown ?format= is a 400; an encoding failure is a 500
 // (the body is staged in memory so the status line is still writable).
-func MetricsHandler(reg *Registry) http.Handler {
-	return NodeMetricsHandler(reg, nil)
-}
-
-// NodeMetricsHandler serves like MetricsHandler with a node identity
-// header stamped into the JSON report (the Prometheus exposition is
-// unchanged — node identity travels out-of-band there). node is invoked
-// per request, before the snapshot, so the caller can refresh derived
-// gauges (uptime, store usage) and return the current identity; nil node
-// or a nil return serves a headerless report.
+// A node identity header is stamped into the JSON report (the Prometheus
+// exposition is unchanged — node identity travels out-of-band there).
+// node is invoked per request, before the snapshot, so the caller can
+// refresh derived gauges (uptime, store usage) and return the current
+// identity; nil node or a nil return serves a headerless report.
 func NodeMetricsHandler(reg *Registry, node func() *NodeInfo) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		r := reg

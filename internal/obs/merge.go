@@ -13,27 +13,6 @@ import (
 // snapshots of the same cumulative histogram is exact for the same
 // reason, which is what turns periodic scrapes into windowed rates.
 
-// Merge folds other's observations into h bucket-wise. Lock-free (one
-// atomic add per non-empty bucket), allocation-free, and nil-safe on
-// both sides; Observes running concurrently on either histogram land in
-// one side or the other, never lost.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil {
-		return
-	}
-	for i := range other.counts {
-		if n := other.counts[i].Load(); n != 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	if s := other.sum.Load(); s != 0 {
-		h.sum.Add(s)
-	}
-	if c := other.count.Load(); c != 0 {
-		h.count.Add(c)
-	}
-}
-
 // histIndexForBoundUS maps a snapshot bucket's upper bound back to its
 // bucket index. Bounds that don't match the compiled layout (a peer
 // built with a different resolution) clamp to the covering bucket, so a
@@ -167,31 +146,6 @@ func (m MetricsSnapshot) Delta(prev MetricsSnapshot) MetricsSnapshot {
 		out.Histograms = make(map[string]HistogramSnapshot, len(m.Histograms))
 		for name, h := range m.Histograms {
 			out.Histograms[name] = h.Delta(prev.Histograms[name])
-		}
-	}
-	return out
-}
-
-// MergeMetrics returns the fleet-wide sum of per-node snapshots:
-// counters and gauges add (a gauge sum is the fleet total — in-flight
-// sessions across nodes), histograms merge bucket-wise.
-func MergeMetrics(snaps ...MetricsSnapshot) MetricsSnapshot {
-	out := MetricsSnapshot{
-		Counters: map[string]int64{},
-		Gauges:   map[string]int64{},
-	}
-	for _, s := range snaps {
-		for name, v := range s.Counters {
-			out.Counters[name] += v
-		}
-		for name, v := range s.Gauges {
-			out.Gauges[name] += v
-		}
-		for name, h := range s.Histograms {
-			if out.Histograms == nil {
-				out.Histograms = map[string]HistogramSnapshot{}
-			}
-			out.Histograms[name] = out.Histograms[name].Merge(h)
 		}
 	}
 	return out

@@ -200,7 +200,7 @@ func TestRegistryConcurrent(t *testing.T) {
 func TestMetricsHandler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("session.restored").Add(3)
-	srv := httptest.NewServer(MetricsHandler(r))
+	srv := httptest.NewServer(NodeMetricsHandler(r, nil))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {

@@ -59,49 +59,6 @@ func TestSpanTraceContextExport(t *testing.T) {
 	}
 }
 
-func TestStitchAndRemoteRendering(t *testing.T) {
-	// Initiator side: session root with a transport child.
-	tr := NewTracer()
-	root := tr.Start("session")
-	root.SetTraceContext(TraceContext{TraceID: 0x11, SpanID: 0x22})
-	root.Child("transport").End()
-	root.End()
-	roots := tr.Export()
-
-	// Responder side: its root names the initiator span as parent.
-	remote := &SpanData{
-		Name:         "respond",
-		TraceID:      IDString(0x11),
-		SpanID:       IDString(0x33),
-		ParentSpanID: IDString(0x22),
-		DurUS:        1500,
-		Children:     []*SpanData{{Name: "restore", DurUS: 900}},
-	}
-	if !Stitch(roots, remote) {
-		t.Fatal("Stitch found no parent")
-	}
-	if !remote.Remote {
-		t.Error("stitched subtree not marked remote")
-	}
-	stitched := roots[0].Find("respond")
-	if stitched == nil || stitched.Find("restore") == nil {
-		t.Fatalf("stitched tree missing responder spans:\n%s", roots[0].Tree())
-	}
-	out := roots[0].Tree()
-	if !strings.Contains(out, "(remote)") || !strings.Contains(out, "restore") {
-		t.Errorf("rendered tree missing remote marker:\n%s", out)
-	}
-
-	// Unmatched parent leaves the trees untouched.
-	orphan := &SpanData{Name: "o", ParentSpanID: IDString(0x99)}
-	if Stitch(roots, orphan) {
-		t.Error("Stitch grafted an orphan")
-	}
-	if Stitch(roots, nil) {
-		t.Error("Stitch accepted nil")
-	}
-}
-
 func TestAttachRemoteExportsUnderSpan(t *testing.T) {
 	tr := NewTracer()
 	root := tr.Start("session")
@@ -162,7 +119,7 @@ func TestMetricsHandlerNegotiation(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("a.b").Inc()
 	reg.Histogram("lat").Observe(time.Millisecond)
-	srv := httptest.NewServer(MetricsHandler(reg))
+	srv := httptest.NewServer(NodeMetricsHandler(reg, nil))
 	defer srv.Close()
 
 	get := func(path, accept string) (*http.Response, string) {

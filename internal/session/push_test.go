@@ -13,6 +13,7 @@ import (
 	"repro/internal/link"
 	"repro/internal/minic"
 	"repro/internal/obs"
+	"repro/internal/snapshot"
 	"repro/internal/vm"
 )
 
@@ -190,4 +191,35 @@ func TestStoreLessLiveHashesNothing(t *testing.T) {
 			t.Error("a live session into a store hashed nothing; its rounds name bodies by content hash")
 		}
 	})
+}
+
+// TestPushFirstList lists one capture round by position twice. A session's
+// first list may come from a capture whose earlier rounds the responder
+// never saw, so with no previous list every entry is shipped — from -1 and
+// the CRC of its own body — whatever the capture says it carried over; a
+// later list carries the previous list's entry and CRC along.
+func TestPushFirstList(t *testing.T) {
+	secs := []snapshot.Section{
+		{Kind: snapshot.KindExec, Body: []byte("exec state")},
+		{Kind: snapshot.KindHeap, ID: 0, Body: []byte("heap component zero")},
+		{Kind: snapshot.KindHeap, ID: 1, Body: []byte("heap component one")},
+	}
+	from := []int{0, 2, -1}
+	first := push(secs, nil, from)
+	for i, en := range first {
+		if en.from != -1 || en.crc != crc32.ChecksumIEEE(secs[i].Body) {
+			t.Errorf("first list entry %d: from %d, crc %08x; want -1 and its body's %08x", i, en.from, en.crc, crc32.ChecksumIEEE(secs[i].Body))
+		}
+	}
+	prev := []entry{{crc: 7}, {crc: 8}, {crc: 9}}
+	next := push(secs, prev, from)
+	for i, en := range next {
+		want := entry{kind: secs[i].Kind, id: secs[i].ID, length: uint32(len(secs[i].Body)), from: int32(from[i]), crc: first[i].crc}
+		if from[i] >= 0 {
+			want.crc = prev[from[i]].crc
+		}
+		if en != want {
+			t.Errorf("later list entry %d = %+v, want %+v", i, en, want)
+		}
+	}
 }

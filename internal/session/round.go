@@ -28,17 +28,18 @@ package session
 // fills the variables, so the restore left inside the downtime window is
 // the final round's own sections.
 //
-// A warm migration is one final round whose sections are the next
-// checkpoint of the capture the source process keeps between checkpoints
-// (vm.Process.Checkpoint): it re-encodes and re-hashes only what was
-// written since the previous one. The initiator's store writes it while
-// the round is exchanged, and the initiator joins those writes before it
-// commits (store.BeginCheckpoint).
-// A live migration is the same exchange repeated while the source
-// executes, from a capture of its own:
+// Every round's list, round 0 of a live session included, is the next
+// round of the one delta capture the source process keeps
+// (vm.Process.Round), keyed by content hash when the responder holds a
+// store: it re-encodes, and hashes or checksums, only what was written
+// since the process's previous round, whichever session or checkpoint took
+// it. A warm migration is one final round of it, which the initiator's
+// store writes while the round is exchanged, and which the initiator joins
+// before it commits (store.BeginCheckpoint). A live migration is the same
+// exchange repeated while the source executes:
 //
-//	round 0     full image ships while the source executes to its next
-//	            poll point, and is applied on arrival
+//	round 0     the paused image ships while the source executes to its
+//	            next poll point, and is applied on arrival
 //	round 1..N  only the sections the dirty set touched re-encode, and
 //	            only those are checksummed; each round ships, and is
 //	            applied, while the source runs on
@@ -97,7 +98,7 @@ type LiveRoundStats struct {
 	// Round numbers the rounds from 0 (the full image).
 	Round int
 	// DirtyBlocks is the dirty-set size the source observed entering the
-	// round (0 for round 0).
+	// round (0 for the first round of the source's capture).
 	DirtyBlocks int
 	// Sections is the announced list's length; SectionsSent of them had
 	// bodies the responder could not resolve and crossed the wire.
@@ -194,13 +195,15 @@ type round struct {
 // push lists secs by position. A body carried over from the previous
 // round's list (from[i] >= 0) takes that entry's CRC along; only a body
 // encoded this round is checksummed, and those are the bodies that follow
-// the list, in list order — the wanted set both ends derive from it.
+// the list, in list order — the wanted set both ends derive from it. A
+// session's first list (prev nil) ships and checksums every body: its from
+// can name a round of the process's capture the responder never saw.
 func push(secs []snapshot.Section, prev []entry, from []int) []entry {
 	list := make([]entry, len(secs))
 	for i, sec := range secs {
-		list[i] = entry{kind: sec.Kind, id: sec.ID, length: uint32(len(sec.Body)), from: int32(from[i])}
-		if from[i] >= 0 {
-			list[i].crc = prev[from[i]].crc
+		list[i] = entry{kind: sec.Kind, id: sec.ID, length: uint32(len(sec.Body)), from: -1}
+		if f := from[i]; f >= 0 && prev != nil {
+			list[i].from, list[i].crc = int32(f), prev[f].crc
 		} else {
 			list[i].crc = checksum(sec.Body)
 		}
@@ -281,48 +284,37 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 	if prm.Live {
 		res.Live = st
 	}
-	// Every round's list is a round of a delta capture: the live session's
-	// own, or the one the process keeps between checkpoints, whose round is
-	// also checkpointed under the program's ref (dedup'd against the
-	// store's history) while it is exchanged. What tells the shapes apart
-	// is how a list names its bodies: by content hash when the responder
-	// holds a store, else by position. Either way a carried-over body takes
-	// the hash or the CRC the previous list gave it, so a paused source
-	// hashes or checksums only what it re-encoded.
-	var lc *vm.LiveCapture
-	if prm.Live {
-		lc = p.NewLiveCapture(0)
-		defer lc.Close()
-		if prm.Warm {
-			lc.KeyBy(store.Key)
-		}
+	// Every round's list is the next round of the capture the process
+	// keeps; a warm transfer's round is also checkpointed under the
+	// program's ref (dedup'd against the store's history) while it is
+	// exchanged. What tells the shapes apart is how a list names its
+	// bodies: by content hash when the responder holds a store, else by
+	// position. Either way a carried-over body takes the hash or the CRC
+	// the previous list gave it, so a paused source hashes or checksums
+	// only what it has no name for: what it re-encoded, every body of a
+	// session's first pushed list, and every carried body of a keyed round
+	// after an unkeyed one.
+	var key func([]byte) vm.Sum
+	if prm.Warm {
+		key = store.Key
 	}
 	var prevPushed []entry
 	next := func() (*round, error) {
-		var lr *vm.LiveRound
-		var err error
-		if lc != nil {
-			lr, err = lc.Round()
-		} else {
-			lr, err = p.Checkpoint(store.Key)
-		}
+		lr, err := p.Round(key)
 		if err != nil {
 			return nil, err
 		}
-		r := &round{secs: lr.Sections, collect: lr.Elapsed}
+		r := &round{secs: lr.Sections, dirty: lr.DirtyBlocks, collect: lr.Elapsed}
 		switch {
 		case !prm.Warm:
 			r.pushed = push(r.secs, prevPushed, lr.From)
 			prevPushed = r.pushed
-		case lc == nil:
+		case !prm.Live:
 			if r.manifest, res.stored, err = cfg.Store.BeginCheckpoint(program, r.secs, lr.Sums, e.Digest(), src.Name); err != nil {
 				return nil, err
 			}
 		default:
 			r.manifest = &store.Manifest{ProgramDigest: e.Digest(), Machine: src.Name, Seq: 1, Entries: store.Entries(r.secs, lr.Sums)}
-		}
-		if lc != nil {
-			r.dirty = lr.DirtyBlocks
 		}
 		timing.Collect += r.collect
 		return r, nil
@@ -371,11 +363,11 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 			return serr
 		}
 		shipped()
-		dirty := lc.DirtyBlocks()
+		dirty := p.DirtyBlocks()
 		switch {
 		case dirty <= cfg.DirtyThreshold:
 			st.StopReason = "threshold"
-		case lc.Rounds() > cfg.PrecopyRounds:
+		case len(st.Rounds) > cfg.PrecopyRounds:
 			st.StopReason = "rounds"
 		case dirty >= prevDirty:
 			st.StopReason = "stalled"

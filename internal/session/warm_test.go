@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 func openTestStore(t testing.TB) *store.Store {
@@ -340,23 +341,89 @@ func TestWarmReshipsTamperedDestinationBlobOnce(t *testing.T) {
 
 // TestWarmLiveWarmOnOneSource migrates one source warm, then live with
 // stores on both ends, then warm again, advancing it between transfers.
-// The live session restarts the write barrier the warm checkpoints keep,
-// so the last warm transfer must start its checkpoints over from a full
-// capture; every restored process must hold the source's state.
+// Every transfer takes the next round of the one capture the source keeps,
+// so the warm transfer after the live one re-encodes what the source wrote
+// since the live session's final round — one list of four, not the state;
+// every restored process must hold the source's state.
 func TestWarmLiveWarmOnOneSource(t *testing.T) {
 	e := newMutatingEngine(t, 1<<30)
 	p := stoppedLive(t, e, arch.DEC5000)
 	warmCfg, dstCfg := Config{Store: openTestStore(t)}, Config{Store: openTestStore(t), Live: true}
 	liveCfg := warmCfg
 	liveCfg.Live = true
+	encoded := obs.Default.Counter("xdr.encode.bytes")
+	var full int64
 	for i, cfg := range []Config{warmCfg, warmCfg, liveCfg, warmCfg, warmCfg} {
+		before := encoded.Value()
 		res, _, q := transferWith(t, e, "shards", p, arch.SPARC20, cfg, dstCfg)
 		if (res.Live != nil) != cfg.Live {
 			t.Fatalf("transfer %d: live stats %v, want live %v", i, res.Live != nil, cfg.Live)
+		}
+		switch got := encoded.Value() - before; i {
+		case 0:
+			full = got
+		case 3:
+			if 2*got >= full {
+				t.Errorf("the warm transfer after the live one re-encoded %d of %d bytes; want less than half", got, full)
+			}
 		}
 		sameState(t, p, q)
 		if run, err := p.ResumeRun(); err != nil || !run.Migrated {
 			t.Fatalf("advance after transfer %d: %+v, %v", i, run, err)
 		}
+	}
+}
+
+// TestLiveAfterCheckpoint migrates one source warm, advances it one poll,
+// and then migrates it live to a responder without a store. The live
+// session's round 0 is the next round of the capture the warm transfer
+// left, so it re-encodes one list of eight rather than the state, and
+// hashes nothing. The responder never saw that capture's earlier rounds:
+// round 0 must still ship every body, byte for byte as a fresh source's
+// round 0 at the same state does.
+func TestLiveAfterCheckpoint(t *testing.T) {
+	e, err := core.NewEngine(workload.MutatingShardsSource(8, 20, 1<<30), minic.PollPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	encoded := obs.Default.Counter("xdr.encode.bytes")
+	// live migrates src at its next poll and returns the session's stats,
+	// the bytes round 0 encoded — read at the first poll the source reaches
+	// after it, before round 1 is captured — and the bytes SHA-256 saw.
+	live := func(src *vm.Process) (st *LiveStats, round0, hashed int64) {
+		t.Helper()
+		if run, err := src.ResumeRun(); err != nil || !run.Migrated {
+			t.Fatalf("advance: %+v, %v", run, err)
+		}
+		before, sha := encoded.Value(), obs.SHA256Bytes.Value()
+		round0 = -1
+		src.PollHook = func(*vm.Process, *minic.Site) bool {
+			if round0 < 0 {
+				round0 = encoded.Value() - before
+			}
+			return true
+		}
+		res, _, q := transferWith(t, e, "shards", src, arch.SPARC20, Config{Live: true}, Config{Live: true})
+		sameState(t, src, q)
+		if round0 < 0 {
+			t.Fatal("the source ran no pre-copy round")
+		}
+		return res.Live, round0, obs.SHA256Bytes.Value() - sha
+	}
+
+	p := stoppedLive(t, e, arch.DEC5000)
+	transferWith(t, e, "shards", p, arch.SPARC20, Config{Store: openTestStore(t)}, Config{Store: openTestStore(t)})
+	st, round0, hashed := live(p)
+	fresh, full, _ := live(stoppedLive(t, e, arch.DEC5000))
+
+	if 4*round0 >= full {
+		t.Errorf("round 0 after a checkpoint re-encoded %d bytes; want under a quarter of a fresh round 0's %d", round0, full)
+	}
+	if hashed != 0 {
+		t.Errorf("the store-less rounds handed %d bytes to SHA-256, want 0", hashed)
+	}
+	if r, f := st.Rounds[0], fresh.Rounds[0]; r.SectionsSent != r.Sections || r.Bytes != f.Bytes {
+		t.Errorf("round 0 after a checkpoint sent %d of %d sections in %d bytes; a fresh source's sent %d in %d",
+			r.SectionsSent, r.Sections, r.Bytes, f.SectionsSent, f.Bytes)
 	}
 }

@@ -71,7 +71,7 @@ func HashBytes(b []byte) Hash {
 }
 
 // Key is HashBytes as the key function a capture names its bodies by
-// (vm.LiveCapture.KeyBy, vm.Process.Checkpoint).
+// (vm.Process.Round).
 func Key(b []byte) [HashSize]byte { return HashBytes(b) }
 
 // IsZero reports whether h is the null address.

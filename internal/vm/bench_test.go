@@ -241,10 +241,10 @@ func BenchmarkRestoreBitonic16k(b *testing.B) {
 // BenchmarkMutationRound measures one mutation round of bench's
 // warm_mutated program (16 lists of 750 nodes, one list rewritten per
 // poll), resumed from one poll to the next, with the write barrier off and
-// on. A process keeps the barrier on from its first store checkpoint
-// (Process.Checkpoint), so barrier=on, with a checkpoint before each round
-// outside the timer, is what a warm source pays to run between
-// checkpoints.
+// on. A process keeps the barrier on from its first capture round
+// (Process.Round), so barrier=on, with a round before each mutation
+// outside the timer, is what a warm or live source pays to run between
+// rounds.
 func BenchmarkMutationRound(b *testing.B) {
 	for _, on := range []bool{false, true} {
 		b.Run(fmt.Sprintf("barrier=%v", on), func(b *testing.B) {
@@ -253,7 +253,7 @@ func BenchmarkMutationRound(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if on {
 					b.StopTimer()
-					if _, err := p.Checkpoint(func([]byte) Sum { return Sum{} }); err != nil {
+					if _, err := p.Round(nil); err != nil {
 						b.Fatal(err)
 					}
 					b.StartTimer()

@@ -306,12 +306,11 @@ func (o *order) complete() error {
 // NewRestore starts a restore into p, which must be freshly created (it
 // has not started running) or a Fork, recorded as a "restore" child of its
 // span. A Fork's restore starts from what the fork holds. Every restore
-// that can reach a process holding a checkpoint capture starts here
+// that can reach a process holding a delta capture starts here
 // (RestoreInto and RestoreSections refuse one with frames, and only a
-// stopped process with frames is checkpointed), so it discards the
-// capture.
+// stopped process with frames is captured), so it discards the capture.
 func (p *Process) NewRestore() *Restore {
-	p.discardCheckpoint()
+	p.discardCapture()
 	span := p.Obs.Child("restore")
 	span.SetAttr("format", "sectioned")
 	r := &Restore{p: p, span: span, size: 8, heap: p.forked.heap, bySum: p.forked.bySum}

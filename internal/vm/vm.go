@@ -147,9 +147,9 @@ type Process struct {
 
 	Stats Stats
 
-	// kept is the checkpoint capture every Checkpoint draws from; nil
+	// capture is the delta capture every Round draws from; nil
 	// before the first and after a discard.
-	kept *LiveCapture
+	capture *LiveCapture
 	// forked is what Restore.Fork left in this process for its first
 	// NewRestore to start from; the zero value holds nothing.
 	forked Restore
