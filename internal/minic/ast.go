@@ -84,6 +84,9 @@ type Binary struct {
 	exprBase
 	Op   string
 	X, Y Expr
+	// Conv is the type an arithmetic comparison converts both operands to
+	// (the usual arithmetic conversions), set by the checker; nil otherwise.
+	Conv *types.Type
 }
 
 // Assign is an assignment, possibly compound (Op is "=", "+=", ...).
@@ -91,6 +94,10 @@ type Assign struct {
 	exprBase
 	Op   string
 	X, Y Expr
+	// Conv is the type an arithmetic compound assignment computes at
+	// before converting back to the target's, set by the checker; nil
+	// otherwise.
+	Conv *types.Type
 }
 
 // Cond is the ternary conditional operator.
@@ -300,8 +307,8 @@ type Site struct {
 	// Live is the set of variables (locals and parameters) whose values
 	// are needed beyond this site, in frame index order.
 	Live []*VarSymbol
-	// IsCall marks call sites (as opposed to poll points).
-	IsCall bool
+	// Call is the migratory call of a call site; nil at a poll point.
+	Call *Call
 }
 
 // FuncSymbol is a defined function.

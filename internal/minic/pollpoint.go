@@ -314,9 +314,9 @@ func (b *siteBuilder) migratoryCallOf(e Expr) (call *Call, valid bool) {
 	}
 }
 
-func (b *siteBuilder) newSite(stmt Stmt, chain []Stmt, isCall bool) *Site {
+func (b *siteBuilder) newSite(stmt Stmt, chain []Stmt, call *Call) *Site {
 	b.nextID++
-	s := &Site{ID: b.nextID, Stmt: stmt, IsCall: isCall}
+	s := &Site{ID: b.nextID, Stmt: stmt, Call: call}
 	s.Chain = append(append([]Stmt{}, chain...), stmt)
 	b.sites = append(b.sites, s)
 	return s
@@ -333,7 +333,7 @@ func (b *siteBuilder) walkStmt(s Stmt, chain []Stmt) {
 			b.walkStmt(x, sub)
 		}
 	case *PollPoint:
-		st.Site = b.newSite(st, chain, false)
+		st.Site = b.newSite(st, chain, nil)
 	case *ExprStmt:
 		call, valid := b.migratoryCallOf(st.X)
 		if !valid {
@@ -342,7 +342,7 @@ func (b *siteBuilder) walkStmt(s Stmt, chain []Stmt) {
 			return
 		}
 		if call != nil {
-			st.Site = b.newSite(st, chain, true)
+			st.Site = b.newSite(st, chain, call)
 		}
 	case *DeclStmt:
 		// Declaration initializers are not resumable positions: the
@@ -417,7 +417,7 @@ func DumpSites(prog *Program) string {
 		out += fmt.Sprintf("function %s: %d sites\n", fn.Name, len(fn.Sites))
 		for _, s := range fn.Sites {
 			kind := "poll"
-			if s.IsCall {
+			if s.Call != nil {
 				kind = "call"
 			}
 			out += fmt.Sprintf("  site %d (%s) at %s live:", s.ID, kind, s.Stmt.Position())

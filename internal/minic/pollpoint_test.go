@@ -47,7 +47,7 @@ func TestLoopPollInsertion(t *testing.T) {
 	}
 	polls := 0
 	for _, s := range main.Sites {
-		if !s.IsCall {
+		if s.Call == nil {
 			polls++
 		}
 	}
@@ -111,7 +111,7 @@ func TestCallSitesGetSites(t *testing.T) {
 	main := prog.Func("main")
 	calls := 0
 	for _, s := range main.Sites {
-		if s.IsCall {
+		if s.Call != nil {
 			calls++
 		}
 	}
@@ -119,7 +119,7 @@ func TestCallSitesGetSites(t *testing.T) {
 		t.Errorf("call sites in main = %d, want 2", calls)
 	}
 	work := prog.Func("work")
-	if len(work.Sites) != 1 || work.Sites[0].IsCall {
+	if len(work.Sites) != 1 || work.Sites[0].Call != nil {
 		t.Errorf("work sites = %+v", work.Sites)
 	}
 }
@@ -312,7 +312,7 @@ func TestLiveSetAtCallSite(t *testing.T) {
 	`, PollPolicy{})
 	var callSite *Site
 	for _, s := range prog.Func("main").Sites {
-		if s.IsCall {
+		if s.Call != nil {
 			callSite = s
 		}
 	}

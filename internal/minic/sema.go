@@ -864,6 +864,7 @@ func (c *checker) checkBinary(x *Binary) Expr {
 	case "==", "!=", "<", "<=", ">", ">=":
 		switch {
 		case tx.IsArithmetic() && ty.IsArithmetic():
+			x.Conv = commonType(tx, ty)
 		case tx.IsPointer() && ty.IsPointer() && pointerCompatible(tx, ty):
 		case tx.IsPointer() && isNullConstant(x.Y):
 		case ty.IsPointer() && isNullConstant(x.X):
@@ -902,8 +903,10 @@ func (c *checker) checkAssign(x *Assign) Expr {
 		x.Y = y
 		return x
 	}
-	op := x.Op[:len(x.Op)-1]
-	switch op {
+	if lt.IsArithmetic() && ty.IsArithmetic() {
+		x.Conv = commonType(lt, ty)
+	}
+	switch x.Op[:len(x.Op)-1] {
 	case "+", "-":
 		ok := (lt.IsArithmetic() && ty.IsArithmetic()) ||
 			(lt.IsPointer() && ty.IsInteger())

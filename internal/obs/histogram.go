@@ -86,25 +86,15 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	if h == nil {
 		return 0
 	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
+	return quantileFromDense(h.dense(), h.count.Load(), q)
+}
+
+// dense loads the bucket counts into a dense array, one atomic load each.
+func (h *Histogram) dense() (c [histBuckets + 1]int64) {
+	for i := range c {
+		c[i] = h.counts[i].Load()
 	}
-	rank := int64(q*float64(total) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := 0; i <= histBuckets; i++ {
-		seen += h.counts[i].Load()
-		if seen >= rank {
-			if i >= histBuckets {
-				return HistBucketBound(histBuckets - 1)
-			}
-			return HistBucketBound(i)
-		}
-	}
-	return HistBucketBound(histBuckets - 1)
+	return c
 }
 
 // HistogramBucket is one non-empty bucket in a snapshot. LEUS is the
@@ -134,21 +124,5 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	snap := HistogramSnapshot{
-		Count: h.count.Load(),
-		SumUS: h.sum.Load() / 1000,
-		P50US: h.Quantile(0.50).Microseconds(),
-		P90US: h.Quantile(0.90).Microseconds(),
-		P99US: h.Quantile(0.99).Microseconds(),
-	}
-	for i := 0; i <= histBuckets; i++ {
-		if n := h.counts[i].Load(); n > 0 {
-			le := int64(-1)
-			if i < histBuckets {
-				le = HistBucketBound(i).Microseconds()
-			}
-			snap.Buckets = append(snap.Buckets, HistogramBucket{LEUS: le, Count: n})
-		}
-	}
-	return snap
+	return snapshotFromDense(h.dense(), h.sum.Load()/1000)
 }

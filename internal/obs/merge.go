@@ -39,8 +39,9 @@ func (s HistogramSnapshot) dense() (c [histBuckets + 1]int64) {
 	return c
 }
 
-// snapshotFromDense rebuilds a HistogramSnapshot — including its summary
-// quantiles — from a dense bucket array, mirroring Histogram.Snapshot.
+// snapshotFromDense builds a HistogramSnapshot — including its summary
+// quantiles — from a dense bucket array: a live histogram's (Snapshot), or
+// a merged or windowed one's.
 func snapshotFromDense(c [histBuckets + 1]int64, sumUS int64) HistogramSnapshot {
 	snap := HistogramSnapshot{SumUS: sumUS}
 	for i, n := range c {
@@ -60,7 +61,8 @@ func snapshotFromDense(c [histBuckets + 1]int64, sumUS int64) HistogramSnapshot 
 	return snap
 }
 
-// quantileFromDense is Histogram.Quantile over a dense bucket array.
+// quantileFromDense returns the q-quantile of a dense bucket array holding
+// total observations, as Histogram.Quantile documents it.
 func quantileFromDense(c [histBuckets + 1]int64, total int64, q float64) time.Duration {
 	if total == 0 {
 		return 0

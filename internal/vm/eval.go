@@ -242,26 +242,8 @@ func (p *Process) evalExpr(f *Frame, e minic.Expr) (value, error) {
 		return p.evalUnary(f, x)
 
 	case *minic.Postfix:
-		addr, err := p.evalAddr(f, x.X)
-		if err != nil {
-			return value{}, err
-		}
-		old, err := p.loadValue(addr, x.X.Type())
-		if err != nil {
-			return value{}, err
-		}
-		delta := int64(1)
-		if x.Op == "--" {
-			delta = -1
-		}
-		upd, err := p.incDec(x.Position(), old, delta)
-		if err != nil {
-			return value{}, err
-		}
-		if err := p.storeValue(addr, x.X.Type(), upd); err != nil {
-			return value{}, err
-		}
-		return old, nil
+		old, _, err := p.incDec(f, x.X, x.Op)
+		return old, err
 
 	case *minic.Binary:
 		return p.evalBinary(f, x)
@@ -319,23 +301,38 @@ func (p *Process) evalExpr(f *Frame, e minic.Expr) (value, error) {
 	return value{}, rtErr(e.Position(), "internal: unhandled expression %T", e)
 }
 
-// incDec computes v + delta for arithmetic and pointer values.
-func (p *Process) incDec(pos minic.Pos, v value, delta int64) (value, error) {
-	t := v.t
+// incDec loads the lvalue x, steps it by one ("++") or minus one ("--")
+// for arithmetic and pointer types, stores the result back, and returns
+// the old and new values: prefix and postfix ++ and -- differ only in
+// which one they yield.
+func (p *Process) incDec(f *Frame, x minic.Expr, op string) (old, upd value, err error) {
+	addr, err := p.evalAddr(f, x)
+	if err != nil {
+		return old, upd, err
+	}
+	t := x.Type()
+	if old, err = p.loadValue(addr, t); err != nil {
+		return old, upd, err
+	}
+	delta := int64(1)
+	if op == "--" {
+		delta = -1
+	}
 	switch {
 	case t.IsPointer():
-		step := int64(t.Elem.SizeOf(p.Mach))
-		return ptrValue(t, memory.Address(int64(v.bits)+delta*step)), nil
+		upd = ptrValue(t, memory.Address(int64(old.bits)+delta*int64(t.Elem.SizeOf(p.Mach))))
 	case t.IsFloat():
-		f := v.float64() + float64(delta)
+		sum := old.float64() + float64(delta)
+		upd = value{t: t, bits: math.Float64bits(sum)}
 		if t.Prim == arch.Float {
-			return value{t: t, bits: uint64(math.Float32bits(float32(f)))}, nil
+			upd.bits = uint64(math.Float32bits(float32(sum)))
 		}
-		return value{t: t, bits: math.Float64bits(f)}, nil
 	case t.IsInteger():
-		return value{t: t, bits: normInt(p.Mach, t.Prim, v.bits+uint64(delta))}, nil
+		upd = value{t: t, bits: normInt(p.Mach, t.Prim, old.bits+uint64(delta))}
+	default:
+		return old, upd, rtErr(x.Position(), "cannot increment %s", t)
 	}
-	return value{}, rtErr(pos, "cannot increment %s", t)
+	return old, upd, p.storeValue(addr, t, upd)
 }
 
 func (p *Process) evalUnary(f *Frame, x *minic.Unary) (value, error) {
@@ -392,26 +389,8 @@ func (p *Process) evalUnary(f *Frame, x *minic.Unary) (value, error) {
 		return value{t: x.Type(), bits: normInt(p.Mach, x.Type().Prim, ^v.bits)}, nil
 
 	case "++", "--":
-		addr, err := p.evalAddr(f, x.X)
-		if err != nil {
-			return value{}, err
-		}
-		old, err := p.loadValue(addr, x.X.Type())
-		if err != nil {
-			return value{}, err
-		}
-		delta := int64(1)
-		if x.Op == "--" {
-			delta = -1
-		}
-		upd, err := p.incDec(x.Position(), old, delta)
-		if err != nil {
-			return value{}, err
-		}
-		if err := p.storeValue(addr, x.X.Type(), upd); err != nil {
-			return value{}, err
-		}
-		return upd, nil
+		_, upd, err := p.incDec(f, x.X, x.Op)
+		return upd, err
 	}
 	return value{}, rtErr(x.Position(), "internal: unhandled unary %s", x.Op)
 }
@@ -448,11 +427,16 @@ func (p *Process) evalBinary(f *Frame, x *minic.Binary) (value, error) {
 	if err != nil {
 		return value{}, err
 	}
-	return p.applyBinary(x.Position(), x.Op, l, r, x.Type())
+	rt := x.Type()
+	if x.Conv != nil {
+		rt = x.Conv
+	}
+	return p.applyBinary(x.Position(), x.Op, l, r, rt)
 }
 
-// applyBinary evaluates l op r with result type rt (pointer arithmetic,
-// comparisons, or arithmetic at the promoted common type).
+// applyBinary evaluates l op r at type rt: the result type of pointer
+// arithmetic and of arithmetic (the operands' common type), the type an
+// arithmetic comparison converts its operands to. Comparisons yield int.
 func (p *Process) applyBinary(pos minic.Pos, op string, l, r value, rt *types.Type) (value, error) {
 	lt, rtp := l.t, r.t
 
@@ -482,20 +466,17 @@ func (p *Process) applyBinary(pos minic.Pos, op string, l, r value, rt *types.Ty
 		return value{}, rtErr(pos, "invalid pointer operation %s", op)
 	}
 
-	// Comparisons at the common arithmetic type.
+	lc, rc := p.convert(l, rt), p.convert(r, rt)
 	switch op {
 	case "==", "!=", "<", "<=", ">", ">=":
-		ct := commonArith(lt, rtp)
-		lc, rc := p.convert(l, ct), p.convert(r, ct)
-		if ct.IsFloat() {
+		if rt.IsFloat() {
 			return compareFloat(op, lc.float64(), rc.float64()), nil
 		}
-		return compareBits(op, lc.bits, rc.bits, ct.Prim.IsSigned()), nil
+		return compareBits(op, lc.bits, rc.bits, rt.Prim.IsSigned()), nil
 	}
 
 	// Shifts: the result type is the promoted left operand.
 	if op == "<<" || op == ">>" {
-		lc := p.convert(l, rt)
 		sh := r.bits & 63
 		var bits uint64
 		if op == "<<" {
@@ -509,7 +490,6 @@ func (p *Process) applyBinary(pos minic.Pos, op string, l, r value, rt *types.Ty
 	}
 
 	// Plain arithmetic at the result type.
-	lc, rc := p.convert(l, rt), p.convert(r, rt)
 	if rt.IsFloat() {
 		a, b := lc.float64(), rc.float64()
 		var res float64
@@ -572,50 +552,6 @@ func (p *Process) applyBinary(pos minic.Pos, op string, l, r value, rt *types.Ty
 		return value{}, rtErr(pos, "invalid integer operation %s", op)
 	}
 	return value{t: rt, bits: normInt(p.Mach, rt.Prim, bits)}, nil
-}
-
-// commonArith mirrors the checker's usual-arithmetic-conversion result.
-func commonArith(a, b *types.Type) *types.Type {
-	// The checker already guarantees both are arithmetic.
-	ranks := func(t *types.Type) int {
-		switch t.Prim {
-		case arch.Double:
-			return 10
-		case arch.Float:
-			return 9
-		case arch.ULongLong:
-			return 8
-		case arch.LongLong:
-			return 7
-		case arch.ULong:
-			return 6
-		case arch.Long:
-			return 5
-		case arch.UInt:
-			return 4
-		default:
-			return 3
-		}
-	}
-	pa, pb := a, b
-	if ranks(pa) < 4 && pa.IsInteger() {
-		if pa.Prim == arch.UInt {
-			pa = types.UInt
-		} else {
-			pa = types.Int
-		}
-	}
-	if ranks(pb) < 4 && pb.IsInteger() {
-		if pb.Prim == arch.UInt {
-			pb = types.UInt
-		} else {
-			pb = types.Int
-		}
-	}
-	if ranks(pa) >= ranks(pb) {
-		return pa
-	}
-	return pb
 }
 
 func compareBits(op string, a, b uint64, signed bool) value {
@@ -698,38 +634,21 @@ func (p *Process) evalAssign(f *Frame, x *minic.Assign) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		op := x.Op[:len(x.Op)-1]
-		// Pointer compound assignment (p += n) keeps the pointer type;
-		// arithmetic compound assignment computes at the common type
-		// then converts back to the target type.
-		if lt.IsPointer() {
-			result, err = p.applyBinary(x.Position(), op, old, rhs, lt)
-		} else {
-			ct := commonArith(lt, promoteForVM(rhs.t))
-			var v value
-			v, err = p.applyBinary(x.Position(), op, old, rhs, ct)
-			if err == nil {
-				result = p.convert(v, lt)
-			}
+		// Arithmetic compound assignment computes at the checker's
+		// common type, then converts back to the target type; pointer
+		// compound assignment (p += n) keeps the pointer type.
+		ct := x.Conv
+		if ct == nil {
+			ct = lt
 		}
+		v, err := p.applyBinary(x.Position(), x.Op[:len(x.Op)-1], old, rhs, ct)
 		if err != nil {
 			return value{}, err
 		}
+		result = p.convert(v, lt)
 	}
 	if err := p.storeValue(addr, lt, result); err != nil {
 		return value{}, err
 	}
 	return result, nil
-}
-
-// promoteForVM mirrors integer promotion for compound assignment.
-func promoteForVM(t *types.Type) *types.Type {
-	if t.IsPointer() || t.IsFloat() {
-		return t
-	}
-	switch t.Prim {
-	case arch.Char, arch.UChar, arch.Short, arch.UShort:
-		return types.Int
-	}
-	return t
 }

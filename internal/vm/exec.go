@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/memory"
@@ -72,45 +73,9 @@ func (p *Process) execStmt(f *Frame, s minic.Stmt) (ctrl, error) {
 
 	case *minic.While:
 		if st.DoWhile {
-			for {
-				c, err := p.execStmt(f, st.Body)
-				if err != nil {
-					return ctrlNext, err
-				}
-				switch c {
-				case ctrlBreak:
-					return ctrlNext, nil
-				case ctrlReturn, ctrlMigrate:
-					return c, nil
-				}
-				cond, err := p.evalExpr(f, st.Cond)
-				if err != nil {
-					return ctrlNext, err
-				}
-				if !cond.asBool() {
-					return ctrlNext, nil
-				}
-			}
+			return p.runLoop(f, st.Cond, st.Body, nil, atBody)
 		}
-		for {
-			cond, err := p.evalExpr(f, st.Cond)
-			if err != nil {
-				return ctrlNext, err
-			}
-			if !cond.asBool() {
-				return ctrlNext, nil
-			}
-			c, err := p.execStmt(f, st.Body)
-			if err != nil {
-				return ctrlNext, err
-			}
-			switch c {
-			case ctrlBreak:
-				return ctrlNext, nil
-			case ctrlReturn, ctrlMigrate:
-				return c, nil
-			}
-		}
+		return p.runLoop(f, st.Cond, st.Body, nil, atTest)
 
 	case *minic.For:
 		if st.Init != nil {
@@ -118,32 +83,7 @@ func (p *Process) execStmt(f *Frame, s minic.Stmt) (ctrl, error) {
 				return ctrlNext, err
 			}
 		}
-		for {
-			if st.Cond != nil {
-				cond, err := p.evalExpr(f, st.Cond)
-				if err != nil {
-					return ctrlNext, err
-				}
-				if !cond.asBool() {
-					return ctrlNext, nil
-				}
-			}
-			c, err := p.execStmt(f, st.Body)
-			if err != nil {
-				return ctrlNext, err
-			}
-			switch c {
-			case ctrlBreak:
-				return ctrlNext, nil
-			case ctrlReturn, ctrlMigrate:
-				return c, nil
-			}
-			if st.Post != nil {
-				if _, err := p.evalExpr(f, st.Post); err != nil {
-					return ctrlNext, err
-				}
-			}
-		}
+		return p.runLoop(f, st.Cond, st.Body, st.Post, atTest)
 
 	case *minic.Return:
 		if st.X != nil {
@@ -205,6 +145,50 @@ func (p *Process) execBlockFrom(f *Frame, b *minic.Block, start int) (ctrl, erro
 	return ctrlNext, nil
 }
 
+// loopEntry is where runLoop enters a loop's cycle of test, body and step.
+type loopEntry uint8
+
+const (
+	atTest loopEntry = iota // a while or for loop entered afresh
+	atBody                  // a do-while loop entered afresh
+	atStep                  // any loop whose body just completed on resume
+)
+
+// runLoop iterates a while, do-while or for loop from entry. cond and post
+// may be nil; post is a for loop's step expression, which runs before the
+// test of every iteration but the first.
+func (p *Process) runLoop(f *Frame, cond minic.Expr, body minic.Stmt, post minic.Expr, at loopEntry) (ctrl, error) {
+	for ; ; at = atStep {
+		if at == atStep && post != nil {
+			if _, err := p.evalExpr(f, post); err != nil {
+				return ctrlNext, err
+			}
+		}
+		if at != atBody && cond != nil {
+			c, err := p.evalExpr(f, cond)
+			if err != nil || !c.asBool() {
+				return ctrlNext, err
+			}
+		}
+		c, err := p.execStmt(f, body)
+		if c, more := loopGoesOn(c); err != nil || !more {
+			return c, err
+		}
+	}
+}
+
+// loopGoesOn reports whether a loop iterates again after its body ended
+// with c, and if not, what the loop statement itself ends with.
+func loopGoesOn(c ctrl) (ctrl, bool) {
+	switch c {
+	case ctrlBreak:
+		return ctrlNext, false
+	case ctrlReturn, ctrlMigrate:
+		return c, false
+	}
+	return ctrlNext, true
+}
+
 // migrateSignal propagates migration out of expression evaluation (a
 // migratory callee triggered a capture while evaluating a call).
 type migrateSignal struct{}
@@ -215,6 +199,12 @@ func (*migrateSignal) Error() string { return "vm: migration in progress" }
 func (p *Process) evalCall(f *Frame, x *minic.Call) (value, error) {
 	if x.Builtin != "" {
 		return p.evalBuiltin(f, x)
+	}
+	if x == p.resumedCall {
+		// The call a resumed frame stopped at: its callee has run to the
+		// end on resume, and this evaluation completes the statement.
+		p.resumedCall = nil
+		return p.resumedRet, nil
 	}
 	fn := x.Func
 	// Evaluate arguments in the caller's frame.
@@ -249,24 +239,24 @@ func (p *Process) evalCall(f *Frame, x *minic.Call) (value, error) {
 		// the signal error so enclosing expressions stop evaluating.
 		return value{}, &migrateSignal{}
 	}
-	ret := nf.retVal
+	return p.popReturn(nf)
+}
+
+// popReturn unwinds the completed frame f and returns its result.
+func (p *Process) popReturn(f *Frame) (value, error) {
 	if err := p.popFrame(); err != nil {
 		return value{}, err
 	}
-	if fn.Result.IsVoid() {
+	if f.Fn.Result.IsVoid() {
 		return value{t: types.Void}, nil
 	}
-	return ret, nil
+	return f.retVal, nil
 }
 
 // execResumeFrame fast-forwards frame f to its recorded site and continues
 // execution to the end of the function. The caller pops the frame.
 func (p *Process) execResumeFrame(f *Frame) (ctrl, error) {
-	site := p.resumeSites[f.Depth-1]
-	if site == nil {
-		return ctrlNext, fmt.Errorf("vm: no resume site for frame %d (%s)", f.Depth, f.Fn.Name)
-	}
-	return p.execChain(f, site, 0)
+	return p.execChain(f, p.resumeSites[f.Depth-1], 0)
 }
 
 // execChain descends the site's ancestor chain: statements before the
@@ -274,200 +264,58 @@ func (p *Process) execResumeFrame(f *Frame) (ctrl, error) {
 // state); the chain element itself is entered; after it completes, the
 // remainder executes normally.
 func (p *Process) execChain(f *Frame, site *minic.Site, idx int) (ctrl, error) {
-	cur := site.Chain[idx]
-
-	// The site statement itself.
 	if idx == len(site.Chain)-1 {
-		switch st := cur.(type) {
-		case *minic.PollPoint:
-			// Execution resumes immediately after the poll at which
-			// migration occurred.
-			return ctrlNext, nil
-		case *minic.ExprStmt:
-			return p.resumeCallSite(f, st)
-		default:
-			return ctrlNext, rtErr(cur.Position(), "internal: bad site statement %T", cur)
+		if site.Call != nil {
+			return p.resumeCallSite(f, site)
 		}
+		// Execution resumes immediately after the poll at which
+		// migration occurred.
+		return ctrlNext, nil
 	}
-
-	next := site.Chain[idx+1]
-	switch st := cur.(type) {
+	c, err := p.execChain(f, site, idx+1)
+	switch st := site.Chain[idx].(type) {
 	case *minic.Block:
-		pos := -1
-		for i, sub := range st.Stmts {
-			if sub == next {
-				pos = i
-				break
-			}
-		}
-		if pos < 0 {
-			return ctrlNext, rtErr(cur.Position(), "internal: resume chain broken in block")
-		}
-		c, err := p.execChain(f, site, idx+1)
 		if err != nil || c != ctrlNext {
 			return c, err
 		}
-		return p.execBlockFrom(f, st, pos+1)
-
-	case *minic.If:
-		// Enter the branch on the chain; the condition was already
-		// decided before migration.
-		return p.execChain(f, site, idx+1)
-
+		return p.execBlockFrom(f, st, slices.Index(st.Stmts, site.Chain[idx+1])+1)
 	case *minic.While:
-		c, err := p.execChain(f, site, idx+1)
-		if err != nil {
-			return ctrlNext, err
+		if c, more := loopGoesOn(c); err != nil || !more {
+			return c, err
 		}
-		switch c {
-		case ctrlBreak:
-			return ctrlNext, nil
-		case ctrlReturn, ctrlMigrate:
-			return c, nil
-		}
-		if st.DoWhile {
-			// Fall into the do-while loop's test-then-iterate cycle.
-			for {
-				cond, err := p.evalExpr(f, st.Cond)
-				if err != nil {
-					return ctrlNext, err
-				}
-				if !cond.asBool() {
-					return ctrlNext, nil
-				}
-				c, err := p.execStmt(f, st.Body)
-				if err != nil {
-					return ctrlNext, err
-				}
-				switch c {
-				case ctrlBreak:
-					return ctrlNext, nil
-				case ctrlReturn, ctrlMigrate:
-					return c, nil
-				}
-			}
-		}
-		// Continue the while loop normally.
-		for {
-			cond, err := p.evalExpr(f, st.Cond)
-			if err != nil {
-				return ctrlNext, err
-			}
-			if !cond.asBool() {
-				return ctrlNext, nil
-			}
-			c, err := p.execStmt(f, st.Body)
-			if err != nil {
-				return ctrlNext, err
-			}
-			switch c {
-			case ctrlBreak:
-				return ctrlNext, nil
-			case ctrlReturn, ctrlMigrate:
-				return c, nil
-			}
-		}
-
+		return p.runLoop(f, st.Cond, st.Body, nil, atStep)
 	case *minic.For:
-		c, err := p.execChain(f, site, idx+1)
-		if err != nil {
-			return ctrlNext, err
+		if c, more := loopGoesOn(c); err != nil || !more {
+			return c, err
 		}
-		switch c {
-		case ctrlBreak:
-			return ctrlNext, nil
-		case ctrlReturn, ctrlMigrate:
-			return c, nil
-		}
-		// Resume the loop: post, then test, then iterate normally.
-		for {
-			if st.Post != nil {
-				if _, err := p.evalExpr(f, st.Post); err != nil {
-					return ctrlNext, err
-				}
-			}
-			if st.Cond != nil {
-				cond, err := p.evalExpr(f, st.Cond)
-				if err != nil {
-					return ctrlNext, err
-				}
-				if !cond.asBool() {
-					return ctrlNext, nil
-				}
-			}
-			c, err := p.execStmt(f, st.Body)
-			if err != nil {
-				return ctrlNext, err
-			}
-			switch c {
-			case ctrlBreak:
-				return ctrlNext, nil
-			case ctrlReturn, ctrlMigrate:
-				return c, nil
-			}
-		}
+		return p.runLoop(f, st.Cond, st.Body, st.Post, atStep)
 	}
-	return ctrlNext, rtErr(cur.Position(), "internal: bad resume chain element %T", cur)
+	// An if: the branch on the chain was taken before migration.
+	return c, err
 }
 
-// resumeCallSite re-enters the callee frame at a migratory call statement
-// and completes the statement when the callee returns.
-func (p *Process) resumeCallSite(f *Frame, st *minic.ExprStmt) (ctrl, error) {
-	// Find the call and optional assignment target.
-	var call *minic.Call
-	var target *minic.Ident
-	switch x := st.X.(type) {
-	case *minic.Call:
-		call = x
-	case *minic.Assign:
-		target, _ = x.X.(*minic.Ident)
-		c, ok := x.Y.(*minic.Call)
-		if !ok {
-			// The call may sit under parentheses-free casts; unwrap.
-			if cast, okc := x.Y.(*minic.Cast); okc {
-				c, ok = cast.X.(*minic.Call)
-			}
-			if !ok {
-				return ctrlNext, rtErr(st.Position(), "internal: unresumable call statement shape")
-			}
-		}
-		call = c
-	default:
-		return ctrlNext, rtErr(st.Position(), "internal: unresumable call statement shape")
-	}
-
-	if f.Depth >= len(p.frames) {
-		return ctrlNext, rtErr(st.Position(), "resume state missing callee frame")
-	}
-	callee := p.frames[f.Depth]
-	if callee.Fn != call.Func {
-		return ctrlNext, rtErr(st.Position(), "resume state frame mismatch: have %s, call is to %s",
-			callee.Fn.Name, call.Func.Name)
-	}
-	f.curSite = st.Site
+// resumeCallSite re-enters the callee frame of a migratory call statement
+// and, when it returns, completes the statement by evaluating it: the
+// evaluation's call to the callee yields the frame's result.
+func (p *Process) resumeCallSite(f *Frame, site *minic.Site) (ctrl, error) {
+	callee := p.frames[f.Depth] // the restore checked it is site.Call's
+	f.curSite = site
 	c, err := p.execResumeFrame(callee)
-	if err != nil {
-		f.curSite = nil
-		return ctrlNext, err
-	}
-	if c == ctrlMigrate {
+	if c == ctrlMigrate && err == nil {
 		// Keep curSite: this frame is stopped at the call statement for
 		// any recapture of the migrating process.
 		return ctrlMigrate, nil
 	}
 	f.curSite = nil
-	ret := callee.retVal
-	if err := p.popFrame(); err != nil {
+	if err != nil {
 		return ctrlNext, err
 	}
-	if target != nil {
-		addr := p.VarAddr(f, target.Sym)
-		conv := p.convert(ret, target.Sym.Type)
-		if err := p.storeValue(addr, target.Sym.Type, conv); err != nil {
-			return ctrlNext, err
-		}
+	if p.resumedRet, err = p.popReturn(callee); err != nil {
+		return ctrlNext, err
 	}
-	return ctrlNext, nil
+	p.resumedCall = site.Call
+	_, err = p.evalExpr(f, site.Stmt.(*minic.ExprStmt).X)
+	return ctrlNext, err
 }
 
 // ---- builtins ----

@@ -76,19 +76,17 @@ func (p *Process) Recapture() ([]byte, error) {
 func (p *Process) captureSites(innermost *minic.Site) ([]*minic.Site, error) {
 	sites := make([]*minic.Site, len(p.frames))
 	for i, f := range p.frames {
-		var site *minic.Site
 		switch {
 		case i == len(p.frames)-1:
-			site = innermost
+			sites[i] = innermost
 		case f.curSite != nil:
-			site = f.curSite
+			sites[i] = f.curSite
 		case len(p.resumeSites) == len(p.frames):
-			site = p.resumeSites[i]
+			sites[i] = p.resumeSites[i]
 		}
-		if site == nil {
+		if sites[i] == nil {
 			return nil, fmt.Errorf("vm: frame %d (%s) has no active migration site", f.Depth, f.Fn.Name)
 		}
-		sites[i] = site
 	}
 	return sites, nil
 }
@@ -249,7 +247,8 @@ func (p *Process) putExecState(enc *xdr.Encoder, sites []*minic.Site) {
 }
 
 // decodeExecState decodes what putExecState wrote: the function of every
-// frame, outermost first, and the site each is stopped at.
+// frame, outermost first, and the site each is stopped at, which must form
+// the call chain the process can resume along.
 func (p *Process) decodeExecState(dec *xdr.Decoder) ([]*minic.FuncSymbol, []*minic.Site, error) {
 	nframes, err := dec.Uint32()
 	if err != nil {
@@ -265,12 +264,16 @@ func (p *Process) decodeExecState(dec *xdr.Decoder) ([]*minic.FuncSymbol, []*min
 		if err != nil || err2 != nil {
 			return nil, nil, fmt.Errorf("%w: truncated execution state", collect.ErrCorruptStream)
 		}
-		fns[i] = p.Prog.Func(name)
-		if fns[i] == nil {
+		if fns[i] = p.Prog.Func(name); fns[i] == nil {
 			return nil, nil, fmt.Errorf("%w: state references unknown function %s", collect.ErrMismatch, name)
 		}
 		if sites[i] = fns[i].SiteByID(int(siteID)); sites[i] == nil {
 			return nil, nil, fmt.Errorf("%w: function %s has no migration site %d", collect.ErrMismatch, name, siteID)
+		}
+		// Every outer frame is stopped at a call to the next frame's
+		// function, and the innermost at a poll point.
+		if i > 0 && (sites[i-1].Call == nil || sites[i-1].Call.Func != fns[i]) || i == len(sites)-1 && sites[i].Call != nil {
+			return nil, nil, fmt.Errorf("%w: frame %d (%s at site %d) breaks the call chain", collect.ErrMismatch, i+1, name, siteID)
 		}
 	}
 	return fns, sites, nil

@@ -172,6 +172,11 @@ type Process struct {
 	// resumeSites is non-nil while fast-forwarding after a restore:
 	// resumeSites[d] is the site frame depth d+1 is stopped at.
 	resumeSites []*minic.Site
+	// resumedCall, while a resumed frame completes the call statement it
+	// was stopped at, is that statement's call, and resumedRet the result
+	// of the callee frame that ran to its end on resume.
+	resumedCall *minic.Call
+	resumedRet  value
 
 	// lastSite is the poll site of the most recent capture (Recapture).
 	lastSite *minic.Site
