@@ -164,3 +164,58 @@ func (m *Machine) Prim(b []byte, k PrimKind) uint64 {
 		return m.Uint(b, m.size[k])
 	}
 }
+
+// Load returns the decoder of a scalar of kind k on m: it reads the kind's
+// width in m's byte order and returns the canonical value Prim returns,
+// with the width, byte order and signedness chosen once, here, instead of
+// on every read.
+func (m *Machine) Load(k PrimKind) func(b []byte) uint64 {
+	signed := 0
+	if k.IsSigned() {
+		signed = 1
+	}
+	return loaders[m.Order][m.size[k]][signed]
+}
+
+// Store returns the encoder of a scalar of kind k on m: it writes the
+// canonical value v as PutPrim does, with the width and byte order chosen
+// once.
+func (m *Machine) Store(k PrimKind) func(b []byte, v uint64) {
+	return storers[m.Order][m.size[k]]
+}
+
+// loaders[order][size][signed] and storers[order][size] are the scalar
+// codecs of every width a primitive kind has.
+var loaders = [2][9][2]func([]byte) uint64{
+	LittleEndian: {
+		1: {func(b []byte) uint64 { return uint64(b[0]) }, func(b []byte) uint64 { return uint64(int8(b[0])) }},
+		2: {func(b []byte) uint64 { return uint64(binary.LittleEndian.Uint16(b)) },
+			func(b []byte) uint64 { return uint64(int16(binary.LittleEndian.Uint16(b))) }},
+		4: {func(b []byte) uint64 { return uint64(binary.LittleEndian.Uint32(b)) },
+			func(b []byte) uint64 { return uint64(int32(binary.LittleEndian.Uint32(b))) }},
+		8: {binary.LittleEndian.Uint64, binary.LittleEndian.Uint64},
+	},
+	BigEndian: {
+		1: {func(b []byte) uint64 { return uint64(b[0]) }, func(b []byte) uint64 { return uint64(int8(b[0])) }},
+		2: {func(b []byte) uint64 { return uint64(binary.BigEndian.Uint16(b)) },
+			func(b []byte) uint64 { return uint64(int16(binary.BigEndian.Uint16(b))) }},
+		4: {func(b []byte) uint64 { return uint64(binary.BigEndian.Uint32(b)) },
+			func(b []byte) uint64 { return uint64(int32(binary.BigEndian.Uint32(b))) }},
+		8: {binary.BigEndian.Uint64, binary.BigEndian.Uint64},
+	},
+}
+
+var storers = [2][9]func([]byte, uint64){
+	LittleEndian: {
+		1: func(b []byte, v uint64) { b[0] = byte(v) },
+		2: func(b []byte, v uint64) { binary.LittleEndian.PutUint16(b, uint16(v)) },
+		4: func(b []byte, v uint64) { binary.LittleEndian.PutUint32(b, uint32(v)) },
+		8: binary.LittleEndian.PutUint64,
+	},
+	BigEndian: {
+		1: func(b []byte, v uint64) { b[0] = byte(v) },
+		2: func(b []byte, v uint64) { binary.BigEndian.PutUint16(b, uint16(v)) },
+		4: func(b []byte, v uint64) { binary.BigEndian.PutUint32(b, uint32(v)) },
+		8: binary.BigEndian.PutUint64,
+	},
+}

@@ -137,6 +137,11 @@ type segmentStore struct {
 const growAlign = 1 << 16
 
 func (s *segmentStore) slice(addr Address, n int) ([]byte, error) {
+	if addr >= s.lo && addr+Address(n) <= s.hi && n >= 0 {
+		// Inside what an earlier range exposed: backed, and in bounds.
+		rel := addr - s.org
+		return s.data[rel : rel+Address(n)], nil
+	}
 	if addr == 0 {
 		return nil, ErrNull
 	}
@@ -279,6 +284,10 @@ func (s *Space) Zero(addr Address, n int) error {
 	}
 	return nil
 }
+
+// Writable returns a view of n bytes at addr for the caller to store
+// into. It passes the write barrier, as every other mutation does.
+func (s *Space) Writable(addr Address, n int) ([]byte, error) { return s.mutable(addr, n) }
 
 // LoadPrim loads a scalar of primitive kind k at addr in the machine's
 // representation, returning the canonical 64-bit value (see arch.Prim).

@@ -457,3 +457,36 @@ func TestZeroSkipsOnlyNeverExposedBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestViewInsideExposedRange: a view inside what earlier views exposed is
+// handed out without the growth path, aliases the same bytes, and still
+// refuses a negative length; one reaching past the exposed range takes the
+// growth path and sees the same bytes too.
+func TestViewInsideExposedRange(t *testing.T) {
+	s := NewSpace(arch.SPARC20)
+	a, err := s.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StorePrim(a+8, arch.Int, 0x01020304); err != nil {
+		t.Fatal(err)
+	}
+	org, backed := s.heap.org, len(s.heap.data)
+	b, err := s.Bytes(a+8, 4)
+	if err != nil || string(b) != "\x01\x02\x03\x04" {
+		t.Fatalf("view inside the exposed range: %x, %v", b, err)
+	}
+	b[0] = 9
+	if v, _ := s.LoadPrim(a+8, arch.Int); v != 0x09020304 {
+		t.Errorf("the view does not alias the segment: reread %#x", v)
+	}
+	if s.heap.org != org || len(s.heap.data) != backed {
+		t.Error("a view inside the exposed range moved the backing array")
+	}
+	if _, err := s.Bytes(a+8, -1); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("negative length inside the exposed range: %v, want ErrOutOfRange", err)
+	}
+	if b, err := s.Bytes(a+60, 8); err != nil || len(b) != 8 {
+		t.Errorf("view across the exposed range's end: %d bytes, %v", len(b), err)
+	}
+}

@@ -280,16 +280,9 @@ type VarSymbol struct {
 	// Str is the content of the synthetic global for a string literal,
 	// or of a char-array global initialized from a string constant.
 	Str string
-	// Init is the constant initializer of a global, if any.
-	Init ConstValue
-}
-
-// ConstValue is a compile-time constant (for global initializers).
-type ConstValue struct {
-	Valid   bool
-	IsFloat bool
-	F       float64
-	I       int64
+	// Init is the initializer of a global, if any: a constant expression
+	// the process evaluates on its machine before main runs.
+	Init Expr
 }
 
 // Site is a migration site: either a poll point or a statement calling a

@@ -1,178 +1,168 @@
-package minic
+package minic_test
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
 	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/minic"
+	"repro/internal/vm"
 )
 
-// evalConstOf compiles a global initializer through the front end and
-// returns the recorded constant.
-func evalConstOf(t *testing.T, typ, expr string) ConstValue {
+// initAndMain initializes a global of type typ with expr and assigns the
+// same expression to a local of main, then prints both on every machine.
+// A global initializer is evaluated at the process's machine by the same
+// evaluator as code in a function, so the two must agree everywhere.
+// When portable, the value must also be the same on every machine, and
+// initAndMain returns it.
+func initAndMain(t *testing.T, typ, expr string, portable bool) string {
 	t.Helper()
-	prog := mustCompile(t, typ+" x = "+expr+"; int main() { return 0; }", PollPolicy{})
-	for _, g := range prog.Globals {
-		if g.Name == "x" {
-			return g.Init
+	format := `"%d\n"`
+	if typ == "double" || typ == "float" {
+		format = `"%.17g\n"`
+	}
+	src := fmt.Sprintf(`%s g = %s;
+int main() {
+	%s l;
+	l = %s;
+	printf(%s, g);
+	printf(%s, l);
+	return 0;
+}`, typ, expr, typ, expr, format, format)
+	prog, err := minic.Compile(src, minic.PollPolicy{})
+	if err != nil {
+		t.Fatalf("%s g = %s: %v", typ, expr, err)
+	}
+	var want string
+	for _, m := range arch.Machines() {
+		p, err := vm.NewProcess(prog, m)
+		if err != nil {
+			t.Fatalf("%s g = %s on %s: %v", typ, expr, m.Name, err)
+		}
+		var out bytes.Buffer
+		p.Stdout = &out
+		if _, err := p.Run(); err != nil {
+			t.Fatalf("%s g = %s on %s: %v", typ, expr, m.Name, err)
+		}
+		lines := strings.Fields(out.String())
+		if len(lines) != 2 || lines[0] != lines[1] {
+			t.Errorf("%s g = %s on %s: global and main print %q", typ, expr, m.Name, lines)
+			continue
+		}
+		if want == "" {
+			want = lines[0]
+		} else if portable && lines[0] != want {
+			t.Errorf("%s g = %s: %s on %s, %s on the first machine", typ, expr, lines[0], m.Name, want)
 		}
 	}
-	t.Fatal("global x not found")
-	return ConstValue{}
+	return want
 }
 
 func TestConstIntExpressions(t *testing.T) {
-	cases := []struct {
-		expr string
-		want int64
-	}{
-		{"5", 5},
-		{"-5", -5},
-		{"+5", 5},
-		{"~0", -1},
-		{"!0", 1},
-		{"!7", 0},
-		{"2 + 3 * 4", 14},
-		{"(2 + 3) * 4", 20},
-		{"20 / 3", 6},
-		{"20 % 3", 2},
-		{"1 << 10", 1024},
-		{"1024 >> 3", 128},
-		{"12 & 10", 8},
-		{"12 | 10", 14},
-		{"12 ^ 10", 6},
-		{"'A'", 65},
-		{"(int)2.9", 2},
-	}
-	for _, c := range cases {
-		v := evalConstOf(t, "long long", c.expr)
-		if !v.Valid || v.IsFloat || v.I != c.want {
-			t.Errorf("%q = %+v, want %d", c.expr, v, c.want)
+	for _, c := range []struct{ typ, expr, want string }{
+		{"long long", "5", "5"},
+		{"long long", "-5", "-5"},
+		{"long long", "+5", "5"},
+		{"long long", "~0", "-1"},
+		{"long long", "!0", "1"},
+		{"long long", "!7", "0"},
+		{"long long", "2 + 3 * 4", "14"},
+		{"long long", "(2 + 3) * 4", "20"},
+		{"long long", "20 / 3", "6"},
+		{"long long", "20 % 3", "2"},
+		{"long long", "1 << 10", "1024"},
+		{"long long", "1024 >> 3", "128"},
+		{"long long", "12 & 10", "8"},
+		{"long long", "12 | 10", "14"},
+		{"long long", "12 ^ 10", "6"},
+		{"long long", "'A'", "65"},
+		{"long long", "(int)2.9", "2"},
+		{"long long", "7 < 9", "1"},
+		{"long long", "sizeof(int) * 8", "32"},
+		{"long long", `sizeof("abc")`, "4"},
+		// C arithmetic at int: the sum wraps before the division, in a
+		// global initializer as in main.
+		{"int", "(2147483647 + 1) / 2", "-1073741824"},
+		{"int", "1 << 31", "-2147483648"},
+		{"unsigned int", "-1", "4294967295"},
+		{"short", "40000", "-25536"},
+	} {
+		if got := initAndMain(t, c.typ, c.expr, true); got != c.want {
+			t.Errorf("%s g = %s is %s, want %s", c.typ, c.expr, got, c.want)
 		}
 	}
+	// Machine-dependent values agree with main on each machine.
+	initAndMain(t, "long", "sizeof(long) * 1000 + sizeof(double *)", false)
 }
 
 func TestConstFloatExpressions(t *testing.T) {
-	cases := []struct {
-		expr string
-		want float64
-	}{
-		{"1.5", 1.5},
-		{"-1.5", -1.5},
-		{"1.5 + 2", 3.5},
-		{"3 * 0.5", 1.5},
-		{"7.0 / 2", 3.5},
-		{"(double)3", 3.0},
-	}
-	for _, c := range cases {
-		v := evalConstOf(t, "double", c.expr)
-		if !v.Valid || !v.IsFloat || v.F != c.want {
-			t.Errorf("%q = %+v, want %g", c.expr, v, c.want)
+	for _, c := range []struct{ typ, expr, want string }{
+		{"double", "1.5", "1.5"},
+		{"double", "-1.5", "-1.5"},
+		{"double", "1.5 + 2", "3.5"},
+		{"double", "3 * 0.5", "1.5"},
+		{"double", "7.0 / 2", "3.5"},
+		{"double", "(double)3", "3"},
+		{"double", "1.5 / 0.0", "+Inf"},
+		{"double", "-1.5 / 0.0", "-Inf"},
+		{"double", "(float)0.1", "0.10000000149011612"},
+	} {
+		if got := initAndMain(t, c.typ, c.expr, true); got != c.want {
+			t.Errorf("%s g = %s is %s, want %s", c.typ, c.expr, got, c.want)
 		}
 	}
 }
 
 func TestConstConversionsAtInit(t *testing.T) {
-	// float constant into int global truncates; int into double widens.
-	vi := evalConstOf(t, "int", "2.75")
-	if vi.IsFloat || vi.I != 2 {
-		t.Errorf("int x = 2.75 -> %+v", vi)
+	for _, c := range []struct{ typ, expr, want string }{
+		{"int", "2.75", "2"},
+		{"double", "3", "3"},
+		{"char", "300", "44"},
+		{"unsigned char", "-1", "255"},
+		{"float", "0.1", "0.10000000149011612"},
+		{"int", "-2.75", "-2"},
+	} {
+		if got := initAndMain(t, c.typ, c.expr, true); got != c.want {
+			t.Errorf("%s g = %s is %s, want %s", c.typ, c.expr, got, c.want)
+		}
 	}
-	vf := evalConstOf(t, "double", "3")
-	if !vf.IsFloat || vf.F != 3.0 {
-		t.Errorf("double x = 3 -> %+v", vf)
-	}
-	if (ConstValue{Valid: true, I: 7}).AsFloat() != 7.0 {
-		t.Error("AsFloat of int constant")
-	}
-	if (ConstValue{Valid: true, IsFloat: true, F: 7.9}).AsInt() != 7 {
-		t.Error("AsInt of float constant")
-	}
+	// The widths differ: each machine agrees with its own main.
+	initAndMain(t, "long", "2147483647 + 1", false)
+	initAndMain(t, "unsigned long", "-1", false)
 }
 
 func TestConstRejectsNonConstant(t *testing.T) {
-	for _, expr := range []string{
-		"1 / 0",
-		"1 % 0",
-		"1.5 / 0.0",
+	for _, init := range []string{
+		"y",
+		"y + 1",
+		"&y",
+		"y = 2",
+		"y++",
+		"f()",
+		"1 ? 2 : 3",
 		"~1.5",
+		`"s"`,
 	} {
-		src := "int x = " + expr + "; int main() { return 0; }"
-		if _, err := Compile(src, PollPolicy{}); err == nil {
-			t.Errorf("%q accepted as a constant initializer", expr)
+		src := "int y; int f() { return 1; } int x = " + init + "; int main() { return 0; }"
+		if _, err := minic.Compile(src, minic.PollPolicy{}); err == nil {
+			t.Errorf("%q accepted as a constant initializer", init)
 		}
 	}
-}
-
-func TestSiteByID(t *testing.T) {
-	prog := mustCompile(t, `
-		int main() {
-			int i;
-			for (i = 0; i < 2; i++) { migrate_here(); }
-			return 0;
+	// A constant the machine cannot compute is not rejected by the
+	// checker; the process image that would evaluate it is never built.
+	for _, init := range []string{"1 / 0", "1 % 0"} {
+		prog, err := minic.Compile("int x = "+init+"; int main() { return 0; }", minic.PollPolicy{})
+		if err != nil {
+			t.Fatalf("%q: %v", init, err)
 		}
-	`, PollPolicy{})
-	fn := prog.Func("main")
-	if fn.SiteByID(1) == nil {
-		t.Error("site 1 missing")
-	}
-	if fn.SiteByID(99) != nil {
-		t.Error("phantom site")
-	}
-}
-
-func TestTokenStrings(t *testing.T) {
-	toks, err := Tokenize(`name 42 1.5 'q' "s" + if`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []string{`"name"`, "integer 42", "float 1.5",
-		`character 'q'`, `string "s"`, `"+"`, `"if"`} {
-		if got := toks[i].String(); got != want {
-			t.Errorf("token %d String = %q, want %q", i, got, want)
+		if _, err := vm.NewProcess(prog, arch.DEC5000); err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Errorf("int x = %s: NewProcess error %v, want a division by zero", init, err)
 		}
 	}
-	eof := toks[len(toks)-1]
-	if eof.String() != "end of file" {
-		t.Errorf("EOF string = %q", eof.String())
-	}
-}
-
-func TestMarkAddrTakenThroughAccessPaths(t *testing.T) {
-	prog := mustCompile(t, `
-		struct s { int f; int arr[3]; };
-		int main() {
-			struct s v;
-			int plain;
-			int *p1, *p2, *p3;
-			plain = 0;
-			p1 = &v.f;
-			p2 = &v.arr[1];
-			p3 = &plain;
-			return *p1 + *p2 + *p3;
-		}
-	`, PollPolicy{})
-	byName := map[string]*VarSymbol{}
-	for _, l := range prog.Func("main").Locals {
-		byName[l.Name] = l
-	}
-	if !byName["v"].AddrTaken {
-		t.Error("&v.f must mark v address-taken")
-	}
-	if !byName["plain"].AddrTaken {
-		t.Error("&plain must mark plain address-taken")
-	}
-}
-
-func TestUnaryCheckErrors(t *testing.T) {
-	cases := []struct{ src, want string }{
-		{"int main() { int *p; p = -p; return 0; }", "arithmetic operand"},
-		{"int main() { double d; d = ~d; return 0; }", "integer operand"},
-		{"int main() { ++3; return 0; }", "lvalue"},
-		{"int main() { int *p; int x; x = *&*p + 1; return x; }", ""},
-	}
-	for _, c := range cases {
-		if c.want == "" {
-			mustCheck(t, c.src)
-			continue
-		}
-		checkErr(t, c.src, c.want)
+	if _, err := minic.Compile("int *p = 0; int *q = 1; int main() { return 0; }", minic.PollPolicy{}); err == nil ||
+		!strings.Contains(err.Error(), "cannot initialize q") {
+		t.Errorf("int *q = 1: %v, want cannot initialize q", err)
 	}
 }

@@ -134,3 +134,20 @@ func TestPositions(t *testing.T) {
 		t.Errorf("second token pos = %v", toks[1].Pos)
 	}
 }
+
+func TestTokenStrings(t *testing.T) {
+	toks, err := Tokenize(`name 42 1.5 'q' "s" + if`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{`"name"`, "integer 42", "float 1.5",
+		`character 'q'`, `string "s"`, `"+"`, `"if"`} {
+		if got := toks[i].String(); got != want {
+			t.Errorf("token %d String = %q, want %q", i, got, want)
+		}
+	}
+	eof := toks[len(toks)-1]
+	if eof.String() != "end of file" {
+		t.Errorf("EOF string = %q", eof.String())
+	}
+}

@@ -380,3 +380,20 @@ func TestDumpSites(t *testing.T) {
 		t.Errorf("dump output:\n%s", out)
 	}
 }
+
+func TestSiteByID(t *testing.T) {
+	prog := mustCompile(t, `
+		int main() {
+			int i;
+			for (i = 0; i < 2; i++) { migrate_here(); }
+			return 0;
+		}
+	`, PollPolicy{})
+	fn := prog.Func("main")
+	if fn.SiteByID(1) == nil {
+		t.Error("site 1 missing")
+	}
+	if fn.SiteByID(99) != nil {
+		t.Error("phantom site")
+	}
+}

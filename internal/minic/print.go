@@ -34,10 +34,8 @@ func Fprint(sb *strings.Builder, prog *Program, macros bool) {
 		switch {
 		case g.Str != "":
 			pr.writef("%s = %s;\n", declString(g.Type, g.Name), quoteC(g.Str))
-		case g.Init.Valid && g.Init.IsFloat:
-			pr.writef("%s = %g;\n", declString(g.Type, g.Name), g.Init.F)
-		case g.Init.Valid:
-			pr.writef("%s = %d;\n", declString(g.Type, g.Name), g.Init.I)
+		case g.Init != nil:
+			pr.writef("%s = %s;\n", declString(g.Type, g.Name), exprString(g.Init))
 		default:
 			pr.writef("%s;\n", declString(g.Type, g.Name))
 		}

@@ -8,6 +8,9 @@ import (
 const printSource = `
 	struct node { float data; struct node *link; };
 	struct node *head;
+	int half = (2147483647 + 1) / 2;
+	double inf = 1.5 / 0.0;
+	struct node *none = 0;
 
 	void push(int v) {
 		struct node *c;
@@ -60,6 +63,13 @@ func TestFormatRoundTrip(t *testing.T) {
 			fn.Migratory != fn2.Migratory {
 			t.Errorf("function %s changed: sites %d/%d migratory %v/%v",
 				fn.Name, len(fn.Sites), len(fn2.Sites), fn.Migratory, fn2.Migratory)
+		}
+	}
+
+	// Global initializers print as the expressions they are.
+	for _, want := range []string{"int half = ((2147483647 + 1) / 2);", "double inf = (1.5 / 0.0);", "struct node *none = 0;"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("printed program lacks %q:\n%s", want, out)
 		}
 	}
 

@@ -83,11 +83,13 @@ func Check(tree *ParseTree) (*Program, error) {
 			c.errorf(g.Pos, "variable %s has type void", g.Name)
 			continue
 		}
-		sym := &VarSymbol{Name: g.Name, Type: g.Type, Kind: GlobalVar, Pos: g.Pos,
-			Index: len(c.prog.Globals)}
+		sym := &VarSymbol{Name: g.Name, Type: g.Type, Kind: GlobalVar, Pos: g.Pos}
 		if g.Init != nil {
 			c.globalInit(sym, g)
 		}
+		// After the initializer: a string literal under its sizeof is a
+		// global of its own.
+		sym.Index = len(c.prog.Globals)
 		c.prog.Globals = append(c.prog.Globals, sym)
 		c.prog.TI.Add(g.Type)
 	}
@@ -145,10 +147,11 @@ func Check(tree *ParseTree) (*Program, error) {
 	return c.prog, c.errs.Err()
 }
 
-// globalInit validates and records a global's constant initializer.
-// C initializes globals before execution, so only constants are accepted:
-// arithmetic constant expressions for scalars, string literals for char
-// arrays.
+// globalInit validates and records a global's initializer. C initializes
+// globals before execution, so only constant expressions are accepted:
+// literals combined by unary, binary, cast and sizeof operators for
+// scalars, string literals for char arrays. The process evaluates them on
+// its machine, with the arithmetic the same expression has in a function.
 func (c *checker) globalInit(sym *VarSymbol, g *globalDecl) {
 	// char buf[N] = "literal";
 	if s, ok := g.Init.(*StrLit); ok {
@@ -163,26 +166,33 @@ func (c *checker) globalInit(sym *VarSymbol, g *globalDecl) {
 		c.errorf(g.Pos, "string initializer requires a char array, not %s", g.Type)
 		return
 	}
-	v, ok := evalConst(g.Init)
-	if !ok {
+	if !constantForm(g.Init) {
 		c.errorf(g.Pos, "global initializer for %s is not a compile-time constant", g.Name)
 		return
 	}
-	if !g.Type.IsArithmetic() {
-		if g.Type.IsPointer() && !v.IsFloat && v.I == 0 {
-			sym.Init = ConstValue{Valid: true} // null pointer
-			return
-		}
+	n := len(c.errs)
+	init := c.checkExpr(g.Init)
+	if len(c.errs) == n && !g.Type.IsArithmetic() && !(g.Type.IsPointer() && isNullConstant(init)) {
 		c.errorf(g.Pos, "cannot initialize %s (type %s) with a constant", g.Name, g.Type)
 		return
 	}
-	if v.IsFloat && g.Type.IsInteger() {
-		v = ConstValue{Valid: true, I: int64(v.F)}
+	sym.Init = c.assignable(init, g.Type, g.Pos)
+}
+
+// constantForm reports whether e is built from literals by unary, binary,
+// cast and sizeof operators (whose operand is not evaluated).
+func constantForm(e Expr) bool {
+	switch x := e.(type) {
+	case *IntLit, *FloatLit, *SizeofExpr:
+		return true
+	case *Unary:
+		return (x.Op == "-" || x.Op == "+" || x.Op == "~" || x.Op == "!") && constantForm(x.X)
+	case *Binary:
+		return constantForm(x.X) && constantForm(x.Y)
+	case *Cast:
+		return constantForm(x.X)
 	}
-	if !v.IsFloat && g.Type.IsFloat() {
-		v = ConstValue{Valid: true, IsFloat: true, F: float64(v.I)}
-	}
-	sym.Init = v
+	return false
 }
 
 // containsByValue reports whether struct s transitively contains target as

@@ -353,3 +353,45 @@ func TestCheckStatementIDsUnique(t *testing.T) {
 		t.Errorf("only %d statements numbered", len(seen))
 	}
 }
+
+func TestMarkAddrTakenThroughAccessPaths(t *testing.T) {
+	prog := mustCompile(t, `
+		struct s { int f; int arr[3]; };
+		int main() {
+			struct s v;
+			int plain;
+			int *p1, *p2, *p3;
+			plain = 0;
+			p1 = &v.f;
+			p2 = &v.arr[1];
+			p3 = &plain;
+			return *p1 + *p2 + *p3;
+		}
+	`, PollPolicy{})
+	byName := map[string]*VarSymbol{}
+	for _, l := range prog.Func("main").Locals {
+		byName[l.Name] = l
+	}
+	if !byName["v"].AddrTaken {
+		t.Error("&v.f must mark v address-taken")
+	}
+	if !byName["plain"].AddrTaken {
+		t.Error("&plain must mark plain address-taken")
+	}
+}
+
+func TestUnaryCheckErrors(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"int main() { int *p; p = -p; return 0; }", "arithmetic operand"},
+		{"int main() { double d; d = ~d; return 0; }", "integer operand"},
+		{"int main() { ++3; return 0; }", "lvalue"},
+		{"int main() { int *p; int x; x = *&*p + 1; return x; }", ""},
+	}
+	for _, c := range cases {
+		if c.want == "" {
+			mustCheck(t, c.src)
+			continue
+		}
+		checkErr(t, c.src, c.want)
+	}
+}

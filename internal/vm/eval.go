@@ -9,7 +9,18 @@ import (
 	"repro/internal/types"
 )
 
-// value is an expression result in canonical 64-bit form:
+// Expressions are compiled, once per process, into closures over the
+// facts of the process's machine: frame offsets, global addresses,
+// element sizes and field offsets are constants; each node's operator and
+// result type are fixed; a conversion to the type an operand already has
+// is left out; and a load or store calls the scalar codec of its width
+// and byte order. The code of a function is compiled the first time the
+// process runs it and kept in the process's frame layout, so no two
+// processes share code and a restored process that never runs compiles
+// nothing.
+
+// expr is a compiled expression. It yields its value in canonical 64-bit
+// form:
 //
 //   - signed integers: sign-extended two's complement;
 //   - unsigned integers and pointers: zero-extended;
@@ -17,638 +28,745 @@ import (
 //   - double: IEEE 754 double bits;
 //   - structs (and non-decayed arrays): the address of the object —
 //     aggregates are handled by reference, with assignment copying bytes.
-type value struct {
-	t    *types.Type
-	bits uint64
+type expr func(f *Frame) (uint64, error)
+
+// test is a compiled expression in boolean position.
+type test func(f *Frame) (bool, error)
+
+// stmtCode is what one statement evaluates, compiled.
+type stmtCode struct {
+	// x is an expression statement, a declaration's initialization, a
+	// return's value at the function's result type, or a for loop's init.
+	x expr
+	// cond is the condition of an if or a loop; nil for a for without one.
+	cond test
+	// post is a for loop's step.
+	post expr
 }
 
-func intValue(t *types.Type, v int64) value { return value{t: t, bits: uint64(v)} }
-func ptrValue(t *types.Type, a memory.Address) value {
-	return value{t: t, bits: uint64(a)}
+// compiler compiles the expressions of one function (or of the global
+// initializers, with no frame) for process p.
+type compiler struct {
+	p    *Process
+	m    *arch.Machine
+	sp   *memory.Space
+	offs []int // the function's frame offsets
 }
 
-// asBool interprets a scalar value in boolean position.
-func (v value) asBool() bool {
-	if v.t.IsFloat() {
-		return v.float64() != 0
+// compileFunc compiles fn's expressions, indexed by statement ID.
+func (p *Process) compileFunc(fn *minic.FuncSymbol, l *frameLayout) []stmtCode {
+	c := &compiler{p: p, m: p.Mach, sp: p.Space, offs: l.offsets}
+	code := make([]stmtCode, 1)
+	set := func(id int, sc stmtCode) {
+		for len(code) <= id {
+			code = append(code, stmtCode{})
+		}
+		code[id] = sc
 	}
-	return v.bits != 0
+	var walk func(s minic.Stmt)
+	walk = func(s minic.Stmt) {
+		switch st := s.(type) {
+		case *minic.Block:
+			for _, sub := range st.Stmts {
+				walk(sub)
+			}
+		case *minic.DeclStmt:
+			if st.Init != nil {
+				pl := place{frame: true, off: memory.Address(l.offsets[st.Sym.Index])}
+				set(st.ID, stmtCode{x: c.assign(pl, st.Sym.Type, c.convOf(st.Init, st.Sym.Type))})
+			}
+		case *minic.ExprStmt:
+			set(st.ID, stmtCode{x: c.expr(st.X)})
+		case *minic.If:
+			set(st.ID, stmtCode{cond: c.test(st.Cond)})
+			walk(st.Then)
+			if st.Else != nil {
+				walk(st.Else)
+			}
+		case *minic.While:
+			set(st.ID, stmtCode{cond: c.test(st.Cond)})
+			walk(st.Body)
+		case *minic.For:
+			var sc stmtCode
+			if st.Init != nil {
+				sc.x = c.expr(st.Init)
+			}
+			if st.Cond != nil {
+				sc.cond = c.test(st.Cond)
+			}
+			if st.Post != nil {
+				sc.post = c.expr(st.Post)
+			}
+			set(st.ID, sc)
+			walk(st.Body)
+		case *minic.Return:
+			if st.X != nil {
+				set(st.ID, stmtCode{x: c.convOf(st.X, fn.Result)})
+			}
+		}
+	}
+	walk(fn.Body)
+	return code
 }
 
-// float64 returns the numeric value of a floating value.
-func (v value) float64() float64 {
-	if v.t.Kind == types.KPrim && v.t.Prim == arch.Float {
-		return float64(math.Float32frombits(uint32(v.bits)))
-	}
-	return math.Float64frombits(v.bits)
+// width is an integer type's machine width as the shift that truncates a
+// 64-bit value to it, and its signedness.
+type width struct {
+	shift  uint8
+	signed bool
 }
 
-// addr returns the pointer value.
-func (v value) addr() memory.Address { return memory.Address(v.bits) }
-
-// normInt truncates bits to the machine width of an integer kind and
-// sign- or zero-extends back to 64 bits.
-func normInt(m *arch.Machine, k arch.PrimKind, bits uint64) uint64 {
-	size := m.SizeOf(k)
-	if size == 8 {
-		return bits
+func (c *compiler) width(t *types.Type) width {
+	k := t.Prim
+	if t.IsPointer() {
+		k = arch.Ptr
 	}
-	shift := uint(64 - 8*size)
-	if k.IsSigned() {
-		return uint64(int64(bits<<shift) >> shift)
-	}
-	return bits << shift >> shift
+	return width{uint8(64 - 8*c.m.SizeOf(k)), k.IsSigned()}
 }
 
-// convert adapts a scalar value to another type with C semantics.
-func (p *Process) convert(v value, to *types.Type) value {
-	from := v.t
-	if from == to {
-		return value{t: to, bits: v.bits}
+// norm truncates v to the width and sign- or zero-extends it back.
+func (w width) norm(v uint64) uint64 {
+	if w.signed {
+		return uint64(int64(v<<w.shift) >> w.shift)
 	}
+	return v << w.shift >> w.shift
+}
+
+// asFloat is the numeric value of a floating value of type t.
+func asFloat(t *types.Type, v uint64) float64 {
+	if t.Kind == types.KPrim && t.Prim == arch.Float {
+		return float64(math.Float32frombits(uint32(v)))
+	}
+	return math.Float64frombits(v)
+}
+
+// floatBits is the canonical form of f at floating type t.
+func floatBits(t *types.Type, f float64) uint64 {
+	if t.Prim == arch.Float {
+		return uint64(math.Float32bits(float32(f)))
+	}
+	return math.Float64bits(f)
+}
+
+// scalarKind is the codec kind of a scalar type; false for an aggregate.
+func scalarKind(t *types.Type) (arch.PrimKind, bool) {
+	switch t.Kind {
+	case types.KPrim:
+		return t.Prim, true
+	case types.KPointer:
+		return arch.Ptr, true
+	}
+	return 0, false
+}
+
+// cvt is the conversion of a value of type from to type to with C
+// semantics, or nil where the bits carry over unchanged.
+func (c *compiler) cvt(from, to *types.Type) func(uint64) uint64 {
 	switch {
-	case to.IsPointer():
-		// Pointer from pointer (or null constant): bits carry over.
-		return value{t: to, bits: v.bits}
-	case to.Kind == types.KPrim && to.Prim == arch.Double:
+	case from == to || to.IsPointer() || !to.IsArithmetic():
+		return nil
+	case to.IsFloat():
+		var fl func(uint64) float64
 		switch {
 		case from.IsFloat():
-			return value{t: to, bits: math.Float64bits(v.float64())}
+			fl = func(v uint64) float64 { return asFloat(from, v) }
 		case from.IsInteger() && from.Prim.IsSigned():
-			return value{t: to, bits: math.Float64bits(float64(int64(v.bits)))}
+			fl = func(v uint64) float64 { return float64(int64(v)) }
 		default:
-			return value{t: to, bits: math.Float64bits(float64(v.bits))}
+			fl = func(v uint64) float64 { return float64(v) }
 		}
-	case to.Kind == types.KPrim && to.Prim == arch.Float:
-		var f float64
-		switch {
-		case from.IsFloat():
-			f = v.float64()
-		case from.IsInteger() && from.Prim.IsSigned():
-			f = float64(int64(v.bits))
-		default:
-			f = float64(v.bits)
-		}
-		return value{t: to, bits: uint64(math.Float32bits(float32(f)))}
-	case to.IsInteger():
-		var bits uint64
-		if from.IsFloat() {
-			// C truncation toward zero; out-of-range is undefined
-			// behaviour in C, saturate like common hardware.
-			f := v.float64()
+		return func(v uint64) uint64 { return floatBits(to, fl(v)) }
+	case from.IsFloat():
+		// C truncation toward zero; out of range is undefined behaviour
+		// in C, saturate like common hardware.
+		w := c.width(to)
+		return func(v uint64) uint64 {
+			f := asFloat(from, v)
 			switch {
 			case math.IsNaN(f):
-				bits = 0
+				return 0
 			case f >= math.MaxInt64:
-				bits = math.MaxInt64
+				return w.norm(math.MaxInt64)
 			case f <= math.MinInt64:
-				bits = 1 << 63 // int64 minimum
-			default:
-				bits = uint64(int64(f))
+				return w.norm(1 << 63)
 			}
-		} else {
-			bits = v.bits
+			return w.norm(uint64(int64(f)))
 		}
-		return value{t: to, bits: normInt(p.Mach, to.Prim, bits)}
 	}
-	// void or aggregate targets: carry bits (aggregates are addresses).
-	return value{t: to, bits: v.bits}
+	w, fw := c.width(to), c.width(from)
+	if from.IsInteger() && (w.shift == 0 || (fw.shift >= w.shift && fw.signed == w.signed) || (!fw.signed && fw.shift > w.shift)) {
+		return nil // every value of from is already canonical at to
+	}
+	return w.norm
 }
 
-// loadValue reads a scalar (or takes the address of an aggregate) of type
-// t at addr.
-func (p *Process) loadValue(addr memory.Address, t *types.Type) (value, error) {
-	switch t.Kind {
-	case types.KPrim:
-		bits, err := p.Space.LoadPrim(addr, t.Prim)
-		if err != nil {
-			return value{}, err
-		}
-		return value{t: t, bits: bits}, nil
-	case types.KPointer:
-		a, err := p.Space.LoadPtr(addr)
-		if err != nil {
-			return value{}, err
-		}
-		return value{t: t, bits: uint64(a)}, nil
-	default:
-		return value{t: t, bits: uint64(addr)}, nil
+// wrap applies cv to what x yields.
+func wrap(x expr, cv func(uint64) uint64) expr {
+	if cv == nil {
+		return x
+	}
+	return func(f *Frame) (uint64, error) {
+		v, err := x(f)
+		return cv(v), err
 	}
 }
 
-// storeValue writes a value of type t to addr (copying bytes for
-// aggregates).
-func (p *Process) storeValue(addr memory.Address, t *types.Type, v value) error {
-	switch t.Kind {
-	case types.KPrim:
-		return p.Space.StorePrim(addr, t.Prim, v.bits)
-	case types.KPointer:
-		return p.Space.StorePtr(addr, v.addr())
-	default:
-		src, err := p.Space.Bytes(v.addr(), t.SizeOf(p.Mach))
-		if err != nil {
-			return err
-		}
-		return p.Space.WriteBytes(addr, src)
+// convOf compiles e converted to type to.
+func (c *compiler) convOf(e minic.Expr, to *types.Type) expr {
+	return wrap(c.expr(e), c.cvt(e.Type(), to))
+}
+
+// konst yields v.
+func konst(v uint64) expr { return func(*Frame) (uint64, error) { return v, nil } }
+
+// place is a compiled lvalue: f.Base+off for a local (frame), off itself
+// for a global (no base), or base(f)+off.
+type place struct {
+	base  expr
+	frame bool
+	off   memory.Address
+}
+
+// addr is the code of the place's address.
+func (pl place) addr() expr {
+	off := uint64(pl.off)
+	switch {
+	case pl.frame:
+		return func(f *Frame) (uint64, error) { return uint64(f.Base) + off, nil }
+	case pl.base == nil:
+		return func(*Frame) (uint64, error) { return off, nil }
+	case off == 0:
+		return pl.base
+	}
+	base := pl.base
+	return func(f *Frame) (uint64, error) {
+		a, err := base(f)
+		return a + off, err
 	}
 }
 
-// evalAddr computes the address designated by an lvalue expression.
-func (p *Process) evalAddr(f *Frame, e minic.Expr) (memory.Address, error) {
+// nonNull fails with msg where x yields the null pointer.
+func nonNull(x expr, pos minic.Pos, msg string) expr {
+	return func(f *Frame) (uint64, error) {
+		a, err := x(f)
+		if err == nil && a == 0 {
+			err = rtErr(pos, "%s", msg)
+		}
+		return a, err
+	}
+}
+
+// place compiles the lvalue e.
+func (c *compiler) place(e minic.Expr) place {
 	switch x := e.(type) {
 	case *minic.Ident:
-		return p.VarAddr(f, x.Sym), nil
-
+		if x.Sym.Kind == minic.GlobalVar {
+			return place{off: c.p.globalAddrs[x.Sym.Index]}
+		}
+		return place{frame: true, off: memory.Address(c.offs[x.Sym.Index])}
 	case *minic.StrLit:
-		return p.globalAddrs[x.Sym.Index], nil
-
+		return place{off: c.p.globalAddrs[x.Sym.Index]}
 	case *minic.Unary:
 		if x.Op == "*" {
-			v, err := p.evalExpr(f, x.X)
-			if err != nil {
-				return 0, err
-			}
-			if v.addr() == 0 {
-				return 0, rtErr(x.Position(), "null pointer dereference")
-			}
-			return v.addr(), nil
+			return place{base: nonNull(c.expr(x.X), x.Position(), "null pointer dereference")}
 		}
-
 	case *minic.Index:
-		base, err := p.evalExpr(f, x.X)
-		if err != nil {
-			return 0, err
-		}
-		idx, err := p.evalExpr(f, x.I)
-		if err != nil {
-			return 0, err
-		}
-		if base.addr() == 0 {
-			return 0, rtErr(x.Position(), "indexing null pointer")
-		}
-		elem := base.t.Elem
-		off := int64(idx.bits) * int64(elem.SizeOf(p.Mach))
-		return base.addr() + memory.Address(off), nil
-
+		base, idx := c.expr(x.X), c.expr(x.I)
+		es := uint64(x.X.Type().Elem.SizeOf(c.m))
+		pos := x.Position()
+		return place{base: func(f *Frame) (uint64, error) {
+			b, err := base(f)
+			if err != nil {
+				return 0, err
+			}
+			i, err := idx(f)
+			if err != nil {
+				return 0, err
+			}
+			if b == 0 {
+				return 0, rtErr(pos, "indexing null pointer")
+			}
+			return b + i*es, nil
+		}}
 	case *minic.Member:
-		var base memory.Address
-		var st *types.Type
 		if x.Arrow {
-			v, err := p.evalExpr(f, x.X)
-			if err != nil {
-				return 0, err
-			}
-			if v.addr() == 0 {
-				return 0, rtErr(x.Position(), "member access through null pointer")
-			}
-			base = v.addr()
-			st = v.t.Elem
-		} else {
-			a, err := p.evalAddr(f, x.X)
-			if err != nil {
-				return 0, err
-			}
-			base = a
-			st = x.X.Type()
+			off := x.X.Type().Elem.OffsetOf(c.m, x.FieldIdx)
+			return place{base: nonNull(c.expr(x.X), x.Position(), "member access through null pointer"), off: memory.Address(off)}
 		}
-		return base + memory.Address(st.OffsetOf(p.Mach, x.FieldIdx)), nil
-
+		pl := c.place(x.X)
+		pl.off += memory.Address(x.X.Type().OffsetOf(c.m, x.FieldIdx))
+		return pl
 	case *minic.Cast:
 		// Decay casts of array lvalues appear in lvalue positions only
 		// through checker rewrites; other casts are not lvalues.
-		return p.evalAddr(f, x.X)
+		return c.place(x.X)
 	}
-	return 0, rtErr(e.Position(), "expression is not an lvalue")
+	pos := e.Position()
+	return place{base: func(*Frame) (uint64, error) { return 0, rtErr(pos, "expression is not an lvalue") }}
 }
 
-// evalExpr evaluates an expression to a value.
-func (p *Process) evalExpr(f *Frame, e minic.Expr) (value, error) {
+// load compiles the value of type t at pl: a scalar read through its
+// codec, or an aggregate's address.
+func (c *compiler) load(pl place, t *types.Type) expr {
+	k, ok := scalarKind(t)
+	if !ok {
+		return pl.addr()
+	}
+	n, ld, sp, off := c.m.SizeOf(k), c.m.Load(k), c.sp, pl.off
+	if pl.frame {
+		return func(f *Frame) (uint64, error) {
+			b, err := sp.Bytes(f.Base+off, n)
+			if err != nil {
+				return 0, err
+			}
+			return ld(b), nil
+		}
+	}
+	addr := pl.addr()
+	return func(f *Frame) (uint64, error) {
+		a, err := addr(f)
+		if err != nil {
+			return 0, err
+		}
+		b, err := sp.Bytes(memory.Address(a), n)
+		if err != nil {
+			return 0, err
+		}
+		return ld(b), nil
+	}
+}
+
+// storer is the store of a value of type t to an address: a scalar
+// written through its codec, an aggregate copied from the address it is.
+func (c *compiler) storer(t *types.Type) func(memory.Address, uint64) error {
+	sp := c.sp
+	k, ok := scalarKind(t)
+	if !ok {
+		n := t.SizeOf(c.m)
+		return func(a memory.Address, v uint64) error {
+			src, err := sp.Bytes(memory.Address(v), n)
+			if err != nil {
+				return err
+			}
+			return sp.WriteBytes(a, src)
+		}
+	}
+	n, st := c.m.SizeOf(k), c.m.Store(k)
+	return func(a memory.Address, v uint64) error {
+		b, err := sp.Writable(a, n)
+		if err != nil {
+			return err
+		}
+		st(b, v)
+		return nil
+	}
+}
+
+// assign compiles the store of y, of type t, at pl; it yields what it
+// stores.
+func (c *compiler) assign(pl place, t *types.Type, y expr) expr {
+	store, addr := c.storer(t), pl.addr()
+	return func(f *Frame) (uint64, error) {
+		a, err := addr(f)
+		if err != nil {
+			return 0, err
+		}
+		v, err := y(f)
+		if err != nil {
+			return 0, err
+		}
+		return v, store(memory.Address(a), v)
+	}
+}
+
+// expr compiles e.
+func (c *compiler) expr(e minic.Expr) expr {
 	switch x := e.(type) {
 	case *minic.IntLit:
-		return value{t: x.Type(), bits: normInt(p.Mach, x.Type().Prim, x.Val)}, nil
-
+		return konst(c.width(x.T).norm(x.Val))
 	case *minic.FloatLit:
-		return value{t: x.Type(), bits: math.Float64bits(x.Val)}, nil
-
-	case *minic.StrLit:
-		// Non-decayed string literal (aggregate reference).
-		return ptrValue(x.Type(), p.globalAddrs[x.Sym.Index]), nil
-
-	case *minic.Ident:
-		addr := p.VarAddr(f, x.Sym)
-		return p.loadValue(addr, x.Sym.Type)
-
-	case *minic.Unary:
-		return p.evalUnary(f, x)
-
-	case *minic.Postfix:
-		old, _, err := p.incDec(f, x.X, x.Op)
-		return old, err
-
-	case *minic.Binary:
-		return p.evalBinary(f, x)
-
-	case *minic.Assign:
-		return p.evalAssign(f, x)
-
-	case *minic.Cond:
-		c, err := p.evalExpr(f, x.C)
-		if err != nil {
-			return value{}, err
-		}
-		pick := x.Y
-		if c.asBool() {
-			pick = x.X
-		}
-		v, err := p.evalExpr(f, pick)
-		if err != nil {
-			return value{}, err
-		}
-		return p.convert(v, x.Type()), nil
-
-	case *minic.Index, *minic.Member:
-		addr, err := p.evalAddr(f, e)
-		if err != nil {
-			return value{}, err
-		}
-		return p.loadValue(addr, e.Type())
-
-	case *minic.Call:
-		return p.evalCall(f, x)
-
-	case *minic.Cast:
-		if x.X.Type() != nil && x.X.Type().Kind == types.KArray {
-			// Array decay: the value is the array's address.
-			addr, err := p.evalAddr(f, x.X)
-			if err != nil {
-				return value{}, err
-			}
-			return ptrValue(x.To, addr), nil
-		}
-		v, err := p.evalExpr(f, x.X)
-		if err != nil {
-			return value{}, err
-		}
-		return p.convert(v, x.To), nil
-
+		return konst(math.Float64bits(x.Val))
 	case *minic.SizeofExpr:
 		t := x.Of
 		if t == nil {
 			t = x.X.Type()
 		}
-		return value{t: types.ULong, bits: normInt(p.Mach, arch.ULong, uint64(t.SizeOf(p.Mach)))}, nil
-	}
-	return value{}, rtErr(e.Position(), "internal: unhandled expression %T", e)
-}
-
-// incDec loads the lvalue x, steps it by one ("++") or minus one ("--")
-// for arithmetic and pointer types, stores the result back, and returns
-// the old and new values: prefix and postfix ++ and -- differ only in
-// which one they yield.
-func (p *Process) incDec(f *Frame, x minic.Expr, op string) (old, upd value, err error) {
-	addr, err := p.evalAddr(f, x)
-	if err != nil {
-		return old, upd, err
-	}
-	t := x.Type()
-	if old, err = p.loadValue(addr, t); err != nil {
-		return old, upd, err
-	}
-	delta := int64(1)
-	if op == "--" {
-		delta = -1
-	}
-	switch {
-	case t.IsPointer():
-		upd = ptrValue(t, memory.Address(int64(old.bits)+delta*int64(t.Elem.SizeOf(p.Mach))))
-	case t.IsFloat():
-		sum := old.float64() + float64(delta)
-		upd = value{t: t, bits: math.Float64bits(sum)}
-		if t.Prim == arch.Float {
-			upd.bits = uint64(math.Float32bits(float32(sum)))
+		return konst(c.width(types.ULong).norm(uint64(t.SizeOf(c.m))))
+	case *minic.StrLit:
+		// Non-decayed string literal (aggregate reference).
+		return c.place(x).addr()
+	case *minic.Ident, *minic.Index, *minic.Member:
+		return c.load(c.place(e), e.Type())
+	case *minic.Unary:
+		return c.unary(x)
+	case *minic.Postfix:
+		return c.incDec(x.X, x.Op, true)
+	case *minic.Binary:
+		return c.binaryExpr(x)
+	case *minic.Assign:
+		if x.Op == "=" {
+			return c.assign(c.place(x.X), x.X.Type(), c.convOf(x.Y, x.X.Type()))
 		}
-	case t.IsInteger():
-		upd = value{t: t, bits: normInt(p.Mach, t.Prim, old.bits+uint64(delta))}
-	default:
-		return old, upd, rtErr(x.Position(), "cannot increment %s", t)
+		return c.compound(x)
+	case *minic.Cond:
+		cond, a, b := c.test(x.C), c.convOf(x.X, x.T), c.convOf(x.Y, x.T)
+		return func(f *Frame) (uint64, error) {
+			ok, err := cond(f)
+			if err != nil {
+				return 0, err
+			}
+			if ok {
+				return a(f)
+			}
+			return b(f)
+		}
+	case *minic.Call:
+		return c.call(x)
+	case *minic.Cast:
+		if x.X.Type().Kind == types.KArray {
+			// Array decay: the value is the array's address.
+			return c.place(x.X).addr()
+		}
+		return c.convOf(x.X, x.To)
 	}
-	return old, upd, p.storeValue(addr, t, upd)
+	pos := e.Position()
+	return func(*Frame) (uint64, error) { return 0, rtErr(pos, "internal: unhandled expression %T", e) }
 }
 
-func (p *Process) evalUnary(f *Frame, x *minic.Unary) (value, error) {
+func (c *compiler) unary(x *minic.Unary) expr {
+	t := x.T
 	switch x.Op {
 	case "&":
-		addr, err := p.evalAddr(f, x.X)
-		if err != nil {
-			return value{}, err
-		}
-		return ptrValue(x.Type(), addr), nil
-
+		return c.place(x.X).addr()
 	case "*":
-		addr, err := p.evalAddr(f, x)
-		if err != nil {
-			return value{}, err
-		}
-		return p.loadValue(addr, x.Type())
-
-	case "-", "+":
-		v, err := p.evalExpr(f, x.X)
-		if err != nil {
-			return value{}, err
-		}
-		v = p.convert(v, x.Type())
-		if x.Op == "+" {
-			return v, nil
-		}
-		t := x.Type()
+		return c.load(c.place(x), t)
+	case "+":
+		return c.convOf(x.X, t)
+	case "-":
+		v := c.convOf(x.X, t)
 		if t.IsFloat() {
-			fv := -v.float64()
-			if t.Prim == arch.Float {
-				return value{t: t, bits: uint64(math.Float32bits(float32(fv)))}, nil
-			}
-			return value{t: t, bits: math.Float64bits(fv)}, nil
+			return wrap(v, func(a uint64) uint64 { return floatBits(t, -asFloat(t, a)) })
 		}
-		return value{t: t, bits: normInt(p.Mach, t.Prim, -v.bits)}, nil
-
-	case "!":
-		v, err := p.evalExpr(f, x.X)
-		if err != nil {
-			return value{}, err
-		}
-		if v.asBool() {
-			return intValue(types.Int, 0), nil
-		}
-		return intValue(types.Int, 1), nil
-
+		w := c.width(t)
+		return wrap(v, func(a uint64) uint64 { return w.norm(-a) })
 	case "~":
-		v, err := p.evalExpr(f, x.X)
-		if err != nil {
-			return value{}, err
-		}
-		v = p.convert(v, x.Type())
-		return value{t: x.Type(), bits: normInt(p.Mach, x.Type().Prim, ^v.bits)}, nil
-
-	case "++", "--":
-		_, upd, err := p.incDec(f, x.X, x.Op)
-		return upd, err
+		w := c.width(t)
+		return wrap(c.convOf(x.X, t), func(a uint64) uint64 { return w.norm(^a) })
+	case "!":
+		return boolValue(c.test(x))
 	}
-	return value{}, rtErr(x.Position(), "internal: unhandled unary %s", x.Op)
+	return c.incDec(x.X, x.Op, false) // ++ and --
 }
 
-func (p *Process) evalBinary(f *Frame, x *minic.Binary) (value, error) {
-	// Short-circuit logicals.
-	if x.Op == "&&" || x.Op == "||" {
-		l, err := p.evalExpr(f, x.X)
+// incDec compiles ++ or -- of the lvalue target: load it, step it by one
+// for arithmetic and pointer types, store it back, and yield the old value
+// (post) or the new one. The load reads the view the store writes.
+func (c *compiler) incDec(target minic.Expr, op string, post bool) expr {
+	t := target.Type()
+	k, _ := scalarKind(t)
+	addr, n, ld, st, sp := c.place(target).addr(), c.m.SizeOf(k), c.m.Load(k), c.m.Store(k), c.sp
+	d := uint64(1)
+	if op == "--" {
+		d = ^uint64(0)
+	}
+	var step func(uint64) uint64
+	switch {
+	case t.IsPointer():
+		es := uint64(t.Elem.SizeOf(c.m))
+		step = func(v uint64) uint64 { return v + d*es }
+	case t.IsFloat():
+		delta := float64(int64(d))
+		step = func(v uint64) uint64 { return floatBits(t, asFloat(t, v)+delta) }
+	default:
+		w := c.width(t)
+		step = func(v uint64) uint64 { return w.norm(v + d) }
+	}
+	return func(f *Frame) (uint64, error) {
+		a, err := addr(f)
 		if err != nil {
-			return value{}, err
+			return 0, err
 		}
-		lb := l.asBool()
-		if (x.Op == "&&" && !lb) || (x.Op == "||" && lb) {
-			if x.Op == "&&" {
-				return intValue(types.Int, 0), nil
-			}
-			return intValue(types.Int, 1), nil
-		}
-		r, err := p.evalExpr(f, x.Y)
+		b, err := sp.Writable(memory.Address(a), n)
 		if err != nil {
-			return value{}, err
+			return 0, err
 		}
-		if r.asBool() {
-			return intValue(types.Int, 1), nil
+		old := ld(b)
+		upd := step(old)
+		st(b, upd)
+		if post {
+			return old, nil
 		}
-		return intValue(types.Int, 0), nil
+		return upd, nil
 	}
-
-	l, err := p.evalExpr(f, x.X)
-	if err != nil {
-		return value{}, err
-	}
-	r, err := p.evalExpr(f, x.Y)
-	if err != nil {
-		return value{}, err
-	}
-	rt := x.Type()
-	if x.Conv != nil {
-		rt = x.Conv
-	}
-	return p.applyBinary(x.Position(), x.Op, l, r, rt)
 }
 
-// applyBinary evaluates l op r at type rt: the result type of pointer
-// arithmetic and of arithmetic (the operands' common type), the type an
-// arithmetic comparison converts its operands to. Comparisons yield int.
-func (p *Process) applyBinary(pos minic.Pos, op string, l, r value, rt *types.Type) (value, error) {
-	lt, rtp := l.t, r.t
-
-	// Pointer arithmetic and comparisons.
-	if lt.IsPointer() || rtp.IsPointer() {
-		switch op {
-		case "+", "-":
-			if lt.IsPointer() && rtp.IsPointer() {
-				// ptr - ptr: element difference.
-				es := int64(lt.Elem.SizeOf(p.Mach))
-				diff := (int64(l.bits) - int64(r.bits)) / es
-				return value{t: rt, bits: normInt(p.Mach, rt.Prim, uint64(diff))}, nil
-			}
-			pv, iv := l, r
-			if rtp.IsPointer() {
-				pv, iv = r, l
-			}
-			es := int64(pv.t.Elem.SizeOf(p.Mach))
-			n := int64(iv.bits)
-			if op == "-" {
-				n = -n
-			}
-			return ptrValue(pv.t, memory.Address(int64(pv.bits)+n*es)), nil
-		case "==", "!=", "<", "<=", ">", ">=":
-			return compareBits(op, l.bits, r.bits, false), nil
+// boolValue yields 1 where t holds and 0 where it does not.
+func boolValue(t test) expr {
+	return func(f *Frame) (uint64, error) {
+		ok, err := t(f)
+		if ok {
+			return 1, err
 		}
-		return value{}, rtErr(pos, "invalid pointer operation %s", op)
+		return 0, err
 	}
+}
 
-	lc, rc := p.convert(l, rt), p.convert(r, rt)
-	switch op {
-	case "==", "!=", "<", "<=", ">", ">=":
-		if rt.IsFloat() {
-			return compareFloat(op, lc.float64(), rc.float64()), nil
+// binaryExpr compiles a binary operator in value position.
+func (c *compiler) binaryExpr(x *minic.Binary) expr {
+	lt, rt := x.X.Type(), x.Y.Type()
+	var op func(a, b uint64) (uint64, error)
+	var l, r expr
+	switch {
+	case cmpMasks[x.Op] != 0 || x.Op == "&&" || x.Op == "||":
+		return boolValue(c.test(x))
+	case lt.IsPointer() || rt.IsPointer():
+		op, l, r = c.pointerArith(x.Op, lt, rt, x.T, x.Position()), c.expr(x.X), c.expr(x.Y)
+	default:
+		op, l, r = c.arith(x.Op, x.T, x.Position()), c.convOf(x.X, x.T), c.convOf(x.Y, x.T)
+		if x.Op == "<<" || x.Op == ">>" {
+			r = c.expr(x.Y) // the count is not converted
 		}
-		return compareBits(op, lc.bits, rc.bits, rt.Prim.IsSigned()), nil
 	}
-
-	// Shifts: the result type is the promoted left operand.
-	if op == "<<" || op == ">>" {
-		sh := r.bits & 63
-		var bits uint64
-		if op == "<<" {
-			bits = lc.bits << sh
-		} else if rt.Prim.IsSigned() {
-			bits = uint64(int64(lc.bits) >> sh)
-		} else {
-			bits = normInt(p.Mach, rt.Prim, lc.bits) >> sh
+	return func(f *Frame) (uint64, error) {
+		a, err := l(f)
+		if err != nil {
+			return 0, err
 		}
-		return value{t: rt, bits: normInt(p.Mach, rt.Prim, bits)}, nil
+		b, err := r(f)
+		if err != nil {
+			return 0, err
+		}
+		return op(a, b)
 	}
+}
 
-	// Plain arithmetic at the result type.
-	if rt.IsFloat() {
-		a, b := lc.float64(), rc.float64()
-		var res float64
+// compound compiles an arithmetic or pointer compound assignment. It
+// computes at the checker's common type and converts back to the
+// target's; a pointer target (p += n) keeps its type.
+func (c *compiler) compound(x *minic.Assign) expr {
+	lt, rt := x.X.Type(), x.Y.Type()
+	opName := x.Op[:len(x.Op)-1]
+	addr, store, y := c.place(x.X).addr(), c.storer(lt), c.expr(x.Y)
+	var op func(a, b uint64) (uint64, error)
+	if lt.IsPointer() {
+		op = c.pointerArith(opName, lt, rt, lt, x.Position())
+	} else {
+		ct := x.Conv
+		if opName != "<<" && opName != ">>" {
+			y = wrap(y, c.cvt(rt, ct))
+		}
+		inner, in, out := c.arith(opName, ct, x.Position()), c.cvt(lt, ct), c.cvt(ct, lt)
+		op = func(a, b uint64) (uint64, error) {
+			v, err := inner(apply(in, a), b)
+			return apply(out, v), err
+		}
+	}
+	k, _ := scalarKind(lt)
+	n, ld, sp := c.m.SizeOf(k), c.m.Load(k), c.sp
+	return func(f *Frame) (uint64, error) {
+		a, err := addr(f)
+		if err != nil {
+			return 0, err
+		}
+		b, err := y(f)
+		if err != nil {
+			return 0, err
+		}
+		old, err := sp.Bytes(memory.Address(a), n)
+		if err != nil {
+			return 0, err
+		}
+		v, err := op(ld(old), b)
+		if err != nil {
+			return 0, err
+		}
+		return v, store(memory.Address(a), v)
+	}
+}
+
+func apply(cv func(uint64) uint64, v uint64) uint64 {
+	if cv == nil {
+		return v
+	}
+	return cv(v)
+}
+
+// pointerArith is pointer + integer, integer + pointer, pointer - integer
+// and pointer - pointer (an element count of type res).
+func (c *compiler) pointerArith(op string, lt, rt, res *types.Type, pos minic.Pos) func(a, b uint64) (uint64, error) {
+	switch {
+	case op == "-" && lt.IsPointer() && rt.IsPointer():
+		es, w := int64(lt.Elem.SizeOf(c.m)), c.width(res)
+		return func(a, b uint64) (uint64, error) { return w.norm(uint64((int64(a) - int64(b)) / es)), nil }
+	case op == "+" || op == "-":
+		pt := lt
+		if rt.IsPointer() {
+			pt = rt
+		}
+		es := uint64(pt.Elem.SizeOf(c.m))
+		if op == "-" {
+			es = -es
+		}
+		if rt.IsPointer() {
+			return func(a, b uint64) (uint64, error) { return b + a*es, nil }
+		}
+		return func(a, b uint64) (uint64, error) { return a + b*es, nil }
+	}
+	return func(a, b uint64) (uint64, error) { return 0, rtErr(pos, "invalid pointer operation %s", op) }
+}
+
+// arith is an arithmetic operator at type t, on operands converted to t
+// (but a shift count, which is not).
+func (c *compiler) arith(op string, t *types.Type, pos minic.Pos) func(a, b uint64) (uint64, error) {
+	if t.IsFloat() {
+		var fop func(a, b float64) float64
 		switch op {
 		case "+":
-			res = a + b
+			fop = func(a, b float64) float64 { return a + b }
 		case "-":
-			res = a - b
+			fop = func(a, b float64) float64 { return a - b }
 		case "*":
-			res = a * b
+			fop = func(a, b float64) float64 { return a * b }
 		case "/":
-			res = a / b
+			fop = func(a, b float64) float64 { return a / b }
 		default:
-			return value{}, rtErr(pos, "invalid floating operation %s", op)
+			return func(a, b uint64) (uint64, error) { return 0, rtErr(pos, "invalid floating operation %s", op) }
 		}
-		if rt.Prim == arch.Float {
-			return value{t: rt, bits: uint64(math.Float32bits(float32(res)))}, nil
-		}
-		return value{t: rt, bits: math.Float64bits(res)}, nil
+		return func(a, b uint64) (uint64, error) { return floatBits(t, fop(asFloat(t, a), asFloat(t, b))), nil }
 	}
-
-	a, b := lc.bits, rc.bits
-	var bits uint64
+	w := c.width(t)
 	switch op {
 	case "+":
-		bits = a + b
+		return func(a, b uint64) (uint64, error) { return w.norm(a + b), nil }
 	case "-":
-		bits = a - b
+		return func(a, b uint64) (uint64, error) { return w.norm(a - b), nil }
 	case "*":
-		bits = a * b
-	case "/", "%":
-		if b == 0 {
-			return value{}, rtErr(pos, "division by zero")
-		}
-		if rt.Prim.IsSigned() {
-			q := int64(a) / int64(b)
-			m := int64(a) % int64(b)
-			if op == "/" {
-				bits = uint64(q)
-			} else {
-				bits = uint64(m)
-			}
-		} else {
-			// Compare at machine width for unsigned.
-			aw := normInt(p.Mach, rt.Prim, a)
-			bw := normInt(p.Mach, rt.Prim, b)
-			if op == "/" {
-				bits = aw / bw
-			} else {
-				bits = aw % bw
-			}
-		}
+		return func(a, b uint64) (uint64, error) { return w.norm(a * b), nil }
 	case "&":
-		bits = a & b
+		return func(a, b uint64) (uint64, error) { return a & b, nil }
 	case "|":
-		bits = a | b
+		return func(a, b uint64) (uint64, error) { return a | b, nil }
 	case "^":
-		bits = a ^ b
+		return func(a, b uint64) (uint64, error) { return a ^ b, nil }
+	case "<<":
+		return func(a, b uint64) (uint64, error) { return w.norm(a << (b & 63)), nil }
+	case ">>":
+		if w.signed {
+			return func(a, b uint64) (uint64, error) { return w.norm(uint64(int64(a) >> (b & 63))), nil }
+		}
+		return func(a, b uint64) (uint64, error) { return w.norm(a >> (b & 63)), nil }
+	case "/", "%":
+		rem := op == "%"
+		return func(a, b uint64) (uint64, error) {
+			switch {
+			case b == 0:
+				return 0, rtErr(pos, "division by zero")
+			case w.signed && rem:
+				return w.norm(uint64(int64(a) % int64(b))), nil
+			case w.signed:
+				return w.norm(uint64(int64(a) / int64(b))), nil
+			case rem:
+				return w.norm(a % b), nil
+			}
+			return w.norm(a / b), nil
+		}
+	}
+	return func(a, b uint64) (uint64, error) { return 0, rtErr(pos, "invalid integer operation %s", op) }
+}
+
+// cmpMasks maps a comparison to the orderings it holds for: less (1),
+// equal (2), greater (4) and unordered, a NaN operand (8).
+var cmpMasks = map[string]uint8{"<": 1, "<=": 3, ">": 4, ">=": 6, "==": 2, "!=": 13}
+
+func orderOf[T int64 | uint64 | float64](a, b T) uint8 {
+	switch {
+	case a < b:
+		return 1
+	case a == b:
+		return 2
+	case a > b:
+		return 4
+	}
+	return 8
+}
+
+// test compiles e in boolean position.
+func (c *compiler) test(e minic.Expr) test {
+	switch x := e.(type) {
+	case *minic.Binary:
+		switch x.Op {
+		case "&&":
+			l, r := c.test(x.X), c.test(x.Y)
+			return func(f *Frame) (bool, error) {
+				ok, err := l(f)
+				if err != nil || !ok {
+					return false, err
+				}
+				return r(f)
+			}
+		case "||":
+			l, r := c.test(x.X), c.test(x.Y)
+			return func(f *Frame) (bool, error) {
+				ok, err := l(f)
+				if err != nil || ok {
+					return ok, err
+				}
+				return r(f)
+			}
+		}
+		if mask := cmpMasks[x.Op]; mask != 0 {
+			return c.compare(x, mask)
+		}
+	case *minic.Unary:
+		if x.Op == "!" {
+			t := c.test(x.X)
+			return func(f *Frame) (bool, error) {
+				ok, err := t(f)
+				return !ok, err
+			}
+		}
+	}
+	v, t := c.expr(e), e.Type()
+	if t.IsFloat() {
+		return func(f *Frame) (bool, error) {
+			a, err := v(f)
+			return asFloat(t, a) != 0, err
+		}
+	}
+	return func(f *Frame) (bool, error) {
+		a, err := v(f)
+		return a != 0, err
+	}
+}
+
+// compare compiles a comparison: of arithmetic operands at the checker's
+// conversion type, of pointers as unsigned addresses.
+func (c *compiler) compare(x *minic.Binary, mask uint8) test {
+	ct := x.Conv
+	l, r := c.expr(x.X), c.expr(x.Y)
+	var order func(a, b uint64) uint8
+	switch {
+	case ct == nil:
+		order = orderOf[uint64]
+	case ct.IsFloat():
+		l, r = c.convOf(x.X, ct), c.convOf(x.Y, ct)
+		order = func(a, b uint64) uint8 { return orderOf(asFloat(ct, a), asFloat(ct, b)) }
+	case ct.Prim.IsSigned():
+		l, r = c.convOf(x.X, ct), c.convOf(x.Y, ct)
+		order = func(a, b uint64) uint8 { return orderOf(int64(a), int64(b)) }
 	default:
-		return value{}, rtErr(pos, "invalid integer operation %s", op)
+		l, r = c.convOf(x.X, ct), c.convOf(x.Y, ct)
+		order = orderOf[uint64]
 	}
-	return value{t: rt, bits: normInt(p.Mach, rt.Prim, bits)}, nil
-}
-
-func compareBits(op string, a, b uint64, signed bool) value {
-	var res bool
-	if signed {
-		sa, sb := int64(a), int64(b)
-		switch op {
-		case "==":
-			res = sa == sb
-		case "!=":
-			res = sa != sb
-		case "<":
-			res = sa < sb
-		case "<=":
-			res = sa <= sb
-		case ">":
-			res = sa > sb
-		case ">=":
-			res = sa >= sb
-		}
-	} else {
-		switch op {
-		case "==":
-			res = a == b
-		case "!=":
-			res = a != b
-		case "<":
-			res = a < b
-		case "<=":
-			res = a <= b
-		case ">":
-			res = a > b
-		case ">=":
-			res = a >= b
-		}
-	}
-	if res {
-		return intValue(types.Int, 1)
-	}
-	return intValue(types.Int, 0)
-}
-
-func compareFloat(op string, a, b float64) value {
-	var res bool
-	switch op {
-	case "==":
-		res = a == b
-	case "!=":
-		res = a != b
-	case "<":
-		res = a < b
-	case "<=":
-		res = a <= b
-	case ">":
-		res = a > b
-	case ">=":
-		res = a >= b
-	}
-	if res {
-		return intValue(types.Int, 1)
-	}
-	return intValue(types.Int, 0)
-}
-
-func (p *Process) evalAssign(f *Frame, x *minic.Assign) (value, error) {
-	addr, err := p.evalAddr(f, x.X)
-	if err != nil {
-		return value{}, err
-	}
-	lt := x.X.Type()
-	rhs, err := p.evalExpr(f, x.Y)
-	if err != nil {
-		return value{}, err
-	}
-	var result value
-	if x.Op == "=" {
-		result = p.convert(rhs, lt)
-	} else {
-		old, err := p.loadValue(addr, lt)
+	return func(f *Frame) (bool, error) {
+		a, err := l(f)
 		if err != nil {
-			return value{}, err
+			return false, err
 		}
-		// Arithmetic compound assignment computes at the checker's
-		// common type, then converts back to the target type; pointer
-		// compound assignment (p += n) keeps the pointer type.
-		ct := x.Conv
-		if ct == nil {
-			ct = lt
-		}
-		v, err := p.applyBinary(x.Position(), x.Op[:len(x.Op)-1], old, rhs, ct)
+		b, err := r(f)
 		if err != nil {
-			return value{}, err
+			return false, err
 		}
-		result = p.convert(v, lt)
+		return mask&order(a, b) != 0, nil
 	}
-	if err := p.storeValue(addr, lt, result); err != nil {
-		return value{}, err
-	}
-	return result, nil
 }

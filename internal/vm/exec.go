@@ -31,14 +31,8 @@ func (p *Process) execStmt(f *Frame, s minic.Stmt) (ctrl, error) {
 
 	case *minic.DeclStmt:
 		if st.Init != nil {
-			v, err := p.evalExpr(f, st.Init)
-			if err != nil {
-				return ctrlNext, err
-			}
-			addr := p.VarAddr(f, st.Sym)
-			if err := p.storeValue(addr, st.Sym.Type, p.convert(v, st.Sym.Type)); err != nil {
-				return ctrlNext, err
-			}
+			_, err := f.code[st.ID].x(f)
+			return ctrlNext, err
 		}
 		return ctrlNext, nil
 
@@ -46,7 +40,7 @@ func (p *Process) execStmt(f *Frame, s minic.Stmt) (ctrl, error) {
 		if st.Site != nil {
 			f.curSite = st.Site
 		}
-		_, err := p.evalExpr(f, st.X)
+		_, err := f.code[st.ID].x(f)
 		if err != nil {
 			if _, ok := err.(*migrateSignal); ok {
 				// Migration unwound through this call statement: the frame
@@ -59,11 +53,11 @@ func (p *Process) execStmt(f *Frame, s minic.Stmt) (ctrl, error) {
 		return ctrlNext, err
 
 	case *minic.If:
-		c, err := p.evalExpr(f, st.Cond)
+		ok, err := f.code[st.ID].cond(f)
 		if err != nil {
 			return ctrlNext, err
 		}
-		if c.asBool() {
+		if ok {
 			return p.execStmt(f, st.Then)
 		}
 		if st.Else != nil {
@@ -73,25 +67,26 @@ func (p *Process) execStmt(f *Frame, s minic.Stmt) (ctrl, error) {
 
 	case *minic.While:
 		if st.DoWhile {
-			return p.runLoop(f, st.Cond, st.Body, nil, atBody)
+			return p.runLoop(f, f.code[st.ID].cond, st.Body, nil, atBody)
 		}
-		return p.runLoop(f, st.Cond, st.Body, nil, atTest)
+		return p.runLoop(f, f.code[st.ID].cond, st.Body, nil, atTest)
 
 	case *minic.For:
-		if st.Init != nil {
-			if _, err := p.evalExpr(f, st.Init); err != nil {
+		sc := &f.code[st.ID]
+		if sc.x != nil {
+			if _, err := sc.x(f); err != nil {
 				return ctrlNext, err
 			}
 		}
-		return p.runLoop(f, st.Cond, st.Body, st.Post, atTest)
+		return p.runLoop(f, sc.cond, st.Body, sc.post, atTest)
 
 	case *minic.Return:
 		if st.X != nil {
-			v, err := p.evalExpr(f, st.X)
+			v, err := f.code[st.ID].x(f)
 			if err != nil {
 				return ctrlNext, err
 			}
-			f.retVal = p.convert(v, f.Fn.Result)
+			f.retVal = v
 		}
 		return ctrlReturn, nil
 
@@ -157,16 +152,16 @@ const (
 // runLoop iterates a while, do-while or for loop from entry. cond and post
 // may be nil; post is a for loop's step expression, which runs before the
 // test of every iteration but the first.
-func (p *Process) runLoop(f *Frame, cond minic.Expr, body minic.Stmt, post minic.Expr, at loopEntry) (ctrl, error) {
+func (p *Process) runLoop(f *Frame, cond test, body minic.Stmt, post expr, at loopEntry) (ctrl, error) {
 	for ; ; at = atStep {
 		if at == atStep && post != nil {
-			if _, err := p.evalExpr(f, post); err != nil {
+			if _, err := post(f); err != nil {
 				return ctrlNext, err
 			}
 		}
 		if at != atBody && cond != nil {
-			c, err := p.evalExpr(f, cond)
-			if err != nil || !c.asBool() {
+			ok, err := cond(f)
+			if err != nil || !ok {
 				return ctrlNext, err
 			}
 		}
@@ -195,60 +190,90 @@ type migrateSignal struct{}
 
 func (*migrateSignal) Error() string { return "vm: migration in progress" }
 
-// evalCall dispatches builtin and user function calls.
-func (p *Process) evalCall(f *Frame, x *minic.Call) (value, error) {
+// call compiles a call: a builtin, or a user function whose arguments are
+// evaluated in the caller's frame, converted to the parameter types, and
+// stored into the callee's new frame.
+func (c *compiler) call(x *minic.Call) expr {
 	if x.Builtin != "" {
-		return p.evalBuiltin(f, x)
+		return c.builtin(x)
 	}
-	if x == p.resumedCall {
-		// The call a resumed frame stopped at: its callee has run to the
-		// end on resume, and this evaluation completes the statement.
-		p.resumedCall = nil
-		return p.resumedRet, nil
-	}
-	fn := x.Func
-	// Evaluate arguments in the caller's frame.
-	args := make([]value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := p.evalExpr(f, a)
-		if err != nil {
-			return value{}, err
-		}
-		args[i] = v
-	}
-	p.Stats.Calls++
-	if p.trace != nil {
-		p.tracef("call %s", fn.Name)
-	}
-	nf, err := p.pushFrame(fn)
-	if err != nil {
-		return value{}, err
-	}
+	p, fn := c.p, x.Func
+	offs := p.layout(fn).offsets
+	args := make([]expr, len(x.Args))
+	stores := make([]func(memory.Address, uint64) error, len(x.Args))
 	for i, pv := range fn.Params {
-		addr := p.VarAddr(nf, pv)
-		if err := p.storeValue(addr, pv.Type, p.convert(args[i], pv.Type)); err != nil {
-			return value{}, err
+		args[i], stores[i] = c.convOf(x.Args[i], pv.Type), c.storer(pv.Type)
+	}
+	return func(f *Frame) (uint64, error) {
+		if x == p.resumedCall {
+			// The call a resumed frame stopped at: its callee has run to
+			// the end on resume, and this evaluation completes the
+			// statement.
+			p.resumedCall = nil
+			return p.resumedRet, nil
 		}
+		base, err := p.pushArgs(f, args)
+		if err != nil {
+			return 0, err
+		}
+		p.Stats.Calls++
+		if p.trace != nil {
+			p.tracef("call %s", fn.Name)
+		}
+		nf, err := p.pushFrame(fn)
+		for i := 0; i < len(stores) && err == nil; i++ {
+			err = stores[i](nf.Base+memory.Address(offs[fn.Params[i].Index]), p.args[base+i])
+		}
+		p.args = p.args[:base]
+		if err != nil {
+			return 0, err
+		}
+		p.enter(nf)
+		ctl, err := p.execStmt(nf, fn.Body)
+		if err != nil {
+			return 0, err
+		}
+		if ctl == ctrlMigrate {
+			// Leave the frames in place for the captured image; unwind
+			// via the signal error so enclosing expressions stop
+			// evaluating.
+			return 0, &migrateSignal{}
+		}
+		return p.popReturn(nf)
 	}
-	c, err := p.execStmt(nf, fn.Body)
-	if err != nil {
-		return value{}, err
+}
+
+// pushArgs evaluates args in frame f onto the process's argument stack,
+// from base up; the caller pops them. Nested calls push above.
+func (p *Process) pushArgs(f *Frame, args []expr) (base int, err error) {
+	base = len(p.args)
+	for _, a := range args {
+		v, err := a(f)
+		if err != nil {
+			p.args = p.args[:base]
+			return base, err
+		}
+		p.args = append(p.args, v)
 	}
-	if c == ctrlMigrate {
-		// Leave the frames in place for the captured image; unwind via
-		// the signal error so enclosing expressions stop evaluating.
-		return value{}, &migrateSignal{}
+	return base, nil
+}
+
+// enter readies frame f to run: its function's code is compiled on the
+// process's first run of the function.
+func (p *Process) enter(f *Frame) {
+	if f.l.code == nil {
+		f.l.code = p.compileFunc(f.Fn, f.l)
 	}
-	return p.popReturn(nf)
+	f.code = f.l.code
 }
 
 // popReturn unwinds the completed frame f and returns its result.
-func (p *Process) popReturn(f *Frame) (value, error) {
+func (p *Process) popReturn(f *Frame) (uint64, error) {
 	if err := p.popFrame(); err != nil {
-		return value{}, err
+		return 0, err
 	}
 	if f.Fn.Result.IsVoid() {
-		return value{t: types.Void}, nil
+		return 0, nil
 	}
 	return f.retVal, nil
 }
@@ -256,6 +281,7 @@ func (p *Process) popReturn(f *Frame) (value, error) {
 // execResumeFrame fast-forwards frame f to its recorded site and continues
 // execution to the end of the function. The caller pops the frame.
 func (p *Process) execResumeFrame(f *Frame) (ctrl, error) {
+	p.enter(f)
 	return p.execChain(f, p.resumeSites[f.Depth-1], 0)
 }
 
@@ -283,12 +309,12 @@ func (p *Process) execChain(f *Frame, site *minic.Site, idx int) (ctrl, error) {
 		if c, more := loopGoesOn(c); err != nil || !more {
 			return c, err
 		}
-		return p.runLoop(f, st.Cond, st.Body, nil, atStep)
+		return p.runLoop(f, f.code[st.ID].cond, st.Body, nil, atStep)
 	case *minic.For:
 		if c, more := loopGoesOn(c); err != nil || !more {
 			return c, err
 		}
-		return p.runLoop(f, st.Cond, st.Body, st.Post, atStep)
+		return p.runLoop(f, f.code[st.ID].cond, st.Body, f.code[st.ID].post, atStep)
 	}
 	// An if: the branch on the chain was taken before migration.
 	return c, err
@@ -314,135 +340,137 @@ func (p *Process) resumeCallSite(f *Frame, site *minic.Site) (ctrl, error) {
 		return ctrlNext, err
 	}
 	p.resumedCall = site.Call
-	_, err = p.evalExpr(f, site.Stmt.(*minic.ExprStmt).X)
+	_, err = f.code[site.Stmt.(*minic.ExprStmt).ID].x(f)
 	return ctrlNext, err
 }
 
 // ---- builtins ----
 
-func (p *Process) evalBuiltin(f *Frame, x *minic.Call) (value, error) {
+// builtin compiles a call of a runtime builtin. Its arguments are the
+// values of their expressions, unconverted but where a builtin converts.
+func (c *compiler) builtin(x *minic.Call) expr {
+	p, pos := c.p, x.Position()
+	var arg expr
+	if len(x.Args) > 0 {
+		arg = c.expr(x.Args[0])
+	}
 	switch x.Builtin {
 	case "malloc":
-		return p.builtinMalloc(f, x)
+		return withArg(arg, func(n uint64) (uint64, error) { return p.malloc(pos, x.MallocElem, int(int64(n))) })
 	case "free":
-		return p.builtinFree(f, x)
+		return withArg(arg, func(a uint64) (uint64, error) { return 0, p.free(pos, memory.Address(a)) })
 	case "printf":
-		return p.builtinPrintf(f, x)
+		return c.printf(x, arg)
 	case "rand":
-		// glibc-style 48-bit LCG, truncated to 31 bits.
-		p.rng = (p.rng*0x5deece66d + 0xb) & (1<<48 - 1)
-		return intValue(types.Int, int64(p.rng>>17)&0x3fffffff), nil
+		return func(*Frame) (uint64, error) {
+			// glibc-style 48-bit LCG, truncated to 31 bits.
+			p.rng = (p.rng*0x5deece66d + 0xb) & (1<<48 - 1)
+			return p.rng >> 17 & 0x3fffffff, nil
+		}
 	case "srand":
-		v, err := p.evalExpr(f, x.Args[0])
-		if err != nil {
-			return value{}, err
+		return withArg(arg, func(v uint64) (uint64, error) {
+			p.rng = v<<16 | 0x330e
+			return 0, nil
+		})
+	case "fabs", "sqrt":
+		op, d := math.Abs, c.convOf(x.Args[0], types.Double)
+		if x.Builtin == "sqrt" {
+			op = math.Sqrt
 		}
-		p.rng = (v.bits << 16) | 0x330e
-		return value{t: types.Void}, nil
-	case "fabs":
-		v, err := p.evalExpr(f, x.Args[0])
-		if err != nil {
-			return value{}, err
-		}
-		d := p.convert(v, types.Double)
-		return value{t: types.Double, bits: math.Float64bits(math.Abs(d.float64()))}, nil
-	case "sqrt":
-		v, err := p.evalExpr(f, x.Args[0])
-		if err != nil {
-			return value{}, err
-		}
-		d := p.convert(v, types.Double)
-		return value{t: types.Double, bits: math.Float64bits(math.Sqrt(d.float64()))}, nil
+		return wrap(d, func(v uint64) uint64 { return math.Float64bits(op(math.Float64frombits(v))) })
 	case "exit":
-		v, err := p.evalExpr(f, x.Args[0])
-		if err != nil {
-			return value{}, err
-		}
-		p.exitCode = int(int64(v.bits))
-		return value{}, errExit
+		return withArg(arg, func(v uint64) (uint64, error) {
+			p.exitCode = int(int64(v))
+			return 0, errExit
+		})
 	case "clock_ms":
-		ms := time.Since(p.start).Milliseconds()
-		return value{t: types.Long, bits: normInt(p.Mach, types.Long.Prim, uint64(ms))}, nil
+		w := c.width(types.Long)
+		return func(*Frame) (uint64, error) { return w.norm(uint64(time.Since(p.start).Milliseconds())), nil }
 	}
-	return value{}, rtErr(x.Position(), "internal: unknown builtin %s", x.Builtin)
+	return func(*Frame) (uint64, error) { return 0, rtErr(pos, "internal: unknown builtin %s", x.Builtin) }
 }
 
-func (p *Process) builtinMalloc(f *Frame, x *minic.Call) (value, error) {
-	sz, err := p.evalExpr(f, x.Args[0])
-	if err != nil {
-		return value{}, err
+// withArg applies op to the value of arg.
+func withArg(arg expr, op func(uint64) (uint64, error)) expr {
+	return func(f *Frame) (uint64, error) {
+		v, err := arg(f)
+		if err != nil {
+			return 0, err
+		}
+		return op(v)
 	}
-	n := int(int64(sz.bits))
+}
+
+func (p *Process) malloc(pos minic.Pos, elem *types.Type, n int) (uint64, error) {
 	if n < 0 {
-		return value{}, rtErr(x.Position(), "malloc of negative size %d", n)
+		return 0, rtErr(pos, "malloc of negative size %d", n)
 	}
-	elem := x.MallocElem
 	if elem == nil {
-		return value{}, rtErr(x.Position(), "malloc call has no inferred element type")
+		return 0, rtErr(pos, "malloc call has no inferred element type")
 	}
 	es := elem.SizeOf(p.Mach)
 	if es == 0 || n%es != 0 {
-		return value{}, rtErr(x.Position(), "malloc size %d is not a multiple of sizeof(%s) = %d", n, elem, es)
+		return 0, rtErr(pos, "malloc size %d is not a multiple of sizeof(%s) = %d", n, elem, es)
 	}
 	addr, err := p.Space.Malloc(n)
 	if err != nil {
-		return value{}, rtErr(x.Position(), "%v", err)
+		return 0, rtErr(pos, "%v", err)
 	}
 	if !p.DisableMigration {
 		b := &msr.Block{ID: p.Table.NextHeapID(), Addr: addr, Type: elem, Count: n / es}
 		if err := p.Table.Register(b); err != nil {
-			return value{}, err
+			return 0, err
 		}
 		p.Stats.MSRLTOps++
 	}
-	return ptrValue(x.Type(), addr), nil
+	return uint64(addr), nil
 }
 
-func (p *Process) builtinFree(f *Frame, x *minic.Call) (value, error) {
-	v, err := p.evalExpr(f, x.Args[0])
-	if err != nil {
-		return value{}, err
-	}
-	addr := v.addr()
+func (p *Process) free(pos minic.Pos, addr memory.Address) error {
 	if addr == 0 {
-		return value{t: types.Void}, nil // free(NULL) is a no-op
+		return nil // free(NULL) is a no-op
 	}
 	if !p.DisableMigration {
 		if err := p.Table.Unregister(addr); err != nil {
-			return value{}, rtErr(x.Position(), "free of address that is not a block base: %v", err)
+			return rtErr(pos, "free of address that is not a block base: %v", err)
 		}
 		p.Stats.MSRLTOps++
 	}
 	if err := p.Space.Free(addr); err != nil {
-		return value{}, rtErr(x.Position(), "%v", err)
+		return rtErr(pos, "%v", err)
 	}
-	return value{t: types.Void}, nil
+	return nil
 }
 
-// builtinPrintf implements a useful subset of printf formatting.
-func (p *Process) builtinPrintf(f *Frame, x *minic.Call) (value, error) {
-	fv, err := p.evalExpr(f, x.Args[0])
-	if err != nil {
-		return value{}, err
+// printf compiles a printf call: a useful subset of printf formatting.
+func (c *compiler) printf(x *minic.Call, format expr) expr {
+	p, pos := c.p, x.Position()
+	args := make([]expr, len(x.Args)-1)
+	ts := make([]*types.Type, len(args))
+	for i, a := range x.Args[1:] {
+		args[i], ts[i] = c.expr(a), a.Type()
 	}
-	format, err := p.readCString(fv.addr())
-	if err != nil {
-		return value{}, rtErr(x.Position(), "printf format: %v", err)
-	}
-	args := make([]value, 0, len(x.Args)-1)
-	for _, a := range x.Args[1:] {
-		v, err := p.evalExpr(f, a)
+	return func(f *Frame) (uint64, error) {
+		fa, err := format(f)
 		if err != nil {
-			return value{}, err
+			return 0, err
 		}
-		args = append(args, v)
+		s, err := p.readCString(memory.Address(fa))
+		if err != nil {
+			return 0, rtErr(pos, "printf format: %v", err)
+		}
+		base, err := p.pushArgs(f, args)
+		if err != nil {
+			return 0, err
+		}
+		out, err := p.formatPrintf(pos, s, p.args[base:], ts)
+		p.args = p.args[:base]
+		if err != nil {
+			return 0, err
+		}
+		fmt.Fprint(p.Stdout, out)
+		return uint64(len(out)), nil
 	}
-	out, err := p.formatPrintf(x.Position(), format, args)
-	if err != nil {
-		return value{}, err
-	}
-	fmt.Fprint(p.Stdout, out)
-	return intValue(types.Int, int64(len(out))), nil
 }
 
 // readCString reads a NUL-terminated string from the space.
@@ -464,15 +492,18 @@ func (p *Process) readCString(addr memory.Address) (string, error) {
 	return "", fmt.Errorf("unterminated string")
 }
 
-// formatPrintf expands a C format string against evaluated arguments.
-func (p *Process) formatPrintf(pos minic.Pos, format string, args []value) (string, error) {
+// formatPrintf expands a C format string against evaluated arguments of
+// types ts.
+func (p *Process) formatPrintf(pos minic.Pos, format string, args []uint64, ts []*types.Type) (string, error) {
 	var out []byte
 	ai := 0
-	nextArg := func() (value, error) {
+	var t *types.Type
+	nextArg := func() (uint64, error) {
 		if ai >= len(args) {
-			return value{}, rtErr(pos, "printf: too few arguments for format %q", format)
+			return 0, rtErr(pos, "printf: too few arguments for format %q", format)
 		}
 		v := args[ai]
+		t = ts[ai]
 		ai++
 		return v, nil
 	}
@@ -511,7 +542,7 @@ func (p *Process) formatPrintf(pos minic.Pos, format string, args []value) (stri
 				return "", err
 			}
 			spec[len(spec)-1] = 'd'
-			out = append(out, fmt.Sprintf(string(spec), int64(v.bits))...)
+			out = append(out, fmt.Sprintf(string(spec), int64(v))...)
 		case 'u', 'x', 'X', 'o':
 			v, err := nextArg()
 			if err != nil {
@@ -520,25 +551,25 @@ func (p *Process) formatPrintf(pos minic.Pos, format string, args []value) (stri
 			if verb == 'u' {
 				spec[len(spec)-1] = 'd'
 			}
-			out = append(out, fmt.Sprintf(string(spec), v.bits)...)
+			out = append(out, fmt.Sprintf(string(spec), v)...)
 		case 'c':
 			v, err := nextArg()
 			if err != nil {
 				return "", err
 			}
-			out = append(out, byte(v.bits))
+			out = append(out, byte(v))
 		case 'f', 'e', 'E', 'g', 'G':
 			v, err := nextArg()
 			if err != nil {
 				return "", err
 			}
-			out = append(out, fmt.Sprintf(string(spec), v.float64())...)
+			out = append(out, fmt.Sprintf(string(spec), asFloat(t, v))...)
 		case 's':
 			v, err := nextArg()
 			if err != nil {
 				return "", err
 			}
-			s, err := p.readCString(v.addr())
+			s, err := p.readCString(memory.Address(v))
 			if err != nil {
 				return "", rtErr(pos, "printf %%s: %v", err)
 			}
@@ -548,7 +579,7 @@ func (p *Process) formatPrintf(pos minic.Pos, format string, args []value) (stri
 			if err != nil {
 				return "", err
 			}
-			out = append(out, fmt.Sprintf("0x%x", v.bits)...)
+			out = append(out, fmt.Sprintf("0x%x", v)...)
 		default:
 			return "", rtErr(pos, "printf: unsupported conversion %%%c", verb)
 		}

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"repro/internal/arch"
@@ -84,14 +83,17 @@ type Frame struct {
 	// function.
 	curSite *minic.Site
 
-	offsets []int
-	retVal  value
+	l      *frameLayout
+	code   []stmtCode
+	retVal uint64
 }
 
-// frameLayout is the per-machine layout of a function's frame.
+// frameLayout is the per-machine layout of a function's frame, and the
+// function's code once the process has run it.
 type frameLayout struct {
 	offsets []int
 	size    int
+	code    []stmtCode
 }
 
 // Process is a runnable MigC process image.
@@ -176,7 +178,9 @@ type Process struct {
 	// was stopped at, is that statement's call, and resumedRet the result
 	// of the callee frame that ran to its end on resume.
 	resumedCall *minic.Call
-	resumedRet  value
+	resumedRet  uint64
+	// args is the stack calls evaluate their arguments onto.
+	args []uint64
 
 	// lastSite is the poll site of the most recent capture (Recapture).
 	lastSite *minic.Site
@@ -223,17 +227,11 @@ func NewProcess(prog *minic.Program, m *arch.Machine) (*Process, error) {
 				return nil, err
 			}
 		}
-		if g.Init.Valid && g.Type.Kind == types.KPrim {
-			var bits uint64
-			switch {
-			case g.Type.Prim == arch.Float:
-				bits = uint64(math.Float32bits(float32(g.Init.AsFloat())))
-			case g.Type.Prim == arch.Double:
-				bits = math.Float64bits(g.Init.AsFloat())
-			default:
-				bits = uint64(g.Init.AsInt())
-			}
-			if err := p.Space.StorePrim(addr, g.Type.Prim, bits); err != nil {
+		if g.Init != nil {
+			// A constant initializer, evaluated at this machine's
+			// arithmetic as the same expression in a function would be.
+			c := &compiler{p: p, m: m, sp: p.Space}
+			if _, err := c.assign(place{off: addr}, g.Type, c.convOf(g.Init, g.Type))(nil); err != nil {
 				return nil, err
 			}
 		}
@@ -279,7 +277,7 @@ func (p *Process) VarAddr(f *Frame, sym *minic.VarSymbol) memory.Address {
 	if sym.Kind == minic.GlobalVar {
 		return p.globalAddrs[sym.Index]
 	}
-	return f.Base + memory.Address(f.offsets[sym.Index])
+	return f.Base + memory.Address(f.l.offsets[sym.Index])
 }
 
 // pushFrame creates and registers the frame for fn at the next depth.
@@ -289,7 +287,7 @@ func (p *Process) pushFrame(fn *minic.FuncSymbol) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Frame{Fn: fn, Base: base, Depth: len(p.frames) + 1, offsets: l.offsets}
+	f := &Frame{Fn: fn, Base: base, Depth: len(p.frames) + 1, l: l}
 	p.frames = append(p.frames, f)
 	if !p.DisableMigration {
 		for i, v := range fn.Locals {
@@ -314,7 +312,7 @@ func (p *Process) popFrame() error {
 	f := p.frames[len(p.frames)-1]
 	if !p.DisableMigration {
 		for i := len(f.Fn.Locals) - 1; i >= 0; i-- {
-			addr := f.Base + memory.Address(f.offsets[i])
+			addr := f.Base + memory.Address(f.l.offsets[i])
 			if err := p.Table.Unregister(addr); err != nil {
 				return err
 			}
@@ -352,6 +350,7 @@ func (p *Process) Run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.enter(f)
 	c, err := p.execStmt(f, main.Body)
 	return p.finishRun(f, c, err)
 }
@@ -368,7 +367,7 @@ func (p *Process) finishRun(f *Frame, c ctrl, err error) (*Result, error) {
 	case ctrlMigrate:
 		return &Result{Migrated: true, State: p.migrated}, nil
 	case ctrlReturn:
-		return &Result{ExitCode: int(int64(f.retVal.bits))}, nil
+		return &Result{ExitCode: int(int64(f.retVal))}, nil
 	default:
 		// Falling off the end of main: exit code 0.
 		return &Result{ExitCode: 0}, nil
