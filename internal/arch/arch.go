@@ -171,8 +171,14 @@ type config struct {
 
 // NewMachine builds a machine descriptor from the classic C data model
 // parameters. It is exported for tests and for constructing synthetic
-// platforms; production code normally uses the registry.
+// platforms; production code normally uses the registry. It panics unless
+// long and pointers are 4 or 8 bytes, the widths the codecs cover.
 func NewMachine(name, os string, order ByteOrder, word, longSize, ptrSize, doubleAlign int) *Machine {
+	for _, n := range []int{longSize, ptrSize} {
+		if n != 4 && n != 8 {
+			panic(fmt.Sprintf("arch: machine %s: long and pointer sizes must be 4 or 8, not %d", name, n))
+		}
+	}
 	m := &Machine{Name: name, OS: os, Order: order, WordSize: word}
 	c := config{longSize: longSize, ptrSize: ptrSize, doubleAlign: doubleAlign}
 	m.size = [numPrims]int{

@@ -302,27 +302,3 @@ func contains(s, sub string) bool {
 	}
 	return false
 }
-
-// TestLoadStoreMatchPrim holds the per-kind codecs Load and Store to Prim
-// and PutPrim, for every kind on every machine, over values that fill,
-// overflow and sign every width.
-func TestLoadStoreMatchPrim(t *testing.T) {
-	values := []uint64{0, 1, 0x7f, 0x80, 0xff, 0x1234, 0x8000, 0xdeadbeef, 0x80000000, 0x0123456789abcdef, ^uint64(0)}
-	for _, m := range Machines() {
-		for k := Char; k <= Ptr; k++ {
-			n := m.SizeOf(k)
-			ld, st := m.Load(k), m.Store(k)
-			for _, v := range values {
-				want, got := make([]byte, n), make([]byte, n)
-				m.PutPrim(want, k, v)
-				st(got, v)
-				if string(got) != string(want) {
-					t.Errorf("%s %s: Store(%#x) wrote %x, PutPrim %x", m.Name, k, v, got, want)
-				}
-				if a, b := ld(want), m.Prim(want, k); a != b {
-					t.Errorf("%s %s: Load(%x) = %#x, Prim %#x", m.Name, k, want, a, b)
-				}
-			}
-		}
-	}
-}

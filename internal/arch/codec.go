@@ -14,31 +14,12 @@ import (
 
 // PutUint writes the low size bytes of v into b in the machine's byte
 // order. It panics if b is shorter than size or size is not in 1..8.
-// The widths C scalars actually have take one fixed-width store; the byte
-// loop covers the odd sizes.
+// The widths C scalars actually have take their codec from storers; the
+// byte loop covers the odd sizes.
 func (m *Machine) PutUint(b []byte, v uint64, size int) {
-	le := m.Order == LittleEndian
 	switch size {
-	case 1:
-		b[0] = byte(v)
-	case 2:
-		if le {
-			binary.LittleEndian.PutUint16(b, uint16(v))
-		} else {
-			binary.BigEndian.PutUint16(b, uint16(v))
-		}
-	case 4:
-		if le {
-			binary.LittleEndian.PutUint32(b, uint32(v))
-		} else {
-			binary.BigEndian.PutUint32(b, uint32(v))
-		}
-	case 8:
-		if le {
-			binary.LittleEndian.PutUint64(b, v)
-		} else {
-			binary.BigEndian.PutUint64(b, v)
-		}
+	case 1, 2, 4, 8:
+		storers[m.Order][size](b, v)
 	default:
 		m.putUintBytes(b, v, size)
 	}
@@ -63,25 +44,9 @@ func (m *Machine) putUintBytes(b []byte, v uint64, size int) {
 // Uint reads size bytes from b in the machine's byte order and returns
 // them zero-extended to 64 bits.
 func (m *Machine) Uint(b []byte, size int) uint64 {
-	le := m.Order == LittleEndian
 	switch size {
-	case 1:
-		return uint64(b[0])
-	case 2:
-		if le {
-			return uint64(binary.LittleEndian.Uint16(b))
-		}
-		return uint64(binary.BigEndian.Uint16(b))
-	case 4:
-		if le {
-			return uint64(binary.LittleEndian.Uint32(b))
-		}
-		return uint64(binary.BigEndian.Uint32(b))
-	case 8:
-		if le {
-			return binary.LittleEndian.Uint64(b)
-		}
-		return binary.BigEndian.Uint64(b)
+	case 1, 2, 4, 8:
+		return loaders[m.Order][size][0](b)
 	}
 	return m.uintBytes(b, size)
 }
@@ -143,32 +108,17 @@ func (m *Machine) Float64(b []byte) float64 {
 // pattern (sign-extension is the caller's concern when narrowing); Float
 // and Double interpret v as IEEE 754 bits of the corresponding width;
 // Ptr takes the address value.
-func (m *Machine) PutPrim(b []byte, k PrimKind, v uint64) {
-	switch k {
-	case Float:
-		m.PutUint(b, v&0xffffffff, 4)
-	default:
-		m.PutUint(b, v, m.size[k])
-	}
-}
+func (m *Machine) PutPrim(b []byte, k PrimKind, v uint64) { m.Store(k)(b, v) }
 
 // Prim loads a scalar of kind k from b, returning its canonical 64-bit
 // representation: sign-extended for signed integers, zero-extended for
 // unsigned integers and pointers, raw IEEE bits (32-bit pattern for Float)
 // for floating kinds.
-func (m *Machine) Prim(b []byte, k PrimKind) uint64 {
-	switch {
-	case k.IsSigned():
-		return uint64(m.Int(b, m.size[k]))
-	default:
-		return m.Uint(b, m.size[k])
-	}
-}
+func (m *Machine) Prim(b []byte, k PrimKind) uint64 { return m.Load(k)(b) }
 
-// Load returns the decoder of a scalar of kind k on m: it reads the kind's
-// width in m's byte order and returns the canonical value Prim returns,
-// with the width, byte order and signedness chosen once, here, instead of
-// on every read.
+// Load returns the decoder of a scalar of kind k on m, the one Prim
+// uses, with the width, byte order and signedness chosen once, here,
+// instead of on every read.
 func (m *Machine) Load(k PrimKind) func(b []byte) uint64 {
 	signed := 0
 	if k.IsSigned() {
@@ -177,15 +127,15 @@ func (m *Machine) Load(k PrimKind) func(b []byte) uint64 {
 	return loaders[m.Order][m.size[k]][signed]
 }
 
-// Store returns the encoder of a scalar of kind k on m: it writes the
-// canonical value v as PutPrim does, with the width and byte order chosen
-// once.
+// Store returns the encoder of a scalar of kind k on m, the one PutPrim
+// uses, with the width and byte order chosen once.
 func (m *Machine) Store(k PrimKind) func(b []byte, v uint64) {
 	return storers[m.Order][m.size[k]]
 }
 
 // loaders[order][size][signed] and storers[order][size] are the scalar
-// codecs of every width a primitive kind has.
+// codecs of every width a primitive kind has: the one place this package
+// encodes a value of such a width.
 var loaders = [2][9][2]func([]byte) uint64{
 	LittleEndian: {
 		1: {func(b []byte) uint64 { return uint64(b[0]) }, func(b []byte) uint64 { return uint64(int8(b[0])) }},

@@ -150,15 +150,26 @@ func TestConstRejectsNonConstant(t *testing.T) {
 			t.Errorf("%q accepted as a constant initializer", init)
 		}
 	}
-	// A constant the machine cannot compute is not rejected by the
-	// checker; the process image that would evaluate it is never built.
-	for _, init := range []string{"1 / 0", "1 % 0"} {
-		prog, err := minic.Compile("int x = "+init+"; int main() { return 0; }", minic.PollPolicy{})
-		if err != nil {
-			t.Fatalf("%q: %v", init, err)
+	// An integer divisor other than a non-zero literal may be zero on some
+	// machine, so the checker rejects it on every machine.
+	for _, init := range []string{"1 / 0", "1 % 0", "1 / -0", "1 / (sizeof(long) - 4)", "1 % (sizeof(int *) - 4)", "1 / (int)0.5", "6 / (2 - 2)", "-(1 && 2 / (sizeof(long) - 4))"} {
+		if _, err := minic.Compile("int x = "+init+"; int main() { return 0; }", minic.PollPolicy{}); err == nil ||
+			!strings.Contains(err.Error(), "non-zero integer literal") {
+			t.Errorf("int x = %s: %v, want a divisor error", init, err)
 		}
-		if _, err := vm.NewProcess(prog, arch.DEC5000); err == nil || !strings.Contains(err.Error(), "division by zero") {
-			t.Errorf("int x = %s: NewProcess error %v, want a division by zero", init, err)
+	}
+	// Literal divisors, and floating division by anything, compile and
+	// build on every machine.
+	for _, init := range []string{"7 / -2", "7 % +2", "(2147483647 + 1) / 2", "1.0 / (sizeof(long) - 4)", "1 / 0.0", "sizeof(1 / 0)"} {
+		prog, err := minic.Compile("double x = "+init+"; int main() { return 0; }", minic.PollPolicy{})
+		if err != nil {
+			t.Errorf("double x = %s: %v", init, err)
+			continue
+		}
+		for _, m := range arch.Machines() {
+			if _, err := vm.NewProcess(prog, m); err != nil {
+				t.Errorf("double x = %s on %s: %v", init, m.Name, err)
+			}
 		}
 	}
 	if _, err := minic.Compile("int *p = 0; int *q = 1; int main() { return 0; }", minic.PollPolicy{}); err == nil ||

@@ -176,6 +176,10 @@ func (c *checker) globalInit(sym *VarSymbol, g *globalDecl) {
 		c.errorf(g.Pos, "cannot initialize %s (type %s) with a constant", g.Name, g.Type)
 		return
 	}
+	if len(c.errs) == n && !literalDivisors(init) {
+		c.errorf(g.Pos, "global initializer for %s divides integers by something other than a non-zero integer literal", g.Name)
+		return
+	}
 	sym.Init = c.assignable(init, g.Type, g.Pos)
 }
 
@@ -193,6 +197,31 @@ func constantForm(e Expr) bool {
 		return constantForm(x.X)
 	}
 	return false
+}
+
+// literalDivisors reports whether every integer / and % in the checked
+// constant expression e divides by a non-zero integer literal, possibly
+// signed. Any other divisor may be zero on some machine (sizeof(long) - 4),
+// and the process image for that machine could not be built.
+func literalDivisors(e Expr) bool {
+	switch x := e.(type) {
+	case *Unary:
+		return literalDivisors(x.X)
+	case *Cast:
+		return literalDivisors(x.X)
+	case *Binary:
+		if (x.Op == "/" || x.Op == "%") && x.T.IsInteger() {
+			d := x.Y
+			if u, ok := d.(*Unary); ok && (u.Op == "-" || u.Op == "+") {
+				d = u.X
+			}
+			if lit, ok := d.(*IntLit); !ok || lit.Val == 0 {
+				return false
+			}
+		}
+		return literalDivisors(x.X) && literalDivisors(x.Y)
+	}
+	return true
 }
 
 // containsByValue reports whether struct s transitively contains target as

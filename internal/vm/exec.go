@@ -31,7 +31,7 @@ func (p *Process) execStmt(f *Frame, s minic.Stmt) (ctrl, error) {
 
 	case *minic.DeclStmt:
 		if st.Init != nil {
-			_, err := f.code[st.ID].x(f)
+			_, err := f.l.code[st.ID].x(f)
 			return ctrlNext, err
 		}
 		return ctrlNext, nil
@@ -40,7 +40,7 @@ func (p *Process) execStmt(f *Frame, s minic.Stmt) (ctrl, error) {
 		if st.Site != nil {
 			f.curSite = st.Site
 		}
-		_, err := f.code[st.ID].x(f)
+		_, err := f.l.code[st.ID].x(f)
 		if err != nil {
 			if _, ok := err.(*migrateSignal); ok {
 				// Migration unwound through this call statement: the frame
@@ -53,7 +53,7 @@ func (p *Process) execStmt(f *Frame, s minic.Stmt) (ctrl, error) {
 		return ctrlNext, err
 
 	case *minic.If:
-		ok, err := f.code[st.ID].cond(f)
+		ok, err := f.l.code[st.ID].cond(f)
 		if err != nil {
 			return ctrlNext, err
 		}
@@ -67,12 +67,12 @@ func (p *Process) execStmt(f *Frame, s minic.Stmt) (ctrl, error) {
 
 	case *minic.While:
 		if st.DoWhile {
-			return p.runLoop(f, f.code[st.ID].cond, st.Body, nil, atBody)
+			return p.runLoop(f, f.l.code[st.ID].cond, st.Body, nil, atBody)
 		}
-		return p.runLoop(f, f.code[st.ID].cond, st.Body, nil, atTest)
+		return p.runLoop(f, f.l.code[st.ID].cond, st.Body, nil, atTest)
 
 	case *minic.For:
-		sc := &f.code[st.ID]
+		sc := &f.l.code[st.ID]
 		if sc.x != nil {
 			if _, err := sc.x(f); err != nil {
 				return ctrlNext, err
@@ -82,7 +82,7 @@ func (p *Process) execStmt(f *Frame, s minic.Stmt) (ctrl, error) {
 
 	case *minic.Return:
 		if st.X != nil {
-			v, err := f.code[st.ID].x(f)
+			v, err := f.l.code[st.ID].x(f)
 			if err != nil {
 				return ctrlNext, err
 			}
@@ -264,7 +264,6 @@ func (p *Process) enter(f *Frame) {
 	if f.l.code == nil {
 		f.l.code = p.compileFunc(f.Fn, f.l)
 	}
-	f.code = f.l.code
 }
 
 // popReturn unwinds the completed frame f and returns its result.
@@ -309,12 +308,12 @@ func (p *Process) execChain(f *Frame, site *minic.Site, idx int) (ctrl, error) {
 		if c, more := loopGoesOn(c); err != nil || !more {
 			return c, err
 		}
-		return p.runLoop(f, f.code[st.ID].cond, st.Body, nil, atStep)
+		return p.runLoop(f, f.l.code[st.ID].cond, st.Body, nil, atStep)
 	case *minic.For:
 		if c, more := loopGoesOn(c); err != nil || !more {
 			return c, err
 		}
-		return p.runLoop(f, f.code[st.ID].cond, st.Body, f.code[st.ID].post, atStep)
+		return p.runLoop(f, f.l.code[st.ID].cond, st.Body, f.l.code[st.ID].post, atStep)
 	}
 	// An if: the branch on the chain was taken before migration.
 	return c, err
@@ -340,7 +339,7 @@ func (p *Process) resumeCallSite(f *Frame, site *minic.Site) (ctrl, error) {
 		return ctrlNext, err
 	}
 	p.resumedCall = site.Call
-	_, err = f.code[site.Stmt.(*minic.ExprStmt).ID].x(f)
+	_, err = f.l.code[site.Stmt.(*minic.ExprStmt).ID].x(f)
 	return ctrlNext, err
 }
 

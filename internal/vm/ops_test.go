@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -10,8 +9,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/minic"
 )
-
-var updateOps = flag.Bool("update-ops", false, "rewrite testdata/ops.golden from the current evaluator")
 
 // opsType is one arithmetic type of the operator table: its C spelling,
 // the prefix of its variables, and its class.
@@ -180,11 +177,6 @@ func TestOperatorTable(t *testing.T) {
 	}
 	got := b.String()
 	const path = "testdata/ops.golden"
-	if *updateOps {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

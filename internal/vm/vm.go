@@ -84,7 +84,6 @@ type Frame struct {
 	curSite *minic.Site
 
 	l      *frameLayout
-	code   []stmtCode
 	retVal uint64
 }
 
