@@ -49,7 +49,7 @@ func (p PollPolicy) applies(fn *FuncSymbol) bool {
 func Annotate(prog *Program, policy PollPolicy) error {
 	for _, fn := range prog.Funcs {
 		if policy.applies(fn) {
-			insertPolls(fn, fn.Body, policy)
+			insertPolls(fn.Body, policy)
 		}
 	}
 
@@ -100,47 +100,43 @@ func Annotate(prog *Program, policy PollPolicy) error {
 
 // insertPolls rewrites loop bodies (and optionally function entry) to
 // begin with a PollPoint.
-func insertPolls(fn *FuncSymbol, body *Block, policy PollPolicy) {
+func insertPolls(body *Block, policy PollPolicy) {
 	if policy.FunctionEntry {
 		pp := &PollPoint{Origin: "entry"}
 		pp.Pos = body.Pos
-		fn.nextStmtID++
-		pp.setID(fn.nextStmtID)
 		body.Stmts = append([]Stmt{pp}, body.Stmts...)
 	}
 	if policy.Loops {
-		insertLoopPolls(fn, body)
+		insertLoopPolls(body)
 	}
 }
 
 // insertLoopPolls walks statements, prefixing each loop body with a poll.
-func insertLoopPolls(fn *FuncSymbol, s Stmt) {
+func insertLoopPolls(s Stmt) {
 	switch st := s.(type) {
 	case *Block:
 		for _, sub := range st.Stmts {
-			insertLoopPolls(fn, sub)
+			insertLoopPolls(sub)
 		}
 	case *If:
-		insertLoopPolls(fn, st.Then)
+		insertLoopPolls(st.Then)
 		if st.Else != nil {
-			insertLoopPolls(fn, st.Else)
+			insertLoopPolls(st.Else)
 		}
 	case *While:
-		st.Body = prefixPoll(fn, st.Body)
-		insertLoopPolls(fn, st.Body)
+		st.Body = prefixPoll(st.Body)
+		insertLoopPolls(st.Body)
 	case *For:
-		st.Body = prefixPoll(fn, st.Body)
-		insertLoopPolls(fn, st.Body)
+		st.Body = prefixPoll(st.Body)
+		insertLoopPolls(st.Body)
 	}
 }
 
 // prefixPoll wraps body so it starts with a PollPoint. If body is already
 // a block it is modified in place; otherwise a block is created around it.
-func prefixPoll(fn *FuncSymbol, body Stmt) Stmt {
+func prefixPoll(body Stmt) Stmt {
 	pp := &PollPoint{Origin: "loop"}
 	pp.Pos = body.Position()
-	fn.nextStmtID++
-	pp.setID(fn.nextStmtID)
 	if blk, ok := body.(*Block); ok {
 		// Avoid double-insertion when the body already starts with a
 		// poll (explicit intrinsic at the loop head).
@@ -154,8 +150,6 @@ func prefixPoll(fn *FuncSymbol, body Stmt) Stmt {
 	}
 	wrap := &Block{}
 	wrap.Pos = body.Position()
-	fn.nextStmtID++
-	wrap.setID(fn.nextStmtID)
 	wrap.Stmts = []Stmt{pp, body}
 	return wrap
 }

@@ -315,45 +315,6 @@ func TestCheckTernary(t *testing.T) {
 		"incompatible conditional")
 }
 
-func TestCheckStatementIDsUnique(t *testing.T) {
-	prog := mustCheck(t, `
-		int main() {
-			int i;
-			for (i = 0; i < 3; i++) { if (i) { i--; } else { i++; } }
-			while (i) i--;
-			return 0;
-		}
-	`)
-	seen := map[int]bool{}
-	var walk func(Stmt)
-	walk = func(s Stmt) {
-		if s == nil {
-			return
-		}
-		if seen[s.id()] {
-			t.Errorf("duplicate statement id %d", s.id())
-		}
-		seen[s.id()] = true
-		switch st := s.(type) {
-		case *Block:
-			for _, x := range st.Stmts {
-				walk(x)
-			}
-		case *If:
-			walk(st.Then)
-			walk(st.Else)
-		case *While:
-			walk(st.Body)
-		case *For:
-			walk(st.Body)
-		}
-	}
-	walk(prog.Func("main").Body)
-	if len(seen) < 8 {
-		t.Errorf("only %d statements numbered", len(seen))
-	}
-}
-
 func TestMarkAddrTakenThroughAccessPaths(t *testing.T) {
 	prog := mustCompile(t, `
 		struct s { int f; int arr[3]; };

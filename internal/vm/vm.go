@@ -92,7 +92,7 @@ type Frame struct {
 type frameLayout struct {
 	offsets []int
 	size    int
-	code    []stmtCode
+	code    *funcCode
 }
 
 // Process is a runnable MigC process image.
@@ -349,8 +349,7 @@ func (p *Process) Run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.enter(f)
-	c, err := p.execStmt(f, main.Body)
+	c, err := p.enter(f).body(f)
 	return p.finishRun(f, c, err)
 }
 
@@ -380,7 +379,7 @@ func (p *Process) runResume() (*Result, error) {
 		return nil, errors.New("vm: resume with no frames")
 	}
 	f := p.frames[0]
-	c, err := p.execResumeFrame(f)
+	c, err := p.resumeFrame(f)
 	p.resumeSites = nil
 	return p.finishRun(f, c, err)
 }
