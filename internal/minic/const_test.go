@@ -20,8 +20,11 @@ import (
 func initAndMain(t *testing.T, typ, expr string, portable bool) string {
 	t.Helper()
 	format := `"%d\n"`
-	if typ == "double" || typ == "float" {
+	switch {
+	case typ == "double" || typ == "float":
 		format = `"%.17g\n"`
+	case strings.HasPrefix(typ, "unsigned"):
+		format = `"%u\n"`
 	}
 	src := fmt.Sprintf(`%s g = %s;
 int main() {
@@ -123,6 +126,10 @@ func TestConstConversionsAtInit(t *testing.T) {
 		{"unsigned char", "-1", "255"},
 		{"float", "0.1", "0.10000000149011612"},
 		{"int", "-2.75", "-2"},
+		// A floating value in [2^63, 2^64) converts exactly to a 64-bit
+		// unsigned integer; one at or above 2^64 saturates.
+		{"unsigned long long", "1e19", "10000000000000000000"},
+		{"unsigned long long", "1e20", "18446744073709551615"},
 	} {
 		if got := initAndMain(t, c.typ, c.expr, true); got != c.want {
 			t.Errorf("%s g = %s is %s, want %s", c.typ, c.expr, got, c.want)

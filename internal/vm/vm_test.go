@@ -81,6 +81,13 @@ func TestFloatingPoint(t *testing.T) {
 	runAll(t, `int main() { double d; d = 7.0; return (int)(d / 2.0); }`, 3)
 	runAll(t, `int main() { int i; i = 7; return (int)((double)i / 2.0 * 2.0); }`, 7)
 	runAll(t, `int main() { double d; d = -2.5; return (int)fabs(d) + (int)sqrt(16.0); }`, 6)
+	// unsigned long is 64 bits wide on LP64: a value in [2^63, 2^64)
+	// converts exactly.
+	for _, m := range []*arch.Machine{arch.AMD64, arch.SPARCV9} {
+		if _, out := run(t, `int main() { printf("%u", (unsigned long)1e19); return 0; }`, m, minic.PollPolicy{}); out != "10000000000000000000" {
+			t.Errorf("(unsigned long)1e19 on %s prints %s", m.Name, out)
+		}
+	}
 }
 
 func TestControlFlow(t *testing.T) {
