@@ -251,9 +251,8 @@ func TestRestoreRejectsInconsistentFrameChain(t *testing.T) {
 // in the == line, which compares -1 converted to each type.
 //
 // Where these differ from ISO C it is recorded in ROADMAP.md: on ILP32,
-// long against unsigned int converts at long, not unsigned long, and a
-// compound shift computes at the common type of both operands, not at the
-// promoted left one.
+// long against unsigned int converts at long, not unsigned long. A compound
+// shift computes at the promoted left operand, as C11 6.5.7p3 has it.
 func TestUsualArithmeticConversions(t *testing.T) {
 	names := []string{"signed char", "unsigned char", "short", "unsigned short", "int", "unsigned int", "long", "unsigned long"}
 	src := "int main() {\n"
@@ -315,9 +314,9 @@ const usualConversionsILP32 = "" +
 	"62 62 62 62 62 62 62 62 " +
 	"-2 -2 -2 -2 -2 -2 -2 -2 " +
 	"16382 16382 16382 16382 16382 16382 16382 16382 " +
-	"-2 -2 -2 -2 -2 1073741822 -2 1073741822 " +
-	"1073741822 1073741822 1073741822 1073741822 1073741822 1073741822 4294967294 1073741822 " +
-	"-2 -2 -2 -2 -2 -2 -2 1073741822 " +
+	"-2 -2 -2 -2 -2 -2 -2 -2 " +
+	"1073741822 1073741822 1073741822 1073741822 1073741822 1073741822 1073741822 1073741822 " +
+	"-2 -2 -2 -2 -2 -2 -2 -2 " +
 	"1073741822 1073741822 1073741822 1073741822 1073741822 1073741822 1073741822 1073741822 \n" +
 	"-9 -9 -9 -9 -9 -9 -9 -9 " +
 	"247 247 247 247 247 247 247 247 " +
@@ -351,9 +350,9 @@ const usualConversionsLP64 = "" +
 	"62 62 62 62 62 62 62 62 " +
 	"-2 -2 -2 -2 -2 -2 -2 -2 " +
 	"16382 16382 16382 16382 16382 16382 16382 16382 " +
-	"-2 -2 -2 -2 -2 1073741822 -2 -2 " +
+	"-2 -2 -2 -2 -2 -2 -2 -2 " +
 	"1073741822 1073741822 1073741822 1073741822 1073741822 1073741822 1073741822 1073741822 " +
-	"-2 -2 -2 -2 -2 -2 -2 4611686018427387902 " +
+	"-2 -2 -2 -2 -2 -2 -2 -2 " +
 	"4611686018427387902 4611686018427387902 4611686018427387902 4611686018427387902 4611686018427387902 4611686018427387902 4611686018427387902 4611686018427387902 \n" +
 	"-9 -9 -9 -9 -9 -9 -9 -9 " +
 	"247 247 247 247 247 247 247 247 " +
