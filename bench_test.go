@@ -16,6 +16,7 @@ import (
 	"repro/internal/exper"
 	"repro/internal/link"
 	"repro/internal/minic"
+	"repro/internal/msr"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -179,7 +180,6 @@ func BenchmarkComplexityBreakdown(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			_, p, _ := prepare(b, c.src)
-			p.Instrument = true
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := p.Recapture(); err != nil {
@@ -338,10 +338,13 @@ func BenchmarkAblationMSRLTIndex(b *testing.B) {
 			if _, err := p.Run(); err != nil {
 				b.Fatal(err)
 			}
+			// D3's pass: every non-null pointer through Table.Lookup (a
+			// capture resolves through its page index, which neither
+			// setting changes).
 			p.Table.UseBaseIndex = useIndex
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Recapture(); err != nil {
+				if _, err := msr.BuildGraph(p.Space, p.Table); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,105 +1,22 @@
 package collect
 
 import (
-	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/memory"
 	"repro/internal/msr"
 	"repro/internal/types"
-	"repro/internal/xdr"
 )
 
-// buildDAG creates a diamond-shaped DAG of the given depth: each level has
-// one node whose two child pointers both refer to the next level's node.
-// With visit marking, collection is O(depth); without it, every path is
-// traversed, 2^depth visits.
-func buildDAG(t *testing.T, p *proc, depth int) *msr.Block {
-	t.Helper()
-	two := types.NewStruct("dag" + string(rune('a'+depth%26)))
-	two.DefineFields([]types.Field{
-		{Name: "val", Type: types.Double},
-		{Name: "l", Type: types.PointerTo(two)},
-		{Name: "r", Type: types.PointerTo(two)},
-	})
-	p.ti.Add(types.PointerTo(two))
-	var prev *msr.Block
-	for i := 0; i < depth; i++ {
-		b := p.heap(t, two, 1)
-		p.space.StorePrim(b.Addr, arch.Double, math.Float64bits(float64(i)))
-		if prev != nil {
-			lo := memory.Address(two.OffsetOf(p.m, 1))
-			ro := memory.Address(two.OffsetOf(p.m, 2))
-			p.space.StorePtr(b.Addr+lo, prev.Addr)
-			p.space.StorePtr(b.Addr+ro, prev.Addr)
-		}
-		prev = b
-	}
-	root := p.global(t, types.PointerTo(two), "root")
-	p.space.StorePtr(root.Addr, prev.Addr)
-	return root
-}
+// The base-address index is the D3 design ablation of the MSRLT search. A
+// capture resolves through its page index, which consults neither the index
+// nor the bisection; the paper's counted search is Table.Lookup, which
+// msr.BuildGraph runs once per non-null pointer scalar.
 
-func TestNoDedupBlowsUpOnDAG(t *testing.T) {
-	ti := types.NewTI()
+// listImage builds root -> 200 nodes -> null.
+func listImage(t *testing.T, ti *types.TI, n *types.Type) (*proc, *msr.Block) {
 	p := newProc(arch.Ultra5, ti)
-	root := buildDAG(t, p, 12)
-
-	// With visit marking: depth+1 blocks, small stream.
-	enc := xdr.NewEncoder(1 << 12)
-	s := NewSaver(p.space, p.table, p.ti, enc)
-	if err := s.SaveVariable(root.Addr); err != nil {
-		t.Fatal(err)
-	}
-	dedupBytes := enc.Len()
-	if s.Stats.Blocks != 13 {
-		t.Fatalf("dedup blocks = %d", s.Stats.Blocks)
-	}
-
-	// Without: every path through the diamond is re-collected.
-	enc2 := xdr.NewEncoder(1 << 12)
-	s2 := NewSaver(p.space, p.table, p.ti, enc2)
-	s2.NoDedup = true
-	if err := s2.SaveVariable(root.Addr); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Stats.Blocks < 1000 {
-		t.Errorf("no-dedup blocks = %d, expected ~2^12", s2.Stats.Blocks)
-	}
-	if enc2.Len() < 50*dedupBytes {
-		t.Errorf("no-dedup stream %d bytes vs dedup %d: blowup not visible",
-			enc2.Len(), dedupBytes)
-	}
-}
-
-func TestNoDedupCycleTerminates(t *testing.T) {
-	n := nodeType("cycnd")
-	ti := types.NewTI()
-	ti.Add(types.PointerTo(n))
-	p := newProc(arch.Ultra5, ti)
-	root := p.global(t, types.PointerTo(n), "root")
-	a := p.heap(t, n, 1)
-	p.space.StorePtr(a.Addr+memory.Address(n.OffsetOf(p.m, 1)), a.Addr) // self cycle
-	p.space.StorePtr(root.Addr, a.Addr)
-
-	s := NewSaver(p.space, p.table, p.ti, xdr.NewEncoder(1<<10))
-	s.NoDedup = true
-	s.DedupDepthLimit = 20
-	err := s.SaveVariable(root.Addr)
-	if err == nil || !strings.Contains(err.Error(), "depth") {
-		t.Errorf("cycle without marking: %v", err)
-	}
-}
-
-func TestBaseIndexLookups(t *testing.T) {
-	n := nodeType("bidx")
-	ti := types.NewTI()
-	ti.Add(types.PointerTo(n))
-	p := newProc(arch.Ultra5, ti)
-	p.table.UseBaseIndex = true
-
 	root := p.global(t, types.PointerTo(n), "root")
 	var blocks []*msr.Block
 	for i := 0; i < 200; i++ {
@@ -110,35 +27,40 @@ func TestBaseIndexLookups(t *testing.T) {
 		p.space.StorePtr(blocks[i].Addr+lo, blocks[i+1].Addr)
 	}
 	p.space.StorePtr(root.Addr, blocks[0].Addr)
+	return p, root
+}
 
-	enc := xdr.NewEncoder(1 << 12)
-	s := NewSaver(p.space, p.table, p.ti, enc)
-	if err := s.SaveVariable(root.Addr); err != nil {
+func TestBaseIndexLookups(t *testing.T) {
+	n := nodeType("bidx")
+	ti := types.NewTI()
+	ti.Add(types.PointerTo(n))
+	p, root := listImage(t, ti, n)
+	p.table.UseBaseIndex = true
+	if _, err := msr.BuildGraph(p.space, p.table); err != nil {
 		t.Fatal(err)
 	}
-	s.Finish()
-	// All list links point at block bases: the index should serve them.
+	// The root and every list link point at block bases: the index should
+	// serve them.
 	if p.table.Stats.BaseHits < 200 {
 		t.Errorf("base index hits = %d, want >= 200", p.table.Stats.BaseHits)
 	}
-	// And the stream must be identical to the binary-search path.
-	p2 := newProc(arch.Ultra5, ti)
-	root2 := p2.global(t, types.PointerTo(n), "root")
-	var blocks2 []*msr.Block
-	for i := 0; i < 200; i++ {
-		blocks2 = append(blocks2, p2.heap(t, n, 1))
+	// And the capture must be identical to the one of a table without it.
+	p2, root2 := listImage(t, ti, n)
+	capture := func(p *proc, root *msr.Block) []EncodedSection {
+		st, err := EncodeSections(p.space, p.table, p.ti, Roots{Globals: []memory.Address{root.Addr}}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Bodies
 	}
-	for i := 0; i+1 < len(blocks2); i++ {
-		p2.space.StorePtr(blocks2[i].Addr+lo, blocks2[i+1].Addr)
+	with, without := capture(p, root), capture(p2, root2)
+	if len(with) != len(without) {
+		t.Fatalf("%d sections with the base index, %d without", len(with), len(without))
 	}
-	p2.space.StorePtr(root2.Addr, blocks2[0].Addr)
-	enc2 := xdr.NewEncoder(1 << 12)
-	s2 := NewSaver(p2.space, p2.table, p2.ti, enc2)
-	if err := s2.SaveVariable(root2.Addr); err != nil {
-		t.Fatal(err)
-	}
-	if string(enc.Bytes()) != string(enc2.Bytes()) {
-		t.Error("base-index stream differs from binary-search stream")
+	for i := range with {
+		if string(with[i].Body) != string(without[i].Body) {
+			t.Errorf("section %d differs with the base index", i)
+		}
 	}
 }
 
@@ -151,8 +73,7 @@ func TestBaseIndexInteriorPointerFallsBack(t *testing.T) {
 	pv := p.global(t, types.PointerTo(types.Double), "p")
 	p.space.StorePtr(pv.Addr, blk.Addr+24) // interior
 
-	s := NewSaver(p.space, p.table, p.ti, xdr.NewEncoder(1<<10))
-	if err := s.SaveVariable(pv.Addr); err != nil {
+	if _, err := msr.BuildGraph(p.space, p.table); err != nil {
 		t.Fatal(err)
 	}
 	// Interior pointers cannot hit the base index; the binary search

@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -71,26 +72,47 @@ func nodeType(tag string) *types.Type {
 	return n
 }
 
-// migrateVars collects the given variable blocks from src and restores them
-// into dst, where dst already declares matching variable blocks in the same
-// order. Returns save/restore stats.
-func migrateVars(t *testing.T, src, dst *proc, vars []*msr.Block, dstVars []*msr.Block) (*Saver, *Restorer) {
+// addrsOf lists the blocks' addresses.
+func addrsOf(blocks []*msr.Block) []memory.Address {
+	out := make([]memory.Address, len(blocks))
+	for i, b := range blocks {
+		out[i] = b.Addr
+	}
+	return out
+}
+
+// migrateVars collects the given global variable blocks of src, the roots
+// of one sectioned capture, and restores the sections into dst, where dst
+// already declares matching variable blocks in the same order. Returns the
+// save and restore stats.
+func migrateVars(t *testing.T, src, dst *proc, vars []*msr.Block, dstVars []*msr.Block) (SaveStats, RestoreStats) {
 	t.Helper()
-	enc := xdr.NewEncoder(1 << 12)
-	s := NewSaver(src.space, src.table, src.ti, enc)
-	for _, v := range vars {
-		if err := s.SaveVariable(v.Addr); err != nil {
-			t.Fatalf("save %s: %v", v.Name, err)
+	st, err := EncodeSections(src.space, src.table, src.ti, Roots{Globals: addrsOf(vars)}, nil, nil)
+	if err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	defer st.Release()
+	rs, err := restoreGlobals(dst, st, addrsOf(dstVars))
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	return st.Stats, rs
+}
+
+// restoreGlobals restores a capture whose roots are all globals into dst:
+// its heap sections in order, then its globals section, whose live
+// references must name the variables at live.
+func restoreGlobals(dst *proc, st *SectionedState, live []memory.Address) (RestoreStats, error) {
+	var total RestoreStats
+	for _, sec := range st.Bodies[:st.Heap] {
+		_, _, rs, err := RestoreHeapSection(dst.space, dst.table, dst.ti, xdr.NewDecoder(sec.Body), nil, true, false)
+		if total.Add(rs); err != nil {
+			return total, err
 		}
 	}
-	s.Finish()
-	r := NewRestorer(dst.space, dst.table, dst.ti, xdr.NewDecoder(enc.Bytes()))
-	for _, v := range dstVars {
-		if err := r.RestoreVariable(v.Addr); err != nil {
-			t.Fatalf("restore %s: %v", v.Name, err)
-		}
-	}
-	return s, r
+	rs, err := RestoreVarSection(dst.space, dst.table, dst.ti, xdr.NewDecoder(st.Bodies[st.Heap].Body), live, memory.Global, 0, true)
+	total.Add(rs)
+	return total, err
 }
 
 func TestScalarVariableRoundTrip(t *testing.T) {
@@ -264,11 +286,11 @@ func TestSharedBlockSavedOnce(t *testing.T) {
 	src.space.StorePtr(sp2.Addr, blk.Addr+16) // &blk[2]
 
 	s, r := migrateVars(t, src, dst, []*msr.Block{sp1, sp2}, []*msr.Block{dp1, dp2})
-	if s.Stats.Blocks != 3 { // p1, blk, p2 — blk only once
-		t.Errorf("blocks saved = %d, want 3", s.Stats.Blocks)
+	if s.Blocks != 3 { // p1, blk, p2 — blk only once
+		t.Errorf("blocks saved = %d, want 3", s.Blocks)
 	}
-	if r.Stats.Allocated != 1 {
-		t.Errorf("blocks allocated = %d, want 1", r.Stats.Allocated)
+	if r.Allocated != 1 {
+		t.Errorf("blocks allocated = %d, want 1", r.Allocated)
 	}
 	a1, _ := dst.space.LoadPtr(dp1.Addr)
 	a2, _ := dst.space.LoadPtr(dp2.Addr)
@@ -338,8 +360,8 @@ func TestNullPointers(t *testing.T) {
 	dv := dst.global(t, pd, "p")
 	// sv holds null.
 	s, _ := migrateVars(t, src, dst, []*msr.Block{sv}, []*msr.Block{dv})
-	if s.Stats.NullPointers != 1 {
-		t.Errorf("null pointers = %d", s.Stats.NullPointers)
+	if s.NullPointers != 1 {
+		t.Errorf("null pointers = %d", s.NullPointers)
 	}
 	got, _ := dst.space.LoadPtr(dv.Addr)
 	if got != 0 {
@@ -350,7 +372,7 @@ func TestNullPointers(t *testing.T) {
 func TestFigure1Trace(t *testing.T) {
 	// Reproduces the collection order property of the paper's Section
 	// 3.2: collecting p (in foo) first pulls in parray and all four heap
-	// nodes; the later collection of first adds no new block records.
+	// nodes; the later collection of first adds no new block but its own.
 	n := nodeType("fig1")
 	pn := types.PointerTo(n)
 	arrT := types.ArrayOf(pn, 10)
@@ -391,35 +413,27 @@ func TestFigure1Trace(t *testing.T) {
 		src.space.StorePtr(nodes[i].Addr+lo, nodes[i-1].Addr)
 	}
 
-	enc := xdr.NewEncoder(1 << 12)
-	s := NewSaver(src.space, src.table, src.ti, enc)
-	// Innermost frame first: foo's p, then main's parray, then globals.
-	if err := s.SaveVariable(p.Addr); err != nil {
+	// Collecting p alone — foo's live variable, the innermost frame's —
+	// reaches p, parray and all four nodes, parray[0]'s chain first: node
+	// 0, then the 3, 2, 1 its links lead to.
+	pt, err := buildPartition(src.space, src.table, Roots{FrameLive: [][]memory.Address{nil, {p.Addr}}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	afterFoo := s.Stats.Blocks
-	// Collecting p must have reached p, parray, and all 4 nodes.
-	if afterFoo != 6 {
-		t.Errorf("blocks after collecting p = %d, want 6", afterFoo)
+	visited := fmt.Sprint(memberIDs(pt.frames[1]), memberIDs(pt.frames[0]), len(pt.components), memberIDs(pt.components[0]), len(pt.globals))
+	heap := ids([]*msr.Block{nodes[0], nodes[3], nodes[2], nodes[1]})
+	if want := fmt.Sprint(ids([]*msr.Block{p}), ids([]*msr.Block{parray}), 1, heap, 0); visited != want {
+		t.Errorf("collecting p visits %s, want %s", visited, want)
 	}
-	if err := s.SaveVariable(parray.Addr); err != nil {
+	// The paper's full order — p, main's parray, then the globals — owns
+	// the same blocks the same way, plus first and last themselves.
+	pt, err = buildPartition(src.space, src.table, Roots{FrameLive: [][]memory.Address{{parray.Addr}, {p.Addr}}, Globals: []memory.Address{first.Addr, last.Addr}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Stats.Blocks != afterFoo {
-		t.Error("re-collecting parray must add no blocks (already visited)")
-	}
-	if err := s.SaveVariable(first.Addr); err != nil {
-		t.Fatal(err)
-	}
-	// Only the block for 'first' itself is new.
-	if s.Stats.Blocks != afterFoo+1 {
-		t.Errorf("blocks after first = %d, want %d", s.Stats.Blocks, afterFoo+1)
-	}
-	if err := s.SaveVariable(last.Addr); err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats.Blocks != afterFoo+2 {
-		t.Errorf("blocks after last = %d, want %d", s.Stats.Blocks, afterFoo+2)
+	visited = fmt.Sprint(memberIDs(pt.frames[1]), memberIDs(pt.frames[0]), len(pt.components), memberIDs(pt.components[0]), memberIDs(pt.globals))
+	if want := fmt.Sprint(ids([]*msr.Block{p}), ids([]*msr.Block{parray}), 1, heap, ids([]*msr.Block{first, last})); visited != want {
+		t.Errorf("collecting p, parray, first and last visits %s, want %s", visited, want)
 	}
 }
 
@@ -471,8 +485,7 @@ func TestUnresolvablePointerError(t *testing.T) {
 	// Point at memory that is mapped but not a registered block.
 	stray, _ := src.space.Malloc(8)
 	src.space.StorePtr(sv.Addr, stray)
-	s := NewSaver(src.space, src.table, src.ti, xdr.NewEncoder(64))
-	if err := s.SaveVariable(sv.Addr); err == nil {
+	if _, err := EncodeSections(src.space, src.table, src.ti, Roots{Globals: []memory.Address{sv.Addr}}, nil, nil); err == nil {
 		t.Error("collection of dangling pointer succeeded")
 	}
 }
@@ -486,13 +499,12 @@ func TestShapeMismatchDetected(t *testing.T) {
 	sv := src.global(t, types.Int, "x")
 	dv := dst.global(t, types.Double, "x") // wrong type on destination
 
-	enc := xdr.NewEncoder(64)
-	s := NewSaver(src.space, src.table, src.ti, enc)
-	if err := s.SaveVariable(sv.Addr); err != nil {
+	st, err := EncodeSections(src.space, src.table, src.ti, Roots{Globals: []memory.Address{sv.Addr}}, nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRestorer(dst.space, dst.table, dst.ti, xdr.NewDecoder(enc.Bytes()))
-	if err := r.RestoreVariable(dv.Addr); err == nil ||
+	defer st.Release()
+	if _, err := restoreGlobals(dst, st, []memory.Address{dv.Addr}); err == nil ||
 		!strings.Contains(err.Error(), "shape mismatch") {
 		t.Errorf("shape mismatch not detected: %v", err)
 	}
@@ -505,12 +517,15 @@ func TestTruncatedStream(t *testing.T) {
 	dst := newProc(arch.SPARC20, ti)
 	sv := src.global(t, types.Double, "d")
 	dv := dst.global(t, types.Double, "d")
-	enc := xdr.NewEncoder(64)
-	s := NewSaver(src.space, src.table, src.ti, enc)
-	s.SaveVariable(sv.Addr)
-	for cut := 0; cut < enc.Len(); cut += 4 {
-		r := NewRestorer(dst.space, dst.table, dst.ti, xdr.NewDecoder(enc.Bytes()[:cut]))
-		if err := r.RestoreVariable(dv.Addr); err == nil {
+	st, err := EncodeSections(src.space, src.table, src.ti, Roots{Globals: []memory.Address{sv.Addr}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Release()
+	body := st.Bodies[st.Heap].Body
+	for cut := 0; cut < len(body); cut += 4 {
+		_, err := RestoreVarSection(dst.space, dst.table, dst.ti, xdr.NewDecoder(body[:cut]), []memory.Address{dv.Addr}, memory.Global, 0, false)
+		if err == nil {
 			t.Errorf("truncation at %d not detected", cut)
 		}
 	}
@@ -531,23 +546,33 @@ func TestInvalidSegmentInStream(t *testing.T) {
 }
 
 func TestSavePointerDirect(t *testing.T) {
-	// Save_pointer(p) with the value, restore with p = Restore_pointer().
+	// Save_pointer(p) with the value is the reference the walk records for
+	// it and the encoder writes; p = Restore_pointer() translates that
+	// reference into the restored block.
 	ti := types.NewTI()
-	ti.Add(types.Double)
+	pd := types.PointerTo(types.Double)
+	ti.Add(pd)
 	src := newProc(arch.DEC5000, ti)
 	dst := newProc(arch.SPARC20, ti)
+	sp := src.global(t, pd, "p")
+	dp := dst.global(t, pd, "p")
 	blk := src.heap(t, types.Double, 5)
 	src.space.StorePrim(blk.Addr+24, arch.Double, math.Float64bits(6.5))
+	src.space.StorePtr(sp.Addr, blk.Addr+24) // &blk[3]
+	migrateVars(t, src, dst, []*msr.Block{sp}, []*msr.Block{dp})
 
-	enc := xdr.NewEncoder(256)
-	s := NewSaver(src.space, src.table, src.ti, enc)
-	if err := s.SavePointer(blk.Addr + 24); err != nil { // &blk[3]
-		t.Fatal(err)
-	}
-	r := NewRestorer(dst.space, dst.table, dst.ti, xdr.NewDecoder(enc.Bytes()))
-	p, err := r.RestorePointer()
+	ref, _, _, err := resolve(src.table.Pages(), src.m, nil, blk.Addr+24)
 	if err != nil {
 		t.Fatal(err)
+	}
+	enc := xdr.NewEncoder(16)
+	enc.Put4Uint32(ref[0], ref[1], ref[2], ref[3])
+	p, err := NewRestorer(dst.space, dst.table, dst.ti, xdr.NewDecoder(enc.Bytes())).RestorePointer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored, _ := dst.space.LoadPtr(dp.Addr); p != restored {
+		t.Errorf("Restore_pointer = %#x, restored p = %#x", uint64(p), uint64(restored))
 	}
 	v, _ := dst.space.LoadPrim(p, arch.Double)
 	if math.Float64frombits(v) != 6.5 {
@@ -565,32 +590,21 @@ func TestStatsAndInstrumentation(t *testing.T) {
 	blk := src.heap(t, types.Double, 100000)
 	src.space.StorePtr(sv.Addr, blk.Addr)
 
-	enc := xdr.NewEncoder(1 << 20)
-	s := NewSaver(src.space, src.table, src.ti, enc)
-	s.Instrument = true
-	if err := s.SaveVariable(sv.Addr); err != nil {
-		t.Fatal(err)
+	s, r := migrateVars(t, src, dst, []*msr.Block{sv}, []*msr.Block{dv})
+	if s.SearchTime <= 0 || s.EncodeTime <= 0 {
+		t.Error("capture recorded no search or encode time")
 	}
-	s.Finish()
-	if s.Stats.EncodeTime <= 0 {
-		t.Error("instrumented saver recorded no encode time")
+	if s.DataBytes != 800000 {
+		t.Errorf("data bytes = %d", s.DataBytes)
 	}
-	if s.Stats.DataBytes != 800000 {
-		t.Errorf("data bytes = %d", s.Stats.DataBytes)
-	}
-	if s.Stats.Searches == 0 {
+	if src.table.Stats.Searches == 0 {
 		t.Error("no searches recorded")
 	}
-	r := NewRestorer(dst.space, dst.table, dst.ti, xdr.NewDecoder(enc.Bytes()))
-	r.Instrument = true
-	if err := r.RestoreVariable(dv.Addr); err != nil {
-		t.Fatal(err)
-	}
-	if r.Stats.DecodeTime <= 0 || r.Stats.UpdateTime <= 0 {
+	if r.DecodeTime <= 0 || r.UpdateTime <= 0 {
 		t.Error("instrumented restorer recorded no times")
 	}
-	if r.Stats.DataBytes != 800000 {
-		t.Errorf("restore data bytes = %d", r.Stats.DataBytes)
+	if r.DataBytes != 800000 {
+		t.Errorf("restore data bytes = %d", r.DataBytes)
 	}
 }
 
@@ -630,15 +644,7 @@ func TestRandomGraphRoundTrip(t *testing.T) {
 		}
 		src.space.StorePtr(sroot.Addr, blocks[0].Addr)
 
-		enc := xdr.NewEncoder(1 << 12)
-		s := NewSaver(src.space, src.table, src.ti, enc)
-		if err := s.SaveVariable(sroot.Addr); err != nil {
-			t.Fatal(err)
-		}
-		r := NewRestorer(dst.space, dst.table, dst.ti, xdr.NewDecoder(enc.Bytes()))
-		if err := r.RestoreVariable(droot.Addr); err != nil {
-			t.Fatal(err)
-		}
+		migrateVars(t, src, dst, []*msr.Block{sroot}, []*msr.Block{droot})
 
 		// Compare the reachable subgraphs canonically. Restored tables
 		// contain only reachable blocks, so restrict the source graph.
@@ -719,15 +725,7 @@ func TestEncoderAccessorAndRepetitionPlans(t *testing.T) {
 	}
 	src.space.StorePtr(sroot.Addr, blk.Addr)
 
-	enc := xdr.NewEncoder(1 << 12)
-	s := NewSaver(src.space, src.table, src.ti, enc)
-	if err := s.SaveVariable(sroot.Addr); err != nil {
-		t.Fatal(err)
-	}
-	r := NewRestorer(dst.space, dst.table, dst.ti, xdr.NewDecoder(enc.Bytes()))
-	if err := r.RestoreVariable(droot.Addr); err != nil {
-		t.Fatal(err)
-	}
+	migrateVars(t, src, dst, []*msr.Block{sroot}, []*msr.Block{droot})
 	// Verify a sample of elements and the shared pointer aliasing.
 	dblk, _ := dst.table.ByID(blk.ID)
 	des := inner.SizeOf(dst.m)

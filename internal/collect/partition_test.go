@@ -379,68 +379,6 @@ func TestPartitionRejectsBadPointers(t *testing.T) {
 	}
 }
 
-// deepList builds root -> n nodes -> null and returns the root variable.
-func deepList(t *testing.T, p *proc, node *types.Type, n int) *msr.Block {
-	root := p.global(t, types.PointerTo(node), "root")
-	next := memory.Address(0)
-	link := memory.Address(node.OffsetOf(p.m, 1))
-	for i := 0; i < n; i++ {
-		b := p.heap(t, node, 1)
-		p.space.StorePtr(b.Addr+link, next)
-		next = b.Addr
-	}
-	p.space.StorePtr(root.Addr, next)
-	return root
-}
-
-// TestV1DepthBound: the recursive v1 traversal refuses a chain past
-// maxDepth with a typed error on both sides instead of exhausting the
-// goroutine stack, and follows one that just fits.
-func TestV1DepthBound(t *testing.T) {
-	node := nodeType("deepnode")
-	ti := types.NewTI()
-	ti.Add(types.PointerTo(node))
-	save := func(nodes int) ([]byte, error) {
-		p := newProc(arch.DEC5000, ti)
-		root := deepList(t, p, node, nodes)
-		enc := xdr.NewEncoder(1 << 20)
-		err := NewSaver(p.space, p.table, p.ti, enc).SaveVariable(root.Addr)
-		return enc.Bytes(), err
-	}
-	restore := func(stream []byte) error {
-		p := newProc(arch.SPARC20, ti)
-		root := p.global(t, types.PointerTo(node), "root")
-		return NewRestorer(p.space, p.table, p.ti, xdr.NewDecoder(stream)).RestoreVariable(root.Addr)
-	}
-
-	// The root variable is level one, so maxDepth-1 nodes just fit.
-	fits, err := save(maxDepth - 1)
-	if err != nil {
-		t.Fatalf("a chain of maxDepth blocks: %v", err)
-	}
-	if err := restore(fits); err != nil {
-		t.Fatalf("restoring a chain of maxDepth blocks: %v", err)
-	}
-	if _, err := save(maxDepth); !errors.Is(err, ErrTooDeep) {
-		t.Errorf("saving a chain one block too deep: %v", err)
-	} else if len(err.Error()) > 16<<10 {
-		t.Errorf("the error names %d bytes of enclosing blocks", len(err.Error()))
-	}
-
-	// One level deeper on the wire: splice a record in front of the
-	// innermost one. fits ends "... ref(last) record(last: data, null)".
-	tail := 16 + 8 + 4 + 4 // ref, type index + count, float, null pointer
-	last := fits[len(fits)-tail:]
-	extra := append([]byte{}, last[:16]...) // a reference to one more heap block
-	extra[7]++                              // bump its major past every other (big-endian word 1): maxDepth-1 < 1<<24
-	extra[5] = 0xff
-	deeper := append(append(append([]byte{}, fits[:len(fits)-4]...), extra...), last[16:]...)
-	err = restore(deeper)
-	if !errors.Is(err, ErrTooDeep) || !errors.Is(err, ErrCorruptStream) {
-		t.Errorf("restoring a chain one record too deep: %v", err)
-	}
-}
-
 // TestHeapSectionRepeatedMajor: a heap major that a second section's
 // directory repeats — hashed or held in the dense slice, below or past the
 // density bound — fails that section with ErrCorruptStream, naming the

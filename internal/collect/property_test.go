@@ -9,7 +9,6 @@ import (
 	"repro/internal/memory"
 	"repro/internal/msr"
 	"repro/internal/types"
-	"repro/internal/xdr"
 )
 
 // This file property-tests the full encode/decode stack on randomly
@@ -161,15 +160,14 @@ func TestRandomTypesRoundTrip(t *testing.T) {
 		want := fillRandom(t, rng, src, blk, tgt.Addr)
 		src.space.StorePtr(sroot.Addr, blk.Addr)
 
-		enc := xdr.NewEncoder(1 << 12)
-		s := NewSaver(src.space, src.table, src.ti, enc)
-		if err := s.SaveVariable(sroot.Addr); err != nil {
+		st, err := EncodeSections(src.space, src.table, src.ti, Roots{Globals: []memory.Address{sroot.Addr}}, nil, nil)
+		if err != nil {
 			t.Fatalf("trial %d (%s): save: %v", trial, ty, err)
 		}
-		r := NewRestorer(dst.space, dst.table, dst.ti, xdr.NewDecoder(enc.Bytes()))
-		if err := r.RestoreVariable(droot.Addr); err != nil {
+		if _, err := restoreGlobals(dst, st, []memory.Address{droot.Addr}); err != nil {
 			t.Fatalf("trial %d (%s->%s, %s): restore: %v", trial, srcM.Name, dstM.Name, ty, err)
 		}
+		st.Release()
 
 		// Compare scalar by scalar.
 		dblk, ok := dst.table.ByID(blk.ID)

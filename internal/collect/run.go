@@ -18,8 +18,7 @@ import (
 // looks at a scalar's kind, width or the machine's byte order per element.
 
 // encodeRun writes one plan op's worth of non-pointer scalars in wire
-// form and returns the byte count. It is shared by the monolithic Saver
-// and the sectioned encoders; it reads memory and the plan only, so
+// form and returns the byte count. It reads memory and the plan only, so
 // concurrent encoders may run it against the same space as long as each
 // has its own encoder.
 func encodeRun(enc *xdr.Encoder, space *memory.Space, op types.PlanOp, base memory.Address) (int, error) {
@@ -39,8 +38,7 @@ func encodeRun(enc *xdr.Encoder, space *memory.Space, op types.PlanOp, base memo
 	return len(out), nil
 }
 
-// decodeRun is encodeRun's inverse, shared by the monolithic Restorer
-// and the sectioned restorers. A run whose wire form spans pieces of a fed
+// decodeRun is encodeRun's inverse. A run whose wire form spans pieces of a fed
 // decoder is converted piece by piece, straight out of each.
 func decodeRun(dec *xdr.Decoder, space *memory.Space, op types.PlanOp, base memory.Address) (int, error) {
 	size, ws := op.Stride, types.WireSize(op.Kind)

@@ -4,18 +4,18 @@ package collect
 // (internal/snapshot). EncodeSections is the one
 // producer; cold, warm and live captures all go through it.
 //
-// It first walks the MSR graph reachable from the live set — the same
-// depth-first order and visited-set discipline as the monolithic Saver,
-// on an explicit stack — but instead of encoding as it goes, it partitions
-// the visited blocks into section owners: each stack block belongs to its
-// frame's section, each global block to the globals section, and the heap
-// blocks are grouped into the connected components of the heap subgraph
-// (union-find over heap-to-heap pointer edges). A block shared by two
-// traversal paths is assigned to exactly one owner here, so aliasing and
-// cycles restore exactly as in the monolithic stream. Following a pointer
-// means resolving it, so the walk records every pointer scalar's resolved
-// form as it goes: each pointer costs one MSRLT search per capture, through
-// the capture's page index (msr.PageIndex), not the paper's bisection.
+// It first walks the MSR graph reachable from the live set — the paper's
+// depth-first order and visited-set discipline, on an explicit stack — but
+// instead of encoding as it goes, it partitions the visited blocks into
+// section owners: each stack block belongs to its frame's section, each
+// global block to the globals section, and the heap blocks are grouped
+// into the connected components of the heap subgraph (union-find over
+// heap-to-heap pointer edges). A block shared by two traversal paths is
+// assigned to exactly one owner here, so aliasing and cycles restore
+// exactly. Following a pointer means resolving it, so the walk records
+// every pointer scalar's resolved form as it goes: each pointer costs one
+// MSRLT search per capture, through the capture's page index
+// (msr.PageIndex), not the paper's bisection.
 //
 // It then encodes the section bodies, one after the other in snapshot
 // order (heap components by first visit, frames innermost first, globals),
@@ -66,8 +66,7 @@ import (
 type Roots struct {
 	// FrameLive[i] holds the live-variable addresses of frame i
 	// (i = depth-1, outermost first). Traversal visits frames in
-	// reverse order, innermost first, exactly as the monolithic capture
-	// does.
+	// reverse order, innermost first, as the paper's collection does.
 	FrameLive [][]memory.Address
 	// Globals holds every global variable address in declaration order.
 	Globals []memory.Address
@@ -138,10 +137,10 @@ type partitioner struct {
 }
 
 // buildPartition runs the partition walk: one depth-first traversal from
-// the live set, reusing the monolithic traversal order so the set of
-// transferred blocks is identical to the v1 stream's. The stack is
-// explicit — a million-node list is ordinary state, and a recursion as deep
-// would exhaust the goroutine stack and take the whole process down.
+// the live set, in the order of the paper's recursive Save_pointer. The
+// stack is explicit — a million-node list is ordinary state, and a
+// recursion as deep would exhaust the goroutine stack and take the whole
+// process down.
 func buildPartition(space *memory.Space, table *msr.Table, roots Roots) (*partition, error) {
 	nroots := len(roots.Globals)
 	for _, live := range roots.FrameLive {
@@ -162,7 +161,7 @@ func buildPartition(space *memory.Space, table *msr.Table, roots Roots) (*partit
 	w.pt.refs, w.pt.pages = make([]uint32, 0, 5*n), table.Pages()
 	w.pt.frames = make([][]member, len(roots.FrameLive))
 	w.pt.frameLive = make([][]uint32, len(roots.FrameLive))
-	// Innermost frame first, then globals — the v1 order.
+	// Innermost frame first, then globals — the paper's order.
 	for i := len(roots.FrameLive) - 1; i >= 0; i-- {
 		start := len(w.live)
 		for _, addr := range roots.FrameLive[i] {
@@ -506,14 +505,13 @@ type SectionedState struct {
 	Heap   int
 	// Stats covers the sections that were encoded (not the reused ones).
 	// Searches and SearchSteps are left zero: the caller derives the
-	// capture-wide deltas from the table exactly as Saver.Finish does.
+	// capture-wide deltas from the table's counters.
 	Stats SaveStats
 	// Calls is the number of XDR encode operations behind those sections.
 	Calls int
-	// Partition is the wall time of the partition walk, or, when Reused,
-	// of the check that kept the tracker's previous partition instead.
-	Partition time.Duration
-	Reused    bool
+	// Reused says the tracker's previous partition was kept instead of
+	// walking; Stats.SearchTime is then the check that kept it.
+	Reused bool
 
 	// encs holds the pooled per-section encoders whose buffers back the
 	// Body slices of a capture made without a tracker; Release returns
@@ -586,7 +584,8 @@ func EncodeSections(space *memory.Space, table *msr.Table, ti *types.TI, roots R
 	if err != nil {
 		return nil, err
 	}
-	st := &SectionedState{Partition: time.Since(start), Reused: round.reused}
+	partition := time.Since(start)
+	st := &SectionedState{Reused: round.reused}
 	pt, jobs, mach := round.pt, round.jobs, space.Machine()
 
 	secs := make([]EncodedSection, len(jobs))
@@ -614,6 +613,7 @@ func EncodeSections(space *memory.Space, table *msr.Table, ti *types.TI, roots R
 		dt.fold(round, secs)
 	}
 	st.Bodies, st.Heap, st.Stats = secs, len(pt.components), se.stats
+	st.Stats.SearchTime, st.Stats.EncodeTime = partition, time.Since(start)-partition
 	return st, nil
 }
 
@@ -717,8 +717,7 @@ func HeapDirectory(body []byte) []byte {
 // section must be filled again once the frames do.
 func RestoreHeapSection(space *memory.Space, table *msr.Table, ti *types.TI, dec *xdr.Decoder, blocks []*msr.Block, instrument, early bool) (_ []*msr.Block, deferred bool, _ RestoreStats, err error) {
 	r := NewRestorer(space, table, ti, dec)
-	r.flat, r.early = true, early
-	r.Instrument = instrument
+	r.early, r.Instrument = early, instrument
 
 	n, err := r.directorySize()
 	if err != nil {
@@ -794,7 +793,6 @@ func (r *Restorer) allocDirectory(n int) ([]*msr.Block, error) {
 // carry (Stack + frame depth, or Global + 0).
 func RestoreVarSection(space *memory.Space, table *msr.Table, ti *types.TI, dec *xdr.Decoder, live []memory.Address, seg memory.Segment, major uint32, instrument bool) (RestoreStats, error) {
 	r := NewRestorer(space, table, ti, dec)
-	r.flat = true
 	r.Instrument = instrument
 
 	n, err := r.dec.Uint32()

@@ -17,8 +17,8 @@
 //     the migration point.
 //
 // Moving the bytes between two processes is internal/session's job, and
-// its alone; the paper's own monolithic stream (vm.Result.State →
-// vm.RestoreProcess) is a codec with no transport under it.
+// its alone; a sectioned snapshot handed over in memory (vm.Result.State
+// or Recapture → vm.RestoreProcess) has no transport under it.
 package core
 
 import (

@@ -3,15 +3,18 @@ package exper
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/collect"
 	"repro/internal/core"
+	"repro/internal/memory"
 	"repro/internal/minic"
+	"repro/internal/msr"
 	"repro/internal/stats"
+	"repro/internal/types"
+	"repro/internal/vm"
 	"repro/internal/workload"
-	"repro/internal/xdr"
 )
 
 // This file measures the design-choice ablations listed in DESIGN.md
@@ -58,9 +61,11 @@ func printAblations(w io.Writer, r *AblationReport) {
 }
 
 // DedupAblation (D1) compares collection with and without visit marking
-// on a sharing-heavy structure (a diamond DAG): marking keeps the stream
+// on a sharing-heavy structure (a diamond DAG): marking keeps the snapshot
 // proportional to the number of blocks; without it, every path through
-// the sharing is re-collected.
+// the sharing is re-collected. The unmarked size is computed exactly from
+// the MSR graph (unmarkedBytes) rather than by running a collector that
+// could not be restored from anyway.
 func DedupAblation(cfg Config) ([]AblationRow, error) {
 	// A DAG program: levels nodes, each pointing twice at the next.
 	depth := 16
@@ -90,86 +95,125 @@ func DedupAblation(cfg Config) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, state, err := stopAtMigration(e, arch.Ultra5)
+	p, _, err := stopAtMigration(e, arch.Ultra5)
 	if err != nil {
 		return nil, err
 	}
-
-	var rows []AblationRow
 	elapsed, size, err := timeCollect(p, cfg.repeats())
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, AblationRow{
-		Name:    "visit marking on (paper design)",
-		Detail:  fmt.Sprintf("depth-%d diamond DAG", depth),
-		Value:   float64(size),
-		Unit:    "stream bytes",
-		Elapsed: elapsed,
-	})
-	_ = state
-
-	// Without marking: collect by hand through the MSRM library.
-	var noSize int
-	var failure error
-	elapsed2 := stats.Repeat(cfg.repeats(), func() {
-		enc := xdr.NewEncoder(1 << 16)
-		s := collect.NewSaver(p.Space, p.Table, p.TI, enc)
-		s.NoDedup = true
-		s.DedupDepthLimit = depth + 8
-		addr, _, ok := p.GlobalByName("root")
-		if !ok {
-			failure = fmt.Errorf("no root global")
-			return
-		}
-		if err := s.SaveVariable(addr); err != nil {
-			failure = err
-			return
-		}
-		noSize = enc.Len()
-	})
-	if failure != nil {
-		return nil, failure
+	addr, _, _ := p.GlobalByName("root")
+	off, err := unmarkedBytes(p, addr)
+	if err != nil {
+		return nil, err
 	}
-	rows = append(rows, AblationRow{
-		Name:    "visit marking off (ablated)",
-		Detail:  fmt.Sprintf("2^%d path re-collections", depth),
-		Value:   float64(noSize),
-		Unit:    "stream bytes",
-		Elapsed: elapsed2,
-	})
-	return rows, nil
+	return []AblationRow{
+		{Name: "visit marking on (paper design)", Detail: fmt.Sprintf("depth-%d diamond DAG", depth),
+			Value: float64(size), Unit: "snapshot bytes", Elapsed: elapsed},
+		{Name: "visit marking off (ablated)", Detail: fmt.Sprintf("2^%d path re-collections, counted on the graph", depth),
+			Value: float64(off), Unit: "stream bytes"},
+	}, nil
+}
+
+// unmarkedBytes is what the paper's collection writes for the variable at
+// addr when it marks nothing visited: every root path to a block
+// re-collects the block's record — type and count, its scalars at their
+// wire widths, four bytes per pointer and twelve more per non-null one —
+// and arrives through a 16-byte reference. So each record counts once per
+// root path that reaches it, which a pass over the graph in topological
+// order counts. A cycle has unboundedly many paths and is an error.
+func unmarkedBytes(p *vm.Process, addr memory.Address) (int64, error) {
+	g, err := msr.BuildGraph(p.Space, p.Table)
+	if err != nil {
+		return 0, err
+	}
+	b, _, _, err := p.Table.Lookup(p.Mach, addr)
+	if err != nil {
+		return 0, err
+	}
+	root := b.ID
+	out := map[msr.BlockID][]msr.BlockID{}
+	for _, e := range g.Edges {
+		out[e.From] = append(out[e.From], e.To)
+	}
+	seen, order := map[msr.BlockID]int{}, []msr.BlockID{} // 1 on the walk's path, 2 done; done in post-order
+	var walk func(msr.BlockID) error
+	walk = func(id msr.BlockID) error {
+		seen[id] = 1
+		for _, to := range out[id] {
+			switch seen[to] {
+			case 1:
+				return fmt.Errorf("exper: block %s is on a cycle: collection without visit marking does not terminate", to)
+			case 0:
+				if err := walk(to); err != nil {
+					return err
+				}
+			}
+		}
+		seen[id] = 2
+		order = append(order, id)
+		return nil
+	}
+	if err := walk(root); err != nil {
+		return 0, err
+	}
+	slices.Reverse(order)
+	paths, total := map[msr.BlockID]int64{root: 1}, int64(16)
+	for _, id := range order {
+		b, _ := p.Table.ByID(id)
+		rec := int64(8 + 12*len(out[id]))
+		for ord := range b.Type.ScalarCount() {
+			w := 4
+			if st := b.Type.ScalarType(ord); !st.IsPointer() {
+				w = types.WireSize(st.Prim)
+			}
+			rec += int64(b.Count * w)
+		}
+		total += paths[id] * rec
+		for _, to := range out[id] {
+			paths[to] += paths[id]
+		}
+	}
+	return total, nil
+}
+
+// bisection runs the paper's counted MSRLT search over the stopped
+// process's state, with the base-address index off or on: one
+// msr.BuildGraph pass resolves every non-null pointer scalar through
+// Table.Lookup. A capture resolves through its page index instead, which
+// takes no steps.
+func bisection(p *vm.Process, baseIndex bool) (msr.Stats, error) {
+	p.Table.UseBaseIndex = baseIndex
+	p.Table.ResetStats()
+	_, err := msr.BuildGraph(p.Space, p.Table)
+	return p.Table.Stats, err
 }
 
 // MSRLTIndexAblation (D3) compares the paper's ordered-table MSRLT
 // (binary search, the O(n log n) collection term) against a base-address
 // hash index on the bitonic workload, whose pointers all target block
-// bases.
+// bases: the counts and the time of one bisection pass each.
 func MSRLTIndexAblation(cfg Config) ([]AblationRow, error) {
 	n := 50000
 	if cfg.Quick {
 		n = 4000
 	}
+	e, err := core.NewEngine(workload.BitonicSource(n, 61803), minic.PollPolicy{})
+	if err != nil {
+		return nil, err
+	}
+	p, _, err := stopAtMigration(e, arch.Ultra5)
+	if err != nil {
+		return nil, err
+	}
 	var rows []AblationRow
 	for _, idx := range []bool{false, true} {
-		e, err := core.NewEngine(workload.BitonicSource(n, 61803), minic.PollPolicy{})
+		counts, err := bisection(p, idx)
 		if err != nil {
 			return nil, err
 		}
-		p, _, err := stopAtMigration(e, arch.Ultra5)
-		if err != nil {
-			return nil, err
-		}
-		p.Table.UseBaseIndex = idx
-		// The counts are one capture's; the timing repeats the capture as
-		// often as the clock decides.
-		p.Table.ResetStats()
-		_, _ = p.Recapture() // a failure recurs in timeCollect, which reports it
-		counts := p.Table.Stats
-		elapsed, _, err := timeCollect(p, cfg.repeats())
-		if err != nil {
-			return nil, err
-		}
+		elapsed := timeBest(cfg.repeats(), func() { _, _ = bisection(p, idx) })
 		name := "ordered table, binary search (paper design)"
 		detail := fmt.Sprintf("%d search steps", counts.SearchSteps)
 		if idx {

@@ -295,7 +295,8 @@ type ScalingPoint struct {
 	Blocks  int64
 	Collect time.Duration
 	Restore time.Duration
-	// SearchSteps is the MSRLT binary-search work during collection.
+	// SearchSteps is the MSRLT binary-search work of resolving every
+	// pointer once (bisection).
 	SearchSteps int64
 }
 
@@ -360,13 +361,17 @@ func scalingPoint(src string, n int, cfg Config) (ScalingPoint, error) {
 		return ScalingPoint{}, err
 	}
 	st := p.CaptureStats()
+	search, err := bisection(p, false)
+	if err != nil {
+		return ScalingPoint{}, err
+	}
 	return ScalingPoint{
 		N:           n,
 		Bytes:       size,
 		Blocks:      st.Save.Blocks,
 		Collect:     collect,
 		Restore:     restore,
-		SearchSteps: st.Save.SearchSteps,
+		SearchSteps: search.SearchSteps,
 	}, nil
 }
 
@@ -476,29 +481,20 @@ func Breakdown(cfg Config) ([]BreakdownRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, err := e.NewProcess(arch.Ultra5)
+		p, state, err := stopAtMigration(e, arch.Ultra5)
 		if err != nil {
 			return nil, err
-		}
-		p.MaxSteps = maxSteps
-		p.Instrument = true
-		var req core.Request
-		req.Raise()
-		p.PollHook = req.Hook()
-		res, err := p.Run()
-		if err != nil {
-			return nil, err
-		}
-		if !res.Migrated {
-			return nil, fmt.Errorf("exper: %s did not migrate", c.name)
 		}
 		// Recapture once more so the timing excludes cold caches.
 		if _, err := p.Recapture(); err != nil {
 			return nil, err
 		}
 		cs := p.CaptureStats()
-
-		restored, err := restoreInstrumented(e, arch.Ultra5, res.State)
+		search, err := bisection(p, false)
+		if err != nil {
+			return nil, err
+		}
+		restored, err := restoreInstrumented(e, arch.Ultra5, state)
 		if err != nil {
 			return nil, err
 		}
@@ -511,7 +507,7 @@ func Breakdown(cfg Config) ([]BreakdownRow, error) {
 			EncodeTime:  cs.Save.EncodeTime,
 			UpdateTime:  rs.UpdateTime,
 			DecodeTime:  rs.DecodeTime,
-			SearchSteps: cs.Save.SearchSteps,
+			SearchSteps: search.SearchSteps,
 		})
 	}
 	return rows, nil
@@ -554,6 +550,15 @@ type OverheadRow struct {
 	OverheadPct float64
 }
 
+// overheadCase is one configuration of an E6 group: a program, its poll
+// placement, and whether it runs unannotated.
+type overheadCase struct {
+	name    string
+	src     string
+	policy  minic.PollPolicy
+	disable bool
+}
+
 // PollPlacementOverhead reproduces the first Section 4.3 observation:
 // the overhead is high when poll-points sit inside a small kernel invoked
 // many times, and low when they are placed in the outer loop.
@@ -563,19 +568,35 @@ func PollPlacementOverhead(cfg Config) ([]OverheadRow, error) {
 		outer, inner = 2000, 40
 	}
 	src := workload.KernelOverheadSource(outer, inner)
-	configs := []struct {
-		name    string
-		policy  minic.PollPolicy
-		disable bool
-	}{
-		{"unannotated (baseline)", minic.PollPolicy{}, true},
-		{"poll at outer loop only", minic.PollPolicy{Loops: true, Funcs: []string{"main"}}, false},
-		{"poll inside kernel loop", minic.DefaultPolicy, false},
+	return overheadRows(cfg, []overheadCase{
+		{"unannotated (baseline)", src, minic.PollPolicy{}, true},
+		{"poll at outer loop only", src, minic.PollPolicy{Loops: true, Funcs: []string{"main"}}, false},
+		{"poll inside kernel loop", src, minic.DefaultPolicy, false},
+	})
+}
+
+// AllocationOverhead reproduces the second Section 4.3 observation: many
+// small repeatedly allocated blocks grow the MSRLT and cost run time; a
+// smart (pooled) allocation policy avoids it.
+func AllocationOverhead(cfg Config) ([]OverheadRow, error) {
+	blocks := 20000
+	if cfg.Quick {
+		blocks = 2000
 	}
+	return overheadRows(cfg, []overheadCase{
+		{"per-block malloc, unannotated (baseline)", workload.AllocOverheadSource(blocks, false), minic.DefaultPolicy, true},
+		{"per-block malloc, annotated", workload.AllocOverheadSource(blocks, false), minic.DefaultPolicy, false},
+		{"pooled arena, annotated", workload.AllocOverheadSource(blocks, true), minic.DefaultPolicy, false},
+	})
+}
+
+// overheadRows runs each case to completion, polling but never migrating
+// unless it runs unannotated, and reports its time against the first.
+func overheadRows(cfg Config, cases []overheadCase) ([]OverheadRow, error) {
 	var rows []OverheadRow
 	var base time.Duration
-	for i, c := range configs {
-		e, err := core.NewEngine(src, c.policy)
+	for i, c := range cases {
+		e, err := core.NewEngine(c.src, c.policy)
 		if err != nil {
 			return nil, err
 		}
@@ -597,67 +618,6 @@ func PollPlacementOverhead(cfg Config) ([]OverheadRow, error) {
 		})
 		if proc == nil {
 			return nil, fmt.Errorf("exper: overhead run failed for %s", c.name)
-		}
-		if i == 0 {
-			base = elapsed
-		}
-		pct := 0.0
-		if base > 0 {
-			pct = 100 * (elapsed.Seconds() - base.Seconds()) / base.Seconds()
-		}
-		rows = append(rows, OverheadRow{
-			Config:      c.name,
-			Elapsed:     elapsed,
-			PollChecks:  proc.Stats.PollChecks,
-			MSRLTOps:    proc.Stats.MSRLTOps,
-			OverheadPct: pct,
-		})
-	}
-	return rows, nil
-}
-
-// AllocationOverhead reproduces the second Section 4.3 observation: many
-// small repeatedly allocated blocks grow the MSRLT and cost run time; a
-// smart (pooled) allocation policy avoids it.
-func AllocationOverhead(cfg Config) ([]OverheadRow, error) {
-	blocks := 20000
-	if cfg.Quick {
-		blocks = 2000
-	}
-	configs := []struct {
-		name    string
-		src     string
-		disable bool
-	}{
-		{"per-block malloc, unannotated (baseline)", workload.AllocOverheadSource(blocks, false), true},
-		{"per-block malloc, annotated", workload.AllocOverheadSource(blocks, false), false},
-		{"pooled arena, annotated", workload.AllocOverheadSource(blocks, true), false},
-	}
-	var rows []OverheadRow
-	var base time.Duration
-	for i, c := range configs {
-		e, err := core.NewEngine(c.src, minic.DefaultPolicy)
-		if err != nil {
-			return nil, err
-		}
-		var proc *vm.Process
-		elapsed := stats.Repeat(cfg.repeats(), func() {
-			p, err := e.NewProcess(arch.Ultra5)
-			if err != nil {
-				return
-			}
-			p.MaxSteps = maxSteps
-			p.DisableMigration = c.disable
-			if !c.disable {
-				p.PollHook = func(*vm.Process, *minic.Site) bool { return false }
-			}
-			if _, err := p.Run(); err != nil {
-				return
-			}
-			proc = p
-		})
-		if proc == nil {
-			return nil, fmt.Errorf("exper: allocation run failed for %s", c.name)
 		}
 		if i == 0 {
 			base = elapsed

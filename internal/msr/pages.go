@@ -20,7 +20,7 @@ import (
 //
 // The index holds no Go pointer but the table's, so the collector never
 // scans it. Its lookups count as Searches and take no SearchSteps: the
-// paper's counted bisection stays Table.Lookup's, which the v1 codec uses.
+// paper's counted bisection stays Table.Lookup's, which BuildGraph runs.
 type PageIndex struct {
 	t    *Table
 	segs [memory.NumSegments]pageRange

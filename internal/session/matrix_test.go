@@ -17,7 +17,7 @@ import (
 // and test_pointer, whose heap has a shared child, a cycle and pointer
 // arrays. The full protocol runs over link.Pipe, and the restored process
 // must re-collect to the byte-identical machine-independent state the
-// source captured directly (the v1 codec, the oracle), then run to the
+// source captures where it stands, then run to the
 // correct exit code. One more case leaves the responder at its defaults
 // while the initiator cuts 512-byte chunks: the size is the sender's
 // alone. The subtests run in parallel, so under -race this also exercises

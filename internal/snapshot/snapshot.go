@@ -10,7 +10,7 @@
 // heap subgraph, one section per stack frame, and one for the globals.
 // Because every section is self-describing, a receiver can verify
 // integrity per section, rebuild the MSRLT section by section, and
-// account bytes and time per section — none of which the monolithic
+// account bytes and time per section — none of which one undivided
 // stream allows.
 //
 // # Wire format

@@ -10,7 +10,6 @@ import (
 	"repro/internal/memory"
 	"repro/internal/minic"
 	"repro/internal/msr"
-	"repro/internal/obs"
 	"repro/internal/types"
 )
 
@@ -197,20 +196,20 @@ func (p *Process) poll(site *minic.Site) (ctrl, error) {
 	if p.PollHook == nil || !p.PollHook(p, site) {
 		return ctrlNext, nil
 	}
+	p.lastSite = site
 	if p.NoAutoCapture {
 		// Stop at the site without capturing; the process stays live for
 		// delta captures and ResumeRun.
 		if p.trace != nil {
 			p.tracef("stopping at site %d", site.ID)
 		}
-		p.lastSite = site
 		p.migrated = nil
 		return ctrlMigrate, nil
 	}
 	if p.trace != nil {
 		p.tracef("migrating at site %d", site.ID)
 	}
-	state, err := obs.PhaseOf("collect", func() ([]byte, error) { return p.captureState(site) })
+	state, err := p.Recapture()
 	if err != nil {
 		return ctrlNext, fmt.Errorf("vm: migration capture failed: %w", err)
 	}

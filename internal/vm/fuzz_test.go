@@ -2,14 +2,12 @@ package vm
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"runtime"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/collect"
-	"repro/internal/memory"
 	"repro/internal/minic"
 	"repro/internal/snapshot"
 	"repro/internal/types"
@@ -42,36 +40,36 @@ const fuzzSource = `
 	}
 `
 
-// fuzzStates compiles fuzzSource, runs it to the n-th poll on Ultra 5,
-// and returns the program plus its captured v1 and v3 (sectioned) states.
+// fuzzStates compiles fuzzSource and returns the program plus the states
+// it captures on Ultra 5 at its 7th poll, in the list-building loop, and
+// at its 20th, in the summing loop.
 func fuzzStates(f testing.TB) (*minic.Program, []byte, []byte) {
 	prog, err := minic.Compile(fuzzSource, minic.DefaultPolicy)
 	if err != nil {
 		f.Fatal(err)
 	}
-	p, err := NewProcess(prog, arch.Ultra5)
-	if err != nil {
-		f.Fatal(err)
+	at := func(poll int) []byte {
+		p, err := NewProcess(prog, arch.Ultra5)
+		if err != nil {
+			f.Fatal(err)
+		}
+		p.Stdout = &bytes.Buffer{}
+		p.MaxSteps = 1_000_000
+		polls := 0
+		p.PollHook = func(_ *Process, _ *minic.Site) bool {
+			polls++
+			return polls == poll
+		}
+		res, err := p.Run()
+		if err != nil {
+			f.Fatal(err)
+		}
+		if !res.Migrated {
+			f.Fatal("program finished before migration point")
+		}
+		return res.State
 	}
-	p.Stdout = &bytes.Buffer{}
-	p.MaxSteps = 1_000_000
-	polls := 0
-	p.PollHook = func(_ *Process, _ *minic.Site) bool {
-		polls++
-		return polls == 7
-	}
-	res, err := p.Run()
-	if err != nil {
-		f.Fatal(err)
-	}
-	if !res.Migrated {
-		f.Fatal("program finished before migration point")
-	}
-	v3, err := p.CaptureSections(0)
-	if err != nil {
-		f.Fatal(err)
-	}
-	return prog, res.State, v3
+	return prog, at(7), at(20)
 }
 
 // hostileDirectory builds a well-framed sectioned snapshot of about size
@@ -107,91 +105,50 @@ func hostileDirectory(t testing.TB, prog *minic.Program, v3 []byte, size int) []
 	return snapshot.Encode(out)
 }
 
-// hostileRecordChain builds a v1 stream of size bytes: v1 up to and
-// including its first reference to a heap block, then a chain of records
-// of type "struct node *" — each an array of pointers as long as the
-// bytes behind its header allow, whose first pointer refers to the next
-// record. A record is checked before the records enclosing it have
-// consumed their contents, so the same quadratic claim arises as in
-// hostileDirectory.
-func hostileRecordChain(t testing.TB, prog *minic.Program, v1 []byte, size int) []byte {
-	var ptr uint32
-	for i, ty := range prog.TI.Types() {
-		if ty.Kind == types.KPointer {
-			ptr = uint32(i)
-		}
-	}
-	// The first heap reference of the stream: (Heap, major, 0, 0) followed
-	// by the record header of one struct node.
-	at := -1
-	for off := 0; off+24 <= len(v1); off += 4 {
-		w := func(i int) uint32 { return binary.BigEndian.Uint32(v1[off+4*i:]) }
-		if w(0) == uint32(memory.Heap) && w(2) == 0 && w(3) == 0 && w(4) == 1 && w(5) == 1 {
-			at = off + 16
-			break
-		}
-	}
-	if at < 0 {
-		t.Fatal("no heap reference in the v1 seed")
-	}
-	out := xdr.NewEncoder(size)
-	out.PutFixedOpaque(v1[:at])
-	for i := 0; out.Len()+24 <= size; i++ {
-		out.Put2Uint32(ptr, uint32((size-out.Len()-8)/4))
-		out.Put4Uint32(uint32(memory.Heap), uint32(1000+i), 0, 0)
-	}
-	return out.Bytes()
-}
-
-// TestHostileDirectoryAllocatesByInput holds the restore decoders to the
-// memory their input justifies: a sectioned directory and a v1 record
-// chain whose every declaration fits the bytes that remain when it is
-// read, but which together claim the square of the input, must be
-// rejected having allocated no more than 64 KiB plus sixteen times the
-// input. (The two 64 KiB inputs used to make the restorer allocate 135 MB
-// and 581 MB; the 256 KiB ones ran it into the 512 MB heap cap.)
+// TestHostileDirectoryAllocatesByInput holds the restore decoder to the
+// memory its input justifies: a section directory whose every declaration
+// fits the bytes that remain when it is read, but which together claim the
+// square of the input, must be rejected having allocated no more than
+// 64 KiB plus sixteen times the input. (The 64 KiB input used to make the
+// restorer allocate 135 MB; the 256 KiB one ran it into the 512 MB heap
+// cap.)
 func TestHostileDirectoryAllocatesByInput(t *testing.T) {
-	prog, v1, v3 := fuzzStates(t)
+	prog, v3, _ := fuzzStates(t)
 	for _, size := range []int{64 << 10, 256 << 10} {
-		inputs := map[string][]byte{
-			"sectioned directory": hostileDirectory(t, prog, v3, size),
-			"v1 record chain":     hostileRecordChain(t, prog, v1, size),
+		in := hostileDirectory(t, prog, v3, size)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := RestoreProcess(prog, arch.I386, in)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, collect.ErrCorruptStream) {
+			t.Errorf("%d bytes: err = %v, want ErrCorruptStream", len(in), err)
 		}
-		for name, in := range inputs {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err := RestoreProcess(prog, arch.I386, in)
-			runtime.ReadMemStats(&after)
-			if !errors.Is(err, collect.ErrCorruptStream) {
-				t.Errorf("%s, %d bytes: err = %v, want ErrCorruptStream", name, len(in), err)
-			}
-			if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+16*len(in)); got > ceiling {
-				t.Errorf("%s: restoring %d bytes allocated %d bytes, ceiling %d", name, len(in), got, ceiling)
-			}
+		if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+16*len(in)); got > ceiling {
+			t.Errorf("restoring %d bytes allocated %d bytes, ceiling %d", len(in), got, ceiling)
 		}
 	}
 }
 
-// FuzzDecodeRef feeds arbitrary bytes — seeded with real v1 and v3
-// snapshots and mutations of them — to the full restore path. Both the
-// monolithic and the sectioned decoder sit behind RestoreProcess, and
-// whatever the fuzzer invents, restore must either succeed or return an
-// error: no panic, no runaway allocation.
+// FuzzDecodeRef feeds arbitrary bytes — seeded with two real snapshots,
+// taken in different loops, mutations of them and hostile directories — to
+// the full restore path, RestoreProcess. Whatever the fuzzer invents,
+// restore must either succeed or return an error: no panic, no runaway
+// allocation.
 func FuzzDecodeRef(f *testing.F) {
-	prog, v1, v3 := fuzzStates(f)
-	f.Add(v1)
-	f.Add(v3)
-	f.Add(v1[:len(v1)/2])
-	f.Add(v3[:len(v3)/2])
-	for _, seed := range [][]byte{v1, v3} {
+	prog, early, late := fuzzStates(f)
+	f.Add(early)
+	f.Add(late)
+	f.Add(early[:len(early)/2])
+	f.Add(late[:len(late)/2])
+	for _, seed := range [][]byte{early, late} {
 		for _, off := range []int{4, len(seed) / 3, len(seed) - 8} {
 			mut := append([]byte(nil), seed...)
 			mut[off] ^= 0x81
 			f.Add(mut)
 		}
 	}
-	f.Add(hostileDirectory(f, prog, v3, 64<<10))
-	f.Add(hostileRecordChain(f, prog, v1, 64<<10))
+	f.Add(hostileDirectory(f, prog, early, 64<<10))
+	f.Add(hostileDirectory(f, prog, late, 16<<10))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := RestoreProcess(prog, arch.I386, data)

@@ -9,7 +9,10 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/memory"
 	"repro/internal/minic"
+	"repro/internal/msr"
+	"repro/internal/types"
 	"repro/internal/workload"
 )
 
@@ -38,7 +41,7 @@ int main() {
 }
 
 // stopPaused runs src on m to its migrate_here() and leaves the process
-// paused and resumable there, without the automatic v1 capture.
+// paused and resumable there, without the automatic capture.
 func stopPaused(t testing.TB, src string, m *arch.Machine) *Process {
 	t.Helper()
 	prog, err := minic.Compile(src, minic.PollPolicy{})
@@ -104,10 +107,94 @@ func TestDeepListSectioned(t *testing.T) {
 	}
 }
 
-// TestSearchCounts pins counts, not clocks. A sectioned capture searches
-// the MSRLT once per root and per non-null pointer scalar — the encoder
-// writes what the walk resolved — through the capture's page index, which
-// runs no bisection. The bisection stays the paper's on the v1 baseline:
+// TestDeepListAutoCapture: the state a granted poll captures into
+// Result.State carries a list one node longer than the 100 000 blocks the
+// recursive collector it replaced refused, and restores on another machine
+// to run to the unmigrated run's exit code. The runtime's default stack
+// limit stands.
+func TestDeepListAutoCapture(t *testing.T) {
+	const nodes = 100_001
+	prog, err := minic.Compile(listsSource(1, nodes), minic.PollPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := reference(t, prog, arch.DEC5000)
+	p, err := NewProcess(prog, arch.DEC5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.MaxSteps = 50_000_000
+	p.PollHook = func(*Process, *minic.Site) bool { return true }
+	res, err := p.Run()
+	if err != nil || !res.Migrated {
+		t.Fatalf("run to the migration point: %v (%+v)", err, res)
+	}
+	q, err := RestoreProcess(prog, arch.SPARC20, res.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.MaxSteps = 1_000_000
+	if got, err := q.Run(); err != nil || got.Migrated || got.ExitCode != want {
+		t.Errorf("restored process: %+v, %v; want exit %d", got, err, want)
+	}
+}
+
+// bisectionCounts resolves what a capture of p resolves — every root, and
+// every non-null pointer scalar of the blocks reachable from the roots —
+// through the MSRLT's counted bisection (Table.Lookup), once each, as the
+// paper's Save_pointer does, and returns the table's counters for it.
+func bisectionCounts(t *testing.T, p *Process) msr.Stats {
+	t.Helper()
+	sites, err := p.captureSites(p.lastSite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := p.liveRoots(sites)
+	p.Table.ResetStats()
+	seen := map[msr.BlockID]bool{}
+	var stack []*msr.Block
+	resolve := func(addr memory.Address) {
+		b, _, _, err := p.Table.Lookup(p.Mach, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !seen[b.ID] {
+			seen[b.ID] = true
+			stack = append(stack, b)
+		}
+	}
+	for _, live := range append(roots.FrameLive, roots.Globals) {
+		for _, addr := range live {
+			resolve(addr)
+		}
+	}
+	scan := func(op *types.PlanOp, base memory.Address) error {
+		for i := 0; i < op.Count && op.Kind == arch.Ptr; i++ {
+			if val, err := p.Space.LoadPtr(base + memory.Address(op.Off+i*op.Stride)); err != nil {
+				return err
+			} else if val != 0 {
+				resolve(val)
+			}
+		}
+		return nil
+	}
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		plan := b.Plan(p.Mach)
+		for elem := 0; elem < b.Count; elem++ {
+			if err := types.EachRun(plan.Ops, b.Addr+memory.Address(elem*plan.ElemSize), scan); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return p.Table.Stats
+}
+
+// TestSearchCounts pins counts, not clocks. A capture searches the MSRLT
+// once per root and per non-null pointer scalar — the encoder writes what
+// the walk resolved — through the capture's page index, which runs no
+// bisection. The paper's bisection over the same pointers stays
 // ⌈log₂ n⌉-shaped, and exactly the counts read from the tree before the hot
 // path was rebuilt (the benchmark's four programs at test size, and the
 // claimed workload at full size).
@@ -131,28 +218,25 @@ func TestSearchCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		paper := bisectionCounts(t, p)
+		if paper.Searches != tc.searches || paper.SearchSteps != tc.steps {
+			t.Errorf("%s: the bisection made %d searches in %d steps, the baseline is %d in %d",
+				tc.name, paper.Searches, paper.SearchSteps, tc.searches, tc.steps)
+		}
+		if most := int64(bits.Len(uint(p.Table.Len()))); paper.SearchSteps > paper.Searches*most {
+			t.Errorf("%s: %d steps over %d searches of %d blocks: more than ⌈log₂ n⌉ = %d each",
+				tc.name, paper.SearchSteps, paper.Searches, p.Table.Len(), most)
+		}
 		if _, err := p.Recapture(); err != nil {
 			t.Fatal(err)
 		}
-		v1 := p.CaptureStats().Save
-		if v1.Searches != tc.searches || v1.SearchSteps != tc.steps {
-			t.Errorf("%s: v1 capture made %d searches in %d steps, the baseline is %d in %d",
-				tc.name, v1.Searches, v1.SearchSteps, tc.searches, tc.steps)
+		st := p.CaptureStats().Save
+		if want := st.Pointers - st.NullPointers; st.Searches != want {
+			t.Errorf("%s: capture made %d searches for %d roots and non-null pointers", tc.name, st.Searches, want)
 		}
-		if _, err := p.CaptureSections(0); err != nil {
-			t.Fatal(err)
-		}
-		v3 := p.CaptureStats().Save
-		if want := v3.Pointers - v3.NullPointers; v3.Searches != want {
-			t.Errorf("%s: sectioned capture made %d searches for %d roots and non-null pointers", tc.name, v3.Searches, want)
-		}
-		if v3.Searches != v1.Searches || v3.SearchSteps != 0 {
-			t.Errorf("%s: sectioned capture %d searches / %d steps, v1 %d searches: the same pointers, resolved through the page index with no bisection",
-				tc.name, v3.Searches, v3.SearchSteps, v1.Searches)
-		}
-		if most := int64(bits.Len(uint(p.Table.Len()))); v3.SearchSteps > v3.Searches*most {
-			t.Errorf("%s: %d steps over %d searches of %d blocks: more than ⌈log₂ n⌉ = %d each",
-				tc.name, v3.SearchSteps, v3.Searches, p.Table.Len(), most)
+		if st.Searches != paper.Searches || st.SearchSteps != 0 {
+			t.Errorf("%s: capture %d searches / %d steps, bisection %d searches: the same pointers, resolved through the page index with no bisection",
+				tc.name, st.Searches, st.SearchSteps, paper.Searches)
 		}
 	}
 }

@@ -471,7 +471,6 @@ func TestCaptureStatsPopulated(t *testing.T) {
 	prog := compileLoops(t, src)
 	p, _ := NewProcess(prog, arch.Ultra5)
 	p.MaxSteps = 1_000_000
-	p.Instrument = true
 	polls := 0
 	p.PollHook = func(_ *Process, _ *minic.Site) bool { polls++; return polls == 500 }
 	res, err := p.Run()

@@ -24,8 +24,7 @@ var (
 )
 
 // flushCapture publishes one completed capture's encoder counters: the
-// stream encoder's for a monolithic capture, the sum over the section
-// encoders' for a sectioned one (framing the bodies into a snapshot is
+// sum over the section encoders' (framing the bodies into a snapshot is
 // not counted).
 func flushCapture(calls, bytes int) {
 	mCaptures.Inc()

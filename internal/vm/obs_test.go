@@ -7,9 +7,8 @@ import (
 	"repro/internal/workload"
 )
 
-// TestCaptureSpans checks the phase-span shape of both capture formats:
-// a sectioned capture records collect/partition/encode with per-section
-// children, a monolithic capture records a bare collect span.
+// TestCaptureSpans checks the phase-span shape of a capture: it records
+// collect/partition/encode with per-section children.
 func TestCaptureSpans(t *testing.T) {
 	p, _, _, _ := stopSectioned(t, workload.ShardedListsSource(4, 30))
 	tr := obs.NewTracer()
@@ -42,16 +41,5 @@ func TestCaptureSpans(t *testing.T) {
 	}
 	if collect.Bytes == 0 {
 		t.Error("collect span has no byte count")
-	}
-
-	tr2 := obs.NewTracer()
-	p.Obs = tr2.Start("capture")
-	if _, err := p.Recapture(); err != nil {
-		t.Fatal(err)
-	}
-	p.Obs.End()
-	mono := tr2.Export()[0].Children[0]
-	if mono.Name != "collect" || mono.Attrs["format"] != "mono" {
-		t.Errorf("mono capture span = %q (%v), want mono collect", mono.Name, mono.Attrs)
 	}
 }

@@ -10,10 +10,10 @@ import (
 
 // TestSectionedRestoreMatrix restores the same sectioned snapshot on every
 // endianness/width pairing of the transfer matrix and requires the
-// recapture to be byte-identical to the source's v1 stream and the resumed
-// run to exit with the reference code.
+// recapture to be byte-identical to the state the source captured at its
+// poll and the resumed run to exit with the reference code.
 func TestSectionedRestoreMatrix(t *testing.T) {
-	p, prog, v1, want := stopSectioned(t, workload.ShardedListsSource(6, 60))
+	p, prog, state, want := stopSectioned(t, workload.ShardedListsSource(6, 60))
 	snap, err := p.CaptureSections(0)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestSectionedRestoreMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(re, v1) {
+			if !bytes.Equal(re, state) {
 				t.Fatalf("restore on %s does not recapture the source state", m.Name)
 			}
 			q.Stdout = &bytes.Buffer{}

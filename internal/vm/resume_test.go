@@ -170,19 +170,19 @@ const chainSrc = `
 		return x;
 	}`
 
-// withOuterSite returns a copy of state whose outermost frame is stopped at
-// site instead; the execution state starts at state[off:].
-func withOuterSite(t *testing.T, state []byte, off, site int) []byte {
+// withOuterSite returns a copy of an exec section body whose outermost
+// frame is stopped at site instead.
+func withOuterSite(t *testing.T, exec []byte, site int) []byte {
 	t.Helper()
-	dec := xdr.NewDecoder(state[off:])
+	dec := xdr.NewDecoder(exec)
 	if _, err := dec.Uint32(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dec.String(); err != nil {
 		t.Fatal(err)
 	}
-	out := append([]byte(nil), state...)
-	binary.BigEndian.PutUint32(out[off+dec.Offset():], uint32(site))
+	out := append([]byte(nil), exec...)
+	binary.BigEndian.PutUint32(out[dec.Offset():], uint32(site))
 	return out
 }
 
@@ -199,33 +199,30 @@ func TestRestoreRejectsInconsistentFrameChain(t *testing.T) {
 			t.Fatalf("resume to poll %d: %v", polls+1, err)
 		}
 	}
-	v1, err := p.Recapture()
-	if err != nil {
-		t.Fatal(err)
-	}
 	secs, release, err := p.Sections()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release()
-	if _, err := RestoreProcess(prog, arch.SPARC20, v1); err != nil {
+	if _, err := RestoreProcess(prog, arch.SPARC20, snapshot.Encode(secs)); err != nil {
 		t.Fatalf("unforged state: %v", err)
+	}
+	withExec := func(body []byte) []snapshot.Section {
+		return append([]snapshot.Section{{Kind: snapshot.KindExec, Body: body}}, secs[1:]...)
 	}
 	// One frame, main, stopped at its call to work.
 	innermostAtCall := xdr.NewEncoder(64)
-	innermostAtCall.PutUint32(execMagic)
 	innermostAtCall.PutUint32(1)
 	innermostAtCall.PutString("main")
 	innermostAtCall.PutUint32(3)
-	forged := append([]snapshot.Section{{Kind: snapshot.KindExec, Body: withOuterSite(t, secs[0].Body, 0, 2)}}, secs[1:]...)
+	forged := withExec(withOuterSite(t, secs[0].Body, 2))
 	for _, tc := range []struct {
 		name  string
 		state []byte
 	}{
-		{"v1, outer frame calls other", withOuterSite(t, v1, 4, 2)},
-		{"v1, outer frame at a poll", withOuterSite(t, v1, 4, 1)},
-		{"v1, innermost frame at a call", innermostAtCall.Bytes()},
 		{"sectioned, outer frame calls other", snapshot.Encode(forged)},
+		{"sectioned, outer frame at a poll", snapshot.Encode(withExec(withOuterSite(t, secs[0].Body, 1)))},
+		{"sectioned, innermost frame at a call", snapshot.Encode(withExec(innermostAtCall.Bytes()))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := RestoreProcess(prog, arch.SPARC20, tc.state); !errors.Is(err, collect.ErrMismatch) {

@@ -36,18 +36,10 @@ func (p *Process) Sections() (secs []snapshot.Section, release func(), err error
 	return secs, release, err
 }
 
-// CaptureSections is Sections framed into a sectioned snapshot. The
-// parameter is inert — it was the width of the encoding pool, which is
-// gone — and stays only because bench/program.go, which no ordinary change
-// may edit, passes one.
-func (p *Process) CaptureSections(_ int) ([]byte, error) {
-	secs, release, err := p.Sections()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return snapshot.Encode(secs), nil
-}
+// CaptureSections is Recapture. The parameter is inert — it was the width
+// of the encoding pool, which is gone — and stays only because
+// bench/program.go, which no ordinary change may edit, passes one.
+func (p *Process) CaptureSections(_ int) ([]byte, error) { return p.Recapture() }
 
 // captureSectionList is the one sectioned producer, behind cold, warm and
 // live captures alike: it collects the state at the site the process is
@@ -84,7 +76,6 @@ func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty []memory.Di
 	baseSearches := p.Table.Stats.Searches
 	baseSteps := p.Table.Stats.SearchSteps
 	roots := p.liveRoots(sites)
-	encStart := time.Now()
 	st, err := obs.PhaseOf("collect", func() (*collect.SectionedState, error) {
 		return collect.EncodeSections(p.Space, p.Table, p.TI, roots, dt, dirty)
 	})
@@ -97,8 +88,8 @@ func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty []memory.Di
 	} else {
 		part.SetAttr("partition", "walked")
 	}
-	part.SetDuration(st.Partition)
-	span.Child("encode").SetDuration(time.Since(encStart) - st.Partition)
+	part.SetDuration(st.Stats.SearchTime)
+	span.Child("encode").SetDuration(st.Stats.EncodeTime)
 
 	execStart := time.Now()
 	execEnc := xdr.NewEncoder(64)
@@ -154,8 +145,8 @@ func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty []memory.Di
 }
 
 // liveRoots builds the collection roots — the live-variable addresses of
-// each frame at its stopped site, and every global — in the traversal
-// order the monolithic capture uses.
+// each frame at its stopped site, and every global — in the paper's
+// collection order.
 func (p *Process) liveRoots(sites []*minic.Site) collect.Roots {
 	roots := collect.Roots{FrameLive: make([][]memory.Address, len(p.frames))}
 	for i, f := range p.frames {

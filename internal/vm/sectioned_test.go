@@ -19,7 +19,7 @@ import (
 
 // stopSectioned compiles src with explicit poll points only (so the
 // sole poll site is its migrate_here() intrinsic), runs it on Ultra 5 to
-// that point, and returns the stopped process, its v1 state, and the
+// that point, and returns the stopped process, its state, and the
 // expected final exit code from an unmigrated reference run.
 func stopSectioned(t *testing.T, src string) (*Process, *minic.Program, []byte, int) {
 	t.Helper()
@@ -124,7 +124,7 @@ func TestSectionedPartitionMergesSharedHeap(t *testing.T) {
 }
 
 func TestSectionedRestoreRoundTrip(t *testing.T) {
-	p, prog, v1, want := stopSectioned(t, workload.ShardedListsSource(4, 30))
+	p, prog, state, want := stopSectioned(t, workload.ShardedListsSource(4, 30))
 	v3, err := p.CaptureSections(0)
 	if err != nil {
 		t.Fatal(err)
@@ -146,8 +146,8 @@ func TestSectionedRestoreRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(re, v1) {
-			t.Errorf("%s: recaptured v1 state differs from the source's direct capture", dst.Name)
+		if !bytes.Equal(re, state) {
+			t.Errorf("%s: recaptured state differs from the source's capture at the poll", dst.Name)
 		}
 		// Every section but exec (decoded before the loop) is recorded as
 		// a child of the restore span.
@@ -167,7 +167,7 @@ func TestSectionedRestoreRoundTrip(t *testing.T) {
 }
 
 func TestSectionedRejectsCorruption(t *testing.T) {
-	p, prog, v1, _ := stopSectioned(t, workload.ShardedListsSource(3, 20))
+	p, prog, _, _ := stopSectioned(t, workload.ShardedListsSource(3, 20))
 	v3, err := p.CaptureSections(0)
 	if err != nil {
 		t.Fatal(err)
@@ -257,20 +257,22 @@ func TestSectionedRejectsCorruption(t *testing.T) {
 			t.Error("RestoreSections into a started process succeeded")
 		}
 	})
-	// The v1 stream's execution state goes through the same decoder as the
-	// exec section, so its failures carry the same types.
-	t.Run("truncated v1 exec header", func(t *testing.T) {
-		if _, err := RestoreProcess(prog, arch.I386, v1[:10]); !errors.Is(err, collect.ErrCorruptStream) {
+	// The exec section's own failures, framed: a body cut short inside its
+	// frame chain, and a frame of a function the program does not have.
+	withExec := func(body []byte) []byte {
+		return snapshot.Encode(append(list(snapshot.Section{Kind: snapshot.KindExec, Body: body}), secs[1:]...))
+	}
+	t.Run("truncated exec section", func(t *testing.T) {
+		if _, err := RestoreProcess(prog, arch.I386, withExec(exec.Body[:6])); !errors.Is(err, collect.ErrCorruptStream) {
 			t.Errorf("err = %v, want ErrCorruptStream", err)
 		}
 	})
-	t.Run("v1 unknown function", func(t *testing.T) {
+	t.Run("exec section names an unknown function", func(t *testing.T) {
 		enc := xdr.NewEncoder(64)
-		enc.PutUint32(execMagic)
 		enc.PutUint32(1)
 		enc.PutString("no_such_function")
 		enc.PutUint32(0)
-		if _, err := RestoreProcess(prog, arch.I386, enc.Bytes()); !errors.Is(err, collect.ErrMismatch) {
+		if _, err := RestoreProcess(prog, arch.I386, withExec(enc.Bytes())); !errors.Is(err, collect.ErrMismatch) {
 			t.Errorf("err = %v, want ErrMismatch", err)
 		}
 	})

@@ -13,31 +13,30 @@ import (
 	"repro/internal/xdr"
 )
 
-// This file implements the transfer of process state. The stream has two
-// parts, mirroring the paper's design:
+// This file implements the transfer of process state. A captured state
+// is one sectioned snapshot (internal/snapshot), with two parts mirroring
+// the paper's design:
 //
-//   - the execution state: the chain of active function invocations and,
-//     for each, the migration site it is stopped at (the innermost frame at
-//     the poll-point where migration occurred; each outer frame at the call
-//     statement through which control entered the next frame);
+//   - the execution state, the exec section: the chain of active function
+//     invocations and, for each, the migration site it is stopped at (the
+//     innermost frame at the poll-point where migration occurred; each
+//     outer frame at the call statement through which control entered the
+//     next frame);
 //
 //   - the memory state: for each frame, innermost first, the values of the
-//     variables live at its site, collected with the MSRM library's
-//     Save_variable (whose depth-first traversal brings in every reachable
-//     heap block), followed by the global variables.
+//     variables live at its site, collected from the paper's Save_variable
+//     roots by one depth-first traversal that brings in every reachable
+//     heap block, and the global variables (sectioned.go).
 //
 // Restoration rebuilds the frames (re-registering the same machine-
 // independent block identifications), restores the live data, and leaves
-// the process ready to fast-forward each function to its site.
-
-const execMagic = 0x45584543 // "EXEC"
+// the process ready to resume each function at its site.
 
 // StateStats describes one captured state, for the experiment harness.
 type StateStats struct {
 	Frames int
 	Save   collect.SaveStats
-	// Bytes is the size of what the capture encoded: the whole stream of a
-	// monolithic capture, the section bodies of a sectioned one (a live
+	// Bytes is the size of the section bodies the capture encoded (a live
 	// round's reused bodies not counted).
 	Bytes int
 	// Elapsed is the wall time of the whole capture (the paper's
@@ -56,16 +55,17 @@ func (p *Process) RestoreStatsOf() collect.RestoreStats { return p.restoreStats 
 // this process (the paper's "Restore" column).
 func (p *Process) RestoreElapsed() time.Duration { return p.restoreElapsed }
 
-// Recapture re-collects the full process state at the migration point the
-// process is stopped at. The measurement harness uses it to time data
-// collection repeatedly without re-executing the program; collection does
-// not modify the process, so every capture yields an identical stream.
+// Recapture collects the full process state at the migration point the
+// process is stopped at, as a sectioned snapshot: the state a granted poll
+// leaves in Result.State. Collection does not modify the process, so every
+// capture of one stopped state yields the same bytes, on any machine.
 func (p *Process) Recapture() ([]byte, error) {
-	site, err := p.stoppedSite()
+	secs, release, err := p.Sections()
 	if err != nil {
 		return nil, err
 	}
-	return obs.PhaseOf("collect", func() ([]byte, error) { return p.captureState(site) })
+	defer release()
+	return snapshot.Encode(secs), nil
 }
 
 // captureSites resolves the site every active frame is stopped at:
@@ -106,52 +106,6 @@ func (p *Process) stoppedSite() (*minic.Site, error) {
 	return site, nil
 }
 
-// captureState encodes the full process state at a migration point.
-// innermost is the poll site that triggered the migration.
-func (p *Process) captureState(innermost *minic.Site) ([]byte, error) {
-	enc := xdr.NewEncoder(1 << 12)
-	p.lastSite = innermost
-	captureStart := time.Now()
-	span := p.Obs.Child("collect")
-	span.SetAttr("format", "mono")
-	defer span.End()
-	sites, err := p.captureSites(innermost)
-	if err != nil {
-		return nil, err
-	}
-	enc.PutUint32(execMagic)
-	p.putExecState(enc, sites)
-
-	saver := collect.NewSaver(p.Space, p.Table, p.TI, enc)
-	saver.Instrument = p.Instrument
-	// Live data, innermost frame first (as in the paper's example, where
-	// foo's live data precedes main's).
-	for i := len(p.frames) - 1; i >= 0; i-- {
-		f := p.frames[i]
-		for _, v := range sites[i].Live {
-			if err := saver.SaveVariable(p.VarAddr(f, v)); err != nil {
-				return nil, fmt.Errorf("vm: collecting %s in %s: %w", v.Name, f.Fn.Name, err)
-			}
-		}
-	}
-	// Globals last.
-	for _, g := range p.Prog.Globals {
-		if err := saver.SaveVariable(p.globalAddrs[g.Index]); err != nil {
-			return nil, fmt.Errorf("vm: collecting global %s: %w", g.Name, err)
-		}
-	}
-	saver.Finish()
-	p.captureStats = StateStats{
-		Frames:  len(p.frames),
-		Save:    saver.Stats,
-		Bytes:   enc.Len(),
-		Elapsed: time.Since(captureStart),
-	}
-	span.SetBytes(int64(enc.Len()))
-	flushCapture(enc.Calls(), enc.Len())
-	return enc.Bytes(), nil
-}
-
 // RestoreProcess builds a process on machine m from a captured state and
 // prepares it to resume. Run() continues execution from the migration
 // point.
@@ -177,67 +131,20 @@ func (p *Process) RestoreInto(state []byte) error {
 	return obs.Phase("restore", func() error { return p.restoreState(state) })
 }
 
+// restoreState restores a framed sectioned snapshot section by section
+// through the one restore loop; a stream that does not open with the
+// snapshot magic is refused.
 func (p *Process) restoreState(state []byte) error {
-	restoreStart := time.Now()
-	dec := xdr.NewDecoder(state)
-	magic, err := dec.Uint32()
-	if err != nil {
-		return fmt.Errorf("vm: bad execution state header")
-	}
-	if magic == snapshot.Magic {
-		// A sectioned snapshot; both formats restore through this
-		// entry point, distinguished by their leading magic. It goes
-		// section by section through the one restore loop.
-		r := p.NewRestore()
-		if err := r.Read(xdr.NewDecoder(state)); err != nil {
-			return err
-		}
-		return r.Finish()
-	}
-	if magic != execMagic {
-		return fmt.Errorf("vm: bad execution state header")
-	}
-	span := p.Obs.Child("restore")
-	span.SetAttr("format", "mono")
-	defer span.End()
-	fns, sites, err := p.decodeExecState(dec)
-	if err != nil {
+	r := p.NewRestore()
+	if err := r.Read(xdr.NewDecoder(state)); err != nil {
 		return err
 	}
-	if err := p.pushFrames(fns); err != nil {
-		return err
-	}
-
-	restorer := collect.NewRestorer(p.Space, p.Table, p.TI, dec)
-	restorer.Instrument = p.Instrument
-	for i := len(sites) - 1; i >= 0; i-- {
-		f := p.frames[i]
-		for _, v := range sites[i].Live {
-			if err := restorer.RestoreVariable(p.VarAddr(f, v)); err != nil {
-				return fmt.Errorf("vm: restoring %s in %s: %w", v.Name, f.Fn.Name, err)
-			}
-		}
-	}
-	for _, g := range p.Prog.Globals {
-		if err := restorer.RestoreVariable(p.globalAddrs[g.Index]); err != nil {
-			return fmt.Errorf("vm: restoring global %s: %w", g.Name, err)
-		}
-	}
-	if dec.Remaining() != 0 {
-		return fmt.Errorf("vm: %d trailing bytes in state stream", dec.Remaining())
-	}
-	p.resumeSites = sites
-	p.restoreStats = restorer.Stats
-	p.restoreElapsed = time.Since(restoreStart)
-	span.SetBytes(int64(len(state)))
-	flushRestore(dec.Calls())
-	return nil
+	return r.Finish()
 }
 
 // putExecState encodes the execution state — frame count, then per frame
-// the function name and the site it is stopped at. The v1 stream carries
-// it behind execMagic, the sectioned snapshot as the body of its exec
-// section.
+// the function name and the site it is stopped at — as the body of the
+// exec section.
 func (p *Process) putExecState(enc *xdr.Encoder, sites []*minic.Site) {
 	enc.PutUint32(uint32(len(p.frames)))
 	for i, f := range p.frames {

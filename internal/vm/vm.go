@@ -115,12 +115,13 @@ type Process struct {
 	DisableMigration bool
 
 	// NoAutoCapture changes what a granted poll-point request does:
-	// instead of capturing the monolithic state and retiring the
-	// process, execution simply stops at the site (Result.Migrated true,
-	// State nil) and the process stays fully usable — it can be captured
-	// with any Capture variant, or continued with ResumeRun. The
-	// pre-copy driver uses this to stop at round boundaries without
-	// paying a capture it does not want.
+	// instead of capturing the sectioned snapshot into Result.State,
+	// execution simply stops at the site (Result.Migrated true, State
+	// nil) and the process stays fully usable — it can be captured with
+	// Recapture, Sections or a live Round, or continued with ResumeRun. A
+	// caller whose migration session captures for itself, and the
+	// pre-copy driver stopping at round boundaries, set it so as not to
+	// pay a capture they do not want.
 	NoAutoCapture bool
 
 	// Stdout receives printf output; defaults to io.Discard.
@@ -129,7 +130,8 @@ type Process struct {
 	// MaxSteps aborts runaway programs (0 = unlimited).
 	MaxSteps int64
 
-	// Instrument enables fine-grained timing in capture/restore stats.
+	// Instrument enables the fine-grained update/decode timing split in
+	// restore stats. A capture times its search/encode split always.
 	Instrument bool
 
 	// RestoreWorkers is inert: nothing reads it. It was the width of the
@@ -325,8 +327,10 @@ func (p *Process) popFrame() error {
 // Result is the outcome of Run.
 type Result struct {
 	// Migrated is true when execution stopped at a poll-point with a
-	// granted migration request; State then holds the encoded process
-	// state and the process must not be used further.
+	// granted migration request; State then holds the process state as a
+	// sectioned snapshot (what Recapture returns; nil under NoAutoCapture),
+	// which RestoreProcess restores on any machine, and the process is not
+	// run further.
 	Migrated bool
 	State    []byte
 	// ExitCode is main's return value (or the exit() argument) when the

@@ -176,7 +176,7 @@ func (p *Program) Migrate(src, dst *Machine, opts *Options) (*Result, error) {
 	var req core.Request
 	req.Raise()
 	proc.PollHook = req.Hook()
-	proc.NoAutoCapture = true // the session captures; the v1 stream is not wanted
+	proc.NoAutoCapture = true // the session captures
 	res, err := proc.Run()
 	if err != nil {
 		return nil, err
