@@ -239,6 +239,24 @@ func TestRestoreRejectsInconsistentFrameChain(t *testing.T) {
 			t.Errorf("err = %v, want ErrMismatch", err)
 		}
 	})
+	// The same chain read as it arrives, three bytes at a time, so that the
+	// exec section is checked before the rest of the stream is there.
+	t.Run("sections streamed, outer frame calls other", func(t *testing.T) {
+		q, err := NewProcess(prog, arch.SPARC20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire := snapshot.Encode(forged)
+		rest := wire
+		feed := func() ([]byte, error) {
+			piece := rest[:min(3, len(rest))]
+			rest = rest[len(piece):]
+			return piece, nil
+		}
+		if err := q.NewRestore().Read(xdr.NewFeedDecoder(len(wire), feed)); !errors.Is(err, collect.ErrMismatch) {
+			t.Errorf("err = %v, want ErrMismatch", err)
+		}
+	})
 }
 
 // TestUsualArithmeticConversions pins what the VM computes for comparisons
