@@ -3,9 +3,10 @@
 // The pre-copy driver ships the full process image while the program keeps
 // running, then re-ships only what changed. "What changed" is answered
 // here: every mutation of the space funnels through a single write-barrier
-// choke point (Space.mutable), which — when tracking is on — stamps each
-// touched block with the current generation. A delta round then asks
-// which block ranges carry a stamp at or above its watermark generation.
+// choke point (Space.mutable, or for a View its segment's entry to the
+// same mark), which — when tracking is on — stamps each touched block with
+// the current generation. A delta round then asks which block ranges carry
+// a stamp at or above its watermark generation.
 //
 // Granularity is a fixed power-of-two block, far smaller than the heap
 // blocks the collector partitions, so one mutated list node does not dirty
@@ -95,19 +96,18 @@ type dirtyTracker struct {
 	touched []Address
 }
 
-// mark stamps every block overlapping [addr, addr+n) with the current
+// mark stamps every block overlapping [addr, addr+n), which lies in the
+// segment whose log is l and whose store is st, with the current
 // generation. A block the log already covers is stamped in place, so a
 // steady-state working set runs the barrier at 0 allocs/op.
-func (d *dirtyTracker) mark(s *Space, addr Address, n int) {
+func (d *dirtyTracker) mark(l *blockLog, st *segmentStore, addr Address, n int) {
 	if n <= 0 {
 		return
 	}
-	seg, _ := SegmentOf(addr)
-	l := &d.logs[seg]
 	first := addr >> DirtyBlockShift
 	last := (addr + Address(n) - 1) >> DirtyBlockShift
 	if first < l.org || last-l.org >= Address(len(l.e)) {
-		l.cover(s.store(addr))
+		l.cover(st)
 	}
 	for b := first; b <= last; b++ {
 		lo, hi := Address(0), Address(DirtyBlockSize)
@@ -231,17 +231,24 @@ func (s *Space) DirtyRangesSince(gen uint64) []DirtyRange {
 
 // mutable resolves a writable view of n bytes at addr. This is the single
 // write-barrier choke point: every mutation path of the space —
-// WriteBytes, Zero, StorePrim/StorePtr, and the zeroing performed by
-// Malloc, GlobalAlloc, and PushFrame — obtains its view here, so turning
-// tracking on observes them all. Read paths (Bytes, LoadPrim) bypass it
-// and never stamp blocks.
+// WriteBytes, Zero, StorePrim/StorePtr, the zeroing performed by Malloc,
+// GlobalAlloc, and PushFrame, and View.Write — obtains its view here or
+// through mark, so turning tracking on observes them all. Read paths
+// (Bytes, LoadPrim, View.Read) bypass it and never stamp blocks.
 func (s *Space) mutable(addr Address, n int) ([]byte, error) {
-	b, err := s.Bytes(addr, n)
-	if err != nil {
-		return nil, err
+	seg, st := s.store(addr)
+	if st == nil {
+		return nil, badAddress(addr)
 	}
-	if s.dirty.on {
-		s.dirty.mark(s, addr, n)
+	return s.mutableIn(seg, st, addr, n)
+}
+
+// mutableIn is mutable for an address already resolved to its segment and
+// store.
+func (s *Space) mutableIn(seg Segment, st *segmentStore, addr Address, n int) ([]byte, error) {
+	b, err := st.slice(addr, n)
+	if err == nil && s.dirty.on {
+		s.dirty.mark(&s.dirty.logs[seg], st, addr, n)
 	}
-	return b, nil
+	return b, err
 }

@@ -502,3 +502,21 @@ func FuzzDirtyLog(f *testing.F) {
 		runDirtyLog(t, ops)
 	})
 }
+
+// BenchmarkWriteBarrierOnView is BenchmarkWriteBarrierOn through a view,
+// the way compiled code writes a local or a global: the barrier's entry for
+// the view's segment, at 0 allocs/op.
+func BenchmarkWriteBarrierOnView(b *testing.B) {
+	s := NewSpace(arch.Ultra5)
+	if _, err := s.PushFrame(4096); err != nil {
+		b.Fatal(err)
+	}
+	v := s.TopFrame()
+	s.StartDirtyTracking()
+	v.Write(0, 4096) // the log covers the frame, and each block is touched
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.Write((i&31)*64, 64)[0] = byte(i)
+	}
+}

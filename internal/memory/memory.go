@@ -89,6 +89,7 @@ type Space struct {
 	stack  segmentStore
 
 	brk      Address // next free global address
+	globals  View    // [GlobalBase, brk)
 	stackTop Address // current top of stack (grows down)
 	frames   []frame
 
@@ -131,6 +132,10 @@ type segmentStore struct {
 	// outside [lo, hi) have never been exposed, so they still hold the
 	// zeros they were allocated with and Zero need not clear them again.
 	lo, hi Address
+
+	// gen counts the reallocations of data, so a View can tell that the
+	// slice it keeps is stale.
+	gen uint64
 }
 
 // growAlign is the granule the backing array grows by, in either direction.
@@ -162,6 +167,7 @@ func (s *segmentStore) slice(addr Address, n int) ([]byte, error) {
 		copy(nd[shift:], s.data)
 		s.org = newOrg
 		s.data = nd
+		s.gen++
 	}
 	rel := int(addr - s.org)
 	end := rel + n
@@ -174,6 +180,7 @@ func (s *segmentStore) slice(addr Address, n int) ([]byte, error) {
 		nd := make([]byte, grown)
 		copy(nd, s.data)
 		s.data = nd
+		s.gen++
 	}
 	if addr < s.lo {
 		s.lo = addr
@@ -215,29 +222,34 @@ func SegmentOf(addr Address) (Segment, bool) {
 	return 0, false
 }
 
-func (s *Space) store(addr Address) *segmentStore {
+// store resolves the segment of addr and its store; the store is nil for
+// an address no segment holds (null among them).
+func (s *Space) store(addr Address) (Segment, *segmentStore) {
 	seg, ok := SegmentOf(addr)
-	if !ok {
-		return nil
+	switch {
+	case !ok:
+		return 0, nil
+	case seg == Global:
+		return seg, &s.global
+	case seg == Heap:
+		return seg, &s.heap
 	}
-	switch seg {
-	case Global:
-		return &s.global
-	case Heap:
-		return &s.heap
-	default:
-		return &s.stack
+	return seg, &s.stack
+}
+
+// badAddress is the error of an access at addr, which no segment holds.
+func badAddress(addr Address) error {
+	if addr == 0 {
+		return ErrNull
 	}
+	return fmt.Errorf("%w: %#x", ErrOutOfRange, uint64(addr))
 }
 
 // Bytes returns a writable view of n bytes at addr.
 func (s *Space) Bytes(addr Address, n int) ([]byte, error) {
-	if addr == 0 {
-		return nil, ErrNull
-	}
-	st := s.store(addr)
+	_, st := s.store(addr)
 	if st == nil {
-		return nil, fmt.Errorf("%w: %#x", ErrOutOfRange, uint64(addr))
+		return nil, badAddress(addr)
 	}
 	return st.slice(addr, n)
 }
@@ -270,11 +282,12 @@ func (s *Space) WriteBytes(addr Address, p []byte) error {
 // restoring a multi-megabyte block would otherwise clear it twice before
 // overwriting it).
 func (s *Space) Zero(addr Address, n int) error {
-	var lo, hi Address
-	if st := s.store(addr); st != nil {
-		lo, hi = st.lo, st.hi
+	seg, st := s.store(addr)
+	if st == nil {
+		return badAddress(addr)
 	}
-	b, err := s.mutable(addr, n)
+	lo, hi := st.lo, st.hi
+	b, err := s.mutableIn(seg, st, addr, n)
 	if err != nil {
 		return err
 	}
@@ -288,6 +301,75 @@ func (s *Space) Zero(addr Address, n int) error {
 // Writable returns a view of n bytes at addr for the caller to store
 // into. It passes the write barrier, as every other mutation does.
 func (s *Space) Writable(addr Address, n int) ([]byte, error) { return s.mutable(addr, n) }
+
+// View is a window a caller keeps onto a range of one segment — a stack
+// frame (TopFrame) or the globals (Globals) — so that an access at a
+// constant offset in it skips the translation Bytes and Writable make on
+// every call: no segment classification, no store lookup and no range
+// check. It survives the growth of its segment, since the store counts its
+// reallocations and a view whose count is stale re-slices before it is
+// used.
+type View struct {
+	d    *dirtyTracker
+	l    *blockLog
+	st   *segmentStore
+	addr Address
+	gen  uint64
+	b    []byte
+}
+
+// view exposes n bytes at addr, as Bytes does, and returns a view of them.
+// A view of no bytes is the zero View, which holds no offset.
+func (s *Space) view(addr Address, n int) (View, error) {
+	if n == 0 {
+		return View{}, nil
+	}
+	seg, st := s.store(addr)
+	if st == nil {
+		return View{}, badAddress(addr)
+	}
+	b, err := st.slice(addr, n)
+	return View{d: &s.dirty, l: &s.dirty.logs[seg], st: st, addr: addr, gen: st.gen, b: b}, err
+}
+
+// Read returns the n bytes at offset off in the view.
+func (v *View) Read(off, n int) []byte {
+	if v.gen != v.st.gen {
+		v.retake()
+	}
+	return v.b[off : off+n]
+}
+
+// Write returns the n bytes at offset off in the view for the caller to
+// store into. It passes the write barrier, through the mark entry of the
+// view's segment.
+func (v *View) Write(off, n int) []byte {
+	if v.d.on || v.gen != v.st.gen {
+		v.prepare(off, n)
+	}
+	return v.b[off : off+n]
+}
+
+// prepare is Write's work out of line, so that Write inlines: it marks
+// the n bytes at off when tracking is on, and re-takes a stale view.
+func (v *View) prepare(off, n int) {
+	if v.d.on {
+		v.d.mark(v.l, v.st, v.addr+Address(off), n)
+	}
+	if v.gen != v.st.gen {
+		v.retake()
+	}
+}
+
+// retake re-slices the view from its store's current backing array, which
+// still covers the view: a store only grows. It is out of line so that
+// Read inlines.
+//
+//go:noinline
+func (v *View) retake() {
+	rel := v.addr - v.st.org
+	v.b, v.gen = v.st.data[rel:rel+Address(len(v.b))], v.st.gen
+}
 
 // LoadPrim loads a scalar of primitive kind k at addr in the machine's
 // representation, returning the canonical 64-bit value (see arch.Prim).
@@ -336,8 +418,14 @@ func (s *Space) GlobalAlloc(size, align int) (Address, error) {
 			return 0, err
 		}
 	}
-	return addr, nil
+	var err error
+	s.globals, err = s.view(GlobalBase, int(s.brk-GlobalBase))
+	return addr, err
 }
+
+// Globals returns the view of every global GlobalAlloc has reserved, which
+// each reservation extends.
+func (s *Space) Globals() *View { return &s.globals }
 
 // PushFrame reserves a stack frame of the given size (growing the stack
 // downward, maintaining 16-byte frame alignment) and returns its base
@@ -357,6 +445,17 @@ func (s *Space) PushFrame(size int) (Address, error) {
 		}
 	}
 	return base, nil
+}
+
+// TopFrame returns a view of the innermost frame. PushFrame exposed its
+// range when it zeroed it, so the stack's backing array covers it as is.
+func (s *Space) TopFrame() View {
+	f, st := s.frames[len(s.frames)-1], &s.stack
+	if f.size == 0 {
+		return View{}
+	}
+	rel := f.base - st.org
+	return View{d: &s.dirty, l: &s.dirty.logs[Stack], st: st, addr: f.base, gen: st.gen, b: st.data[rel : rel+Address(f.size)]}
 }
 
 // PopFrame releases the most recently pushed frame.

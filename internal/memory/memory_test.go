@@ -3,6 +3,7 @@ package memory
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -488,5 +489,59 @@ func TestViewInsideExposedRange(t *testing.T) {
 	}
 	if b, err := s.Bytes(a+60, 8); err != nil || len(b) != 8 {
 		t.Errorf("view across the exposed range's end: %d bytes, %v", len(b), err)
+	}
+}
+
+// TestViewFollowsGrowth: a view taken once reads and writes its segment's
+// current bytes after a write elsewhere reallocates the backing array, up
+// past the globals or down below the stack; its writes pass the barrier
+// with the byte ranges Writable would stamp, a repeat inside a stamped
+// range included; and a frame of no bytes has the zero view.
+func TestViewFollowsGrowth(t *testing.T) {
+	s := NewSpace(arch.SPARC20)
+	if _, err := s.GlobalAlloc(8, 8); err != nil {
+		t.Fatal(err)
+	}
+	base, err := s.PushFrame(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := s.TopFrame()
+	for _, c := range []struct {
+		v    *View
+		at   Address
+		away Address
+	}{{s.Globals(), GlobalBase, GlobalBase + 1<<20}, {&frame, base, base - 1<<20}} {
+		copy(c.v.Write(4, 4), "abcd")
+		gen := c.v.st.gen
+		if err := s.WriteBytes(c.away, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		if c.v.st.gen == gen {
+			t.Fatalf("a write at %#x did not reallocate the store", uint64(c.away))
+		}
+		if got := string(c.v.Read(4, 4)); got != "abcd" {
+			t.Errorf("view at %#x reads %q after growth", uint64(c.at), got)
+		}
+		copy(c.v.Write(0, 2), "zz")
+		if b, _ := s.Bytes(c.at, 8); string(b) != "zz\x00\x00abcd" {
+			t.Errorf("a write through the view after growth is lost: %q", b)
+		}
+	}
+	s.StartDirtyTracking()
+	w := s.Generation()
+	frame.Write(8, 4)
+	frame.Write(8, 4)
+	frame.Write(9, 2)
+	frame.Write(20, 1)
+	want := []DirtyRange{{base + 8, base + 21}}
+	if got := s.DirtyRangesSince(w); !slices.Equal(got, want) {
+		t.Errorf("dirty ranges %v, want %v", got, want)
+	}
+	if _, err := s.PushFrame(0); err != nil {
+		t.Fatal(err)
+	}
+	if v := s.TopFrame(); v.st != nil || len(v.b) != 0 {
+		t.Errorf("a frame of no bytes has a view of %d bytes", len(v.b))
 	}
 }

@@ -252,77 +252,115 @@ func (c *compiler) place(e minic.Expr) place {
 	return place{base: func(*Frame) (uint64, error) { return 0, rtErr(pos, "expression is not an lvalue") }}
 }
 
-// load compiles the value of type t at pl: a scalar read through its
-// codec, or an aggregate's address.
-func (c *compiler) load(pl place, t *types.Type) expr {
-	k, ok := scalarKind(t)
-	if !ok {
-		return pl.addr()
-	}
-	n, ld, sp, off := c.m.SizeOf(k), c.m.Load(k), c.sp, pl.off
-	if pl.frame {
-		return func(f *Frame) (uint64, error) {
-			b, err := sp.Bytes(f.Base+off, n)
+// access is how compiled code reaches the object at a place: rd yields
+// its value (a scalar read through its codec, an aggregate's address), at
+// yields the place's address, and wr the bytes at that address to store
+// into, past the write barrier. A local is a constant offset in its
+// frame's view and a global one in the space's view of the globals, so
+// neither has an address to compute (at is nil) or translates one per
+// access; any other place, behind a pointer or an index, goes through
+// Bytes and Writable, which check it.
+type access struct {
+	rd, at expr
+	wr     func(f *Frame, a uint64) ([]byte, error)
+}
+
+// access compiles the access to the object of type t at pl.
+func (c *compiler) access(pl place, t *types.Type) access {
+	k, scalar := scalarKind(t)
+	n, off, sp, ld := t.SizeOf(c.m), int(pl.off), c.sp, c.m.Load(k)
+	var ac access
+	switch {
+	case pl.frame:
+		ac.rd = func(f *Frame) (uint64, error) { return ld(f.view.Read(off, n)), nil }
+		ac.wr = func(f *Frame, _ uint64) ([]byte, error) { return f.view.Write(off, n), nil }
+	case pl.base == nil:
+		g, off := sp.Globals(), int(pl.off-memory.GlobalBase)
+		ac.rd = func(*Frame) (uint64, error) { return ld(g.Read(off, n)), nil }
+		ac.wr = func(*Frame, uint64) ([]byte, error) { return g.Write(off, n), nil }
+	default:
+		at := pl.addr()
+		ac.at, ac.rd = at, func(f *Frame) (uint64, error) {
+			a, err := at(f)
+			if err != nil {
+				return 0, err
+			}
+			b, err := sp.Bytes(memory.Address(a), n)
 			if err != nil {
 				return 0, err
 			}
 			return ld(b), nil
 		}
+		ac.wr = func(_ *Frame, a uint64) ([]byte, error) { return sp.Writable(memory.Address(a), n) }
 	}
-	addr := pl.addr()
-	return func(f *Frame) (uint64, error) {
-		a, err := addr(f)
-		if err != nil {
-			return 0, err
-		}
-		b, err := sp.Bytes(memory.Address(a), n)
-		if err != nil {
-			return 0, err
-		}
-		return ld(b), nil
+	if !scalar {
+		ac.rd = pl.addr()
 	}
+	return ac
 }
 
-// storer is the store of a value of type t to an address: a scalar
-// written through its codec, an aggregate copied from the address it is.
-func (c *compiler) storer(t *types.Type) func(memory.Address, uint64) error {
-	sp := c.sp
+// addr evaluates the address of ac's place in f, where it has one.
+func (ac access) addr(f *Frame) (uint64, error) {
+	if ac.at == nil {
+		return 0, nil
+	}
+	return ac.at(f)
+}
+
+// storer is the store through ac of a value of type t at the address ac's
+// place has in f: a scalar written through its codec, an aggregate copied
+// from the address it is.
+func (c *compiler) storer(ac access, t *types.Type) func(f *Frame, a, v uint64) error {
 	k, ok := scalarKind(t)
 	if !ok {
-		n := t.SizeOf(c.m)
-		return func(a memory.Address, v uint64) error {
+		sp, n := c.sp, t.SizeOf(c.m)
+		return func(f *Frame, a, v uint64) error {
 			src, err := sp.Bytes(memory.Address(v), n)
 			if err != nil {
 				return err
 			}
-			return sp.WriteBytes(a, src)
-		}
-	}
-	n, st := c.m.SizeOf(k), c.m.Store(k)
-	return func(a memory.Address, v uint64) error {
-		b, err := sp.Writable(a, n)
-		if err != nil {
+			b, err := ac.wr(f, a)
+			copy(b, src)
 			return err
 		}
-		st(b, v)
-		return nil
+	}
+	st := c.m.Store(k)
+	return func(f *Frame, a, v uint64) error {
+		b, err := ac.wr(f, a)
+		if err == nil {
+			st(b, v)
+		}
+		return err
 	}
 }
 
-// assign compiles the store of y, of type t, at pl; it yields what it
-// stores.
-func (c *compiler) assign(pl place, t *types.Type, y expr) expr {
-	store, addr := c.storer(t), pl.addr()
+// assign compiles the store of y, of type t, at pl: of what y yields, or
+// with op set, of op of the value at pl and what y yields (a compound
+// assignment, which reads the bytes it writes). The address is evaluated
+// before y. It yields what it stores.
+func (c *compiler) assign(pl place, t *types.Type, y expr, op func(old, y uint64) (uint64, error)) expr {
+	k, _ := scalarKind(t)
+	ac, ld, st := c.access(pl, t), c.m.Load(k), c.m.Store(k)
+	store := c.storer(ac, t)
 	return func(f *Frame) (uint64, error) {
-		a, err := addr(f)
+		a, err := ac.addr(f)
 		if err != nil {
 			return 0, err
 		}
 		v, err := y(f)
-		if err != nil {
+		switch {
+		case err != nil:
 			return 0, err
+		case op == nil:
+			return v, store(f, a, v)
 		}
-		return v, store(memory.Address(a), v)
+		b, err := ac.wr(f, a)
+		if err == nil {
+			if v, err = op(ld(b), v); err == nil {
+				st(b, v)
+			}
+		}
+		return v, err
 	}
 }
 
@@ -343,7 +381,7 @@ func (c *compiler) expr(e minic.Expr) expr {
 		// Non-decayed string literal (aggregate reference).
 		return c.place(x).addr()
 	case *minic.Ident, *minic.Index, *minic.Member:
-		return c.load(c.place(e), e.Type())
+		return c.access(c.place(e), e.Type()).rd
 	case *minic.Unary:
 		return c.unary(x)
 	case *minic.Postfix:
@@ -352,7 +390,7 @@ func (c *compiler) expr(e minic.Expr) expr {
 		return c.binaryExpr(x)
 	case *minic.Assign:
 		if x.Op == "=" {
-			return c.assign(c.place(x.X), x.X.Type(), c.convOf(x.Y, x.X.Type()))
+			return c.assign(c.place(x.X), x.X.Type(), c.convOf(x.Y, x.X.Type()), nil)
 		}
 		return c.compound(x)
 	case *minic.Cond:
@@ -386,7 +424,7 @@ func (c *compiler) unary(x *minic.Unary) expr {
 	case "&":
 		return c.place(x.X).addr()
 	case "*":
-		return c.load(c.place(x), t)
+		return c.access(c.place(x), t).rd
 	case "+":
 		return c.convOf(x.X, t)
 	case "-":
@@ -411,7 +449,7 @@ func (c *compiler) unary(x *minic.Unary) expr {
 func (c *compiler) incDec(target minic.Expr, op string, post bool) expr {
 	t := target.Type()
 	k, _ := scalarKind(t)
-	addr, n, ld, st, sp := c.place(target).addr(), c.m.SizeOf(k), c.m.Load(k), c.m.Store(k), c.sp
+	ac, ld, st := c.access(c.place(target), t), c.m.Load(k), c.m.Store(k)
 	d := uint64(1)
 	if op == "--" {
 		d = ^uint64(0)
@@ -429,11 +467,11 @@ func (c *compiler) incDec(target minic.Expr, op string, post bool) expr {
 		step = func(v uint64) uint64 { return w.norm(v + d) }
 	}
 	return func(f *Frame) (uint64, error) {
-		a, err := addr(f)
+		a, err := ac.addr(f)
 		if err != nil {
 			return 0, err
 		}
-		b, err := sp.Writable(memory.Address(a), n)
+		b, err := ac.wr(f, a)
 		if err != nil {
 			return 0, err
 		}
@@ -493,7 +531,7 @@ func (c *compiler) binaryExpr(x *minic.Binary) expr {
 func (c *compiler) compound(x *minic.Assign) expr {
 	lt, rt := x.X.Type(), x.Y.Type()
 	opName := x.Op[:len(x.Op)-1]
-	addr, store, y := c.place(x.X).addr(), c.storer(lt), c.expr(x.Y)
+	y := c.expr(x.Y)
 	var op func(a, b uint64) (uint64, error)
 	if lt.IsPointer() {
 		op = c.pointerArith(opName, lt, rt, lt, x.Position())
@@ -508,27 +546,7 @@ func (c *compiler) compound(x *minic.Assign) expr {
 			return apply(out, v), err
 		}
 	}
-	k, _ := scalarKind(lt)
-	n, ld, sp := c.m.SizeOf(k), c.m.Load(k), c.sp
-	return func(f *Frame) (uint64, error) {
-		a, err := addr(f)
-		if err != nil {
-			return 0, err
-		}
-		b, err := y(f)
-		if err != nil {
-			return 0, err
-		}
-		old, err := sp.Bytes(memory.Address(a), n)
-		if err != nil {
-			return 0, err
-		}
-		v, err := op(ld(old), b)
-		if err != nil {
-			return 0, err
-		}
-		return v, store(memory.Address(a), v)
-	}
+	return c.assign(c.place(x.X), lt, y, op)
 }
 
 func apply(cv func(uint64) uint64, v uint64) uint64 {

@@ -82,7 +82,7 @@ func (c *compiler) bare(s minic.Stmt) stmt {
 			return next
 		}
 		pl := place{frame: true, off: memory.Address(c.offs[st.Sym.Index])}
-		return effect(c.assign(pl, st.Sym.Type, c.convOf(st.Init, st.Sym.Type)))
+		return effect(c.assign(pl, st.Sym.Type, c.convOf(st.Init, st.Sym.Type), nil))
 
 	case *minic.ExprStmt:
 		x := c.expr(st.X)
@@ -324,9 +324,10 @@ func (c *compiler) call(x *minic.Call) expr {
 	p, fn := c.p, x.Func
 	offs := p.layout(fn).offsets
 	args := make([]expr, len(x.Args))
-	stores := make([]func(memory.Address, uint64) error, len(x.Args))
+	stores := make([]func(f *Frame, a, v uint64) error, len(x.Args))
 	for i, pv := range fn.Params {
-		args[i], stores[i] = c.convOf(x.Args[i], pv.Type), c.storer(pv.Type)
+		pl := place{frame: true, off: memory.Address(offs[pv.Index])}
+		args[i], stores[i] = c.convOf(x.Args[i], pv.Type), c.storer(c.access(pl, pv.Type), pv.Type)
 	}
 	return func(f *Frame) (uint64, error) {
 		if x == p.resumedCall {
@@ -346,7 +347,7 @@ func (c *compiler) call(x *minic.Call) expr {
 		}
 		nf, err := p.pushFrame(fn)
 		for i := 0; i < len(stores) && err == nil; i++ {
-			err = stores[i](nf.Base+memory.Address(offs[fn.Params[i].Index]), p.args[base+i])
+			err = stores[i](nf, 0, p.args[base+i])
 		}
 		p.args = p.args[:base]
 		if err != nil {

@@ -85,6 +85,9 @@ type Frame struct {
 
 	l      *frameLayout
 	retVal uint64
+	// view is the frame's [Base, Base+size), which compiled code reads and
+	// writes its locals through.
+	view memory.View
 }
 
 // frameLayout is the per-machine layout of a function's frame, and the
@@ -213,14 +216,7 @@ func NewProcess(prog *minic.Program, m *arch.Machine) (*Process, error) {
 			return nil, err
 		}
 		p.globalAddrs = append(p.globalAddrs, addr)
-		b := &msr.Block{
-			ID:    msr.BlockID{Seg: memory.Global, Minor: uint32(g.Index)},
-			Addr:  addr,
-			Type:  g.Type,
-			Count: 1,
-			Name:  g.Name,
-		}
-		if err := p.Table.Register(b); err != nil {
+		if err := p.register(msr.BlockID{Seg: memory.Global, Minor: uint32(g.Index)}, addr, g.Type, g.Name); err != nil {
 			return nil, err
 		}
 		if g.Str != "" {
@@ -232,7 +228,7 @@ func NewProcess(prog *minic.Program, m *arch.Machine) (*Process, error) {
 			// A constant initializer, evaluated at this machine's
 			// arithmetic as the same expression in a function would be.
 			c := &compiler{p: p, m: m, sp: p.Space}
-			if _, err := c.assign(place{off: addr}, g.Type, c.convOf(g.Init, g.Type))(nil); err != nil {
+			if _, err := c.assign(place{off: addr}, g.Type, c.convOf(g.Init, g.Type), nil)(nil); err != nil {
 				return nil, err
 			}
 		}
@@ -288,24 +284,24 @@ func (p *Process) pushFrame(fn *minic.FuncSymbol) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Frame{Fn: fn, Base: base, Depth: len(p.frames) + 1, l: l}
+	f := &Frame{Fn: fn, Base: base, Depth: len(p.frames) + 1, l: l, view: p.Space.TopFrame()}
 	p.frames = append(p.frames, f)
 	if !p.DisableMigration {
 		for i, v := range fn.Locals {
-			b := &msr.Block{
-				ID:    msr.BlockID{Seg: memory.Stack, Major: uint32(f.Depth), Minor: uint32(i)},
-				Addr:  f.Base + memory.Address(l.offsets[i]),
-				Type:  v.Type,
-				Count: 1,
-				Name:  v.Name,
-			}
-			if err := p.Table.Register(b); err != nil {
+			id := msr.BlockID{Seg: memory.Stack, Major: uint32(f.Depth), Minor: uint32(i)}
+			if err := p.register(id, f.Base+memory.Address(l.offsets[i]), v.Type, v.Name); err != nil {
 				return nil, err
 			}
 			p.Stats.MSRLTOps++
 		}
 	}
 	return f, nil
+}
+
+// register enters the variable name, of type t at addr, in the MSRLT as
+// block id.
+func (p *Process) register(id msr.BlockID, addr memory.Address, t *types.Type, name string) error {
+	return p.Table.Register(&msr.Block{ID: id, Addr: addr, Type: t, Count: 1, Name: name})
 }
 
 // popFrame unwinds the innermost frame.
