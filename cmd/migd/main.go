@@ -82,7 +82,6 @@ type options struct {
 	journalDir     string
 	nodeID         string
 	sloSession     time.Duration
-	sloDowntime    time.Duration
 	store          *store.Store
 	live           bool
 	precopyRounds  int
@@ -140,14 +139,22 @@ func main() {
 	journalDir := fs.String("journal-dir", "", "serve: also append the structured session journal (JSONL) to journal-<nodeID>.jsonl in this directory")
 	nodeID := fs.String("node-id", "", "serve: override the minted node identity on /metrics and in the journal")
 	sloSession := fs.Duration("slo-session", 0, "serve: per-session wall-time SLO target; sessions over it burn slo.session.burn (0 disables)")
-	sloDowntime := fs.Duration("slo-downtime", 0, "serve: live-migration downtime SLO target; pauses over it burn slo.downtime.burn (0 disables)")
 	storeDir := fs.String("store", "", "checkpoint store directory enabling warm (dedup'd) transfers with store-equipped peers (empty disables)")
 	live := fs.Bool("live", false, "offer the live pre-copy path: overlap execution with the transfer, pausing only for the final delta round (falls back when the peer lacks -live)")
 	precopyRounds := fs.Int("precopy-rounds", 0, "live: delta rounds before the forced final pause (0 = default)")
 	dirtyThreshold := fs.Int("dirty-threshold", 0, "live: pause for the final round once this few blocks are dirty (0 = default)")
 	chaosSpec := fs.String("chaos", "",
-		"dev: inject a deterministic fault, \"victim@class:n/when\" (e.g. link@confirm/restored:1/after-recv) — kills that party at that protocol boundary to rehearse rollback-or-complete recovery")
+		"dev: inject a deterministic fault, \"victim@class:n/when\" (e.g. link@restored:1/after-recv; class is a message name from DESIGN.md §8's frame table, and a misspelt one is refused) — kills that party at that protocol boundary to rehearse rollback-or-complete recovery")
 	fs.Parse(os.Args[2:])
+	var spec *chaos.Spec
+	if *chaosSpec != "" {
+		sp, err := chaos.ParseSpec(*chaosSpec)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "migd:", err)
+			os.Exit(2)
+		}
+		spec = &sp
+	}
 
 	m := lookupMachine(*machineName)
 	engines := loadEngines(programs, mode)
@@ -167,10 +174,10 @@ func main() {
 		journalDir:     *journalDir,
 		nodeID:         *nodeID,
 		sloSession:     *sloSession,
-		sloDowntime:    *sloDowntime,
 		live:           *live,
 		precopyRounds:  *precopyRounds,
 		dirtyThreshold: *dirtyThreshold,
+		chaos:          spec,
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, obs.Default)
@@ -179,14 +186,6 @@ func main() {
 			os.Exit(1)
 		}
 		opts.store = st
-	}
-	if *chaosSpec != "" {
-		spec, err := chaos.ParseSpec(*chaosSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "migd:", err)
-			os.Exit(2)
-		}
-		opts.chaos = &spec
 	}
 	if mode == "serve" {
 		serve(engines, m, opts)
@@ -200,7 +199,7 @@ func usage() {
   migd serve -addr HOST:PORT -machine NAME -program FILE [-program FILE ...]
              [-max-concurrent N] [-session-timeout D]
              [-pprof HOST:PORT] [-trace] [-trace-dir DIR] [-store DIR]
-             [-journal-dir DIR] [-node-id ID] [-slo-session D] [-slo-downtime D]
+             [-journal-dir DIR] [-node-id ID] [-slo-session D]
              [-live] [-chaos SPEC]
   migd run   -addr HOST:PORT -machine NAME -program FILE -after-polls N
              [-chunk N] [-retry N -retry-timeout D] [-session-timeout D]
@@ -320,7 +319,7 @@ func serve(engines []namedEngine, m *arch.Machine, o options) {
 	}
 
 	slo := &fleet.Tracker{
-		SLO:     fleet.SLO{Session: o.sloSession, Downtime: o.sloDowntime},
+		SLO:     fleet.SLO{Session: o.sloSession},
 		Metrics: obs.Default,
 	}
 
@@ -333,11 +332,8 @@ func serve(engines []namedEngine, m *arch.Machine, o options) {
 		Trace:         o.trace,
 		TraceDir:      o.traceDir,
 		Journal:       journal.Logger(),
-		OnSessionEnd: func(info session.Info, elapsed time.Duration, err error) {
+		OnSessionEnd: func(_ session.Info, elapsed time.Duration, _ error) {
 			slo.ObserveSession(elapsed)
-			if err == nil && info.Live != nil && info.Live.Downtime > 0 {
-				slo.ObserveDowntime(info.Live.Downtime)
-			}
 		},
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "[migd %s] %s\n", m.Name, fmt.Sprintf(format, args...))

@@ -13,8 +13,8 @@
 //	migtop -nodes 127.0.0.1:9102,127.0.0.1:9103 -interval 2s
 //
 // The node addresses are migd -pprof listeners; any server exposing the
-// obs /metrics JSON report (v1 or v2) works, with v2 nodes contributing
-// their identity header and readiness.
+// obs /metrics JSON report (schema repro-obs/2) works, with migd nodes
+// also contributing their identity header and readiness.
 package main
 
 import (

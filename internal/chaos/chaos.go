@@ -1,7 +1,7 @@
 // Package chaos is the deterministic fault-injection harness of the
 // migration stack. It wraps the two endpoints of a link.Transport
-// connection, classifies every frame that crosses it against the session
-// and stream wire protocols, and kills a configured party — the source,
+// connection, names every frame that crosses it by the message it carries
+// (internal/wire), and kills a configured party — the source,
 // the destination, or the connection itself — at a precisely chosen
 // protocol boundary: "just before the 2nd round's ANNOUNCE is sent", "just
 // after the RESTORED confirmation is received", and so on.
@@ -28,7 +28,7 @@
 // # Hooking a migration
 //
 //	inj := chaos.New(chaos.Spec{Victim: chaos.VictimLink,
-//		Point: chaos.Point{Class: chaos.ClassRestored, N: 1, When: chaos.AfterRecv}})
+//		Point: chaos.Point{Class: "restored", N: 1, When: chaos.AfterRecv}})
 //	inj.Recorder = flightRecorder // the fault names its boundary in the dump
 //	a, b := link.Pipe()
 //	srcT, dstT := inj.Source(a), inj.Dest(b)
@@ -40,16 +40,17 @@
 package chaos
 
 import (
-	"encoding/binary"
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 
 	"repro/internal/link"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // ErrInjected marks every failure caused by an injected fault, so tests
@@ -76,71 +77,16 @@ const (
 // Victims enumerates every victim, in matrix order.
 var Victims = []Victim{VictimSource, VictimDest, VictimLink}
 
-// Class names the protocol meaning of one frame. The classifier decodes
-// only the leading magic + type words, so it works below the session
-// layer without importing it. The strings are the vocabulary of migd's
-// -chaos flag and of every generated matrix cell's name; the round
-// exchange keeps the "live/" names it had before a warm transfer became
-// one round of it, so existing specs still name the same frames.
-type Class string
-
-const (
-	ClassOffer    Class = "handshake/offer"
-	ClassAccept   Class = "handshake/accept"
-	ClassReject   Class = "handshake/reject"
-	ClassRestored Class = "confirm/restored"
-	ClassCommit   Class = "confirm/commit"
-	ClassAnnounce Class = "live/delta"     // ANNOUNCE: one round's section list, by hash or by position
-	ClassWant     Class = "live/want"      // WANT: only with a store on both ends
-	ClassBodies   Class = "live/bodies"    // BODIES: asked for, or pushed after a position list
-	ClassAbort    Class = "live/abort"     // ABORT
-	ClassData     Class = "transport/data" // stream DATA chunk
-	ClassControl  Class = "transport/ctl"  // stream FIN
-	ClassUnknown  Class = "transport/raw"  // anything the classifier cannot name
-)
-
-// Wire constants mirrored from the session and stream layers, repeated
-// here so the harness sits strictly below the layers it injects faults
-// into; internal/session's protocol-table test holds the mirror to the
-// original.
-const (
-	sessionMagic = 0x4d534553 // "MSES"
-	streamMagic  = 0x4d535452 // "MSTR"
-)
-
-var sessionClasses = map[uint32]Class{
-	1: ClassOffer,
-	2: ClassAccept,
-	3: ClassReject,
-	4: ClassRestored,
-	5: ClassAnnounce,
-	6: ClassWant,
-	7: ClassBodies,
-	8: ClassAbort,
-	9: ClassCommit,
-}
-
-var streamClasses = map[uint32]Class{
-	3: ClassData,    // DATA
-	6: ClassControl, // FIN
-}
-
-// Classify names the protocol class of one raw frame.
-func Classify(payload []byte) Class {
-	if len(payload) < 8 {
-		return ClassUnknown
+// classify names the protocol class of one frame: the name internal/wire
+// gives the message it carries ("offer" … "commit", "data", "fin"), or
+// "raw" for a frame neither protocol names. The class strings are the
+// vocabulary of migd's -chaos flag and of every generated matrix cell's
+// name.
+func classify(frame []byte) string {
+	if name := wire.Name(frame); name != "" {
+		return name
 	}
-	var classes map[uint32]Class
-	switch binary.BigEndian.Uint32(payload) {
-	case sessionMagic:
-		classes = sessionClasses
-	case streamMagic:
-		classes = streamClasses
-	}
-	if c, ok := classes[binary.BigEndian.Uint32(payload[4:])]; ok {
-		return c
-	}
-	return ClassUnknown
+	return "raw"
 }
 
 // When fixes which side of a frame boundary the kill lands on.
@@ -159,7 +105,7 @@ const (
 // occurrence (1-based, counted per class across the whole connection) of
 // a frame class.
 type Point struct {
-	Class Class
+	Class string
 	N     int
 	When  When
 }
@@ -178,37 +124,39 @@ func (s Spec) String() string {
 	return fmt.Sprintf("%s@%s", s.Victim, s.Point)
 }
 
-// ParseSpec parses the migd -chaos flag syntax,
-// "victim@class:n/when" — e.g. "link@confirm/restored:1/after-recv".
-// n defaults to 1 and when to after-recv when omitted.
+// ParseSpec parses the migd -chaos flag syntax, "victim@class:n/when" —
+// e.g. "link@restored:1/after-recv" — where class is a message name of
+// internal/wire. n defaults to 1 and when to after-recv when omitted. A
+// class no message carries is refused, since its fault would never fire.
 func ParseSpec(s string) (Spec, error) {
 	victim, rest, ok := strings.Cut(s, "@")
 	if !ok {
 		return Spec{}, fmt.Errorf("chaos: spec %q: want victim@class:n/when", s)
 	}
 	v := Victim(victim)
-	switch v {
-	case VictimSource, VictimDest, VictimLink:
-	default:
+	if !slices.Contains(Victims, v) {
 		return Spec{}, fmt.Errorf("chaos: spec %q: unknown victim %q", s, victim)
 	}
-	pt := Point{N: 1, When: AfterRecv}
-	// The class itself contains one "/" (phase/name); the when suffix is
-	// the part after the last slash when it parses as a When.
-	if i := strings.LastIndex(rest, "/"); i >= 0 {
-		if w := When(rest[i+1:]); w == BeforeSend || w == AfterRecv {
-			pt.When = w
-			rest = rest[:i]
-		}
+	rest, when, hasWhen := strings.Cut(rest, "/")
+	class, n, hasN := strings.Cut(rest, ":")
+	var names []string
+	for _, m := range wire.Messages {
+		names = append(names, m.Name)
 	}
-	if cls, n, ok := strings.Cut(rest, ":"); ok {
-		v, err := strconv.Atoi(n)
-		if err != nil || v < 1 {
+	if !slices.Contains(names, class) {
+		return Spec{}, fmt.Errorf("chaos: spec %q: unknown class %q (want one of %s)", s, class, strings.Join(names, ", "))
+	}
+	pt := Point{Class: class, N: 1, When: AfterRecv}
+	if hasN {
+		var err error
+		if pt.N, err = strconv.Atoi(n); err != nil || pt.N < 1 {
 			return Spec{}, fmt.Errorf("chaos: spec %q: bad occurrence %q", s, n)
 		}
-		pt.Class, pt.N = Class(cls), v
-	} else {
-		pt.Class = Class(rest)
+	}
+	if hasWhen {
+		if pt.When = When(when); pt.When != BeforeSend && pt.When != AfterRecv {
+			return Spec{}, fmt.Errorf("chaos: spec %q: unknown when %q", s, when)
+		}
 	}
 	return Spec{Victim: v, Point: pt}, nil
 }
@@ -217,7 +165,7 @@ func ParseSpec(s string) (Spec, error) {
 type Event struct {
 	// Class and N identify the frame: the Nth frame of its class that
 	// crossed the connection.
-	Class Class
+	Class string
 	N     int
 	// FromSource reports the frame's direction.
 	FromSource bool
@@ -239,8 +187,8 @@ type Injector struct {
 	spec   Spec
 	armed  bool
 	fired  bool
-	sent   map[Class]int
-	recvd  map[Class]int
+	sent   map[string]int
+	recvd  map[string]int
 	trace  []Event
 	closer []func()
 }
@@ -248,13 +196,13 @@ type Injector struct {
 // New returns an injector armed with spec.
 func New(spec Spec) *Injector {
 	return &Injector{spec: spec, armed: true,
-		sent: map[Class]int{}, recvd: map[Class]int{}}
+		sent: map[string]int{}, recvd: map[string]int{}}
 }
 
 // NewRecordOnly returns an injector that observes and records the frame
 // trace without ever killing anything.
 func NewRecordOnly() *Injector {
-	return &Injector{sent: map[Class]int{}, recvd: map[Class]int{}}
+	return &Injector{sent: map[string]int{}, recvd: map[string]int{}}
 }
 
 // Spec reports the armed fault (zero for a record-only injector).
@@ -318,7 +266,7 @@ type end struct {
 
 func (e *end) Send(payload []byte) error {
 	in := e.in
-	c := Classify(payload)
+	c := classify(payload)
 	in.mu.Lock()
 	if in.fired {
 		in.mu.Unlock()
@@ -337,23 +285,17 @@ func (e *end) Send(payload []byte) error {
 
 func (e *end) Recv() ([]byte, error) {
 	in := e.in
-	in.mu.Lock()
-	if in.fired {
-		in.mu.Unlock()
+	if _, fired := in.Fired(); fired {
 		return nil, in.injectedErr()
 	}
-	in.mu.Unlock()
 	payload, err := e.t.Recv()
 	if err != nil {
-		in.mu.Lock()
-		fired := in.fired
-		in.mu.Unlock()
-		if fired {
+		if _, fired := in.Fired(); fired {
 			return nil, in.injectedErr()
 		}
 		return nil, err
 	}
-	c := Classify(payload)
+	c := classify(payload)
 	in.mu.Lock()
 	in.recvd[c]++
 	// The receiving end sees the frame's direction inverted: a frame the
@@ -377,13 +319,13 @@ func (e *end) Close() error { return e.t.Close() }
 // keeping the last) — bulk-data classes would otherwise dominate the
 // matrix with hundreds of equivalent mid-transfer cells.
 func Points(trace []Event, perClassCap int) []Point {
-	byClass := map[Class][]int{}
+	byClass := map[string][]int{}
 	for _, ev := range trace {
 		byClass[ev.Class] = append(byClass[ev.Class], ev.N)
 	}
 	var pts []Point
 	for cls, ns := range byClass {
-		sort.Ints(ns)
+		slices.Sort(ns)
 		keep := ns
 		if perClassCap > 0 && len(ns) > perClassCap {
 			keep = thin(ns, perClassCap)
@@ -394,14 +336,8 @@ func Points(trace []Event, perClassCap int) []Point {
 				Point{Class: cls, N: n, When: AfterRecv})
 		}
 	}
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].Class != pts[j].Class {
-			return pts[i].Class < pts[j].Class
-		}
-		if pts[i].N != pts[j].N {
-			return pts[i].N < pts[j].N
-		}
-		return pts[i].When < pts[j].When
+	slices.SortFunc(pts, func(a, b Point) int {
+		return cmp.Or(cmp.Compare(a.Class, b.Class), cmp.Compare(a.N, b.N), cmp.Compare(a.When, b.When))
 	})
 	return pts
 }
@@ -413,18 +349,11 @@ func thin(ns []int, n int) []int {
 		return ns[:1]
 	}
 	out := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(ns) - 1) / (n - 1)
-		out = append(out, ns[idx])
+	for i := range n {
+		out = append(out, ns[i*(len(ns)-1)/(n-1)])
 	}
 	// Dedup (possible when len(ns) is close to cap).
-	dst := out[:1]
-	for _, n := range out[1:] {
-		if n != dst[len(dst)-1] {
-			dst = append(dst, n)
-		}
-	}
-	return dst
+	return slices.Compact(out)
 }
 
 // Cells crosses points with victims into the full matrix cell list.

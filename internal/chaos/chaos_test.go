@@ -9,10 +9,11 @@ import (
 
 	"repro/internal/link"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // frame builds a session- or stream-shaped frame: magic, type, and
-// enough padding that the classifier's length floor is met.
+// four bytes of body.
 func frame(magic, typ uint32) []byte {
 	b := make([]byte, 12)
 	binary.BigEndian.PutUint32(b, magic)
@@ -20,53 +21,24 @@ func frame(magic, typ uint32) []byte {
 	return b
 }
 
-func TestClassify(t *testing.T) {
-	cases := []struct {
-		name    string
-		payload []byte
-		want    Class
-	}{
-		{"offer", frame(sessionMagic, 1), ClassOffer},
-		{"accept", frame(sessionMagic, 2), ClassAccept},
-		{"reject", frame(sessionMagic, 3), ClassReject},
-		{"restored", frame(sessionMagic, 4), ClassRestored},
-		{"announce", frame(sessionMagic, 5), ClassAnnounce},
-		{"want", frame(sessionMagic, 6), ClassWant},
-		{"bodies", frame(sessionMagic, 7), ClassBodies},
-		{"abort", frame(sessionMagic, 8), ClassAbort},
-		{"commit", frame(sessionMagic, 9), ClassCommit},
-		{"retired session type", frame(sessionMagic, 12), ClassUnknown},
-		{"future session type", frame(sessionMagic, 99), ClassUnknown},
-		{"stream data", frame(streamMagic, 3), ClassData},
-		{"stream fin", frame(streamMagic, 6), ClassControl},
-		{"retired stream done", frame(streamMagic, 7), ClassUnknown},
-		{"stream ack, retired", frame(streamMagic, 4), ClassUnknown},
-		{"neither magic", []byte("HPM1xxxxxxxxxxxx"), ClassUnknown},
-		{"short", []byte{1, 2, 3}, ClassUnknown},
-		{"empty", nil, ClassUnknown},
-	}
-	for _, c := range cases {
-		if got := Classify(c.payload); got != c.want {
-			t.Errorf("%s: Classify = %q, want %q", c.name, got, c.want)
-		}
-	}
-}
-
+// TestParseSpec: a spec names its class by message name; a misspelt or
+// retired class is refused with the valid names listed, since its fault
+// would never fire and the migration would run clean.
 func TestParseSpec(t *testing.T) {
 	cases := []struct {
 		in   string
 		want Spec
 	}{
-		{"link@confirm/restored:1/after-recv",
-			Spec{VictimLink, Point{ClassRestored, 1, AfterRecv}}},
-		{"source@live/delta:2/before-send",
-			Spec{VictimSource, Point{ClassAnnounce, 2, BeforeSend}}},
-		{"dest@live/bodies", // n and when defaulted
-			Spec{VictimDest, Point{ClassBodies, 1, AfterRecv}}},
-		{"dest@transport/data:7",
-			Spec{VictimDest, Point{ClassData, 7, AfterRecv}}},
-		{"source@confirm/commit/before-send",
-			Spec{VictimSource, Point{ClassCommit, 1, BeforeSend}}},
+		{"link@restored:1/after-recv",
+			Spec{VictimLink, Point{"restored", 1, AfterRecv}}},
+		{"source@announce:2/before-send",
+			Spec{VictimSource, Point{"announce", 2, BeforeSend}}},
+		{"dest@bodies", // n and when defaulted
+			Spec{VictimDest, Point{"bodies", 1, AfterRecv}}},
+		{"dest@data:7",
+			Spec{VictimDest, Point{"data", 7, AfterRecv}}},
+		{"source@commit/before-send",
+			Spec{VictimSource, Point{"commit", 1, BeforeSend}}},
 	}
 	for _, c := range cases {
 		got, err := ParseSpec(c.in)
@@ -85,13 +57,23 @@ func TestParseSpec(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"",
-		"confirm/restored:1",       // no victim
-		"ghost@confirm/restored:1", // unknown victim
-		"link@confirm/restored:x",  // non-numeric occurrence
-		"link@confirm/restored:0",  // occurrences are 1-based
+		"restored:1",                // no victim
+		"ghost@restored:1",          // unknown victim
+		"link@restored:x",           // non-numeric occurrence
+		"link@restored:0",           // occurrences are 1-based
+		"link@restored:1/after-rcv", // unknown when
+		"link@restord:1/after-recv", // misspelt class
+		"link@raw",                  // a class no message carries
 	} {
-		if s, err := ParseSpec(bad); err == nil {
+		s, err := ParseSpec(bad)
+		if err == nil {
 			t.Errorf("ParseSpec(%q) = %+v, want error", bad, s)
+		}
+	}
+	_, err := ParseSpec("link@restord:1/after-recv")
+	for _, m := range wire.Messages {
+		if err == nil || !strings.Contains(err.Error(), m.Name) {
+			t.Errorf("error %v does not list the valid class %q", err, m.Name)
 		}
 	}
 }
@@ -127,12 +109,13 @@ func testScript() []struct {
 		fromSource bool
 		payload    []byte
 	}{
-		{true, frame(sessionMagic, 1)},  // OFFER
-		{false, frame(sessionMagic, 2)}, // ACCEPT
-		{true, frame(streamMagic, 3)},   // DATA 1
-		{true, frame(streamMagic, 3)},   // DATA 2
-		{false, frame(sessionMagic, 4)}, // RESTORED
-		{true, frame(sessionMagic, 9)},  // COMMIT
+		{true, frame(wire.SessionMagic, 1)},  // OFFER
+		{false, frame(wire.SessionMagic, 2)}, // ACCEPT
+		{true, frame(wire.StreamMagic, 3)},   // DATA 1
+		{true, frame(wire.StreamMagic, 3)},   // DATA 2
+		{false, frame(wire.SessionMagic, 4)}, // RESTORED
+		{true, frame(wire.SessionMagic, 9)},  // COMMIT
+		{true, []byte("HPM1xxxx")},           // neither protocol's: raw
 	}
 }
 
@@ -140,7 +123,7 @@ func TestInjectorBeforeSend(t *testing.T) {
 	a, b := link.Pipe()
 	defer a.Close()
 	defer b.Close()
-	inj := New(Spec{Victim: VictimSource, Point: Point{Class: ClassData, N: 2, When: BeforeSend}})
+	inj := New(Spec{Victim: VictimSource, Point: Point{Class: "data", N: 2, When: BeforeSend}})
 	src, dst := inj.Source(a), inj.Dest(b)
 	step, sendErr, recvErr := pump(src, dst, testScript())
 	if step != 3 || !errors.Is(sendErr, ErrInjected) || recvErr != nil {
@@ -151,7 +134,7 @@ func TestInjectorBeforeSend(t *testing.T) {
 	}
 	// Everything after the kill fails on both wrapped endpoints, and the
 	// underlying transports are closed so an unwrapped peer dies too.
-	if err := src.Send(frame(sessionMagic, 9)); !errors.Is(err, ErrInjected) {
+	if err := src.Send(frame(wire.SessionMagic, 9)); !errors.Is(err, ErrInjected) {
 		t.Errorf("post-fault Send = %v, want ErrInjected", err)
 	}
 	if _, err := dst.Recv(); !errors.Is(err, ErrInjected) {
@@ -163,7 +146,7 @@ func TestInjectorBeforeSend(t *testing.T) {
 	// The dropped frame never crossed: only DATA 1 is in the trace.
 	var data int
 	for _, ev := range inj.Trace() {
-		if ev.Class == ClassData {
+		if ev.Class == "data" {
 			data++
 		}
 	}
@@ -176,7 +159,7 @@ func TestInjectorAfterRecv(t *testing.T) {
 	a, b := link.Pipe()
 	defer a.Close()
 	defer b.Close()
-	inj := New(Spec{Victim: VictimDest, Point: Point{Class: ClassRestored, N: 1, When: AfterRecv}})
+	inj := New(Spec{Victim: VictimDest, Point: Point{Class: "restored", N: 1, When: AfterRecv}})
 	src, dst := inj.Source(a), inj.Dest(b)
 	step, sendErr, recvErr := pump(src, dst, testScript())
 	// The RESTORED frame itself is delivered (step 4 succeeds); the kill
@@ -185,17 +168,17 @@ func TestInjectorAfterRecv(t *testing.T) {
 		t.Fatalf("fault at step %d send=%v recv=%v; want send ErrInjected at step 5", step, sendErr, recvErr)
 	}
 	last := inj.Trace()[len(inj.Trace())-1]
-	if last.Class != ClassRestored || last.FromSource {
+	if last.Class != "restored" || last.FromSource {
 		t.Errorf("last delivered frame = %+v, want the responder's RESTORED", last)
 	}
-	if !strings.Contains(sendErr.Error(), "confirm/restored:1/after-recv") {
+	if !strings.Contains(sendErr.Error(), "restored:1/after-recv") {
 		t.Errorf("injected error does not name its boundary: %v", sendErr)
 	}
 }
 
 func TestInjectorRecordsBoundary(t *testing.T) {
 	rec := obs.NewFlightRecorder(16)
-	inj := New(Spec{Victim: VictimLink, Point: Point{Class: ClassAccept, N: 1, When: AfterRecv}})
+	inj := New(Spec{Victim: VictimLink, Point: Point{Class: "accept", N: 1, When: AfterRecv}})
 	inj.Recorder = rec
 	a, b := link.Pipe()
 	defer a.Close()
@@ -204,7 +187,7 @@ func TestInjectorRecordsBoundary(t *testing.T) {
 	pump(src, dst, testScript())
 	var found bool
 	for _, ev := range rec.Events() {
-		if ev.Kind == "chaos.inject" && strings.Contains(ev.Detail, "handshake/accept:1/after-recv") &&
+		if ev.Kind == "chaos.inject" && strings.Contains(ev.Detail, "accept:1/after-recv") &&
 			strings.Contains(ev.Detail, "link") {
 			found = true
 		}
@@ -224,12 +207,13 @@ func TestRecordOnlyTrace(t *testing.T) {
 		t.Fatalf("record-only injector interfered: step %d send=%v recv=%v", step, serr, rerr)
 	}
 	want := []Event{
-		{ClassOffer, 1, true, 12},
-		{ClassAccept, 1, false, 12},
-		{ClassData, 1, true, 12},
-		{ClassData, 2, true, 12},
-		{ClassRestored, 1, false, 12},
-		{ClassCommit, 1, true, 12},
+		{"offer", 1, true, 12},
+		{"accept", 1, false, 12},
+		{"data", 1, true, 12},
+		{"data", 2, true, 12},
+		{"restored", 1, false, 12},
+		{"commit", 1, true, 12},
+		{"raw", 1, true, 8},
 	}
 	if got := rec.Trace(); !reflect.DeepEqual(got, want) {
 		t.Errorf("trace = %+v, want %+v", got, want)
@@ -241,11 +225,11 @@ func TestRecordOnlyTrace(t *testing.T) {
 
 func TestPoints(t *testing.T) {
 	var trace []Event
-	trace = append(trace, Event{Class: ClassOffer, N: 1})
+	trace = append(trace, Event{Class: "offer", N: 1})
 	for i := 1; i <= 10; i++ {
-		trace = append(trace, Event{Class: ClassData, N: i})
+		trace = append(trace, Event{Class: "data", N: i})
 	}
-	trace = append(trace, Event{Class: ClassRestored, N: 1})
+	trace = append(trace, Event{Class: "restored", N: 1})
 	pts := Points(trace, 3)
 	// offer and restored contribute 1 occurrence each, data is thinned to
 	// 3; every occurrence yields both sides of the boundary.
@@ -254,7 +238,7 @@ func TestPoints(t *testing.T) {
 	}
 	var dataNs []int
 	for _, p := range pts {
-		if p.Class == ClassData && p.When == BeforeSend {
+		if p.Class == "data" && p.When == BeforeSend {
 			dataNs = append(dataNs, p.N)
 		}
 	}
@@ -272,8 +256,8 @@ func TestPoints(t *testing.T) {
 
 func TestCells(t *testing.T) {
 	pts := []Point{
-		{ClassOffer, 1, BeforeSend},
-		{ClassAccept, 1, AfterRecv},
+		{"offer", 1, BeforeSend},
+		{"accept", 1, AfterRecv},
 	}
 	cells := Cells(pts, Victims)
 	if len(cells) != len(pts)*len(Victims) {

@@ -105,12 +105,12 @@ func migrateVars(t *testing.T, src, dst *proc, vars []*msr.Block, dstVars []*msr
 func restoreGlobals(dst *proc, st *SectionedState, live []memory.Address) (RestoreStats, error) {
 	var total RestoreStats
 	for _, sec := range st.Bodies[:st.Heap] {
-		_, _, rs, err := RestoreHeapSection(dst.space, dst.table, dst.ti, xdr.NewDecoder(sec.Body), nil, true, false)
+		_, _, rs, err := RestoreHeapSection(dst.space, dst.table, dst.ti, xdr.NewDecoder(sec.Body), nil, false)
 		if total.Add(rs); err != nil {
 			return total, err
 		}
 	}
-	rs, err := RestoreVarSection(dst.space, dst.table, dst.ti, xdr.NewDecoder(st.Bodies[st.Heap].Body), live, memory.Global, 0, true)
+	rs, err := RestoreVarSection(dst.space, dst.table, dst.ti, xdr.NewDecoder(st.Bodies[st.Heap].Body), live, memory.Global, 0)
 	total.Add(rs)
 	return total, err
 }
@@ -524,7 +524,7 @@ func TestTruncatedStream(t *testing.T) {
 	defer st.Release()
 	body := st.Bodies[st.Heap].Body
 	for cut := 0; cut < len(body); cut += 4 {
-		_, err := RestoreVarSection(dst.space, dst.table, dst.ti, xdr.NewDecoder(body[:cut]), []memory.Address{dv.Addr}, memory.Global, 0, false)
+		_, err := RestoreVarSection(dst.space, dst.table, dst.ti, xdr.NewDecoder(body[:cut]), []memory.Address{dv.Addr}, memory.Global, 0)
 		if err == nil {
 			t.Errorf("truncation at %d not detected", cut)
 		}
@@ -601,7 +601,7 @@ func TestStatsAndInstrumentation(t *testing.T) {
 		t.Error("no searches recorded")
 	}
 	if r.DecodeTime <= 0 || r.UpdateTime <= 0 {
-		t.Error("instrumented restorer recorded no times")
+		t.Error("restore recorded no update or decode time")
 	}
 	if r.DataBytes != 800000 {
 		t.Errorf("restore data bytes = %d", r.DataBytes)

@@ -406,11 +406,11 @@ func TestHeapSectionRepeatedMajor(t *testing.T) {
 		{"hashed, then within the bound", []uint32{100}, []uint32{0, 1, 2, 3, 100}},
 	} {
 		p := newProc(arch.SPARC20, ti)
-		first, _, _, err := RestoreHeapSection(p.space, p.table, ti, xdr.NewDecoder(section(tc.first...)), nil, false, false)
+		first, _, _, err := RestoreHeapSection(p.space, p.table, ti, xdr.NewDecoder(section(tc.first...)), nil, false)
 		if err != nil {
 			t.Fatalf("%s: first section: %v", tc.name, err)
 		}
-		_, _, _, err = RestoreHeapSection(p.space, p.table, ti, xdr.NewDecoder(section(tc.second...)), nil, false, false)
+		_, _, _, err = RestoreHeapSection(p.space, p.table, ti, xdr.NewDecoder(section(tc.second...)), nil, false)
 		if !errors.Is(err, ErrCorruptStream) || !strings.Contains(fmt.Sprint(err), msr.ErrDuplicate.Error()) {
 			t.Errorf("%s: second section repeating a major: %v, want ErrCorruptStream naming the duplicate", tc.name, err)
 		}

@@ -14,11 +14,11 @@ import (
 // RestoreStats decomposes the cost of a restoration in the terms of the
 // paper's Section 4.2: Restore = MSRLT_update + Decode_and_Copy.
 type RestoreStats struct {
-	// UpdateTime is time spent allocating blocks and updating the MSRLT
-	// (only accumulated when instrumented).
+	// UpdateTime is time spent allocating a heap section's blocks and
+	// registering them in the MSRLT, timed per section.
 	UpdateTime time.Duration
-	// DecodeTime is time spent converting and copying block contents
-	// (only accumulated when instrumented).
+	// DecodeTime is time spent converting and copying block contents,
+	// pointer translation included, timed per section.
 	DecodeTime time.Duration
 	// Blocks is the number of memory blocks restored.
 	Blocks int64
@@ -72,9 +72,7 @@ type Restorer struct {
 	// restorer allocate is bounded by the bytes it delivered.
 	given, claimed int64
 
-	// Instrument enables the fine-grained timing split in Stats.
-	Instrument bool
-	Stats      RestoreStats
+	Stats RestoreStats
 }
 
 // NewRestorer returns a Restorer reading from dec into the destination
@@ -200,17 +198,10 @@ func (r *Restorer) restoreRun(op *types.PlanOp, base memory.Address) error {
 		}
 		return nil
 	}
-	var start time.Time
-	if r.Instrument {
-		start = time.Now()
-	}
 	n, err := decodeRun(r.dec, r.space, *op, base)
 	if err != nil {
 		return err
 	}
 	r.Stats.DataBytes += int64(n)
-	if r.Instrument {
-		r.Stats.DecodeTime += time.Since(start)
-	}
 	return nil
 }

@@ -715,9 +715,9 @@ func HeapDirectory(body []byte) []byte {
 // translation. early marks a restore that runs before the frames exist: a
 // pointer into the stack is left null, and deferred reports that the
 // section must be filled again once the frames do.
-func RestoreHeapSection(space *memory.Space, table *msr.Table, ti *types.TI, dec *xdr.Decoder, blocks []*msr.Block, instrument, early bool) (_ []*msr.Block, deferred bool, _ RestoreStats, err error) {
+func RestoreHeapSection(space *memory.Space, table *msr.Table, ti *types.TI, dec *xdr.Decoder, blocks []*msr.Block, early bool) (_ []*msr.Block, deferred bool, _ RestoreStats, err error) {
 	r := NewRestorer(space, table, ti, dec)
-	r.early, r.Instrument = early, instrument
+	r.early = early
 
 	n, err := r.directorySize()
 	if err != nil {
@@ -753,10 +753,7 @@ func (r *Restorer) directorySize() (int, error) {
 // size can be announced: the blocks come from one slab and the table's and
 // the allocator's indexes grow once, not once per block.
 func (r *Restorer) allocDirectory(n int) ([]*msr.Block, error) {
-	var start time.Time
-	if r.Instrument {
-		start = time.Now()
-	}
+	start := time.Now()
 	slab := make([]msr.Block, n)
 	blocks := make([]*msr.Block, n)
 	r.table.Reserve(memory.Heap, n)
@@ -779,9 +776,7 @@ func (r *Restorer) allocDirectory(n int) ([]*msr.Block, error) {
 	if err := r.table.Insert(blocks); err != nil {
 		return nil, fmt.Errorf("%w: heap directory: %v", ErrCorruptStream, err)
 	}
-	if r.Instrument {
-		r.Stats.UpdateTime += time.Since(start)
-	}
+	r.Stats.UpdateTime += time.Since(start)
 	return blocks, nil
 }
 
@@ -791,9 +786,8 @@ func (r *Restorer) allocDirectory(n int) ([]*msr.Block, error) {
 // against the already-registered variable blocks, and the contents are
 // filled. seg and major bound the identifications a directory entry may
 // carry (Stack + frame depth, or Global + 0).
-func RestoreVarSection(space *memory.Space, table *msr.Table, ti *types.TI, dec *xdr.Decoder, live []memory.Address, seg memory.Segment, major uint32, instrument bool) (RestoreStats, error) {
+func RestoreVarSection(space *memory.Space, table *msr.Table, ti *types.TI, dec *xdr.Decoder, live []memory.Address, seg memory.Segment, major uint32) (RestoreStats, error) {
 	r := NewRestorer(space, table, ti, dec)
-	r.Instrument = instrument
 
 	n, err := r.dec.Uint32()
 	if err != nil {
@@ -841,6 +835,8 @@ func RestoreVarSection(space *memory.Space, table *msr.Table, ti *types.TI, dec 
 // fillBlocks decodes the contents of a section's directory blocks, in
 // order, and requires them to end where the body does.
 func (r *Restorer) fillBlocks(blocks []*msr.Block) error {
+	start := time.Now()
+	defer func() { r.Stats.DecodeTime += time.Since(start) }()
 	for _, b := range blocks {
 		r.Stats.Blocks++
 		if err := r.fillContents(b); err != nil {

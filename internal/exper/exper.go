@@ -494,7 +494,10 @@ func Breakdown(cfg Config) ([]BreakdownRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		restored, err := restoreInstrumented(e, arch.Ultra5, state)
+		restored, err := e.NewProcess(arch.Ultra5)
+		if err == nil {
+			err = restored.RestoreInto(state)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -511,16 +514,6 @@ func Breakdown(cfg Config) ([]BreakdownRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// restoreInstrumented restores a state with instrumentation enabled.
-func restoreInstrumented(e *core.Engine, m *arch.Machine, state []byte) (*vm.Process, error) {
-	p, err := e.NewProcess(m)
-	if err != nil {
-		return nil, err
-	}
-	p.Instrument = true
-	return p, p.RestoreInto(state)
 }
 
 // PrintBreakdown renders E5.

@@ -238,17 +238,12 @@ func TestJournalWritesJSONLAndStderrSink(t *testing.T) {
 
 func TestSLOTracker(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := &Tracker{SLO: SLO{Session: time.Millisecond, Downtime: 100 * time.Microsecond}, Metrics: reg}
+	tr := &Tracker{SLO: SLO{Session: time.Millisecond}, Metrics: reg}
 	tr.ObserveSession(500 * time.Microsecond) // within budget
 	tr.ObserveSession(2 * time.Millisecond)   // burn
-	tr.ObserveDowntime(50 * time.Microsecond)
-	tr.ObserveDowntime(time.Millisecond) // burn
 	snap := reg.Snapshot()
 	if snap.Counters["slo.session.total"] != 2 || snap.Counters["slo.session.burn"] != 1 {
 		t.Errorf("session budget = %v", snap.Counters)
-	}
-	if snap.Counters["slo.downtime.total"] != 2 || snap.Counters["slo.downtime.burn"] != 1 {
-		t.Errorf("downtime budget = %v", snap.Counters)
 	}
 
 	// Disabled budgets write nothing, and a nil tracker is a no-op.

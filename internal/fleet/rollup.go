@@ -20,12 +20,10 @@ const (
 	mFailed    = "session.failed"
 	mBytes     = "session.bytes"
 	mDuration  = "session.duration"
-	mDowntime  = "session.downtime"
 	mInflight  = "session.inflight"
 	mCapacity  = "session.pool.capacity"
 	mFailPfx   = "session.fail."
 	mSLOSBurn  = "slo.session.burn"
-	mSLODBurn  = "slo.downtime.burn"
 	mUptimeSec = "node.uptime.seconds"
 )
 
@@ -52,8 +50,7 @@ type NodeRow struct {
 	SessionP50US int64 `json:"session_p50_us"`
 	SessionP99US int64 `json:"session_p99_us"`
 
-	SLOSessionBurn  int64 `json:"slo_session_burn"`
-	SLODowntimeBurn int64 `json:"slo_downtime_burn"`
+	SLOSessionBurn int64 `json:"slo_session_burn"`
 }
 
 // Rollup is the fleet-wide aggregation of one scrape round: per-node
@@ -72,17 +69,15 @@ type Rollup struct {
 	Inflight int64 `json:"inflight"`
 	Capacity int64 `json:"capacity"`
 
-	// Session and Downtime are the merged session.duration and
-	// session.downtime histograms — fleet-wide quantiles, exact because
-	// every node shares the compiled bucket layout.
-	Session  obs.HistogramSnapshot `json:"session"`
-	Downtime obs.HistogramSnapshot `json:"downtime"`
+	// Session is the merged session.duration histogram — fleet-wide
+	// quantiles, exact because every node shares the compiled bucket
+	// layout.
+	Session obs.HistogramSnapshot `json:"session"`
 
 	// FailClasses breaks the failures down by session.fail.<class>.
 	FailClasses map[string]int64 `json:"fail_classes,omitempty"`
 
-	SLOSessionBurn  int64 `json:"slo_session_burn"`
-	SLODowntimeBurn int64 `json:"slo_downtime_burn"`
+	SLOSessionBurn int64 `json:"slo_session_burn"`
 }
 
 // Rollup aggregates the scraper's most recent round. Unreachable nodes
@@ -122,7 +117,6 @@ func (s *Scraper) Rollup() *Rollup {
 		row.Failed = m.Counters[mFailed]
 		row.Bytes = m.Counters[mBytes]
 		row.SLOSessionBurn = m.Counters[mSLOSBurn]
-		row.SLODowntimeBurn = m.Counters[mSLODBurn]
 		dur := m.Histograms[mDuration]
 		row.SessionP50US = dur.P50US
 		row.SessionP99US = dur.P99US
@@ -142,9 +136,7 @@ func (s *Scraper) Rollup() *Rollup {
 		r.Inflight += row.Inflight
 		r.Capacity += row.Capacity
 		r.SLOSessionBurn += row.SLOSessionBurn
-		r.SLODowntimeBurn += row.SLODowntimeBurn
 		r.Session = r.Session.Merge(dur)
-		r.Downtime = r.Downtime.Merge(m.Histograms[mDowntime])
 		for name, v := range m.Counters {
 			if cls, ok := strings.CutPrefix(name, mFailPfx); ok && v > 0 {
 				r.FailClasses[cls] += v
@@ -177,19 +169,14 @@ func (r *Rollup) WriteTable(w io.Writer) {
 			row.Inflight, row.Capacity, row.Accepted, row.Restored, row.Failed,
 			fmt.Sprintf("%.1f", row.AcceptedRate),
 			durUS(row.SessionP50US), durUS(row.SessionP99US),
-			row.SLOSessionBurn+row.SLODowntimeBurn)
+			row.SLOSessionBurn)
 	}
 	fmt.Fprint(w, tbl.String())
 
 	fmt.Fprintf(w, "fleet: %d/%d ready  sessions %d accepted / %d restored / %d failed  inflight %d/%d\n",
 		r.Ready, r.Nodes, r.Accepted, r.Restored, r.Failed, r.Inflight, r.Capacity)
-	fmt.Fprintf(w, "fleet: session p50 %s p99 %s (n=%d)",
+	fmt.Fprintf(w, "fleet: session p50 %s p99 %s (n=%d)\n",
 		durUS(r.Session.P50US), durUS(r.Session.P99US), r.Session.Count)
-	if r.Downtime.Count > 0 {
-		fmt.Fprintf(w, "  downtime p50 %s p99 %s (n=%d)",
-			durUS(r.Downtime.P50US), durUS(r.Downtime.P99US), r.Downtime.Count)
-	}
-	fmt.Fprintln(w)
 	if len(r.FailClasses) > 0 {
 		classes := make([]string, 0, len(r.FailClasses))
 		for c := range r.FailClasses {
@@ -202,9 +189,8 @@ func (r *Rollup) WriteTable(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
-	if r.SLOSessionBurn+r.SLODowntimeBurn > 0 {
-		fmt.Fprintf(w, "fleet: slo burn  session=%d downtime=%d\n",
-			r.SLOSessionBurn, r.SLODowntimeBurn)
+	if r.SLOSessionBurn > 0 {
+		fmt.Fprintf(w, "fleet: slo burn  session=%d\n", r.SLOSessionBurn)
 	}
 }
 

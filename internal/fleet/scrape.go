@@ -36,7 +36,7 @@ func NormalizeTarget(addr string) Target {
 type Sample struct {
 	Target  Target
 	At      time.Time
-	Node    *obs.NodeInfo // nil for v1 nodes and failed scrapes
+	Node    *obs.NodeInfo // nil for failed scrapes and reports without a node header
 	Metrics obs.MetricsSnapshot
 	Ready   bool
 	Err     error
@@ -108,8 +108,8 @@ func (s *Scraper) scrapeOne(ctx context.Context, tgt Target) Sample {
 }
 
 // probeReady hits /readyz; only an explicit 503 marks the node draining.
-// A node without the endpoint (a v1 daemon) answered /metrics above, so
-// it is treated as ready — readiness is best-effort, liveness is not.
+// A server without the endpoint answered /metrics above, so it is
+// treated as ready — readiness is best-effort, liveness is not.
 func (s *Scraper) probeReady(ctx context.Context, base string) bool {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/readyz", nil)
 	if err != nil {

@@ -13,15 +13,11 @@ type SLO struct {
 	// Session is the budget for one migration session's total wall time
 	// (handshake through restore confirmation).
 	Session time.Duration
-	// Downtime is the budget for one live migration's stop-and-copy
-	// pause.
-	Downtime time.Duration
 }
 
 // Tracker counts observations against the SLO into a registry:
 //
 //	slo.session.total / slo.session.burn
-//	slo.downtime.total / slo.downtime.burn
 //
 // Burn is the number of observations that blew their budget — the
 // error-budget spend. Both counters are monotonic, so the fleet
@@ -47,15 +43,6 @@ func (t *Tracker) ObserveSession(d time.Duration) {
 		return
 	}
 	t.observe("slo.session", d, t.SLO.Session)
-}
-
-// ObserveDowntime counts one live migration's downtime against the
-// downtime budget. Nil-safe; no-op when the budget is disabled.
-func (t *Tracker) ObserveDowntime(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.observe("slo.downtime", d, t.SLO.Downtime)
 }
 
 func (t *Tracker) observe(name string, d, target time.Duration) {

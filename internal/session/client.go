@@ -14,6 +14,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/stream"
 	"repro/internal/vm"
+	"repro/internal/wire"
 )
 
 // Result describes one completed outbound migration.
@@ -170,11 +171,11 @@ func initiateHandshake(t link.Transport, e *core.Engine, src *arch.Machine, prog
 		return Params{}, tc, err
 	}
 	switch m.typ {
-	case msgReject:
+	case wire.Reject:
 		return Params{}, tc, fmt.Errorf("%w: %s", ErrRejected, m.reason)
-	case msgAccept:
+	case wire.Accept:
 	default:
-		return Params{}, tc, fmt.Errorf("%w: expected ACCEPT or REJECT, got message type %d", ErrProtocol, m.typ)
+		return Params{}, tc, fmt.Errorf("%w: expected accept or reject, got %s", ErrProtocol, wire.NameOf(wire.SessionMagic, m.typ))
 	}
 	prm := m.params
 	// The responder may only echo capabilities we advertised, and its own
@@ -201,7 +202,7 @@ func awaitRestored(t link.Transport, cfg Config, res *Result) error {
 	// A warm source's checkpoint must be in its store before the source
 	// may relinquish: a failed write sends no COMMIT, so the responder
 	// discards its copy and the source rolls back.
-	m, _, err := recvMessage(t, msgRestored, "restoration confirm")
+	m, _, err := recvMessage(t, wire.Restored)
 	if err = errors.Join(err, res.stored.Wait()); err != nil {
 		cfg.Recorder.Record("session.fail", "confirm: %v", err)
 		return err

@@ -20,6 +20,7 @@ import (
 	"repro/internal/snapshot"
 	"repro/internal/stream"
 	"repro/internal/vm"
+	"repro/internal/wire"
 	"repro/internal/workload"
 	"repro/internal/xdr"
 )
@@ -102,7 +103,7 @@ func scriptedCold(t *testing.T, e *core.Engine) (link.Transport, *link.Measured,
 	if err := a.Send(marshalOffer(offer{digest: e.Digest(), program: "list", machine: "dec5000"})); err != nil {
 		t.Fatal(err)
 	}
-	if acc, _, err := recvMessage(a, msgAccept, "ACCEPT"); err != nil || acc.params.rounds() {
+	if acc, _, err := recvMessage(a, wire.Accept); err != nil || acc.params.rounds() {
 		t.Fatalf("handshake: %+v, %v; want a cold ACCEPT", acc.params, err)
 	}
 	return a, received, out
@@ -117,7 +118,7 @@ func receiveScripted(t *testing.T, e *core.Engine, payload []byte, chunk int) (*
 	w := stream.NewWriter(a, stream.Config{ChunkSize: chunk})
 	w.Write(payload)
 	w.Close()
-	if _, _, err := recvMessage(a, msgRestored, "RESTORED"); err == nil {
+	if _, _, err := recvMessage(a, wire.Restored); err == nil {
 		a.Send(marshalCommit())
 	}
 	r := <-out
@@ -144,7 +145,7 @@ func TestStreamedMigrationRoundTrip(t *testing.T) {
 			res, q, rx, trace := coldOverPipe(t, e, p, dst, Config{ChunkSize: 256})
 			data := 0
 			for _, ev := range trace {
-				if ev.Class == chaos.ClassData {
+				if ev.Class == "data" {
 					data++
 				}
 			}
@@ -243,9 +244,9 @@ func TestColdStreamIsTheSnapshot(t *testing.T) {
 			got := make(chan []byte, 1)
 			go func() {
 				var payload []byte
-				if _, _, err := recvMessage(b, msgOffer, "OFFER"); err == nil && b.Send(marshalAccept(Params{})) == nil {
+				if _, _, err := recvMessage(b, wire.Offer); err == nil && b.Send(marshalAccept(Params{})) == nil {
 					if payload, err = stream.NewReader(b, stream.Config{}).ReadAll(); err == nil && b.Send(marshalRestored(uint64(len(payload)), nil)) == nil {
-						recvMessage(b, msgCommit, "COMMIT")
+						recvMessage(b, wire.Commit)
 					}
 				}
 				// Closing either end closes the pipe; only this side closes it,
@@ -282,14 +283,14 @@ func TestColdFrameSequence(t *testing.T) {
 	const chunk = 256
 	_, q, _, trace := coldOverPipe(t, e, p, arch.SPARC20, Config{ChunkSize: chunk})
 	type frame struct {
-		class      chaos.Class
+		class      string
 		fromSource bool
 	}
-	want := []frame{{chaos.ClassOffer, true}, {chaos.ClassAccept, false}}
+	want := []frame{{"offer", true}, {"accept", false}}
 	for i := 0; i < (len(snap)+chunk-1)/chunk; i++ {
-		want = append(want, frame{chaos.ClassData, true})
+		want = append(want, frame{"data", true})
 	}
-	want = append(want, frame{chaos.ClassControl, true}, frame{chaos.ClassRestored, false}, frame{chaos.ClassCommit, true})
+	want = append(want, frame{"fin", true}, frame{"restored", false}, frame{"commit", true})
 	var got []frame
 	for _, ev := range trace {
 		got = append(got, frame{ev.Class, ev.FromSource})
@@ -311,7 +312,7 @@ func TestColdFrameSequence(t *testing.T) {
 		done <- respondResult{q, err}
 	}()
 	lying := corruptingTransport{Transport: a, at: func(f []byte) int {
-		if chaos.Classify(f) == chaos.ClassControl {
+		if wire.Name(f) == "fin" {
 			return len(f) - 1 // the FIN's declared byte count
 		}
 		return -1

@@ -19,6 +19,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/vm"
+	"repro/internal/wire"
 	"repro/internal/xdr"
 )
 
@@ -156,7 +157,7 @@ func Respond(t link.Transport, reg *Registry, m *arch.Machine, cfg Config) (Info
 	// not answer): it is rolling the source back, so this copy must be
 	// discarded — activating both would double the process; activating
 	// neither would lose it.
-	if _, _, err := recvMessage(t, msgCommit, "commit"); err != nil {
+	if _, _, err := recvMessage(t, wire.Commit); err != nil {
 		cfg.Recorder.Record("session.discard", "no commit after RESTORED; discarding restored process: %v", err)
 		return info, nil, core.Timing{}, err
 	}
@@ -184,7 +185,7 @@ func respondHandshake(t link.Transport, reg *Registry, cfg Config) (Info, *core.
 	hsStart := time.Now()
 	hs := cfg.Trace.Child("handshake")
 	defer hs.End()
-	msg, _, err := recvMessage(t, msgOffer, "handshake")
+	msg, _, err := recvMessage(t, wire.Offer)
 	if err != nil {
 		return Info{}, nil, err
 	}
@@ -203,7 +204,7 @@ func respondHandshake(t link.Transport, reg *Registry, cfg Config) (Info, *core.
 	if !ok {
 		err = fmt.Errorf("%w: digest %08x (program %q) not pre-distributed here", ErrUnknownProgram, o.digest, o.program)
 		cfg.Recorder.Record("session.reject", "%v", err)
-		t.Send(marshalReason(msgReject, err.Error()))
+		t.Send(marshalReason(wire.Reject, err.Error()))
 		return info, nil, err
 	}
 	info.Program, info.Params = name, negotiate(o, cfg)
@@ -329,9 +330,6 @@ type Daemon struct {
 	// recording also goes to Logf either way; successful sessions never
 	// dump.
 	TraceDir string
-	// FlightEvents bounds each session's flight-recorder ring (zero
-	// selects the recorder default of 256).
-	FlightEvents int
 	// WrapTransport, when set, wraps each accepted connection before the
 	// session protocol runs on it — the hook the chaos harness (and any
 	// other transport middleware) injects through. Called concurrently.
@@ -482,7 +480,7 @@ func (d *Daemon) handle(conn *link.Conn) {
 	cfg.Metrics = d.metrics()
 	// Every session records its flight events; the ring is read (and
 	// dumped) only when the session fails.
-	recorder := obs.NewFlightRecorder(d.FlightEvents)
+	recorder := obs.NewFlightRecorder(0)
 	cfg.Recorder = recorder
 	start := time.Now()
 	info, p, timing, err := Respond(t, d.Registry, d.Mach, cfg)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/snapshot"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // testManifest is a small, valid section list for codec seeds and tests.
@@ -51,7 +52,7 @@ func FuzzHandshake(f *testing.F) {
 	f.Add(marshalAccept(Params{Warm: true}))
 	f.Add(marshalAccept(Params{Live: true}))
 	f.Add(marshalAccept(Params{Warm: true, Live: true}))
-	f.Add(marshalReason(msgReject, "session: program not in registry"))
+	f.Add(marshalReason(wire.Reject, "session: program not in registry"))
 	f.Add(marshalRestored(1<<20, nil))
 	f.Add(marshalRestored(1<<20, []byte(`{"name":"session","dur_us":42}`)))
 	// COMMIT and its chaos-truncated variants: the harness kills at frame
@@ -80,7 +81,7 @@ func FuzzHandshake(f *testing.F) {
 	f.Add(marshalWant(nil))
 	f.Add(marshalBodies([]uint32{0, 1}, [][]byte{[]byte("hello"), []byte("abc")}))
 	f.Add(marshalBodies(nil, nil))
-	f.Add(marshalReason(msgAbort, "source ran to completion (exit 0)"))
+	f.Add(marshalReason(wire.Abort, "source ran to completion (exit 0)"))
 	f.Add(full[:6])           // truncated inside the type word
 	f.Add(full[:len(full)-3]) // truncated final field
 	f.Add(append(full, 0, 0, 0, 0))
@@ -92,6 +93,10 @@ func FuzzHandshake(f *testing.F) {
 	huge := append([]byte(nil), full...)
 	huge[12] = 0xff // absurd program-string length
 	f.Add(huge)
+	// Type numbers the table does not list: none parses.
+	for _, typ := range []uint32{0, wire.Commit + 1, 99} {
+		f.Add(header(typ, 4).Bytes())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := parseMessage(data)
@@ -101,25 +106,28 @@ func FuzzHandshake(f *testing.F) {
 			}
 			return
 		}
-		// Accepted input: the decoded message must re-marshal to something
-		// the parser decodes to the same message.
+		// Accepted input is a message the table names, and must re-marshal
+		// to something the parser decodes to the same message.
+		if wire.Name(data) == "" {
+			t.Fatalf("parser accepted message type %d, which internal/wire does not name", m.typ)
+		}
 		var again []byte
 		switch m.typ {
-		case msgOffer:
+		case wire.Offer:
 			again = marshalOffer(m.offer)
-		case msgAccept:
+		case wire.Accept:
 			again = marshalAccept(m.params)
-		case msgReject, msgAbort:
+		case wire.Reject, wire.Abort:
 			again = marshalReason(m.typ, m.reason)
-		case msgRestored:
+		case wire.Restored:
 			again = marshalRestored(m.bytes, m.spans)
-		case msgAnnounce:
+		case wire.Announce:
 			again = marshalAnnounce(m.round, m.flags, int(m.dirty), m.manifest, m.pushed)
-		case msgWant:
+		case wire.Want:
 			again = marshalWant(m.indices)
-		case msgBodies:
+		case wire.Bodies:
 			again = marshalBodies(m.indices, m.bodies)
-		case msgCommit:
+		case wire.Commit:
 			again = marshalCommit()
 		default:
 			t.Fatalf("parser accepted unknown message type %d", m.typ)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/snapshot"
 	"repro/internal/store"
 	"repro/internal/vm"
+	"repro/internal/wire"
 )
 
 // tracedDst is a warm responder's config on store st whose session span
@@ -131,7 +132,7 @@ func TestWarmForkSpan(t *testing.T) {
 type cutTransport struct{ link.Transport }
 
 func (c cutTransport) Send(b []byte) error {
-	if len(b) > 8 && b[7] == byte(msgBodies) {
+	if wire.Name(b) == "bodies" {
 		c.Transport.Close()
 		return link.ErrClosed
 	}
@@ -146,7 +147,7 @@ func TestKeptShellDroppedOnFailedSession(t *testing.T) {
 	for name, wrap := range map[string]func(link.Transport) link.Transport{
 		"corrupt body": func(t link.Transport) link.Transport {
 			return corruptingTransport{Transport: t, at: func(f []byte) int {
-				if len(f) > 64 && f[7] == byte(msgBodies) {
+				if len(f) > 64 && wire.Name(f) == "bodies" {
 					return len(f) - 6
 				}
 				return -1
@@ -334,7 +335,7 @@ type wantBarrier struct {
 }
 
 func (w wantBarrier) Send(b []byte) error {
-	if len(b) > 8 && b[7] == byte(msgWant) {
+	if wire.Name(b) == "want" {
 		w.arrive.Done()
 		w.arrive.Wait()
 	}

@@ -84,21 +84,21 @@ func TestInitiateErrorPathsLeaveSourceResumable(t *testing.T) {
 		spec chaos.Spec
 	}{
 		{"offer-send", false, coldCfg, chaos.Spec{Victim: chaos.VictimSource,
-			Point: chaos.Point{Class: chaos.ClassOffer, N: 1, When: chaos.BeforeSend}}},
+			Point: chaos.Point{Class: "offer", N: 1, When: chaos.BeforeSend}}},
 		{"handshake-read", false, coldCfg, chaos.Spec{Victim: chaos.VictimDest,
-			Point: chaos.Point{Class: chaos.ClassOffer, N: 1, When: chaos.AfterRecv}}},
+			Point: chaos.Point{Class: "offer", N: 1, When: chaos.AfterRecv}}},
 		{"transfer-send", false, coldCfg, chaos.Spec{Victim: chaos.VictimSource,
-			Point: chaos.Point{Class: chaos.ClassData, N: 1, When: chaos.BeforeSend}}},
+			Point: chaos.Point{Class: "data", N: 1, When: chaos.BeforeSend}}},
 		{"confirm-read", false, coldCfg, chaos.Spec{Victim: chaos.VictimDest,
-			Point: chaos.Point{Class: chaos.ClassRestored, N: 1, When: chaos.BeforeSend}}},
+			Point: chaos.Point{Class: "restored", N: 1, When: chaos.BeforeSend}}},
 		{"commit-send", false, coldCfg, chaos.Spec{Victim: chaos.VictimSource,
-			Point: chaos.Point{Class: chaos.ClassRestored, N: 1, When: chaos.AfterRecv}}},
+			Point: chaos.Point{Class: "restored", N: 1, When: chaos.AfterRecv}}},
 		{"live-round-send", true, liveCfg, chaos.Spec{Victim: chaos.VictimSource,
-			Point: chaos.Point{Class: chaos.ClassAnnounce, N: 1, When: chaos.BeforeSend}}},
+			Point: chaos.Point{Class: "announce", N: 1, When: chaos.BeforeSend}}},
 		{"live-final-send", true, liveCfg, chaos.Spec{Victim: chaos.VictimSource,
-			Point: chaos.Point{Class: chaos.ClassAnnounce, N: 2, When: chaos.BeforeSend}}},
+			Point: chaos.Point{Class: "announce", N: 2, When: chaos.BeforeSend}}},
 		{"live-confirm-read", true, liveCfg, chaos.Spec{Victim: chaos.VictimDest,
-			Point: chaos.Point{Class: chaos.ClassRestored, N: 1, When: chaos.BeforeSend}}},
+			Point: chaos.Point{Class: "restored", N: 1, When: chaos.BeforeSend}}},
 	}
 	for _, c := range cases {
 		c := c

@@ -68,6 +68,7 @@ import (
 	"repro/internal/snapshot"
 	"repro/internal/store"
 	"repro/internal/vm"
+	"repro/internal/wire"
 )
 
 // WarmStats is the dedup outcome of one warm transfer: how much of the
@@ -238,7 +239,7 @@ func sendRound(t link.Transport, r *round, final bool, rec *obs.FlightRecorder, 
 			}
 		}
 	} else {
-		want, _, err := recvMessage(t, msgWant, "WANT")
+		want, _, err := recvMessage(t, wire.Want)
 		if err != nil {
 			return err
 		}
@@ -352,7 +353,7 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 			// attempt on a process that has nothing left to resume.
 			cfg.Recorder.Record("session.round", "source exited (code %d) after %d rounds; aborting", run.ExitCode, len(st.Rounds))
 			if serr == nil {
-				serr = t.Send(marshalReason(msgAbort, fmt.Sprintf("source ran to completion (exit %d)", run.ExitCode)))
+				serr = t.Send(marshalReason(wire.Abort, fmt.Sprintf("source ran to completion (exit %d)", run.ExitCode)))
 			}
 			if serr != nil {
 				cfg.Recorder.Record("session.round", "responder not stood down cleanly: %v", serr)
@@ -419,7 +420,7 @@ func receiveRounds(t link.Transport, reg *Registry, e *core.Engine, mach *arch.M
 	var prev []entry
 	var held []vm.Sum
 	for {
-		ann, n, err := recvMessage(t, msgAnnounce, "ANNOUNCE")
+		ann, n, err := recvMessage(t, wire.Announce)
 		if err != nil {
 			return nil, core.Timing{}, err
 		}
@@ -462,7 +463,7 @@ func receiveRounds(t link.Transport, reg *Registry, e *core.Engine, mach *arch.M
 				return nil, core.Timing{}, fmt.Errorf("session: want send: %w", err)
 			}
 		}
-		got, bn, err := recvMessage(t, msgBodies, "BODIES")
+		got, bn, err := recvMessage(t, wire.Bodies)
 		if err != nil {
 			return nil, core.Timing{}, err
 		}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/snapshot"
 	"repro/internal/store"
 	"repro/internal/vm"
+	"repro/internal/wire"
 	"repro/internal/xdr"
 )
 
@@ -35,7 +36,7 @@ func TestHostileCountsAllocateByFrameSize(t *testing.T) {
 	list := testManifest().Encode()
 	// The entry count is the word before the first 44-byte entry.
 	binary.BigEndian.PutUint32(list[len(list)-2*44-4:], declared)
-	announce := header(msgAnnounce, 64+len(list))
+	announce := header(wire.Announce, 64+len(list))
 	announce.PutUint32(0)
 	announce.PutUint32(announceFinal)
 	announce.PutUint32(0)
@@ -55,8 +56,8 @@ func TestHostileCountsAllocateByFrameSize(t *testing.T) {
 	frames := map[string][]byte{
 		"ANNOUNCE": announce.Bytes(),
 		"push":     pushed,
-		"WANT":     counted(msgWant),
-		"BODIES":   counted(msgBodies),
+		"WANT":     counted(wire.Want),
+		"BODIES":   counted(wire.Bodies),
 	}
 	for name, frame := range frames {
 		var before, after runtime.MemStats
@@ -102,13 +103,13 @@ func TestHostileWantIsRefusedBeforeBodies(t *testing.T) {
 				a.Close()
 				errc <- err
 			}()
-			if _, _, err := recvMessage(b, msgOffer, "OFFER"); err != nil {
+			if _, _, err := recvMessage(b, wire.Offer); err != nil {
 				t.Fatal(err)
 			}
 			if err := b.Send(marshalAccept(Params{Warm: true})); err != nil {
 				t.Fatal(err)
 			}
-			ann, _, err := recvMessage(b, msgAnnounce, "ANNOUNCE")
+			ann, _, err := recvMessage(b, wire.Announce)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +174,7 @@ func scriptedLive(t *testing.T, e *core.Engine, cfg Config) (link.Transport, cha
 	if err := a.Send(marshalOffer(offer{digest: e.Digest(), program: "churn", machine: "dec5000", caps: capLive})); err != nil {
 		t.Fatal(err)
 	}
-	if acc, _, err := recvMessage(a, msgAccept, "ACCEPT"); err != nil || !acc.params.Live {
+	if acc, _, err := recvMessage(a, wire.Accept); err != nil || !acc.params.Live {
 		t.Fatalf("handshake: %+v, %v; want a live ACCEPT", acc.params, err)
 	}
 	return a, out
@@ -211,7 +212,7 @@ func sendScriptedRound(t *testing.T, a link.Transport, e *core.Engine, k int, fi
 		t.Fatal(err)
 	}
 	if byHash {
-		want, _, err := recvMessage(a, msgWant, "WANT")
+		want, _, err := recvMessage(a, wire.Want)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +267,7 @@ func TestResponderHoldsOneRoundOfBodies(t *testing.T) {
 				}
 			}
 		}
-		if _, _, err := recvMessage(a, msgRestored, "RESTORED"); err != nil {
+		if _, _, err := recvMessage(a, wire.Restored); err != nil {
 			t.Fatal(err)
 		}
 		if err := a.Send(marshalCommit()); err != nil {
@@ -359,13 +360,13 @@ func TestFailedRestoreLeavesRefUnset(t *testing.T) {
 	if err := a.Send(marshalOffer(offer{digest: e.Digest(), program: "list", machine: "dec5000", caps: capWarm})); err != nil {
 		t.Fatal(err)
 	}
-	if acc, _, err := recvMessage(a, msgAccept, "ACCEPT"); err != nil || !acc.params.Warm {
+	if acc, _, err := recvMessage(a, wire.Accept); err != nil || !acc.params.Warm {
 		t.Fatalf("handshake: %+v, %v; want a warm ACCEPT", acc.params, err)
 	}
 	if err := a.Send(marshalAnnounce(0, announceFinal, 0, m, nil)); err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := recvMessage(a, msgWant, "WANT")
+	want, _, err := recvMessage(a, wire.Want)
 	if err != nil || len(want.indices) != len(secs) {
 		t.Fatalf("WANT = %v, %v; want all %d sections of an empty store", want.indices, err, len(secs))
 	}
@@ -392,7 +393,7 @@ func TestFailedRestoreLeavesRefUnset(t *testing.T) {
 // under cfg, with stores on both ends when asked, and a record-only
 // injector around the connection. It returns the frame trace split by
 // direction, each in its deterministic order.
-func recordRun(t *testing.T, name string, cfg Config, stores, resumable bool) (fromSource, fromDest []chaos.Class) {
+func recordRun(t *testing.T, name string, cfg Config, stores, resumable bool) (fromSource, fromDest []string) {
 	t.Helper()
 	m := chaosMode{name: name, live: resumable}
 	e := m.engine(t)
@@ -415,8 +416,8 @@ func recordRun(t *testing.T, name string, cfg Config, stores, resumable bool) (f
 	return fromSource, fromDest
 }
 
-func repeat(n int, classes ...chaos.Class) []chaos.Class {
-	var out []chaos.Class
+func repeat(n int, classes ...string) []string {
+	var out []string
 	for i := 0; i < n; i++ {
 		out = append(out, classes...)
 	}
@@ -427,16 +428,9 @@ func repeat(n int, classes ...chaos.Class) []chaos.Class {
 // configuration, recorded below the session layer, must produce exactly
 // the golden frame-class sequence in each direction.
 func TestProtocolTable(t *testing.T) {
-	const (
-		offer, accept    = chaos.ClassOffer, chaos.ClassAccept
-		restored, commit = chaos.ClassRestored, chaos.ClassCommit
-		data, ctl        = chaos.ClassData, chaos.ClassControl
-		announce         = chaos.ClassAnnounce
-		want, bodies     = chaos.ClassWant, chaos.ClassBodies
-	)
-	seq := slices.Concat[[]chaos.Class]
-	one := func(c ...chaos.Class) []chaos.Class { return c }
-	check := func(name string, gotSrc, gotDst, wantSrc, wantDst []chaos.Class) {
+	seq := slices.Concat[[]string]
+	one := func(c ...string) []string { return c }
+	check := func(name string, gotSrc, gotDst, wantSrc, wantDst []string) {
 		t.Helper()
 		if !slices.Equal(gotSrc, wantSrc) || !slices.Equal(gotDst, wantDst) {
 			t.Errorf("%s frames:\n  source %v\n  dest   %v\nwant:\n  source %v\n  dest   %v", name, gotSrc, gotDst, wantSrc, wantDst)
@@ -452,19 +446,19 @@ func TestProtocolTable(t *testing.T) {
 		t.Fatalf("cold run carried %d chunks; state too small to exercise the stream", chunks)
 	}
 	check("cold", src, dst,
-		seq(one(offer), repeat(chunks, data), one(ctl, commit)),
-		one(accept, restored))
+		seq(one("offer"), repeat(chunks, "data"), one("fin", "commit")),
+		one("accept", "restored"))
 
 	// The round exchange with stores on both ends: 2 + 3·rounds + 2, the
 	// responder answering each ANNOUNCE with a WANT. Without a store the
 	// bodies follow the ANNOUNCE unasked: 2 + 2·rounds + 2, and the
 	// responder sends nothing between ACCEPT and RESTORED.
-	rounds := func(n int, stores bool) (fromSource, fromDest []chaos.Class) {
+	rounds := func(n int, stores bool) (fromSource, fromDest []string) {
 		if !stores {
-			return seq(one(offer), repeat(n, announce, bodies), one(commit)), one(accept, restored)
+			return seq(one("offer"), repeat(n, "announce", "bodies"), one("commit")), one("accept", "restored")
 		}
-		return seq(one(offer), repeat(n, announce, bodies), one(commit)),
-			seq(one(accept), repeat(n, want), one(restored))
+		return seq(one("offer"), repeat(n, "announce", "bodies"), one("commit")),
+			seq(one("accept"), repeat(n, "want"), one("restored"))
 	}
 	oneSrc, oneDst := rounds(1, true)
 	warmSrc, warmDst := recordRun(t, "warm", small, true, false)
@@ -485,45 +479,6 @@ func TestProtocolTable(t *testing.T) {
 		}
 		wantSrc, wantDst := rounds(n, c.stores)
 		check(c.name, src, dst, wantSrc, wantDst)
-	}
-}
-
-// TestChaosClassTableMatchesMessages marshals one instance of every
-// session message type and holds internal/chaos's mirrored class table to
-// it, so the two cannot drift apart.
-func TestChaosClassTableMatchesMessages(t *testing.T) {
-	frames := []struct {
-		typ   uint32
-		frame []byte
-		class chaos.Class
-	}{
-		{msgOffer, marshalOffer(offer{program: "p", machine: "m"}), chaos.ClassOffer},
-		{msgAccept, marshalAccept(Params{Warm: true}), chaos.ClassAccept},
-		{msgReject, marshalReason(msgReject, "no"), chaos.ClassReject},
-		{msgRestored, marshalRestored(1, nil), chaos.ClassRestored},
-		{msgAnnounce, marshalAnnounce(0, announceFinal, 0, testManifest(), nil), chaos.ClassAnnounce},
-		{msgWant, marshalWant([]uint32{0}), chaos.ClassWant},
-		{msgBodies, marshalBodies([]uint32{0}, [][]byte{[]byte("hello")}), chaos.ClassBodies},
-		{msgAbort, marshalReason(msgAbort, "exited"), chaos.ClassAbort},
-		{msgCommit, marshalCommit(), chaos.ClassCommit},
-	}
-	for i, f := range frames {
-		if f.typ != uint32(i+1) {
-			t.Fatalf("message type %d listed at position %d: the table must name every type once, in order", f.typ, i+1)
-		}
-		if m, err := parseMessage(f.frame); err != nil || m.typ != f.typ {
-			t.Errorf("type %d: marshalled instance parses as %d, %v", f.typ, m.typ, err)
-		}
-		if got := chaos.Classify(f.frame); got != f.class {
-			t.Errorf("type %d: chaos classifies it %q, want %q", f.typ, got, f.class)
-		}
-	}
-	next := header(uint32(len(frames)+1), 0).Bytes()
-	if _, err := parseMessage(next); !errors.Is(err, ErrProtocol) {
-		t.Errorf("message type %d parses (%v): a tenth type exists and this table does not list it", len(frames)+1, err)
-	}
-	if got := chaos.Classify(append(next, 0, 0, 0, 0)); got != chaos.ClassUnknown {
-		t.Errorf("chaos names message type %d %q, which the session layer does not speak", len(frames)+1, got)
 	}
 }
 

@@ -54,7 +54,8 @@
 //
 // # Wire format
 //
-// Every message is one link.Transport frame, XDR-encoded, magic "MSES":
+// Every message is one link.Transport frame, XDR-encoded, magic "MSES";
+// the magic and the type numbers are internal/wire's:
 //
 //	offer    = magic, OFFER, digest u32, program string, machine string,
 //	           traceID u64, spanID u64, caps u32
@@ -90,27 +91,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/store"
-)
-
-// sessionMagic guards every session-layer message ("MSES").
-const sessionMagic = 0x4d534553
-
-// Message types. internal/chaos mirrors this table to name frames.
-const (
-	msgOffer uint32 = iota + 1
-	msgAccept
-	msgReject
-	msgRestored
-	// The round exchange: one ANNOUNCE, WANT (with stores), BODIES per round.
-	msgAnnounce
-	msgWant
-	msgBodies
-	// msgAbort is the initiator's stand-down notice between rounds.
-	msgAbort
-	// msgCommit is the initiator's handoff acknowledgement: the source has
-	// seen RESTORED and relinquishes the process; the destination
-	// activates.
-	msgCommit
 )
 
 // Capability bits, carried on OFFER and echoed on ACCEPT.

@@ -15,6 +15,7 @@ import (
 	"repro/internal/minic"
 	"repro/internal/obs"
 	"repro/internal/vm"
+	"repro/internal/wire"
 )
 
 // listSrc builds a 60-node heap list and only then reaches its single
@@ -126,7 +127,7 @@ func TestNegotiate(t *testing.T) {
 			defer a.Close()
 			defer b.Close()
 			go func() {
-				if _, _, err := recvMessage(b, msgOffer, "OFFER"); err == nil {
+				if _, _, err := recvMessage(b, wire.Offer); err == nil {
 					b.Send(marshalAccept(c.accept))
 				}
 			}()

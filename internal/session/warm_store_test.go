@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"syscall"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/vm"
+	"repro/internal/wire"
 )
 
 // blockShards makes st fail to write any body of twin's state it does not
@@ -64,27 +66,18 @@ func blockShards(t *testing.T, st *store.Store, twin *vm.Process) (unblock func(
 	}
 }
 
-// sentTypes records the type of every session frame sent through it.
+// sentTypes records the name of every frame sent through it.
 type sentTypes struct {
 	link.Transport
-	types []uint32
+	names []string
 }
 
 func (s *sentTypes) Send(b []byte) error {
-	if len(b) >= 8 {
-		s.types = append(s.types, uint32(b[7]))
-	}
+	s.names = append(s.names, wire.Name(b))
 	return s.Transport.Send(b)
 }
 
-func (s *sentTypes) sent(typ uint32) bool {
-	for _, t := range s.types {
-		if t == typ {
-			return true
-		}
-	}
-	return false
-}
+func (s *sentTypes) sent(name string) bool { return slices.Contains(s.names, name) }
 
 // refsVerify requires the "shards" ref of every store to name a checkpoint
 // whose every blob is present and hashes to its address.
@@ -151,8 +144,8 @@ func TestWarmSourceStoreFailureSendsNoCommit(t *testing.T) {
 	if !errors.Is(initErr, syscall.ENOTDIR) {
 		t.Fatalf("initiator error = %v, want the store write's ENOTDIR", initErr)
 	}
-	if !fromSrc.sent(msgAnnounce) || fromSrc.sent(msgCommit) {
-		t.Errorf("source sent frame types %v; want an ANNOUNCE and no COMMIT", fromSrc.types)
+	if !fromSrc.sent("announce") || fromSrc.sent("commit") {
+		t.Errorf("source sent %v; want an announce and no commit", fromSrc.names)
 	}
 	if q != nil || respErr == nil {
 		t.Fatalf("responder handed out %v (err %v) without a COMMIT", q, respErr)
@@ -189,9 +182,9 @@ func TestWarmResponderStoreFailureBeforeRestored(t *testing.T) {
 	if !errors.Is(respErr, syscall.ENOTDIR) || q != nil {
 		t.Fatalf("responder: %v, %v; want no process and the store write's ENOTDIR", q, respErr)
 	}
-	if initErr == nil || fromDst.sent(msgRestored) || fromSrc.sent(msgCommit) {
+	if initErr == nil || fromDst.sent("restored") || fromSrc.sent("commit") {
 		t.Errorf("initiator err %v; responder sent %v, source %v; want a failure before RESTORED",
-			initErr, fromDst.types, fromSrc.types)
+			initErr, fromDst.names, fromSrc.names)
 	}
 	if h, _, err := dstCfg.Store.Ref("shards"); err != nil || h != res.Warm.ManifestHash {
 		t.Errorf("responder ref = %s (err %v), want it left at %s", h.Short(), err, res.Warm.ManifestHash.Short())

@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/vm"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -260,7 +261,7 @@ func TestWarmRejectsCorruptSectionBody(t *testing.T) {
 	mangled := corruptingTransport{Transport: a, at: func(f []byte) int {
 		// A session frame's type word is bytes 4..8 (XDR big-endian). Flip
 		// inside the final section body, six bytes from the end.
-		if len(f) > 64 && f[7] == byte(msgBodies) {
+		if len(f) > 64 && wire.Name(f) == "bodies" {
 			return len(f) - 6
 		}
 		return -1

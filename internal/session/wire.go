@@ -8,6 +8,7 @@ import (
 	"repro/internal/link"
 	"repro/internal/snapshot"
 	"repro/internal/store"
+	"repro/internal/wire"
 	"repro/internal/xdr"
 )
 
@@ -53,13 +54,13 @@ type message struct {
 
 func header(typ uint32, capacity int) *xdr.Encoder {
 	e := xdr.NewEncoder(8 + capacity)
-	e.PutUint32(sessionMagic)
+	e.PutUint32(wire.SessionMagic)
 	e.PutUint32(typ)
 	return e
 }
 
 func marshalOffer(o offer) []byte {
-	e := header(msgOffer, 40+len(o.program)+len(o.machine))
+	e := header(wire.Offer, 40+len(o.program)+len(o.machine))
 	e.PutUint32(o.digest)
 	e.PutString(o.program)
 	e.PutString(o.machine)
@@ -70,7 +71,7 @@ func marshalOffer(o offer) []byte {
 }
 
 func marshalAccept(p Params) []byte {
-	e := header(msgAccept, 4)
+	e := header(wire.Accept, 4)
 	e.PutUint32(p.caps())
 	return e.Bytes()
 }
@@ -84,19 +85,19 @@ func marshalReason(typ uint32, reason string) []byte {
 }
 
 func marshalRestored(bytes uint64, spans []byte) []byte {
-	e := header(msgRestored, 12+len(spans))
+	e := header(wire.Restored, 12+len(spans))
 	e.PutUint64(bytes)
 	e.PutOpaque(spans)
 	return e.Bytes()
 }
 
-func marshalCommit() []byte { return header(msgCommit, 0).Bytes() }
+func marshalCommit() []byte { return header(wire.Commit, 0).Bytes() }
 
 // marshalAnnounce frames one round's section list — the manifest m, or
 // when m is nil the pushed entries — and closes the frame with the CRC-32
 // of everything before it.
 func marshalAnnounce(round, flags uint32, dirty int, m *store.Manifest, pushed []entry) []byte {
-	e := header(msgAnnounce, 24+20*len(pushed))
+	e := header(wire.Announce, 24+20*len(pushed))
 	if m != nil {
 		e.Put2Uint32(round, flags)
 		e.PutUint32(uint32(dirty))
@@ -113,7 +114,7 @@ func marshalAnnounce(round, flags uint32, dirty int, m *store.Manifest, pushed [
 }
 
 func marshalWant(indices []uint32) []byte {
-	e := header(msgWant, 4+4*len(indices))
+	e := header(wire.Want, 4+4*len(indices))
 	e.PutUint32(uint32(len(indices)))
 	for _, i := range indices {
 		e.PutUint32(i)
@@ -130,7 +131,7 @@ func marshalBodies(indices []uint32, bodies [][]byte) []byte {
 	for _, b := range bodies {
 		n += 8 + (len(b)+3)&^3
 	}
-	e := header(msgBodies, n)
+	e := header(wire.Bodies, n)
 	e.PutUint32(uint32(len(indices)))
 	for i, idx := range indices {
 		e.PutUint32(idx)
@@ -145,7 +146,7 @@ func marshalBodies(indices []uint32, bodies [][]byte) []byte {
 func parseMessage(raw []byte) (message, error) {
 	d := xdr.NewDecoder(raw)
 	magic, err := d.Uint32()
-	if err != nil || magic != sessionMagic {
+	if err != nil || magic != wire.SessionMagic {
 		return message{}, fmt.Errorf("%w: bad magic", ErrProtocol)
 	}
 	typ, err := d.Uint32()
@@ -154,22 +155,22 @@ func parseMessage(raw []byte) (message, error) {
 	}
 	m := message{typ: typ}
 	switch typ {
-	case msgOffer:
+	case wire.Offer:
 		err = parseOffer(d, &m.offer)
-	case msgAccept:
+	case wire.Accept:
 		var caps uint32
 		caps, err = d.Uint32()
 		m.params = paramsOf(caps)
-	case msgReject, msgAbort:
+	case wire.Reject, wire.Abort:
 		m.reason, err = d.String()
-	case msgRestored:
+	case wire.Restored:
 		if m.bytes, err = d.Uint64(); err != nil {
 			break
 		}
 		m.spans, err = d.Opaque()
-	case msgAnnounce:
+	case wire.Announce:
 		return parseAnnounce(d, raw, m)
-	case msgWant:
+	case wire.Want:
 		var count uint32
 		if count, err = d.Uint32(); err != nil || int64(count)*4 > int64(d.Remaining()) {
 			return message{}, fmt.Errorf("%w: WANT declares more indices than it carries", ErrProtocol)
@@ -178,7 +179,7 @@ func parseMessage(raw []byte) (message, error) {
 		for i := range m.indices {
 			m.indices[i], _ = d.Uint32()
 		}
-	case msgBodies:
+	case wire.Bodies:
 		var count uint32
 		if count, err = d.Uint32(); err != nil || int64(count)*8 > int64(d.Remaining()) {
 			return message{}, fmt.Errorf("%w: BODIES declares more sections than it carries", ErrProtocol)
@@ -193,7 +194,7 @@ func parseMessage(raw []byte) (message, error) {
 				break
 			}
 		}
-	case msgCommit:
+	case wire.Commit:
 		// No payload: the frame itself is the acknowledgement.
 	default:
 		return message{}, fmt.Errorf("%w: unknown message type %d", ErrProtocol, typ)
@@ -268,20 +269,20 @@ func parseAnnounce(d *xdr.Decoder, raw []byte, m message) (message, error) {
 // recvMessage reads one frame and decodes it, insisting on message type
 // want. An ABORT is surfaced as ErrLiveAborted wherever a round message
 // was expected.
-func recvMessage(t link.Transport, want uint32, what string) (message, int, error) {
+func recvMessage(t link.Transport, want uint32) (message, int, error) {
 	raw, err := t.Recv()
 	if err != nil {
-		return message{}, 0, fmt.Errorf("session: %s read: %w", what, err)
+		return message{}, 0, fmt.Errorf("session: %s read: %w", wire.NameOf(wire.SessionMagic, want), err)
 	}
 	m, err := parseMessage(raw)
 	if err != nil {
 		return message{}, 0, err
 	}
-	if m.typ == msgAbort && want != msgAbort {
+	if m.typ == wire.Abort && want != wire.Abort {
 		return message{}, 0, fmt.Errorf("%w: %s", ErrLiveAborted, m.reason)
 	}
 	if m.typ != want {
-		return message{}, 0, fmt.Errorf("%w: expected %s (message type %d), got message type %d", ErrProtocol, what, want, m.typ)
+		return message{}, 0, fmt.Errorf("%w: expected %s, got %s", ErrProtocol, wire.NameOf(wire.SessionMagic, want), wire.Name(raw))
 	}
 	return m, len(raw), nil
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/link"
+	"repro/internal/wire"
 )
 
 // Reader receives a chunked snapshot stream: it checks each chunk's
@@ -55,7 +56,7 @@ func (r *Reader) Next() ([]byte, error) {
 		return nil, r.reject(err)
 	}
 	switch m.typ {
-	case msgData:
+	case wire.Data:
 		if m.seq != r.nextSeq {
 			return nil, r.reject(fmt.Errorf("%w: chunk %d arrived", ErrProtocol, m.seq))
 		}
@@ -63,7 +64,7 @@ func (r *Reader) Next() ([]byte, error) {
 		r.frames = append(r.frames, raw)
 		r.bytes += int64(len(m.payload))
 		return m.payload, nil
-	case msgFin:
+	case wire.Fin:
 		if m.seq != r.nextSeq || m.bytes != uint64(r.bytes) {
 			return nil, r.reject(fmt.Errorf("%w: FIN declares %d chunks, %d bytes; %d bytes arrived",
 				ErrVerify, m.seq, m.bytes, r.bytes))

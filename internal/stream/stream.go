@@ -26,7 +26,8 @@
 //
 // # Wire protocol
 //
-// Every message is one link.Transport frame. Messages are XDR-encoded:
+// Every message is one link.Transport frame. Messages are XDR-encoded;
+// the magic ("MSTR") and the type numbers are internal/wire's:
 //
 //	data = magic, DATA, seq u32, payload opaque
 //	fin  = magic, FIN, chunks u32, bytes u64
@@ -43,18 +44,8 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 	"repro/internal/xdr"
-)
-
-// streamMagic guards every stream-layer message ("MSTR").
-const streamMagic = 0x4d535452
-
-// Message types. The values are the wire encoding (internal/chaos mirrors
-// them); the gaps (1, 2, 4, 5 and 7) are type numbers this protocol no
-// longer speaks and must not reuse.
-const (
-	msgData uint32 = 3
-	msgFin  uint32 = 6
 )
 
 // Errors reported by the stream layer.
@@ -115,8 +106,8 @@ func (c chunk) payload() []byte { return c.frame[dataHdr:] }
 // four bytes and returns the finished message.
 func (c chunk) seal() []byte {
 	p, be := c.payload(), binary.BigEndian
-	be.PutUint32(c.frame[0:], streamMagic)
-	be.PutUint32(c.frame[4:], msgData)
+	be.PutUint32(c.frame[0:], wire.StreamMagic)
+	be.PutUint32(c.frame[4:], wire.Data)
 	be.PutUint32(c.frame[8:], c.seq)
 	be.PutUint32(c.frame[12:], uint32(len(p)))
 	return append(c.frame, 0, 0, 0)[:dataHdr+(len(p)+3)&^3]
@@ -132,8 +123,8 @@ type message struct {
 
 func marshalFin(chunks uint32, bytes uint64) []byte {
 	e := xdr.NewEncoder(20)
-	e.PutUint32(streamMagic)
-	e.PutUint32(msgFin)
+	e.PutUint32(wire.StreamMagic)
+	e.PutUint32(wire.Fin)
 	e.PutUint32(chunks)
 	e.PutUint64(bytes)
 	return e.Bytes()
@@ -144,7 +135,7 @@ func marshalFin(chunks uint32, bytes uint64) []byte {
 func parseMessage(raw []byte) (message, error) {
 	d := xdr.NewDecoder(raw)
 	magic, err := d.Uint32()
-	if err != nil || magic != streamMagic {
+	if err != nil || magic != wire.StreamMagic {
 		return message{}, fmt.Errorf("%w: bad magic", ErrProtocol)
 	}
 	typ, err := d.Uint32()
@@ -153,11 +144,11 @@ func parseMessage(raw []byte) (message, error) {
 	}
 	m := message{typ: typ}
 	switch typ {
-	case msgData:
+	case wire.Data:
 		if m.seq, err = d.Uint32(); err == nil {
 			m.payload, err = d.Opaque()
 		}
-	case msgFin:
+	case wire.Fin:
 		if m.seq, err = d.Uint32(); err == nil {
 			m.bytes, err = d.Uint64()
 		}

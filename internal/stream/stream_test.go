@@ -11,9 +11,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/link"
 	"repro/internal/obs"
+	"repro/internal/wire"
 	"repro/internal/xdr"
 )
 
@@ -267,7 +267,7 @@ func TestReaderRejectsDamagedStream(t *testing.T) {
 			return f, nil
 		}, ErrProtocol},
 		{"fin disagrees", func(n int, f []byte) ([]byte, error) {
-			if binary.BigEndian.Uint32(f[4:]) == msgFin {
+			if wire.Name(f) == "fin" {
 				f[len(f)-1] ^= 1 // the declared byte count
 			}
 			return f, nil
@@ -300,8 +300,17 @@ func TestReaderRejectsDamagedStream(t *testing.T) {
 	}
 }
 
+// TestParseMessageRejectsGarbage: DATA and FIN parse as themselves, and
+// a cut frame, a foreign magic or a type number the stream does not speak
+// does not parse.
 func TestParseMessageRejectsGarbage(t *testing.T) {
 	fin := marshalFin(1, 1)
+	data := chunk{frame: append(chunkFrame(nil, 4), 1, 2, 3, 4)}.seal()
+	for name, f := range map[string][]byte{"data": data, "fin": fin} {
+		if m, err := parseMessage(f); err != nil || wire.NameOf(wire.StreamMagic, m.typ) != name {
+			t.Errorf("%s frame parses as type %d, %v", name, m.typ, err)
+		}
+	}
 	cases := [][]byte{
 		nil,
 		{1, 2, 3},
@@ -310,7 +319,7 @@ func TestParseMessageRejectsGarbage(t *testing.T) {
 	}
 	// The retired type numbers, the acknowledgement's (4) and the
 	// receiver's confirmation (7) among them.
-	for _, typ := range []uint32{1, 2, 4, 5, 7, 8} {
+	for _, typ := range []uint32{0, 1, 2, 4, 5, 7, 8} {
 		unknown := marshalFin(0, 0)
 		binary.BigEndian.PutUint32(unknown[4:], typ)
 		cases = append(cases, unknown)
@@ -318,35 +327,6 @@ func TestParseMessageRejectsGarbage(t *testing.T) {
 	for i, raw := range cases {
 		if _, err := parseMessage(raw); !errors.Is(err, ErrProtocol) {
 			t.Errorf("case %d: got %v, want ErrProtocol", i, err)
-		}
-	}
-}
-
-// TestChaosMirrorsTheTwoMessages holds internal/chaos's mirrored stream
-// table to the messages this package marshals: DATA is data, FIN is
-// control, and a type number the parser refuses has no class.
-func TestChaosMirrorsTheTwoMessages(t *testing.T) {
-	data := chunk{frame: append(chunkFrame(nil, 4), 1, 2, 3, 4)}.seal()
-	for _, c := range []struct {
-		frame []byte
-		typ   uint32
-		class chaos.Class
-	}{
-		{data, msgData, chaos.ClassData},
-		{marshalFin(1, 4), msgFin, chaos.ClassControl},
-	} {
-		if m, err := parseMessage(c.frame); err != nil || m.typ != c.typ {
-			t.Errorf("type %d: marshalled instance parses as %d, %v", c.typ, m.typ, err)
-		}
-		if got := chaos.Classify(c.frame); got != c.class {
-			t.Errorf("type %d: chaos classifies it %q, want %q", c.typ, got, c.class)
-		}
-	}
-	for _, typ := range []uint32{0, 1, 2, 4, 5, 7, 8} {
-		f := marshalFin(0, 0)
-		binary.BigEndian.PutUint32(f[4:], typ)
-		if _, err := parseMessage(f); err == nil || chaos.Classify(f) != chaos.ClassUnknown {
-			t.Errorf("type %d: parses (%v) or has chaos class %q; the stream layer does not speak it", typ, err, chaos.Classify(f))
 		}
 	}
 }
@@ -409,8 +389,8 @@ func TestSealMatchesXDRDataMessage(t *testing.T) {
 	for n := 0; n <= 9; n++ {
 		payload := testPayload(n, int64(n))
 		want := xdr.NewEncoder(64)
-		want.PutUint32(streamMagic)
-		want.PutUint32(msgData)
+		want.PutUint32(wire.StreamMagic)
+		want.PutUint32(wire.Data)
 		want.PutUint32(7)
 		want.PutOpaque(payload)
 

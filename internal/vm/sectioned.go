@@ -399,11 +399,11 @@ func (r *Restore) place(kind snapshot.Kind, id uint32, dec *xdr.Decoder) error {
 			return err
 		}
 	case snapshot.KindHeap:
-		_, _, rs, err = collect.RestoreHeapSection(p.Space, p.Table, p.TI, dec, nil, p.Instrument, false)
+		_, _, rs, err = collect.RestoreHeapSection(p.Space, p.Table, p.TI, dec, nil, false)
 	case snapshot.KindFrame:
-		rs, err = collect.RestoreVarSection(p.Space, p.Table, p.TI, dec, r.roots.FrameLive[id-1], memory.Stack, id, p.Instrument)
+		rs, err = collect.RestoreVarSection(p.Space, p.Table, p.TI, dec, r.roots.FrameLive[id-1], memory.Stack, id)
 	default:
-		rs, err = collect.RestoreVarSection(p.Space, p.Table, p.TI, dec, r.roots.Globals, memory.Global, 0, p.Instrument)
+		rs, err = collect.RestoreVarSection(p.Space, p.Table, p.TI, dec, r.roots.Globals, memory.Global, 0)
 	}
 	if err != nil {
 		return fmt.Errorf("vm: restoring %s section %d: %w", kind, id, err)
@@ -556,7 +556,7 @@ func (r *Restore) reconcile(secs []snapshot.Section, list []*held, heap []int) e
 // has when it has them; early says the frames do not exist yet.
 func (r *Restore) applyHeap(c *held, sec snapshot.Section, early bool) error {
 	start, p := time.Now(), r.p
-	blocks, deferred, rs, err := collect.RestoreHeapSection(p.Space, p.Table, p.TI, xdr.NewDecoder(sec.Body), c.blocks, p.Instrument, early)
+	blocks, deferred, rs, err := collect.RestoreHeapSection(p.Space, p.Table, p.TI, xdr.NewDecoder(sec.Body), c.blocks, early)
 	if err != nil {
 		return fmt.Errorf("vm: restoring %s section %d: %w", sec.Kind, sec.ID, err)
 	}

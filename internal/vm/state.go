@@ -123,7 +123,7 @@ func RestoreProcess(prog *minic.Program, m *arch.Machine, state []byte) (*Proces
 // RestoreInto restores a captured state into a freshly created process
 // (one that has not started running). RestoreProcess is the common path;
 // RestoreInto exists so callers can configure the process — for example
-// set its span (Obs) or enable instrumentation — before the restore runs.
+// set its span (Obs) — before the restore runs.
 func (p *Process) RestoreInto(state []byte) error {
 	if len(p.frames) != 0 {
 		return errors.New("vm: RestoreInto on a process that already has frames")

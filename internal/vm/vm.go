@@ -133,10 +133,6 @@ type Process struct {
 	// MaxSteps aborts runaway programs (0 = unlimited).
 	MaxSteps int64
 
-	// Instrument enables the fine-grained update/decode timing split in
-	// restore stats. A capture times its search/encode split always.
-	Instrument bool
-
 	// RestoreWorkers is inert: nothing reads it. It was the width of the
 	// heap-section restore pool, which is gone, and stays only because
 	// bench/program.go, which no ordinary change may edit, assigns it.

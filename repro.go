@@ -104,9 +104,6 @@ type Options struct {
 	Stdout io.Writer
 	// MaxSteps bounds execution (0 = the library default of 4e9).
 	MaxSteps int64
-	// Instrument enables the fine-grained cost decomposition in the
-	// capture/restore statistics.
-	Instrument bool
 	// Trace receives one line per executed statement and per
 	// call/return/migration event — a debugging aid for comparing a
 	// migrated run against an unmigrated one.
@@ -126,7 +123,6 @@ func (o *Options) apply(p *vm.Process) {
 	} else {
 		p.MaxSteps = 4_000_000_000
 	}
-	p.Instrument = o.Instrument
 	if o.Trace != nil {
 		p.TraceTo(o.Trace)
 	}
