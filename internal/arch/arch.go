@@ -107,24 +107,6 @@ func (k PrimKind) IsSigned() bool {
 	return false
 }
 
-// Unsigned returns the unsigned counterpart of a signed integer kind.
-// Unsigned kinds map to themselves.
-func (k PrimKind) Unsigned() PrimKind {
-	switch k {
-	case Char:
-		return UChar
-	case Short:
-		return UShort
-	case Int:
-		return UInt
-	case Long:
-		return ULong
-	case LongLong:
-		return ULongLong
-	}
-	return k
-}
-
 // Machine describes one computation platform. The zero value is not a
 // valid machine; use one of the registry variables or NewMachine.
 type Machine struct {

@@ -205,9 +205,6 @@ func NewRecordOnly() *Injector {
 	return &Injector{sent: map[string]int{}, recvd: map[string]int{}}
 }
 
-// Spec reports the armed fault (zero for a record-only injector).
-func (in *Injector) Spec() Spec { return in.spec }
-
 // Fired reports whether the fault has fired, and at which boundary.
 func (in *Injector) Fired() (Spec, bool) {
 	in.mu.Lock()

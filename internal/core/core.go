@@ -90,9 +90,6 @@ type Request struct {
 // Raise marks a migration request pending.
 func (r *Request) Raise() { r.pending.Store(true) }
 
-// Pending reports whether a request is outstanding.
-func (r *Request) Pending() bool { return r.pending.Load() }
-
 // Hook adapts the request to a vm.Process poll hook; the request is
 // consumed when granted.
 func (r *Request) Hook() func(*vm.Process, *minic.Site) bool {

@@ -127,19 +127,24 @@ func TestBreakdown(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	lin, bit := rows[0], rows[1]
-	// Linpack: few blocks, encode dominates search overwhelmingly.
+	// The claims are stated in the counts the rows carry, never in their
+	// times: encoded bytes stand for the encode work, counted bisection
+	// steps for the search work.
+	// Linpack: few blocks, encode dominates search overwhelmingly — under
+	// one search step per KiB encoded.
 	if lin.Blocks > 20 {
 		t.Errorf("linpack blocks = %d", lin.Blocks)
 	}
-	if lin.EncodeTime <= lin.SearchTime {
-		t.Errorf("linpack encode (%v) should dominate search (%v)", lin.EncodeTime, lin.SearchTime)
+	if lin.SearchSteps*1024 > int64(lin.Bytes) {
+		t.Errorf("linpack takes %d search steps for %d encoded bytes; encode should dominate", lin.SearchSteps, lin.Bytes)
 	}
-	// Bitonic: thousands of blocks; search work is substantial.
+	// Bitonic: thousands of blocks; search work is substantial — at least
+	// one step per block.
 	if bit.Blocks < 1000 {
 		t.Errorf("bitonic blocks = %d", bit.Blocks)
 	}
-	if bit.SearchSteps < 10*lin.SearchSteps {
-		t.Errorf("bitonic search steps (%d) should dwarf linpack's (%d)", bit.SearchSteps, lin.SearchSteps)
+	if bit.SearchSteps < bit.Blocks {
+		t.Errorf("bitonic takes %d search steps over %d blocks; want at least one per block", bit.SearchSteps, bit.Blocks)
 	}
 	var buf bytes.Buffer
 	PrintBreakdown(&buf, rows)

@@ -51,7 +51,8 @@ func TestNodeStoreGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.PutBlob([]byte("hello fleet")); err != nil {
+	body := []byte("hello fleet")
+	if err := st.BeginOverwrite([]store.Hash{store.HashBytes(body)}, [][]byte{body}).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	n := NewNode("sparc20", "", reg)
@@ -73,7 +74,9 @@ func TestNodeRoutes(t *testing.T) {
 	n := NewNode("sparc20", "", reg)
 	ready := true
 	n.Ready = func() bool { return ready }
-	srv := httptest.NewServer(n.Mux())
+	mux := http.NewServeMux()
+	n.Routes(mux)
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -130,7 +133,9 @@ func TestScraperRollup(t *testing.T) {
 			ref.Histogram("session.duration").Observe(d)
 		}
 		n := NewNode("sparc20", "", reg)
-		srv := httptest.NewServer(n.Mux())
+		mux := http.NewServeMux()
+		n.Routes(mux)
+		srv := httptest.NewServer(mux)
 		defer srv.Close()
 		targets = append(targets, NormalizeTarget(srv.URL))
 	}
@@ -301,7 +306,9 @@ func TestDaemonAccountingExact(t *testing.T) {
 	defer d.Shutdown()
 	node := NewNode("sparc20", "", metrics)
 	node.Ready = func() bool { return !d.Draining() }
-	srv := httptest.NewServer(node.Mux())
+	mux := http.NewServeMux()
+	node.Routes(mux)
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
 	var wg sync.WaitGroup

@@ -127,11 +127,3 @@ func (n *Node) Routes(mux *http.ServeMux) {
 		w.Write([]byte("ready\n"))
 	})
 }
-
-// Mux returns a fresh ServeMux with the node's routes registered — what
-// tests and the in-process fleet experiment serve.
-func (n *Node) Mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	n.Routes(mux)
-	return mux
-}

@@ -318,38 +318,3 @@ func (m Model) TxTime(n int) time.Duration {
 	secs := float64(n*8) / (m.BitsPerSecond * eff)
 	return m.Latency + time.Duration(secs*float64(time.Second))
 }
-
-// Measured wraps a Transport, recording bytes and wall time per direction.
-type Measured struct {
-	T Transport
-
-	BytesSent     int64
-	BytesReceived int64
-	SendTime      time.Duration
-	RecvTime      time.Duration
-}
-
-// Send implements Transport.
-func (m *Measured) Send(payload []byte) error {
-	start := time.Now()
-	err := m.T.Send(payload)
-	m.SendTime += time.Since(start)
-	if err == nil {
-		m.BytesSent += int64(len(payload))
-	}
-	return err
-}
-
-// Recv implements Transport.
-func (m *Measured) Recv() ([]byte, error) {
-	start := time.Now()
-	b, err := m.T.Recv()
-	m.RecvTime += time.Since(start)
-	if err == nil {
-		m.BytesReceived += int64(len(b))
-	}
-	return b, err
-}
-
-// Close implements Transport.
-func (m *Measured) Close() error { return m.T.Close() }

@@ -267,22 +267,6 @@ func TestModelDegenerate(t *testing.T) {
 	}
 }
 
-func TestMeasuredTransport(t *testing.T) {
-	a, b := Pipe()
-	ma := &Measured{T: a}
-	mb := &Measured{T: b}
-	defer ma.Close()
-	defer mb.Close()
-	ma.Send(make([]byte, 1000))
-	mb.Recv()
-	if ma.BytesSent != 1000 || mb.BytesReceived != 1000 {
-		t.Errorf("measured bytes: sent=%d recv=%d", ma.BytesSent, mb.BytesReceived)
-	}
-	if ma.SendTime < 0 || mb.RecvTime < 0 {
-		t.Error("negative times")
-	}
-}
-
 func TestLoopbackPair(t *testing.T) {
 	srv, cli, cleanup, err := LoopbackPair()
 	if err != nil {

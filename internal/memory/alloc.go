@@ -23,8 +23,6 @@ type allocator struct {
 	// allocated maps a block's base address to its requested size; the
 	// span it occupies follows from that (grossSize).
 	allocated blockIndex
-
-	bytesLive int
 }
 
 // span is a contiguous free address range [addr, addr+size).
@@ -73,7 +71,6 @@ func (a *allocator) allocate(size int) (Address, error) {
 			a.freeList[i] = span{addr: f.addr + Address(gross), size: f.size - gross}
 		}
 		a.allocated.put(a.granule(addr), size)
-		a.bytesLive += size
 		return addr, nil
 	}
 	return 0, ErrOutOfMemory
@@ -85,7 +82,6 @@ func (a *allocator) free(addr Address) error {
 	if !ok {
 		return fmt.Errorf("%w: %#x", ErrBadFree, uint64(addr))
 	}
-	a.bytesLive -= size
 	s := span{addr: addr, size: grossSize(size)}
 
 	// Insert in address order.
@@ -106,15 +102,6 @@ func (a *allocator) free(addr Address) error {
 		a.freeList = append(a.freeList[:i], a.freeList[i+1:]...)
 	}
 	return nil
-}
-
-// sizeOf returns the requested size of the allocated block at addr.
-func (a *allocator) sizeOf(addr Address) (int, error) {
-	size, ok := a.allocated.get(a.granule(addr))
-	if !ok {
-		return 0, fmt.Errorf("%w: %#x", ErrBadFree, uint64(addr))
-	}
-	return size, nil
 }
 
 // checkInvariants verifies the free list is sorted, non-overlapping, and
@@ -179,14 +166,6 @@ func (x *blockIndex) find(key uint32) int {
 		i = (i + 1) & mask
 	}
 	return i
-}
-
-func (x *blockIndex) get(key uint32) (int, bool) {
-	if x.n == 0 {
-		return 0, false
-	}
-	sl := x.slots[x.find(key)]
-	return int(sl.size), sl.key != 0
 }
 
 // put adds a key that is not in the index.

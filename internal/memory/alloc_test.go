@@ -24,7 +24,17 @@ func wrapsOnDelete(x *blockIndex, key uint32) bool {
 	return false
 }
 
-// TestAllocatorIndexModel runs random Malloc, Free and HeapBlockSize
+// indexed reads a's entry from the allocator's block index, as free does.
+func indexed(s *Space, a Address) (int, bool) {
+	x := &s.alloc.allocated
+	if x.n == 0 {
+		return 0, false
+	}
+	sl := x.slots[x.find(s.alloc.granule(a))]
+	return int(sl.size), sl.key != 0
+}
+
+// TestAllocatorIndexModel runs random Malloc, Free and index lookup
 // sequences against a reference map from block base to requested size: the
 // allocator's pointer-free block index must answer as the map does, for
 // live blocks and for addresses that are none (interior, unaligned,
@@ -38,7 +48,6 @@ func TestAllocatorIndexModel(t *testing.T) {
 		s := NewSpace(arch.SPARC20)
 		ref := map[Address]int{}
 		var live []Address
-		bytes := 0
 		for step := 0; step < 3000; step++ {
 			slots := len(s.alloc.allocated.slots)
 			// Grow while the step is in the first half, shrink in the second.
@@ -60,7 +69,7 @@ func TestAllocatorIndexModel(t *testing.T) {
 				if _, dup := ref[a]; dup {
 					t.Fatalf("seed %d step %d: Malloc returned live block %#x", seed, step, uint64(a))
 				}
-				ref[a], bytes = size, bytes+size
+				ref[a] = size
 				live = append(live, a)
 			case op < 8:
 				k := rng.Intn(len(live))
@@ -71,7 +80,6 @@ func TestAllocatorIndexModel(t *testing.T) {
 				if err := s.Free(a); err != nil {
 					t.Fatalf("seed %d step %d: Free(%#x): %v", seed, step, uint64(a), err)
 				}
-				bytes -= ref[a]
 				delete(ref, a)
 				live[k] = live[len(live)-1]
 				live = live[:len(live)-1]
@@ -85,13 +93,13 @@ func TestAllocatorIndexModel(t *testing.T) {
 				if err := s.Free(a); !errors.Is(err, ErrBadFree) {
 					t.Fatalf("seed %d step %d: Free(%#x) of no block: %v", seed, step, uint64(a), err)
 				}
-				if _, err := s.HeapBlockSize(a); !errors.Is(err, ErrBadFree) {
-					t.Fatalf("seed %d step %d: HeapBlockSize(%#x) of no block: %v", seed, step, uint64(a), err)
+				if _, ok := indexed(s, a); ok {
+					t.Fatalf("seed %d step %d: the index holds %#x, no block", seed, step, uint64(a))
 				}
 			default:
 				a := live[rng.Intn(len(live))]
-				if size, err := s.HeapBlockSize(a); err != nil || size != ref[a] {
-					t.Fatalf("seed %d step %d: HeapBlockSize(%#x) = %d, %v; want %d", seed, step, uint64(a), size, err, ref[a])
+				if size, ok := indexed(s, a); !ok || size != ref[a] {
+					t.Fatalf("seed %d step %d: index(%#x) = %d, %v; want %d", seed, step, uint64(a), size, ok, ref[a])
 				}
 			}
 			if len(s.alloc.allocated.slots) > slots && slots > 0 {
@@ -100,12 +108,12 @@ func TestAllocatorIndexModel(t *testing.T) {
 			if err := s.alloc.checkInvariants(); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
-			if s.HeapLive() != len(ref) || s.HeapBytesLive() != bytes {
-				t.Fatalf("seed %d step %d: %d blocks of %d bytes live, want %d of %d", seed, step, s.HeapLive(), s.HeapBytesLive(), len(ref), bytes)
+			if s.HeapLive() != len(ref) {
+				t.Fatalf("seed %d step %d: %d blocks live, want %d", seed, step, s.HeapLive(), len(ref))
 			}
 			for a, size := range ref {
-				if got, err := s.HeapBlockSize(a); err != nil || got != size {
-					t.Fatalf("seed %d step %d: HeapBlockSize(%#x) = %d, %v; want %d", seed, step, uint64(a), got, err, size)
+				if got, ok := indexed(s, a); !ok || got != size {
+					t.Fatalf("seed %d step %d: index(%#x) = %d, %v; want %d", seed, step, uint64(a), got, ok, size)
 				}
 			}
 		}

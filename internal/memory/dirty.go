@@ -155,13 +155,6 @@ func (s *Space) StopDirtyTracking() {
 	s.dirty.touched = s.dirty.touched[:0]
 }
 
-// DirtyTracking reports whether the write barrier is on.
-func (s *Space) DirtyTracking() bool { return s.dirty.on }
-
-// Generation returns the current write generation. Writes performed now
-// are stamped with this value.
-func (s *Space) Generation() uint64 { return s.dirty.gen }
-
 // AdvanceGeneration starts a new write generation and returns it. The
 // pre-copy driver calls this after capturing a round: writes made while
 // the program runs on are stamped with the new generation, so the next

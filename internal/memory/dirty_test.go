@@ -28,11 +28,11 @@ func TestDirtyTrackingGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if s.DirtyTracking() {
+	if s.dirty.on {
 		t.Fatal("tracking on before StartDirtyTracking")
 	}
 	s.StartDirtyTracking()
-	if g := s.Generation(); g != 1 {
+	if g := s.dirty.gen; g != 1 {
 		t.Fatalf("initial generation = %d, want 1", g)
 	}
 
@@ -75,7 +75,7 @@ func TestDirtyTrackingGenerations(t *testing.T) {
 	}
 
 	s.StopDirtyTracking()
-	if s.DirtyTracking() {
+	if s.dirty.on {
 		t.Fatal("tracking still on after StopDirtyTracking")
 	}
 	if n := s.DirtySince(1); n != 0 {
@@ -289,7 +289,7 @@ func TestDirtyRangesSince(t *testing.T) {
 		{a + DirtyBlockSize, a + DirtyBlockSize + 2},
 		{a + 5*DirtyBlockSize + 8, a + 5*DirtyBlockSize + 44}, // two writes, one range
 	}
-	if got := s.DirtyRangesSince(s.Generation()); !slices.Equal(got, want) {
+	if got := s.DirtyRangesSince(s.dirty.gen); !slices.Equal(got, want) {
 		t.Fatalf("ranges %x, want %x", got, want)
 	}
 	g := s.AdvanceGeneration()
@@ -384,8 +384,8 @@ func (m *dirtyModel) rangesSince(gen uint64) []DirtyRange {
 // watermarks a pre-copy driver and an older checkpoint would ask with.
 func checkDirtyLog(t testing.TB, s *Space, m *dirtyModel) {
 	t.Helper()
-	if s.DirtyTracking() != m.on || m.on && s.Generation() != m.gen {
-		t.Fatalf("tracking %v at generation %d, model %v at %d", s.DirtyTracking(), s.Generation(), m.on, m.gen)
+	if s.dirty.on != m.on || m.on && s.dirty.gen != m.gen {
+		t.Fatalf("tracking %v at generation %d, model %v at %d", s.dirty.on, s.dirty.gen, m.on, m.gen)
 	}
 	for _, g := range []uint64{0, 1, m.gen / 2, m.gen - 1, m.gen, m.gen + 1} {
 		want := m.rangesSince(g)

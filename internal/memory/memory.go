@@ -469,12 +469,6 @@ func (s *Space) PopFrame() error {
 	return nil
 }
 
-// FrameDepth returns the number of active stack frames.
-func (s *Space) FrameDepth() int { return len(s.frames) }
-
-// StackUsed returns the number of bytes currently occupied by the stack.
-func (s *Space) StackUsed() int { return int(StackBase - s.stackTop) }
-
 // Malloc allocates size bytes in the heap segment, aligned for any scalar,
 // and zeroes them. A size of zero allocates a minimal valid block, as
 // malloc(0) may in C.
@@ -521,14 +515,5 @@ func (s *Space) CopyHeap(src *Space) {
 	s.alloc.allocated.slots = slices.Clone(src.alloc.allocated.slots)
 }
 
-// HeapBlockSize returns the usable size of the allocated heap block at
-// addr, which must be a block base address.
-func (s *Space) HeapBlockSize(addr Address) (int, error) {
-	return s.alloc.sizeOf(addr)
-}
-
 // HeapLive returns the number of live heap blocks.
 func (s *Space) HeapLive() int { return s.alloc.allocated.n }
-
-// HeapBytesLive returns the number of bytes in live heap blocks.
-func (s *Space) HeapBytesLive() int { return s.alloc.bytesLive }

@@ -111,12 +111,11 @@ func TestMallocFreeBasic(t *testing.T) {
 	if seg, ok := SegmentOf(a); !ok || seg != Heap {
 		t.Fatalf("malloc returned non-heap address %#x", uint64(a))
 	}
-	sz, err := s.HeapBlockSize(a)
-	if err != nil || sz != 100 {
-		t.Errorf("HeapBlockSize = %d, %v", sz, err)
+	if sz, ok := indexed(s, a); !ok || sz != 100 {
+		t.Errorf("block index holds %d, %v", sz, ok)
 	}
-	if s.HeapLive() != 1 || s.HeapBytesLive() != 100 {
-		t.Errorf("live stats: %d blocks, %d bytes", s.HeapLive(), s.HeapBytesLive())
+	if s.HeapLive() != 1 {
+		t.Errorf("live stats: %d blocks", s.HeapLive())
 	}
 	if err := s.Free(a); err != nil {
 		t.Fatal(err)
@@ -258,8 +257,8 @@ func TestStackFrames(t *testing.T) {
 	if b2 >= b1 {
 		t.Error("stack must grow downward")
 	}
-	if s.FrameDepth() != 2 {
-		t.Errorf("frame depth = %d", s.FrameDepth())
+	if len(s.frames) != 2 {
+		t.Errorf("frame depth = %d", len(s.frames))
 	}
 	if err := s.StorePrim(b2, arch.Double, 0x400921fb54442d18); err != nil {
 		t.Fatal(err)
@@ -273,8 +272,8 @@ func TestStackFrames(t *testing.T) {
 	if err := s.PopFrame(); !errors.Is(err, ErrStackEmpty) {
 		t.Errorf("pop of empty stack: %v", err)
 	}
-	if s.StackUsed() != 0 {
-		t.Errorf("stack used after popping all frames: %d", s.StackUsed())
+	if s.stackTop != StackBase {
+		t.Errorf("stack used after popping all frames: %d", StackBase-s.stackTop)
 	}
 }
 
@@ -529,7 +528,7 @@ func TestViewFollowsGrowth(t *testing.T) {
 		}
 	}
 	s.StartDirtyTracking()
-	w := s.Generation()
+	w := s.dirty.gen
 	frame.Write(8, 4)
 	frame.Write(8, 4)
 	frame.Write(9, 2)

@@ -61,7 +61,7 @@ func BuildGraph(sp Space, t *Table) (*Graph, error) {
 				if err != nil {
 					return err
 				}
-				val := memory.Address(m.Uint(raw, m.PtrSize()))
+				val := memory.Address(m.Load(arch.Ptr)(raw))
 				if val == 0 {
 					continue
 				}

@@ -113,34 +113,6 @@ func (t *Tracer) Export() []*SpanData {
 	return out
 }
 
-// Find returns the first node (depth-first, including d) with the given
-// name, or nil — the SpanData counterpart of Span.Find.
-func (d *SpanData) Find(name string) *SpanData {
-	if d == nil {
-		return nil
-	}
-	if d.Name == name {
-		return d
-	}
-	for _, c := range d.Children {
-		if hit := c.Find(name); hit != nil {
-			return hit
-		}
-	}
-	return nil
-}
-
-// Tree renders the exported subtree as a human-readable indented tree —
-// how a stitched trace prints, and what Span.Tree renders its export with.
-func (d *SpanData) Tree() string {
-	if d == nil {
-		return ""
-	}
-	var b strings.Builder
-	writeDataTree(&b, d, 0)
-	return b.String()
-}
-
 // Report is the one obs schema every machine-readable export flows
 // through: experiment rows (BENCH_*.json) and a metrics snapshot, each
 // optional.

@@ -11,8 +11,8 @@ import (
 const FlightSchema = "repro-flight/1"
 
 // defaultFlightCapacity bounds a recorder that was created without an
-// explicit capacity. A migration session emits tens of events (phase
-// transitions, retransmits, reconnects), so 256 keeps the interesting tail
+// explicit capacity. A migration session emits tens of events (offer,
+// accept, rounds, commit or rollback), so 256 keeps the interesting tail
 // with room to spare while bounding memory per in-flight session.
 const defaultFlightCapacity = 256
 
@@ -29,10 +29,11 @@ type FlightEvent struct {
 }
 
 // FlightRecorder is a bounded in-memory ring of structured events kept per
-// migration session: phase transitions, retransmits, reconnects, NACK
-// rewinds, failure classifications. It records always and cheaply, and is
-// read only when the session fails — the dump that explains a failure
-// without per-session log volume on the success path.
+// migration session: handshake and round messages, a rejected chunk, an
+// injected fault, the failure classification and the rollback. It
+// records always and cheaply, and is read only when the session fails —
+// the dump that explains a failure without per-session log volume on the
+// success path.
 //
 // The ring holds the most recent capacity events; older ones are
 // overwritten (Total and Dropped account for them). All methods are safe

@@ -13,9 +13,9 @@ import (
 const histBuckets = 40
 
 // Histogram is a fixed-bucket exponential latency histogram: per-phase and
-// per-section migration latencies, stream acknowledgement round trips.
+// per-section migration latencies, session durations and downtimes.
 // The bucket layout is compiled in (powers of two in microseconds), so
-// Observe is one bit-length computation and one atomic add — no locks, no
+// Observe is one bit-length computation and two atomic adds — no locks, no
 // allocations, safe for concurrent use, and (like Counter) safe on a nil
 // receiver so optional handles need no branching.
 //
@@ -26,7 +26,6 @@ const histBuckets = 40
 type Histogram struct {
 	counts [histBuckets + 1]atomic.Int64 // [histBuckets] is the overflow (+Inf) slot
 	sum    atomic.Int64                  // nanoseconds
-	count  atomic.Int64
 }
 
 // histBucketIndex maps a duration to its bucket.
@@ -53,40 +52,14 @@ func HistBucketBound(i int) time.Duration {
 }
 
 // Observe records one latency. Nil-safe; zero and negative durations count
-// into the first bucket so Count stays an honest observation count.
+// into the first bucket so a snapshot's Count stays an honest observation
+// count.
 func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {
 		return
 	}
 	h.counts[histBucketIndex(d)].Add(1)
 	h.sum.Add(int64(d))
-	h.count.Add(1)
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the total of all observed durations (0 on nil).
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sum.Load())
-}
-
-// Quantile returns the q-quantile (0 < q <= 1) as the upper bound of the
-// bucket the quantile falls in, or 0 when the histogram is empty. The
-// overflow bucket reports the largest finite bound.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil {
-		return 0
-	}
-	return quantileFromDense(h.dense(), h.count.Load(), q)
 }
 
 // dense loads the bucket counts into a dense array, one atomic load each.

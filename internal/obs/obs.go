@@ -9,8 +9,8 @@
 // the same point: per-phase attribution is what makes a heterogeneous
 // migration tunable. This package turns that attribution from experiment
 // scaffolding into an always-available subsystem instrumenting all four
-// layers of the stack: xdr (encode/decode volume), stream (frames, acks,
-// redials, window occupancy), collect/vm (per-phase and per-section spans
+// layers of the stack: xdr (encode/decode volume), stream (chunks and
+// rejected frames), collect/vm (per-phase and per-section spans
 // on capture and restore), and session/migd (per-session traces with the
 // negotiated version and classified outcome).
 //
@@ -111,16 +111,6 @@ func (s *Span) SetBytes(n int64) {
 	s.mu.Unlock()
 }
 
-// AddBytes accumulates payload volume (for spans fed incrementally).
-func (s *Span) AddBytes(n int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.bytes += n
-	s.mu.Unlock()
-}
-
 // SetSection tags the span with a snapshot section identity.
 func (s *Span) SetSection(kind string, id uint32) {
 	if s == nil {
@@ -159,16 +149,6 @@ func (s *Span) SetTraceContext(tc TraceContext) {
 	s.mu.Unlock()
 }
 
-// TraceContext returns the span's trace identity (zero when unset or nil).
-func (s *Span) TraceContext() TraceContext {
-	if s == nil {
-		return TraceContext{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tc
-}
-
 // SetParentSpan links the span under a remote parent span ID — the
 // responder's session span pointing back at the initiator's.
 func (s *Span) SetParentSpan(id uint64) {
@@ -196,18 +176,6 @@ func (s *Span) AttachRemote(d *SpanData) {
 	s.mu.Unlock()
 }
 
-// Remote returns the attached peer subtrees in attach order.
-func (s *Span) Remote() []*SpanData {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*SpanData, len(s.remote))
-	copy(out, s.remote)
-	return out
-}
-
 // SetDuration overrides the span's measured duration — used when a phase
 // was timed externally (a section encode measured before its span existed).
 func (s *Span) SetDuration(d time.Duration) {
@@ -226,29 +194,6 @@ func (s *Span) Name() string {
 		return ""
 	}
 	return s.name
-}
-
-// Bytes returns the recorded payload volume.
-func (s *Span) Bytes() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
-
-// Elapsed returns the span's duration: final after End, running before.
-func (s *Span) Elapsed() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.ended {
-		return time.Since(s.start)
-	}
-	return s.dur
 }
 
 // Children returns the nested spans in creation order.
@@ -324,9 +269,6 @@ func (t *Tracer) Tree() string {
 	}
 	return b.String()
 }
-
-// Tree renders the span and its descendants as an indented tree.
-func (s *Span) Tree() string { return s.Export().Tree() }
 
 // writeDataTree renders an exported (possibly remote) span subtree: the
 // one tree layout, which live spans reach through Export.

@@ -35,8 +35,8 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a last-value-wins instantaneous measurement (window occupancy,
-// pool depth). Nil-safe and concurrency-safe like Counter.
+// Gauge is a last-value-wins instantaneous measurement (sessions in
+// flight, pool capacity). Nil-safe and concurrency-safe like Counter.
 type Gauge struct {
 	v atomic.Int64
 }

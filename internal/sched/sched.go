@@ -237,6 +237,7 @@ func (c *Cluster) Spawn(nodeName string) (*Handle, error) {
 func (c *Cluster) runLoop(h *Handle, node *Node, proc *vm.Process) {
 	for {
 		proc.PollHook = func(*vm.Process, *minic.Site) bool { return h.poll() }
+		proc.NoAutoCapture = true // the session captures
 		res, err := proc.Run()
 		if err != nil {
 			node.adjust(-1)

@@ -87,13 +87,13 @@ func coldOverPipe(t *testing.T, e *core.Engine, p *vm.Process, dst *arch.Machine
 // end, the responder's end as it counts what it received, and the channel
 // the responder's outcome arrives on. What follows the ACCEPT is the
 // caller's to send.
-func scriptedCold(t *testing.T, e *core.Engine) (link.Transport, *link.Measured, chan respondResult) {
+func scriptedCold(t *testing.T, e *core.Engine) (link.Transport, *counting, chan respondResult) {
 	t.Helper()
 	reg := NewRegistry()
 	reg.Add("list", e)
 	a, b := link.Pipe()
 	t.Cleanup(func() { a.Close(); b.Close() })
-	received := &link.Measured{T: b}
+	received := &counting{Transport: b}
 	out := make(chan respondResult, 1)
 	go func() {
 		_, q, _, err := Respond(received, reg, arch.SPARC20, Config{})
@@ -107,6 +107,18 @@ func scriptedCold(t *testing.T, e *core.Engine) (link.Transport, *link.Measured,
 		t.Fatalf("handshake: %+v, %v; want a cold ACCEPT", acc.params, err)
 	}
 	return a, received, out
+}
+
+// counting is a transport that counts the bytes it receives.
+type counting struct {
+	link.Transport
+	received int64
+}
+
+func (c *counting) Recv() ([]byte, error) {
+	b, err := c.Transport.Recv()
+	c.received += int64(len(b))
+	return b, err
 }
 
 // receiveScripted streams payload, cut at chunk bytes, into a cold
@@ -449,11 +461,11 @@ func TestStreamedRestoreBoundsHostileLengths(t *testing.T) {
 			if r.q != nil || r.err == nil || !c.stall && !errors.Is(r.err, collect.ErrCorruptStream) {
 				t.Errorf("process %v, err %v; want no process and ErrCorruptStream", r.q != nil, r.err)
 			}
-			got, ceiling := after.TotalAlloc-before.TotalAlloc, shell+uint64(64<<10+16*received.BytesReceived)
+			got, ceiling := after.TotalAlloc-before.TotalAlloc, shell+uint64(64<<10+16*received.received)
 			if i == 0 {
 				shell = got
 			} else if got > ceiling {
-				t.Errorf("receiving %d bytes allocated %d, ceiling %d", received.BytesReceived, got, ceiling)
+				t.Errorf("receiving %d bytes allocated %d, ceiling %d", received.received, got, ceiling)
 			}
 		})
 	}

@@ -205,7 +205,7 @@ func TestInflightAndPoolGauges(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatal(err)
 	}
-	if n := metrics.Histogram("session.duration").Count(); n != 2 {
+	if n := metrics.Histogram("session.duration").Snapshot().Count; n != 2 {
 		t.Errorf("session.duration observed %d sessions, want 2 (success + failure)", n)
 	}
 }

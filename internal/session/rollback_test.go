@@ -32,7 +32,7 @@ func TestRollbackRunsToCompletion(t *testing.T) {
 	if n := metrics.Counter("session.rolledback").Value(); n != 1 {
 		t.Errorf("session.rolledback = %d, want 1", n)
 	}
-	if n := metrics.Histogram("session.rollback").Count(); n != 1 {
+	if n := metrics.Histogram("session.rollback").Snapshot().Count; n != 1 {
 		t.Errorf("session.rollback histogram count = %d, want 1", n)
 	}
 }

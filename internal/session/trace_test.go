@@ -82,16 +82,17 @@ func TestStitchedTrace(t *testing.T) {
 		}
 	}
 	if remote == nil {
-		t.Fatalf("no remote subtree under the initiator root:\n%s", tree.Tree())
+		t.Fatalf("no remote subtree under the initiator root:\n%s", initTracer.Tree())
 	}
-	if remote.Find("restore") == nil {
-		t.Errorf("stitched trace missing destination restore span:\n%s", tree.Tree())
+	phases := map[string]bool{}
+	for _, c := range remote.Children {
+		phases[c.Name] = true
 	}
-	if remote.Find("confirm") == nil {
-		t.Errorf("stitched trace missing destination confirm span:\n%s", tree.Tree())
+	if !phases["restore"] || !phases["confirm"] {
+		t.Errorf("stitched trace missing a destination restore or confirm span:\n%s", initTracer.Tree())
 	}
-	if !strings.Contains(tree.Tree(), "(remote)") {
-		t.Errorf("rendered stitched tree missing remote marker:\n%s", tree.Tree())
+	if !strings.Contains(initTracer.Tree(), "(remote)") {
+		t.Errorf("rendered stitched tree missing remote marker:\n%s", initTracer.Tree())
 	}
 }
 
@@ -114,12 +115,12 @@ func TestPhaseHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, phase := range []string{"handshake", "collect", "transport", "confirm"} {
-		if n := cliMetrics.Histogram("session.phase." + phase).Count(); n != 1 {
+		if n := cliMetrics.Histogram("session.phase." + phase).Snapshot().Count; n != 1 {
 			t.Errorf("initiator phase %q observed %d times, want 1", phase, n)
 		}
 	}
 	for _, phase := range []string{"handshake", "restore", "confirm"} {
-		if n := srvMetrics.Histogram("session.phase." + phase).Count(); n != 1 {
+		if n := srvMetrics.Histogram("session.phase." + phase).Snapshot().Count; n != 1 {
 			t.Errorf("responder phase %q observed %d times, want 1", phase, n)
 		}
 	}

@@ -27,9 +27,6 @@ type Series struct {
 // Add appends an observation.
 func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
 
-// Len returns the number of observations.
-func (s *Series) Len() int { return len(s.Points) }
-
 // Fit holds a least-squares linear fit y = Slope*x + Intercept with its
 // coefficient of determination.
 type Fit struct {
@@ -83,16 +80,6 @@ func (s *Series) GrowthExponent() float64 {
 		}
 	}
 	return logs.LinearFit().Slope
-}
-
-// Monotonic reports whether the Y values are non-decreasing in X order.
-func (s *Series) Monotonic() bool {
-	for i := 1; i < len(s.Points); i++ {
-		if s.Points[i].Y < s.Points[i-1].Y {
-			return false
-		}
-	}
-	return true
 }
 
 // Table renders aligned plain-text tables, in the visual style of the

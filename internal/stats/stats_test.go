@@ -71,20 +71,6 @@ func TestGrowthExponent(t *testing.T) {
 	}
 }
 
-func TestMonotonic(t *testing.T) {
-	var s Series
-	s.Add(1, 1)
-	s.Add(2, 2)
-	s.Add(3, 2)
-	if !s.Monotonic() {
-		t.Error("non-decreasing series reported non-monotonic")
-	}
-	s.Add(4, 1)
-	if s.Monotonic() {
-		t.Error("decreasing series reported monotonic")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tbl := Table{
 		Title:   "Timing results (in seconds)",

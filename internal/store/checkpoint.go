@@ -82,9 +82,8 @@ func (s *Store) CheckpointSections(ref string, secs []snapshot.Section, sums [][
 // is named — its parent and seq read from the ref under the store lock —
 // so that its caller can announce it while the bodies, the manifest and
 // the ref are written, in that order, beside it. The lock is held from the
-// naming until the ref lands or a write fails, so a sweep never collects
-// the bodies of the checkpoint in flight, a second checkpoint of the ref
-// chains onto this one, and no ref names a missing blob. Pending.Wait
+// naming until the ref lands or a write fails, so a second checkpoint of
+// the ref chains onto this one and no ref names a missing blob. Pending.Wait
 // joins the writes; until it returns the bodies must stay as they are,
 // and any other mutation of the store waits. A failed write leaves the
 // ref where it was.

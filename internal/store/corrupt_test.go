@@ -10,15 +10,14 @@ import (
 	"errors"
 	"os"
 	"testing"
+
+	"repro/internal/snapshot"
 )
 
 func TestGetBlobTruncated(t *testing.T) {
 	s := openTest(t)
 	body := []byte("a body long enough to truncate meaningfully")
-	h, _, err := s.PutBlob(body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := putBody(t, s, body)
 	if err := os.WriteFile(s.blobPath(h), body[:len(body)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -30,10 +29,7 @@ func TestGetBlobTruncated(t *testing.T) {
 func TestGetBlobTampered(t *testing.T) {
 	s := openTest(t)
 	body := []byte("pristine content")
-	h, _, err := s.PutBlob(body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := putBody(t, s, body)
 	evil := append([]byte(nil), body...)
 	evil[0] ^= 0xff
 	if err := os.WriteFile(s.blobPath(h), evil, 0o644); err != nil {
@@ -44,33 +40,31 @@ func TestGetBlobTampered(t *testing.T) {
 	}
 }
 
-// TestPutVerifiedRepairsCorruptBlob is the repair half of a rotten blob:
-// the verified body arriving again must replace the bad file, so the next
-// GetBlob serves it. A truncated or torn blob differs from the body in
-// size, which PutVerified sees without reading the file; a tampered blob
-// of the right size is what Overwrite, the responder's write for a body
+// TestCheckpointRepairsCorruptBlob is the repair half of a rotten blob:
+// the body arriving again must replace the bad file, so the next GetBlob
+// serves it. A truncated or torn blob differs from the body in size,
+// which a checkpoint sees without reading the file; a tampered blob of
+// the right size is what BeginOverwrite, the responder's write for a body
 // its store failed to serve, replaces.
-func TestPutVerifiedRepairsCorruptBlob(t *testing.T) {
+func TestCheckpointRepairsCorruptBlob(t *testing.T) {
 	s := openTest(t)
 	body := []byte("a body long enough to truncate meaningfully")
-	h, _, err := s.PutBlob(body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	secs := []snapshot.Section{{Kind: snapshot.KindHeap, Body: body}}
+	h := putBody(t, s, body)
 	if err := os.WriteFile(s.blobPath(h), body[:len(body)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.GetBlob(h); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("GetBlob of truncated blob: %v, want ErrCorrupt", err)
 	}
-	if fresh, err := s.PutVerified(h, body); err != nil || !fresh {
-		t.Fatalf("PutVerified over a truncated blob: fresh=%v err=%v, want a rewrite", fresh, err)
+	if _, _, st, err := s.CheckpointSections("job", secs, nil, 1, "m"); err != nil || st.NewBlobs != 1 {
+		t.Fatalf("checkpoint over a truncated blob: %+v, %v; want a rewrite", st, err)
 	}
 	if got, err := s.GetBlob(h); err != nil || !bytes.Equal(got, body) {
 		t.Fatalf("GetBlob after the repair: %q, %v", got, err)
 	}
-	if fresh, err := s.PutVerified(h, body); err != nil || fresh {
-		t.Errorf("PutVerified over an intact blob: fresh=%v err=%v, want a dedup", fresh, err)
+	if _, _, st, err := s.CheckpointSections("job", secs, nil, 1, "m"); err != nil || st.DupBlobs != 1 {
+		t.Errorf("checkpoint over an intact blob: %+v, %v; want a dedup", st, err)
 	}
 
 	evil := append([]byte(nil), body...)
@@ -78,11 +72,9 @@ func TestPutVerifiedRepairsCorruptBlob(t *testing.T) {
 	if err := os.WriteFile(s.blobPath(h), evil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Overwrite(h, body); err != nil {
-		t.Fatal(err)
-	}
+	putBody(t, s, body)
 	if got, err := s.GetBlob(h); err != nil || !bytes.Equal(got, body) {
-		t.Fatalf("GetBlob after Overwrite of a tampered blob: %q, %v", got, err)
+		t.Fatalf("GetBlob after BeginOverwrite of a tampered blob: %q, %v", got, err)
 	}
 }
 
@@ -157,7 +149,7 @@ func TestDanglingParent(t *testing.T) {
 		t.Fatalf("Chain over dangling parent: %v, want ErrNotFound", err)
 	}
 	// Chaining a new checkpoint onto a missing parent is refused too.
-	if err := s.SetRef("job", h1); err != nil {
+	if err := s.setRefLocked("job", h1); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := s.CheckpointRef("job", testSnapshot([]byte("gen-2")), 1, "m"); !errors.Is(err, ErrNotFound) {

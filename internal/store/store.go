@@ -16,18 +16,18 @@ const formatLine = "migstore/1\n"
 
 // Store is an on-disk content-addressed checkpoint repository. Safe for
 // concurrent use: mutations (blob and manifest writes, ref updates,
-// checkpoints, GC) serialize on one mutex, and every object lands via an
+// checkpoints) serialize on one mutex, and every object lands via an
 // atomic rename, so lock-free readers always see whole objects.
 type Store struct {
 	dir     string
 	metrics *obs.Registry
 
-	// mu serializes mutations against each other and — critically —
-	// against GC: a checkpoint in flight holds the lock from reading its
-	// parent through the ref update, so the sweep can never collect
-	// bodies of a checkpoint that has not yet anchored itself to a ref.
-	// Under BeginCheckpoint that span ends on the goroutine doing the
-	// writes, which unlocks what the caller locked.
+	// mu serializes mutations against each other: a checkpoint in flight
+	// holds the lock from reading its parent through the ref update, so
+	// no other write lands between them. Under BeginCheckpoint that span
+	// ends on the goroutine doing the writes, which unlocks what the
+	// caller locked. Nothing deletes from a store; a sweep that comes
+	// back with its first caller must hold mu from mark to sweep.
 	mu sync.Mutex
 }
 
@@ -76,7 +76,7 @@ func (s *Store) Usage() (blobs, bytes int64, err error) {
 		}
 		info, err := d.Info()
 		if err != nil {
-			if os.IsNotExist(err) { // swept by concurrent GC
+			if os.IsNotExist(err) { // removed under the walk
 				return nil
 			}
 			return err
@@ -131,40 +131,15 @@ func writeAtomic(path string, content []byte) error {
 	return nil
 }
 
-// PutBlob stores a section body under its content address, returning the
-// address and whether the body was new. A body already present is not
-// rewritten — that is the dedup this store exists for — and is counted in
-// store.blob.dedup / store.bytes.deduped.
-func (s *Store) PutBlob(body []byte) (Hash, bool, error) {
-	h := HashBytes(body)
-	fresh, err := s.PutVerified(h, body)
-	return h, fresh, err
-}
-
-// PutVerified is PutBlob for a body the caller has already held to its
-// content address h — a received section checked against the hash its
-// announce declared — so it is not hashed a second time.
-func (s *Store) PutVerified(h Hash, body []byte) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.putBlobLocked(h, body, false)
-}
-
-// Overwrite is PutVerified without the dedup: body is written whatever
-// stands under h. A responder stores every body it asked for this way, in
-// one batch (BeginOverwrite): it asked because its store could not serve
-// the body, absent or failing verification, so a file under h is one
-// GetBlob refused.
-func (s *Store) Overwrite(h Hash, body []byte) error {
-	return s.BeginOverwrite([]Hash{h}, [][]byte{body}).Wait()
-}
-
-// BeginOverwrite is Overwrite of each body under the address at the same
-// index of hs, run beside the caller: a responder writes the bodies it
-// asked for while it applies them, and Pending.Wait joins the writes,
-// which stop at the first failure. The bodies must stay as they are until
-// then. An empty batch starts nothing and returns a nil Pending, touching
-// no store, so a nil s may be given one.
+// BeginOverwrite writes each body under the address at the same index of
+// hs, whatever stands there, run beside the caller. A responder stores
+// every body it asked for this way: it asked because its store could not
+// serve the body, absent or failing verification, so a file under the
+// address is one GetBlob refused. It writes them while it applies them,
+// and Pending.Wait joins the writes, which stop at the first failure. The
+// bodies must stay as they are until then. An empty batch starts nothing
+// and returns a nil Pending, touching no store, so a nil s may be given
+// one.
 func (s *Store) BeginOverwrite(hs []Hash, bodies [][]byte) *Pending {
 	if len(hs) == 0 {
 		return nil
@@ -300,13 +275,6 @@ func (s *Store) Adopt(ref string, m *Manifest) error {
 		return err
 	}
 	return s.setRefLocked(ref, h)
-}
-
-// SetRef points the named checkpoint chain at manifest h.
-func (s *Store) SetRef(name string, h Hash) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.setRefLocked(name, h)
 }
 
 func (s *Store) setRefLocked(name string, h Hash) error {

@@ -39,21 +39,33 @@ func openTest(t *testing.T) *Store {
 	return s
 }
 
+// putBody stores body as a responder stores a body it asked for.
+func putBody(t *testing.T, s *Store, body []byte) Hash {
+	t.Helper()
+	h := HashBytes(body)
+	if err := s.BeginOverwrite([]Hash{h}, [][]byte{body}).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestBlobRoundTrip(t *testing.T) {
 	s := openTest(t)
 	body := []byte("the quick brown fox")
-	h, fresh, err := s.PutBlob(body)
+	secs := []snapshot.Section{{Kind: snapshot.KindHeap, Body: body}}
+	_, _, st, err := s.CheckpointSections("job", secs, nil, 1, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fresh {
+	if st.NewBlobs != 1 {
 		t.Error("first put not fresh")
 	}
+	h := HashBytes(body)
 	if !s.HasBlob(h) {
 		t.Error("HasBlob false after put")
 	}
-	if _, fresh, err = s.PutBlob(body); err != nil || fresh {
-		t.Errorf("second put: fresh=%v err=%v, want dedup", fresh, err)
+	if _, _, st, err = s.CheckpointSections("job", secs, nil, 1, "m"); err != nil || st.DupBlobs != 1 {
+		t.Errorf("second put: %+v, %v; want dedup", st, err)
 	}
 	got, err := s.GetBlob(h)
 	if err != nil || !bytes.Equal(got, body) {
@@ -190,110 +202,6 @@ func TestMissing(t *testing.T) {
 	}
 }
 
-func TestGCRetention(t *testing.T) {
-	s := openTest(t)
-	var heads []Hash
-	for i := 0; i < 3; i++ {
-		_, h, _, err := s.CheckpointRef("job", testSnapshot([]byte(fmt.Sprintf("gen-%d", i))), 1, "m")
-		if err != nil {
-			t.Fatal(err)
-		}
-		heads = append(heads, h)
-	}
-	// An orphan checkpoint anchored to no ref (its ref deleted) is always
-	// swept.
-	_, orphan, _, err := s.CheckpointRef("gone", testSnapshot([]byte("orphan")), 1, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(s.refPath("gone")); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := s.GC(GCPolicy{KeepPerRef: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.LiveManifests != 1 || st.SweptManifests != 3 {
-		t.Errorf("gc stats: %+v", st)
-	}
-	if s.HasManifest(orphan) || s.HasManifest(heads[0]) || s.HasManifest(heads[1]) {
-		t.Error("swept manifests still present")
-	}
-	if !s.HasManifest(heads[2]) {
-		t.Fatal("retained head swept")
-	}
-	// The retained head must still materialize in full: shared bodies
-	// (exec/frame/globals) survive, only unreferenced generations go.
-	if _, err := s.Materialize(heads[2]); err != nil {
-		t.Fatalf("materialize after GC: %v", err)
-	}
-	// The head's parent is swept: the chain walk now reports a dangle.
-	if _, err := s.Chain(heads[2]); err == nil {
-		t.Error("chain walk across swept parent succeeded")
-	}
-	// A second full-retention GC keeps everything that is left.
-	st2, err := s.GC(GCPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.SweptManifests != 0 || st2.SweptBlobs != 0 {
-		t.Errorf("idempotent gc swept: %+v", st2)
-	}
-}
-
-// TestConcurrentCheckpointGC drives checkpoints and sweeps concurrently
-// (run under -race): a checkpoint is atomic with respect to GC, so every
-// surviving head must always materialize.
-func TestConcurrentCheckpointGC(t *testing.T) {
-	s := openTest(t)
-	const writers, rounds = 3, 8
-	var wg sync.WaitGroup
-	errc := make(chan error, writers*rounds+rounds)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ref := fmt.Sprintf("worker-%d", w)
-			for r := 0; r < rounds; r++ {
-				snap := testSnapshot([]byte(fmt.Sprintf("w%d-r%d", w, r)), []byte("shared"))
-				if _, _, _, err := s.CheckpointRef(ref, snap, 1, "m"); err != nil {
-					errc <- fmt.Errorf("checkpoint w%d r%d: %w", w, r, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for r := 0; r < rounds; r++ {
-			if _, err := s.GC(GCPolicy{KeepPerRef: 1}); err != nil {
-				errc <- fmt.Errorf("gc round %d: %w", r, err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-	refs, err := s.Refs()
-	if err != nil || len(refs) != writers {
-		t.Fatalf("refs after churn: %v, %v", refs, err)
-	}
-	for _, ref := range refs {
-		h, ok, err := s.Ref(ref)
-		if err != nil || !ok {
-			t.Fatalf("ref %s: ok=%v err=%v", ref, ok, err)
-		}
-		if _, err := s.Materialize(h); err != nil {
-			t.Errorf("ref %s head does not materialize after concurrent GC: %v", ref, err)
-		}
-	}
-}
-
 func TestOpenRejectsForeignFormat(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Open(dir, obs.NewRegistry()); err != nil {
@@ -327,7 +235,7 @@ func TestStoreMetrics(t *testing.T) {
 	if reg.Counter("store.bytes.deduped").Value() == 0 {
 		t.Error("store.bytes.deduped not counted")
 	}
-	if reg.Histogram("store.checkpoint.latency").Count() != 2 {
+	if reg.Histogram("store.checkpoint.latency").Snapshot().Count != 2 {
 		t.Error("checkpoint latency not observed")
 	}
 }
@@ -393,51 +301,6 @@ func TestConcurrentCheckpointsChainLinearly(t *testing.T) {
 	}
 }
 
-// TestGCWaitsForBeginCheckpoint sweeps again and again while a checkpoint
-// begun with BeginCheckpoint is still writing its bodies: every sweep waits
-// for its ref to land, so none collects a body of the checkpoint in
-// flight, and the head it leaves always materializes.
-func TestGCWaitsForBeginCheckpoint(t *testing.T) {
-	s := openTest(t)
-	for r := 0; r < 4; r++ {
-		heaps := make([][]byte, 32)
-		for i := range heaps {
-			heaps[i] = []byte(fmt.Sprintf("gen-%d-heap-%d", r, i))
-		}
-		m, p, err := s.BeginCheckpoint("job", testSections(heaps...), nil, 1, "m")
-		if err != nil {
-			t.Fatal(err)
-		}
-		stop, swept := make(chan struct{}), make(chan error, 1)
-		go func() {
-			for {
-				if _, err := s.GC(GCPolicy{KeepPerRef: 1}); err != nil {
-					swept <- err
-					return
-				}
-				select {
-				case <-stop:
-					swept <- nil
-					return
-				default:
-				}
-			}
-		}()
-		err = p.Wait()
-		close(stop)
-		if serr := <-swept; err != nil || serr != nil {
-			t.Fatalf("round %d: checkpoint %v, sweep %v", r, err, serr)
-		}
-		head, _, err := s.Ref("job")
-		if err != nil || head != m.Hash() {
-			t.Fatalf("round %d: head %s (err %v), want %s", r, head.Short(), err, m.Hash().Short())
-		}
-		if _, err := s.Materialize(head); err != nil {
-			t.Fatalf("round %d: head does not materialize after sweeps during its writes: %v", r, err)
-		}
-	}
-}
-
 // TestBeginCheckpointFailures: a checkpoint that cannot be named (its
 // parent is gone) returns the error at once, and one whose body write
 // fails returns it from Wait with the ref where it was; either way the
@@ -448,7 +311,7 @@ func TestBeginCheckpointFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetRef("dangling", Hash{1}); err != nil {
+	if err := s.setRefLocked("dangling", Hash{1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.BeginCheckpoint("dangling", testSections([]byte("x")), nil, 1, "m"); !errors.Is(err, ErrNotFound) {

@@ -236,8 +236,8 @@ func TestTITable(t *testing.T) {
 	if _, err := ti.At(99); err == nil {
 		t.Error("At out of range did not error")
 	}
-	if ti.MustIndex(n) < 0 {
-		t.Error("MustIndex failed")
+	if _, ok := ti.Index(n); !ok {
+		t.Error("Index did not find a registered type")
 	}
 }
 
@@ -283,14 +283,4 @@ func TestTISummary(t *testing.T) {
 	if len(s) == 0 {
 		t.Fatal("empty summary")
 	}
-}
-
-func TestMustIndexPanics(t *testing.T) {
-	ti := NewTI()
-	defer func() {
-		if recover() == nil {
-			t.Error("MustIndex on missing type did not panic")
-		}
-	}()
-	ti.MustIndex(Double)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"maps"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -86,17 +85,6 @@ func (ti *TI) Index(t *Type) (int, bool) {
 	return i, ok
 }
 
-// MustIndex returns the index of a registered type, panicking if absent —
-// the process invariant is that every live block's type was registered when
-// the executable was generated.
-func (ti *TI) MustIndex(t *Type) int {
-	i, ok := ti.Index(t)
-	if !ok {
-		panic(fmt.Sprintf("types: type %s not in TI table", t))
-	}
-	return i
-}
-
 // At returns the type with the given index.
 func (ti *TI) At(i int) (*Type, error) {
 	ts := ti.v.Load().types
@@ -120,9 +108,6 @@ func (ti *TI) Digest() uint32 {
 	}
 	return h.Sum32()
 }
-
-// Types returns the registered types in index order.
-func (ti *TI) Types() []*Type { return slices.Clone(ti.v.Load().types) }
 
 // Summary returns a human-readable dump of the table, used by the
 // pre-compiler's -dump-ti flag.

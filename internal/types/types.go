@@ -37,10 +37,6 @@ const (
 	KArray
 	// KStruct is a nominal structure type.
 	KStruct
-	// KFunc is a function type; it exists for the checker and is never
-	// the type of a memory block (function pointers are migration-unsafe
-	// and rejected by the analyzer).
-	KFunc
 )
 
 // Field is one member of a struct type.
@@ -58,8 +54,7 @@ type Type struct {
 	// Prim is set for KPrim.
 	Prim arch.PrimKind
 
-	// Elem is the pointee for KPointer and the element for KArray,
-	// and the result type for KFunc.
+	// Elem is the pointee for KPointer and the element for KArray.
 	Elem *Type
 
 	// Len is the element count for KArray.
@@ -71,9 +66,6 @@ type Type struct {
 	Fields []Field
 	// complete records whether a struct definition has been supplied.
 	complete bool
-
-	// Params are the parameter types for KFunc.
-	Params []*Type
 
 	// scalarCount caches the flattened scalar element count (-1 until
 	// computed). It is machine-independent. counting marks it in progress,
@@ -186,16 +178,6 @@ func NewStruct(tag string) *Type {
 	return t
 }
 
-// FuncType returns a function type. Function types are not interned; the
-// checker compares them structurally.
-func FuncType(result *Type, params []*Type) *Type {
-	t := newType()
-	t.Kind = KFunc
-	t.Elem = result
-	t.Params = params
-	return t
-}
-
 // DefineFields completes a struct created by NewStruct.
 func (t *Type) DefineFields(fields []Field) {
 	if t.Kind != KStruct {
@@ -244,12 +226,6 @@ func (t *Type) String() string {
 		return fmt.Sprintf("%s[%d]", t.Elem.String(), t.Len)
 	case KStruct:
 		return "struct " + t.TagName
-	case KFunc:
-		parts := make([]string, len(t.Params))
-		for i, p := range t.Params {
-			parts[i] = p.String()
-		}
-		return fmt.Sprintf("%s(%s)", t.Elem.String(), strings.Join(parts, ","))
 	}
 	return "?"
 }
@@ -266,12 +242,6 @@ func (t *Type) Signature() string {
 		return fmt.Sprintf("[%d]%s", t.Len, t.Elem.Signature())
 	case KStruct:
 		return "struct:" + t.TagName
-	case KFunc:
-		parts := make([]string, len(t.Params))
-		for i, p := range t.Params {
-			parts[i] = p.Signature()
-		}
-		return fmt.Sprintf("func(%s)%s", strings.Join(parts, ","), t.Elem.Signature())
 	}
 	return "?"
 }
@@ -370,8 +340,6 @@ func (t *Type) layoutLocked(m *arch.Machine) *layout {
 		}
 		l.size = arch.Align(off, align)
 		l.align = align
-	case KFunc:
-		l = layout{size: 0, align: 1}
 	}
 	l.mach = m
 	return publish(&t.layouts, l)

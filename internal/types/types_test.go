@@ -292,25 +292,8 @@ func TestTILenAndTypes(t *testing.T) {
 	if ti.Len() != 3 { // ptr, node, float
 		t.Errorf("Len = %d", ti.Len())
 	}
-	ts := ti.Types()
-	if len(ts) != ti.Len() || ts[0] != PointerTo(n) {
-		t.Errorf("Types = %v", ts)
-	}
-}
-
-func TestFuncTypeAndSignatures(t *testing.T) {
-	f := FuncType(Int, []*Type{Double, PointerTo(Char)})
-	if f.Kind != KFunc {
-		t.Fatal("wrong kind")
-	}
-	if got := f.String(); got != "int(double,char*)" {
-		t.Errorf("String = %q", got)
-	}
-	if got := f.Signature(); got != "func(double,*char)int" {
-		t.Errorf("Signature = %q", got)
-	}
-	if f.SizeOf(arch.Ultra5) != 0 || f.AlignOf(arch.Ultra5) != 1 {
-		t.Error("function layout should be degenerate")
+	if first, err := ti.At(0); err != nil || first != PointerTo(n) {
+		t.Errorf("At(0) = %v, %v", first, err)
 	}
 }
 

@@ -26,8 +26,9 @@ func TestWorkloadScalarRunsArePacked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ty := range prog.TI.Types() {
-			if ty.Kind == types.KFunc || ty.IsVoid() || !ty.Complete() {
+		for i := 0; i < prog.TI.Len(); i++ {
+			ty, _ := prog.TI.At(i)
+			if ty.IsVoid() || !ty.Complete() {
 				continue // never the type of a memory block
 			}
 			for _, m := range arch.Machines() {
@@ -53,7 +54,8 @@ func TestConcurrentCompile(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				for _, ty := range prog.TI.Types() {
+				for i := 0; i < prog.TI.Len(); i++ {
+					ty, _ := prog.TI.At(i)
 					if ty.Kind == types.KPointer && types.PointerTo(ty.Elem) != ty {
 						t.Errorf("pointer to %s interned twice", ty.Elem)
 					}

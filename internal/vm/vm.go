@@ -232,11 +232,6 @@ func NewProcess(prog *minic.Program, m *arch.Machine) (*Process, error) {
 	return p, nil
 }
 
-// GlobalAddr returns the address of a global symbol.
-func (p *Process) GlobalAddr(sym *minic.VarSymbol) memory.Address {
-	return p.globalAddrs[sym.Index]
-}
-
 // GlobalByName returns the address and symbol of the named global.
 func (p *Process) GlobalByName(name string) (memory.Address, *minic.VarSymbol, bool) {
 	for _, g := range p.Prog.Globals {

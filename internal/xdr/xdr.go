@@ -12,7 +12,6 @@ package xdr
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"math/bits"
@@ -133,9 +132,6 @@ func (e *Encoder) PutUint32(v uint32) {
 	b[3] = byte(v)
 }
 
-// PutInt32 encodes a 32-bit signed integer.
-func (e *Encoder) PutInt32(v int32) { e.PutUint32(uint32(v)) }
-
 // Put2Uint32 encodes two 32-bit unsigned integers in one slab write —
 // one grow instead of two, for fixed small records on the hot path.
 func (e *Encoder) Put2Uint32(a, b uint32) {
@@ -187,24 +183,6 @@ func (e *Encoder) PutUint64(v uint64) {
 	b[6] = byte(v >> 8)
 	b[7] = byte(v)
 }
-
-// PutInt64 encodes a 64-bit signed integer (XDR hyper).
-func (e *Encoder) PutInt64(v int64) { e.PutUint64(uint64(v)) }
-
-// PutBool encodes a boolean as an XDR enum with values 0 and 1.
-func (e *Encoder) PutBool(v bool) {
-	if v {
-		e.PutUint32(1)
-	} else {
-		e.PutUint32(0)
-	}
-}
-
-// PutFloat32 encodes an IEEE 754 single-precision value.
-func (e *Encoder) PutFloat32(v float32) { e.PutUint32(math.Float32bits(v)) }
-
-// PutFloat64 encodes an IEEE 754 double-precision value.
-func (e *Encoder) PutFloat64(v float64) { e.PutUint64(math.Float64bits(v)) }
 
 // PutFixedOpaque encodes fixed-length opaque data: the bytes followed by
 // zero padding to a four-byte boundary. The decoder must know the length.
@@ -378,12 +356,6 @@ func (d *Decoder) Uint32() (uint32, error) {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]), nil
 }
 
-// Int32 decodes a 32-bit signed integer.
-func (d *Decoder) Int32() (int32, error) {
-	v, err := d.Uint32()
-	return int32(v), err
-}
-
 // Uint32x3 decodes three 32-bit unsigned integers in one take — the tail
 // of a non-null pointer reference after its segment word.
 func (d *Decoder) Uint32x3() (a, b, c uint32, err error) {
@@ -419,40 +391,6 @@ func (d *Decoder) Uint64() (uint64, error) {
 	}
 	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
 		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7]), nil
-}
-
-// Int64 decodes a 64-bit signed integer.
-func (d *Decoder) Int64() (int64, error) {
-	v, err := d.Uint64()
-	return int64(v), err
-}
-
-// Bool decodes an XDR boolean. Any nonzero value is an error, matching the
-// strictness of the XDR specification for enums.
-func (d *Decoder) Bool() (bool, error) {
-	v, err := d.Uint32()
-	if err != nil {
-		return false, err
-	}
-	switch v {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	}
-	return false, fmt.Errorf("xdr: invalid boolean value %d", v)
-}
-
-// Float32 decodes an IEEE 754 single-precision value.
-func (d *Decoder) Float32() (float32, error) {
-	v, err := d.Uint32()
-	return math.Float32frombits(v), err
-}
-
-// Float64 decodes an IEEE 754 double-precision value.
-func (d *Decoder) Float64() (float64, error) {
-	v, err := d.Uint64()
-	return math.Float64frombits(v), err
 }
 
 // FixedOpaque decodes n bytes of fixed-length opaque data, consuming the

@@ -15,54 +15,50 @@ func TestUint32WireFormat(t *testing.T) {
 	}
 }
 
+// TestInt32Negative: a signed integer travels as its two's-complement
+// bits, so -1 is four 0xff bytes and reads back as -1.
 func TestInt32Negative(t *testing.T) {
 	var e Encoder
-	e.PutInt32(-1)
+	minusOne := int32(-1)
+	e.PutUint32(uint32(minusOne))
 	if !bytes.Equal(e.Bytes(), []byte{0xff, 0xff, 0xff, 0xff}) {
 		t.Errorf("wire bytes = % x", e.Bytes())
 	}
 	d := NewDecoder(e.Bytes())
-	v, err := d.Int32()
-	if err != nil || v != -1 {
-		t.Errorf("decoded %d, %v", v, err)
+	v, err := d.Uint32()
+	if err != nil || int32(v) != -1 {
+		t.Errorf("decoded %d, %v", int32(v), err)
 	}
 }
 
 func TestScalarRoundTrips(t *testing.T) {
+	i32, i64 := int32(-42), int64(-1<<40)
 	var e Encoder
-	e.PutInt32(-42)
+	e.PutUint32(uint32(i32))
 	e.PutUint32(42)
-	e.PutInt64(-1 << 40)
+	e.PutUint64(uint64(i64))
 	e.PutUint64(1 << 40)
-	e.PutBool(true)
-	e.PutBool(false)
-	e.PutFloat32(1.5)
-	e.PutFloat64(math.Pi)
+	e.PutUint32(math.Float32bits(1.5))
+	e.PutUint64(math.Float64bits(math.Pi))
 
 	d := NewDecoder(e.Bytes())
-	if v, _ := d.Int32(); v != -42 {
-		t.Errorf("Int32 = %d", v)
+	if v, _ := d.Uint32(); int32(v) != -42 {
+		t.Errorf("int32 = %d", int32(v))
 	}
 	if v, _ := d.Uint32(); v != 42 {
 		t.Errorf("Uint32 = %d", v)
 	}
-	if v, _ := d.Int64(); v != -1<<40 {
-		t.Errorf("Int64 = %d", v)
+	if v, _ := d.Uint64(); int64(v) != -1<<40 {
+		t.Errorf("int64 = %d", int64(v))
 	}
 	if v, _ := d.Uint64(); v != 1<<40 {
 		t.Errorf("Uint64 = %d", v)
 	}
-	if v, _ := d.Bool(); !v {
-		t.Error("Bool = false, want true")
+	if v, _ := d.Uint32(); math.Float32frombits(v) != 1.5 {
+		t.Errorf("float32 = %g", math.Float32frombits(v))
 	}
-	if v, _ := d.Bool(); v {
-		t.Error("Bool = true, want false")
-	}
-	if v, _ := d.Float32(); v != 1.5 {
-		t.Errorf("Float32 = %g", v)
-	}
-	if v, _ := d.Float64(); v != math.Pi {
-		t.Errorf("Float64 = %g", v)
+	if v, _ := d.Uint64(); math.Float64frombits(v) != math.Pi {
+		t.Errorf("float64 = %g", math.Float64frombits(v))
 	}
 	if d.Remaining() != 0 {
 		t.Errorf("remaining = %d, want 0", d.Remaining())
@@ -128,15 +124,8 @@ func TestShortBufferErrors(t *testing.T) {
 		t.Errorf("Opaque with oversized length: %v", err)
 	}
 	d = NewDecoder(nil)
-	if _, err := d.Float64(); err != ErrShortBuffer {
-		t.Errorf("Float64 on empty buffer: %v", err)
-	}
-}
-
-func TestBoolStrict(t *testing.T) {
-	d := NewDecoder([]byte{0, 0, 0, 2})
-	if _, err := d.Bool(); err == nil {
-		t.Error("Bool accepted invalid enum value 2")
+	if _, err := d.Uint64(); err != ErrShortBuffer {
+		t.Errorf("Uint64 on empty buffer: %v", err)
 	}
 }
 
@@ -167,19 +156,20 @@ func TestGrowTake(t *testing.T) {
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(i32 int32, u32 uint32, i64 int64, u64 uint64, f64 float64, s string, op []byte) bool {
 		var e Encoder
-		e.PutInt32(i32)
+		e.PutUint32(uint32(i32))
 		e.PutUint32(u32)
-		e.PutInt64(i64)
+		e.PutUint64(uint64(i64))
 		e.PutUint64(u64)
-		e.PutFloat64(f64)
+		e.PutUint64(math.Float64bits(f64))
 		e.PutString(s)
 		e.PutOpaque(op)
 		d := NewDecoder(e.Bytes())
-		gi32, _ := d.Int32()
+		gi32, _ := d.Uint32()
 		gu32, _ := d.Uint32()
-		gi64, _ := d.Int64()
+		gi64, _ := d.Uint64()
 		gu64, _ := d.Uint64()
-		gf64, _ := d.Float64()
+		gf64bits, _ := d.Uint64()
+		gf64 := math.Float64frombits(gf64bits)
 		gs, _ := d.String()
 		gop, err := d.Opaque()
 		if err != nil {
@@ -192,7 +182,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		} else if gf64 != f64 {
 			return false
 		}
-		return gi32 == i32 && gu32 == u32 && gi64 == i64 && gu64 == u64 &&
+		return int32(gi32) == i32 && gu32 == u32 && int64(gi64) == i64 && gu64 == u64 &&
 			gs == s && bytes.Equal(gop, op) && d.Remaining() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -216,7 +206,7 @@ func TestQuickAlignmentInvariant(t *testing.T) {
 			case 3:
 				e.PutOpaque(op)
 			case 4:
-				e.PutFloat64(float64(o))
+				e.PutFixedOpaque(op)
 			}
 		}
 		return e.Len()%4 == 0
