@@ -44,7 +44,11 @@ func prepare(b *testing.B, src string) (*core.Engine, *vm.Process, []byte) {
 	if !res.Migrated {
 		b.Fatal("workload did not reach its migration point")
 	}
-	return e, p, res.State
+	state, err := p.Recapture()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return e, p, state
 }
 
 func benchCollect(b *testing.B, src string) {
@@ -65,7 +69,11 @@ func benchRestore(b *testing.B, src string) {
 	b.ReportMetric(float64(len(state)), "state-bytes")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := vm.RestoreProcess(e.Prog, arch.Ultra5, state); err != nil {
+		q, err := e.NewProcess(arch.Ultra5)
+		if err == nil {
+			err = q.RestoreInto(state)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

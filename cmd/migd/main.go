@@ -438,9 +438,6 @@ func run(ne namedEngine, m *arch.Machine, o options) {
 	}
 	p.Stdout = os.Stdout
 	p.MaxSteps = o.maxSteps
-	// The session captures: a stop leaves the process uncaptured, which
-	// the live driver also needs to resume it between delta rounds.
-	p.NoAutoCapture = true
 	// >= rather than ==: the live driver resumes the source between delta
 	// rounds, and every poll after the N-th must pause again to bound the
 	// round. A stop-and-copy run only ever reaches the N-th.

@@ -9,7 +9,8 @@
 //
 //	-machine NAME       machine to run on (default ultra5)
 //	-hops a,b,c         migrate through these machines at successive
-//	                    poll-points, finishing on the last
+//	                    poll-points, each hop a session over an
+//	                    in-memory pipe, finishing on the last
 //	-max-steps N        statement budget (default 4e9)
 //	-timing             print migration timing decomposition
 //	-stats              print run-time statistics
@@ -24,6 +25,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/minic"
+	"repro/internal/session"
 	"repro/internal/vm"
 )
 
@@ -103,15 +105,13 @@ func main() {
 		}
 		dst := route[0]
 		route = route[1:]
-		q, err := vm.RestoreProcess(e.Prog, dst, res.State)
+		q, _, tm, err := session.Transfer(e, flag.Arg(0), p, dst, session.Config{})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "migrun: restore:", err)
+			fmt.Fprintln(os.Stderr, "migrun: migrate:", err)
 			os.Exit(1)
 		}
 		if *timing {
-			fmt.Fprintf(os.Stderr, "[migrated %s -> %s: %d bytes, collect %.4fs, restore %.4fs]\n",
-				cur.Name, dst.Name, p.CaptureStats().Bytes,
-				p.CaptureStats().Elapsed.Seconds(), q.RestoreElapsed().Seconds())
+			fmt.Fprintf(os.Stderr, "[migrated %s -> %s: %s]\n", cur.Name, dst.Name, tm)
 		}
 		configure(q)
 		p = q

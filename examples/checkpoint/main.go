@@ -53,38 +53,35 @@ func main() {
 	}
 
 	// Phase 1: run on a little-endian machine, checkpointing into the
-	// store every 50000 iterations. Each hop restores from the captured
-	// state, exactly as a real checkpoint-resume cycle would.
+	// store every 50000 iterations. Each checkpoint stops the process at a
+	// poll point, and it resumes in place once the checkpoint is stored.
 	p, err := engine.NewProcess(arch.AMD64)
 	if err != nil {
 		log.Fatal(err)
 	}
-	iterations := 0
+	p.Stdout = os.Stdout
+	p.MaxSteps = 100_000_000
+	polls := 0
+	p.PollHook = func(*vm.Process, *minic.Site) bool {
+		polls++
+		return polls%50_000 == 0
+	}
+	run := p.Run
 	for hops := 0; hops < 3; hops++ {
-		p.Stdout = os.Stdout
-		p.MaxSteps = 100_000_000
-		polls := 0
-		p.PollHook = func(*vm.Process, *minic.Site) bool {
-			polls++
-			return polls == 50_000
-		}
-		res, err := p.Run()
+		res, err := run()
 		if err != nil {
 			log.Fatal(err)
 		}
 		if !res.Migrated {
 			log.Fatal("job finished before its checkpoints were done")
 		}
-		iterations += polls
 		m, h, cst, err := engine.CheckpointProcess(st, p, p.Mach, "job")
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("checkpointed on %s after %d iterations: seq %d %s (%s)\n",
-			p.Mach.Name, iterations, m.Seq, h.Short(), cst)
-		if p, err = vm.RestoreProcess(engine.Prog, p.Mach, res.State); err != nil {
-			log.Fatal(err)
-		}
+			p.Mach.Name, polls, m.Seq, h.Short(), cst)
+		run = p.ResumeRun
 	}
 	fmt.Println("... simulated crash; process gone ...")
 

@@ -2,8 +2,9 @@
 // machine every few sweeps — the "reconfigurable computing" scenario from
 // the paper's introduction, where a long-running computation follows
 // whatever capacity is available. The final checksum is compared against
-// an unmigrated run to show the numerics are unaffected by seven
-// migrations across four architectures.
+// an unmigrated run to show the numerics are unaffected by eight
+// migrations across four architectures, each one a migration session over
+// an in-memory pipe.
 package main
 
 import (
@@ -13,6 +14,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/minic"
+	"repro/internal/session"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -41,9 +43,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p.MaxSteps = 500_000_000
 	hops := 0
 	for {
+		p.MaxSteps = 500_000_000
 		sweepsHere := 0
 		p.PollHook = func(*vm.Process, *minic.Site) bool {
 			sweepsHere++
@@ -64,12 +66,11 @@ func main() {
 		}
 		hops++
 		next := route[hops%len(route)]
-		fmt.Printf("hop %d: %s -> %s (%d bytes of grid state)\n",
-			hops, p.Mach.Name, next.Name, len(res.State))
-		p, err = vm.RestoreProcess(engine.Prog, next, res.State)
+		q, _, timing, err := session.Transfer(engine, "jacobi", p, next, session.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		p.MaxSteps = 500_000_000
+		fmt.Printf("hop %d: %s -> %s, %s\n", hops, p.Mach.Name, next.Name, timing)
+		p = q
 	}
 }

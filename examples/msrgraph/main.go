@@ -3,8 +3,8 @@
 // explicit Memory Space Representation graph of the process snapshot —
 // vertices are memory blocks, edges are pointer references — prints it,
 // optionally as Graphviz DOT, and then completes the migration to a
-// machine of opposite endianness, showing the restored graph is
-// isomorphic.
+// machine of opposite endianness over a migration session, showing the
+// restored graph is isomorphic.
 package main
 
 import (
@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/minic"
 	"repro/internal/msr"
+	"repro/internal/session"
 	"repro/internal/vm"
 )
 
@@ -108,7 +109,7 @@ func main() {
 	}
 
 	// Complete the migration to the big-endian SPARC 20 and compare.
-	q, err := vm.RestoreProcess(e.Prog, arch.SPARC20, res.State)
+	q, _, timing, err := session.Transfer(e, "figure1", p, arch.SPARC20, session.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -116,11 +117,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if g.Canonical() == g2.Canonical() {
-		fmt.Printf("\nrestored on %s: MSR graph is isomorphic to the source snapshot\n", q.Mach.Name)
-	} else {
+	if g.Canonical() != g2.Canonical() {
 		log.Fatal("restored graph differs from the source snapshot")
 	}
+	fmt.Printf("\nmigrated to %s, %s\n", q.Mach.Name, timing)
+	fmt.Printf("restored on %s: MSR graph is isomorphic to the source snapshot\n", q.Mach.Name)
 	res2, err := q.Run()
 	if err != nil {
 		log.Fatal(err)

@@ -30,7 +30,6 @@ func pausedAtEveryPoll(t *testing.T, src string, policy minic.PollPolicy, m *arc
 		t.Fatal(err)
 	}
 	p.MaxSteps = 20_000_000
-	p.NoAutoCapture = true
 	p.PollHook = func(*vm.Process, *minic.Site) bool { return true }
 	res, err := p.Run()
 	if err != nil {
@@ -286,7 +285,7 @@ func TestWarmCheckpointsAcrossRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.NoAutoCapture, q.PollHook = true, p.PollHook
+	q.PollHook = p.PollHook
 	qst, err := store.Open(t.TempDir(), obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)

@@ -17,8 +17,7 @@
 //     the migration point.
 //
 // Moving the bytes between two processes is internal/session's job, and
-// its alone; a sectioned snapshot handed over in memory (vm.Result.State
-// or Recapture → vm.RestoreProcess) has no transport under it.
+// its alone.
 package core
 
 import (

@@ -7,8 +7,8 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/minic"
+	"repro/internal/session"
 	"repro/internal/stats"
-	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -42,35 +42,24 @@ func Chain(cfg Config) (*ChainResult, error) {
 		return nil, err
 	}
 
-	// test_pointer has a single migration point, so chain hops restart
-	// the process state each time: run to the poll, hop through every
-	// machine, then resume on the last.
+	// test_pointer has a single migration point, so the process stops
+	// there once and hops through every machine over a session: each hop's
+	// source is the process the previous hop restored, not yet resumed,
+	// whose state is re-encoded from its own layout. It resumes on the
+	// last.
 	machines := arch.Machines()
-	_, state, err := stopAtMigration(e, machines[0])
+	q, _, err := stopAtMigration(e, machines[0])
 	if err != nil {
 		return nil, err
 	}
-
 	result := &ChainResult{Program: fmt.Sprintf("test_pointer depth %d", treeDepth)}
-	cur := machines[0]
-	var q *vm.Process
 	for _, m := range machines[1:] {
-		q, err = vm.RestoreProcess(e.Prog, m, state)
+		next, _, timing, err := session.Transfer(e, "chain", q, m, session.Config{})
 		if err != nil {
-			return nil, fmt.Errorf("exper: hop %s -> %s: %w", cur.Name, m.Name, err)
+			return nil, fmt.Errorf("exper: hop %s -> %s: %w", q.Mach.Name, m.Name, err)
 		}
-		result.Hops = append(result.Hops, ChainHop{From: cur.Name, To: m.Name, StateBytes: len(state)})
-		cur = m
-		if m == machines[len(machines)-1] {
-			break
-		}
-		// Re-capture on the new machine for the next hop: the state is
-		// re-encoded from the new layout, so each hop exercises a
-		// different source representation.
-		state, err = q.Recapture()
-		if err != nil {
-			return nil, fmt.Errorf("exper: recapture on %s: %w", m.Name, err)
-		}
+		result.Hops = append(result.Hops, ChainHop{From: q.Mach.Name, To: m.Name, StateBytes: timing.Bytes})
+		q = next
 	}
 	if result.ExitCode, err = runOut(q); err != nil {
 		return nil, err

@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/link"
 	"repro/internal/minic"
+	"repro/internal/session"
 	"repro/internal/stats"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -43,8 +44,8 @@ func (c Config) repeats() int {
 
 const maxSteps = 4_000_000_000
 
-// stopAtMigration runs the program on m until its migration point and
-// returns the stopped process plus its captured state.
+// stopAtMigration runs the program on m until it stops at its migration
+// point, and returns the stopped process plus the state captured there.
 func stopAtMigration(e *core.Engine, m *arch.Machine) (*vm.Process, []byte, error) {
 	p, err := e.NewProcess(m)
 	if err != nil {
@@ -61,7 +62,8 @@ func stopAtMigration(e *core.Engine, m *arch.Machine) (*vm.Process, []byte, erro
 	if !res.Migrated {
 		return nil, nil, fmt.Errorf("exper: program completed without migrating")
 	}
-	return p, res.State, nil
+	state, err := p.Recapture()
+	return p, state, err
 }
 
 // runOut drives a restored process to completion.
@@ -113,11 +115,16 @@ func timeCollect(p *vm.Process, repeats int) (time.Duration, int, error) {
 	return d, size, failure
 }
 
-// timeRestore measures data restoration time (min of repeats).
+// timeRestore measures data restoration time (min of repeats) into a fresh
+// process on m.
 func timeRestore(e *core.Engine, m *arch.Machine, state []byte, repeats int) (time.Duration, error) {
 	var failure error
 	d := timeBest(repeats, func() {
-		if _, err := vm.RestoreProcess(e.Prog, m, state); err != nil {
+		q, err := e.NewProcess(m)
+		if err == nil {
+			err = q.RestoreInto(state)
+		}
+		if err != nil {
 			failure = err
 		}
 	})
@@ -159,11 +166,11 @@ func Heterogeneity(cfg Config) ([]HeteroRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pr.name, err)
 		}
-		_, state, err := stopAtMigration(e, arch.DEC5000)
+		p, _, err := stopAtMigration(e, arch.DEC5000)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pr.name, err)
 		}
-		q, err := vm.RestoreProcess(e.Prog, arch.SPARC20, state)
+		q, _, timing, err := session.Transfer(e, pr.name, p, arch.SPARC20, session.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pr.name, err)
 		}
@@ -175,7 +182,7 @@ func Heterogeneity(cfg Config) ([]HeteroRow, error) {
 			Program:    pr.name,
 			Src:        arch.DEC5000.Name,
 			Dst:        arch.SPARC20.Name,
-			StateBytes: len(state),
+			StateBytes: timing.Bytes,
 			ExitCode:   code,
 			OK:         code == 0,
 		})

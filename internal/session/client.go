@@ -51,11 +51,10 @@ type Result struct {
 // responder's registry lookup (the digest decides; the name is
 // diagnostics).
 //
-// When both sides set Config.Live and p is stopped in NoAutoCapture mode
-// (vm.Process.NoAutoCapture with a PollHook that fired), Initiate resumes
-// p between pre-copy rounds, so execution overlaps every transfer except
-// the final round; against a responder without Live the same call is a
-// stop-and-copy transfer from the current pause. If the source runs to
+// When both sides set Config.Live, Initiate resumes p between pre-copy
+// rounds, so execution overlaps every transfer except the final round;
+// against a responder without Live the same call is a stop-and-copy
+// transfer from the current pause. If the source runs to
 // completion between rounds, ErrSourceExited is returned alongside a
 // Result carrying the rounds shipped so far.
 //

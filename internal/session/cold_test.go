@@ -228,8 +228,12 @@ func TestStreamedMigrationFromNestedCall(t *testing.T) {
 	if err != nil || !res.Migrated {
 		t.Fatalf("setup: migrated=%v err=%v", res != nil && res.Migrated, err)
 	}
+	state, err := p.Recapture()
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, q, _, _ := coldOverPipe(t, e, p, arch.SPARC20, Config{ChunkSize: 256})
-	if re, err := q.Recapture(); err != nil || !bytes.Equal(re, res.State) {
+	if re, err := q.Recapture(); err != nil || !bytes.Equal(re, state) {
 		t.Errorf("restored nested-frame MSR graph differs (err %v)", err)
 	}
 	runRestored(t, q, 40)

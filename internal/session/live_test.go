@@ -26,8 +26,8 @@ func newMutatingEngine(t *testing.T, rounds int) *core.Engine {
 	return e
 }
 
-// stoppedLive runs the program on m to its first poll in NoAutoCapture
-// mode — paused but still resumable, the state pre-copy rounds require.
+// stoppedLive runs the program on m to its first poll, where it pauses
+// resumable, as pre-copy rounds require, at every poll it reaches.
 func stoppedLive(t testing.TB, e *core.Engine, m *arch.Machine) *vm.Process {
 	t.Helper()
 	p, err := e.NewProcess(m)
@@ -35,7 +35,6 @@ func stoppedLive(t testing.TB, e *core.Engine, m *arch.Machine) *vm.Process {
 		t.Fatal(err)
 	}
 	p.MaxSteps = 50_000_000
-	p.NoAutoCapture = true
 	p.PollHook = func(_ *vm.Process, _ *minic.Site) bool { return true }
 	res, err := p.Run()
 	if err != nil || !res.Migrated {
@@ -216,25 +215,45 @@ func TestLiveFallbackToLegacyResponder(t *testing.T) {
 	runRestored(t, r.q, 0)
 }
 
-// TestLiveDegenerateSingleRound checks a live session over a process that
-// was captured at its stop and cannot resume: Live on both sides runs one
-// final round — no overlap, but the same wire protocol and a correct
-// restore.
-func TestLiveDegenerateSingleRound(t *testing.T) {
-	e := newListEngine(t)
-	p := stoppedAt(t, e, arch.AMD64)
-	q, res, timing, err := Transfer(e, "list", p, arch.SPARCV9,
-		Config{ChunkSize: 4096, Live: true})
+// TestLiveFromRestoredSource is one hop of a migration chain made live:
+// the source of the live session is a process restored by an earlier hop
+// and not yet resumed. Pre-copy resumes it from the restored image, so the
+// session runs rounds while it executes; what the destination restores is
+// the state the source paused at for the final round, and it runs out to
+// the unmigrated exit code.
+func TestLiveFromRestoredSource(t *testing.T) {
+	e := newMutatingEngine(t, 8)
+	ref, err := e.NewProcess(arch.Ultra5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Live == nil || len(res.Live.Rounds) != 1 || !res.Live.Rounds[0].Final {
-		t.Errorf("live stats %+v, want exactly one final round", res.Live)
+	ref.MaxSteps = 50_000_000
+	want, err := ref.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if timing.Bytes == 0 {
-		t.Error("no bytes recorded")
+	hop, _, _, err := Transfer(e, "shards", stoppedLive(t, e, arch.AMD64), arch.SPARC20, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	runRestored(t, q, listExit)
+	hop.MaxSteps = 50_000_000
+	hop.PollHook = func(*vm.Process, *minic.Site) bool { return true }
+	q, res, _, err := Transfer(e, "shards", hop, arch.SPARCV9,
+		Config{Live: true, PrecopyRounds: 3, DirtyThreshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Live.Rounds); n < 2 {
+		t.Errorf("%d rounds (%s); want pre-copy rounds before the final one", n, res.Live.StopReason)
+	}
+	paused, err := hop.Recapture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := q.Recapture(); err != nil || !bytes.Equal(got, paused) {
+		t.Fatalf("restored state differs from the source's final pause (err %v)", err)
+	}
+	runRestored(t, q, want.ExitCode)
 }
 
 // TestLiveSourceExited covers the abort: when the source runs to
@@ -438,7 +457,10 @@ func TestLiveComponentsChangeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneCall, err := vm.RestoreProcess(e.Prog, arch.SPARC20, snap)
+	oneCall, err := e.NewProcess(arch.SPARC20)
+	if err == nil {
+		err = oneCall.RestoreInto(snap)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -266,11 +266,10 @@ func sendRound(t link.Transport, r *round, final bool, rec *obs.FlightRecorder, 
 	return nil
 }
 
-// sendRounds is the source side of the round exchange. A warm transfer, a
-// live transfer of a process that cannot resume, and the tail of every
-// live transfer are the same thing: one final round from the paused state.
-// Only a live session over a resumable process (NoAutoCapture mode) first
-// runs pre-copy rounds, resuming the source while each one ships.
+// sendRounds is the source side of the round exchange. A warm transfer and
+// the tail of every live transfer are the same thing: one final round from
+// the paused state. A live session first runs pre-copy rounds, resuming
+// the source while each one ships.
 //
 // When the source runs to completion between rounds there is nothing left
 // to migrate: the responder is told to stand down and ErrSourceExited is
@@ -333,7 +332,7 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 	}
 	txStart := time.Now()
 	prevDirty := int(^uint(0) >> 1)
-	for precopy := prm.Live && p.NoAutoCapture; precopy; {
+	for precopy := prm.Live; precopy; {
 		// Ship the round while the source executes to its next poll.
 		sendErr := make(chan error, 1)
 		go func(r *round) { sendErr <- sendRound(t, r, false, cfg.Recorder, st) }(r)

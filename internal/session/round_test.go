@@ -21,6 +21,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/vm"
 	"repro/internal/wire"
+	"repro/internal/workload"
 	"repro/internal/xdr"
 )
 
@@ -463,11 +464,7 @@ func TestProtocolTable(t *testing.T) {
 	oneSrc, oneDst := rounds(1, true)
 	warmSrc, warmDst := recordRun(t, "warm", small, true, false)
 	check("warm", warmSrc, warmDst, oneSrc, oneDst)
-	// A live session over a process that cannot resume is one round too.
 	liveCfg := Config{Live: true, PrecopyRounds: 3, DirtyThreshold: 1}
-	oneSrc, oneDst = rounds(1, false)
-	src, dst = recordRun(t, "live, one round", liveCfg, false, false)
-	check("live, one round", src, dst, oneSrc, oneDst)
 	for _, c := range []struct {
 		name   string
 		stores bool
@@ -482,16 +479,19 @@ func TestProtocolTable(t *testing.T) {
 	}
 }
 
-// TestRoundFrameCorruptionSweep flips every byte of the ANNOUNCE and of
-// the BODIES frame in turn, on a warm transfer and on a one-round live
-// transfer of the small list workload. Section bodies are XDR and so
-// four-byte aligned: neither frame has a padding byte its decoder could
-// ignore, and every cell must fail the session — no process handed out,
-// the source's state untouched, the destination's ref not advanced. A
-// flipped body byte is caught by the SHA-256 a warm list names the body by,
-// and by the CRC-32 of its entry in a live list pushed by position. The
-// source is rolled back once at the end: it must still run to its correct
-// exit.
+// TestRoundFrameCorruptionSweep flips every byte of the first ANNOUNCE and
+// of the first BODIES frame in turn, on a warm transfer of the small list
+// workload and on a live transfer of a small mutating-shards workload
+// (two lists of two nodes, three polls). Section
+// bodies are XDR and so four-byte aligned: neither frame has a padding byte
+// its decoder could ignore, and every cell must fail the session — no
+// process handed out, the destination's ref not advanced. A flipped body
+// byte is caught by the SHA-256 a warm list names the body by, and by the
+// CRC-32 of its entry in a live list pushed by position. The warm source is
+// paused throughout, so its state must be untouched, and it is rolled back
+// once at the end; a live source runs on while its first round ships, so
+// each cell has a fresh one and rolls it back. Either must still run to its
+// correct exit.
 func TestRoundFrameCorruptionSweep(t *testing.T) {
 	for _, col := range []struct {
 		name string
@@ -499,8 +499,17 @@ func TestRoundFrameCorruptionSweep(t *testing.T) {
 	}{{"warm", false}, {"live", true}} {
 		t.Run(col.name, func(t *testing.T) {
 			t.Parallel()
-			e := newListEngine(t)
-			p := stoppedAt(t, e, arch.DEC5000)
+			e, name, exit := newListEngine(t), "list", listExit
+			source := func() *vm.Process { return stoppedAt(t, e, arch.DEC5000) }
+			if col.live {
+				shards, err := core.NewEngine(workload.MutatingShardsSource(2, 2, 3), minic.PollPolicy{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, name, exit = shards, "shards", 0
+				source = func() *vm.Process { return stoppedLive(t, e, arch.DEC5000) }
+			}
+			p := source()
 			direct, err := p.Recapture()
 			if err != nil {
 				t.Fatal(err)
@@ -511,7 +520,7 @@ func TestRoundFrameCorruptionSweep(t *testing.T) {
 			}
 			dstDir := t.TempDir()
 			reg := NewRegistry()
-			reg.Add("list", e)
+			reg.Add(name, e)
 			cells := 0
 			// Frame 1 is the OFFER, 2 the ANNOUNCE, 3 the BODIES.
 			for nth := 2; nth <= 3; nth++ {
@@ -538,6 +547,9 @@ func TestRoundFrameCorruptionSweep(t *testing.T) {
 						b.Close()
 						c <- rr{q, err}
 					}()
+					if col.live {
+						p = source()
+					}
 					sends, frameLen := 0, 0
 					flip := corruptingTransport{Transport: a, at: func(f []byte) int {
 						if sends++; sends != nth {
@@ -546,7 +558,7 @@ func TestRoundFrameCorruptionSweep(t *testing.T) {
 						frameLen = len(f)
 						return pos
 					}}
-					_, initErr := Initiate(flip, e, p.Mach, "list", p, srcCfg)
+					_, initErr := Initiate(flip, e, p.Mach, name, p, srcCfg)
 					a.Close()
 					r := <-c
 					if pos < 0 {
@@ -562,22 +574,30 @@ func TestRoundFrameCorruptionSweep(t *testing.T) {
 					if initErr == nil || r.err == nil || r.q != nil {
 						t.Fatalf("%s: corruption accepted: initiate=%v respond=%v process=%v", cell, initErr, r.err, r.q != nil)
 					}
+					if col.live {
+						p.PollHook = nil
+						if res, err := Rollback(p, Config{}); err != nil || res.Migrated || res.ExitCode != exit {
+							t.Fatalf("%s: source after the failed session: %+v, %v; want exit %d", cell, res, err, exit)
+						}
+						continue
+					}
 					if re, err := p.Recapture(); err != nil || !bytes.Equal(re, direct) {
 						t.Fatalf("%s: source state disturbed (err %v)", cell, err)
 					}
-					if dstCfg.Store != nil {
-						if _, ok, _ := dstCfg.Store.Ref("list"); ok {
-							t.Fatalf("%s: destination ref advanced by a failed session", cell)
-						}
+					if _, ok, _ := dstCfg.Store.Ref(name); ok {
+						t.Fatalf("%s: destination ref advanced by a failed session", cell)
 					}
 				}
 			}
 			if cells < 500 {
 				t.Errorf("only %d cells: the frames are too small to sweep", cells)
 			}
+			if col.live {
+				return
+			}
 			res, err := Rollback(p, Config{})
-			if err != nil || res.Migrated || res.ExitCode != listExit {
-				t.Errorf("source after the sweep: %+v, %v; want exit %d", res, err, listExit)
+			if err != nil || res.Migrated || res.ExitCode != exit {
+				t.Errorf("source after the sweep: %+v, %v; want exit %d", res, err, exit)
 			}
 		})
 	}

@@ -155,8 +155,8 @@ type Config struct {
 	// bodies the destination's store lacks.
 	Store *store.Store
 	// Live advertises capLive: when both sides do, the state crosses as
-	// live rounds, and an initiator whose process is resumable
-	// (vm.Process.NoAutoCapture) runs pre-copy rounds while it executes.
+	// live rounds, and the initiator runs pre-copy rounds while its
+	// process executes.
 	Live bool
 	// PrecopyRounds bounds the delta rounds between the initial full copy
 	// and the final paused round. Zero selects 3. Source-side policy

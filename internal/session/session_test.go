@@ -233,16 +233,23 @@ func daemonFixture(t *testing.T, d *Daemon) (addr string, served chan error) {
 	return l.Addr().String(), served
 }
 
-// migrateTo runs one full client migration against a daemon address.
+// migrateTo runs one full client migration of the list program against a
+// daemon address.
 func migrateTo(t *testing.T, addr string, e *core.Engine, cfg Config) (*Result, error) {
 	t.Helper()
-	p := stoppedAt(t, e, arch.DEC5000)
+	return initiateAt(t, addr, e, "list", stoppedAt(t, e, arch.DEC5000), cfg)
+}
+
+// initiateAt migrates the stopped process p of the program registered as
+// name to the daemon at addr.
+func initiateAt(t *testing.T, addr string, e *core.Engine, name string, p *vm.Process, cfg Config) (*Result, error) {
+	t.Helper()
 	conn, err := link.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	return Initiate(conn, e, p.Mach, "list", p, cfg)
+	return Initiate(conn, e, p.Mach, name, p, cfg)
 }
 
 func TestDaemonConcurrentMixedShapes(t *testing.T) {
@@ -251,17 +258,19 @@ func TestDaemonConcurrentMixedShapes(t *testing.T) {
 	// cold, warm and live clients, with nothing matched between operators.
 	// OnRestored holds the first 4 sessions at a barrier, so the test
 	// deadlocks (and times out) unless 4 workers are truly in flight at
-	// once.
+	// once. Pre-copy resumes a live client's source between rounds, so the
+	// live clients migrate the mutating-shards program, which polls again.
 	const clients = 6
 	const barrier = 4
-	e := newListEngine(t)
+	e, shards := newListEngine(t), newMutatingEngine(t, 8)
 	reg := NewRegistry()
 	reg.Add("list", e)
+	reg.Add("shards", shards)
 
 	var mu sync.Mutex
 	arrived := 0
 	release := make(chan struct{})
-	exits := make(chan int, clients)
+	ran := make(chan struct{}, clients)
 	d := &Daemon{
 		Registry:      reg,
 		Mach:          arch.SPARC20,
@@ -270,6 +279,7 @@ func TestDaemonConcurrentMixedShapes(t *testing.T) {
 		MaxConcurrent: clients,
 		Timeout:       time.Minute,
 		OnRestored: func(info Info, p *vm.Process, _ core.Timing) {
+			defer func() { ran <- struct{}{} }()
 			mu.Lock()
 			arrived++
 			if arrived == barrier {
@@ -285,10 +295,15 @@ func TestDaemonConcurrentMixedShapes(t *testing.T) {
 			res, err := p.Run()
 			if err != nil {
 				t.Errorf("session %d run: %v", info.ID, err)
-				exits <- -1
 				return
 			}
-			exits <- res.ExitCode
+			want := listExit
+			if info.Program == "shards" {
+				want = 0 // the mutating workload exits 0 iff every mutation survived
+			}
+			if res.ExitCode != want {
+				t.Errorf("session %d (%s) exit = %d, want %d", info.ID, info.Program, res.ExitCode, want)
+			}
 		},
 	}
 	addr, served := daemonFixture(t, d)
@@ -306,7 +321,13 @@ func TestDaemonConcurrentMixedShapes(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := migrateTo(t, addr, e, cfg)
+			var res *Result
+			var err error
+			if cfg.Live {
+				res, err = initiateAt(t, addr, shards, "shards", stoppedLive(t, shards, arch.DEC5000), cfg)
+			} else {
+				res, err = migrateTo(t, addr, e, cfg)
+			}
 			if err != nil {
 				t.Errorf("client %d: %v", i, err)
 				return
@@ -324,9 +345,7 @@ func TestDaemonConcurrentMixedShapes(t *testing.T) {
 		t.Errorf("negotiated shapes %v; want %d each of cold, warm and live", got, clients/3)
 	}
 	for i := 0; i < clients; i++ {
-		if code := <-exits; code != listExit {
-			t.Errorf("restored process %d exit = %d, want %d", i, code, listExit)
-		}
+		<-ran
 	}
 
 	d.Shutdown()

@@ -132,7 +132,7 @@ func BenchmarkSerialRestore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RestoreProcess(p.Prog, arch.Ultra5, snap); err != nil {
+		if _, err := restoreProcess(p.Prog, arch.Ultra5, snap); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -181,9 +181,10 @@ func BenchmarkResumeFastForward(b *testing.B) {
 	if err != nil || !res.Migrated {
 		b.Fatal("setup failed")
 	}
+	state := stopState(b, p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q, err := RestoreProcess(prog, arch.Ultra5, res.State)
+		q, err := restoreProcess(prog, arch.Ultra5, state)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -232,7 +233,7 @@ func BenchmarkRestoreBitonic16k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RestoreProcess(p.Prog, arch.SPARC20, snap); err != nil {
+		if _, err := restoreProcess(p.Prog, arch.SPARC20, snap); err != nil {
 			b.Fatal(err)
 		}
 	}

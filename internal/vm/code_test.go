@@ -106,7 +106,7 @@ func TestMigratedCodeIsPerMachine(t *testing.T) {
 		if err != nil || !res.Migrated {
 			t.Fatalf("poll %d: %+v, %v", k, res, err)
 		}
-		q, err := RestoreProcess(prog, arch.SPARCV9, res.State)
+		q, err := restoreProcess(prog, arch.SPARCV9, stopState(t, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestRestoredShellCompilesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := RestoreProcess(p.Prog, arch.SPARC20, snap)
+	cold, err := restoreProcess(p.Prog, arch.SPARC20, snap)
 	if err != nil {
 		t.Fatal(err)
 	}

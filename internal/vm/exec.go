@@ -186,8 +186,7 @@ func effect(x expr) stmt {
 }
 
 // poll is the check of a poll point at site: when the hook grants a
-// migration, the process stops there, capturing its state unless it
-// stays live.
+// migration, the process stops there, ready to be captured or resumed.
 func (p *Process) poll(site *minic.Site) (ctrl, error) {
 	if p.DisableMigration {
 		return ctrlNext, nil
@@ -197,23 +196,9 @@ func (p *Process) poll(site *minic.Site) (ctrl, error) {
 		return ctrlNext, nil
 	}
 	p.lastSite = site
-	if p.NoAutoCapture {
-		// Stop at the site without capturing; the process stays live for
-		// delta captures and ResumeRun.
-		if p.trace != nil {
-			p.tracef("stopping at site %d", site.ID)
-		}
-		p.migrated = nil
-		return ctrlMigrate, nil
-	}
 	if p.trace != nil {
-		p.tracef("migrating at site %d", site.ID)
+		p.tracef("stopping at site %d", site.ID)
 	}
-	state, err := p.Recapture()
-	if err != nil {
-		return ctrlNext, fmt.Errorf("vm: migration capture failed: %w", err)
-	}
-	p.migrated = state
 	return ctrlMigrate, nil
 }
 
@@ -309,7 +294,7 @@ func (c *compiler) resumeEntry(site *minic.Site) stmt {
 }
 
 // migrateSignal propagates migration out of expression evaluation (a
-// migratory callee triggered a capture while evaluating a call).
+// migratory callee stopped at a poll while evaluating a call).
 type migrateSignal struct{}
 
 func (*migrateSignal) Error() string { return "vm: migration in progress" }
@@ -358,7 +343,7 @@ func (c *compiler) call(x *minic.Call) expr {
 			return 0, err
 		}
 		if ctl == ctrlMigrate {
-			// Leave the frames in place for the captured image; unwind
+			// Leave the frames in place for the stopped image; unwind
 			// via the signal error so enclosing expressions stop
 			// evaluating.
 			return 0, &migrateSignal{}

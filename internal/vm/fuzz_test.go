@@ -67,7 +67,11 @@ func fuzzStates(f testing.TB) (*minic.Program, []byte, []byte) {
 		if !res.Migrated {
 			f.Fatal("program finished before migration point")
 		}
-		return res.State
+		state, err := p.Recapture()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return state
 	}
 	return prog, at(7), at(20)
 }
@@ -121,7 +125,7 @@ func TestHostileDirectoryAllocatesByInput(t *testing.T) {
 		in := hostileDirectory(t, prog, v3, size)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := RestoreProcess(prog, arch.I386, in)
+		_, err := restoreProcess(prog, arch.I386, in)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, collect.ErrCorruptStream) {
 			t.Errorf("%d bytes: err = %v, want ErrCorruptStream", len(in), err)
@@ -134,7 +138,7 @@ func TestHostileDirectoryAllocatesByInput(t *testing.T) {
 
 // FuzzDecodeRef feeds arbitrary bytes — seeded with two real snapshots,
 // taken in different loops, mutations of them and hostile directories — to
-// the full restore path, RestoreProcess. Whatever the fuzzer invents,
+// the full restore path, RestoreInto. Whatever the fuzzer invents,
 // restore must either succeed or return an error: no panic, no runaway
 // allocation.
 func FuzzDecodeRef(f *testing.F) {
@@ -154,7 +158,7 @@ func FuzzDecodeRef(f *testing.F) {
 	f.Add(hostileDirectory(f, prog, late, 16<<10))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		q, err := RestoreProcess(prog, arch.I386, data)
+		q, err := restoreProcess(prog, arch.I386, data)
 		if err != nil {
 			return
 		}

@@ -52,7 +52,6 @@ func stopPaused(t testing.TB, src string, m *arch.Machine) *Process {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.NoAutoCapture = true
 	p.MaxSteps = 4_000_000_000
 	p.PollHook = func(*Process, *minic.Site) bool { return true }
 	if res, err := p.Run(); err != nil || !res.Migrated {
@@ -90,7 +89,7 @@ func TestDeepListSectioned(t *testing.T) {
 		t.Error("a live round of the stopped process differs from its cold capture")
 	}
 
-	q, err := RestoreProcess(p.Prog, arch.SPARC20, snap)
+	q, err := restoreProcess(p.Prog, arch.SPARC20, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +106,12 @@ func TestDeepListSectioned(t *testing.T) {
 	}
 }
 
-// TestDeepListAutoCapture: the state a granted poll captures into
-// Result.State carries a list one node longer than the 100 000 blocks the
+// TestDeepListCapture: the state captured at a granted poll carries a list
+// one node longer than the 100 000 blocks the
 // recursive collector it replaced refused, and restores on another machine
 // to run to the unmigrated run's exit code. The runtime's default stack
 // limit stands.
-func TestDeepListAutoCapture(t *testing.T) {
+func TestDeepListCapture(t *testing.T) {
 	const nodes = 100_001
 	prog, err := minic.Compile(listsSource(1, nodes), minic.PollPolicy{})
 	if err != nil {
@@ -129,7 +128,7 @@ func TestDeepListAutoCapture(t *testing.T) {
 	if err != nil || !res.Migrated {
 		t.Fatalf("run to the migration point: %v (%+v)", err, res)
 	}
-	q, err := RestoreProcess(prog, arch.SPARC20, res.State)
+	q, err := restoreProcess(prog, arch.SPARC20, stopState(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +245,7 @@ func restoreAllocs(t *testing.T, prog *minic.Program, snap []byte) uint64 {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := RestoreProcess(prog, arch.SPARC20, snap); err != nil {
+	if _, err := restoreProcess(prog, arch.SPARC20, snap); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

@@ -79,8 +79,7 @@ type LiveRound struct {
 }
 
 // LiveCapture is the delta capture a process keeps between rounds
-// (Process.Round). It is bound to one stopped-and-resumable process
-// (NoAutoCapture mode).
+// (Process.Round). It is bound to one stopped-and-resumable process.
 type LiveCapture struct {
 	p     *Process
 	dt    *collect.DeltaTracker

@@ -14,7 +14,7 @@ import (
 )
 
 // newMutatingProcess compiles the mutating-shards workload and stops the
-// process at its first poll in NoAutoCapture mode.
+// process at its first poll.
 func newMutatingProcess(t *testing.T, m *arch.Machine, rounds int) (*Process, *minic.Program) {
 	t.Helper()
 	prog, err := minic.Compile(workload.MutatingShardsSource(4, 30, rounds), minic.PollPolicy{})
@@ -26,14 +26,13 @@ func newMutatingProcess(t *testing.T, m *arch.Machine, rounds int) (*Process, *m
 		t.Fatal(err)
 	}
 	p.MaxSteps = 50_000_000
-	p.NoAutoCapture = true
 	p.PollHook = func(_ *Process, _ *minic.Site) bool { return true }
 	res, err := p.Run()
 	if err != nil {
 		t.Fatalf("run to first poll: %v", err)
 	}
-	if !res.Migrated || res.State != nil {
-		t.Fatalf("NoAutoCapture stop: Migrated=%v State=%v, want true/nil", res.Migrated, res.State)
+	if !res.Migrated {
+		t.Fatalf("run to first poll: %+v, want a stop", res)
 	}
 	return p, prog
 }
@@ -120,7 +119,7 @@ func TestLiveRoundsByteIdenticalToStopAndCopy(t *testing.T) {
 
 	// A mid-sequence round restores like any v3 snapshot — on a machine
 	// with different byte order and widths — and runs to completion.
-	q, err := RestoreProcess(prog, arch.SPARC20, mid)
+	q, err := restoreProcess(prog, arch.SPARC20, mid)
 	if err != nil {
 		t.Fatalf("restore mid-round snapshot: %v", err)
 	}
@@ -223,8 +222,7 @@ func TestLiveRoundReportsAsCapture(t *testing.T) {
 	}
 }
 
-// TestResumeRunWithoutCapture checks the NoAutoCapture stop/resume cycle
-// leaves execution unperturbed: stopping at every poll and resuming each
+// TestResumeRunWithoutCapture checks the stop/resume cycle leaves execution unperturbed: stopping at every poll and resuming each
 // time finishes with the same exit code as an uninterrupted run.
 func TestResumeRunWithoutCapture(t *testing.T) {
 	p, prog := newMutatingProcess(t, arch.Ultra5, 5)
@@ -372,7 +370,6 @@ func TestLiveReuseRule(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p.NoAutoCapture = true
 				p.PollHook = func(*Process, *minic.Site) bool { return true }
 				if res, err := p.Run(); err != nil || !res.Migrated {
 					t.Fatalf("run to the first poll: %+v %v", res, err)

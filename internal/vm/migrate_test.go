@@ -36,7 +36,7 @@ func runMigrating(t *testing.T, prog *minic.Program, src, dst *arch.Machine, n i
 		return res.ExitCode, out.String(), false
 	}
 
-	q, err := RestoreProcess(prog, dst, res.State)
+	q, err := restoreProcess(prog, dst, stopState(t, p))
 	if err != nil {
 		t.Fatalf("restore on %s: %v", dst.Name, err)
 	}
@@ -284,7 +284,7 @@ func TestMigrateTwice(t *testing.T) {
 		t.Fatalf("first migration failed: %v %v", res, err)
 	}
 
-	q, err := RestoreProcess(prog, arch.SPARC20, res.State)
+	q, err := restoreProcess(prog, arch.SPARC20, stopState(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestMigrateTwice(t *testing.T) {
 		t.Fatalf("second migration failed: %v %v", res2, err)
 	}
 
-	r, err := RestoreProcess(prog, arch.AMD64, res2.State)
+	r, err := restoreProcess(prog, arch.AMD64, stopState(t, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestMigrateGraphEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q, err := RestoreProcess(prog, arch.SPARCV9, res.State)
+	q, err := restoreProcess(prog, arch.SPARCV9, stopState(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,11 +477,12 @@ func TestCaptureStatsPopulated(t *testing.T) {
 	if err != nil || !res.Migrated {
 		t.Fatalf("%v %v", res, err)
 	}
+	state := stopState(t, p)
 	st := p.CaptureStats()
 	if st.Frames != 1 || st.Bytes < 8000 || st.Save.Blocks < 2 {
 		t.Errorf("capture stats = %+v", st)
 	}
-	q, err := RestoreProcess(prog, arch.Ultra5, res.State)
+	q, err := restoreProcess(prog, arch.Ultra5, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,12 +618,13 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	if err != nil || !res.Migrated {
 		t.Fatal("setup failed")
 	}
+	state := stopState(t, p)
 	// Truncations must be detected.
-	for _, cut := range []int{0, 4, 8, len(res.State) - 4} {
-		if cut >= len(res.State) {
+	for _, cut := range []int{0, 4, 8, len(state) - 4} {
+		if cut >= len(state) {
 			continue
 		}
-		if _, err := RestoreProcess(prog, arch.SPARC20, res.State[:cut]); err == nil {
+		if _, err := restoreProcess(prog, arch.SPARC20, state[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -631,7 +633,7 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreProcess(other, arch.SPARC20, res.State); err == nil {
+	if _, err := restoreProcess(other, arch.SPARC20, state); err == nil {
 		t.Error("state accepted by a different program")
 	}
 }
@@ -672,7 +674,7 @@ func TestMigrationStreamIsMachineIndependent(t *testing.T) {
 		if err != nil || !res.Migrated {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
-		states = append(states, res.State)
+		states = append(states, stopState(t, p))
 	}
 	for i := 1; i < len(states); i++ {
 		if !bytes.Equal(states[0], states[i]) {
@@ -763,11 +765,12 @@ func TestMigratePingPongStability(t *testing.T) {
 			break
 		}
 		hops++
-		sizes = append(sizes, len(res.State))
+		state := stopState(t, p)
+		sizes = append(sizes, len(state))
 		if hops > 50 {
 			t.Fatal("did not terminate")
 		}
-		p, err = RestoreProcess(prog, machines[hops%2], res.State)
+		p, err = restoreProcess(prog, machines[hops%2], state)
 		if err != nil {
 			t.Fatalf("hop %d: %v", hops, err)
 		}
@@ -822,7 +825,7 @@ func TestRecaptureOfRestoredNestedProcess(t *testing.T) {
 	if err != nil || !res.Migrated {
 		t.Fatalf("setup: %v", err)
 	}
-	q, err := RestoreProcess(prog, arch.SPARCV9, res.State)
+	q, err := restoreProcess(prog, arch.SPARCV9, stopState(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -830,7 +833,7 @@ func TestRecaptureOfRestoredNestedProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RestoreProcess(prog, arch.I386, state2)
+	r, err := restoreProcess(prog, arch.I386, state2)
 	if err != nil {
 		t.Fatal(err)
 	}

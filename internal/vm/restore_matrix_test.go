@@ -30,7 +30,7 @@ func TestSectionedRestoreMatrix(t *testing.T) {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
 			t.Parallel()
-			q, err := RestoreProcess(prog, m, snap)
+			q, err := restoreProcess(prog, m, snap)
 			if err != nil {
 				t.Fatalf("restore on %s: %v", m.Name, err)
 			}

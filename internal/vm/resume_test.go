@@ -204,7 +204,7 @@ func TestRestoreRejectsInconsistentFrameChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer release()
-	if _, err := RestoreProcess(prog, arch.SPARC20, snapshot.Encode(secs)); err != nil {
+	if _, err := restoreProcess(prog, arch.SPARC20, snapshot.Encode(secs)); err != nil {
 		t.Fatalf("unforged state: %v", err)
 	}
 	withExec := func(body []byte) []snapshot.Section {
@@ -225,7 +225,7 @@ func TestRestoreRejectsInconsistentFrameChain(t *testing.T) {
 		{"sectioned, innermost frame at a call", snapshot.Encode(withExec(innermostAtCall.Bytes()))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := RestoreProcess(prog, arch.SPARC20, tc.state); !errors.Is(err, collect.ErrMismatch) {
+			if _, err := restoreProcess(prog, arch.SPARC20, tc.state); !errors.Is(err, collect.ErrMismatch) {
 				t.Errorf("err = %v, want ErrMismatch", err)
 			}
 		})

@@ -42,7 +42,7 @@ func stopSectioned(t *testing.T, src string) (*Process, *minic.Program, []byte, 
 	if !res.Migrated {
 		t.Fatalf("finished (exit %d) before reaching migrate_here", res.ExitCode)
 	}
-	return p, prog, res.State, want
+	return p, prog, stopState(t, p), want
 }
 
 // countSections walks a v3 snapshot and returns its section count and how
@@ -175,7 +175,7 @@ func TestSectionedRejectsCorruption(t *testing.T) {
 	t.Run("body flip", func(t *testing.T) {
 		mut := append([]byte(nil), v3...)
 		mut[len(mut)/2] ^= 0x20
-		_, err := RestoreProcess(prog, arch.I386, mut)
+		_, err := restoreProcess(prog, arch.I386, mut)
 		if err == nil {
 			t.Fatal("corrupted snapshot restored without error")
 		}
@@ -184,21 +184,21 @@ func TestSectionedRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
-		if _, err := RestoreProcess(prog, arch.I386, v3[:len(v3)-6]); err == nil {
+		if _, err := restoreProcess(prog, arch.I386, v3[:len(v3)-6]); err == nil {
 			t.Fatal("truncated snapshot restored without error")
 		}
 	})
 	t.Run("bad magic", func(t *testing.T) {
 		mut := append([]byte(nil), v3...)
 		mut[3] ^= 0xff
-		if _, err := RestoreProcess(prog, arch.I386, mut); err == nil {
+		if _, err := restoreProcess(prog, arch.I386, mut); err == nil {
 			t.Fatal("bad-magic snapshot restored without error")
 		}
 	})
 	// The ordering and completeness checks, driven with section lists (what
 	// a round exchange or a checkpoint store hands RestoreSections) and, for
-	// one of them, with the same list framed (what a cold stream hands
-	// RestoreProcess): exec #0 first and once, heap components in number
+	// one of them, with the same list framed (what RestoreInto takes):
+	// exec #0 first and once, heap components in number
 	// order before any variable section, each frame of the restored chain
 	// exactly once, globals exactly once.
 	secs, release, err := p.Sections()
@@ -242,12 +242,12 @@ func TestSectionedRejectsCorruption(t *testing.T) {
 		})
 	}
 	t.Run("missing globals, framed", func(t *testing.T) {
-		if _, err := RestoreProcess(prog, arch.I386, snapshot.Encode(secs[:5])); !errors.Is(err, collect.ErrCorruptStream) {
+		if _, err := restoreProcess(prog, arch.I386, snapshot.Encode(secs[:5])); !errors.Is(err, collect.ErrCorruptStream) {
 			t.Errorf("err = %v, want ErrCorruptStream", err)
 		}
 	})
 	t.Run("trailing bytes, framed", func(t *testing.T) {
-		_, err := RestoreProcess(prog, arch.I386, append(append([]byte(nil), v3...), 0, 0, 0, 0))
+		_, err := restoreProcess(prog, arch.I386, append(append([]byte(nil), v3...), 0, 0, 0, 0))
 		if !errors.Is(err, collect.ErrCorruptStream) || !strings.Contains(err.Error(), "trailing bytes") {
 			t.Errorf("err = %v, want ErrCorruptStream (trailing bytes)", err)
 		}
@@ -263,7 +263,7 @@ func TestSectionedRejectsCorruption(t *testing.T) {
 		return snapshot.Encode(append(list(snapshot.Section{Kind: snapshot.KindExec, Body: body}), secs[1:]...))
 	}
 	t.Run("truncated exec section", func(t *testing.T) {
-		if _, err := RestoreProcess(prog, arch.I386, withExec(exec.Body[:6])); !errors.Is(err, collect.ErrCorruptStream) {
+		if _, err := restoreProcess(prog, arch.I386, withExec(exec.Body[:6])); !errors.Is(err, collect.ErrCorruptStream) {
 			t.Errorf("err = %v, want ErrCorruptStream", err)
 		}
 	})
@@ -272,7 +272,7 @@ func TestSectionedRejectsCorruption(t *testing.T) {
 		enc.PutUint32(1)
 		enc.PutString("no_such_function")
 		enc.PutUint32(0)
-		if _, err := RestoreProcess(prog, arch.I386, withExec(enc.Bytes())); !errors.Is(err, collect.ErrMismatch) {
+		if _, err := restoreProcess(prog, arch.I386, withExec(enc.Bytes())); !errors.Is(err, collect.ErrMismatch) {
 			t.Errorf("err = %v, want ErrMismatch", err)
 		}
 	})
@@ -295,7 +295,7 @@ func TestSectionedRejectsWrongProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreProcess(other, arch.I386, v3); !errors.Is(err, collect.ErrMismatch) {
+	if _, err := restoreProcess(other, arch.I386, v3); !errors.Is(err, collect.ErrMismatch) {
 		t.Errorf("err = %v, want ErrMismatch", err)
 	}
 }
@@ -365,7 +365,7 @@ func TestHeapPointerIntoFrameWaitsForFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneCall, err := RestoreProcess(p.Prog, arch.SPARC20, snap)
+	oneCall, err := restoreProcess(p.Prog, arch.SPARC20, snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/arch"
 	"repro/internal/collect"
 	"repro/internal/minic"
 	"repro/internal/obs"
@@ -48,7 +47,7 @@ type StateStats struct {
 func (p *Process) CaptureStats() StateStats { return p.captureStats }
 
 // RestoreStatsOf returns the statistics of the restore that initialized
-// this process, when it was created by RestoreProcess.
+// this process, when one did (RestoreInto, or a session's restore).
 func (p *Process) RestoreStatsOf() collect.RestoreStats { return p.restoreStats }
 
 // RestoreElapsed returns the wall time of the restore that initialized
@@ -56,8 +55,8 @@ func (p *Process) RestoreStatsOf() collect.RestoreStats { return p.restoreStats 
 func (p *Process) RestoreElapsed() time.Duration { return p.restoreElapsed }
 
 // Recapture collects the full process state at the migration point the
-// process is stopped at, as a sectioned snapshot: the state a granted poll
-// leaves in Result.State. Collection does not modify the process, so every
+// process is stopped at, as a sectioned snapshot: what a cold session
+// carries. Collection does not modify the process, so every
 // capture of one stopped state yields the same bytes, on any machine.
 func (p *Process) Recapture() ([]byte, error) {
 	secs, release, err := p.Sections()
@@ -106,24 +105,10 @@ func (p *Process) stoppedSite() (*minic.Site, error) {
 	return site, nil
 }
 
-// RestoreProcess builds a process on machine m from a captured state and
-// prepares it to resume. Run() continues execution from the migration
-// point.
-func RestoreProcess(prog *minic.Program, m *arch.Machine, state []byte) (*Process, error) {
-	p, err := NewProcess(prog, m)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.RestoreInto(state); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // RestoreInto restores a captured state into a freshly created process
-// (one that has not started running). RestoreProcess is the common path;
-// RestoreInto exists so callers can configure the process — for example
-// set its span (Obs) — before the restore runs.
+// (one that has not started running), which Run then resumes from the
+// migration point. Callers can configure the process — for example set
+// its span (Obs) — before the restore runs.
 func (p *Process) RestoreInto(state []byte) error {
 	if len(p.frames) != 0 {
 		return errors.New("vm: RestoreInto on a process that already has frames")

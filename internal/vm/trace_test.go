@@ -142,7 +142,7 @@ func TestTracePinned(t *testing.T) {
 			t.Fatalf("poll %d: %+v, %v", k, res, err)
 		}
 		fmt.Fprintf(&b, "source steps=%d polls=%d calls=%d output=%q\n", src.Stats.Steps, src.Stats.PollChecks, src.Stats.Calls, out.String())
-		dst, err := RestoreProcess(prog, arch.SPARC20, res.State)
+		dst, err := restoreProcess(prog, arch.SPARC20, stopState(t, src))
 		if err != nil {
 			t.Fatal(err)
 		}

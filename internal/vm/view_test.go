@@ -72,7 +72,7 @@ func runViews(t *testing.T, m *arch.Machine, grow bool, stopAt int) (snap []byte
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	p.Stdout, p.NoAutoCapture, p.MaxSteps = &buf, true, 10_000_000
+	p.Stdout, p.MaxSteps = &buf, 10_000_000
 	polls := 0
 	p.PollHook = func(p *Process, _ *minic.Site) bool {
 		polls++

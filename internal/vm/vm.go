@@ -6,12 +6,13 @@
 // onto the stack segment, and malloc allocates typed blocks on the heap —
 // all registered in the MSRLT exactly as the paper's annotated C processes
 // maintain it at run time. Poll-points compiled into the program invoke a
-// hook; when the hook requests migration, the VM captures the execution
-// state (the chain of active functions and their migration sites) and the
-// memory state (live data collected through the MSRM library) into a
-// machine-independent stream, and a fresh VM on any other machine restores
-// the stream and resumes execution from the migration point — including
-// inside nested function calls.
+// hook; when the hook requests migration, the process stops at the poll
+// point. A migration session then captures its execution state (the chain
+// of active functions and their migration sites) and memory state (live
+// data collected through the MSRM library) into a machine-independent
+// stream, and a fresh VM on any other machine restores the stream and
+// resumes execution from the migration point — including inside nested
+// function calls.
 package vm
 
 import (
@@ -106,9 +107,8 @@ type Process struct {
 	Table *msr.Table
 	TI    *types.TI
 
-	// PollHook is consulted at every poll-point; returning true
-	// triggers migration (state capture and unwinding). A nil hook
-	// never migrates.
+	// PollHook is consulted at every poll-point; returning true stops
+	// the process there for migration. A nil hook never migrates.
 	PollHook func(p *Process, site *minic.Site) bool
 
 	// DisableMigration runs the program "unannotated": poll-points and
@@ -117,14 +117,11 @@ type Process struct {
 	// cannot migrate.
 	DisableMigration bool
 
-	// NoAutoCapture changes what a granted poll-point request does:
-	// instead of capturing the sectioned snapshot into Result.State,
-	// execution simply stops at the site (Result.Migrated true, State
-	// nil) and the process stays fully usable — it can be captured with
-	// Recapture, Sections or a live Round, or continued with ResumeRun. A
-	// caller whose migration session captures for itself, and the
-	// pre-copy driver stopping at round boundaries, set it so as not to
-	// pay a capture they do not want.
+	// NoAutoCapture is inert: nothing reads it. A granted poll request
+	// always stops the process at its site, where it can be captured with
+	// Recapture, Sections or a live Round, or continued with ResumeRun.
+	// The field stays only because bench/program.go, which no ordinary
+	// change may edit, assigns it.
 	NoAutoCapture bool
 
 	// Stdout receives printf output; defaults to io.Discard.
@@ -185,8 +182,6 @@ type Process struct {
 	// lastSite is the poll site of the most recent capture (Recapture).
 	lastSite *minic.Site
 
-	// migrated is the captured state after a poll-triggered migration.
-	migrated []byte
 	// exit code after the program ends.
 	exitCode int
 }
@@ -314,12 +309,9 @@ func (p *Process) popFrame() error {
 // Result is the outcome of Run.
 type Result struct {
 	// Migrated is true when execution stopped at a poll-point with a
-	// granted migration request; State then holds the process state as a
-	// sectioned snapshot (what Recapture returns; nil under NoAutoCapture),
-	// which RestoreProcess restores on any machine, and the process is not
-	// run further.
+	// granted migration request. The process stays stopped there: a
+	// migration session captures it, and ResumeRun continues it.
 	Migrated bool
-	State    []byte
 	// ExitCode is main's return value (or the exit() argument) when the
 	// program ran to completion.
 	ExitCode int
@@ -327,10 +319,14 @@ type Result struct {
 
 // Run executes the program from main, or resumes a restored process from
 // its migration point. It returns when the program completes, exits, or
-// migrates.
+// stops at a granted poll. A process that has run already, stopped or
+// finished, is refused: ResumeRun continues a stopped one.
 func (p *Process) Run() (*Result, error) {
 	if p.resumeSites != nil {
 		return p.runResume()
+	}
+	if len(p.frames) != 0 {
+		return nil, errors.New("vm: Run on a process that has already run")
 	}
 	main := p.Prog.Func("main")
 	if main == nil {
@@ -354,7 +350,7 @@ func (p *Process) finishRun(f *Frame, c ctrl, err error) (*Result, error) {
 	}
 	switch c {
 	case ctrlMigrate:
-		return &Result{Migrated: true, State: p.migrated}, nil
+		return &Result{Migrated: true}, nil
 	case ctrlReturn:
 		return &Result{ExitCode: int(int64(f.retVal))}, nil
 	default:
@@ -375,8 +371,8 @@ func (p *Process) runResume() (*Result, error) {
 	return p.finishRun(f, c, err)
 }
 
-// ResumeRun continues a process stopped at a poll point by a
-// NoAutoCapture hook: the frames fast-forward to their stop sites —
+// ResumeRun continues a process stopped at a granted poll point, or a
+// restored one not yet resumed: the frames fast-forward to their stop sites —
 // the same machinery a restored process resumes through, except the
 // memory image is already in place — and execution picks up after the
 // poll. It returns like Run: at completion, exit, or the next granted

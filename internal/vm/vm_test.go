@@ -562,12 +562,13 @@ func TestRestoreIntoMisuse(t *testing.T) {
 	if err != nil || !res.Migrated {
 		t.Fatal("setup")
 	}
+	state := stopState(t, p)
 	// RestoreInto on a process that has already run must be refused.
-	if err := p.RestoreInto(res.State); err == nil {
+	if err := p.RestoreInto(state); err == nil {
 		t.Error("RestoreInto on a running process succeeded")
 	}
 	// RestoreElapsed populated on the normal path.
-	q, err := RestoreProcess(prog, arch.Ultra5, res.State)
+	q, err := restoreProcess(prog, arch.Ultra5, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,6 +579,38 @@ func TestRestoreIntoMisuse(t *testing.T) {
 	fresh, _ := NewProcess(prog, arch.Ultra5)
 	if _, err := fresh.Recapture(); err == nil {
 		t.Error("Recapture of fresh process succeeded")
+	}
+}
+
+// TestRunRefusesStartedProcess: Run starts main only on a process that has
+// not run. A process stopped at a poll, or one that ran to its end, is
+// refused with its frames untouched, and the stopped one still resumes to
+// the unmigrated exit code.
+func TestRunRefusesStartedProcess(t *testing.T) {
+	prog, err := minic.Compile(`int main() { int i, s; s = 0; for (i = 0; i < 9; i++) { s += i; } return s; }`, minic.DefaultPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := reference(t, prog, arch.Ultra5)
+	p, _ := NewProcess(prog, arch.Ultra5)
+	p.MaxSteps = 1000
+	polls := 0
+	p.PollHook = func(*Process, *minic.Site) bool { polls++; return polls == 3 }
+	if res, err := p.Run(); err != nil || !res.Migrated {
+		t.Fatalf("run to the third poll: %+v, %v", res, err)
+	}
+	if res, err := p.Run(); err == nil {
+		t.Errorf("Run on a stopped process: %+v, want an error", res)
+	}
+	if len(p.frames) != 1 {
+		t.Errorf("stopped process holds %d frames after a refused Run, want 1", len(p.frames))
+	}
+	res, err := p.ResumeRun()
+	if err != nil || res.Migrated || res.ExitCode != want {
+		t.Fatalf("resume: %+v, %v; want exit %d", res, err, want)
+	}
+	if res, err := p.Run(); err == nil {
+		t.Errorf("Run on a finished process: %+v, want an error", res)
 	}
 }
 
@@ -627,7 +660,7 @@ func TestExecutionTrace(t *testing.T) {
 	if err != nil || !res.Migrated {
 		t.Fatal("no migration")
 	}
-	if !strings.Contains(t2.String(), "migrating at site") {
+	if !strings.Contains(t2.String(), "stopping at site") {
 		t.Errorf("migration event missing from trace:\n%s", t2.String())
 	}
 }

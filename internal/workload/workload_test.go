@@ -267,7 +267,7 @@ func TestRandomProgramDifferential(t *testing.T) {
 			}
 			code := res.ExitCode
 			if res.Migrated {
-				q, err := vm.RestoreProcess(e.Prog, dstM, res.State)
+				q, _, _, err := session.Transfer(e, "random", p, dstM, session.Config{})
 				if err != nil {
 					t.Fatalf("seed %d probe %d restore: %v", seed, probe, err)
 				}
@@ -321,7 +321,7 @@ func TestJacobiMigratesMidConvergence(t *testing.T) {
 		if !res.Migrated {
 			t.Fatalf("pair %d: no migration at sweep %d", pi, probe)
 		}
-		q, err := vm.RestoreProcess(e.Prog, pr[1], res.State)
+		q, _, _, err := session.Transfer(e, "jacobi", p, pr[1], session.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

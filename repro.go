@@ -172,7 +172,6 @@ func (p *Program) Migrate(src, dst *Machine, opts *Options) (*Result, error) {
 	var req core.Request
 	req.Raise()
 	proc.PollHook = req.Hook()
-	proc.NoAutoCapture = true // the session captures
 	res, err := proc.Run()
 	if err != nil {
 		return nil, err

@@ -1,8 +1,8 @@
 package repro
 
 // Smoke tests for the shipped binaries: every command under cmd/ and
-// examples/ must build, and the two walk-through examples (quickstart,
-// checkpoint) must run end to end with the output the README promises.
+// examples/ must build, and the walk-through examples and migrun's hops
+// must run end to end with the output the README promises.
 // These shell out to the go tool, so they skip under -short and when no
 // go binary is on PATH (e.g. a stripped test container).
 
@@ -85,6 +85,59 @@ func TestSmokeCheckpoint(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("checkpoint output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestSmokeMigrunHops migrates a program through two machines with migrun:
+// each hop is a session, reported with its timing, and the program exits
+// with its own code on the last machine (testdata/series.mc: 23).
+func TestSmokeMigrunHops(t *testing.T) {
+	gobin := goTool(t)
+	migrun := filepath.Join(t.TempDir(), "migrun")
+	if out, err := exec.Command(gobin, "build", "-o", migrun, "./cmd/migrun").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/migrun: %v\n%s", err, out)
+	}
+	out, err := exec.Command(migrun, "-hops", "sparc20,amd64", "-timing", "testdata/series.mc").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 23 {
+		t.Errorf("migrun: %v, want exit code 23\n%s", err, out)
+	}
+	for _, want := range []string{
+		"[migrated ultra5 -> sparc20: collect=",
+		"[migrated sparc20 -> amd64: collect=",
+	} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("migrun output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestSmokeJacobi runs the relay example: eight hops, then the checksum of
+// an unmigrated run.
+func TestSmokeJacobi(t *testing.T) {
+	out := runExample(t, "./examples/jacobi")
+	for _, want := range []string{
+		"hop 8: sparcv9 -> dec5000, collect=",
+		"checksum matches the unmigrated reference (code 95)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("jacobi output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestSmokeMSRGraph runs the Figure 1 example: the graph restored on the
+// big-endian machine is isomorphic to the source's, and the program
+// completes there.
+func TestSmokeMSRGraph(t *testing.T) {
+	out := runExample(t, "./examples/msrgraph")
+	for _, want := range []string{
+		"restored on sparc20: MSR graph is isomorphic to the source snapshot",
+		"resumed to completion with exit code 0",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("msrgraph output missing %q:\n%s", want, out)
 		}
 	}
 }
