@@ -46,8 +46,8 @@ func TestBaseIndexLookups(t *testing.T) {
 	}
 	// And the capture must be identical to the one of a table without it.
 	p2, root2 := listImage(t, ti, n)
-	capture := func(p *proc, root *msr.Block) []EncodedSection {
-		st, err := EncodeSections(p.space, p.table, p.ti, Roots{Globals: []memory.Address{root.Addr}}, nil, nil)
+	capture := func(p *proc, root *msr.Block) []encodedBody {
+		st, err := streamed(p.space, p.table, p.ti, Roots{Globals: []memory.Address{root.Addr}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,11 +5,11 @@
 // The paper's four interface routines map onto one codec, the sectioned
 // one (sectioned.go):
 //
-//   - Save_variable / Save_pointer are EncodeSections: a depth-first walk
-//     from the live variables through the connected component of the MSR
-//     graph each reaches, marking what it visits, and the section
-//     encoder's putRef, which writes a pointer as its machine-independent
-//     (header, offset) reference;
+//   - Save_variable / Save_pointer are Walk and Layout.Encode: a
+//     depth-first walk from the live variables through the connected
+//     component of the MSR graph each reaches, marking what it visits, and
+//     the section encoder's putRef, which writes a pointer as its
+//     machine-independent (header, offset) reference;
 //   - Restore_variable / Restore_pointer are RestoreVarSection and
 //     RestoreHeapSection, which rebuild the blocks in the memory space of
 //     the destination process, and the flat Restorer.RestorePointer, which
@@ -36,7 +36,8 @@ const nullSeg = 0xffffffff
 type SaveStats struct {
 	// SearchTime is the partition walk's wall time, which resolves every
 	// pointer through the MSRLT; EncodeTime is the wall time of encoding
-	// the section bodies after it. Every capture measures both.
+	// the section bodies after it, not of writing them out. Every capture
+	// measures both.
 	SearchTime time.Duration
 	EncodeTime time.Duration
 	// Searches and SearchSteps mirror the MSRLT counters for this

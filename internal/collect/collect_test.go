@@ -81,17 +81,76 @@ func addrsOf(blocks []*msr.Block) []memory.Address {
 	return out
 }
 
+// capture is a capture's bodies as the tests read them, with From as in
+// Layout.From.
+type capture struct {
+	Bodies []encodedBody
+	Heap   int
+	Stats  SaveStats
+	Calls  int
+	Reused bool
+}
+
+type encodedBody struct {
+	Body []byte
+	From int
+}
+
+// streamed captures the state reachable from roots as a cold capture does.
+func streamed(space *memory.Space, table *msr.Table, ti *types.TI, roots Roots) (*capture, error) {
+	return tracked(space, table, ti, roots, nil, nil)
+}
+
+// tracked lays out the state reachable from roots and encodes each body it
+// does not carry over: streamed through Layout.Encode without a tracker,
+// whole through Layout.Body in a pre-copy round (given dt and dirty), which
+// it then hands to its tracker. Every piece must fit pieceSize and every
+// body its declared size.
+func tracked(space *memory.Space, table *msr.Table, ti *types.TI, roots Roots, dt *DeltaTracker, dirty []memory.DirtyRange) (*capture, error) {
+	l, err := Walk(space, table, ti, roots, dt, dirty)
+	if err != nil {
+		return nil, err
+	}
+	st := &capture{Heap: l.Heap, Reused: l.Reused}
+	bodies := make([][]byte, len(l.Sizes))
+	for i, size := range l.Sizes {
+		if l.From[i] >= 0 {
+			bodies[i] = l.Carried(i)
+		} else if dt != nil {
+			if bodies[i], _, err = l.Body(i); err != nil {
+				return nil, err
+			}
+		} else if _, err := l.Encode(i, func(p []byte) (int, error) {
+			if len(p) == 0 || len(p) > pieceSize {
+				return 0, fmt.Errorf("section %d: a %d-byte piece", i, len(p))
+			}
+			bodies[i] = append(bodies[i], p...)
+			return len(p), nil
+		}); err != nil {
+			return nil, err
+		}
+		if l.From[i] < 0 && len(bodies[i]) != size {
+			return nil, fmt.Errorf("section %d: %d bytes, sized %d", i, len(bodies[i]), size)
+		}
+		st.Bodies = append(st.Bodies, encodedBody{Body: bodies[i], From: l.From[i]})
+	}
+	if dt != nil {
+		l.Fold(bodies)
+	}
+	st.Stats, st.Calls = l.Stats()
+	return st, nil
+}
+
 // migrateVars collects the given global variable blocks of src, the roots
 // of one sectioned capture, and restores the sections into dst, where dst
 // already declares matching variable blocks in the same order. Returns the
 // save and restore stats.
 func migrateVars(t *testing.T, src, dst *proc, vars []*msr.Block, dstVars []*msr.Block) (SaveStats, RestoreStats) {
 	t.Helper()
-	st, err := EncodeSections(src.space, src.table, src.ti, Roots{Globals: addrsOf(vars)}, nil, nil)
+	st, err := streamed(src.space, src.table, src.ti, Roots{Globals: addrsOf(vars)})
 	if err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	defer st.Release()
 	rs, err := restoreGlobals(dst, st, addrsOf(dstVars))
 	if err != nil {
 		t.Fatalf("restore: %v", err)
@@ -102,7 +161,7 @@ func migrateVars(t *testing.T, src, dst *proc, vars []*msr.Block, dstVars []*msr
 // restoreGlobals restores a capture whose roots are all globals into dst:
 // its heap sections in order, then its globals section, whose live
 // references must name the variables at live.
-func restoreGlobals(dst *proc, st *SectionedState, live []memory.Address) (RestoreStats, error) {
+func restoreGlobals(dst *proc, st *capture, live []memory.Address) (RestoreStats, error) {
 	var total RestoreStats
 	for _, sec := range st.Bodies[:st.Heap] {
 		_, _, rs, err := RestoreHeapSection(dst.space, dst.table, dst.ti, xdr.NewDecoder(sec.Body), nil, false)
@@ -416,7 +475,7 @@ func TestFigure1Trace(t *testing.T) {
 	// Collecting p alone — foo's live variable, the innermost frame's —
 	// reaches p, parray and all four nodes, parray[0]'s chain first: node
 	// 0, then the 3, 2, 1 its links lead to.
-	pt, err := buildPartition(src.space, src.table, Roots{FrameLive: [][]memory.Address{nil, {p.Addr}}})
+	pt, err := buildPartition(src.space, src.table, src.ti, Roots{FrameLive: [][]memory.Address{nil, {p.Addr}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +486,7 @@ func TestFigure1Trace(t *testing.T) {
 	}
 	// The paper's full order — p, main's parray, then the globals — owns
 	// the same blocks the same way, plus first and last themselves.
-	pt, err = buildPartition(src.space, src.table, Roots{FrameLive: [][]memory.Address{{parray.Addr}, {p.Addr}}, Globals: []memory.Address{first.Addr, last.Addr}})
+	pt, err = buildPartition(src.space, src.table, src.ti, Roots{FrameLive: [][]memory.Address{{parray.Addr}, {p.Addr}}, Globals: []memory.Address{first.Addr, last.Addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +544,7 @@ func TestUnresolvablePointerError(t *testing.T) {
 	// Point at memory that is mapped but not a registered block.
 	stray, _ := src.space.Malloc(8)
 	src.space.StorePtr(sv.Addr, stray)
-	if _, err := EncodeSections(src.space, src.table, src.ti, Roots{Globals: []memory.Address{sv.Addr}}, nil, nil); err == nil {
+	if _, err := streamed(src.space, src.table, src.ti, Roots{Globals: []memory.Address{sv.Addr}}); err == nil {
 		t.Error("collection of dangling pointer succeeded")
 	}
 }
@@ -499,11 +558,10 @@ func TestShapeMismatchDetected(t *testing.T) {
 	sv := src.global(t, types.Int, "x")
 	dv := dst.global(t, types.Double, "x") // wrong type on destination
 
-	st, err := EncodeSections(src.space, src.table, src.ti, Roots{Globals: []memory.Address{sv.Addr}}, nil, nil)
+	st, err := streamed(src.space, src.table, src.ti, Roots{Globals: []memory.Address{sv.Addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Release()
 	if _, err := restoreGlobals(dst, st, []memory.Address{dv.Addr}); err == nil ||
 		!strings.Contains(err.Error(), "shape mismatch") {
 		t.Errorf("shape mismatch not detected: %v", err)
@@ -517,11 +575,10 @@ func TestTruncatedStream(t *testing.T) {
 	dst := newProc(arch.SPARC20, ti)
 	sv := src.global(t, types.Double, "d")
 	dv := dst.global(t, types.Double, "d")
-	st, err := EncodeSections(src.space, src.table, src.ti, Roots{Globals: []memory.Address{sv.Addr}}, nil, nil)
+	st, err := streamed(src.space, src.table, src.ti, Roots{Globals: []memory.Address{sv.Addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Release()
 	body := st.Bodies[st.Heap].Body
 	for cut := 0; cut < len(body); cut += 4 {
 		_, err := RestoreVarSection(dst.space, dst.table, dst.ti, xdr.NewDecoder(body[:cut]), []memory.Address{dv.Addr}, memory.Global, 0)

@@ -43,12 +43,12 @@ package collect
 // section under its key with exactly the same members in the same order,
 // the same live variables and the same recorded references — compared
 // item by item, not through a hash that two memberships could share. A
-// clean section's cached body is reused byte for byte; everything else is
-// re-encoded by the same loop as a full sectioned capture (EncodeSections,
-// which this file only filters). Comparing the references, not just the
-// blocks, matters after a table change: a pointer one past the end of a
-// block resolves into the block allocated there next without a byte of
-// its own changing. Under a kept partition every section is its previous
+// clean section's cached body is reused byte for byte (Layout.Carried);
+// everything else is re-encoded by the same section encoder as a cold
+// capture (Walk, which this file only filters). Comparing the references,
+// not just the blocks, matters after a table change: a pointer one past
+// the end of a block resolves into the block allocated there next without
+// a byte of its own changing. Under a kept partition every section is its previous
 // self, so only the dirty test applies.
 //
 // Section keys survive renumbering: a heap component is keyed by its
@@ -61,6 +61,7 @@ import (
 
 	"repro/internal/memory"
 	"repro/internal/msr"
+	"repro/internal/types"
 )
 
 // deltaKey identifies a section across rounds independently of its
@@ -88,15 +89,18 @@ type deltaRound struct {
 	version uint64       // the table's Version the partition was walked at
 	sites   []site       // the partition's blocks in address order
 	jobs    []sectionJob // the partition laid out in snapshot order
-	bodies  [][]byte     // jobs[i]'s body: tracker-owned, never a pooled encoder's
+	bodies  [][]byte     // jobs[i]'s body, tracker-owned
 	reused  bool         // the partition is the previous round's
 }
 
 // plan lays one round out: the previous round's partition when the reuse
 // rule holds, else a fresh walk, with every job whose cached body is still
 // exact marked reuse. dirty lists the ranges written since the previous
-// round, in address order.
-func (dt *DeltaTracker) plan(space *memory.Space, table *msr.Table, roots Roots, dirty []memory.DirtyRange) (*deltaRound, error) {
+// round, in address order. Without a tracker it is a fresh walk.
+func (dt *DeltaTracker) plan(space *memory.Space, table *msr.Table, ti *types.TI, roots Roots, dirty []memory.DirtyRange) (*deltaRound, error) {
+	if dt == nil {
+		return walk(space, table, ti, roots)
+	}
 	last := dt.last
 	if last != nil && last.version == table.Version() && roots.equal(last.roots) {
 		r := *last
@@ -109,7 +113,7 @@ func (dt *DeltaTracker) plan(space *memory.Space, table *msr.Table, roots Roots,
 		}
 	}
 
-	r, err := walk(space, table, roots)
+	r, err := walk(space, table, ti, roots)
 	if err != nil {
 		return nil, err
 	}
@@ -132,8 +136,8 @@ func (dt *DeltaTracker) plan(space *memory.Space, table *msr.Table, roots Roots,
 }
 
 // walk builds a fresh partition, laid out in snapshot order.
-func walk(space *memory.Space, table *msr.Table, roots Roots) (*deltaRound, error) {
-	pt, err := buildPartition(space, table, roots)
+func walk(space *memory.Space, table *msr.Table, ti *types.TI, roots Roots) (*deltaRound, error) {
+	pt, err := buildPartition(space, table, ti, roots)
 	if err != nil {
 		return nil, err
 	}
@@ -180,21 +184,4 @@ func sameSection(a *sectionJob, sa *refScan, b *sectionJob, sb *refScan) bool {
 func (r Roots) equal(o Roots) bool {
 	return slices.EqualFunc(r.FrameLive, o.FrameLive, slices.Equal[[]memory.Address]) &&
 		slices.Equal(r.Globals, o.Globals)
-}
-
-// fold takes one encoded round into the tracker: reused sections keep their
-// cached bodies and say where in the previous round they stood, fresh ones
-// were encoded into buffers of their own (never a pooled encoder's), so the
-// tracker owns every byte it hands back. The bodies stay valid across
-// subsequent rounds (the pre-copy sender may still be shipping one while
-// the next round encodes) but must not be mutated.
-func (dt *DeltaTracker) fold(r *deltaRound, secs []EncodedSection) {
-	r.bodies = make([][]byte, len(r.jobs))
-	for i, job := range r.jobs {
-		if job.reuse {
-			secs[i] = EncodedSection{Body: dt.last.bodies[job.from], From: job.from}
-		}
-		r.bodies[i] = secs[i].Body
-	}
-	dt.last = r
 }

@@ -137,21 +137,20 @@ func (d *deltaImage) free(t *testing.T) {
 
 // round captures one pre-copy round with dt and holds every body to a
 // capture made from scratch.
-func (d *deltaImage) round(t *testing.T, dt *DeltaTracker) *SectionedState {
+func (d *deltaImage) round(t *testing.T, dt *DeltaTracker) *capture {
 	t.Helper()
 	var dirty []memory.DirtyRange
 	if d.since > 0 {
 		dirty = d.space.DirtyRangesSince(d.since)
 	}
-	got, err := EncodeSections(d.space, d.table, d.ti, d.roots, dt, dirty)
+	got, err := tracked(d.space, d.table, d.ti, d.roots, dt, dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EncodeSections(d.space, d.table, d.ti, d.roots, nil, nil)
+	want, err := streamed(d.space, d.table, d.ti, d.roots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer want.Release()
 	if len(got.Bodies) != len(want.Bodies) || got.Heap != want.Heap {
 		t.Fatalf("delta round has %d sections (%d heap), a fresh capture %d (%d)",
 			len(got.Bodies), got.Heap, len(want.Bodies), want.Heap)
@@ -244,7 +243,7 @@ func TestDeltaMembershipComparedExactly(t *testing.T) {
 	p.space.StorePtr(h1.Addr+link, h2.Addr)
 	roots := Roots{Globals: []memory.Address{root.Addr}}
 	dt := NewDeltaTracker()
-	if _, err := EncodeSections(p.space, p.table, p.ti, roots, dt, nil); err != nil {
+	if _, err := tracked(p.space, p.table, p.ti, roots, dt, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -253,15 +252,14 @@ func TestDeltaMembershipComparedExactly(t *testing.T) {
 	// meanwhile makes it walk.
 	p.space.StorePtr(h1.Addr+link, h3.Addr)
 	p.heap(t, node, 1)
-	got, err := EncodeSections(p.space, p.table, p.ti, roots, dt, nil)
+	got, err := tracked(p.space, p.table, p.ti, roots, dt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EncodeSections(p.space, p.table, p.ti, roots, nil, nil)
+	want, err := streamed(p.space, p.table, p.ti, roots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer want.Release()
 	if got.Reused {
 		t.Fatal("the partition was kept across a table change")
 	}
@@ -289,22 +287,21 @@ func TestDeltaTableChangeEndsTheKeptPartition(t *testing.T) {
 	roots := Roots{Globals: []memory.Address{root.Addr}}
 	p.space.StartDirtyTracking()
 	dt := NewDeltaTracker()
-	if _, err := EncodeSections(p.space, p.table, p.ti, roots, dt, nil); err != nil {
+	if _, err := tracked(p.space, p.table, p.ti, roots, dt, nil); err != nil {
 		t.Fatal(err)
 	}
 	since := p.space.AdvanceGeneration()
 	if next := p.heap(t, node, 1); next.Addr != end {
 		t.Fatalf("the next block landed at %#x, not one past the last (%#x)", uint64(next.Addr), uint64(end))
 	}
-	got, err := EncodeSections(p.space, p.table, p.ti, roots, dt, p.space.DirtyRangesSince(since))
+	got, err := tracked(p.space, p.table, p.ti, roots, dt, p.space.DirtyRangesSince(since))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EncodeSections(p.space, p.table, p.ti, roots, nil, nil)
+	want, err := streamed(p.space, p.table, p.ti, roots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer want.Release()
 	if got.Reused {
 		t.Error("the partition was kept across a table change")
 	}

@@ -302,7 +302,7 @@ func TestPartitionMatchesRecursiveWalk(t *testing.T) {
 		}
 		want := o.components()
 
-		pt, err := buildPartition(p.space, p.table, roots)
+		pt, err := buildPartition(p.space, p.table, p.ti, roots)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func TestPartitionMatchesRecursiveWalk(t *testing.T) {
 		}
 
 		searches := p.table.Stats.Searches
-		st, err := EncodeSections(p.space, p.table, p.ti, roots, nil, nil)
+		st, err := streamed(p.space, p.table, p.ti, roots)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +347,6 @@ func TestPartitionMatchesRecursiveWalk(t *testing.T) {
 		if !bytes.Equal(st.Bodies[len(st.Bodies)-1].Body, o.body(t, o.globals, roots.Globals, true)) {
 			t.Fatalf("trial %d: globals section differs from the re-resolving encoder", trial)
 		}
-		st.Release()
 	}
 }
 
@@ -376,7 +375,7 @@ func TestPartitionRejectsBadPointers(t *testing.T) {
 		root := p.global(t, types.PointerTo(cp), "root")
 		p.space.StorePtr(root.Addr, holder.Addr)
 		p.space.StorePtr(holder.Addr, tc.at(target))
-		_, err := EncodeSections(p.space, p.table, p.ti, Roots{Globals: []memory.Address{root.Addr}}, nil, nil)
+		_, err := streamed(p.space, p.table, p.ti, Roots{Globals: []memory.Address{root.Addr}})
 		if err == nil || !bytes.Contains([]byte(err.Error()), []byte(tc.text)) || tc.want != nil && !errors.Is(err, tc.want) {
 			t.Errorf("%s: %v", name, err)
 		}

@@ -160,14 +160,13 @@ func TestRandomTypesRoundTrip(t *testing.T) {
 		want := fillRandom(t, rng, src, blk, tgt.Addr)
 		src.space.StorePtr(sroot.Addr, blk.Addr)
 
-		st, err := EncodeSections(src.space, src.table, src.ti, Roots{Globals: []memory.Address{sroot.Addr}}, nil, nil)
+		st, err := streamed(src.space, src.table, src.ti, Roots{Globals: []memory.Address{sroot.Addr}})
 		if err != nil {
 			t.Fatalf("trial %d (%s): save: %v", trial, ty, err)
 		}
 		if _, err := restoreGlobals(dst, st, []memory.Address{droot.Addr}); err != nil {
 			t.Fatalf("trial %d (%s->%s, %s): restore: %v", trial, srcM.Name, dstM.Name, ty, err)
 		}
-		st.Release()
 
 		// Compare scalar by scalar.
 		dblk, ok := dst.table.ByID(blk.ID)

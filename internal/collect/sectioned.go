@@ -1,8 +1,8 @@
 package collect
 
 // Sectioned collection: the pipeline behind the sectioned snapshot format
-// (internal/snapshot). EncodeSections is the one
-// producer; cold, warm and live captures all go through it.
+// (internal/snapshot). Walk and Layout.Encode are the one producer; cold,
+// warm and live captures all go through them.
 //
 // It first walks the MSR graph reachable from the live set — the paper's
 // depth-first order and visited-set discipline, on an explicit stack — but
@@ -17,10 +17,15 @@ package collect
 // MSRLT search per capture, through the capture's page index
 // (msr.PageIndex), not the paper's bisection.
 //
-// It then encodes the section bodies, one after the other in snapshot
-// order (heap components by first visit, frames innermost first, globals),
-// on the calling goroutine, writing the recorded references where the
-// pointers stand. Given a DeltaTracker (delta.go) it keeps the previous
+// It then sizes every body exactly — the walk counted each block's
+// non-null pointers, the only thing a body's size depends on beyond the
+// blocks' types and counts — and encodes the bodies one after the other in
+// snapshot order (heap components by first visit, frames innermost first,
+// globals), on the calling goroutine, writing the recorded references where
+// the pointers stand. A streamed body goes to its writer in pieces of at
+// most 64 KiB as it is encoded, a long scalar run cut across them, so the
+// writer can frame and ship it while the rest is still being encoded.
+// Given a DeltaTracker (delta.go) it keeps the previous
 // round's partition instead of walking when the dirty set shows the walk
 // would find the same one, skips the sections the dirty set cannot have
 // touched and hands back their cached bodies, saying where in the previous
@@ -80,6 +85,14 @@ type member struct {
 	pos  int32
 }
 
+// blockInfo is what the walk learns of a block while it is at hand, so
+// that sizing a section reads no block: its contents' exact wire size and
+// its type's TI index.
+type blockInfo struct {
+	wire uint32
+	ti   int32
+}
+
 // partition is the section assignment of every reachable block.
 type partition struct {
 	// components are the connected components of the heap subgraph,
@@ -106,6 +119,9 @@ type partition struct {
 	// pages resolved every reference above; it stays valid while the
 	// table's Version is the one the walk ran at.
 	pages *msr.PageIndex
+	// info holds each reached block's blockInfo by table position. It has
+	// no Go pointer either.
+	info []blockInfo
 }
 
 // edge is a pointer the walk still has to follow.
@@ -119,6 +135,7 @@ type edge struct {
 type partitioner struct {
 	space *memory.Space
 	mach  *arch.Machine
+	ti    *types.TI
 	pt    partition
 
 	// slot is the visit state of every block by table position (the
@@ -132,7 +149,10 @@ type partitioner struct {
 	// pending is the explicit stack: targets not yet visited when their
 	// pointer was scanned, the next to follow last.
 	pending []edge
-	from    int32    // index in heap of the block being scanned, -1 outside the heap
+	from    int32 // index in heap of the block being scanned, -1 outside the heap
+	ptrs    int   // non-null pointers of the block being scanned
+	last    *types.Type
+	lastTI  int32    // last's TI index
 	live    []uint32 // backing of pt.frameLive and pt.globalLive
 }
 
@@ -141,7 +161,7 @@ type partitioner struct {
 // stack is explicit — a million-node list is ordinary state, and a
 // recursion as deep would exhaust the goroutine stack and take the whole
 // process down.
-func buildPartition(space *memory.Space, table *msr.Table, roots Roots) (*partition, error) {
+func buildPartition(space *memory.Space, table *msr.Table, ti *types.TI, roots Roots) (*partition, error) {
 	nroots := len(roots.Globals)
 	for _, live := range roots.FrameLive {
 		nroots += len(live)
@@ -153,12 +173,13 @@ func buildPartition(space *memory.Space, table *msr.Table, roots Roots) (*partit
 	w := &partitioner{
 		space:  space,
 		mach:   space.Machine(),
+		ti:     ti,
 		slot:   make([]int32, n),
 		heap:   make([]member, 0, n),
 		parent: make([]int32, 0, n),
 		live:   make([]uint32, 0, 4*nroots),
 	}
-	w.pt.refs, w.pt.pages = make([]uint32, 0, 5*n), table.Pages()
+	w.pt.refs, w.pt.pages, w.pt.info = make([]uint32, 0, 5*n), table.Pages(), make([]blockInfo, n)
 	w.pt.frames = make([][]member, len(roots.FrameLive))
 	w.pt.frameLive = make([][]uint32, len(roots.FrameLive))
 	// Innermost frame first, then globals — the paper's order.
@@ -230,8 +251,17 @@ func (w *partitioner) root(addr memory.Address) error {
 // pointer scalars, in plan order: each is resolved and recorded, and each
 // target not yet visited is left on the stack so that the first is
 // followed — to the end of everything only it reaches — before the second,
-// which is the recursive traversal's first-visit order.
+// which is the recursive traversal's first-visit order. The block's wire
+// size is its elements at their fewest wire bytes and 12 bytes more for
+// each non-null pointer, which the scan counts.
 func (w *partitioner) visit(b *msr.Block, pos int32) error {
+	if b.Type != w.last { // a structure's blocks mostly share one type
+		ti, ok := w.ti.Index(b.Type)
+		if !ok {
+			return fmt.Errorf("collect: block %s has type %s not in TI table", b.ID, b.Type)
+		}
+		w.last, w.lastTI = b.Type, int32(ti)
+	}
 	mb := member{b: b, refs: int32(len(w.pt.refs)), pos: pos}
 	w.from, w.slot[pos] = -1, -1
 	switch b.ID.Seg {
@@ -250,16 +280,19 @@ func (w *partitioner) visit(b *msr.Block, pos int32) error {
 		w.pt.globals = append(w.pt.globals, mb)
 	}
 	plan := b.Plan(w.mach)
-	if !plan.HasPtr {
-		return nil
-	}
-	first := len(w.pending)
-	for elem := 0; elem < b.Count; elem++ {
-		if err := types.EachRun(plan.Ops, b.Addr+memory.Address(elem*plan.ElemSize), w.scanRun); err != nil {
-			return fmt.Errorf("collect: block %s element %d: %w", b.ID, elem, err)
+	w.ptrs = 0
+	if plan.HasPtr {
+		first := len(w.pending)
+		for elem := 0; elem < b.Count; elem++ {
+			if err := types.EachRun(plan.Ops, b.Addr+memory.Address(elem*plan.ElemSize), w.scanRun); err != nil {
+				return fmt.Errorf("collect: block %s element %d: %w", b.ID, elem, err)
+			}
 		}
+		slices.Reverse(w.pending[first:])
 	}
-	slices.Reverse(w.pending[first:])
+	// A segment holds at most 512 MiB, which no more than quadruples on the
+	// wire (a 4-byte pointer as 16 bytes): every size fits 32 bits.
+	w.pt.info[pos] = blockInfo{wire: uint32(b.Count*plan.WireMin + 12*w.ptrs), ti: w.lastTI}
 	return nil
 }
 
@@ -282,7 +315,7 @@ func (w *partitioner) scanRun(op *types.PlanOp, base memory.Address) error {
 		if err != nil {
 			return err
 		}
-		w.pt.refs = refs
+		w.pt.refs, w.ptrs = refs, w.ptrs+1
 		switch to := w.slot[pos]; {
 		case to == 0:
 			w.pending = append(w.pending, edge{to: tb, pos: int32(pos), from: w.from})
@@ -485,53 +518,6 @@ func (c *recheck) pointer(at memory.Address, rec []uint32) error {
 	return nil
 }
 
-// EncodedSection is one section body of a capture.
-type EncodedSection struct {
-	Body []byte
-	// From is the index in the tracker's previous round of the body this
-	// one was carried over from without re-encoding (Elapsed is then zero),
-	// or -1 when this capture encoded it.
-	From    int
-	Elapsed time.Duration
-}
-
-// SectionedState holds every section body of one capture, in the
-// partition's deterministic order, plus the collection statistics.
-type SectionedState struct {
-	// Bodies lists the sections in snapshot order after the exec section
-	// the caller puts first: the Heap components by number, the frames
-	// innermost first, the globals.
-	Bodies []EncodedSection
-	Heap   int
-	// Stats covers the sections that were encoded (not the reused ones).
-	// Searches and SearchSteps are left zero: the caller derives the
-	// capture-wide deltas from the table's counters.
-	Stats SaveStats
-	// Calls is the number of XDR encode operations behind those sections.
-	Calls int
-	// Reused says the tracker's previous partition was kept instead of
-	// walking; Stats.SearchTime is then the check that kept it.
-	Reused bool
-
-	// encs holds the pooled per-section encoders whose buffers back the
-	// Body slices of a capture made without a tracker; Release returns
-	// them.
-	encs []*xdr.Encoder
-}
-
-// Release returns the pooled per-section encoders to the buffer pool.
-// After a capture without a tracker every Body slice aliases one of those
-// buffers, so the caller must be done with the bodies — typically after
-// splicing them into the top-level snapshot stream. After a capture with
-// a tracker the bodies are tracker-owned and Release has nothing to
-// return. Safe to call more than once.
-func (st *SectionedState) Release() {
-	for _, e := range st.encs {
-		e.Release()
-	}
-	st.encs, st.Bodies = nil, nil
-}
-
 // sectionJob is one body to encode.
 type sectionJob struct {
 	blocks   []member
@@ -562,123 +548,200 @@ func (pt *partition) jobs(roots Roots) []sectionJob {
 		withLive: true, key: deltaKey{class: 2}})
 }
 
-// EncodeSections captures the state reachable from roots as section
-// bodies: every heap component, frame, and the globals become one body
-// each. With a nil tracker every section is encoded and its body aliases
-// a pooled encoder until Release. With a tracker (one pre-copy round) the
-// tracker's previous partition is kept when the reuse rule holds, the
-// sections dirty cannot have touched since its previous round are reused
-// from it, and the rest are encoded and handed to it, so every body is
-// tracker-owned; dirty lists the ranges written since that round, in
-// address order (memory.Space.DirtyRangesSince). The bodies are the same
-// bytes either way.
-func EncodeSections(space *memory.Space, table *msr.Table, ti *types.TI, roots Roots, dt *DeltaTracker, dirty []memory.DirtyRange) (*SectionedState, error) {
+// Layout is one capture's partition laid out in snapshot order, with
+// every body's exact size and every block's TI index resolved before any
+// body is encoded: a capture frames each section's header from Sizes and
+// then encodes its body straight into the writer behind it.
+type Layout struct {
+	// Sizes lists the body sizes in snapshot order after the exec section
+	// (zero for a body carried over): the Heap components by number, the
+	// frames innermost first, the globals.
+	Sizes []int
+	Heap  int
+	// From[i] is, in a pre-copy round, the index in the tracker's previous
+	// round of the body section i carries over unchanged (Carried), and -1
+	// for a body to encode, as every body is without a tracker.
+	From []int
+	// Reused says the tracker's previous partition was kept instead of
+	// walking.
+	Reused bool
+	round  *deltaRound
+	dt     *DeltaTracker
+	se     *sectionEncoder
+	piece  *xdr.Encoder // what Encode builds each piece in, once it has
+}
+
+// Walk lays out the state reachable from roots. Given a tracker (one
+// pre-copy round) and the ranges written since its previous round, in
+// address order (memory.Space.DirtyRangesSince), it keeps that round's
+// partition when the reuse rule holds and carries over the bodies dirty
+// cannot have touched (delta.go); Fold then hands the round to it.
+func Walk(space *memory.Space, table *msr.Table, ti *types.TI, roots Roots, dt *DeltaTracker, dirty []memory.DirtyRange) (*Layout, error) {
 	start := time.Now()
-	var round *deltaRound
-	var err error
-	if dt == nil {
-		round, err = walk(space, table, roots)
-	} else {
-		round, err = dt.plan(space, table, roots, dirty)
-	}
+	r, err := dt.plan(space, table, ti, roots, dirty)
 	if err != nil {
 		return nil, err
 	}
-	partition := time.Since(start)
-	st := &SectionedState{Reused: round.reused}
-	pt, jobs, mach := round.pt, round.jobs, space.Machine()
-
-	secs := make([]EncodedSection, len(jobs))
-	st.encs = make([]*xdr.Encoder, 0, len(jobs))
-	se := &sectionEncoder{space: space, ti: ti, mach: mach, pt: pt}
-	for idx, job := range jobs {
-		if job.reuse {
+	l := &Layout{Sizes: make([]int, len(r.jobs)), Heap: len(r.pt.components), From: make([]int, len(r.jobs)), Reused: r.reused,
+		round: r, dt: dt, se: &sectionEncoder{space: space, mach: space.Machine(), pt: r.pt}}
+	// A body's exact size is its live references and its directory, and
+	// each block's wire size as the walk counted it.
+	for i, job := range r.jobs {
+		if l.From[i] = -1; job.reuse {
+			l.From[i] = job.from
 			continue
 		}
-		secStart := time.Now()
-		if dt == nil {
-			se.enc = xdr.GetEncoder(sectionSizeHint(job.blocks, mach))
-			st.encs = append(st.encs, se.enc)
-		} else {
-			se.enc = xdr.NewEncoder(sectionSizeHint(job.blocks, mach)) // its buffer becomes the tracker's
+		l.Sizes[i] = 4 + 16*len(job.blocks) + 16*len(job.live) // a live variable's reference is never null
+		if job.withLive {
+			l.Sizes[i] += 4
 		}
-		if err := se.encodeBody(job); err != nil {
-			st.Release()
-			return nil, err
+		for _, mb := range job.blocks {
+			l.Sizes[i] += int(r.pt.info[mb.pos].wire)
 		}
-		st.Calls += se.enc.Calls()
-		secs[idx] = EncodedSection{Body: se.enc.Bytes(), From: -1, Elapsed: time.Since(secStart)}
 	}
-	if dt != nil {
-		dt.fold(round, secs)
-	}
-	st.Bodies, st.Heap, st.Stats = secs, len(pt.components), se.stats
-	st.Stats.SearchTime, st.Stats.EncodeTime = partition, time.Since(start)-partition
-	return st, nil
+	l.se.stats.SearchTime = time.Since(start)
+	return l, nil
 }
 
-// sectionSizeHint estimates a body's encoded size from the machine-side
-// block sizes, so encoders rarely reallocate.
-func sectionSizeHint(blocks []member, m *arch.Machine) int {
-	est := 64 + 24*len(blocks)
-	for _, mb := range blocks {
-		est += mb.b.Count * mb.b.Plan(m).ElemSize
+// Encode encodes body i and hands it to write in pieces of at most 64 KiB,
+// each as soon as it is full; write's error ends it. It returns the time
+// spent encoding, which the time spent in write is not part of.
+func (l *Layout) Encode(i int, write func([]byte) (int, error)) (time.Duration, error) {
+	if l.piece == nil {
+		l.piece = xdr.NewEncoder(pieceSize)
 	}
-	return est
+	l.se.enc, l.se.out = l.piece, write
+	return l.encode(i)
 }
+
+// Body encodes body i whole, into a buffer of exactly its size, and
+// returns it with the time spent.
+func (l *Layout) Body(i int) ([]byte, time.Duration, error) {
+	l.se.enc, l.se.out = xdr.NewEncoder(l.Sizes[i]), nil
+	d, err := l.encode(i)
+	l.se.calls += l.se.enc.Calls()
+	return l.se.enc.Bytes(), d, err
+}
+
+func (l *Layout) encode(i int) (time.Duration, error) {
+	start, waited := time.Now(), l.se.waited
+	err := l.se.encodeBody(&l.round.jobs[i])
+	d := time.Since(start) - (l.se.waited - waited)
+	l.se.stats.EncodeTime += d
+	return d, err
+}
+
+// Carried returns the body section i carries over from the tracker's
+// previous round.
+func (l *Layout) Carried(i int) []byte { return l.dt.last.bodies[l.From[i]] }
+
+// Fold hands the round's bodies — every section's, carried or encoded into
+// a buffer of its own — to the tracker, which keeps them for the next
+// round to carry over. The pre-copy sender may still be shipping one while
+// the next round encodes, so they must not be mutated.
+func (l *Layout) Fold(bodies [][]byte) { l.round.bodies, l.dt.last = bodies, l.round }
+
+// Stats returns the statistics of the walk and of the bodies encoded so
+// far, and the XDR encode operations behind them.
+func (l *Layout) Stats() (SaveStats, int) { return l.se.stats, l.se.calls }
+
+// pieceSize bounds what a streamed body hands its writer at once.
+const pieceSize = 64 << 10
 
 // sectionEncoder encodes section bodies (flat references, no inline
-// records) into enc, which EncodeSections swaps per section; stats runs
-// across all of them.
+// records) into enc: given out, a piece of at most pieceSize bytes that is
+// handed to out whenever the next item would overrun it, else a buffer the
+// whole body fits. stats and calls run across all the bodies.
 type sectionEncoder struct {
-	space *memory.Space
-	ti    *types.TI
-	mach  *arch.Machine
-	pt    *partition
-	enc   *xdr.Encoder
-	refs  []uint32 // the recorded references still to be written
-	stats SaveStats
+	space  *memory.Space
+	mach   *arch.Machine
+	pt     *partition
+	enc    *xdr.Encoder
+	out    func([]byte) (int, error)
+	err    error         // out's
+	waited time.Duration // spent in out
+	refs   []uint32      // the recorded references still to be written
+	stats  SaveStats
+	calls  int
 }
 
-func (e *sectionEncoder) encodeBody(job sectionJob) error {
+// spill hands the piece built so far to out when n more bytes would
+// overrun it.
+func (e *sectionEncoder) spill(n int) {
+	if e.out != nil && e.enc.Len()+n > pieceSize {
+		e.flush()
+	}
+}
+
+// flush hands the piece built so far to out. A writer's error is kept:
+// nothing more is handed out, and the encoding stops at the next run.
+func (e *sectionEncoder) flush() {
+	if e.err == nil {
+		e.calls += e.enc.Calls()
+		start := time.Now()
+		_, e.err = e.out(e.enc.Bytes())
+		e.waited += time.Since(start)
+	}
+	e.enc.Reset()
+}
+
+// encodeBody encodes a job's body, cut across pieces wherever the next
+// item would overrun the one at hand; a long scalar run is cut too.
+func (e *sectionEncoder) encodeBody(job *sectionJob) error {
 	if job.withLive {
+		e.spill(4)
 		e.enc.PutUint32(uint32(len(job.live)))
 		e.refs = job.liveRefs
 		for range job.live {
+			e.spill(16)
 			e.putRef()
 		}
 	}
+	e.spill(4)
 	e.enc.PutUint32(uint32(len(job.blocks)))
 	for _, mb := range job.blocks {
-		ti, ok := e.ti.Index(mb.b.Type)
-		if !ok {
-			return fmt.Errorf("collect: block %s has type %s not in TI table", mb.b.ID, mb.b.Type)
-		}
-		e.enc.Put4Uint32(mb.b.ID.Major, mb.b.ID.Minor, uint32(ti), uint32(mb.b.Count))
+		e.spill(16)
+		e.enc.Put4Uint32(mb.b.ID.Major, mb.b.ID.Minor, uint32(e.pt.info[mb.pos].ti), uint32(mb.b.Count))
 	}
 	for _, mb := range job.blocks {
 		e.stats.Blocks++
 		b, plan := mb.b, mb.b.Plan(e.mach)
 		e.refs = e.pt.refs[mb.refs:]
-		for elem := 0; elem < b.Count; elem++ {
+		for elem := 0; elem < b.Count && e.err == nil; elem++ {
 			if err := types.EachRun(plan.Ops, b.Addr+memory.Address(elem*plan.ElemSize), e.encodeRun); err != nil {
 				return fmt.Errorf("collect: block %s element %d: %w", b.ID, elem, err)
 			}
 		}
 	}
-	return nil
+	if e.out != nil {
+		e.flush()
+	}
+	return e.err
 }
 
 func (e *sectionEncoder) encodeRun(op *types.PlanOp, base memory.Address) error {
 	if op.Kind == arch.Ptr {
-		for i := 0; i < op.Count; i++ {
+		for range op.Count {
+			e.spill(16)
 			e.putRef()
 		}
 		return nil
 	}
-	n, err := encodeRun(e.enc, e.space, *op, base)
-	e.stats.DataBytes += int64(n)
-	return err
+	ws := types.WireSize(op.Kind)
+	for run := *op; run.Count > 0 && e.err == nil; {
+		part := run
+		if e.out != nil && e.enc.Len()+run.Count*ws > pieceSize {
+			e.spill(ws)
+			part.Count = min(run.Count, (pieceSize-e.enc.Len())/ws)
+		}
+		n, err := encodeRun(e.enc, e.space, part, base)
+		e.stats.DataBytes += int64(n)
+		if err != nil {
+			return err
+		}
+		run.Off, run.Count = run.Off+part.Count*run.Stride, run.Count-part.Count
+	}
+	return nil
 }
 
 // putRef encodes the next recorded pointer reference, flat.

@@ -123,15 +123,11 @@ func TestWarmCheckpointsMatchFullCapture(t *testing.T) {
 				}
 				parentRaw = raw
 
-				secs, release, err := p.Sections()
-				if err != nil {
-					t.Fatal(err)
-				}
+				secs := sectionsOf(t, p)
 				want, total := store.Entries(secs, nil), 0
 				for _, sec := range secs {
 					total += len(sec.Body)
 				}
-				release()
 				if len(man.Entries) != len(want) {
 					t.Fatalf("poll %d: manifest lists %d sections, a fresh capture %d", polls, len(man.Entries), len(want))
 				}

@@ -10,8 +10,28 @@ import (
 	"repro/internal/obs"
 	"repro/internal/snapshot"
 	"repro/internal/store"
+	"repro/internal/vm"
 	"repro/internal/workload"
+	"repro/internal/xdr"
 )
+
+// sectionsOf is the section list of the snapshot of the stopped process p.
+func sectionsOf(t *testing.T, p *vm.Process) []snapshot.Section {
+	t.Helper()
+	snap, err := p.Recapture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := snapshot.NewReader(xdr.NewDecoder(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := rd.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return secs
+}
 
 // TestCheckpointRestoreFromStore is the engine-level store round trip: a
 // stopped process checkpoints into a content-addressed store, a second
@@ -102,11 +122,7 @@ func TestSectionValuedEntryPointsMatchFramedOnes(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := stoppedAtMigration(t, e, arch.DEC5000)
-			secs, release, err := p.Sections()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer release()
+			secs := sectionsOf(t, p)
 			framed := snapshot.Encode(secs)
 
 			if snap, err := p.CaptureSections(0); err != nil || !bytes.Equal(snap, framed) {

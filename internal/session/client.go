@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/link"
 	"repro/internal/obs"
-	"repro/internal/snapshot"
 	"repro/internal/store"
 	"repro/internal/stream"
 	"repro/internal/vm"
@@ -109,28 +108,28 @@ func InitiateLive(t link.Transport, e *core.Engine, src *arch.Machine, program s
 // in res.Timing (collect and transmit) and, on a round exchange, the
 // shape's accounting.
 //
-// A cold transfer is the section list of p written straight into a chunk
-// stream and closed with FIN. Every section is encoded before the first
-// is written; a body is copied once, from the pooled encoder it was built
-// in into a chunk, and the encoders go back once the last is written.
+// A cold transfer is the snapshot of p written into a chunk stream as it
+// is encoded and closed with FIN: the partition walk sizes every section
+// first, then each body goes into the stream piece by piece, so the first
+// chunk leaves while the rest is still being encoded, and the destination
+// restores as it arrives. A capture that fails part way sends no FIN.
 func send(t link.Transport, e *core.Engine, src *arch.Machine, program string, p *vm.Process, cfg Config, res *Result) error {
 	if res.Params.rounds() {
 		return sendRounds(t, e, src, program, p, cfg, res)
 	}
-	secs, release, err := p.Sections()
-	if err != nil {
-		return err
-	}
-	defer release()
 	start := time.Now()
 	// How the stream is cut is this side's own business: the chunk size
 	// changes no byte of the snapshot and the receiver takes any.
 	w := stream.NewWriter(t, stream.Config{ChunkSize: cfg.ChunkSize, Recorder: cfg.Recorder})
-	n, err := obs.PhaseOf("transport", func() (int, error) { return snapshot.Write(w, secs) })
+	n, err := p.WriteSnapshot(w)
+	if err != nil {
+		w.Fail(err)
+	}
 	if cerr := w.Close(); err == nil {
 		err = cerr
 	}
-	res.Timing = core.Timing{Collect: p.CaptureStats().Elapsed, Tx: time.Since(start), Bytes: n}
+	collect := p.CaptureStats().Elapsed
+	res.Timing = core.Timing{Collect: collect, Tx: time.Since(start) - collect, Bytes: n}
 	if err != nil {
 		return fmt.Errorf("session: cold transfer: %w", err)
 	}

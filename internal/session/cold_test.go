@@ -2,9 +2,9 @@ package session
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"runtime"
 	"strings"
 	"testing"
@@ -46,6 +46,26 @@ func stoppedLinpack(t *testing.T, n int) (*core.Engine, *vm.Process) {
 		t.Fatalf("setup: migrated=%v err=%v", res != nil && res.Migrated, err)
 	}
 	return e, p
+}
+
+// sectionsOf is the section list of the snapshot of the stopped process p,
+// taken apart by a scratch checkpoint store.
+func sectionsOf(t *testing.T, p *vm.Process) []snapshot.Section {
+	t.Helper()
+	snap, err := p.Recapture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := openTestStore(t)
+	_, h, _, err := st.CheckpointRef("snapshot", snap, 0, p.Mach.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, secs, err := st.Sections(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return secs
 }
 
 // coldOverPipe migrates the stopped process p to dst over an in-memory
@@ -390,33 +410,29 @@ func TestColdReceiveRejectsDamagedStream(t *testing.T) {
 // directory claims all of it for one block — followed by the FIN, or by a
 // stall — or a frame section whose declared length runs past everything
 // sent before the FIN. The responder must turn no declared length into an
-// allocation: it refuses with collect.ErrCorruptStream (a stalled one with
-// the transport's error once the sender gives up), returns no process, and
+// allocation: it refuses with collect.ErrCorruptStream naming where it
+// stopped (a stalled one with the transport's error once the sender gives
+// up), returns no process, and
 // allocates no more than 64 KiB plus sixteen times the bytes it received
 // beyond what the session and the process shell itself take — measured on
 // a stream that ends right after the exec section.
 func TestStreamedRestoreBoundsHostileLengths(t *testing.T) {
 	e := newListEngine(t)
 	p := stoppedAt(t, e, arch.DEC5000)
-	secs, release, err := p.Sections()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
+	secs := sectionsOf(t, p)
 	if len(secs) != 4 || secs[1].Kind != snapshot.KindHeap || secs[2].Kind != snapshot.KindFrame {
 		t.Fatalf("fixture is not exec, one heap component, one frame, globals: %d sections", len(secs))
 	}
-	// Each stream opens with the prologue and the real exec section.
-	section := func(enc *xdr.Encoder, kind snapshot.Kind, id, length, crc uint32, body []byte) {
-		enc.Put4Uint32(uint32(kind), id, length, crc)
-		enc.PutFixedOpaque(body)
-	}
-	opening := func() *xdr.Encoder {
-		enc := xdr.NewEncoder(1024)
-		enc.PutUint32(snapshot.Magic)
-		enc.PutUint32(uint32(len(secs)))
-		section(enc, snapshot.KindExec, 0, uint32(len(secs[0].Body)), crc32.ChecksumIEEE(secs[0].Body), secs[0].Body)
-		return enc
+	// Each stream opens with the prologue and the real exec section, framed
+	// by the snapshot's own Writer; a hostile section is one that Begin
+	// declares longer than the bytes that follow it.
+	opening := func() (*bytes.Buffer, *snapshot.Writer) {
+		var b bytes.Buffer
+		sw := snapshot.NewWriter(&b, len(secs))
+		if err := sw.Section(snapshot.KindExec, 0, secs[0].Body); err != nil {
+			t.Fatal(err)
+		}
+		return &b, sw
 	}
 	// A struct node encodes in at least 8 bytes (a float and a null
 	// reference): (64 MiB - 20) / 8 of them claim the whole declared body.
@@ -428,23 +444,27 @@ func TestStreamedRestoreBoundsHostileLengths(t *testing.T) {
 	claim.PutUint32(1)
 	claim.Put4Uint32(major, 0, ty, (declared-20)/8)
 	claim.PutFixedOpaque(make([]byte, 44))
-	heap := opening()
-	section(heap, snapshot.KindHeap, 0, declared, 0, claim.Bytes())
-	past := opening()
-	section(past, snapshot.KindHeap, 0, uint32(len(secs[1].Body)), crc32.ChecksumIEEE(secs[1].Body), secs[1].Body)
+	exec, _ := opening()
+	heap, sw := opening()
+	sw.Begin(snapshot.KindHeap, 0, declared)
+	sw.Write(claim.Bytes())
+	past, sw := opening()
 	frame := secs[2].Body
-	section(past, snapshot.KindFrame, 1, uint32(len(frame))+1<<20, 0, frame[:len(frame)/2&^3])
+	sw.Section(snapshot.KindHeap, 0, secs[1].Body)
+	sw.Begin(snapshot.KindFrame, 1, len(frame)+1<<20)
+	sw.Write(frame[:len(frame)/2&^3])
 
 	var shell uint64
 	for i, c := range []struct {
 		name    string
 		payload []byte
 		stall   bool
+		want    string // what the error names
 	}{
-		{"exec, then FIN", opening().Bytes(), false},
-		{"heap claims 64 MiB, then FIN", heap.Bytes(), false},
-		{"heap claims 64 MiB, then a stall", heap.Bytes(), true},
-		{"frame runs past the FIN", past.Bytes(), false},
+		{"exec, then FIN", exec.Bytes(), false, "missing header"},
+		{"heap claims 64 MiB, then FIN", heap.Bytes(), false, "heap section 0"},
+		{"heap claims 64 MiB, then a stall", heap.Bytes(), true, "transport closed"},
+		{"frame runs past the FIN", past.Bytes(), false, "frame section 1"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var before, after runtime.MemStats
@@ -462,8 +482,8 @@ func TestStreamedRestoreBoundsHostileLengths(t *testing.T) {
 			w.Close()
 			r := <-done
 			runtime.ReadMemStats(&after)
-			if r.q != nil || r.err == nil || !c.stall && !errors.Is(r.err, collect.ErrCorruptStream) {
-				t.Errorf("process %v, err %v; want no process and ErrCorruptStream", r.q != nil, r.err)
+			if r.q != nil || r.err == nil || !c.stall && !errors.Is(r.err, collect.ErrCorruptStream) || !strings.Contains(r.err.Error(), c.want) {
+				t.Errorf("process %v, err %v; want no process and ErrCorruptStream naming %q", r.q != nil, r.err, c.want)
 			}
 			got, ceiling := after.TotalAlloc-before.TotalAlloc, shell+uint64(64<<10+16*received.received)
 			if i == 0 {
@@ -477,9 +497,12 @@ func TestStreamedRestoreBoundsHostileLengths(t *testing.T) {
 
 // TestStreamedRestoreLocalisesCorruption flips one bit in each place a cold
 // transfer can be damaged — a DATA header, the snapshot prologue, a section
-// header, a body byte in the first, a middle and the last chunk the body
-// spans, and the FIN — over link.Pipe, which has no frame CRC: the section
-// CRC alone stands between a flipped body byte and a restored process.
+// CRC, a body byte in the first, a middle and the last chunk the body
+// spans, a frame section's live-reference count and its first directory
+// entry's element count, and the FIN — over link.Pipe, which has no frame
+// CRC: the section CRC alone stands between a flipped body byte and a
+// restored process, and it outranks what the body's decoder made of the
+// damage, so a flipped count is a corrupt stream, not another program.
 // Every cell must fail the session with a classified error that names the
 // section, the chunk or the snapshot; the responder hands out no process,
 // and the source stays as it was stopped, so the initiator rolls it back.
@@ -491,13 +514,19 @@ func TestStreamedRestoreLocalisesCorruption(t *testing.T) {
 	}
 	reg := NewRegistry()
 	reg.Add("linpack", e)
-	cfg := Config{ChunkSize: 64 << 10}
+	const chunk = 64 << 10
+	cfg := Config{ChunkSize: chunk}
 	// The initiator sends the OFFER, DATA chunks 0 to 4 as frames 2 to 6,
 	// then the FIN. A DATA frame's payload starts after its 16-byte header;
 	// chunk 0's opens with the snapshot's 8-byte prologue and the 32-byte
-	// exec section, then the frame section's header (kind, ID, length, CRC)
-	// and body.
+	// exec section, then the frame section's 12-byte header (kind, ID,
+	// length) and body: a count of five live references, five 16-byte
+	// references, the directory's count and its entries (major, minor,
+	// type, element count). The section's CRC trails the body.
 	const data, frameHdr = 16, 16 + 8 + 32
+	const frameBody = frameHdr + 12
+	body := int(binary.BigEndian.Uint32(direct[8+32+8:]))
+	crcAt := 8 + 32 + 12 + (body+3)&^3
 	for _, c := range []struct {
 		name       string
 		frame, pos int
@@ -505,10 +534,12 @@ func TestStreamedRestoreLocalisesCorruption(t *testing.T) {
 	}{
 		{"DATA header", 3, 11, "at chunk 1"}, // chunk 1's sequence number
 		{"snapshot prologue", 2, data + 3, "invalid sectioned snapshot"},
-		{"section header", 2, frameHdr + 15, "frame section 1"}, // its CRC
-		{"body byte, first chunk", 2, frameHdr + 16 + 1000, "frame section 1"},
+		{"section header", 2 + crcAt/chunk, data + crcAt%chunk + 3, "frame section 1"}, // its CRC trailer
+		{"body byte, first chunk", 2, frameBody + 1000, "frame section 1"},
 		{"body byte, middle chunk", 4, data + 1000, "frame section 1"},
 		{"body byte, last chunk", 6, data + 1000, "frame section 1"},
+		{"live-reference count", 2, frameBody + 3, "frame section 1"},
+		{"directory element count", 2, frameBody + 4 + 5*16 + 4 + 15, "frame section 1"},
 		{"FIN", 7, 19, "at chunk 5"}, // the declared byte count
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -546,6 +577,71 @@ func TestStreamedRestoreLocalisesCorruption(t *testing.T) {
 	}
 	if res, err := Rollback(p, Config{}); err != nil || res.Migrated || res.ExitCode != 0 {
 		t.Errorf("source after the sweep: %+v, %v; want exit 0", res, err)
+	}
+}
+
+// refusingTransport fails the Send of the DATA frame carrying chunk n.
+type refusingTransport struct {
+	link.Transport
+	n, sent int
+}
+
+var errRefusedChunk = errors.New("test: chunk refused")
+
+func (r *refusingTransport) Send(b []byte) error {
+	if wire.Name(b) == "data" {
+		if r.sent++; r.sent > r.n {
+			return errRefusedChunk
+		}
+	}
+	return r.Transport.Send(b)
+}
+
+// TestColdRefusedChunkSendsNoFIN: a transport that refuses DATA chunk 2
+// fails the capture streaming into it. No FIN follows the two chunks that
+// went out; the responder, its stream cut, reports the transport and not a
+// corrupt stream, and hands out no process; and the source, whose state
+// the failed capture did not disturb, rolls back to its own exit.
+func TestColdRefusedChunkSendsNoFIN(t *testing.T) {
+	e, p := stoppedLinpack(t, 200)
+	direct, err := p.Recapture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	reg.Add("linpack", e)
+	rec := chaos.NewRecordOnly()
+	a, b := link.Pipe()
+	done := make(chan respondResult, 1)
+	go func() {
+		_, q, _, err := Respond(rec.Dest(b), reg, arch.SPARC20, Config{})
+		b.Close()
+		done <- respondResult{q, err}
+	}()
+	_, initErr := Initiate(&refusingTransport{Transport: rec.Source(a), n: 2}, e, p.Mach, "linpack", p, Config{ChunkSize: 64 << 10})
+	a.Close()
+	r := <-done
+	if !errors.Is(initErr, errRefusedChunk) || r.q != nil || ClassifyFailure(r.err) != FailTransport {
+		t.Fatalf("initiate = %v; respond = %v (class %s), process %v; want the refusal, FailTransport and no process",
+			initErr, r.err, ClassifyFailure(r.err), r.q != nil)
+	}
+	data := 0
+	for _, ev := range rec.Trace() {
+		if ev.FromSource && ev.Class == "fin" {
+			t.Error("a FIN followed the refused chunk")
+		}
+		if ev.FromSource && ev.Class == "data" {
+			data++
+		}
+	}
+	if data != 2 {
+		t.Errorf("%d DATA frames went out, want the 2 before the refused one", data)
+	}
+	if re, err := p.Recapture(); err != nil || !bytes.Equal(re, direct) {
+		t.Fatalf("source state disturbed (err %v)", err)
+	}
+	if res, err := Rollback(p, Config{}); err != nil || res.Migrated || res.ExitCode != 0 {
+		t.Errorf("rolled-back source: %+v, %v; want exit 0", res, err)
 	}
 }
 

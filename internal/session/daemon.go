@@ -233,7 +233,7 @@ func receive(t link.Transport, reg *Registry, e *core.Engine, m *arch.Machine, c
 // consuming the stream as it arrives: every section is decoded straight
 // out of the chunk payloads into a vm.Restore — exec first, which pushes
 // the frames, then the heap components, frames and globals, each into
-// place — with its CRC compared at its last byte. No chunk is joined or
+// place — with its CRC compared at its trailer. No chunk is joined or
 // parsed twice; after the last one only the globals and the FIN remain.
 // The phases are children of span (nil disables tracing): "transport" is
 // the time spent waiting for chunks, "restore" the sum of the apply steps,

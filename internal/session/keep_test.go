@@ -292,10 +292,7 @@ func TestKeptShellReshipsDeletedBlob(t *testing.T) {
 	}
 	// Delete a heap section the next state repeats.
 	advance(t, p)
-	secs, release, err := p.Sections()
-	if err != nil {
-		t.Fatal(err)
-	}
+	secs := sectionsOf(t, p)
 	changed, gone := 0, -1
 	for i, sec := range secs {
 		if store.HashBytes(sec.Body) != m.Entries[i].Hash {
@@ -304,7 +301,6 @@ func TestKeptShellReshipsDeletedBlob(t *testing.T) {
 			gone = i
 		}
 	}
-	release()
 	if gone < 0 {
 		t.Fatal("the next state repeats no heap section")
 	}

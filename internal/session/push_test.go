@@ -1,7 +1,6 @@
 package session
 
 import (
-	"bytes"
 	"errors"
 	"hash/crc32"
 	"runtime"
@@ -33,14 +32,7 @@ func TestHostilePushAnnounce(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := stoppedLive(t, e, arch.DEC5000)
-	secs, release, err := p.Sections()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range secs {
-		secs[i].Body = bytes.Clone(secs[i].Body)
-	}
-	release()
+	secs := sectionsOf(t, p)
 	all := make([]uint32, len(secs))
 	// fresh lists every section as shipped now; again, as carried over from
 	// its own index of the previous round.

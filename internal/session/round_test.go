@@ -250,18 +250,8 @@ func TestResponderHoldsOneRoundOfBodies(t *testing.T) {
 		a, out := scriptedLive(t, e, Config{Live: true})
 		var secs []snapshot.Section
 		for k := 0; k <= rounds; k++ {
-			var release func()
-			if secs, release, err = p.Sections(); err != nil {
-				t.Fatal(err)
-			}
+			secs = sectionsOf(t, p)
 			sendScriptedRound(t, a, e, k, k == rounds, false, secs)
-			if k == rounds {
-				secs = slices.Clone(secs)
-				for i := range secs {
-					secs[i].Body = bytes.Clone(secs[i].Body)
-				}
-			}
-			release()
 			if k < rounds {
 				if res, err := p.ResumeRun(); err != nil || !res.Migrated {
 					t.Fatalf("resume after round %d: %+v, %v", k, res, err)
@@ -298,12 +288,7 @@ func TestResponderHoldsOneRoundOfBodies(t *testing.T) {
 	})
 	t.Run("undecodable body in a pre-copy round", func(t *testing.T) {
 		p := stoppedLive(t, e, arch.DEC5000)
-		secs, release, err := p.Sections()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer release()
-		secs = slices.Clone(secs)
+		secs := sectionsOf(t, p)
 		secs[1].Body = secs[1].Body[:len(secs[1].Body)-8] // the CRC and hash are computed over what is sent
 		for _, dstStore := range []*store.Store{nil, openTestStore(t)} {
 			a, out := scriptedLive(t, e, Config{Live: true, Store: dstStore})
@@ -333,10 +318,7 @@ func TestResponderHoldsOneRoundOfBodies(t *testing.T) {
 func TestFailedRestoreLeavesRefUnset(t *testing.T) {
 	e := newListEngine(t)
 	p := stoppedAt(t, e, arch.DEC5000)
-	secs, _, err := p.Sections() // never released: the test keeps the bodies
-	if err != nil {
-		t.Fatal(err)
-	}
+	secs := sectionsOf(t, p)
 	exec := xdr.NewEncoder(32)
 	exec.PutUint32(1)
 	exec.PutString("no_such_function")

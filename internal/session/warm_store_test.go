@@ -26,11 +26,7 @@ import (
 // back.
 func blockShards(t *testing.T, st *store.Store, twin *vm.Process) (unblock func()) {
 	t.Helper()
-	secs, release, err := twin.Sections()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
+	secs := sectionsOf(t, twin)
 	blocked := map[string]bool{}
 	for _, sec := range secs {
 		if h := store.HashBytes(sec.Body); !st.HasBlob(h) {

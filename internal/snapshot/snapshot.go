@@ -8,17 +8,19 @@
 // Section 3: the execution state (the chain of active invocations and
 // their migration sites), one section per connected component of the
 // heap subgraph, one section per stack frame, and one for the globals.
-// Because every section is self-describing, a receiver can verify
-// integrity per section, rebuild the MSRLT section by section, and
-// account bytes and time per section — none of which one undivided
-// stream allows.
+// Because every section is self-describing, a receiver can decode each
+// body as it arrives and check it against the CRC that trails it,
+// rebuild the MSRLT section by section, and account bytes and time per
+// section — none of which one undivided stream allows.
 //
 // # Wire format
 //
 //	snapshot = magic "MSN3", count u32, section*count
-//	section  = kind u32, id u32, length u32, crc u32, body (padded to 4)
+//	section  = kind u32, id u32, length u32, body (padded to 4), crc u32
 //
-// crc is the IEEE CRC-32 of the unpadded body. Sections appear in
+// crc is the IEEE CRC-32 of the unpadded body. It trails the body, so a
+// writer that knows each body's length before the body (Writer) streams
+// the body as it is encoded and never holds it whole. Sections appear in
 // deterministic order — exec, heap components (by component number),
 // frames (innermost first), globals — so two captures of the same
 // stopped process are byte-identical.
@@ -103,36 +105,89 @@ var (
 // 2^16 frames (the vm's own frame bound) + heap components, with room.
 const maxSections = 1 << 20
 
-// Write frames a whole snapshot onto w — the prologue, then per section
-// the 16-byte header, the body slice itself and its padding to four
-// bytes — and returns the bytes written. It is the one framing routine:
-// a body goes from the buffer it was encoded in straight to w, never
-// staged through a buffer of this package's.
-func Write(w io.Writer, sections []Section) (int, error) {
-	var hdr [16]byte
-	var pad [3]byte
-	be := binary.BigEndian
-	be.PutUint32(hdr[0:], Magic)
-	be.PutUint32(hdr[4:], uint32(len(sections)))
-	n, err := w.Write(hdr[:8])
-	if err != nil {
-		return n, err
+// Writer frames a snapshot onto w section by section, as the bodies are
+// produced: Begin declares a section's size, Write hands its body through
+// in pieces — each piece the caller's own slice, never staged through a
+// buffer of this package's — and End closes it with its padding and CRC,
+// which the pieces entered as they passed. A body that overruns or falls
+// short of its declared size fails the section. The prologue goes out with
+// the first section.
+type Writer struct {
+	w           io.Writer
+	n, left     int    // bytes written; of the open section's body, bytes to come
+	count, size uint32 // the snapshot's sections; the open section's body size
+	crc         uint32 // of the open section's body so far
+	buf         [20]byte
+}
+
+// ErrSize is a section body that does not match the size Begin declared.
+var ErrSize = errors.New("snapshot: section body does not match its declared size")
+
+// NewWriter returns a Writer of a snapshot of count sections onto w.
+func NewWriter(w io.Writer, count int) *Writer { return &Writer{w: w, count: uint32(count)} }
+
+// Len returns the bytes written so far.
+func (sw *Writer) Len() int { return sw.n }
+
+func (sw *Writer) put(p []byte) (int, error) {
+	m, err := sw.w.Write(p)
+	sw.n += m
+	return m, err
+}
+
+// Begin opens a section of kind and id whose body is size bytes long.
+func (sw *Writer) Begin(kind Kind, id uint32, size int) error {
+	be, h := binary.BigEndian, sw.buf[:0]
+	if sw.n == 0 {
+		h = be.AppendUint32(be.AppendUint32(h, Magic), sw.count)
 	}
+	sw.left, sw.size, sw.crc = size, uint32(size), 0
+	_, err := sw.put(be.AppendUint32(be.AppendUint32(be.AppendUint32(h, uint32(kind)), id), sw.size))
+	return err
+}
+
+// Write hands the next piece of the open section's body through to w.
+func (sw *Writer) Write(p []byte) (int, error) {
+	if sw.left -= len(p); sw.left < 0 {
+		return 0, fmt.Errorf("%w: %d bytes past %d", ErrSize, -sw.left, sw.size)
+	}
+	sw.crc = crc32.Update(sw.crc, crc32.IEEETable, p)
+	return sw.put(p)
+}
+
+// End closes the open section: its padding to four bytes and its CRC.
+func (sw *Writer) End() error {
+	if sw.left != 0 {
+		return fmt.Errorf("%w: %d bytes short of %d", ErrSize, sw.left, sw.size)
+	}
+	obs.CRC32Bytes.Add(int64(sw.size))
+	pad := append(sw.buf[:0], 0, 0, 0)[:-sw.size&3]
+	_, err := sw.put(binary.BigEndian.AppendUint32(pad, sw.crc))
+	return err
+}
+
+// Section frames one whole section.
+func (sw *Writer) Section(kind Kind, id uint32, body []byte) error {
+	err := sw.Begin(kind, id, len(body))
+	if err == nil {
+		_, err = sw.Write(body)
+	}
+	if err == nil {
+		err = sw.End()
+	}
+	return err
+}
+
+// Write frames a whole snapshot onto w through a Writer and returns the
+// bytes written.
+func Write(w io.Writer, sections []Section) (int, error) {
+	sw := NewWriter(w, len(sections))
 	for _, s := range sections {
-		be.PutUint32(hdr[0:], uint32(s.Kind))
-		be.PutUint32(hdr[4:], s.ID)
-		be.PutUint32(hdr[8:], uint32(len(s.Body)))
-		be.PutUint32(hdr[12:], crc32.ChecksumIEEE(s.Body))
-		obs.CRC32Bytes.Add(int64(len(s.Body)))
-		for _, p := range [...][]byte{hdr[:], s.Body, pad[:-len(s.Body)&3]} {
-			m, err := w.Write(p)
-			n += m
-			if err != nil {
-				return n, err
-			}
+		if err := sw.Section(s.Kind, s.ID, s.Body); err != nil {
+			return sw.n, err
 		}
 	}
-	return n, nil
+	return sw.n, nil
 }
 
 // PrologueSize is the framed size of a snapshot's prologue, as Write
@@ -157,7 +212,8 @@ func Encode(sections []Section) []byte {
 // Reader decodes a sectioned snapshot from dec section by section. dec
 // may hold the whole snapshot or receive it as it arrives
 // (xdr.NewFeedDecoder): either way a section's CRC is computed over its
-// body's bytes once, as they pass.
+// body's bytes once, as they pass, and compared with the trailer after
+// them.
 type Reader struct {
 	dec       *xdr.Decoder
 	remaining int
@@ -166,9 +222,10 @@ type Reader struct {
 
 // opened is the section Open handed out, until Close.
 type opened struct {
-	sec      Section
-	sum, crc uint32
-	body     *xdr.Decoder
+	sec  Section
+	crc  uint32
+	body *xdr.Decoder
+	fed  error // the snapshot decoder's failure while the body was read
 }
 
 // NewReader reads and validates the snapshot prologue.
@@ -204,12 +261,12 @@ func (r *Reader) Next() (Section, error) {
 // unset, with a decoder over the body. The body is taken from the
 // snapshot's decoder only as that decoder is read, piece by piece and
 // never copied whole, and each piece enters the section's CRC as it
-// passes; Close, once the body has been read to its end, compares it.
+// passes; Close compares it.
 func (r *Reader) Open() (Section, *xdr.Decoder, error) {
 	if r.remaining == 0 {
 		return Section{}, nil, fmt.Errorf("%w: no sections remain", ErrBadSnapshot)
 	}
-	var hdr [4]uint32
+	var hdr [3]uint32
 	for i := range hdr {
 		v, err := r.dec.Uint32()
 		if err != nil {
@@ -220,13 +277,16 @@ func (r *Reader) Open() (Section, *xdr.Decoder, error) {
 		}
 	}
 	o, left := &r.open, int(hdr[2])
-	*o = opened{sec: Section{Kind: Kind(hdr[0]), ID: hdr[1]}, sum: hdr[3]}
-	if left > r.dec.Remaining() {
-		return Section{}, nil, fmt.Errorf("%w: %s section %d declares %d bytes, %d remain",
-			ErrTruncated, o.sec.Kind, o.sec.ID, left, r.dec.Remaining())
+	*o = opened{sec: Section{Kind: Kind(hdr[0]), ID: hdr[1]}}
+	if framed := left + -left&3 + 4; framed > r.dec.Remaining() {
+		return Section{}, nil, fmt.Errorf("%w: %s section %d frames %d bytes, %d remain",
+			ErrTruncated, o.sec.Kind, o.sec.ID, framed, r.dec.Remaining())
 	}
 	o.body = xdr.NewFeedDecoder(left, func() ([]byte, error) {
 		p, err := r.dec.TakeRun(left, 1)
+		if err != nil {
+			o.fed = err
+		}
 		left -= len(p)
 		o.crc = crc32.Update(o.crc, crc32.IEEETable, p)
 		return p, err
@@ -234,19 +294,29 @@ func (r *Reader) Open() (Section, *xdr.Decoder, error) {
 	return o.sec, o.body, nil
 }
 
-// Close ends the section Open returned: its body must have been read to
-// the end and match the header's CRC. The padding after it is skipped.
+// Close ends the section Open returned: what of its body was not read is
+// read and dropped, the padding after it skipped, and the CRC trailer
+// compared. A body whose reader gave up on it early is still checked, so a
+// damaged section reports ErrChecksum whatever its reader made of the
+// bytes. Close fails with the snapshot decoder's own error when that
+// failed under the body.
 func (r *Reader) Close() error {
 	o := &r.open
-	if n := o.body.Remaining(); n != 0 {
-		return fmt.Errorf("%w: %d bytes of %s section %d unread", ErrTruncated, n, o.sec.Kind, o.sec.ID)
+	for o.fed == nil && o.body.Remaining() > 0 {
+		o.body.TakeRun(o.body.Remaining(), 1) // only the snapshot's decoder fails it
+	}
+	if errors.Is(o.fed, xdr.ErrShortBuffer) {
+		return fmt.Errorf("%w: %s section %d body", ErrTruncated, o.sec.Kind, o.sec.ID)
+	} else if o.fed != nil {
+		return o.fed
 	}
 	obs.CRC32Bytes.Add(int64(o.body.Offset()))
-	if o.crc != o.sum {
-		return fmt.Errorf("%w: %s section %d", ErrChecksum, o.sec.Kind, o.sec.ID)
+	t, err := r.dec.Take(-o.body.Offset()&3 + 4) // the padding, then the CRC
+	if err != nil {
+		return fmt.Errorf("%w: %s section %d CRC", ErrTruncated, o.sec.Kind, o.sec.ID)
 	}
-	if _, err := r.dec.Take(-o.body.Offset() & 3); err != nil {
-		return fmt.Errorf("%w: %s section %d padding", ErrTruncated, o.sec.Kind, o.sec.ID)
+	if o.crc != binary.BigEndian.Uint32(t[len(t)-4:]) {
+		return fmt.Errorf("%w: %s section %d", ErrChecksum, o.sec.Kind, o.sec.ID)
 	}
 	r.remaining--
 	return nil

@@ -132,8 +132,8 @@ func TestBadPrologue(t *testing.T) {
 func TestCorruptBody(t *testing.T) {
 	buf := Encode(sample())
 	// Flip one byte inside the first section's body (prologue 8 + header
-	// 16 bytes in).
-	buf[8+16] ^= 0x40
+	// 12 bytes in).
+	buf[8+12] ^= 0x40
 	rd, err := NewReader(xdr.NewDecoder(buf))
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestOpenReadsBodiesAsTheyArrive(t *testing.T) {
 		}
 	}
 	bad := append([]byte(nil), wire...)
-	bad[len(bad)-5] ^= 0x40 // inside the globals body
+	bad[len(bad)-8] ^= 0x40 // inside the globals body, before its padding and CRC
 	rd, err := NewReader(xdr.NewFeedDecoder(-1, feed(bad, 3)))
 	if err != nil {
 		t.Fatal(err)
@@ -250,5 +250,91 @@ func TestOpenReadsBodiesAsTheyArrive(t *testing.T) {
 	out, err := rd.ReadAll()
 	if !errors.Is(err, ErrChecksum) || !strings.Contains(err.Error(), "globals section 0") || out != nil {
 		t.Errorf("a flipped globals byte: %v, want ErrChecksum naming the globals section", err)
+	}
+}
+
+// TestWriterHoldsBodiesToTheirSize streams sections through a Writer in
+// pieces: the bytes are Encode's, a body that overruns its declared size
+// fails the piece that overruns it and one that falls short fails End, and
+// a flipped CRC trailer fails the reader at that section's Close.
+func TestWriterHoldsBodiesToTheirSize(t *testing.T) {
+	in := sample()
+	var buf bytes.Buffer
+	sw := NewWriter(&buf, len(in))
+	for _, s := range in {
+		if err := sw.Begin(s.Kind, s.ID, len(s.Body)); err != nil {
+			t.Fatal(err)
+		}
+		for p := s.Body; len(p) > 0; p = p[min(2, len(p)):] {
+			if _, err := sw.Write(p[:min(2, len(p))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sw.End(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := Encode(in); !bytes.Equal(buf.Bytes(), want) || sw.Len() != len(want) {
+		t.Errorf("streamed %d bytes that differ from Encode's %d", sw.Len(), len(want))
+	}
+
+	sw = NewWriter(io.Discard, 1)
+	sw.Begin(KindHeap, 0, 4)
+	if _, err := sw.Write([]byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.Write([]byte{4, 5}); !errors.Is(err, ErrSize) {
+		t.Errorf("a body overrunning its size: %v, want ErrSize", err)
+	}
+	sw = NewWriter(io.Discard, 1)
+	sw.Begin(KindHeap, 0, 4)
+	sw.Write([]byte{1, 2, 3})
+	if err := sw.End(); !errors.Is(err, ErrSize) {
+		t.Errorf("a body short of its size: %v, want ErrSize", err)
+	}
+
+	bad := Encode(in)
+	bad[8+12+8] ^= 0x01 // the exec section's trailer: 5 body bytes, 3 of padding
+	rd, err := NewReader(xdr.NewDecoder(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rd.Next(); !errors.Is(err, ErrChecksum) || !strings.Contains(err.Error(), "exec section 0") {
+		t.Errorf("a flipped trailer: %v, want ErrChecksum naming the exec section", err)
+	}
+}
+
+// TestCloseChecksAnUnreadBody: a section whose reader stops part way is
+// still read to its end by Close and held to its CRC, so a damaged body is
+// reported as ErrChecksum whatever its reader made of it, and an intact
+// one closes cleanly with the reader positioned at the next section.
+func TestCloseChecksAnUnreadBody(t *testing.T) {
+	in := sample()
+	for _, flip := range []bool{false, true} {
+		wire := Encode(in)
+		if flip {
+			wire[8+12+8+4+12+10] ^= 0x40 // inside the first heap section's body
+		}
+		rd, err := NewReader(xdr.NewDecoder(wire))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rd.Next(); err != nil {
+			t.Fatal(err)
+		}
+		_, body, err := rd.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body.Take(3) // a reader that gives up after three bytes
+		err = rd.Close()
+		if flip != errors.Is(err, ErrChecksum) || !flip && err != nil {
+			t.Fatalf("flipped %v: Close = %v", flip, err)
+		}
+		if !flip {
+			if rest, err := rd.ReadAll(); err != nil || len(rest) != len(in)-2 {
+				t.Errorf("after an early Close: %d sections, %v", len(rest), err)
+			}
+		}
 	}
 }

@@ -4,14 +4,16 @@
 // (internal/link): instead of materializing the whole machine-independent
 // snapshot and pushing it through one blocking Transport.Send, the
 // snapshot is cut into sequence-numbered chunks that a background
-// goroutine transmits while the producer keeps writing.
+// goroutine transmits while the producer — the capture, encoding each
+// section body straight into the Writer — keeps writing.
 //
 // Two types cooperate:
 //
 //   - Writer cuts the byte stream into chunks and transmits them from a
 //     background goroutine behind a bounded queue (backpressure: when the
 //     wire lags, the producer blocks, so sender memory is bounded by the
-//     queue rather than the snapshot size);
+//     queue and the producer's one 64 KiB piece rather than the snapshot
+//     size);
 //   - Reader checks each chunk's sequence number and the FIN totals, and
 //     hands the payloads out in order through Next, so the restore decodes
 //     them as they arrive.

@@ -58,7 +58,9 @@ func NewWriter(t link.Transport, cfg Config) *Writer {
 	return w
 }
 
-func (w *Writer) fail(err error) {
+// Fail ends the transfer with err: nothing more is transmitted, and Close
+// sends no FIN.
+func (w *Writer) Fail(err error) {
 	w.mu.Lock()
 	if w.err == nil {
 		w.err = err
@@ -81,7 +83,7 @@ func (w *Writer) txLoop() {
 	for c := range w.sendq {
 		if w.Err() == nil {
 			if err := w.t.Send(c.seal()); err != nil {
-				w.fail(fmt.Errorf("stream: chunk %d send: %w", c.seq, err))
+				w.Fail(fmt.Errorf("stream: chunk %d send: %w", c.seq, err))
 			}
 		}
 		chunkBufs.Put(c.frame[:0])
@@ -90,8 +92,8 @@ func (w *Writer) txLoop() {
 
 // Write implements io.Writer: it buffers p, cutting and enqueueing
 // full chunks. It blocks when the transmit queue is full. Write copies p
-// into the chunk buffer before returning — it never retains p — so
-// callers (the section framing, whose bodies alias pooled encoders) may
+// into the chunk buffer before returning — it never retains p — so the
+// producer (a capture encoding its next piece into the same buffer) may
 // reuse p immediately.
 func (w *Writer) Write(p []byte) (int, error) {
 	if err := w.Err(); err != nil {
@@ -132,7 +134,7 @@ func (w *Writer) Close() error {
 	<-w.sent
 	if w.Err() == nil {
 		if err := w.t.Send(marshalFin(w.seq, uint64(w.bytes))); err != nil {
-			w.fail(fmt.Errorf("stream: fin send: %w", err))
+			w.Fail(fmt.Errorf("stream: fin send: %w", err))
 		}
 	}
 	mTxChunks.Add(int64(w.seq))

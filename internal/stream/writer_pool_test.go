@@ -11,10 +11,9 @@ import (
 )
 
 // TestWriterDoesNotRetainCallerBytes pins the Write ownership contract the
-// pooled-encoder capture path depends on: Write copies p into the chunk
-// buffer before returning, so a caller — the section framing handing out
-// bodies that alias pooled encoders — may overwrite p the moment Write
-// returns. The caller scribbles over every slice immediately after
+// streamed capture depends on: Write copies p into the chunk buffer before
+// returning, so a caller — a capture encoding its next piece into the
+// buffer it just wrote — may overwrite p the moment Write returns. The caller scribbles over every slice immediately after
 // writing it; the reassembled stream must still be the original bytes.
 func TestWriterDoesNotRetainCallerBytes(t *testing.T) {
 	cfg := Config{ChunkSize: 512}

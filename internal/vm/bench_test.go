@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/arch"
@@ -218,6 +219,26 @@ func BenchmarkCaptureBitonic16k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.CaptureSections(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteSnapshotLinpack768 streams the cold_array state (linpack
+// 768: a 4.7 MB matrix in one frame-local array) to io.Discard. The body
+// goes to the writer piece by piece as it is encoded, so a capture holds
+// one 64 KiB piece, not the snapshot: CI fails it above 1 MiB/op.
+func BenchmarkWriteSnapshotLinpack768(b *testing.B) {
+	p := stopPaused(b, workload.LinpackSource(768, false), arch.DEC5000)
+	n, err := p.WriteSnapshot(io.Discard)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.WriteSnapshot(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/minic"
+	"repro/internal/snapshot"
+	"repro/internal/xdr"
 )
 
 // CompiledFuncs is how many functions p holds compiled code for.
@@ -29,6 +31,21 @@ func restoreProcess(prog *minic.Program, m *arch.Machine, state []byte) (*Proces
 		return nil, err
 	}
 	return p, nil
+}
+
+// sectionsOf is the section list of the snapshot of the poll point p is
+// stopped at.
+func sectionsOf(t testing.TB, p *Process) []snapshot.Section {
+	t.Helper()
+	rd, err := snapshot.NewReader(xdr.NewDecoder(stopState(t, p)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := rd.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return secs
 }
 
 // stopState is the sectioned snapshot of the poll point p is stopped at.

@@ -10,8 +10,8 @@ package vm
 //	round 0   full sectioned capture (a delta when the process already
 //	          keeps a capture), process resumes while it ships
 //	round k   delta capture — only the sections the dirty set touched
-//	          re-encode (collect.EncodeSections with this capture's
-//	          tracker); the process resumes
+//	          re-encode (collect.Walk with this capture's tracker);
+//	          the process resumes
 //	final     process stays stopped; the last delta is the only state
 //	          the downtime window has to move
 //
@@ -51,6 +51,7 @@ import (
 
 	"repro/internal/collect"
 	"repro/internal/memory"
+	"repro/internal/obs"
 	"repro/internal/snapshot"
 )
 
@@ -120,20 +121,46 @@ func (p *Process) Round(key func([]byte) Sum) (*LiveRound, error) {
 	}
 	mDirtyBlocks.Set(int64(round.DirtyBlocks))
 
-	// Every body is owned by the tracker, so there is nothing to release.
-	secs, from, _, err := p.captureSectionList(lc.dt, dirty)
+	// The tracker's previous round and the ranges written since it let the
+	// bodies those ranges cannot have touched carry over; every other body
+	// is encoded whole, into a buffer of exactly its size. The tracker
+	// keeps them all for the next round.
+	c, err := p.beginCapture(lc.dt, dirty)
 	if err != nil {
 		p.discardCapture()
 		return nil, err
 	}
-	round.Sections, round.From = secs, from
+	defer c.span.End()
+	round.Sections, round.From = []snapshot.Section{{Kind: snapshot.KindExec, Body: c.exec}}, []int{-1}
+	bodies := make([][]byte, len(c.lay.Sizes))
+	if err := obs.Phase("collect", func() error {
+		for i := range c.lay.Sizes {
+			f := c.lay.From[i]
+			if f >= 0 {
+				bodies[i], f = c.lay.Carried(i), f+1 // the previous round's list opened with its exec section too
+			} else if err := c.encode(i, func() (d time.Duration, err error) {
+				bodies[i], d, err = c.lay.Body(i)
+				return d, err
+			}); err != nil {
+				return err
+			}
+			kind, id := c.section(i)
+			round.Sections, round.From = append(round.Sections, snapshot.Section{Kind: kind, ID: id, Body: bodies[i]}), append(round.From, f)
+		}
+		return nil
+	}); err != nil {
+		p.discardCapture()
+		return nil, err
+	}
+	c.lay.Fold(bodies)
+	c.end()
 	if key != nil {
-		round.Sums = make([]Sum, len(secs))
-		for i, f := range from {
+		round.Sums = make([]Sum, len(round.Sections))
+		for i, f := range round.From {
 			if f >= 0 && lc.sums != nil {
 				round.Sums[i] = lc.sums[f]
 			} else {
-				round.Sums[i] = key(secs[i].Body)
+				round.Sums[i] = key(round.Sections[i].Body)
 			}
 		}
 	}

@@ -199,11 +199,7 @@ func TestRestoreRejectsInconsistentFrameChain(t *testing.T) {
 			t.Fatalf("resume to poll %d: %v", polls+1, err)
 		}
 	}
-	secs, release, err := p.Sections()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
+	secs := sectionsOf(t, p)
 	if _, err := restoreProcess(prog, arch.SPARC20, snapshot.Encode(secs)); err != nil {
 		t.Fatalf("unforged state: %v", err)
 	}

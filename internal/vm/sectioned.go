@@ -1,10 +1,11 @@
 package vm
 
 // Sectioned state transfer. The capture partitions the reachable MSR
-// graph into independently-framed sections (internal/snapshot) and encodes
-// them one after the other (internal/collect's EncodeSections); the
-// restore walks the sections in order, rebuilding the MSRLT
-// section-by-section with a per-section CRC check.
+// graph into independently-framed sections (internal/snapshot), sizes
+// them, and encodes them one after the other (internal/collect's Walk and
+// Layout.Encode), a cold capture straight into its writer; the restore
+// walks the sections in order, rebuilding the MSRLT section-by-section
+// with a per-section CRC check.
 //
 // Section order is deterministic, so two captures of the same stopped
 // process produce byte-identical snapshots:
@@ -15,6 +16,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"time"
 
@@ -27,121 +29,144 @@ import (
 	"repro/internal/xdr"
 )
 
-// Sections is the exported face of the one sectioned producer: the state
-// of the stopped process as a section list in snapshot order. The bodies
-// alias pooled encoders until release is called; whoever frames, stores or
-// ships them calls it once it is done with them.
-func (p *Process) Sections() (secs []snapshot.Section, release func(), err error) {
-	secs, _, release, err = p.captureSectionList(nil, nil)
-	return secs, release, err
-}
-
 // CaptureSections is Recapture. The parameter is inert — it was the width
 // of the encoding pool, which is gone — and stays only because
 // bench/program.go, which no ordinary change may edit, passes one.
 func (p *Process) CaptureSections(_ int) ([]byte, error) { return p.Recapture() }
 
-// captureSectionList is the one sectioned producer, behind cold, warm and
-// live captures alike: it collects the state at the site the process is
-// stopped at and returns every section in the deterministic snapshot
-// order — exec, heap components by number, frames innermost first,
-// globals. With a tracker (a live round) and the ranges written since its
-// previous round, the sections those ranges cannot have touched are reused
-// from it — from[i] is the index in the previous round's list of the
-// section whose body section i carries over, -1 for a body encoded now —
-// and every body is tracker-owned; without one the bodies alias pooled
-// encoders until release is called. The capture is recorded here, once,
-// counting the sections that were encoded (not the reused ones):
-// CaptureStats, a "collect" span with partition (partition=reused|walked),
-// encode and per-section children, the vm.section.encode histogram and
-// the capture counters.
-func (p *Process) captureSectionList(dt *collect.DeltaTracker, dirty []memory.DirtyRange) (secs []snapshot.Section, from []int, release func(), err error) {
+// WriteSnapshot writes the state of the stopped process to w as a framed
+// sectioned snapshot — the prologue, then each section — body by body as
+// it is encoded, in pieces of at most 64 KiB. Every body is sized and
+// every type resolved before the first byte, so after it only w can fail
+// the capture, and a writer that fails stops it at once. A w that can Grow
+// is grown once to the snapshot's exact size. CaptureStats().Elapsed is the
+// walk and the encoding, not the time spent in w.
+func (p *Process) WriteSnapshot(w io.Writer) (int, error) {
+	c, err := p.beginCapture(nil, nil)
+	if err != nil {
+		return 0, err
+	}
+	defer c.span.End()
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		n := snapshot.PrologueSize + snapshot.SectionSize(len(c.exec))
+		for _, size := range c.lay.Sizes {
+			n += snapshot.SectionSize(size)
+		}
+		g.Grow(n)
+	}
+	sw := snapshot.NewWriter(w, 1+len(c.lay.Sizes))
+	err = obs.Phase("collect", func() error {
+		err := sw.Section(snapshot.KindExec, 0, c.exec)
+		for i := 0; err == nil && i < len(c.lay.Sizes); i++ {
+			kind, id := c.section(i)
+			if err = sw.Begin(kind, id, c.lay.Sizes[i]); err == nil {
+				err = c.encode(i, func() (time.Duration, error) { return c.lay.Encode(i, sw.Write) })
+			}
+			if err == nil {
+				err = sw.End()
+			}
+		}
+		return err
+	})
+	if err == nil {
+		c.end()
+	}
+	return sw.Len(), err
+}
+
+// capture is one capture under way: the layout of the stopped process's
+// state (collect.Walk) and its exec section, encoded. It is recorded once
+// it ends, counting the sections encoded and not the ones a live round
+// carries over: CaptureStats, a "collect" span with partition
+// (partition=reused|walked), encode and per-section children, the
+// vm.section.encode histogram and the capture counters.
+type capture struct {
+	p               *Process
+	lay             *collect.Layout
+	exec            []byte
+	span            *obs.Span
+	searches, steps int64
+	fresh, calls    int
+	elapsed         time.Duration // before the first body was encoded
+}
+
+func (p *Process) beginCapture(dt *collect.DeltaTracker, dirty []memory.DirtyRange) (*capture, error) {
 	start := time.Now()
 	innermost, err := p.stoppedSite()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	sites, err := p.captureSites(innermost)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	span := p.Obs.Child("collect")
+	c := &capture{p: p, span: p.Obs.Child("collect"), searches: p.Table.Stats.Searches, steps: p.Table.Stats.SearchSteps}
+	c.span.SetAttr("format", "sectioned")
 	if dt != nil {
-		span.SetAttr("format", "delta")
-	} else {
-		span.SetAttr("format", "sectioned")
+		c.span.SetAttr("format", "delta")
 	}
-	defer span.End()
-
-	baseSearches := p.Table.Stats.Searches
-	baseSteps := p.Table.Stats.SearchSteps
 	roots := p.liveRoots(sites)
-	st, err := obs.PhaseOf("collect", func() (*collect.SectionedState, error) {
-		return collect.EncodeSections(p.Space, p.Table, p.TI, roots, dt, dirty)
-	})
-	if err != nil {
-		return nil, nil, nil, err
+	if c.lay, err = obs.PhaseOf("collect", func() (*collect.Layout, error) {
+		return collect.Walk(p.Space, p.Table, p.TI, roots, dt, dirty)
+	}); err != nil {
+		c.span.End()
+		return nil, err
 	}
-	part := span.Child("partition")
-	if st.Reused {
+	part := c.span.Child("partition")
+	part.SetAttr("partition", "walked")
+	if c.lay.Reused {
 		part.SetAttr("partition", "reused")
-	} else {
-		part.SetAttr("partition", "walked")
 	}
-	part.SetDuration(st.Stats.SearchTime)
-	span.Child("encode").SetDuration(st.Stats.EncodeTime)
-
+	save, _ := c.lay.Stats()
+	part.SetDuration(save.SearchTime)
 	execStart := time.Now()
-	execEnc := xdr.NewEncoder(64)
-	p.putExecState(execEnc, sites)
-	execElapsed := time.Since(execStart)
+	enc := xdr.NewEncoder(64)
+	p.putExecState(enc, sites)
+	c.exec, c.calls = enc.Bytes(), enc.Calls()
+	c.record(snapshot.KindExec, 0, len(c.exec), time.Since(execStart))
+	c.elapsed = time.Since(start)
+	return c, nil
+}
 
-	nframes := len(p.frames)
-	secs = make([]snapshot.Section, 0, 1+len(st.Bodies))
-	from = make([]int, 0, cap(secs))
-	calls, fresh := st.Calls+execEnc.Calls(), 0
-	add := func(kind snapshot.Kind, id uint32, body []byte, elapsed time.Duration, carried int) {
-		secs = append(secs, snapshot.Section{Kind: kind, ID: id, Body: body})
-		from = append(from, carried)
-		if carried >= 0 {
-			return
-		}
-		fresh += len(body)
-		// The encoding already ran; record each section as a child with
-		// its measured duration rather than wall time.
-		c := span.Child("section")
-		c.SetSection(kind.String(), id)
-		c.SetBytes(int64(len(body)))
-		c.SetDuration(elapsed)
-		mSectionEncode.Observe(elapsed)
+// section names body i of the layout.
+func (c *capture) section(i int) (snapshot.Kind, uint32) {
+	switch n := len(c.lay.Sizes); {
+	case i == n-1:
+		return snapshot.KindGlobals, 0
+	case i >= c.lay.Heap:
+		return snapshot.KindFrame, uint32(len(c.p.frames) - (i - c.lay.Heap))
 	}
-	add(snapshot.KindExec, 0, execEnc.Bytes(), execElapsed, -1)
-	for i, b := range st.Bodies {
-		kind, id := snapshot.KindHeap, uint32(i)
-		switch {
-		case i == len(st.Bodies)-1:
-			kind, id = snapshot.KindGlobals, 0
-		case i >= st.Heap:
-			kind, id = snapshot.KindFrame, uint32(nframes-(i-st.Heap))
-		}
-		if b.From >= 0 {
-			b.From++ // the previous round's list opened with its exec section too
-		}
-		add(kind, id, b.Body, b.Elapsed, b.From)
-	}
+	return snapshot.KindHeap, uint32(i)
+}
 
-	save := st.Stats
-	save.Searches = p.Table.Stats.Searches - baseSearches
-	save.SearchSteps = p.Table.Stats.SearchSteps - baseSteps
-	p.captureStats = StateStats{
-		Frames:  nframes,
-		Save:    save,
-		Bytes:   fresh,
-		Elapsed: time.Since(start),
-	}
-	span.SetBytes(int64(fresh))
-	flushCapture(calls, fresh)
-	return secs, from, st.Release, nil
+// encode encodes body i, streamed or whole, and records it. Its caller runs
+// it under the collect phase label.
+func (c *capture) encode(i int, encode func() (time.Duration, error)) error {
+	d, err := encode()
+	kind, id := c.section(i)
+	c.record(kind, id, c.lay.Sizes[i], d)
+	return err
+}
+
+// record books one encoded section of n body bytes; the encoding already
+// ran, so its child carries the measured duration rather than wall time.
+func (c *capture) record(kind snapshot.Kind, id uint32, n int, elapsed time.Duration) {
+	c.fresh += n
+	child := c.span.Child("section")
+	child.SetSection(kind.String(), id)
+	child.SetBytes(int64(n))
+	child.SetDuration(elapsed)
+	mSectionEncode.Observe(elapsed)
+}
+
+func (c *capture) end() {
+	save, calls := c.lay.Stats()
+	c.span.Child("encode").SetDuration(save.EncodeTime)
+	save.Searches = c.p.Table.Stats.Searches - c.searches
+	save.SearchSteps = c.p.Table.Stats.SearchSteps - c.steps
+	c.p.captureStats = StateStats{Frames: len(c.p.frames), Save: save, Bytes: c.fresh, Elapsed: c.elapsed + save.EncodeTime}
+	c.span.SetBytes(int64(c.fresh))
+	flushCapture(c.calls+calls, c.fresh)
 }
 
 // liveRoots builds the collection roots — the live-variable addresses of
@@ -350,7 +375,10 @@ func (r *Restore) Idle(d time.Duration) { r.idle += d }
 // Read applies a framed sectioned snapshot, a restore's only list, section
 // by section as dec decodes it — dec may still be receiving it
 // (xdr.NewFeedDecoder). Each body is decoded straight out of dec into
-// place and its CRC compared at its last byte. The snapshot must end dec.
+// place and its CRC compared at its trailer. A section whose CRC fails is
+// a corrupt stream whatever its decoder made of it: a body the decoder
+// gave up on is read to its end for the comparison. The snapshot must end
+// dec.
 func (r *Restore) Read(dec *xdr.Decoder) error {
 	rd, err := snapshot.NewReader(dec)
 	if err != nil {
@@ -362,10 +390,11 @@ func (r *Restore) Read(dec *xdr.Decoder) error {
 			if err = r.order.admit(sec.Kind, sec.ID); err == nil {
 				err = r.timed(func() error { return r.place(sec.Kind, sec.ID, body) })
 			}
-			if err != nil {
+			if cerr := rd.Close(); err != nil && !errors.Is(cerr, snapshot.ErrChecksum) {
 				return err
+			} else {
+				err = cerr
 			}
-			err = rd.Close()
 		}
 		if err != nil {
 			return fmt.Errorf("vm: reading snapshot section: %w (%w)", collect.ErrCorruptStream, err)

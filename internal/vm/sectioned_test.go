@@ -201,11 +201,7 @@ func TestSectionedRejectsCorruption(t *testing.T) {
 	// exec #0 first and once, heap components in number
 	// order before any variable section, each frame of the restored chain
 	// exactly once, globals exactly once.
-	secs, release, err := p.Sections()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
+	secs := sectionsOf(t, p)
 	exec, heap, frame, globals := secs[0], secs[1:4], secs[4], secs[5]
 	if exec.Kind != snapshot.KindExec || heap[2].Kind != snapshot.KindHeap || frame.Kind != snapshot.KindFrame || globals.Kind != snapshot.KindGlobals || len(secs) != 6 {
 		t.Fatalf("fixture is not exec, 3 heap components, 1 frame, globals: %d sections", len(secs))

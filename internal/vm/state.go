@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -8,7 +9,6 @@ import (
 	"repro/internal/collect"
 	"repro/internal/minic"
 	"repro/internal/obs"
-	"repro/internal/snapshot"
 	"repro/internal/xdr"
 )
 
@@ -56,15 +56,15 @@ func (p *Process) RestoreElapsed() time.Duration { return p.restoreElapsed }
 
 // Recapture collects the full process state at the migration point the
 // process is stopped at, as a sectioned snapshot: what a cold session
-// carries. Collection does not modify the process, so every
-// capture of one stopped state yields the same bytes, on any machine.
+// carries, written into a buffer of exactly its size (WriteSnapshot).
+// Collection does not modify the process, so every capture of one stopped
+// state yields the same bytes, on any machine.
 func (p *Process) Recapture() ([]byte, error) {
-	secs, release, err := p.Sections()
-	if err != nil {
+	var buf bytes.Buffer
+	if _, err := p.WriteSnapshot(&buf); err != nil {
 		return nil, err
 	}
-	defer release()
-	return snapshot.Encode(secs), nil
+	return buf.Bytes(), nil
 }
 
 // captureSites resolves the site every active frame is stopped at:

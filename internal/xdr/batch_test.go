@@ -6,34 +6,6 @@ import (
 	"testing"
 )
 
-// TestPooledEncoderReuse pins the pool contract: a released encoder comes
-// back reset (empty stream, zero counters) and retains its grown buffer
-// capacity, so steady-state captures stop allocating.
-func TestPooledEncoderReuse(t *testing.T) {
-	e := GetEncoder(64)
-	e.PutFixedOpaque(make([]byte, 4096))
-	grown := cap(e.buf)
-	e.Release()
-
-	// Drain the pool until we get the same encoder back (the pool is
-	// per-P, so with GOMAXPROCS=1 in tests the first Get returns it; be
-	// defensive and just check the invariants on whatever comes back).
-	f := GetEncoder(64)
-	if f.Len() != 0 || f.Calls() != 0 {
-		t.Fatalf("pooled encoder not reset: len=%d calls=%d", f.Len(), f.Calls())
-	}
-	if f == e && cap(f.buf) != grown {
-		t.Fatalf("released encoder lost its buffer: cap=%d want %d", cap(f.buf), grown)
-	}
-	// A larger capacity request must be honored even on a recycled encoder.
-	g := GetEncoder(1 << 20)
-	if cap(g.buf) < 1<<20 {
-		t.Fatalf("GetEncoder(1MB) returned cap %d", cap(g.buf))
-	}
-	f.Release()
-	g.Release()
-}
-
 // TestBatchedPutsMatchScalarPuts requires the slab writers (Put2Uint32,
 // Put4Uint32) to produce byte-identical streams to the equivalent
 // sequence of PutUint32 calls — batching is a pure call-count

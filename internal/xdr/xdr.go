@@ -11,13 +11,14 @@
 package xdr
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
-	"math/bits"
-	"sync"
-	"sync/atomic"
 )
+
+// be is the byte order of every XDR quantity.
+var be = binary.BigEndian
 
 // ErrShortBuffer is returned when a decode runs past the end of the stream.
 var ErrShortBuffer = errors.New("xdr: unexpected end of stream")
@@ -40,57 +41,6 @@ type Encoder struct {
 // NewEncoder returns an encoder whose buffer has the given initial capacity.
 func NewEncoder(capacity int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, capacity)}
-}
-
-// encPools recycles encoders (and, through them, their grown buffers)
-// across captures, one pool per power-of-two buffer size: class c holds
-// buffers of capacity in [2^c, 2^(c+1)). Buffers reach steady-state
-// capacity after the first few uses, so the hot path stops allocating.
-// Without the classes a capture that needs one multi-megabyte section
-// buffer and two tiny ones draws them in whatever order the pool hands
-// back, and re-makes (and re-zeroes) the large one whenever it drew a
-// small one.
-//
-// A sync.Pool is emptied by the garbage collector, and a migration makes
-// enough garbage that two collections often fall between two captures; so
-// each class also keeps one encoder in encKept, where the collector leaves
-// it. What stays resident is bounded by the largest capture the process
-// has made (one buffer per class, the classes doubling).
-var (
-	encPools [bits.UintSize]sync.Pool
-	encKept  [bits.UintSize]atomic.Pointer[Encoder]
-)
-
-// GetEncoder returns a pooled encoder whose buffer has at least the given
-// capacity. The encoder is reset.
-//
-// Ownership contract: every slice obtained from a pooled encoder —
-// Bytes() and Grow() reservations — aliases the encoder's internal buffer
-// and dies at Release. A caller that needs the encoded stream beyond
-// Release must copy it first.
-func GetEncoder(capacity int) *Encoder {
-	// The smallest class whose every buffer is large enough.
-	class := bits.Len(uint(max(capacity, 1) - 1))
-	if e := encKept[class].Swap(nil); e != nil {
-		return e
-	}
-	if e, ok := encPools[class].Get().(*Encoder); ok {
-		return e
-	}
-	return &Encoder{buf: make([]byte, 0, 1<<class)}
-}
-
-// Release resets the encoder and returns it to the pool, retaining its
-// buffer capacity for the next GetEncoder. The caller must not touch the
-// encoder, or any slice it handed out, after Release.
-func (e *Encoder) Release() {
-	e.Reset()
-	if c := cap(e.buf); c > 0 {
-		class := bits.Len(uint(c)) - 1
-		if !encKept[class].CompareAndSwap(nil, e) {
-			encPools[class].Put(e)
-		}
-	}
 }
 
 // Bytes returns the encoded stream. The slice aliases the encoder's
@@ -124,26 +74,14 @@ func (e *Encoder) grow(n int) []byte {
 }
 
 // PutUint32 encodes a 32-bit unsigned integer.
-func (e *Encoder) PutUint32(v uint32) {
-	b := e.grow(4)
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
-}
+func (e *Encoder) PutUint32(v uint32) { be.PutUint32(e.grow(4), v) }
 
 // Put2Uint32 encodes two 32-bit unsigned integers in one slab write —
 // one grow instead of two, for fixed small records on the hot path.
 func (e *Encoder) Put2Uint32(a, b uint32) {
 	s := e.grow(8)
-	s[0] = byte(a >> 24)
-	s[1] = byte(a >> 16)
-	s[2] = byte(a >> 8)
-	s[3] = byte(a)
-	s[4] = byte(b >> 24)
-	s[5] = byte(b >> 16)
-	s[6] = byte(b >> 8)
-	s[7] = byte(b)
+	be.PutUint32(s, a)
+	be.PutUint32(s[4:], b)
 }
 
 // Put4Uint32 encodes four 32-bit unsigned integers in one slab write.
@@ -153,36 +91,14 @@ func (e *Encoder) Put2Uint32(a, b uint32) {
 // grow calls into one.
 func (e *Encoder) Put4Uint32(a, b, c, d uint32) {
 	s := e.grow(16)
-	s[0] = byte(a >> 24)
-	s[1] = byte(a >> 16)
-	s[2] = byte(a >> 8)
-	s[3] = byte(a)
-	s[4] = byte(b >> 24)
-	s[5] = byte(b >> 16)
-	s[6] = byte(b >> 8)
-	s[7] = byte(b)
-	s[8] = byte(c >> 24)
-	s[9] = byte(c >> 16)
-	s[10] = byte(c >> 8)
-	s[11] = byte(c)
-	s[12] = byte(d >> 24)
-	s[13] = byte(d >> 16)
-	s[14] = byte(d >> 8)
-	s[15] = byte(d)
+	be.PutUint32(s, a)
+	be.PutUint32(s[4:], b)
+	be.PutUint32(s[8:], c)
+	be.PutUint32(s[12:], d)
 }
 
 // PutUint64 encodes a 64-bit unsigned integer (XDR unsigned hyper).
-func (e *Encoder) PutUint64(v uint64) {
-	b := e.grow(8)
-	b[0] = byte(v >> 56)
-	b[1] = byte(v >> 48)
-	b[2] = byte(v >> 40)
-	b[3] = byte(v >> 32)
-	b[4] = byte(v >> 24)
-	b[5] = byte(v >> 16)
-	b[6] = byte(v >> 8)
-	b[7] = byte(v)
-}
+func (e *Encoder) PutUint64(v uint64) { be.PutUint64(e.grow(8), v) }
 
 // PutFixedOpaque encodes fixed-length opaque data: the bytes followed by
 // zero padding to a four-byte boundary. The decoder must know the length.
@@ -353,7 +269,7 @@ func (d *Decoder) Uint32() (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]), nil
+	return be.Uint32(b), nil
 }
 
 // Uint32x3 decodes three 32-bit unsigned integers in one take — the tail
@@ -363,10 +279,7 @@ func (d *Decoder) Uint32x3() (a, b, c uint32, err error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	a = uint32(s[0])<<24 | uint32(s[1])<<16 | uint32(s[2])<<8 | uint32(s[3])
-	b = uint32(s[4])<<24 | uint32(s[5])<<16 | uint32(s[6])<<8 | uint32(s[7])
-	c = uint32(s[8])<<24 | uint32(s[9])<<16 | uint32(s[10])<<8 | uint32(s[11])
-	return a, b, c, nil
+	return be.Uint32(s), be.Uint32(s[4:]), be.Uint32(s[8:]), nil
 }
 
 // Uint32x4 decodes four 32-bit unsigned integers in one take — the shape
@@ -376,11 +289,7 @@ func (d *Decoder) Uint32x4() (a, b, c, e uint32, err error) {
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	a = uint32(s[0])<<24 | uint32(s[1])<<16 | uint32(s[2])<<8 | uint32(s[3])
-	b = uint32(s[4])<<24 | uint32(s[5])<<16 | uint32(s[6])<<8 | uint32(s[7])
-	c = uint32(s[8])<<24 | uint32(s[9])<<16 | uint32(s[10])<<8 | uint32(s[11])
-	e = uint32(s[12])<<24 | uint32(s[13])<<16 | uint32(s[14])<<8 | uint32(s[15])
-	return a, b, c, e, nil
+	return be.Uint32(s), be.Uint32(s[4:]), be.Uint32(s[8:]), be.Uint32(s[12:]), nil
 }
 
 // Uint64 decodes a 64-bit unsigned integer.
@@ -389,8 +298,7 @@ func (d *Decoder) Uint64() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7]), nil
+	return be.Uint64(b), nil
 }
 
 // FixedOpaque decodes n bytes of fixed-length opaque data, consuming the
