@@ -41,6 +41,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -341,14 +342,8 @@ func serve(engines []namedEngine, m *arch.Machine, o options) {
 		OnRestored: func(info session.Info, p *vm.Process, timing core.Timing) {
 			fmt.Printf("[migd %s] session %d: restored %q (%d bytes in %.4fs); resuming\n",
 				m.Name, info.ID, info.Program, timing.Bytes, timing.Restore.Seconds())
-			if info.Warm != nil {
-				fmt.Printf("[migd %s] session %d: warm transfer: %s\n", m.Name, info.ID, info.Warm)
-			}
-			if info.Live != nil {
-				// StopReason is the source's convergence decision; the
-				// responder only sees the resulting rounds.
-				fmt.Printf("[migd %s] session %d: live transfer: %d rounds, %d/%d sections shipped\n",
-					m.Name, info.ID, len(info.Live.Rounds), info.Live.TotalSent(), liveSections(info.Live))
+			if x := cmp.Or(info.Warm, info.Live); x != nil {
+				fmt.Printf("[migd %s] session %d: %s transfer: %s\n", m.Name, info.ID, info.How(), x)
 			}
 			p.Stdout = os.Stdout
 			p.MaxSteps = o.maxSteps
@@ -502,24 +497,9 @@ func run(ne namedEngine, m *arch.Machine, o options) {
 		os.Exit(rres.ExitCode)
 	}
 	how := sres.Params.How()
-	if sres.Warm != nil {
-		how = fmt.Sprintf("%s, %s", how, sres.Warm)
-	}
-	if sres.Live != nil {
-		how = fmt.Sprintf("%s, %d rounds, %d/%d sections shipped, downtime %.4fs (%s)",
-			how, len(sres.Live.Rounds), sres.Live.TotalSent(), liveSections(sres.Live),
-			sres.Live.Downtime.Seconds(), sres.Live.StopReason)
+	if x := cmp.Or(sres.Warm, sres.Live); x != nil {
+		how = fmt.Sprintf("%s, %s", how, x)
 	}
 	fmt.Printf("[migd %s] migrated %d bytes (%s; collect %.4fs, tx %.4fs); terminating\n",
 		m.Name, sres.Timing.Bytes, how, sres.Timing.Collect.Seconds(), sres.Timing.Tx.Seconds())
-}
-
-// liveSections totals the section instances across every live round — the
-// denominator the dedup'd "shipped" count is reported against.
-func liveSections(st *session.LiveStats) int {
-	n := 0
-	for _, r := range st.Rounds {
-		n += r.Sections
-	}
-	return n
 }

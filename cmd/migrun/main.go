@@ -105,13 +105,13 @@ func main() {
 		}
 		dst := route[0]
 		route = route[1:]
-		q, _, tm, err := session.Transfer(e, flag.Arg(0), p, dst, session.Config{})
+		q, mig, err := session.Transfer(e, flag.Arg(0), p, dst, session.Config{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "migrun: migrate:", err)
 			os.Exit(1)
 		}
 		if *timing {
-			fmt.Fprintf(os.Stderr, "[migrated %s -> %s: %s]\n", cur.Name, dst.Name, tm)
+			fmt.Fprintf(os.Stderr, "[migrated %s -> %s: %s]\n", cur.Name, dst.Name, mig.Timing)
 		}
 		configure(q)
 		p = q

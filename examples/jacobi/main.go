@@ -66,11 +66,11 @@ func main() {
 		}
 		hops++
 		next := route[hops%len(route)]
-		q, _, timing, err := session.Transfer(engine, "jacobi", p, next, session.Config{})
+		q, mig, err := session.Transfer(engine, "jacobi", p, next, session.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("hop %d: %s -> %s, %s\n", hops, p.Mach.Name, next.Name, timing)
+		fmt.Printf("hop %d: %s -> %s, %s\n", hops, p.Mach.Name, next.Name, mig.Timing)
 		p = q
 	}
 }

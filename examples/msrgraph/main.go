@@ -109,7 +109,7 @@ func main() {
 	}
 
 	// Complete the migration to the big-endian SPARC 20 and compare.
-	q, _, timing, err := session.Transfer(e, "figure1", p, arch.SPARC20, session.Config{})
+	q, mig, err := session.Transfer(e, "figure1", p, arch.SPARC20, session.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func main() {
 	if g.Canonical() != g2.Canonical() {
 		log.Fatal("restored graph differs from the source snapshot")
 	}
-	fmt.Printf("\nmigrated to %s, %s\n", q.Mach.Name, timing)
+	fmt.Printf("\nmigrated to %s, %s\n", q.Mach.Name, mig.Timing)
 	fmt.Printf("restored on %s: MSR graph is isomorphic to the source snapshot\n", q.Mach.Name)
 	res2, err := q.Run()
 	if err != nil {

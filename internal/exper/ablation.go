@@ -11,6 +11,7 @@ import (
 	"repro/internal/memory"
 	"repro/internal/minic"
 	"repro/internal/msr"
+	"repro/internal/session"
 	"repro/internal/stats"
 	"repro/internal/types"
 	"repro/internal/vm"
@@ -95,11 +96,11 @@ func DedupAblation(cfg Config) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, _, err := stopAtMigration(e, arch.Ultra5)
+	p, err := stopAtMigration(e, arch.Ultra5)
 	if err != nil {
 		return nil, err
 	}
-	elapsed, size, err := timeCollect(p, cfg.repeats())
+	tm, _, err := migrateBest(e, p, arch.Ultra5, cfg.repeats())
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +111,7 @@ func DedupAblation(cfg Config) ([]AblationRow, error) {
 	}
 	return []AblationRow{
 		{Name: "visit marking on (paper design)", Detail: fmt.Sprintf("depth-%d diamond DAG", depth),
-			Value: float64(size), Unit: "snapshot bytes", Elapsed: elapsed},
+			Value: float64(tm.Bytes), Unit: "snapshot bytes", Elapsed: tm.Collect},
 		{Name: "visit marking off (ablated)", Detail: fmt.Sprintf("2^%d path re-collections, counted on the graph", depth),
 			Value: float64(off), Unit: "stream bytes"},
 	}, nil
@@ -203,7 +204,7 @@ func MSRLTIndexAblation(cfg Config) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, _, err := stopAtMigration(e, arch.Ultra5)
+	p, err := stopAtMigration(e, arch.Ultra5)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +240,11 @@ func PointerEncodingCost(cfg Config) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, state, err := stopAtMigration(e, arch.Ultra5)
+	p, err := stopAtMigration(e, arch.Ultra5)
+	if err != nil {
+		return nil, err
+	}
+	_, mig, err := session.Transfer(e, "d2", p, arch.Ultra5, session.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +252,7 @@ func PointerEncodingCost(cfg Config) ([]AblationRow, error) {
 	ptrBytes := 16*(st.Save.Pointers-st.Save.NullPointers) + 4*st.Save.NullPointers
 	rows := []AblationRow{
 		{Name: "total stream", Detail: fmt.Sprintf("%d blocks", st.Save.Blocks),
-			Value: float64(len(state)), Unit: "bytes"},
+			Value: float64(mig.Timing.Bytes), Unit: "bytes"},
 		{Name: "scalar data (canonical XDR-style)", Detail: fmt.Sprintf("%d pointers among scalars", st.Save.Pointers),
 			Value: float64(st.Save.DataBytes), Unit: "bytes"},
 		{Name: "pointer refs (header+offset form)", Detail: "16 B non-null, 4 B null",

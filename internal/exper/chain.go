@@ -48,17 +48,17 @@ func Chain(cfg Config) (*ChainResult, error) {
 	// whose state is re-encoded from its own layout. It resumes on the
 	// last.
 	machines := arch.Machines()
-	q, _, err := stopAtMigration(e, machines[0])
+	q, err := stopAtMigration(e, machines[0])
 	if err != nil {
 		return nil, err
 	}
 	result := &ChainResult{Program: fmt.Sprintf("test_pointer depth %d", treeDepth)}
 	for _, m := range machines[1:] {
-		next, _, timing, err := session.Transfer(e, "chain", q, m, session.Config{})
+		next, mig, err := session.Transfer(e, "chain", q, m, session.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("exper: hop %s -> %s: %w", q.Mach.Name, m.Name, err)
 		}
-		result.Hops = append(result.Hops, ChainHop{From: q.Mach.Name, To: m.Name, StateBytes: timing.Bytes})
+		result.Hops = append(result.Hops, ChainHop{From: q.Mach.Name, To: m.Name, StateBytes: mig.Timing.Bytes})
 		q = next
 	}
 	if result.ExitCode, err = runOut(q); err != nil {

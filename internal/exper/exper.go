@@ -45,11 +45,11 @@ func (c Config) repeats() int {
 const maxSteps = 4_000_000_000
 
 // stopAtMigration runs the program on m until it stops at its migration
-// point, and returns the stopped process plus the state captured there.
-func stopAtMigration(e *core.Engine, m *arch.Machine) (*vm.Process, []byte, error) {
+// point, and returns the stopped process.
+func stopAtMigration(e *core.Engine, m *arch.Machine) (*vm.Process, error) {
 	p, err := e.NewProcess(m)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	p.MaxSteps = maxSteps
 	var req core.Request
@@ -57,13 +57,12 @@ func stopAtMigration(e *core.Engine, m *arch.Machine) (*vm.Process, []byte, erro
 	p.PollHook = req.Hook()
 	res, err := p.Run()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !res.Migrated {
-		return nil, nil, fmt.Errorf("exper: program completed without migrating")
+		return nil, fmt.Errorf("exper: program completed without migrating")
 	}
-	state, err := p.Recapture()
-	return p, state, err
+	return p, nil
 }
 
 // runOut drives a restored process to completion.
@@ -99,36 +98,27 @@ func timeBest(repeats int, f func()) time.Duration {
 	return best
 }
 
-// timeCollect measures data collection time (min of repeats) on a stopped
-// process.
-func timeCollect(p *vm.Process, repeats int) (time.Duration, int, error) {
+// migrateBest migrates the stopped process p to m through the session the
+// daemons run (a cold session.Transfer), sampled as timeBest samples, and
+// reads Collect and Restore from each migration's Result. It returns their
+// minimums, the bytes a migration carried, and the process the last one
+// restored; timeBest's warm-up call counts too, since a cold call only
+// reads slower. A migration leaves p stopped, so each captures the same
+// state.
+func migrateBest(e *core.Engine, p *vm.Process, m *arch.Machine, repeats int) (core.Timing, *vm.Process, error) {
+	best := core.Timing{Collect: math.MaxInt64, Restore: math.MaxInt64}
+	var q *vm.Process
 	var failure error
-	size := 0
-	d := timeBest(repeats, func() {
-		st, err := p.Recapture()
+	timeBest(repeats, func() {
+		r, res, err := session.Transfer(e, "exper", p, m, session.Config{})
 		if err != nil {
 			failure = err
 			return
 		}
-		size = len(st)
+		q, best.Bytes = r, res.Timing.Bytes
+		best.Collect, best.Restore = min(best.Collect, res.Timing.Collect), min(best.Restore, res.Timing.Restore)
 	})
-	return d, size, failure
-}
-
-// timeRestore measures data restoration time (min of repeats) into a fresh
-// process on m.
-func timeRestore(e *core.Engine, m *arch.Machine, state []byte, repeats int) (time.Duration, error) {
-	var failure error
-	d := timeBest(repeats, func() {
-		q, err := e.NewProcess(m)
-		if err == nil {
-			err = q.RestoreInto(state)
-		}
-		if err != nil {
-			failure = err
-		}
-	})
-	return d, failure
+	return best, q, failure
 }
 
 // ---------------------------------------------------------------------
@@ -166,11 +156,11 @@ func Heterogeneity(cfg Config) ([]HeteroRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pr.name, err)
 		}
-		p, _, err := stopAtMigration(e, arch.DEC5000)
+		p, err := stopAtMigration(e, arch.DEC5000)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pr.name, err)
 		}
-		q, _, timing, err := session.Transfer(e, pr.name, p, arch.SPARC20, session.Config{})
+		q, mig, err := session.Transfer(e, pr.name, p, arch.SPARC20, session.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pr.name, err)
 		}
@@ -182,7 +172,7 @@ func Heterogeneity(cfg Config) ([]HeteroRow, error) {
 			Program:    pr.name,
 			Src:        arch.DEC5000.Name,
 			Dst:        arch.SPARC20.Name,
-			StateBytes: timing.Bytes,
+			StateBytes: mig.Timing.Bytes,
 			ExitCode:   code,
 			OK:         code == 0,
 		})
@@ -222,19 +212,19 @@ func PrintHeterogeneity(w io.Writer, rows []HeteroRow) {
 // E2 — Table 1: migration time decomposition on the homogeneous pair.
 // ---------------------------------------------------------------------
 
-// Table1Row is one row of the paper's Table 1.
+// Table1Row is one row of the paper's Table 1: Collect, Restore and Bytes
+// as the session's Result records them, and Tx modeled.
 type Table1Row struct {
 	Program string
-	Collect time.Duration
-	Tx      time.Duration
-	Restore time.Duration
-	Bytes   int
+	core.Timing
 }
 
 // Table1 reproduces the paper's Table 1: linpack 1000x1000 and bitonic
 // 100000 migrating between two Ultra 5 machines over 100 Mb/s Ethernet.
-// Collection and restoration run on the real implementation; the wire
-// time uses the calibrated 100 Mb/s link model (the paper's hardware).
+// Each program migrates through a cold session (migrateBest), whose
+// Result gives Collect, Restore and Bytes; the wire time is the calibrated
+// 100 Mb/s link model (the paper's hardware), which explains a row and
+// decides none.
 func Table1(cfg Config) ([]Table1Row, error) {
 	linpackN, bitonicN := 1000, 100000
 	if cfg.Quick {
@@ -253,25 +243,16 @@ func Table1(cfg Config) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, state, err := stopAtMigration(e, arch.Ultra5)
+		p, err := stopAtMigration(e, arch.Ultra5)
 		if err != nil {
 			return nil, err
 		}
-		collect, size, err := timeCollect(p, cfg.repeats())
+		tm, _, err := migrateBest(e, p, arch.Ultra5, cfg.repeats())
 		if err != nil {
 			return nil, err
 		}
-		restore, err := timeRestore(e, arch.Ultra5, state, cfg.repeats())
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Table1Row{
-			Program: c.name,
-			Collect: collect,
-			Tx:      link.Ethernet100.TxTime(size),
-			Restore: restore,
-			Bytes:   size,
-		})
+		tm.Tx = link.Ethernet100.TxTime(tm.Bytes)
+		rows = append(rows, Table1Row{Program: c.name, Timing: tm})
 	}
 	return rows, nil
 }
@@ -355,15 +336,11 @@ func scalingPoint(src string, n int, cfg Config) (ScalingPoint, error) {
 	if err != nil {
 		return ScalingPoint{}, err
 	}
-	p, state, err := stopAtMigration(e, arch.Ultra5)
+	p, err := stopAtMigration(e, arch.Ultra5)
 	if err != nil {
 		return ScalingPoint{}, err
 	}
-	collect, size, err := timeCollect(p, cfg.repeats())
-	if err != nil {
-		return ScalingPoint{}, err
-	}
-	restore, err := timeRestore(e, arch.Ultra5, state, cfg.repeats())
+	tm, _, err := migrateBest(e, p, arch.Ultra5, cfg.repeats())
 	if err != nil {
 		return ScalingPoint{}, err
 	}
@@ -374,10 +351,10 @@ func scalingPoint(src string, n int, cfg Config) (ScalingPoint, error) {
 	}
 	return ScalingPoint{
 		N:           n,
-		Bytes:       size,
+		Bytes:       tm.Bytes,
 		Blocks:      st.Save.Blocks,
-		Collect:     collect,
-		Restore:     restore,
+		Collect:     tm.Collect,
+		Restore:     tm.Restore,
 		SearchSteps: search.SearchSteps,
 	}, nil
 }
@@ -469,7 +446,8 @@ type BreakdownRow struct {
 // where the time goes: linpack cost is dominated by encode/copy of the
 // matrix bytes, while bitonic pays a visible MSRLT search share that the
 // restoration side does not (restores resolve identifications in constant
-// time per block).
+// time per block). The split is that of the last of migrateBest's
+// migrations: the source's CaptureStats and the restored RestoreStatsOf.
 func Breakdown(cfg Config) ([]BreakdownRow, error) {
 	linpackN, bitonicN := 500, 50000
 	if cfg.Quick {
@@ -488,27 +466,19 @@ func Breakdown(cfg Config) ([]BreakdownRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, state, err := stopAtMigration(e, arch.Ultra5)
+		p, err := stopAtMigration(e, arch.Ultra5)
 		if err != nil {
 			return nil, err
 		}
-		// Recapture once more so the timing excludes cold caches.
-		if _, err := p.Recapture(); err != nil {
+		_, restored, err := migrateBest(e, p, arch.Ultra5, cfg.repeats())
+		if err != nil {
 			return nil, err
 		}
-		cs := p.CaptureStats()
+		cs, rs := p.CaptureStats(), restored.RestoreStatsOf()
 		search, err := bisection(p, false)
 		if err != nil {
 			return nil, err
 		}
-		restored, err := e.NewProcess(arch.Ultra5)
-		if err == nil {
-			err = restored.RestoreInto(state)
-		}
-		if err != nil {
-			return nil, err
-		}
-		rs := restored.RestoreStatsOf()
 		rows = append(rows, BreakdownRow{
 			Program:     c.name,
 			Blocks:      cs.Save.Blocks,

@@ -265,7 +265,7 @@ func (c *Cluster) runLoop(h *Handle, node *Node, proc *vm.Process) {
 		// Remote invocation through the session layer: the destination
 		// process negotiates and waits for state while the source
 		// transmits it through the agreed path.
-		q, _, timing, err := session.Transfer(c.engine, "sched", proc, dest.Mach, session.Config{})
+		q, mig, err := session.Transfer(c.engine, "sched", proc, dest.Mach, session.Config{})
 		if err != nil {
 			node.adjust(-1)
 			h.finish(&Outcome{Node: node.Name, Err: err})
@@ -273,7 +273,7 @@ func (c *Cluster) runLoop(h *Handle, node *Node, proc *vm.Process) {
 		}
 
 		h.mu.Lock()
-		h.migrations = append(h.migrations, MigrationRecord{From: node.Name, To: dest.Name, Timing: timing})
+		h.migrations = append(h.migrations, MigrationRecord{From: node.Name, To: dest.Name, Timing: mig.Timing})
 		h.node = dest
 		h.mu.Unlock()
 

@@ -61,7 +61,7 @@ func BenchmarkReceiveSectioned(b *testing.B) {
 			}
 			sent <- werr
 		}()
-		if _, _, err := receiveCold(stream.NewReader(srv, stream.Config{}), e, arch.SPARC20, nil); err != nil {
+		if _, err := receiveCold(stream.NewReader(srv, stream.Config{}), e, arch.SPARC20, nil, new(core.Timing)); err != nil {
 			b.Fatal(err)
 		}
 		if err := <-sent; err != nil {

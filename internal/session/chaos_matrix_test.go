@@ -110,7 +110,7 @@ func runChaosMigration(t *testing.T, m chaosMode, e *core.Engine, p *vm.Process,
 	}
 	c := make(chan rr, 1)
 	go func() {
-		_, q, _, err := Respond(dstT, reg, arch.SPARC20, dstCfg)
+		_, q, err := Respond(dstT, reg, arch.SPARC20, dstCfg)
 		c <- rr{q, err}
 	}()
 	_, initErr = Initiate(srcT, e, p.Mach, "prog", p, srcCfg)

@@ -16,12 +16,13 @@ import (
 	"repro/internal/wire"
 )
 
-// Result describes one completed outbound migration.
+// Result is the initiator's account of one outbound migration.
 type Result struct {
 	// Params is the negotiated outcome the transfer ran under.
 	Params Params
-	// Timing covers the whole migration: collection, transmission, and
-	// (on the responder) restoration is confirmed but not timed here.
+	// Timing is this side's share of the migration: collection,
+	// transmission and the wire bytes sent, which accrue round by round.
+	// Transfer adds the responder's restore time.
 	Timing core.Timing
 	// Trace is the distributed-trace identity this migration ran under
 	// (the initiator mints it; the responder adopts the trace ID).
@@ -32,12 +33,9 @@ type Result struct {
 	// tree shows the stitched whole; nil when the responder was not
 	// tracing.
 	Remote *obs.SpanData
-	// Warm is the dedup outcome of a warm (store-assisted) transfer; nil
-	// when the migration ran a cold path.
-	Warm *WarmStats
-	// Live is the per-round outcome of a live (pre-copy) transfer; nil
-	// when the migration ran a stop-and-copy path.
-	Live *LiveStats
+	// Warm is the account of a warm transfer's round, Live of a live
+	// transfer's rounds; nil for the other shapes.
+	Warm, Live *Exchange
 
 	// stored is a warm transfer's checkpoint, whose writes to the
 	// initiator's store run beside the exchange (store.BeginCheckpoint).
@@ -88,11 +86,11 @@ func Initiate(t link.Transport, e *core.Engine, src *arch.Machine, program strin
 	if err := awaitRestored(t, cfg, res); err != nil {
 		return nil, err
 	}
-	if st := res.Live; st != nil {
-		st.Downtime = time.Since(st.paused)
-		cfg.metrics().Histogram("session.downtime").Observe(st.Downtime)
+	if x := res.Live; x != nil {
+		x.Downtime = time.Since(x.paused)
+		cfg.metrics().Histogram("session.downtime").Observe(x.Downtime)
 		cfg.Recorder.Record("session.round", "downtime %v over %d rounds (%s); %d of %d bytes on wire",
-			st.Downtime, len(st.Rounds), st.StopReason, st.WireBytes, st.SnapshotBytes)
+			x.Downtime, len(x.Rounds), x.StopReason, res.Timing.Bytes, x.SnapshotBytes)
 	}
 	return res, nil
 }
@@ -263,9 +261,10 @@ func Rollback(p *vm.Process, cfg Config) (*vm.Result, error) {
 // Transfer migrates the stopped process p from its machine to dst over an
 // in-memory pipe, running the full negotiated protocol end to end — the
 // single-call workflow used by the in-process scheduler and experiments.
-// It returns the restored process, the initiator's Result (which a failed
-// pre-copy attempt fills as far as it got), and the merged timing of all
-// three phases.
+// It returns the restored process and the initiator's Result, whose
+// Timing.Restore is the responder's restore time, so Timing holds all
+// three phases; a failed pre-copy attempt fills the Result as far as it
+// got.
 //
 // On failure the source is rolled back before Transfer returns: the
 // paused process resumes execution (Rollback) to its next granted poll
@@ -274,7 +273,7 @@ func Rollback(p *vm.Process, cfg Config) (*vm.Result, error) {
 // success, the resumed source on failure. The exception is
 // ErrSourceExited, where the source already ran to completion locally:
 // that run is the surviving copy and there is nothing paused to resume.
-func Transfer(e *core.Engine, program string, p *vm.Process, dst *arch.Machine, cfg Config) (*vm.Process, *Result, core.Timing, error) {
+func Transfer(e *core.Engine, program string, p *vm.Process, dst *arch.Machine, cfg Config) (*vm.Process, *Result, error) {
 	a, b := link.Pipe()
 	defer a.Close()
 	defer b.Close()
@@ -282,18 +281,18 @@ func Transfer(e *core.Engine, program string, p *vm.Process, dst *arch.Machine, 
 	reg := &Registry{byDigest: map[uint32]registered{}}
 	reg.Add(program, e)
 	type respondRes struct {
-		q   *vm.Process
-		t   core.Timing
-		err error
+		info Info
+		q    *vm.Process
+		err  error
 	}
 	c := make(chan respondRes, 1)
 	go func() {
-		_, q, tim, err := Respond(b, reg, dst, cfg)
+		info, q, err := Respond(b, reg, dst, cfg)
 		if err != nil {
 			// Fail the initiator's pending Recv so it joins.
 			b.Close()
 		}
-		c <- respondRes{q, tim, err}
+		c <- respondRes{info, q, err}
 	}()
 	res, err := Initiate(a, e, p.Mach, program, p, cfg)
 	if err != nil {
@@ -306,12 +305,11 @@ func Transfer(e *core.Engine, program string, p *vm.Process, dst *arch.Machine, 
 		if !errors.Is(err, ErrSourceExited) {
 			Rollback(p, cfg)
 		}
-		return nil, res, core.Timing{}, err
+		return nil, res, err
 	}
 	if rr.err != nil {
-		return nil, res, core.Timing{}, rr.err
+		return nil, res, rr.err
 	}
-	timing := res.Timing
-	timing.Restore = rr.t.Restore
-	return rr.q, res, timing, nil
+	res.Timing.Restore = rr.info.Timing.Restore
+	return rr.q, res, nil
 }

@@ -48,20 +48,18 @@ func stoppedLinpack(t *testing.T, n int) (*core.Engine, *vm.Process) {
 	return e, p
 }
 
-// sectionsOf is the section list of the snapshot of the stopped process p,
-// taken apart by a scratch checkpoint store.
+// sectionsOf is the section list of the snapshot of the stopped process p.
 func sectionsOf(t *testing.T, p *vm.Process) []snapshot.Section {
 	t.Helper()
 	snap, err := p.Recapture()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := openTestStore(t)
-	_, h, _, err := st.CheckpointRef("snapshot", snap, 0, p.Mach.Name)
+	r, err := snapshot.NewReader(xdr.NewDecoder(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, secs, err := st.Sections(h)
+	secs, err := r.ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +85,9 @@ func coldOverPipe(t *testing.T, e *core.Engine, p *vm.Process, dst *arch.Machine
 	}
 	c := make(chan rr, 1)
 	go func() {
-		_, q, tim, err := Respond(rec.Dest(b), reg, dst, cfg)
+		info, q, err := Respond(rec.Dest(b), reg, dst, cfg)
 		b.Close()
-		c <- rr{q, tim, err}
+		c <- rr{q, info.Timing, err}
 	}()
 	res, err := Initiate(rec.Source(a), e, p.Mach, "prog", p, cfg)
 	if err != nil {
@@ -116,7 +114,7 @@ func scriptedCold(t *testing.T, e *core.Engine) (link.Transport, *counting, chan
 	received := &counting{Transport: b}
 	out := make(chan respondResult, 1)
 	go func() {
-		_, q, _, err := Respond(received, reg, arch.SPARC20, Config{})
+		_, q, err := Respond(received, reg, arch.SPARC20, Config{})
 		b.Close()
 		out <- respondResult{q, err}
 	}()
@@ -343,7 +341,7 @@ func TestColdFrameSequence(t *testing.T) {
 	defer a.Close()
 	done := make(chan respondResult, 1)
 	go func() {
-		_, q, _, err := Respond(b, reg, arch.SPARC20, Config{})
+		_, q, err := Respond(b, reg, arch.SPARC20, Config{})
 		b.Close()
 		done <- respondResult{q, err}
 	}()
@@ -550,7 +548,7 @@ func TestStreamedRestoreLocalisesCorruption(t *testing.T) {
 			}
 			done := make(chan rr, 1)
 			go func() {
-				_, q, _, err := Respond(b, reg, arch.SPARC20, Config{})
+				_, q, err := Respond(b, reg, arch.SPARC20, Config{})
 				b.Close()
 				done <- rr{q, err}
 			}()
@@ -614,7 +612,7 @@ func TestColdRefusedChunkSendsNoFIN(t *testing.T) {
 	a, b := link.Pipe()
 	done := make(chan respondResult, 1)
 	go func() {
-		_, q, _, err := Respond(rec.Dest(b), reg, arch.SPARC20, Config{})
+		_, q, err := Respond(rec.Dest(b), reg, arch.SPARC20, Config{})
 		b.Close()
 		done <- respondResult{q, err}
 	}()
@@ -666,7 +664,7 @@ func TestColdTransferHashesEachByteTwicePerSide(t *testing.T) {
 	done := make(chan error, 1)
 	before := obs.CRC32Bytes.Value()
 	go func() {
-		_, _, _, err := Respond(srv, reg, arch.SPARC20, Config{})
+		_, _, err := Respond(srv, reg, arch.SPARC20, Config{})
 		done <- err
 	}()
 	if _, err := Initiate(cli, e, p.Mach, "linpack", p, Config{}); err != nil {

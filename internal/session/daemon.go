@@ -105,12 +105,12 @@ type Info struct {
 	// responder adopts the trace ID and mints its own span ID under it);
 	// zero when the offer carried none.
 	Trace obs.TraceContext
-	// Warm is the dedup outcome of a warm (store-assisted) transfer; nil
-	// when the session ran a cold path.
-	Warm *WarmStats
-	// Live is the per-round outcome of a live (pre-copy) transfer; nil
-	// when the session ran a stop-and-copy path.
-	Live *LiveStats
+	// Timing is this side's share of the migration: the wire bytes
+	// received, and the restore time once the restore finished.
+	Timing core.Timing
+	// Warm is the account of a warm transfer's round, Live of a live
+	// transfer's rounds; nil for the other shapes.
+	Warm, Live *Exchange
 }
 
 // How names the transfer shape the session negotiated: cold, warm or live.
@@ -126,18 +126,20 @@ func (i Info) How() string { return i.Params.How() }
 // program digest the registry does not hold is reported to the peer
 // (REJECT) and returned. A committed warm session leaves reg a fork of
 // what it restored, which the program's next warm session restores into.
-func Respond(t link.Transport, reg *Registry, m *arch.Machine, cfg Config) (Info, *vm.Process, core.Timing, error) {
+// The Info is the responder's whole account of the session, as far as it
+// got: identity, shape, Timing and Exchange.
+func Respond(t link.Transport, reg *Registry, m *arch.Machine, cfg Config) (Info, *vm.Process, error) {
 	info, engine, err := respondHandshake(t, reg, cfg)
 	if err != nil {
-		return info, nil, core.Timing{}, err
+		return info, nil, err
 	}
-	shell, timing, err := receive(t, reg, engine, m, cfg, &info)
+	shell, err := receive(t, reg, engine, m, cfg, &info)
 	if err != nil {
 		cfg.Recorder.Record("session.fail", "receive/restore: %v", err)
-		return info, nil, core.Timing{}, err
+		return info, nil, err
 	}
-	cfg.observePhase("restore", timing.Restore)
-	cfg.Recorder.Record("session.restored", "%d bytes restored in %v", timing.Bytes, timing.Restore)
+	cfg.observePhase("restore", info.Timing.Restore)
+	cfg.Recorder.Record("session.restored", "%d bytes restored in %v", info.Timing.Bytes, info.Timing.Restore)
 	defer cfg.phase("confirm")()
 	// When the initiator traces, ship our exported span tree back on the
 	// confirmation so it can stitch the two into one. The export
@@ -149,8 +151,8 @@ func Respond(t link.Transport, reg *Registry, m *arch.Machine, cfg Config) (Info
 			spans = b
 		}
 	}
-	if err := t.Send(marshalRestored(uint64(timing.Bytes), spans)); err != nil {
-		return info, nil, core.Timing{}, fmt.Errorf("session: restored send: %w", err)
+	if err := t.Send(marshalRestored(uint64(info.Timing.Bytes), spans)); err != nil {
+		return info, nil, fmt.Errorf("session: restored send: %w", err)
 	}
 	// Hold the restored process inactive until the initiator commits the
 	// handoff. No COMMIT means the initiator never saw RESTORED (or could
@@ -159,7 +161,7 @@ func Respond(t link.Transport, reg *Registry, m *arch.Machine, cfg Config) (Info
 	// neither would lose it.
 	if _, _, err := recvMessage(t, wire.Commit); err != nil {
 		cfg.Recorder.Record("session.discard", "no commit after RESTORED; discarding restored process: %v", err)
-		return info, nil, core.Timing{}, err
+		return info, nil, err
 	}
 	cfg.Recorder.Record("session.commit", "handoff committed; activating restored process")
 	// The next warm session of the program restores into a fork of this
@@ -175,7 +177,7 @@ func Respond(t link.Transport, reg *Registry, m *arch.Machine, cfg Config) (Info
 			cfg.Recorder.Record("session.keep", "kept a fork of the restored shell for the next warm session")
 		}
 	}
-	return info, shell.Process(), timing, nil
+	return info, shell.Process(), nil
 }
 
 // respondHandshake reads the OFFER, resolves the program, intersects the
@@ -220,13 +222,12 @@ func respondHandshake(t link.Transport, reg *Registry, cfg Config) (Info, *core.
 }
 
 // receive accepts the inbound state in the shape info.Params selects and
-// restores the process on machine m, filling in the shape's accounting on
-// a round exchange.
-func receive(t link.Transport, reg *Registry, e *core.Engine, m *arch.Machine, cfg Config, info *Info) (*vm.Restore, core.Timing, error) {
+// restores the process on machine m, filling in info's account.
+func receive(t link.Transport, reg *Registry, e *core.Engine, m *arch.Machine, cfg Config, info *Info) (*vm.Restore, error) {
 	if info.Params.rounds() {
 		return receiveRounds(t, reg, e, m, cfg, info)
 	}
-	return receiveCold(stream.NewReader(t, stream.Config{Recorder: cfg.Recorder}), e, m, cfg.Trace)
+	return receiveCold(stream.NewReader(t, stream.Config{Recorder: cfg.Recorder}), e, m, cfg.Trace, &info.Timing)
 }
 
 // receiveCold restores the process a cold stream carries on machine m,
@@ -237,11 +238,12 @@ func receive(t link.Transport, reg *Registry, e *core.Engine, m *arch.Machine, c
 // parsed twice; after the last one only the globals and the FIN remain.
 // The phases are children of span (nil disables tracing): "transport" is
 // the time spent waiting for chunks, "restore" the sum of the apply steps,
-// and Timing.Restore the latter. A failure returns no process.
-func receiveCold(r *stream.Reader, e *core.Engine, m *arch.Machine, span *obs.Span) (*vm.Restore, core.Timing, error) {
+// and tm.Restore the latter; tm.Bytes counts what arrived. A failure
+// returns no process.
+func receiveCold(r *stream.Reader, e *core.Engine, m *arch.Machine, span *obs.Span, tm *core.Timing) (*vm.Restore, error) {
 	p, err := e.NewProcess(m)
 	if err != nil {
-		return nil, core.Timing{}, err
+		return nil, err
 	}
 	p.Obs = span
 	// Every body lands in the process's own memory, so once the restore
@@ -264,15 +266,17 @@ func receiveCold(r *stream.Reader, e *core.Engine, m *arch.Machine, span *obs.Sp
 	if err = shell.Read(in); err == nil {
 		err = shell.Finish()
 	}
-	rx.SetBytes(int64(in.Offset()))
+	tm.Bytes = in.Offset()
+	rx.SetBytes(int64(tm.Bytes))
 	rx.SetDuration(waited)
 	if broken != nil {
 		err = broken
 	}
 	if err != nil {
-		return nil, core.Timing{}, err
+		return nil, err
 	}
-	return shell, core.Timing{Restore: p.RestoreElapsed(), Bytes: in.Offset()}, nil
+	tm.Restore = p.RestoreElapsed()
+	return shell, nil
 }
 
 // Daemon is the persistent, concurrent migration daemon: an accept loop
@@ -293,11 +297,13 @@ type Daemon struct {
 	// Timeout bounds each session's total wall time (handshake through
 	// restoration) when the transport supports deadlines. Zero disables.
 	Timeout time.Duration
-	// Logf receives per-session diagnostics; nil discards them.
+	// Logf receives the per-session span trees and flight recordings;
+	// nil discards them.
 	Logf func(format string, args ...any)
 	// OnRestored is invoked — concurrently, from the session's worker —
-	// with every successfully restored process. Typically it runs the
-	// process to completion. Nil leaves the process to the counters only.
+	// with every successfully restored process, and Info.Timing beside it.
+	// Typically it runs the process to completion. Nil leaves the process
+	// to the counters only.
 	OnRestored func(Info, *vm.Process, core.Timing)
 	// Metrics receives the daemon's lifecycle counters (session.accepted,
 	// session.restored, session.failed, session.bytes, and a
@@ -310,10 +316,9 @@ type Daemon struct {
 	// session — msg "session.restored" or "session.failed" with session
 	// ID, program, peer, negotiated shape, trace ID, byte and
 	// duration attributes, and (on failure) the fail class and the flight
-	// dump path. When set it replaces the ad-hoc per-session Logf
-	// lifecycle lines; Logf keeps the free-form diagnostics (traces,
-	// flight recordings). Written concurrently from session workers —
-	// slog handlers serialize internally.
+	// dump path. It is the one end-of-session record; nil writes none.
+	// Written concurrently from session workers — slog handlers serialize
+	// internally.
 	Journal *slog.Logger
 	// OnSessionEnd, when set, is invoked after every session — restored
 	// or failed, before OnRestored runs the process — with the session's
@@ -483,7 +488,7 @@ func (d *Daemon) handle(conn *link.Conn) {
 	recorder := obs.NewFlightRecorder(0)
 	cfg.Recorder = recorder
 	start := time.Now()
-	info, p, timing, err := Respond(t, d.Registry, d.Mach, cfg)
+	info, p, err := Respond(t, d.Registry, d.Mach, cfg)
 	info.ID = id
 	elapsed := time.Since(start)
 	reg := d.metrics()
@@ -495,39 +500,32 @@ func (d *Daemon) handle(conn *link.Conn) {
 		recorder.Record("session.classify", "%s: %v", class, err)
 		cfg.Trace.SetAttr("outcome", string(class))
 		cfg.Trace.End()
-		if d.Journal == nil {
-			d.logf("session %d: failed (%s): %v", id, class, err)
-		}
 		d.logTrace(id, tr)
 		flight := d.dumpFlight(id, info.Trace, recorder, string(class), err)
-		d.journalSession(info, elapsed, timing, class, flight, err)
+		d.journalSession(info, elapsed, class, flight, err)
 		if d.OnSessionEnd != nil {
 			d.OnSessionEnd(info, elapsed, err)
 		}
 		return
 	}
 	reg.Counter("session.restored").Inc()
-	reg.Counter("session.bytes").Add(int64(timing.Bytes))
+	reg.Counter("session.bytes").Add(int64(info.Timing.Bytes))
 	cfg.Trace.SetAttr("outcome", "restored")
 	cfg.Trace.End()
-	if d.Journal == nil {
-		d.logf("session %d: restored %q from %s (%s): %d bytes in %.4fs",
-			id, info.Program, info.SrcMachine, info.How(), timing.Bytes, elapsed.Seconds())
-	}
 	d.logTrace(id, tr)
-	d.journalSession(info, elapsed, timing, "", "", nil)
+	d.journalSession(info, elapsed, "", "", nil)
 	if d.OnSessionEnd != nil {
 		d.OnSessionEnd(info, elapsed, nil)
 	}
 	if d.OnRestored != nil {
-		d.OnRestored(info, p, timing)
+		d.OnRestored(info, p, info.Timing)
 	}
 }
 
 // journalSession writes one structured record for a completed session.
 // The record and the session's flight dump share the trace ID, so a
 // fleet post-mortem can go from the journal line straight to the dump.
-func (d *Daemon) journalSession(info Info, elapsed time.Duration, timing core.Timing, class FailureClass, flight string, cause error) {
+func (d *Daemon) journalSession(info Info, elapsed time.Duration, class FailureClass, flight string, cause error) {
 	if d.Journal == nil {
 		return
 	}
@@ -536,9 +534,9 @@ func (d *Daemon) journalSession(info Info, elapsed time.Duration, timing core.Ti
 		slog.String("program", info.Program),
 		slog.String("peer", info.SrcMachine),
 		slog.String("how", info.How()),
-		slog.Int64("bytes", int64(timing.Bytes)),
+		slog.Int64("bytes", int64(info.Timing.Bytes)),
 		slog.Int64("elapsed_us", elapsed.Microseconds()),
-		slog.Int64("restore_us", timing.Restore.Microseconds()),
+		slog.Int64("restore_us", info.Timing.Restore.Microseconds()),
 	}
 	if info.Trace.Valid() {
 		attrs = append(attrs, slog.String("trace", obs.IDString(info.Trace.TraceID)))

@@ -89,9 +89,9 @@ func TestWarmResponderKeepsShell(t *testing.T) {
 		}
 		base, _, q := transferWith(t, e, "shards", p, arch.SPARC20, srcCfg, Config{Store: fresh})
 		sameState(t, p, q)
-		if res.Warm.SectionsSent != base.Warm.SectionsSent || res.Warm.WireBytes != base.Warm.WireBytes {
+		if res.Warm.SectionsSent != base.Warm.SectionsSent || res.Timing.Bytes != base.Timing.Bytes {
 			t.Errorf("transfer %d sent %d sections in %d bytes; without a kept shell %d in %d",
-				i, res.Warm.SectionsSent, res.Warm.WireBytes, base.Warm.SectionsSent, base.Warm.WireBytes)
+				i, res.Warm.SectionsSent, res.Timing.Bytes, base.Warm.SectionsSent, base.Timing.Bytes)
 		}
 	}
 }
@@ -119,7 +119,7 @@ func TestWarmForkSpan(t *testing.T) {
 		t.Error("the traced session kept no fork")
 	}
 	cfg := Config{Store: openTestStore(t), Trace: obs.NewTracer().Start("session")}
-	if _, _, _, err := Transfer(e, "shards", p, arch.SPARC20, cfg); err != nil {
+	if _, _, err := Transfer(e, "shards", p, arch.SPARC20, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Trace.Find("confirm") == nil || cfg.Trace.Find("fork") != nil {
@@ -167,7 +167,7 @@ func TestKeptShellDroppedOnFailedSession(t *testing.T) {
 			a, b := link.Pipe()
 			respErr := make(chan error, 1)
 			go func() {
-				_, _, _, err := Respond(b, reg, arch.SPARC20, Config{Store: dstStore})
+				_, _, err := Respond(b, reg, arch.SPARC20, Config{Store: dstStore})
 				b.Close()
 				respErr <- err
 			}()

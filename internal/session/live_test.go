@@ -67,7 +67,7 @@ func TestTransferLiveMatrix(t *testing.T) {
 			p := stoppedLive(t, e, pr.src)
 			// DirtyThreshold 1 keeps the loop iterating until the dirty
 			// set stalls, so several delta rounds actually run.
-			q, res, timing, err := Transfer(e, "shards", p, pr.dst,
+			q, res, err := Transfer(e, "shards", p, pr.dst,
 				Config{ChunkSize: 4096, Live: true, PrecopyRounds: 3, DirtyThreshold: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -93,11 +93,15 @@ func TestTransferLiveMatrix(t *testing.T) {
 			for _, r := range st.Rounds {
 				total += r.Sections
 			}
-			if st.TotalSent() >= total {
-				t.Errorf("sent %d of %d section instances; delta rounds reused nothing", st.TotalSent(), total)
+			if st.SectionsSent >= total {
+				t.Errorf("sent %d of %d section instances; delta rounds reused nothing", st.SectionsSent, total)
 			}
-			if timing.Bytes == 0 || timing.Restore <= 0 || timing.Collect <= 0 {
-				t.Errorf("timing %+v, want bytes, collect and restore recorded", timing)
+			if tm := res.Timing; tm.Bytes == 0 || tm.Restore <= 0 || tm.Collect <= 0 {
+				t.Errorf("timing %+v, want bytes, collect and restore recorded", tm)
+			}
+			addsUp(t, "initiator", res.Timing, st)
+			if res.Timing.Restore != q.RestoreElapsed() {
+				t.Errorf("Transfer reports restore %v, the responder's restore took %v", res.Timing.Restore, q.RestoreElapsed())
 			}
 			// The source is still paused at the final round's site; the
 			// restored process must re-collect byte-identically.
@@ -142,7 +146,7 @@ func TestLiveWriteRateBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := stoppedLive(t, e, arch.Ultra5)
-			q, res, _, err := Transfer(e, "write-rate", p, arch.Ultra5,
+			q, res, err := Transfer(e, "write-rate", p, arch.Ultra5,
 				Config{Live: true, PrecopyRounds: 4, DirtyThreshold: 4})
 			if err != nil {
 				t.Fatal(err)
@@ -152,9 +156,9 @@ func TestLiveWriteRateBytes(t *testing.T) {
 			if k <= 2 && 4*final > st.SnapshotBytes {
 				t.Errorf("final round %d B of a %d B snapshot, want <= 25%%", final, st.SnapshotBytes)
 			}
-			if 100*st.WireBytes > 101*rounds*st.SnapshotBytes {
+			if 100*res.Timing.Bytes > 101*rounds*st.SnapshotBytes {
 				t.Errorf("%d wire bytes over %d rounds of a %d B snapshot, want <= 1.01x one snapshot per round",
-					st.WireBytes, rounds, st.SnapshotBytes)
+					res.Timing.Bytes, rounds, st.SnapshotBytes)
 			}
 			q.MaxSteps = 50_000_000
 			r, err := q.Run()
@@ -177,7 +181,7 @@ func TestLiveFallbackToLegacyResponder(t *testing.T) {
 
 	// Baseline: a pure-legacy sectioned transfer of the same paused state.
 	legacyP := stoppedLive(t, e, arch.DEC5000)
-	_, _, legacyTiming, err := Transfer(e, "shards", legacyP, arch.SPARC20,
+	_, legacy, err := Transfer(e, "shards", legacyP, arch.SPARC20,
 		Config{ChunkSize: 4096})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +201,7 @@ func TestLiveFallbackToLegacyResponder(t *testing.T) {
 	c := make(chan rr, 1)
 	go func() {
 		// Responder without Live: negotiates plain sectioned.
-		info, q, _, err := Respond(b, reg, arch.SPARC20, Config{ChunkSize: 4096})
+		info, q, err := Respond(b, reg, arch.SPARC20, Config{ChunkSize: 4096})
 		c <- rr{info, q, err}
 	}()
 	res, err := Initiate(a, e, p.Mach, "shards", p, Config{ChunkSize: 4096, Live: true})
@@ -208,9 +212,9 @@ func TestLiveFallbackToLegacyResponder(t *testing.T) {
 	if res.Params != (Params{}) || res.Live != nil {
 		t.Fatalf("fallback negotiated %+v, want the cold shape", res.Params)
 	}
-	if res.Timing.Bytes != legacyTiming.Bytes {
+	if res.Timing.Bytes != legacy.Timing.Bytes {
 		t.Errorf("fallback wired %d bytes, pure-legacy wired %d — must be identical",
-			res.Timing.Bytes, legacyTiming.Bytes)
+			res.Timing.Bytes, legacy.Timing.Bytes)
 	}
 	runRestored(t, r.q, 0)
 }
@@ -232,13 +236,13 @@ func TestLiveFromRestoredSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hop, _, _, err := Transfer(e, "shards", stoppedLive(t, e, arch.AMD64), arch.SPARC20, Config{})
+	hop, _, err := Transfer(e, "shards", stoppedLive(t, e, arch.AMD64), arch.SPARC20, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hop.MaxSteps = 50_000_000
 	hop.PollHook = func(*vm.Process, *minic.Site) bool { return true }
-	q, res, _, err := Transfer(e, "shards", hop, arch.SPARCV9,
+	q, res, err := Transfer(e, "shards", hop, arch.SPARCV9,
 		Config{Live: true, PrecopyRounds: 3, DirtyThreshold: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -267,10 +271,14 @@ func TestLiveSourceExited(t *testing.T) {
 	defer b.Close()
 	reg := NewRegistry()
 	reg.Add("shards", e)
-	respErr := make(chan error, 1)
+	type rr struct {
+		info Info
+		err  error
+	}
+	resp := make(chan rr, 1)
 	go func() {
-		_, _, _, err := Respond(b, reg, arch.SPARC20, Config{Live: true})
-		respErr <- err
+		info, _, err := Respond(b, reg, arch.SPARC20, Config{Live: true})
+		resp <- rr{info, err}
 	}()
 	res, err := Initiate(a, e, p.Mach, "shards", p, Config{Live: true})
 	if !errors.Is(err, ErrSourceExited) {
@@ -279,8 +287,15 @@ func TestLiveSourceExited(t *testing.T) {
 	if res == nil || res.Live == nil || len(res.Live.Rounds) == 0 {
 		t.Fatalf("no partial live stats returned: %+v", res)
 	}
-	if rerr := <-respErr; !errors.Is(rerr, ErrLiveAborted) {
-		t.Fatalf("responder err = %v, want ErrLiveAborted", rerr)
+	r := <-resp
+	if !errors.Is(r.err, ErrLiveAborted) {
+		t.Fatalf("responder err = %v, want ErrLiveAborted", r.err)
+	}
+	// Both sides account for the rounds that crossed before the abort.
+	addsUp(t, "initiator", res.Timing, res.Live)
+	addsUp(t, "responder", r.info.Timing, r.info.Live)
+	if res.Timing.Bytes != r.info.Timing.Bytes {
+		t.Errorf("initiator reports %d bytes of rounds, responder received %d", res.Timing.Bytes, r.info.Timing.Bytes)
 	}
 }
 
@@ -320,7 +335,7 @@ func TestLiveWarmCompose(t *testing.T) {
 	}
 	c := make(chan rr, 1)
 	go func() {
-		info, q, _, err := Respond(b, reg, arch.SPARC20,
+		info, q, err := Respond(b, reg, arch.SPARC20,
 			Config{Live: true, Store: dstStore, PrecopyRounds: 3, DirtyThreshold: 1})
 		c <- rr{info, q, err}
 	}()
@@ -438,7 +453,7 @@ func TestLiveComponentsChangeShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := stoppedLive(t, e, arch.DEC5000)
-	q, res, _, err := Transfer(e, "shapes", p, arch.SPARC20,
+	q, res, err := Transfer(e, "shapes", p, arch.SPARC20,
 		Config{Live: true, PrecopyRounds: 8, DirtyThreshold: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -117,13 +117,13 @@ func TestHostilePushAnnounce(t *testing.T) {
 func TestStoreLessLiveHashesNothing(t *testing.T) {
 	e := newMutatingEngine(t, 8)
 	cfg := Config{Live: true, PrecopyRounds: 3, DirtyThreshold: 1}
-	migrate := func(t *testing.T, a, b link.Transport, src, dst Config) *LiveStats {
+	migrate := func(t *testing.T, a, b link.Transport, src, dst Config) *Result {
 		t.Helper()
 		reg := NewRegistry()
 		reg.Add("shards", e)
 		done := make(chan error, 1)
 		go func() {
-			_, _, _, err := Respond(b, reg, arch.SPARC20, dst)
+			_, _, err := Respond(b, reg, arch.SPARC20, dst)
 			done <- err
 		}()
 		p := stoppedLive(t, e, arch.DEC5000)
@@ -137,7 +137,7 @@ func TestStoreLessLiveHashesNothing(t *testing.T) {
 		if len(res.Live.Rounds) < 3 {
 			t.Fatalf("%d rounds, want pre-copy rounds before the final one", len(res.Live.Rounds))
 		}
-		return res.Live
+		return res
 	}
 	for _, c := range []struct {
 		name string
@@ -155,13 +155,13 @@ func TestStoreLessLiveHashesNothing(t *testing.T) {
 				a, b = cli, srv
 			}
 			sha, crc := obs.SHA256Bytes.Value(), obs.CRC32Bytes.Value()
-			st := migrate(t, a, b, cfg, cfg)
+			res := migrate(t, a, b, cfg, cfg)
 			a.Close()
 			b.Close()
 			if got := obs.SHA256Bytes.Value() - sha; got != 0 {
 				t.Errorf("a store-less live session handed %d bytes to SHA-256, want 0", got)
 			}
-			w := int64(st.WireBytes)
+			w := int64(res.Timing.Bytes)
 			floor := w // the entry CRC on both sides covers the bodies, most of W
 			if c.tcp {
 				floor = 2 * w // the link CRC on both sides covers every frame

@@ -160,7 +160,7 @@ func TestTransferRollsBackOnFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Metrics: metrics, Recorder: flight}
-	q, _, _, err := Transfer(other, "list", p, arch.SPARC20, cfg)
+	q, _, err := Transfer(other, "list", p, arch.SPARC20, cfg)
 	if err == nil || q != nil {
 		t.Fatalf("Transfer = %v, %v; want a failed restore", q, err)
 	}

@@ -71,31 +71,37 @@ import (
 	"repro/internal/wire"
 )
 
-// WarmStats is the dedup outcome of one warm transfer: how much of the
-// snapshot never crossed the wire because the destination's store already
-// held it.
-type WarmStats struct {
-	// ManifestHash is the content address of the checkpoint the transfer
-	// shipped; both stores hold it (and its chain position) afterwards.
-	ManifestHash store.Hash
-	// Sections is the snapshot's section count; SectionsSent of them had
-	// bodies the destination lacked and were transferred.
+// Exchange is the account of one round exchange, as either side saw it: a
+// warm transfer's one round or every round of a live one. Its wire bytes
+// are the side's Timing.Bytes, which accrues round by round.
+type Exchange struct {
+	// Rounds holds one entry per round, in order.
+	Rounds []RoundStats
+	// Sections and SectionsSent total the rounds' lists and the bodies that
+	// crossed the wire because the responder could not resolve them.
 	Sections     int
 	SectionsSent int
-	// SnapshotBytes is the full sectioned snapshot size a cold transfer
-	// would have carried; WireBytes is what the round actually put on the
-	// wire (the announce frame plus the bodies frame).
+	// SnapshotBytes is the size the final list frames to: what a cold
+	// transfer of the same state would have carried.
 	SnapshotBytes int
-	WireBytes     int
+	// ManifestHash is the content address of the final list when the
+	// bodies are named by content; the responder's store adopts it.
+	ManifestHash store.Hash
+	// Downtime is the window from the source's final pause to the
+	// responder's RESTORED, and StopReason why the pre-copy loop ended:
+	// "threshold" (dirty set at or below the floor), "rounds" (round budget
+	// spent) or "stalled" (dirty set stopped shrinking). The initiator of a
+	// live transfer sets both; they are zero elsewhere.
+	Downtime   time.Duration
+	StopReason string
+
+	// paused is the instant of the source's final pause, from which the
+	// initiator measures Downtime.
+	paused time.Time
 }
 
-func (w WarmStats) String() string {
-	return fmt.Sprintf("checkpoint %s: sent %d of %d sections, %d of %d bytes on the wire",
-		w.ManifestHash.Short(), w.SectionsSent, w.Sections, w.WireBytes, w.SnapshotBytes)
-}
-
-// LiveRoundStats describes one round as seen by either side.
-type LiveRoundStats struct {
+// RoundStats describes one round as seen by either side.
+type RoundStats struct {
 	// Round numbers the rounds from 0 (the full image).
 	Round int
 	// DirtyBlocks is the dirty-set size the source observed entering the
@@ -111,44 +117,27 @@ type LiveRoundStats struct {
 	Final bool
 }
 
-// LiveStats is the outcome of one live transfer.
-type LiveStats struct {
-	// Rounds holds one entry per round, in order.
-	Rounds []LiveRoundStats
-	// SnapshotBytes is the assembled final snapshot's size — what a
-	// stop-and-copy transfer of the paused state would have carried;
-	// WireBytes is the cumulative wire size of every round.
-	SnapshotBytes int
-	WireBytes     int
-	// Downtime is the source-measured window from the final pause to the
-	// responder's RESTORED confirmation (zero on the responder side).
-	Downtime time.Duration
-	// StopReason records why the pre-copy loop ended: "threshold" (dirty
-	// set at or below the configured floor), "rounds" (round budget
-	// spent), or "stalled" (dirty set stopped shrinking); empty when no
-	// pre-copy round ran.
-	StopReason string
-
-	// paused is the instant of the source's final pause, from which the
-	// initiator measures Downtime.
-	paused time.Time
-}
-
-// TotalSent sums the sections that crossed the wire over all rounds.
-func (s *LiveStats) TotalSent() int {
-	n := 0
-	for _, r := range s.Rounds {
-		n += r.SectionsSent
+// String is the one-line summary both of migd's sides print.
+func (x *Exchange) String() string {
+	s := fmt.Sprintf("%d rounds, %d/%d sections shipped, %d-byte snapshot",
+		len(x.Rounds), x.SectionsSent, x.Sections, x.SnapshotBytes)
+	if x.ManifestHash != (store.Hash{}) {
+		s += ", checkpoint " + x.ManifestHash.Short()
 	}
-	return n
+	if x.StopReason != "" {
+		s += fmt.Sprintf(", downtime %.4fs (%s)", x.Downtime.Seconds(), x.StopReason)
+	}
+	return s
 }
 
-// record appends one completed round to the transfer's accounting and its
-// flight recording: both sides describe a round by the same six figures.
-func (s *LiveStats) record(rec *obs.FlightRecorder, verb string, round, dirty, sections, sent, bytes int, final bool) {
-	r := LiveRoundStats{Round: round, DirtyBlocks: dirty, Sections: sections, SectionsSent: sent, Bytes: bytes, Final: final}
-	s.Rounds = append(s.Rounds, r)
-	s.WireBytes += r.Bytes
+// record appends one completed round to the exchange, its wire bytes to
+// tm, and the round to the flight recording: both sides describe a round
+// by the same six figures.
+func (x *Exchange) record(rec *obs.FlightRecorder, verb string, r RoundStats, tm *core.Timing) {
+	x.Rounds = append(x.Rounds, r)
+	x.Sections += r.Sections
+	x.SectionsSent += r.SectionsSent
+	tm.Bytes += r.Bytes
 	tag := ""
 	if r.Final {
 		tag = " (final)"
@@ -157,28 +146,16 @@ func (s *LiveStats) record(rec *obs.FlightRecorder, verb string, round, dirty, s
 		r.Round, tag, r.DirtyBlocks, verb, r.SectionsSent, r.Sections, r.Bytes)
 }
 
-// finish closes the accounting of a completed exchange with the size the
-// final list — the manifest m, or the pushed entries — frames to and, for a
-// warm transfer, restates its one round as WarmStats (nil otherwise).
-func (s *LiveStats) finish(m *store.Manifest, pushed []entry, warm bool) *WarmStats {
+// finish closes the account of a completed exchange with what the final
+// list — the manifest m, or the pushed entries — names.
+func (x *Exchange) finish(m *store.Manifest, pushed []entry) {
 	if m != nil {
-		s.SnapshotBytes = m.SnapshotBytes()
-	} else {
-		s.SnapshotBytes = snapshot.PrologueSize
-		for _, en := range pushed {
-			s.SnapshotBytes += snapshot.SectionSize(int(en.length))
-		}
+		x.SnapshotBytes, x.ManifestHash = m.SnapshotBytes(), m.Hash()
+		return
 	}
-	if !warm {
-		return nil
-	}
-	last := s.Rounds[len(s.Rounds)-1]
-	return &WarmStats{
-		ManifestHash:  m.Hash(),
-		Sections:      last.Sections,
-		SectionsSent:  last.SectionsSent,
-		SnapshotBytes: s.SnapshotBytes,
-		WireBytes:     s.WireBytes,
+	x.SnapshotBytes = snapshot.PrologueSize
+	for _, en := range pushed {
+		x.SnapshotBytes += snapshot.SectionSize(int(en.length))
 	}
 }
 
@@ -219,15 +196,15 @@ func checksum(body []byte) uint32 {
 	return crc32.ChecksumIEEE(body)
 }
 
-// sendRound runs the source half of one round and appends the round's
-// accounting to st. It touches only the round's immutable sections, never
-// the process, so it may run while the source executes.
-func sendRound(t link.Transport, r *round, final bool, rec *obs.FlightRecorder, st *LiveStats) error {
+// sendRound runs the source half of one round and records it in x and tm.
+// It touches only the round's immutable sections, never the process, so it
+// may run while the source executes.
+func sendRound(t link.Transport, r *round, final bool, rec *obs.FlightRecorder, x *Exchange, tm *core.Timing) error {
 	var flags uint32
 	if final {
 		flags |= announceFinal
 	}
-	announce := marshalAnnounce(uint32(len(st.Rounds)), flags, r.dirty, r.manifest, r.pushed)
+	announce := marshalAnnounce(uint32(len(x.Rounds)), flags, r.dirty, r.manifest, r.pushed)
 	if err := t.Send(announce); err != nil {
 		return fmt.Errorf("session: announce send: %w", err)
 	}
@@ -262,7 +239,8 @@ func sendRound(t link.Transport, r *round, final bool, rec *obs.FlightRecorder, 
 	if err := obs.Phase("transport", func() error { return t.Send(frame) }); err != nil {
 		return fmt.Errorf("session: bodies send: %w", err)
 	}
-	st.record(rec, "sent", len(st.Rounds), r.dirty, len(r.secs), len(send), len(announce)+len(frame), final)
+	x.record(rec, "sent", RoundStats{Round: len(x.Rounds), DirtyBlocks: r.dirty, Sections: len(r.secs),
+		SectionsSent: len(send), Bytes: len(announce) + len(frame), Final: final}, tm)
 	return nil
 }
 
@@ -275,14 +253,16 @@ func sendRound(t link.Transport, r *round, final bool, rec *obs.FlightRecorder, 
 // to migrate: the responder is told to stand down and ErrSourceExited is
 // returned.
 //
-// The accounting lands in res as it accrues: Timing, the per-round
-// LiveStats of a live transfer (filled as far as it got when the transfer
-// fails) and the WarmStats of a warm one.
+// The accounting lands in res as it accrues, so a transfer that fails
+// reports the rounds and bytes that crossed: Timing, and the Exchange in
+// Live for a live transfer, in Warm for a warm one.
 func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program string, p *vm.Process, cfg Config, res *Result) error {
 	prm, timing := res.Params, &res.Timing
-	st := &LiveStats{paused: time.Now()}
+	x := &Exchange{paused: time.Now()}
 	if prm.Live {
-		res.Live = st
+		res.Live = x
+	} else {
+		res.Warm = x
 	}
 	// Every round's list is the next round of the capture the process
 	// keeps; a warm transfer's round is also checkpointed under the
@@ -322,7 +302,7 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 	shipped := func() {
 		if prm.Live {
 			cfg.metrics().Counter("session.precopy.rounds").Inc()
-			cfg.metrics().Counter("session.precopy.bytes").Add(int64(st.Rounds[len(st.Rounds)-1].Bytes))
+			cfg.metrics().Counter("session.precopy.bytes").Add(int64(x.Rounds[len(x.Rounds)-1].Bytes))
 		}
 	}
 
@@ -335,13 +315,13 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 	for precopy := prm.Live; precopy; {
 		// Ship the round while the source executes to its next poll.
 		sendErr := make(chan error, 1)
-		go func(r *round) { sendErr <- sendRound(t, r, false, cfg.Recorder, st) }(r)
+		go func(r *round) { sendErr <- sendRound(t, r, false, cfg.Recorder, x, timing) }(r)
 		run, runErr := p.ResumeRun()
 		serr := <-sendErr
 		if runErr != nil {
 			return runErr
 		}
-		st.paused = time.Now()
+		x.paused = time.Now()
 		if !run.Migrated {
 			// The finished local run IS the surviving copy, so
 			// ErrSourceExited wins no matter what the wire did meanwhile.
@@ -350,7 +330,7 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 			// classifies it as a transport failure), and a failed abort
 			// send must not turn a completed execution into a rollback
 			// attempt on a process that has nothing left to resume.
-			cfg.Recorder.Record("session.round", "source exited (code %d) after %d rounds; aborting", run.ExitCode, len(st.Rounds))
+			cfg.Recorder.Record("session.round", "source exited (code %d) after %d rounds; aborting", run.ExitCode, len(x.Rounds))
 			if serr == nil {
 				serr = t.Send(marshalReason(wire.Abort, fmt.Sprintf("source ran to completion (exit %d)", run.ExitCode)))
 			}
@@ -366,26 +346,26 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 		dirty := p.DirtyBlocks()
 		switch {
 		case dirty <= cfg.DirtyThreshold:
-			st.StopReason = "threshold"
-		case len(st.Rounds) > cfg.PrecopyRounds:
-			st.StopReason = "rounds"
+			x.StopReason = "threshold"
+		case len(x.Rounds) > cfg.PrecopyRounds:
+			x.StopReason = "rounds"
 		case dirty >= prevDirty:
-			st.StopReason = "stalled"
+			x.StopReason = "stalled"
 		}
 		prevDirty = dirty
-		precopy = st.StopReason == ""
+		precopy = x.StopReason == ""
 		if r, err = next(); err != nil {
 			return err
 		}
 	}
 
 	// The final round: the source stays paused from here to RESTORED.
-	if err := sendRound(t, r, true, cfg.Recorder, st); err != nil {
+	if err := sendRound(t, r, true, cfg.Recorder, x, timing); err != nil {
 		return err
 	}
 	shipped()
-	res.Warm = st.finish(r.manifest, r.pushed, prm.Warm && !prm.Live)
-	timing.Tx, timing.Bytes = time.Since(txStart), st.WireBytes
+	x.finish(r.manifest, r.pushed)
+	timing.Tx = time.Since(txStart)
 	return nil
 }
 
@@ -394,11 +374,14 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 // for the rest when the list names bodies by content, verify what arrives,
 // and apply the round into one process shell at once; on the final round
 // finish the restore. The accounting lands in info as it accrues, as
-// sendRounds' does in its Result.
-func receiveRounds(t link.Transport, reg *Registry, e *core.Engine, mach *arch.Machine, cfg Config, info *Info) (*vm.Restore, core.Timing, error) {
-	prm, st := info.Params, new(LiveStats)
+// sendRounds' does in its Result, and info.Timing.Restore once the restore
+// is finished.
+func receiveRounds(t link.Transport, reg *Registry, e *core.Engine, mach *arch.Machine, cfg Config, info *Info) (*vm.Restore, error) {
+	prm, x := info.Params, new(Exchange)
 	if prm.Live {
-		info.Live = st
+		info.Live = x
+	} else {
+		info.Warm = x
 	}
 	// The shell exists before round 0 and every round lands in it as it
 	// arrives, so the final round restores only what it carries. A body the
@@ -410,7 +393,7 @@ func receiveRounds(t link.Transport, reg *Registry, e *core.Engine, mach *arch.M
 	// so its first round too restores only what changed since.
 	p, err := reg.shell(e, mach, prm.Warm)
 	if err != nil {
-		return nil, core.Timing{}, err
+		return nil, err
 	}
 	p.Obs = cfg.Trace
 	shell := p.NewRestore()
@@ -421,23 +404,23 @@ func receiveRounds(t link.Transport, reg *Registry, e *core.Engine, mach *arch.M
 	for {
 		ann, n, err := recvMessage(t, wire.Announce)
 		if err != nil {
-			return nil, core.Timing{}, err
+			return nil, err
 		}
 		m := ann.manifest
 		if (m != nil) != prm.Warm {
-			return nil, core.Timing{}, fmt.Errorf("%w: ANNOUNCE does not name its bodies as the session negotiated", ErrProtocol)
+			return nil, fmt.Errorf("%w: ANNOUNCE does not name its bodies as the session negotiated", ErrProtocol)
 		}
 		var secs []snapshot.Section
 		var sums []vm.Sum
 		var want []uint32
 		var wanted []store.Hash
 		if !prm.Warm {
-			if secs, sums, want, err = positions(ann.pushed, prev, held, len(st.Rounds)); err != nil {
-				return nil, core.Timing{}, err
+			if secs, sums, want, err = positions(ann.pushed, prev, held, len(x.Rounds)); err != nil {
+				return nil, err
 			}
 		} else {
 			if m.ProgramDigest != e.Digest() {
-				return nil, core.Timing{}, fmt.Errorf("%w: announce has program digest %08x, registry matched %08x",
+				return nil, fmt.Errorf("%w: announce has program digest %08x, registry matched %08x",
 					core.ErrProgramMismatch, m.ProgramDigest, e.Digest())
 			}
 			// Resolve every body we can locally — the shell first, then the
@@ -459,19 +442,19 @@ func receiveRounds(t link.Transport, reg *Registry, e *core.Engine, mach *arch.M
 				want = append(want, uint32(i))
 			}
 			if err := t.Send(marshalWant(want)); err != nil {
-				return nil, core.Timing{}, fmt.Errorf("session: want send: %w", err)
+				return nil, fmt.Errorf("session: want send: %w", err)
 			}
 		}
 		got, bn, err := recvMessage(t, wire.Bodies)
 		if err != nil {
-			return nil, core.Timing{}, err
+			return nil, err
 		}
 		if len(got.indices) != len(want) {
-			return nil, core.Timing{}, fmt.Errorf("%w: BODIES carries %d sections, wanted %d", ErrProtocol, len(got.indices), len(want))
+			return nil, fmt.Errorf("%w: BODIES carries %d sections, wanted %d", ErrProtocol, len(got.indices), len(want))
 		}
 		for k, idx := range got.indices {
 			if idx != want[k] {
-				return nil, core.Timing{}, fmt.Errorf("%w: BODIES section %d answers index %d, wanted %d", ErrProtocol, k, idx, want[k])
+				return nil, fmt.Errorf("%w: BODIES section %d answers index %d, wanted %d", ErrProtocol, k, idx, want[k])
 			}
 			// The announce promised a body of this length and CRC or content
 			// address; verify before admitting it, so a damaged round
@@ -479,13 +462,13 @@ func receiveRounds(t link.Transport, reg *Registry, e *core.Engine, mach *arch.M
 			body := got.bodies[k]
 			if !prm.Warm {
 				if en := ann.pushed[idx]; uint32(len(body)) != en.length || checksum(body) != en.crc {
-					return nil, core.Timing{}, fmt.Errorf("%w: section %d body does not match its announced length and CRC",
+					return nil, fmt.Errorf("%w: section %d body does not match its announced length and CRC",
 						collect.ErrCorruptStream, idx)
 				}
 			} else {
 				en := m.Entries[idx]
 				if uint32(len(body)) != en.Length || store.HashBytes(body) != en.Hash {
-					return nil, core.Timing{}, fmt.Errorf("%w: section %d body does not match its announced length and hash",
+					return nil, fmt.Errorf("%w: section %d body does not match its announced length and hash",
 						store.ErrCorrupt, idx)
 				}
 				wanted = append(wanted, en.Hash)
@@ -493,30 +476,32 @@ func receiveRounds(t link.Transport, reg *Registry, e *core.Engine, mach *arch.M
 			secs[idx].Body = body
 		}
 		final := ann.flags&announceFinal != 0
-		st.record(cfg.Recorder, "received", int(ann.round), int(ann.dirty), len(secs), len(want), n+bn, final)
+		x.record(cfg.Recorder, "received", RoundStats{Round: int(ann.round), DirtyBlocks: int(ann.dirty), Sections: len(secs),
+			SectionsSent: len(want), Bytes: n + bn, Final: final}, &info.Timing)
 		// The verified bodies enter the store while the round is applied,
 		// and are in it before anything names them.
 		stored := cfg.Store.BeginOverwrite(wanted, got.bodies)
 		if err := errors.Join(shell.Apply(secs, sums), stored.Wait()); err != nil {
-			return nil, core.Timing{}, err
+			return nil, err
 		}
 		prev, held = ann.pushed, sums
 		if !final {
 			continue
 		}
 
-		info.Warm = st.finish(m, ann.pushed, prm.Warm && !prm.Live)
+		x.finish(m, ann.pushed)
 		if err := shell.Finish(); err != nil {
-			return nil, core.Timing{}, err
+			return nil, err
 		}
 		// The program's ref names the checkpoint this node last restored,
 		// so it advances only after the restore succeeded.
 		if prm.Warm {
 			if err := cfg.Store.Adopt(info.Program, m); err != nil {
-				return nil, core.Timing{}, err
+				return nil, err
 			}
 		}
-		return shell, core.Timing{Restore: p.RestoreElapsed(), Bytes: st.WireBytes}, nil
+		info.Timing.Restore = p.RestoreElapsed()
+		return shell, nil
 	}
 }
 

@@ -168,7 +168,7 @@ func scriptedLive(t *testing.T, e *core.Engine, cfg Config) (link.Transport, cha
 	t.Cleanup(func() { a.Close(); b.Close() })
 	out := make(chan respondResult, 1)
 	go func() {
-		_, q, _, err := Respond(b, reg, arch.SPARC20, cfg)
+		_, q, err := Respond(b, reg, arch.SPARC20, cfg)
 		b.Close()
 		out <- respondResult{q, err}
 	}()
@@ -334,7 +334,7 @@ func TestFailedRestoreLeavesRefUnset(t *testing.T) {
 	dstStore := openTestStore(t)
 	errc := make(chan error, 1)
 	go func() {
-		_, q, _, err := Respond(b, reg, arch.SPARC20, Config{Store: dstStore})
+		_, q, err := Respond(b, reg, arch.SPARC20, Config{Store: dstStore})
 		if q != nil {
 			err = errors.New("responder handed out a process")
 		}
@@ -525,7 +525,7 @@ func TestRoundFrameCorruptionSweep(t *testing.T) {
 					}
 					c := make(chan rr, 1)
 					go func() {
-						_, q, _, err := Respond(b, reg, arch.SPARC20, dstCfg)
+						_, q, err := Respond(b, reg, arch.SPARC20, dstCfg)
 						b.Close()
 						c <- rr{q, err}
 					}()

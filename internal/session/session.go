@@ -2,8 +2,9 @@
 // between the compiled program (internal/core) and the transport
 // (internal/link), owns everything two peers must agree on before a
 // process state crosses the wire, and drives every transfer shape itself —
-// sections flow from vm.Process.Sections on the source into one vm.Restore
-// on the destination.
+// sections flow from the source process's capture (vm.Process.WriteSnapshot
+// or Round) into one vm.Restore on the destination. Each side keeps one
+// account of the migration: the initiator's Result, the responder's Info.
 //
 // The paper's protocol assumes one migration at a time between two
 // pre-arranged peers whose operators configured both ends identically.

@@ -1,9 +1,10 @@
 package session
 
 import (
+	"cmp"
 	"errors"
-	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/link"
 	"repro/internal/minic"
 	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/internal/vm"
 	"repro/internal/wire"
 )
@@ -144,7 +146,7 @@ func runTransfer(t *testing.T, cfg Config) core.Timing {
 	t.Helper()
 	e := newListEngine(t)
 	p := stoppedAt(t, e, arch.DEC5000)
-	q, _, timing, err := Transfer(e, "list", p, arch.SPARC20, cfg)
+	q, mig, err := Transfer(e, "list", p, arch.SPARC20, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +161,13 @@ func runTransfer(t *testing.T, cfg Config) core.Timing {
 	if res.ExitCode != listExit {
 		t.Errorf("exit = %d, want %d", res.ExitCode, listExit)
 	}
-	if timing.Bytes == 0 {
+	if mig.Timing.Bytes == 0 {
 		t.Error("no bytes recorded")
 	}
-	return timing
+	if mig.Timing.Restore <= 0 || mig.Timing.Restore != q.RestoreElapsed() {
+		t.Errorf("Transfer reports restore %v, the responder's restore took %v", mig.Timing.Restore, q.RestoreElapsed())
+	}
+	return mig.Timing
 }
 
 func TestTransferStreamedDefault(t *testing.T) {
@@ -205,7 +210,7 @@ func TestRespondRejectsUnknownDigest(t *testing.T) {
 	reg.Add("other", other) // the migrating program is NOT registered
 	errc := make(chan error, 1)
 	go func() {
-		_, _, _, rerr := Respond(b, reg, arch.SPARC20, Config{})
+		_, _, rerr := Respond(b, reg, arch.SPARC20, Config{})
 		errc <- rerr
 	}()
 	_, err = Initiate(a, e, p.Mach, "list", p, Config{})
@@ -260,8 +265,13 @@ func TestDaemonConcurrentMixedShapes(t *testing.T) {
 	// deadlocks (and times out) unless 4 workers are truly in flight at
 	// once. Pre-copy resumes a live client's source between rounds, so the
 	// live clients migrate the mutating-shards program, which polls again.
+	// Two sessions follow the concurrent ones: a warm one, which restores
+	// into the shell the registry kept from an earlier warm session, and a
+	// live one whose initiator holds a store too. Every session's Result
+	// and the daemon's Info of it must tell one account.
 	const clients = 6
 	const barrier = 4
+	const sessions = clients + 2
 	e, shards := newListEngine(t), newMutatingEngine(t, 8)
 	reg := NewRegistry()
 	reg.Add("list", e)
@@ -270,7 +280,8 @@ func TestDaemonConcurrentMixedShapes(t *testing.T) {
 	var mu sync.Mutex
 	arrived := 0
 	release := make(chan struct{})
-	ran := make(chan struct{}, clients)
+	ran := make(chan struct{}, sessions)
+	infos := map[uint64]Info{} // by trace ID, which the responder adopts
 	d := &Daemon{
 		Registry:      reg,
 		Mach:          arch.SPARC20,
@@ -278,9 +289,13 @@ func TestDaemonConcurrentMixedShapes(t *testing.T) {
 		Metrics:       obs.NewRegistry(),
 		MaxConcurrent: clients,
 		Timeout:       time.Minute,
-		OnRestored: func(info Info, p *vm.Process, _ core.Timing) {
+		OnRestored: func(info Info, p *vm.Process, tm core.Timing) {
 			defer func() { ran <- struct{}{} }()
+			if tm != info.Timing {
+				t.Errorf("session %d: OnRestored timing %+v, Info.Timing %+v", info.ID, tm, info.Timing)
+			}
 			mu.Lock()
+			infos[info.Trace.TraceID] = info
 			arrived++
 			if arrived == barrier {
 				close(release)
@@ -308,8 +323,24 @@ func TestDaemonConcurrentMixedShapes(t *testing.T) {
 	}
 	addr, served := daemonFixture(t, d)
 
+	var results []*Result
+	migrate := func(i int, cfg Config) {
+		var res *Result
+		var err error
+		if cfg.Live {
+			res, err = initiateAt(t, addr, shards, "shards", stoppedLive(t, shards, arch.DEC5000), cfg)
+		} else {
+			res, err = migrateTo(t, addr, e, cfg)
+		}
+		if err != nil {
+			t.Errorf("client %d: %v", i, err)
+			return
+		}
+		mu.Lock()
+		results = append(results, res)
+		mu.Unlock()
+	}
 	var wg sync.WaitGroup
-	shapes := make(chan string, clients)
 	for i := 0; i < clients; i++ {
 		cfg := Config{ChunkSize: 512}
 		switch i % 3 {
@@ -321,30 +352,26 @@ func TestDaemonConcurrentMixedShapes(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var res *Result
-			var err error
-			if cfg.Live {
-				res, err = initiateAt(t, addr, shards, "shards", stoppedLive(t, shards, arch.DEC5000), cfg)
-			} else {
-				res, err = migrateTo(t, addr, e, cfg)
-			}
-			if err != nil {
-				t.Errorf("client %d: %v", i, err)
-				return
-			}
-			shapes <- res.Params.How()
+			migrate(i, cfg)
 		}(i)
 	}
 	wg.Wait()
-	close(shapes)
 	got := map[string]int{}
-	for how := range shapes {
-		got[how]++
+	for _, res := range results {
+		got[res.Params.How()]++
 	}
 	if got["cold"] != clients/3 || got["warm"] != clients/3 || got["live"] != clients/3 {
 		t.Errorf("negotiated shapes %v; want %d each of cold, warm and live", got, clients/3)
 	}
 	for i := 0; i < clients; i++ {
+		<-ran
+	}
+	if !keptFork(reg, e) {
+		t.Fatal("no warm session left the registry a kept shell")
+	}
+	migrate(clients, Config{Store: openTestStore(t)})
+	migrate(clients+1, Config{Store: openTestStore(t), Live: true})
+	for i := clients; i < sessions; i++ {
 		<-ran
 	}
 
@@ -353,23 +380,80 @@ func TestDaemonConcurrentMixedShapes(t *testing.T) {
 		t.Fatalf("serve after drain: %v", err)
 	}
 	count := func(name string) int64 { return d.Metrics.Counter("session." + name).Value() }
-	if count("accepted") != clients || count("restored") != clients || count("failed") != 0 {
+	if count("accepted") != sessions || count("restored") != sessions || count("failed") != 0 {
 		t.Errorf("accepted %d, restored %d, failed %d; want %d, %d, 0",
-			count("accepted"), count("restored"), count("failed"), clients, clients)
+			count("accepted"), count("restored"), count("failed"), sessions, sessions)
 	}
 	if count("bytes") == 0 {
 		t.Error("no payload bytes counted")
+	}
+	for _, res := range results {
+		info, ok := infos[res.Trace.TraceID]
+		if !ok {
+			t.Errorf("no daemon record of the %s session under trace %s", res.Params.How(), res.Trace)
+			continue
+		}
+		sameAccount(t, res, info)
+	}
+}
+
+// sameAccount holds an initiator's Result and the responder's Info of one
+// session to one account: each side's rounds add up to its own totals, and
+// the two sides agree on the shape, the wire bytes and every round.
+func sameAccount(t *testing.T, res *Result, info Info) {
+	t.Helper()
+	how := res.Params.How()
+	rx, ix := cmp.Or(res.Warm, res.Live), cmp.Or(info.Warm, info.Live)
+	addsUp(t, how+" initiator", res.Timing, rx)
+	addsUp(t, how+" responder", info.Timing, ix)
+	if res.Params != info.Params || res.Timing.Bytes != info.Timing.Bytes ||
+		(res.Warm == nil) != (info.Warm == nil) || (res.Live == nil) != (info.Live == nil) {
+		t.Errorf("%s: initiator %+v, %d bytes, warm %v live %v; responder %+v, %d bytes, warm %v live %v", how,
+			res.Params, res.Timing.Bytes, res.Warm != nil, res.Live != nil,
+			info.Params, info.Timing.Bytes, info.Warm != nil, info.Live != nil)
+	}
+	if rx == nil || ix == nil {
+		return
+	}
+	if rx.Sections != ix.Sections || rx.SectionsSent != ix.SectionsSent || rx.SnapshotBytes != ix.SnapshotBytes ||
+		rx.ManifestHash != ix.ManifestHash || !slices.Equal(rx.Rounds, ix.Rounds) {
+		t.Errorf("%s: initiator's exchange %+v, responder's %+v", how, rx, ix)
+	}
+	if res.Params.Warm == (rx.ManifestHash == store.Hash{}) {
+		t.Errorf("%s: manifest hash %s for bodies named by content = %v", how, rx.ManifestHash.Short(), res.Params.Warm)
+	}
+}
+
+// addsUp holds one side's record to itself: the rounds' bytes sum to its
+// Timing.Bytes, and their sections and sent sections to the exchange's
+// totals. A cold session (x nil) has no rounds.
+func addsUp(t *testing.T, side string, tm core.Timing, x *Exchange) {
+	t.Helper()
+	if tm.Bytes <= 0 {
+		t.Errorf("%s: %d wire bytes recorded", side, tm.Bytes)
+	}
+	if x == nil {
+		return
+	}
+	bytes, sections, sent := 0, 0, 0
+	for _, r := range x.Rounds {
+		bytes, sections, sent = bytes+r.Bytes, sections+r.Sections, sent+r.SectionsSent
+	}
+	if bytes != tm.Bytes || sections != x.Sections || sent != x.SectionsSent {
+		t.Errorf("%s: rounds add up to %d bytes, %d sections, %d sent; the record holds %d, %d, %d",
+			side, bytes, sections, sent, tm.Bytes, x.Sections, x.SectionsSent)
 	}
 }
 
 func TestDaemonSurvivesCutHandshake(t *testing.T) {
 	// A client that connects and dies mid-handshake must fail its own
-	// session only: the daemon logs, closes, and keeps serving.
+	// session only: the daemon reports the failure, closes, and keeps
+	// serving.
 	e := newListEngine(t)
 	reg := NewRegistry()
 	reg.Add("list", e)
 	var mu sync.Mutex
-	var logs []string
+	var failures []error
 	restored := make(chan struct{}, 1)
 	d := &Daemon{
 		Registry:      reg,
@@ -377,10 +461,12 @@ func TestDaemonSurvivesCutHandshake(t *testing.T) {
 		Metrics:       obs.NewRegistry(),
 		MaxConcurrent: 2,
 		Timeout:       30 * time.Second,
-		Logf: func(format string, args ...any) {
-			mu.Lock()
-			logs = append(logs, fmt.Sprintf(format, args...))
-			mu.Unlock()
+		OnSessionEnd: func(_ Info, _ time.Duration, err error) {
+			if err != nil {
+				mu.Lock()
+				failures = append(failures, err)
+				mu.Unlock()
+			}
 		},
 		OnRestored: func(Info, *vm.Process, core.Timing) { restored <- struct{}{} },
 	}
@@ -417,14 +503,8 @@ func TestDaemonSurvivesCutHandshake(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	found := false
-	for _, l := range logs {
-		if strings.Contains(l, "failed") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no failure logged; logs = %q", logs)
+	if !slices.ContainsFunc(failures, func(err error) bool { return ClassifyFailure(err) == FailTransport }) {
+		t.Errorf("cut handshake not reported as a transport failure; failures = %v", failures)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestStitchedTrace(t *testing.T) {
 	done := make(chan error, 1)
 	respTracer := obs.NewTracer()
 	go func() {
-		_, _, _, err := Respond(srv, reg, arch.SPARC20, Config{Trace: respTracer.Start("session")})
+		_, _, err := Respond(srv, reg, arch.SPARC20, Config{Trace: respTracer.Start("session")})
 		done <- err
 	}()
 

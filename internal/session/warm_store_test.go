@@ -104,7 +104,7 @@ func failedWarm(t *testing.T, reg *Registry, e *core.Engine, p *vm.Process, srcC
 	}
 	c := make(chan rr, 1)
 	go func() {
-		_, q, _, err := Respond(fromDst, reg, arch.SPARC20, dstCfg)
+		_, q, err := Respond(fromDst, reg, arch.SPARC20, dstCfg)
 		b.Close()
 		c <- rr{q, err}
 	}()
@@ -208,7 +208,7 @@ func TestWarmSharedStoreTransfers(t *testing.T) {
 		if i > 0 {
 			advance(t, p)
 		}
-		q, res, _, err := Transfer(e, "shards", p, arch.SPARC20, cfg)
+		q, res, err := Transfer(e, "shards", p, arch.SPARC20, cfg)
 		if err != nil {
 			t.Fatalf("transfer %d: %v", i, err)
 		}
@@ -237,7 +237,7 @@ func TestWarmTransferKeepsNoShell(t *testing.T) {
 		return false
 	}
 	rec := obs.NewFlightRecorder(0)
-	q, res, _, err := Transfer(e, "shards", p, arch.SPARC20, Config{Store: openTestStore(t), Recorder: rec})
+	q, res, err := Transfer(e, "shards", p, arch.SPARC20, Config{Store: openTestStore(t), Recorder: rec})
 	if err != nil || res.Warm == nil {
 		t.Fatalf("Transfer: warm %v, %v", res.Warm, err)
 	}

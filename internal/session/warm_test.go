@@ -52,7 +52,7 @@ func transferThrough(t testing.TB, reg *Registry, e *core.Engine, program string
 	}
 	c := make(chan rr, 1)
 	go func() {
-		info, q, _, err := Respond(b, reg, dst, dstCfg)
+		info, q, err := Respond(b, reg, dst, dstCfg)
 		if err != nil {
 			// Fail the initiator's pending reads so both sides join.
 			b.Close()
@@ -169,9 +169,9 @@ func TestWarmTransferColdThenWarm(t *testing.T) {
 	if res2.Warm.SectionsSent != 0 {
 		t.Errorf("unchanged process re-sent %d sections", res2.Warm.SectionsSent)
 	}
-	if res2.Warm.WireBytes*10 >= baseline.Bytes {
+	if res2.Timing.Bytes*10 >= baseline.Bytes {
 		t.Errorf("unchanged warm transfer used %d wire bytes, want < 10%% of the %d-byte cold transfer",
-			res2.Warm.WireBytes, baseline.Bytes)
+			res2.Timing.Bytes, baseline.Bytes)
 	}
 	runRestored(t, q2, warmListExit)
 
@@ -251,7 +251,7 @@ func TestWarmRejectsCorruptSectionBody(t *testing.T) {
 	type rr struct{ err error }
 	c := make(chan rr, 1)
 	go func() {
-		_, _, _, err := Respond(b, reg, arch.SPARC20, Config{Store: dstStore})
+		_, _, err := Respond(b, reg, arch.SPARC20, Config{Store: dstStore})
 		if err != nil {
 			// Fail the initiator's pending confirm read so it joins.
 			b.Close()
@@ -391,7 +391,7 @@ func TestLiveAfterCheckpoint(t *testing.T) {
 	// live migrates src at its next poll and returns the session's stats,
 	// the bytes round 0 encoded — read at the first poll the source reaches
 	// after it, before round 1 is captured — and the bytes SHA-256 saw.
-	live := func(src *vm.Process) (st *LiveStats, round0, hashed int64) {
+	live := func(src *vm.Process) (st *Exchange, round0, hashed int64) {
 		t.Helper()
 		if run, err := src.ResumeRun(); err != nil || !run.Migrated {
 			t.Fatalf("advance: %+v, %v", run, err)

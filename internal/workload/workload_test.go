@@ -55,7 +55,7 @@ func migrate(t *testing.T, e *core.Engine, src, dst *arch.Machine) (*vm.Process,
 	if !res.Migrated {
 		t.Fatal("workload did not migrate")
 	}
-	q, _, _, err := session.Transfer(e, "workload", p, dst, session.Config{})
+	q, _, err := session.Transfer(e, "workload", p, dst, session.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestRandomProgramDifferential(t *testing.T) {
 			}
 			code := res.ExitCode
 			if res.Migrated {
-				q, _, _, err := session.Transfer(e, "random", p, dstM, session.Config{})
+				q, _, err := session.Transfer(e, "random", p, dstM, session.Config{})
 				if err != nil {
 					t.Fatalf("seed %d probe %d restore: %v", seed, probe, err)
 				}
@@ -321,7 +321,7 @@ func TestJacobiMigratesMidConvergence(t *testing.T) {
 		if !res.Migrated {
 			t.Fatalf("pair %d: no migration at sweep %d", pi, probe)
 		}
-		q, _, _, err := session.Transfer(e, "jacobi", p, pr[1], session.Config{})
+		q, _, err := session.Transfer(e, "jacobi", p, pr[1], session.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

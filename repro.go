@@ -179,7 +179,7 @@ func (p *Program) Migrate(src, dst *Machine, opts *Options) (*Result, error) {
 	if !res.Migrated {
 		return &Result{ExitCode: res.ExitCode, Process: proc}, nil
 	}
-	q, _, timing, err := session.Transfer(p.engine, "migrate", proc, dst, session.Config{})
+	q, mig, err := session.Transfer(p.engine, "migrate", proc, dst, session.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +187,7 @@ func (p *Program) Migrate(src, dst *Machine, opts *Options) (*Result, error) {
 	if res, err = q.Run(); err != nil {
 		return nil, err
 	}
-	return &Result{ExitCode: res.ExitCode, Migrated: true, Timing: timing, Process: q}, nil
+	return &Result{ExitCode: res.ExitCode, Migrated: true, Timing: mig.Timing, Process: q}, nil
 }
 
 // Timing re-exports the migration time decomposition.
