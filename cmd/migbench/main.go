@@ -26,7 +26,7 @@ import (
 func main() {
 	expName := flag.String("exp", "all", "experiment: all, "+strings.Join(exper.Names(), ", "))
 	quick := flag.Bool("quick", false, "reduced problem sizes")
-	repeats := flag.Int("repeats", 3, "min-of-N timing repetitions")
+	repeats := flag.Int("repeats", 3, "E6b repetitions; raises the migration and search timings' 30-call floor")
 	tsvDir := flag.String("tsv", "", "also write figure data as TSV files into this directory")
 	jsonOut := flag.Bool("json", false, "also write each experiment's rows as BENCH_<exp>.json (obs report schema)")
 	flag.Usage = func() {

@@ -38,6 +38,14 @@
 // downtime instead of a full stop-and-copy stall. A -live client against
 // a daemon without -live (or vice versa) falls back to the ordinary
 // transfer.
+//
+// The daemon writes one journal record per session (-journal-dir keeps
+// them in journal-<node-id>.jsonl) and, with -trace-dir, a failed
+// session's flight recording as flight-<trace>.json; the record names
+// the dump. migtop reads both:
+//
+//	migtop -journals DIR[,DIR...]
+//	migtop explain -journals DIR[,DIR...] TRACE-ID
 package main
 
 import (
@@ -82,7 +90,6 @@ type options struct {
 	traceDir       string
 	journalDir     string
 	nodeID         string
-	sloSession     time.Duration
 	store          *store.Store
 	live           bool
 	precopyRounds  int
@@ -139,7 +146,6 @@ func main() {
 	traceDir := fs.String("trace-dir", "", "serve: dump a flight-<traceID>.json recording into this directory when a session fails (empty disables)")
 	journalDir := fs.String("journal-dir", "", "serve: also append the structured session journal (JSONL) to journal-<nodeID>.jsonl in this directory")
 	nodeID := fs.String("node-id", "", "serve: override the minted node identity on /metrics and in the journal")
-	sloSession := fs.Duration("slo-session", 0, "serve: per-session wall-time SLO target; sessions over it burn slo.session.burn (0 disables)")
 	storeDir := fs.String("store", "", "checkpoint store directory enabling warm (dedup'd) transfers with store-equipped peers (empty disables)")
 	live := fs.Bool("live", false, "offer the live pre-copy path: overlap execution with the transfer, pausing only for the final delta round (falls back when the peer lacks -live)")
 	precopyRounds := fs.Int("precopy-rounds", 0, "live: delta rounds before the forced final pause (0 = default)")
@@ -174,7 +180,6 @@ func main() {
 		traceDir:       *traceDir,
 		journalDir:     *journalDir,
 		nodeID:         *nodeID,
-		sloSession:     *sloSession,
 		live:           *live,
 		precopyRounds:  *precopyRounds,
 		dirtyThreshold: *dirtyThreshold,
@@ -200,7 +205,7 @@ func usage() {
   migd serve -addr HOST:PORT -machine NAME -program FILE [-program FILE ...]
              [-max-concurrent N] [-session-timeout D]
              [-pprof HOST:PORT] [-trace] [-trace-dir DIR] [-store DIR]
-             [-journal-dir DIR] [-node-id ID] [-slo-session D]
+             [-journal-dir DIR] [-node-id ID]
              [-live] [-chaos SPEC]
   migd run   -addr HOST:PORT -machine NAME -program FILE -after-polls N
              [-chunk N] [-retry N -retry-timeout D] [-session-timeout D]
@@ -299,16 +304,16 @@ func serve(engines []namedEngine, m *arch.Machine, o options) {
 	}
 
 	// Node identity: the /metrics header, the journal's node attribute,
-	// and the derived node.* gauges (uptime, store usage).
+	// and the derived node.store.* gauges.
 	node := fleet.NewNode(m.Name, o.addr, obs.Default)
 	if o.nodeID != "" {
 		node.Info.ID = o.nodeID
 	}
 	node.Store = o.store
 
-	// The structured session journal replaces the daemon's ad-hoc
-	// per-session stderr lines: JSON records on stderr, plus — with
-	// -journal-dir — an append-only JSONL file that survives the process.
+	// The structured session journal: one JSON record per session on
+	// stderr, plus — with -journal-dir — an append-only JSONL file that
+	// survives the process and that migtop reads.
 	journal, err := fleet.NewJournal(os.Stderr, o.journalDir, node.Info)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "migd:", err)
@@ -319,9 +324,11 @@ func serve(engines []namedEngine, m *arch.Machine, o options) {
 		fmt.Printf("[migd %s] session journal at %s\n", m.Name, journal.Path())
 	}
 
-	slo := &fleet.Tracker{
-		SLO:     fleet.SLO{Session: o.sloSession},
-		Metrics: obs.Default,
+	// The journal record names the dump by this path, so make it absolute:
+	// migtop explain then finds the dump from any working directory.
+	traceDir := o.traceDir
+	if abs, err := filepath.Abs(traceDir); traceDir != "" && err == nil {
+		traceDir = abs
 	}
 
 	d := &session.Daemon{
@@ -331,11 +338,8 @@ func serve(engines []namedEngine, m *arch.Machine, o options) {
 		MaxConcurrent: o.maxConcurrent,
 		Timeout:       o.sessionTimeout,
 		Trace:         o.trace,
-		TraceDir:      o.traceDir,
+		TraceDir:      traceDir,
 		Journal:       journal.Logger(),
-		OnSessionEnd: func(_ session.Info, elapsed time.Duration, _ error) {
-			slo.ObserveSession(elapsed)
-		},
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "[migd %s] %s\n", m.Name, fmt.Sprintf(format, args...))
 		},

@@ -1,99 +1,135 @@
-// migtop renders a fleet roll-up from N migd telemetry endpoints: one
-// row per node (readiness, pool occupancy, session counts, windowed
-// accept/fail rates, latency quantiles, SLO burn) plus fleet-wide totals
-// with exact bucket-wise merged histograms.
+// migtop reads what the migd daemons already write: their session
+// journals (migd serve -journal-dir) and the flight dumps a failed
+// session leaves (-trace-dir). One journal line is one session's record.
 //
-// One-shot table (CI smoke, scripts):
+// The fleet table — one row per node (sessions restored and failed,
+// bytes, p50 and p99 of the sessions' wall times), failures by class,
+// and every failed session with its trace ID and flight dump:
 //
-//	migtop -once -nodes 127.0.0.1:9102,127.0.0.1:9103
+//	migtop -journals DIR[,DIR...] [-json]
 //
-// Watch mode (the default) repaints every -interval, computing per-window
-// rates from consecutive scrapes:
+// One failed session's story — its journal record, then the flight dump
+// it names, event by event:
 //
-//	migtop -nodes 127.0.0.1:9102,127.0.0.1:9103 -interval 2s
+//	migtop explain -journals DIR[,DIR...] TRACE-ID
 //
-// The node addresses are migd -pprof listeners; any server exposing the
-// obs /metrics JSON report (schema repro-obs/2) works, with migd nodes
-// also contributing their identity header and readiness.
+// explain exits 1 when no record has the trace ID.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/stats"
 )
 
 func main() {
-	nodes := flag.String("nodes", "", "comma-separated node telemetry addresses (host:port or URL)")
-	once := flag.Bool("once", false, "scrape once, print the roll-up, and exit")
-	interval := flag.Duration("interval", 2*time.Second, "watch mode: scrape interval")
-	jsonOut := flag.Bool("json", false, "with -once: emit the roll-up as JSON instead of the table")
-	flag.Parse()
-
-	if *nodes == "" {
-		fmt.Fprintln(os.Stderr, "migtop: -nodes is required (e.g. -nodes 127.0.0.1:9102,127.0.0.1:9103)")
+	explain := len(os.Args) > 1 && os.Args[1] == "explain"
+	args := os.Args[1:]
+	name := "migtop"
+	if explain {
+		args, name = os.Args[2:], "migtop explain"
+	}
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	journals := fs.String("journals", "", "comma-separated directories holding journal-*.jsonl files (migd serve -journal-dir)")
+	jsonOut := new(bool)
+	if !explain {
+		jsonOut = fs.Bool("json", false, "emit the table's data as JSON")
+	}
+	fs.Parse(args)
+	var dirs []string
+	for _, d := range strings.Split(*journals, ",") {
+		if d = strings.TrimSpace(d); d != "" {
+			dirs = append(dirs, d)
+		}
+	}
+	if len(dirs) == 0 || explain && fs.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: migtop -journals DIR[,DIR...] [-json]\n       migtop explain -journals DIR[,DIR...] TRACE-ID")
 		os.Exit(2)
 	}
-	var targets []fleet.Target
-	for _, addr := range strings.Split(*nodes, ",") {
-		if addr = strings.TrimSpace(addr); addr != "" {
-			targets = append(targets, fleet.NormalizeTarget(addr))
-		}
-	}
-	sc := &fleet.Scraper{Targets: targets}
-
-	render := func() *fleet.Rollup {
-		sc.Scrape(context.Background())
-		return sc.Rollup()
-	}
-
-	if *once {
-		r := render()
-		if *jsonOut {
-			b, err := json.MarshalIndent(r, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "migtop:", err)
-				os.Exit(1)
-			}
-			os.Stdout.Write(append(b, '\n'))
-		} else {
-			r.WriteTable(os.Stdout)
-		}
-		// Exit nonzero only when no node answered at all: a partial fleet
-		// is a roll-up with visible down rows, not a scrape failure.
-		if r.Nodes > 0 && len(r.Rows) == reachable(r) {
-			return
-		}
-		if reachable(r) == 0 {
+	if explain {
+		if err := printStory(dirs, fs.Arg(0)); err != nil {
+			fmt.Fprintln(os.Stderr, "migtop:", err)
 			os.Exit(1)
 		}
 		return
 	}
+	recs, torn, err := fleet.ReadJournals(dirs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "migtop:", err)
+		os.Exit(1)
+	}
+	s := fleet.Summarize(recs, torn)
+	if *jsonOut {
+		b, _ := json.MarshalIndent(s, "", "  ")
+		os.Stdout.Write(append(b, '\n'))
+		return
+	}
+	printSummary(s)
+}
 
-	for {
-		r := render()
-		// ANSI home+clear: repaint in place like top.
-		fmt.Print("\033[H\033[2J")
-		fmt.Printf("migtop  %s  (%d nodes, every %s)\n\n",
-			time.Now().Format("15:04:05"), len(targets), *interval)
-		r.WriteTable(os.Stdout)
-		time.Sleep(*interval)
+func printSummary(s fleet.Summary) {
+	tbl := &stats.Table{Headers: []string{"NODE", "RESTORED", "FAILED", "BYTES", "P50", "P99"}}
+	for _, n := range s.Nodes {
+		tbl.AddRow(n.Node, n.Restored, n.Failed, n.Bytes, durUS(n.P50US).String(), durUS(n.P99US).String())
+	}
+	fmt.Print(tbl.String())
+	if len(s.FailClasses) > 0 {
+		var classes []string
+		for c, n := range s.FailClasses {
+			classes = append(classes, fmt.Sprintf("%s=%d", c, n))
+		}
+		sort.Strings(classes)
+		fmt.Println("failures:", strings.Join(classes, "  "))
+	}
+	for _, r := range s.Failures {
+		fmt.Printf("failed: trace=%s node=%s session=%d class=%s flight=%s\n",
+			orDash(r.Trace), r.Node, r.Session, r.FailClass, orDash(r.Flight))
+	}
+	if s.Torn > 0 {
+		fmt.Printf("torn: %d journal line(s) cut off mid-append, skipped\n", s.Torn)
 	}
 }
 
-// reachable counts rows that answered the scrape.
-func reachable(r *fleet.Rollup) int {
-	n := 0
-	for _, row := range r.Rows {
-		if row.Err == "" {
-			n++
-		}
+// printStory prints one session's journal record and the flight dump it
+// names.
+func printStory(dirs []string, trace string) error {
+	r, dump, err := fleet.Explain(dirs, trace)
+	if r.Msg == "" {
+		return err
 	}
-	return n
+	fmt.Printf("trace    %s\n", r.Trace)
+	fmt.Printf("session  %d on node %s at %s: %s\n", r.Session, r.Node, r.Time.Format(time.RFC3339Nano), r.Msg)
+	fmt.Printf("program  %s from %s, %s\n", r.Program, r.Peer, r.How)
+	fmt.Printf("elapsed  %s (restore %s), %d bytes\n", durUS(r.ElapsedUS), durUS(r.RestoreUS), r.Bytes)
+	if r.Failed() {
+		fmt.Printf("class    %s\nerror    %s\n", r.FailClass, r.Error)
+	}
+	if err != nil {
+		return err
+	}
+	if dump == nil {
+		fmt.Println("flight   none (the session did not fail, or its daemon ran without -trace-dir)")
+		return nil
+	}
+	fmt.Printf("flight   %s (%d events, %d overwritten)\n", r.Flight, dump.Total, dump.Dropped)
+	for _, ev := range dump.Events {
+		fmt.Printf("  %5d  %10.3fms  %-18s %s\n", ev.Seq, float64(ev.AtUS)/1000, ev.Kind, ev.Detail)
+	}
+	return nil
+}
+
+func durUS(us int64) time.Duration { return time.Duration(us) * time.Microsecond }
+
+func orDash(s string) string {
+	if s == "" {
+		return "-"
+	}
+	return s
 }

@@ -31,7 +31,9 @@ type Config struct {
 	// Quick shrinks problem sizes for test runs; full sizes match the
 	// paper's evaluation.
 	Quick bool
-	// Repeats is the min-of-N timing repetition count (default 3).
+	// Repeats is E6b's N (stats.Repeat, default 3). Migration and search
+	// timings take at least minSamples calls, so there it only raises
+	// that floor.
 	Repeats int
 }
 
@@ -75,22 +77,24 @@ func runOut(q *vm.Process) (int, error) {
 	return res.ExitCode, nil
 }
 
-// minTiming is how long a min-of-N measurement keeps sampling. Collecting
-// or restoring a small state takes tens of microseconds now that bulk
-// scalars move at memory speed — the size of one scheduler or allocator
-// blip — so a handful of samples no longer finds the floor; short calls
-// are sampled until they add up to this much.
-const minTiming = 5 * time.Millisecond
+// minSamples and minTiming are the floor of a min-of-N measurement: it
+// takes at least minSamples calls and keeps sampling until they add up to
+// minTiming. Collecting or restoring a small state takes tens of
+// microseconds to a few milliseconds — the size of one scheduler or
+// allocator blip — so a handful of samples does not find the floor: with
+// 3 calls, linpack 200's Restore read 179 µs where 30 read 68 µs.
+const minSamples, minTiming = 30, 5 * time.Millisecond
 
-// timeBest returns the minimum time of f over at least repeats calls and at
-// least minTiming of them, after an untimed warm-up call and a collection
-// cycle that keep Go allocator and GC transients out of the window.
+// timeBest returns the minimum time of f over at least max(repeats,
+// minSamples) calls and at least minTiming of them, after an untimed
+// warm-up call and a collection cycle that keep Go allocator and GC
+// transients out of the window.
 func timeBest(repeats int, f func()) time.Duration {
 	f()
 	runtime.GC()
 	best := time.Duration(math.MaxInt64)
 	begin := time.Now()
-	for i := 0; i < repeats || time.Since(begin) < minTiming; i++ {
+	for i := 0; i < max(repeats, minSamples) || time.Since(begin) < minTiming; i++ {
 		start := time.Now()
 		f()
 		best = min(best, time.Since(start))

@@ -58,7 +58,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFig2aLinearity(t *testing.T) {
-	res, err := Fig2aLinpack(Config{Quick: true, Repeats: 5})
+	res, err := Fig2aLinpack(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestFig2aLinearity(t *testing.T) {
 }
 
 func TestFig2bBlocksGrow(t *testing.T) {
-	res, err := Fig2bBitonic(Config{Quick: true, Repeats: 2})
+	res, err := Fig2bBitonic(quick)
 	if err != nil {
 		t.Fatal(err)
 	}

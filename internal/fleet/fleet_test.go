@@ -1,14 +1,14 @@
-package fleet
+package fleet_test
 
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/link"
 	"repro/internal/minic"
 	"repro/internal/obs"
@@ -26,22 +27,20 @@ import (
 
 func TestNodeIdentityAndRefresh(t *testing.T) {
 	reg := obs.NewRegistry()
-	n := NewNode("sparc20", "127.0.0.1:7464", reg)
+	n := fleet.NewNode("sparc20", "127.0.0.1:7464", reg)
 	if n.Info.ID == "" || !strings.Contains(n.Info.ID, "-") {
 		t.Errorf("node ID = %q, want <hostname>-<hex>", n.Info.ID)
 	}
 	if n.Info.PID != os.Getpid() || n.Info.Machine != "sparc20" || n.Info.Version == "" {
 		t.Errorf("node info = %+v", n.Info)
 	}
-	if NewNode("sparc20", "", obs.NewRegistry()).Info.ID == n.Info.ID {
+	if fleet.NewNode("sparc20", "", obs.NewRegistry()).Info.ID == n.Info.ID {
 		t.Error("two nodes minted the same ID")
 	}
-	snap := reg.Snapshot()
-	if snap.Gauges["node.up"] != 1 {
-		t.Errorf("node.up = %d, want 1", snap.Gauges["node.up"])
-	}
-	if _, ok := snap.Gauges["node.uptime.seconds"]; !ok {
-		t.Error("refresh did not set node.uptime.seconds")
+	// Without a store a node registers no gauge: its identity travels in
+	// the /metrics header and the journal's node attribute.
+	if info := n.Refresh(); info != &n.Info || len(reg.Snapshot().Gauges) != 0 {
+		t.Errorf("refresh = %p (want %p), gauges %v", info, &n.Info, reg.Snapshot().Gauges)
 	}
 }
 
@@ -55,7 +54,7 @@ func TestNodeStoreGauges(t *testing.T) {
 	if err := st.BeginOverwrite([]store.Hash{store.HashBytes(body)}, [][]byte{body}).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	n := NewNode("sparc20", "", reg)
+	n := fleet.NewNode("sparc20", "", reg)
 	n.Store = st
 	n.Refresh()
 	snap := reg.Snapshot()
@@ -71,7 +70,7 @@ func TestNodeStoreGauges(t *testing.T) {
 func TestNodeRoutes(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("session.restored").Add(7)
-	n := NewNode("sparc20", "", reg)
+	n := fleet.NewNode("sparc20", "", reg)
 	ready := true
 	n.Ready = func() bool { return ready }
 	mux := http.NewServeMux()
@@ -113,90 +112,11 @@ func TestNodeRoutes(t *testing.T) {
 	}
 }
 
-// TestScraperRollup runs two real nodes plus one dead target through the
-// scraper and checks the aggregation: summed counts, exact merged
-// quantiles against a single-registry reference, readiness, and
-// windowed rates on a second round.
-func TestScraperRollup(t *testing.T) {
-	ref := obs.NewRegistry()
-	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
-	durations := [][]time.Duration{
-		{2 * time.Millisecond, 9 * time.Millisecond, 40 * time.Millisecond},
-		{3 * time.Millisecond, 700 * time.Microsecond},
-	}
-	var targets []Target
-	for i, reg := range regs {
-		for _, d := range durations[i] {
-			reg.Counter("session.accepted").Inc()
-			reg.Counter("session.restored").Inc()
-			reg.Histogram("session.duration").Observe(d)
-			ref.Histogram("session.duration").Observe(d)
-		}
-		n := NewNode("sparc20", "", reg)
-		mux := http.NewServeMux()
-		n.Routes(mux)
-		srv := httptest.NewServer(mux)
-		defer srv.Close()
-		targets = append(targets, NormalizeTarget(srv.URL))
-	}
-	regs[0].Counter("session.failed").Inc()
-	regs[0].Counter("session.fail.transport").Inc()
-	targets = append(targets, NormalizeTarget("127.0.0.1:1")) // nobody home
-
-	sc := &Scraper{Targets: targets, Client: &http.Client{Timeout: 2 * time.Second}}
-	sc.Scrape(context.Background())
-	r := sc.Rollup()
-
-	if r.Nodes != 3 || r.Ready != 2 {
-		t.Fatalf("nodes %d ready %d, want 3/2", r.Nodes, r.Ready)
-	}
-	if r.Accepted != 5 || r.Restored != 5 || r.Failed != 1 {
-		t.Errorf("totals acc/rest/fail = %d/%d/%d, want 5/5/1", r.Accepted, r.Restored, r.Failed)
-	}
-	if r.FailClasses["transport"] != 1 {
-		t.Errorf("fail classes = %v", r.FailClasses)
-	}
-	refSnap := ref.Histogram("session.duration").Snapshot()
-	if r.Session.Count != refSnap.Count || r.Session.P50US != refSnap.P50US ||
-		r.Session.P99US != refSnap.P99US {
-		t.Errorf("merged session histogram %+v, reference %+v", r.Session, refSnap)
-	}
-	var deadRow *NodeRow
-	for i := range r.Rows {
-		if r.Rows[i].Err != "" {
-			deadRow = &r.Rows[i]
-		}
-	}
-	if deadRow == nil {
-		t.Fatal("dead target missing from rows")
-	}
-
-	// Second round: more sessions → a positive windowed rate.
-	for i := 0; i < 4; i++ {
-		regs[0].Counter("session.accepted").Inc()
-	}
-	time.Sleep(20 * time.Millisecond)
-	sc.Scrape(context.Background())
-	r2 := sc.Rollup()
-	if r2.Rows[0].AcceptedRate <= 0 {
-		t.Errorf("windowed accepted rate = %v, want > 0", r2.Rows[0].AcceptedRate)
-	}
-
-	var buf bytes.Buffer
-	r2.WriteTable(&buf)
-	out := buf.String()
-	for _, want := range []string{"NODE", "fleet:", "transport=1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestJournalWritesJSONLAndStderrSink(t *testing.T) {
 	dir := t.TempDir()
 	var errSink bytes.Buffer
 	node := obs.NodeInfo{ID: "nodetest-0001"}
-	j, err := NewJournal(&errSink, dir, node)
+	j, err := fleet.NewJournal(&errSink, dir, node)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +151,7 @@ func TestJournalWritesJSONLAndStderrSink(t *testing.T) {
 	}
 
 	// Discarding journal (no sinks) still hands out a usable logger.
-	quiet, err := NewJournal(nil, "", node)
+	quiet, err := fleet.NewJournal(nil, "", node)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,32 +161,89 @@ func TestJournalWritesJSONLAndStderrSink(t *testing.T) {
 	}
 }
 
-func TestSLOTracker(t *testing.T) {
-	reg := obs.NewRegistry()
-	tr := &Tracker{SLO: SLO{Session: time.Millisecond}, Metrics: reg}
-	tr.ObserveSession(500 * time.Microsecond) // within budget
-	tr.ObserveSession(2 * time.Millisecond)   // burn
-	snap := reg.Snapshot()
-	if snap.Counters["slo.session.total"] != 2 || snap.Counters["slo.session.burn"] != 1 {
-		t.Errorf("session budget = %v", snap.Counters)
+// TestReadJournals reads two nodes' journal directories, one of them
+// ending in a line cut off mid-append, and folds them into the table
+// migtop prints. The lines are written with Record.Log, the daemon's
+// writer, so a failed record reads back field for field.
+func TestReadJournals(t *testing.T) {
+	dirA, dirB := t.TempDir(), t.TempDir()
+	write := func(dir, node string, recs ...fleet.Record) string {
+		j, err := fleet.NewJournal(nil, dir, obs.NodeInfo{ID: node})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			r.Log(j.Logger())
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return j.Path()
+	}
+	restored := func(session uint64, bytes, us int64) fleet.Record {
+		return fleet.Record{Msg: "session.restored", Session: session, Bytes: bytes, ElapsedUS: us}
+	}
+	write(dirA, "a", restored(1, 1000, 400), restored(2, 1000, 100), restored(3, 1000, 300), restored(4, 1000, 200))
+	failed := fleet.Record{Msg: "session.failed", Node: "b", Session: 2, Program: "prog", Peer: "dec5000",
+		How: "live, pushed", ElapsedUS: 90, RestoreUS: 12, Trace: "00ab", FailClass: "peer-rollback",
+		Error: "peer rolled back", Flight: "d/flight-00ab.json", PrecopyRounds: 3}
+	pathB := write(dirB, "b", restored(1, 7, 50), failed)
+	f, err := os.OpenFile(pathB, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"time":"2026-01-01T00:00:00Z","msg":"session.rest`)
+	f.Close()
+
+	recs, torn, err := fleet.ReadJournals([]string{dirA, dirB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 6 || torn != 1 {
+		t.Fatalf("read %d records, %d torn; want 6 and 1", len(recs), torn)
+	}
+	s := fleet.Summarize(recs, torn)
+	want := []fleet.NodeSummary{
+		{Node: "a", Restored: 4, Bytes: 4000, P50US: 200, P99US: 400},
+		{Node: "b", Restored: 1, Failed: 1, Bytes: 7, P50US: 50, P99US: 90},
+	}
+	if len(s.Nodes) != 2 || s.Nodes[0] != want[0] || s.Nodes[1] != want[1] {
+		t.Errorf("nodes = %+v, want %+v", s.Nodes, want)
+	}
+	if len(s.Failures) == 1 {
+		s.Failures[0].Time = time.Time{}
+	}
+	if s.FailClasses["peer-rollback"] != 1 || len(s.Failures) != 1 || s.Failures[0] != failed {
+		t.Errorf("failures = %v %+v, want %+v", s.FailClasses, s.Failures, failed)
 	}
 
-	// Disabled budgets write nothing, and a nil tracker is a no-op.
-	off := &Tracker{Metrics: reg}
-	off.ObserveSession(time.Hour)
-	if reg.Snapshot().Counters["slo.session.total"] != 2 {
-		t.Error("disabled budget still counted")
+	// A daemon restarted with the same node ID drops the torn line before
+	// it appends, so the directory still reads.
+	write(dirB, "b", restored(3, 7, 60))
+	if recs, torn, err := fleet.ReadJournals([]string{dirB}); err != nil || torn != 0 || len(recs) != 3 {
+		t.Errorf("after a restart: %d records, %d torn, %v; want 3, 0, nil", len(recs), torn, err)
 	}
-	var nilT *Tracker
-	nilT.ObserveSession(time.Second)
+
+	// A line that does not decode anywhere but at the end is damage, not
+	// a cut append.
+	f, _ = os.OpenFile(pathB, os.O_APPEND|os.O_WRONLY, 0)
+	f.WriteString("\n{}\n")
+	f.Close()
+	if _, _, err := fleet.ReadJournals([]string{dirB}); err == nil {
+		t.Error("a malformed line inside the journal was accepted")
+	}
+	if _, _, err := fleet.ReadJournals([]string{t.TempDir()}); err == nil {
+		t.Error("a directory without a journal read as an empty fleet")
+	}
 }
 
 // TestDaemonAccountingExact wires a real session daemon the way migd
-// does — an unmeetable session SLO on its end-of-session hook, a journal,
-// and a node whose readiness is the daemon's drain state — drives N good
+// does — a journal in a directory, OnSessionEnd, and a node whose
+// readiness follows the drain — drives N good
 // migrations and one offer of a program it does not hold, all at once,
-// and reads every count back exactly: from the registry, from the
-// journal, and through a scrape of the node's /metrics.
+// and reads every count back exactly: from the registry, and from the
+// journal file through ReadJournals, whose quantiles are the sessions'
+// own elapsed times.
 func TestDaemonAccountingExact(t *testing.T) {
 	const good = 5
 	e, err := core.NewEngine(workload.ShardedListsSource(2, 12), minic.PollPolicy{})
@@ -279,23 +256,19 @@ func TestDaemonAccountingExact(t *testing.T) {
 	}
 
 	metrics := obs.NewRegistry()
-	var sink bytes.Buffer
-	journal, err := NewJournal(&sink, "", obs.NodeInfo{ID: "acct"})
+	dir := t.TempDir()
+	journal, err := fleet.NewJournal(nil, dir, obs.NodeInfo{ID: "acct"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slo := &Tracker{SLO: SLO{Session: time.Nanosecond}, Metrics: metrics}
 	// One send per session, after its counters and journal record.
 	ended := make(chan struct{}, good+1)
 	reg := session.NewRegistry()
 	reg.Add("prog", e)
 	d := &session.Daemon{
 		Registry: reg, Mach: arch.SPARC20, Metrics: metrics, MaxConcurrent: 4,
-		Journal: journal.Logger(),
-		OnSessionEnd: func(_ session.Info, elapsed time.Duration, _ error) {
-			slo.ObserveSession(elapsed)
-			ended <- struct{}{}
-		},
+		Journal:      journal.Logger(),
+		OnSessionEnd: func(session.Info, time.Duration, error) { ended <- struct{}{} },
 	}
 	l, err := link.Listen("127.0.0.1:0")
 	if err != nil {
@@ -304,12 +277,21 @@ func TestDaemonAccountingExact(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- d.Serve(l) }()
 	defer d.Shutdown()
-	node := NewNode("sparc20", "", metrics)
+	node := fleet.NewNode("sparc20", "", metrics)
 	node.Ready = func() bool { return !d.Draining() }
 	mux := http.NewServeMux()
 	node.Routes(mux)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
+	get := func(path string) (int, []byte) {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, b
+	}
 
 	var wg sync.WaitGroup
 	offer := func(e *core.Engine, wantOK bool) {
@@ -350,43 +332,93 @@ func TestDaemonAccountingExact(t *testing.T) {
 			t.Fatal("the daemon did not finish every session")
 		}
 	}
+	if code, _ := get("/readyz"); code != http.StatusOK {
+		t.Errorf("/readyz while serving = %d, want 200", code)
+	}
+	d.Shutdown()
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A drained node reads not ready, and its counts stay intact.
+	if !d.Draining() {
+		t.Error("Draining() = false after Shutdown")
+	}
+	if code, _ := get("/readyz"); code != http.StatusServiceUnavailable {
+		t.Errorf("/readyz after drain = %d, want 503", code)
+	}
+	code, body := get("/metrics")
+	var rep obs.Report
+	if err := json.Unmarshal(body, &rep); err != nil || code != http.StatusOK || rep.Metrics == nil {
+		t.Fatalf("/metrics after drain = %d %v", code, err)
+	}
+	if got := rep.Metrics.Counters["session.accepted"]; got != good+1 {
+		t.Errorf("/metrics after drain: session.accepted = %d, want %d", got, good+1)
+	}
 
 	want := map[string]int64{
 		"session.accepted":         good + 1,
 		"session.restored":         good,
 		"session.failed":           1,
 		"session.fail.negotiation": 1,
-		"slo.session.total":        good + 1,
-		"slo.session.burn":         good + 1,
 	}
-	counters := metrics.Snapshot().Counters
+	snap := metrics.Snapshot()
+	counters := snap.Counters
 	for name, n := range want {
 		if counters[name] != n {
 			t.Errorf("%s = %d, want %d", name, counters[name], n)
 		}
 	}
-	restored := strings.Count(sink.String(), `"msg":"session.restored"`)
-	failed := strings.Count(sink.String(), `"msg":"session.failed"`)
-	if restored != good || failed != 1 {
-		t.Errorf("journal holds %d session.restored and %d session.failed records, want %d and 1", restored, failed, good)
+	if n := snap.Histograms["session.duration"].Count; n != good+1 {
+		t.Errorf("session.duration observed %d sessions, want %d", n, good+1)
 	}
 
-	// The scraped roll-up reads the same totals, and a drained node stays
-	// in it, not ready, with its counts intact.
-	sc := &Scraper{Targets: []Target{NormalizeTarget(srv.URL)}}
-	sc.Scrape(context.Background())
-	r := sc.Rollup()
-	if r.Ready != 1 || r.Accepted != good+1 || r.Restored != good || r.Failed != 1 ||
-		r.FailClasses["negotiation"] != 1 || r.SLOSessionBurn != good+1 || r.Session.Count != good+1 {
-		t.Errorf("roll-up = %+v, want %d accepted, %d restored, 1 negotiation failure, %d burned and observed",
-			r, good+1, good, good+1)
-	}
-	d.Shutdown()
-	if err := <-served; err != nil {
+	// The quantiles are the journal lines' own elapsed times: with six
+	// sessions, p50 is the third smallest and p99 the largest.
+	raw, err := os.ReadFile(journal.Path())
+	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Scrape(context.Background())
-	if r2 := sc.Rollup(); r2.Nodes != 1 || r2.Ready != 0 || r2.Accepted != r.Accepted {
-		t.Errorf("after drain: %d nodes, %d ready, %d accepted; want 1, 0, %d", r2.Nodes, r2.Ready, r2.Accepted, r.Accepted)
+	var elapsed []int64
+	scan := bufio.NewScanner(bytes.NewReader(raw))
+	for scan.Scan() {
+		var line struct {
+			ElapsedUS int64 `json:"elapsed_us"`
+		}
+		if err := json.Unmarshal(scan.Bytes(), &line); err != nil {
+			t.Fatal(err)
+		}
+		elapsed = append(elapsed, line.ElapsedUS)
+	}
+	sort.Slice(elapsed, func(i, j int) bool { return elapsed[i] < elapsed[j] })
+
+	recs, torn, err := fleet.ReadJournals([]string{dir})
+	if err != nil || torn != 0 || len(elapsed) != good+1 {
+		t.Fatalf("read back: %d records, %d torn, %v; the file holds %d lines", len(recs), torn, err, len(elapsed))
+	}
+	s := fleet.Summarize(recs, torn)
+	wantRow := fleet.NodeSummary{Node: "acct", Restored: good, Failed: 1, P50US: elapsed[2], P99US: elapsed[good]}
+	if len(s.Nodes) != 1 {
+		t.Fatalf("nodes = %+v", s.Nodes)
+	}
+	row := s.Nodes[0]
+	row.Bytes = 0 // checked below: a sum over the restored records
+	if row != wantRow {
+		t.Errorf("row = %+v, want %+v", s.Nodes[0], wantRow)
+	}
+	var bytesRestored int64
+	for _, r := range recs {
+		if !r.Failed() {
+			bytesRestored += r.Bytes
+		}
+	}
+	if s.Nodes[0].Bytes != bytesRestored || bytesRestored != counters["session.bytes"] {
+		t.Errorf("bytes = %d, records sum %d, session.bytes %d", s.Nodes[0].Bytes, bytesRestored, counters["session.bytes"])
+	}
+	if len(s.Failures) != 1 || s.FailClasses["negotiation"] != 1 || s.Failures[0].FailClass != "negotiation" {
+		t.Errorf("failures = %v %+v, want one negotiation failure", s.FailClasses, s.Failures)
 	}
 }

@@ -1,13 +1,11 @@
 // Package fleet is the telemetry plane above internal/obs: per-node
-// identity and health endpoints, a scraper that aggregates N daemons'
-// /metrics snapshots into one fleet roll-up, a structured slog session
-// journal, and SLO budget tracking.
+// identity and health endpoints, the structured slog session journal,
+// and the reader over the journals and flight dumps that migtop prints.
 //
 // The split mirrors the rest of the tree: internal/session is mechanism
-// (it exposes counters, histograms, and end-of-session hooks and knows
-// nothing about fleets), this package is the policy layer migd, migtop,
-// and — eventually — a placement/admission control plane wire those
-// mechanisms into.
+// (it writes one journal record per session and dumps a failed one's
+// flight recording, and knows nothing about fleets), this package is
+// where migd and migtop wire those mechanisms in.
 package fleet
 
 import (
@@ -23,7 +21,7 @@ import (
 )
 
 // Node is one daemon's telemetry identity: the /metrics node header,
-// the node.* gauges derived on demand (uptime, store usage), and the
+// the node.store.* gauges derived on demand, and the
 // health endpoints a load balancer or drain controller probes.
 type Node struct {
 	Info    obs.NodeInfo
@@ -38,10 +36,10 @@ type Node struct {
 }
 
 // NewNode mints a node identity: a stable `<hostname>-<8 hex>` ID (fresh
-// per process — a restart is a new node as far as windowed rates are
-// concerned), the process start time, PID, and build version. reg (nil =
-// obs.Default) receives the node.* gauges; machine and addr label the
-// simulated architecture and the daemon's listen address.
+// per process, so a restart is a new node), the process start time, PID,
+// and build version. reg (nil = obs.Default) receives the node.store.*
+// gauges; machine and addr label the simulated architecture and the
+// daemon's listen address.
 func NewNode(machine, addr string, reg *obs.Registry) *Node {
 	if reg == nil {
 		reg = obs.Default
@@ -63,7 +61,6 @@ func NewNode(machine, addr string, reg *obs.Registry) *Node {
 		},
 		Metrics: reg,
 	}
-	reg.Gauge("node.up").Set(1)
 	n.Refresh()
 	return n
 }
@@ -77,12 +74,11 @@ func buildVersion() string {
 	return "devel"
 }
 
-// Refresh recomputes the derived node.* gauges: uptime and, when a
-// store is attached, blob count and bytes. The metrics handler calls
-// this before every snapshot so scrapes always read current values.
+// Refresh recomputes the derived gauges: when a store is attached, its
+// blob count and bytes. The metrics handler calls this before every
+// snapshot so /metrics always reads current values.
 func (n *Node) Refresh() *obs.NodeInfo {
 	g := n.Metrics
-	g.Gauge("node.uptime.seconds").Set(int64(time.Since(n.Info.Start).Seconds()))
 	if n.Store != nil {
 		if blobs, bytes, err := n.Store.Usage(); err == nil {
 			g.Gauge("node.store.blobs").Set(blobs)
@@ -100,7 +96,7 @@ func (n *Node) ready() bool {
 // Routes registers the node's telemetry endpoints on mux (nil =
 // http.DefaultServeMux, so migd's pprof handlers share the same server):
 //
-//	/metrics  — obs report (JSON with node header) or Prometheus text
+//	/metrics  — obs report (JSON with node header)
 //	/healthz  — liveness: 200 while the process can serve HTTP at all
 //	/readyz   — readiness: 200 "ready", or 503 "draining" once the
 //	            daemon has begun its SIGTERM drain

@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"strings"
 	"time"
 )
 
@@ -14,10 +11,10 @@ import (
 // Report with this marker, so downstream tooling reads one format.
 const ReportSchema = "repro-obs/2"
 
-// NodeInfo identifies the node that emitted a Report — the header block
-// the fleet scraper keys its aggregation on. ID is stable for the
-// process lifetime; Start and Version let operators spot restarts and
-// mixed-version fleets from one scrape.
+// NodeInfo identifies the node that emitted a Report — the /metrics
+// header block, and the node attribute of its journal records. ID is
+// stable for the process lifetime; Start and Version let operators spot
+// restarts and mixed-version fleets from one read.
 type NodeInfo struct {
 	ID      string    `json:"id"`
 	Machine string    `json:"machine,omitempty"`
@@ -129,21 +126,6 @@ func NewReport(experiment string, rows any) *Report {
 	return &Report{Schema: ReportSchema, Experiment: experiment, Rows: rows}
 }
 
-// ParseReport decodes a JSON Report of the current schema. It is the read
-// side of the export contract: the fleet scraper and report tooling go
-// through here, and a document with any other marker fails loudly (nothing
-// in this repository writes one, and no peer exists outside it).
-func ParseReport(b []byte) (*Report, error) {
-	var r Report
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("obs: parse report: %w", err)
-	}
-	if r.Schema != ReportSchema {
-		return nil, fmt.Errorf("obs: unknown report schema %q", r.Schema)
-	}
-	return &r, nil
-}
-
 // WithMetrics attaches a registry snapshot and returns the report.
 func (r *Report) WithMetrics(reg *Registry) *Report {
 	snap := reg.Snapshot()
@@ -151,61 +133,30 @@ func (r *Report) WithMetrics(reg *Registry) *Report {
 	return r
 }
 
-// NodeMetricsHandler serves reg at every request — the daemon's /metrics
-// endpoint. A nil registry serves Default. Two representations are
-// offered: the obs JSON Report (the default, Content-Type
-// application/json) and the Prometheus text exposition, selected by
-// ?format=prometheus or an Accept header asking for text/plain or
-// OpenMetrics. An unknown ?format= is a 400; an encoding failure is a 500
-// (the body is staged in memory so the status line is still writable).
-// A node identity header is stamped into the JSON report (the Prometheus
-// exposition is unchanged — node identity travels out-of-band there).
-// node is invoked per request, before the snapshot, so the caller can
-// refresh derived gauges (uptime, store usage) and return the current
-// identity; nil node or a nil return serves a headerless report.
+// NodeMetricsHandler serves reg at every request as the obs JSON Report
+// — the daemon's /metrics endpoint. A nil registry serves Default. An
+// encoding failure is a 500 (the body is staged in memory so the status
+// line is still writable). node is invoked per request, before the
+// snapshot, so the caller can refresh derived gauges (store usage) and
+// return the current identity, which is stamped into the report; nil
+// node or a nil return serves a headerless report.
 func NodeMetricsHandler(reg *Registry, node func() *NodeInfo) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		r := reg
 		if r == nil {
 			r = Default
 		}
-		var info *NodeInfo
+		rep := NewReport("", nil)
 		if node != nil {
-			info = node()
+			rep.Node = node()
 		}
-		snap := r.Snapshot()
-		format := req.URL.Query().Get("format")
-		if format == "" {
-			accept := req.Header.Get("Accept")
-			if strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics") {
-				format = "prometheus"
-			} else {
-				format = "json"
-			}
+		rep.WithMetrics(r)
+		b, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			http.Error(w, "metrics: "+err.Error(), http.StatusInternalServerError)
+			return
 		}
-		switch format {
-		case "prometheus":
-			var buf bytes.Buffer
-			if err := snap.WritePrometheus(&buf); err != nil {
-				http.Error(w, "metrics: "+err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			w.Write(buf.Bytes())
-		case "json":
-			rep := NewReport("", nil)
-			rep.Node = info
-			rep.Metrics = &snap
-			b, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				http.Error(w, "metrics: "+err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(append(b, '\n'))
-		default:
-			http.Error(w, fmt.Sprintf("metrics: unknown format %q (want json or prometheus)", format),
-				http.StatusBadRequest)
-		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(append(b, '\n'))
 	})
 }

@@ -2,35 +2,16 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 )
 
-// TestParseReportUnknownSchema pins the failure mode for foreign
-// documents: parse errors, not silent misreads.
-func TestParseReportUnknownSchema(t *testing.T) {
-	// The schema before this one (nothing writes it any more) and one
-	// that does not exist yet.
-	for _, version := range []int{1, 99} {
-		doc := fmt.Sprintf(`{"schema":"repro-obs/%d"}`, version)
-		if _, err := ParseReport([]byte(doc)); err == nil {
-			t.Fatalf("%s accepted", doc)
-		}
-	}
-	if _, err := ParseReport([]byte(`not json`)); err == nil {
-		t.Fatal("malformed document accepted")
-	}
-}
-
 // TestNodeMetricsHandler checks the v2 endpoint: the JSON report carries
-// the schema marker and the node identity header, the refresh hook runs
-// per request, the Prometheus exposition stays header-free, and an
-// unknown ?format= is still a 400.
+// the schema marker and the node identity header, and the refresh hook
+// runs per request.
 func TestNodeMetricsHandler(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("session.restored").Add(4)
@@ -56,8 +37,8 @@ func TestNodeMetricsHandler(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("json status %d", code)
 	}
-	rep, err := ParseReport([]byte(js))
-	if err != nil {
+	var rep Report
+	if err := json.Unmarshal([]byte(js), &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Schema != ReportSchema {
@@ -72,18 +53,10 @@ func TestNodeMetricsHandler(t *testing.T) {
 	if refreshes != 1 {
 		t.Errorf("refresh hook ran %d times, want 1", refreshes)
 	}
-
-	if code, text := body(srv.URL + "?format=prometheus"); code != 200 ||
-		!strings.Contains(text, "session_restored 4") || strings.Contains(text, "host-abcd1234") {
-		t.Errorf("prometheus exposition wrong (status %d):\n%s", code, text)
-	}
-	if code, _ := body(srv.URL + "?format=xml"); code != http.StatusBadRequest {
-		t.Errorf("unknown format status = %d, want 400", code)
-	}
 }
 
 // TestReportJSONRoundTrip pins that a v2 report with a node header
-// survives encode → ParseReport unchanged.
+// survives encode → decode unchanged.
 func TestReportJSONRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Histogram("lat").Observe(3 * time.Millisecond)
@@ -93,8 +66,8 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseReport(b)
-	if err != nil {
+	var back Report
+	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Node.ID != "n1" || back.Node.PID != 42 {

@@ -9,7 +9,7 @@ import (
 // histBuckets is the number of finite exponential buckets: bucket i holds
 // observations with ceil(d) in (2^(i-1), 2^i] microseconds, so the finite
 // range runs from 1µs up to 2^39µs (~6.4 days). One extra overflow slot
-// catches anything beyond — the Prometheus +Inf bucket.
+// catches anything beyond.
 const histBuckets = 40
 
 // Histogram is a fixed-bucket exponential latency histogram: per-phase and
@@ -80,7 +80,7 @@ type HistogramBucket struct {
 
 // HistogramSnapshot is the JSON form of a histogram: summary quantiles up
 // front (what the report tables read) plus the sparse bucket counts (what
-// the Prometheus exposition rebuilds its cumulative series from).
+// Quantile and Delta read back).
 type HistogramSnapshot struct {
 	Count   int64             `json:"count"`
 	SumUS   int64             `json:"sum_us"`

@@ -5,18 +5,16 @@ import (
 	"time"
 )
 
-// This file is the aggregation algebra the fleet scraper builds on. The
-// bucket layout is compiled into every Histogram (powers of two in
-// microseconds, see histBuckets), so bucket-wise addition of two
-// histograms is exact: the merge reports the same quantiles as one
-// histogram that had seen both sides' observations. Subtraction of two
-// snapshots of the same cumulative histogram is exact for the same
-// reason, which is what turns periodic scrapes into windowed rates.
+// This file reads a histogram snapshot back: its quantiles, and the
+// window between two snapshots of one cumulative histogram. The bucket
+// layout is compiled into every Histogram (powers of two in
+// microseconds, see histBuckets), so subtracting two snapshots bucket by
+// bucket is exact. The bench harness reads its per-run latency windows
+// this way.
 
 // histIndexForBoundUS maps a snapshot bucket's upper bound back to its
-// bucket index. Bounds that don't match the compiled layout (a peer
-// built with a different resolution) clamp to the covering bucket, so a
-// merge is never lossy beyond the receiver's own bucket width.
+// bucket index. Bounds that don't match the compiled layout clamp to the
+// covering bucket.
 func histIndexForBoundUS(leUS int64) int {
 	if leUS < 0 {
 		return histBuckets
@@ -41,7 +39,7 @@ func (s HistogramSnapshot) dense() (c [histBuckets + 1]int64) {
 
 // snapshotFromDense builds a HistogramSnapshot — including its summary
 // quantiles — from a dense bucket array: a live histogram's (Snapshot), or
-// a merged or windowed one's.
+// a windowed one's (Delta).
 func snapshotFromDense(c [histBuckets + 1]int64, sumUS int64) HistogramSnapshot {
 	snap := HistogramSnapshot{SumUS: sumUS}
 	for i, n := range c {
@@ -87,27 +85,15 @@ func quantileFromDense(c [histBuckets + 1]int64, total int64, q float64) time.Du
 }
 
 // Quantile re-derives the q-quantile (0 < q <= 1) from the snapshot's
-// buckets, so merged and windowed snapshots answer quantile queries the
-// same way a live histogram does. Empty snapshots report 0.
+// buckets, so a windowed snapshot answers quantile queries the same way
+// a live histogram does. Empty snapshots report 0.
 func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	return quantileFromDense(s.dense(), s.Count, q)
 }
 
-// Merge returns the bucket-wise sum of s and other — how the fleet
-// roll-up combines N nodes' histograms into one distribution. Exact:
-// every histogram shares the compiled bucket layout, so the result's
-// quantiles equal those of a single histogram that observed both sides.
-func (s HistogramSnapshot) Merge(other HistogramSnapshot) HistogramSnapshot {
-	c := s.dense()
-	for _, b := range other.Buckets {
-		c[histIndexForBoundUS(b.LEUS)] += b.Count
-	}
-	return snapshotFromDense(c, s.SumUS+other.SumUS)
-}
-
 // Delta returns the observations s gained since prev: bucket-wise
-// subtraction, clamped at zero so a counter reset (node restart between
-// scrapes) reads as a fresh window rather than a negative one.
+// subtraction, clamped at zero so a prev ahead of s (a reset between the
+// two snapshots) reads as a fresh window rather than a negative one.
 func (s HistogramSnapshot) Delta(prev HistogramSnapshot) HistogramSnapshot {
 	c := s.dense()
 	for _, b := range prev.Buckets {
@@ -121,36 +107,4 @@ func (s HistogramSnapshot) Delta(prev HistogramSnapshot) HistogramSnapshot {
 		sum = 0
 	}
 	return snapshotFromDense(c, sum)
-}
-
-// Delta returns the windowed change from prev to m: counters and
-// histograms subtract (clamped at zero across a node restart), gauges
-// keep m's instantaneous values. The fleet scraper feeds two consecutive
-// scrapes of the same node through this to turn cumulative counters into
-// per-window rates.
-func (m MetricsSnapshot) Delta(prev MetricsSnapshot) MetricsSnapshot {
-	out := MetricsSnapshot{}
-	if len(m.Counters) > 0 {
-		out.Counters = make(map[string]int64, len(m.Counters))
-		for name, v := range m.Counters {
-			d := v - prev.Counters[name]
-			if d < 0 {
-				d = 0
-			}
-			out.Counters[name] = d
-		}
-	}
-	if len(m.Gauges) > 0 {
-		out.Gauges = make(map[string]int64, len(m.Gauges))
-		for name, v := range m.Gauges {
-			out.Gauges[name] = v
-		}
-	}
-	if len(m.Histograms) > 0 {
-		out.Histograms = make(map[string]HistogramSnapshot, len(m.Histograms))
-		for name, h := range m.Histograms {
-			out.Histograms[name] = h.Delta(prev.Histograms[name])
-		}
-	}
-	return out
 }

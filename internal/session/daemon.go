@@ -1,7 +1,6 @@
 package session
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,6 +14,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/link"
 	"repro/internal/obs"
 	"repro/internal/stream"
@@ -322,10 +322,10 @@ type Daemon struct {
 	Journal *slog.Logger
 	// OnSessionEnd, when set, is invoked after every session — restored
 	// or failed, before OnRestored runs the process — with the session's
-	// Info, its total wall time, and its error (nil on success). This is
-	// the fleet-policy hook: SLO budget trackers and admission
-	// controllers attach here without the session layer depending on
-	// them. Called concurrently from session workers.
+	// Info, its total wall time, and its error (nil on success): the hook
+	// a caller that counts or gates sessions attaches to without the
+	// session layer depending on it. Called concurrently from session
+	// workers.
 	OnSessionEnd func(Info, time.Duration, error)
 	// Trace enables per-session phase tracing: each session runs under
 	// its own span tree, rendered through Logf when the session ends.
@@ -522,39 +522,34 @@ func (d *Daemon) handle(conn *link.Conn) {
 	}
 }
 
-// journalSession writes one structured record for a completed session.
-// The record and the session's flight dump share the trace ID, so a
-// fleet post-mortem can go from the journal line straight to the dump.
+// journalSession writes one fleet.Record for a completed session. The
+// record names the session's trace ID and flight dump, so one command
+// (migtop explain, through fleet.Explain) goes from the journal line
+// straight to the dump.
 func (d *Daemon) journalSession(info Info, elapsed time.Duration, class FailureClass, flight string, cause error) {
 	if d.Journal == nil {
 		return
 	}
-	attrs := []slog.Attr{
-		slog.Uint64("session", info.ID),
-		slog.String("program", info.Program),
-		slog.String("peer", info.SrcMachine),
-		slog.String("how", info.How()),
-		slog.Int64("bytes", int64(info.Timing.Bytes)),
-		slog.Int64("elapsed_us", elapsed.Microseconds()),
-		slog.Int64("restore_us", info.Timing.Restore.Microseconds()),
+	rec := fleet.Record{
+		Msg:       "session.restored",
+		Session:   info.ID,
+		Program:   info.Program,
+		Peer:      info.SrcMachine,
+		How:       info.How(),
+		Bytes:     int64(info.Timing.Bytes),
+		ElapsedUS: elapsed.Microseconds(),
+		RestoreUS: info.Timing.Restore.Microseconds(),
 	}
 	if info.Trace.Valid() {
-		attrs = append(attrs, slog.String("trace", obs.IDString(info.Trace.TraceID)))
+		rec.Trace = obs.IDString(info.Trace.TraceID)
 	}
 	if info.Live != nil {
-		attrs = append(attrs, slog.Int("precopy_rounds", len(info.Live.Rounds)))
+		rec.PrecopyRounds = len(info.Live.Rounds)
 	}
-	level, msg := slog.LevelInfo, "session.restored"
 	if cause != nil {
-		level, msg = slog.LevelError, "session.failed"
-		attrs = append(attrs,
-			slog.String("fail_class", string(class)),
-			slog.String("error", cause.Error()))
-		if flight != "" {
-			attrs = append(attrs, slog.String("flight", flight))
-		}
+		rec.Msg, rec.FailClass, rec.Error, rec.Flight = "session.failed", string(class), cause.Error(), flight
 	}
-	d.Journal.LogAttrs(context.Background(), level, msg, attrs...)
+	rec.Log(d.Journal)
 }
 
 // dumpFlight publishes a failed session's flight recording: the event log

@@ -4,8 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/minic"
 	"repro/internal/obs"
 	"repro/internal/vm"
@@ -46,17 +47,118 @@ func (b *lockedBuffer) String() string {
 // journal record shape for successes (how, bytes, durations), and that
 // Logf keeps the flight recording.
 func TestJournalRecordsAndFlightCrossReference(t *testing.T) {
+	_, journal, logs := failedSession(t)
+
+	var restored, failed map[string]any
+	scan := bufio.NewScanner(strings.NewReader(journal))
+	for scan.Scan() {
+		var rec map[string]any
+		if err := json.Unmarshal(scan.Bytes(), &rec); err != nil {
+			t.Fatalf("journal line not JSON: %v: %s", err, scan.Text())
+		}
+		switch rec["msg"] {
+		case "session.restored":
+			restored = rec
+		case "session.failed":
+			failed = rec
+		}
+	}
+	if restored == nil || failed == nil {
+		t.Fatalf("journal missing records:\n%s", journal)
+	}
+	if _, versioned := restored["version"]; restored["how"] != "cold" || versioned || restored["program"] != "list" {
+		t.Errorf("restored record = %v", restored)
+	}
+	if restored["bytes"].(float64) <= 0 || restored["elapsed_us"].(float64) <= 0 {
+		t.Errorf("restored record missing size/timing: %v", restored)
+	}
+	if failed["fail_class"] != "negotiation" || failed["level"] != "ERROR" {
+		t.Errorf("failed record = %v", failed)
+	}
+
+	// The cross-reference: trace attr, flight attr, and the dump on disk
+	// must all agree on the trace ID.
+	traceID, _ := failed["trace"].(string)
+	flight, _ := failed["flight"].(string)
+	if traceID == "" || flight == "" {
+		t.Fatalf("failed record missing trace/flight attrs: %v", failed)
+	}
+	if want := "flight-" + traceID + ".json"; filepath.Base(flight) != want {
+		t.Errorf("flight dump = %q, want basename %q", flight, want)
+	}
+	if !strings.Contains(journal, "flight-"+traceID+".json") {
+		t.Errorf("journal not greppable for the dump name:\n%s", journal)
+	}
+	raw, err := os.ReadFile(flight)
+	if err != nil {
+		t.Fatalf("journal points at a missing dump: %v", err)
+	}
+	var dump obs.FlightData
+	if err := json.Unmarshal(raw, &dump); err != nil {
+		t.Fatal(err)
+	}
+	if dump.TraceID != traceID {
+		t.Errorf("dump trace ID %q != journal trace %q", dump.TraceID, traceID)
+	}
+
+	if !strings.Contains(logs, "flight recording") {
+		t.Errorf("free-form diagnostics lost:\n%s", logs)
+	}
+}
+
+// TestExplainFailedSession reads the failed session back the way
+// `migtop explain` does: from the journal file by trace ID, then the
+// flight dump its record names, with the events in recorded order.
+func TestExplainFailedSession(t *testing.T) {
+	dir, journal, _ := failedSession(t)
+	_, line, _ := strings.Cut(journal, `"msg":"session.failed"`)
+	_, trace, _ := strings.Cut(line, `"trace":"`)
+	trace, _, _ = strings.Cut(trace, `"`)
+	rec, dump, err := fleet.Explain([]string{dir}, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Failed() || rec.FailClass != "negotiation" || rec.Peer != "dec5000" ||
+		rec.Node != "explain" || !strings.Contains(rec.Error, "not pre-distributed") {
+		t.Errorf("record = %+v", rec)
+	}
+	if dump == nil || dump.TraceID != trace || len(dump.Events) == 0 {
+		t.Fatalf("dump = %+v", dump)
+	}
+	for i, ev := range dump.Events[1:] {
+		if ev.Seq <= dump.Events[i].Seq {
+			t.Errorf("events out of order: %d after %d", ev.Seq, dump.Events[i].Seq)
+		}
+	}
+	if last := dump.Events[len(dump.Events)-1]; last.Kind != "session.classify" || !strings.HasPrefix(last.Detail, "negotiation") {
+		t.Errorf("last event = %+v, want the classification", last)
+	}
+	if _, _, err := fleet.Explain([]string{dir}, "no-such-trace"); !errors.Is(err, fleet.ErrNoRecord) {
+		t.Errorf("unknown trace: err = %v, want ErrNoRecord", err)
+	}
+}
+
+// failedSession runs one good migration and one traced offer of an
+// unregistered program into a daemon that journals into dir (node
+// "explain") and dumps flight recordings there. It returns dir, the
+// journal's text and the daemon's Logf output.
+func failedSession(t *testing.T) (dir, journal, logs string) {
 	e := newListEngine(t)
 	reg := NewRegistry()
 	reg.Add("list", e)
-	dir := t.TempDir()
+	dir = t.TempDir()
 	var jbuf lockedBuffer
-	var logs lockedBuffer
+	var lbuf lockedBuffer
+	j, err := fleet.NewJournal(&jbuf, dir, obs.NodeInfo{ID: "explain"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
 	d := &Daemon{
 		Registry: reg, Mach: arch.SPARC20, Metrics: obs.NewRegistry(),
 		TraceDir: dir,
-		Journal:  slog.New(slog.NewJSONHandler(&jbuf, nil)),
-		Logf:     func(format string, args ...any) { jlogf(&logs, format, args...) },
+		Journal:  j.Logger(),
+		Logf:     func(format string, args ...any) { jlogf(&lbuf, format, args...) },
 	}
 	addr, served := daemonFixture(t, d)
 
@@ -82,61 +184,7 @@ func TestJournalRecordsAndFlightCrossReference(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var restored, failed map[string]any
-	scan := bufio.NewScanner(strings.NewReader(jbuf.String()))
-	for scan.Scan() {
-		var rec map[string]any
-		if err := json.Unmarshal(scan.Bytes(), &rec); err != nil {
-			t.Fatalf("journal line not JSON: %v: %s", err, scan.Text())
-		}
-		switch rec["msg"] {
-		case "session.restored":
-			restored = rec
-		case "session.failed":
-			failed = rec
-		}
-	}
-	if restored == nil || failed == nil {
-		t.Fatalf("journal missing records:\n%s", jbuf.String())
-	}
-	if _, versioned := restored["version"]; restored["how"] != "cold" || versioned || restored["program"] != "list" {
-		t.Errorf("restored record = %v", restored)
-	}
-	if restored["bytes"].(float64) <= 0 || restored["elapsed_us"].(float64) <= 0 {
-		t.Errorf("restored record missing size/timing: %v", restored)
-	}
-	if failed["fail_class"] != "negotiation" || failed["level"] != "ERROR" {
-		t.Errorf("failed record = %v", failed)
-	}
-
-	// The cross-reference: trace attr, flight attr, and the dump on disk
-	// must all agree on the trace ID.
-	traceID, _ := failed["trace"].(string)
-	flight, _ := failed["flight"].(string)
-	if traceID == "" || flight == "" {
-		t.Fatalf("failed record missing trace/flight attrs: %v", failed)
-	}
-	if want := "flight-" + traceID + ".json"; filepath.Base(flight) != want {
-		t.Errorf("flight dump = %q, want basename %q", flight, want)
-	}
-	if !strings.Contains(jbuf.String(), "flight-"+traceID+".json") {
-		t.Errorf("journal not greppable for the dump name:\n%s", jbuf.String())
-	}
-	raw, err := os.ReadFile(flight)
-	if err != nil {
-		t.Fatalf("journal points at a missing dump: %v", err)
-	}
-	var dump obs.FlightData
-	if err := json.Unmarshal(raw, &dump); err != nil {
-		t.Fatal(err)
-	}
-	if dump.TraceID != traceID {
-		t.Errorf("dump trace ID %q != journal trace %q", dump.TraceID, traceID)
-	}
-
-	if !strings.Contains(logs.String(), "flight recording") {
-		t.Errorf("free-form diagnostics lost:\n%s", logs.String())
-	}
+	return dir, jbuf.String(), lbuf.String()
 }
 
 func jlogf(buf *lockedBuffer, format string, args ...any) {

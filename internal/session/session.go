@@ -241,8 +241,8 @@ func (p Params) caps() uint32 {
 	return caps
 }
 
-// How names the transfer shape — the short form journals, fleet roll-ups
-// and migd's summary line report.
+// How names the transfer shape — the short form the journal record and
+// migd's summary line report.
 func (p Params) How() string {
 	switch {
 	case p.Live:

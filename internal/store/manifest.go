@@ -7,11 +7,10 @@
 // The design follows the content-naming idea of Process Migration over
 // CCNx (PAPERS.md): the sectioned format already gives every heap
 // component, frame, and globals block a stable identity and CRC, which
-// makes the section body the natural unit of content addressing. A fleet
-// checkpointing millions of near-identical sessions persists each distinct
-// body exactly once; a warm migration sends a manifest plus only the
-// sections the destination's store lacks (internal/session's HAVE/WANT
-// exchange).
+// makes the section body the natural unit of content addressing. A node
+// checkpointing many near-identical sessions persists each distinct body
+// exactly once; a warm migration sends only the sections the
+// destination's store lacks (internal/session's ANNOUNCE/WANT round).
 //
 // # Layout
 //
