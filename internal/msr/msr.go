@@ -357,8 +357,16 @@ func (t *Table) Unregister(addr memory.Address) error {
 		return fmt.Errorf("%w: %#x", ErrNotFound, uint64(addr))
 	}
 	t.unindex(t.segs[seg][i])
-	t.bases[seg] = slices.Delete(t.bases[seg], i, i+1)
-	t.segs[seg] = slices.Delete(t.segs[seg], i, i+1) // clears the vacated tail slot
+	// Close the hole from its shorter side, so freeing blocks in the order
+	// they were allocated shifts nothing: a hole in the front half takes
+	// the blocks below it up one, and the segment starts one later.
+	if bases, segs := t.bases[seg], t.segs[seg]; i < len(bases)/2 {
+		copy(bases[1:], bases[:i])
+		copy(segs[1:], segs[:i])
+		t.bases[seg], t.segs[seg], segs[0] = bases[1:], segs[1:], nil // no block held for the GC
+	} else {
+		t.bases[seg], t.segs[seg] = slices.Delete(bases, i, i+1), slices.Delete(segs, i, i+1) // clears the vacated tail slot
+	}
 	t.baseIdx = nil
 	t.version++
 	return nil

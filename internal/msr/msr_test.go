@@ -364,6 +364,53 @@ func TestTableIndexesStayConsistent(t *testing.T) {
 	}
 }
 
+// TestUnregisterInAllocationOrder frees blocks in the order they were
+// allocated, then the rest from the back: a hole in the front half closes
+// by starting the segment one later, so the blocks after it never move,
+// and the slot it vacates holds no block for the GC.
+func TestUnregisterInAllocationOrder(t *testing.T) {
+	m := arch.SPARC20
+	sp := memory.NewSpace(m)
+	tbl := NewTable()
+	live := map[memory.Address]*Block{}
+	var addrs []memory.Address
+	for i := 0; i < 64; i++ {
+		a, err := sp.Malloc(24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := &Block{ID: tbl.NextHeapID(), Addr: a, Type: types.Double, Count: 3}
+		if err := tbl.Register(b); err != nil {
+			t.Fatal(err)
+		}
+		live[a], addrs = b, append(addrs, a)
+	}
+	orig := tbl.segs[memory.Heap]
+	for k, a := range addrs[:40] {
+		if err := tbl.Unregister(a); err != nil {
+			t.Fatal(err)
+		}
+		delete(live, a)
+		checkTable(t, tbl, m, live)
+		if s := tbl.segs[memory.Heap]; &s[0] != &orig[k+1] {
+			t.Fatalf("free %d moved the blocks after it", k)
+		}
+		if orig[k] != nil {
+			t.Fatalf("free %d left its block in the vacated front slot", k)
+		}
+	}
+	for i := len(addrs) - 1; i >= 40; i-- {
+		if err := tbl.Unregister(addrs[i]); err != nil {
+			t.Fatal(err)
+		}
+		delete(live, addrs[i])
+		checkTable(t, tbl, m, live)
+	}
+	if tbl.Len() != 0 {
+		t.Fatalf("%d blocks left", tbl.Len())
+	}
+}
+
 func TestIdentificationOutOfRange(t *testing.T) {
 	sp := memory.NewSpace(arch.Ultra5)
 	tbl := NewTable()

@@ -376,15 +376,21 @@ func (p *Process) enter(f *Frame) *funcCode {
 	return f.l.code
 }
 
-// popReturn unwinds the completed frame f and returns its result.
+// popReturn unwinds the completed innermost frame f, unregistering its
+// locals when a stop registered them, and returns its result (0 from a
+// void function, which sets none).
 func (p *Process) popReturn(f *Frame) (uint64, error) {
-	if err := p.popFrame(); err != nil {
-		return 0, err
+	if f.Depth <= p.synced {
+		p.synced--
+		for _, off := range f.l.offsets {
+			if err := p.Table.Unregister(f.Base + memory.Address(off)); err != nil {
+				return 0, err
+			}
+		}
+		p.Stats.MSRLTOps += int64(len(f.l.offsets))
 	}
-	if f.Fn.Result.IsVoid() {
-		return 0, nil
-	}
-	return f.retVal, nil
+	p.frames = p.frames[:len(p.frames)-1]
+	return f.retVal, p.Space.PopFrame()
 }
 
 // resumeFrame continues frame f from the site it is stopped at to the end

@@ -258,8 +258,8 @@ func TestResumeRunWithoutCapture(t *testing.T) {
 
 // reuseSource is the program of TestLiveReuseRule: two four-node lists, a
 // pool of eight blocks, and a loop whose body, the case's, polls once per
-// iteration (or at one of two sites). c is live at every poll and null at
-// each; u is dead at every poll.
+// iteration (at one of two sites, or inside visit on odd rounds). c is live
+// at every poll and null at each; u is dead at every poll.
 const reuseSource = `
 struct node {
 	double pay[4];
@@ -275,6 +275,13 @@ double total;
 int bump(int v) {
 	int w;
 	w = v + 1;
+	return w;
+}
+
+int visit(int v, int r) {
+	int w;
+	w = v + 1;
+	if (r & 1) migrate_here();
 	return w;
 }
 
@@ -347,9 +354,14 @@ func TestLiveReuseRule(t *testing.T) {
 		free(pool[r]);
 		pool[r] = 0;
 		migrate_here();`, "walked"},
+		// A call registers nothing: the callee's frame is gone before the
+		// stop, and the table the stop reads is the one the last stop read.
 		{"call and return between polls", `
 		t = bump(t);
-		migrate_here();`, "walked"},
+		migrate_here();`, "reused"},
+		{"stop inside a callee on alternate rounds", `
+		t = visit(t, r);
+		if (r % 2 == 0) migrate_here();`, "walked"},
 		{"poll at a different site", `
 		if (r % 2) {
 			t = r;

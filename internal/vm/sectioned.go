@@ -93,6 +93,11 @@ type capture struct {
 func (p *Process) beginCapture(dt *collect.DeltaTracker, dirty []memory.DirtyRange) (*capture, error) {
 	start := time.Now()
 	innermost, err := p.stoppedSite()
+	if err == nil {
+		// Every stop registered its frames already, so this registers
+		// nothing; it keeps a capture from reading a table that misses one.
+		err = p.registerFrames()
+	}
 	if err != nil {
 		return nil, err
 	}

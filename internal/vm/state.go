@@ -27,9 +27,9 @@ import (
 //     roots by one depth-first traversal that brings in every reachable
 //     heap block, and the global variables (sectioned.go).
 //
-// Restoration rebuilds the frames (re-registering the same machine-
-// independent block identifications), restores the live data, and leaves
-// the process ready to resume each function at its site.
+// Restoration rebuilds the frames (registering their locals under the same
+// machine-independent block identifications), restores the live data, and
+// leaves the process ready to resume each function at its site.
 
 // StateStats describes one captured state, for the experiment harness.
 type StateStats struct {
@@ -171,12 +171,13 @@ func (p *Process) decodeExecState(dec *xdr.Decoder) ([]*minic.FuncSymbol, []*min
 	return fns, sites, nil
 }
 
-// pushFrames rebuilds the frame chain decodeExecState described.
+// pushFrames rebuilds the frame chain decodeExecState described, and
+// registers its locals in the MSRLT for the frame sections to restore into.
 func (p *Process) pushFrames(fns []*minic.FuncSymbol) error {
 	for _, fn := range fns {
 		if _, err := p.pushFrame(fn); err != nil {
 			return err
 		}
 	}
-	return nil
+	return p.registerFrames()
 }

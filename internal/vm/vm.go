@@ -4,15 +4,17 @@
 // The VM is the "process" of the reproduction: globals live in the global
 // segment, each function invocation pushes a frame of local variable blocks
 // onto the stack segment, and malloc allocates typed blocks on the heap —
-// all registered in the MSRLT exactly as the paper's annotated C processes
-// maintain it at run time. Poll-points compiled into the program invoke a
-// hook; when the hook requests migration, the process stops at the poll
-// point. A migration session then captures its execution state (the chain
-// of active functions and their migration sites) and memory state (live
-// data collected through the MSRM library) into a machine-independent
-// stream, and a fresh VM on any other machine restores the stream and
-// resumes execution from the migration point — including inside nested
-// function calls.
+// all registered in the MSRLT under the paper's machine-independent
+// identifications. Globals and heap blocks enter it as they are laid out or
+// allocated; a frame's locals enter it only when the process stops (the
+// table is read only then), so a call between two stops registers nothing.
+// Poll-points compiled into the program invoke a hook; when the hook
+// requests migration, the process stops at the poll point. A migration
+// session then captures its execution state (the chain of active functions
+// and their migration sites) and memory state (live data collected through
+// the MSRM library) into a machine-independent stream, and a fresh VM on
+// any other machine restores the stream and resumes execution from the
+// migration point — including inside nested function calls.
 package vm
 
 import (
@@ -68,8 +70,10 @@ type Stats struct {
 	PollChecks int64
 	// Calls counts user function invocations.
 	Calls int64
-	// MSRLTOps counts MSRLT register/unregister operations performed for
-	// frames and heap blocks.
+	// MSRLTOps counts MSRLT register/unregister operations: one per heap
+	// block at malloc and at free, and one per local of every frame a stop
+	// registered, at that stop and when the frame returns. A call that
+	// returns before the next stop counts none.
 	MSRLTOps int64
 }
 
@@ -112,9 +116,10 @@ type Process struct {
 	PollHook func(p *Process, site *minic.Site) bool
 
 	// DisableMigration runs the program "unannotated": poll-points and
-	// MSRLT maintenance are skipped. This is the baseline of the
-	// paper's Section 4.3 overhead comparison. A disabled process
-	// cannot migrate.
+	// the heap's MSRLT maintenance are skipped. This is the baseline of
+	// the paper's Section 4.3 overhead comparison. A disabled process
+	// cannot migrate, so it never stops, and no stop registers its frames:
+	// its calls cost what an annotated process's calls cost.
 	DisableMigration bool
 
 	// NoAutoCapture is inert: nothing reads it. A granted poll request
@@ -159,7 +164,10 @@ type Process struct {
 
 	globalAddrs []memory.Address
 	frames      []*Frame
-	layouts     map[*minic.FuncSymbol]*frameLayout
+	// synced counts the frames, outermost first, whose locals are in the
+	// MSRLT; the rest were pushed since the process last stopped.
+	synced  int
+	layouts map[*minic.FuncSymbol]*frameLayout
 
 	// rng is the state of the rand() builtin, a classic 48-bit LCG.
 	// Like the libc state in the paper's prototype, it is run-time
@@ -207,7 +215,7 @@ func NewProcess(prog *minic.Program, m *arch.Machine) (*Process, error) {
 			return nil, err
 		}
 		p.globalAddrs = append(p.globalAddrs, addr)
-		if err := p.register(msr.BlockID{Seg: memory.Global, Minor: uint32(g.Index)}, addr, g.Type, g.Name); err != nil {
+		if err := p.Table.Register(&msr.Block{ID: msr.BlockID{Seg: memory.Global, Minor: uint32(g.Index)}, Addr: addr, Type: g.Type, Count: 1, Name: g.Name}); err != nil {
 			return nil, err
 		}
 		if g.Str != "" {
@@ -263,7 +271,9 @@ func (p *Process) VarAddr(f *Frame, sym *minic.VarSymbol) memory.Address {
 	return f.Base + memory.Address(f.l.offsets[sym.Index])
 }
 
-// pushFrame creates and registers the frame for fn at the next depth.
+// pushFrame creates the frame for fn at the next depth. It registers
+// nothing: the MSRLT's stack blocks enter the table when the process stops
+// (registerFrames).
 func (p *Process) pushFrame(fn *minic.FuncSymbol) (*Frame, error) {
 	l := p.layout(fn)
 	base, err := p.Space.PushFrame(l.size)
@@ -272,38 +282,27 @@ func (p *Process) pushFrame(fn *minic.FuncSymbol) (*Frame, error) {
 	}
 	f := &Frame{Fn: fn, Base: base, Depth: len(p.frames) + 1, l: l, view: p.Space.TopFrame()}
 	p.frames = append(p.frames, f)
-	if !p.DisableMigration {
-		for i, v := range fn.Locals {
-			id := msr.BlockID{Seg: memory.Stack, Major: uint32(f.Depth), Minor: uint32(i)}
-			if err := p.register(id, f.Base+memory.Address(l.offsets[i]), v.Type, v.Name); err != nil {
-				return nil, err
-			}
-			p.Stats.MSRLTOps++
-		}
-	}
 	return f, nil
 }
 
-// register enters the variable name, of type t at addr, in the MSRLT as
-// block id.
-func (p *Process) register(id msr.BlockID, addr memory.Address, t *types.Type, name string) error {
-	return p.Table.Register(&msr.Block{ID: id, Addr: addr, Type: t, Count: 1, Name: name})
-}
-
-// popFrame unwinds the innermost frame.
-func (p *Process) popFrame() error {
-	f := p.frames[len(p.frames)-1]
-	if !p.DisableMigration {
-		for i := len(f.Fn.Locals) - 1; i >= 0; i-- {
-			addr := f.Base + memory.Address(f.l.offsets[i])
-			if err := p.Table.Unregister(addr); err != nil {
-				return err
-			}
-			p.Stats.MSRLTOps++
+// registerFrames enters in the MSRLT the locals of every frame pushed since
+// the process last stopped, so that its stack segment holds exactly the
+// live frames' locals. The table is read only while the process is stopped:
+// at a granted poll, after a restore pushed its frames, and at a capture,
+// which each call this.
+func (p *Process) registerFrames() error {
+	var blocks []*msr.Block
+	for _, f := range p.frames[p.synced:] {
+		for i, v := range f.Fn.Locals {
+			id := msr.BlockID{Seg: memory.Stack, Major: uint32(f.Depth), Minor: uint32(i)}
+			blocks = append(blocks, &msr.Block{ID: id, Addr: f.Base + memory.Address(f.l.offsets[i]), Type: v.Type, Count: 1, Name: v.Name})
 		}
 	}
-	p.frames = p.frames[:len(p.frames)-1]
-	return p.Space.PopFrame()
+	if err := p.Table.Insert(blocks); err != nil {
+		return err
+	}
+	p.synced, p.Stats.MSRLTOps = len(p.frames), p.Stats.MSRLTOps+int64(len(blocks))
+	return nil
 }
 
 // Result is the outcome of Run.
@@ -350,6 +349,9 @@ func (p *Process) finishRun(f *Frame, c ctrl, err error) (*Result, error) {
 	}
 	switch c {
 	case ctrlMigrate:
+		if err := p.registerFrames(); err != nil {
+			return nil, err
+		}
 		return &Result{Migrated: true}, nil
 	case ctrlReturn:
 		return &Result{ExitCode: int(int64(f.retVal))}, nil
