@@ -198,6 +198,9 @@ func main() {
 	} else {
 		run(engines[0], m, opts)
 	}
+	if opts.store != nil {
+		opts.store.Close()
+	}
 }
 
 func usage() {

@@ -86,10 +86,7 @@ func usage() {
 }
 
 func cmdList(st *store.Store) {
-	refs, err := st.Refs()
-	if err != nil {
-		fail(err)
-	}
+	refs := st.Refs()
 	for _, name := range refs {
 		h, ok, err := st.Ref(name)
 		if err != nil || !ok {
@@ -102,11 +99,8 @@ func cmdList(st *store.Store) {
 		fmt.Printf("ref %-20s %s seq %d on %s, %d sections, %d snapshot bytes\n",
 			name, h.Short(), m.Seq, m.Machine, len(m.Entries), m.SnapshotBytes())
 	}
-	hashes, err := st.Manifests()
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("%d refs, %d manifests in %s\n", len(refs), len(hashes), st.Dir())
+	blobs, bytes := st.Usage()
+	fmt.Printf("%d refs, %d section bodies (%d bytes) in %s\n", len(refs), blobs, bytes, st.Dir())
 }
 
 func cmdDescribe(st *store.Store, target string) {
@@ -128,8 +122,8 @@ func cmdDescribe(st *store.Store, target string) {
 		fmt.Printf("seq %d  %s  program %08x on %s, %s\n",
 			m.Seq, mh.Short(), m.ProgramDigest, m.Machine, parent)
 		for _, e := range m.Entries {
-			present := "missing"
-			if st.HasBlob(e.Hash) {
+			present := "missing or damaged"
+			if st.HoldsBlob(e.Hash, int64(e.Length)) {
 				present = "present"
 			}
 			fmt.Printf("    %-8s #%-3d %8d bytes  %s  %s\n",

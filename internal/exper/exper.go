@@ -31,9 +31,9 @@ type Config struct {
 	// Quick shrinks problem sizes for test runs; full sizes match the
 	// paper's evaluation.
 	Quick bool
-	// Repeats is E6b's N (stats.Repeat, default 3). Migration and search
-	// timings take at least minSamples calls, so there it only raises
-	// that floor.
+	// Repeats is the N of each min-of-N timing (default 3). Every timing
+	// takes at least minSamples calls (timeBest), so it only raises that
+	// floor.
 	Repeats int
 }
 
@@ -575,7 +575,7 @@ func overheadRows(cfg Config, cases []overheadCase) ([]OverheadRow, error) {
 			return nil, err
 		}
 		var proc *vm.Process
-		elapsed := stats.Repeat(cfg.repeats(), func() {
+		elapsed := timeBest(cfg.repeats(), func() {
 			p, err := e.NewProcess(arch.Ultra5)
 			if err != nil {
 				return

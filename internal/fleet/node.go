@@ -80,10 +80,9 @@ func buildVersion() string {
 func (n *Node) Refresh() *obs.NodeInfo {
 	g := n.Metrics
 	if n.Store != nil {
-		if blobs, bytes, err := n.Store.Usage(); err == nil {
-			g.Gauge("node.store.blobs").Set(blobs)
-			g.Gauge("node.store.bytes").Set(bytes)
-		}
+		blobs, bytes := n.Store.Usage()
+		g.Gauge("node.store.blobs").Set(blobs)
+		g.Gauge("node.store.bytes").Set(bytes)
 	}
 	return &n.Info
 }

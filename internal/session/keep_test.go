@@ -1,8 +1,6 @@
 package session
 
 import (
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -276,9 +274,10 @@ func TestKeptShellDroppedByAdd(t *testing.T) {
 	}
 }
 
-// TestKeptShellReshipsDeletedBlob deletes a destination blob the kept
-// shell holds: the shell must not resolve it, so it is wanted and shipped
-// again, and the checkpoint the ref then names reads back whole.
+// TestKeptShellReshipsDeletedBlob loses a destination blob the kept shell
+// holds — its pack record rots and the node restarts, so the store no
+// longer holds it: the shell must not resolve it, so it is wanted and
+// shipped again, and the checkpoint the ref then names reads back whole.
 func TestKeptShellReshipsDeletedBlob(t *testing.T) {
 	e := newMutatingEngine(t, 1<<30)
 	p := stoppedLive(t, e, arch.DEC5000)
@@ -290,7 +289,7 @@ func TestKeptShellReshipsDeletedBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Delete a heap section the next state repeats.
+	// Lose a heap section the next state repeats.
 	advance(t, p)
 	secs := sectionsOf(t, p)
 	changed, gone := 0, -1
@@ -304,14 +303,17 @@ func TestKeptShellReshipsDeletedBlob(t *testing.T) {
 	if gone < 0 {
 		t.Fatal("the next state repeats no heap section")
 	}
-	hx := m.Entries[gone].Hash.String()
-	if err := os.Remove(filepath.Join(dstStore.Dir(), "blobs", hx[:2], hx[2:])); err != nil {
-		t.Fatal(err)
+	// Rot its record and restart the node: the reopened store files the
+	// record as damaged, so it holds no body under that hash.
+	damageBlob(t, dstStore, m.Entries[gone].Hash)
+	dstStore = reopenStore(t, dstStore)
+	if dstStore.HoldsBlob(m.Entries[gone].Hash, int64(m.Entries[gone].Length)) {
+		t.Fatal("the reopened store still holds the damaged body")
 	}
 	res, _, q := transferThrough(t, reg, e, "shards", p, arch.SPARC20, srcCfg, Config{Store: dstStore})
 	sameState(t, p, q)
 	if res.Warm.SectionsSent != changed+1 {
-		t.Errorf("sent %d sections, want the %d that changed and the deleted one", res.Warm.SectionsSent, changed)
+		t.Errorf("sent %d sections, want the %d that changed and the lost one", res.Warm.SectionsSent, changed)
 	}
 	h, ok, err := dstStore.Ref("shards")
 	if err != nil || !ok || h != res.Warm.ManifestHash {

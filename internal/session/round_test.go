@@ -367,7 +367,7 @@ func TestFailedRestoreLeavesRefUnset(t *testing.T) {
 	if h, ok, err := dstStore.Ref("list"); ok || err != nil {
 		t.Errorf("destination ref = %s (ok=%v, err=%v) after a failed restore, want unset", h.Short(), ok, err)
 	}
-	if !dstStore.HasBlob(m.Entries[1].Hash) {
+	if !dstStore.HoldsBlob(m.Entries[1].Hash, int64(m.Entries[1].Length)) {
 		t.Error("verified bodies did not enter the store")
 	}
 }

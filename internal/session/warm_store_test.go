@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"syscall"
 	"testing"
 
 	"repro/internal/arch"
@@ -18,47 +17,59 @@ import (
 	"repro/internal/wire"
 )
 
-// blockShards makes st fail to write any body of twin's state it does not
-// already hold: the blob shard directory each such body would land in is
-// put aside and a plain file takes its place, which refuses the write even
-// to root. twin is a process in the state the next checkpoint captures, so
-// its bodies are that checkpoint's. The func it returns puts the shards
-// back.
-func blockShards(t *testing.T, st *store.Store, twin *vm.Process) (unblock func()) {
+// failWrites makes every write of the store in *cfg fail: it closes the
+// store, so its index still answers (a checkpoint is still named) but
+// every read and append of its pack returns os.ErrClosed. The func it
+// returns opens the store's directory again into *cfg, as a restarted
+// node would, so what a check then reads is what reached the pack.
+func failWrites(t *testing.T, cfg *Config) (reopen func()) {
 	t.Helper()
-	secs := sectionsOf(t, twin)
-	blocked := map[string]bool{}
-	for _, sec := range secs {
-		if h := store.HashBytes(sec.Body); !st.HasBlob(h) {
-			blocked[h.String()[:2]] = true
-		}
-	}
-	if len(blocked) == 0 {
-		t.Fatal("the next checkpoint writes no body to block")
-	}
-	shard := func(name string) (string, string) {
-		return filepath.Join(st.Dir(), "blobs", name), filepath.Join(st.Dir(), "aside-"+name)
-	}
-	for name := range blocked {
-		dir, aside := shard(name)
-		if err := os.Rename(dir, aside); err != nil && !os.IsNotExist(err) {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(dir, nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if err := cfg.Store.Close(); err != nil {
+		t.Fatal(err)
 	}
 	return func() {
 		t.Helper()
-		for name := range blocked {
-			dir, aside := shard(name)
-			if err := os.Remove(dir); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Rename(aside, dir); err != nil && !os.IsNotExist(err) {
-				t.Fatal(err)
-			}
-		}
+		cfg.Store = reopenStore(t, cfg.Store)
+	}
+}
+
+// reopenStore closes st, if it is open, and opens its directory again.
+func reopenStore(t *testing.T, st *store.Store) *store.Store {
+	t.Helper()
+	st.Close()
+	r, err := store.Open(st.Dir(), obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+// damageBlob flips one byte of the body st holds under h, on disk, as rot
+// would. The index names the last copy of a body in the pack, so that is
+// the one it damages; it fails the test unless st then refuses the body.
+func damageBlob(t *testing.T, st *store.Store, h store.Hash) {
+	t.Helper()
+	body, err := st.GetBlob(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(st.Dir(), "pack")
+	pack, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.LastIndex(pack, body) + len(body)/2
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt([]byte{pack[at] ^ 0x40}, int64(at)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.GetBlob(h); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("after the damage, GetBlob(%s) = %v, want ErrCorrupt", h.Short(), err)
 	}
 }
 
@@ -119,26 +130,26 @@ func failedWarm(t *testing.T, reg *Registry, e *core.Engine, p *vm.Process, srcC
 // The source must join it before COMMIT: it returns the store's error and
 // sends no COMMIT, the responder hands out no process, and the source
 // rolls back from the state it was paused in. Neither store's ref names a
-// missing blob, and the next warm migration succeeds.
+// missing blob, the source's ref stays where it was, and the next warm
+// migration succeeds.
 func TestWarmSourceStoreFailureSendsNoCommit(t *testing.T) {
 	e := newMutatingEngine(t, 1<<30)
-	p, twin := stoppedLive(t, e, arch.DEC5000), stoppedLive(t, e, arch.DEC5000)
+	p := stoppedLive(t, e, arch.DEC5000)
 	srcCfg, dstCfg := Config{Store: openTestStore(t)}, Config{Store: openTestStore(t)}
 	reg := NewRegistry()
 	reg.Add("shards", e)
-	transferThrough(t, reg, e, "shards", p, arch.SPARC20, srcCfg, dstCfg)
+	res, _, _ := transferThrough(t, reg, e, "shards", p, arch.SPARC20, srcCfg, dstCfg)
 	advance(t, p)
-	advance(t, twin)
 	before, err := p.Recapture()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	unblock := blockShards(t, srcCfg.Store, twin)
+	reopen := failWrites(t, &srcCfg)
 	initErr, respErr, q, fromSrc, _ := failedWarm(t, reg, e, p, srcCfg, dstCfg)
-	unblock()
-	if !errors.Is(initErr, syscall.ENOTDIR) {
-		t.Fatalf("initiator error = %v, want the store write's ENOTDIR", initErr)
+	reopen()
+	if !errors.Is(initErr, os.ErrClosed) {
+		t.Fatalf("initiator error = %v, want the store write's os.ErrClosed", initErr)
 	}
 	if !fromSrc.sent("announce") || fromSrc.sent("commit") {
 		t.Errorf("source sent %v; want an announce and no commit", fromSrc.names)
@@ -150,6 +161,9 @@ func TestWarmSourceStoreFailureSendsNoCommit(t *testing.T) {
 		t.Fatalf("the failed attempt changed the paused source (err %v)", err)
 	}
 	refsVerify(t, srcCfg.Store, dstCfg.Store)
+	if h, _, err := srcCfg.Store.Ref("shards"); err != nil || h != res.Warm.ManifestHash {
+		t.Errorf("source ref = %s (err %v), want it left at %s", h.Short(), err, res.Warm.ManifestHash.Short())
+	}
 	if run, err := Rollback(p, srcCfg); err != nil || !run.Migrated {
 		t.Fatalf("rollback: %+v, %v", run, err)
 	}
@@ -164,19 +178,22 @@ func TestWarmSourceStoreFailureSendsNoCommit(t *testing.T) {
 // must fail before RESTORED, and the responder's ref stay where it was.
 func TestWarmResponderStoreFailureBeforeRestored(t *testing.T) {
 	e := newMutatingEngine(t, 1<<30)
-	p, twin := stoppedLive(t, e, arch.DEC5000), stoppedLive(t, e, arch.DEC5000)
+	p := stoppedLive(t, e, arch.DEC5000)
 	srcCfg, dstCfg := Config{Store: openTestStore(t)}, Config{Store: openTestStore(t)}
 	reg := NewRegistry()
 	reg.Add("shards", e)
 	res, _, _ := transferThrough(t, reg, e, "shards", p, arch.SPARC20, srcCfg, dstCfg)
 	advance(t, p)
-	advance(t, twin)
+	before, err := p.Recapture()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	unblock := blockShards(t, dstCfg.Store, twin)
+	reopen := failWrites(t, &dstCfg)
 	initErr, respErr, q, fromSrc, fromDst := failedWarm(t, reg, e, p, srcCfg, dstCfg)
-	unblock()
-	if !errors.Is(respErr, syscall.ENOTDIR) || q != nil {
-		t.Fatalf("responder: %v, %v; want no process and the store write's ENOTDIR", q, respErr)
+	reopen()
+	if !errors.Is(respErr, os.ErrClosed) || q != nil {
+		t.Fatalf("responder: %v, %v; want no process and the store write's os.ErrClosed", q, respErr)
 	}
 	if initErr == nil || fromDst.sent("restored") || fromSrc.sent("commit") {
 		t.Errorf("initiator err %v; responder sent %v, source %v; want a failure before RESTORED",
@@ -185,8 +202,11 @@ func TestWarmResponderStoreFailureBeforeRestored(t *testing.T) {
 	if h, _, err := dstCfg.Store.Ref("shards"); err != nil || h != res.Warm.ManifestHash {
 		t.Errorf("responder ref = %s (err %v), want it left at %s", h.Short(), err, res.Warm.ManifestHash.Short())
 	}
-	if _, err := Rollback(p, srcCfg); err != nil {
-		t.Fatal(err)
+	if after, err := p.Recapture(); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the failed attempt changed the paused source (err %v)", err)
+	}
+	if run, err := Rollback(p, srcCfg); err != nil || !run.Migrated {
+		t.Fatalf("rollback: %+v, %v", run, err)
 	}
 	_, _, q = transferThrough(t, reg, e, "shards", p, arch.SPARC20, srcCfg, dstCfg)
 	sameState(t, p, q)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -24,6 +25,7 @@ func openTestStore(t testing.TB) *store.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s.Close() })
 	return s
 }
 
@@ -302,11 +304,72 @@ func sameState(t *testing.T, p, q *vm.Process) {
 	}
 }
 
+// TestWarmReshipsTornDestinationBlobOnce crashes the destination in the
+// middle of a blob's append: its pack is cut inside the blob's record and
+// the store reopened, which cuts the torn record off with what followed
+// it. The ref stays where the last synced checkpoint left it, and the
+// next warm transfer of the same state asks for exactly the bodies the
+// cut lost; the transfer after that ships nothing.
+func TestWarmReshipsTornDestinationBlobOnce(t *testing.T) {
+	e := newMutatingEngine(t, 1<<30)
+	p := stoppedLive(t, e, arch.DEC5000)
+	srcCfg, dstCfg := Config{Store: openTestStore(t)}, Config{Store: openTestStore(t)}
+	first, _, _ := transferWith(t, e, "shards", p, arch.SPARC20, srcCfg, dstCfg)
+	advance(t, p)
+	res, _, _ := transferWith(t, e, "shards", p, arch.SPARC20, srcCfg, dstCfg)
+	m, err := dstCfg.Store.GetManifest(res.Warm.ManifestHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m0, err := dstCfg.Store.GetManifest(first.Warm.ManifestHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := m.Entries[0]
+	for _, en := range m.Entries { // a body the second transfer shipped
+		if !slices.ContainsFunc(m0.Entries, func(e store.Entry) bool { return e.Hash == en.Hash }) {
+			torn = en
+		}
+	}
+	body, err := dstCfg.Store.GetBlob(torn.Hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dstCfg.Store.Dir(), "pack")
+	pack, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, int64(bytes.LastIndex(pack, body)+len(body)/2)); err != nil {
+		t.Fatal(err)
+	}
+	dstCfg.Store = reopenStore(t, dstCfg.Store)
+	if h, _, err := dstCfg.Store.Ref("shards"); err != nil || h != first.Warm.ManifestHash {
+		t.Fatalf("ref after the crash: %s (err %v), want the first checkpoint %s", h.Short(), err, first.Warm.ManifestHash.Short())
+	}
+	lost := len(dstCfg.Store.Missing(m))
+	if lost == 0 || dstCfg.Store.HoldsBlob(torn.Hash, int64(torn.Length)) {
+		t.Fatalf("the crash lost %d bodies and left the torn one held", lost)
+	}
+	for i, want := range []int{lost, 0} {
+		res, _, q := transferWith(t, e, "shards", p, arch.SPARC20, srcCfg, dstCfg)
+		if res.Warm.SectionsSent != want {
+			t.Errorf("transfer %d after the crash sent %d of %d sections, want %d", i+1, res.Warm.SectionsSent, res.Warm.Sections, want)
+		}
+		sameState(t, p, q)
+		if h, _, err := dstCfg.Store.Ref("shards"); err != nil || h != res.Warm.ManifestHash {
+			t.Errorf("transfer %d after the crash: ref %s (err %v), want %s", i+1, h.Short(), err, res.Warm.ManifestHash.Short())
+		} else if _, _, err := dstCfg.Store.Sections(h); err != nil {
+			t.Errorf("transfer %d after the crash: the checkpoint does not read back: %v", i+1, err)
+		}
+	}
+}
+
 // TestWarmReshipsTamperedDestinationBlobOnce rots one blob of the
 // destination's store in place, keeping its size. The next warm transfer
 // of the same state finds it failing verification and asks for it again;
-// the responder must replace the bad file with the verified body, so the
-// transfer after that resolves it locally and ships nothing.
+// the responder must append the verified body again, so the transfer
+// after that resolves it locally and ships nothing.
 func TestWarmReshipsTamperedDestinationBlobOnce(t *testing.T) {
 	e := newMutatingEngine(t, 1<<30)
 	p := stoppedLive(t, e, arch.DEC5000)
@@ -317,16 +380,7 @@ func TestWarmReshipsTamperedDestinationBlobOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hx := m.Entries[1].Hash.String()
-	path := filepath.Join(dstCfg.Store.Dir(), "blobs", hx[:2], hx[2:])
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[len(blob)/2] ^= 0x40
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	damageBlob(t, dstCfg.Store, m.Entries[1].Hash)
 
 	for i, want := range []int{1, 0} {
 		res, _, q := transferWith(t, e, "shards", p, arch.SPARC20, srcCfg, dstCfg)

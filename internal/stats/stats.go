@@ -143,17 +143,3 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// Repeat runs f n times and returns the minimum elapsed wall time, the
-// standard technique for stable small-scale timing measurements.
-func Repeat(n int, f func()) time.Duration {
-	best := time.Duration(math.MaxInt64)
-	for i := 0; i < n; i++ {
-		start := time.Now()
-		f()
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return best
-}

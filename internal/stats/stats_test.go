@@ -85,14 +85,3 @@ func TestTableRendering(t *testing.T) {
 		}
 	}
 }
-
-func TestRepeat(t *testing.T) {
-	calls := 0
-	d := Repeat(5, func() { calls++ })
-	if calls != 5 {
-		t.Errorf("calls = %d", calls)
-	}
-	if d < 0 {
-		t.Error("negative duration")
-	}
-}
