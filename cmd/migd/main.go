@@ -39,10 +39,14 @@
 // a daemon without -live (or vice versa) falls back to the ordinary
 // transfer.
 //
-// The daemon writes one journal record per session (-journal-dir keeps
-// them in journal-<node-id>.jsonl) and, with -trace-dir, a failed
-// session's flight recording as flight-<trace>.json; the record names
-// the dump. migtop reads both:
+// Every session, on either side, records one story: its span tree, whose
+// spans time its phases and carry its events (offer, accept, rounds,
+// commit, an injected fault, the failure, the rollback). The daemon logs
+// a failed session's tree (every session's with -trace), writes one
+// journal record per session (-journal-dir keeps them in
+// journal-<node-id>.jsonl) and, with -trace-dir, dumps a failed session's
+// tree as flight-<trace>.json; the record names the dump. A failed source
+// prints its own tree before it rolls back. migtop reads both:
 //
 //	migtop -journals DIR[,DIR...]
 //	migtop explain -journals DIR[,DIR...] TRACE-ID
@@ -142,8 +146,8 @@ func main() {
 	maxConcurrent := fs.Int("max-concurrent", 4, "serve: migrations handled simultaneously")
 	sessionTimeout := fs.Duration("session-timeout", 2*time.Minute, "per-session wall-time bound, handshake through restoration and commit (0 disables)")
 	pprofAddr := fs.String("pprof", "", "serve: HTTP address for net/http/pprof and the /metrics JSON endpoint (empty disables)")
-	trace := fs.Bool("trace", false, "serve: log a per-session phase-span tree after each session")
-	traceDir := fs.String("trace-dir", "", "serve: dump a flight-<traceID>.json recording into this directory when a session fails (empty disables)")
+	trace := fs.Bool("trace", false, "serve: log every session's span tree, not only a failed one's")
+	traceDir := fs.String("trace-dir", "", "serve: dump a failed session's span tree into this directory as flight-<traceID>.json (empty disables)")
 	journalDir := fs.String("journal-dir", "", "serve: also append the structured session journal (JSONL) to journal-<nodeID>.jsonl in this directory")
 	nodeID := fs.String("node-id", "", "serve: override the minted node identity on /metrics and in the journal")
 	storeDir := fs.String("store", "", "checkpoint store directory enabling warm (dedup'd) transfers with store-equipped peers (empty disables)")
@@ -385,20 +389,10 @@ func serve(engines []namedEngine, m *arch.Machine, o options) {
 
 	if o.chaos != nil {
 		// Every accepted session gets its own armed injector wrapping its
-		// transport, with the fault's boundary named in a shared flight
-		// recording printed at drain.
-		chaosRec := obs.NewFlightRecorder(0)
+		// transport; the fault, when it fires, is a chaos.inject event in
+		// that session's tree, logged and dumped with it.
 		spec := *o.chaos
-		d.WrapTransport = func(t link.Transport) link.Transport {
-			inj := chaos.New(spec)
-			inj.Recorder = chaosRec
-			return inj.Dest(t)
-		}
-		defer func() {
-			for _, ev := range chaosRec.Events() {
-				fmt.Fprintf(os.Stderr, "[migd %s] %s: %s\n", m.Name, ev.Kind, ev.Detail)
-			}
-		}()
+		d.WrapTransport = func(t link.Transport) link.Transport { return chaos.New(spec).Dest(t) }
 		fmt.Printf("[migd %s] CHAOS armed: %s\n", m.Name, spec)
 	}
 
@@ -471,14 +465,17 @@ func run(ne namedEngine, m *arch.Machine, o options) {
 		conn.SetDeadline(time.Now().Add(o.sessionTimeout))
 	}
 	var t link.Transport = conn
-	chaosRec := obs.NewFlightRecorder(0)
 	if o.chaos != nil {
-		inj := chaos.New(*o.chaos)
-		inj.Recorder = chaosRec
-		t = inj.Source(t)
+		t = chaos.New(*o.chaos).Source(t)
 		fmt.Printf("[migd %s] CHAOS armed: %s\n", m.Name, *o.chaos)
 	}
-	sres, err := session.Initiate(t, ne.engine, m, ne.name, p, o.sessionConfig())
+	// The source records its side of the session — phases and events, an
+	// injected fault among them — and prints it if the migration fails.
+	// Its tree is the trace the daemon's stitches under.
+	cfg := o.sessionConfig()
+	tr := obs.NewTracer()
+	cfg.Trace = tr.Start("migration")
+	sres, err := session.Initiate(t, ne.engine, m, ne.name, p, cfg)
 	if errors.Is(err, session.ErrSourceExited) {
 		// The program finished between pre-copy rounds: nothing left to
 		// migrate. Not a failure — report it like a local completion.
@@ -487,14 +484,13 @@ func run(ne namedEngine, m *arch.Machine, o options) {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "migd: migration failed:", err)
-		for _, ev := range chaosRec.Events() {
-			fmt.Fprintf(os.Stderr, "[migd %s] %s: %s\n", m.Name, ev.Kind, ev.Detail)
-		}
 		// The migration did not happen, so this side still owns the
 		// process: roll it back and run it to completion locally instead
 		// of stranding it paused (or losing it by exiting).
 		p.PollHook = nil
-		rres, rerr := session.Rollback(p, o.sessionConfig())
+		rres, rerr := session.Rollback(p, cfg)
+		cfg.Trace.End()
+		fmt.Fprintf(os.Stderr, "[migd %s] session trace:\n%s", m.Name, tr.Tree())
 		if rerr != nil {
 			fmt.Fprintln(os.Stderr, "migd: rollback failed:", rerr)
 			os.Exit(1)

@@ -1,15 +1,16 @@
 // migtop reads what the migd daemons already write: their session
-// journals (migd serve -journal-dir) and the flight dumps a failed
-// session leaves (-trace-dir). One journal line is one session's record.
+// journals (migd serve -journal-dir) and the dump a failed session leaves
+// (-trace-dir): its span tree, flight-<trace>.json. One journal line is
+// one session's record.
 //
 // The fleet table — one row per node (sessions restored and failed,
 // bytes, p50 and p99 of the sessions' wall times), failures by class,
-// and every failed session with its trace ID and flight dump:
+// and every failed session with its trace ID and dump:
 //
 //	migtop -journals DIR[,DIR...] [-json]
 //
-// One failed session's story — its journal record, then the flight dump
-// it names, event by event:
+// One failed session's story — its journal record, then the span tree
+// its dump holds, each phase with its duration and its events:
 //
 //	migtop explain -journals DIR[,DIR...] TRACE-ID
 //
@@ -97,8 +98,8 @@ func printSummary(s fleet.Summary) {
 	}
 }
 
-// printStory prints one session's journal record and the flight dump it
-// names.
+// printStory prints one session's journal record and the tree its dump
+// holds.
 func printStory(dirs []string, trace string) error {
 	r, dump, err := fleet.Explain(dirs, trace)
 	if r.Msg == "" {
@@ -118,10 +119,7 @@ func printStory(dirs []string, trace string) error {
 		fmt.Println("flight   none (the session did not fail, or its daemon ran without -trace-dir)")
 		return nil
 	}
-	fmt.Printf("flight   %s (%d events, %d overwritten)\n", r.Flight, dump.Total, dump.Dropped)
-	for _, ev := range dump.Events {
-		fmt.Printf("  %5d  %10.3fms  %-18s %s\n", ev.Seq, float64(ev.AtUS)/1000, ev.Kind, ev.Detail)
-	}
+	fmt.Printf("flight   %s\n%s", r.Flight, dump.Tree.Tree())
 	return nil
 }
 

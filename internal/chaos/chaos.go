@@ -29,10 +29,13 @@
 //
 //	inj := chaos.New(chaos.Spec{Victim: chaos.VictimLink,
 //		Point: chaos.Point{Class: "restored", N: 1, When: chaos.AfterRecv}})
-//	inj.Recorder = flightRecorder // the fault names its boundary in the dump
 //	a, b := link.Pipe()
 //	srcT, dstT := inj.Source(a), inj.Dest(b)
 //	// run the session over srcT/dstT; exactly one party survives
+//
+// A session run over a wrapped endpoint hands it its span (SetTrace), so
+// the fault, when it fires, is a "chaos.inject" event in that session's
+// story naming the boundary and the victim.
 //
 // A nil-spec injector (chaos.NewRecordOnly) observes without killing and
 // yields the ordered frame trace; Points derives every legal injection
@@ -47,6 +50,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/link"
 	"repro/internal/obs"
@@ -177,11 +181,8 @@ type Event struct {
 // at most one fault. Zero-valued fields are fine; use New or
 // NewRecordOnly.
 type Injector struct {
-	// Recorder, when set, receives a "chaos.inject" event naming the
-	// boundary and victim the moment the fault fires — the flight
-	// recorder contract: every injected fault names its boundary in the
-	// dump. Safe to leave nil.
-	Recorder *obs.FlightRecorder
+	// span is the last span an endpoint's session handed over (SetTrace).
+	span atomic.Pointer[obs.Span]
 
 	mu     sync.Mutex
 	spec   Spec
@@ -217,9 +218,7 @@ func (in *Injector) Fired() (Spec, bool) {
 func (in *Injector) Trace() []Event {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	out := make([]Event, len(in.trace))
-	copy(out, in.trace)
-	return out
+	return slices.Clone(in.trace)
 }
 
 // Source wraps the initiator's endpoint.
@@ -244,7 +243,7 @@ func (in *Injector) wrap(t link.Transport, fromSource bool) link.Transport {
 // Callers hold in.mu.
 func (in *Injector) fire() {
 	in.fired = true
-	in.Recorder.Record("chaos.inject", "killed %s at boundary %s", in.spec.Victim, in.spec.Point)
+	in.span.Load().Event("chaos.inject", "killed %s at boundary %s", in.spec.Victim, in.spec.Point)
 	for _, c := range in.closer {
 		c()
 	}
@@ -308,6 +307,10 @@ func (e *end) Recv() ([]byte, error) {
 }
 
 func (e *end) Close() error { return e.t.Close() }
+
+// SetTrace takes the span of the session run over this endpoint: the
+// injector records its fault there, in the last one handed over.
+func (e *end) SetTrace(s *obs.Span) { e.in.span.Store(s) }
 
 // Points derives every legal injection point from a recorded trace: each
 // delivered frame yields the boundary before its send and the boundary

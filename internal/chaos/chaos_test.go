@@ -177,23 +177,24 @@ func TestInjectorAfterRecv(t *testing.T) {
 }
 
 func TestInjectorRecordsBoundary(t *testing.T) {
-	rec := obs.NewFlightRecorder(16)
+	span := obs.NewTracer().Start("session")
 	inj := New(Spec{Victim: VictimLink, Point: Point{Class: "accept", N: 1, When: AfterRecv}})
-	inj.Recorder = rec
 	a, b := link.Pipe()
 	defer a.Close()
 	defer b.Close()
 	src, dst := inj.Source(a), inj.Dest(b)
+	// The session run over an endpoint hands it its span.
+	dst.(interface{ SetTrace(*obs.Span) }).SetTrace(span)
 	pump(src, dst, testScript())
 	var found bool
-	for _, ev := range rec.Events() {
+	for _, ev := range span.Export().Events {
 		if ev.Kind == "chaos.inject" && strings.Contains(ev.Detail, "accept:1/after-recv") &&
 			strings.Contains(ev.Detail, "link") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("flight recording lacks the fault's boundary: %+v", rec.Events())
+		t.Errorf("the session's span lacks the fault's boundary:\n%s", span.Export().Tree())
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 // to journal-<nodeID>.jsonl there so post-mortems survive the process.
 // Every record carries the node ID; the daemon adds session ID, trace
 // ID, peer, transfer shape, fail class, bytes, and durations, so a
-// failed session's journal line and its flight-recorder dump
-// cross-reference by trace ID. ReadJournals reads the files back.
+// failed session's journal line and its dump cross-reference by trace
+// ID. ReadJournals reads the files back.
 type Journal struct {
 	logger *slog.Logger
 	file   *os.File
@@ -274,9 +274,25 @@ func nearestRank(sorted []int64, q float64) int64 {
 // ErrNoRecord is Explain's error when no journal record has the trace ID.
 var ErrNoRecord = errors.New("fleet: no journal record has that trace ID")
 
+// DumpSchema names the JSON schema of a failed session's dump.
+const DumpSchema = "repro-flight/2"
+
+// Dump is what a daemon writes for a failed session, as
+// flight-<trace>.json: the session's exported span tree, whose spans carry
+// its phases' durations and events, and the fields that correlate it with
+// the session's journal record.
+type Dump struct {
+	Schema  string        `json:"schema"`
+	TraceID string        `json:"trace_id"`
+	Session uint64        `json:"session"`
+	Outcome string        `json:"outcome"`
+	Error   string        `json:"error"`
+	Tree    *obs.SpanData `json:"tree"`
+}
+
 // Explain finds the session record with the trace ID in dirs' journals
-// and reads the flight dump it names (nil when it names none).
-func Explain(dirs []string, trace string) (Record, *obs.FlightData, error) {
+// and reads the dump it names (nil when it names none).
+func Explain(dirs []string, trace string) (Record, *Dump, error) {
 	recs, _, err := ReadJournals(dirs)
 	if err != nil {
 		return Record{}, nil, err
@@ -291,14 +307,14 @@ func Explain(dirs []string, trace string) (Record, *obs.FlightData, error) {
 	}
 	b, err := os.ReadFile(rec.Flight)
 	if err != nil {
-		return rec, nil, fmt.Errorf("fleet: flight dump: %w", err)
+		return rec, nil, fmt.Errorf("fleet: dump: %w", err)
 	}
-	var dump obs.FlightData
+	var dump Dump
 	if err := json.Unmarshal(b, &dump); err != nil {
-		return rec, nil, fmt.Errorf("fleet: flight dump %s: %w", rec.Flight, err)
+		return rec, nil, fmt.Errorf("fleet: dump %s: %w", rec.Flight, err)
 	}
-	if dump.Schema != obs.FlightSchema {
-		return rec, nil, fmt.Errorf("fleet: flight dump %s: schema %q, want %q", rec.Flight, dump.Schema, obs.FlightSchema)
+	if dump.Schema != DumpSchema || dump.Tree == nil {
+		return rec, nil, fmt.Errorf("fleet: dump %s: schema %q, want %q with a tree", rec.Flight, dump.Schema, DumpSchema)
 	}
 	return rec, &dump, nil
 }

@@ -1,10 +1,11 @@
 // Package fleet is the telemetry plane above internal/obs: per-node
 // identity and health endpoints, the structured slog session journal,
-// and the reader over the journals and flight dumps that migtop prints.
+// and the reader over the journals and failed-session dumps that migtop
+// prints.
 //
 // The split mirrors the rest of the tree: internal/session is mechanism
-// (it writes one journal record per session and dumps a failed one's
-// flight recording, and knows nothing about fleets), this package is
+// (it writes one journal record per session and dumps a failed one's span
+// tree, and knows nothing about fleets), this package is
 // where migd and migtop wire those mechanisms in.
 package fleet
 

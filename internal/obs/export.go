@@ -44,7 +44,18 @@ type SpanData struct {
 	DurUS        int64             `json:"dur_us"`
 	Bytes        int64             `json:"bytes,omitempty"`
 	Attrs        map[string]string `json:"attrs,omitempty"`
-	Children     []*SpanData       `json:"children,omitempty"`
+	Events       []EventData       `json:"events,omitempty"`
+	// Dropped, on a root, counts the events past the tree's bound.
+	Dropped  int64       `json:"dropped_events,omitempty"`
+	Children []*SpanData `json:"children,omitempty"`
+}
+
+// EventData is one event of a span (Span.Event): AtUS is its offset from
+// the tree's root span's start, as StartUS is a span's.
+type EventData struct {
+	AtUS   int64  `json:"at_us"`
+	Kind   string `json:"kind"`
+	Detail string `json:"detail,omitempty"`
 }
 
 // Export converts the span tree to its JSON form, with start offsets
@@ -81,7 +92,11 @@ func (s *Span) export(base time.Time) *SpanData {
 	}
 	children := append([]*Span(nil), s.children...)
 	remote := append([]*SpanData(nil), s.remote...)
+	d.Events = append(d.Events, s.events...)
 	s.mu.Unlock()
+	if s.root == s {
+		d.Dropped = max(0, s.nevents.Load()-maxEvents)
+	}
 	d.DurUS = dur.Microseconds()
 	if attrs := s.sortedAttrs(); len(attrs) > 0 {
 		d.Attrs = make(map[string]string, len(attrs))

@@ -34,6 +34,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -45,7 +46,9 @@ type Attr struct {
 
 // Span is one timed phase of a migration, possibly nested: a capture span
 // holds partition/encode children; an encode span holds one child per
-// snapshot section, carrying the section kind, id, and encoded bytes.
+// snapshot section, carrying the section kind, id, and encoded bytes. A
+// span also holds the moments of its phase's story as events (Event): a
+// session's root span is that session's record, successful or failed.
 //
 // All methods are safe on a nil receiver (the disabled fast path) and safe
 // for concurrent use, so a parent span can collect children from a worker
@@ -67,11 +70,24 @@ type Span struct {
 	tc         TraceContext
 	parentSpan uint64
 	remote     []*SpanData
+	// events are this span's; root is its tree's root span, whose nevents
+	// counts the events offered to the whole tree.
+	events  []EventData
+	root    *Span
+	nevents atomic.Int64
 }
 
-// newSpan starts a live span.
+// maxEvents bounds the events one span tree keeps. A migration session
+// records tens (offer, accept, rounds, commit or rollback), so 256 keeps
+// them all with room to spare while bounding memory per session; events
+// past it are counted as dropped, not kept.
+const maxEvents = 256
+
+// newSpan starts a live span at the root of its own tree.
 func newSpan(name string) *Span {
-	return &Span{name: name, start: time.Now()}
+	s := &Span{name: name, start: time.Now()}
+	s.root = s
+	return s
 }
 
 // Child starts a nested span. On a nil receiver it returns nil, keeping
@@ -81,6 +97,7 @@ func (s *Span) Child(name string) *Span {
 		return nil
 	}
 	c := newSpan(name)
+	c.root = s.root
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()
@@ -98,6 +115,21 @@ func (s *Span) End() {
 		s.dur = time.Since(s.start)
 		s.ended = true
 	}
+	s.mu.Unlock()
+}
+
+// Event records one moment of the span's story — a message negotiated, a
+// round shipped, a fault injected, a failure classified — stamped with its
+// offset from the tree's root. The detail is formatted eagerly, so later
+// mutation of the arguments cannot change it. A tree keeps its first
+// maxEvents events and counts the rest.
+func (s *Span) Event(kind, format string, args ...any) {
+	if s == nil || s.root.nevents.Add(1) > maxEvents {
+		return
+	}
+	ev := EventData{AtUS: time.Since(s.root.start).Microseconds(), Kind: kind, Detail: fmt.Sprintf(format, args...)}
+	s.mu.Lock()
+	s.events = append(s.events, ev)
 	s.mu.Unlock()
 }
 
@@ -265,13 +297,21 @@ func (t *Tracer) Roots() []*Span {
 func (t *Tracer) Tree() string {
 	var b strings.Builder
 	for _, d := range t.Export() {
-		writeDataTree(&b, d, 0)
+		b.WriteString(d.Tree())
 	}
 	return b.String()
 }
 
-// writeDataTree renders an exported (possibly remote) span subtree: the
-// one tree layout, which live spans reach through Export.
+// Tree renders an exported (possibly remote) span tree: each span's
+// duration, bytes and attributes, then its events at their offsets. It is
+// the one tree layout: live spans reach it through Export, and a failed
+// session's dump is read back through it.
+func (d *SpanData) Tree() string {
+	var b strings.Builder
+	writeDataTree(&b, d, 0)
+	return b.String()
+}
+
 func writeDataTree(b *strings.Builder, d *SpanData, depth int) {
 	b.WriteString(strings.Repeat("  ", depth))
 	if d.Kind != "" {
@@ -298,6 +338,13 @@ func writeDataTree(b *strings.Builder, d *SpanData, depth int) {
 		fmt.Fprintf(b, "  %s=%s", k, d.Attrs[k])
 	}
 	b.WriteByte('\n')
+	indent := strings.Repeat("  ", depth+1)
+	if d.Dropped > 0 {
+		fmt.Fprintf(b, "%s... %d later events dropped\n", indent, d.Dropped)
+	}
+	for _, ev := range d.Events {
+		fmt.Fprintf(b, "%s@%9.3fms  %-18s %s\n", indent, float64(ev.AtUS)/1000, ev.Kind, ev.Detail)
+	}
 	for _, c := range d.Children {
 		writeDataTree(b, c, depth+1)
 	}

@@ -46,12 +46,9 @@ func newID() uint64 {
 	return idFallback.Add(0x9e3779b97f4a7c15) | 1
 }
 
-// NewTraceContext mints a fresh trace: a new trace ID and the initiator's
-// root span ID.
+// NewTraceContext mints a fresh trace: a new trace ID and a root span ID
+// — the initiator's, or a responder's, which adopts the initiator's trace
+// ID when it offers one.
 func NewTraceContext() TraceContext {
 	return TraceContext{TraceID: newID(), SpanID: newID()}
 }
-
-// NewSpanID mints a span ID within an existing trace (the responder's
-// session span).
-func NewSpanID() uint64 { return newID() }

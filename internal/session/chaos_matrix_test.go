@@ -143,10 +143,9 @@ func verifyRestored(t *testing.T, m chaosMode, q *vm.Process) {
 // cell's boundary, then the rollback-or-complete assertion.
 func runChaosCell(t *testing.T, m chaosMode, e *core.Engine, cell chaos.Spec) {
 	t.Helper()
-	flight := obs.NewFlightRecorder(512)
 	inj := chaos.New(cell)
-	inj.Recorder = flight
 	srcCfg, dstCfg := m.cfg, m.cfg
+	srcCfg.Trace, dstCfg.Trace = obs.NewTracer().Start("migration"), obs.NewTracer().Start("session")
 	if m.warm {
 		srcCfg.Store = openTestStore(t)
 		dstCfg.Store = openTestStore(t)
@@ -154,7 +153,6 @@ func runChaosCell(t *testing.T, m chaosMode, e *core.Engine, cell chaos.Spec) {
 	if m.live {
 		srcCfg.Live, dstCfg.Live = true, true
 	}
-	srcCfg.Recorder = flight
 
 	p := m.fixture(t, e)
 	var direct []byte
@@ -218,16 +216,17 @@ func runChaosCell(t *testing.T, m chaosMode, e *core.Engine, cell chaos.Spec) {
 		}
 	}
 
-	// The flight-recorder contract: every injected fault names its
-	// boundary in the dump.
+	// Every injected fault names its boundary in a session's tree: the
+	// injector records it in the span of the last session that handed it
+	// one, so in one of the two sides' trees here.
 	var recorded bool
-	for _, ev := range flight.Events() {
-		if ev.Kind == "chaos.inject" && strings.Contains(ev.Detail, cell.Point.String()) {
-			recorded = true
+	for _, span := range []*obs.Span{srcCfg.Trace, dstCfg.Trace} {
+		for _, ev := range eventsOf(span.Export(), "chaos.inject") {
+			recorded = recorded || strings.Contains(ev.Detail, cell.Point.String())
 		}
 	}
 	if !recorded {
-		t.Errorf("flight recording does not name boundary %s", cell.Point)
+		t.Errorf("neither session tree names boundary %s", cell.Point)
 	}
 }
 
@@ -346,10 +345,8 @@ func TestChaosKillBetweenRestoredAndCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flight := obs.NewFlightRecorder(128)
 	inj := chaos.New(chaos.Spec{Victim: chaos.VictimSource,
 		Point: chaos.Point{Class: "restored", N: 1, When: chaos.AfterRecv}})
-	inj.Recorder = flight
 	m := chaosMode{name: "v3", cfg: Config{ChunkSize: 1024}}
 	initErr, q, respErr := runChaosMigration(t, m, e, p, inj, m.cfg, m.cfg)
 	if initErr == nil || !errors.Is(initErr, chaos.ErrInjected) {

@@ -59,6 +59,7 @@ type Result struct {
 // paused at its poll point and must be rolled back (Rollback).
 func Initiate(t link.Transport, e *core.Engine, src *arch.Machine, program string, p *vm.Process, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
+	cfg.traceTransport(t)
 	prm, tc, err := initiateHandshake(t, e, src, program, cfg)
 	if err != nil {
 		return nil, err
@@ -78,7 +79,7 @@ func Initiate(t link.Transport, e *core.Engine, src *arch.Machine, program strin
 		return res, err
 	}
 	if err != nil {
-		cfg.Recorder.Record("session.fail", "transfer: %v", err)
+		cfg.Trace.Event("session.fail", "transfer: %v", err)
 		return nil, err
 	}
 	cfg.observePhase("collect", res.Timing.Collect)
@@ -89,7 +90,7 @@ func Initiate(t link.Transport, e *core.Engine, src *arch.Machine, program strin
 	if x := res.Live; x != nil {
 		x.Downtime = time.Since(x.paused)
 		cfg.metrics().Histogram("session.downtime").Observe(x.Downtime)
-		cfg.Recorder.Record("session.round", "downtime %v over %d rounds (%s); %d of %d bytes on wire",
+		cfg.Trace.Event("session.round", "downtime %v over %d rounds (%s); %d of %d bytes on wire",
 			x.Downtime, len(x.Rounds), x.StopReason, res.Timing.Bytes, x.SnapshotBytes)
 	}
 	return res, nil
@@ -118,7 +119,7 @@ func send(t link.Transport, e *core.Engine, src *arch.Machine, program string, p
 	start := time.Now()
 	// How the stream is cut is this side's own business: the chunk size
 	// changes no byte of the snapshot and the receiver takes any.
-	w := stream.NewWriter(t, stream.Config{ChunkSize: cfg.ChunkSize, Recorder: cfg.Recorder})
+	w := stream.NewWriter(t, stream.Config{ChunkSize: cfg.ChunkSize})
 	n, err := p.WriteSnapshot(w)
 	if err != nil {
 		w.Fail(err)
@@ -139,8 +140,13 @@ func send(t link.Transport, e *core.Engine, src *arch.Machine, program string, p
 func initiateHandshake(t link.Transport, e *core.Engine, src *arch.Machine, program string, cfg Config) (Params, obs.TraceContext, error) {
 	// The initiator mints the migration's trace identity and offers it to
 	// the responder, which adopts the trace ID and parents its own span
-	// tree under our session span — one stitched tree per migration.
+	// tree under our session span — one stitched tree per migration. An
+	// untraced initiator has no span to stitch under: it offers span ID 0,
+	// and the responder ships it no tree.
 	tc := obs.NewTraceContext()
+	if cfg.Trace == nil {
+		tc.SpanID = 0
+	}
 	cfg.Trace.SetTraceContext(tc)
 	o := offer{
 		digest:  e.Digest(),
@@ -150,7 +156,7 @@ func initiateHandshake(t link.Transport, e *core.Engine, src *arch.Machine, prog
 		spanID:  tc.SpanID,
 		caps:    cfg.caps(),
 	}
-	cfg.Recorder.Record("session.offer", "program %q digest %08x trace %s", program, o.digest, tc)
+	cfg.Trace.Event("session.offer", "program %q digest %08x trace %s", program, o.digest, tc)
 	hsStart := time.Now()
 	hs := cfg.Trace.Child("handshake")
 	defer hs.End()
@@ -181,7 +187,7 @@ func initiateHandshake(t link.Transport, e *core.Engine, src *arch.Machine, prog
 			ErrProtocol, prm.Warm, prm.Live)
 	}
 	cfg.Trace.SetAttr("how", prm.How())
-	cfg.Recorder.Record("session.accept", "%s", prm.How())
+	cfg.Trace.Event("session.accept", "%s", prm.How())
 	return prm, tc, nil
 }
 
@@ -200,7 +206,7 @@ func awaitRestored(t link.Transport, cfg Config, res *Result) error {
 	// discards its copy and the source rolls back.
 	m, _, err := recvMessage(t, wire.Restored)
 	if err = errors.Join(err, res.stored.Wait()); err != nil {
-		cfg.Recorder.Record("session.fail", "confirm: %v", err)
+		cfg.Trace.Event("session.fail", "confirm: %v", err)
 		return err
 	}
 	// The handoff pivot: a COMMIT the transport accepted will be delivered
@@ -208,23 +214,23 @@ func awaitRestored(t link.Transport, cfg Config, res *Result) error {
 	// is the license to relinquish the source. A failed send means the
 	// responder will never activate — the source must roll back instead.
 	if err := t.Send(marshalCommit()); err != nil {
-		cfg.Recorder.Record("session.fail", "commit send: %v", err)
+		cfg.Trace.Event("session.fail", "commit send: %v", err)
 		return fmt.Errorf("session: commit send: %w", err)
 	}
-	cfg.Recorder.Record("session.commit", "handoff acknowledged; source relinquishes")
+	cfg.Trace.Event("session.commit", "handoff acknowledged; source relinquishes")
 	if len(m.spans) > 0 {
 		// The responder shipped its exported span tree: graft it under our
 		// session span so one render shows the whole migration.
 		var remote obs.SpanData
 		if err := json.Unmarshal(m.spans, &remote); err != nil {
 			// A malformed tree costs the stitched view, not the migration.
-			cfg.Recorder.Record("session.trace", "discarding malformed remote spans: %v", err)
+			cfg.Trace.Event("session.trace", "discarding malformed remote spans: %v", err)
 		} else {
 			res.Remote = &remote
 			cfg.Trace.AttachRemote(&remote)
 		}
 	}
-	cfg.Recorder.Record("session.restored", "%d bytes confirmed", m.bytes)
+	cfg.Trace.Event("session.restored", "%d bytes confirmed", m.bytes)
 	return nil
 }
 
@@ -245,15 +251,15 @@ func Rollback(p *vm.Process, cfg Config) (*vm.Result, error) {
 	cfg.metrics().Histogram("session.rollback").Observe(time.Since(start))
 	if err != nil {
 		cfg.metrics().Counter("session.rollback.failed").Inc()
-		cfg.Recorder.Record("session.rollback", "source resume failed: %v", err)
+		cfg.Trace.Event("session.rollback", "source resume failed: %v", err)
 		return nil, fmt.Errorf("session: rollback resume: %w", err)
 	}
 	cfg.metrics().Counter("session.rolledback").Inc()
 	switch {
 	case res.Migrated:
-		cfg.Recorder.Record("session.rollback", "source resumed; paused at next granted poll")
+		cfg.Trace.Event("session.rollback", "source resumed; paused at next granted poll")
 	default:
-		cfg.Recorder.Record("session.rollback", "source resumed; ran to completion (exit %d)", res.ExitCode)
+		cfg.Trace.Event("session.rollback", "source resumed; ran to completion (exit %d)", res.ExitCode)
 	}
 	return res, nil
 }

@@ -101,9 +101,9 @@ type Info struct {
 	SrcMachine string
 	// Params is the negotiated outcome.
 	Params Params
-	// Trace is the distributed-trace identity the initiator offered (the
-	// responder adopts the trace ID and mints its own span ID under it);
-	// zero when the offer carried none.
+	// Trace is this side's distributed-trace identity: the trace ID the
+	// initiator offered, or one minted here when the offer is missing,
+	// unreadable or names none, and this side's own span ID.
 	Trace obs.TraceContext
 	// Timing is this side's share of the migration: the wire bytes
 	// received, and the restore time once the restore finished.
@@ -129,27 +129,26 @@ func (i Info) How() string { return i.Params.How() }
 // The Info is the responder's whole account of the session, as far as it
 // got: identity, shape, Timing and Exchange.
 func Respond(t link.Transport, reg *Registry, m *arch.Machine, cfg Config) (Info, *vm.Process, error) {
-	info, engine, err := respondHandshake(t, reg, cfg)
+	cfg.traceTransport(t)
+	info, engine, traced, err := respondHandshake(t, reg, cfg)
 	if err != nil {
 		return info, nil, err
 	}
 	shell, err := receive(t, reg, engine, m, cfg, &info)
 	if err != nil {
-		cfg.Recorder.Record("session.fail", "receive/restore: %v", err)
+		cfg.Trace.Event("session.fail", "receive/restore: %v", err)
 		return info, nil, err
 	}
 	cfg.observePhase("restore", info.Timing.Restore)
-	cfg.Recorder.Record("session.restored", "%d bytes restored in %v", info.Timing.Bytes, info.Timing.Restore)
+	cfg.Trace.Event("session.restored", "%d bytes restored in %v", info.Timing.Bytes, info.Timing.Restore)
 	defer cfg.phase("confirm")()
 	// When the initiator traces, ship our exported span tree back on the
 	// confirmation so it can stitch the two into one. The export
 	// necessarily precedes the send, so the confirm span appears in-flight
 	// (near-zero duration) in the shipped tree.
 	var spans []byte
-	if info.Trace.Valid() && cfg.Trace != nil {
-		if b, jerr := json.Marshal(cfg.Trace.Export()); jerr == nil {
-			spans = b
-		}
+	if traced && cfg.Trace != nil {
+		spans, _ = json.Marshal(cfg.Trace.Export())
 	}
 	if err := t.Send(marshalRestored(uint64(info.Timing.Bytes), spans)); err != nil {
 		return info, nil, fmt.Errorf("session: restored send: %w", err)
@@ -160,10 +159,10 @@ func Respond(t link.Transport, reg *Registry, m *arch.Machine, cfg Config) (Info
 	// discarded — activating both would double the process; activating
 	// neither would lose it.
 	if _, _, err := recvMessage(t, wire.Commit); err != nil {
-		cfg.Recorder.Record("session.discard", "no commit after RESTORED; discarding restored process: %v", err)
+		cfg.Trace.Event("session.discard", "no commit after RESTORED; discarding restored process: %v", err)
 		return info, nil, err
 	}
-	cfg.Recorder.Record("session.commit", "handoff committed; activating restored process")
+	cfg.Trace.Event("session.commit", "handoff committed; activating restored process")
 	// The next warm session of the program restores into a fork of this
 	// shell, taken here, before the process is handed over and runs, and
 	// timed as a "fork" child of the confirm span. One that cannot be
@@ -174,7 +173,7 @@ func Respond(t link.Transport, reg *Registry, m *arch.Machine, cfg Config) (Info
 		span.End()
 		if err == nil {
 			reg.swap(engine, fork)
-			cfg.Recorder.Record("session.keep", "kept a fork of the restored shell for the next warm session")
+			cfg.Trace.Event("session.keep", "kept a fork of the restored shell for the next warm session")
 		}
 	}
 	return info, shell.Process(), nil
@@ -182,43 +181,46 @@ func Respond(t link.Transport, reg *Registry, m *arch.Machine, cfg Config) (Info
 
 // respondHandshake reads the OFFER, resolves the program, intersects the
 // capabilities, and answers ACCEPT — or REJECT, for a digest the registry
-// does not hold.
-func respondHandshake(t link.Transport, reg *Registry, cfg Config) (Info, *core.Engine, error) {
+// does not hold. traced reports whether the initiator offered a span to
+// stitch this side's tree under.
+func respondHandshake(t link.Transport, reg *Registry, cfg Config) (info Info, engine *core.Engine, traced bool, err error) {
 	hsStart := time.Now()
 	hs := cfg.Trace.Child("handshake")
 	defer hs.End()
 	msg, _, err := recvMessage(t, wire.Offer)
-	if err != nil {
-		return Info{}, nil, err
-	}
+	// Adopt the initiator's trace: same trace ID, our own span ID,
+	// parented under the initiator's session span. A session whose offer
+	// is missing, unreadable or names no trace gets a trace of its own, so
+	// its journal record and its dump are found by it all the same.
 	o := msg.offer
-	var tc obs.TraceContext
+	info.Trace = obs.NewTraceContext()
 	if o.traceID != 0 {
-		// Adopt the initiator's trace: same trace ID, our own span ID,
-		// parented under the initiator's session span.
-		tc = obs.TraceContext{TraceID: o.traceID, SpanID: obs.NewSpanID()}
-		cfg.Trace.SetTraceContext(tc)
-		cfg.Trace.SetParentSpan(o.spanID)
+		info.Trace.TraceID = o.traceID
 	}
-	info := Info{SrcMachine: o.machine, Trace: tc}
-	cfg.Recorder.Record("session.offer", "program %q digest %08x from %s trace %s", o.program, o.digest, o.machine, tc)
+	cfg.Trace.SetTraceContext(info.Trace)
+	cfg.Trace.SetParentSpan(o.spanID)
+	if err != nil {
+		return info, nil, false, err
+	}
+	info.SrcMachine = o.machine
+	cfg.Trace.Event("session.offer", "program %q digest %08x from %s trace %s", o.program, o.digest, o.machine, info.Trace)
 	engine, name, ok := reg.Lookup(o.digest)
 	if !ok {
 		err = fmt.Errorf("%w: digest %08x (program %q) not pre-distributed here", ErrUnknownProgram, o.digest, o.program)
-		cfg.Recorder.Record("session.reject", "%v", err)
+		cfg.Trace.Event("session.reject", "%v", err)
 		t.Send(marshalReason(wire.Reject, err.Error()))
-		return info, nil, err
+		return info, nil, false, err
 	}
 	info.Program, info.Params = name, negotiate(o, cfg)
 	cfg.Trace.SetAttr("how", info.How())
 	cfg.Trace.SetAttr("program", name)
-	cfg.Recorder.Record("session.accept", "program %q %s", name, info.How())
+	cfg.Trace.Event("session.accept", "program %q %s", name, info.How())
 	err = t.Send(marshalAccept(info.Params))
 	cfg.observePhase("handshake", time.Since(hsStart))
 	if err != nil {
-		return info, nil, fmt.Errorf("session: accept send: %w", err)
+		return info, nil, false, fmt.Errorf("session: accept send: %w", err)
 	}
-	return info, engine, nil
+	return info, engine, o.spanID != 0, nil
 }
 
 // receive accepts the inbound state in the shape info.Params selects and
@@ -227,7 +229,7 @@ func receive(t link.Transport, reg *Registry, e *core.Engine, m *arch.Machine, c
 	if info.Params.rounds() {
 		return receiveRounds(t, reg, e, m, cfg, info)
 	}
-	return receiveCold(stream.NewReader(t, stream.Config{Recorder: cfg.Recorder}), e, m, cfg.Trace, &info.Timing)
+	return receiveCold(stream.NewReader(t, stream.Config{}), e, m, cfg.Trace, &info.Timing)
 }
 
 // receiveCold restores the process a cold stream carries on machine m,
@@ -297,8 +299,8 @@ type Daemon struct {
 	// Timeout bounds each session's total wall time (handshake through
 	// restoration) when the transport supports deadlines. Zero disables.
 	Timeout time.Duration
-	// Logf receives the per-session span trees and flight recordings;
-	// nil discards them.
+	// Logf receives the per-session span trees (a failed session's always,
+	// a successful one's when Trace is set); nil discards them.
 	Logf func(format string, args ...any)
 	// OnRestored is invoked — concurrently, from the session's worker —
 	// with every successfully restored process, and Info.Timing beside it.
@@ -315,8 +317,8 @@ type Daemon struct {
 	// Journal, when set, receives one structured record per completed
 	// session — msg "session.restored" or "session.failed" with session
 	// ID, program, peer, negotiated shape, trace ID, byte and
-	// duration attributes, and (on failure) the fail class and the flight
-	// dump path. It is the one end-of-session record; nil writes none.
+	// duration attributes, and (on failure) the fail class and the dump
+	// path. It is the one end-of-session record; nil writes none.
 	// Written concurrently from session workers — slog handlers serialize
 	// internally.
 	Journal *slog.Logger
@@ -327,13 +329,13 @@ type Daemon struct {
 	// session layer depending on it. Called concurrently from session
 	// workers.
 	OnSessionEnd func(Info, time.Duration, error)
-	// Trace enables per-session phase tracing: each session runs under
-	// its own span tree, rendered through Logf when the session ends.
+	// Trace logs each successful session's span tree through Logf. Every
+	// session runs under its own span tree either way — its phases and
+	// events are its one story — and a failed one's is always logged.
 	Trace bool
-	// TraceDir, when non-empty, is where failed sessions dump their
-	// flight recordings as JSON (flight-<traceID|session-N>.json). The
-	// recording also goes to Logf either way; successful sessions never
-	// dump.
+	// TraceDir, when non-empty, is where failed sessions dump their span
+	// trees as JSON (flight-<traceID>.json, a fleet.Dump); successful
+	// sessions never dump.
 	TraceDir string
 	// WrapTransport, when set, wraps each accepted connection before the
 	// session protocol runs on it — the hook the chaos harness (and any
@@ -477,16 +479,8 @@ func (d *Daemon) handle(conn *link.Conn) {
 		t = d.WrapTransport(conn)
 	}
 	cfg := d.Config
-	var tr *obs.Tracer
-	if d.Trace {
-		tr = obs.NewTracer()
-		cfg.Trace = tr.Start("session")
-	}
+	cfg.Trace = obs.NewTracer().Start("session")
 	cfg.Metrics = d.metrics()
-	// Every session records its flight events; the ring is read (and
-	// dumped) only when the session fails.
-	recorder := obs.NewFlightRecorder(0)
-	cfg.Recorder = recorder
 	start := time.Now()
 	info, p, err := Respond(t, d.Registry, d.Mach, cfg)
 	info.ID = id
@@ -497,12 +491,14 @@ func (d *Daemon) handle(conn *link.Conn) {
 		class := ClassifyFailure(err)
 		reg.Counter("session.failed").Inc()
 		reg.Counter("session.fail." + string(class)).Inc()
-		recorder.Record("session.classify", "%s: %v", class, err)
+		cfg.Trace.Event("session.classify", "%s: %v", class, err)
 		cfg.Trace.SetAttr("outcome", string(class))
 		cfg.Trace.End()
-		d.logTrace(id, tr)
-		flight := d.dumpFlight(id, info.Trace, recorder, string(class), err)
-		d.journalSession(info, elapsed, class, flight, err)
+		tree := cfg.Trace.Export()
+		d.logf("session %d trace:\n%s", id, strings.TrimRight(tree.Tree(), "\n"))
+		dump := d.dump(fleet.Dump{Schema: fleet.DumpSchema, TraceID: obs.IDString(info.Trace.TraceID),
+			Session: id, Outcome: string(class), Error: err.Error(), Tree: tree})
+		d.journalSession(info, elapsed, class, dump, err)
 		if d.OnSessionEnd != nil {
 			d.OnSessionEnd(info, elapsed, err)
 		}
@@ -512,7 +508,9 @@ func (d *Daemon) handle(conn *link.Conn) {
 	reg.Counter("session.bytes").Add(int64(info.Timing.Bytes))
 	cfg.Trace.SetAttr("outcome", "restored")
 	cfg.Trace.End()
-	d.logTrace(id, tr)
+	if d.Trace && d.Logf != nil {
+		d.logf("session %d trace:\n%s", id, strings.TrimRight(cfg.Trace.Export().Tree(), "\n"))
+	}
 	d.journalSession(info, elapsed, "", "", nil)
 	if d.OnSessionEnd != nil {
 		d.OnSessionEnd(info, elapsed, nil)
@@ -523,10 +521,10 @@ func (d *Daemon) handle(conn *link.Conn) {
 }
 
 // journalSession writes one fleet.Record for a completed session. The
-// record names the session's trace ID and flight dump, so one command
+// record names the session's trace ID and dump, so one command
 // (migtop explain, through fleet.Explain) goes from the journal line
 // straight to the dump.
-func (d *Daemon) journalSession(info Info, elapsed time.Duration, class FailureClass, flight string, cause error) {
+func (d *Daemon) journalSession(info Info, elapsed time.Duration, class FailureClass, dump string, cause error) {
 	if d.Journal == nil {
 		return
 	}
@@ -547,55 +545,28 @@ func (d *Daemon) journalSession(info Info, elapsed time.Duration, class FailureC
 		rec.PrecopyRounds = len(info.Live.Rounds)
 	}
 	if cause != nil {
-		rec.Msg, rec.FailClass, rec.Error, rec.Flight = "session.failed", string(class), cause.Error(), flight
+		rec.Msg, rec.FailClass, rec.Error, rec.Flight = "session.failed", string(class), cause.Error(), dump
 	}
 	rec.Log(d.Journal)
 }
 
-// dumpFlight publishes a failed session's flight recording: the event log
-// through Logf, and — with TraceDir set — a JSON file correlated to the
-// distributed trace by ID. It returns the dump path ("" when nothing was
-// written) so the journal record can reference the exact file. Called
-// only on failure, so the success path pays nothing beyond the in-memory
-// ring.
-func (d *Daemon) dumpFlight(id uint64, tc obs.TraceContext, recorder *obs.FlightRecorder, outcome string, cause error) string {
-	if recorder == nil {
-		return ""
-	}
-	d.logf("session %d flight recording (%d events, %d dropped):\n%s",
-		id, recorder.Total(), recorder.Dropped(), strings.TrimRight(recorder.String(), "\n"))
+// dump writes a failed session's story to TraceDir as flight-<trace>.json
+// and returns its path, which the journal record names ("" when nothing
+// was written). Called only on failure, so a successful session pays for
+// its tree in memory only.
+func (d *Daemon) dump(data fleet.Dump) string {
 	if d.TraceDir == "" {
 		return ""
 	}
-	data := recorder.Export()
-	data.Session = id
-	data.Outcome = outcome
-	if cause != nil {
-		data.Error = cause.Error()
-	}
-	name := fmt.Sprintf("flight-session-%d.json", id)
-	if tc.Valid() {
-		data.TraceID = obs.IDString(tc.TraceID)
-		name = "flight-" + data.TraceID + ".json"
-	}
+	path := filepath.Join(d.TraceDir, "flight-"+data.TraceID+".json")
 	b, err := json.MarshalIndent(data, "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, append(b, '\n'), 0o644)
+	}
 	if err != nil {
-		d.logf("session %d: flight dump encode: %v", id, err)
+		d.logf("session %d: dump: %v", data.Session, err)
 		return ""
 	}
-	path := filepath.Join(d.TraceDir, name)
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		d.logf("session %d: flight dump write: %v", id, err)
-		return ""
-	}
-	d.logf("session %d: flight recording dumped to %s", id, path)
+	d.logf("session %d: dumped to %s", data.Session, path)
 	return path
-}
-
-// logTrace renders one completed session's span tree through Logf.
-func (d *Daemon) logTrace(id uint64, tr *obs.Tracer) {
-	if tr == nil || d.Logf == nil {
-		return
-	}
-	d.logf("session %d trace:\n%s", id, strings.TrimRight(tr.Tree(), "\n"))
 }

@@ -40,12 +40,12 @@ func (b *lockedBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestJournalRecordsAndFlightCrossReference is the journal/flight
-// interplay regression: a failed traced session's journal record and its
-// flight-recorder dump must carry the same trace ID — greppable as
-// flight-<traceID>.json straight from the journal line. It also pins the
-// journal record shape for successes (how, bytes, durations), and that
-// Logf keeps the flight recording.
+// TestJournalRecordsAndFlightCrossReference is the journal/dump interplay
+// regression: a failed traced session's journal record and its dump must
+// carry the same trace ID — greppable as flight-<traceID>.json straight
+// from the journal line — and the dump's tree is the session's, events and
+// all. It also pins the journal record shape for successes (how, bytes,
+// durations), and that Logf keeps the failed session's tree.
 func TestJournalRecordsAndFlightCrossReference(t *testing.T) {
 	_, journal, logs := failedSession(t)
 
@@ -93,22 +93,25 @@ func TestJournalRecordsAndFlightCrossReference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("journal points at a missing dump: %v", err)
 	}
-	var dump obs.FlightData
+	var dump fleet.Dump
 	if err := json.Unmarshal(raw, &dump); err != nil {
 		t.Fatal(err)
 	}
-	if dump.TraceID != traceID {
-		t.Errorf("dump trace ID %q != journal trace %q", dump.TraceID, traceID)
+	if dump.Schema != fleet.DumpSchema || dump.TraceID != traceID || dump.Tree == nil || dump.Tree.TraceID != traceID {
+		t.Errorf("dump %s of trace %q (tree %+v), want %s of journal trace %q", dump.Schema, dump.TraceID, dump.Tree, fleet.DumpSchema, traceID)
+	}
+	if len(eventsOf(dump.Tree, "session.reject")) != 1 {
+		t.Errorf("dumped tree lacks the session.reject event:\n%s", dump.Tree.Tree())
 	}
 
-	if !strings.Contains(logs, "flight recording") {
-		t.Errorf("free-form diagnostics lost:\n%s", logs)
+	if !strings.Contains(logs, "session.reject") || !strings.Contains(logs, "trace=") {
+		t.Errorf("free-form diagnostics lost the failed session's tree:\n%s", logs)
 	}
 }
 
 // TestExplainFailedSession reads the failed session back the way
 // `migtop explain` does: from the journal file by trace ID, then the
-// flight dump its record names, with the events in recorded order.
+// tree its dump holds, with the events in recorded order.
 func TestExplainFailedSession(t *testing.T) {
 	dir, journal, _ := failedSession(t)
 	_, line, _ := strings.Cut(journal, `"msg":"session.failed"`)
@@ -122,15 +125,16 @@ func TestExplainFailedSession(t *testing.T) {
 		rec.Node != "explain" || !strings.Contains(rec.Error, "not pre-distributed") {
 		t.Errorf("record = %+v", rec)
 	}
-	if dump == nil || dump.TraceID != trace || len(dump.Events) == 0 {
+	if dump == nil || dump.TraceID != trace || dump.Tree == nil || len(dump.Tree.Events) == 0 {
 		t.Fatalf("dump = %+v", dump)
 	}
-	for i, ev := range dump.Events[1:] {
-		if ev.Seq <= dump.Events[i].Seq {
-			t.Errorf("events out of order: %d after %d", ev.Seq, dump.Events[i].Seq)
+	evs := dump.Tree.Events
+	for i, ev := range evs[1:] {
+		if ev.AtUS < evs[i].AtUS {
+			t.Errorf("events out of order: %+v after %+v", ev, evs[i])
 		}
 	}
-	if last := dump.Events[len(dump.Events)-1]; last.Kind != "session.classify" || !strings.HasPrefix(last.Detail, "negotiation") {
+	if last := evs[len(evs)-1]; last.Kind != "session.classify" || !strings.HasPrefix(last.Detail, "negotiation") {
 		t.Errorf("last event = %+v, want the classification", last)
 	}
 	if _, _, err := fleet.Explain([]string{dir}, "no-such-trace"); !errors.Is(err, fleet.ErrNoRecord) {
@@ -140,7 +144,7 @@ func TestExplainFailedSession(t *testing.T) {
 
 // failedSession runs one good migration and one traced offer of an
 // unregistered program into a daemon that journals into dir (node
-// "explain") and dumps flight recordings there. It returns dir, the
+// "explain") and dumps failed sessions' trees there. It returns dir, the
 // journal's text and the daemon's Logf output.
 func failedSession(t *testing.T) (dir, journal, logs string) {
 	e := newListEngine(t)
@@ -167,8 +171,8 @@ func failedSession(t *testing.T) (dir, journal, logs string) {
 	}
 
 	// A traced client offering an unregistered program fails the
-	// handshake; the daemon adopts the trace, so the flight dump is named
-	// by the trace ID.
+	// handshake; the daemon adopts the trace, so the dump is named by the
+	// trace ID.
 	unregistered, cerr := core.NewEngine(`int main() { migrate_here(); return 7; }`, minic.PollPolicy{})
 	if cerr != nil {
 		t.Fatal(cerr)

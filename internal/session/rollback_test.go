@@ -151,7 +151,7 @@ func TestTransferRollsBackOnFailure(t *testing.T) {
 	e := newListEngine(t)
 	p := stoppedAt(t, e, arch.DEC5000)
 	metrics := obs.NewRegistry()
-	flight := obs.NewFlightRecorder(64)
+	span := obs.NewTracer().Start("session")
 	// The destination holds a different build of "list": the handshake
 	// matches the digest Transfer offers, the state that arrives names
 	// functions and sites that build does not have, and the restore fails.
@@ -159,7 +159,7 @@ func TestTransferRollsBackOnFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Metrics: metrics, Recorder: flight}
+	cfg := Config{Metrics: metrics, Trace: span}
 	q, _, err := Transfer(other, "list", p, arch.SPARC20, cfg)
 	if err == nil || q != nil {
 		t.Fatalf("Transfer = %v, %v; want a failed restore", q, err)
@@ -168,12 +168,10 @@ func TestTransferRollsBackOnFailure(t *testing.T) {
 		t.Errorf("session.rolledback = %d, want 1 (source left paused forever?)", n)
 	}
 	var resumed bool
-	for _, ev := range flight.Events() {
-		if ev.Kind == "session.rollback" && strings.Contains(ev.Detail, "ran to completion") {
-			resumed = true
-		}
+	for _, ev := range eventsOf(span.Export(), "session.rollback") {
+		resumed = resumed || strings.Contains(ev.Detail, "ran to completion")
 	}
 	if !resumed {
-		t.Errorf("flight recording lacks the rollback completion: %+v", flight.Events())
+		t.Errorf("session tree lacks the rollback completion:\n%s", span.Export().Tree())
 	}
 }

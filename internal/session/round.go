@@ -131,9 +131,9 @@ func (x *Exchange) String() string {
 }
 
 // record appends one completed round to the exchange, its wire bytes to
-// tm, and the round to the flight recording: both sides describe a round
-// by the same six figures.
-func (x *Exchange) record(rec *obs.FlightRecorder, verb string, r RoundStats, tm *core.Timing) {
+// tm, and the round to the session's events on span: both sides describe
+// a round by the same six figures.
+func (x *Exchange) record(span *obs.Span, verb string, r RoundStats, tm *core.Timing) {
 	x.Rounds = append(x.Rounds, r)
 	x.Sections += r.Sections
 	x.SectionsSent += r.SectionsSent
@@ -142,7 +142,7 @@ func (x *Exchange) record(rec *obs.FlightRecorder, verb string, r RoundStats, tm
 	if r.Final {
 		tag = " (final)"
 	}
-	rec.Record("session.round", "round %d%s: dirty %d blocks, %s %d of %d sections (%d bytes on wire)",
+	span.Event("session.round", "round %d%s: dirty %d blocks, %s %d of %d sections (%d bytes on wire)",
 		r.Round, tag, r.DirtyBlocks, verb, r.SectionsSent, r.Sections, r.Bytes)
 }
 
@@ -199,7 +199,7 @@ func checksum(body []byte) uint32 {
 // sendRound runs the source half of one round and records it in x and tm.
 // It touches only the round's immutable sections, never the process, so it
 // may run while the source executes.
-func sendRound(t link.Transport, r *round, final bool, rec *obs.FlightRecorder, x *Exchange, tm *core.Timing) error {
+func sendRound(t link.Transport, r *round, final bool, span *obs.Span, x *Exchange, tm *core.Timing) error {
 	var flags uint32
 	if final {
 		flags |= announceFinal
@@ -239,7 +239,7 @@ func sendRound(t link.Transport, r *round, final bool, rec *obs.FlightRecorder, 
 	if err := obs.Phase("transport", func() error { return t.Send(frame) }); err != nil {
 		return fmt.Errorf("session: bodies send: %w", err)
 	}
-	x.record(rec, "sent", RoundStats{Round: len(x.Rounds), DirtyBlocks: r.dirty, Sections: len(r.secs),
+	x.record(span, "sent", RoundStats{Round: len(x.Rounds), DirtyBlocks: r.dirty, Sections: len(r.secs),
 		SectionsSent: len(send), Bytes: len(announce) + len(frame), Final: final}, tm)
 	return nil
 }
@@ -315,7 +315,7 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 	for precopy := prm.Live; precopy; {
 		// Ship the round while the source executes to its next poll.
 		sendErr := make(chan error, 1)
-		go func(r *round) { sendErr <- sendRound(t, r, false, cfg.Recorder, x, timing) }(r)
+		go func(r *round) { sendErr <- sendRound(t, r, false, cfg.Trace, x, timing) }(r)
 		run, runErr := p.ResumeRun()
 		serr := <-sendErr
 		if runErr != nil {
@@ -330,12 +330,12 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 			// classifies it as a transport failure), and a failed abort
 			// send must not turn a completed execution into a rollback
 			// attempt on a process that has nothing left to resume.
-			cfg.Recorder.Record("session.round", "source exited (code %d) after %d rounds; aborting", run.ExitCode, len(x.Rounds))
+			cfg.Trace.Event("session.round", "source exited (code %d) after %d rounds; aborting", run.ExitCode, len(x.Rounds))
 			if serr == nil {
 				serr = t.Send(marshalReason(wire.Abort, fmt.Sprintf("source ran to completion (exit %d)", run.ExitCode)))
 			}
 			if serr != nil {
-				cfg.Recorder.Record("session.round", "responder not stood down cleanly: %v", serr)
+				cfg.Trace.Event("session.round", "responder not stood down cleanly: %v", serr)
 			}
 			return ErrSourceExited
 		}
@@ -360,7 +360,7 @@ func sendRounds(t link.Transport, e *core.Engine, src *arch.Machine, program str
 	}
 
 	// The final round: the source stays paused from here to RESTORED.
-	if err := sendRound(t, r, true, cfg.Recorder, x, timing); err != nil {
+	if err := sendRound(t, r, true, cfg.Trace, x, timing); err != nil {
 		return err
 	}
 	shipped()
@@ -476,7 +476,7 @@ func receiveRounds(t link.Transport, reg *Registry, e *core.Engine, mach *arch.M
 			secs[idx].Body = body
 		}
 		final := ann.flags&announceFinal != 0
-		x.record(cfg.Recorder, "received", RoundStats{Round: int(ann.round), DirtyBlocks: int(ann.dirty), Sections: len(secs),
+		x.record(cfg.Trace, "received", RoundStats{Round: int(ann.round), DirtyBlocks: int(ann.dirty), Sections: len(secs),
 			SectionsSent: len(want), Bytes: n + bn, Final: final}, &info.Timing)
 		// The verified bodies enter the store while the round is applied,
 		// and are in it before anything names them.

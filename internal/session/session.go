@@ -76,7 +76,8 @@
 //
 // caps is a capability bitmap (capWarm advertises a checkpoint store,
 // capLive the live pre-copy rounds). spans is the responder's exported
-// span tree as JSON, empty when the session is untraced. The announce's
+// span tree as JSON, empty when the offer's spanID is 0 (an initiator that
+// keeps no tree to stitch it into). The announce's
 // manifest is a store.Manifest in its canonical encoding; a pushed entry's
 // from is the index of the previous list's section whose body it carries
 // over (-1: re-encoded, in BODIES) and its crc the body's CRC-32. The
@@ -90,6 +91,7 @@ import (
 	"errors"
 	"time"
 
+	"repro/internal/link"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -138,18 +140,17 @@ type Config struct {
 	// ignores it: a Reader takes chunks of any size.
 	ChunkSize int
 	// Trace, when set, receives one child span per session phase
-	// (handshake, collect, transport, restore, confirm). The span tree is
-	// local, but its trace identity (trace ID + span ID) crosses the wire
-	// so both sides' trees stitch into one; nil disables tracing.
+	// (handshake, collect, transport, restore, confirm) and the session's
+	// events: offer, accept, rounds, commit, failure, rollback, and an
+	// injected fault. The span tree is local, but its trace identity
+	// (trace ID + span ID) crosses the wire so both sides' trees stitch
+	// into one; nil disables tracing, and an untraced initiator offers no
+	// span, so the responder ships it no tree.
 	Trace *obs.Span
 	// Metrics receives the per-phase latency histograms
 	// (session.phase.<handshake|collect|transport|restore|confirm>).
 	// Nil selects obs.Default.
 	Metrics *obs.Registry
-	// Recorder, when set, receives structured flight-recorder events for
-	// the session (phase transitions, negotiation outcomes) and is
-	// propagated into the stream layer's rejection events. Nil disables.
-	Recorder *obs.FlightRecorder
 	// Store, when set, is this side's content-addressed checkpoint store:
 	// the handshake advertises capWarm, and when both sides hold a store
 	// the transfer announces the snapshot's sections and sends only the
@@ -190,6 +191,15 @@ func (c Config) phase(name string) func() {
 	return func() {
 		span.End()
 		c.observePhase(name, time.Since(start))
+	}
+}
+
+// traceTransport hands t the session's span when t records events of its
+// own — the chaos harness's endpoints do — so they land in the session's
+// story.
+func (c Config) traceTransport(t link.Transport) {
+	if tt, ok := t.(interface{ SetTrace(*obs.Span) }); ok {
+		tt.SetTrace(c.Trace)
 	}
 }
 
@@ -258,7 +268,8 @@ type offer struct {
 	digest  uint32
 	program string
 	machine string
-	// traceID and spanID carry the initiator's distributed-trace identity.
+	// traceID and spanID carry the initiator's distributed-trace identity;
+	// spanID is 0 when the initiator keeps no span tree.
 	traceID, spanID uint64
 	caps            uint32
 }

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,7 +10,9 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/link"
 	"repro/internal/minic"
 	"repro/internal/obs"
@@ -128,8 +131,8 @@ func TestPhaseHistograms(t *testing.T) {
 
 // TestFlightDumpOnlyOnFailure drives one successful and one failing
 // session against a daemon with a trace directory: only the failure may
-// leave a recording on disk, and the recording must carry the failure
-// classification.
+// leave a dump on disk, and the dumped tree must carry the failure
+// classification and the session's events.
 func TestFlightDumpOnlyOnFailure(t *testing.T) {
 	e := newListEngine(t)
 	reg := NewRegistry()
@@ -156,7 +159,7 @@ func TestFlightDumpOnlyOnFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(entries) != 0 {
-		t.Fatalf("successful session dumped a flight recording: %v", entries)
+		t.Fatalf("successful session left a dump: %v", entries)
 	}
 
 	// An unregistered program digest fails the handshake on the daemon.
@@ -187,15 +190,124 @@ func TestFlightDumpOnlyOnFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := string(raw)
-	for _, want := range []string{obs.FlightSchema, `"outcome"`, "negotiation", "session.offer", "session.reject"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("flight dump missing %q:\n%s", want, body)
+	var dump fleet.Dump
+	if err := json.Unmarshal(raw, &dump); err != nil {
+		t.Fatal(err)
+	}
+	if dump.Schema != fleet.DumpSchema || dump.Outcome != "negotiation" || dump.Tree == nil || name != "flight-"+dump.TraceID+".json" {
+		t.Fatalf("dump %s: schema %q outcome %q trace %q, want %q, negotiation, and the trace in its name",
+			name, dump.Schema, dump.Outcome, dump.TraceID, fleet.DumpSchema)
+	}
+	for _, kind := range []string{"session.offer", "session.reject", "session.classify"} {
+		if len(eventsOf(dump.Tree, kind)) != 1 {
+			t.Errorf("dumped tree lacks one %s event:\n%s", kind, dump.Tree.Tree())
 		}
 	}
 	logMu.Lock()
 	defer logMu.Unlock()
-	if !strings.Contains(logs.String(), "flight recording") {
-		t.Errorf("daemon log missing flight recording:\n%s", logs.String())
+	if !strings.Contains(logs.String(), "session.reject") {
+		t.Errorf("daemon log missing the failed session's tree:\n%s", logs.String())
+	}
+}
+
+// eventsOf returns the events of kind anywhere in the exported tree d, in
+// tree order.
+func eventsOf(d *obs.SpanData, kind string) []obs.EventData {
+	if d == nil {
+		return nil
+	}
+	var out []obs.EventData
+	for _, ev := range d.Events {
+		if ev.Kind == kind {
+			out = append(out, ev)
+		}
+	}
+	for _, c := range d.Children {
+		out = append(out, eventsOf(c, kind)...)
+	}
+	return out
+}
+
+// TestGarbageOfferDumpsByTrace sends an offer that does not parse to each
+// of two daemons that share one dump directory: each session still gets a
+// trace of its own, its journal line names it, and its dump is named by it,
+// so neither daemon's dump overwrites the other's.
+func TestGarbageOfferDumpsByTrace(t *testing.T) {
+	e := newListEngine(t)
+	dir := t.TempDir()
+	var traces []string
+	for _, node := range []string{"a", "b"} {
+		reg := NewRegistry()
+		reg.Add("list", e)
+		var jbuf lockedBuffer
+		j, err := fleet.NewJournal(&jbuf, "", obs.NodeInfo{ID: node})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &Daemon{Registry: reg, Mach: arch.SPARC20, Metrics: obs.NewRegistry(), TraceDir: dir, Journal: j.Logger()}
+		addr, served := daemonFixture(t, d)
+		conn, err := link.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Send([]byte("not an offer"))
+		conn.Recv() // the daemon closes the connection once it has failed the session
+		conn.Close()
+		d.Shutdown()
+		if err := <-served; err != nil {
+			t.Fatal(err)
+		}
+		var rec fleet.Record
+		if err := json.Unmarshal([]byte(jbuf.String()), &rec); err != nil || !rec.Failed() || rec.Trace == "" {
+			t.Fatalf("node %s journal = %q (%v), want one failed record with a trace", node, jbuf.String(), err)
+		}
+		if want := filepath.Join(dir, "flight-"+rec.Trace+".json"); rec.Flight != want {
+			t.Errorf("node %s record names dump %q, want %q", node, rec.Flight, want)
+		}
+		traces = append(traces, rec.Trace)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 || traces[0] == traces[1] {
+		t.Fatalf("dumps %v for traces %v, want one per daemon", entries, traces)
+	}
+}
+
+// TestDaemonChaosDumpNamesInject wraps a daemon's connections with an
+// armed chaos injector, as migd serve -chaos does: the session the fault
+// fails dumps a tree whose events name the injected boundary.
+func TestDaemonChaosDumpNamesInject(t *testing.T) {
+	e := newListEngine(t)
+	reg := NewRegistry()
+	reg.Add("list", e)
+	dir := t.TempDir()
+	spec := chaos.Spec{Victim: chaos.VictimDest, Point: chaos.Point{Class: "restored", N: 1, When: chaos.BeforeSend}}
+	d := &Daemon{Registry: reg, Mach: arch.SPARC20, Metrics: obs.NewRegistry(), TraceDir: dir,
+		WrapTransport: func(t link.Transport) link.Transport { return chaos.New(spec).Dest(t) }}
+	addr, served := daemonFixture(t, d)
+	if _, err := migrateTo(t, addr, e, Config{}); err == nil {
+		t.Fatal("migration through a killed destination succeeded")
+	}
+	d.Shutdown()
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	paths, _ := filepath.Glob(filepath.Join(dir, "flight-*.json"))
+	if len(paths) != 1 {
+		t.Fatalf("dumps = %v, want one", paths)
+	}
+	raw, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump fleet.Dump
+	if err := json.Unmarshal(raw, &dump); err != nil {
+		t.Fatal(err)
+	}
+	evs := eventsOf(dump.Tree, "chaos.inject")
+	if len(evs) != 1 || !strings.Contains(evs[0].Detail, spec.Point.String()) || !strings.Contains(evs[0].Detail, "dest") {
+		t.Errorf("chaos.inject events %+v, want one naming dest at %s:\n%s", evs, spec.Point, dump.Tree.Tree())
 	}
 }

@@ -248,27 +248,20 @@ func TestWarmSharedStoreTransfers(t *testing.T) {
 func TestWarmTransferKeepsNoShell(t *testing.T) {
 	e := newMutatingEngine(t, 1<<30)
 	p := stoppedLive(t, e, arch.DEC5000)
-	forked := func(rec *obs.FlightRecorder) bool {
-		for _, ev := range rec.Events() {
-			if ev.Kind == "session.keep" {
-				return true
-			}
-		}
-		return false
-	}
-	rec := obs.NewFlightRecorder(0)
-	q, res, err := Transfer(e, "shards", p, arch.SPARC20, Config{Store: openTestStore(t), Recorder: rec})
+	forked := func(span *obs.Span) bool { return len(eventsOf(span.Export(), "session.keep")) > 0 }
+	span := obs.NewTracer().Start("session")
+	q, res, err := Transfer(e, "shards", p, arch.SPARC20, Config{Store: openTestStore(t), Trace: span})
 	if err != nil || res.Warm == nil {
 		t.Fatalf("Transfer: warm %v, %v", res.Warm, err)
 	}
 	sameState(t, p, q)
-	if forked(rec) {
+	if forked(span) {
 		t.Error("a warm Transfer forked its restore shell")
 	}
-	kept := Config{Store: openTestStore(t), Recorder: obs.NewFlightRecorder(0)}
+	kept := Config{Store: openTestStore(t), Trace: obs.NewTracer().Start("session")}
 	_, _, q = transferWith(t, e, "shards", p, arch.SPARC20, Config{Store: openTestStore(t)}, kept)
 	sameState(t, p, q)
-	if !forked(kept.Recorder) {
+	if !forked(kept.Trace) {
 		t.Error("a warm session through a lasting registry kept no fork")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -267,20 +268,24 @@ func (ix *index) file(r rec, ok, bad bool) {
 }
 
 // appendLocked appends a record of body filed under h and, unless it
-// is a ref, enters it in the index. A failed write is cut back off, so
-// the pack still ends on a whole record.
+// is a ref, enters it in the index. The header, the body and the trailer
+// are written from where they lie, so the body is never copied. A failed
+// write is cut back off, so the pack still ends on a whole record.
 func (s *Store) appendLocked(kind uint32, h Hash, body []byte, seq uint64) error {
-	b := binary.BigEndian.AppendUint32(make([]byte, 0, headerSize+len(body)+trailerSize), kind)
-	b = binary.BigEndian.AppendUint32(append(b, h[:]...), uint32(len(body)))
-	b = append(b, body...)
-	b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	if _, err := s.pack.WriteAt(b, s.size); err != nil {
-		return errors.Join(err, s.pack.Truncate(s.size))
+	var b [headerSize + trailerSize]byte // the header, then the trailer
+	binary.BigEndian.PutUint32(b[:], kind)
+	binary.BigEndian.PutUint32(b[4+copy(b[4:], h[:]):], uint32(len(body)))
+	binary.BigEndian.PutUint32(b[headerSize:], crc32.Update(crc32.ChecksumIEEE(b[:headerSize]), crc32.IEEETable, body))
+	w := io.NewOffsetWriter(s.pack, s.size)
+	for _, p := range [][]byte{b[:headerSize], body, b[headerSize:]} {
+		if _, err := w.Write(p); err != nil {
+			return errors.Join(err, s.pack.Truncate(s.size))
+		}
 	}
 	s.ixmu.Lock()
 	s.file(rec{kind: kind, h: h, at: loc{off: s.size + headerSize, n: uint32(len(body)), seq: seq}}, kind != kindRef, false)
 	s.ixmu.Unlock()
-	s.size += int64(len(b))
+	s.size += headerSize + int64(len(body)) + trailerSize
 	return nil
 }
 

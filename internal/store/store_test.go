@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -405,5 +406,34 @@ func TestBeginCheckpointFailures(t *testing.T) {
 	}
 	if m.Parent != h1 {
 		t.Errorf("checkpoint after the failure chains onto %s, want %s", m.Parent.Short(), h1.Short())
+	}
+}
+
+// TestAppendCopiesNoBody: an append writes the record's header, body and
+// trailer from where each lies, so appending a 1 MiB blob allocates less
+// than 64 KiB, and the record reads back whole.
+func TestAppendCopiesNoBody(t *testing.T) {
+	s := openTest(t)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	putMiB := func(fill byte) (Hash, []byte, uint64) {
+		body := bytes.Repeat([]byte{fill}, 1<<20)
+		h := HashBytes(body)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := s.appendLocked(kindBlob, h, body, 0)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h, body, after.TotalAlloc - before.TotalAlloc
+	}
+	putMiB(1) // the index's first entries
+	h, body, alloc := putMiB(2)
+	if alloc >= 64<<10 {
+		t.Errorf("appending a 1 MiB blob allocated %d bytes, want < 64 KiB", alloc)
+	}
+	if got, err := s.GetBlob(h); err != nil || !bytes.Equal(got, body) {
+		t.Errorf("GetBlob = %d bytes, %v; want the appended body", len(got), err)
 	}
 }

@@ -17,8 +17,7 @@ import (
 // disagrees with what arrived ends the transfer with an error naming the
 // chunk.
 type Reader struct {
-	cfg Config
-	t   link.Transport
+	t link.Transport
 
 	nextSeq uint32
 	bytes   int64
@@ -26,15 +25,15 @@ type Reader struct {
 	frames  [][]byte // the DATA frames Next handed out, for Recycle
 }
 
-// NewReader starts receiving a streamed transfer from t.
-func NewReader(t link.Transport, cfg Config) *Reader {
-	return &Reader{cfg: cfg, t: t}
+// NewReader starts receiving a streamed transfer from t. A Reader takes
+// chunks of any size, so no field of the Config tunes it.
+func NewReader(t link.Transport, _ Config) *Reader {
+	return &Reader{t: t}
 }
 
-// reject records why the stream was refused and returns the error, naming
-// the chunk it was refused at.
+// reject returns why the stream was refused, naming the chunk it was
+// refused at; the session records the error in its story.
 func (r *Reader) reject(err error) error {
-	r.cfg.Recorder.Record("stream.reject", "at chunk %d: %v", r.nextSeq, err)
 	return fmt.Errorf("stream: at chunk %d: %w", r.nextSeq, err)
 }
 

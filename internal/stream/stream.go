@@ -45,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/wire"
 	"repro/internal/xdr"
 )
@@ -66,10 +65,6 @@ type Config struct {
 	// is how the Writer cuts its stream; a Reader takes chunks of any
 	// size.
 	ChunkSize int
-	// Recorder, when set, receives a structured flight-recorder event for
-	// every chunk or stream the Reader rejects, so a failed migration can
-	// be reconstructed after the fact. Nil disables.
-	Recorder *obs.FlightRecorder
 }
 
 func (c Config) withDefaults() Config {

@@ -334,7 +334,7 @@ func (p *Process) NewRestore() *Restore {
 	p.discardCapture()
 	span := p.Obs.Child("restore")
 	span.SetAttr("format", "sectioned")
-	r := &Restore{p: p, span: span, size: 8, heap: p.forked.heap, bySum: p.forked.bySum}
+	r := &Restore{p: p, span: span, size: snapshot.PrologueSize, heap: p.forked.heap, bySum: p.forked.bySum}
 	p.forked = Restore{}
 	return r
 }
@@ -426,7 +426,7 @@ func (r *Restore) place(kind snapshot.Kind, id uint32, dec *xdr.Decoder) error {
 	case snapshot.KindExec:
 		var fns []*minic.FuncSymbol
 		if fns, r.sites, err = r.exec(dec); err == nil {
-			r.size += 16 + (dec.Offset()+3)&^3
+			r.size += snapshot.SectionSize(dec.Offset())
 			if err = p.pushFrames(fns); err == nil {
 				r.roots = p.liveRoots(r.sites)
 			}
@@ -607,7 +607,7 @@ func (r *Restore) applyHeap(c *held, sec snapshot.Section, early bool) error {
 // statistics, what it frames to, and a child of the restore span.
 func (r *Restore) booked(kind snapshot.Kind, id uint32, n int, rs collect.RestoreStats, elapsed time.Duration) {
 	r.stats.Add(rs)
-	r.size += 16 + (n+3)&^3
+	r.size += snapshot.SectionSize(n)
 	c := r.span.Child("section")
 	c.SetSection(kind.String(), id)
 	c.SetBytes(int64(n))
