@@ -42,11 +42,11 @@
 // Every session, on either side, records one story: its span tree, whose
 // spans time its phases and carry its events (offer, accept, rounds,
 // commit, an injected fault, the failure, the rollback). The daemon logs
-// a failed session's tree (every session's with -trace), writes one
-// journal record per session (-journal-dir keeps them in
-// journal-<node-id>.jsonl) and, with -trace-dir, dumps a failed session's
-// tree as flight-<trace>.json; the record names the dump. A failed source
-// prints its own tree before it rolls back. migtop reads both:
+// a failed session's tree (every session's with -trace) and writes one
+// journal record per session on stderr (-journal-dir also appends it to
+// journal-<node-id>.jsonl); a failed session's record carries its tree. A
+// failed source prints its own tree before it rolls back. migtop reads the
+// journals:
 //
 //	migtop -journals DIR[,DIR...]
 //	migtop explain -journals DIR[,DIR...] TRACE-ID
@@ -91,7 +91,6 @@ type options struct {
 	sessionTimeout time.Duration
 	pprofAddr      string
 	trace          bool
-	traceDir       string
 	journalDir     string
 	nodeID         string
 	store          *store.Store
@@ -147,8 +146,7 @@ func main() {
 	sessionTimeout := fs.Duration("session-timeout", 2*time.Minute, "per-session wall-time bound, handshake through restoration and commit (0 disables)")
 	pprofAddr := fs.String("pprof", "", "serve: HTTP address for net/http/pprof and the /metrics JSON endpoint (empty disables)")
 	trace := fs.Bool("trace", false, "serve: log every session's span tree, not only a failed one's")
-	traceDir := fs.String("trace-dir", "", "serve: dump a failed session's span tree into this directory as flight-<traceID>.json (empty disables)")
-	journalDir := fs.String("journal-dir", "", "serve: also append the structured session journal (JSONL) to journal-<nodeID>.jsonl in this directory")
+	journalDir := fs.String("journal-dir", "", "serve: also append the session journal (JSONL, one record per session, a failed one's with its span tree) to journal-<nodeID>.jsonl in this directory")
 	nodeID := fs.String("node-id", "", "serve: override the minted node identity on /metrics and in the journal")
 	storeDir := fs.String("store", "", "checkpoint store directory enabling warm (dedup'd) transfers with store-equipped peers (empty disables)")
 	live := fs.Bool("live", false, "offer the live pre-copy path: overlap execution with the transfer, pausing only for the final delta round (falls back when the peer lacks -live)")
@@ -181,7 +179,6 @@ func main() {
 		sessionTimeout: *sessionTimeout,
 		pprofAddr:      *pprofAddr,
 		trace:          *trace,
-		traceDir:       *traceDir,
 		journalDir:     *journalDir,
 		nodeID:         *nodeID,
 		live:           *live,
@@ -211,7 +208,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   migd serve -addr HOST:PORT -machine NAME -program FILE [-program FILE ...]
              [-max-concurrent N] [-session-timeout D]
-             [-pprof HOST:PORT] [-trace] [-trace-dir DIR] [-store DIR]
+             [-pprof HOST:PORT] [-trace] [-store DIR]
              [-journal-dir DIR] [-node-id ID]
              [-live] [-chaos SPEC]
   migd run   -addr HOST:PORT -machine NAME -program FILE -after-polls N
@@ -318,9 +315,9 @@ func serve(engines []namedEngine, m *arch.Machine, o options) {
 	}
 	node.Store = o.store
 
-	// The structured session journal: one JSON record per session on
-	// stderr, plus — with -journal-dir — an append-only JSONL file that
-	// survives the process and that migtop reads.
+	// The session journal: one JSON record per session on stderr, plus —
+	// with -journal-dir — an append-only JSONL file that survives the
+	// process and that migtop reads.
 	journal, err := fleet.NewJournal(os.Stderr, o.journalDir, node.Info)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "migd:", err)
@@ -331,13 +328,6 @@ func serve(engines []namedEngine, m *arch.Machine, o options) {
 		fmt.Printf("[migd %s] session journal at %s\n", m.Name, journal.Path())
 	}
 
-	// The journal record names the dump by this path, so make it absolute:
-	// migtop explain then finds the dump from any working directory.
-	traceDir := o.traceDir
-	if abs, err := filepath.Abs(traceDir); traceDir != "" && err == nil {
-		traceDir = abs
-	}
-
 	d := &session.Daemon{
 		Registry:      reg,
 		Mach:          m,
@@ -345,8 +335,7 @@ func serve(engines []namedEngine, m *arch.Machine, o options) {
 		MaxConcurrent: o.maxConcurrent,
 		Timeout:       o.sessionTimeout,
 		Trace:         o.trace,
-		TraceDir:      traceDir,
-		Journal:       journal.Logger(),
+		Journal:       journal,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "[migd %s] %s\n", m.Name, fmt.Sprintf(format, args...))
 		},
@@ -390,7 +379,7 @@ func serve(engines []namedEngine, m *arch.Machine, o options) {
 	if o.chaos != nil {
 		// Every accepted session gets its own armed injector wrapping its
 		// transport; the fault, when it fires, is a chaos.inject event in
-		// that session's tree, logged and dumped with it.
+		// that session's tree, logged and journalled with it.
 		spec := *o.chaos
 		d.WrapTransport = func(t link.Transport) link.Transport { return chaos.New(spec).Dest(t) }
 		fmt.Printf("[migd %s] CHAOS armed: %s\n", m.Name, spec)

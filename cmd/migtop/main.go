@@ -1,16 +1,15 @@
 // migtop reads what the migd daemons already write: their session
-// journals (migd serve -journal-dir) and the dump a failed session leaves
-// (-trace-dir): its span tree, flight-<trace>.json. One journal line is
-// one session's record.
+// journals (migd serve -journal-dir). One journal line is one session's
+// record, and a failed session's record carries its span tree.
 //
 // The fleet table — one row per node (sessions restored and failed,
 // bytes, p50 and p99 of the sessions' wall times), failures by class,
-// and every failed session with its trace ID and dump:
+// and every failed session with its trace ID:
 //
 //	migtop -journals DIR[,DIR...] [-json]
 //
-// One failed session's story — its journal record, then the span tree
-// its dump holds, each phase with its duration and its events:
+// One failed session's story — its journal record, then its span tree,
+// each phase with its duration and its events:
 //
 //	migtop explain -journals DIR[,DIR...] TRACE-ID
 //
@@ -90,19 +89,18 @@ func printSummary(s fleet.Summary) {
 		fmt.Println("failures:", strings.Join(classes, "  "))
 	}
 	for _, r := range s.Failures {
-		fmt.Printf("failed: trace=%s node=%s session=%d class=%s flight=%s\n",
-			orDash(r.Trace), r.Node, r.Session, r.FailClass, orDash(r.Flight))
+		fmt.Printf("failed: trace=%s node=%s session=%d class=%s\n", orDash(r.Trace), r.Node, r.Session, r.FailClass)
 	}
 	if s.Torn > 0 {
 		fmt.Printf("torn: %d journal line(s) cut off mid-append, skipped\n", s.Torn)
 	}
 }
 
-// printStory prints one session's journal record and the tree its dump
-// holds.
+// printStory prints one session's journal record and, for a failed
+// session, the span tree it carries.
 func printStory(dirs []string, trace string) error {
-	r, dump, err := fleet.Explain(dirs, trace)
-	if r.Msg == "" {
+	r, err := fleet.Explain(dirs, trace)
+	if err != nil {
 		return err
 	}
 	fmt.Printf("trace    %s\n", r.Trace)
@@ -112,14 +110,9 @@ func printStory(dirs []string, trace string) error {
 	if r.Failed() {
 		fmt.Printf("class    %s\nerror    %s\n", r.FailClass, r.Error)
 	}
-	if err != nil {
-		return err
+	if r.Tree != nil {
+		fmt.Print(r.Tree.Tree())
 	}
-	if dump == nil {
-		fmt.Println("flight   none (the session did not fail, or its daemon ran without -trace-dir)")
-		return nil
-	}
-	fmt.Printf("flight   %s\n%s", r.Flight, dump.Tree.Tree())
 	return nil
 }
 

@@ -34,8 +34,10 @@
 //	// run the session over srcT/dstT; exactly one party survives
 //
 // A session run over a wrapped endpoint hands it its span (SetTrace), so
-// the fault, when it fires, is a "chaos.inject" event in that session's
-// story naming the boundary and the victim.
+// the fault, when it fires, is a "chaos.inject" event naming the boundary
+// and the victim in the story of the session whose end hit it: the
+// sender's for a before-send boundary, the receiver's for an after-recv
+// one.
 //
 // A nil-spec injector (chaos.NewRecordOnly) observes without killing and
 // yields the ordered frame trace; Points derives every legal injection
@@ -181,9 +183,6 @@ type Event struct {
 // at most one fault. Zero-valued fields are fine; use New or
 // NewRecordOnly.
 type Injector struct {
-	// span is the last span an endpoint's session handed over (SetTrace).
-	span atomic.Pointer[obs.Span]
-
 	mu     sync.Mutex
 	spec   Spec
 	armed  bool
@@ -238,12 +237,13 @@ func (in *Injector) wrap(t link.Transport, fromSource bool) link.Transport {
 	return &end{in: in, t: t, isSource: fromSource}
 }
 
-// fire kills the victim: records the boundary, then closes every wrapped
-// endpoint's underlying transport so both parties observe the death.
-// Callers hold in.mu.
-func (in *Injector) fire() {
+// fire kills the victim: records the boundary in the span of the end
+// whose Send or Recv hit it, then closes every wrapped endpoint's
+// underlying transport so both parties observe the death. Callers hold
+// in.mu.
+func (in *Injector) fire(span *obs.Span) {
 	in.fired = true
-	in.span.Load().Event("chaos.inject", "killed %s at boundary %s", in.spec.Victim, in.spec.Point)
+	span.Event("chaos.inject", "killed %s at boundary %s", in.spec.Victim, in.spec.Point)
 	for _, c := range in.closer {
 		c()
 	}
@@ -258,6 +258,8 @@ type end struct {
 	in       *Injector
 	t        link.Transport
 	isSource bool
+	// span is the span of the session run over this end (SetTrace).
+	span atomic.Pointer[obs.Span]
 }
 
 func (e *end) Send(payload []byte) error {
@@ -271,7 +273,7 @@ func (e *end) Send(payload []byte) error {
 	in.sent[c]++
 	if in.armed && in.spec.Point.When == BeforeSend &&
 		c == in.spec.Point.Class && in.sent[c] == in.spec.Point.N {
-		in.fire()
+		in.fire(e.span.Load())
 		in.mu.Unlock()
 		return in.injectedErr()
 	}
@@ -300,7 +302,7 @@ func (e *end) Recv() ([]byte, error) {
 	if in.armed && !in.fired && in.spec.Point.When == AfterRecv &&
 		c == in.spec.Point.Class && in.recvd[c] == in.spec.Point.N {
 		// Deliver this frame, then kill: the boundary sits after it.
-		in.fire()
+		in.fire(e.span.Load())
 	}
 	in.mu.Unlock()
 	return payload, nil
@@ -308,9 +310,9 @@ func (e *end) Recv() ([]byte, error) {
 
 func (e *end) Close() error { return e.t.Close() }
 
-// SetTrace takes the span of the session run over this endpoint: the
-// injector records its fault there, in the last one handed over.
-func (e *end) SetTrace(s *obs.Span) { e.in.span.Store(s) }
+// SetTrace takes the span of the session run over this endpoint: a fault
+// this end's Send or Recv fires is recorded there.
+func (e *end) SetTrace(s *obs.Span) { e.span.Store(s) }
 
 // Points derives every legal injection point from a recorded trace: each
 // delivered frame yields the boundary before its send and the boundary

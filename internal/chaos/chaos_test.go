@@ -177,24 +177,30 @@ func TestInjectorAfterRecv(t *testing.T) {
 }
 
 func TestInjectorRecordsBoundary(t *testing.T) {
-	span := obs.NewTracer().Start("session")
 	inj := New(Spec{Victim: VictimLink, Point: Point{Class: "accept", N: 1, When: AfterRecv}})
 	a, b := link.Pipe()
 	defer a.Close()
 	defer b.Close()
 	src, dst := inj.Source(a), inj.Dest(b)
-	// The session run over an endpoint hands it its span.
-	dst.(interface{ SetTrace(*obs.Span) }).SetTrace(span)
+	// The session run over each endpoint hands it its span. The source
+	// receives the ACCEPT, so its Recv hits the boundary and its span
+	// records the fault.
+	srcSpan, dstSpan := obs.NewTracer().Start("migration"), obs.NewTracer().Start("session")
+	src.(interface{ SetTrace(*obs.Span) }).SetTrace(srcSpan)
+	dst.(interface{ SetTrace(*obs.Span) }).SetTrace(dstSpan)
 	pump(src, dst, testScript())
 	var found bool
-	for _, ev := range span.Export().Events {
+	for _, ev := range srcSpan.Export().Events {
 		if ev.Kind == "chaos.inject" && strings.Contains(ev.Detail, "accept:1/after-recv") &&
 			strings.Contains(ev.Detail, "link") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("the session's span lacks the fault's boundary:\n%s", span.Export().Tree())
+		t.Errorf("the receiving session's span lacks the fault's boundary:\n%s", srcSpan.Export().Tree())
+	}
+	if evs := dstSpan.Export().Events; len(evs) != 0 {
+		t.Errorf("the sending session's span records the fault too: %+v", evs)
 	}
 }
 

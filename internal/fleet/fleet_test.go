@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -120,8 +121,14 @@ func TestJournalWritesJSONLAndStderrSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Logger().Info("session.restored", "session", 1, "how", "warm", "bytes", 4096)
-	j.Logger().Error("session.failed", "session", 2, "fail_class", "transport")
+	for _, r := range []fleet.Record{
+		{Msg: "session.restored", Session: 1, How: "warm", Bytes: 4096},
+		{Msg: "session.failed", Session: 2, FailClass: "transport"},
+	} {
+		if err := j.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +146,11 @@ func TestJournalWritesJSONLAndStderrSink(t *testing.T) {
 		if err := json.Unmarshal(scan.Bytes(), &rec); err != nil {
 			t.Fatalf("line %d not JSON: %v", lines, err)
 		}
-		if rec["node"] != "nodetest-0001" {
-			t.Errorf("record missing node attr: %v", rec)
+		if rec["node"] != "nodetest-0001" || rec["time"] == nil {
+			t.Errorf("record missing node or time: %v", rec)
+		}
+		if _, ok := rec["level"]; ok {
+			t.Errorf("record carries a level: %v", rec)
 		}
 	}
 	if lines != 2 {
@@ -150,21 +160,24 @@ func TestJournalWritesJSONLAndStderrSink(t *testing.T) {
 		t.Errorf("stderr sink missing record: %s", errSink.String())
 	}
 
-	// Discarding journal (no sinks) still hands out a usable logger.
+	// A journal with no sinks discards, and a nil one writes nothing.
 	quiet, err := fleet.NewJournal(nil, "", node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiet.Logger().Info("noop")
-	if quiet.Path() != "" {
-		t.Errorf("quiet journal path = %q", quiet.Path())
+	if err := quiet.Write(fleet.Record{Msg: "noop"}); err != nil || quiet.Path() != "" {
+		t.Errorf("quiet journal: write %v, path %q", err, quiet.Path())
+	}
+	var none *fleet.Journal
+	if err := none.Write(fleet.Record{Msg: "noop"}); err != nil {
+		t.Errorf("nil journal write = %v", err)
 	}
 }
 
 // TestReadJournals reads two nodes' journal directories, one of them
 // ending in a line cut off mid-append, and folds them into the table
-// migtop prints. The lines are written with Record.Log, the daemon's
-// writer, so a failed record reads back field for field.
+// migtop prints. The lines are written with Journal.Write, the daemon's
+// writer, so a failed record reads back field for field, tree and all.
 func TestReadJournals(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	write := func(dir, node string, recs ...fleet.Record) string {
@@ -173,7 +186,9 @@ func TestReadJournals(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range recs {
-			r.Log(j.Logger())
+			if err := j.Write(r); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
@@ -186,7 +201,8 @@ func TestReadJournals(t *testing.T) {
 	write(dirA, "a", restored(1, 1000, 400), restored(2, 1000, 100), restored(3, 1000, 300), restored(4, 1000, 200))
 	failed := fleet.Record{Msg: "session.failed", Node: "b", Session: 2, Program: "prog", Peer: "dec5000",
 		How: "live, pushed", ElapsedUS: 90, RestoreUS: 12, Trace: "00ab", FailClass: "peer-rollback",
-		Error: "peer rolled back", Flight: "d/flight-00ab.json", PrecopyRounds: 3}
+		Error: "peer rolled back", PrecopyRounds: 3, Tree: &obs.SpanData{Name: "session", DurUS: 90,
+			Events: []obs.EventData{{AtUS: 80, Kind: "session.fail", Detail: "peer rolled back"}}}}
 	pathB := write(dirB, "b", restored(1, 7, 50), failed)
 	f, err := os.OpenFile(pathB, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
@@ -213,7 +229,7 @@ func TestReadJournals(t *testing.T) {
 	if len(s.Failures) == 1 {
 		s.Failures[0].Time = time.Time{}
 	}
-	if s.FailClasses["peer-rollback"] != 1 || len(s.Failures) != 1 || s.Failures[0] != failed {
+	if s.FailClasses["peer-rollback"] != 1 || len(s.Failures) != 1 || !reflect.DeepEqual(s.Failures[0], failed) {
 		t.Errorf("failures = %v %+v, want %+v", s.FailClasses, s.Failures, failed)
 	}
 
@@ -234,6 +250,59 @@ func TestReadJournals(t *testing.T) {
 	}
 	if _, _, err := fleet.ReadJournals([]string{t.TempDir()}); err == nil {
 		t.Error("a directory without a journal read as an empty fleet")
+	}
+}
+
+// TestJournalCarriesFailedTree writes a failed session's record, span
+// tree and all, and a restored one's to a journal file and reads both back:
+// the failed record's tree renders exactly as the session's own exported
+// tree did, and the restored line has no tree key at all.
+func TestJournalCarriesFailedTree(t *testing.T) {
+	root := obs.NewTracer().Start("session")
+	root.SetAttr("outcome", "transport")
+	root.Event("session.offer", "program %q digest %08x", "prog", 0xabc)
+	restore := root.Child("restore")
+	sec := restore.Child("section")
+	sec.SetSection("heap", 0)
+	sec.SetBytes(1232)
+	sec.End()
+	restore.Event("session.fail", "receive/restore: %v", io.ErrUnexpectedEOF)
+	restore.End()
+	root.End()
+	tree := root.Export()
+
+	dir := t.TempDir()
+	j, err := fleet.NewJournal(nil, dir, obs.NodeInfo{ID: "n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Write(fleet.Record{Msg: "session.restored", Session: 1, Bytes: 10})
+	j.Write(fleet.Record{Msg: "session.failed", Session: 2, Trace: "00cd", FailClass: "transport", Tree: tree})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := fleet.ReadJournals([]string{dir})
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("read back %d records: %v", len(recs), err)
+	}
+	failed := recs[1]
+	if !failed.Failed() || failed.Tree == nil {
+		t.Fatalf("failed record = %+v, want its tree", failed)
+	}
+	if got, want := failed.Tree.Tree(), tree.Tree(); got != want {
+		t.Errorf("tree read back renders\n%s\nwant\n%s", got, want)
+	}
+	raw, err := os.ReadFile(j.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restoredLine, _, _ := bytes.Cut(raw, []byte("\n"))
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(restoredLine, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys["tree"]; ok || recs[0].Tree != nil {
+		t.Errorf("restored record carries a tree: %s", restoredLine)
 	}
 }
 
@@ -267,7 +336,7 @@ func TestDaemonAccountingExact(t *testing.T) {
 	reg.Add("prog", e)
 	d := &session.Daemon{
 		Registry: reg, Mach: arch.SPARC20, Metrics: metrics, MaxConcurrent: 4,
-		Journal:      journal.Logger(),
+		Journal:      journal,
 		OnSessionEnd: func(session.Info, time.Duration, error) { ended <- struct{}{} },
 	}
 	l, err := link.Listen("127.0.0.1:0")
@@ -418,7 +487,12 @@ func TestDaemonAccountingExact(t *testing.T) {
 	if s.Nodes[0].Bytes != bytesRestored || bytesRestored != counters["session.bytes"] {
 		t.Errorf("bytes = %d, records sum %d, session.bytes %d", s.Nodes[0].Bytes, bytesRestored, counters["session.bytes"])
 	}
-	if len(s.Failures) != 1 || s.FailClasses["negotiation"] != 1 || s.Failures[0].FailClass != "negotiation" {
-		t.Errorf("failures = %v %+v, want one negotiation failure", s.FailClasses, s.Failures)
+	if len(s.Failures) != 1 || s.FailClasses["negotiation"] != 1 || s.Failures[0].FailClass != "negotiation" || s.Failures[0].Tree == nil {
+		t.Errorf("failures = %v %+v, want one negotiation failure with its tree", s.FailClasses, s.Failures)
+	}
+	for _, r := range recs {
+		if !r.Failed() && r.Tree != nil {
+			t.Errorf("restored session %d carries a tree", r.Session)
+		}
 	}
 }

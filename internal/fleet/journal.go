@@ -2,41 +2,40 @@ package fleet
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// Journal is the structured session log: one JSON record (slog) per
-// session, written to w — migd's stderr — and, when dir is set, appended
-// to journal-<nodeID>.jsonl there so post-mortems survive the process.
-// Every record carries the node ID; the daemon adds session ID, trace
-// ID, peer, transfer shape, fail class, bytes, and durations, so a
-// failed session's journal line and its dump cross-reference by trace
-// ID. ReadJournals reads the files back.
+// Journal is the session log: one JSON line per session, written to w
+// — migd's stderr — and, when dir is set, appended to
+// journal-<nodeID>.jsonl there so post-mortems survive the process. Each
+// line is a Record, stamped with the time and the node ID; ReadJournals
+// reads the files back.
 type Journal struct {
-	logger *slog.Logger
-	file   *os.File
-	path   string
+	mu   sync.Mutex
+	w    io.Writer
+	file *os.File
+	path string
+	node string
 }
 
 // NewJournal opens the journal. Either sink may be absent: w nil means
 // file-only, dir empty means stderr-only; both absent yields a journal
-// that discards (its Logger is still non-nil, so callers don't branch).
-// Reopening a file that ends in a torn line drops that line first.
+// that discards. Reopening a file that ends in a torn line drops that
+// line first.
 func NewJournal(w io.Writer, dir string, node obs.NodeInfo) (*Journal, error) {
-	j := &Journal{}
+	j := &Journal{w: io.Discard, node: node.ID}
 	var sinks []io.Writer
 	if w != nil {
 		sinks = append(sinks, w)
@@ -59,14 +58,9 @@ func NewJournal(w io.Writer, dir string, node obs.NodeInfo) (*Journal, error) {
 		j.file = f
 		sinks = append(sinks, f)
 	}
-	var out io.Writer = io.Discard
-	if len(sinks) == 1 {
-		out = sinks[0]
-	} else if len(sinks) > 1 {
-		out = io.MultiWriter(sinks...)
+	if len(sinks) > 0 {
+		j.w = io.MultiWriter(sinks...)
 	}
-	h := slog.NewJSONHandler(out, nil)
-	j.logger = slog.New(h).With("node", node.ID)
 	return j, nil
 }
 
@@ -90,15 +84,6 @@ func dropTornTail(f *os.File) error {
 	return f.Truncate(int64(bytes.LastIndexByte(b, '\n') + 1))
 }
 
-// Logger returns the slog logger the daemon writes records through
-// (nil on a nil journal, which the daemon treats as journaling off).
-func (j *Journal) Logger() *slog.Logger {
-	if j == nil {
-		return nil
-	}
-	return j.logger
-}
-
 // Path returns the JSONL file path, or "" for a stderr-only journal.
 func (j *Journal) Path() string {
 	if j == nil {
@@ -116,9 +101,8 @@ func (j *Journal) Close() error {
 }
 
 // Record is one end-of-session journal line: msg "session.restored" or
-// "session.failed". The daemon writes it with Log and migtop reads it
-// back with ReadJournals, so its JSON tags and Log's keys are the one
-// definition of the line's format.
+// "session.failed". Journal.Write encodes it and ReadJournals decodes it,
+// so its JSON tags are the one definition of the line's format.
 type Record struct {
 	Time      time.Time `json:"time"`
 	Msg       string    `json:"msg"`
@@ -133,42 +117,30 @@ type Record struct {
 	Trace     string    `json:"trace,omitempty"`
 	FailClass string    `json:"fail_class,omitempty"`
 	Error     string    `json:"error,omitempty"`
-	Flight    string    `json:"flight,omitempty"`
 	// PrecopyRounds is a live session's number of pre-copy rounds.
 	PrecopyRounds int `json:"precopy_rounds,omitempty"`
+	// Tree is a failed session's exported span tree: its phases with
+	// their durations, and its events. A restored session's record has
+	// none.
+	Tree *obs.SpanData `json:"tree,omitempty"`
 }
 
-// Log writes r as one journal line through l, at error level when it is
-// a failure. Time and node come from l: slog stamps the one, and the
-// Journal's logger carries the other.
-func (r Record) Log(l *slog.Logger) {
-	attrs := []slog.Attr{
-		slog.Uint64("session", r.Session),
-		slog.String("program", r.Program),
-		slog.String("peer", r.Peer),
-		slog.String("how", r.How),
-		slog.Int64("bytes", r.Bytes),
-		slog.Int64("elapsed_us", r.ElapsedUS),
-		slog.Int64("restore_us", r.RestoreUS),
+// Write appends r to the journal as one line, stamped with the time and
+// the journal's node. Safe for concurrent use; a nil journal writes
+// nothing.
+func (j *Journal) Write(r Record) error {
+	if j == nil {
+		return nil
 	}
-	for _, a := range []slog.Attr{
-		slog.String("trace", r.Trace),
-		slog.String("fail_class", r.FailClass),
-		slog.String("error", r.Error),
-		slog.String("flight", r.Flight),
-	} {
-		if a.Value.String() != "" {
-			attrs = append(attrs, a)
-		}
+	r.Time, r.Node = time.Now(), j.node
+	b, err := json.Marshal(r)
+	if err != nil {
+		return err
 	}
-	if r.PrecopyRounds != 0 {
-		attrs = append(attrs, slog.Int("precopy_rounds", r.PrecopyRounds))
-	}
-	level := slog.LevelInfo
-	if r.Failed() {
-		level = slog.LevelError
-	}
-	l.LogAttrs(context.Background(), level, r.Msg, attrs...)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	_, err = j.w.Write(append(b, '\n'))
+	return err
 }
 
 // Failed reports whether the record is a failed session's.
@@ -274,47 +246,16 @@ func nearestRank(sorted []int64, q float64) int64 {
 // ErrNoRecord is Explain's error when no journal record has the trace ID.
 var ErrNoRecord = errors.New("fleet: no journal record has that trace ID")
 
-// DumpSchema names the JSON schema of a failed session's dump.
-const DumpSchema = "repro-flight/2"
-
-// Dump is what a daemon writes for a failed session, as
-// flight-<trace>.json: the session's exported span tree, whose spans carry
-// its phases' durations and events, and the fields that correlate it with
-// the session's journal record.
-type Dump struct {
-	Schema  string        `json:"schema"`
-	TraceID string        `json:"trace_id"`
-	Session uint64        `json:"session"`
-	Outcome string        `json:"outcome"`
-	Error   string        `json:"error"`
-	Tree    *obs.SpanData `json:"tree"`
-}
-
-// Explain finds the session record with the trace ID in dirs' journals
-// and reads the dump it names (nil when it names none).
-func Explain(dirs []string, trace string) (Record, *Dump, error) {
+// Explain finds the session record with the trace ID in dirs' journals.
+// A failed session's record carries its span tree.
+func Explain(dirs []string, trace string) (Record, error) {
 	recs, _, err := ReadJournals(dirs)
 	if err != nil {
-		return Record{}, nil, err
+		return Record{}, err
 	}
 	i := slices.IndexFunc(recs, func(r Record) bool { return r.Trace == trace })
 	if i < 0 {
-		return Record{}, nil, ErrNoRecord
+		return Record{}, ErrNoRecord
 	}
-	rec := recs[i]
-	if rec.Flight == "" {
-		return rec, nil, nil
-	}
-	b, err := os.ReadFile(rec.Flight)
-	if err != nil {
-		return rec, nil, fmt.Errorf("fleet: dump: %w", err)
-	}
-	var dump Dump
-	if err := json.Unmarshal(b, &dump); err != nil {
-		return rec, nil, fmt.Errorf("fleet: dump %s: %w", rec.Flight, err)
-	}
-	if dump.Schema != DumpSchema || dump.Tree == nil {
-		return rec, nil, fmt.Errorf("fleet: dump %s: schema %q, want %q with a tree", rec.Flight, dump.Schema, DumpSchema)
-	}
-	return rec, &dump, nil
+	return recs[i], nil
 }

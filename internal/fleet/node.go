@@ -1,12 +1,11 @@
 // Package fleet is the telemetry plane above internal/obs: per-node
-// identity and health endpoints, the structured slog session journal,
-// and the reader over the journals and failed-session dumps that migtop
-// prints.
+// identity and health endpoints, the session journal, and the reader over
+// the journals that migtop prints.
 //
 // The split mirrors the rest of the tree: internal/session is mechanism
-// (it writes one journal record per session and dumps a failed one's span
-// tree, and knows nothing about fleets), this package is
-// where migd and migtop wire those mechanisms in.
+// (it hands the journal one record per session, a failed one's with its
+// span tree, and knows nothing about fleets), this package is where migd
+// and migtop wire those mechanisms in.
 package fleet
 
 import (

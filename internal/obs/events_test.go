@@ -59,8 +59,8 @@ func TestSpanEventsExport(t *testing.T) {
 	root := NewTracer().Start("session")
 	root.Event("session.fail", "restore: checksum mismatch")
 	root.End()
-	// The export must round-trip as JSON (a failed session's dump is one)
-	// and render through the one tree layout.
+	// The export must round-trip as JSON (a failed session's journal
+	// record carries one) and render through the one tree layout.
 	b, err := json.Marshal(root.Export())
 	if err != nil {
 		t.Fatalf("marshal: %v", err)

@@ -305,7 +305,7 @@ func (t *Tracer) Tree() string {
 // Tree renders an exported (possibly remote) span tree: each span's
 // duration, bytes and attributes, then its events at their offsets. It is
 // the one tree layout: live spans reach it through Export, and a failed
-// session's dump is read back through it.
+// session's journal record is read back through it.
 func (d *SpanData) Tree() string {
 	var b strings.Builder
 	writeDataTree(&b, d, 0)
@@ -313,13 +313,11 @@ func (d *SpanData) Tree() string {
 }
 
 func writeDataTree(b *strings.Builder, d *SpanData, depth int) {
-	b.WriteString(strings.Repeat("  ", depth))
+	label := d.Name
 	if d.Kind != "" {
-		fmt.Fprintf(b, "%-10s %s #%d", d.Name, d.Kind, d.ID)
-	} else {
-		fmt.Fprintf(b, "%-10s", d.Name)
+		label = fmt.Sprintf("%s %s #%d", d.Name, d.Kind, d.ID)
 	}
-	fmt.Fprintf(b, "  %10.4fms", float64(d.DurUS)/1000)
+	fmt.Fprintf(b, "%s%-18s  %10.4fms", strings.Repeat("  ", depth), label, float64(d.DurUS)/1000)
 	if d.Bytes > 0 {
 		fmt.Fprintf(b, "  %10d B", d.Bytes)
 	}

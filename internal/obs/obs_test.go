@@ -104,7 +104,8 @@ func TestTreeRendering(t *testing.T) {
 	c.End()
 	root.End()
 	tree := tr.Tree()
-	for _, want := range []string{"capture", "encode", "frame #1", "256 B"} {
+	// A section span's label is its name, kind and id, padded as one.
+	for _, want := range []string{"capture", "encode frame #1  ", "256 B"} {
 		if !strings.Contains(tree, want) {
 			t.Fatalf("tree missing %q:\n%s", want, tree)
 		}

@@ -140,8 +140,10 @@ func verifyRestored(t *testing.T, m chaosMode, q *vm.Process) {
 }
 
 // runChaosCell runs one matrix cell: a fresh migration killed at the
-// cell's boundary, then the rollback-or-complete assertion.
-func runChaosCell(t *testing.T, m chaosMode, e *core.Engine, cell chaos.Spec) {
+// cell's boundary, then the rollback-or-complete assertion. srcHits says
+// whether the source's end is the one whose Send or Recv hits the
+// boundary, so whose tree must record the fault.
+func runChaosCell(t *testing.T, m chaosMode, e *core.Engine, cell chaos.Spec, srcHits bool) {
 	t.Helper()
 	inj := chaos.New(cell)
 	srcCfg, dstCfg := m.cfg, m.cfg
@@ -216,17 +218,17 @@ func runChaosCell(t *testing.T, m chaosMode, e *core.Engine, cell chaos.Spec) {
 		}
 	}
 
-	// Every injected fault names its boundary in a session's tree: the
-	// injector records it in the span of the last session that handed it
-	// one, so in one of the two sides' trees here.
-	var recorded bool
-	for _, span := range []*obs.Span{srcCfg.Trace, dstCfg.Trace} {
-		for _, ev := range eventsOf(span.Export(), "chaos.inject") {
-			recorded = recorded || strings.Contains(ev.Detail, cell.Point.String())
-		}
+	// Every injected fault names its boundary in the tree of the side
+	// whose end hit it, and in that tree only.
+	hit, other := dstCfg.Trace, srcCfg.Trace
+	if srcHits {
+		hit, other = other, hit
 	}
-	if !recorded {
-		t.Errorf("neither session tree names boundary %s", cell.Point)
+	if evs := eventsOf(hit.Export(), "chaos.inject"); len(evs) != 1 || !strings.Contains(evs[0].Detail, cell.Point.String()) {
+		t.Errorf("the %s tree's chaos.inject events %+v, want one naming boundary %s", hit.Name(), evs, cell.Point)
+	}
+	if evs := eventsOf(other.Export(), "chaos.inject"); len(evs) != 0 {
+		t.Errorf("the %s tree records the fault too: %+v", other.Name(), evs)
 	}
 }
 
@@ -258,6 +260,12 @@ func TestChaosMatrix(t *testing.T) {
 			}
 			verifyRestored(t, m, q)
 			trace := rec.Trace()
+			// A frame's sender hits its before-send boundary and its
+			// receiver its after-recv one.
+			fromSource := map[chaos.Point]bool{}
+			for _, ev := range trace {
+				fromSource[chaos.Point{Class: ev.Class, N: ev.N}] = ev.FromSource
+			}
 			points := chaos.Points(trace, 3)
 			cells := chaos.Cells(points, chaos.Victims)
 			if len(cells) == 0 {
@@ -268,7 +276,8 @@ func TestChaosMatrix(t *testing.T) {
 				cell := cell
 				t.Run(cellID(cell), func(t *testing.T) {
 					t.Parallel()
-					runChaosCell(t, m, e, cell)
+					sent := fromSource[chaos.Point{Class: cell.Point.Class, N: cell.Point.N}]
+					runChaosCell(t, m, e, cell, sent == (cell.Point.When == chaos.BeforeSend))
 				})
 			}
 		})

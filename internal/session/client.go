@@ -156,7 +156,7 @@ func initiateHandshake(t link.Transport, e *core.Engine, src *arch.Machine, prog
 		spanID:  tc.SpanID,
 		caps:    cfg.caps(),
 	}
-	cfg.Trace.Event("session.offer", "program %q digest %08x trace %s", program, o.digest, tc)
+	cfg.Trace.Event("session.offer", "program %q digest %08x %s", program, o.digest, tc)
 	hsStart := time.Now()
 	hs := cfg.Trace.Child("handshake")
 	defer hs.End()

@@ -1,12 +1,10 @@
 package session
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -191,7 +189,7 @@ func respondHandshake(t link.Transport, reg *Registry, cfg Config) (info Info, e
 	// Adopt the initiator's trace: same trace ID, our own span ID,
 	// parented under the initiator's session span. A session whose offer
 	// is missing, unreadable or names no trace gets a trace of its own, so
-	// its journal record and its dump are found by it all the same.
+	// its journal record is found by it all the same.
 	o := msg.offer
 	info.Trace = obs.NewTraceContext()
 	if o.traceID != 0 {
@@ -203,7 +201,7 @@ func respondHandshake(t link.Transport, reg *Registry, cfg Config) (info Info, e
 		return info, nil, false, err
 	}
 	info.SrcMachine = o.machine
-	cfg.Trace.Event("session.offer", "program %q digest %08x from %s trace %s", o.program, o.digest, o.machine, info.Trace)
+	cfg.Trace.Event("session.offer", "program %q digest %08x from %s %s", o.program, o.digest, o.machine, info.Trace)
 	engine, name, ok := reg.Lookup(o.digest)
 	if !ok {
 		err = fmt.Errorf("%w: digest %08x (program %q) not pre-distributed here", ErrUnknownProgram, o.digest, o.program)
@@ -314,14 +312,12 @@ type Daemon struct {
 	// (session.inflight, session.pool.capacity). Nil selects obs.Default
 	// — the registry /metrics serves.
 	Metrics *obs.Registry
-	// Journal, when set, receives one structured record per completed
-	// session — msg "session.restored" or "session.failed" with session
-	// ID, program, peer, negotiated shape, trace ID, byte and
-	// duration attributes, and (on failure) the fail class and the dump
-	// path. It is the one end-of-session record; nil writes none.
-	// Written concurrently from session workers — slog handlers serialize
-	// internally.
-	Journal *slog.Logger
+	// Journal, when set, receives one fleet.Record per completed session
+	// — msg "session.restored" or "session.failed" with session ID,
+	// program, peer, negotiated shape, trace ID, byte and duration
+	// fields, and on failure the fail class, the error and the session's
+	// span tree. It is the one end-of-session record; nil writes none.
+	Journal *fleet.Journal
 	// OnSessionEnd, when set, is invoked after every session — restored
 	// or failed, before OnRestored runs the process — with the session's
 	// Info, its total wall time, and its error (nil on success): the hook
@@ -333,10 +329,6 @@ type Daemon struct {
 	// session runs under its own span tree either way — its phases and
 	// events are its one story — and a failed one's is always logged.
 	Trace bool
-	// TraceDir, when non-empty, is where failed sessions dump their span
-	// trees as JSON (flight-<traceID>.json, a fleet.Dump); successful
-	// sessions never dump.
-	TraceDir string
 	// WrapTransport, when set, wraps each accepted connection before the
 	// session protocol runs on it — the hook the chaos harness (and any
 	// other transport middleware) injects through. Called concurrently.
@@ -485,52 +477,9 @@ func (d *Daemon) handle(conn *link.Conn) {
 	info, p, err := Respond(t, d.Registry, d.Mach, cfg)
 	info.ID = id
 	elapsed := time.Since(start)
-	reg := d.metrics()
-	reg.Histogram("session.duration").Observe(elapsed)
-	if err != nil {
-		class := ClassifyFailure(err)
-		reg.Counter("session.failed").Inc()
-		reg.Counter("session.fail." + string(class)).Inc()
-		cfg.Trace.Event("session.classify", "%s: %v", class, err)
-		cfg.Trace.SetAttr("outcome", string(class))
-		cfg.Trace.End()
-		tree := cfg.Trace.Export()
-		d.logf("session %d trace:\n%s", id, strings.TrimRight(tree.Tree(), "\n"))
-		dump := d.dump(fleet.Dump{Schema: fleet.DumpSchema, TraceID: obs.IDString(info.Trace.TraceID),
-			Session: id, Outcome: string(class), Error: err.Error(), Tree: tree})
-		d.journalSession(info, elapsed, class, dump, err)
-		if d.OnSessionEnd != nil {
-			d.OnSessionEnd(info, elapsed, err)
-		}
-		return
-	}
-	reg.Counter("session.restored").Inc()
-	reg.Counter("session.bytes").Add(int64(info.Timing.Bytes))
-	cfg.Trace.SetAttr("outcome", "restored")
-	cfg.Trace.End()
-	if d.Trace && d.Logf != nil {
-		d.logf("session %d trace:\n%s", id, strings.TrimRight(cfg.Trace.Export().Tree(), "\n"))
-	}
-	d.journalSession(info, elapsed, "", "", nil)
-	if d.OnSessionEnd != nil {
-		d.OnSessionEnd(info, elapsed, nil)
-	}
-	if d.OnRestored != nil {
-		d.OnRestored(info, p, info.Timing)
-	}
-}
-
-// journalSession writes one fleet.Record for a completed session. The
-// record names the session's trace ID and dump, so one command
-// (migtop explain, through fleet.Explain) goes from the journal line
-// straight to the dump.
-func (d *Daemon) journalSession(info Info, elapsed time.Duration, class FailureClass, dump string, cause error) {
-	if d.Journal == nil {
-		return
-	}
 	rec := fleet.Record{
 		Msg:       "session.restored",
-		Session:   info.ID,
+		Session:   id,
 		Program:   info.Program,
 		Peer:      info.SrcMachine,
 		How:       info.How(),
@@ -544,29 +493,44 @@ func (d *Daemon) journalSession(info Info, elapsed time.Duration, class FailureC
 	if info.Live != nil {
 		rec.PrecopyRounds = len(info.Live.Rounds)
 	}
-	if cause != nil {
-		rec.Msg, rec.FailClass, rec.Error, rec.Flight = "session.failed", string(class), cause.Error(), dump
+	if err != nil {
+		class := ClassifyFailure(err)
+		cfg.Trace.Event("session.classify", "%s: %v", class, err)
+		rec.Msg, rec.FailClass, rec.Error = "session.failed", string(class), err.Error()
 	}
-	rec.Log(d.Journal)
+	cfg.Trace.SetAttr("outcome", cmp.Or(rec.FailClass, "restored"))
+	cfg.Trace.End()
+	// A failed session's tree is always logged and goes in its record; a
+	// successful one's is logged under Trace only, so it costs no export.
+	if err != nil || d.Trace && d.Logf != nil {
+		tree := cfg.Trace.Export()
+		d.logf("session %d trace:\n%s", id, strings.TrimRight(tree.Tree(), "\n"))
+		if err != nil {
+			rec.Tree = tree
+		}
+	}
+	d.observe(rec)
+	if werr := d.Journal.Write(rec); werr != nil {
+		d.logf("session %d: journal: %v", id, werr)
+	}
+	if d.OnSessionEnd != nil {
+		d.OnSessionEnd(info, elapsed, err)
+	}
+	if err == nil && d.OnRestored != nil {
+		d.OnRestored(info, p, info.Timing)
+	}
 }
 
-// dump writes a failed session's story to TraceDir as flight-<trace>.json
-// and returns its path, which the journal record names ("" when nothing
-// was written). Called only on failure, so a successful session pays for
-// its tree in memory only.
-func (d *Daemon) dump(data fleet.Dump) string {
-	if d.TraceDir == "" {
-		return ""
+// observe feeds the daemon's lifecycle counters and its session.duration
+// histogram from a session's record.
+func (d *Daemon) observe(rec fleet.Record) {
+	reg := d.metrics()
+	reg.Histogram("session.duration").Observe(time.Duration(rec.ElapsedUS) * time.Microsecond)
+	if rec.Failed() {
+		reg.Counter("session.failed").Inc()
+		reg.Counter("session.fail." + rec.FailClass).Inc()
+		return
 	}
-	path := filepath.Join(d.TraceDir, "flight-"+data.TraceID+".json")
-	b, err := json.MarshalIndent(data, "", "  ")
-	if err == nil {
-		err = os.WriteFile(path, append(b, '\n'), 0o644)
-	}
-	if err != nil {
-		d.logf("session %d: dump: %v", data.Session, err)
-		return ""
-	}
-	d.logf("session %d: dumped to %s", data.Session, path)
-	return path
+	reg.Counter("session.restored").Inc()
+	reg.Counter("session.bytes").Add(rec.Bytes)
 }

@@ -6,8 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -40,17 +39,18 @@ func (b *lockedBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestJournalRecordsAndFlightCrossReference is the journal/dump interplay
-// regression: a failed traced session's journal record and its dump must
-// carry the same trace ID — greppable as flight-<traceID>.json straight
-// from the journal line — and the dump's tree is the session's, events and
-// all. It also pins the journal record shape for successes (how, bytes,
-// durations), and that Logf keeps the failed session's tree.
-func TestJournalRecordsAndFlightCrossReference(t *testing.T) {
-	_, journal, logs := failedSession(t)
+// TestJournalRecordsCrossReference is the journal/tree interplay
+// regression: a failed traced session's journal record carries the
+// session's tree, and the client's trace ID, the record's and the tree's
+// must be one and the same. It also pins the journal record shape for
+// successes (how, bytes, durations, no tree), and that Logf keeps the
+// failed session's tree.
+func TestJournalRecordsCrossReference(t *testing.T) {
+	_, journal, logs, trace := failedSession(t)
 
 	var restored, failed map[string]any
 	scan := bufio.NewScanner(strings.NewReader(journal))
+	scan.Buffer(nil, 1<<20)
 	for scan.Scan() {
 		var rec map[string]any
 		if err := json.Unmarshal(scan.Bytes(), &rec); err != nil {
@@ -72,36 +72,23 @@ func TestJournalRecordsAndFlightCrossReference(t *testing.T) {
 	if restored["bytes"].(float64) <= 0 || restored["elapsed_us"].(float64) <= 0 {
 		t.Errorf("restored record missing size/timing: %v", restored)
 	}
-	if failed["fail_class"] != "negotiation" || failed["level"] != "ERROR" {
+	if _, ok := restored["tree"]; ok {
+		t.Errorf("restored record carries a tree: %v", restored)
+	}
+	if failed["fail_class"] != "negotiation" {
 		t.Errorf("failed record = %v", failed)
 	}
 
-	// The cross-reference: trace attr, flight attr, and the dump on disk
-	// must all agree on the trace ID.
-	traceID, _ := failed["trace"].(string)
-	flight, _ := failed["flight"].(string)
-	if traceID == "" || flight == "" {
-		t.Fatalf("failed record missing trace/flight attrs: %v", failed)
+	// The cross-reference: the client's trace, the record's and its tree's
+	// must all agree.
+	recs := journalRecords(t, journal)
+	i := slices.IndexFunc(recs, fleet.Record.Failed)
+	rec := recs[i]
+	if trace == "" || rec.Trace != trace || rec.Tree == nil || rec.Tree.TraceID != trace {
+		t.Errorf("record of trace %q with tree %+v, want client trace %q throughout", rec.Trace, rec.Tree, trace)
 	}
-	if want := "flight-" + traceID + ".json"; filepath.Base(flight) != want {
-		t.Errorf("flight dump = %q, want basename %q", flight, want)
-	}
-	if !strings.Contains(journal, "flight-"+traceID+".json") {
-		t.Errorf("journal not greppable for the dump name:\n%s", journal)
-	}
-	raw, err := os.ReadFile(flight)
-	if err != nil {
-		t.Fatalf("journal points at a missing dump: %v", err)
-	}
-	var dump fleet.Dump
-	if err := json.Unmarshal(raw, &dump); err != nil {
-		t.Fatal(err)
-	}
-	if dump.Schema != fleet.DumpSchema || dump.TraceID != traceID || dump.Tree == nil || dump.Tree.TraceID != traceID {
-		t.Errorf("dump %s of trace %q (tree %+v), want %s of journal trace %q", dump.Schema, dump.TraceID, dump.Tree, fleet.DumpSchema, traceID)
-	}
-	if len(eventsOf(dump.Tree, "session.reject")) != 1 {
-		t.Errorf("dumped tree lacks the session.reject event:\n%s", dump.Tree.Tree())
+	if len(eventsOf(rec.Tree, "session.reject")) != 1 {
+		t.Errorf("failed record's tree lacks the session.reject event:\n%s", rec.Tree.Tree())
 	}
 
 	if !strings.Contains(logs, "session.reject") || !strings.Contains(logs, "trace=") {
@@ -110,14 +97,11 @@ func TestJournalRecordsAndFlightCrossReference(t *testing.T) {
 }
 
 // TestExplainFailedSession reads the failed session back the way
-// `migtop explain` does: from the journal file by trace ID, then the
-// tree its dump holds, with the events in recorded order.
+// `migtop explain` does: from the journal file by trace ID, with the
+// record's tree holding the events in recorded order.
 func TestExplainFailedSession(t *testing.T) {
-	dir, journal, _ := failedSession(t)
-	_, line, _ := strings.Cut(journal, `"msg":"session.failed"`)
-	_, trace, _ := strings.Cut(line, `"trace":"`)
-	trace, _, _ = strings.Cut(trace, `"`)
-	rec, dump, err := fleet.Explain([]string{dir}, trace)
+	dir, _, _, trace := failedSession(t)
+	rec, err := fleet.Explain([]string{dir}, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +109,10 @@ func TestExplainFailedSession(t *testing.T) {
 		rec.Node != "explain" || !strings.Contains(rec.Error, "not pre-distributed") {
 		t.Errorf("record = %+v", rec)
 	}
-	if dump == nil || dump.TraceID != trace || dump.Tree == nil || len(dump.Tree.Events) == 0 {
-		t.Fatalf("dump = %+v", dump)
+	if rec.Tree == nil || rec.Tree.TraceID != trace || len(rec.Tree.Events) == 0 {
+		t.Fatalf("tree = %+v", rec.Tree)
 	}
-	evs := dump.Tree.Events
+	evs := rec.Tree.Events
 	for i, ev := range evs[1:] {
 		if ev.AtUS < evs[i].AtUS {
 			t.Errorf("events out of order: %+v after %+v", ev, evs[i])
@@ -137,16 +121,16 @@ func TestExplainFailedSession(t *testing.T) {
 	if last := evs[len(evs)-1]; last.Kind != "session.classify" || !strings.HasPrefix(last.Detail, "negotiation") {
 		t.Errorf("last event = %+v, want the classification", last)
 	}
-	if _, _, err := fleet.Explain([]string{dir}, "no-such-trace"); !errors.Is(err, fleet.ErrNoRecord) {
+	if _, err := fleet.Explain([]string{dir}, "no-such-trace"); !errors.Is(err, fleet.ErrNoRecord) {
 		t.Errorf("unknown trace: err = %v, want ErrNoRecord", err)
 	}
 }
 
 // failedSession runs one good migration and one traced offer of an
 // unregistered program into a daemon that journals into dir (node
-// "explain") and dumps failed sessions' trees there. It returns dir, the
-// journal's text and the daemon's Logf output.
-func failedSession(t *testing.T) (dir, journal, logs string) {
+// "explain"). It returns dir, the journal's text, the daemon's Logf output
+// and the failed client's trace ID.
+func failedSession(t *testing.T) (dir, journal, logs, trace string) {
 	e := newListEngine(t)
 	reg := NewRegistry()
 	reg.Add("list", e)
@@ -160,9 +144,8 @@ func failedSession(t *testing.T) (dir, journal, logs string) {
 	defer j.Close()
 	d := &Daemon{
 		Registry: reg, Mach: arch.SPARC20, Metrics: obs.NewRegistry(),
-		TraceDir: dir,
-		Journal:  j.Logger(),
-		Logf:     func(format string, args ...any) { jlogf(&lbuf, format, args...) },
+		Journal: j,
+		Logf:    func(format string, args ...any) { jlogf(&lbuf, format, args...) },
 	}
 	addr, served := daemonFixture(t, d)
 
@@ -171,8 +154,8 @@ func failedSession(t *testing.T) (dir, journal, logs string) {
 	}
 
 	// A traced client offering an unregistered program fails the
-	// handshake; the daemon adopts the trace, so the dump is named by the
-	// trace ID.
+	// handshake; the daemon adopts the trace, so its record and tree are
+	// found by the client's trace ID.
 	unregistered, cerr := core.NewEngine(`int main() { migrate_here(); return 7; }`, minic.PollPolicy{})
 	if cerr != nil {
 		t.Fatal(cerr)
@@ -188,7 +171,7 @@ func failedSession(t *testing.T) (dir, journal, logs string) {
 		t.Fatal(err)
 	}
 
-	return dir, jbuf.String(), lbuf.String()
+	return dir, jbuf.String(), lbuf.String(), root.Export().TraceID
 }
 
 func jlogf(buf *lockedBuffer, format string, args ...any) {

@@ -3,10 +3,7 @@ package session
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -97,6 +94,17 @@ func TestStitchedTrace(t *testing.T) {
 	if !strings.Contains(initTracer.Tree(), "(remote)") {
 		t.Errorf("rendered stitched tree missing remote marker:\n%s", initTracer.Tree())
 	}
+
+	// Both sides' offer events name the trace once, as trace=<id> span=<id>:
+	// the initiator's on its root, the responder's on the stitched subtree.
+	offered := fmt.Sprintf("program %q digest %08x trace=%s span=%s", "list", e.Digest(), wantTrace, obs.IDString(res.Trace.SpanID))
+	if evs := eventsOf(&obs.SpanData{Events: tree.Events}, "session.offer"); len(evs) != 1 || evs[0].Detail != offered {
+		t.Errorf("initiator offer events %+v, want one reading %q", evs, offered)
+	}
+	accepted := fmt.Sprintf("program %q digest %08x from dec5000 trace=%s span=%s", "list", e.Digest(), wantTrace, res.Remote.SpanID)
+	if evs := eventsOf(res.Remote, "session.offer"); len(evs) != 1 || evs[0].Detail != accepted {
+		t.Errorf("responder offer events %+v, want one reading %q", evs, accepted)
+	}
 }
 
 // TestPhaseHistograms verifies both sides feed the per-phase latency
@@ -129,39 +137,29 @@ func TestPhaseHistograms(t *testing.T) {
 	}
 }
 
-// TestFlightDumpOnlyOnFailure drives one successful and one failing
-// session against a daemon with a trace directory: only the failure may
-// leave a dump on disk, and the dumped tree must carry the failure
+// TestTreeOnlyOnFailedRecord drives one successful and one failing
+// session against a journalling daemon: only the failed session's record
+// may carry a span tree, and that tree must carry the failure
 // classification and the session's events.
-func TestFlightDumpOnlyOnFailure(t *testing.T) {
+func TestTreeOnlyOnFailedRecord(t *testing.T) {
 	e := newListEngine(t)
 	reg := NewRegistry()
 	reg.Add("list", e)
-	dir := t.TempDir()
-	var logs strings.Builder
-	var logMu sync.Mutex
+	var jbuf, logs lockedBuffer
+	j, err := fleet.NewJournal(&jbuf, "", obs.NodeInfo{ID: "n"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := &Daemon{
 		Registry: reg, Mach: arch.SPARC20, Metrics: obs.NewRegistry(),
-		TraceDir: dir,
-		Logf: func(format string, args ...any) {
-			logMu.Lock()
-			defer logMu.Unlock()
-			logs.WriteString(strings.TrimRight(fmt.Sprintf(format, args...), "\n") + "\n")
-		},
+		Journal: j,
+		Logf:    func(format string, args ...any) { jlogf(&logs, format, args...) },
 	}
 	addr, served := daemonFixture(t, d)
 
 	if _, err := migrateTo(t, addr, e, Config{}); err != nil {
 		t.Fatalf("successful migration failed: %v", err)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("successful session left a dump: %v", entries)
-	}
-
 	// An unregistered program digest fails the handshake on the daemon.
 	unregistered, cerr := core.NewEngine(`int main() { migrate_here(); return 7; }`, minic.PollPolicy{})
 	if cerr != nil {
@@ -175,39 +173,42 @@ func TestFlightDumpOnlyOnFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entries, err = os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	recs := journalRecords(t, jbuf.String())
+	if len(recs) != 2 || recs[0].Failed() == recs[1].Failed() {
+		t.Fatalf("journal = %s, want one restored record and one failed", jbuf.String())
 	}
-	if len(entries) != 1 {
-		t.Fatalf("failed session left %d dumps, want 1", len(entries))
+	if recs[0].Failed() {
+		recs[0], recs[1] = recs[1], recs[0]
 	}
-	name := entries[0].Name()
-	if !strings.HasPrefix(name, "flight-") || !strings.HasSuffix(name, ".json") {
-		t.Errorf("dump name = %q", name)
+	if recs[0].Tree != nil {
+		t.Errorf("successful session's record carries a tree:\n%s", recs[0].Tree.Tree())
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dump fleet.Dump
-	if err := json.Unmarshal(raw, &dump); err != nil {
-		t.Fatal(err)
-	}
-	if dump.Schema != fleet.DumpSchema || dump.Outcome != "negotiation" || dump.Tree == nil || name != "flight-"+dump.TraceID+".json" {
-		t.Fatalf("dump %s: schema %q outcome %q trace %q, want %q, negotiation, and the trace in its name",
-			name, dump.Schema, dump.Outcome, dump.TraceID, fleet.DumpSchema)
+	tree := recs[1].Tree
+	if tree == nil || tree.Attrs["outcome"] != "negotiation" || tree.TraceID != recs[1].Trace {
+		t.Fatalf("failed record's tree = %+v, want outcome negotiation under trace %s", tree, recs[1].Trace)
 	}
 	for _, kind := range []string{"session.offer", "session.reject", "session.classify"} {
-		if len(eventsOf(dump.Tree, kind)) != 1 {
-			t.Errorf("dumped tree lacks one %s event:\n%s", kind, dump.Tree.Tree())
+		if len(eventsOf(tree, kind)) != 1 {
+			t.Errorf("failed record's tree lacks one %s event:\n%s", kind, tree.Tree())
 		}
 	}
-	logMu.Lock()
-	defer logMu.Unlock()
 	if !strings.Contains(logs.String(), "session.reject") {
 		t.Errorf("daemon log missing the failed session's tree:\n%s", logs.String())
 	}
+}
+
+// journalRecords decodes a journal's text, one record per line.
+func journalRecords(t *testing.T, journal string) []fleet.Record {
+	t.Helper()
+	var recs []fleet.Record
+	for _, line := range strings.Split(strings.TrimSpace(journal), "\n") {
+		var r fleet.Record
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		recs = append(recs, r)
+	}
+	return recs
 }
 
 // eventsOf returns the events of kind anywhere in the exported tree d, in
@@ -228,13 +229,11 @@ func eventsOf(d *obs.SpanData, kind string) []obs.EventData {
 	return out
 }
 
-// TestGarbageOfferDumpsByTrace sends an offer that does not parse to each
-// of two daemons that share one dump directory: each session still gets a
-// trace of its own, its journal line names it, and its dump is named by it,
-// so neither daemon's dump overwrites the other's.
-func TestGarbageOfferDumpsByTrace(t *testing.T) {
+// TestGarbageOfferRecordsByTrace sends an offer that does not parse to
+// each of two daemons: each session still gets a trace of its own, and its
+// failed record names it and carries a tree under it.
+func TestGarbageOfferRecordsByTrace(t *testing.T) {
 	e := newListEngine(t)
-	dir := t.TempDir()
 	var traces []string
 	for _, node := range []string{"a", "b"} {
 		reg := NewRegistry()
@@ -244,7 +243,7 @@ func TestGarbageOfferDumpsByTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := &Daemon{Registry: reg, Mach: arch.SPARC20, Metrics: obs.NewRegistry(), TraceDir: dir, Journal: j.Logger()}
+		d := &Daemon{Registry: reg, Mach: arch.SPARC20, Metrics: obs.NewRegistry(), Journal: j}
 		addr, served := daemonFixture(t, d)
 		conn, err := link.Dial(addr)
 		if err != nil {
@@ -257,34 +256,35 @@ func TestGarbageOfferDumpsByTrace(t *testing.T) {
 		if err := <-served; err != nil {
 			t.Fatal(err)
 		}
-		var rec fleet.Record
-		if err := json.Unmarshal([]byte(jbuf.String()), &rec); err != nil || !rec.Failed() || rec.Trace == "" {
-			t.Fatalf("node %s journal = %q (%v), want one failed record with a trace", node, jbuf.String(), err)
+		recs := journalRecords(t, jbuf.String())
+		if len(recs) != 1 || !recs[0].Failed() || recs[0].Trace == "" || recs[0].Node != node {
+			t.Fatalf("node %s journal = %q, want one failed record with a trace", node, jbuf.String())
 		}
-		if want := filepath.Join(dir, "flight-"+rec.Trace+".json"); rec.Flight != want {
-			t.Errorf("node %s record names dump %q, want %q", node, rec.Flight, want)
+		if tree := recs[0].Tree; tree == nil || tree.TraceID != recs[0].Trace || len(eventsOf(tree, "session.classify")) != 1 {
+			t.Errorf("node %s record's tree = %+v, want one under trace %s with its classification", node, tree, recs[0].Trace)
 		}
-		traces = append(traces, rec.Trace)
+		traces = append(traces, recs[0].Trace)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 || traces[0] == traces[1] {
-		t.Fatalf("dumps %v for traces %v, want one per daemon", entries, traces)
+	if traces[0] == traces[1] {
+		t.Fatalf("both daemons recorded trace %s, want one each", traces[0])
 	}
 }
 
-// TestDaemonChaosDumpNamesInject wraps a daemon's connections with an
-// armed chaos injector, as migd serve -chaos does: the session the fault
-// fails dumps a tree whose events name the injected boundary.
-func TestDaemonChaosDumpNamesInject(t *testing.T) {
+// TestDaemonChaosRecordNamesInject wraps a daemon's connections with an
+// armed chaos injector, as migd serve -chaos does: the failed record of
+// the session the fault fails carries a tree whose events name the
+// injected boundary.
+func TestDaemonChaosRecordNamesInject(t *testing.T) {
 	e := newListEngine(t)
 	reg := NewRegistry()
 	reg.Add("list", e)
-	dir := t.TempDir()
+	var jbuf lockedBuffer
+	j, err := fleet.NewJournal(&jbuf, "", obs.NodeInfo{ID: "n"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	spec := chaos.Spec{Victim: chaos.VictimDest, Point: chaos.Point{Class: "restored", N: 1, When: chaos.BeforeSend}}
-	d := &Daemon{Registry: reg, Mach: arch.SPARC20, Metrics: obs.NewRegistry(), TraceDir: dir,
+	d := &Daemon{Registry: reg, Mach: arch.SPARC20, Metrics: obs.NewRegistry(), Journal: j,
 		WrapTransport: func(t link.Transport) link.Transport { return chaos.New(spec).Dest(t) }}
 	addr, served := daemonFixture(t, d)
 	if _, err := migrateTo(t, addr, e, Config{}); err == nil {
@@ -294,20 +294,12 @@ func TestDaemonChaosDumpNamesInject(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatal(err)
 	}
-	paths, _ := filepath.Glob(filepath.Join(dir, "flight-*.json"))
-	if len(paths) != 1 {
-		t.Fatalf("dumps = %v, want one", paths)
+	recs := journalRecords(t, jbuf.String())
+	if len(recs) != 1 || !recs[0].Failed() || recs[0].Tree == nil {
+		t.Fatalf("journal = %s, want one failed record with its tree", jbuf.String())
 	}
-	raw, err := os.ReadFile(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dump fleet.Dump
-	if err := json.Unmarshal(raw, &dump); err != nil {
-		t.Fatal(err)
-	}
-	evs := eventsOf(dump.Tree, "chaos.inject")
+	evs := eventsOf(recs[0].Tree, "chaos.inject")
 	if len(evs) != 1 || !strings.Contains(evs[0].Detail, spec.Point.String()) || !strings.Contains(evs[0].Detail, "dest") {
-		t.Errorf("chaos.inject events %+v, want one naming dest at %s:\n%s", evs, spec.Point, dump.Tree.Tree())
+		t.Errorf("chaos.inject events %+v, want one naming dest at %s:\n%s", evs, spec.Point, recs[0].Tree.Tree())
 	}
 }
