@@ -12,14 +12,17 @@
 //     machine-independent (header, offset) reference;
 //   - Restore_variable / Restore_pointer are RestoreVarSection and
 //     RestoreHeapSection, which rebuild the blocks in the memory space of
-//     the destination process, and the flat Restorer.RestorePointer, which
+//     the destination process, and Restorer.RestorePointer, which
 //     translates a reference back into a machine-specific address.
 //
 // Visited memory blocks are marked so they are not saved again, which both
 // bounds the snapshot size and preserves sharing: a block referenced from
 // five places is transferred once and all five restored pointers alias it,
 // and cyclic structures terminate. Each block's record lives in the
-// directory of the section that owns it, so a reference is always flat.
+// directory of the section that owns it, so a reference never carries one.
+// The header names a block of the reference's own section by its index in
+// the section's directory, in one word with the offset's presence, and any
+// other block by its full identification: either is machine-independent.
 //
 // Scalars are encoded big-endian at canonical widths (char 1, short 2,
 // int/float 4, long/double 8) regardless of the machine's own widths, so an
@@ -27,9 +30,6 @@
 package collect
 
 import "time"
-
-// nullSeg is the wire segment value encoding a null pointer.
-const nullSeg = 0xffffffff
 
 // SaveStats decomposes the cost of a collection in the terms of the
 // paper's Section 4.2: Collect = MSRLT_search + Encode_and_Copy.
@@ -48,8 +48,10 @@ type SaveStats struct {
 	Blocks int64
 	// Pointers is the number of pointer scalars encoded (including null).
 	Pointers int64
-	// NullPointers counts the null subset.
-	NullPointers int64
+	// NullPointers counts the null subset, SameSection the subset written
+	// as a one-word same-section reference, and Ordinals the element
+	// ordinals that follow some of those, a word each.
+	NullPointers, SameSection, Ordinals int64
 	// DataBytes is the number of content bytes encoded (excluding refs).
 	DataBytes int64
 }

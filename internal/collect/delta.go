@@ -68,7 +68,7 @@ import (
 // position in the partition.
 type deltaKey struct {
 	class uint8  // 0 = heap component, 1 = frame, 2 = globals
-	id    uint32 // first member's Major for heap, frame depth for frames
+	id    uint32 // first-visited member's Major for heap, frame depth for frames
 }
 
 // DeltaTracker carries one pre-copy sequence from round to round. One
@@ -105,7 +105,7 @@ func (dt *DeltaTracker) plan(space *memory.Space, table *msr.Table, ti *types.TI
 	if last != nil && last.version == table.Version() && roots.equal(last.roots) {
 		r := *last
 		r.jobs, r.bodies, r.reused = slices.Clone(last.jobs), nil, true
-		if stale, err := r.stale(dirty, newRecheck(space, last.pt).block); err == nil {
+		if stale, err := r.stale(dirty, newRecheck(space, last).block); err == nil {
 			for i := range r.jobs {
 				r.jobs[i].reuse, r.jobs[i].from = !stale[i], i
 			}

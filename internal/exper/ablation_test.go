@@ -55,21 +55,29 @@ func TestMSRLTIndexAblation(t *testing.T) {
 	}
 }
 
+// TestPointerEncodingCost holds D2's composition to the bodies it reads
+// them off: scalar data, the three reference forms, the directories and
+// the live-reference lists sum exactly to the heap, frame and globals
+// bodies, and on bitonic, whose every heap pointer stays in its section,
+// one-word references carry the pointers.
 func TestPointerEncodingCost(t *testing.T) {
 	rows, err := PointerEncodingCost(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
+	if len(rows) != 9 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	total, data, refs := rows[0].Value, rows[1].Value, rows[2].Value
-	if data+refs > total {
-		t.Errorf("composition exceeds total: %f + %f > %f", data, refs, total)
+	total, bodies := rows[0].Value, rows[1].Value
+	sum := 0.0
+	for _, r := range rows[2:8] {
+		sum += r.Value
 	}
-	// Bitonic is pointer-heavy: refs must be a visible share.
-	if refs < total/10 {
-		t.Errorf("pointer refs = %.0f of %.0f total; expected a visible share", refs, total)
+	if sum != bodies || bodies >= total {
+		t.Errorf("composition %.0f, bodies %.0f, stream %.0f: want the parts to sum to the bodies, inside the stream", sum, bodies, total)
+	}
+	if same, cross := rows[3].Value, rows[4].Value; same < total/10 || cross > same {
+		t.Errorf("same-section refs %.0f, cross-section %.0f of %.0f total; expected the one-word form to carry the tree", same, cross, total)
 	}
 }
 

@@ -209,6 +209,9 @@ func (t *Table) Reserve(seg memory.Segment, n int) {
 		n = max(n, 2*cap(s)-len(s))
 		t.bases[seg] = slices.Grow(s, n)
 		t.segs[seg] = slices.Grow(t.segs[seg], n)
+		if seg == memory.Heap { // a directory's majors rise from its first
+			t.heap = slices.Grow(t.heap, n)
+		}
 	}
 }
 

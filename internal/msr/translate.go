@@ -72,8 +72,7 @@ func (b *Block) OrdinalAt(m *arch.Machine, off int) (int, error) {
 }
 
 // AddrOf translates a machine-independent reference back to a
-// machine-specific address, the restoration direction. The ordinal may
-// equal the block's scalar count (one past the end).
+// machine-specific address, the restoration direction.
 func AddrOf(t *Table, m *arch.Machine, r Ref) (memory.Address, error) {
 	if r.IsNull() {
 		return 0, nil
@@ -82,14 +81,21 @@ func AddrOf(t *Table, m *arch.Machine, r Ref) (memory.Address, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownID, r.ID)
 	}
+	return b.AddrAt(m, r.Ordinal)
+}
+
+// AddrAt is the address on machine m of the scalar at ordinal ord of b,
+// OrdinalAt's inverse. The ordinal may equal the block's scalar count (one
+// past the end).
+func (b *Block) AddrAt(m *arch.Machine, ord int) (memory.Address, error) {
 	plan := b.Plan(m)
 	per := plan.NumScalars
-	if r.Ordinal < 0 || r.Ordinal > b.Count*per {
-		return 0, fmt.Errorf("%w: %d of %d in %s", ErrBadOrdinal, r.Ordinal, b.Count*per, b.ID)
+	if ord < 0 || ord > b.Count*per {
+		return 0, fmt.Errorf("%w: %d of %d in %s", ErrBadOrdinal, ord, b.Count*per, b.ID)
 	}
-	if r.Ordinal == b.Count*per {
+	if ord == b.Count*per {
 		return b.Addr + memory.Address(b.Count*plan.ElemSize), nil
 	}
-	elem, within := r.Ordinal/per, r.Ordinal%per
+	elem, within := ord/per, ord%per
 	return b.Addr + memory.Address(elem*plan.ElemSize+plan.OrdinalToOffset(within)), nil
 }

@@ -43,8 +43,8 @@ func (b *lockedBuffer) String() string {
 // regression: a failed traced session's journal record carries the
 // session's tree, and the client's trace ID, the record's and the tree's
 // must be one and the same. It also pins the journal record shape for
-// successes (how, bytes, durations, no tree), and that Logf keeps the
-// failed session's tree.
+// successes (how, bytes, durations, no tree), and that Logf does not
+// repeat the failed session's tree: with a journal, the record is its copy.
 func TestJournalRecordsCrossReference(t *testing.T) {
 	_, journal, logs, trace := failedSession(t)
 
@@ -91,8 +91,8 @@ func TestJournalRecordsCrossReference(t *testing.T) {
 		t.Errorf("failed record's tree lacks the session.reject event:\n%s", rec.Tree.Tree())
 	}
 
-	if !strings.Contains(logs, "session.reject") || !strings.Contains(logs, "trace=") {
-		t.Errorf("free-form diagnostics lost the failed session's tree:\n%s", logs)
+	if strings.Contains(logs, "session.reject") {
+		t.Errorf("free-form diagnostics repeat the failed session's tree, which its record carries:\n%s", logs)
 	}
 }
 

@@ -419,7 +419,7 @@ func TestProtocolTable(t *testing.T) {
 			t.Errorf("%s frames:\n  source %v\n  dest   %v\nwant:\n  source %v\n  dest   %v", name, gotSrc, gotDst, wantSrc, wantDst)
 		}
 	}
-	small := Config{ChunkSize: 512}
+	small := Config{ChunkSize: 128}
 
 	// cold: 2 + chunks + FIN + 2. The stream is one-directional: between
 	// ACCEPT and RESTORED the responder sends nothing.

@@ -137,23 +137,26 @@ func TestPhaseHistograms(t *testing.T) {
 	}
 }
 
-// TestTreeOnlyOnFailedRecord drives one successful and one failing
-// session against a journalling daemon: only the failed session's record
-// may carry a span tree, and that tree must carry the failure
-// classification and the session's events.
+// TestTreeOnlyOnFailedRecord drives one successful session and two
+// failing ones — an unregistered program, and a source killed once it has
+// seen RESTORED, whose restored copy the daemon discards — against a
+// daemon that journals and logs to one stream, as migd does on its
+// stderr: only a failed session's record may carry a span tree, that tree
+// must carry the failure classification and the session's events, and it
+// must reach the stream once, in the record.
 func TestTreeOnlyOnFailedRecord(t *testing.T) {
 	e := newListEngine(t)
 	reg := NewRegistry()
 	reg.Add("list", e)
-	var jbuf, logs lockedBuffer
-	j, err := fleet.NewJournal(&jbuf, "", obs.NodeInfo{ID: "n"})
+	var stderr lockedBuffer
+	j, err := fleet.NewJournal(&stderr, "", obs.NodeInfo{ID: "n"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := &Daemon{
 		Registry: reg, Mach: arch.SPARC20, Metrics: obs.NewRegistry(),
 		Journal: j,
-		Logf:    func(format string, args ...any) { jlogf(&logs, format, args...) },
+		Logf:    func(format string, args ...any) { jlogf(&stderr, format, args...) },
 	}
 	addr, served := daemonFixture(t, d)
 
@@ -168,32 +171,63 @@ func TestTreeOnlyOnFailedRecord(t *testing.T) {
 	if _, err := migrateTo(t, addr, unregistered, Config{}); err == nil {
 		t.Fatal("migration of unregistered program succeeded")
 	}
+	conn, err := link.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed := chaos.New(chaos.Spec{Victim: chaos.VictimSource, Point: chaos.Point{Class: "restored", N: 1, When: chaos.AfterRecv}})
+	p := stoppedAt(t, e, arch.DEC5000)
+	if _, err := Initiate(killed.Source(conn), e, p.Mach, "list", p, Config{}); err == nil {
+		t.Fatal("migration from a source killed after RESTORED succeeded")
+	}
+	conn.Close()
 	d.Shutdown()
 	if err := <-served; err != nil {
 		t.Fatal(err)
 	}
 
-	recs := journalRecords(t, jbuf.String())
-	if len(recs) != 2 || recs[0].Failed() == recs[1].Failed() {
-		t.Fatalf("journal = %s, want one restored record and one failed", jbuf.String())
-	}
-	if recs[0].Failed() {
-		recs[0], recs[1] = recs[1], recs[0]
-	}
-	if recs[0].Tree != nil {
-		t.Errorf("successful session's record carries a tree:\n%s", recs[0].Tree.Tree())
-	}
-	tree := recs[1].Tree
-	if tree == nil || tree.Attrs["outcome"] != "negotiation" || tree.TraceID != recs[1].Trace {
-		t.Fatalf("failed record's tree = %+v, want outcome negotiation under trace %s", tree, recs[1].Trace)
-	}
-	for _, kind := range []string{"session.offer", "session.reject", "session.classify"} {
-		if len(eventsOf(tree, kind)) != 1 {
-			t.Errorf("failed record's tree lacks one %s event:\n%s", kind, tree.Tree())
+	var journal []string
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if strings.HasPrefix(line, "{") {
+			journal = append(journal, line)
 		}
 	}
-	if !strings.Contains(logs.String(), "session.reject") {
-		t.Errorf("daemon log missing the failed session's tree:\n%s", logs.String())
+	recs := journalRecords(t, strings.Join(journal, "\n"))
+	var restored, failed []fleet.Record
+	for _, r := range recs {
+		if r.Failed() {
+			failed = append(failed, r)
+		} else {
+			restored = append(restored, r)
+		}
+	}
+	if len(restored) != 1 || len(failed) != 2 {
+		t.Fatalf("stderr = %s, want one restored record and two failed", stderr.String())
+	}
+	if restored[0].Tree != nil {
+		t.Errorf("successful session's record carries a tree:\n%s", restored[0].Tree.Tree())
+	}
+	for _, r := range failed {
+		if r.Tree == nil || r.Tree.TraceID != r.Trace {
+			t.Fatalf("failed record's tree = %+v, want one under trace %s", r.Tree, r.Trace)
+		}
+	}
+	negotiation := failed[0].Tree
+	if negotiation.Attrs["outcome"] != "negotiation" {
+		negotiation = failed[1].Tree
+	}
+	if negotiation.Attrs["outcome"] != "negotiation" {
+		t.Fatalf("no failed record has outcome negotiation:\n%s", stderr.String())
+	}
+	for _, kind := range []string{"session.offer", "session.reject", "session.classify"} {
+		if len(eventsOf(negotiation, kind)) != 1 {
+			t.Errorf("failed record's tree lacks one %s event:\n%s", kind, negotiation.Tree())
+		}
+	}
+	for _, kind := range []string{"session.reject", "session.discard"} {
+		if n := strings.Count(stderr.String(), kind); n != 1 {
+			t.Errorf("%s appears %d times in the daemon's stream, want once, in its record:\n%s", kind, n, stderr.String())
+		}
 	}
 }
 

@@ -19,7 +19,7 @@ func FuzzDecodeSection(f *testing.F) {
 	bad := append([]byte(nil), full...)
 	bad[30] ^= 0xa5 // body corruption -> CRC failure
 	f.Add(bad)
-	f.Add([]byte("MSN3"))
+	f.Add([]byte("MSN4"))
 	// Chaos-shaped truncations: a connection killed at a frame boundary
 	// leaves the receiver with a prefix of the section stream. Seed the
 	// cut at every section edge and at the split points a mid-frame death
@@ -27,6 +27,12 @@ func FuzzDecodeSection(f *testing.F) {
 	for i := 1; i < len(full); i += len(full)/8 + 1 {
 		f.Add(full[:i])
 	}
+	// A heap body in the compact form: one directory run of two blocks
+	// (IDs 0 and 1, type 0, one element each), each a same-section
+	// reference to the other, the first with an ordinal behind it.
+	compact := []byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1,
+		0xc0, 0, 0, 1, 0, 0, 0, 1, 0x80, 0, 0, 0}
+	f.Add(Encode([]Section{{Kind: KindExec, Body: []byte{0, 0, 0, 0}}, {Kind: KindHeap, Body: compact}}))
 	multi := Encode(append(sample(), Section{Kind: KindHeap, ID: 7, Body: []byte("chaos")}))
 	f.Add(multi[:len(multi)/2])
 	f.Add(multi[:len(multi)-1])

@@ -15,7 +15,7 @@
 //
 // # Wire format
 //
-//	snapshot = magic "MSN3", count u32, section*count
+//	snapshot = magic "MSN4", count u32, section*count
 //	section  = kind u32, id u32, length u32, body (padded to 4), crc u32
 //
 // crc is the IEEE CRC-32 of the unpadded body. It trails the body, so a
@@ -41,8 +41,8 @@ import (
 	"repro/internal/xdr"
 )
 
-// Magic opens every sectioned snapshot ("MSN3").
-const Magic = 0x4d534e33
+// Magic opens every sectioned snapshot ("MSN4").
+const Magic = 0x4d534e34
 
 // Kind identifies what a section's body holds.
 type Kind uint32

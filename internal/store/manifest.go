@@ -102,7 +102,7 @@ func ParseHash(s string) (Hash, error) {
 const manifestMagic = 0x4d434d31
 
 // manifestVersion is the manifest wire version this package encodes.
-const manifestVersion = 1
+const manifestVersion = 2
 
 // maxEntries bounds the declared entry count, mirroring the snapshot
 // layer's own section bound.

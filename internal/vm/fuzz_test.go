@@ -76,13 +76,9 @@ func fuzzStates(f testing.TB) (*minic.Program, []byte, []byte) {
 	return prog, at(7), at(20)
 }
 
-// hostileDirectory builds a well-framed sectioned snapshot of about size
-// bytes: v3 with its heap sections replaced by one whose directory
-// declares size/32 blocks of int, every one as large as the bytes behind
-// the directory allow. A directory is decoded in full before any content
-// is consumed, so a restorer that holds each declaration only against the
-// bytes remaining accepts them all: size²/64 bytes of heap.
-func hostileDirectory(t testing.TB, prog *minic.Program, v3 []byte, size int) []byte {
+// withHeap is v3 with its heap sections replaced by one whose body is
+// body, framed.
+func withHeap(t testing.TB, v3, body []byte) []byte {
 	rd, err := snapshot.NewReader(xdr.NewDecoder(v3))
 	if err != nil {
 		t.Fatal(err)
@@ -91,6 +87,22 @@ func hostileDirectory(t testing.TB, prog *minic.Program, v3 []byte, size int) []
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := []snapshot.Section{secs[0], {Kind: snapshot.KindHeap, Body: body}}
+	for _, s := range secs[1:] {
+		if s.Kind != snapshot.KindHeap {
+			out = append(out, s)
+		}
+	}
+	return snapshot.Encode(out)
+}
+
+// hostileDirectory builds a well-framed sectioned snapshot of about size
+// bytes: v3 with its heap sections replaced by one whose directory
+// declares size/32 runs of one int block each, every one as large as the
+// bytes behind the directory allow. A directory is decoded in full before
+// any content is consumed, so a restorer that holds each declaration only
+// against the bytes remaining accepts them all: size²/64 bytes of heap.
+func hostileDirectory(t testing.TB, prog *minic.Program, v3 []byte, size int) []byte {
 	n := size / 32
 	count := (size - 4 - 16*n) / 4
 	intType, ok := prog.TI.Index(types.Int)
@@ -100,16 +112,40 @@ func hostileDirectory(t testing.TB, prog *minic.Program, v3 []byte, size int) []
 	body := xdr.NewEncoder(size)
 	body.PutUint32(uint32(n))
 	for i := 0; i < n; i++ {
-		body.Put4Uint32(uint32(1000+i), 0, uint32(intType), uint32(count))
+		body.Put4Uint32(uint32(1000+i), 1, uint32(intType), uint32(count))
 	}
 	body.PutFixedOpaque(make([]byte, 4*count))
-	out := []snapshot.Section{secs[0], {Kind: snapshot.KindHeap, Body: body.Bytes()}}
-	for _, s := range secs[1:] {
-		if s.Kind != snapshot.KindHeap {
-			out = append(out, s)
-		}
+	return withHeap(t, v3, body.Bytes())
+}
+
+// hostileRefs builds snapshots whose heap section is one run of struct
+// node blocks, declaring run of them, with the contents of two: each a
+// double and a link of the words given. A well-formed one links the two;
+// the others forge what the compact form makes possible.
+func hostileRefs(t testing.TB, prog *minic.Program, v3 []byte) [][]byte {
+	nodeType, ok := prog.TI.Index(prog.Structs[0])
+	if !ok {
+		t.Fatal("struct node is not in the program's TI table")
 	}
-	return snapshot.Encode(out)
+	heap := func(run uint32, first, second []uint32) []byte {
+		body := xdr.NewEncoder(64)
+		body.PutUint32(1)
+		body.Put4Uint32(0, run, uint32(nodeType), 1)
+		for _, link := range [][]uint32{first, second} {
+			body.PutUint64(0)
+			for _, w := range link {
+				body.PutUint32(w)
+			}
+		}
+		return withHeap(t, v3, body.Bytes())
+	}
+	return [][]byte{
+		heap(2, []uint32{1<<31 | 1}, []uint32{0xffffffff}),         // well-formed
+		heap(1<<31, []uint32{1<<31 | 1}, []uint32{0xffffffff}),     // a run of 2³¹ blocks
+		heap(2, []uint32{1<<31 | 2}, []uint32{1 << 31}),            // an index equal to the directory's length
+		heap(2, []uint32{3<<30 | 1, 3}, []uint32{0xffffffff}),      // an ordinal one past one past the end
+		heap(2, []uint32{1<<31 | 1<<30 - 1}, []uint32{0xffffffff}), // index 2³⁰−1 without the ordinal bit
+	}
 }
 
 // TestHostileDirectoryAllocatesByInput holds the restore decoder to the
@@ -137,7 +173,8 @@ func TestHostileDirectoryAllocatesByInput(t *testing.T) {
 }
 
 // FuzzDecodeRef feeds arbitrary bytes — seeded with two real snapshots,
-// taken in different loops, mutations of them and hostile directories — to
+// taken in different loops, mutations of them, hostile directories and
+// forged same-section references — to
 // the full restore path, RestoreInto. Whatever the fuzzer invents,
 // restore must either succeed or return an error: no panic, no runaway
 // allocation.
@@ -156,6 +193,9 @@ func FuzzDecodeRef(f *testing.F) {
 	}
 	f.Add(hostileDirectory(f, prog, early, 64<<10))
 	f.Add(hostileDirectory(f, prog, late, 16<<10))
+	for _, seed := range hostileRefs(f, prog, early) {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := restoreProcess(prog, arch.I386, data)

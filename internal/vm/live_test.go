@@ -199,8 +199,8 @@ func TestLiveRoundReportsAsCapture(t *testing.T) {
 		t.Errorf("xdr.encode.bytes rose by %d, want at least the round's %d fresh bytes", got, fresh)
 	}
 	// The blocks of the re-encoded sections, from their directories: the
-	// first word of a heap body, the word behind the live references (16
-	// bytes each, never null) of a frame or globals body.
+	// run lengths of the entries that open a heap body, or follow the live
+	// references (16 bytes each, never null) of a frame or globals body.
 	var blocks int64
 	for i, s := range r.Sections {
 		if r.From[i] >= 0 || s.Kind == snapshot.KindExec {
@@ -212,10 +212,14 @@ func TestLiveRoundReportsAsCapture(t *testing.T) {
 			dec.FixedOpaque(16 * int(live))
 		}
 		n, err := dec.Uint32()
+		for ; err == nil && n > 0; n-- {
+			var run uint32
+			_, run, _, _, err = dec.Uint32x4()
+			blocks += int64(run)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocks += int64(n)
 	}
 	if got := p.CaptureStats().Save.Blocks; got != blocks {
 		t.Errorf("CaptureStats().Save.Blocks = %d, want the %d blocks of the re-encoded sections", got, blocks)

@@ -386,3 +386,36 @@ func TestHeapPointerIntoFrameWaitsForFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactBitonicStream pins the compact references on the state the
+// cold_pointer benchmark migrates: bitonic 16 384 at its migration point,
+// 655 648 bytes in the flat form (a 16-byte reference per non-null
+// pointer, a 16-byte directory entry per block), captures in at most half
+// of that, between the paper's heterogeneous pair and from a
+// little-endian LP64 machine to a big-endian ILP32 one, and restores into
+// a process that recaptures the same bytes.
+func TestCompactBitonicStream(t *testing.T) {
+	const flat = 655648
+	for _, pair := range [][2]*arch.Machine{{arch.DEC5000, arch.SPARC20}, {arch.AMD64, arch.Ultra5}} {
+		p := stopPaused(t, workload.BitonicSource(16384, 1), pair[0])
+		snap, err := p.Recapture()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap) > flat/2 {
+			t.Errorf("%s: bitonic 16384 captures in %d bytes, want at most %d, half the flat form's", pair[0].Name, len(snap), flat/2)
+		}
+		q, err := restoreProcess(p.Prog, pair[1], snap)
+		if err != nil {
+			t.Fatalf("%s -> %s: %v", pair[0].Name, pair[1].Name, err)
+		}
+		again, err := q.Recapture()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, snap) {
+			t.Errorf("%s -> %s: the restored process recaptures %d bytes, not the %d it was restored from", pair[0].Name, pair[1].Name, len(again), len(snap))
+		}
+		t.Logf("%s -> %s: %d bytes", pair[0].Name, pair[1].Name, len(snap))
+	}
+}
