@@ -5,8 +5,6 @@ import (
 	"io"
 
 	"repro/internal/arch"
-	"repro/internal/core"
-	"repro/internal/minic"
 	"repro/internal/session"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -37,18 +35,13 @@ func Chain(cfg Config) (*ChainResult, error) {
 	if cfg.Quick {
 		treeDepth = 5
 	}
-	e, err := core.NewEngine(workload.TestPointerSource(treeDepth), minic.PollPolicy{})
-	if err != nil {
-		return nil, err
-	}
-
 	// test_pointer has a single migration point, so the process stops
 	// there once and hops through every machine over a session: each hop's
 	// source is the process the previous hop restored, not yet resumed,
 	// whose state is re-encoded from its own layout. It resumes on the
 	// last.
 	machines := arch.Machines()
-	q, err := stopAtMigration(e, machines[0])
+	e, q, err := stopAtMigration(workload.TestPointerSource(treeDepth), machines[0])
 	if err != nil {
 		return nil, err
 	}

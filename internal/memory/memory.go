@@ -138,8 +138,13 @@ type segmentStore struct {
 	gen uint64
 }
 
-// growAlign is the granule the backing array grows by, in either direction.
-const growAlign = 1 << 16
+// growAlign is the granule the backing array grows down by and its origin
+// is aligned to; growing up, it is sized to the page, so a segment a
+// process barely touches (a small restored heap) backs a page, not 64 KiB.
+const (
+	growAlign = 1 << 16
+	pageSize  = 4 << 10
+)
 
 func (s *segmentStore) slice(addr Address, n int) ([]byte, error) {
 	if addr >= s.lo && addr+Address(n) <= s.hi && n >= 0 {
@@ -175,7 +180,7 @@ func (s *segmentStore) slice(addr Address, n int) ([]byte, error) {
 		// At least double, so gradual growth stays amortized; but a range
 		// that needs more (the first large block of a restore) sizes the
 		// array once, to the page, instead of to the next power of two.
-		grown := max(2*len(s.data), (end+growAlign-1)&^(growAlign-1))
+		grown := max(2*len(s.data), (end+pageSize-1)&^(pageSize-1))
 		grown = min(grown, s.cap-int(s.org-s.base))
 		nd := make([]byte, grown)
 		copy(nd, s.data)

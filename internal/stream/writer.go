@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/link"
+	"repro/internal/xdr"
 )
 
 // sendQueue is how many cut chunks may wait for the transmit goroutine
@@ -46,7 +47,9 @@ func getChunkBuf(chunkSize int) []byte {
 // NewWriter starts a streamed transfer over t. The receiving side must be
 // running a Reader on the peer.
 func NewWriter(t link.Transport, cfg Config) *Writer {
-	cfg = cfg.withDefaults()
+	if cfg.ChunkSize <= 0 {
+		cfg.ChunkSize = xdr.PieceSize
+	}
 	w := &Writer{
 		cfg:   cfg,
 		t:     t,

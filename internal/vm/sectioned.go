@@ -357,6 +357,7 @@ func (r *Restore) Fork() (*Process, error) {
 		return nil, err
 	}
 	q.Space.CopyHeap(r.p.Space)
+	q.Table.Reserve(memory.Heap, r.p.Table.Len()) // one growth, not one per component
 	for _, c := range r.heap {
 		if err := q.Table.Insert(c.blocks); err != nil {
 			return nil, err

@@ -20,6 +20,11 @@ import (
 // be is the byte order of every XDR quantity.
 var be = binary.BigEndian
 
+// PieceSize is the size of the pieces a streamed body travels in: a
+// capture hands its writer at most this much at once, and a chunk stream
+// carries a piece per chunk unless told otherwise.
+const PieceSize = 64 << 10
+
 // ErrShortBuffer is returned when a decode runs past the end of the stream.
 var ErrShortBuffer = errors.New("xdr: unexpected end of stream")
 
@@ -119,10 +124,8 @@ func (e *Encoder) PutOpaque(p []byte) {
 // PutString encodes a string as XDR variable-length opaque data.
 func (e *Encoder) PutString(s string) {
 	e.PutUint32(uint32(len(s)))
-	n := (len(s) + 3) &^ 3
-	b := e.grow(n)
-	copy(b, s)
-	for i := len(s); i < n; i++ {
+	b := e.grow((len(s) + 3) &^ 3)
+	for i := copy(b, s); i < len(b); i++ {
 		b[i] = 0
 	}
 }
